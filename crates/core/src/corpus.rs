@@ -8,6 +8,25 @@
 //! module's functions and inserts them; evicting removes the module's
 //! band keys. Neither ever rebuilds the index.
 //!
+//! The corpus drives the rank step, it does not re-implement it: it owns
+//! the epoch intervals, the namespace and the `QueryCache`, and ranks
+//! through the leaves of the offline
+//! [`LshBackendSearch`](crate::rank::LshBackendSearch) — which stays a
+//! separate driver because it is the reference these answers are tested
+//! against.
+//!
+//! ## Fingerprint rows
+//!
+//! An entry records one `row` number into the table's
+//! [`PackedFingerprintStore`]: fresh ingests append, a bulk snapshot load
+//! adopts the decoded store whole, an update overwrites its fixed-width
+//! row in place. [`Corpus::load_snapshot_resident`] puts a read-only
+//! [`ResidentStore`] *base* under it: row numbers below its `len()` are
+//! rows of the mapped snapshot file (restore cost is O(touched rows)),
+//! numbers from there up are heap rows, and updating a base row —
+//! the file is immutable while mapped — re-points the entry at a new heap
+//! row. [`RowRef`] is the one borrowed view of either.
+//!
 //! ## Namespacing
 //!
 //! Different translation units freely reuse symbol names (every generated
@@ -69,25 +88,26 @@
 //! deterministic, never-superseded behaviour.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
-
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 use f3m_fingerprint::adaptive::MergeParams;
-use f3m_fingerprint::backend::{backend_for, signature_similarity, FingerprintBackend};
-use f3m_fingerprint::encode::encode_function;
-use f3m_fingerprint::lsh::{band_keys_for, probe_keys_for, BandKey};
+use f3m_fingerprint::backend::{
+    backend_for, signature_similarity, BackendKind, FingerprintBackend,
+};
+use f3m_fingerprint::lsh::{BandKey, LshParams, QueryScratch};
 use f3m_fingerprint::pager::PagerKind;
-use f3m_fingerprint::par::par_map_indexed;
 use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore, RowRef};
 use f3m_fingerprint::sharded::{ShardStats, ShardedLshIndex};
-use f3m_fingerprint::snapshot::{self, SnapshotError, SnapshotHeader};
+use f3m_fingerprint::snapshot::{self, Reader, SnapshotError, SnapshotHeader, Writer};
 use f3m_fingerprint::store::PackedFingerprintStore;
 use f3m_ir::module::Module;
-use f3m_ir::printer::print_function;
+use f3m_ir::parser::parse_module;
+use f3m_ir::printer::{print_declaration, print_function, print_global};
 
 use crate::pass::{run_pass, MergeReport, PassConfig};
+use crate::rank::{sort_ranked, widened_keys};
 
 /// Configuration of a [`Corpus`].
 #[derive(Clone, Debug)]
@@ -173,9 +193,15 @@ pub struct QueryResult {
     /// Qualified name of the queried function.
     pub func: String,
     /// Candidates, best first: similarity descending, qualified name
-    /// ascending on ties. Name ties are rebuild-stable — a from-scratch
-    /// corpus holding the same live functions ranks identically, no
-    /// matter how internal entry ids were assigned.
+    /// ascending on ties. The list is a function of the live functions
+    /// *and their latest-ingest order*: a corpus rebuilt by ingesting the
+    /// surviving modules in the order they were last ingested ranks
+    /// identically, whatever internal entry ids it assigns. Ingest order
+    /// matters because a probed bucket larger than `bucket_cap` is
+    /// truncated to its lowest entry ids, so evicting and re-ingesting
+    /// one module can change another module's k-th candidate. While no
+    /// probed bucket exceeds the cap, the list depends on the live
+    /// functions alone.
     pub candidates: Vec<RankedCandidate>,
 }
 
@@ -221,8 +247,8 @@ pub struct CorpusStats {
     pub funcs_invalidated: u64,
     /// Cancellable queries aborted because a newer epoch superseded them.
     pub queries_superseded: u64,
-    /// Pager backend of the resident fingerprint store (`None` when the
-    /// corpus owns its fingerprints: fresh, or bulk-loaded).
+    /// Pager backend of the resident fingerprint store (`None` when
+    /// every row is a heap row: fresh, or bulk-loaded).
     pub resident_pager: Option<&'static str>,
     /// Logical pool bytes currently resident in the mmap-backed store.
     pub resident_bytes: u64,
@@ -232,63 +258,41 @@ pub struct CorpusStats {
     pub shard_spills: u64,
 }
 
-/// Where one entry's fingerprint lives.
-///
-/// Fresh ingests and bulk snapshot loads own their signature and band
-/// keys on the heap; a corpus restored via
-/// [`Corpus::load_snapshot_resident`] leaves them in the snapshot file
-/// and records only the row, so restore cost is O(touched rows), not
-/// O(corpus). Any mutation of a resident entry (an update or a touch)
-/// recomputes the fingerprint and converts it back to `Owned` — the
-/// snapshot file is immutable while mapped.
-enum Fingerprint {
-    Owned { sig: Vec<u64>, keys: Vec<BandKey> },
-    Resident { row: u32 },
-}
-
-/// Borrowed view of one entry's fingerprint: either the owned vectors or
-/// a pinned row of the resident store (which keeps the backing shard
-/// buffer alive for the lifetime of the view).
-enum FpRef<'a> {
-    Owned { sig: &'a [u64], keys: &'a [BandKey] },
-    Resident(RowRef<'a>),
-}
-
-impl FpRef<'_> {
-    fn sig(&self) -> &[u64] {
-        match self {
-            FpRef::Owned { sig, .. } => sig,
-            FpRef::Resident(r) => r.sig(),
-        }
-    }
-
-    fn keys(&self) -> &[BandKey] {
-        match self {
-            FpRef::Owned { keys, .. } => keys,
-            FpRef::Resident(r) => r.keys(),
-        }
-    }
-}
-
 struct Entry {
     /// Original (unqualified) function name.
     func: String,
     /// `<module>.<func>`, the corpus-wide identity.
     qualified: String,
-    /// Backend signature + band keys (see [`signature_similarity`]),
-    /// owned or resident in a mapped snapshot.
-    fp: Fingerprint,
+    /// Fingerprint row (signature + band keys, see
+    /// [`signature_similarity`]): below the resident base's `len()` a row
+    /// of the mapped snapshot, from there up a row of [`Table::rows`].
+    row: u32,
     /// First epoch at which this entry is visible.
     added: u64,
     /// First epoch at which it is no longer visible (`u64::MAX` = live).
     evicted: u64,
-    /// Revision (epoch) at which `fp`/`keys` were computed. Bumped by
+    /// Revision (epoch) at which the row was computed. Bumped by
     /// `update_function`; `added` for entries never updated.
     rev: u64,
     /// Revision at which the entry's memoized ranks were last
     /// invalidated — by its own (re)computation or by a mutation in its
     /// band-collision neighborhood.
     dirty_rev: u64,
+}
+
+impl Entry {
+    /// An entry becoming visible at `epoch`.
+    fn fresh(module: &str, func: &str, row: usize, epoch: u64) -> Entry {
+        Entry {
+            func: func.to_string(),
+            qualified: format!("{module}.{func}"),
+            row: row as u32,
+            added: epoch,
+            evicted: u64::MAX,
+            rev: epoch,
+            dirty_rev: epoch,
+        }
+    }
 }
 
 struct ModuleRecord {
@@ -309,18 +313,16 @@ struct ModuleRecord {
 struct LazyModule {
     /// Source to parse on first touch; `None` once parsed eagerly.
     src: Option<String>,
-    cell: std::sync::OnceLock<Module>,
+    cell: OnceLock<Module>,
 }
 
 impl LazyModule {
     fn parsed(m: Module) -> LazyModule {
-        let cell = std::sync::OnceLock::new();
-        assert!(cell.set(m).is_ok(), "fresh cell");
-        LazyModule { src: None, cell }
+        LazyModule { src: None, cell: OnceLock::from(m) }
     }
 
     fn deferred(src: String) -> LazyModule {
-        LazyModule { src: Some(src), cell: std::sync::OnceLock::new() }
+        LazyModule { src: Some(src), cell: OnceLock::new() }
     }
 
     /// The parsed module, parsing the deferred source on first touch.
@@ -329,15 +331,12 @@ impl LazyModule {
     fn get(&self) -> &Module {
         self.cell.get_or_init(|| {
             let src = self.src.as_ref().expect("deferred module has source");
-            f3m_ir::parser::parse_module(src)
-                .expect("checksummed snapshot module source parses")
+            parse_module(src).expect("checksummed snapshot module source parses")
         })
     }
 
     fn set(&mut self, m: Module) {
-        self.src = None;
-        self.cell = std::sync::OnceLock::new();
-        assert!(self.cell.set(m).is_ok(), "fresh cell");
+        *self = LazyModule::parsed(m);
     }
 
     /// The canonical IR source: verbatim if the deferred source was
@@ -346,15 +345,34 @@ impl LazyModule {
     fn source(&self) -> String {
         match (self.cell.get(), &self.src) {
             (None, Some(src)) => src.clone(),
-            (m, _) => render_module_source(m.expect("parsed or deferred"), None, None),
+            (m, _) => render_module_source(m.expect("parsed or deferred"), None),
         }
     }
 }
 
-#[derive(Default)]
 struct Table {
     entries: Vec<Entry>,
     modules: Vec<ModuleRecord>,
+    /// Heap fingerprint rows (see the module docs).
+    rows: PackedFingerprintStore,
+}
+
+impl Table {
+    /// Index of the live module `name`.
+    fn live_module(&self, name: &str) -> Result<usize, String> {
+        self.modules
+            .iter()
+            .position(|r| r.live && r.name == name)
+            .ok_or_else(|| format!("module `{name}` is not resident"))
+    }
+
+    /// Entry id of module `mi`'s merge-eligible function `func`.
+    fn entry_of(&self, mi: usize, func: &str) -> Result<usize, String> {
+        let rec = &self.modules[mi];
+        rec.entry_ids.iter().copied().find(|&id| self.entries[id].func == func).ok_or_else(|| {
+            format!("module `{}` has no merge-eligible function `{func}`", rec.name)
+        })
+    }
 }
 
 /// One memoized ranked-candidate list: the full (untruncated,
@@ -368,10 +386,6 @@ struct CachedRank {
 /// Memo layer over per-entry ranked candidates. Lock order is always
 /// table before cache.
 type QueryCache = RwLock<HashMap<usize, CachedRank>>;
-
-/// Per-query pairwise similarity cache, keyed on `(min(i, j), max(i, j))`
-/// so the estimate for a symmetric pair is computed once per query.
-type SimCache = HashMap<(usize, usize), f64>;
 
 #[derive(Default)]
 struct MemoCounters {
@@ -397,8 +411,8 @@ pub struct Corpus {
     table: RwLock<Table>,
     cache: QueryCache,
     counters: MemoCounters,
-    /// Backing store for [`Fingerprint::Resident`] entries; `None` for
-    /// fresh and bulk-loaded corpora.
+    /// Read-only base of the row space (rows below its `len()`); `None`
+    /// for fresh and bulk-loaded corpora.
     resident: Option<ResidentStore>,
     /// Serializes ingest/evict/update so epoch intervals never interleave.
     mutate: Mutex<()>,
@@ -415,11 +429,12 @@ impl Corpus {
     pub fn new(cfg: CorpusConfig) -> Corpus {
         let backend = backend_for(cfg.params.backend, cfg.params.k);
         let index = ShardedLshIndex::new(cfg.params.lsh, cfg.shards);
+        let rows = PackedFingerprintStore::with_capacity(cfg.params.k, cfg.params.lsh.bands, 0);
         Corpus {
             cfg,
             backend,
             index,
-            table: RwLock::new(Table::default()),
+            table: RwLock::new(Table { entries: Vec::new(), modules: Vec::new(), rows }),
             cache: RwLock::new(HashMap::new()),
             counters: MemoCounters::default(),
             resident: None,
@@ -427,27 +442,20 @@ impl Corpus {
         }
     }
 
-    pub fn config(&self) -> &CorpusConfig {
-        &self.cfg
+    /// First heap row number: the resident base's length.
+    fn heap_base(&self) -> usize {
+        self.resident.as_ref().map_or(0, ResidentStore::len)
     }
 
-    /// One entry's fingerprint, wherever it lives. Faults the owning
+    /// One entry's fingerprint row, wherever it lives. Faults the owning
     /// shard of a resident row in (and may spill a cold shard under the
     /// budget) as a side effect.
-    fn fp<'t>(&'t self, e: &'t Entry) -> FpRef<'t> {
-        match &e.fp {
-            Fingerprint::Owned { sig, keys } => FpRef::Owned { sig, keys },
-            Fingerprint::Resident { row } => {
-                let store = self.resident.as_ref().expect("resident entry has a resident store");
-                FpRef::Resident(store.row(*row as usize))
-            }
+    fn row<'t>(&'t self, t: &'t Table, e: &Entry) -> RowRef<'t> {
+        let row = e.row as usize;
+        match &self.resident {
+            Some(base) if row < base.len() => base.row(row),
+            _ => t.rows.row(row - self.heap_base()),
         }
-    }
-
-    /// Owned copy of one entry's band keys (the delta-removal paths need
-    /// keys that outlive the table borrow).
-    fn keys_owned(&self, e: &Entry) -> Vec<BandKey> {
-        self.fp(e).keys().to_vec()
     }
 
     /// Residency counters of the backing resident store, if any.
@@ -476,19 +484,19 @@ impl Corpus {
         let funcs: Vec<_> =
             defined.iter().copied().filter(|&f| m.function(f).num_linked_insts() > 0).collect();
         let skipped = defined.len() - funcs.len();
-        let backend = &*self.backend;
-        let per_func = par_map_indexed(funcs.len(), self.cfg.jobs.max(1), |i| {
-            let enc = encode_function(&m.types, m.function(funcs[i]));
-            let sig = backend.signature(&enc);
-            let keys = band_keys_for(self.cfg.params.lsh, &sig);
-            (sig, keys)
-        });
+        let rows = PackedFingerprintStore::of_functions(
+            &m,
+            &funcs,
+            &*self.backend,
+            self.cfg.params.lsh,
+            self.cfg.jobs,
+        );
 
         let _writer = self.mutate.lock().unwrap();
         let next_epoch = self.index.epoch() + 1;
         let inserted: Vec<(usize, Vec<BandKey>)> = {
             let mut t = self.table.write().unwrap();
-            if t.modules.iter().any(|r| r.live && r.name == name) {
+            if t.live_module(&name).is_ok() {
                 return Err(format!("module `{name}` is already ingested (evict it first)"));
             }
             let live_qualified: HashSet<&str> = t
@@ -503,35 +511,21 @@ impl Corpus {
                     return Err(format!("qualified name `{q}` collides with a resident function"));
                 }
             }
-            let mut entry_ids = Vec::with_capacity(funcs.len());
-            let mut inserted = Vec::with_capacity(funcs.len());
-            for (&f, (sig, keys)) in funcs.iter().zip(per_func) {
-                let id = t.entries.len();
-                let func = m.function(f).name.clone();
-                t.entries.push(Entry {
-                    qualified: format!("{name}.{func}"),
-                    func,
-                    fp: Fingerprint::Owned { sig, keys: keys.clone() },
-                    added: next_epoch,
-                    evicted: u64::MAX,
-                    rev: next_epoch,
-                    dirty_rev: next_epoch,
-                });
-                entry_ids.push(id);
-                inserted.push((id, keys));
+            let first_id = t.entries.len();
+            let first_row = self.heap_base() + t.rows.len();
+            t.rows.extend_from(&rows);
+            for (i, &f) in funcs.iter().enumerate() {
+                t.entries.push(Entry::fresh(&name, &m.function(f).name, first_row + i, next_epoch));
             }
             t.modules.push(ModuleRecord {
                 name: name.clone(),
                 module: LazyModule::parsed(m),
-                entry_ids,
+                entry_ids: (first_id..first_id + funcs.len()).collect(),
                 live: true,
             });
-            inserted
+            (0..funcs.len()).map(|i| (first_id + i, rows.keys(i).to_vec())).collect()
         };
-        let dirty = self.index.apply_delta(&[], &inserted);
-        self.finalize_mutation(&dirty, next_epoch);
-        let epoch = self.index.advance_epoch();
-        debug_assert_eq!(epoch, next_epoch);
+        let epoch = self.publish(&[], &inserted, next_epoch).0;
         Ok(IngestSummary { module: name, functions: inserted.len(), skipped, epoch })
     }
 
@@ -543,22 +537,17 @@ impl Corpus {
         let next_epoch = self.index.epoch() + 1;
         let removed: Vec<(usize, Vec<BandKey>)> = {
             let mut t = self.table.write().unwrap();
-            let Some(mi) = t.modules.iter().position(|r| r.live && r.name == name) else {
-                return Err(format!("module `{name}` is not resident"));
-            };
+            let mi = t.live_module(name)?;
             t.modules[mi].live = false;
             let ids = t.modules[mi].entry_ids.clone();
             ids.iter()
                 .map(|&id| {
                     t.entries[id].evicted = next_epoch;
-                    (id, self.keys_owned(&t.entries[id]))
+                    (id, self.row(&t, &t.entries[id]).keys().to_vec())
                 })
                 .collect()
         };
-        let dirty = self.index.apply_delta(&removed, &[]);
-        self.finalize_mutation(&dirty, next_epoch);
-        let epoch = self.index.advance_epoch();
-        debug_assert_eq!(epoch, next_epoch);
+        let epoch = self.publish(&removed, &[], next_epoch).0;
         Ok(EvictSummary { module: name.to_string(), functions: removed.len(), epoch })
     }
 
@@ -579,94 +568,7 @@ impl Corpus {
         func: &str,
         replacement_ir: Option<&str>,
     ) -> Result<UpdateSummary, String> {
-        let _writer = self.mutate.lock().unwrap();
-        let next_epoch = self.index.epoch() + 1;
-
-        // Resolve the target and render the replacement module outside
-        // any write lock — parsing and printing dominate the cost.
-        let (mi, entry_id, old_keys, old_text) = {
-            let t = self.table.read().unwrap();
-            let mi = t
-                .modules
-                .iter()
-                .position(|r| r.live && r.name == module)
-                .ok_or_else(|| format!("module `{module}` is not resident"))?;
-            let rec = &t.modules[mi];
-            let Some(&id) = rec.entry_ids.iter().find(|&&id| t.entries[id].func == func) else {
-                return Err(format!(
-                    "module `{module}` has no merge-eligible function `{func}`"
-                ));
-            };
-            let fid = rec.module.get().lookup_function(func).expect("entry function exists");
-            (mi, id, self.keys_owned(&t.entries[id]), print_function(rec.module.get(), fid))
-        };
-
-        let (new_module, changed) = match replacement_ir {
-            None => (None, false),
-            Some(text) => {
-                let incoming = f3m_ir::parser::parse_module(text)
-                    .map_err(|e| format!("update: replacement does not parse: {e}"))?;
-                let fid = incoming
-                    .lookup_function(func)
-                    .filter(|&f| !incoming.function(f).is_declaration)
-                    .ok_or_else(|| format!("update: replacement does not define `{func}`"))?;
-                if incoming.function(fid).num_linked_insts() == 0 {
-                    return Err(format!(
-                        "update: replacement `{func}` has no linked instructions \
-                         (would become merge-ineligible)"
-                    ));
-                }
-                let fn_text = print_function(&incoming, fid);
-                if fn_text == old_text {
-                    (None, false)
-                } else {
-                    let t = self.table.read().unwrap();
-                    let src = render_module_source(
-                        t.modules[mi].module.get(),
-                        Some((func, &fn_text)),
-                        None,
-                    );
-                    drop(t);
-                    let rebuilt = f3m_ir::parser::parse_module(&src)
-                        .map_err(|e| format!("update: spliced module does not verify: {e}"))?;
-                    (Some(rebuilt), true)
-                }
-            }
-        };
-
-        // Recompute the one fingerprint from the effective body.
-        let (sig, new_keys) = {
-            let t = self.table.read().unwrap();
-            let m = new_module.as_ref().unwrap_or_else(|| t.modules[mi].module.get());
-            let fid = m.lookup_function(func).expect("spliced function exists");
-            let enc = encode_function(&m.types, m.function(fid));
-            let sig = self.backend.signature(&enc);
-            let keys = band_keys_for(self.cfg.params.lsh, &sig);
-            (sig, keys)
-        };
-
-        // Install the new body and stamps before touching the index, so
-        // any id the index surfaces always has backing entry data.
-        {
-            let mut t = self.table.write().unwrap();
-            if let Some(m2) = new_module {
-                t.modules[mi].module.set(m2);
-            }
-            let e = &mut t.entries[entry_id];
-            e.fp = Fingerprint::Owned { sig, keys: new_keys.clone() };
-            e.rev = next_epoch;
-        }
-        let dirty = self.index.apply_delta(&[(entry_id, old_keys)], &[(entry_id, new_keys)]);
-        let funcs_invalidated = self.finalize_mutation(&dirty, next_epoch);
-        let epoch = self.index.advance_epoch();
-        debug_assert_eq!(epoch, next_epoch);
-        Ok(UpdateSummary {
-            module: module.to_string(),
-            func: func.to_string(),
-            epoch,
-            changed,
-            funcs_invalidated,
-        })
+        self.splice_function("update", module, func, replacement_ir, true)
     }
 
     /// Appends one new merge-eligible function to a resident module
@@ -679,30 +581,38 @@ impl Corpus {
         func: &str,
         ir: &str,
     ) -> Result<IngestSummary, String> {
+        let up = self.splice_function("ingest-function", module, func, Some(ir), false)?;
+        Ok(IngestSummary { module: up.module, functions: 1, skipped: 0, epoch: up.epoch })
+    }
+
+    /// The one function-level write path: parse the incoming IR, find the
+    /// definition, check eligibility, render the resident module with the
+    /// body spliced in, re-parse (which verifies the splice), fingerprint
+    /// the one row and publish the index delta. With `replace`, `func`
+    /// must be a resident merge-eligible function and its row is
+    /// rewritten (`ir == None` re-fingerprints the resident body);
+    /// without, `func` must be new to the module and gets a new entry.
+    fn splice_function(
+        &self,
+        verb: &str,
+        module: &str,
+        func: &str,
+        ir: Option<&str>,
+        replace: bool,
+    ) -> Result<UpdateSummary, String> {
+        let noun = if replace { "replacement" } else { "body" };
         let _writer = self.mutate.lock().unwrap();
         let next_epoch = self.index.epoch() + 1;
 
-        let incoming = f3m_ir::parser::parse_module(ir)
-            .map_err(|e| format!("ingest-function: body does not parse: {e}"))?;
-        let fid = incoming
-            .lookup_function(func)
-            .filter(|&f| !incoming.function(f).is_declaration)
-            .ok_or_else(|| format!("ingest-function: IR does not define `{func}`"))?;
-        if incoming.function(fid).num_linked_insts() == 0 {
-            return Err(format!(
-                "ingest-function: `{func}` has no linked instructions (not merge-eligible)"
-            ));
-        }
-        let fn_text = print_function(&incoming, fid);
-
-        let (mi, rebuilt) = {
-            let t = self.table.read().unwrap();
-            let mi = t
-                .modules
-                .iter()
-                .position(|r| r.live && r.name == module)
-                .ok_or_else(|| format!("module `{module}` is not resident"))?;
-            if t.modules[mi].module.get().lookup_function(func).is_some() {
+        // Everything up to the install runs under a read lock: parsing
+        // and printing dominate the cost, and readers keep being served.
+        let t = self.table.read().unwrap();
+        let mi = t.live_module(module)?;
+        let resident = t.modules[mi].module.get();
+        let existing = if replace {
+            Some(t.entry_of(mi, func)?)
+        } else {
+            if resident.lookup_function(func).is_some() {
                 return Err(format!(
                     "module `{module}` already has a function `{func}` (use update)"
                 ));
@@ -711,61 +621,117 @@ impl Corpus {
             if t.entries.iter().any(|e| e.evicted == u64::MAX && e.qualified == qualified) {
                 return Err(format!("qualified name `{qualified}` collides with a resident function"));
             }
-            let src = render_module_source(t.modules[mi].module.get(), None, Some(&fn_text));
-            (mi, src)
-        };
-        let rebuilt = f3m_ir::parser::parse_module(&rebuilt)
-            .map_err(|e| format!("ingest-function: appended module does not verify: {e}"))?;
-
-        let (sig, keys) = {
-            let fid = rebuilt.lookup_function(func).expect("appended function exists");
-            let enc = encode_function(&rebuilt.types, rebuilt.function(fid));
-            let sig = self.backend.signature(&enc);
-            let keys = band_keys_for(self.cfg.params.lsh, &sig);
-            (sig, keys)
+            None
         };
 
-        let entry_id = {
+        let mut rebuilt = None;
+        if let Some(text) = ir {
+            let incoming =
+                parse_module(text).map_err(|e| format!("{verb}: {noun} does not parse: {e}"))?;
+            let fid = incoming
+                .lookup_function(func)
+                .filter(|&f| !incoming.function(f).is_declaration)
+                .ok_or_else(|| format!("{verb}: {noun} does not define `{func}`"))?;
+            if incoming.function(fid).num_linked_insts() == 0 {
+                return Err(format!(
+                    "{verb}: {noun} `{func}` has no linked instructions \
+                     (would become merge-ineligible)"
+                ));
+            }
+            let fn_text = print_function(&incoming, fid);
+            // A replacement that prints like the resident body is a touch.
+            let resident_text = resident.lookup_function(func).map(|f| print_function(resident, f));
+            if resident_text.as_ref() != Some(&fn_text) {
+                let src = render_module_source(resident, Some((func, &fn_text)));
+                rebuilt = Some(
+                    parse_module(&src)
+                        .map_err(|e| format!("{verb}: spliced module does not verify: {e}"))?,
+                );
+            }
+        }
+        let changed = rebuilt.is_some();
+
+        // Fingerprint the one function from the effective body.
+        let m = rebuilt.as_ref().unwrap_or(resident);
+        let fid = m.lookup_function(func).expect("spliced function exists");
+        let row =
+            PackedFingerprintStore::of_functions(m, &[fid], &*self.backend, self.cfg.params.lsh, 1);
+        drop(t);
+
+        // Install the new body, row and stamps before touching the index,
+        // so any id the index surfaces always has backing entry data.
+        let (entry_id, removes) = {
             let mut t = self.table.write().unwrap();
-            let id = t.entries.len();
-            t.entries.push(Entry {
-                func: func.to_string(),
-                qualified: format!("{module}.{func}"),
-                fp: Fingerprint::Owned { sig, keys: keys.clone() },
-                added: next_epoch,
-                evicted: u64::MAX,
-                rev: next_epoch,
-                dirty_rev: next_epoch,
-            });
-            t.modules[mi].module.set(rebuilt);
-            t.modules[mi].entry_ids.push(id);
-            id
+            if let Some(m2) = rebuilt {
+                t.modules[mi].module.set(m2);
+            }
+            let base = self.heap_base();
+            match existing {
+                Some(id) => {
+                    let old_keys = self.row(&t, &t.entries[id]).keys().to_vec();
+                    match (t.entries[id].row as usize).checked_sub(base) {
+                        Some(heap_row) => t.rows.set_row(heap_row, row.sig(0), row.keys(0)),
+                        // The mapped snapshot is immutable: re-point the
+                        // entry at a new heap row.
+                        None => {
+                            t.entries[id].row = (base + t.rows.len()) as u32;
+                            t.rows.extend_from(&row);
+                        }
+                    }
+                    t.entries[id].rev = next_epoch;
+                    (id, vec![(id, old_keys)])
+                }
+                None => {
+                    let id = t.entries.len();
+                    let e = Entry::fresh(module, func, base + t.rows.len(), next_epoch);
+                    t.entries.push(e);
+                    t.rows.extend_from(&row);
+                    t.modules[mi].entry_ids.push(id);
+                    (id, Vec::new())
+                }
+            }
         };
-        let dirty = self.index.apply_delta(&[], &[(entry_id, keys)]);
-        self.finalize_mutation(&dirty, next_epoch);
-        let epoch = self.index.advance_epoch();
-        debug_assert_eq!(epoch, next_epoch);
-        Ok(IngestSummary { module: module.to_string(), functions: 1, skipped: 0, epoch })
+        let (epoch, funcs_invalidated) =
+            self.publish(&removes, &[(entry_id, row.keys(0).to_vec())], next_epoch);
+        Ok(UpdateSummary {
+            module: module.to_string(),
+            func: func.to_string(),
+            epoch,
+            changed,
+            funcs_invalidated,
+        })
     }
 
-    /// Marks `dirty` entries invalidated at `next_epoch` and drops their
-    /// memoized ranks. Returns how many *surviving* residents were
-    /// invalidated: entries created or evicted by this very mutation had
-    /// no reusable memo to lose and are not counted.
-    fn finalize_mutation(&self, dirty: &[usize], next_epoch: u64) -> u64 {
-        let mut t = self.table.write().unwrap();
-        let mut cache = self.cache.write().unwrap();
+    /// Finishes a staged mutation: applies its index delta, stamps the
+    /// touched band-collision neighborhood invalidated at `next_epoch`,
+    /// drops its memoized ranks and publishes the epoch. Returns the
+    /// epoch and how many *surviving* residents were invalidated: entries
+    /// created or evicted by this very mutation had no reusable memo to
+    /// lose and are not counted.
+    fn publish(
+        &self,
+        removes: &[(usize, Vec<BandKey>)],
+        inserts: &[(usize, Vec<BandKey>)],
+        next_epoch: u64,
+    ) -> (u64, u64) {
+        let dirty = self.index.apply_delta(removes, inserts);
         let mut invalidated = 0u64;
-        for &id in dirty {
-            let e = &mut t.entries[id];
-            e.dirty_rev = next_epoch;
-            cache.remove(&id);
-            if e.added < next_epoch && e.evicted > next_epoch {
-                invalidated += 1;
+        {
+            let mut t = self.table.write().unwrap();
+            let mut cache = self.cache.write().unwrap();
+            for &id in &dirty {
+                let e = &mut t.entries[id];
+                e.dirty_rev = next_epoch;
+                cache.remove(&id);
+                if e.added < next_epoch && e.evicted > next_epoch {
+                    invalidated += 1;
+                }
             }
         }
         self.counters.funcs_invalidated.fetch_add(invalidated, Ordering::Relaxed);
-        invalidated
+        let epoch = self.index.advance_epoch();
+        debug_assert_eq!(epoch, next_epoch);
+        (epoch, invalidated)
     }
 
     /// Top-`k` resident candidates for one function, by qualified
@@ -778,12 +744,8 @@ impl Corpus {
     ) -> Result<(u64, QueryResult), String> {
         let epoch = self.index.epoch();
         let t = self.table.read().unwrap();
-        let rec = Self::live_module(&t, module)?;
-        let Some(&id) = rec.entry_ids.iter().find(|&&id| t.entries[id].func == func) else {
-            return Err(format!("module `{module}` has no merge-eligible function `{func}`"));
-        };
-        let mut sims = SimCache::new();
-        Ok((epoch, self.ranked(&t, id, epoch, k, &mut sims)))
+        let id = t.entry_of(t.live_module(module)?, func)?;
+        Ok((epoch, self.ranked(&t, id, epoch, k, &mut QueryScratch::new())))
     }
 
     /// Top-`k` resident candidates for every merge-eligible function of
@@ -804,10 +766,10 @@ impl Corpus {
         }
         let epoch = self.index.epoch();
         let t = self.table.read().unwrap();
-        let rec = Self::live_module(&t, module)?;
-        let mut sims = SimCache::new();
+        let rec = &t.modules[t.live_module(module)?];
+        let mut scratch = QueryScratch::new();
         let results =
-            rec.entry_ids.iter().map(|&id| self.ranked(&t, id, epoch, k, &mut sims)).collect();
+            rec.entry_ids.iter().map(|&id| self.ranked(&t, id, epoch, k, &mut scratch)).collect();
         Ok((epoch, results))
     }
 
@@ -829,16 +791,16 @@ impl Corpus {
         let epoch = self.index.epoch();
         let entry_ids: Vec<usize> = {
             let t = self.table.read().unwrap();
-            Self::live_module(&t, module)?.entry_ids.clone()
+            t.modules[t.live_module(module)?].entry_ids.clone()
         };
-        let mut sims = SimCache::new();
+        let mut scratch = QueryScratch::new();
         let mut results = Vec::with_capacity(entry_ids.len());
         for &id in &entry_ids {
             if is_superseded(epoch) {
                 return Ok(self.superseded(epoch));
             }
             let t = self.table.read().unwrap();
-            results.push(self.ranked(&t, id, epoch, k, &mut sims));
+            results.push(self.ranked(&t, id, epoch, k, &mut scratch));
         }
         // A mutation may have staged state we read without yet advancing
         // the epoch. If no writer is active now and the epoch still
@@ -861,20 +823,14 @@ impl Corpus {
         QueryOutcome::Superseded { started, epoch: self.index.epoch() }
     }
 
-    fn live_module<'t>(t: &'t Table, name: &str) -> Result<&'t ModuleRecord, String> {
-        t.modules
-            .iter()
-            .find(|r| r.live && r.name == name)
-            .ok_or_else(|| format!("module `{name}` is not resident"))
-    }
-
     /// Corpus-global candidate pairs: every live function's top-`k`
     /// ranked candidates through the memoized [`QueryCache`] path,
     /// symmetrized, deduped and ordered by similarity descending then
     /// qualified names ascending. The resulting list is a pure function
-    /// of the live functions and the merge parameters — identical for
-    /// any shard count and across from-scratch rebuilds — which is what
-    /// makes the global merge plan deterministic. Because the rankings
+    /// of the per-function rankings (see [`QueryResult::candidates`]) and
+    /// the merge parameters — identical for any shard count and across
+    /// rebuilds in latest-ingest order — which is what makes the global
+    /// merge plan deterministic. Because the rankings
     /// run through the memo, a repeat call after a mutation recomputes
     /// only the invalidated band-collision neighborhoods (observable via
     /// `memo_hits`/`memo_misses` in [`CorpusStats`]).
@@ -893,11 +849,11 @@ impl Corpus {
                 }
             }
         }
-        let mut sims = SimCache::new();
+        let mut scratch = QueryScratch::new();
         let mut best: HashMap<(String, String), (f64, bool)> = HashMap::new();
         for rec in t.modules.iter().filter(|r| r.live) {
             for &id in &rec.entry_ids {
-                let res = self.ranked(&t, id, epoch, k, &mut sims);
+                let res = self.ranked(&t, id, epoch, k, &mut scratch);
                 for cand in &res.candidates {
                     let (a, b) = if res.func <= cand.func {
                         (res.func.clone(), cand.func.clone())
@@ -931,82 +887,69 @@ impl Corpus {
     /// at which it was last (re)computed.
     pub fn function_revision(&self, module: &str, func: &str) -> Option<u64> {
         let t = self.table.read().unwrap();
-        let rec = t.modules.iter().find(|r| r.live && r.name == module)?;
-        let &id = rec.entry_ids.iter().find(|&&id| t.entries[id].func == func)?;
+        let id = t.entry_of(t.live_module(module).ok()?, func).ok()?;
         Some(t.entries[id].rev)
     }
 
     /// Ranks the candidates of entry `i` visible at `epoch`: probe the
-    /// sharded index, filter by epoch interval and similarity threshold,
-    /// order by similarity descending / entry order ascending. This is
-    /// the same rule as `CandidateSearch::ranked_candidates`, so daemon
-    /// queries agree with the offline seam over [`combine_modules`].
+    /// sharded index into the query's `scratch`, filter by epoch interval
+    /// and similarity threshold, order by [`sort_ranked`] — the steps of
+    /// `LshBackendSearch::ranked_candidates` over the same leaves, so
+    /// daemon queries agree with the offline search over
+    /// [`combine_modules`].
     ///
     /// The full list is memoized in the [`QueryCache`]: a cached list
     /// computed under pinned epoch `P` serves a query pinned at `E` iff
     /// `dirty_rev ≤ min(P, E)` — no mutation has touched this entry's
     /// band-collision neighborhood since before either pin, so the two
-    /// pins see the same durable inputs. `sims` is the per-query pairwise
-    /// similarity cache shared across a module query's loop, so symmetric
-    /// pairs are estimated once per query, not once per endpoint.
-    fn ranked(&self, t: &Table, i: usize, epoch: u64, k: usize, sims: &mut SimCache) -> QueryResult {
+    /// pins see the same durable inputs.
+    fn ranked(
+        &self,
+        t: &Table,
+        i: usize,
+        epoch: u64,
+        k: usize,
+        scratch: &mut QueryScratch<usize>,
+    ) -> QueryResult {
         let ent = &t.entries[i];
         if let Some(c) = self.cache.read().unwrap().get(&i) {
             if ent.dirty_rev <= c.pinned.min(epoch) {
                 self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-                return self.render_result(t, ent, c.ranked.iter().take(k).copied());
+                return Self::render_result(t, ent, &c.ranked, k);
             }
         }
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let fp = self.fp(ent);
-        // Multi-probe widens the probed key list with perturbed band
-        // keys; `probes == 0` is exactly the classic single-probe query.
-        let (cands, _) = if self.cfg.params.probes > 0 {
-            let probed = probe_keys_for(self.cfg.params.lsh, fp.sig(), self.cfg.params.probes);
-            self.index.candidates_counted(&probed, i)
-        } else {
-            self.index.candidates_counted(fp.keys(), i)
+        let params = &self.cfg.params;
+        let row = self.row(t, ent);
+        match widened_keys(params, row.sig()) {
+            Some(keys) => self.index.probe_keys_into(&keys, i, scratch),
+            None => self.index.probe_keys_into(row.keys(), i, scratch),
         };
-        let mut ranked: Vec<(usize, f64)> = cands
-            .into_iter()
-            .filter(|&j| {
-                let e = &t.entries[j];
-                e.added <= epoch && epoch < e.evicted
-            })
-            .map(|j| {
-                let key = (i.min(j), i.max(j));
-                let sim = *sims
-                    .entry(key)
-                    .or_insert_with(|| {
-                        signature_similarity(fp.sig(), self.fp(&t.entries[j]).sig())
-                    });
-                (j, sim)
-            })
-            .filter(|&(_, sim)| sim >= self.cfg.params.threshold)
+        // Visit candidate rows in row order (the final order is set by
+        // `sort_ranked`): the packed pools are walked forwards, and under
+        // a resident budget each shard faults at most once per ranking.
+        scratch.out.sort_unstable();
+        let mut ranked: Vec<(usize, f64)> = scratch
+            .out
+            .iter()
+            .map(|&j| (j, &t.entries[j]))
+            .filter(|(_, e)| e.added <= epoch && epoch < e.evicted)
+            .map(|(j, e)| (j, signature_similarity(row.sig(), self.row(t, e).sig())))
+            .filter(|&(_, sim)| sim >= params.threshold)
             .collect();
-        // Ties (similarities are multiples of 1/k) break on qualified
-        // name, not entry id: names are unique per epoch and survive a
-        // from-scratch rebuild, so incremental and rebuilt corpora rank
-        // identically even after updates reassigned internal ids.
-        ranked.sort_by(|a, b| {
-            b.1.total_cmp(&a.1)
-                .then_with(|| t.entries[a.0].qualified.cmp(&t.entries[b.0].qualified))
-        });
-        let result = self.render_result(t, ent, ranked.iter().take(k).copied());
+        sort_ranked(&mut ranked, |j| &t.entries[j].qualified);
+        let result = Self::render_result(t, ent, &ranked, k);
         self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, ranked });
         result
     }
 
-    fn render_result(
-        &self,
-        t: &Table,
-        ent: &Entry,
-        ranked: impl Iterator<Item = (usize, f64)>,
-    ) -> QueryResult {
+    fn render_result(t: &Table, ent: &Entry, ranked: &[(usize, f64)], k: usize) -> QueryResult {
         QueryResult {
             func: ent.qualified.clone(),
             candidates: ranked
-                .map(|(j, similarity)| RankedCandidate {
+                .iter()
+                .take(k)
+                .map(|&(j, similarity)| RankedCandidate {
                     func: t.entries[j].qualified.clone(),
                     similarity,
                 })
@@ -1046,7 +989,7 @@ impl Corpus {
     /// corpus reproduces the module's resident state exactly.
     pub fn module_source(&self, module: &str) -> Result<String, String> {
         let t = self.table.read().unwrap();
-        Ok(Self::live_module(&t, module)?.module.source())
+        Ok(t.modules[t.live_module(module)?].module.source())
     }
 
     /// The combined module over all live modules, in ingest order, with
@@ -1105,8 +1048,8 @@ impl Corpus {
             live.len(),
         );
         for &id in &live {
-            let fp = self.fp(&t.entries[id]);
-            store.push_with_keys(fp.sig(), fp.keys());
+            let row = self.row(&t, &t.entries[id]);
+            store.push_with_keys(row.sig(), row.keys());
         }
 
         // Bucket directory across all shards. Band keys are globally
@@ -1128,31 +1071,27 @@ impl Corpus {
         // Payload: live module sources, then per-row metadata.
         let live_modules: Vec<usize> =
             (0..t.modules.len()).filter(|&i| t.modules[i].live).collect();
-        let mut module_row: HashMap<usize, u32> = HashMap::new();
-        for (mrow, &mi) in live_modules.iter().enumerate() {
-            module_row.insert(mi, mrow as u32);
-        }
         let mut entry_module = vec![u32::MAX; t.entries.len()];
-        for &mi in &live_modules {
+        for (mrow, &mi) in live_modules.iter().enumerate() {
             for &id in &t.modules[mi].entry_ids {
-                entry_module[id] = module_row[&mi];
+                entry_module[id] = mrow as u32;
             }
         }
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(live_modules.len() as u32).to_le_bytes());
+        let mut payload = Writer::default();
+        payload.u32(live_modules.len() as u32);
         for &mi in &live_modules {
             let rec = &t.modules[mi];
-            write_str(&mut payload, &rec.name);
-            write_str(&mut payload, &rec.module.source());
+            payload.str(&rec.name);
+            payload.str(&rec.module.source());
         }
         for &id in &live {
             let e = &t.entries[id];
             debug_assert_ne!(entry_module[id], u32::MAX, "live entry belongs to a live module");
-            payload.extend_from_slice(&entry_module[id].to_le_bytes());
-            write_str(&mut payload, &e.func);
-            payload.extend_from_slice(&e.added.to_le_bytes());
-            payload.extend_from_slice(&e.rev.to_le_bytes());
-            payload.extend_from_slice(&e.dirty_rev.to_le_bytes());
+            payload.u32(entry_module[id]);
+            payload.str(&e.func);
+            payload.u64(e.added);
+            payload.u64(e.rev);
+            payload.u64(e.dirty_rev);
         }
 
         let header = SnapshotHeader {
@@ -1164,12 +1103,12 @@ impl Corpus {
             epoch,
             entries: live.len(),
         };
-        snapshot::save_snapshot(path, &header, &store, &buckets, &payload)
+        snapshot::save_snapshot(path, &header, &store, &buckets, &payload.buf)
     }
 
     /// Restores a corpus saved by [`Corpus::save_snapshot`] in one bulk
-    /// read: signatures and band keys come straight out of the packed
-    /// pools, the index is rebuilt bucket-by-bucket from the directory
+    /// read: the decoded packed store becomes the table's row store as
+    /// is, the index is rebuilt bucket-by-bucket from the directory
     /// (re-routed if `cfg.shards` differs from the writer's), and the
     /// epoch resumes where the snapshot left off. Module bodies are NOT
     /// parsed here — queries run on the resident signatures, so restore
@@ -1184,17 +1123,13 @@ impl Corpus {
     /// re-ingesting [`Corpus::snapshot_sources`].
     pub fn load_snapshot(path: &Path, cfg: CorpusConfig) -> Result<Corpus, SnapshotError> {
         let snap = snapshot::open_snapshot(path)?;
-        Self::check_snapshot_params(&snap.header, &cfg.params)?;
-        let store = snap.store;
-        Self::restore(cfg, snap.header, snap.buckets, &snap.payload, None, |row| {
-            Fingerprint::Owned { sig: store.sig(row).to_vec(), keys: store.keys(row).to_vec() }
-        })
+        Self::restore(cfg, snap.header, snap.buckets, &snap.payload, snap.store, None)
     }
 
     /// Restores a snapshot *without* reading the fingerprint pools:
     /// validates and decodes only the meta prefix (header, bucket
     /// directory, payload), maps the pools through a [`ResidentStore`],
-    /// and leaves every entry's fingerprint resident in the file. Rows
+    /// and leaves every entry's row resident in the file. Rows
     /// fault in shard-by-shard as queries touch them, and
     /// `resident_budget` (0 = unlimited) caps how many pool bytes stay
     /// hot at once — restart cost becomes O(touched), not O(corpus).
@@ -1208,11 +1143,9 @@ impl Corpus {
         pager: PagerKind,
         resident_budget: u64,
     ) -> Result<Corpus, SnapshotError> {
-        let (meta, store) = ResidentStore::open(path, pager, resident_budget)?;
-        Self::check_snapshot_params(&meta.header, &cfg.params)?;
-        Self::restore(cfg, meta.header, meta.buckets, &meta.payload, Some(store), |row| {
-            Fingerprint::Resident { row: row as u32 }
-        })
+        let (meta, base) = ResidentStore::open(path, pager, resident_budget)?;
+        let heap = PackedFingerprintStore::with_capacity(base.k(), base.bands(), 0);
+        Self::restore(cfg, meta.header, meta.buckets, &meta.payload, heap, Some(base))
     }
 
     /// `cfg.params` must match the snapshot header exactly — resident
@@ -1220,46 +1153,41 @@ impl Corpus {
     /// computed with. `probes` is deliberately not compared: it is a
     /// query-time knob, never part of the stored state.
     fn check_snapshot_params(h: &SnapshotHeader, params: &MergeParams) -> Result<(), SnapshotError> {
-        if h.backend != params.backend
-            || h.k != params.k
-            || h.lsh != params.lsh
-            || h.threshold.to_bits() != params.threshold.to_bits()
+        let describe = |backend: BackendKind, k: usize, lsh: LshParams, threshold: f64| {
+            let (name, bands, rows) = (backend.name(), lsh.bands, lsh.rows);
+            format!("backend={name} k={k} bands={bands} rows={rows} threshold={threshold}")
+        };
+        if (h.backend, h.k, h.lsh, h.threshold.to_bits())
+            != (params.backend, params.k, params.lsh, params.threshold.to_bits())
         {
             return Err(SnapshotError::Mismatch(format!(
-                "snapshot was written under backend={} k={} bands={} rows={} threshold={}; \
-                 the corpus is configured for backend={} k={} bands={} rows={} threshold={}",
-                h.backend.name(),
-                h.k,
-                h.lsh.bands,
-                h.lsh.rows,
-                h.threshold,
-                params.backend.name(),
-                params.k,
-                params.lsh.bands,
-                params.lsh.rows,
-                params.threshold,
+                "snapshot was written under {}; the corpus is configured for {}",
+                describe(h.backend, h.k, h.lsh, h.threshold),
+                describe(params.backend, params.k, params.lsh, params.threshold),
             )));
         }
         Ok(())
     }
 
-    /// Shared tail of the two snapshot loaders: decode the payload,
-    /// reject stale epochs, build the table (fingerprints supplied per
-    /// row by `fp_for_row`), restore the bucket directory and resume the
-    /// epoch.
+    /// Shared tail of the two snapshot loaders: check the parameters,
+    /// decode the payload, reject stale epochs, build the table (entry
+    /// `i` is snapshot row `i` — of `rows`, or of the `resident` base
+    /// when there is one and `rows` is empty), restore the bucket
+    /// directory and resume the epoch.
     fn restore(
         cfg: CorpusConfig,
         header: SnapshotHeader,
         buckets: Vec<(BandKey, Vec<u32>)>,
         payload: &[u8],
+        rows: PackedFingerprintStore,
         resident: Option<ResidentStore>,
-        fp_for_row: impl Fn(usize) -> Fingerprint,
     ) -> Result<Corpus, SnapshotError> {
+        Self::check_snapshot_params(&header, &cfg.params)?;
         let payload = decode_corpus_payload(payload, header.entries)?;
         let newest_entry = payload
             .entries
             .iter()
-            .map(|e| e.added.max(e.rev).max(e.dirty_rev))
+            .map(|(_, e)| e.added.max(e.rev).max(e.dirty_rev))
             .max()
             .unwrap_or(0);
         if newest_entry > header.epoch {
@@ -1270,30 +1198,19 @@ impl Corpus {
         corpus.resident = resident;
         {
             let mut t = corpus.table.write().unwrap();
+            t.rows = rows;
             let mut entry_ids: Vec<Vec<usize>> = vec![Vec::new(); payload.modules.len()];
-            for (row, meta) in payload.entries.iter().enumerate() {
-                let mi = meta.module_idx as usize;
-                if mi >= payload.modules.len() {
-                    return Err(SnapshotError::Corrupt("entry references a missing module"));
-                }
+            for (row, (mi, entry)) in payload.entries.into_iter().enumerate() {
                 entry_ids[mi].push(row);
-                t.entries.push(Entry {
-                    qualified: format!("{}.{}", payload.modules[mi].0, meta.func),
-                    func: meta.func.clone(),
-                    fp: fp_for_row(row),
-                    added: meta.added,
-                    evicted: u64::MAX,
-                    rev: meta.rev,
-                    dirty_rev: meta.dirty_rev,
-                });
+                t.entries.push(entry);
             }
             // Module bodies stay as deferred source text: queries run on
             // the resident signatures alone, so the daemon serves after
             // this one bulk read and each body parses on first touch.
-            for ((name, src), ids) in payload.modules.iter().zip(entry_ids) {
+            for ((name, src), ids) in payload.modules.into_iter().zip(entry_ids) {
                 t.modules.push(ModuleRecord {
-                    name: name.clone(),
-                    module: LazyModule::deferred(src.clone()),
+                    name,
+                    module: LazyModule::deferred(src),
                     entry_ids: ids,
                     live: true,
                 });
@@ -1312,129 +1229,79 @@ impl Corpus {
     /// each source into a fresh corpus.
     pub fn snapshot_sources(path: &Path) -> Result<Vec<(String, String)>, SnapshotError> {
         let snap = snapshot::open_snapshot(path)?;
-        let payload = decode_corpus_payload(&snap.payload, snap.header.entries)?;
-        Ok(payload.modules)
+        Ok(decode_corpus_payload(&snap.payload, snap.header.entries)?.modules)
     }
 }
 
-/// Per-entry metadata stored in the snapshot payload.
-struct PayloadEntry {
-    module_idx: u32,
-    func: String,
-    added: u64,
-    rev: u64,
-    dirty_rev: u64,
-}
-
+/// The decoded snapshot payload.
 struct CorpusPayload {
     /// Live modules as `(name, IR source)`, ingest order.
     modules: Vec<(String, String)>,
-    /// One record per snapshot row, row order.
-    entries: Vec<PayloadEntry>,
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked little-endian reader over the snapshot payload.
-struct PayloadCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        const TRUNC: SnapshotError = SnapshotError::Corrupt("corpus payload truncated");
-        let end = self.pos.checked_add(n).ok_or(TRUNC)?;
-        let s = self.bytes.get(self.pos..end).ok_or(TRUNC)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| SnapshotError::Corrupt("corpus payload string is not UTF-8"))
-    }
+    /// One `(module index, entry)` per snapshot row; entry `i` has row `i`.
+    entries: Vec<(usize, Entry)>,
 }
 
 fn decode_corpus_payload(bytes: &[u8], entries: usize) -> Result<CorpusPayload, SnapshotError> {
-    let mut cur = PayloadCursor { bytes, pos: 0 };
-    let num_modules = cur.u32()? as usize;
-    let mut modules = Vec::with_capacity(num_modules.min(bytes.len() / 8 + 1));
-    for _ in 0..num_modules {
-        let name = cur.str()?;
-        let src = cur.str()?;
-        modules.push((name, src));
-    }
-    // A hostile header can claim any entry count; each record is at
-    // least 32 bytes, so cap the preallocation by what could possibly
-    // still be encoded (the loop then fails with a clean truncation).
-    let mut out = Vec::with_capacity(entries.min(bytes.len() / 32 + 1));
-    for _ in 0..entries {
-        let module_idx = cur.u32()?;
-        let func = cur.str()?;
-        let added = cur.u64()?;
-        let rev = cur.u64()?;
-        let dirty_rev = cur.u64()?;
-        out.push(PayloadEntry { module_idx, func, added, rev, dirty_rev });
-    }
-    if cur.pos != bytes.len() {
-        return Err(SnapshotError::Corrupt("corpus payload has trailing bytes"));
-    }
-    Ok(CorpusPayload { modules, entries: out })
+    let mut r = Reader::new(bytes);
+    let mut decode = || {
+        let num_modules = r.u32()? as usize;
+        let mut modules = Vec::with_capacity(num_modules.min(bytes.len() / 8 + 1));
+        for _ in 0..num_modules {
+            modules.push((r.str()?, r.str()?));
+        }
+        // A hostile header can claim any entry count; each record is at
+        // least 32 bytes, so cap the preallocation by what could possibly
+        // still be encoded (the loop then fails with a clean truncation).
+        let mut out = Vec::with_capacity(entries.min(bytes.len() / 32 + 1));
+        for row in 0..entries {
+            let (mi, func) = (r.u32()? as usize, r.str()?);
+            let Some((module, _)) = modules.get(mi) else {
+                return Err(SnapshotError::Corrupt("entry references a missing module"));
+            };
+            let (added, rev, dirty_rev) = (r.u64()?, r.u64()?, r.u64()?);
+            out.push((mi, Entry { added, rev, dirty_rev, ..Entry::fresh(module, &func, row, 0) }));
+        }
+        if r.remaining() != 0 {
+            return Err(SnapshotError::Corrupt("corpus payload has trailing bytes"));
+        }
+        Ok(CorpusPayload { modules, entries: out })
+    };
+    // The payload sits inside the checksummed meta region, so running off
+    // its end means the writer lied about it: `Corrupt`, not `Truncated`.
+    decode().map_err(|e| match e {
+        SnapshotError::Truncated => SnapshotError::Corrupt("corpus payload truncated"),
+        other => other,
+    })
 }
 
 /// Re-renders `m` to IR text with optional single-function surgery:
-/// `replace = (name, fn_text)` substitutes that definition's body,
-/// `append = fn_text` adds a new definition at the end. Globals,
-/// declarations and function order are preserved, so entry ids keep
-/// lining up with the module's defined-function order. Callers parse the
-/// result, which verifies the splice.
-fn render_module_source(m: &Module, replace: Option<(&str, &str)>, append: Option<&str>) -> String {
+/// `splice = (name, fn_text)` substitutes the body of the definition
+/// called `name`, or appends `fn_text` as a new definition at the end
+/// when there is none. Globals, declarations and function order are
+/// preserved, so entry ids keep lining up with the module's
+/// defined-function order. Callers parse the result, which verifies the
+/// splice.
+fn render_module_source(m: &Module, mut splice: Option<(&str, &str)>) -> String {
     let mut text = format!("module \"{}\" {{\n", m.name);
     for (_, g) in m.globals() {
-        let bytes: Vec<String> = g.init.iter().map(|b| b.to_string()).collect();
-        text.push_str(&format!(
-            "global @{} : {} = [{}]\n",
-            g.name,
-            m.types.display(g.ty),
-            bytes.join(", ")
-        ));
+        text.push_str(&print_global(m, g));
+        text.push('\n');
     }
-    for (_, f) in m.functions() {
-        if f.is_declaration {
-            let params: Vec<String> = f.params.iter().map(|&p| m.types.display(p)).collect();
-            text.push_str(&format!(
-                "declare @{}({}) -> {}\n",
-                f.name,
-                params.join(", "),
-                m.types.display(f.ret_ty)
-            ));
-        }
+    for (_, f) in m.functions().filter(|(_, f)| f.is_declaration) {
+        text.push_str(&print_declaration(m, f));
+        text.push('\n');
     }
-    for (id, f) in m.functions() {
-        if f.is_declaration {
-            continue;
-        }
-        match replace {
-            Some((name, fn_text)) if name == f.name => text.push_str(fn_text),
+    for (id, f) in m.functions().filter(|(_, f)| !f.is_declaration) {
+        match splice {
+            Some((name, fn_text)) if name == f.name => {
+                text.push_str(fn_text);
+                splice = None;
+            }
             _ => text.push_str(&print_function(m, id)),
         }
         text.push('\n');
     }
-    if let Some(fn_text) = append {
+    if let Some((_, fn_text)) = splice {
         text.push_str(fn_text);
         text.push('\n');
     }
@@ -1455,10 +1322,25 @@ fn render_module_source(m: &Module, replace: Option<(&str, &str)>, append: Optio
 /// type stores correctly re-interned without any cross-module id
 /// surgery.
 pub fn combine_modules(mods: &[&Module]) -> Result<Module, String> {
-    let mut global_lines: Vec<String> = Vec::new();
-    let mut global_by_name: HashMap<String, String> = HashMap::new();
-    let mut declare_lines: Vec<(String, String)> = Vec::new();
-    let mut declare_by_name: HashMap<String, String> = HashMap::new();
+    /// Records `line` for the shared symbol `name` (first-seen order);
+    /// false if the symbol already has a different line.
+    fn share(
+        seen: &mut HashMap<String, String>,
+        order: &mut Vec<(String, String)>,
+        name: &str,
+        line: String,
+    ) -> bool {
+        match seen.get(name) {
+            Some(prev) => *prev == line,
+            None => {
+                seen.insert(name.to_string(), line.clone());
+                order.push((name.to_string(), line));
+                true
+            }
+        }
+    }
+    let (mut seen_globals, mut globals) = (HashMap::new(), Vec::new());
+    let (mut seen_declares, mut declares) = (HashMap::new(), Vec::new());
     let mut defined: HashSet<String> = HashSet::new();
     let mut bodies = String::new();
 
@@ -1475,49 +1357,20 @@ pub fn combine_modules(mods: &[&Module]) -> Result<Module, String> {
             ns.rename_function(id, q);
         }
         for (_, g) in ns.globals() {
-            let bytes: Vec<String> = g.init.iter().map(|b| b.to_string()).collect();
-            let line = format!(
-                "global @{} : {} = [{}]",
-                g.name,
-                ns.types.display(g.ty),
-                bytes.join(", ")
-            );
-            match global_by_name.get(&g.name) {
-                None => {
-                    global_by_name.insert(g.name.clone(), line.clone());
-                    global_lines.push(line);
-                }
-                Some(prev) if *prev == line => {}
-                Some(_) => {
-                    return Err(format!(
-                        "global `@{}` redefined with a different type or initializer",
-                        g.name
-                    ))
-                }
+            if !share(&mut seen_globals, &mut globals, &g.name, print_global(&ns, g)) {
+                return Err(format!(
+                    "global `@{}` redefined with a different type or initializer",
+                    g.name
+                ));
             }
         }
         for (id, f) in ns.functions() {
             if f.is_declaration {
-                let params: Vec<String> =
-                    f.params.iter().map(|&p| ns.types.display(p)).collect();
-                let line = format!(
-                    "declare @{}({}) -> {}",
-                    f.name,
-                    params.join(", "),
-                    ns.types.display(f.ret_ty)
-                );
-                match declare_by_name.get(&f.name) {
-                    None => {
-                        declare_by_name.insert(f.name.clone(), line.clone());
-                        declare_lines.push((f.name.clone(), line));
-                    }
-                    Some(prev) if *prev == line => {}
-                    Some(_) => {
-                        return Err(format!(
-                            "external `@{}` declared with conflicting signatures",
-                            f.name
-                        ))
-                    }
+                if !share(&mut seen_declares, &mut declares, &f.name, print_declaration(&ns, f)) {
+                    return Err(format!(
+                        "external `@{}` declared with conflicting signatures",
+                        f.name
+                    ));
                 }
             } else {
                 if !defined.insert(f.name.clone()) {
@@ -1530,14 +1383,14 @@ pub fn combine_modules(mods: &[&Module]) -> Result<Module, String> {
     }
 
     let mut text = String::from("module \"corpus\" {\n");
-    for line in &global_lines {
+    for (_, line) in &globals {
         text.push_str(line);
         text.push('\n');
     }
-    if !global_lines.is_empty() {
+    if !globals.is_empty() {
         text.push('\n');
     }
-    for (name, line) in &declare_lines {
+    for (name, line) in &declares {
         if !defined.contains(name) {
             text.push_str(line);
             text.push('\n');
@@ -1545,13 +1398,14 @@ pub fn combine_modules(mods: &[&Module]) -> Result<Module, String> {
     }
     text.push_str(&bodies);
     text.push_str("}\n");
-    f3m_ir::parser::parse_module(&text).map_err(|e| format!("combine: {e}"))
+    parse_module(&text).map_err(|e| format!("combine: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::{CandidateSearch, LshMinHashSearch};
+    use crate::rank::LshBackendSearch;
+    use f3m_fingerprint::backend::BackendKind;
     use f3m_ir::ids::FuncId;
 
     fn workload(name: &str, seed: u64) -> Module {
@@ -1567,44 +1421,52 @@ mod tests {
         Corpus::new(CorpusConfig { shards: 4, jobs: 2, ..CorpusConfig::default() })
     }
 
+    /// The daemon's answers equal the offline search's over the combined
+    /// module — where nothing filters (threshold 0.0, single probe) and
+    /// where the threshold cuts lists short and multi-probe widens them,
+    /// under both a slot-equality and a sign-bit backend.
     #[test]
     fn ingest_query_matches_offline_seam_on_combined_module() {
-        let c = corpus();
         let m1 = workload("alpha", 11);
         let m2 = workload("beta", 22);
-        c.ingest(m1.clone()).unwrap();
-        c.ingest(m2.clone()).unwrap();
-
-        // Offline: the seam over the combined module.
         let combined = combine_modules(&[&m1, &m2]).unwrap();
         let funcs: Vec<FuncId> = combined
             .defined_functions()
             .into_iter()
             .filter(|&f| combined.function(f).num_linked_insts() > 0)
             .collect();
-        let search = LshMinHashSearch::build(
-            &combined,
-            &funcs,
-            MergeParams::static_default(),
-            1,
-        );
         let available = vec![true; funcs.len()];
 
-        let (_, results) = c.query_module("alpha", 5).unwrap();
-        assert!(!results.is_empty());
-        let mut nonempty = 0;
-        for (i, r) in results.iter().enumerate() {
-            let offline = search.ranked_candidates(i, &available, 5);
-            let offline_names: Vec<(String, f64)> = offline
-                .into_iter()
-                .map(|(j, s)| (combined.function(funcs[j]).name.clone(), s))
-                .collect();
-            let daemon_names: Vec<(String, f64)> =
-                r.candidates.iter().map(|c| (c.func.clone(), c.similarity)).collect();
-            assert_eq!(daemon_names, offline_names, "function {} ({})", i, r.func);
-            nonempty += usize::from(!r.candidates.is_empty());
+        for backend in [BackendKind::MinHash, BackendKind::Embed] {
+            for threshold in [0.0, 0.3] {
+                for probes in [0, 4] {
+                    let params = MergeParams { threshold, ..MergeParams::static_default() }
+                        .with_backend(backend)
+                        .with_probes(probes);
+                    let case = format!("{} t={threshold} probes={probes}", backend.name());
+                    let c = Corpus::new(CorpusConfig { params, shards: 4, jobs: 2 });
+                    c.ingest(m1.clone()).unwrap();
+                    c.ingest(m2.clone()).unwrap();
+                    let search = LshBackendSearch::build(&combined, &funcs, params, 1);
+
+                    let (_, results) = c.query_module("alpha", 5).unwrap();
+                    assert!(!results.is_empty());
+                    let mut nonempty = 0;
+                    for (i, r) in results.iter().enumerate() {
+                        let offline_names: Vec<(String, f64)> = search
+                            .ranked_candidates(i, &available, 5)
+                            .into_iter()
+                            .map(|(j, s)| (combined.function(funcs[j]).name.clone(), s))
+                            .collect();
+                        let daemon_names: Vec<(String, f64)> =
+                            r.candidates.iter().map(|c| (c.func.clone(), c.similarity)).collect();
+                        assert_eq!(daemon_names, offline_names, "{case}: function {i} ({})", r.func);
+                        nonempty += usize::from(!r.candidates.is_empty());
+                    }
+                    assert!(nonempty > 0, "{case}: workload families must produce candidates");
+                }
+            }
         }
-        assert!(nonempty > 0, "workload families must produce candidates");
     }
 
     #[test]
@@ -1744,9 +1606,7 @@ mod tests {
         c.query_module("beta", 5).unwrap();
         assert_eq!(c.stats().memo_misses, miss_before, "all entries warm again");
 
-        // The resident module really carries the new body: a fresh corpus
-        // ingesting the same modules agrees on every query.
-        let fresh = corpus();
+        // The resident module really carries the new body.
         let combined = c.combined_module().unwrap();
         let patched_alpha_body = print_function(
             &combined,
@@ -1759,7 +1619,6 @@ mod tests {
             src_body.lines().skip(1).collect::<Vec<_>>(),
             "updated body equals the source body modulo the header line"
         );
-        drop(fresh);
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub use global::{
 pub use pass::{run_pass, run_pass_traced, MergeReport, MergeStats, PassConfig, Strategy};
 pub use profile::Profile;
 pub use rank::{
-    CandidateSearch, ExhaustiveOpcodeSearch, IndexStats, LshBackendSearch, LshMinHashSearch,
-    SearchScratch,
+    CandidateSearch, ExhaustiveOpcodeSearch, IndexStats, LshBackendSearch, SearchScratch,
 };
 pub use report::STATS_JSON_KEYS;

@@ -47,7 +47,7 @@ use crate::block_pairing::{function_parts, plan_blocks_with, BlockPartsCache, Pa
 use crate::codegen::MergeConfig;
 use crate::commit::{fixed_overhead, Committer};
 use crate::profile::Profile;
-use crate::rank::{build_search, CandidateSearch, QueryCounters, SearchScratch};
+use crate::rank::{build_search, QueryCounters, SearchScratch};
 
 pub use crate::report::{AttemptRecord, MergeReport, MergeStats, StageTime};
 
@@ -79,14 +79,6 @@ pub struct PassConfig {
     /// speculative rank/align phase. `0` and `1` both mean fully
     /// sequential; any value produces the same merged module.
     pub jobs: usize,
-    /// Wrap the candidate search in a [`MemoizedSearch`] so repeated
-    /// `ranked_candidates` queries answer from a per-function memo.
-    /// Off by default: the offline pass ranks each function once, so the
-    /// memo only pays off for callers that re-query (corpus serving,
-    /// analysis tools).
-    ///
-    /// [`MemoizedSearch`]: crate::rank::MemoizedSearch
-    pub memoize_rank: bool,
 }
 
 impl PassConfig {
@@ -117,13 +109,6 @@ impl PassConfig {
     /// Sets the preprocess worker-thread count.
     pub fn with_jobs(mut self, jobs: usize) -> PassConfig {
         self.jobs = jobs;
-        self
-    }
-
-    /// Enables the ranked-candidates memo layer (see
-    /// [`PassConfig::memoize_rank`]).
-    pub fn with_memoized_rank(mut self) -> PassConfig {
-        self.memoize_rank = true;
         self
     }
 }
@@ -196,11 +181,6 @@ pub fn run_pass_traced(
         let mut s = span_on(tracer, "preprocess", "fingerprint");
         s.arg("functions", n as u64);
         let search = build_search(m, &funcs, &config.strategy, jobs);
-        let search: Box<dyn CandidateSearch + Send + Sync> = if config.memoize_rank {
-            Box::new(crate::rank::MemoizedSearch::wrap(search))
-        } else {
-            search
-        };
         let idx = search.index_stats();
         s.arg("lsh_buckets", idx.buckets as u64);
         s.arg("lsh_max_bucket", idx.max_bucket as u64);

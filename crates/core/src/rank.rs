@@ -10,20 +10,16 @@
 //! deterministic (job-count-independent) results.
 //!
 //! The LSH search is generic over [fingerprint
-//! backends](f3m_fingerprint::backend) — MinHash (default), SimHash, or a
-//! TLSH-style hash, per `MergeParams::backend` — and keeps its signatures
-//! and band keys in a [`PackedFingerprintStore`] (two contiguous pools
-//! indexed by function id) instead of per-function `Vec`s, so the build
-//! writes and the probes read cache-linear memory.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+//! backends](f3m_fingerprint::backend) per `MergeParams::backend` and
+//! keeps its signatures and band keys in a [`PackedFingerprintStore`].
+//! The resident corpus drives its own index and epochs but ranks through
+//! the same leaves: [`PackedFingerprintStore::of_functions`] for rows,
+//! `widened_keys` for the probed key list and `sort_ranked` for the
+//! order of a full ranking.
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, signature_similarity};
-use f3m_fingerprint::encode::encode_function;
-use f3m_fingerprint::lsh::{band_keys_for, probe_keys_for, BandKey, LshIndex, QueryScratch};
+use f3m_fingerprint::lsh::{probe_keys_for, BandKey, LshIndex, LshQueryStats, QueryScratch};
 use f3m_fingerprint::opcode_freq::OpcodeFingerprint;
 use f3m_fingerprint::par::par_map_indexed;
 use f3m_fingerprint::store::PackedFingerprintStore;
@@ -77,19 +73,11 @@ pub struct IndexStats {
     pub bytes_per_fn: usize,
 }
 
-/// Reusable per-worker buffers for [`CandidateSearch::best_candidates`].
-/// One scratch lives beside each wave worker's alignment scratch, so the
-/// hot rank loop performs no per-query allocation.
-#[derive(Debug, Default)]
-pub struct SearchScratch {
-    query: QueryScratch<usize>,
-}
-
-impl SearchScratch {
-    pub fn new() -> SearchScratch {
-        SearchScratch { query: QueryScratch::new() }
-    }
-}
+/// Reusable per-worker buffers for [`CandidateSearch::best_candidates`] —
+/// the [`QueryScratch`] a corpus query carries too. One scratch lives
+/// beside each wave worker's alignment scratch, so the hot rank loop
+/// performs no per-query allocation.
+pub type SearchScratch = QueryScratch<usize>;
 
 /// Strategy seam between the pass driver and a candidate-search structure.
 ///
@@ -121,19 +109,6 @@ pub trait CandidateSearch {
     /// structures with no retained state this may be a no-op.)
     fn invalidate(&mut self, idx: usize);
 
-    /// The top-`k` available candidates for function `i`, as
-    /// `(index, similarity)` pairs sorted by similarity descending with
-    /// function *name* ascending as the tie-break (index ascending as the
-    /// final fallback — unreachable while names are unique, which the IR
-    /// verifier enforces per module). Unlike [`Self::best_candidates`]
-    /// this exposes the full ranking (not just the near-tie head), which
-    /// is what corpus-level `query` requests serve; the tie-break rule is
-    /// part of the wire contract, so both implementations share it. Names
-    /// survive a from-scratch rebuild where indexes do not, so rankings —
-    /// and everything planned from them, like the global merge order —
-    /// are identical across shard counts and rebuilds.
-    fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)>;
-
     /// Describes the current search structure for observability exports.
     /// The default (for structures with no retained index) is all-zero.
     fn index_stats(&self) -> IndexStats {
@@ -141,28 +116,26 @@ pub trait CandidateSearch {
     }
 }
 
-/// The shared ordering rule behind [`CandidateSearch::ranked_candidates`]:
+/// The one ordering rule of a full ranking, offline and resident:
 /// similarity descending, then function name ascending, then index
 /// ascending as the (unreachable while names are unique) final fallback.
-/// Index-based tie-breaks are *not* rebuild-stable — a from-scratch
-/// rebuild that assigns ids differently would reorder exact-tie
-/// candidates, and similarities are multiples of `1/k`, so exact ties are
-/// common. Every `ranked_candidates` implementation must sort through
-/// this helper so the corpus, the daemon and the global merge planner
-/// agree on one rebuild-stable order.
-fn sort_ranked(ranked: &mut [(usize, f64)], names: &[String]) {
+/// Similarities are multiples of `1/k`, so exact ties are common; names
+/// break them the same way in every corpus holding the same functions,
+/// where index order would depend on how ids were assigned. (The
+/// candidate *set* still depends on ingest order wherever a probed
+/// bucket exceeds `bucket_cap` — see `QueryResult::candidates`.)
+pub(crate) fn sort_ranked<'a>(ranked: &mut [(usize, f64)], name: impl Fn(usize) -> &'a str) {
     ranked.sort_by(|a, b| {
-        b.1.total_cmp(&a.1)
-            .then_with(|| names[a.0].cmp(&names[b.0]))
-            .then(a.0.cmp(&b.0))
+        b.1.total_cmp(&a.1).then_with(|| name(a.0).cmp(name(b.0))).then(a.0.cmp(&b.0))
     });
 }
 
-/// Snapshots the (unqualified within one module, qualified in a combined
-/// corpus module) function names backing a search structure, for the
-/// rebuild-stable tie-break in [`sort_ranked`].
-fn capture_names(m: &Module, funcs: &[FuncId]) -> Vec<String> {
-    funcs.iter().map(|&f| m.function(f).name.clone()).collect()
+/// The key list a ranking probes for a row with signature `sig`: the
+/// widened multi-probe list, or `None` under classic single-probe
+/// (`params.probes == 0`), where the row's stored band keys are probed
+/// directly without allocating.
+pub(crate) fn widened_keys(params: &MergeParams, sig: &[u64]) -> Option<Vec<BandKey>> {
+    (params.probes > 0).then(|| probe_keys_for(params.lsh, sig, params.probes))
 }
 
 /// Builds the search structure for `strategy` over `funcs`, fanning the
@@ -188,116 +161,10 @@ pub fn build_search(
     }
 }
 
-impl CandidateSearch for Box<dyn CandidateSearch + Send + Sync> {
-    fn num_functions(&self) -> usize {
-        (**self).num_functions()
-    }
-
-    fn best_candidates(
-        &self,
-        i: usize,
-        available: &[bool],
-        counters: &mut QueryCounters,
-        scratch: &mut SearchScratch,
-    ) -> CandidateSet {
-        (**self).best_candidates(i, available, counters, scratch)
-    }
-
-    fn invalidate(&mut self, idx: usize) {
-        (**self).invalidate(idx)
-    }
-
-    fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)> {
-        (**self).ranked_candidates(i, available, k)
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        (**self).index_stats()
-    }
-}
-
-/// Memoizing decorator over any [`CandidateSearch`]: the first
-/// `ranked_candidates` query for a function computes and caches the
-/// *full*, availability-unfiltered ranking; every later query answers
-/// from the memo, filtered by the caller's availability mask and
-/// truncated to `k`.
-///
-/// This is sound because availability only ever *removes* candidates
-/// (the driver masks functions consumed by commits): filtering a
-/// complete ranked list pointwise yields exactly what ranking the
-/// filtered pool would. [`CandidateSearch::invalidate`] drops the
-/// invalidated function's own memo (its index entry is gone) but leaves
-/// the others — their stale references to `idx` are masked by
-/// `available` just as the live index would mask them.
-pub struct MemoizedSearch<S> {
-    inner: S,
-    full: RwLock<HashMap<usize, Vec<(usize, f64)>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<S: CandidateSearch> MemoizedSearch<S> {
-    pub fn wrap(inner: S) -> MemoizedSearch<S> {
-        MemoizedSearch {
-            inner,
-            full: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// `(hits, misses)` of the ranked-candidates memo so far.
-    pub fn memo_counts(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-}
-
-impl<S: CandidateSearch> CandidateSearch for MemoizedSearch<S> {
-    fn num_functions(&self) -> usize {
-        self.inner.num_functions()
-    }
-
-    fn best_candidates(
-        &self,
-        i: usize,
-        available: &[bool],
-        counters: &mut QueryCounters,
-        scratch: &mut SearchScratch,
-    ) -> CandidateSet {
-        self.inner.best_candidates(i, available, counters, scratch)
-    }
-
-    fn invalidate(&mut self, idx: usize) {
-        self.inner.invalidate(idx);
-        self.full.write().unwrap().remove(&idx);
-    }
-
-    fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)> {
-        let filtered = |full: &[(usize, f64)]| {
-            full.iter().filter(|&&(j, _)| available[j]).take(k).copied().collect()
-        };
-        if let Some(full) = self.full.read().unwrap().get(&i) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return filtered(full);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let everyone = vec![true; self.inner.num_functions()];
-        let full = self.inner.ranked_candidates(i, &everyone, usize::MAX);
-        let result = filtered(&full);
-        self.full.write().unwrap().insert(i, full);
-        result
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        self.inner.index_stats()
-    }
-}
-
 /// HyFM baseline: opcode-frequency fingerprints, exhaustive quadratic
 /// nearest-neighbour ranking.
 pub struct ExhaustiveOpcodeSearch {
     fps: Vec<OpcodeFingerprint>,
-    names: Vec<String>,
 }
 
 impl ExhaustiveOpcodeSearch {
@@ -306,7 +173,7 @@ impl ExhaustiveOpcodeSearch {
         let fps = par_map_indexed(funcs.len(), jobs, |i| {
             OpcodeFingerprint::of(m.function(funcs[i]))
         });
-        ExhaustiveOpcodeSearch { fps, names: capture_names(m, funcs) }
+        ExhaustiveOpcodeSearch { fps }
     }
 }
 
@@ -339,18 +206,6 @@ impl CandidateSearch for ExhaustiveOpcodeSearch {
         // The exhaustive scan consults `available` directly; there is no
         // retained structure to update.
     }
-
-    fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)> {
-        let mut ranked: Vec<(usize, f64)> = available
-            .iter()
-            .enumerate()
-            .filter(|&(j, av)| *av && j != i)
-            .map(|(j, _)| (j, self.fps[i].similarity(&self.fps[j])))
-            .collect();
-        sort_ranked(&mut ranked, &self.names);
-        ranked.truncate(k);
-        ranked
-    }
 }
 
 /// F3M: signature fingerprints (MinHash by default, SimHash or TLSH-style
@@ -363,43 +218,22 @@ pub struct LshBackendSearch {
     store: PackedFingerprintStore,
     names: Vec<String>,
     index: LshIndex<usize>,
-    /// Scratch for the serial `ranked_candidates` path (`best_candidates`
-    /// uses the caller's per-worker scratch instead; this lock is never
-    /// contended in the pass).
-    ranked_scratch: Mutex<QueryScratch<usize>>,
 }
 
-/// The historical name of [`LshBackendSearch`], kept for callers that
-/// predate the backend seam.
-pub type LshMinHashSearch = LshBackendSearch;
-
 impl LshBackendSearch {
-    /// Encodes, fingerprints and band-hashes every function (in parallel
-    /// for `jobs > 1`; the backend is constructed once and shared), then
-    /// packs the rows and populates the index sequentially in function
-    /// order so bucket contents are identical for any job count.
+    /// Fingerprints every function into packed rows (see
+    /// [`PackedFingerprintStore::of_functions`]), then populates the
+    /// index sequentially in function order so bucket contents are
+    /// identical for any job count.
     pub fn build(m: &Module, funcs: &[FuncId], params: MergeParams, jobs: usize) -> LshBackendSearch {
         let backend = backend_for(params.backend, params.k);
-        let per_func = par_map_indexed(funcs.len(), jobs, |i| {
-            let enc = encode_function(&m.types, m.function(funcs[i]));
-            let sig = backend.signature(&enc);
-            let keys = band_keys_for(params.lsh, &sig);
-            (sig, keys)
-        });
+        let store = PackedFingerprintStore::of_functions(m, funcs, &*backend, params.lsh, jobs);
         let mut index = LshIndex::new(params.lsh);
-        let mut store =
-            PackedFingerprintStore::with_capacity(params.k, params.lsh.bands, per_func.len());
-        for (i, (sig, keys)) in per_func.into_iter().enumerate() {
-            index.insert_with_keys(i, &keys);
-            store.push_with_keys(&sig, &keys);
+        for i in 0..store.len() {
+            index.insert_with_keys(i, store.keys(i));
         }
-        LshBackendSearch {
-            params,
-            store,
-            names: capture_names(m, funcs),
-            index,
-            ranked_scratch: Mutex::new(QueryScratch::new()),
-        }
+        let names = funcs.iter().map(|&f| m.function(f).name.clone()).collect();
+        LshBackendSearch { params, store, names, index }
     }
 
     /// Estimated similarity of functions `i` and `j` under the backend.
@@ -407,12 +241,32 @@ impl LshBackendSearch {
         signature_similarity(self.store.sig(i), self.store.sig(j))
     }
 
-    /// The widened multi-probe key list for row `i`, or `None` under
-    /// classic single-probe (`params.probes == 0`), where the stored
-    /// band keys are probed directly without allocating.
-    fn probe_widened(&self, i: usize) -> Option<Vec<BandKey>> {
-        (self.params.probes > 0)
-            .then(|| probe_keys_for(self.params.lsh, self.store.sig(i), self.params.probes))
+    /// Probes the index for row `i`'s candidates into `scratch`.
+    fn probe(&self, i: usize, scratch: &mut QueryScratch<usize>) -> LshQueryStats {
+        match widened_keys(&self.params, self.store.sig(i)) {
+            Some(keys) => self.index.probe_keys_into(&keys, i, scratch),
+            None => self.index.probe_keys_into(self.store.keys(i), i, scratch),
+        }
+    }
+
+    /// The top-`k` available candidates for function `i`, as
+    /// `(index, similarity)` pairs in `sort_ranked` order. Unlike
+    /// [`CandidateSearch::best_candidates`] this exposes the full ranking
+    /// (not just the near-tie head); it is the offline reference that
+    /// corpus and daemon `query` answers are tested against.
+    pub fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)> {
+        let mut scratch = QueryScratch::new();
+        self.probe(i, &mut scratch);
+        let mut ranked: Vec<(usize, f64)> = scratch
+            .out
+            .iter()
+            .filter(|&&j| available[j])
+            .map(|&j| (j, self.similarity(i, j)))
+            .filter(|&(_, sim)| sim >= self.params.threshold)
+            .collect();
+        sort_ranked(&mut ranked, |j| &self.names[j]);
+        ranked.truncate(k);
+        ranked
     }
 }
 
@@ -428,22 +282,19 @@ impl CandidateSearch for LshBackendSearch {
         counters: &mut QueryCounters,
         scratch: &mut SearchScratch,
     ) -> CandidateSet {
-        let qstats = match self.probe_widened(i) {
-            Some(keys) => self.index.probe_keys_into(&keys, i, &mut scratch.query),
-            None => self.index.probe_keys_into(self.store.keys(i), i, &mut scratch.query),
-        };
+        let qstats = self.probe(i, scratch);
         counters.examined += qstats.examined as u64;
         counters.evicted += qstats.evicted as u64;
         counters.collisions += qstats.collisions as u64;
-        counters.returned += scratch.query.out.len() as u64;
+        counters.returned += scratch.out.len() as u64;
         // One similarity computation per distinct candidate — the quantity
         // the paper's bucket cap bounds.
-        counters.comparisons += scratch.query.out.len() as u64;
+        counters.comparisons += scratch.out.len() as u64;
         // One dedup set + one candidate vector that were *not* allocated
         // because the scratch served this probe.
         counters.saved_allocs += 1;
         let mut set = CandidateSet::new(NEAR_TIE_EPS);
-        for &j in &scratch.query.out {
+        for &j in &scratch.out {
             if !available[j] {
                 continue;
             }
@@ -459,26 +310,7 @@ impl CandidateSearch for LshBackendSearch {
     fn invalidate(&mut self, idx: usize) {
         // The packed row stays (ids are positional); only the index entry
         // goes away.
-        let keys: Vec<_> = self.store.keys(idx).to_vec();
-        self.index.remove_with_keys(idx, &keys);
-    }
-
-    fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)> {
-        let mut scratch = self.ranked_scratch.lock().unwrap();
-        match self.probe_widened(i) {
-            Some(keys) => self.index.probe_keys_into(&keys, i, &mut scratch),
-            None => self.index.probe_keys_into(self.store.keys(i), i, &mut scratch),
-        };
-        let mut ranked: Vec<(usize, f64)> = scratch
-            .out
-            .iter()
-            .filter(|&&j| available[j])
-            .map(|&j| (j, self.similarity(i, j)))
-            .filter(|&(_, sim)| sim >= self.params.threshold)
-            .collect();
-        sort_ranked(&mut ranked, &self.names);
-        ranked.truncate(k);
-        ranked
+        self.index.remove_with_keys(idx, self.store.keys(idx));
     }
 
     fn index_stats(&self) -> IndexStats {
@@ -500,89 +332,25 @@ mod tests {
     use super::*;
     use f3m_fingerprint::backend::BackendKind;
 
-    fn searches() -> (LshBackendSearch, MemoizedSearch<LshBackendSearch>, usize) {
+    /// A generated module and its merge-eligible functions.
+    fn workload(functions: usize, seed: u64) -> (Module, Vec<FuncId>) {
         let mut spec = f3m_workloads::mini_suite()[0].clone();
-        spec.functions = 32;
-        spec.seed = 7;
+        spec.functions = functions;
+        spec.seed = seed;
         let m = f3m_workloads::build_module(&spec);
-        let funcs: Vec<FuncId> = m
+        let funcs = m
             .defined_functions()
             .into_iter()
             .filter(|&f| m.function(f).num_linked_insts() > 0)
             .collect();
-        let n = funcs.len();
-        let params = MergeParams::static_default();
-        let plain = LshBackendSearch::build(&m, &funcs, params, 1);
-        let memo = MemoizedSearch::wrap(LshBackendSearch::build(&m, &funcs, params, 1));
-        (plain, memo, n)
-    }
-
-    #[test]
-    fn memoized_ranking_matches_plain_search() {
-        let (plain, memo, n) = searches();
-        let available = vec![true; n];
-        for i in 0..n {
-            assert_eq!(
-                memo.ranked_candidates(i, &available, 5),
-                plain.ranked_candidates(i, &available, 5),
-                "function {i}"
-            );
-        }
-        let (hits, misses) = memo.memo_counts();
-        assert_eq!((hits, misses), (0, n as u64), "first pass is all misses");
-
-        // Second pass answers from the memo, byte-for-byte identically.
-        for i in 0..n {
-            assert_eq!(
-                memo.ranked_candidates(i, &available, 5),
-                plain.ranked_candidates(i, &available, 5)
-            );
-        }
-        assert_eq!(memo.memo_counts(), (n as u64, n as u64));
-    }
-
-    #[test]
-    fn memoized_ranking_respects_availability_and_invalidate() {
-        let (mut plain, mut memo, n) = searches();
-        let all = vec![true; n];
-        for i in 0..n {
-            memo.ranked_candidates(i, &all, usize::MAX);
-        }
-
-        // Mask a function that actually shows up as a candidate.
-        let victim = (0..n)
-            .find(|&i| !plain.ranked_candidates(i, &all, 1).is_empty())
-            .map(|i| plain.ranked_candidates(i, &all, 1)[0].0)
-            .expect("workload families produce candidates");
-        let mut masked = all.clone();
-        masked[victim] = false;
-        plain.invalidate(victim);
-        memo.invalidate(victim);
-        for i in 0..n {
-            if i == victim {
-                continue;
-            }
-            assert_eq!(
-                memo.ranked_candidates(i, &masked, 5),
-                plain.ranked_candidates(i, &masked, 5),
-                "post-invalidate function {i}"
-            );
-        }
+        (m, funcs)
     }
 
     /// Every backend builds a working search over the same module, and
     /// each finds the planted family pairs among its top candidates.
     #[test]
     fn all_backends_rank_family_members_first() {
-        let mut spec = f3m_workloads::mini_suite()[0].clone();
-        spec.functions = 32;
-        spec.seed = 11;
-        let m = f3m_workloads::build_module(&spec);
-        let funcs: Vec<FuncId> = m
-            .defined_functions()
-            .into_iter()
-            .filter(|&f| m.function(f).num_linked_insts() > 0)
-            .collect();
+        let (m, funcs) = workload(32, 11);
         let n = funcs.len();
         let available = vec![true; n];
         for kind in BackendKind::ALL {
@@ -603,15 +371,7 @@ mod tests {
     /// and matches a fresh-scratch query exactly.
     #[test]
     fn scratch_queries_are_job_count_independent() {
-        let mut spec = f3m_workloads::mini_suite()[0].clone();
-        spec.functions = 24;
-        spec.seed = 13;
-        let m = f3m_workloads::build_module(&spec);
-        let funcs: Vec<FuncId> = m
-            .defined_functions()
-            .into_iter()
-            .filter(|&f| m.function(f).num_linked_insts() > 0)
-            .collect();
+        let (m, funcs) = workload(24, 13);
         let n = funcs.len();
         let params = MergeParams::static_default();
         let s1 = LshBackendSearch::build(&m, &funcs, params, 1);

@@ -19,6 +19,8 @@ use f3m_fingerprint::lsh::{band_keys_for, probe_keys_for};
 use f3m_fingerprint::pager::PagerKind;
 use f3m_fingerprint::resident::TARGET_SHARD_BYTES;
 use f3m_fingerprint::{backend_for, MergeParams, ShardedLshIndex};
+use f3m_ir::module::Module;
+use f3m_ir::printer::print_module;
 
 fn tmp(name: &str) -> PathBuf {
     let dir =
@@ -113,9 +115,42 @@ fn pager_backends_agree_on_answers_and_counters() {
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
-/// A resident corpus is not read-only: ingest, update and evict convert
-/// rows to owned storage as needed and stay in lockstep with the same
-/// mutations applied to a bulk-restored twin.
+/// Two merge-eligible, signature-identical members of one generated
+/// family of `m` — a body swap between them keeps the module verifying.
+fn swap_pair(m: &Module) -> (String, String) {
+    let eligible: Vec<_> = m
+        .defined_functions()
+        .into_iter()
+        .map(|f| m.function(f))
+        .filter(|f| f.num_linked_insts() > 0)
+        .collect();
+    let family = |name: &str| name.rsplit_once('_').map(|(fam, _)| fam.to_string());
+    for (i, a) in eligible.iter().enumerate() {
+        for b in &eligible[i + 1..] {
+            if family(&a.name) == family(&b.name) && (&a.params, a.ret_ty) == (&b.params, b.ret_ty) {
+                return (a.name.clone(), b.name.clone());
+            }
+        }
+    }
+    panic!("workload has no swappable family pair");
+}
+
+/// IR text of `m` with `dst`'s body replaced by `src`'s (the patch shape
+/// of `corpus_incremental.rs::body_swap_patch`).
+fn body_swap_patch(m: &Module, dst: &str, src: &str) -> String {
+    let mut patched = m.clone();
+    let d = patched.lookup_function(dst).unwrap();
+    let s = patched.lookup_function(src).unwrap();
+    patched.rename_function(d, format!("{dst}__old"));
+    patched.rename_function(s, dst.to_string());
+    print_module(&patched)
+}
+
+/// A resident corpus is not read-only: ingest appends heap rows, a real
+/// body swap of a function whose row lives in the mapped file re-points
+/// it at a new heap row, evict drops a module — all in lockstep with the
+/// same mutations applied to a bulk-restored twin, and a snapshot of
+/// either mutated corpus reloads to the same answers.
 #[test]
 fn resident_corpus_mutations_match_bulk_twin() {
     let cfg = || CorpusConfig { jobs: 1, ..CorpusConfig::default() };
@@ -139,14 +174,17 @@ fn resident_corpus_mutations_match_bulk_twin() {
 
         let src = c.module_source("par_m0").expect("source");
         let m = f3m_ir::parser::parse_module(&src).expect("parse");
-        let name = m
-            .defined_functions()
-            .into_iter()
-            .filter(|&f| m.function(f).num_linked_insts() > 0)
-            .map(|f| m.function(f).name.clone())
-            .next()
-            .expect("module has a merge-eligible function");
-        c.update_function("par_m0", &name, None).expect("touch resident function");
+        let (dst, src) = swap_pair(&m);
+        let up = c
+            .update_function("par_m0", &dst, Some(&body_swap_patch(&m, &dst, &src)))
+            .expect("body-swap resident function");
+        assert!(up.changed, "the swap must change the body");
+        let (_, qr) = c.query_function("par_m0", &dst, 4).expect("query swapped function");
+        assert_eq!(
+            qr.candidates.first().map(|cand| (cand.func.as_str(), cand.similarity)),
+            Some((format!("par_m0.{src}").as_str(), 1.0)),
+            "the swapped function now fingerprints like its source sibling"
+        );
         c.evict("par_m1").expect("evict resident module");
     };
     mutate(&bulk);
@@ -158,6 +196,27 @@ fn resident_corpus_mutations_match_bulk_twin() {
             .map(|n| format!("{:?}", c.query_module(n, 4).expect("query")))
     };
     assert_eq!(dump(&resident), dump(&bulk), "post-mutation answers");
+
+    // Both mutated corpora persist the same state — the same bytes — and
+    // each reload, bulk and resident, answers like the mutated twin.
+    let saved = [("bulk", &bulk), ("resident", &resident)].map(|(name, mutated)| {
+        let saved = tmp(&format!("mutations_resaved_{name}"));
+        mutated.save_snapshot(&saved).expect("save mutated corpus");
+        saved
+    });
+    assert_eq!(
+        std::fs::read(&saved[0]).unwrap(),
+        std::fs::read(&saved[1]).unwrap(),
+        "mutated twins save byte-identical snapshots"
+    );
+    for saved in &saved {
+        let reloaded = Corpus::load_snapshot(saved, cfg()).expect("reload bulk");
+        assert_eq!(dump(&reloaded), dump(&bulk), "bulk reload of {saved:?}");
+        let reloaded = Corpus::load_snapshot_resident(saved, cfg(), PagerKind::Auto, TINY_BUDGET)
+            .expect("reload resident");
+        assert_eq!(dump(&reloaded), dump(&bulk), "resident reload of {saved:?}");
+        let _ = std::fs::remove_dir_all(saved.parent().unwrap());
+    }
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 

@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::lsh::BandKey;
 use crate::pager::{new_pager, Pager, PagerKind};
-use crate::snapshot::{open_snapshot_meta, SnapshotError, SnapshotMeta};
+use crate::snapshot::{le_u32s, le_u64s, open_snapshot_meta, SnapshotError, SnapshotMeta};
 
 /// Aimed-for shard size in pool bytes. Small enough that a spill frees
 /// memory in useful increments, large enough that the per-shard
@@ -98,19 +98,34 @@ pub struct ResidentStore {
     state: Mutex<ResidencyState>,
 }
 
-/// Zero-copy view of one row's signature and band keys. Holds the
-/// backing shard buffer alive on the buffered path; on the mapped path
-/// the store's mapping outlives `'a` by construction.
+/// Zero-copy view of one row's signature and band keys — the one
+/// borrowed row type, whether the row lives in a heap
+/// [`PackedFingerprintStore`](crate::store::PackedFingerprintStore) or
+/// in a [`ResidentStore`]. Holds the backing shard buffer alive on the
+/// buffered path; on the mapped and heap paths the owning store outlives
+/// `'a` by construction.
 pub struct RowRef<'a> {
     sig_ptr: *const u64,
     key_ptr: *const u32,
     k: usize,
     bands: usize,
     _buf: Option<Arc<ShardBuf>>,
-    _store: PhantomData<&'a ResidentStore>,
+    _store: PhantomData<&'a ()>,
 }
 
-impl RowRef<'_> {
+impl<'a> RowRef<'a> {
+    /// A view of slices that already outlive `'a` (a heap store's row).
+    pub(crate) fn borrowed(sig: &'a [u64], keys: &'a [BandKey]) -> RowRef<'a> {
+        RowRef {
+            sig_ptr: sig.as_ptr(),
+            key_ptr: keys.as_ptr(),
+            k: sig.len(),
+            bands: keys.len(),
+            _buf: None,
+            _store: PhantomData,
+        }
+    }
+
     /// The row's `k` signature slots.
     pub fn sig(&self) -> &[u64] {
         unsafe { std::slice::from_raw_parts(self.sig_ptr, self.k) }
@@ -242,16 +257,10 @@ impl ResidentStore {
             // real I/O loss mid-serving, as unrecoverable as a SIGBUS
             // would be on the mapped path.
             self.pager.read_at(sig_off as u64, &mut raw).expect("snapshot sig pool read");
-            let sigs = raw
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let sigs = le_u64s(&raw);
             let mut raw = vec![0u8; key_len];
             self.pager.read_at(key_off as u64, &mut raw).expect("snapshot key pool read");
-            let keys = raw
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let keys = le_u32s(&raw);
             ShardState::Buffered(Arc::new(ShardBuf { sigs, keys }))
         };
         st.counters.resident_bytes += self.shard_bytes(shard);

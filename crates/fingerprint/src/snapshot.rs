@@ -226,44 +226,61 @@ pub struct SnapshotFile {
     pub payload: Vec<u8>,
 }
 
-struct Writer {
-    buf: Vec<u8>,
+/// Little-endian byte writer: the one encoder behind the header, the
+/// bucket directory and the caller's payload section.
+#[derive(Default)]
+pub struct Writer {
+    pub buf: Vec<u8>,
 }
 
 impl Writer {
-    fn u8(&mut self, v: u8) {
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u32(&mut self, v: u32) {
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    /// A `u32` byte length, then the UTF-8 bytes.
+    pub fn str(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.buf.extend_from_slice(s.as_bytes());
     }
 }
 
-struct Reader<'a> {
+/// Bounds-checked little-endian reader, the inverse of [`Writer`].
+/// Running off the end is [`SnapshotError::Truncated`].
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, pos: 0 }
+    }
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
+        let s = self.buf.get(self.pos..end).ok_or(SnapshotError::Truncated)?;
         self.pos = end;
         Ok(s)
     }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
+    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
+    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn remaining(&self) -> usize {
+    /// A string written by [`Writer::str`].
+    pub fn str(&mut self) -> Result<String, SnapshotError> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| SnapshotError::Corrupt("string is not UTF-8"))
+    }
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 }
@@ -290,7 +307,7 @@ pub fn encode_snapshot(
     assert_eq!(store.bands(), header.lsh.bands, "store bands disagree with header");
     assert_eq!(store.len(), header.entries, "store rows disagree with header");
 
-    let mut dir = Writer { buf: Vec::new() };
+    let mut dir = Writer::default();
     dir.u64(buckets.len() as u64);
     for (key, members) in buckets {
         dir.u32(*key);
@@ -350,17 +367,19 @@ fn read_u64(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
 }
 
-/// Parses and validates the meta region of a snapshot from `buf`, which
-/// must hold at least the first `meta_end` bytes of the file;
-/// `file_len` is the true on-disk length (used to validate the implied
-/// pool geometry without reading the pools).
-///
-/// Validation order matters for error typing: magic → version →
-/// meta-region bounds → meta checksum → structural checks. Structural
-/// `Corrupt` errors therefore only fire on files that were *written*
-/// malformed, never on bit rot (that's a `ChecksumMismatch`) or short
-/// files (`Truncated`).
-pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, SnapshotError> {
+/// A little-endian `u64` pool as written by [`encode_snapshot`].
+pub(crate) fn le_u64s(bytes: &[u8]) -> Vec<u64> {
+    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
+}
+
+/// A little-endian `u32` pool as written by [`encode_snapshot`].
+pub(crate) fn le_u32s(bytes: &[u8]) -> Vec<u32> {
+    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect()
+}
+
+/// Checks the magic, version and length of a snapshot's fixed header and
+/// returns the `meta_end` it states (header + directory + payload).
+fn header_meta_end(buf: &[u8]) -> Result<u64, SnapshotError> {
     if buf.len() < SNAPSHOT_MAGIC.len() + 8 {
         return Err(SnapshotError::Truncated);
     }
@@ -376,15 +395,28 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
     if buf.len() < SNAPSHOT_HEADER_LEN {
         return Err(SnapshotError::Truncated);
     }
+    (SNAPSHOT_HEADER_LEN as u64)
+        .checked_add(read_u64(buf, 69))
+        .and_then(|v| v.checked_add(read_u64(buf, 61)))
+        .ok_or(SnapshotError::Truncated)
+}
 
+/// Parses and validates the meta region of a snapshot from `buf`, which
+/// must hold at least the first `meta_end` bytes of the file;
+/// `file_len` is the true on-disk length (used to validate the implied
+/// pool geometry without reading the pools).
+///
+/// Validation order matters for error typing: magic → version →
+/// meta-region bounds → meta checksum → structural checks. Structural
+/// `Corrupt` errors therefore only fire on files that were *written*
+/// malformed, never on bit rot (that's a `ChecksumMismatch`) or short
+/// files (`Truncated`).
+pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, SnapshotError> {
+    let meta_end64 = header_meta_end(buf)?;
     let payload_len64 = read_u64(buf, 61);
     let dir_len64 = read_u64(buf, 69);
     let meta_fnv = read_u64(buf, META_FNV_OFF);
     let pool_fnv = read_u64(buf, POOL_FNV_OFF);
-    let meta_end64 = (SNAPSHOT_HEADER_LEN as u64)
-        .checked_add(dir_len64)
-        .and_then(|v| v.checked_add(payload_len64))
-        .ok_or(SnapshotError::Truncated)?;
     if meta_end64 > file_len || meta_end64 > buf.len() as u64 {
         return Err(SnapshotError::Truncated);
     }
@@ -444,9 +476,9 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
     }
 
     let dir_len = dir_len64 as usize;
-    let mut r = Reader { buf: &buf[SNAPSHOT_HEADER_LEN..SNAPSHOT_HEADER_LEN + dir_len], pos: 0 };
+    let mut r = Reader::new(&buf[SNAPSHOT_HEADER_LEN..SNAPSHOT_HEADER_LEN + dir_len]);
     let buckets = parse_directory(&mut r, entries)?;
-    if r.pos != dir_len {
+    if r.remaining() != 0 {
         return Err(SnapshotError::Corrupt("bucket directory trailing bytes"));
     }
     let payload = buf[SNAPSHOT_HEADER_LEN + dir_len..meta_end].to_vec();
@@ -506,12 +538,10 @@ fn parse_directory(
         if len == 0 {
             return Err(SnapshotError::Corrupt("empty bucket"));
         }
-        let members: Vec<u32> = r
-            .take(len.checked_mul(4).ok_or(SnapshotError::Corrupt("bucket size"))?)
-            .map_err(truncated)?
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let members = le_u32s(
+            r.take(len.checked_mul(4).ok_or(SnapshotError::Corrupt("bucket size"))?)
+                .map_err(truncated)?,
+        );
         if !members.windows(2).all(|w| w[0] < w[1]) {
             return Err(SnapshotError::Corrupt("bucket members not ascending"));
         }
@@ -532,14 +562,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
     if fnv1a(&bytes[l.meta_end..]) != meta.pool_fnv {
         return Err(SnapshotError::ChecksumMismatch);
     }
-    let sigs: Vec<u64> = bytes[l.pool_start..l.pool_start + l.sig_pool_bytes]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let keys: Vec<BandKey> = bytes[l.pool_start + l.sig_pool_bytes..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let sigs = le_u64s(&bytes[l.pool_start..l.pool_start + l.sig_pool_bytes]);
+    let keys = le_u32s(&bytes[l.pool_start + l.sig_pool_bytes..]);
     let store = PackedFingerprintStore::from_pools(meta.header.k, meta.header.lsh.bands, sigs, keys)
         .ok_or(SnapshotError::Corrupt("inconsistent pools"))?;
     Ok(SnapshotFile { header: meta.header, store, buckets: meta.buckets, payload: meta.payload })
@@ -589,23 +613,7 @@ pub fn open_snapshot_meta(path: &Path) -> Result<SnapshotMeta, SnapshotError> {
     let file_len = f.metadata()?.len();
     let mut buf = Vec::new();
     (&mut f).take(SNAPSHOT_HEADER_LEN as u64).read_to_end(&mut buf)?;
-    if buf.len() < SNAPSHOT_MAGIC.len() + 8 {
-        return Err(SnapshotError::Truncated);
-    }
-    if !buf.starts_with(SNAPSHOT_MAGIC) {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = read_u32(&buf, 8);
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    if buf.len() < SNAPSHOT_HEADER_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    let meta_end = (SNAPSHOT_HEADER_LEN as u64)
-        .checked_add(read_u64(&buf, 69))
-        .and_then(|v| v.checked_add(read_u64(&buf, 61)))
-        .ok_or(SnapshotError::Truncated)?;
+    let meta_end = header_meta_end(&buf)?;
     if meta_end > file_len {
         return Err(SnapshotError::Truncated);
     }

@@ -1,11 +1,10 @@
-//! Packed struct-of-arrays fingerprint storage.
+//! Packed struct-of-arrays fingerprint storage: the one row store.
 //!
-//! The pass and the resident corpus used to keep one `Vec<u64>` signature
-//! plus one `Vec<u64>` key list *per function* — two heap allocations and
-//! two pointer chases per entry, scattered across the heap. At a million
-//! functions that is millions of small allocations and a cache miss per
-//! probe. This store packs everything into two contiguous pools indexed
-//! by function id:
+//! Every holder of fingerprints — the offline pass's LSH search, the
+//! resident corpus, the snapshot writer — keeps them here, as two
+//! contiguous pools indexed by row id, instead of one `Vec<u64>`
+//! signature plus one key list *per function* (two heap allocations and
+//! two pointer chases per entry):
 //!
 //! ```text
 //! sigs: [ fn0 slot0..k | fn1 slot0..k | ... ]   n × k  u64 words
@@ -15,14 +14,24 @@
 //! Index build walks `keys` linearly; a probe reads one `k`-slot row and
 //! one `b`-key row, both contiguous. The layout is also exactly what the
 //! [snapshot](crate::snapshot) writes — serialization is two bulk copies,
-//! and loading reconstitutes the store without touching individual
-//! entries.
+//! and a bulk load hands the decoded store to the corpus as is. Rows are
+//! fixed-width, so a changed function overwrites its row in place
+//! ([`PackedFingerprintStore::set_row`]). [`RowRef`] is the borrowed view
+//! of one row, shared with the file-backed
+//! [`ResidentStore`](crate::resident::ResidentStore).
 
+use f3m_ir::ids::FuncId;
+use f3m_ir::module::Module;
+
+use crate::backend::FingerprintBackend;
+use crate::encode::encode_function;
 use crate::lsh::{band_keys_for, BandKey, LshParams};
+use crate::par::par_map_indexed;
+use crate::resident::RowRef;
 
 /// Contiguous signature + band-key pools, indexed by function id.
 ///
-/// Rows are append-only: id `i` is the `i`-th pushed function. Callers
+/// Row ids are positional: id `i` is the `i`-th pushed function. Callers
 /// that interleave ids with other tables (e.g. the corpus) own the id
 /// mapping.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -50,16 +59,29 @@ impl PackedFingerprintStore {
         }
     }
 
-    /// Appends a function's signature, computing its band keys under
-    /// `params`, and returns its row id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the signature width or `params.bands` does not match the
-    /// store's row widths.
-    pub fn push(&mut self, params: LshParams, sig: &[u64]) -> usize {
-        let keys = band_keys_for(params, sig);
-        self.push_with_keys(sig, &keys)
+    /// The fingerprint step shared by the pass and the corpus: encodes,
+    /// fingerprints and band-hashes every function of `funcs` (in
+    /// parallel for `jobs > 1`; `backend` is shared across workers), then
+    /// packs the rows in `funcs` order, so the store is identical for any
+    /// job count.
+    pub fn of_functions(
+        m: &Module,
+        funcs: &[FuncId],
+        backend: &dyn FingerprintBackend,
+        params: LshParams,
+        jobs: usize,
+    ) -> PackedFingerprintStore {
+        let per_func = par_map_indexed(funcs.len(), jobs.max(1), |i| {
+            let sig = backend.signature(&encode_function(&m.types, m.function(funcs[i])));
+            let keys = band_keys_for(params, &sig);
+            (sig, keys)
+        });
+        let mut store =
+            PackedFingerprintStore::with_capacity(backend.k(), params.bands, funcs.len());
+        for (sig, keys) in &per_func {
+            store.push_with_keys(sig, keys);
+        }
+        store
     }
 
     /// Appends a pre-computed row (signature + band keys), as produced on
@@ -74,6 +96,28 @@ impl PackedFingerprintStore {
         self.sigs.extend_from_slice(sig);
         self.keys.extend_from_slice(keys);
         self.len() - 1
+    }
+
+    /// Appends every row of `other`, in order; the first lands at the
+    /// current [`Self::len`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on width mismatch.
+    pub fn extend_from(&mut self, other: &PackedFingerprintStore) {
+        assert_eq!((other.k, other.bands), (self.k, self.bands), "row width mismatch");
+        self.sigs.extend_from_slice(&other.sigs);
+        self.keys.extend_from_slice(&other.keys);
+    }
+
+    /// Overwrites row `i` in place (rows are fixed-width).
+    ///
+    /// # Panics
+    ///
+    /// Panics on width mismatch or if `i` is out of range.
+    pub fn set_row(&mut self, i: usize, sig: &[u64], keys: &[BandKey]) {
+        self.sigs[i * self.k..(i + 1) * self.k].copy_from_slice(sig);
+        self.keys[i * self.bands..(i + 1) * self.bands].copy_from_slice(keys);
     }
 
     /// Number of functions stored.
@@ -112,6 +156,15 @@ impl PackedFingerprintStore {
     /// Panics if `i` is out of range.
     pub fn keys(&self, i: usize) -> &[BandKey] {
         &self.keys[i * self.bands..(i + 1) * self.bands]
+    }
+
+    /// Borrowed view of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn row(&self, i: usize) -> RowRef<'_> {
+        RowRef::borrowed(self.sig(i), self.keys(i))
     }
 
     /// The whole signature pool (snapshot serialization order).
@@ -175,7 +228,7 @@ mod tests {
         let mut store = PackedFingerprintStore::with_capacity(32, p.bands, 8);
         let sigs: Vec<Vec<u64>> = (0..8).map(sig).collect();
         for (i, s) in sigs.iter().enumerate() {
-            assert_eq!(store.push(p, s), i);
+            assert_eq!(store.push_with_keys(s, &band_keys_for(p, s)), i);
         }
         assert_eq!(store.len(), 8);
         for (i, s) in sigs.iter().enumerate() {
@@ -189,7 +242,7 @@ mod tests {
         let p = params();
         let mut store = PackedFingerprintStore::with_capacity(32, p.bands, 4);
         for i in 0..4 {
-            store.push(p, &sig(i));
+            store.push_with_keys(&sig(i), &band_keys_for(p, &sig(i)));
         }
         let rebuilt = PackedFingerprintStore::from_pools(
             store.k(),
@@ -215,9 +268,9 @@ mod tests {
         let p = params();
         let mut store = PackedFingerprintStore::with_capacity(32, p.bands, 2);
         assert_eq!(store.bytes_per_fn(), 32 * 8 + 16 * 4);
-        store.push(p, &sig(0));
+        store.push_with_keys(&sig(0), &band_keys_for(p, &sig(0)));
         let one = store.total_bytes();
-        store.push(p, &sig(1));
+        store.push_with_keys(&sig(1), &band_keys_for(p, &sig(1)));
         assert_eq!(store.total_bytes(), 2 * one, "no per-entry overhead");
         assert_eq!(one, store.bytes_per_fn());
     }

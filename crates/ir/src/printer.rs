@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use crate::ids::{BlockId, FuncId, ValueId};
 use crate::inst::{Instruction, Opcode, Predicate};
 use crate::function::{Function, Linkage};
-use crate::module::Module;
+use crate::module::{Global, Module};
 use crate::value::ValueKind;
 
 /// Prints a whole module.
@@ -22,28 +22,14 @@ pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "module \"{}\" {{", m.name);
     for (_, g) in m.globals() {
-        let bytes: Vec<String> = g.init.iter().map(|b| b.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "global @{} : {} = [{}]",
-            g.name,
-            m.types.display(g.ty),
-            bytes.join(", ")
-        );
+        let _ = writeln!(out, "{}", print_global(m, g));
     }
     if m.num_globals() > 0 {
         out.push('\n');
     }
     for (id, f) in m.functions() {
         if f.is_declaration {
-            let params: Vec<String> = f.params.iter().map(|&p| m.types.display(p)).collect();
-            let _ = writeln!(
-                out,
-                "declare @{}({}) -> {}",
-                f.name,
-                params.join(", "),
-                m.types.display(f.ret_ty)
-            );
+            let _ = writeln!(out, "{}", print_declaration(m, f));
         } else {
             out.push_str(&print_function(m, id));
         }
@@ -51,6 +37,20 @@ pub fn print_module(m: &Module) -> String {
     }
     out.push_str("}\n");
     out
+}
+
+/// Prints one global as its `global @name : ty = [bytes]` line (no
+/// trailing newline).
+pub fn print_global(m: &Module, g: &Global) -> String {
+    let bytes: Vec<String> = g.init.iter().map(|b| b.to_string()).collect();
+    format!("global @{} : {} = [{}]", g.name, m.types.display(g.ty), bytes.join(", "))
+}
+
+/// Prints one external declaration as its `declare @name(params) -> ret`
+/// line (no trailing newline).
+pub fn print_declaration(m: &Module, f: &Function) -> String {
+    let params: Vec<String> = f.params.iter().map(|&p| m.types.display(p)).collect();
+    format!("declare @{}({}) -> {}", f.name, params.join(", "), m.types.display(f.ret_ty))
 }
 
 /// Prints one function definition.

@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use f3m_core::corpus::combine_modules;
-use f3m_core::rank::{CandidateSearch, LshMinHashSearch};
+use f3m_core::rank::LshBackendSearch;
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
@@ -91,7 +91,7 @@ fn ingest_query_evict_merge_over_a_real_socket() {
         .into_iter()
         .filter(|&f| combined.function(f).num_linked_insts() > 0)
         .collect();
-    let search = LshMinHashSearch::build(&combined, &funcs, MergeParams::static_default(), 1);
+    let search = LshBackendSearch::build(&combined, &funcs, MergeParams::static_default(), 1);
     let available = vec![true; funcs.len()];
 
     let v = c
