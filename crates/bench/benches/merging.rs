@@ -27,7 +27,9 @@ use f3m_core::pass::{run_pass, PassConfig};
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::encode::encode_function;
 use f3m_fingerprint::lsh::LshIndex;
-use f3m_fingerprint::minhash::MinHashFingerprint;
+use f3m_fingerprint::backend::signature_similarity;
+use f3m_fingerprint::fnv::xor_constants;
+use f3m_fingerprint::minhash::minhash_signature;
 use f3m_fingerprint::opcode_freq::OpcodeFingerprint;
 use f3m_workloads::suite::{table1, WorkloadSpec};
 
@@ -104,7 +106,7 @@ fn bench_fingerprints() {
     });
     for k in [25usize, 200] {
         bench(&format!("fingerprint/minhash/build_all/{k}"), 20, 5, || {
-            encoded.iter().map(|e| MinHashFingerprint::of_encoded(e, k)).collect::<Vec<_>>()
+            encoded.iter().map(|e| minhash_signature(&xor_constants(k), e)).collect::<Vec<_>>()
         });
     }
 }
@@ -115,13 +117,13 @@ fn bench_ranking() {
     let params = MergeParams::static_default();
     let encoded: Vec<Vec<u32>> =
         funcs.iter().map(|&f| encode_function(&m.types, m.function(f))).collect();
-    let minhash: Vec<MinHashFingerprint> =
-        encoded.iter().map(|e| MinHashFingerprint::of_encoded(e, params.k)).collect();
+    let consts = xor_constants(params.k);
+    let minhash: Vec<Vec<u64>> = encoded.iter().map(|e| minhash_signature(&consts, e)).collect();
     let opcode: Vec<OpcodeFingerprint> =
         funcs.iter().map(|&f| OpcodeFingerprint::of(m.function(f))).collect();
     let mut index = LshIndex::new(params.lsh);
     for (i, fp) in minhash.iter().enumerate() {
-        index.insert(i, fp.hashes());
+        index.insert(i, fp);
     }
 
     bench("ranking/hyfm/exhaustive_nn", 20, 50, || {
@@ -135,10 +137,10 @@ fn bench_ranking() {
         best
     });
     bench("ranking/f3m/lsh_query", 20, 50, || {
-        let (cands, _) = index.candidates(minhash[0].hashes(), 0);
+        let (cands, _) = index.candidates(&minhash[0], 0);
         let mut best = (usize::MAX, f64::MIN);
         for j in cands {
-            let s = minhash[0].similarity(&minhash[j]);
+            let s = signature_similarity(&minhash[0], &minhash[j]);
             if s > best.1 {
                 best = (j, s);
             }

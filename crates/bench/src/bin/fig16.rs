@@ -12,7 +12,8 @@ use f3m_core::pass::{run_pass, PassConfig, Strategy};
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::encode::encode_function;
 use f3m_fingerprint::lsh::{LshIndex, LshParams};
-use f3m_fingerprint::minhash::MinHashFingerprint;
+use f3m_fingerprint::fnv::xor_constants;
+use f3m_fingerprint::minhash::minhash_signature;
 use f3m_workloads::suite::table1;
 
 const CAPS: [usize; 5] = [1, 2, 10, 100, usize::MAX];
@@ -28,15 +29,16 @@ fn main() {
     let params = MergeParams::static_default();
     let mut index: LshIndex<usize> =
         LshIndex::new(LshParams { bucket_cap: usize::MAX, ..params.lsh });
-    let fps: Vec<MinHashFingerprint> = m
+    let consts = xor_constants(params.k);
+    let fps: Vec<Vec<u64>> = m
         .defined_functions()
         .iter()
         .map(|&f| {
-            MinHashFingerprint::of_encoded(&encode_function(&m.types, m.function(f)), params.k)
+            minhash_signature(&consts, &encode_function(&m.types, m.function(f)))
         })
         .collect();
     for (i, fp) in fps.iter().enumerate() {
-        index.insert(i, fp.hashes());
+        index.insert(i, fp);
     }
     let sizes = index.bucket_sizes();
     let total_buckets = sizes.len();

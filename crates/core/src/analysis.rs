@@ -7,7 +7,9 @@
 //! metrics themselves.
 
 use f3m_fingerprint::encode::encode_function;
-use f3m_fingerprint::minhash::MinHashFingerprint;
+use f3m_fingerprint::backend::signature_similarity;
+use f3m_fingerprint::fnv::xor_constants;
+use f3m_fingerprint::minhash::minhash_signature;
 use f3m_fingerprint::opcode_freq::OpcodeFingerprint;
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
@@ -43,8 +45,9 @@ pub fn sample_pairs(m: &Module, k: usize, stride: usize) -> Vec<PairSample> {
         funcs.iter().map(|&f| encode_function(&m.types, m.function(f))).collect();
     let opcode_fps: Vec<OpcodeFingerprint> =
         funcs.iter().map(|&f| OpcodeFingerprint::of(m.function(f))).collect();
-    let minhash_fps: Vec<MinHashFingerprint> =
-        encoded.iter().map(|e| MinHashFingerprint::of_encoded(e, k)).collect();
+    let consts = xor_constants(k);
+    let minhash_fps: Vec<Vec<u64>> =
+        encoded.iter().map(|e| minhash_signature(&consts, e)).collect();
 
     let mut out = Vec::new();
     let mut counter = 0usize;
@@ -59,7 +62,7 @@ pub fn sample_pairs(m: &Module, k: usize, stride: usize) -> Vec<PairSample> {
                 f1: funcs[i],
                 f2: funcs[j],
                 sim_opcode: opcode_fps[i].similarity(&opcode_fps[j]),
-                sim_minhash: minhash_fps[i].similarity(&minhash_fps[j]),
+                sim_minhash: signature_similarity(&minhash_fps[i], &minhash_fps[j]),
                 align_ratio: align.ratio(),
             });
         }

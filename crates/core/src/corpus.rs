@@ -105,6 +105,8 @@ use f3m_fingerprint::store::PackedFingerprintStore;
 use f3m_ir::module::Module;
 use f3m_ir::parser::parse_module;
 use f3m_ir::printer::{print_declaration, print_function, print_global};
+use f3m_trace::json;
+use f3m_trace::stats::{self, Stat, Value::*};
 
 use crate::pass::{run_pass, MergeReport, PassConfig};
 use crate::rank::{sort_ranked, widened_keys};
@@ -256,6 +258,54 @@ pub struct CorpusStats {
     pub shard_faults: u64,
     /// Shards spilled by the residency manager to enforce its budget.
     pub shard_spills: u64,
+}
+
+/// Every [`CorpusStats`] counter, in `stats` response order; the one place
+/// a counter is named besides its field. Metric names and sections lay out
+/// the daemon's `--metrics` artefact (see `f3m-serve`'s `render_metrics`).
+#[rustfmt::skip]
+pub const CORPUS_STATS: &[Stat<CorpusStats>] = &[
+    //        JSON key              metric name                  unit       det.  section
+    Stat::det("epoch", "count", |s| Count(s.epoch)),
+    Stat::json_only("modules_live", |s| Count(s.modules_live as u64)),
+    Stat::json_only("modules_total", |s| Count(s.modules_total as u64)),
+    Stat::json_only("functions_live", |s| Count(s.functions_live as u64)),
+    Stat::new("entries_total",      "index.entries",             "buckets", true,  3, |s| Count(s.entries_total as u64)),
+    Stat::new("index_buckets",      "index.buckets",             "buckets", true,  2, |s| Count(s.index_buckets as u64)),
+    Stat::new("index_max_bucket",   "index.max_bucket",          "buckets", true,  2, |s| Count(s.index_max_bucket as u64)),
+    // Incremental recompute: jobs-invariant and, for a synchronous client,
+    // fully deterministic.
+    Stat::new("memo_hits",          "corpus.memo_hits",          "count",   true,  1, |s| Count(s.memo_hits)),
+    Stat::new("memo_misses",        "corpus.memo_misses",        "count",   true,  1, |s| Count(s.memo_misses)),
+    Stat::new("funcs_invalidated",  "corpus.funcs_invalidated",  "count",   true,  1, |s| Count(s.funcs_invalidated)),
+    Stat::new("queries_superseded", "corpus.queries_superseded", "count",   true,  1, |s| Count(s.queries_superseded)),
+    // Residency: fault/spill totals depend on worker interleaving when
+    // `jobs > 1`, so they are observability, not determinism, surface.
+    Stat::new("resident_pager",     "resident.active",           "count",   false, 1, |s| Label(s.resident_pager)),
+    Stat::new("resident_bytes",     "resident.bytes",            "count",   false, 1, |s| Count(s.resident_bytes)),
+    Stat::new("shard_faults",       "resident.faults",           "count",   false, 1, |s| Count(s.shard_faults)),
+    Stat::new("shard_spills",       "resident.spills",           "count",   false, 1, |s| Count(s.shard_spills)),
+];
+
+/// The counters of one [`CorpusStats::shards`] element, in response order.
+#[rustfmt::skip]
+pub const SHARD_STATS: &[Stat<ShardStats>] = &[
+    Stat::new("num_buckets",     "buckets",    "buckets", true, 0, |s| Count(s.num_buckets as u64)),
+    Stat::new("max_bucket_size", "max_bucket", "entries", true, 1, |s| Count(s.max_bucket_size as u64)),
+    Stat::det("entries", "entries", |s| Count(s.entries as u64)),
+];
+
+impl CorpusStats {
+    /// Writes the `corpus` object of a `stats` response.
+    pub fn write_json(&self, w: &mut json::Writer) {
+        w.begin_object();
+        stats::write_fields(w, CORPUS_STATS, self);
+        w.key("shards").begin_array();
+        for shard in &self.shards {
+            stats::write_object(w, SHARD_STATS, shard);
+        }
+        w.end_array().end_object();
+    }
 }
 
 struct Entry {

@@ -44,6 +44,8 @@ use f3m_ir::module::Module;
 use f3m_ir::size::module_size;
 use f3m_ir::types::TypeKind;
 use f3m_ir::value::ValueKind;
+use f3m_trace::json::Writer;
+use f3m_trace::stats::{self, Stat, Value::*};
 use f3m_trace::MetricsRegistry;
 
 use crate::align::AlignScratch;
@@ -51,7 +53,6 @@ use crate::block_pairing::{plan_blocks_with, BlockPartsCache, PairPlan};
 use crate::codegen::MergeConfig;
 use crate::commit::{fixed_overhead, Committer};
 use crate::corpus::{Corpus, GlobalPair};
-use crate::report::json_f64;
 
 /// Deterministic integer salts for the differential probes. Each probe
 /// calls an entry point with per-parameter values derived from one salt,
@@ -141,25 +142,29 @@ pub struct GlobalStats {
     pub size_after: u64,
 }
 
-/// Exact top-level key set (and order) of [`GlobalStats::to_json`]. The
-/// regression gate and the CI smoke greps consume these names; adding a
-/// counter means extending this list and the exact-key-set test together.
-pub const GLOBAL_STATS_JSON_KEYS: &[&str] = &[
-    "functions",
-    "modules",
-    "pairs_considered",
-    "cross_module_pairs",
-    "optimistic_merges",
-    "verified_merges",
-    "rolled_back",
-    "rounds",
-    "differential_probes",
-    "differential_skips",
-    "global_profit_bytes",
-    "size_before",
-    "size_after",
-    "size_reduction",
+/// Every counter, in [`GlobalStats::to_json`] order: the one place a
+/// counter is named besides its field.
+const GLOBAL_STATS: &[Stat<GlobalStats>] = &[
+    Stat::det("functions", "functions", |s| Count(s.functions)),
+    Stat::det("modules", "modules", |s| Count(s.modules)),
+    Stat::det("pairs_considered", "pairs", |s| Count(s.pairs_considered)),
+    Stat::det("cross_module_pairs", "pairs", |s| Count(s.cross_module_pairs)),
+    Stat::det("optimistic_merges", "merges", |s| Count(s.optimistic_merges)),
+    Stat::det("verified_merges", "merges", |s| Count(s.verified_merges)),
+    Stat::det("rolled_back", "merges", |s| Count(s.rolled_back)),
+    Stat::det("rounds", "rounds", |s| Count(s.rounds)),
+    Stat::det("differential_probes", "probes", |s| Count(s.differential_probes)),
+    Stat::det("differential_skips", "probes", |s| Count(s.differential_skips)),
+    Stat::det("global_profit_bytes", "bytes", |s| Count(s.global_profit_bytes)),
+    Stat::det("size_before", "bytes", |s| Count(s.size_before)),
+    Stat::det("size_after", "bytes", |s| Count(s.size_after)),
+    Stat::json_only("size_reduction", |s| Real(s.size_reduction())),
 ];
+
+/// Exact top-level key set (and order) of [`GlobalStats::to_json`]. The
+/// regression gate and the CI smoke greps consume these names.
+pub const GLOBAL_STATS_JSON_KEYS: &[&str] =
+    &stats::keys::<_, { GLOBAL_STATS.len() }>(GLOBAL_STATS);
 
 impl GlobalStats {
     /// Fraction of the combined size removed by the surviving merges.
@@ -174,46 +179,15 @@ impl GlobalStats {
     /// Renders the stats as a JSON object with exactly
     /// [`GLOBAL_STATS_JSON_KEYS`] in order.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        out.push_str(&format!("\"functions\":{},", self.functions));
-        out.push_str(&format!("\"modules\":{},", self.modules));
-        out.push_str(&format!("\"pairs_considered\":{},", self.pairs_considered));
-        out.push_str(&format!("\"cross_module_pairs\":{},", self.cross_module_pairs));
-        out.push_str(&format!("\"optimistic_merges\":{},", self.optimistic_merges));
-        out.push_str(&format!("\"verified_merges\":{},", self.verified_merges));
-        out.push_str(&format!("\"rolled_back\":{},", self.rolled_back));
-        out.push_str(&format!("\"rounds\":{},", self.rounds));
-        out.push_str(&format!("\"differential_probes\":{},", self.differential_probes));
-        out.push_str(&format!("\"differential_skips\":{},", self.differential_skips));
-        out.push_str(&format!("\"global_profit_bytes\":{},", self.global_profit_bytes));
-        out.push_str(&format!("\"size_before\":{},", self.size_before));
-        out.push_str(&format!("\"size_after\":{},", self.size_after));
-        out.push_str(&format!("\"size_reduction\":{}", json_f64(self.size_reduction())));
-        out.push('}');
-        out
+        let mut w = Writer::with_capacity(512);
+        stats::write_object(&mut w, GLOBAL_STATS, self);
+        w.finish()
     }
 
-    /// Registers every counter as a deterministic gauge under
+    /// Registers every counter as a deterministic metric under
     /// `<prefix>.` for the perf-regression gate.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let det = |reg: &mut MetricsRegistry, name: &str, unit, v: u64| {
-            let id = reg.counter(&format!("{prefix}.{name}"), unit, true);
-            reg.set(id, v);
-        };
-        det(reg, "functions", "functions", self.functions);
-        det(reg, "modules", "modules", self.modules);
-        det(reg, "pairs_considered", "pairs", self.pairs_considered);
-        det(reg, "cross_module_pairs", "pairs", self.cross_module_pairs);
-        det(reg, "optimistic_merges", "merges", self.optimistic_merges);
-        det(reg, "verified_merges", "merges", self.verified_merges);
-        det(reg, "rolled_back", "merges", self.rolled_back);
-        det(reg, "rounds", "rounds", self.rounds);
-        det(reg, "differential_probes", "probes", self.differential_probes);
-        det(reg, "differential_skips", "probes", self.differential_skips);
-        det(reg, "global_profit_bytes", "bytes", self.global_profit_bytes);
-        det(reg, "size_before", "bytes", self.size_before);
-        det(reg, "size_after", "bytes", self.size_after);
+        stats::export(reg, prefix, GLOBAL_STATS, self);
     }
 }
 
@@ -249,31 +223,21 @@ impl GlobalMergeReport {
     /// Renders the report as one JSON object: `stats` (exactly
     /// [`GLOBAL_STATS_JSON_KEYS`]), `merges`, and `rolled_back`. Every
     /// field is deterministic, so this string is the `global_merge`
-    /// determinism key. Qualified names contain only `[A-Za-z0-9_.]`
-    /// (enforced at ingest), so no JSON escaping is needed.
+    /// determinism key.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.merges.len() * 96);
-        out.push_str("{\"stats\":");
-        out.push_str(&self.stats.to_json());
-        out.push_str(",\"merges\":[");
-        for (n, rec) in self.merges.iter().enumerate() {
-            if n > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"a\":\"{}\",\"b\":\"{}\",\"saved\":{},\"cross_module\":{}}}",
-                rec.a, rec.b, rec.saved, rec.cross_module
-            ));
+        let mut w = Writer::with_capacity(512 + self.merges.len() * 96);
+        stats::write_object(w.begin_object().key("stats"), GLOBAL_STATS, &self.stats);
+        w.key("merges").begin_array();
+        for rec in &self.merges {
+            w.begin_object().key("a").str(&rec.a).key("b").str(&rec.b);
+            w.key("saved").raw(rec.saved).key("cross_module").bool(rec.cross_module).end_object();
         }
-        out.push_str("],\"rolled_back\":[");
-        for (n, (a, b)) in self.rolled_back_pairs.iter().enumerate() {
-            if n > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[\"{a}\",\"{b}\"]"));
+        w.end_array().key("rolled_back").begin_array();
+        for (a, b) in &self.rolled_back_pairs {
+            w.begin_array().str(a).str(b).end_array();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 
     /// Registers the stats counters under `<prefix>.`.
@@ -487,13 +451,8 @@ impl<'c> GlobalMergePlanner<'c> {
             return all_keys();
         }
         let printed = f3m_ir::printer::print_module(merged);
-        match f3m_ir::parser::parse_module(&printed) {
-            Ok(reparsed) => {
-                if f3m_ir::printer::print_module(&reparsed) != printed {
-                    return all_keys();
-                }
-            }
-            Err(_) => return all_keys(),
+        if f3m_ir::parser::check_print_fixpoint(&printed).is_err() {
+            return all_keys();
         }
 
         // 3. Interpreter differential. Probe entry points: each merge's
@@ -541,12 +500,12 @@ impl<'c> GlobalMergePlanner<'c> {
                 let args = probe_args(pristine, pf, salt);
                 let base = observe(pristine, entry, &args, self.cfg.limits);
                 let obs = observe(merged, entry, &args, self.cfg.limits);
-                if base.is_resource_limit() || obs.is_resource_limit() {
+                let Some(agree) = base.agrees(&obs) else {
                     stats.differential_skips += 1;
                     continue;
-                }
+                };
                 stats.differential_probes += 1;
-                if base != obs {
+                if !agree {
                     for &n in implicated {
                         losers.insert(committed[n].key.clone());
                     }
@@ -612,6 +571,7 @@ fn direct_callers(m: &Module) -> HashMap<FuncId, Vec<FuncId>> {
 mod tests {
     use super::*;
     use crate::corpus::CorpusConfig;
+    use f3m_interp::oracle::Observation;
 
     fn workload(name: &str, seed: u64, functions: usize) -> Module {
         let mut spec = f3m_workloads::mini_suite()[0].clone();
@@ -760,6 +720,48 @@ mod tests {
         );
     }
 
+    /// Twins whose probes return NaN agree with themselves: the observation
+    /// comparison is bit-for-bit, so verification must not roll the merge
+    /// back as a differential mismatch.
+    #[test]
+    fn nan_returning_twins_survive_verification() {
+        let twin = |name: &str| {
+            f3m_ir::parser::parse_module(&format!(
+                r#"
+module "{name}" {{
+define @nan(f64 %0) -> f64 {{
+bb0:
+  %1 = fmul f64 %0, %0
+  %2 = fadd f64 %1, %0
+  %3 = fmul f64 %2, %1
+  %4 = fadd f64 %3, %2
+  %5 = fmul f64 %4, %3
+  %6 = fadd f64 %5, %4
+  %7 = fsub f64 %6, %6
+  %8 = fdiv f64 %7, %7
+  ret f64 %8
+}}
+}}
+"#
+            ))
+            .unwrap()
+        };
+        let c = corpus_of(&[twin("m0"), twin("m1")]);
+        let pristine = c.combined_module().unwrap();
+        let probe = observe(&pristine, "m0.nan", &[Val::Float(3.5)], Limits::default());
+        assert!(
+            matches!(probe, Observation::Completed { ret: Some(Val::Float(x)), .. } if x.is_nan()),
+            "the fixture must return NaN: {probe:?}"
+        );
+        let (report, merged, _) =
+            GlobalMergePlanner::new(&c, GlobalPlanConfig::default()).run().unwrap();
+        assert_eq!(report.stats.optimistic_merges, 1, "the twins must merge");
+        assert!(report.stats.differential_probes > 0, "the merge must have been probed");
+        assert_eq!(report.stats.rolled_back, 0, "NaN == NaN bit-for-bit is not a mismatch");
+        assert_eq!(report.stats.verified_merges, 1);
+        f3m_ir::verify::verify_module(&merged).unwrap();
+    }
+
     /// The corpus-global candidate pull feeding the planner is memoized:
     /// a warm pull recomputes nothing, and after `update_function` only
     /// the dirtied band-collision neighborhood is re-ranked — a
@@ -813,32 +815,42 @@ mod tests {
         );
     }
 
-    /// `GlobalStats::to_json` emits exactly the documented key set, in
-    /// order (mirrors the `MergeStats` contract test).
+    /// `GlobalStats::to_json`, `GLOBAL_STATS_JSON_KEYS` and
+    /// `export_metrics` all come out of one table, and that table holds
+    /// exactly the documented key set, in order (mirrors the `MergeStats`
+    /// contract test).
     #[test]
     fn global_stats_json_emits_exactly_the_documented_key_set() {
+        const GOLDEN_KEYS: [&str; 14] = [
+            "functions",
+            "modules",
+            "pairs_considered",
+            "cross_module_pairs",
+            "optimistic_merges",
+            "verified_merges",
+            "rolled_back",
+            "rounds",
+            "differential_probes",
+            "differential_skips",
+            "global_profit_bytes",
+            "size_before",
+            "size_after",
+            "size_reduction",
+        ];
+        assert_eq!(GLOBAL_STATS_JSON_KEYS, GOLDEN_KEYS);
         let stats = GlobalStats::default();
-        let json = stats.to_json();
-        let mut keys = Vec::new();
-        let bytes = json.as_bytes();
-        let mut depth = 0usize;
-        let mut i = 0usize;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => depth -= 1,
-                b'"' if depth == 1 => {
-                    let start = i + 1;
-                    let end = start + json[start..].find('"').unwrap();
-                    if bytes.get(end + 1) == Some(&b':') {
-                        keys.push(&json[start..end]);
-                    }
-                    i = end;
-                }
-                _ => {}
+        match f3m_trace::json::parse(&stats.to_json()).unwrap() {
+            f3m_trace::Json::Object(fields) => {
+                assert_eq!(fields.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(), GOLDEN_KEYS)
             }
-            i += 1;
+            other => panic!("not an object: {other:?}"),
         }
-        assert_eq!(keys, GLOBAL_STATS_JSON_KEYS);
+        // Every key but the derived fraction is a deterministic metric.
+        let mut reg = MetricsRegistry::new();
+        stats.export_metrics(&mut reg, "global");
+        let snaps = reg.snapshots();
+        let names: Vec<&str> = snaps.iter().map(|s| &s.name["global.".len()..]).collect();
+        assert_eq!(names, GOLDEN_KEYS[..13]);
+        assert!(snaps.iter().all(|s| s.deterministic));
     }
 }

@@ -11,6 +11,8 @@
 use std::time::Duration;
 
 use f3m_ir::ids::FuncId;
+use f3m_trace::json::Writer;
+use f3m_trace::stats::{self, Stat, Value, Value::*};
 use f3m_trace::MetricsRegistry;
 
 /// Wall-clock cost of a pipeline stage, split by eventual outcome.
@@ -114,43 +116,51 @@ pub struct MergeStats {
     pub size_after: u64,
 }
 
-/// The exact top-level key set of [`MergeStats::to_json`], in emission
-/// order. Tests assert the JSON and this catalog never drift apart;
-/// downstream consumers (bench figure scripts, the regression gate) may
-/// rely on exactly these keys being present.
-pub const STATS_JSON_KEYS: &[&str] = &[
-    "functions",
-    "pairs_attempted",
-    "merges_committed",
-    "preprocess_ns",
-    "rank",
-    "align",
-    "codegen",
-    "total_ns",
-    "waves",
-    "aligns_speculative",
-    "aligns_reused",
-    "aligns_wasted",
-    "wave_conflicts",
-    "block_parts_cache_hits",
-    "block_parts_cache_misses",
-    "fingerprint_comparisons",
-    "candidates_examined",
-    "candidates_returned",
-    "bucket_evictions",
-    "probe_collisions",
-    "lsh_allocs_saved",
-    "align_cells",
-    "commits_rejected_build",
-    "commits_rejected_verify",
-    "commits_rejected_size",
-    "lsh_buckets",
-    "lsh_max_bucket",
-    "soa_bytes_per_fn",
-    "size_before",
-    "size_after",
-    "size_reduction",
+fn stage(t: &StageTime) -> Value {
+    Stage { success_ns: t.success.as_nanos() as u64, fail_ns: t.fail.as_nanos() as u64 }
+}
+
+/// Every statistic, in [`MergeStats::to_json`] order: the one place a
+/// counter is named besides its field. Work counts are deterministic (they
+/// gate in the perf-regression test); wall-clock readings are not.
+const MERGE_STATS: &[Stat<MergeStats>] = &[
+    Stat::det("functions", "functions", |s| Count(s.functions as u64)),
+    Stat::det("pairs_attempted", "pairs", |s| Count(s.pairs_attempted as u64)),
+    Stat::det("merges_committed", "merges", |s| Count(s.merges_committed as u64)),
+    Stat::wall("preprocess_ns", "ns", |s| Count(s.preprocess.as_nanos() as u64)),
+    Stat::wall("rank", "ns", |s| stage(&s.rank)),
+    Stat::wall("align", "ns", |s| stage(&s.align)),
+    Stat::wall("codegen", "ns", |s| stage(&s.codegen)),
+    Stat::wall("total_ns", "ns", |s| Count(s.total_time().as_nanos() as u64)),
+    Stat::det("waves", "waves", |s| Count(s.waves)),
+    Stat::det("aligns_speculative", "alignments", |s| Count(s.aligns_speculative)),
+    Stat::det("aligns_reused", "alignments", |s| Count(s.aligns_reused)),
+    Stat::det("aligns_wasted", "alignments", |s| Count(s.aligns_wasted)),
+    Stat::det("wave_conflicts", "pairs", |s| Count(s.wave_conflicts)),
+    Stat::det("block_parts_cache_hits", "lookups", |s| Count(s.block_parts_cache_hits)),
+    Stat::det("block_parts_cache_misses", "lookups", |s| Count(s.block_parts_cache_misses)),
+    Stat::det("fingerprint_comparisons", "comparisons", |s| Count(s.fingerprint_comparisons)),
+    Stat::det("candidates_examined", "entries", |s| Count(s.candidates_examined)),
+    Stat::det("candidates_returned", "candidates", |s| Count(s.candidates_returned)),
+    Stat::det("bucket_evictions", "entries", |s| Count(s.bucket_evictions)),
+    Stat::det("probe_collisions", "entries", |s| Count(s.probe_collisions)),
+    Stat::det("lsh_allocs_saved", "allocations", |s| Count(s.lsh_allocs_saved)),
+    Stat::det("align_cells", "cells", |s| Count(s.align_cells)),
+    Stat::det("commits_rejected_build", "commits", |s| Count(s.commits_rejected_build)),
+    Stat::det("commits_rejected_verify", "commits", |s| Count(s.commits_rejected_verify)),
+    Stat::det("commits_rejected_size", "commits", |s| Count(s.commits_rejected_size)),
+    Stat::det("lsh_buckets", "buckets", |s| Count(s.lsh_buckets)),
+    Stat::det("lsh_max_bucket", "functions", |s| Count(s.lsh_max_bucket)),
+    Stat::det("soa_bytes_per_fn", "bytes", |s| Count(s.soa_bytes_per_fn)),
+    Stat::det("size_before", "size-units", |s| Count(s.size_before)),
+    Stat::det("size_after", "size-units", |s| Count(s.size_after)),
+    Stat::det("size_reduction", "fraction", |s| Real(s.size_reduction())),
 ];
+
+/// The exact top-level key set of [`MergeStats::to_json`], in emission
+/// order. Downstream consumers (bench figure scripts, the regression gate)
+/// may rely on exactly these keys being present.
+pub const STATS_JSON_KEYS: &[&str] = &stats::keys::<_, { MERGE_STATS.len() }>(MERGE_STATS);
 
 impl MergeStats {
     /// Total time spent in the merging pass.
@@ -168,106 +178,19 @@ impl MergeStats {
     }
 
     /// Registers and populates every statistic as a metric under
-    /// `<prefix>.`. Work counts are tagged deterministic (they gate in the
-    /// perf-regression test); wall-clock `*_ns` readings are not.
+    /// `<prefix>.`: the work counts first, then the wall-clock readings
+    /// (stages as `<stage>_success_ns` / `<stage>_fail_ns`).
     pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let det = |reg: &mut MetricsRegistry, name: &str, unit, v: u64| {
-            let id = reg.counter(&format!("{prefix}.{name}"), unit, true);
-            reg.set(id, v);
-        };
-        det(reg, "functions", "functions", self.functions as u64);
-        det(reg, "pairs_attempted", "pairs", self.pairs_attempted as u64);
-        det(reg, "merges_committed", "merges", self.merges_committed as u64);
-        det(reg, "waves", "waves", self.waves);
-        det(reg, "aligns_speculative", "alignments", self.aligns_speculative);
-        det(reg, "aligns_reused", "alignments", self.aligns_reused);
-        det(reg, "aligns_wasted", "alignments", self.aligns_wasted);
-        det(reg, "wave_conflicts", "pairs", self.wave_conflicts);
-        det(reg, "block_parts_cache_hits", "lookups", self.block_parts_cache_hits);
-        det(reg, "block_parts_cache_misses", "lookups", self.block_parts_cache_misses);
-        det(reg, "fingerprint_comparisons", "comparisons", self.fingerprint_comparisons);
-        det(reg, "candidates_examined", "entries", self.candidates_examined);
-        det(reg, "candidates_returned", "candidates", self.candidates_returned);
-        det(reg, "bucket_evictions", "entries", self.bucket_evictions);
-        det(reg, "probe_collisions", "entries", self.probe_collisions);
-        det(reg, "lsh_allocs_saved", "allocations", self.lsh_allocs_saved);
-        det(reg, "align_cells", "cells", self.align_cells);
-        det(reg, "commits_rejected_build", "commits", self.commits_rejected_build);
-        det(reg, "commits_rejected_verify", "commits", self.commits_rejected_verify);
-        det(reg, "commits_rejected_size", "commits", self.commits_rejected_size);
-        det(reg, "lsh_buckets", "buckets", self.lsh_buckets);
-        det(reg, "lsh_max_bucket", "functions", self.lsh_max_bucket);
-        det(reg, "soa_bytes_per_fn", "bytes", self.soa_bytes_per_fn);
-        det(reg, "size_before", "size-units", self.size_before);
-        det(reg, "size_after", "size-units", self.size_after);
-        let red = reg.gauge(&format!("{prefix}.size_reduction"), "fraction", true);
-        reg.set_gauge(red, self.size_reduction());
-        let wall = |reg: &mut MetricsRegistry, name: &str, d: Duration| {
-            let id = reg.counter(&format!("{prefix}.{name}"), "ns", false);
-            reg.set(id, d.as_nanos() as u64);
-        };
-        wall(reg, "preprocess_ns", self.preprocess);
-        wall(reg, "rank_success_ns", self.rank.success);
-        wall(reg, "rank_fail_ns", self.rank.fail);
-        wall(reg, "align_success_ns", self.align.success);
-        wall(reg, "align_fail_ns", self.align.fail);
-        wall(reg, "codegen_success_ns", self.codegen.success);
-        wall(reg, "codegen_fail_ns", self.codegen.fail);
-        wall(reg, "total_ns", self.total_time());
+        stats::export(reg, prefix, MERGE_STATS, self);
     }
 
     /// Renders the statistics as one JSON object (the `stats` value of
     /// [`MergeReport::to_json`]; also emitted standalone by the bench
     /// harness's `BENCH_pass.json`).
     pub fn to_json(&self) -> String {
-        let stage = |st: &StageTime| {
-            format!(
-                "{{\"success_ns\":{},\"fail_ns\":{}}}",
-                st.success.as_nanos(),
-                st.fail.as_nanos()
-            )
-        };
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        out.push_str(&format!("\"functions\":{},", self.functions));
-        out.push_str(&format!("\"pairs_attempted\":{},", self.pairs_attempted));
-        out.push_str(&format!("\"merges_committed\":{},", self.merges_committed));
-        out.push_str(&format!("\"preprocess_ns\":{},", self.preprocess.as_nanos()));
-        out.push_str(&format!("\"rank\":{},", stage(&self.rank)));
-        out.push_str(&format!("\"align\":{},", stage(&self.align)));
-        out.push_str(&format!("\"codegen\":{},", stage(&self.codegen)));
-        out.push_str(&format!("\"total_ns\":{},", self.total_time().as_nanos()));
-        out.push_str(&format!("\"waves\":{},", self.waves));
-        out.push_str(&format!("\"aligns_speculative\":{},", self.aligns_speculative));
-        out.push_str(&format!("\"aligns_reused\":{},", self.aligns_reused));
-        out.push_str(&format!("\"aligns_wasted\":{},", self.aligns_wasted));
-        out.push_str(&format!("\"wave_conflicts\":{},", self.wave_conflicts));
-        out.push_str(&format!(
-            "\"block_parts_cache_hits\":{},",
-            self.block_parts_cache_hits
-        ));
-        out.push_str(&format!(
-            "\"block_parts_cache_misses\":{},",
-            self.block_parts_cache_misses
-        ));
-        out.push_str(&format!("\"fingerprint_comparisons\":{},", self.fingerprint_comparisons));
-        out.push_str(&format!("\"candidates_examined\":{},", self.candidates_examined));
-        out.push_str(&format!("\"candidates_returned\":{},", self.candidates_returned));
-        out.push_str(&format!("\"bucket_evictions\":{},", self.bucket_evictions));
-        out.push_str(&format!("\"probe_collisions\":{},", self.probe_collisions));
-        out.push_str(&format!("\"lsh_allocs_saved\":{},", self.lsh_allocs_saved));
-        out.push_str(&format!("\"align_cells\":{},", self.align_cells));
-        out.push_str(&format!("\"commits_rejected_build\":{},", self.commits_rejected_build));
-        out.push_str(&format!("\"commits_rejected_verify\":{},", self.commits_rejected_verify));
-        out.push_str(&format!("\"commits_rejected_size\":{},", self.commits_rejected_size));
-        out.push_str(&format!("\"lsh_buckets\":{},", self.lsh_buckets));
-        out.push_str(&format!("\"lsh_max_bucket\":{},", self.lsh_max_bucket));
-        out.push_str(&format!("\"soa_bytes_per_fn\":{},", self.soa_bytes_per_fn));
-        out.push_str(&format!("\"size_before\":{},", self.size_before));
-        out.push_str(&format!("\"size_after\":{},", self.size_after));
-        out.push_str(&format!("\"size_reduction\":{}", json_f64(self.size_reduction())));
-        out.push('}');
-        out
+        let mut w = Writer::with_capacity(1024);
+        stats::write_object(&mut w, MERGE_STATS, self);
+        w.finish()
     }
 }
 
@@ -340,41 +263,19 @@ impl MergeReport {
     }
     /// Renders the report as a JSON object (two keys: `stats` and
     /// `attempts`). Durations are reported in nanoseconds as integers;
-    /// floats use shortest-roundtrip formatting. The serializer is
-    /// hand-rolled: every value emitted here is a number, boolean or
-    /// array, so no string escaping is required.
+    /// floats use shortest-roundtrip formatting.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.attempts.len() * 128);
-        out.push_str("{\"stats\":");
-        out.push_str(&self.stats.to_json());
-        out.push_str(",\"attempts\":[");
-        for (n, a) in self.attempts.iter().enumerate() {
-            if n > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"f1\":{},\"f2\":{},\"similarity\":{},\"align_ratio\":{},\
-                 \"committed\":{},\"size_delta\":{},\"time_ns\":{}}}",
-                a.f1.index(),
-                a.f2.index(),
-                json_f64(a.similarity),
-                json_f64(a.align_ratio),
-                a.committed,
-                a.size_delta,
-                a.time.as_nanos()
-            ));
+        let mut w = Writer::with_capacity(1024 + self.attempts.len() * 128);
+        stats::write_object(w.begin_object().key("stats"), MERGE_STATS, &self.stats);
+        w.key("attempts").begin_array();
+        for a in &self.attempts {
+            w.begin_object().key("f1").raw(a.f1.index()).key("f2").raw(a.f2.index());
+            w.key("similarity").f64(a.similarity).key("align_ratio").f64(a.align_ratio);
+            w.key("committed").bool(a.committed).key("size_delta").raw(a.size_delta);
+            w.key("time_ns").u64(a.time.as_nanos() as u64).end_object();
         }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// JSON has no NaN/Infinity literals; clamp them to null-free sentinels.
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
@@ -462,49 +363,58 @@ mod tests {
         assert!(report.to_json().contains("\"merges_committed\":1"));
     }
 
-    /// Keys of the outermost object of `json`, in order. The stats JSON
-    /// holds no string *values*, so every depth-1 quoted token followed by
-    /// `:` is a key.
+    /// The documented key set, spelled out: a row added to (or dropped
+    /// from) the table must show up here as a deliberate edit.
+    const GOLDEN_KEYS: [&str; 31] = [
+        "functions",
+        "pairs_attempted",
+        "merges_committed",
+        "preprocess_ns",
+        "rank",
+        "align",
+        "codegen",
+        "total_ns",
+        "waves",
+        "aligns_speculative",
+        "aligns_reused",
+        "aligns_wasted",
+        "wave_conflicts",
+        "block_parts_cache_hits",
+        "block_parts_cache_misses",
+        "fingerprint_comparisons",
+        "candidates_examined",
+        "candidates_returned",
+        "bucket_evictions",
+        "probe_collisions",
+        "lsh_allocs_saved",
+        "align_cells",
+        "commits_rejected_build",
+        "commits_rejected_verify",
+        "commits_rejected_size",
+        "lsh_buckets",
+        "lsh_max_bucket",
+        "soa_bytes_per_fn",
+        "size_before",
+        "size_after",
+        "size_reduction",
+    ];
+
     fn top_level_keys(json: &str) -> Vec<String> {
-        let bytes = json.as_bytes();
-        let mut keys = Vec::new();
-        let mut depth = 0i32;
-        let mut i = 0;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => depth -= 1,
-                b'"' if depth == 1 => {
-                    let start = i + 1;
-                    let mut j = start;
-                    while bytes[j] != b'"' {
-                        j += 1;
-                    }
-                    if bytes.get(j + 1) == Some(&b':') {
-                        keys.push(json[start..j].to_string());
-                    }
-                    i = j;
-                }
-                _ => {}
-            }
-            i += 1;
+        match f3m_trace::json::parse(json).unwrap() {
+            f3m_trace::Json::Object(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("not an object: {other:?}"),
         }
-        keys
     }
 
     #[test]
     fn stats_json_emits_exactly_the_documented_key_set() {
-        let keys = top_level_keys(&MergeStats::default().to_json());
-        assert_eq!(
-            keys, STATS_JSON_KEYS,
-            "MergeStats::to_json and STATS_JSON_KEYS drifted apart; \
-             update both (and DESIGN.md's metric catalog) together"
-        );
+        assert_eq!(STATS_JSON_KEYS, GOLDEN_KEYS);
+        assert_eq!(top_level_keys(&MergeStats::default().to_json()), GOLDEN_KEYS);
         // Populated stats must not grow or reorder keys either.
         let mut s = MergeStats { functions: 9, waves: 3, ..Default::default() };
         s.size_before = 100;
         s.size_after = 80;
-        assert_eq!(top_level_keys(&s.to_json()), STATS_JSON_KEYS);
+        assert_eq!(top_level_keys(&s.to_json()), GOLDEN_KEYS);
     }
 
     #[test]
@@ -534,23 +444,40 @@ mod tests {
         assert_eq!(bounds, LSH_OCCUPANCY_BOUNDS);
         assert_eq!(count, 4);
         assert_eq!(*counts.last().unwrap(), 1, "bucket of 200 lands in overflow");
-        // Every deterministic stats key is represented as a metric.
-        for key in STATS_JSON_KEYS {
-            if key.ends_with("_ns") || matches!(*key, "rank" | "align" | "codegen") {
-                continue;
+        // The metric names come out of the same table as the JSON keys:
+        // work counts in key order, then the wall-clock readings with each
+        // stage split by outcome, then the report's histogram.
+        let (mut expected, mut wall) = (Vec::new(), Vec::new());
+        for key in GOLDEN_KEYS {
+            if ["rank", "align", "codegen"].contains(&key) {
+                wall.extend([format!("pass.{key}_success_ns"), format!("pass.{key}_fail_ns")]);
+            } else if key.ends_with("_ns") {
+                wall.push(format!("pass.{key}"));
+            } else {
+                expected.push(format!("pass.{key}"));
             }
-            assert!(
-                snaps.iter().any(|s| s.name == format!("pass.{key}")),
-                "stats key {key} has no exported metric"
-            );
         }
+        expected.append(&mut wall);
+        expected.push("pass.lsh_bucket_occupancy".to_string());
+        assert_eq!(snaps.iter().map(|s| s.name.clone()).collect::<Vec<_>>(), expected);
+        assert!(snaps.iter().all(|s| s.deterministic != s.name.ends_with("_ns")));
     }
 
     #[test]
     fn non_finite_floats_are_sanitized() {
-        assert_eq!(json_f64(f64::NAN), "0");
-        assert_eq!(json_f64(f64::INFINITY), "0");
-        assert_eq!(json_f64(0.25), "0.25");
+        let mut report = MergeReport::default();
+        report.attempts.push(AttemptRecord {
+            f1: FuncId::from_index(0),
+            f2: FuncId::from_index(1),
+            similarity: f64::NAN,
+            align_ratio: f64::INFINITY,
+            committed: false,
+            size_delta: -3,
+            time: Duration::ZERO,
+        });
+        let j = report.to_json();
+        assert!(j.contains("\"similarity\":0,\"align_ratio\":0,"), "{j}");
+        assert!(j.contains("\"size_delta\":-3"), "{j}");
     }
 
     #[test]

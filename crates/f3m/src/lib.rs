@@ -51,7 +51,7 @@ pub mod prelude {
     pub use f3m_core::{MergeConfig, RepairMode};
     pub use f3m_fingerprint::adaptive::MergeParams;
     pub use f3m_fingerprint::{
-        BackendKind, LshIndex, LshParams, MinHashFingerprint, OpcodeFingerprint,
+        minhash_signature, BackendKind, LshIndex, LshParams, OpcodeFingerprint,
     };
     pub use f3m_interp::{Interpreter, Limits, Outcome, Trap, Val};
     pub use f3m_ir::prelude::*;

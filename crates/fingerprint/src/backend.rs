@@ -10,7 +10,7 @@
 //!
 //! - [`BackendKind::MinHash`] — the default. Slot `i` is the minimum of
 //!   the `i`-th derived hash over all instruction shingles
-//!   ([`MinHashFingerprint`]); slot equality estimates the Jaccard index.
+//!   ([`minhash_signature`]); slot equality estimates the Jaccard index.
 //! - [`BackendKind::SimHash`] — random-hyperplane projection of the
 //!   opcode-frequency vector. Each slot packs 8 projection sign bits, so
 //!   slot equality is byte-granular Hamming similarity of the 8·k-bit
@@ -36,7 +36,7 @@
 //! per backend, only the signature function differs.
 
 use crate::fnv::{fnv1a_u64s, xor_constants};
-use crate::minhash::{shingle_hashes, MinHashFingerprint};
+use crate::minhash::{minhash_signature, shingle_hashes};
 
 /// Selector for a fingerprint family, as chosen by `--backend`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -122,8 +122,8 @@ pub fn backend_for(kind: BackendKind, k: usize) -> Box<dyn FingerprintBackend> {
 }
 
 /// Similarity of two equal-width signatures: the fraction of equal slots.
-/// For MinHash this is exactly [`MinHashFingerprint::similarity`]; for the
-/// packed backends it is a byte-granular Hamming similarity.
+/// For MinHash this estimates the Jaccard index of the shingle sets; for
+/// the packed backends it is a byte-granular Hamming similarity.
 ///
 /// # Panics
 ///
@@ -156,7 +156,7 @@ impl FingerprintBackend for MinHashBackend {
     }
 
     fn signature(&self, encoded: &[u32]) -> Vec<u64> {
-        MinHashFingerprint::of_encoded_with(&self.consts, encoded).into_hashes()
+        minhash_signature(&self.consts, encoded)
     }
 }
 
@@ -405,21 +405,6 @@ mod tests {
         assert_eq!(BackendKind::parse("nope"), None);
         assert_eq!(BackendKind::from_tag(200), None);
         assert_eq!(BackendKind::default(), BackendKind::MinHash);
-    }
-
-    #[test]
-    fn minhash_backend_matches_legacy_fingerprint() {
-        let s = stream(64, 1);
-        let backend = backend_for(BackendKind::MinHash, 32);
-        let legacy = MinHashFingerprint::of_encoded(&s, 32);
-        assert_eq!(backend.signature(&s), legacy.hashes());
-        // Shared similarity path is bit-identical to the legacy one.
-        let t = stream(64, 2);
-        let other = MinHashFingerprint::of_encoded(&t, 32);
-        assert_eq!(
-            signature_similarity(&backend.signature(&s), &backend.signature(&t)),
-            legacy.similarity(&other)
-        );
     }
 
     #[test]

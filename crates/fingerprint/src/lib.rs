@@ -4,7 +4,7 @@
 //!
 //! - [`opcode_freq::OpcodeFingerprint`] — the HyFM baseline: a vector of
 //!   instruction opcode frequencies compared by Manhattan distance;
-//! - [`minhash::MinHashFingerprint`] — F3M's contribution: MinHash over
+//! - [`minhash::minhash_signature`] — F3M's contribution: MinHash over
 //!   shingles of [encoded instructions](encode), whose slot-equality ratio
 //!   estimates the Jaccard index of the functions' instruction
 //!   subsequences.
@@ -34,7 +34,7 @@ pub use lsh::{probe_keys_for, BandKey, LshIndex, LshParams, QueryScratch};
 pub use pager::{new_pager, Pager, PagerKind};
 pub use resident::{ResidencyCounters, ResidentStore, RowRef};
 pub use sharded::{ShardStats, ShardedLshIndex};
-pub use minhash::MinHashFingerprint;
+pub use minhash::minhash_signature;
 pub use opcode_freq::OpcodeFingerprint;
 pub use snapshot::{SnapshotError, SnapshotFile, SnapshotHeader, SnapshotLayout, SnapshotMeta};
 pub use store::PackedFingerprintStore;

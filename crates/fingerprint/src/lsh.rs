@@ -79,7 +79,7 @@ fn fold_key(h: u64) -> BandKey {
 /// function so they can be computed off-index (e.g. on worker threads
 /// during a parallel bulk build) and fed to [`LshIndex::insert_with_keys`].
 /// `sig` is the `k`-slot signature words of any fingerprint backend (for
-/// MinHash, [`MinHashFingerprint::hashes`](crate::minhash::MinHashFingerprint::hashes)).
+/// MinHash, [`minhash_signature`](crate::minhash::minhash_signature)).
 ///
 /// # Panics
 ///
@@ -367,10 +367,11 @@ impl<T: Copy + Ord + Hash> LshIndex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minhash::MinHashFingerprint;
+    use crate::fnv::xor_constants;
+    use crate::minhash::minhash_signature;
 
     fn sig(stream: &[u32], k: usize) -> Vec<u64> {
-        MinHashFingerprint::of_encoded(stream, k).hashes().to_vec()
+        minhash_signature(&xor_constants(k), stream)
     }
 
     fn params() -> LshParams {

@@ -10,7 +10,7 @@
 
 use std::collections::HashSet;
 
-use crate::fnv::{fnv1a_u32s, xor_constants};
+use crate::fnv::fnv1a_u32s;
 
 /// Shingle length used throughout the paper (`K = 2`).
 pub const SHINGLE_LEN: usize = 2;
@@ -18,92 +18,30 @@ pub const SHINGLE_LEN: usize = 2;
 /// Default fingerprint size (`k = 200`).
 pub const DEFAULT_K: usize = 200;
 
-/// A MinHash fingerprint: `k` minima, one per derived hash function.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MinHashFingerprint {
-    hashes: Vec<u64>,
-}
-
-impl MinHashFingerprint {
-    /// Builds a fingerprint of size `k` from an encoded instruction stream.
-    ///
-    /// Functions shorter than [`SHINGLE_LEN`] contribute a single shingle
-    /// covering the whole stream, so every non-empty function has a
-    /// well-defined fingerprint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn of_encoded(encoded: &[u32], k: usize) -> MinHashFingerprint {
-        assert!(k > 0, "fingerprint size must be positive");
-        Self::of_encoded_with(&xor_constants(k), encoded)
-    }
-
-    /// Like [`MinHashFingerprint::of_encoded`] but with the xor constants
-    /// supplied by the caller. Building fingerprints for a whole module
-    /// derives the constants once and shares them across every function
-    /// (and every worker thread) instead of re-deriving `k` constants per
-    /// fingerprint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `consts` is empty.
-    pub fn of_encoded_with(consts: &[u64], encoded: &[u32]) -> MinHashFingerprint {
-        let k = consts.len();
-        assert!(k > 0, "fingerprint size must be positive");
-        let mut hashes = vec![u64::MAX; k];
-        for base in shingle_hashes(encoded) {
-            for (slot, &c) in hashes.iter_mut().zip(consts.iter()) {
-                let h = base ^ c;
-                if h < *slot {
-                    *slot = h;
-                }
+/// The MinHash signature of an encoded instruction stream: one minimum per
+/// xor constant in `consts` (see [`xor_constants`](crate::fnv::xor_constants);
+/// a caller fingerprinting many functions derives them once). Compare two
+/// signatures with [`signature_similarity`](crate::backend::signature_similarity).
+///
+/// Functions shorter than [`SHINGLE_LEN`] contribute a single shingle
+/// covering the whole stream, so every non-empty function has a
+/// well-defined signature; an empty stream leaves every slot at `u64::MAX`.
+///
+/// # Panics
+///
+/// Panics if `consts` is empty.
+pub fn minhash_signature(consts: &[u64], encoded: &[u32]) -> Vec<u64> {
+    assert!(!consts.is_empty(), "fingerprint size must be positive");
+    let mut hashes = vec![u64::MAX; consts.len()];
+    for base in shingle_hashes(encoded) {
+        for (slot, &c) in hashes.iter_mut().zip(consts.iter()) {
+            let h = base ^ c;
+            if h < *slot {
+                *slot = h;
             }
         }
-        MinHashFingerprint { hashes }
     }
-
-    /// Fingerprint size `k`.
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// Whether the fingerprint has no slots (never true for `k > 0`).
-    pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
-    }
-
-    /// Raw fingerprint slots (used by the LSH banding scheme).
-    pub fn hashes(&self) -> &[u64] {
-        &self.hashes
-    }
-
-    /// Consumes the fingerprint, yielding its slots without a copy (the
-    /// backend seam stores bare signature words).
-    pub fn into_hashes(self) -> Vec<u64> {
-        self.hashes
-    }
-
-    /// Estimated Jaccard similarity: the fraction of equal slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fingerprints have different sizes.
-    pub fn similarity(&self, other: &MinHashFingerprint) -> f64 {
-        assert_eq!(self.hashes.len(), other.hashes.len(), "fingerprint size mismatch");
-        let equal = self
-            .hashes
-            .iter()
-            .zip(other.hashes.iter())
-            .filter(|(a, b)| a == b)
-            .count();
-        equal as f64 / self.hashes.len() as f64
-    }
-
-    /// Estimated Jaccard distance (`1 - similarity`).
-    pub fn distance(&self, other: &MinHashFingerprint) -> f64 {
-        1.0 - self.similarity(other)
-    }
+    hashes
 }
 
 /// The FNV-1a hash of every shingle in the stream (multiset, in order).
@@ -137,25 +75,27 @@ pub fn exact_jaccard(a: &[u32], b: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{signature_similarity, FingerprintBackend, MinHashBackend};
+    use crate::fnv::xor_constants;
 
-    fn stream(vals: &[u32]) -> Vec<u32> {
-        vals.to_vec()
+    fn sig(encoded: &[u32], k: usize) -> Vec<u64> {
+        minhash_signature(&xor_constants(k), encoded)
+    }
+
+    fn similarity(a: &[u32], b: &[u32], k: usize) -> f64 {
+        signature_similarity(&sig(a, k), &sig(b, k))
     }
 
     #[test]
     fn identical_streams_have_similarity_one() {
-        let s = stream(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let a = MinHashFingerprint::of_encoded(&s, 64);
-        let b = MinHashFingerprint::of_encoded(&s, 64);
-        assert_eq!(a.similarity(&b), 1.0);
-        assert_eq!(a.distance(&b), 0.0);
+        let s = [1, 2, 3, 4, 5, 6, 7, 8];
+        assert_eq!(similarity(&s, &s, 64), 1.0);
     }
 
     #[test]
     fn disjoint_streams_have_similarity_near_zero() {
-        let a = MinHashFingerprint::of_encoded(&stream(&[1, 2, 3, 4, 5, 6]), 128);
-        let b = MinHashFingerprint::of_encoded(&stream(&[101, 102, 103, 104, 105, 106]), 128);
-        assert!(a.similarity(&b) < 0.1, "{}", a.similarity(&b));
+        let sim = similarity(&[1, 2, 3, 4, 5, 6], &[101, 102, 103, 104, 105, 106], 128);
+        assert!(sim < 0.1, "{sim}");
     }
 
     #[test]
@@ -167,9 +107,7 @@ mod tests {
         b.push(999);
         let exact = exact_jaccard(&a, &b);
         let k = 400;
-        let fa = MinHashFingerprint::of_encoded(&a, k);
-        let fb = MinHashFingerprint::of_encoded(&b, k);
-        let est = fa.similarity(&fb);
+        let est = similarity(&a, &b, k);
         // O(1/sqrt(k)) error bound, with slack for the shared-xor trick.
         let tol = 3.0 / (k as f64).sqrt();
         assert!(
@@ -180,17 +118,13 @@ mod tests {
 
     #[test]
     fn single_instruction_functions_are_fingerprintable() {
-        let a = MinHashFingerprint::of_encoded(&stream(&[7]), 16);
-        let b = MinHashFingerprint::of_encoded(&stream(&[7]), 16);
-        let c = MinHashFingerprint::of_encoded(&stream(&[8]), 16);
-        assert_eq!(a.similarity(&b), 1.0);
-        assert!(a.similarity(&c) < 1.0);
+        assert_eq!(similarity(&[7], &[7], 16), 1.0);
+        assert!(similarity(&[7], &[8], 16) < 1.0);
     }
 
     #[test]
     fn empty_stream_yields_max_slots() {
-        let a = MinHashFingerprint::of_encoded(&[], 8);
-        assert!(a.hashes().iter().all(|&h| h == u64::MAX));
+        assert!(sig(&[], 8).iter().all(|&h| h == u64::MAX));
     }
 
     #[test]
@@ -200,9 +134,7 @@ mod tests {
         let a: Vec<u32> = (0..50).collect();
         let mut b = a.clone();
         b.insert(25, 999);
-        let fa = MinHashFingerprint::of_encoded(&a, 256);
-        let fb = MinHashFingerprint::of_encoded(&b, 256);
-        let sim = fa.similarity(&fb);
+        let sim = similarity(&a, &b, 256);
         assert!(sim > 0.8, "one insertion keeps most shingles: {sim}");
         assert!(sim < 1.0);
     }
@@ -219,20 +151,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn mismatched_sizes_panic() {
-        let a = MinHashFingerprint::of_encoded(&[1, 2, 3], 8);
-        let b = MinHashFingerprint::of_encoded(&[1, 2, 3], 16);
-        let _ = a.similarity(&b);
+        let _ = signature_similarity(&sig(&[1, 2, 3], 8), &sig(&[1, 2, 3], 16));
     }
 
+    /// The backend derives its constants once; signatures must not depend
+    /// on who derived them.
     #[test]
     fn shared_constants_constructor_is_equivalent() {
-        let s = stream(&[3, 1, 4, 1, 5, 9, 2, 6]);
-        let k = 64;
-        let consts = crate::fnv::xor_constants(k);
-        assert_eq!(
-            MinHashFingerprint::of_encoded(&s, k),
-            MinHashFingerprint::of_encoded_with(&consts, &s)
-        );
+        let s = [3, 1, 4, 1, 5, 9, 2, 6];
+        assert_eq!(MinHashBackend::new(64).signature(&s), sig(&s, 64));
     }
 
     #[test]
@@ -240,11 +167,7 @@ mod tests {
         let a: Vec<u32> = (0..60).collect();
         let b: Vec<u32> = (30..90).collect();
         let exact = exact_jaccard(&a, &b);
-        let err = |k: usize| {
-            let fa = MinHashFingerprint::of_encoded(&a, k);
-            let fb = MinHashFingerprint::of_encoded(&b, k);
-            (fa.similarity(&fb) - exact).abs()
-        };
+        let err = |k: usize| (similarity(&a, &b, k) - exact).abs();
         // Average over a few ks to smooth noise; big-k family should be
         // no worse than the small-k family.
         let small = (err(16) + err(24) + err(32)) / 3.0;

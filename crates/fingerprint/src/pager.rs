@@ -17,9 +17,8 @@
 //!   buffer to spill.
 //!
 //! [`new_pager`] picks the richest backend the platform offers unless
-//! the caller or the `F3M_PAGER` environment variable (`mmap` /
-//! `file`) says otherwise, and falls back gracefully when a map cannot
-//! be established.
+//! the caller says otherwise, and falls back gracefully when a map
+//! cannot be established.
 
 use std::fmt;
 use std::fs::File;
@@ -39,7 +38,7 @@ pub enum PagerKind {
 }
 
 impl PagerKind {
-    /// Parses a backend name as used by `F3M_PAGER` and the CLI.
+    /// Parses a backend name (the inverse of `Display`).
     pub fn parse(s: &str) -> Option<PagerKind> {
         match s {
             "auto" => Some(PagerKind::Auto),
@@ -88,12 +87,7 @@ pub trait Pager: Send + Sync {
 /// Opens `path` with the requested backend. `Auto` prefers mmap and
 /// falls back to positioned reads if mapping fails or the platform has
 /// no mmap backend; explicit kinds do what they are told or error.
-/// `F3M_PAGER=mmap|file|auto` overrides the requested kind.
 pub fn new_pager(kind: PagerKind, path: &Path) -> io::Result<Box<dyn Pager>> {
-    let kind = match std::env::var("F3M_PAGER").ok().as_deref().and_then(PagerKind::parse) {
-        Some(forced) => forced,
-        None => kind,
-    };
     match kind {
         PagerKind::File => Ok(Box::new(FilePager::open(path)?)),
         PagerKind::Mmap => {
@@ -485,10 +479,7 @@ mod tests {
         } else {
             "file"
         };
-        // Unless the environment overrides the choice.
-        if std::env::var("F3M_PAGER").is_err() {
-            assert_eq!(p.backend_name(), expected);
-        }
+        assert_eq!(p.backend_name(), expected);
         let mut buf = vec![0u8; 64];
         p.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf[..], &data[..]);
@@ -500,9 +491,7 @@ mod tests {
         let data = pattern(64);
         let path = fixture("forced.bin", &data);
         let p = new_pager(PagerKind::File, &path).unwrap();
-        if std::env::var("F3M_PAGER").is_err() {
-            assert_eq!(p.backend_name(), "file");
-        }
+        assert_eq!(p.backend_name(), "file");
         std::fs::remove_file(&path).ok();
     }
 }

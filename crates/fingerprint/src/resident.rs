@@ -362,7 +362,8 @@ mod tests {
     use super::*;
     use crate::backend::BackendKind;
     use crate::lsh::{band_keys_for, LshParams};
-    use crate::minhash::MinHashFingerprint;
+    use crate::fnv::xor_constants;
+    use crate::minhash::minhash_signature;
     use crate::snapshot::{save_snapshot, SnapshotHeader};
     use crate::store::PackedFingerprintStore;
 
@@ -371,7 +372,7 @@ mod tests {
         let mut store = PackedFingerprintStore::with_capacity(32, p.bands, n as usize);
         for i in 0..n {
             let stream: Vec<u32> = (i % 7..i % 7 + 40).collect();
-            let sig = MinHashFingerprint::of_encoded(&stream, 32).into_hashes();
+            let sig = minhash_signature(&xor_constants(32), &stream);
             let keys = band_keys_for(p, &sig);
             store.push_with_keys(&sig, &keys);
         }
@@ -391,8 +392,6 @@ mod tests {
     }
 
     fn kinds() -> Vec<PagerKind> {
-        // Under an F3M_PAGER override every kind resolves to the same
-        // backend; the comparisons below still hold.
         vec![PagerKind::File, PagerKind::Auto]
     }
 

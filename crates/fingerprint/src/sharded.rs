@@ -282,7 +282,8 @@ impl<T: Copy + Ord + Hash> ShardedLshIndex<T> {
 mod tests {
     use super::*;
     use crate::lsh::band_keys_for;
-    use crate::minhash::MinHashFingerprint;
+    use crate::fnv::xor_constants;
+    use crate::minhash::minhash_signature;
     use std::sync::Arc;
 
     fn params() -> LshParams {
@@ -291,7 +292,7 @@ mod tests {
 
     fn fp(seed: u32) -> Vec<u64> {
         let stream: Vec<u32> = (0..24).map(|i| i + seed % 7).collect();
-        MinHashFingerprint::of_encoded(&stream, 32).hashes().to_vec()
+        minhash_signature(&xor_constants(32), &stream)
     }
 
     /// Inserting the same items into 1..=5 shards yields identical
@@ -434,7 +435,7 @@ mod tests {
         let sharded: ShardedLshIndex<u32> = ShardedLshIndex::new(p, 2);
         // Disjoint shingle streams → disjoint buckets.
         let far_stream: Vec<u32> = (5000..5024).collect();
-        let far = MinHashFingerprint::of_encoded(&far_stream, 32).hashes().to_vec();
+        let far = minhash_signature(&xor_constants(32), &far_stream);
         let near = fp(1);
         let near_twin = fp(1);
         sharded.insert_with_keys(1, &band_keys_for(p, &near));

@@ -628,7 +628,8 @@ pub fn open_snapshot_meta(path: &Path) -> Result<SnapshotMeta, SnapshotError> {
 mod tests {
     use super::*;
     use crate::lsh::{band_keys_for, LshIndex};
-    use crate::minhash::MinHashFingerprint;
+    use crate::fnv::xor_constants;
+    use crate::minhash::minhash_signature;
 
     fn params() -> LshParams {
         LshParams { rows: 2, bands: 16, bucket_cap: 100 }
@@ -640,7 +641,7 @@ mod tests {
         let mut index: LshIndex<u32> = LshIndex::new(p);
         for i in 0..n {
             let stream: Vec<u32> = (i % 5..i % 5 + 30).collect();
-            let sig = MinHashFingerprint::of_encoded(&stream, 32).into_hashes();
+            let sig = minhash_signature(&xor_constants(32), &stream);
             let keys = band_keys_for(p, &sig);
             store.push_with_keys(&sig, &keys);
             index.insert_with_keys(i, &keys);

@@ -211,7 +211,8 @@ impl PackedFingerprintStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minhash::MinHashFingerprint;
+    use crate::fnv::xor_constants;
+    use crate::minhash::minhash_signature;
 
     fn params() -> LshParams {
         LshParams { rows: 2, bands: 16, bucket_cap: 100 }
@@ -219,7 +220,7 @@ mod tests {
 
     fn sig(seed: u32) -> Vec<u64> {
         let stream: Vec<u32> = (seed..seed + 30).collect();
-        MinHashFingerprint::of_encoded(&stream, 32).into_hashes()
+        minhash_signature(&xor_constants(32), &stream)
     }
 
     #[test]

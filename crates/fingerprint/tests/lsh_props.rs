@@ -3,7 +3,9 @@
 //! fingerprints with controlled similarity.
 
 use f3m_fingerprint::lsh::{collision_probability, LshIndex, LshParams};
-use f3m_fingerprint::minhash::MinHashFingerprint;
+use f3m_fingerprint::fnv::xor_constants;
+use f3m_fingerprint::minhash::minhash_signature;
+use f3m_fingerprint::signature_similarity;
 use f3m_prng::SmallRng;
 
 /// Deterministic pseudo-random stream (decoupled from `rand` so the test
@@ -54,12 +56,12 @@ fn equation_2_predicts_measured_collision_rates() {
         let mut sim_sum = 0.0;
         for _ in 0..trials {
             let (a, b) = correlated_streams(&mut rng, target_s, 120);
-            let fa = MinHashFingerprint::of_encoded(&a, k);
-            let fb = MinHashFingerprint::of_encoded(&b, k);
-            sim_sum += fa.similarity(&fb);
+            let fa = minhash_signature(&xor_constants(k), &a);
+            let fb = minhash_signature(&xor_constants(k), &b);
+            sim_sum += signature_similarity(&fa, &fb);
             let mut idx: LshIndex<u32> = LshIndex::new(params);
-            idx.insert(1, fa.hashes());
-            let (cands, _) = idx.candidates(fb.hashes(), 0);
+            idx.insert(1, &fa);
+            let (cands, _) = idx.candidates(&fb, 0);
             if !cands.is_empty() {
                 collided += 1;
             }
@@ -85,11 +87,11 @@ fn higher_similarity_means_higher_collision_rate() {
         let mut collided = 0;
         for _ in 0..trials {
             let (a, b) = correlated_streams(&mut rng, s, 100);
-            let fa = MinHashFingerprint::of_encoded(&a, k);
-            let fb = MinHashFingerprint::of_encoded(&b, k);
+            let fa = minhash_signature(&xor_constants(k), &a);
+            let fb = minhash_signature(&xor_constants(k), &b);
             let mut idx: LshIndex<u32> = LshIndex::new(params);
-            idx.insert(1, fa.hashes());
-            if !idx.candidates(fb.hashes(), 0).0.is_empty() {
+            idx.insert(1, &fa);
+            if !idx.candidates(&fb, 0).0.is_empty() {
                 collided += 1;
             }
         }
@@ -112,11 +114,11 @@ fn minhash_similarity_is_reflexive_and_symmetric() {
     for _ in 0..24 {
         let stream = random_stream(&mut rng, 1, 80);
         let other = random_stream(&mut rng, 1, 80);
-        let a = MinHashFingerprint::of_encoded(&stream, 64);
-        let b = MinHashFingerprint::of_encoded(&other, 64);
-        assert_eq!(a.similarity(&a), 1.0);
-        assert_eq!(a.similarity(&b), b.similarity(&a));
-        let s = a.similarity(&b);
+        let a = minhash_signature(&xor_constants(64), &stream);
+        let b = minhash_signature(&xor_constants(64), &other);
+        assert_eq!(signature_similarity(&a, &a), 1.0);
+        assert_eq!(signature_similarity(&a, &b), signature_similarity(&b, &a));
+        let s = signature_similarity(&a, &b);
         assert!((0.0..=1.0).contains(&s));
     }
 }
@@ -130,10 +132,10 @@ fn permutation_does_not_change_minhash_much() {
     let mut rng = SmallRng::seed_from_u64(0xB0B);
     for _ in 0..24 {
         let mut stream = random_stream(&mut rng, 12, 60);
-        let a = MinHashFingerprint::of_encoded(&stream, 256);
+        let a = minhash_signature(&xor_constants(256), &stream);
         stream.rotate_left(1);
-        let b = MinHashFingerprint::of_encoded(&stream, 256);
-        let s = a.similarity(&b);
+        let b = minhash_signature(&xor_constants(256), &stream);
+        let s = signature_similarity(&a, &b);
         assert!(s > 0.55, "rotation keeps most shingles: {s}");
     }
 }
@@ -164,15 +166,15 @@ fn lsh_insert_then_remove_is_identity() {
         let fps: Vec<_> = (0..n)
             .map(|_| {
                 let s = random_stream(&mut rng, 2, 30);
-                MinHashFingerprint::of_encoded(&s, params.fingerprint_size())
+                minhash_signature(&xor_constants(params.fingerprint_size()), &s)
             })
             .collect();
         let mut idx: LshIndex<usize> = LshIndex::new(params);
         for (i, fp) in fps.iter().enumerate() {
-            idx.insert(i, fp.hashes());
+            idx.insert(i, fp);
         }
         for (i, fp) in fps.iter().enumerate() {
-            idx.remove(i, fp.hashes());
+            idx.remove(i, fp);
         }
         assert_eq!(idx.num_buckets(), 0);
     }

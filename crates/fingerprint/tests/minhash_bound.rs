@@ -15,7 +15,9 @@
 //! O(1), e.g. 0.3+, and fail immediately at k = 400).
 
 use f3m_fingerprint::encode::encode_function;
-use f3m_fingerprint::minhash::{exact_jaccard, MinHashFingerprint};
+use f3m_fingerprint::fnv::xor_constants;
+use f3m_fingerprint::minhash::{exact_jaccard, minhash_signature};
+use f3m_fingerprint::signature_similarity;
 use f3m_ir::function::Linkage;
 use f3m_ir::module::Module;
 use f3m_prng::SmallRng;
@@ -47,9 +49,9 @@ fn minhash_estimates_jaccard_within_bound() {
         let e2 = encode_function(&m.types, &f2);
         let exact = exact_jaccard(&e1, &e2);
         for k in [100usize, 200, 400] {
-            let fp1 = MinHashFingerprint::of_encoded(&e1, k);
-            let fp2 = MinHashFingerprint::of_encoded(&e2, k);
-            let est = fp1.similarity(&fp2);
+            let fp1 = minhash_signature(&xor_constants(k), &e1);
+            let fp2 = minhash_signature(&xor_constants(k), &e2);
+            let est = signature_similarity(&fp1, &fp2);
             let bound = 4.0 / (k as f64).sqrt();
             assert!(
                 (est - exact).abs() < bound,
@@ -73,8 +75,8 @@ fn minhash_similarity_is_exact_at_the_extremes() {
             &MutationProfile::identical(), Linkage::External,
         );
         let e1 = encode_function(&m.types, &f1);
-        let fp = MinHashFingerprint::of_encoded(&e1, 200);
+        let fp = minhash_signature(&xor_constants(200), &e1);
         // A fingerprint always estimates itself at exactly 1.0.
-        assert_eq!(fp.similarity(&fp), 1.0, "seed {seed}");
+        assert_eq!(signature_similarity(&fp, &fp), 1.0, "seed {seed}");
     }
 }

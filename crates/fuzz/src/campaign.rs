@@ -15,10 +15,12 @@ use std::time::Instant;
 
 use f3m_core::pass::{run_pass, PassConfig};
 use f3m_ir::module::Module;
-use f3m_ir::parser::parse_module;
+use f3m_ir::parser::check_print_fixpoint;
 use f3m_ir::printer::print_module;
 use f3m_ir::verify::verify_module;
 use f3m_prng::SmallRng;
+use f3m_trace::json::Writer;
+use f3m_trace::stats::{self, Stat, Value::*};
 use f3m_trace::{span_on, MetricsRegistry, Tracer};
 use f3m_workloads::{build_module, table1};
 
@@ -109,117 +111,79 @@ pub struct CampaignSummary {
     pub failures: Vec<FailureRecord>,
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Every summary counter, in [`CampaignSummary::to_json`] order; the one
+/// place a counter is named besides its field.
+const CAMPAIGN_STATS: &[Stat<CampaignSummary>] = &[
+    Stat::det("iterations", "iterations", |s| Count(s.iterations as u64)),
+    Stat::det("mutations_applied", "mutations", |s| Count(s.mutations_applied as u64)),
+    Stat::new("mutator_histogram", "mutations", "mutations", true, 0, |s| {
+        Map(s.histogram.iter().map(|&(name, n)| (name, n as u64)).collect())
+    }),
+    Stat::det("resource_skips", "cells", |s| Count(s.resource_skips as u64)),
+    Stat::new("failure_count", "failures", "failures", true, 0, |s| Count(s.failures.len() as u64)),
+    Stat::new("", "mutator_ns", "ns", false, 1, |s| Map(s.mutator_time_ns.clone())),
+];
+
+/// The layout shared by the `f3m fuzz` and `f3m fuzz --global` summaries:
+/// one counter per line, then the failures one per line.
+pub(crate) fn summary_json<S, F>(
+    table: &[Stat<S>],
+    summary: &S,
+    failures: &[F],
+    write_failure: fn(&mut Writer, &F),
+) -> String {
+    let mut w = Writer::spaced();
+    w.begin_object();
+    for row in table {
+        row.write(w.indent(2), summary);
     }
-    out
+    w.indent(2).key("failures").begin_array();
+    for f in failures {
+        write_failure(w.indent(4), f);
+    }
+    if !failures.is_empty() {
+        w.indent(2);
+    }
+    w.end_array().indent(0).end_object();
+    w.finish()
 }
 
 impl CampaignSummary {
     /// Renders the summary as a JSON object (the `f3m fuzz` output).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"iterations\": {},\n", self.iterations));
-        s.push_str(&format!("  \"mutations_applied\": {},\n", self.mutations_applied));
-        s.push_str("  \"mutator_histogram\": {");
-        for (i, (name, count)) in self.histogram.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{name}\": {count}"));
-        }
-        s.push_str("},\n");
-        s.push_str(&format!("  \"resource_skips\": {},\n", self.resource_skips));
-        s.push_str(&format!("  \"failure_count\": {},\n", self.failures.len()));
-        s.push_str("  \"failures\": [");
-        for (i, f) in self.failures.iter().enumerate() {
-            s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            s.push_str(&failure_json(f));
-        }
-        if self.failures.is_empty() {
-            s.push_str("]\n");
-        } else {
-            s.push_str("\n  ]\n");
-        }
-        s.push('}');
-        s
+        summary_json(CAMPAIGN_STATS, self, &self.failures, write_failure)
     }
 
     /// Registers and populates the summary as metrics under `<prefix>.`.
     /// Seed-determined quantities (iterations, mutation counts, failures)
     /// are tagged deterministic; mutator wall-clock times are not.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let det = |reg: &mut MetricsRegistry, name: String, unit, v: u64| {
-            let id = reg.counter(&name, unit, true);
-            reg.set(id, v);
-        };
-        det(reg, format!("{prefix}.iterations"), "iterations", self.iterations as u64);
-        det(
-            reg,
-            format!("{prefix}.mutations_applied"),
-            "mutations",
-            self.mutations_applied as u64,
-        );
-        for (name, count) in &self.histogram {
-            det(reg, format!("{prefix}.mutations.{name}"), "mutations", *count as u64);
-        }
-        det(reg, format!("{prefix}.resource_skips"), "cells", self.resource_skips as u64);
-        det(reg, format!("{prefix}.failures"), "failures", self.failures.len() as u64);
-        for (name, ns) in &self.mutator_time_ns {
-            let id = reg.counter(&format!("{prefix}.mutator_ns.{name}"), "ns", false);
-            reg.set(id, *ns);
-        }
+        stats::export(reg, prefix, CAMPAIGN_STATS, self);
     }
 }
 
-fn failure_json(f: &FailureRecord) -> String {
+fn write_failure(w: &mut Writer, f: &FailureRecord) {
     let ratio = if f.insts_before == 0 {
         1.0
     } else {
         f.insts_after as f64 / f.insts_before as f64
     };
-    let mutations: Vec<String> = f.mutations.iter().map(|m| format!("\"{m}\"")).collect();
-    format!(
-        "{{\"iteration\": {}, \"seed\": \"{:#x}\", \"kind\": \"{}\", \
-         \"strategy\": \"{}\", \"jobs\": {}, \"detail\": \"{}\", \
-         \"mutations\": [{}], \"functions_before\": {}, \"functions_after\": {}, \
-         \"insts_before\": {}, \"insts_after\": {}, \"reduction_ratio\": {:.4}, \
-         \"artifact\": {}}}",
-        f.iteration,
-        f.iter_seed,
-        json_escape(&f.kind),
-        json_escape(&f.strategy),
-        f.jobs,
-        json_escape(&f.detail),
-        mutations.join(", "),
-        f.functions_before,
-        f.functions_after,
-        f.insts_before,
-        f.insts_after,
-        ratio,
-        match &f.artifact {
-            Some(p) => format!("\"{}\"", json_escape(p)),
-            None => "null".to_string(),
-        },
-    )
-}
-
-fn round_trips(m: &Module) -> bool {
-    let p1 = print_module(m);
-    match parse_module(&p1) {
-        Ok(m2) => print_module(&m2) == p1,
-        Err(_) => false,
+    w.begin_object().key("iteration").raw(f.iteration);
+    w.key("seed").str(&format!("{:#x}", f.iter_seed));
+    w.key("kind").str(&f.kind).key("strategy").str(&f.strategy).key("jobs").raw(f.jobs);
+    w.key("detail").str(&f.detail).key("mutations").begin_array();
+    for m in &f.mutations {
+        w.str(m);
     }
+    w.end_array().key("functions_before").raw(f.functions_before);
+    w.key("functions_after").raw(f.functions_after);
+    w.key("insts_before").raw(f.insts_before).key("insts_after").raw(f.insts_after);
+    w.key("reduction_ratio").raw(format_args!("{ratio:.4}")).key("artifact");
+    match &f.artifact {
+        Some(p) => w.str(p),
+        None => w.null(),
+    };
+    w.end_object();
 }
 
 /// Runs a campaign against the production merge pass.
@@ -302,7 +266,7 @@ fn run_campaign_impl<F: Fn(&mut Module, &PassConfig)>(
         // verifier-clean and round-trippable, before any merging happens.
         let base_broken = match verify_module(&base) {
             Err(errs) => Some(format!("{:?}", errs[0])),
-            Ok(()) if !round_trips(&base) => {
+            Ok(()) if check_print_fixpoint(&print_module(&base)).is_err() => {
                 Some("mutated base fails printer round-trip".to_string())
             }
             Ok(()) => None,
@@ -371,6 +335,8 @@ fn write_artifact(
     let stem = format!("fail-{:05}-{}", record.iteration, record.kind);
     let ir_path = dir.join(format!("{stem}.ir"));
     let _ = fs::write(&ir_path, print_module(m));
-    let _ = fs::write(dir.join(format!("{stem}.meta.json")), failure_json(record));
+    let mut meta = Writer::spaced();
+    write_failure(&mut meta, record);
+    let _ = fs::write(dir.join(format!("{stem}.meta.json")), meta.finish());
     Some(ir_path.display().to_string())
 }

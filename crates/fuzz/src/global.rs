@@ -29,14 +29,16 @@ use f3m_core::{GlobalMergePlanner, GlobalMergeReport, GlobalPlanConfig};
 use f3m_interp::oracle::{observe, Observation};
 use f3m_interp::{Limits, Val};
 use f3m_ir::module::Module;
-use f3m_ir::parser::parse_module;
+use f3m_ir::parser::check_print_fixpoint;
 use f3m_ir::printer::print_module;
 use f3m_ir::verify::verify_module;
 use f3m_prng::SmallRng;
+use f3m_trace::json::Writer;
+use f3m_trace::stats::{self, Stat, Value::*};
 use f3m_trace::MetricsRegistry;
 use f3m_workloads::{build_module, table1};
 
-use crate::campaign::iteration_seed;
+use crate::campaign::{iteration_seed, summary_json};
 use crate::mutate::apply_random;
 
 /// Parameters of a global-merge fuzzing campaign.
@@ -116,63 +118,36 @@ pub struct GlobalCampaignSummary {
     pub failures: Vec<GlobalFailure>,
 }
 
+/// Every summary counter, in [`GlobalCampaignSummary::to_json`] order; the
+/// one place a counter is named besides its field.
+const GLOBAL_CAMPAIGN_STATS: &[Stat<GlobalCampaignSummary>] = &[
+    Stat::det("iterations", "iterations", |s| Count(s.iterations as u64)),
+    Stat::det("modules_built", "modules", |s| Count(s.modules_built as u64)),
+    Stat::det("mutations_applied", "mutations", |s| Count(s.mutations_applied as u64)),
+    Stat::det("resource_skips", "cells", |s| Count(s.resource_skips as u64)),
+    Stat::det("optimistic_total", "merges", |s| Count(s.optimistic_total)),
+    Stat::det("verified_total", "merges", |s| Count(s.verified_total)),
+    Stat::det("rolled_back_total", "merges", |s| Count(s.rolled_back_total)),
+    Stat::det("cross_module_merges_total", "merges", |s| Count(s.cross_module_merges_total)),
+    Stat::new("failure_count", "failures", "failures", true, 0, |s| Count(s.failures.len() as u64)),
+];
+
 impl GlobalCampaignSummary {
     /// Renders the summary as deterministic JSON (the `f3m fuzz
     /// --global` output).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"iterations\": {},\n", self.iterations));
-        s.push_str(&format!("  \"modules_built\": {},\n", self.modules_built));
-        s.push_str(&format!("  \"mutations_applied\": {},\n", self.mutations_applied));
-        s.push_str(&format!("  \"resource_skips\": {},\n", self.resource_skips));
-        s.push_str(&format!("  \"optimistic_total\": {},\n", self.optimistic_total));
-        s.push_str(&format!("  \"verified_total\": {},\n", self.verified_total));
-        s.push_str(&format!("  \"rolled_back_total\": {},\n", self.rolled_back_total));
-        s.push_str(&format!(
-            "  \"cross_module_merges_total\": {},\n",
-            self.cross_module_merges_total
-        ));
-        s.push_str(&format!("  \"failure_count\": {},\n", self.failures.len()));
-        s.push_str("  \"failures\": [");
-        for (i, f) in self.failures.iter().enumerate() {
-            s.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            s.push_str(&format!(
-                "{{\"iteration\": {}, \"seed\": \"{:#x}\", \"kind\": \"{}\", \
-                 \"jobs\": {}, \"modules\": {}, \"detail\": \"{}\"}}",
-                f.iteration,
-                f.iter_seed,
-                f.kind,
-                f.jobs,
-                f.modules,
-                crate::campaign::json_escape(&f.detail)
-            ));
-        }
-        if self.failures.is_empty() {
-            s.push_str("]\n");
-        } else {
-            s.push_str("\n  ]\n");
-        }
-        s.push('}');
-        s
+        summary_json(GLOBAL_CAMPAIGN_STATS, self, &self.failures, |w, f| {
+            w.begin_object().key("iteration").raw(f.iteration);
+            w.key("seed").str(&format!("{:#x}", f.iter_seed)).key("kind").str(&f.kind);
+            w.key("jobs").raw(f.jobs).key("modules").raw(f.modules);
+            w.key("detail").str(&f.detail).end_object();
+        })
     }
 
     /// Registers and populates the summary as deterministic metrics
     /// under `<prefix>.`.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        let mut det = |name: &str, unit, v: u64| {
-            let id = reg.counter(&format!("{prefix}.{name}"), unit, true);
-            reg.set(id, v);
-        };
-        det("iterations", "iterations", self.iterations as u64);
-        det("modules_built", "modules", self.modules_built as u64);
-        det("mutations_applied", "mutations", self.mutations_applied as u64);
-        det("resource_skips", "cells", self.resource_skips as u64);
-        det("optimistic_total", "merges", self.optimistic_total);
-        det("verified_total", "merges", self.verified_total);
-        det("rolled_back_total", "merges", self.rolled_back_total);
-        det("cross_module_merges_total", "merges", self.cross_module_merges_total);
-        det("failures", "failures", self.failures.len() as u64);
+        stats::export(reg, prefix, GLOBAL_CAMPAIGN_STATS, self);
     }
 }
 
@@ -218,19 +193,6 @@ pub struct GlobalOutcome {
     pub resource_skips: usize,
     /// The report of the first jobs level, when planning succeeded.
     pub report: Option<GlobalMergeReport>,
-}
-
-fn fixpoint(p1: &str) -> Result<(), String> {
-    match parse_module(p1) {
-        Ok(m2) => {
-            if print_module(&m2) == p1 {
-                Ok(())
-            } else {
-                Err("reprinted module differs from first printing".to_string())
-            }
-        }
-        Err(e) => Err(format!("reparse failed: {e:?}")),
-    }
 }
 
 /// Runs the global oracle over one module set: mutator validity, the
@@ -292,7 +254,7 @@ pub fn check_module_set(mods: &[Module], cfg: &GlobalCampaignConfig) -> GlobalOu
                     out.failure = fail("merged-invalid", jobs, format!("{:?}", errs[0]));
                     return out;
                 }
-                if let Err(detail) = fixpoint(&printed) {
+                if let Err(detail) = check_print_fixpoint(&printed) {
                     out.failure = fail("round-trip", jobs, detail);
                     return out;
                 }
@@ -319,11 +281,11 @@ pub fn check_module_set(mods: &[Module], cfg: &GlobalCampaignConfig) -> GlobalOu
     for (driver, base_obs) in &baseline {
         for (i, b) in base_obs.iter().enumerate() {
             let m = observe(&merged, driver, &[Val::Int(cfg.args[i])], cfg.limits);
-            if b.is_resource_limit() || m.is_resource_limit() {
+            let Some(agree) = b.agrees(&m) else {
                 out.resource_skips += 1;
                 continue;
-            }
-            if *b != m {
+            };
+            if !agree {
                 out.failure = fail(
                     "differential",
                     cfg.jobs_levels[0],
@@ -375,17 +337,11 @@ pub fn run_global_campaign(cfg: &GlobalCampaignConfig) -> GlobalCampaignSummary 
                         print_module(m),
                     );
                 }
-                let _ = fs::write(
-                    dir.join(format!("gfail-{:05}.meta.json", i)),
-                    format!(
-                        "{{\"seed\": \"{:#x}\", \"kind\": \"{}\", \"jobs\": {}, \
-                         \"detail\": \"{}\"}}",
-                        record.iter_seed,
-                        record.kind,
-                        record.jobs,
-                        crate::campaign::json_escape(&record.detail)
-                    ),
-                );
+                let mut meta = Writer::spaced();
+                meta.begin_object().key("seed").str(&format!("{:#x}", record.iter_seed));
+                meta.key("kind").str(&record.kind).key("jobs").raw(record.jobs);
+                meta.key("detail").str(&record.detail).end_object();
+                let _ = fs::write(dir.join(format!("gfail-{:05}.meta.json", i)), meta.finish());
             }
             summary.failures.push(record);
         }

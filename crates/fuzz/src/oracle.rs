@@ -20,7 +20,7 @@ use f3m_core::pass::{run_pass, PassConfig};
 use f3m_interp::oracle::{observe, Observation};
 use f3m_interp::{Limits, Val};
 use f3m_ir::module::Module;
-use f3m_ir::parser::parse_module;
+use f3m_ir::parser::check_print_fixpoint;
 use f3m_ir::printer::print_module;
 use f3m_ir::verify::verify_module;
 
@@ -152,32 +152,6 @@ pub struct OracleOutcome {
     pub resource_skips: usize,
 }
 
-/// `Val` equality with floats compared bit-for-bit, so a NaN result is
-/// equal to itself and the oracle never reports a false differential.
-fn val_eq(a: Val, b: Val) -> bool {
-    match (a, b) {
-        (Val::Float(x), Val::Float(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
-fn obs_eq(a: &Observation, b: &Observation) -> bool {
-    match (a, b) {
-        (
-            Observation::Completed { ret: r1, checksum: c1 },
-            Observation::Completed { ret: r2, checksum: c2 },
-        ) => {
-            c1 == c2
-                && match (r1, r2) {
-                    (Some(x), Some(y)) => val_eq(*x, *y),
-                    (None, None) => true,
-                    _ => false,
-                }
-        }
-        _ => a == b,
-    }
-}
-
 /// Runs the full oracle with the production merge pass.
 pub fn check_module(base: &Module, oc: &OracleConfig) -> OracleOutcome {
     check_module_with(base, oc, |m, cfg| {
@@ -211,30 +185,17 @@ pub fn check_module_with<F: Fn(&mut Module, &PassConfig)>(
                 return outcome;
             }
             let p1 = print_module(&m);
-            match parse_module(&p1) {
-                Ok(m2) => {
-                    let p2 = print_module(&m2);
-                    if p1 != p2 {
-                        outcome.failure = Some(fail(
-                            FailureKind::RoundTrip,
-                            "reprinted module differs from first printing".to_string(),
-                        ));
-                        return outcome;
-                    }
-                }
-                Err(e) => {
-                    outcome.failure =
-                        Some(fail(FailureKind::RoundTrip, format!("reparse failed: {e:?}")));
-                    return outcome;
-                }
+            if let Err(detail) = check_print_fixpoint(&p1) {
+                outcome.failure = Some(fail(FailureKind::RoundTrip, detail));
+                return outcome;
             }
             for (i, base_obs) in baseline.iter().enumerate() {
                 let merged_obs = observe(&m, &oc.driver, &[Val::Int(oc.args[i])], oc.limits);
-                if base_obs.is_resource_limit() || merged_obs.is_resource_limit() {
+                let Some(agree) = base_obs.agrees(&merged_obs) else {
                     outcome.resource_skips += 1;
                     continue;
-                }
-                if !obs_eq(base_obs, &merged_obs) {
+                };
+                if !agree {
                     outcome.failure = Some(fail(
                         FailureKind::Differential,
                         format!(

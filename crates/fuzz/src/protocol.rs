@@ -35,6 +35,8 @@ use std::time::Duration;
 use f3m_prng::SmallRng;
 use f3m_serve::protocol::{parse_response, render_request, Request, RequestEnvelope, MAX_FRAME};
 use f3m_serve::{AdmissionConfig, Client, ServeConfig, Server};
+use f3m_trace::json::Writer;
+use f3m_trace::stats::{self, Stat, Value::*};
 use f3m_trace::Json;
 
 use crate::campaign::iteration_seed;
@@ -104,37 +106,27 @@ pub struct ProtocolSummary {
     pub scenario_counts: Vec<(&'static str, u64)>,
 }
 
+/// Every summary counter, in [`ProtocolSummary::to_json`] order; the one
+/// place a counter is named besides its field.
+const PROTOCOL_STATS: &[Stat<ProtocolSummary>] = &[
+    Stat::json_only("cases", |s| Count(s.cases as u64)),
+    Stat::json_only("frames_sent", |s| Count(s.frames_sent)),
+    Stat::json_only("responses_checked", |s| Count(s.responses_checked)),
+    Stat::json_only("scenarios", |s| Map(s.scenario_counts.clone())),
+];
+
 impl ProtocolSummary {
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"cases\":");
-        s.push_str(&self.cases.to_string());
-        s.push_str(",\"frames_sent\":");
-        s.push_str(&self.frames_sent.to_string());
-        s.push_str(",\"responses_checked\":");
-        s.push_str(&self.responses_checked.to_string());
-        s.push_str(",\"scenarios\":{");
-        for (i, (name, n)) in self.scenario_counts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{name}\":{n}"));
+        let mut w = Writer::with_capacity(256);
+        w.begin_object();
+        stats::write_fields(&mut w, PROTOCOL_STATS, self);
+        w.key("failures").begin_array();
+        for f in &self.failures {
+            w.begin_object().key("case").raw(f.case).key("case_seed").u64(f.case_seed);
+            w.key("scenario").str(f.scenario).key("detail").str(&f.detail).end_object();
         }
-        s.push_str("},\"failures\":[");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"case\":{},\"case_seed\":{},\"scenario\":\"{}\",\"detail\":\"{}\"}}",
-                f.case,
-                f.case_seed,
-                f.scenario,
-                f3m_trace::json::escape(&f.detail)
-            ));
-        }
-        s.push_str("]}");
-        s
+        w.end_array().end_object();
+        w.finish()
     }
 }
 

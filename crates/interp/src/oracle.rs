@@ -43,6 +43,24 @@ impl Observation {
     pub fn is_resource_limit(&self) -> bool {
         matches!(self, Observation::ResourceLimit(_))
     }
+
+    /// The differential verdict: `None` when either side hit a resource
+    /// limit (incomparable, skip the probe), otherwise whether the two
+    /// calls did the same thing. Float results compare bit-for-bit — the
+    /// derived `==` would call a NaN returned on both sides a mismatch.
+    pub fn agrees(&self, other: &Observation) -> Option<bool> {
+        use Observation::Completed;
+        if self.is_resource_limit() || other.is_resource_limit() {
+            return None;
+        }
+        Some(match (self, other) {
+            (
+                Completed { ret: Some(Val::Float(x)), checksum: c1 },
+                Completed { ret: Some(Val::Float(y)), checksum: c2 },
+            ) => x.to_bits() == y.to_bits() && c1 == c2,
+            _ => self == other,
+        })
+    }
 }
 
 /// The payload-free class of a trap, used by [`Observation::Trapped`].
@@ -131,5 +149,18 @@ bb1:
         );
         assert!(obs.is_resource_limit());
         assert_eq!(obs, Observation::ResourceLimit(Trap::OutOfFuel));
+        assert_eq!(obs.agrees(&obs), None, "a resource limit is a skip, not a verdict");
+    }
+
+    #[test]
+    fn agreement_compares_floats_by_bits() {
+        let done = |ret| Observation::Completed { ret: Some(ret), checksum: 3 };
+        let nan = done(Val::Float(f64::NAN));
+        assert_ne!(nan, nan, "the derived equality is the trap `agrees` exists for");
+        assert_eq!(nan.agrees(&nan), Some(true));
+        assert_eq!(done(Val::Float(0.0)).agrees(&done(Val::Float(-0.0))), Some(false));
+        assert_eq!(done(Val::Int(1)).agrees(&done(Val::Int(1))), Some(true));
+        assert_eq!(done(Val::Int(1)).agrees(&done(Val::Int(2))), Some(false));
+        assert_eq!(done(Val::Int(1)).agrees(&Observation::Trapped("divide-by-zero")), Some(false));
     }
 }

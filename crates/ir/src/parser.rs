@@ -29,6 +29,7 @@ use crate::ids::{BlockId, ValueId};
 use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
 use crate::function::{Function, Linkage};
 use crate::module::{Global, Module};
+use crate::printer::print_module;
 use crate::types::TypeId;
 use crate::verify::verify_module;
 
@@ -65,6 +66,21 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
         ),
     })?;
     Ok(m)
+}
+
+/// The print→parse→print fixpoint every merge oracle checks: `printed`
+/// (a [`print_module`] output) must reparse, and the reparsed module must
+/// print back to exactly `printed`.
+///
+/// # Errors
+///
+/// Returns which half failed: the reparse, or the second printing.
+pub fn check_print_fixpoint(printed: &str) -> Result<(), String> {
+    match parse_module(printed) {
+        Ok(m) if print_module(&m) == printed => Ok(()),
+        Ok(_) => Err("reprinted module differs from first printing".to_string()),
+        Err(e) => Err(format!("reparse failed: {e:?}")),
+    }
 }
 
 /// Parses a module without running the verifier (useful in tests that

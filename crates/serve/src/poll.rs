@@ -13,9 +13,8 @@
 //!   `WouldBlock` no-ops. Correct everywhere, a little warmer on CPU.
 //!
 //! Backend choice is [`PollerKind::Auto`] (epoll where available) unless
-//! the config or the `F3M_SERVE_POLLER` environment variable says
-//! otherwise — the chaos tests run the whole daemon suite on the
-//! fallback backend to keep it honest.
+//! the config says otherwise — the chaos tests run the whole daemon
+//! suite on the fallback backend to keep it honest.
 //!
 //! [`Waker`] is the cross-thread nudge: workers finishing a job must pop
 //! the event loop out of `wait` to get their response flushed. Under
@@ -44,9 +43,7 @@ pub struct PollEvent {
 /// Which backend to construct.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PollerKind {
-    /// Epoll where the platform supports it, fallback otherwise. The
-    /// `F3M_SERVE_POLLER` environment variable (`epoll` / `fallback`)
-    /// overrides.
+    /// Epoll where the platform supports it, fallback otherwise.
     #[default]
     Auto,
     Epoll,
@@ -66,15 +63,10 @@ pub trait Poller: Send {
     fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()>;
 }
 
-/// Constructs the requested backend (with `Auto`/env resolution) plus
-/// its waker. `waker_fd` is `Some` when the waker must be registered
+/// Constructs the requested backend (with `Auto` resolution) plus its
+/// waker. `waker_fd` is `Some` when the waker must be registered
 /// with the poller (epoll); the fallback needs no registration.
 pub fn new_poller(kind: PollerKind) -> (Box<dyn Poller>, Waker, Option<WakerSource>) {
-    let kind = match std::env::var("F3M_SERVE_POLLER").ok().as_deref() {
-        Some("fallback") => PollerKind::Fallback,
-        Some("epoll") => PollerKind::Epoll,
-        _ => kind,
-    };
     match kind {
         PollerKind::Fallback => (Box::new(FallbackPoller::default()), Waker::noop(), None),
         PollerKind::Epoll | PollerKind::Auto => match epoll::EpollPoller::new() {
@@ -477,7 +469,10 @@ mod tests {
 
     #[test]
     fn fallback_backend_reports_registered_fds() {
-        backend_roundtrip(Box::new(FallbackPoller::default()));
+        let (poller, _waker, source) = new_poller(PollerKind::Fallback);
+        assert_eq!(poller.backend_name(), "fallback");
+        assert!(source.is_none(), "fallback needs no waker registration");
+        backend_roundtrip(poller);
     }
 
     #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -516,14 +511,5 @@ mod tests {
     #[test]
     fn waker_wake_is_safe_without_pipe() {
         Waker::noop().wake();
-    }
-
-    #[test]
-    fn env_override_forces_fallback() {
-        // The config-level kind is overridden by the environment hook the
-        // chaos tests and CI use; exercise the parse path directly.
-        let (poller, _, src) = new_poller(PollerKind::Fallback);
-        assert_eq!(poller.backend_name(), "fallback");
-        assert!(src.is_none(), "fallback needs no waker registration");
     }
 }

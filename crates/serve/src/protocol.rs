@@ -61,7 +61,8 @@
 use std::io::{Read, Write};
 
 use f3m_core::corpus::{CorpusStats, EvictSummary, IngestSummary, QueryResult, UpdateSummary};
-use f3m_trace::json::{self, escape, fmt_f64, Json};
+use f3m_trace::json::{self, Json, Writer};
+use f3m_trace::stats::{self, Stat, Value::*};
 
 /// Maximum frame payload size (64 MiB) — comfortably above any workload
 /// module text, far below memory exhaustion.
@@ -248,63 +249,58 @@ pub fn parse_request(payload: &[u8]) -> Result<RequestEnvelope, String> {
     Ok(RequestEnvelope { id: opt_u64("id")?, deadline_ms: opt_u64("deadline_ms")?, body })
 }
 
+/// Writes `"key":value` when the optional field is set.
+fn opt_u64(w: &mut Writer, key: &str, v: Option<u64>) {
+    if let Some(v) = v {
+        w.key(key).u64(v);
+    }
+}
+
+fn opt_str(w: &mut Writer, key: &str, v: &Option<String>) {
+    if let Some(v) = v {
+        w.key(key).str(v);
+    }
+}
+
 /// Renders a request envelope (the client half of the round trip).
 pub fn render_request(env: &RequestEnvelope) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"type\":\"{}\"", env.body.type_name()));
-    if let Some(id) = env.id {
-        out.push_str(&format!(",\"id\":{id}"));
-    }
-    if let Some(d) = env.deadline_ms {
-        out.push_str(&format!(",\"deadline_ms\":{d}"));
-    }
+    let mut w = Writer::with_capacity(64);
+    w.begin_object().key("type").str(env.body.type_name());
+    opt_u64(&mut w, "id", env.id);
+    opt_u64(&mut w, "deadline_ms", env.deadline_ms);
     match &env.body {
         Request::Ingest { name, ir } => {
-            if let Some(n) = name {
-                out.push_str(&format!(",\"name\":\"{}\"", escape(n)));
-            }
-            out.push_str(&format!(",\"ir\":\"{}\"", escape(ir)));
+            opt_str(&mut w, "name", name);
+            w.key("ir").str(ir);
         }
-        Request::Evict { name } => out.push_str(&format!(",\"name\":\"{}\"", escape(name))),
+        Request::Evict { name } => {
+            w.key("name").str(name);
+        }
         Request::Query { module, func, k, if_epoch } => {
-            out.push_str(&format!(",\"module\":\"{}\"", escape(module)));
-            if let Some(f) = func {
-                out.push_str(&format!(",\"func\":\"{}\"", escape(f)));
-            }
-            out.push_str(&format!(",\"k\":{k}"));
-            if let Some(e) = if_epoch {
-                out.push_str(&format!(",\"if_epoch\":{e}"));
-            }
+            w.key("module").str(module);
+            opt_str(&mut w, "func", func);
+            w.key("k").raw(k);
+            opt_u64(&mut w, "if_epoch", *if_epoch);
         }
         Request::Update { module, func, ir } => {
-            out.push_str(&format!(
-                ",\"module\":\"{}\",\"func\":\"{}\"",
-                escape(module),
-                escape(func)
-            ));
-            if let Some(text) = ir {
-                out.push_str(&format!(",\"ir\":\"{}\"", escape(text)));
-            }
+            w.key("module").str(module).key("func").str(func);
+            opt_str(&mut w, "ir", ir);
         }
         Request::Merge { strategy, jobs } => {
-            out.push_str(&format!(",\"strategy\":\"{}\"", escape(strategy)));
-            if let Some(j) = jobs {
-                out.push_str(&format!(",\"jobs\":{j}"));
-            }
+            w.key("strategy").str(strategy);
+            opt_u64(&mut w, "jobs", jobs.map(|j| j as u64));
         }
         Request::GlobalMerge { jobs, if_epoch } => {
-            if let Some(j) = jobs {
-                out.push_str(&format!(",\"jobs\":{j}"));
-            }
-            if let Some(e) = if_epoch {
-                out.push_str(&format!(",\"if_epoch\":{e}"));
-            }
+            opt_u64(&mut w, "jobs", jobs.map(|j| j as u64));
+            opt_u64(&mut w, "if_epoch", *if_epoch);
         }
-        Request::Sleep { ms } => out.push_str(&format!(",\"ms\":{ms}")),
+        Request::Sleep { ms } => {
+            w.key("ms").u64(*ms);
+        }
         Request::Stats | Request::Ping | Request::Shutdown => {}
     }
-    out.push('}');
-    out
+    w.end_object();
+    w.finish()
 }
 
 /// Server-side request/work counters included in `stats` responses and
@@ -346,10 +342,28 @@ pub struct ServerCounters {
     /// Poller wakeups that delivered at least one readiness event.
     /// Timing-dependent: metrics artefact only, never in `stats`.
     pub readiness_wakeups: u64,
-    /// Monotone sequence number shared by `busy` and `overloaded`
-    /// refusals (so interleaved refusals are totally ordered).
-    pub shed_seq: u64,
 }
+
+/// Every [`ServerCounters`] counter, in `stats` response order; the one
+/// place a counter is named besides its field. The metrics artefact tags
+/// only the request history deterministic — how full the queue got, what
+/// was refused or shed and connection churn all depend on timing there.
+pub const SERVER_COUNTERS: &[Stat<ServerCounters>] = &[
+    Stat::det("requests", "requests", |c| {
+        Map(REQUEST_TYPES.iter().copied().zip(c.requests).collect())
+    }),
+    Stat::wall("rejects_busy", "count", |c| Count(c.rejects_busy)),
+    Stat::wall("rejects_deadline", "count", |c| Count(c.rejects_deadline)),
+    Stat::det("errors", "count", |c| Count(c.errors)),
+    Stat::wall("queue_depth_hwm", "count", |c| Count(c.queue_depth_hwm)),
+    Stat::wall("conns_open", "count", |c| Count(c.conns_open)),
+    Stat::wall("conns_open_hwm", "count", |c| Count(c.conns_open_hwm)),
+    Stat::wall("conns_total", "count", |c| Count(c.conns_total)),
+    Stat::wall("frames_reassembled", "count", |c| Count(c.frames_reassembled)),
+    Stat::wall("sheds", "count", |c| Count(c.sheds)),
+    Stat::wall("slow_closes", "count", |c| Count(c.slow_closes)),
+    Stat::new("", "readiness_wakeups", "count", false, 1, |c| Count(c.readiness_wakeups)),
+];
 
 /// Wire request types in counter order.
 pub const REQUEST_TYPES: &[&str] = &[
@@ -427,138 +441,61 @@ impl Response {
 
 /// Renders a response, echoing the request `id` when present.
 pub fn render_response(id: Option<u64>, resp: &Response) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"type\":\"{}\"", resp.type_name()));
-    if let Some(id) = id {
-        out.push_str(&format!(",\"id\":{id}"));
-    }
+    let mut w = Writer::with_capacity(128);
+    w.begin_object().key("type").str(resp.type_name());
+    opt_u64(&mut w, "id", id);
     match resp {
-        Response::Ingested(s) => out.push_str(&format!(
-            ",\"module\":\"{}\",\"functions\":{},\"skipped\":{},\"epoch\":{}",
-            escape(&s.module),
-            s.functions,
-            s.skipped,
-            s.epoch
-        )),
-        Response::Evicted(s) => out.push_str(&format!(
-            ",\"module\":\"{}\",\"functions\":{},\"epoch\":{}",
-            escape(&s.module),
-            s.functions,
-            s.epoch
-        )),
-        Response::Updated(s) => out.push_str(&format!(
-            ",\"module\":\"{}\",\"func\":\"{}\",\"epoch\":{},\"changed\":{},\
-             \"funcs_invalidated\":{}",
-            escape(&s.module),
-            escape(&s.func),
-            s.epoch,
-            s.changed,
-            s.funcs_invalidated
-        )),
+        Response::Ingested(s) => {
+            w.key("module").str(&s.module).key("functions").raw(s.functions);
+            w.key("skipped").raw(s.skipped).key("epoch").u64(s.epoch);
+        }
+        Response::Evicted(s) => {
+            w.key("module").str(&s.module).key("functions").raw(s.functions);
+            w.key("epoch").u64(s.epoch);
+        }
+        Response::Updated(s) => {
+            w.key("module").str(&s.module).key("func").str(&s.func).key("epoch").u64(s.epoch);
+            w.key("changed").bool(s.changed).key("funcs_invalidated").u64(s.funcs_invalidated);
+        }
         Response::Superseded { started, epoch } => {
-            out.push_str(&format!(",\"started\":{started},\"epoch\":{epoch}"));
+            w.key("started").u64(*started).key("epoch").u64(*epoch);
         }
         Response::Candidates { epoch, results } => {
-            out.push_str(&format!(",\"epoch\":{epoch},\"results\":["));
-            for (i, r) in results.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            w.key("epoch").u64(*epoch).key("results").begin_array();
+            for r in results {
+                w.begin_object().key("func").str(&r.func).key("candidates").begin_array();
+                for c in &r.candidates {
+                    w.begin_object().key("func").str(&c.func);
+                    w.key("similarity").f64(c.similarity).end_object();
                 }
-                out.push_str(&format!("{{\"func\":\"{}\",\"candidates\":[", escape(&r.func)));
-                for (j, c) in r.candidates.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"func\":\"{}\",\"similarity\":{}}}",
-                        escape(&c.func),
-                        fmt_f64(c.similarity)
-                    ));
-                }
-                out.push_str("]}");
+                w.end_array().end_object();
             }
-            out.push(']');
+            w.end_array();
         }
         Response::Report { epoch, report } => {
-            out.push_str(&format!(",\"epoch\":{epoch},\"report\":{report}"));
+            w.key("epoch").u64(*epoch).key("report").raw(report);
         }
         Response::Stats { corpus, server } => {
-            out.push_str(&format!(
-                ",\"corpus\":{{\"epoch\":{},\"modules_live\":{},\"modules_total\":{},\
-                 \"functions_live\":{},\"entries_total\":{},\"index_buckets\":{},\
-                 \"index_max_bucket\":{},\"memo_hits\":{},\"memo_misses\":{},\
-                 \"funcs_invalidated\":{},\"queries_superseded\":{},\
-                 \"resident_pager\":{},\"resident_bytes\":{},\"shard_faults\":{},\
-                 \"shard_spills\":{},\"shards\":[",
-                corpus.epoch,
-                corpus.modules_live,
-                corpus.modules_total,
-                corpus.functions_live,
-                corpus.entries_total,
-                corpus.index_buckets,
-                corpus.index_max_bucket,
-                corpus.memo_hits,
-                corpus.memo_misses,
-                corpus.funcs_invalidated,
-                corpus.queries_superseded,
-                match corpus.resident_pager {
-                    Some(p) => format!("\"{p}\""),
-                    None => "null".to_string(),
-                },
-                corpus.resident_bytes,
-                corpus.shard_faults,
-                corpus.shard_spills
-            ));
-            for (i, s) in corpus.shards.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"num_buckets\":{},\"max_bucket_size\":{},\"entries\":{}}}",
-                    s.num_buckets, s.max_bucket_size, s.entries
-                ));
-            }
-            out.push_str("]},\"server\":{\"requests\":{");
-            for (i, t) in REQUEST_TYPES.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{t}\":{}", server.requests[i]));
-            }
-            out.push_str(&format!(
-                "}},\"rejects_busy\":{},\"rejects_deadline\":{},\"errors\":{},\
-                 \"queue_depth_hwm\":{},\"conns_open\":{},\"conns_open_hwm\":{},\
-                 \"conns_total\":{},\"frames_reassembled\":{},\"sheds\":{},\
-                 \"slow_closes\":{}}}",
-                server.rejects_busy,
-                server.rejects_deadline,
-                server.errors,
-                server.queue_depth_hwm,
-                server.conns_open,
-                server.conns_open_hwm,
-                server.conns_total,
-                server.frames_reassembled,
-                server.sheds,
-                server.slow_closes
-            ));
+            corpus.write_json(w.key("corpus"));
+            stats::write_object(w.key("server"), SERVER_COUNTERS, server);
         }
-        Response::Slept { ms } => out.push_str(&format!(",\"ms\":{ms}")),
+        Response::Slept { ms } => {
+            w.key("ms").u64(*ms);
+        }
         Response::Busy { queue_depth, shed_seq } => {
-            out.push_str(&format!(",\"queue_depth\":{queue_depth},\"shed_seq\":{shed_seq}"));
+            w.key("queue_depth").u64(*queue_depth).key("shed_seq").u64(*shed_seq);
         }
         Response::Overloaded { queue_depth, in_flight, shed_seq, retry_after_ms } => {
-            out.push_str(&format!(
-                ",\"queue_depth\":{queue_depth},\"in_flight\":{in_flight},\
-                 \"shed_seq\":{shed_seq},\"retry_after_ms\":{retry_after_ms}"
-            ));
+            w.key("queue_depth").u64(*queue_depth).key("in_flight").u64(*in_flight);
+            w.key("shed_seq").u64(*shed_seq).key("retry_after_ms").u64(*retry_after_ms);
         }
         Response::Error { message } => {
-            out.push_str(&format!(",\"message\":\"{}\"", escape(message)));
+            w.key("message").str(message);
         }
         Response::Pong | Response::Bye => {}
     }
-    out.push('}');
-    out
+    w.end_object();
+    w.finish()
 }
 
 /// Parses a response frame into generic [`Json`] (clients pick fields

@@ -72,7 +72,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use f3m_core::corpus::{Corpus, CorpusConfig, QueryOutcome};
+use f3m_core::corpus::{Corpus, CorpusConfig, QueryOutcome, CORPUS_STATS, SHARD_STATS};
 use f3m_core::pass::PassConfig;
 use f3m_core::{GlobalMergePlanner, GlobalPlanConfig};
 use f3m_fingerprint::adaptive::MergeParams;
@@ -81,13 +81,14 @@ use f3m_fingerprint::pager::PagerKind;
 use f3m_fingerprint::snapshot::SnapshotError;
 use f3m_ir::parser::parse_module;
 use f3m_trace::metrics::MetricsRegistry;
+use f3m_trace::stats;
 use f3m_trace::tracer::span_on;
 use f3m_trace::{write_with_dirs, Tracer};
 
 use crate::conn::{Connection, FillOutcome, TakeFrame};
 use crate::poll::{new_poller, PollEvent, Poller, PollerKind, Waker, WakerSource};
 use crate::protocol::{
-    parse_request, render_response, Request, Response, ServerCounters, MAX_FRAME, REQUEST_TYPES,
+    parse_request, render_response, Request, Response, ServerCounters, MAX_FRAME, SERVER_COUNTERS,
 };
 use crate::queue::{BoundedQueue, PushError};
 
@@ -588,10 +589,7 @@ impl<'a> EventLoop<'a> {
             conn_inflight,
         };
         if let Some(shed) = self.admission.admit(load) {
-            let mut c = self.shared.counters.lock().unwrap();
-            c.sheds += 1;
-            c.shed_seq = self.admission.shed_seq();
-            drop(c);
+            self.shared.counters.lock().unwrap().sheds += 1;
             if let Some(conn) = self.conns.get_mut(&token) {
                 conn.sheds += 1;
             }
@@ -615,12 +613,9 @@ impl<'a> EventLoop<'a> {
             Err(e) => {
                 let depth = self.shared.queue.len();
                 let busy = self.admission.busy(depth);
-                let mut c = self.shared.counters.lock().unwrap();
                 if e == PushError::Full {
-                    c.rejects_busy += 1;
+                    self.shared.counters.lock().unwrap().rejects_busy += 1;
                 }
-                c.shed_seq = self.admission.shed_seq();
-                drop(c);
                 self.respond_inline(token, env.id, &busy, now);
             }
         }
@@ -890,83 +885,41 @@ fn open_corpus(cfg: &ServeConfig, corpus_cfg: CorpusConfig) -> (Corpus, Snapshot
     }
 }
 
-/// Renders the daemon's metrics registry: request counters, refusal and
-/// event-loop counters, queue high-water mark, corpus epoch, snapshot
-/// lifecycle, and per-shard index occupancy.
+/// Renders the daemon's metrics registry from the counter tables of
+/// [`ServerCounters`], `CorpusStats` and `ShardStats` (plus the worker
+/// count and the snapshot lifecycle, which live here). The sequence below
+/// *is* the artefact layout; the tables' sections only say which rows each
+/// step picks up.
 fn render_metrics(shared: &Shared, cfg: &ServeConfig, snapshot_saved: Option<bool>) -> String {
     let counters = shared.counters.lock().unwrap().clone();
-    let stats = shared.corpus.stats();
+    let corpus = shared.corpus.stats();
     let mut reg = MetricsRegistry::new();
-    for (i, ty) in REQUEST_TYPES.iter().enumerate() {
-        let c = reg.counter(&format!("serve.requests.{ty}"), "requests", true);
-        reg.set(c, counters.requests[i]);
-    }
-    let det_pairs: [(&str, u64); 7] = [
-        ("serve.errors", counters.errors),
-        ("serve.epoch", stats.epoch),
-        ("serve.jobs", cfg.jobs as u64),
-        // Incremental-recompute counters: jobs-invariant (and, for a
-        // synchronous client, fully deterministic — they ride the stats
-        // response, which the determinism tests compare byte-for-byte).
-        ("serve.corpus.memo_hits", stats.memo_hits),
-        ("serve.corpus.memo_misses", stats.memo_misses),
-        ("serve.corpus.funcs_invalidated", stats.funcs_invalidated),
-        ("serve.corpus.queries_superseded", stats.queries_superseded),
-    ];
-    for (name, v) in det_pairs {
-        let c = reg.counter(name, "count", true);
+    let local = |reg: &mut MetricsRegistry, name: &str, deterministic, v: u64| {
+        let c = reg.counter(name, "count", deterministic);
         reg.set(c, v);
-    }
-    // Timing- and environment-dependent: how full the queue got, what
-    // was refused or shed, connection churn, the poller's wakeup count,
-    // and the snapshot lifecycle (load time is wall-clock;
-    // loaded/rebuilt/entries depend on what was on disk at startup).
+    };
+    // Deterministic for a synchronous client: the request history, the
+    // epoch it produced, the memo traffic it caused.
+    stats::export_section(&mut reg, "serve", SERVER_COUNTERS, &counters, 0);
+    stats::export_section(&mut reg, "serve", CORPUS_STATS, &corpus, 0);
+    local(&mut reg, "serve.jobs", true, cfg.jobs as u64);
+    // Section 1 of both tables is timing- and environment-dependent
+    // (after the memo counters): residency, refusals, connection churn.
+    stats::export_section(&mut reg, "serve", CORPUS_STATS, &corpus, 1);
+    stats::export_section(&mut reg, "serve", SERVER_COUNTERS, &counters, 1);
+    // Load time is wall-clock; loaded/rebuilt/entries depend on what was
+    // on disk at startup.
     let snap = &shared.snapshot;
-    // Residency counters ride along here too: fault/spill totals depend
-    // on worker interleaving when `jobs > 1`, so they are observability,
-    // not determinism, surface (the regression gate collects its own
-    // single-threaded residency scenario).
-    let nondet_pairs: [(&str, u64); 19] = [
-        ("serve.resident.active", u64::from(stats.resident_pager.is_some())),
-        ("serve.resident.bytes", stats.resident_bytes),
-        ("serve.resident.faults", stats.shard_faults),
-        ("serve.resident.spills", stats.shard_spills),
-        ("serve.rejects_busy", counters.rejects_busy),
-        ("serve.rejects_deadline", counters.rejects_deadline),
-        ("serve.queue_depth_hwm", counters.queue_depth_hwm),
-        ("serve.conns_open", counters.conns_open),
-        ("serve.conns_open_hwm", counters.conns_open_hwm),
-        ("serve.conns_total", counters.conns_total),
-        ("serve.frames_reassembled", counters.frames_reassembled),
-        ("serve.sheds", counters.sheds),
-        ("serve.slow_closes", counters.slow_closes),
-        ("serve.readiness_wakeups", counters.readiness_wakeups),
-        ("serve.snapshot.load_ms", snap.load_ms),
-        ("serve.snapshot.loaded", u64::from(snap.loaded)),
-        ("serve.snapshot.rebuilt", u64::from(snap.rebuilt)),
-        ("serve.snapshot.entries", snap.entries),
-        ("serve.snapshot.saved", snapshot_saved.map_or(0, u64::from)),
-    ];
-    for (name, v) in nondet_pairs {
-        let c = reg.counter(name, "count", false);
-        reg.set(c, v);
-    }
-    let occ = [
-        ("serve.index.buckets", stats.index_buckets as u64),
-        ("serve.index.max_bucket", stats.index_max_bucket as u64),
-        ("serve.index.entries", stats.entries_total as u64),
-    ];
-    for (name, v) in occ {
-        let c = reg.counter(name, "buckets", true);
-        reg.set(c, v);
-    }
-    for (i, s) in stats.shards.iter().enumerate() {
-        let b = reg.counter(&format!("serve.shard{i}.buckets"), "buckets", true);
-        reg.set(b, s.num_buckets as u64);
-        let e = reg.counter(&format!("serve.shard{i}.entries"), "entries", true);
-        reg.set(e, s.entries as u64);
-        let m = reg.counter(&format!("serve.shard{i}.max_bucket"), "entries", true);
-        reg.set(m, s.max_bucket_size as u64);
+    local(&mut reg, "serve.snapshot.load_ms", false, snap.load_ms);
+    local(&mut reg, "serve.snapshot.loaded", false, u64::from(snap.loaded));
+    local(&mut reg, "serve.snapshot.rebuilt", false, u64::from(snap.rebuilt));
+    local(&mut reg, "serve.snapshot.entries", false, snap.entries);
+    local(&mut reg, "serve.snapshot.saved", false, snapshot_saved.map_or(0, u64::from));
+    // Index occupancy, whole and per shard.
+    stats::export_section(&mut reg, "serve", CORPUS_STATS, &corpus, 2);
+    stats::export_section(&mut reg, "serve", CORPUS_STATS, &corpus, 3);
+    for (i, shard) in corpus.shards.iter().enumerate() {
+        stats::export(&mut reg, &format!("serve.shard{i}"), SHARD_STATS, shard);
     }
     reg.to_json()
 }
@@ -1016,6 +969,20 @@ fn complete(shared: &Shared, token: u64, id: Option<u64>, resp: &Response, shutd
 /// epoch-superseded before the client is answered `superseded`.
 const QUERY_RESTARTS: usize = 2;
 
+/// The epoch precondition shared by `query` and `global_merge`: `None`
+/// while the corpus is still at `pinned`, otherwise the `superseded`
+/// response — counted through the corpus so the miss shows up in
+/// `queries_superseded` like any other supersession.
+fn superseded_since(shared: &Shared, pinned: u64) -> Option<Response> {
+    if shared.corpus.epoch() == pinned {
+        return None;
+    }
+    let QueryOutcome::Superseded { started, epoch } = shared.corpus.superseded(pinned) else {
+        unreachable!("`Corpus::superseded` only ever reports a supersession")
+    };
+    Some(Response::Superseded { started, epoch })
+}
+
 /// Dispatches one request against the resident corpus.
 fn handle(shared: &Shared, req: &Request) -> Response {
     match req {
@@ -1037,18 +1004,10 @@ fn handle(shared: &Shared, req: &Request) -> Response {
             Err(message) => Response::Error { message },
         },
         Request::Query { module, func, k, if_epoch } => {
-            // Epoch precondition: a stale client pin is answered
-            // `superseded` without doing any ranking work.
-            if let Some(want) = if_epoch {
-                if shared.corpus.epoch() != *want {
-                    // Counted through the corpus so the miss shows up in
-                    // `queries_superseded` like any other supersession.
-                    if let QueryOutcome::Superseded { started, epoch } =
-                        shared.corpus.superseded(*want)
-                    {
-                        return Response::Superseded { started, epoch };
-                    }
-                }
+            // A stale client pin is answered `superseded` without doing
+            // any ranking work.
+            if let Some(stale) = if_epoch.and_then(|want| superseded_since(shared, want)) {
+                return stale;
             }
             match func {
                 Some(f) => match shared.corpus.query_function(module, f, *k) {
@@ -1108,17 +1067,10 @@ fn handle(shared: &Shared, req: &Request) -> Response {
             }
         }
         Request::GlobalMerge { jobs, if_epoch } => {
-            // Epoch precondition, mirroring `query`: a stale pin is
-            // answered `superseded` before any planning work, counted
-            // through the corpus like every other supersession.
-            if let Some(want) = if_epoch {
-                if shared.corpus.epoch() != *want {
-                    if let QueryOutcome::Superseded { started, epoch } =
-                        shared.corpus.superseded(*want)
-                    {
-                        return Response::Superseded { started, epoch };
-                    }
-                }
+            // Mirroring `query`: a stale pin is answered `superseded`
+            // before any planning work.
+            if let Some(stale) = if_epoch.and_then(|want| superseded_since(shared, want)) {
+                return stale;
             }
             let mut cfg = GlobalPlanConfig::default();
             if let Some(j) = jobs {
@@ -1129,14 +1081,10 @@ fn handle(shared: &Shared, req: &Request) -> Response {
                 Ok((report, _merged, pinned)) => {
                     // A mutation that landed while the planner ran makes
                     // the plan stale; supersede it rather than publish.
-                    if shared.corpus.epoch() != pinned {
-                        if let QueryOutcome::Superseded { started, epoch } =
-                            shared.corpus.superseded(pinned)
-                        {
-                            return Response::Superseded { started, epoch };
-                        }
-                    }
-                    Response::Report { epoch: pinned, report: report.to_json() }
+                    superseded_since(shared, pinned).unwrap_or_else(|| Response::Report {
+                        epoch: pinned,
+                        report: report.to_json(),
+                    })
                 }
                 Err(message) => Response::Error { message },
             }

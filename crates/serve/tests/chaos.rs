@@ -140,6 +140,64 @@ fn artefacts_flush_after_chaos() {
     for key in ["serve.conns_total", "serve.frames_reassembled", "serve.readiness_wakeups"] {
         assert!(dump.contains(key), "metrics artefact missing `{key}`:\n{dump}");
     }
+    // The artefact's layout is frozen: name, unit and determinism tag of
+    // every metric, in this order, then three metrics per index shard.
+    // The list is a literal so a counter-table edit that moves or renames
+    // a row shows up here.
+    let layout: Vec<String> = f3m_trace::parse_metrics(&dump)
+        .unwrap()
+        .iter()
+        .map(|m| format!("{} {} {}", m.name, m.unit, m.deterministic))
+        .collect();
+    let fixed = [
+        "serve.requests.ingest requests true",
+        "serve.requests.evict requests true",
+        "serve.requests.query requests true",
+        "serve.requests.update requests true",
+        "serve.requests.merge requests true",
+        "serve.requests.global_merge requests true",
+        "serve.requests.stats requests true",
+        "serve.requests.ping requests true",
+        "serve.requests.sleep requests true",
+        "serve.requests.shutdown requests true",
+        "serve.errors count true",
+        "serve.epoch count true",
+        "serve.jobs count true",
+        "serve.corpus.memo_hits count true",
+        "serve.corpus.memo_misses count true",
+        "serve.corpus.funcs_invalidated count true",
+        "serve.corpus.queries_superseded count true",
+        "serve.resident.active count false",
+        "serve.resident.bytes count false",
+        "serve.resident.faults count false",
+        "serve.resident.spills count false",
+        "serve.rejects_busy count false",
+        "serve.rejects_deadline count false",
+        "serve.queue_depth_hwm count false",
+        "serve.conns_open count false",
+        "serve.conns_open_hwm count false",
+        "serve.conns_total count false",
+        "serve.frames_reassembled count false",
+        "serve.sheds count false",
+        "serve.slow_closes count false",
+        "serve.readiness_wakeups count false",
+        "serve.snapshot.load_ms count false",
+        "serve.snapshot.loaded count false",
+        "serve.snapshot.rebuilt count false",
+        "serve.snapshot.entries count false",
+        "serve.snapshot.saved count false",
+        "serve.index.buckets buckets true",
+        "serve.index.max_bucket buckets true",
+        "serve.index.entries buckets true",
+    ];
+    assert_eq!(layout[..fixed.len()], fixed);
+    let shards = &layout[fixed.len()..];
+    assert!(!shards.is_empty() && shards.len().is_multiple_of(3), "{shards:?}");
+    for (i, shard) in shards.chunks(3).enumerate() {
+        assert_eq!(shard[0], format!("serve.shard{i}.buckets buckets true"));
+        assert_eq!(shard[1], format!("serve.shard{i}.entries entries true"));
+        assert_eq!(shard[2], format!("serve.shard{i}.max_bucket entries true"));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -18,7 +18,7 @@
 //! [`crate::json`] reader (no dependencies), accepting any whitespace
 //! layout so hand-edited baselines stay parseable.
 
-use crate::json::{self, escape, fmt_f64, Json};
+use crate::json::{self, fmt_f64, Json, Writer};
 use crate::metrics::{MetricKind, MetricSnapshot};
 
 /// Schema tag embedded in every dump.
@@ -26,35 +26,28 @@ pub const SCHEMA: &str = "f3m-metrics-v1";
 
 /// Renders snapshots as the flat-JSON dump (see module docs).
 pub fn render_metrics(snaps: &[MetricSnapshot]) -> String {
-    let mut out = String::with_capacity(64 + snaps.len() * 96);
-    out.push_str(&format!("{{\"schema\":\"{SCHEMA}\",\"metrics\":[\n"));
-    for (i, s) in snaps.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            " {{\"name\":\"{}\",\"kind\":\"{}\",\"unit\":\"{}\",\"deterministic\":{}",
-            escape(&s.name),
-            s.kind.as_str(),
-            escape(&s.unit),
-            s.deterministic,
-        ));
+    let mut w = Writer::with_capacity(64 + snaps.len() * 96);
+    w.begin_object().key("schema").str(SCHEMA).key("metrics").begin_array();
+    for s in snaps {
+        w.indent(1).begin_object().key("name").str(&s.name).key("kind").str(s.kind.as_str());
+        w.key("unit").str(&s.unit).key("deterministic").bool(s.deterministic);
         match &s.histogram {
-            None => out.push_str(&format!(",\"value\":{}}}", fmt_f64(s.value))),
-            Some((bounds, counts, count)) => out.push_str(&format!(
-                ",\"bounds\":[{}],\"counts\":[{}],\"count\":{count},\"sum\":{}}}",
-                join_u64(bounds),
-                join_u64(counts),
-                s.value as u64,
-            )),
-        }
+            None => w.key("value").f64(s.value),
+            Some((bounds, counts, count)) => {
+                for (key, xs) in [("bounds", bounds), ("counts", counts)] {
+                    w.key(key).begin_array();
+                    for &x in xs {
+                        w.u64(x);
+                    }
+                    w.end_array();
+                }
+                w.key("count").u64(*count).key("sum").u64(s.value as u64)
+            }
+        };
+        w.end_object();
     }
-    out.push_str("\n]}\n");
-    out
-}
-
-fn join_u64(xs: &[u64]) -> String {
-    xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
+    w.indent(0).end_array().end_object();
+    w.finish() + "\n"
 }
 
 /// Parses a flat-JSON metrics dump back into snapshots.

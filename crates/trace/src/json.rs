@@ -1,14 +1,17 @@
 //! Minimal JSON support shared across the workspace: a recursive-descent
-//! reader (objects, arrays, strings, numbers, booleans, null), plus the
-//! string-escape and float-formatting helpers every hand-rolled renderer
-//! uses.
+//! reader (objects, arrays, strings, numbers, booleans, null) and the one
+//! streaming [`Writer`] every renderer in the workspace goes through.
 //!
 //! This started life inside [`crate::baseline`] as the metrics-dump
 //! parser; the serve daemon's wire protocol decodes through the same
-//! reader so the workspace carries exactly one JSON implementation.
+//! reader so the workspace carries exactly one JSON implementation. The
+//! writer half is the only code that escapes a string or formats a float:
+//! [`escape`] and [`fmt_f64`] are thin wrappers over it.
 //!
 //! Parsed values keep object fields in document order (`Vec`, not a map),
 //! which makes round-trip tests and deterministic re-rendering easy.
+
+use std::fmt::{Display, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,33 +97,200 @@ pub fn parse(s: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Escapes `s` for embedding inside a JSON string literal (quotes,
-/// backslashes, and control characters).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` escaped for a JSON string literal (quotes, backslashes and
+/// control characters; everything else, non-ASCII included, verbatim).
+fn push_escaped(out: &mut String, s: &str) {
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean_from..i]);
+        clean_from = i + 1;
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
         }
     }
+    out.push_str(&s[clean_from..]);
+}
+
+/// JSON has no NaN/Infinity, so non-finite values render as `0`; integral
+/// floats print without a fraction so counters round-trip exactly.
+fn push_f64(out: &mut String, x: f64) {
+    if !x.is_finite() || x == 0.0 {
+        out.push('0');
+    } else {
+        let _ = write!(out, "{x}");
+    }
+}
+
+/// Escapes `s` for embedding inside a JSON string literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
     out
 }
 
-/// JSON has no NaN/Infinity; integral floats print without a fraction so
-/// counters round-trip exactly.
+/// Formats a float the way the [`Writer`] does.
 pub fn fmt_f64(x: f64) -> String {
-    if !x.is_finite() {
-        return "0".to_string();
+    let mut out = String::new();
+    push_f64(&mut out, x);
+    out
+}
+
+/// A streaming JSON writer: values append straight into one `String`, the
+/// writer places the commas. Misuse (a value where a key is due, unbalanced
+/// `end_*`) is a caller bug and produces malformed text, not a panic.
+///
+/// The default layout is compact (`{"a":1,"b":[2,3]}`). [`Writer::spaced`]
+/// separates with `", "` / `": "`, and [`Writer::indent`] starts the next
+/// item (or closing bracket) on its own line — together they reproduce the
+/// hand-laid-out fuzz summaries and metrics dump byte for byte.
+pub struct Writer {
+    out: String,
+    /// Bit `depth` is set once the container open at `depth` holds an item.
+    has_item: u64,
+    depth: u32,
+    after_key: bool,
+    spaced: bool,
+    line_break: Option<usize>,
+}
+
+impl Writer {
+    /// A compact writer over a buffer of `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer {
+            out: String::with_capacity(capacity),
+            has_item: 0,
+            depth: 0,
+            after_key: false,
+            spaced: false,
+            line_break: None,
+        }
     }
-    if x.fract() == 0.0 && x.abs() < 9e15 {
-        return format!("{}", x as i64);
+
+    /// A writer that puts a space after every `,` and `:`.
+    pub fn spaced() -> Writer {
+        Writer { spaced: true, ..Writer::with_capacity(256) }
     }
-    format!("{x}")
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Puts the next item — or, when none follows, the closing bracket — on
+    /// a new line indented by `spaces`.
+    pub fn indent(&mut self, spaces: usize) -> &mut Writer {
+        self.line_break = Some(spaces);
+        self
+    }
+
+    fn flush_line_break(&mut self) {
+        if let Some(spaces) = self.line_break.take() {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', spaces));
+        }
+    }
+
+    /// Separator before a key or value.
+    fn item(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let bit = 1u64 << self.depth;
+        if self.has_item & bit != 0 {
+            self.out.push(',');
+            if self.spaced && self.line_break.is_none() {
+                self.out.push(' ');
+            }
+        }
+        self.has_item |= bit;
+        self.flush_line_break();
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Writer {
+        self.item();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.has_item &= !(1u64 << self.depth);
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Writer {
+        self.flush_line_break();
+        self.out.push(bracket);
+        self.depth -= 1;
+        self
+    }
+
+    pub fn begin_object(&mut self) -> &mut Writer {
+        self.open('{')
+    }
+
+    pub fn end_object(&mut self) -> &mut Writer {
+        self.close('}')
+    }
+
+    pub fn begin_array(&mut self) -> &mut Writer {
+        self.open('[')
+    }
+
+    pub fn end_array(&mut self) -> &mut Writer {
+        self.close(']')
+    }
+
+    /// An object key; the next call must write its value.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.str(key);
+        self.out.push(':');
+        if self.spaced {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+        self
+    }
+
+    pub fn str(&mut self, s: &str) -> &mut Writer {
+        self.item();
+        self.out.push('"');
+        push_escaped(&mut self.out, s);
+        self.out.push('"');
+        self
+    }
+
+    pub fn f64(&mut self, x: f64) -> &mut Writer {
+        self.item();
+        push_f64(&mut self.out, x);
+        self
+    }
+
+    pub fn u64(&mut self, v: u64) -> &mut Writer {
+        self.raw(v)
+    }
+
+    pub fn bool(&mut self, v: bool) -> &mut Writer {
+        self.raw(v)
+    }
+
+    /// Anything whose `Display` output is already a JSON value: signed or
+    /// `usize` integers, fixed-point `format_args!`, a pre-rendered document.
+    pub fn raw(&mut self, v: impl Display) -> &mut Writer {
+        self.item();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    pub fn null(&mut self) -> &mut Writer {
+        self.raw("null")
+    }
 }
 
 struct Reader<'a> {
@@ -343,7 +513,62 @@ mod tests {
     #[test]
     fn fmt_f64_prints_integers_exactly() {
         assert_eq!(fmt_f64(1234.0), "1234");
+        assert_eq!(fmt_f64(-7.0), "-7");
+        assert_eq!(fmt_f64(9e15), "9000000000000000");
         assert_eq!(fmt_f64(0.25), "0.25");
-        assert_eq!(fmt_f64(f64::NAN), "0");
+        assert_eq!(fmt_f64(-0.0), "0");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(fmt_f64(x), "0");
+        }
+    }
+
+    #[test]
+    fn writer_escapes_every_control_character_and_round_trips() {
+        let mut raw: String = (0u8..0x20).map(char::from).collect();
+        raw.push_str("\"quoted\" \\slash\\ déjà 関数 \u{1F600} \u{7f}");
+        let mut w = Writer::with_capacity(0);
+        w.begin_object().key(&raw).str(&raw).end_object();
+        let doc = w.finish();
+        assert!(doc.bytes().all(|b| b >= 0x20), "raw control byte in {doc:?}");
+        assert!(doc.contains("\\u0000\\u0001") && doc.contains("\\t\\n\\u000b"), "{doc}");
+        assert!(doc.contains("déjà 関数 \u{1F600} \u{7f}"), "non-ASCII is written verbatim: {doc}");
+        assert_eq!(parse(&doc).unwrap(), Json::Object(vec![(raw.clone(), Json::Str(raw))]));
+    }
+
+    #[test]
+    fn writer_places_commas_and_nests_empty_containers() {
+        let mut w = Writer::with_capacity(0);
+        w.begin_object().key("a").begin_array().end_array();
+        w.key("b").begin_object().end_object();
+        w.key("c").begin_array().begin_array().end_array().begin_object().end_object().end_array();
+        w.key("n").null().key("t").bool(true).key("i").raw(-3).key("u").u64(u64::MAX);
+        w.key("x").f64(f64::NAN).key("y").f64(2.0).key("z").f64(-0.5).end_object();
+        let doc = w.finish();
+        assert_eq!(
+            doc,
+            r#"{"a":[],"b":{},"c":[[],{}],"n":null,"t":true,"i":-3,"u":18446744073709551615,"x":0,"y":2,"z":-0.5}"#
+        );
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("c").unwrap().as_array().map(<[Json]>::len), Some(2));
+        assert_eq!(v.get("y").unwrap().as_u64(), Some(2));
+    }
+
+    #[test]
+    fn spaced_and_indented_layouts() {
+        let mut w = Writer::spaced();
+        w.begin_object();
+        w.indent(2).key("a").u64(1);
+        w.indent(2).key("m").begin_object().key("x").u64(1).key("y").u64(2).end_object();
+        w.indent(2).key("empty").begin_array().end_array();
+        w.indent(2).key("rows").begin_array();
+        w.indent(4).begin_array().u64(1).u64(2).end_array();
+        w.indent(4).str("s");
+        w.indent(2).end_array().indent(0).end_object();
+        let doc = w.finish();
+        assert_eq!(
+            doc,
+            "{\n  \"a\": 1,\n  \"m\": {\"x\": 1, \"y\": 2},\n  \"empty\": [],\n  \"rows\": [\n    [1, 2],\n    \"s\"\n  ]\n}"
+        );
+        assert!(parse(&doc).is_ok());
     }
 }

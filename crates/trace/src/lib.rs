@@ -16,8 +16,10 @@
 //! - [`baseline`]: (de)serialization and tolerance-band comparison of
 //!   metric snapshots — the machinery behind `tests/regression_gate.rs`
 //!   and the checked-in `results/BASELINE_metrics.json`,
-//! - [`json`]: the shared minimal JSON reader + escape/format helpers
-//!   used by the metrics dump and the `f3m-serve` wire protocol.
+//! - [`json`]: the shared minimal JSON reader and the one streaming
+//!   [`json::Writer`] every renderer in the workspace writes through,
+//! - [`stats`]: counter tables — a stats struct declares each counter
+//!   once and derives its JSON, its metrics and its key list from that.
 //!
 //! The crate deliberately depends on nothing (not even `f3m-ir`): every
 //! other crate in the workspace can instrument itself against it.
@@ -46,6 +48,7 @@ pub mod baseline;
 pub mod clock;
 pub mod json;
 pub mod metrics;
+pub mod stats;
 pub mod tracer;
 
 pub use baseline::{compare, parse_metrics, render_metrics, Tolerance};

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::clock::{Clock, MonotonicClock};
+use crate::json::Writer;
 
 /// What kind of trace event a [`TraceEvent`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -206,56 +207,41 @@ impl Tracer {
     /// nanosecond precision, as the format specifies.
     pub fn to_chrome_json(&self) -> String {
         let events = self.events.lock().expect("tracer poisoned");
-        let mut out = String::with_capacity(256 + events.len() * 96);
-        out.push_str("{\"traceEvents\":[");
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"f3m\"}}",
-        );
+        let mut w = Writer::with_capacity(256 + events.len() * 96);
+        w.begin_object().key("traceEvents").begin_array();
+        w.begin_object().key("name").str("process_name").key("ph").str("M");
+        w.key("pid").u64(1).key("tid").u64(0);
+        w.key("args").begin_object().key("name").str("f3m").end_object().end_object();
         for e in events.iter() {
-            out.push(',');
-            let (ph, extra) = match e.kind {
-                EventKind::Span { dur_ns } => ("X", format!(",\"dur\":{}", fmt_us(dur_ns))),
-                EventKind::Instant => ("i", ",\"s\":\"t\"".to_string()),
-                EventKind::Counter => ("C", String::new()),
+            let ph = match e.kind {
+                EventKind::Span { .. } => "X",
+                EventKind::Instant => "i",
+                EventKind::Counter => "C",
             };
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"pid\":1,\
-                 \"tid\":{},\"ts\":{}{extra},\"args\":{{",
-                escape(&e.name),
-                escape(e.cat),
-                e.tid,
-                fmt_us(e.ts_ns),
-            ));
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            w.begin_object().key("name").str(&e.name).key("cat").str(e.cat).key("ph").str(ph);
+            w.key("pid").u64(1).key("tid").raw(e.tid);
+            micros(w.key("ts"), e.ts_ns);
+            match e.kind {
+                EventKind::Span { dur_ns } => micros(w.key("dur"), dur_ns),
+                EventKind::Instant => {
+                    w.key("s").str("t");
                 }
-                out.push_str(&format!("\"{}\":{v}", escape(k)));
+                EventKind::Counter => {}
             }
-            out.push_str("}}");
+            w.key("args").begin_object();
+            for (k, v) in &e.args {
+                w.key(k).u64(*v);
+            }
+            w.end_object().end_object();
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        w.end_array().key("displayTimeUnit").str("ms").end_object();
+        w.finish()
     }
 }
 
 /// Nanoseconds rendered as fractional microseconds (`123.456`).
-fn fmt_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn micros(w: &mut Writer, ns: u64) {
+    w.raw(format_args!("{}.{:03}", ns / 1_000, ns % 1_000));
 }
 
 /// An in-progress span; records a complete event when dropped.

@@ -920,7 +920,9 @@ mod tests {
     #[test]
     fn family_members_are_highly_similar() {
         use f3m_fingerprint::encode::encode_function;
-        use f3m_fingerprint::minhash::MinHashFingerprint;
+        use f3m_fingerprint::fnv::xor_constants;
+        use f3m_fingerprint::minhash::minhash_signature;
+        use f3m_fingerprint::signature_similarity;
         let shape = ShapeParams { target_insts: 40, ..ShapeParams::default() };
         let m1 = gen_into_module(&shape, 7, 100, &MutationProfile::light());
         let m2 = gen_into_module(&shape, 7, 200, &MutationProfile::light());
@@ -929,11 +931,11 @@ mod tests {
             let id = m.lookup_function("gen0").unwrap();
             encode_function(&m.types, m.function(id))
         };
-        let fp1 = MinHashFingerprint::of_encoded(&enc(&m1), 200);
-        let fp2 = MinHashFingerprint::of_encoded(&enc(&m2), 200);
-        let fpx = MinHashFingerprint::of_encoded(&enc(&mx), 200);
-        let within = fp1.similarity(&fp2);
-        let across = fp1.similarity(&fpx);
+        let fp1 = minhash_signature(&xor_constants(200), &enc(&m1));
+        let fp2 = minhash_signature(&xor_constants(200), &enc(&m2));
+        let fpx = minhash_signature(&xor_constants(200), &enc(&mx));
+        let within = signature_similarity(&fp1, &fp2);
+        let across = signature_similarity(&fp1, &fpx);
         assert!(
             within > across,
             "family similarity {within:.3} must exceed cross-family {across:.3}"

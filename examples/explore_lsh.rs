@@ -6,7 +6,9 @@
 //! Run with: `cargo run --release -p f3m --example explore_lsh`
 
 use f3m::fingerprint::encode::encode_function;
+use f3m::fingerprint::fnv::xor_constants;
 use f3m::fingerprint::lsh::collision_probability;
+use f3m::fingerprint::signature_similarity;
 use f3m::prelude::*;
 
 fn main() {
@@ -39,11 +41,10 @@ fn main() {
     f3m::ir::verify::verify_module(&module).unwrap();
 
     let k = 200;
-    let fps: Vec<MinHashFingerprint> = ids
+    let consts = xor_constants(k);
+    let fps: Vec<Vec<u64>> = ids
         .iter()
-        .map(|&id| {
-            MinHashFingerprint::of_encoded(&encode_function(&module.types, module.function(id)), k)
-        })
+        .map(|&id| minhash_signature(&consts, &encode_function(&module.types, module.function(id))))
         .collect();
     let opcode_fps: Vec<OpcodeFingerprint> =
         ids.iter().map(|&id| OpcodeFingerprint::of(module.function(id))).collect();
@@ -54,7 +55,7 @@ fn main() {
         println!(
             "{:>10} {:>16.3} {:>16.3}",
             label,
-            fps[0].similarity(&fps[i]),
+            signature_similarity(&fps[0], &fps[i]),
             opcode_fps[0].similarity(&opcode_fps[i]),
         );
     }
@@ -67,12 +68,12 @@ fn main() {
     let params = LshParams { rows: 2, bands: 100, bucket_cap: 100 };
     let mut index: LshIndex<usize> = LshIndex::new(params);
     for (i, fp) in fps.iter().enumerate() {
-        index.insert(i, fp.hashes());
+        index.insert(i, fp);
     }
     println!("\nLSH (r = {}, b = {}): does each clone share a bucket with base?", params.rows, params.bands);
-    let (cands, _) = index.candidates(fps[0].hashes(), 0);
+    let (cands, _) = index.candidates(&fps[0], 0);
     for (i, (label, _)) in profiles.iter().enumerate().skip(1) {
-        let s = fps[0].similarity(&fps[i]);
+        let s = signature_similarity(&fps[0], &fps[i]);
         println!(
             "{:>10}: collided = {:5}, Eq.2 predicts p = {:.3} at s = {:.3}",
             label,

@@ -69,7 +69,12 @@ fn collect_residency_metrics(reg: &mut MetricsRegistry) {
     m.name = "res_gate".to_string();
     corpus.ingest(m).expect("gate corpus ingest");
 
-    let dir = std::env::temp_dir().join(format!("f3m_gate_res_{}", std::process::id()));
+    // One directory per call: the three tests of this file collect
+    // concurrently in one process and each removes its directory.
+    static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("f3m_gate_res_{}_{call}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("gate temp dir");
     let path = dir.join("res_gate.f3msnap");
     corpus.save_snapshot(&path).expect("gate snapshot save");
