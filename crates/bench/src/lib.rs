@@ -137,11 +137,10 @@ pub fn run_strategy(m: &Module, label: &'static str, config: &PassConfig) -> Run
 
 /// The three standard strategies of the evaluation.
 pub fn standard_strategies() -> Vec<(&'static str, PassConfig)> {
-    vec![
-        ("hyfm", PassConfig::hyfm()),
-        ("f3m", PassConfig::f3m()),
-        ("f3m-adaptive", PassConfig::f3m_adaptive()),
-    ]
+    PassConfig::STRATEGY_NAMES
+        .iter()
+        .map(|&name| (name, PassConfig::from_strategy_name(name).expect("canonical name")))
+        .collect()
 }
 
 /// Formats a duration in adaptive units.

@@ -12,6 +12,8 @@
 //! re-encoding both functions; entries are invalidated when a commit
 //! replaces the function body.
 
+use std::borrow::Cow;
+
 use f3m_fingerprint::encode::encode_inst;
 use f3m_fingerprint::par::par_map_indexed;
 use f3m_ir::ids::{BlockId, FuncId, InstId};
@@ -101,21 +103,35 @@ impl BlockPartsCache {
         self.slots[idx].as_ref()
     }
 
+    /// Plans the merge of function indexes `(i, j)` of `funcs`: the
+    /// speculative half of a pair attempt, read-only on the module and
+    /// the cache. A slot a commit invalidated is re-encoded on the fly;
+    /// the second value counts those misses (0, 1 or 2).
+    pub fn plan(
+        &self,
+        m: &Module,
+        funcs: &[FuncId],
+        i: usize,
+        j: usize,
+        scratch: &mut AlignScratch,
+    ) -> (PairPlan, u32) {
+        let mut misses = 0;
+        let mut parts = |idx: usize| match self.get(idx) {
+            Some(p) => Cow::Borrowed(p),
+            None => {
+                misses += 1;
+                Cow::Owned(function_parts(m.function(funcs[idx])))
+            }
+        };
+        let (parts1, parts2) = (parts(i), parts(j));
+        (plan_blocks_with(m, funcs[i], funcs[j], &parts1, &parts2, scratch), misses)
+    }
+
     /// Drops the entry for function index `idx` (its body was replaced by
     /// a commit; a consumed function is never aligned again, so the slot
     /// stays empty).
     pub fn invalidate(&mut self, idx: usize) {
         self.slots[idx] = None;
-    }
-
-    /// Number of function slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the cache has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -490,8 +506,7 @@ bb2:
         );
         let funcs = [f1, f2];
         let cache = BlockPartsCache::build(&m, &funcs, 2);
-        assert_eq!(cache.len(), 2);
-        assert!(!cache.is_empty());
+        assert_eq!(cache.slots.len(), 2);
         let mut scratch = AlignScratch::new();
         let cached = plan_blocks_with(
             &m,

@@ -1041,93 +1041,6 @@ fn resolve_side(
     }
 }
 
-/// True if every reference to `f` in the module is the callee of a direct
-/// `call`/`invoke` — i.e. the function's address is never taken, so all
-/// call sites can be redirected and (for internal linkage) the body
-/// dropped entirely instead of thunked.
-pub fn only_directly_called(m: &Module, f: FuncId) -> bool {
-    for (_, func) in m.functions() {
-        if func.is_declaration {
-            continue;
-        }
-        for (_, inst) in func.linked_insts() {
-            for (slot, &op) in inst.operands.iter().enumerate() {
-                if let ValueKind::FuncRef(target) = func.value(op).kind {
-                    if target != f {
-                        continue;
-                    }
-                    let is_callee = slot == 0
-                        && matches!(inst.op, Opcode::Call | Opcode::Invoke);
-                    if !is_callee {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Rewrites every direct call to `target` across the module into a call of
-/// `merged`, passing the function identifier and remapping arguments
-/// through `param_map` (unshared merged parameters receive `undef`).
-///
-/// References in non-callee positions (address-taken uses) are left alone;
-/// such functions must keep a thunk.
-pub fn redirect_calls(
-    m: &mut Module,
-    target: FuncId,
-    merged: FuncId,
-    fid_value: bool,
-    param_map: &[usize],
-) {
-    let mut scratch = TypeStore::new();
-    let ptr_ty = scratch.ptr();
-    let bool_ty = scratch.bool();
-    let merged_params = m.function(merged).params.clone();
-    let func_ids: Vec<FuncId> = m.functions().map(|(id, _)| id).collect();
-    for fid in func_ids {
-        if m.function(fid).is_declaration {
-            continue;
-        }
-        let call_sites: Vec<InstId> = m
-            .function(fid)
-            .linked_insts()
-            .filter(|(_, inst)| {
-                matches!(inst.op, Opcode::Call | Opcode::Invoke)
-                    && inst.operands.first().is_some_and(|&c| {
-                        matches!(
-                            m.function(fid).value(c).kind,
-                            ValueKind::FuncRef(t) if t == target
-                        )
-                    })
-            })
-            .map(|(iid, _)| iid)
-            .collect();
-        if call_sites.is_empty() {
-            continue;
-        }
-        for site in call_sites {
-            let old_args: Vec<ValueId> =
-                m.function(fid).inst(site).operands[1..].to_vec();
-            let (f, types) = m.func_mut_and_types(fid);
-            let callee = f.func_ref(merged, ptr_ty);
-            let fid_const = f.const_int(types, bool_ty, i64::from(fid_value));
-            let mut new_ops = vec![callee, fid_const];
-            for (slot, &ty) in merged_params.iter().enumerate().skip(1) {
-                match param_map.iter().position(|&s| s == slot) {
-                    Some(orig_idx) => new_ops.push(old_args[orig_idx]),
-                    None => {
-                        let u = f.undef(ty);
-                        new_ops.push(u);
-                    }
-                }
-            }
-            f.inst_mut(site).operands = new_ops;
-        }
-    }
-}
-
 /// Builds the thunk that redirects `orig` into `merged`.
 ///
 /// The thunk keeps `orig`'s exact signature and linkage: it passes the

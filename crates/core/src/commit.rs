@@ -1,14 +1,17 @@
-//! Commit bookkeeping: the module-wide reference index and the
-//! profitability-checked commit of a planned merge.
+//! The pair-attempt seam: the module-wide reference index, the
+//! alignment-profit gate and the size-checked commit of a planned merge.
 //!
-//! Splitting a pair out of the module is the only stage that mutates it:
-//! the merged function is appended, every call site of the originals is
-//! redirected, and each original is replaced by a thunk (or dropped to a
-//! declaration when module-private and never address-taken). [`Committer`]
-//! owns all of that state so the pass driver stays a pure pipeline over
-//! immutable queries.
+//! [`Committer::attempt`] is the one place a ranked, aligned pair's fate is
+//! decided, and its [`Verdict`] is all a driver (the per-module pass, the
+//! global planner) needs for its bookkeeping. Committing is the only stage
+//! that mutates the module: the merged function is appended, every call
+//! site of the originals is redirected, and each original is replaced by a
+//! thunk (or dropped to a declaration when module-private and never
+//! address-taken). [`Committer`] owns all of that state so the drivers stay
+//! pure pipelines over immutable queries.
 
 use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 use f3m_fingerprint::par::par_map_indexed;
 use f3m_ir::function::{Function, Linkage};
@@ -154,73 +157,89 @@ impl RefIndex {
 
 /// Fixed size overhead of committing a merge: merged-function overhead +
 /// entry dispatch + one thunk per non-droppable original, minus the two
-/// eliminated original-function overheads. Used by the pass's
+/// eliminated original-function overheads. Used by the
 /// alignment-profitability gate before any code is generated.
-pub fn fixed_overhead(drop1: bool, drop2: bool) -> i64 {
+fn fixed_overhead(drop1: bool, drop2: bool) -> i64 {
     let thunk_cost = |dropped: bool| if dropped { 0i64 } else { 18 };
     14 + thunk_cost(drop1) + thunk_cost(drop2) - 24
 }
 
-/// Why commits were rejected, broken out by the stage that said no. All
-/// counts are deterministic for a fixed workload (the commit walk is
-/// serial), so they participate in the perf-regression gate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommitRejects {
+/// The stage that turned a pair down after code was generated for it
+/// (deterministic for a fixed workload: commit walks are serial).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reject {
     /// The code generator could not build a merged body for the plan.
-    pub build: u64,
+    Build,
     /// The merged body failed verification (a codegen bug; the candidate
     /// is dropped rather than corrupting the module).
-    pub verify: u64,
+    Verify,
     /// The merged body verified but did not shrink the module.
-    pub size: u64,
+    Size,
 }
 
-impl CommitRejects {
-    /// Total rejected commits across all causes.
-    pub fn total(&self) -> u64 {
-        self.build + self.verify + self.size
-    }
+/// How one pair attempt ended; only `Committed` mutates the module.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// The alignment-profit gate said no before any code was generated.
+    Unprofitable,
+    /// Code was generated and then turned down.
+    Rejected(Reject),
+    /// The merge was committed; `saved` is the pair's (positive)
+    /// `size_before - size_after`.
+    Committed { saved: i64 },
 }
 
-/// Owns the reference index and performs profitability-checked commits.
+/// Owns the reference index and decides every pair's fate.
 pub struct Committer {
     refs: RefIndex,
-    epoch: u64,
-    rejects: CommitRejects,
 }
 
 impl Committer {
     /// Builds the initial reference index over `m` (parallel across up to
     /// `jobs` threads, deterministic for any job count).
     pub fn build(m: &Module, jobs: usize) -> Committer {
-        Committer { refs: RefIndex::build(m, jobs), epoch: 0, rejects: CommitRejects::default() }
+        Committer { refs: RefIndex::build(m, jobs) }
     }
 
-    /// Commit rejections observed so far, by cause.
-    pub fn rejects(&self) -> CommitRejects {
-        self.rejects
-    }
-
-    /// Generation counter, bumped on every successful commit — the only
-    /// event that can change [`droppable`](Committer::droppable) answers
-    /// (new bodies may take addresses). Callers memoizing `droppable` use
-    /// this to invalidate their memo instead of re-querying per pair.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// The whole pair pipeline for `(f1, f2)` under `plan`: the
+    /// alignment-profit gate, then [`try_commit`](Committer::try_commit).
+    /// Returns the verdict and, when the pair got past the gate, the time
+    /// spent generating, checking and committing code.
+    ///
+    /// The gate is HyFM's: skip code generation when even an optimistic
+    /// estimate (every matched instruction shared, ignoring operand
+    /// selects) cannot pay for the fixed costs — where most unprofitable
+    /// pairs die cheaply. The policy is written down here only: a tighter
+    /// profit bound (ROADMAP item 5) replaces the condition below.
+    pub fn attempt(
+        &mut self,
+        m: &mut Module,
+        f1: FuncId,
+        f2: FuncId,
+        plan: &PairPlan,
+        config: MergeConfig,
+    ) -> (Verdict, Option<Duration>) {
+        let fixed = fixed_overhead(self.droppable(m, f1), self.droppable(m, f2));
+        if plan.matched_insts() == 0 || plan.estimated_savings(fixed) <= 0 {
+            return (Verdict::Unprofitable, None);
+        }
+        let t = Instant::now();
+        let verdict = self.try_commit(m, f1, f2, plan, config);
+        (verdict, Some(t.elapsed()))
     }
 
     /// Whether `f`'s original symbol can disappear entirely after a merge:
     /// module-private and never referenced outside a direct-call position.
-    pub fn droppable(&self, m: &Module, f: FuncId) -> bool {
+    fn droppable(&self, m: &Module, f: FuncId) -> bool {
         m.function(f).linkage == Linkage::Internal && !self.refs.address_taken.contains(&f)
     }
 
-    /// Generates the merged function for `(f1, f2)` under `plan`, verifies
-    /// it, and commits it if the post-merge size (merged body + surviving
-    /// thunks) beats the pair's current size. On success the module is
-    /// rewritten (call sites redirected, originals replaced) and the size
-    /// saving `size_before - size_after` is returned; on any failure the
-    /// module is left unchanged and `None` is returned.
+    /// [`attempt`](Committer::attempt) without the gate (so never
+    /// `Unprofitable`): generates the merged function for `(f1, f2)` under
+    /// `plan`, verifies it, and commits it if the post-merge size (merged
+    /// body + surviving thunks) beats the pair's current size. On success
+    /// the module is rewritten (call sites redirected, originals replaced);
+    /// on any rejection it is left unchanged.
     pub fn try_commit(
         &mut self,
         m: &mut Module,
@@ -228,13 +247,12 @@ impl Committer {
         f2: FuncId,
         plan: &PairPlan,
         config: MergeConfig,
-    ) -> Option<i64> {
+    ) -> Verdict {
         let drop1 = self.droppable(m, f1);
         let drop2 = self.droppable(m, f2);
         let name = m.fresh_name("__merged");
         let Ok(mf) = build_merged(m, f1, f2, plan, config, name) else {
-            self.rejects.build += 1;
-            return None;
+            return Verdict::Rejected(Reject::Build);
         };
         let size_before = function_size(m.function(f1)) + function_size(m.function(f2));
         let merged_size = function_size(&mf.func);
@@ -243,8 +261,7 @@ impl Committer {
             // A verifier failure here is a code generator bug; drop the
             // candidate rather than corrupt the module.
             m.remove_last_function(merged_id);
-            self.rejects.verify += 1;
-            return None;
+            return Verdict::Rejected(Reject::Verify);
         }
         // A function whose address is never taken has all its call sites
         // redirected into the merged body; if it is also module-private,
@@ -257,8 +274,7 @@ impl Committer {
         let size_after = merged_size + after1 + after2;
         if size_after >= size_before {
             m.remove_last_function(merged_id);
-            self.rejects.size += 1;
-            return None;
+            return Verdict::Rejected(Reject::Size);
         }
         // Register the merged body's own call sites first so recursive
         // references to f1/f2 get redirected too.
@@ -282,7 +298,131 @@ impl Committer {
         // under the bumped versions.
         self.refs.scan_function(m, f1);
         self.refs.scan_function(m, f2);
-        self.epoch += 1;
-        Some(size_before as i64 - size_after as i64)
+        Verdict::Committed { saved: size_before as i64 - size_after as i64 }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block_pairing::plan_blocks;
+    use f3m_ir::parser::parse_module_unverified as parse_module;
+    use f3m_ir::printer::print_module;
+    use f3m_ir::size::module_size;
+    use f3m_ir::verify::verify_module;
+
+    /// `@name(i32) -> i32`: a chain of `ops` integer instructions whose
+    /// constants start at `salt`, then `tail` (which sees the chain's last
+    /// value as `%{ops}`).
+    fn chain(name: &str, ret_ty: &str, ops: usize, salt: usize, tail: &str) -> String {
+        let mut body = String::new();
+        for i in 1..=ops {
+            let op = ["add", "mul", "xor", "sub"][i % 4];
+            body += &format!("  %{i} = {op} i32 %{}, {}\n", i - 1, salt + i);
+        }
+        format!("define @{name}(i32 %0) -> {ret_ty} {{\nbb0:\n{body}{tail}}}\n")
+    }
+
+    /// One [`Committer::attempt`] on a module's first two definitions.
+    struct Tried {
+        verdict: Verdict,
+        codegen: Option<Duration>,
+        /// `plan.matched_insts()` of the attempted plan.
+        matched: usize,
+        before: Module,
+        after: Module,
+    }
+
+    impl Tried {
+        /// Whether the attempt left the printed module byte-identical.
+        fn unchanged(&self) -> bool {
+            print_module(&self.before) == print_module(&self.after)
+        }
+    }
+
+    /// (The parse is unverified so a fixture can carry a deliberately bad
+    /// call.)
+    fn attempt(defs: &str) -> Tried {
+        let mut m = parse_module(&format!("module \"t\" {{\n{defs}}}\n")).unwrap();
+        let ids = m.defined_functions();
+        let plan = plan_blocks(&m, ids[0], ids[1]);
+        let before = m.clone();
+        let mut committer = Committer::build(&m, 1);
+        let (verdict, codegen) =
+            committer.attempt(&mut m, ids[0], ids[1], &plan, MergeConfig::default());
+        Tried { verdict, codegen, matched: plan.matched_insts(), before, after: m }
+    }
+
+    #[test]
+    fn gate_turns_down_a_pair_with_nothing_matched() {
+        let ints = chain("a", "i32", 12, 0, "  ret i32 %12\n");
+        let floats = "define @b(f64 %0) -> f64 {\nbb0:\n  %1 = fmul f64 %0, %0\n  \
+                      %2 = fadd f64 %1, %0\n  ret f64 %2\n}\n";
+        let t = attempt(&format!("{ints}{floats}"));
+        assert_eq!(t.matched, 0);
+        assert_eq!((t.verdict, t.codegen), (Verdict::Unprofitable, None));
+        assert!(t.unchanged());
+    }
+
+    #[test]
+    fn gate_turns_down_a_match_too_small_to_pay_the_fixed_costs() {
+        let t = attempt(
+            &(chain("a", "i32", 2, 0, "  ret i32 %2\n") + &chain("b", "i32", 2, 0, "  ret i32 %2\n")),
+        );
+        assert!(t.matched > 0);
+        assert_eq!((t.verdict, t.codegen), (Verdict::Unprofitable, None));
+        assert!(t.unchanged());
+    }
+
+    #[test]
+    fn unbuildable_pair_is_rejected_at_build() {
+        // Same bodies, different return types: the gate passes, the code
+        // generator refuses.
+        let defs = chain("a", "i32", 30, 0, "  ret i32 %30\n")
+            + &chain("b", "i64", 30, 0, "  %31 = zext i32 %30 to i64\n  ret i64 %31\n");
+        let t = attempt(&defs);
+        assert_eq!(t.verdict, Verdict::Rejected(Reject::Build));
+        assert!(t.codegen.is_some(), "the pair got past the gate");
+        assert!(t.unchanged());
+    }
+
+    #[test]
+    fn unverifiable_merged_body_is_rejected_at_verify() {
+        // Both originals call `@ext` with one argument too many; the
+        // merged body inherits the bad call and fails verification.
+        let tail = "  %21 = call i32 @ext(i32 %20, i32 %0)\n  ret i32 %21\n";
+        let defs = format!(
+            "declare @ext(i32) -> i32\n{}{}",
+            chain("a", "i32", 20, 0, tail),
+            chain("b", "i32", 20, 0, tail)
+        );
+        let t = attempt(&defs);
+        assert_eq!(t.verdict, Verdict::Rejected(Reject::Verify));
+        assert!(t.codegen.is_some());
+        assert!(t.unchanged());
+    }
+
+    #[test]
+    fn merged_body_that_does_not_shrink_is_rejected_at_size() {
+        // Every instruction matches, so the optimistic gate passes — but
+        // every constant differs, and the operand selects eat the saving.
+        let defs = chain("a", "i32", 12, 0, "  ret i32 %12\n")
+            + &chain("b", "i32", 12, 1000, "  ret i32 %12\n");
+        let t = attempt(&defs);
+        assert_eq!(t.verdict, Verdict::Rejected(Reject::Size));
+        assert!(t.codegen.is_some());
+        assert!(t.unchanged());
+    }
+
+    #[test]
+    fn profitable_pair_is_committed() {
+        let defs = chain("a", "i32", 20, 0, "  ret i32 %20\n")
+            + &chain("b", "i32", 20, 0, "  ret i32 %20\n");
+        let t = attempt(&defs);
+        let Verdict::Committed { saved } = t.verdict else { panic!("{:?}", t.verdict) };
+        assert!(t.codegen.is_some() && !t.unchanged());
+        assert!(saved > 0);
+        assert_eq!(module_size(&t.before) - module_size(&t.after), saved as u64);
+        verify_module(&t.after).unwrap();
     }
 }

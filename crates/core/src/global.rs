@@ -49,9 +49,9 @@ use f3m_trace::stats::{self, Stat, Value::*};
 use f3m_trace::MetricsRegistry;
 
 use crate::align::AlignScratch;
-use crate::block_pairing::{plan_blocks_with, BlockPartsCache, PairPlan};
+use crate::block_pairing::{BlockPartsCache, PairPlan};
 use crate::codegen::MergeConfig;
-use crate::commit::{fixed_overhead, Committer};
+use crate::commit::{Committer, Verdict};
 use crate::corpus::{Corpus, GlobalPair};
 
 /// Deterministic integer salts for the differential probes. Each probe
@@ -360,44 +360,30 @@ impl<'c> GlobalMergePlanner<'c> {
             })
             .collect();
 
-        let parts_cache = BlockPartsCache::build(m, &funcs, jobs);
-        let m_ro: &Module = m;
-        let funcs_ro = &funcs;
-        let work_ro = &work;
-        let parts_ro = &parts_cache;
         // Speculative phase: plan every pair against the pristine module
         // on the worker pool. Read-only, so job count changes wall-clock
         // time only.
-        let plans: Vec<(PairPlan, usize)> = par_map_indexed_with(
-            work.len(),
-            jobs,
-            AlignScratch::new,
-            |scratch, wi| {
-                let (i, j, _, _) = work_ro[wi];
-                let parts1 = parts_ro.get(i).expect("pristine cache is fully populated");
-                let parts2 = parts_ro.get(j).expect("pristine cache is fully populated");
-                let plan =
-                    plan_blocks_with(m_ro, funcs_ro[i], funcs_ro[j], parts1, parts2, scratch);
-                let matched = plan.matched_insts();
-                (plan, matched)
-            },
-        );
+        let parts = BlockPartsCache::build(m, &funcs, jobs);
+        let m_ro: &Module = m;
+        let plans: Vec<PairPlan> =
+            par_map_indexed_with(work.len(), jobs, AlignScratch::new, |scratch, wi| {
+                let (i, j, _, _) = work[wi];
+                parts.plan(m_ro, &funcs, i, j, scratch).0
+            });
 
         // Serial commit walk in pair-priority order: the only mutation
         // point, identical for every job count.
         let mut committer = Committer::build(m, jobs);
         let mut available = vec![true; funcs.len()];
         let mut committed = Vec::new();
-        for ((i, j, key, cross_module), (plan, matched)) in work.into_iter().zip(plans) {
+        for ((i, j, key, cross_module), plan) in work.into_iter().zip(plans) {
             if !available[i] || !available[j] {
                 continue; // an earlier commit consumed an endpoint
             }
             let (f1, f2) = (funcs[i], funcs[j]);
-            let fixed = fixed_overhead(committer.droppable(m, f1), committer.droppable(m, f2));
-            if matched == 0 || plan.estimated_savings(fixed) <= 0 {
-                continue;
-            }
-            if let Some(saved) = committer.try_commit(m, f1, f2, &plan, self.cfg.merge) {
+            if let (Verdict::Committed { saved }, _) =
+                committer.attempt(m, f1, f2, &plan, self.cfg.merge)
+            {
                 available[i] = false;
                 available[j] = false;
                 committed.push(Speculative { key, saved, cross_module, f1, f2 });

@@ -1,33 +1,29 @@
-//! The function-merging pass.
-//!
-//! Drives the full pipeline of Figure 1 of the paper as a wave-based loop:
+//! The function-merging pass: a thin wave-loop driver over the pipeline of
+//! Figure 1 of the paper.
 //!
 //! ```text
-//! preprocess (CandidateSearch + Committer + BlockPartsCache, parallel)
+//! preprocess   search structure + Committer + BlockPartsCache  (parallel)
 //! loop (wave):
-//!   rank + align every still-available function   (parallel, speculative)
-//!   walk the wave in fixed index order, committing serially
+//!   speculate  rank + align every still-available function     (parallel)
+//!   walk       classify each member, attempt, account          (serial)
 //! ```
 //!
 //! Each wave snapshots the availability mask, then ranks every remaining
 //! function and aligns its chosen pair speculatively on the worker pool
-//! (`--jobs`). The serial walk then revisits the wave in index order: a
-//! pair whose member was consumed by an earlier commit in the same wave is
-//! discarded (the function itself was merged away) or deferred to the next
-//! wave for re-ranking (only its partner was taken). All module mutation
-//! and all counter accumulation happen in the walk, so the merged module
-//! and every [`MergeReport`] counter are **byte-identical for every
-//! `jobs` value** — parallelism changes wall-clock time only.
+//! (`--jobs`). The serial walk revisits the wave in index order: a member
+//! consumed by an earlier commit in the same wave is discarded, one whose
+//! partner was taken is deferred to the next wave for re-ranking, and an
+//! intact pair goes to [`Committer::attempt`], which alone decides its
+//! fate. All module mutation and all counter accumulation happen in the
+//! walk, so the merged module and every [`MergeReport`] counter are
+//! **byte-identical for every `jobs` value**.
 //!
-//! Three strategies are provided, all running through the
-//! [`CandidateSearch`](crate::rank::CandidateSearch) seam:
-//!
-//! - [`Strategy::Hyfm`] — the baseline: opcode-frequency fingerprints with
-//!   an exhaustive nearest-neighbour scan (quadratic ranking),
-//! - [`Strategy::F3m`] — MinHash fingerprints with LSH bucket search under
-//!   explicit [`MergeParams`],
-//! - [`Strategy::F3mAdaptive`] — F3M with the threshold and band count
-//!   scaled to the program size (Equations 3 and 4).
+//! Three strategies run through the
+//! [`CandidateSearch`](crate::rank::CandidateSearch) seam: [`Strategy::Hyfm`]
+//! (opcode-frequency fingerprints, exhaustive quadratic ranking),
+//! [`Strategy::F3m`] (MinHash + LSH buckets under explicit [`MergeParams`])
+//! and [`Strategy::F3mAdaptive`] (threshold and band count scaled to the
+//! program size, Equations 3 and 4).
 //!
 //! Timing is recorded per stage, split into *success* and *fail* buckets
 //! exactly as in the paper's Figures 3 and 13 (stage times sum per-pair
@@ -43,11 +39,11 @@ use f3m_ir::size::module_size;
 use f3m_trace::{span_on, Tracer};
 
 use crate::align::AlignScratch;
-use crate::block_pairing::{function_parts, plan_blocks_with, BlockPartsCache, PairPlan};
+use crate::block_pairing::{BlockPartsCache, PairPlan};
 use crate::codegen::MergeConfig;
-use crate::commit::{fixed_overhead, Committer};
+use crate::commit::{Committer, Reject, Verdict};
 use crate::profile::Profile;
-use crate::rank::{build_search, QueryCounters, SearchScratch};
+use crate::rank::{build_search, CandidateSearch, QueryCounters, SearchScratch};
 
 pub use crate::report::{AttemptRecord, MergeReport, MergeStats, StageTime};
 
@@ -100,6 +96,23 @@ impl PassConfig {
         PassConfig { strategy: Strategy::F3mAdaptive, ..Default::default() }
     }
 
+    /// The canonical strategy names, in evaluation order: what reports,
+    /// figures and the wire protocol print.
+    pub const STRATEGY_NAMES: [&'static str; 3] = ["hyfm", "f3m", "f3m-adaptive"];
+
+    /// The default configuration of the strategy called `name`: one of
+    /// [`STRATEGY_NAMES`](PassConfig::STRATEGY_NAMES), or `adaptive` as an
+    /// alias of `f3m-adaptive`. `None` for anything else. Every front end
+    /// (CLI, daemon, fuzzer, figure binaries) resolves names here.
+    pub fn from_strategy_name(name: &str) -> Option<PassConfig> {
+        match name {
+            "hyfm" => Some(PassConfig::hyfm()),
+            "f3m" => Some(PassConfig::f3m()),
+            "f3m-adaptive" | "adaptive" => Some(PassConfig::f3m_adaptive()),
+            _ => None,
+        }
+    }
+
     /// Attaches an execution profile for performance-aware selection.
     pub fn with_profile(mut self, profile: Profile) -> PassConfig {
         self.profile = Some(profile);
@@ -113,6 +126,20 @@ impl PassConfig {
     }
 }
 
+/// What `preprocess` builds and the waves share: read-only in `speculate`,
+/// mutated only by the serial `walk`. Every index is into `funcs`.
+struct PassState {
+    funcs: Vec<FuncId>,
+    search: Box<dyn CandidateSearch + Send + Sync>,
+    committer: Committer,
+    parts: BlockPartsCache,
+    /// Not yet consumed by a merge.
+    available: Vec<bool>,
+    /// The walk reached a final verdict (committed, failed, or no
+    /// candidate); a deferred member stays false and re-enters next wave.
+    processed: Vec<bool>,
+}
+
 /// One wave member's speculative result, produced on the worker pool and
 /// consumed by the serial commit walk.
 struct WaveOutcome {
@@ -120,10 +147,9 @@ struct WaveOutcome {
     counters: QueryCounters,
     /// Wall-clock of the rank query.
     rank_time: Duration,
-    /// The chosen candidate `(index, similarity)`, if any.
-    best: Option<(usize, f64)>,
-    /// The speculative alignment plan and its matched-instruction count.
-    plan: Option<(PairPlan, usize)>,
+    /// The chosen candidate's index and similarity with the speculative
+    /// alignment plan for the pair, if ranking found one.
+    pair: Option<(usize, f64, PairPlan)>,
     /// Wall-clock of the speculative alignment.
     align_time: Duration,
     /// Cache slots that had to be re-encoded (0, 1 or 2).
@@ -135,6 +161,90 @@ struct WaveOutcome {
     /// the worker's scratch processed before, so jobs-DEPENDENT: exported
     /// to the tracer only, never into [`MergeStats`].
     scratch_grows: u64,
+}
+
+/// What the commit walk decided for one wave member.
+enum Fate {
+    /// Ranking found no candidate; the member is done.
+    NoCandidate,
+    /// An earlier commit this wave consumed the member as a partner: its
+    /// speculative work is wasted and it is done for good.
+    SelfConsumed,
+    /// Only the partner was consumed: deferred to the next wave, where it
+    /// is re-ranked against the updated availability.
+    Deferred,
+    /// The pair reached [`Committer::attempt`].
+    Attempted {
+        f1: FuncId,
+        f2: FuncId,
+        similarity: f64,
+        align_ratio: f64,
+        verdict: Verdict,
+        /// Zero unless the pair got past the gate and code was generated.
+        codegen: Duration,
+    },
+}
+
+impl MergeReport {
+    /// Books one wave member: the only place the pass attributes stage
+    /// time to the success/fail buckets, bumps the wave, attempt and
+    /// reject counters, or writes the attempt log.
+    fn account(&mut self, out: &WaveOutcome, fate: Fate) {
+        let s = &mut self.stats;
+        s.fingerprint_comparisons += out.counters.comparisons;
+        s.candidates_examined += out.counters.examined;
+        s.candidates_returned += out.counters.returned;
+        s.bucket_evictions += out.counters.evicted;
+        s.probe_collisions += out.counters.collisions;
+        s.lsh_allocs_saved += out.counters.saved_allocs;
+        s.align_cells += out.align_cells;
+        if out.pair.is_some() {
+            s.aligns_speculative += 1;
+            s.block_parts_cache_misses += u64::from(out.cache_misses);
+            s.block_parts_cache_hits += u64::from(2 - out.cache_misses);
+        }
+        let (mut committed, mut codegen_time) = (false, Duration::ZERO);
+        match fate {
+            Fate::NoCandidate => {}
+            Fate::SelfConsumed => s.aligns_wasted += 1,
+            Fate::Deferred => {
+                s.aligns_wasted += 1;
+                s.wave_conflicts += 1;
+            }
+            Fate::Attempted { f1, f2, similarity, align_ratio, verdict, codegen } => {
+                s.aligns_reused += 1;
+                s.pairs_attempted += 1;
+                let mut size_delta = 0;
+                match verdict {
+                    Verdict::Unprofitable => {}
+                    Verdict::Rejected(Reject::Build) => s.commits_rejected_build += 1,
+                    Verdict::Rejected(Reject::Verify) => s.commits_rejected_verify += 1,
+                    Verdict::Rejected(Reject::Size) => s.commits_rejected_size += 1,
+                    Verdict::Committed { saved } => {
+                        s.merges_committed += 1;
+                        (committed, size_delta) = (true, saved);
+                    }
+                }
+                codegen_time = codegen;
+                self.attempts.push(AttemptRecord {
+                    f1,
+                    f2,
+                    similarity,
+                    align_ratio,
+                    committed,
+                    size_delta,
+                    time: out.align_time + codegen,
+                });
+            }
+        }
+        // Figures 3 and 13: a member's whole stage time goes to the bucket
+        // its attempt ended in; only a committed merge is a success.
+        let spent = [out.rank_time, out.align_time, codegen_time];
+        for (stage, spent) in [&mut s.rank, &mut s.align, &mut s.codegen].into_iter().zip(spent) {
+            let bucket = if committed { &mut stage.success } else { &mut stage.fail };
+            *bucket += spent;
+        }
+    }
 }
 
 /// Runs the function-merging pass over `m`, mutating it in place
@@ -162,308 +272,20 @@ pub fn run_pass_traced(
 ) -> MergeReport {
     let mut report = MergeReport::default();
     report.stats.size_before = module_size(m);
-    let jobs = config.jobs.max(1);
+    let mut st = preprocess(m, config, tracer, &mut report);
 
-    let funcs: Vec<FuncId> = m
-        .defined_functions()
-        .into_iter()
-        .filter(|&f| m.function(f).num_linked_insts() > 0)
-        .collect();
-    let n = funcs.len();
-    report.stats.functions = n;
-
-    // ---- preprocess: fingerprints + search structure + reference index
-    // ---- + encoded block parts, all fanned out across `jobs` threads ---
-    let t0 = Instant::now();
-    let mut pre_span = span_on(tracer, "pass", "preprocess");
-    pre_span.arg("functions", n as u64);
-    let mut search = {
-        let mut s = span_on(tracer, "preprocess", "fingerprint");
-        s.arg("functions", n as u64);
-        let search = build_search(m, &funcs, &config.strategy, jobs);
-        let idx = search.index_stats();
-        s.arg("lsh_buckets", idx.buckets as u64);
-        s.arg("lsh_max_bucket", idx.max_bucket as u64);
-        report.stats.lsh_buckets = idx.buckets as u64;
-        report.stats.lsh_max_bucket = idx.max_bucket as u64;
-        report.stats.soa_bytes_per_fn = idx.bytes_per_fn as u64;
-        report.lsh_bucket_sizes = idx.bucket_sizes;
-        search
-    };
-    let mut committer = {
-        let _s = span_on(tracer, "preprocess", "ref_index");
-        Committer::build(m, jobs)
-    };
-    let mut parts_cache = {
-        let _s = span_on(tracer, "preprocess", "block_parts");
-        BlockPartsCache::build(m, &funcs, jobs)
-    };
-    pre_span.finish();
-    report.stats.preprocess = t0.elapsed();
-
-    // ---- wave loop: speculative parallel rank+align, serial commit ------
-    // `available[i]`: not yet consumed by a merge. `processed[i]`: the
-    // walk reached a final verdict for i (committed, failed, or candidate-
-    // less); deferred conflicts keep `processed` false and re-enter the
-    // next wave.
-    let mut available = vec![true; n];
-    let mut processed = vec![false; n];
-    // droppable() answers, memoized per function until a commit (epoch
-    // bump) can change them.
-    let mut droppable_memo: Vec<Option<bool>> = vec![None; n];
-    let mut memo_epoch = committer.epoch();
-
+    // Wave loop: speculative parallel rank+align, then the serial walk.
     loop {
         let members: Vec<usize> =
-            (0..n).filter(|&i| available[i] && !processed[i]).collect();
+            (0..st.funcs.len()).filter(|&i| st.available[i] && !st.processed[i]).collect();
         if members.is_empty() {
             break;
         }
         report.stats.waves += 1;
         let mut wave_span = span_on(tracer, "pass", format!("wave {}", report.stats.waves));
         wave_span.arg("members", members.len() as u64);
-
-        // Speculative phase: rank every member against the wave-entry
-        // snapshot of `available`, then align its chosen pair, in index
-        // order across the worker pool. Everything here is read-only on
-        // the module and the search structure; each worker owns one
-        // reusable alignment scratch.
-        let m_ro: &Module = m;
-        let search_ro = &*search;
-        let members_ro = &members;
-        let available_ro = &available;
-        let parts_ro = &parts_cache;
-        let funcs_ro = &funcs;
-        let mut spec_span = span_on(tracer, "pass", "speculate");
-        let outcomes: Vec<WaveOutcome> = par_map_indexed_with(
-            members.len(),
-            jobs,
-            || (AlignScratch::new(), SearchScratch::new()),
-            |(scratch, search_scratch), mi| {
-                let i = members_ro[mi];
-                let t_rank = Instant::now();
-                let mut counters = QueryCounters::default();
-                let set =
-                    search_ro.best_candidates(i, available_ro, &mut counters, search_scratch);
-                let best = set.choose(config.profile.as_ref(), |idx| funcs_ro[idx]);
-                let rank_time = t_rank.elapsed();
-                let stats_before = scratch.stats();
-                let (plan, align_time, cache_misses) = match best {
-                    Some((j, _)) => {
-                        let t_align = Instant::now();
-                        let mut misses = 0u32;
-                        let rebuilt1;
-                        let parts1 = match parts_ro.get(i) {
-                            Some(p) => p,
-                            None => {
-                                misses += 1;
-                                rebuilt1 = function_parts(m_ro.function(funcs_ro[i]));
-                                &rebuilt1
-                            }
-                        };
-                        let rebuilt2;
-                        let parts2 = match parts_ro.get(j) {
-                            Some(p) => p,
-                            None => {
-                                misses += 1;
-                                rebuilt2 = function_parts(m_ro.function(funcs_ro[j]));
-                                &rebuilt2
-                            }
-                        };
-                        let plan = plan_blocks_with(
-                            m_ro,
-                            funcs_ro[i],
-                            funcs_ro[j],
-                            parts1,
-                            parts2,
-                            scratch,
-                        );
-                        let matched = plan.matched_insts();
-                        (Some((plan, matched)), t_align.elapsed(), misses)
-                    }
-                    None => (None, Duration::ZERO, 0),
-                };
-                let delta = scratch.stats();
-                WaveOutcome {
-                    counters,
-                    rank_time,
-                    best,
-                    plan,
-                    align_time,
-                    cache_misses,
-                    align_cells: delta.cells - stats_before.cells,
-                    scratch_grows: delta.dp_grows - stats_before.dp_grows,
-                }
-            });
-        spec_span.arg("members", members.len() as u64);
-        spec_span.arg(
-            "scratch_grows",
-            outcomes.iter().map(|o| o.scratch_grows).sum(),
-        );
-        spec_span.finish();
-
-        // Replay the speculative per-pair durations end-to-end on track 1
-        // (they ran concurrently; see the function docs for the layout).
-        let mut lane_cursor = tracer.map(|t| t.now_ns()).unwrap_or(0);
-        let mut walk_span = span_on(tracer, "pass", "commit_walk");
-        walk_span.arg("members", members.len() as u64);
-
-        // Serial commit walk in fixed index order: the only place that
-        // mutates the module, the masks, or the report — identical for
-        // every job count.
-        for (mi, out) in outcomes.into_iter().enumerate() {
-            let i = members[mi];
-            report.stats.fingerprint_comparisons += out.counters.comparisons;
-            report.stats.candidates_examined += out.counters.examined;
-            report.stats.candidates_returned += out.counters.returned;
-            report.stats.bucket_evictions += out.counters.evicted;
-            report.stats.probe_collisions += out.counters.collisions;
-            report.stats.lsh_allocs_saved += out.counters.saved_allocs;
-            report.stats.align_cells += out.align_cells;
-            if let Some(t) = tracer {
-                let rank_ns = out.rank_time.as_nanos() as u64;
-                t.complete(
-                    "rank",
-                    "rank",
-                    1,
-                    lane_cursor,
-                    rank_ns,
-                    vec![
-                        ("member", i as u64),
-                        ("examined", out.counters.examined),
-                        ("returned", out.counters.returned),
-                        ("evicted", out.counters.evicted),
-                    ],
-                );
-                lane_cursor += rank_ns;
-                if out.plan.is_some() {
-                    let align_ns = out.align_time.as_nanos() as u64;
-                    t.complete(
-                        "align",
-                        "align",
-                        1,
-                        lane_cursor,
-                        align_ns,
-                        vec![("member", i as u64), ("cells", out.align_cells)],
-                    );
-                    lane_cursor += align_ns;
-                }
-            }
-
-            let Some((j, similarity)) = out.best else {
-                report.stats.rank.fail += out.rank_time;
-                processed[i] = true;
-                continue;
-            };
-            report.stats.aligns_speculative += 1;
-            report.stats.block_parts_cache_misses += u64::from(out.cache_misses);
-            report.stats.block_parts_cache_hits += u64::from(2 - out.cache_misses);
-
-            if !available[i] {
-                // An earlier commit in this wave consumed i as a partner;
-                // its speculative work is wasted and i is done for good.
-                report.stats.aligns_wasted += 1;
-                report.stats.rank.fail += out.rank_time;
-                report.stats.align.fail += out.align_time;
-                processed[i] = true;
-                continue;
-            }
-            if !available[j] {
-                // Only the partner was consumed: defer i to the next wave,
-                // where it is re-ranked against the updated availability.
-                report.stats.aligns_wasted += 1;
-                report.stats.wave_conflicts += 1;
-                report.stats.rank.fail += out.rank_time;
-                report.stats.align.fail += out.align_time;
-                continue;
-            }
-            report.stats.aligns_reused += 1;
-
-            let (plan, matched) = out.plan.expect("aligned pair has a plan");
-            let (f1, f2) = (funcs[i], funcs[j]);
-            report.stats.pairs_attempted += 1;
-            let total_insts =
-                m.function(f1).num_linked_insts() + m.function(f2).num_linked_insts();
-            let align_ratio =
-                if total_insts == 0 { 0.0 } else { 2.0 * matched as f64 / total_insts as f64 };
-            // HyFM's alignment-profitability gate: skip code generation when
-            // even an optimistic estimate (every matched instruction shared,
-            // ignoring operand selects) cannot pay for the fixed costs. This
-            // is where most unprofitable pairs die cheaply.
-            if committer.epoch() != memo_epoch {
-                droppable_memo.fill(None);
-                memo_epoch = committer.epoch();
-            }
-            let drop1 =
-                *droppable_memo[i].get_or_insert_with(|| committer.droppable(m, f1));
-            let drop2 =
-                *droppable_memo[j].get_or_insert_with(|| committer.droppable(m, f2));
-            let fixed = fixed_overhead(drop1, drop2);
-            if matched == 0 || plan.estimated_savings(fixed) <= 0 {
-                report.stats.rank.fail += out.rank_time;
-                report.stats.align.fail += out.align_time;
-                report.attempts.push(AttemptRecord {
-                    f1,
-                    f2,
-                    similarity,
-                    align_ratio,
-                    committed: false,
-                    size_delta: 0,
-                    time: out.align_time,
-                });
-                processed[i] = true;
-                continue;
-            }
-
-            // Codegen + profitability + commit.
-            let t_cg = Instant::now();
-            let mut commit_span = span_on(tracer, "commit", "commit");
-            commit_span.arg("f1", f1.index() as u64);
-            commit_span.arg("f2", f2.index() as u64);
-            let outcome = committer.try_commit(m, f1, f2, &plan, config.merge);
-            commit_span.arg("committed", u64::from(outcome.is_some()));
-            commit_span.finish();
-            let cg_elapsed = t_cg.elapsed();
-            processed[i] = true;
-            match outcome {
-                Some(size_delta) => {
-                    search.invalidate(i);
-                    search.invalidate(j);
-                    parts_cache.invalidate(i);
-                    parts_cache.invalidate(j);
-                    available[i] = false;
-                    available[j] = false;
-                    report.stats.merges_committed += 1;
-                    report.stats.rank.success += out.rank_time;
-                    report.stats.align.success += out.align_time;
-                    report.stats.codegen.success += cg_elapsed;
-                    report.attempts.push(AttemptRecord {
-                        f1,
-                        f2,
-                        similarity,
-                        align_ratio,
-                        committed: true,
-                        size_delta,
-                        time: out.align_time + cg_elapsed,
-                    });
-                }
-                None => {
-                    report.stats.rank.fail += out.rank_time;
-                    report.stats.align.fail += out.align_time;
-                    report.stats.codegen.fail += cg_elapsed;
-                    report.attempts.push(AttemptRecord {
-                        f1,
-                        f2,
-                        similarity,
-                        align_ratio,
-                        committed: false,
-                        size_delta: 0,
-                        time: out.align_time + cg_elapsed,
-                    });
-                }
-            }
-        }
-        walk_span.finish();
+        let outcomes = speculate(m, &st, &members, config, tracer);
+        walk(m, &mut st, &members, outcomes, config, tracer, &mut report);
         if let Some(t) = tracer {
             // Cumulative samples: each series is monotone non-decreasing
             // across waves (asserted by the observability tests).
@@ -483,10 +305,268 @@ pub fn run_pass_traced(
         wave_span.finish();
     }
 
-    let rejects = committer.rejects();
-    report.stats.commits_rejected_build = rejects.build;
-    report.stats.commits_rejected_verify = rejects.verify;
-    report.stats.commits_rejected_size = rejects.size;
     report.stats.size_after = module_size(m);
     report
+}
+
+/// Builds fingerprints + search structure, the reference index and the
+/// encoded block parts, all fanned out across `jobs` threads, and records
+/// the index shape and the stage time in `report`.
+fn preprocess(
+    m: &Module,
+    config: &PassConfig,
+    tracer: Option<&Tracer>,
+    report: &mut MergeReport,
+) -> PassState {
+    let jobs = config.jobs.max(1);
+    let funcs: Vec<FuncId> = m
+        .defined_functions()
+        .into_iter()
+        .filter(|&f| m.function(f).num_linked_insts() > 0)
+        .collect();
+    let n = funcs.len();
+    report.stats.functions = n;
+
+    let t0 = Instant::now();
+    let mut pre_span = span_on(tracer, "pass", "preprocess");
+    pre_span.arg("functions", n as u64);
+    let search = {
+        let mut s = span_on(tracer, "preprocess", "fingerprint");
+        s.arg("functions", n as u64);
+        let search = build_search(m, &funcs, &config.strategy, jobs);
+        let idx = search.index_stats();
+        s.arg("lsh_buckets", idx.buckets as u64);
+        s.arg("lsh_max_bucket", idx.max_bucket as u64);
+        report.stats.lsh_buckets = idx.buckets as u64;
+        report.stats.lsh_max_bucket = idx.max_bucket as u64;
+        report.stats.soa_bytes_per_fn = idx.bytes_per_fn as u64;
+        report.lsh_bucket_sizes = idx.bucket_sizes;
+        search
+    };
+    let committer = {
+        let _s = span_on(tracer, "preprocess", "ref_index");
+        Committer::build(m, jobs)
+    };
+    let parts = {
+        let _s = span_on(tracer, "preprocess", "block_parts");
+        BlockPartsCache::build(m, &funcs, jobs)
+    };
+    pre_span.finish();
+    report.stats.preprocess = t0.elapsed();
+    let (available, processed) = (vec![true; n], vec![false; n]);
+    PassState { funcs, search, committer, parts, available, processed }
+}
+
+/// The speculative phase of one wave: ranks every member against the
+/// wave-entry snapshot of `available`, then aligns its chosen pair, in
+/// index order across the worker pool. Everything here is read-only on the
+/// module and the pass state; each worker owns one reusable alignment
+/// scratch.
+fn speculate(
+    m: &Module,
+    st: &PassState,
+    members: &[usize],
+    config: &PassConfig,
+    tracer: Option<&Tracer>,
+) -> Vec<WaveOutcome> {
+    let mut spec_span = span_on(tracer, "pass", "speculate");
+    let outcomes: Vec<WaveOutcome> = par_map_indexed_with(
+        members.len(),
+        config.jobs.max(1),
+        || (AlignScratch::new(), SearchScratch::new()),
+        |(scratch, search_scratch), mi| {
+            let i = members[mi];
+            let t_rank = Instant::now();
+            let mut counters = QueryCounters::default();
+            let set = st.search.best_candidates(i, &st.available, &mut counters, search_scratch);
+            let best = set.choose(config.profile.as_ref(), |idx| st.funcs[idx]);
+            let rank_time = t_rank.elapsed();
+            let before = scratch.stats();
+            let (pair, align_time, cache_misses) = match best {
+                Some((j, similarity)) => {
+                    let t_align = Instant::now();
+                    let (plan, misses) = st.parts.plan(m, &st.funcs, i, j, scratch);
+                    (Some((j, similarity, plan)), t_align.elapsed(), misses)
+                }
+                None => (None, Duration::ZERO, 0),
+            };
+            let after = scratch.stats();
+            WaveOutcome {
+                counters,
+                rank_time,
+                pair,
+                align_time,
+                cache_misses,
+                align_cells: after.cells - before.cells,
+                scratch_grows: after.dp_grows - before.dp_grows,
+            }
+        },
+    );
+    spec_span.arg("members", members.len() as u64);
+    spec_span.arg("scratch_grows", outcomes.iter().map(|o| o.scratch_grows).sum());
+    spec_span.finish();
+    outcomes
+}
+
+/// The serial commit walk of one wave, in fixed index order: the only
+/// place that mutates the module, the masks, or the report — identical
+/// for every job count. Each member is classified into a [`Fate`] and
+/// booked through [`MergeReport::account`].
+fn walk(
+    m: &mut Module,
+    st: &mut PassState,
+    members: &[usize],
+    outcomes: Vec<WaveOutcome>,
+    config: &PassConfig,
+    tracer: Option<&Tracer>,
+    report: &mut MergeReport,
+) {
+    // Replay the speculative per-pair durations end-to-end on track 1
+    // (they ran concurrently; see `run_pass_traced` for the layout).
+    let mut lane_cursor = tracer.map(|t| t.now_ns()).unwrap_or(0);
+    let mut walk_span = span_on(tracer, "pass", "commit_walk");
+    walk_span.arg("members", members.len() as u64);
+    for (&i, out) in members.iter().zip(outcomes) {
+        if let Some(t) = tracer {
+            lane_cursor = replay_on_lane(t, lane_cursor, i, &out);
+        }
+        let fate = match &out.pair {
+            None => Fate::NoCandidate,
+            Some(_) if !st.available[i] => Fate::SelfConsumed,
+            Some((j, ..)) if !st.available[*j] => Fate::Deferred,
+            Some((j, similarity, plan)) => {
+                attempt_pair(m, st, (i, *j), *similarity, plan, config, tracer)
+            }
+        };
+        st.processed[i] = !matches!(fate, Fate::Deferred);
+        report.account(&out, fate);
+    }
+    walk_span.finish();
+}
+
+/// Hands the still-intact pair `(i, j)` to [`Committer::attempt`] and, on
+/// a commit, retires both functions from the search structure, the parts
+/// cache and the availability mask. A `commit` span is recorded only when
+/// the pair got past the gate and code was generated.
+fn attempt_pair(
+    m: &mut Module,
+    st: &mut PassState,
+    (i, j): (usize, usize),
+    similarity: f64,
+    plan: &PairPlan,
+    config: &PassConfig,
+    tracer: Option<&Tracer>,
+) -> Fate {
+    let (f1, f2) = (st.funcs[i], st.funcs[j]);
+    let matched = plan.matched_insts() as f64;
+    let total_insts = m.function(f1).num_linked_insts() + m.function(f2).num_linked_insts();
+    let align_ratio = if total_insts == 0 { 0.0 } else { 2.0 * matched / total_insts as f64 };
+    let (verdict, codegen) = st.committer.attempt(m, f1, f2, plan, config.merge);
+    let committed = matches!(verdict, Verdict::Committed { .. });
+    if let (Some(t), Some(spent)) = (tracer, codegen) {
+        let dur_ns = spent.as_nanos() as u64;
+        let args = vec![
+            ("f1", f1.index() as u64),
+            ("f2", f2.index() as u64),
+            ("committed", u64::from(committed)),
+        ];
+        t.complete("commit", "commit", 0, t.now_ns().saturating_sub(dur_ns), dur_ns, args);
+    }
+    if committed {
+        for idx in [i, j] {
+            st.search.invalidate(idx);
+            st.parts.invalidate(idx);
+            st.available[idx] = false;
+        }
+    }
+    let codegen = codegen.unwrap_or_default();
+    Fate::Attempted { f1, f2, similarity, align_ratio, verdict, codegen }
+}
+
+/// Lays one member's rank (and, if it aligned, align) duration on the
+/// replay track starting at `cursor`; returns the advanced cursor.
+fn replay_on_lane(t: &Tracer, mut cursor: u64, member: usize, out: &WaveOutcome) -> u64 {
+    let rank_ns = out.rank_time.as_nanos() as u64;
+    let args = vec![
+        ("member", member as u64),
+        ("examined", out.counters.examined),
+        ("returned", out.counters.returned),
+        ("evicted", out.counters.evicted),
+    ];
+    t.complete("rank", "rank", 1, cursor, rank_ns, args);
+    cursor += rank_ns;
+    if out.pair.is_some() {
+        let align_ns = out.align_time.as_nanos() as u64;
+        let args = vec![("member", member as u64), ("cells", out.align_cells)];
+        t.complete("align", "align", 1, cursor, align_ns, args);
+        cursor += align_ns;
+    }
+    cursor
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block_pairing::plan_blocks;
+    use f3m_ir::printer::print_module;
+
+    /// Replaying the attempt log through [`Committer::attempt`] on a fresh
+    /// copy reproduces every verdict, and the per-verdict tallies are
+    /// exactly what the report counted.
+    #[test]
+    fn verdict_tallies_match_the_report_counters() {
+        for (spec, config) in f3m_workloads::mini_suite().iter().zip([
+            PassConfig::hyfm(),
+            PassConfig::f3m(),
+            PassConfig::f3m_adaptive().with_jobs(4),
+        ]) {
+            let pristine = f3m_workloads::build_module(spec);
+            let mut merged = pristine.clone();
+            let report = run_pass(&mut merged, &config);
+            let s = &report.stats;
+            assert!(s.merges_committed > 0 && s.commits_rejected_size > 0, "{}", spec.name);
+
+            let mut replay = pristine;
+            let mut committer = Committer::build(&replay, 1);
+            let (mut unprofitable, mut committed) = (0, 0);
+            let (mut build, mut verify, mut size) = (0, 0, 0);
+            for a in &report.attempts {
+                let plan = plan_blocks(&replay, a.f1, a.f2);
+                let (verdict, codegen) =
+                    committer.attempt(&mut replay, a.f1, a.f2, &plan, config.merge);
+                assert_eq!(codegen.is_some(), verdict != Verdict::Unprofitable);
+                match verdict {
+                    Verdict::Unprofitable => unprofitable += 1,
+                    Verdict::Rejected(Reject::Build) => build += 1,
+                    Verdict::Rejected(Reject::Verify) => verify += 1,
+                    Verdict::Rejected(Reject::Size) => size += 1,
+                    Verdict::Committed { saved } => {
+                        committed += 1;
+                        assert_eq!((a.committed, a.size_delta), (true, saved));
+                    }
+                }
+                assert_eq!(a.committed, matches!(verdict, Verdict::Committed { .. }));
+            }
+            assert_eq!(print_module(&replay), print_module(&merged), "{}", spec.name);
+            assert_eq!(committed, s.merges_committed);
+            let rejects =
+                (s.commits_rejected_build, s.commits_rejected_verify, s.commits_rejected_size);
+            assert_eq!((build, verify, size), rejects);
+            let rejected = (build + verify + size) as usize;
+            assert_eq!(unprofitable + rejected + committed, s.pairs_attempted);
+            assert_eq!(s.aligns_reused as usize, s.pairs_attempted);
+            assert_eq!(s.aligns_speculative, s.aligns_reused + s.aligns_wasted);
+        }
+    }
+
+    #[test]
+    fn strategy_names_resolve_to_their_configurations() {
+        let strategy = |name| PassConfig::from_strategy_name(name).map(|c| c.strategy);
+        assert!(matches!(strategy("hyfm"), Some(Strategy::Hyfm)));
+        assert!(matches!(strategy("f3m"), Some(Strategy::F3m(_))));
+        assert!(matches!(strategy("f3m-adaptive"), Some(Strategy::F3mAdaptive)));
+        assert!(matches!(strategy("adaptive"), Some(Strategy::F3mAdaptive)));
+        assert!(strategy("F3M").is_none() && strategy("").is_none());
+        assert!(PassConfig::STRATEGY_NAMES.iter().all(|n| strategy(n).is_some()));
+    }
 }

@@ -11,31 +11,10 @@
 //! `--metrics <path>` dumps the flat metrics registry as JSON. Both are
 //! opt-in; the pass runs untraced when neither flag is given.
 //!
-//! ```text
-//! f3m merge <input.ir> [-o <out.ir>] [--strategy hyfm|f3m|adaptive]
-//!           [--threshold <t>] [--bands <b>] [--rows <r>] [-k <k>]
-//!           [--bucket-cap <c>] [--jobs <n>] [--report json]
-//!           [--repair phi|stack|legacy] [--dce]
-//!           [--trace chrome:<path>] [--metrics <path>]
-//! f3m merge --global <a.ir> <b.ir> ... [-o <out.ir>] [--jobs <n>] [-k <k>]
-//!           [--min-profit <bytes>] [--shards <s>] [--report json]
-//!           [--metrics <path>]
-//! f3m stats <input.ir>
-//! f3m run   <input.ir> <function> [int args...]
-//! f3m run   [--workload <name>] [--scale <f>] [--strategy s] [--jobs <n>]
-//!           [--trace chrome:<path>] [--metrics <path>]
-//! f3m gen   <workload> [-o <out.ir>] [--scale <f>]
-//! f3m fuzz  [--iterations <n>] [--seed <s>] [--corpus <dir>]
-//!           [--protocol [--cases <n>]] [--global]
-//!           [--trace chrome:<path>] [--metrics <path>]
-//! f3m serve [--addr <host:port>] [--jobs <n>] [--queue-cap <c>]
-//!           [--shards <s>] [--shed-depth <d>] [--max-inflight <n>]
-//!           [--read-deadline-ms <t>] [--idle-timeout-ms <t>]
-//!           [--trace chrome:<path>] [--metrics <path>]
-//! f3m client [--addr <host:port>]
-//!            <ingest|evict|query|update|merge|global-merge|stats|ping|shutdown> ...
-//! f3m list
-//! ```
+//! Running `f3m` with no arguments prints the usage text ([`USAGE`]), the
+//! one description of every subcommand and flag. Each subcommand declares
+//! its flags to [`split_args`]; anything undeclared is an error, never
+//! silently ignored.
 //!
 //! The daemon pair keeps a corpus resident across invocations: `f3m
 //! serve` holds the sharded LSH index in memory and `f3m client` sends
@@ -45,6 +24,42 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use f3m::prelude::*;
+
+const USAGE: &str = "\
+usage: f3m <merge|stats|run|gen|fuzz|serve|client|snapshot|list> ...
+
+merge <input.ir> [-o out.ir] [--strategy hyfm|f3m|f3m-adaptive]
+       [--backend minhash|simhash|tlsh|embed] [--probes n]
+       [--threshold t] [--bands b] [--rows r] [-k k] [--bucket-cap c]
+       [--jobs n] [--report json] [--repair phi|stack|legacy] [--dce]
+       [--trace chrome:path] [--metrics path]
+merge --global <a.ir> <b.ir> ... [-o out.ir] [--jobs n] [-k k]
+       [--min-profit bytes] [--shards s] [--report json] [--metrics path]
+stats <input.ir>
+run   <input.ir> <function> [int args...]
+run   [--workload name] [--scale f] [--strategy s] [--jobs n]
+       [--trace chrome:path] [--metrics path]
+gen   <workload> [-o out.ir] [--scale f]
+fuzz  [--iterations n] [--seed s] [--corpus dir]
+       [--protocol [--cases n]] [--global]
+       [--trace chrome:path] [--metrics path]
+serve [--addr host:port] [--jobs n] [--queue-cap c] [--shards s]
+       [--backend minhash|simhash|tlsh|embed] [--snapshot path]
+       [--probes n] [--resident-budget bytes]
+       [--shed-depth d] [--max-inflight n] [--max-inflight-per-conn n]
+       [--read-deadline-ms t] [--idle-timeout-ms t]
+       [--trace chrome:path] [--metrics path]
+client [--addr host:port] ingest <file.ir> [--name n]
+client [--addr host:port] evict <module>
+client [--addr host:port] query <module> [--func f] [-k n] [--if-epoch e]
+client [--addr host:port] update <module> <func> [patch.ir]
+client [--addr host:port] merge [--strategy hyfm|f3m|f3m-adaptive] [--jobs n]
+client [--addr host:port] global-merge [--jobs n] [--if-epoch e]
+client [--addr host:port] stats|ping|shutdown
+snapshot [describe] <file>
+list
+
+`--strategy adaptive` is accepted as an alias of `f3m-adaptive`.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,42 +72,9 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("snapshot") => cmd_snapshot(&args[1..]),
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: f3m <merge|stats|run|gen|list> ...\n\
-                 \n\
-                 merge <input.ir> [-o out.ir] [--strategy hyfm|f3m|adaptive]\n\
-                 \x20      [--backend minhash|simhash|tlsh|embed] [--probes n]\n\
-                 \x20      [--threshold t] [--bands b] [--rows r] [-k k] [--bucket-cap c]\n\
-                 \x20      [--jobs n] [--report json] [--repair phi|stack|legacy] [--dce]\n\
-                 \x20      [--trace chrome:path] [--metrics path]\n\
-                 merge --global <a.ir> <b.ir> ... [-o out.ir] [--jobs n] [-k k]\n\
-                 \x20      [--min-profit bytes] [--shards s] [--report json] [--metrics path]\n\
-                 stats <input.ir>\n\
-                 run   <input.ir> <function> [int args...]\n\
-                 run   [--workload name] [--scale f] [--strategy s] [--jobs n]\n\
-                 \x20      [--trace chrome:path] [--metrics path]\n\
-                 gen   <workload> [-o out.ir] [--scale f]\n\
-                 fuzz  [--iterations n] [--seed s] [--corpus dir]\n\
-                 \x20      [--protocol [--cases n]] [--global]\n\
-                 \x20      [--trace chrome:path] [--metrics path]\n\
-                 serve [--addr host:port] [--jobs n] [--queue-cap c] [--shards s]\n\
-                 \x20      [--backend minhash|simhash|tlsh|embed] [--snapshot path]\n\
-                 \x20      [--probes n] [--resident-budget bytes]\n\
-                 \x20      [--shed-depth d] [--max-inflight n] [--max-inflight-per-conn n]\n\
-                 \x20      [--read-deadline-ms t] [--idle-timeout-ms t]\n\
-                 \x20      [--trace chrome:path] [--metrics path]\n\
-                 client [--addr host:port] ingest <file.ir> [--name n]\n\
-                 client [--addr host:port] evict <module>\n\
-                 client [--addr host:port] query <module> [--func f] [-k n] [--if-epoch e]\n\
-                 client [--addr host:port] update <module> <func> [patch.ir]\n\
-                 client [--addr host:port] merge [--strategy hyfm|f3m|f3m-adaptive] [--jobs n]\n\
-                 client [--addr host:port] global-merge [--jobs n] [--if-epoch e]\n\
-                 client [--addr host:port] stats|ping|shutdown\n\
-                 snapshot [describe] <file>\n\
-                 list"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -112,8 +94,56 @@ fn load(path: &str) -> Result<Module, Box<dyn std::error::Error>> {
     Ok(f3m::ir::parser::parse_module(&text)?)
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// One subcommand's command line, split by [`split_args`].
+struct Args<'a> {
+    /// Everything that is not a flag or a flag's value, in order.
+    positional: Vec<&'a str>,
+    /// `(flag, value)` for every flag given; a switch's value is `""`.
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// The value of the first occurrence of `flag`, if it was given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(name, _)| *name == flag).map(|&(_, value)| value)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The value of `flag` parsed as `T`, if it was given.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, T::Err> {
+        self.value(flag).map(str::parse).transpose()
+    }
+}
+
+/// Splits `args` into positionals and the flags the subcommand declares:
+/// each of `value_flags` consumes the next argument, each of `switches`
+/// stands alone, and flags may come before, between or after positionals.
+/// A flag the subcommand did not declare, or a value flag in last
+/// position, is an error naming the flag. Anything starting with `-` is a
+/// flag unless it is a number (`run m.ir f -9`).
+fn split_args<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<Args<'a>, String> {
+    let mut split = Args { positional: Vec::new(), flags: Vec::new() };
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        if value_flags.contains(&a) {
+            let value = rest.next().ok_or_else(|| format!("flag `{a}` needs a value"))?;
+            split.flags.push((a, value));
+        } else if switches.contains(&a) {
+            split.flags.push((a, ""));
+        } else if a.len() > 1 && a.starts_with('-') && a.parse::<f64>().is_err() {
+            return Err(format!("unknown flag `{a}` (run `f3m` for usage)"));
+        } else {
+            split.positional.push(a);
+        }
+    }
+    Ok(split)
 }
 
 /// Observability artifacts requested on the command line.
@@ -128,8 +158,8 @@ struct Observability {
 }
 
 impl Observability {
-    fn parse(args: &[String]) -> Result<Observability, Box<dyn std::error::Error>> {
-        let trace_path = match flag_value(args, "--trace") {
+    fn parse(a: &Args) -> Result<Observability, Box<dyn std::error::Error>> {
+        let trace_path = match a.value("--trace") {
             None => None,
             Some(spec) => match spec.split_once(':') {
                 Some(("chrome", path)) if !path.is_empty() => Some(PathBuf::from(path)),
@@ -142,7 +172,7 @@ impl Observability {
                 }
             },
         };
-        let metrics_path = flag_value(args, "--metrics").map(PathBuf::from);
+        let metrics_path = a.value("--metrics").map(PathBuf::from);
         Ok(Observability { trace_path, metrics_path })
     }
 
@@ -165,21 +195,43 @@ impl Observability {
     }
 }
 
+/// The pass configuration `--strategy` names (default `f3m`).
+fn strategy_config(a: &Args) -> Result<PassConfig, String> {
+    let name = a.value("--strategy").unwrap_or("f3m");
+    PassConfig::from_strategy_name(name).ok_or_else(|| format!("unknown strategy `{name}`"))
+}
+
+/// Whether `--report json` was asked for (it needs `-o`: the report takes
+/// stdout).
+fn wants_json_report(a: &Args) -> Result<bool, String> {
+    match a.value("--report") {
+        None => Ok(false),
+        Some("json") if a.has("-o") => Ok(true),
+        Some("json") => {
+            Err("--report json requires -o (the JSON report goes to stdout)".to_string())
+        }
+        Some(other) => Err(format!("unknown report format `{other}`")),
+    }
+}
+
 fn cmd_merge(args: &[String]) -> CliResult {
     if args.iter().any(|a| a == "--global") {
         return cmd_merge_global(args);
     }
-    let input = args.first().ok_or("merge needs an input file")?;
+    let a = split_args(
+        args,
+        &[
+            "-o", "--strategy", "--threshold", "--backend", "--probes", "--bands", "--rows", "-k",
+            "--bucket-cap", "--jobs", "--report", "--repair", "--trace", "--metrics",
+        ],
+        &["--dce"],
+    )?;
+    let input = a.positional.first().ok_or("merge needs an input file")?;
     let mut m = load(input)?;
     let before = f3m::ir::size::module_size(&m);
 
-    let mut config = match flag_value(args, "--strategy") {
-        None | Some("f3m") => PassConfig::f3m(),
-        Some("hyfm") => PassConfig::hyfm(),
-        Some("adaptive") => PassConfig::f3m_adaptive(),
-        Some(other) => return Err(format!("unknown strategy `{other}`").into()),
-    };
-    if let Some(t) = flag_value(args, "--threshold") {
+    let mut config = strategy_config(&a)?;
+    if let Some(t) = a.value("--threshold") {
         let t: f64 = t.parse()?;
         if let Strategy::F3m(params) = &mut config.strategy {
             params.threshold = t;
@@ -187,7 +239,7 @@ fn cmd_merge(args: &[String]) -> CliResult {
             return Err("--threshold only applies to --strategy f3m".into());
         }
     }
-    if let Some(name) = flag_value(args, "--backend") {
+    if let Some(name) = a.value("--backend") {
         let backend = BackendKind::parse(name)
             .ok_or_else(|| format!("unknown backend `{name}` (minhash, simhash, tlsh, embed)"))?;
         if let Strategy::F3m(params) = &mut config.strategy {
@@ -198,7 +250,7 @@ fn cmd_merge(args: &[String]) -> CliResult {
                 .into());
         }
     }
-    if let Some(n) = flag_value(args, "--probes") {
+    if let Some(n) = a.value("--probes") {
         let probes: usize = n.parse()?;
         if let Strategy::F3m(params) = &mut config.strategy {
             params.probes = probes;
@@ -207,18 +259,16 @@ fn cmd_merge(args: &[String]) -> CliResult {
         }
     }
     let lsh_knobs = ["--bands", "--rows", "--bucket-cap", "-k"];
-    if lsh_knobs.iter().any(|f| flag_value(args, f).is_some()) {
+    if lsh_knobs.iter().any(|f| a.has(f)) {
         let Strategy::F3m(params) = &mut config.strategy else {
             return Err("--bands/--rows/--bucket-cap/-k only apply to --strategy f3m".into());
         };
-        let rows: usize =
-            flag_value(args, "--rows").map(str::parse).transpose()?.unwrap_or(params.lsh.rows);
-        let bands: usize =
-            flag_value(args, "--bands").map(str::parse).transpose()?.unwrap_or(params.lsh.bands);
+        let rows: usize = a.parsed("--rows")?.unwrap_or(params.lsh.rows);
+        let bands: usize = a.parsed("--bands")?.unwrap_or(params.lsh.bands);
         if rows == 0 || bands == 0 {
             return Err("--rows and --bands must be positive".into());
         }
-        let k: usize = match flag_value(args, "-k") {
+        let k: usize = match a.value("-k") {
             Some(k) => k.parse()?,
             None => rows * bands,
         };
@@ -229,28 +279,16 @@ fn cmd_merge(args: &[String]) -> CliResult {
             )
             .into());
         }
-        let bucket_cap: usize = flag_value(args, "--bucket-cap")
-            .map(str::parse)
-            .transpose()?
-            .unwrap_or(params.lsh.bucket_cap);
+        let bucket_cap: usize = a.parsed("--bucket-cap")?.unwrap_or(params.lsh.bucket_cap);
         params.k = k;
         params.lsh = f3m::fingerprint::lsh::LshParams { rows, bands, bucket_cap };
     }
-    if let Some(jobs) = flag_value(args, "--jobs") {
+    if let Some(jobs) = a.value("--jobs") {
         config.jobs = jobs.parse()?;
     }
-    let json_report = match flag_value(args, "--report") {
-        None => false,
-        Some("json") => {
-            if flag_value(args, "-o").is_none() {
-                return Err("--report json requires -o (the JSON report goes to stdout)".into());
-            }
-            true
-        }
-        Some(other) => return Err(format!("unknown report format `{other}`").into()),
-    };
+    let json_report = wants_json_report(&a)?;
     config.merge = MergeConfig {
-        repair: match flag_value(args, "--repair") {
+        repair: match a.value("--repair") {
             None | Some("phi") => RepairMode::Phi,
             Some("stack") => RepairMode::Stack,
             Some("legacy") => RepairMode::LegacyBuggy,
@@ -258,12 +296,12 @@ fn cmd_merge(args: &[String]) -> CliResult {
         },
     };
 
-    let obs = Observability::parse(args)?;
+    let obs = Observability::parse(&a)?;
     let tracer = obs.tracer();
     let t0 = std::time::Instant::now();
     let report = run_pass_traced(&mut m, &config, tracer.as_ref());
     let elapsed = t0.elapsed();
-    if args.iter().any(|a| a == "--dce") {
+    if a.has("--dce") {
         let (insts, blocks) = f3m::core::dce::dce_module(&mut m);
         eprintln!("dce: removed {insts} instructions, {blocks} unreachable blocks");
     }
@@ -280,7 +318,9 @@ fn cmd_merge(args: &[String]) -> CliResult {
         report.stats.waves,
         before,
         after,
-        report.stats.size_reduction() * 100.0
+        // From the two sizes printed: `--dce` shrinks the module further
+        // than the pass's own before/after ratio knows.
+        if before == 0 { 0.0 } else { (1.0 - after as f64 / before as f64) * 100.0 }
     );
     if json_report {
         println!("{}", report.to_json());
@@ -289,7 +329,7 @@ fn cmd_merge(args: &[String]) -> CliResult {
     report.export_metrics(&mut registry, "pass");
     obs.write(tracer.as_ref(), &registry)?;
     let text = f3m::ir::printer::print_module(&m);
-    match flag_value(args, "-o") {
+    match a.value("-o") {
         Some(path) => std::fs::write(path, text)?,
         None => print!("{text}"),
     }
@@ -300,56 +340,37 @@ fn cmd_merge(args: &[String]) -> CliResult {
 /// corpus and run the two-phase cross-module planner — optimistic merges
 /// from the corpus-global index, then global verification with rollback.
 fn cmd_merge_global(args: &[String]) -> CliResult {
-    let value_flags = ["-o", "--jobs", "-k", "--min-profit", "--shards", "--report", "--metrics"];
-    let mut inputs = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--global" {
-            i += 1;
-        } else if value_flags.contains(&a) {
-            i += 2;
-        } else if a.starts_with('-') {
-            return Err(format!("unknown flag `{a}` for merge --global").into());
-        } else {
-            inputs.push(a);
-            i += 1;
-        }
-    }
+    let a = split_args(
+        args,
+        &["-o", "--jobs", "-k", "--min-profit", "--shards", "--report", "--metrics"],
+        &["--global"],
+    )?;
+    let inputs = &a.positional;
     if inputs.is_empty() {
         return Err("merge --global needs at least one input file".into());
     }
-    let jobs: usize = flag_value(args, "--jobs").map(str::parse).transpose()?.unwrap_or(1);
-    let shards: usize = flag_value(args, "--shards").map(str::parse).transpose()?.unwrap_or(4);
+    let jobs: usize = a.parsed("--jobs")?.unwrap_or(1);
+    let shards: usize = a.parsed("--shards")?.unwrap_or(4);
     if jobs == 0 || shards == 0 {
         return Err("--jobs and --shards must be positive".into());
     }
-    let json_report = match flag_value(args, "--report") {
-        None => false,
-        Some("json") => {
-            if flag_value(args, "-o").is_none() {
-                return Err("--report json requires -o (the JSON report goes to stdout)".into());
-            }
-            true
-        }
-        Some(other) => return Err(format!("unknown report format `{other}`").into()),
-    };
+    let json_report = wants_json_report(&a)?;
 
     let corpus = f3m::core::Corpus::new(f3m::core::CorpusConfig {
         shards,
         jobs,
         ..Default::default()
     });
-    for path in &inputs {
+    for path in inputs {
         let m = load(path)?;
         corpus.ingest(m).map_err(|e| format!("{path}: {e}"))?;
     }
 
     let mut cfg = f3m::core::GlobalPlanConfig::default().with_jobs(jobs);
-    if let Some(k) = flag_value(args, "-k") {
+    if let Some(k) = a.value("-k") {
         cfg.k = k.parse()?;
     }
-    if let Some(p) = flag_value(args, "--min-profit") {
+    if let Some(p) = a.value("--min-profit") {
         cfg.min_profit = p.parse()?;
     }
     let t0 = std::time::Instant::now();
@@ -379,14 +400,14 @@ fn cmd_merge_global(args: &[String]) -> CliResult {
     if json_report {
         println!("{}", report.to_json());
     }
-    if let Some(path) = flag_value(args, "--metrics") {
+    if let Some(path) = a.value("--metrics") {
         let mut registry = MetricsRegistry::new();
         report.export_metrics(&mut registry, "global");
         f3m::trace::write_with_dirs(std::path::Path::new(path), &registry.to_json())?;
         eprintln!("metrics: wrote {} metrics to {path}", registry.len());
     }
     let text = f3m::ir::printer::print_module(&merged);
-    match flag_value(args, "-o") {
+    match a.value("-o") {
         Some(path) => std::fs::write(path, text)?,
         None => print!("{text}"),
     }
@@ -394,7 +415,8 @@ fn cmd_merge_global(args: &[String]) -> CliResult {
 }
 
 fn cmd_stats(args: &[String]) -> CliResult {
-    let input = args.first().ok_or("stats needs an input file")?;
+    let a = split_args(args, &[], &[])?;
+    let input = a.positional.first().ok_or("stats needs an input file")?;
     let m = load(input)?;
     let defs = m.defined_functions();
     println!("module \"{}\"", m.name);
@@ -419,32 +441,32 @@ fn cmd_run(args: &[String]) -> CliResult {
     // interprets a function, while `run` with no positional arguments runs
     // the merge pipeline on a built-in workload — the quickest way to get
     // a Chrome-loadable trace (`f3m run --trace chrome:out.json`).
-    match args.first().map(String::as_str) {
-        Some(a) if !a.starts_with("--") => cmd_run_interp(args),
-        _ => cmd_run_demo(args),
+    let demo_flags = ["--workload", "--scale", "--strategy", "--jobs", "--trace", "--metrics"];
+    let a = split_args(args, &demo_flags, &[])?;
+    if a.positional.is_empty() {
+        return cmd_run_demo(&a);
     }
+    if let Some((flag, _)) = a.flags.first() {
+        return Err(format!("flag `{flag}` does not apply to `run <input.ir> <function>`").into());
+    }
+    cmd_run_interp(&a)
 }
 
-fn cmd_run_demo(args: &[String]) -> CliResult {
-    let name = flag_value(args, "--workload").unwrap_or("429.mcf");
+fn cmd_run_demo(a: &Args) -> CliResult {
+    let name = a.value("--workload").unwrap_or("429.mcf");
     let spec = table1()
         .into_iter()
         .find(|s| s.name == name)
         .ok_or_else(|| format!("unknown workload `{name}` (try `f3m list`)"))?;
-    let scale: f64 = flag_value(args, "--scale").map(str::parse).transpose()?.unwrap_or(0.5);
+    let scale: f64 = a.parsed("--scale")?.unwrap_or(0.5);
     let mut m = build_module(&spec.scaled(scale));
 
-    let mut config = match flag_value(args, "--strategy") {
-        None | Some("f3m") => PassConfig::f3m(),
-        Some("hyfm") => PassConfig::hyfm(),
-        Some("adaptive") => PassConfig::f3m_adaptive(),
-        Some(other) => return Err(format!("unknown strategy `{other}`").into()),
-    };
-    if let Some(jobs) = flag_value(args, "--jobs") {
+    let mut config = strategy_config(a)?;
+    if let Some(jobs) = a.value("--jobs") {
         config.jobs = jobs.parse()?;
     }
 
-    let obs = Observability::parse(args)?;
+    let obs = Observability::parse(a)?;
     let tracer = obs.tracer();
     let t0 = std::time::Instant::now();
     let report = run_pass_traced(&mut m, &config, tracer.as_ref());
@@ -469,11 +491,11 @@ fn cmd_run_demo(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_run_interp(args: &[String]) -> CliResult {
-    let input = args.first().ok_or("run needs an input file")?;
-    let func = args.get(1).ok_or("run needs a function name")?;
+fn cmd_run_interp(a: &Args) -> CliResult {
+    let input = a.positional.first().ok_or("run needs an input file")?;
+    let func = a.positional.get(1).ok_or("run needs a function name")?;
     let m = load(input)?;
-    let vals: Vec<Val> = args[2..]
+    let vals: Vec<Val> = a.positional[2..]
         .iter()
         .map(|a| a.parse::<i64>().map(Val::Int))
         .collect::<Result<_, _>>()?;
@@ -487,12 +509,13 @@ fn cmd_run_interp(args: &[String]) -> CliResult {
 }
 
 fn cmd_gen(args: &[String]) -> CliResult {
-    let name = args.first().ok_or("gen needs a workload name (try `f3m list`)")?;
+    let a = split_args(args, &["-o", "--scale"], &[])?;
+    let name = a.positional.first().ok_or("gen needs a workload name (try `f3m list`)")?;
     let spec = table1()
         .into_iter()
-        .find(|s| s.name == name)
+        .find(|s| s.name == *name)
         .ok_or_else(|| format!("unknown workload `{name}` (try `f3m list`)"))?;
-    let scale: f64 = flag_value(args, "--scale").map(str::parse).transpose()?.unwrap_or(1.0);
+    let scale: f64 = a.parsed("--scale")?.unwrap_or(1.0);
     let m = build_module(&spec.scaled(scale));
     eprintln!(
         "generated {} with {} functions, {} instructions",
@@ -501,7 +524,7 @@ fn cmd_gen(args: &[String]) -> CliResult {
         m.total_insts()
     );
     let text = f3m::ir::printer::print_module(&m);
-    match flag_value(args, "-o") {
+    match a.value("-o") {
         Some(path) => std::fs::write(path, text)?,
         None => print!("{text}"),
     }
@@ -509,27 +532,31 @@ fn cmd_gen(args: &[String]) -> CliResult {
 }
 
 fn cmd_fuzz(args: &[String]) -> CliResult {
-    let iterations: usize =
-        flag_value(args, "--iterations").map(str::parse).transpose()?.unwrap_or(500);
-    let seed: u64 = match flag_value(args, "--seed") {
+    let a = split_args(
+        args,
+        &["--iterations", "--seed", "--corpus", "--cases", "--trace", "--metrics"],
+        &["--protocol", "--global"],
+    )?;
+    let iterations: usize = a.parsed("--iterations")?.unwrap_or(500);
+    let seed: u64 = match a.value("--seed") {
         Some(s) => match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
             Some(hex) => u64::from_str_radix(hex, 16)?,
             None => s.parse()?,
         },
         None => 0xF3F3,
     };
-    let corpus_dir = flag_value(args, "--corpus").map(std::path::PathBuf::from);
-    if args.iter().any(|a| a == "--global") {
+    let corpus_dir = a.value("--corpus").map(std::path::PathBuf::from);
+    if a.has("--global") {
         // Global mode fuzzes the two-phase cross-module planner: several
         // mutated modules per iteration, jobs byte-identity, and a
         // cross-module driver differential.
         let mut cfg = f3m::fuzz::GlobalCampaignConfig { seed, corpus_dir, ..Default::default() };
         // The shared 500-iteration default is sized for the single-module
         // campaign; only override the global default when asked.
-        if flag_value(args, "--iterations").is_some() {
+        if a.has("--iterations") {
             cfg.iterations = iterations;
         }
-        let obs = Observability::parse(args)?;
+        let obs = Observability::parse(&a)?;
         let summary = f3m::fuzz::run_global_campaign(&cfg);
         println!("{}", summary.to_json());
         let mut registry = MetricsRegistry::new();
@@ -541,13 +568,10 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
             Err(format!("{} global oracle failure(s) found", summary.failures.len()).into())
         };
     }
-    if args.iter().any(|a| a == "--protocol") {
+    if a.has("--protocol") {
         // Protocol mode fuzzes a live in-process daemon over TCP instead
         // of the merge pipeline; --iterations/--cases count scenarios.
-        let cases = flag_value(args, "--cases")
-            .map(str::parse)
-            .transpose()?
-            .unwrap_or(iterations);
+        let cases = a.parsed("--cases")?.unwrap_or(iterations);
         let cfg = f3m::fuzz::protocol::ProtocolCampaignConfig {
             cases,
             seed,
@@ -568,7 +592,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         corpus_dir,
         ..Default::default()
     };
-    let obs = Observability::parse(args)?;
+    let obs = Observability::parse(&a)?;
     let tracer = obs.tracer();
     let summary = f3m::fuzz::run_campaign_traced(&cfg, tracer.as_ref());
     println!("{}", summary.to_json());
@@ -586,40 +610,49 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7333";
 
 fn cmd_serve(args: &[String]) -> CliResult {
-    let obs = Observability::parse(args)?;
-    let backend = match flag_value(args, "--backend") {
+    let a = split_args(
+        args,
+        &[
+            "--addr", "--jobs", "--queue-cap", "--shards", "--backend", "--snapshot", "--probes",
+            "--resident-budget", "--shed-depth", "--max-inflight", "--max-inflight-per-conn",
+            "--read-deadline-ms", "--idle-timeout-ms", "--trace", "--metrics",
+        ],
+        &[],
+    )?;
+    let obs = Observability::parse(&a)?;
+    let backend = match a.value("--backend") {
         None => BackendKind::MinHash,
         Some(name) => BackendKind::parse(name)
             .ok_or_else(|| format!("unknown backend `{name}` (minhash, simhash, tlsh, embed)"))?,
     };
     let mut admission = f3m::serve::AdmissionConfig::default();
-    if let Some(v) = flag_value(args, "--shed-depth") {
+    if let Some(v) = a.value("--shed-depth") {
         admission.queue_shed_depth = v.parse()?;
     }
-    if let Some(v) = flag_value(args, "--max-inflight") {
+    if let Some(v) = a.value("--max-inflight") {
         admission.max_inflight_global = v.parse()?;
     }
-    if let Some(v) = flag_value(args, "--max-inflight-per-conn") {
+    if let Some(v) = a.value("--max-inflight-per-conn") {
         admission.max_inflight_per_conn = v.parse()?;
     }
     let mut cfg = f3m::serve::ServeConfig {
-        addr: flag_value(args, "--addr").unwrap_or(DEFAULT_SERVE_ADDR).to_string(),
-        jobs: flag_value(args, "--jobs").map(str::parse).transpose()?.unwrap_or(2),
-        queue_cap: flag_value(args, "--queue-cap").map(str::parse).transpose()?.unwrap_or(64),
-        shards: flag_value(args, "--shards").map(str::parse).transpose()?.unwrap_or(8),
+        addr: a.value("--addr").unwrap_or(DEFAULT_SERVE_ADDR).to_string(),
+        jobs: a.parsed("--jobs")?.unwrap_or(2),
+        queue_cap: a.parsed("--queue-cap")?.unwrap_or(64),
+        shards: a.parsed("--shards")?.unwrap_or(8),
         backend,
-        probes: flag_value(args, "--probes").map(str::parse).transpose()?.unwrap_or(0),
-        resident_budget: flag_value(args, "--resident-budget").map(str::parse).transpose()?,
+        probes: a.parsed("--probes")?.unwrap_or(0),
+        resident_budget: a.parsed("--resident-budget")?,
         admission,
-        snapshot_path: flag_value(args, "--snapshot").map(PathBuf::from),
+        snapshot_path: a.value("--snapshot").map(PathBuf::from),
         metrics_path: obs.metrics_path,
         trace_path: obs.trace_path,
         ..Default::default()
     };
-    if let Some(v) = flag_value(args, "--read-deadline-ms") {
+    if let Some(v) = a.value("--read-deadline-ms") {
         cfg.read_deadline_ms = v.parse()?;
     }
-    if let Some(v) = flag_value(args, "--idle-timeout-ms") {
+    if let Some(v) = a.value("--idle-timeout-ms") {
         cfg.idle_timeout_ms = v.parse()?;
     }
     if cfg.jobs == 0 || cfg.queue_cap == 0 || cfg.shards == 0 {
@@ -632,25 +665,20 @@ fn cmd_serve(args: &[String]) -> CliResult {
 
 fn cmd_client(args: &[String]) -> CliResult {
     use f3m::serve::Request;
-    let addr = flag_value(args, "--addr").unwrap_or(DEFAULT_SERVE_ADDR);
-    // First non-flag argument is the verb; flags may precede it.
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a.starts_with("--") || a == "-k" {
-            i += 2; // every client flag takes a value
-        } else {
-            positional.push(a.as_str());
-            i += 1;
-        }
-    }
+    // First positional is the verb; flags may precede it.
+    let a = split_args(
+        args,
+        &["--addr", "--name", "--func", "-k", "--if-epoch", "--strategy", "--jobs"],
+        &[],
+    )?;
+    let addr = a.value("--addr").unwrap_or(DEFAULT_SERVE_ADDR);
+    let positional = &a.positional;
     let verb = *positional.first().ok_or("client needs a request type (try `f3m` for usage)")?;
     let body = match verb {
         "ingest" => {
             let path = positional.get(1).ok_or("ingest needs an IR file")?;
             Request::Ingest {
-                name: flag_value(args, "--name").map(str::to_string),
+                name: a.value("--name").map(str::to_string),
                 ir: std::fs::read_to_string(path)?,
             }
         }
@@ -659,12 +687,9 @@ fn cmd_client(args: &[String]) -> CliResult {
         },
         "query" => Request::Query {
             module: positional.get(1).ok_or("query needs a module name")?.to_string(),
-            func: flag_value(args, "--func").map(str::to_string),
-            k: flag_value(args, "-k")
-                .map(str::parse)
-                .transpose()?
-                .unwrap_or(f3m::serve::protocol::DEFAULT_QUERY_K),
-            if_epoch: flag_value(args, "--if-epoch").map(str::parse).transpose()?,
+            func: a.value("--func").map(str::to_string),
+            k: a.parsed("-k")?.unwrap_or(f3m::serve::protocol::DEFAULT_QUERY_K),
+            if_epoch: a.parsed("--if-epoch")?,
         },
         "update" => Request::Update {
             module: positional.get(1).ok_or("update needs a module name")?.to_string(),
@@ -673,12 +698,12 @@ fn cmd_client(args: &[String]) -> CliResult {
             ir: positional.get(3).map(std::fs::read_to_string).transpose()?,
         },
         "merge" => Request::Merge {
-            strategy: flag_value(args, "--strategy").unwrap_or("f3m").to_string(),
-            jobs: flag_value(args, "--jobs").map(str::parse).transpose()?,
+            strategy: a.value("--strategy").unwrap_or("f3m").to_string(),
+            jobs: a.parsed("--jobs")?,
         },
         "global-merge" => Request::GlobalMerge {
-            jobs: flag_value(args, "--jobs").map(str::parse).transpose()?,
-            if_epoch: flag_value(args, "--if-epoch").map(str::parse).transpose()?,
+            jobs: a.parsed("--jobs")?,
+            if_epoch: a.parsed("--if-epoch")?,
         },
         "stats" => Request::Stats,
         "ping" => Request::Ping,
@@ -710,9 +735,10 @@ fn cmd_client(args: &[String]) -> CliResult {
 fn cmd_snapshot(args: &[String]) -> CliResult {
     // `describe` is an optional verb; with or without it the snapshot is
     // fully validated (including the pool checksum).
-    let rest = match args.first().map(String::as_str) {
-        Some("describe") => &args[1..],
-        _ => args,
+    let a = split_args(args, &[], &[])?;
+    let rest = match a.positional.first() {
+        Some(&"describe") => &a.positional[1..],
+        _ => &a.positional[..],
     };
     let path = rest.first().ok_or("snapshot needs a file to verify")?;
     let p = std::path::Path::new(path);
@@ -775,7 +801,8 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_list() -> CliResult {
+fn cmd_list(args: &[String]) -> CliResult {
+    split_args(args, &[], &[])?;
     println!("{:<18} {:>10} {:>8}", "workload", "functions", "class");
     for s in table1() {
         println!("{:<18} {:>10} {:>8?}", s.name, s.functions, s.class);

@@ -195,3 +195,99 @@ bb0:
     assert!(String::from_utf8_lossy(&out.stderr).contains("division by zero"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A scratch directory holding a generated `in.ir`, removed by the caller.
+fn scratch_with_input(
+    tag: &str,
+    workload: &str,
+    scale: &str,
+) -> (std::path::PathBuf, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("f3m-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.ir");
+    run_ok(f3m().args(["gen", workload, "--scale", scale, "-o"]).arg(&input));
+    (dir, input)
+}
+
+/// Runs a command that must fail and returns its stderr.
+fn run_err(cmd: &mut Command) -> String {
+    let out = cmd.output().expect("binary runs");
+    assert!(!out.status.success(), "command unexpectedly succeeded: {cmd:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// `merge --dce` shrinks the module after the pass; the percentage in the
+/// summary must be the one the two printed sizes give, not the pass's
+/// pre-DCE ratio.
+#[test]
+fn merge_dce_percentage_matches_the_printed_sizes() {
+    let (dir, input) = scratch_with_input("dce", "429.mcf", "0.5");
+    for dce in [false, true] {
+        let mut cmd = f3m();
+        cmd.arg("merge").arg(&input).arg("-o").arg(dir.join("out.ir"));
+        if dce {
+            cmd.arg("--dce");
+        }
+        let (_, stderr) = run_ok(&mut cmd);
+        let summary = stderr.lines().find(|l| l.contains("reduction")).expect("summary line");
+        let after_size = summary.split("size ").nth(1).unwrap();
+        let mut nums = after_size
+            .split(|c: char| !c.is_ascii_digit() && c != '.')
+            .filter(|t| !t.is_empty())
+            .map(|t| t.parse::<f64>().unwrap());
+        let (before, after, pct) =
+            (nums.next().unwrap(), nums.next().unwrap(), nums.next().unwrap());
+        let expected = (1.0 - after / before) * 100.0;
+        assert!((pct - expected).abs() < 0.006, "dce={dce}: {summary} (expected {expected:.2}%)");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Misspelt flags and value flags without a value are errors naming the
+/// flag — never a silent run on defaults.
+#[test]
+fn undeclared_flags_and_missing_values_are_rejected() {
+    let (dir, input) = scratch_with_input("flags", "429.mcf", "0.3");
+    let stderr = run_err(f3m().arg("merge").arg(&input).args(["--treshold", "0.9"]));
+    assert!(stderr.contains("unknown flag `--treshold`"), "{stderr}");
+    let stderr = run_err(f3m().args(["serve", "--sharsd", "4"]));
+    assert!(stderr.contains("unknown flag `--sharsd`"), "{stderr}");
+    let stderr = run_err(f3m().arg("merge").arg(&input).arg("--jobs"));
+    assert!(stderr.contains("`--jobs` needs a value"), "{stderr}");
+    // `run <input.ir> <function>` takes no flags; negative integers are
+    // arguments, not flags.
+    let stderr = run_err(f3m().arg("run").arg(&input).args(["__driver", "42", "--jobs", "2"]));
+    assert!(stderr.contains("`--jobs` does not apply"), "{stderr}");
+    run_ok(f3m().arg("run").arg(&input).args(["__driver", "-9"]));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Flags may come before the input file.
+#[test]
+fn flags_may_precede_positionals() {
+    let (dir, input) = scratch_with_input("order", "429.mcf", "0.3");
+    let (first, last) = (dir.join("first.ir"), dir.join("last.ir"));
+    run_ok(f3m().args(["merge", "--jobs", "2", "-o"]).arg(&first).arg(&input));
+    run_ok(f3m().arg("merge").arg(&input).args(["--jobs", "2", "-o"]).arg(&last));
+    assert_eq!(std::fs::read(&first).unwrap(), std::fs::read(&last).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `f3m-adaptive` is the canonical name and `adaptive` its alias: both
+/// verbs that take `--strategy` accept either, with identical results.
+#[test]
+fn strategy_aliases_produce_identical_output() {
+    let (dir, input) = scratch_with_input("alias", "433.milc", "0.3");
+    let mut merged = Vec::new();
+    for name in ["f3m-adaptive", "adaptive"] {
+        let out = dir.join(format!("{name}.ir"));
+        let (_, stderr) =
+            run_ok(f3m().arg("merge").arg(&input).arg("-o").arg(&out).args(["--strategy", name]));
+        // Everything after the wall-clock reading is deterministic.
+        let counts = stderr.split("ms").nth(1).unwrap().to_string();
+        merged.push((std::fs::read(&out).unwrap(), counts));
+        run_ok(f3m().args(["run", "--scale", "0.2", "--strategy", name]));
+    }
+    assert_eq!(merged[0], merged[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -24,7 +24,8 @@ use f3m_ir::parser::check_print_fixpoint;
 use f3m_ir::printer::print_module;
 use f3m_ir::verify::verify_module;
 
-/// Candidate-selection strategies the oracle exercises.
+/// Candidate-selection strategies the oracle exercises, declared in
+/// [`PassConfig::STRATEGY_NAMES`] order (the discriminant indexes it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StrategyKind {
     /// HyFM opcode-frequency baseline.
@@ -40,28 +41,15 @@ impl StrategyKind {
     pub const ALL: [StrategyKind; 3] =
         [StrategyKind::Hyfm, StrategyKind::F3m, StrategyKind::Adaptive];
 
-    /// Stable name used in failure records and corpus metadata.
+    /// Stable name used in failure records and corpus metadata: the
+    /// pass's canonical strategy name.
     pub fn name(self) -> &'static str {
-        match self {
-            StrategyKind::Hyfm => "hyfm",
-            StrategyKind::F3m => "f3m",
-            StrategyKind::Adaptive => "f3m-adaptive",
-        }
-    }
-
-    /// Parses a strategy name back (inverse of [`StrategyKind::name`]).
-    pub fn from_name(s: &str) -> Option<StrategyKind> {
-        StrategyKind::ALL.into_iter().find(|k| k.name() == s)
+        PassConfig::STRATEGY_NAMES[self as usize]
     }
 
     /// The pass configuration for this strategy at a worker count.
     pub fn config(self, jobs: usize) -> PassConfig {
-        let base = match self {
-            StrategyKind::Hyfm => PassConfig::hyfm(),
-            StrategyKind::F3m => PassConfig::f3m(),
-            StrategyKind::Adaptive => PassConfig::f3m_adaptive(),
-        };
-        base.with_jobs(jobs)
+        PassConfig::from_strategy_name(self.name()).expect("canonical name").with_jobs(jobs)
     }
 }
 

@@ -1045,13 +1045,8 @@ fn handle(shared: &Shared, req: &Request) -> Response {
             }
         }
         Request::Merge { strategy, jobs } => {
-            let mut cfg = match strategy.as_str() {
-                "f3m" => PassConfig::f3m(),
-                "hyfm" => PassConfig::hyfm(),
-                "f3m-adaptive" => PassConfig::f3m_adaptive(),
-                other => {
-                    return Response::Error { message: format!("unknown strategy `{other}`") }
-                }
+            let Some(mut cfg) = PassConfig::from_strategy_name(strategy) else {
+                return Response::Error { message: format!("unknown strategy `{strategy}`") };
             };
             if let Some(j) = jobs {
                 cfg = cfg.with_jobs(*j);

@@ -142,6 +142,16 @@ fn ingest_query_evict_merge_over_a_real_socket() {
         .and_then(Json::as_u64)
         .unwrap();
     assert!(committed > 0, "twin modules must merge");
+    // One strategy vocabulary: the canonical `f3m-adaptive` and its CLI
+    // alias `adaptive` are the same request, and an unknown name is
+    // refused with the wire text scripts already match on.
+    let merge_raw = |c: &mut Client, strategy: &str| {
+        let req = Request::Merge { strategy: strategy.into(), jobs: None };
+        c.request_raw(&RequestEnvelope::of(req)).unwrap()
+    };
+    assert_eq!(merge_raw(&mut c, "f3m-adaptive"), merge_raw(&mut c, "adaptive"));
+    assert!(merge_raw(&mut c, "f3m-adaptive").contains("\"type\":\"report\""));
+    assert!(merge_raw(&mut c, "nonsense").contains("unknown strategy `nonsense`"));
 
     // Evict is incremental: epoch advances, no rebuild, and the evicted
     // module's functions stop appearing as candidates.
