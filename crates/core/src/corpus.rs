@@ -10,10 +10,10 @@
 //!
 //! The corpus drives the rank step, it does not re-implement it: it owns
 //! the epoch intervals, the namespace and the `QueryCache`, and ranks
-//! through the leaves of the offline
-//! [`LshBackendSearch`](crate::rank::LshBackendSearch) — which stays a
-//! separate driver because it is the reference these answers are tested
-//! against.
+//! through the kernel of [`crate::rank`] — the one the offline pass runs
+//! on. [`LshBackendSearch::ranked_candidates`](crate::rank::LshBackendSearch::ranked_candidates)
+//! stays a separate, exhaustive driver because it is the reference these
+//! answers are tested against.
 //!
 //! ## Fingerprint rows
 //!
@@ -60,7 +60,9 @@
 //! [`QueryCache`]: a cached list computed under pinned epoch `P` is
 //! valid for a query pinned at `E` iff `dirty_rev ≤ min(P, E)` — i.e. no
 //! mutation has touched the entry's band-collision neighborhood since
-//! before either pin. Durable inputs (function bodies, [`MergeParams`])
+//! before either pin — and it holds enough candidates: it was computed
+//! for at least as many as are asked for now, or came out shorter than
+//! it was allowed to be, which makes it the whole list. Durable inputs (function bodies, [`MergeParams`])
 //! invalidate through `dirty_rev`; volatile inputs (the epoch itself,
 //! counters) never do — a query's result is a pure function of the
 //! durable state visible at its pin.
@@ -93,9 +95,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
 use f3m_fingerprint::adaptive::MergeParams;
-use f3m_fingerprint::backend::{
-    backend_for, signature_similarity, BackendKind, FingerprintBackend,
-};
+use f3m_fingerprint::backend::{backend_for, BackendKind, FingerprintBackend};
 use f3m_fingerprint::lsh::{BandKey, LshParams, QueryScratch};
 use f3m_fingerprint::pager::PagerKind;
 use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore, RowRef};
@@ -109,7 +109,7 @@ use f3m_trace::json;
 use f3m_trace::stats::{self, Stat, Value::*};
 
 use crate::pass::{run_pass, MergeReport, PassConfig};
-use crate::rank::{sort_ranked, widened_keys};
+use crate::rank::{top_k, widened_keys, Kernel, QueryCounters, SimTable};
 
 /// Configuration of a [`Corpus`].
 #[derive(Clone, Debug)]
@@ -249,6 +249,10 @@ pub struct CorpusStats {
     pub funcs_invalidated: u64,
     /// Cancellable queries aborted because a newer epoch superseded them.
     pub queries_superseded: u64,
+    /// Candidates whose low-byte sketch a ranking compared.
+    pub sketch_comparisons: u64,
+    /// Candidates whose full signature a ranking compared.
+    pub full_comparisons: u64,
     /// Pager backend of the resident fingerprint store (`None` when
     /// every row is a heap row: fresh, or bulk-loaded).
     pub resident_pager: Option<&'static str>,
@@ -279,6 +283,11 @@ pub const CORPUS_STATS: &[Stat<CorpusStats>] = &[
     Stat::new("memo_misses",        "corpus.memo_misses",        "count",   true,  1, |s| Count(s.memo_misses)),
     Stat::new("funcs_invalidated",  "corpus.funcs_invalidated",  "count",   true,  1, |s| Count(s.funcs_invalidated)),
     Stat::new("queries_superseded", "corpus.queries_superseded", "count",   true,  1, |s| Count(s.queries_superseded)),
+    // Ranking work: a function of the durable state, the query sequence
+    // and whether rows are heap rows (which carry a sketch) or rows of a
+    // mapped snapshot (which do not) — never of jobs or shard count.
+    Stat::new("sketch_comparisons", "corpus.sketch_comparisons", "count",   true,  1, |s| Count(s.sketch_comparisons)),
+    Stat::new("full_comparisons",   "corpus.full_comparisons",   "count",   true,  1, |s| Count(s.full_comparisons)),
     // Residency: fault/spill totals depend on worker interleaving when
     // `jobs > 1`, so they are observability, not determinism, surface.
     Stat::new("resident_pager",     "resident.active",           "count",   false, 1, |s| Label(s.resident_pager)),
@@ -313,9 +322,9 @@ struct Entry {
     func: String,
     /// `<module>.<func>`, the corpus-wide identity.
     qualified: String,
-    /// Fingerprint row (signature + band keys, see
-    /// [`signature_similarity`]): below the resident base's `len()` a row
-    /// of the mapped snapshot, from there up a row of [`Table::rows`].
+    /// Fingerprint row (signature + band keys): below the resident
+    /// base's `len()` a row of the mapped snapshot, from there up a row
+    /// of [`Table::rows`].
     row: u32,
     /// First epoch at which this entry is visible.
     added: u64,
@@ -425,12 +434,22 @@ impl Table {
     }
 }
 
-/// One memoized ranked-candidate list: the full (untruncated,
-/// threshold-filtered, sorted) list for an entry, stamped with the epoch
+/// One memoized ranked-candidate list: the best `k` candidates of an
+/// entry (threshold-filtered, in ranking order), stamped with the epoch
 /// it was computed under.
 struct CachedRank {
     pinned: u64,
+    /// How many candidates were asked for.
+    k: usize,
     ranked: Vec<(usize, f64)>,
+}
+
+impl CachedRank {
+    /// Whether the list holds the best `k` candidates: it was computed
+    /// for at least that many, or the entry has no more than it lists.
+    fn covers(&self, k: usize) -> bool {
+        k <= self.k || self.ranked.len() < self.k
+    }
 }
 
 /// Memo layer over per-entry ranked candidates. Lock order is always
@@ -438,11 +457,13 @@ struct CachedRank {
 type QueryCache = RwLock<HashMap<usize, CachedRank>>;
 
 #[derive(Default)]
-struct MemoCounters {
+struct CorpusCounters {
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     funcs_invalidated: AtomicU64,
     queries_superseded: AtomicU64,
+    sketch_comparisons: AtomicU64,
+    full_comparisons: AtomicU64,
 }
 
 /// How many times `query_module` retries a superseded cancellable pass
@@ -460,7 +481,14 @@ pub struct Corpus {
     index: ShardedLshIndex<usize>,
     table: RwLock<Table>,
     cache: QueryCache,
-    counters: MemoCounters,
+    counters: CorpusCounters,
+    sims: SimTable,
+    /// Smallest equal-slot count whose similarity clears the threshold.
+    threshold_floor: usize,
+    /// Warm query scratches. A query checks one out and returns it, so
+    /// the dense probe table is allocated once per concurrent reader,
+    /// not once per query.
+    scratches: Mutex<Vec<QueryScratch<usize>>>,
     /// Read-only base of the row space (rows below its `len()`); `None`
     /// for fresh and bulk-loaded corpora.
     resident: Option<ResidentStore>,
@@ -480,13 +508,18 @@ impl Corpus {
         let backend = backend_for(cfg.params.backend, cfg.params.k);
         let index = ShardedLshIndex::new(cfg.params.lsh, cfg.shards);
         let rows = PackedFingerprintStore::with_capacity(cfg.params.k, cfg.params.lsh.bands, 0);
+        let sims = SimTable::new(cfg.params.k);
+        let threshold = cfg.params.threshold;
         Corpus {
+            threshold_floor: sims.floor(|sim| sim >= threshold),
+            sims,
+            scratches: Mutex::new(Vec::new()),
             cfg,
             backend,
             index,
             table: RwLock::new(Table { entries: Vec::new(), modules: Vec::new(), rows }),
             cache: RwLock::new(HashMap::new()),
-            counters: MemoCounters::default(),
+            counters: CorpusCounters::default(),
             resident: None,
             mutate: Mutex::new(()),
         }
@@ -506,6 +539,15 @@ impl Corpus {
             Some(base) if row < base.len() => base.row(row),
             _ => t.rows.row(row - self.heap_base()),
         }
+    }
+
+    /// Runs `query` with a scratch checked out of the pool.
+    fn with_scratch<R>(&self, query: impl FnOnce(&mut QueryScratch<usize>) -> R) -> R {
+        let pool = || self.scratches.lock().expect("no query panics holding the scratch pool");
+        let mut scratch = pool().pop().unwrap_or_default();
+        let result = query(&mut scratch);
+        pool().push(scratch);
+        result
     }
 
     /// Residency counters of the backing resident store, if any.
@@ -795,7 +837,7 @@ impl Corpus {
         let epoch = self.index.epoch();
         let t = self.table.read().unwrap();
         let id = t.entry_of(t.live_module(module)?, func)?;
-        Ok((epoch, self.ranked(&t, id, epoch, k, &mut QueryScratch::new())))
+        Ok((epoch, self.with_scratch(|scratch| self.ranked(&t, id, epoch, k, scratch))))
     }
 
     /// Top-`k` resident candidates for every merge-eligible function of
@@ -817,9 +859,9 @@ impl Corpus {
         let epoch = self.index.epoch();
         let t = self.table.read().unwrap();
         let rec = &t.modules[t.live_module(module)?];
-        let mut scratch = QueryScratch::new();
-        let results =
-            rec.entry_ids.iter().map(|&id| self.ranked(&t, id, epoch, k, &mut scratch)).collect();
+        let results = self.with_scratch(|scratch| {
+            rec.entry_ids.iter().map(|&id| self.ranked(&t, id, epoch, k, scratch)).collect()
+        });
         Ok((epoch, results))
     }
 
@@ -843,14 +885,19 @@ impl Corpus {
             let t = self.table.read().unwrap();
             t.modules[t.live_module(module)?].entry_ids.clone()
         };
-        let mut scratch = QueryScratch::new();
         let mut results = Vec::with_capacity(entry_ids.len());
-        for &id in &entry_ids {
-            if is_superseded(epoch) {
-                return Ok(self.superseded(epoch));
+        let completed = self.with_scratch(|scratch| {
+            for &id in &entry_ids {
+                if is_superseded(epoch) {
+                    return false;
+                }
+                let t = self.table.read().unwrap();
+                results.push(self.ranked(&t, id, epoch, k, scratch));
             }
-            let t = self.table.read().unwrap();
-            results.push(self.ranked(&t, id, epoch, k, &mut scratch));
+            true
+        });
+        if !completed {
+            return Ok(self.superseded(epoch));
         }
         // A mutation may have staged state we read without yet advancing
         // the epoch. If no writer is active now and the epoch still
@@ -899,22 +946,23 @@ impl Corpus {
                 }
             }
         }
-        let mut scratch = QueryScratch::new();
         let mut best: HashMap<(String, String), (f64, bool)> = HashMap::new();
-        for rec in t.modules.iter().filter(|r| r.live) {
-            for &id in &rec.entry_ids {
-                let res = self.ranked(&t, id, epoch, k, &mut scratch);
-                for cand in &res.candidates {
-                    let (a, b) = if res.func <= cand.func {
-                        (res.func.clone(), cand.func.clone())
-                    } else {
-                        (cand.func.clone(), res.func.clone())
-                    };
-                    let cross = module_of.get(a.as_str()) != module_of.get(b.as_str());
-                    best.entry((a, b)).or_insert((cand.similarity, cross));
+        self.with_scratch(|scratch| {
+            for rec in t.modules.iter().filter(|r| r.live) {
+                for &id in &rec.entry_ids {
+                    let res = self.ranked(&t, id, epoch, k, scratch);
+                    for cand in &res.candidates {
+                        let (a, b) = if res.func <= cand.func {
+                            (res.func.clone(), cand.func.clone())
+                        } else {
+                            (cand.func.clone(), res.func.clone())
+                        };
+                        let cross = module_of.get(a.as_str()) != module_of.get(b.as_str());
+                        best.entry((a, b)).or_insert((cand.similarity, cross));
+                    }
                 }
             }
-        }
+        });
         let mut pairs: Vec<GlobalPair> = best
             .into_iter()
             .map(|((a, b), (similarity, cross_module))| GlobalPair {
@@ -941,18 +989,20 @@ impl Corpus {
         Some(t.entries[id].rev)
     }
 
-    /// Ranks the candidates of entry `i` visible at `epoch`: probe the
-    /// sharded index into the query's `scratch`, filter by epoch interval
-    /// and similarity threshold, order by [`sort_ranked`] — the steps of
-    /// `LshBackendSearch::ranked_candidates` over the same leaves, so
-    /// daemon queries agree with the offline search over
-    /// [`combine_modules`].
+    /// Ranks the best `k` candidates of entry `i` visible at `epoch`:
+    /// probe the sharded index into the query's `scratch`, then let the
+    /// ranking kernel select, among the candidates inside their epoch
+    /// interval and at or above the similarity threshold, the first `k`
+    /// in ranking order — the list `LshBackendSearch::ranked_candidates`
+    /// computes exhaustively, so daemon queries agree with the offline
+    /// search over [`combine_modules`].
     ///
-    /// The full list is memoized in the [`QueryCache`]: a cached list
-    /// computed under pinned epoch `P` serves a query pinned at `E` iff
+    /// The list is memoized in the [`QueryCache`]: a cached list computed
+    /// under pinned epoch `P` serves a query pinned at `E` iff
     /// `dirty_rev ≤ min(P, E)` — no mutation has touched this entry's
     /// band-collision neighborhood since before either pin, so the two
-    /// pins see the same durable inputs.
+    /// pins see the same durable inputs — and it [covers](CachedRank::covers)
+    /// `k`.
     fn ranked(
         &self,
         t: &Table,
@@ -963,7 +1013,7 @@ impl Corpus {
     ) -> QueryResult {
         let ent = &t.entries[i];
         if let Some(c) = self.cache.read().unwrap().get(&i) {
-            if ent.dirty_rev <= c.pinned.min(epoch) {
+            if ent.dirty_rev <= c.pinned.min(epoch) && c.covers(k) {
                 self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
                 return Self::render_result(t, ent, &c.ranked, k);
             }
@@ -971,25 +1021,36 @@ impl Corpus {
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
         let params = &self.cfg.params;
         let row = self.row(t, ent);
-        match widened_keys(params, row.sig()) {
+        let probe = match widened_keys(params, row.sig()) {
             Some(keys) => self.index.probe_keys_into(&keys, i, scratch),
             None => self.index.probe_keys_into(row.keys(), i, scratch),
         };
-        // Visit candidate rows in row order (the final order is set by
-        // `sort_ranked`): the packed pools are walked forwards, and under
-        // a resident budget each shard faults at most once per ranking.
-        scratch.out.sort_unstable();
-        let mut ranked: Vec<(usize, f64)> = scratch
-            .out
-            .iter()
-            .map(|&j| (j, &t.entries[j]))
-            .filter(|(_, e)| e.added <= epoch && epoch < e.evicted)
-            .map(|(j, e)| (j, signature_similarity(row.sig(), self.row(t, e).sig())))
-            .filter(|&(_, sim)| sim >= params.threshold)
-            .collect();
-        sort_ranked(&mut ranked, |j| &t.entries[j].qualified);
+        // The selection does not depend on the visiting order, the cost
+        // does. Discovery order is free; row order costs a sort of every
+        // candidate id, and pays only where rows can fault: under a
+        // resident budget it makes each shard fault at most once per
+        // ranking.
+        if self.resident.is_some() {
+            scratch.out.sort_unstable();
+        }
+        let kernel = Kernel::new(&row, params.lsh, &probe);
+        let mut counters = QueryCounters::default();
+        let ranked = top_k(
+            &self.sims,
+            k,
+            self.threshold_floor,
+            scratch.out.iter().copied(),
+            |j, floor| {
+                let e = &t.entries[j];
+                let visible = || (e.added <= epoch && epoch < e.evicted).then(|| self.row(t, e));
+                kernel.score(floor, scratch.hits(j), visible, &mut counters)
+            },
+            |j| &t.entries[j].qualified,
+        );
+        self.counters.sketch_comparisons.fetch_add(counters.sketch_comparisons, Ordering::Relaxed);
+        self.counters.full_comparisons.fetch_add(counters.full_comparisons, Ordering::Relaxed);
         let result = Self::render_result(t, ent, &ranked, k);
-        self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, ranked });
+        self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, k, ranked });
         result
     }
 
@@ -1030,6 +1091,8 @@ impl Corpus {
             memo_misses: self.counters.memo_misses.load(Ordering::Relaxed),
             funcs_invalidated: self.counters.funcs_invalidated.load(Ordering::Relaxed),
             queries_superseded: self.counters.queries_superseded.load(Ordering::Relaxed),
+            sketch_comparisons: self.counters.sketch_comparisons.load(Ordering::Relaxed),
+            full_comparisons: self.counters.full_comparisons.load(Ordering::Relaxed),
         }
     }
 
@@ -1517,6 +1580,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The memo rule: a list computed for `k` serves any `k' ≤ k`, and any
+    /// `k'` at all when it came out shorter than `k` (it is the whole
+    /// list); otherwise the ranking is recomputed for the larger `k`.
+    /// Every step is booked as exactly one hit or one miss.
+    #[test]
+    fn memo_serves_the_requests_its_list_covers() {
+        let params = MergeParams { threshold: 0.3, ..MergeParams::static_default() };
+        let build = || {
+            let c = Corpus::new(CorpusConfig { params, shards: 4, jobs: 2 });
+            c.ingest(workload("alpha", 11)).unwrap();
+            c.ingest(workload("beta", 22)).unwrap();
+            c
+        };
+        let (_, reference) = build().query_module("alpha", 50).unwrap();
+        let c = build();
+        let (mut long, mut short) = (0, 0);
+        for full in &reference {
+            let func = full.func.strip_prefix("alpha.").unwrap();
+            let total = full.candidates.len();
+            assert!(total < 50, "k = 50 must list every candidate of {func}");
+            // (k asked for, whether the list memoized so far covers it)
+            let steps = [
+                (2, false),
+                (5, total < 2),
+                (1, true),
+                (50, total < 5),
+                (5, true),
+            ];
+            for (k, hit) in steps {
+                let before = c.stats();
+                let (_, got) = c.query_function("alpha", func, k).unwrap();
+                let fresh = &full.candidates[..k.min(total)];
+                assert_eq!(got.candidates, fresh, "{func} k={k} equals a fresh corpus's answer");
+                let after = c.stats();
+                let booked = (after.memo_hits - before.memo_hits, after.memo_misses - before.memo_misses);
+                assert_eq!(booked, if hit { (1, 0) } else { (0, 1) }, "{func} ({total} candidates) k={k}");
+            }
+            long += usize::from(total >= 5);
+            short += usize::from(total < 2);
+        }
+        assert!(long > 0 && short > 0, "need long ({long}) and complete ({short}) lists");
+    }
+
+    /// A cold single-function query checks a warm scratch out of the
+    /// corpus instead of allocating a probe table of its own.
+    #[test]
+    fn cold_function_queries_reuse_the_pooled_scratch() {
+        let c = corpus();
+        let alpha = workload("alpha", 11);
+        c.ingest(alpha.clone()).unwrap();
+        c.ingest(workload("beta", 22)).unwrap();
+        c.query_module("alpha", 5).unwrap();
+        c.query_module("beta", 5).unwrap();
+        let pool = || -> Vec<u64> {
+            c.scratches.lock().unwrap().iter().map(QueryScratch::grows).collect()
+        };
+        let warm = pool();
+        assert_eq!(warm.len(), 1, "sequential queries share one scratch");
+        assert!(warm[0] > 0, "the sweep sized the probe table");
+
+        let (dst, _) = family_pair(&alpha);
+        c.update_function("alpha", &dst, None).unwrap();
+        let misses = c.stats().memo_misses;
+        c.query_function("alpha", &dst, 5).unwrap();
+        assert_eq!(c.stats().memo_misses, misses + 1, "the touched function ranks cold");
+        assert_eq!(pool(), warm, "and allocates no table doing so");
     }
 
     #[test]

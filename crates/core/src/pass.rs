@@ -192,6 +192,8 @@ impl MergeReport {
     fn account(&mut self, out: &WaveOutcome, fate: Fate) {
         let s = &mut self.stats;
         s.fingerprint_comparisons += out.counters.comparisons;
+        s.sketch_comparisons += out.counters.sketch_comparisons;
+        s.full_comparisons += out.counters.full_comparisons;
         s.candidates_examined += out.counters.examined;
         s.candidates_returned += out.counters.returned;
         s.bucket_evictions += out.counters.evicted;

@@ -69,6 +69,12 @@ impl CandidateSet {
         }
     }
 
+    /// The similarity below which [`Self::push`] drops a candidate right
+    /// now (`-inf` while the set is empty). It only ever rises.
+    pub(crate) fn near_tie_cut(&self) -> f64 {
+        self.best - self.eps
+    }
+
     /// The best similarity seen, if any candidate was offered.
     pub fn best_similarity(&self) -> Option<f64> {
         if self.items.is_empty() {

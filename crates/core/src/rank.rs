@@ -14,14 +14,33 @@
 //! keeps its signatures and band keys in a [`PackedFingerprintStore`].
 //! The resident corpus drives its own index and epochs but ranks through
 //! the same leaves: [`PackedFingerprintStore::of_functions`] for rows,
-//! `widened_keys` for the probed key list and `sort_ranked` for the
-//! order of a full ranking.
+//! `widened_keys` for the probed key list and the ranking kernel below
+//! for everything after the probe.
+//!
+//! ## The ranking kernel
+//!
+//! Similarity is `e / k` for an integer equal-slot count `e`, so "is this
+//! candidate still interesting" is an integer question: does `e` reach the
+//! current *floor*. `Kernel::score` is the one place that decides
+//! whether a candidate needs its full signature compared, through two
+//! exact upper bounds on `e` (the band bound from the probe's hit counts,
+//! then the low-byte sketch); the two selections — `near_tie_head` for
+//! the pass, `top_k` for the corpus — only differ in how their floor
+//! rises. [`LshBackendSearch::ranked_candidates`] deliberately does none
+//! of this: it scores every candidate and sorts, and is the reference the
+//! kernel is tested against. DESIGN.md ("Ranking kernel") has the
+//! arguments.
+
+use std::collections::BinaryHeap;
 
 use f3m_fingerprint::adaptive::MergeParams;
-use f3m_fingerprint::backend::{backend_for, signature_similarity};
-use f3m_fingerprint::lsh::{probe_keys_for, BandKey, LshIndex, LshQueryStats, QueryScratch};
+use f3m_fingerprint::backend::{backend_for, equal_bytes, equal_slots, signature_similarity};
+use f3m_fingerprint::lsh::{
+    probe_keys_for, BandKey, LshIndex, LshParams, LshQueryStats, QueryScratch,
+};
 use f3m_fingerprint::opcode_freq::OpcodeFingerprint;
 use f3m_fingerprint::par::par_map_indexed;
+use f3m_fingerprint::resident::RowRef;
 use f3m_fingerprint::store::PackedFingerprintStore;
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
@@ -37,8 +56,13 @@ const NEAR_TIE_EPS: f64 = 0.05;
 /// [`MergeStats`](crate::report::MergeStats) by the driver.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryCounters {
-    /// Fingerprint-to-fingerprint similarity computations.
+    /// Distinct candidates the search had to decide — one similarity
+    /// question each, however cheaply the kernel answered it.
     pub comparisons: u64,
+    /// Candidates whose low-byte sketch was compared (bound ii).
+    pub sketch_comparisons: u64,
+    /// Candidates whose full signature was compared.
+    pub full_comparisons: u64,
     /// Search-structure entries examined (bucket entries for LSH, scan
     /// length for the exhaustive baseline).
     pub examined: u64,
@@ -52,7 +76,7 @@ pub struct QueryCounters {
     /// again in a later band of the same query).
     pub collisions: u64,
     /// Allocations avoided by answering the query from a reusable scratch
-    /// buffer instead of a fresh dedup set + candidate vector (one per
+    /// instead of a fresh dedup table + candidate vector (one per
     /// scratch-served probe, so the count is job-count independent).
     pub saved_allocs: u64,
 }
@@ -138,6 +162,159 @@ pub(crate) fn widened_keys(params: &MergeParams, sig: &[u64]) -> Option<Vec<Band
     (params.probes > 0).then(|| probe_keys_for(params.lsh, sig, params.probes))
 }
 
+/// The `k + 1` similarities two `k`-slot signatures can have:
+/// `sims[e] = e / k`, the very float [`signature_similarity`] returns for
+/// `e` equal slots. Floors are read off this table with the float
+/// comparison the plain filter would have applied to the similarity, so
+/// an integer floor admits exactly the candidates that filter admitted.
+pub(crate) struct SimTable(Vec<f64>);
+
+impl SimTable {
+    pub(crate) fn new(k: usize) -> SimTable {
+        SimTable((0..=k).map(|e| e as f64 / k as f64).collect())
+    }
+
+    /// The similarity of `equal` equal slots.
+    pub(crate) fn sim(&self, equal: usize) -> f64 {
+        self.0[equal]
+    }
+
+    /// The smallest equal-slot count whose similarity `keeps`; `k + 1`
+    /// when none does. `keeps` must be monotone (false, then true) in the
+    /// similarity.
+    pub(crate) fn floor(&self, keeps: impl Fn(f64) -> bool) -> usize {
+        self.0.partition_point(|&sim| !keeps(sim))
+    }
+}
+
+/// One query row against its probed candidates.
+pub(crate) struct Kernel<'q> {
+    query: &'q RowRef<'q>,
+    /// Bound (i) before the candidate's own hits: of the `k` slots, each
+    /// band whose key differs holds at least one differing slot, and each
+    /// truncated bucket may hide a matching band.
+    slack: usize,
+}
+
+impl<'q> Kernel<'q> {
+    /// The kernel for `query`, whose probe under `lsh` reported `probe`.
+    pub(crate) fn new(query: &'q RowRef<'q>, lsh: LshParams, probe: &LshQueryStats) -> Kernel<'q> {
+        Kernel { query, slack: query.sig().len() - lsh.bands + probe.truncated }
+    }
+
+    /// The equal-slot count of the candidate found in `hits` probed
+    /// buckets, if it reaches `floor` — `None` as soon as an upper bound
+    /// on it falls short: (i) `slack + hits`, from the probe alone, then
+    /// (ii) the equal low bytes, when both rows carry a sketch. `row`
+    /// fetches the candidate's row, or `None` for a candidate the driver
+    /// does not want (consumed, not visible); it runs only past bound
+    /// (i), so a candidate pruned there costs no memory access.
+    pub(crate) fn score<'r>(
+        &self,
+        floor: usize,
+        hits: u32,
+        row: impl FnOnce() -> Option<RowRef<'r>>,
+        counters: &mut QueryCounters,
+    ) -> Option<usize> {
+        if self.slack + (hits as usize) < floor {
+            return None;
+        }
+        let row = row()?;
+        if let (Some(query), Some(cand)) = (self.query.sketch(), row.sketch()) {
+            counters.sketch_comparisons += 1;
+            if equal_bytes(query, cand) < floor {
+                return None;
+            }
+        }
+        counters.full_comparisons += 1;
+        let equal = equal_slots(self.query.sig(), row.sig());
+        (equal >= floor).then_some(equal)
+    }
+}
+
+/// The pass's selection: the [`CandidateSet`] a plain loop pushing every
+/// candidate of `cands` at or above `threshold_floor` would end with. The
+/// floor is the smallest count clearing both the threshold and the set's
+/// near-tie cut, which only rises; a candidate below it would have been
+/// dropped by `push` or by a later prune. `cands` must come in the
+/// probe's discovery order: `choose` resolves equal similarities by
+/// position, so the order is part of the merge decision.
+pub(crate) fn near_tie_head(
+    sims: &SimTable,
+    threshold_floor: usize,
+    cands: impl Iterator<Item = usize>,
+    mut score: impl FnMut(usize, usize) -> Option<usize>,
+) -> CandidateSet {
+    let mut set = CandidateSet::new(NEAR_TIE_EPS);
+    let mut floor = threshold_floor;
+    for j in cands {
+        if let Some(equal) = score(j, floor) {
+            set.push(j, sims.sim(equal));
+            let cut = set.near_tie_cut();
+            floor = floor.max(sims.floor(|sim| sim >= cut));
+        }
+    }
+    set
+}
+
+/// A scored candidate under [`sort_ranked`]'s total order, on the integer
+/// count: `a < b` iff `a` ranks before `b`.
+#[derive(PartialEq, Eq)]
+struct Ranked<'n> {
+    equal: usize,
+    name: &'n str,
+    id: usize,
+}
+
+impl Ord for Ranked<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.equal.cmp(&self.equal))
+            .then_with(|| self.name.cmp(other.name))
+            .then(self.id.cmp(&other.id))
+    }
+}
+
+impl PartialOrd for Ranked<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The corpus's selection: the first `k` entries of the [`sort_ranked`]
+/// order over every candidate of `cands` at or above `threshold_floor`,
+/// as `(id, similarity)`. A bounded heap keeps the `k` best so far with
+/// the `k`-th on top; once it is full, its count is the floor. A
+/// candidate *at* the floor must still be scored: its name may rank it
+/// before the current `k`-th. The result does not depend on the order of
+/// `cands`, only the work does.
+pub(crate) fn top_k<'n>(
+    sims: &SimTable,
+    k: usize,
+    threshold_floor: usize,
+    cands: impl Iterator<Item = usize>,
+    mut score: impl FnMut(usize, usize) -> Option<usize>,
+    name: impl Fn(usize) -> &'n str,
+) -> Vec<(usize, f64)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut heap: BinaryHeap<Ranked<'n>> = BinaryHeap::new();
+    for id in cands {
+        let full = heap.len() == k;
+        let floor = if full { heap.peek().map_or(0, |kth| kth.equal) } else { threshold_floor };
+        let Some(equal) = score(id, floor) else { continue };
+        let cand = Ranked { equal, name: name(id), id };
+        if !full {
+            heap.push(cand);
+        } else if let Some(mut kth) = heap.peek_mut() {
+            if cand < *kth {
+                *kth = cand;
+            }
+        }
+    }
+    heap.into_sorted_vec().into_iter().map(|r| (r.id, sims.sim(r.equal))).collect()
+}
+
 /// Builds the search structure for `strategy` over `funcs`, fanning the
 /// per-function fingerprint work out across up to `jobs` threads.
 ///
@@ -218,6 +395,10 @@ pub struct LshBackendSearch {
     store: PackedFingerprintStore,
     names: Vec<String>,
     index: LshIndex<usize>,
+    sims: SimTable,
+    /// Smallest equal-slot count whose similarity is not below the
+    /// threshold.
+    threshold_floor: usize,
 }
 
 impl LshBackendSearch {
@@ -233,7 +414,21 @@ impl LshBackendSearch {
             index.insert_with_keys(i, store.keys(i));
         }
         let names = funcs.iter().map(|&f| m.function(f).name.clone()).collect();
-        LshBackendSearch { params, store, names, index }
+        LshBackendSearch::over(params, store, names, index)
+    }
+
+    fn over(
+        params: MergeParams,
+        store: PackedFingerprintStore,
+        names: Vec<String>,
+        index: LshIndex<usize>,
+    ) -> LshBackendSearch {
+        let sims = SimTable::new(params.k);
+        // "Not below", not "at or above": the filter this replaces skipped
+        // `sim < threshold`, which keeps everything under a NaN threshold.
+        let threshold_floor =
+            sims.floor(|sim| sim.partial_cmp(&params.threshold) != Some(std::cmp::Ordering::Less));
+        LshBackendSearch { params, store, names, index, sims, threshold_floor }
     }
 
     /// Estimated similarity of functions `i` and `j` under the backend.
@@ -252,8 +447,10 @@ impl LshBackendSearch {
     /// The top-`k` available candidates for function `i`, as
     /// `(index, similarity)` pairs in `sort_ranked` order. Unlike
     /// [`CandidateSearch::best_candidates`] this exposes the full ranking
-    /// (not just the near-tie head); it is the offline reference that
-    /// corpus and daemon `query` answers are tested against.
+    /// (not just the near-tie head), and it scores every probed candidate
+    /// with [`signature_similarity`] and sorts them all: it is the offline
+    /// reference that the kernel, and corpus and daemon `query` answers,
+    /// are tested against.
     pub fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)> {
         let mut scratch = QueryScratch::new();
         self.probe(i, &mut scratch);
@@ -287,24 +484,23 @@ impl CandidateSearch for LshBackendSearch {
         counters.evicted += qstats.evicted as u64;
         counters.collisions += qstats.collisions as u64;
         counters.returned += scratch.out.len() as u64;
-        // One similarity computation per distinct candidate — the quantity
+        // One similarity question per distinct candidate — the quantity
         // the paper's bucket cap bounds.
         counters.comparisons += scratch.out.len() as u64;
-        // One dedup set + one candidate vector that were *not* allocated
+        // One dedup table + one candidate vector that were *not* allocated
         // because the scratch served this probe.
         counters.saved_allocs += 1;
-        let mut set = CandidateSet::new(NEAR_TIE_EPS);
-        for &j in &scratch.out {
-            if !available[j] {
-                continue;
-            }
-            let sim = self.similarity(i, j);
-            if sim < self.params.threshold {
-                continue;
-            }
-            set.push(j, sim);
-        }
-        set
+        let query = self.store.row(i);
+        let kernel = Kernel::new(&query, self.params.lsh, &qstats);
+        near_tie_head(
+            &self.sims,
+            self.threshold_floor,
+            scratch.out.iter().copied(),
+            |j, floor| {
+                let row = || available[j].then(|| self.store.row(j));
+                kernel.score(floor, scratch.hits(j), row, counters)
+            },
+        )
     }
 
     fn invalidate(&mut self, idx: usize) {
@@ -330,7 +526,173 @@ impl CandidateSearch for LshBackendSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Profile;
     use f3m_fingerprint::backend::BackendKind;
+    use f3m_fingerprint::lsh::band_keys_for;
+    use f3m_prng::SmallRng;
+
+    /// The pass's selection without the kernel: every probed candidate
+    /// scored, pushed in discovery order.
+    fn naive_near_tie_head(search: &LshBackendSearch, i: usize, available: &[bool]) -> CandidateSet {
+        let mut scratch = SearchScratch::new();
+        search.probe(i, &mut scratch);
+        let mut set = CandidateSet::new(NEAR_TIE_EPS);
+        for &j in scratch.out.iter().filter(|&&j| available[j]) {
+            let sim = search.similarity(i, j);
+            if sim < search.params.threshold {
+                continue;
+            }
+            set.push(j, sim);
+        }
+        set
+    }
+
+    /// The corpus's selection over an offline search: `top_k` driven the
+    /// way `Corpus::ranked` drives it, with `available` as the filter.
+    fn kernel_top_k(
+        search: &LshBackendSearch,
+        i: usize,
+        available: &[bool],
+        k: usize,
+        counters: &mut QueryCounters,
+    ) -> Vec<(usize, f64)> {
+        let mut scratch = SearchScratch::new();
+        let probe = search.probe(i, &mut scratch);
+        let query = search.store.row(i);
+        let kernel = Kernel::new(&query, search.params.lsh, &probe);
+        let threshold = search.params.threshold;
+        top_k(
+            &search.sims,
+            k,
+            search.sims.floor(|sim| sim >= threshold),
+            scratch.out.iter().copied(),
+            |j, floor| {
+                let row = || available[j].then(|| search.store.row(j));
+                kernel.score(floor, scratch.hits(j), row, counters)
+            },
+            |j| &search.names[j],
+        )
+    }
+
+    fn bits(ranked: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        ranked.iter().map(|&(j, sim)| (j, sim.to_bits())).collect()
+    }
+
+    /// Exactness: on every backend, probe budget, bucket cap and banding,
+    /// under random availability masks and thresholds, the kernel makes
+    /// the decision of the naive loop — the same near-tie set (so the
+    /// same `choose`, with and without a profile, index and similarity
+    /// bits) and the same top-`k` lists.
+    #[test]
+    fn kernel_selections_equal_the_score_everything_reference() {
+        let cases = if cfg!(debug_assertions) { 1 } else { 48 };
+        let (mut pruned, mut decided) = (0u64, 0u64);
+        for case in 0..cases {
+            let mut rng = SmallRng::seed_from_u64(0x5EA1 + case);
+            let (m, funcs) = workload(40, 900 + case);
+            let n = funcs.len();
+            let names: Vec<String> = funcs.iter().map(|&f| m.function(f).name.clone()).collect();
+            let profile =
+                Profile::from_counts(funcs.iter().map(|&f| (f, rng.gen_range(0..4u64))));
+            for kind in BackendKind::ALL {
+                for (k, rows) in [(200, 2), (114, 2), (64, 4)] {
+                    let lsh = MergeParams::custom(k, rows, 0.0, usize::MAX).lsh;
+                    let backend = backend_for(kind, k);
+                    let store = PackedFingerprintStore::of_functions(&m, &funcs, &*backend, lsh, 1);
+                    for probes in [0, 8] {
+                        for bucket_cap in [3, 100, usize::MAX] {
+                            let threshold = [0.0, 0.25, 0.6][rng.gen_range(0..3usize)];
+                            let params = MergeParams::custom(k, rows, threshold, bucket_cap)
+                                .with_backend(kind)
+                                .with_probes(probes);
+                            let mut index = LshIndex::new(params.lsh);
+                            for i in 0..n {
+                                index.insert_with_keys(i, store.keys(i));
+                            }
+                            let search =
+                                LshBackendSearch::over(params, store.clone(), names.clone(), index);
+                            let what = format!(
+                                "case {case} {} k={k} rows={rows} probes={probes} \
+                                 cap={bucket_cap} t={threshold}",
+                                kind.name()
+                            );
+                            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.7)).collect();
+                            let mut scratch = SearchScratch::new();
+                            for available in [vec![true; n], mask] {
+                                for i in (0..n).step_by(3) {
+                                    let mut c = QueryCounters::default();
+                                    let head = search.best_candidates(i, &available, &mut c, &mut scratch);
+                                    let naive = naive_near_tie_head(&search, i, &available);
+                                    assert_eq!(format!("{head:?}"), format!("{naive:?}"), "{what} fn {i}");
+                                    for profile in [None, Some(&profile)] {
+                                        let pick = |set: &CandidateSet| {
+                                            set.choose(profile, |j| funcs[j])
+                                                .map(|(j, sim)| (j, sim.to_bits()))
+                                        };
+                                        assert_eq!(pick(&head), pick(&naive), "{what} fn {i}");
+                                    }
+                                    for top in [1, 5, 50] {
+                                        assert_eq!(
+                                            bits(&kernel_top_k(&search, i, &available, top, &mut c)),
+                                            bits(&search.ranked_candidates(i, &available, top)),
+                                            "{what} fn {i} top-{top}"
+                                        );
+                                    }
+                                    assert!(c.full_comparisons <= 4 * c.comparisons, "{what} fn {i}");
+                                    decided += 4 * c.comparisons;
+                                    pruned += 4 * c.comparisons - c.full_comparisons;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pruned * 2 > decided, "the bounds pruned only {pruned} of {decided} candidates");
+    }
+
+    /// Bound (i) must count truncated buckets. Every decoy equals the
+    /// query in all bands but the last and has a lower id than the
+    /// near-duplicate, so under a cap of 3 they hide the duplicate in all
+    /// the bands they share; it shows up in the last band alone, with one
+    /// hit, after the decoys have lifted the floor far above
+    /// `k − bands + 1`.
+    #[test]
+    fn near_duplicate_hidden_by_the_cap_is_still_returned() {
+        let params = MergeParams::custom(32, 2, 0.0, 3);
+        let mut rng = SmallRng::seed_from_u64(0xD0_0B1E);
+        let query: Vec<u64> = (0..32).map(|_| rng.next_u64()).collect();
+        let decoy = |salt: u64| {
+            let mut sig = query.clone();
+            sig[30] ^= salt;
+            sig[31] ^= salt;
+            sig
+        };
+        let mut duplicate = query.clone();
+        duplicate[0] ^= 1; // differs in the first band only: 31 of 32 slots equal
+        let sigs: Vec<Vec<u64>> =
+            [query.clone(), decoy(1), decoy(2), decoy(3), decoy(4), duplicate].into();
+        let mut store = PackedFingerprintStore::with_capacity(32, params.lsh.bands, sigs.len());
+        let mut index = LshIndex::new(params.lsh);
+        for (i, sig) in sigs.iter().enumerate() {
+            let keys = band_keys_for(params.lsh, sig);
+            store.push_with_keys(sig, &keys);
+            index.insert_with_keys(i, &keys);
+        }
+        let names = (0..sigs.len()).map(|i| format!("f{i}")).collect();
+        let search = LshBackendSearch::over(params, store, names, index);
+
+        let available = vec![true; sigs.len()];
+        let mut scratch = SearchScratch::new();
+        let probe = search.probe(0, &mut scratch);
+        assert_eq!(scratch.out, [1, 2, 5], "decoys first, the duplicate from the last band");
+        assert_eq!((scratch.hits(5), probe.truncated), (1, 15));
+
+        let mut counters = QueryCounters::default();
+        let head = search.best_candidates(0, &available, &mut counters, &mut scratch);
+        assert_eq!(head.choose(None, FuncId::from_index), Some((5, 31.0 / 32.0)));
+        assert_eq!(kernel_top_k(&search, 0, &available, 1, &mut counters), [(5, 31.0 / 32.0)]);
+    }
 
     /// A generated module and its merge-eligible functions.
     fn workload(functions: usize, seed: u64) -> (Module, Vec<FuncId>) {

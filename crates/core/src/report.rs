@@ -68,8 +68,15 @@ pub struct MergeStats {
     /// Alignment attempts that had to re-encode a function because its
     /// cache slot was invalid.
     pub block_parts_cache_misses: u64,
-    /// Number of fingerprint-to-fingerprint similarity computations.
+    /// Similarity questions asked: one per distinct candidate a ranking
+    /// query had to decide, however the ranking kernel answered it.
     pub fingerprint_comparisons: u64,
+    /// Of those, candidates whose low-byte sketch was compared (zero for
+    /// the exhaustive baseline).
+    pub sketch_comparisons: u64,
+    /// Of those, candidates whose full signature was compared (zero for
+    /// the exhaustive baseline, whose fingerprints are not signatures).
+    pub full_comparisons: u64,
     /// Search-structure entries examined across all queries: bucket
     /// entries for LSH (what the paper's bucket cap bounds), scan length
     /// for the exhaustive baseline.
@@ -86,7 +93,7 @@ pub struct MergeStats {
     /// redundant for the corpus — a backend-quality signal.
     pub probe_collisions: u64,
     /// Per-probe allocations avoided by the reusable query scratch (one
-    /// dedup set + candidate vector per query served; zero for the
+    /// dedup table + candidate vector per query served; zero for the
     /// exhaustive baseline). Job-count independent by construction.
     pub lsh_allocs_saved: u64,
     /// Alignment work: DP cells computed plus linear-alignment positions
@@ -107,7 +114,7 @@ pub struct MergeStats {
     /// Population of the fullest LSH bucket right after the index build.
     pub lsh_max_bucket: u64,
     /// Bytes of packed struct-of-arrays fingerprint storage per indexed
-    /// function (signature pool plus band-key pool; zero for the
+    /// function (signature, band-key and sketch pools; zero for the
     /// exhaustive baseline). A pure function of the search parameters.
     pub soa_bytes_per_fn: u64,
     /// Estimated module text size before the pass.
@@ -140,6 +147,8 @@ const MERGE_STATS: &[Stat<MergeStats>] = &[
     Stat::det("block_parts_cache_hits", "lookups", |s| Count(s.block_parts_cache_hits)),
     Stat::det("block_parts_cache_misses", "lookups", |s| Count(s.block_parts_cache_misses)),
     Stat::det("fingerprint_comparisons", "comparisons", |s| Count(s.fingerprint_comparisons)),
+    Stat::det("sketch_comparisons", "comparisons", |s| Count(s.sketch_comparisons)),
+    Stat::det("full_comparisons", "comparisons", |s| Count(s.full_comparisons)),
     Stat::det("candidates_examined", "entries", |s| Count(s.candidates_examined)),
     Stat::det("candidates_returned", "candidates", |s| Count(s.candidates_returned)),
     Stat::det("bucket_evictions", "entries", |s| Count(s.bucket_evictions)),
@@ -365,7 +374,7 @@ mod tests {
 
     /// The documented key set, spelled out: a row added to (or dropped
     /// from) the table must show up here as a deliberate edit.
-    const GOLDEN_KEYS: [&str; 31] = [
+    const GOLDEN_KEYS: [&str; 33] = [
         "functions",
         "pairs_attempted",
         "merges_committed",
@@ -382,6 +391,8 @@ mod tests {
         "block_parts_cache_hits",
         "block_parts_cache_misses",
         "fingerprint_comparisons",
+        "sketch_comparisons",
+        "full_comparisons",
         "candidates_examined",
         "candidates_returned",
         "bucket_evictions",

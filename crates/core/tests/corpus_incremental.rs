@@ -2,7 +2,9 @@
 //! every prefix of a randomized ingest/evict/update/query interleaving,
 //! the revision-stamped corpus answers module queries byte-identically
 //! to a from-scratch corpus rebuilt from the surviving module sources —
-//! and the whole transcript is identical across worker counts.
+//! and the whole transcript is identical across worker counts. Every
+//! query draws its own `k`, so the live corpus answers from memoized
+//! lists computed for other `k`s where the rebuilt one computes afresh.
 
 use f3m_core::corpus::{Corpus, CorpusConfig};
 use f3m_ir::module::Module;
@@ -66,6 +68,10 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
     let cfg = CorpusConfig { jobs, ..CorpusConfig::default() };
     let corpus = Corpus::new(cfg.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
+    // Drawn from a generator of its own, so the interleaving of a seed is
+    // the one it always was.
+    let mut k_rng = SmallRng::seed_from_u64(seed ^ 0x6B);
+    let mut draw_k = move || [1, 5, 50][k_rng.gen_range(0..3usize)];
     // Shadow state: live module names in ingest order. Sources are read
     // back through `module_source`, which re-renders exactly what the
     // corpus holds after function-level surgery.
@@ -156,8 +162,9 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
             }
             Op::Query => {
                 let name = &live[rng.gen_range(0..live.len())];
-                let (_, results) = corpus.query_module(name, 5).unwrap();
-                transcript.push_str(&format!("step {step}: query {name} {results:?}\n"));
+                let k = draw_k();
+                let (_, results) = corpus.query_module(name, k).unwrap();
+                transcript.push_str(&format!("step {step}: query {name} k={k} {results:?}\n"));
             }
         }
 
@@ -171,12 +178,13 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
                 rebuilt.ingest(f3m_ir::parser::parse_module(&src).unwrap()).unwrap();
             }
             for name in &live {
-                let (_, inc) = corpus.query_module(name, 5).unwrap();
-                let (_, fresh) = rebuilt.query_module(name, 5).unwrap();
+                let k = draw_k();
+                let (_, inc) = corpus.query_module(name, k).unwrap();
+                let (_, fresh) = rebuilt.query_module(name, k).unwrap();
                 assert_eq!(
                     format!("{inc:?}"),
                     format!("{fresh:?}"),
-                    "incremental vs rebuilt diverged on `{name}` after step {step} ({op:?})"
+                    "incremental vs rebuilt diverged on `{name}` (k={k}) after step {step} ({op:?})"
                 );
             }
         }

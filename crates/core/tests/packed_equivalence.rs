@@ -57,11 +57,13 @@ fn packed_rows_match_per_function_storage() {
             assert_eq!(store.push_with_keys(sig, keys), i, "rows are dense");
         }
         assert_eq!(store.len(), legacy.len());
-        assert_eq!(store.bytes_per_fn(), 8 * params.k + 4 * params.lsh.bands);
+        assert_eq!(store.bytes_per_fn(), 9 * params.k + 4 * params.lsh.bands);
 
         for (i, (sig, keys)) in legacy.iter().enumerate() {
             assert_eq!(store.sig(i), &sig[..], "{} sig row {i}", kind.name());
             assert_eq!(store.keys(i), &keys[..], "{} key row {i}", kind.name());
+            let low: Vec<u8> = sig.iter().map(|&slot| slot as u8).collect();
+            assert_eq!(store.sketch(i), &low[..], "{} sketch row {i}", kind.name());
         }
 
         // Pool round-trip (the snapshot wire path) is lossless.
@@ -76,6 +78,7 @@ fn packed_rows_match_per_function_storage() {
         for i in 0..store.len() {
             assert_eq!(rt.sig(i), store.sig(i));
             assert_eq!(rt.keys(i), store.keys(i));
+            assert_eq!(rt.sketch(i), store.sketch(i), "the sketch is rederived from the pools");
         }
     }
 }

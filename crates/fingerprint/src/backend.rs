@@ -129,9 +129,54 @@ pub fn backend_for(kind: BackendKind, k: usize) -> Box<dyn FingerprintBackend> {
 ///
 /// Panics if the signatures have different sizes.
 pub fn signature_similarity(a: &[u64], b: &[u64]) -> f64 {
+    equal_slots(a, b) as f64 / a.len() as f64
+}
+
+/// The number of equal slots of two equal-width signatures — the integer
+/// [`signature_similarity`] divides by `k`.
+///
+/// # Panics
+///
+/// Panics if the signatures have different sizes.
+pub fn equal_slots(a: &[u64], b: &[u64]) -> usize {
     assert_eq!(a.len(), b.len(), "fingerprint size mismatch");
-    let equal = a.iter().zip(b.iter()).filter(|(x, y)| x == y).count();
-    equal as f64 / a.len() as f64
+    a.iter().zip(b.iter()).filter(|(x, y)| x == y).count()
+}
+
+/// The number of positions at which two equal-length byte rows agree.
+/// Applied to the low bytes of two signatures' slots it is an upper bound
+/// on [`equal_slots`] (equal slots have equal low bytes) at an eighth of
+/// the memory traffic.
+///
+/// Counted 16 bytes per step, then 8 for what is left, into one `u8`
+/// accumulator per byte lane — a shape the compiler turns into vector
+/// compares, where `iter().zip().filter().count()` over bytes stays
+/// scalar. A lane holds at most 255, so rows are cut into blocks of 255
+/// steps and the lanes summed out per block.
+///
+/// # Panics
+///
+/// Panics if the rows have different lengths.
+pub fn equal_bytes(a: &[u8], b: &[u8]) -> usize {
+    /// Equal positions of two rows of at most 255 `N`-byte steps.
+    fn lanes<const N: usize>(a: &[u8], b: &[u8]) -> usize {
+        let mut lanes = [0u8; N];
+        for (x, y) in a.chunks_exact(N).zip(b.chunks_exact(N)) {
+            for l in 0..N {
+                lanes[l] += u8::from(x[l] == y[l]);
+            }
+        }
+        lanes.iter().map(|&c| usize::from(c)).sum()
+    }
+    assert_eq!(a.len(), b.len(), "byte row length mismatch");
+    let mut equal = 0;
+    for (a, b) in a.chunks(16 * u8::MAX as usize).zip(b.chunks(16 * u8::MAX as usize)) {
+        let (wide, mid) = (a.len() / 16 * 16, a.len() / 8 * 8);
+        equal += lanes::<16>(&a[..wide], &b[..wide]);
+        equal += lanes::<8>(&a[wide..mid], &b[wide..mid]);
+        equal += a[mid..].iter().zip(&b[mid..]).filter(|(x, y)| x == y).count();
+    }
+    equal
 }
 
 /// The default backend: MinHash with shared xor constants (derived once,
@@ -505,6 +550,38 @@ mod tests {
             1.0,
             "frequency-only backend is order-blind by construction"
         );
+    }
+
+    #[test]
+    fn equal_bytes_matches_the_naive_count_at_every_length() {
+        let mut rng = f3m_prng::SmallRng::seed_from_u64(0xB17E5);
+        // One row longer than a whole block of 255 sixteen-byte steps
+        // (plus an 8-byte step and a scalar tail), one spanning two.
+        for len in (0..=600).chain([16 * 255 + 16 + 8 + 3, 2 * 16 * 255 + 5]) {
+            // A 4-symbol alphabet makes about a quarter of the positions
+            // agree; the all-equal row saturates every lane.
+            let a: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u32) as u8).collect();
+            let b: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u32) as u8).collect();
+            let naive = a.iter().zip(&b).filter(|(x, y)| x == y).count();
+            assert_eq!(equal_bytes(&a, &b), naive, "len {len}");
+            assert_eq!(equal_bytes(&a, &a), len, "len {len}, identical rows");
+        }
+    }
+
+    #[test]
+    fn low_bytes_bound_the_equal_slots() {
+        let a = stream(150, 1);
+        let mut b = a.clone();
+        b[10] ^= 0xFF;
+        b.truncate(140);
+        for kind in BackendKind::ALL {
+            let backend = backend_for(kind, 114);
+            let (sa, sb) = (backend.signature(&a), backend.signature(&b));
+            let low = |sig: &[u64]| sig.iter().map(|&slot| slot as u8).collect::<Vec<u8>>();
+            let equal = equal_slots(&sa, &sb);
+            assert!(equal_bytes(&low(&sa), &low(&sb)) >= equal, "{}", kind.name());
+            assert_eq!(signature_similarity(&sa, &sb), equal as f64 / 114.0, "{}", kind.name());
+        }
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! projection bytes, TLSH-style quartile codes).
 //!
 //! Over-populated buckets (caused by very common instruction subsequences)
-//! are tamed by capping the number of comparisons per bucket
-//! (Section III-C / Figure 16); the cap is applied in
-//! [`LshIndex::candidates`].
+//! are tamed by capping the number of entries taken per bucket
+//! (Section III-C / Figure 16); the cap is applied where a probe folds a
+//! bucket into its [`QueryScratch`], the one bucket walk both
+//! [`LshIndex::probe_keys_into`] and
+//! [`ShardedLshIndex::probe_keys_into`](crate::sharded::ShardedLshIndex::probe_keys_into)
+//! share.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::HashMap;
 
 use crate::fnv::fnv1a_u64s;
 
@@ -162,34 +164,131 @@ pub struct LshQueryStats {
     /// of the same query — cross-band duplicate hits. `examined` minus
     /// `collisions` is the number of distinct candidates returned.
     pub collisions: usize,
+    /// Probed buckets longer than `bucket_cap`. Each may hide a collision
+    /// with any candidate behind the cut, so a bound on a candidate's
+    /// matching bands is its [`QueryScratch::hits`] plus this.
+    pub truncated: usize,
+}
+
+/// An item id that indexes [`QueryScratch`]'s dense table directly.
+pub trait DenseId: Copy + Ord {
+    /// The id as a table index.
+    fn index(self) -> usize;
+}
+
+impl DenseId for usize {
+    fn index(self) -> usize {
+        self
+    }
+}
+
+impl DenseId for u32 {
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// One id's state in [`QueryScratch`]: live for the current probe iff
+/// `stamp` equals the scratch's generation.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    stamp: u32,
+    hits: u32,
 }
 
 /// Reusable per-query buffers for [`LshIndex::probe_keys_into`] /
 /// [`ShardedLshIndex::probe_keys_into`](crate::sharded::ShardedLshIndex::probe_keys_into):
-/// the dedup set and the candidate list survive across queries (cleared,
-/// capacity kept), so a warm scratch answers every probe without a fresh
-/// allocation.
+/// a generation-stamped table indexed by candidate id — it dedups the
+/// probe and counts, per candidate, the probed buckets it was found in —
+/// and the candidate list. Both survive across queries (a new probe bumps
+/// the generation instead of clearing), so a warm scratch answers every
+/// probe without allocating. The table grows on demand from the ids a
+/// probe actually meets.
 #[derive(Debug, Default)]
 pub struct QueryScratch<T> {
-    pub(crate) seen: HashSet<T>,
+    table: Vec<Slot>,
+    generation: u32,
+    grows: u64,
     /// Distinct candidates of the last probe, in discovery (band) order.
     pub out: Vec<T>,
 }
 
-impl<T: Copy + Ord + Hash> QueryScratch<T> {
+impl<T: DenseId> QueryScratch<T> {
     /// Creates an empty scratch.
     pub fn new() -> QueryScratch<T> {
-        QueryScratch { seen: HashSet::new(), out: Vec::new() }
+        QueryScratch { table: Vec::new(), generation: 0, grows: 0, out: Vec::new() }
     }
 
-    /// Clears the buffers, keeping their capacity.
+    /// A scratch whose next probe runs under generation `generation + 1`.
+    #[cfg(test)]
+    pub(crate) fn at_generation(generation: u32) -> QueryScratch<T> {
+        QueryScratch { generation, ..QueryScratch::new() }
+    }
+
+    /// Starts a new probe: forgets the last one, keeping every buffer.
     pub fn reset(&mut self) {
-        self.seen.clear();
         self.out.clear();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamps of 2³² probes ago would read as live again.
+            self.table.fill(Slot::default());
+            self.generation = 1;
+        }
+    }
+
+    /// Probed buckets of the last probe that `item` was found in (0 for
+    /// an item the probe did not return).
+    pub fn hits(&self, item: T) -> u32 {
+        match self.table.get(item.index()) {
+            Some(slot) if slot.stamp == self.generation => slot.hits,
+            _ => 0,
+        }
+    }
+
+    /// How many times the table had to be enlarged. A warm scratch stops
+    /// growing, which is what makes it worth keeping.
+    pub fn grows(&self) -> u64 {
+        self.grows
+    }
+
+    /// Folds one probed bucket into the current probe — the bucket walk
+    /// shared by the plain and the sharded index: at most `cap` entries
+    /// are taken, `exclude` (the querier) is skipped before anything is
+    /// recorded, a first sighting joins `out`, every sighting counts as
+    /// a hit.
+    pub(crate) fn visit_bucket(
+        &mut self,
+        bucket: &[T],
+        cap: usize,
+        exclude: T,
+        stats: &mut LshQueryStats,
+    ) {
+        let cut = bucket.len().saturating_sub(cap);
+        stats.evicted += cut;
+        stats.truncated += usize::from(cut > 0);
+        for &item in &bucket[..bucket.len() - cut] {
+            if item == exclude {
+                continue;
+            }
+            stats.examined += 1;
+            let i = item.index();
+            if i >= self.table.len() {
+                self.table.resize((i + 1).next_power_of_two(), Slot::default());
+                self.grows += 1;
+            }
+            let slot = &mut self.table[i];
+            if slot.stamp == self.generation {
+                slot.hits = slot.hits.saturating_add(1);
+                stats.collisions += 1;
+            } else {
+                *slot = Slot { stamp: self.generation, hits: 1 };
+                self.out.push(item);
+            }
+        }
     }
 }
 
-impl<T: Copy + Ord + Hash> LshIndex<T> {
+impl<T: DenseId> LshIndex<T> {
     /// Creates an empty index.
     ///
     /// # Panics
@@ -252,9 +351,11 @@ impl<T: Copy + Ord + Hash> LshIndex<T> {
     pub fn remove_with_keys(&mut self, id: T, keys: &[BandKey]) {
         for key in keys {
             if let Some(v) = self.buckets.get_mut(key) {
-                v.retain(|&x| x != id);
-                if v.is_empty() {
-                    self.buckets.remove(key);
+                if let Ok(pos) = v.binary_search(&id) {
+                    v.remove(pos);
+                    if v.is_empty() {
+                        self.buckets.remove(key);
+                    }
                 }
             }
         }
@@ -313,12 +414,11 @@ impl<T: Copy + Ord + Hash> LshIndex<T> {
         (scratch.out, stats)
     }
 
-    /// The allocation-free query path: probes pre-computed band keys,
-    /// reusing `scratch`'s dedup set and candidate buffer (cleared, not
-    /// reallocated). Candidates are left in `scratch.out`, in the same
-    /// order [`Self::candidates_counted`] returns them. A warm scratch
-    /// services every query of a pass without a fresh `HashSet`/`Vec`
-    /// pair — the per-probe allocation the old query path paid.
+    /// The allocation-free query path: probes pre-computed band keys
+    /// into `scratch`. Candidates are left in `scratch.out`, in the same
+    /// order [`Self::candidates_counted`] returns them, and their
+    /// per-candidate bucket counts in [`QueryScratch::hits`]. A warm
+    /// scratch services every query of a pass without allocating.
     pub fn probe_keys_into(
         &self,
         keys: &[BandKey],
@@ -327,20 +427,9 @@ impl<T: Copy + Ord + Hash> LshIndex<T> {
     ) -> LshQueryStats {
         scratch.reset();
         let mut stats = LshQueryStats::default();
-        for &key in keys {
-            if let Some(bucket) = self.buckets.get(&key) {
-                stats.evicted += bucket.len().saturating_sub(self.params.bucket_cap);
-                for &item in bucket.iter().take(self.params.bucket_cap) {
-                    if item == exclude {
-                        continue;
-                    }
-                    stats.examined += 1;
-                    if scratch.seen.insert(item) {
-                        scratch.out.push(item);
-                    } else {
-                        stats.collisions += 1;
-                    }
-                }
+        for key in keys {
+            if let Some(bucket) = self.buckets.get(key) {
+                scratch.visit_bucket(bucket, self.params.bucket_cap, exclude, &mut stats);
             }
         }
         stats
@@ -562,6 +651,86 @@ mod tests {
         }
     }
 
+    /// An index of overlapping shingle windows under a cap of 3: probes
+    /// dedup, collide across bands and meet truncated buckets.
+    fn crowded_index() -> (LshIndex<u32>, Vec<Vec<u64>>) {
+        let p = LshParams { bucket_cap: 3, ..params() };
+        let sigs: Vec<Vec<u64>> =
+            (0..40u32).map(|i| sig(&(i % 9..i % 9 + 24).collect::<Vec<u32>>(), 32)).collect();
+        let mut idx = LshIndex::new(p);
+        for (i, f) in sigs.iter().enumerate() {
+            idx.insert(i as u32, f);
+        }
+        (idx, sigs)
+    }
+
+    #[test]
+    fn hits_count_the_probed_buckets_a_candidate_was_found_in() {
+        let (idx, sigs) = crowded_index();
+        let p = idx.params();
+        let mut scratch = QueryScratch::new();
+        let mut truncated = 0;
+        for (i, f) in sigs.iter().enumerate() {
+            let keys = probe_keys_for(p, f, 8);
+            let stats = idx.probe_keys_into(&keys, i as u32, &mut scratch);
+            // Recount from the buckets themselves.
+            let mut hits = std::collections::BTreeMap::new();
+            let mut cut = 0;
+            for key in &keys {
+                let bucket = idx.probe_key(*key).unwrap_or(&[]);
+                cut += usize::from(bucket.len() > p.bucket_cap);
+                for &id in bucket.iter().take(p.bucket_cap).filter(|&&id| id != i as u32) {
+                    *hits.entry(id).or_insert(0u32) += 1;
+                }
+            }
+            assert_eq!(stats.truncated, cut, "query {i}");
+            assert_eq!(stats.examined, hits.values().sum::<u32>() as usize, "query {i}");
+            let mut out = scratch.out.clone();
+            out.sort_unstable();
+            assert_eq!(out, hits.keys().copied().collect::<Vec<_>>(), "query {i}");
+            for (&id, &n) in &hits {
+                assert_eq!(scratch.hits(id), n, "query {i} candidate {id}");
+            }
+            assert_eq!(scratch.hits(i as u32), 0, "the querier is never recorded");
+            truncated += stats.truncated;
+        }
+        assert!(truncated > 0, "the cap of 3 must cut some probed bucket");
+    }
+
+    #[test]
+    fn generation_wrap_answers_like_a_fresh_scratch() {
+        let (idx, sigs) = crowded_index();
+        let mut wrapping = QueryScratch::at_generation(u32::MAX - 1);
+        for (i, f) in sigs.iter().enumerate().take(3) {
+            let keys = band_keys_for(idx.params(), f);
+            let mut fresh = QueryScratch::new();
+            let expected = idx.probe_keys_into(&keys, i as u32, &mut fresh);
+            assert_eq!(idx.probe_keys_into(&keys, i as u32, &mut wrapping), expected, "probe {i}");
+            assert_eq!(wrapping.out, fresh.out, "probe {i}");
+            for id in 0..sigs.len() as u32 {
+                assert_eq!(wrapping.hits(id), fresh.hits(id), "probe {i} candidate {id}");
+            }
+        }
+        assert_eq!(wrapping.generation, 2, "the three probes ran under MAX, 1 and 2");
+    }
+
+    #[test]
+    fn warm_scratch_stops_growing_and_ignores_the_excluded_id() {
+        let (idx, sigs) = crowded_index();
+        let mut scratch = QueryScratch::new();
+        let mut sweep = || {
+            for f in &sigs {
+                // `u32::MAX` excludes nothing real; were it stamped, the
+                // table would have to cover the whole id space.
+                idx.probe_keys_into(&band_keys_for(idx.params(), f), u32::MAX, &mut scratch);
+            }
+            (scratch.grows(), scratch.table.len())
+        };
+        let (cold_grows, cold_len) = sweep();
+        assert!(cold_grows > 0 && cold_len <= 64, "40 ids need at most 64 slots, got {cold_len}");
+        assert_eq!(sweep(), (cold_grows, cold_len), "a warm scratch allocates nothing");
+    }
+
     #[test]
     fn restore_bucket_reproduces_exported_index() {
         let p = params();
@@ -659,8 +828,10 @@ mod tests {
             idx.insert(id, &f1);
         }
         idx.remove(1, &f1);
+        idx.remove(9, &f1); // never inserted: a no-op
         let (cands, _) = idx.candidates_counted(&f1, u32::MAX);
         assert_eq!(cands, vec![0, 2], "cap keeps the lowest surviving ids");
+        assert_eq!(idx.num_entries(), 4);
     }
 
     #[test]

@@ -109,21 +109,31 @@ pub struct RowRef<'a> {
     key_ptr: *const u32,
     k: usize,
     bands: usize,
+    /// The row's slot low bytes. Only heap rows have them: the sketch
+    /// pool is derived, not part of the snapshot file a resident row is
+    /// served from.
+    sketch: Option<&'a [u8]>,
     _buf: Option<Arc<ShardBuf>>,
     _store: PhantomData<&'a ()>,
 }
 
 impl<'a> RowRef<'a> {
     /// A view of slices that already outlive `'a` (a heap store's row).
-    pub(crate) fn borrowed(sig: &'a [u64], keys: &'a [BandKey]) -> RowRef<'a> {
+    pub(crate) fn borrowed(sig: &'a [u64], keys: &'a [BandKey], sketch: &'a [u8]) -> RowRef<'a> {
         RowRef {
             sig_ptr: sig.as_ptr(),
             key_ptr: keys.as_ptr(),
             k: sig.len(),
             bands: keys.len(),
+            sketch: Some(sketch),
             _buf: None,
             _store: PhantomData,
         }
+    }
+
+    /// The low byte of each signature slot, for rows that carry a sketch.
+    pub fn sketch(&self) -> Option<&'a [u8]> {
+        self.sketch
     }
 
     /// The row's `k` signature slots.
@@ -334,6 +344,7 @@ impl ResidentStore {
                     key_ptr,
                     k: self.k,
                     bands: self.bands,
+                    sketch: None,
                     _buf: None,
                     _store: PhantomData,
                 }
@@ -348,6 +359,7 @@ impl ResidentStore {
                     key_ptr,
                     k: self.k,
                     bands: self.bands,
+                    sketch: None,
                     _buf: Some(buf),
                     _store: PhantomData,
                 }

@@ -19,11 +19,10 @@
 //! against per-entry epoch intervals kept by the caller (see
 //! `f3m-core`'s corpus). The index itself stores only ids.
 
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use crate::lsh::{BandKey, LshIndex, LshParams, LshQueryStats, QueryScratch};
+use crate::lsh::{BandKey, DenseId, LshIndex, LshParams, LshQueryStats, QueryScratch};
 
 /// Occupancy counters for one shard, surfaced through the daemon's
 /// `stats` response and the server metrics registry.
@@ -50,7 +49,7 @@ pub struct ShardedLshIndex<T> {
     epoch: AtomicU64,
 }
 
-impl<T: Copy + Ord + Hash> ShardedLshIndex<T> {
+impl<T: DenseId> ShardedLshIndex<T> {
     /// Creates an empty index with `num_shards` shards.
     ///
     /// # Panics
@@ -218,18 +217,7 @@ impl<T: Copy + Ord + Hash> ShardedLshIndex<T> {
         for &key in keys {
             let shard = self.shards[self.shard_of(key)].read().unwrap();
             if let Some(bucket) = shard.probe_key(key) {
-                stats.evicted += bucket.len().saturating_sub(self.params.bucket_cap);
-                for &item in bucket.iter().take(self.params.bucket_cap) {
-                    if item == exclude {
-                        continue;
-                    }
-                    stats.examined += 1;
-                    if scratch.seen.insert(item) {
-                        scratch.out.push(item);
-                    } else {
-                        stats.collisions += 1;
-                    }
-                }
+                scratch.visit_bucket(bucket, self.params.bucket_cap, exclude, &mut stats);
             }
         }
         stats
@@ -310,13 +298,18 @@ mod tests {
             for (id, f) in &items {
                 sharded.insert_with_keys(*id, &band_keys_for(p, f));
             }
+            let (mut across, mut within) = (QueryScratch::new(), QueryScratch::new());
             for (id, f) in &items {
                 let keys = band_keys_for(p, f);
                 assert_eq!(
-                    sharded.candidates_counted(&keys, *id),
-                    flat.candidates_counted(f, *id),
+                    sharded.probe_keys_into(&keys, *id, &mut across),
+                    flat.probe_keys_into(&keys, *id, &mut within),
                     "shards={n} query={id}"
                 );
+                assert_eq!(across.out, within.out, "shards={n} query={id}");
+                for (cand, _) in &items {
+                    assert_eq!(across.hits(*cand), within.hits(*cand), "shards={n} query={id}");
+                }
             }
             let stats = sharded.shard_stats();
             assert_eq!(stats.iter().map(|s| s.num_buckets).sum::<usize>(), flat.num_buckets());

@@ -1,20 +1,25 @@
 //! Packed struct-of-arrays fingerprint storage: the one row store.
 //!
 //! Every holder of fingerprints — the offline pass's LSH search, the
-//! resident corpus, the snapshot writer — keeps them here, as two
+//! resident corpus, the snapshot writer — keeps them here, as three
 //! contiguous pools indexed by row id, instead of one `Vec<u64>`
 //! signature plus one key list *per function* (two heap allocations and
 //! two pointer chases per entry):
 //!
 //! ```text
-//! sigs: [ fn0 slot0..k | fn1 slot0..k | ... ]   n × k  u64 words
-//! keys: [ fn0 band0..b | fn1 band0..b | ... ]   n × b  u32 band keys
+//! sigs:   [ fn0 slot0..k | fn1 slot0..k | ... ]   n × k  u64 words
+//! keys:   [ fn0 band0..b | fn1 band0..b | ... ]   n × b  u32 band keys
+//! sketch: [ fn0 low0..k  | fn1 low0..k  | ... ]   n × k  bytes
 //! ```
 //!
 //! Index build walks `keys` linearly; a probe reads one `k`-slot row and
-//! one `b`-key row, both contiguous. The layout is also exactly what the
-//! [snapshot](crate::snapshot) writes — serialization is two bulk copies,
-//! and a bulk load hands the decoded store to the corpus as is. Rows are
+//! one `b`-key row, both contiguous. The first two pools are also exactly
+//! what the [snapshot](crate::snapshot) writes — serialization is two bulk
+//! copies, and a bulk load hands the decoded store to the corpus as is.
+//! The third is derived: the low byte of every signature slot, which
+//! ranking compares first ([`equal_bytes`](crate::backend::equal_bytes))
+//! to skip most full-signature compares. It is rebuilt from `sigs`
+//! wherever rows enter the store and never serialized. Rows are
 //! fixed-width, so a changed function overwrites its row in place
 //! ([`PackedFingerprintStore::set_row`]). [`RowRef`] is the borrowed view
 //! of one row, shared with the file-backed
@@ -29,7 +34,8 @@ use crate::lsh::{band_keys_for, BandKey, LshParams};
 use crate::par::par_map_indexed;
 use crate::resident::RowRef;
 
-/// Contiguous signature + band-key pools, indexed by function id.
+/// Contiguous signature, band-key and sketch pools, indexed by function
+/// id.
 ///
 /// Row ids are positional: id `i` is the `i`-th pushed function. Callers
 /// that interleave ids with other tables (e.g. the corpus) own the id
@@ -40,6 +46,12 @@ pub struct PackedFingerprintStore {
     bands: usize,
     sigs: Vec<u64>,
     keys: Vec<BandKey>,
+    sketch: Vec<u8>,
+}
+
+/// The sketch bytes of signature slots: each slot's low byte.
+fn sketch_of(sig: &[u64]) -> impl Iterator<Item = u8> + '_ {
+    sig.iter().map(|&slot| slot as u8)
 }
 
 impl PackedFingerprintStore {
@@ -56,6 +68,7 @@ impl PackedFingerprintStore {
             bands,
             sigs: Vec::with_capacity(capacity * k),
             keys: Vec::with_capacity(capacity * bands),
+            sketch: Vec::with_capacity(capacity * k),
         }
     }
 
@@ -95,6 +108,7 @@ impl PackedFingerprintStore {
         assert_eq!(keys.len(), self.bands, "band count mismatch");
         self.sigs.extend_from_slice(sig);
         self.keys.extend_from_slice(keys);
+        self.sketch.extend(sketch_of(sig));
         self.len() - 1
     }
 
@@ -108,6 +122,7 @@ impl PackedFingerprintStore {
         assert_eq!((other.k, other.bands), (self.k, self.bands), "row width mismatch");
         self.sigs.extend_from_slice(&other.sigs);
         self.keys.extend_from_slice(&other.keys);
+        self.sketch.extend_from_slice(&other.sketch);
     }
 
     /// Overwrites row `i` in place (rows are fixed-width).
@@ -118,6 +133,9 @@ impl PackedFingerprintStore {
     pub fn set_row(&mut self, i: usize, sig: &[u64], keys: &[BandKey]) {
         self.sigs[i * self.k..(i + 1) * self.k].copy_from_slice(sig);
         self.keys[i * self.bands..(i + 1) * self.bands].copy_from_slice(keys);
+        for (byte, low) in self.sketch[i * self.k..(i + 1) * self.k].iter_mut().zip(sketch_of(sig)) {
+            *byte = low;
+        }
     }
 
     /// Number of functions stored.
@@ -158,13 +176,22 @@ impl PackedFingerprintStore {
         &self.keys[i * self.bands..(i + 1) * self.bands]
     }
 
+    /// The low byte of each of function `i`'s signature slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn sketch(&self, i: usize) -> &[u8] {
+        &self.sketch[i * self.k..(i + 1) * self.k]
+    }
+
     /// Borrowed view of row `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn row(&self, i: usize) -> RowRef<'_> {
-        RowRef::borrowed(self.sig(i), self.keys(i))
+        RowRef::borrowed(self.sig(i), self.keys(i), self.sketch(i))
     }
 
     /// The whole signature pool (snapshot serialization order).
@@ -193,18 +220,21 @@ impl PackedFingerprintStore {
         if sigs.len() / k != keys.len() / bands {
             return None;
         }
-        Some(PackedFingerprintStore { k, bands, sigs, keys })
+        let sketch = sketch_of(&sigs).collect();
+        Some(PackedFingerprintStore { k, bands, sigs, keys, sketch })
     }
 
     /// Fixed per-function footprint of the packed layout in bytes:
-    /// `8k + 4b`, independent of corpus size (no per-entry headers).
+    /// `9k + 4b`, independent of corpus size (no per-entry headers).
     pub fn bytes_per_fn(&self) -> usize {
-        self.k * std::mem::size_of::<u64>() + self.bands * std::mem::size_of::<BandKey>()
+        self.k * (std::mem::size_of::<u64>() + 1) + self.bands * std::mem::size_of::<BandKey>()
     }
 
     /// Total pool footprint in bytes.
     pub fn total_bytes(&self) -> usize {
-        std::mem::size_of_val(self.sigs.as_slice()) + std::mem::size_of_val(self.keys.as_slice())
+        std::mem::size_of_val(self.sigs.as_slice())
+            + std::mem::size_of_val(self.keys.as_slice())
+            + self.sketch.len()
     }
 }
 
@@ -268,7 +298,7 @@ mod tests {
     fn footprint_is_exact_and_size_independent() {
         let p = params();
         let mut store = PackedFingerprintStore::with_capacity(32, p.bands, 2);
-        assert_eq!(store.bytes_per_fn(), 32 * 8 + 16 * 4);
+        assert_eq!(store.bytes_per_fn(), 32 * 9 + 16 * 4);
         store.push_with_keys(&sig(0), &band_keys_for(p, &sig(0)));
         let one = store.total_bytes();
         store.push_with_keys(&sig(1), &band_keys_for(p, &sig(1)));

@@ -634,6 +634,8 @@ mod tests {
                     memo_misses: 5,
                     funcs_invalidated: 3,
                     queries_superseded: 1,
+                    sketch_comparisons: 30,
+                    full_comparisons: 4,
                     resident_pager: Some("mmap"),
                     resident_bytes: 4096,
                     shard_faults: 2,

@@ -167,6 +167,8 @@ fn artefacts_flush_after_chaos() {
         "serve.corpus.memo_misses count true",
         "serve.corpus.funcs_invalidated count true",
         "serve.corpus.queries_superseded count true",
+        "serve.corpus.sketch_comparisons count true",
+        "serve.corpus.full_comparisons count true",
         "serve.resident.active count false",
         "serve.resident.bytes count false",
         "serve.resident.faults count false",
