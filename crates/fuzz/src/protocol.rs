@@ -10,8 +10,10 @@
 //! ## Oracle contract
 //!
 //! 1. **No panics**: the daemon thread finishes `run()` cleanly at the
-//!    end of the campaign (a worker panic is caught and answered as an
-//!    `error` response; an event-loop panic would poison the run).
+//!    end of the campaign (an event-loop panic would poison the run), and
+//!    no response is the `internal panic handling …` error a worker's
+//!    `catch_unwind` answers with: the panic was contained, but it may have
+//!    poisoned a lock every later request needs, so it is a finding.
 //! 2. **No deadlocks**: every probe that is owed a response receives it
 //!    within [`ProtocolCampaignConfig::deadline`], and the daemon joins
 //!    within the same bound after `shutdown`.
@@ -177,17 +179,20 @@ fn random_request(rng: &mut SmallRng, ingested: &mut Vec<String>) -> Request {
     }
 }
 
-/// Checks one response frame against oracle rule 3.
+/// Checks one response frame against oracle rules 1 and 3.
 fn check_response(raw: &[u8]) -> Result<(), String> {
     let v: Json = parse_response(raw).map_err(|e| format!("unparseable response: {e}"))?;
-    match v.get("type").and_then(Json::as_str) {
-        Some(_) => Ok(()),
-        None => Err("response JSON has no `type` field".to_string()),
+    if v.get("type").and_then(Json::as_str).is_none() {
+        return Err("response JSON has no `type` field".to_string());
+    }
+    match v.get("message").and_then(Json::as_str) {
+        Some(m) if m.starts_with("internal panic") => Err(format!("worker panicked: {m}")),
+        _ => Ok(()),
     }
 }
 
 /// Collects `n` pipelined responses from `client`, enforcing oracle
-/// rules 2 and 3.
+/// rules 2 and 3 (and, through [`check_response`], rule 1).
 fn drain_responses(client: &mut Client, n: usize, summary: &mut ProtocolSummary) -> Result<(), String> {
     for i in 0..n {
         let frame = client
@@ -518,6 +523,16 @@ mod tests {
         // Scenario draws are a pure function of the seed.
         assert_eq!(a.scenario_counts, b.scenario_counts);
         assert_eq!(a.frames_sent, b.frames_sent);
+    }
+
+    #[test]
+    fn contained_panic_is_a_finding_other_errors_are_not() {
+        use f3m_serve::protocol::{render_response, Response};
+        let error =
+            |message: &str| render_response(None, &Response::Error { message: message.into() });
+        assert!(check_response(error("unknown request type `x`").as_bytes()).is_ok());
+        let caught = check_response(error("internal panic handling `update`").as_bytes());
+        assert!(caught.unwrap_err().contains("worker panicked"));
     }
 
     #[test]

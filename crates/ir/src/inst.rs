@@ -80,7 +80,7 @@ impl Opcode {
 
     /// Number of distinct opcodes (the dimensionality of the opcode
     /// frequency fingerprint used by HyFM).
-    pub const COUNT: usize = 45;
+    pub const COUNT: usize = Self::ALL.len();
 
     /// True for instructions that must terminate a basic block.
     pub fn is_terminator(self) -> bool {
@@ -147,113 +147,75 @@ impl Opcode {
         matches!(self, Opcode::Load | Opcode::Store | Opcode::Alloca)
     }
 
+    /// Every opcode with its mnemonic, in discriminant order; the one place
+    /// an opcode is named besides its variant.
+    const ALL: &'static [(Opcode, &'static str)] = &[
+        (Opcode::Ret, "ret"),
+        (Opcode::Br, "br"),
+        (Opcode::CondBr, "condbr"),
+        (Opcode::Invoke, "invoke"),
+        (Opcode::Unreachable, "unreachable"),
+        (Opcode::Add, "add"),
+        (Opcode::Sub, "sub"),
+        (Opcode::Mul, "mul"),
+        (Opcode::UDiv, "udiv"),
+        (Opcode::SDiv, "sdiv"),
+        (Opcode::URem, "urem"),
+        (Opcode::SRem, "srem"),
+        (Opcode::Shl, "shl"),
+        (Opcode::LShr, "lshr"),
+        (Opcode::AShr, "ashr"),
+        (Opcode::And, "and"),
+        (Opcode::Or, "or"),
+        (Opcode::Xor, "xor"),
+        (Opcode::FAdd, "fadd"),
+        (Opcode::FSub, "fsub"),
+        (Opcode::FMul, "fmul"),
+        (Opcode::FDiv, "fdiv"),
+        (Opcode::FRem, "frem"),
+        (Opcode::FNeg, "fneg"),
+        (Opcode::Alloca, "alloca"),
+        (Opcode::Load, "load"),
+        (Opcode::Store, "store"),
+        (Opcode::Gep, "gep"),
+        (Opcode::Trunc, "trunc"),
+        (Opcode::ZExt, "zext"),
+        (Opcode::SExt, "sext"),
+        (Opcode::FPTrunc, "fptrunc"),
+        (Opcode::FPExt, "fpext"),
+        (Opcode::FPToUI, "fptoui"),
+        (Opcode::FPToSI, "fptosi"),
+        (Opcode::UIToFP, "uitofp"),
+        (Opcode::SIToFP, "sitofp"),
+        (Opcode::PtrToInt, "ptrtoint"),
+        (Opcode::IntToPtr, "inttoptr"),
+        (Opcode::BitCast, "bitcast"),
+        (Opcode::ICmp, "icmp"),
+        (Opcode::FCmp, "fcmp"),
+        (Opcode::Phi, "phi"),
+        (Opcode::Select, "select"),
+        (Opcode::Call, "call"),
+    ];
+
     /// Textual mnemonic as used by the printer and parser.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            Opcode::Ret => "ret",
-            Opcode::Br => "br",
-            Opcode::CondBr => "condbr",
-            Opcode::Invoke => "invoke",
-            Opcode::Unreachable => "unreachable",
-            Opcode::Add => "add",
-            Opcode::Sub => "sub",
-            Opcode::Mul => "mul",
-            Opcode::UDiv => "udiv",
-            Opcode::SDiv => "sdiv",
-            Opcode::URem => "urem",
-            Opcode::SRem => "srem",
-            Opcode::Shl => "shl",
-            Opcode::LShr => "lshr",
-            Opcode::AShr => "ashr",
-            Opcode::And => "and",
-            Opcode::Or => "or",
-            Opcode::Xor => "xor",
-            Opcode::FAdd => "fadd",
-            Opcode::FSub => "fsub",
-            Opcode::FMul => "fmul",
-            Opcode::FDiv => "fdiv",
-            Opcode::FRem => "frem",
-            Opcode::FNeg => "fneg",
-            Opcode::Alloca => "alloca",
-            Opcode::Load => "load",
-            Opcode::Store => "store",
-            Opcode::Gep => "gep",
-            Opcode::Trunc => "trunc",
-            Opcode::ZExt => "zext",
-            Opcode::SExt => "sext",
-            Opcode::FPTrunc => "fptrunc",
-            Opcode::FPExt => "fpext",
-            Opcode::FPToUI => "fptoui",
-            Opcode::FPToSI => "fptosi",
-            Opcode::UIToFP => "uitofp",
-            Opcode::SIToFP => "sitofp",
-            Opcode::PtrToInt => "ptrtoint",
-            Opcode::IntToPtr => "inttoptr",
-            Opcode::BitCast => "bitcast",
-            Opcode::ICmp => "icmp",
-            Opcode::FCmp => "fcmp",
-            Opcode::Phi => "phi",
-            Opcode::Select => "select",
-            Opcode::Call => "call",
-        }
+        Self::ALL[self as usize - 1].1
     }
 
     /// Parses a mnemonic back into an opcode.
     pub fn from_mnemonic(s: &str) -> Option<Opcode> {
-        Opcode::iter().find(|op| op.mnemonic() == s)
+        lookup(Self::ALL, s)
     }
 
     /// Iterates over every opcode.
     pub fn iter() -> impl Iterator<Item = Opcode> {
-        [
-            Opcode::Ret,
-            Opcode::Br,
-            Opcode::CondBr,
-            Opcode::Invoke,
-            Opcode::Unreachable,
-            Opcode::Add,
-            Opcode::Sub,
-            Opcode::Mul,
-            Opcode::UDiv,
-            Opcode::SDiv,
-            Opcode::URem,
-            Opcode::SRem,
-            Opcode::Shl,
-            Opcode::LShr,
-            Opcode::AShr,
-            Opcode::And,
-            Opcode::Or,
-            Opcode::Xor,
-            Opcode::FAdd,
-            Opcode::FSub,
-            Opcode::FMul,
-            Opcode::FDiv,
-            Opcode::FRem,
-            Opcode::FNeg,
-            Opcode::Alloca,
-            Opcode::Load,
-            Opcode::Store,
-            Opcode::Gep,
-            Opcode::Trunc,
-            Opcode::ZExt,
-            Opcode::SExt,
-            Opcode::FPTrunc,
-            Opcode::FPExt,
-            Opcode::FPToUI,
-            Opcode::FPToSI,
-            Opcode::UIToFP,
-            Opcode::SIToFP,
-            Opcode::PtrToInt,
-            Opcode::IntToPtr,
-            Opcode::BitCast,
-            Opcode::ICmp,
-            Opcode::FCmp,
-            Opcode::Phi,
-            Opcode::Select,
-            Opcode::Call,
-        ]
-        .into_iter()
+        Self::ALL.iter().map(|&(op, _)| op)
     }
+}
+
+/// The entry of a mnemonic table that is spelt `s`.
+fn lookup<T: Copy>(table: &[(T, &str)], s: &str) -> Option<T> {
+    table.iter().find(|(_, mnemonic)| *mnemonic == s).map(|&(item, _)| item)
 }
 
 /// Integer comparison predicates (subset of LLVM's `icmp`).
@@ -272,37 +234,28 @@ pub enum IntPredicate {
 }
 
 impl IntPredicate {
+    /// Every predicate with its mnemonic, in declaration order.
+    const ALL: &'static [(IntPredicate, &'static str)] = &[
+        (IntPredicate::Eq, "eq"),
+        (IntPredicate::Ne, "ne"),
+        (IntPredicate::Ugt, "ugt"),
+        (IntPredicate::Uge, "uge"),
+        (IntPredicate::Ult, "ult"),
+        (IntPredicate::Ule, "ule"),
+        (IntPredicate::Sgt, "sgt"),
+        (IntPredicate::Sge, "sge"),
+        (IntPredicate::Slt, "slt"),
+        (IntPredicate::Sle, "sle"),
+    ];
+
     /// Textual form (`eq`, `slt`, ...).
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            IntPredicate::Eq => "eq",
-            IntPredicate::Ne => "ne",
-            IntPredicate::Ugt => "ugt",
-            IntPredicate::Uge => "uge",
-            IntPredicate::Ult => "ult",
-            IntPredicate::Ule => "ule",
-            IntPredicate::Sgt => "sgt",
-            IntPredicate::Sge => "sge",
-            IntPredicate::Slt => "slt",
-            IntPredicate::Sle => "sle",
-        }
+        Self::ALL[self as usize].1
     }
 
     /// Parses a predicate mnemonic.
     pub fn from_mnemonic(s: &str) -> Option<Self> {
-        Some(match s {
-            "eq" => IntPredicate::Eq,
-            "ne" => IntPredicate::Ne,
-            "ugt" => IntPredicate::Ugt,
-            "uge" => IntPredicate::Uge,
-            "ult" => IntPredicate::Ult,
-            "ule" => IntPredicate::Ule,
-            "sgt" => IntPredicate::Sgt,
-            "sge" => IntPredicate::Sge,
-            "slt" => IntPredicate::Slt,
-            "sle" => IntPredicate::Sle,
-            _ => return None,
-        })
+        lookup(Self::ALL, s)
     }
 
     /// Small integer used by the fingerprint encoding to distinguish
@@ -324,29 +277,24 @@ pub enum FloatPredicate {
 }
 
 impl FloatPredicate {
+    /// Every predicate with its mnemonic, in declaration order.
+    const ALL: &'static [(FloatPredicate, &'static str)] = &[
+        (FloatPredicate::Oeq, "oeq"),
+        (FloatPredicate::One, "one"),
+        (FloatPredicate::Ogt, "ogt"),
+        (FloatPredicate::Oge, "oge"),
+        (FloatPredicate::Olt, "olt"),
+        (FloatPredicate::Ole, "ole"),
+    ];
+
     /// Textual form (`oeq`, `olt`, ...).
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            FloatPredicate::Oeq => "oeq",
-            FloatPredicate::One => "one",
-            FloatPredicate::Ogt => "ogt",
-            FloatPredicate::Oge => "oge",
-            FloatPredicate::Olt => "olt",
-            FloatPredicate::Ole => "ole",
-        }
+        Self::ALL[self as usize].1
     }
 
     /// Parses a predicate mnemonic.
     pub fn from_mnemonic(s: &str) -> Option<Self> {
-        Some(match s {
-            "oeq" => FloatPredicate::Oeq,
-            "one" => FloatPredicate::One,
-            "ogt" => FloatPredicate::Ogt,
-            "oge" => FloatPredicate::Oge,
-            "olt" => FloatPredicate::Olt,
-            "ole" => FloatPredicate::Ole,
-            _ => return None,
-        })
+        lookup(Self::ALL, s)
     }
 
     /// Small integer used by the fingerprint encoding.
@@ -460,6 +408,34 @@ mod tests {
         for op in Opcode::iter() {
             assert_eq!(Opcode::from_mnemonic(op.mnemonic()), Some(op), "{op:?}");
         }
+    }
+
+    /// The tables are indexed by discriminant, and `code()` values are in
+    /// every fingerprint: neither may move.
+    #[test]
+    fn mnemonic_tables_are_in_discriminant_order_and_round_trip() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            table: &[(T, &str)],
+            first: usize,
+            index: fn(T) -> usize,
+            mnemonic: fn(T) -> &'static str,
+            parse: fn(&str) -> Option<T>,
+        ) {
+            let mut seen = std::collections::HashSet::new();
+            for (i, &(item, spelt)) in table.iter().enumerate() {
+                assert_eq!(index(item), i + first, "{item:?} is out of order");
+                assert!(seen.insert(spelt), "mnemonic `{spelt}` appears twice");
+                assert_eq!(mnemonic(item), spelt);
+                assert_eq!(parse(mnemonic(item)), Some(item));
+            }
+            assert_eq!(parse("no-such-mnemonic"), None);
+        }
+        check(Opcode::ALL, 1, |op| op as usize, Opcode::mnemonic, Opcode::from_mnemonic);
+        use {FloatPredicate as Fp, IntPredicate as Ip};
+        check(Ip::ALL, 0, |p| p as usize, Ip::mnemonic, Ip::from_mnemonic);
+        check(Fp::ALL, 0, |p| p as usize, Fp::mnemonic, Fp::from_mnemonic);
+        assert_eq!((Opcode::COUNT, Opcode::Call.code()), (45, 45));
+        assert_eq!((IntPredicate::Sle.code(), FloatPredicate::Ole.code()), (10, 6));
     }
 
     #[test]

@@ -1,9 +1,17 @@
 //! Textual IR parser.
 //!
-//! Parses the syntax produced by [`crate::printer`]. The parser is a
-//! hand-written recursive-descent parser over a small token stream; function
-//! bodies are built in two phases so that phi-nodes can reference values
-//! defined later in the body (back edges).
+//! Parses the syntax produced by [`crate::printer`]. The text is lexed once
+//! into tokens that borrow from it, and a hand-written recursive-descent
+//! parser walks the token vector in two loops: the first parses every
+//! top-level item — `global` lines, `declare`/`define` headers — and steps
+//! over each definition's body by brace matching; the second parses each
+//! body into the function its header created. With every header registered
+//! before any body is read, calls resolve forward references, and types are
+//! interned headers-first, an order the fingerprints depend on through
+//! [`TypeId::encoding_number`]. Within a body, instructions are built in two
+//! phases so that phi-nodes can reference values defined later (back edges).
+//!
+//! The first error wins and carries its 1-based line; no input panics.
 //!
 //! # Examples
 //!
@@ -25,7 +33,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::ids::{BlockId, ValueId};
+use crate::ids::{BlockId, FuncId, InstId, ValueId};
 use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
 use crate::function::{Function, Linkage};
 use crate::module::{Global, Module};
@@ -50,6 +58,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+fn err(line: usize, msg: impl Into<String>) -> ParseError {
+    ParseError { line, msg: msg.into() }
+}
+
 /// Parses a module and verifies it.
 ///
 /// # Errors
@@ -58,12 +70,9 @@ impl std::error::Error for ParseError {}
 /// reported as a parse error on line 0 listing the problems.
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     let m = parse_module_unverified(src)?;
-    verify_module(&m).map_err(|errs| ParseError {
-        line: 0,
-        msg: format!(
-            "verification failed: {}",
-            errs.iter().map(|e| e.to_string()).collect::<Vec<_>>().join("; ")
-        ),
+    verify_module(&m).map_err(|errs| {
+        let errs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
+        err(0, format!("verification failed: {}", errs.join("; ")))
     })?;
     Ok(m)
 }
@@ -90,27 +99,28 @@ pub fn check_print_fixpoint(printed: &str) -> Result<(), String> {
 ///
 /// Returns a [`ParseError`] for syntax errors.
 pub fn parse_module_unverified(src: &str) -> Result<Module, ParseError> {
-    Parser::new(src).module()
+    Parser { toks: lex(src)?, pos: 0 }.module()
 }
 
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
+/// One token; the variants that carry text borrow it from the source.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'s> {
     /// Bare word: mnemonics, type names, labels, `module`, `define`...
-    Word(String),
+    Word(&'s str),
     /// `%N` local value reference.
     Local(u32),
     /// `@name` symbol reference.
-    Sym(String),
+    Sym(&'s str),
     /// Integer literal (possibly negative).
     Int(i64),
     /// `0fXXXXXXXXXXXXXXXX` float bit pattern.
     FloatBits(u64),
     /// Quoted string.
-    Str(String),
+    Str(&'s str),
     LBrace,
     RBrace,
     LParen,
@@ -123,159 +133,102 @@ enum Tok {
     Arrow,
 }
 
-#[derive(Clone, Debug)]
-struct SpannedTok {
-    tok: Tok,
-    line: usize,
+/// End of the run of bytes satisfying `keep` that starts at `from`.
+fn run(bytes: &[u8], from: usize, keep: impl Fn(u8) -> bool) -> usize {
+    from + bytes[from..].iter().take_while(|&&b| keep(b)).count()
 }
 
-fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
-    let mut toks = Vec::new();
-    let mut line = 1usize;
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
+}
+
+/// Splits `src` into tokens, each with its 1-based line. Every slice
+/// boundary is next to an ASCII byte, so slicing `src` cannot split a
+/// character.
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
     let bytes = src.as_bytes();
-    let mut i = 0;
-    let err = |line: usize, msg: String| ParseError { line, msg };
+    // Not pre-sized: one `len / 3` reservation parsed no faster than growth
+    // by doubling and left the daemon's peak RSS higher (EXPERIMENTS.md).
+    let mut toks = Vec::new();
+    let (mut i, mut line) = (0, 1);
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '\n' => {
+        let start = i;
+        let tok = match bytes[i] {
+            b'\n' => {
                 line += 1;
                 i += 1;
+                continue;
             }
-            ' ' | '\t' | '\r' => i += 1,
-            ';' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '{' => {
-                toks.push(SpannedTok { tok: Tok::LBrace, line });
+            b' ' | b'\t' | b'\r' => {
                 i += 1;
+                continue;
             }
-            '}' => {
-                toks.push(SpannedTok { tok: Tok::RBrace, line });
-                i += 1;
+            b';' => {
+                i = run(bytes, i, |b| b != b'\n');
+                continue;
             }
-            '(' => {
-                toks.push(SpannedTok { tok: Tok::LParen, line });
-                i += 1;
+            b'-' if bytes.get(i + 1) == Some(&b'>') => {
+                i += 2;
+                Tok::Arrow
             }
-            ')' => {
-                toks.push(SpannedTok { tok: Tok::RParen, line });
-                i += 1;
-            }
-            '[' => {
-                toks.push(SpannedTok { tok: Tok::LBracket, line });
-                i += 1;
-            }
-            ']' => {
-                toks.push(SpannedTok { tok: Tok::RBracket, line });
-                i += 1;
-            }
-            ',' => {
-                toks.push(SpannedTok { tok: Tok::Comma, line });
-                i += 1;
-            }
-            ':' => {
-                toks.push(SpannedTok { tok: Tok::Colon, line });
-                i += 1;
-            }
-            '=' => {
-                toks.push(SpannedTok { tok: Tok::Eq, line });
-                i += 1;
-            }
-            '-' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    toks.push(SpannedTok { tok: Tok::Arrow, line });
-                    i += 2;
-                } else {
-                    // negative integer
-                    let start = i;
-                    i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                    let text = &src[start..i];
-                    let v: i64 = text
-                        .parse()
-                        .map_err(|_| err(line, format!("bad integer `{text}`")))?;
-                    toks.push(SpannedTok { tok: Tok::Int(v), line });
-                }
-            }
-            '"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    j += 1;
-                }
-                if j >= bytes.len() {
-                    return Err(err(line, "unterminated string".into()));
-                }
-                toks.push(SpannedTok { tok: Tok::Str(src[start..j].to_string()), line });
-                i = j + 1;
-            }
-            '%' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
-                }
-                if j == start {
-                    return Err(err(line, "expected number after `%`".into()));
-                }
-                let v: u32 = src[start..j]
-                    .parse()
-                    .map_err(|_| err(line, "bad local number".into()))?;
-                toks.push(SpannedTok { tok: Tok::Local(v), line });
-                i = j;
-            }
-            '@' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len()
-                    && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_' || bytes[j] == b'.')
-                {
-                    j += 1;
-                }
-                if j == start {
-                    return Err(err(line, "expected name after `@`".into()));
-                }
-                toks.push(SpannedTok { tok: Tok::Sym(src[start..j].to_string()), line });
-                i = j;
-            }
-            '0' if i + 1 < bytes.len() && bytes[i + 1] == b'f' => {
-                let start = i + 2;
-                let mut j = start;
-                while j < bytes.len() && bytes[j].is_ascii_hexdigit() {
-                    j += 1;
-                }
-                let v = u64::from_str_radix(&src[start..j], 16)
-                    .map_err(|_| err(line, "bad float bits".into()))?;
-                toks.push(SpannedTok { tok: Tok::FloatBits(v), line });
-                i = j;
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
+            b'-' => {
+                i = run(bytes, i + 1, |b| b.is_ascii_digit());
                 let text = &src[start..i];
-                let v: i64 = text
-                    .parse()
-                    .map_err(|_| err(line, format!("integer overflow `{text}`")))?;
-                toks.push(SpannedTok { tok: Tok::Int(v), line });
+                Tok::Int(text.parse().map_err(|_| err(line, format!("bad integer `{text}`")))?)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'.')
-                {
-                    i += 1;
+            b'"' => {
+                let end = run(bytes, i + 1, |b| b != b'"');
+                if end == bytes.len() {
+                    return Err(err(line, "unterminated string"));
                 }
-                toks.push(SpannedTok { tok: Tok::Word(src[start..i].to_string()), line });
+                i = end + 1;
+                Tok::Str(&src[start + 1..end])
             }
-            other => return Err(err(line, format!("unexpected character `{other}`"))),
-        }
+            b'%' => {
+                i = run(bytes, i + 1, |b| b.is_ascii_digit());
+                if i == start + 1 {
+                    return Err(err(line, "expected number after `%`"));
+                }
+                Tok::Local(src[start + 1..i].parse().map_err(|_| err(line, "bad local number"))?)
+            }
+            b'@' => {
+                i = run(bytes, i + 1, is_name_byte);
+                if i == start + 1 {
+                    return Err(err(line, "expected name after `@`"));
+                }
+                Tok::Sym(&src[start + 1..i])
+            }
+            b'0' if bytes.get(i + 1) == Some(&b'f') => {
+                i = run(bytes, i + 2, |b| b.is_ascii_hexdigit());
+                let bits = u64::from_str_radix(&src[start + 2..i], 16);
+                Tok::FloatBits(bits.map_err(|_| err(line, "bad float bits"))?)
+            }
+            b'0'..=b'9' => {
+                i = run(bytes, i, |b| b.is_ascii_digit());
+                let text = &src[start..i];
+                Tok::Int(text.parse().map_err(|_| err(line, format!("integer overflow `{text}`")))?)
+            }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                i = run(bytes, i, is_name_byte);
+                Tok::Word(&src[start..i])
+            }
+            b => {
+                i += 1;
+                match b {
+                    b'{' => Tok::LBrace,
+                    b'}' => Tok::RBrace,
+                    b'(' => Tok::LParen,
+                    b')' => Tok::RParen,
+                    b'[' => Tok::LBracket,
+                    b']' => Tok::RBracket,
+                    b',' => Tok::Comma,
+                    b':' => Tok::Colon,
+                    b'=' => Tok::Eq,
+                    _ => return Err(err(line, format!("unexpected character `{}`", b as char))),
+                }
+            }
+        };
+        toks.push((tok, line));
     }
     Ok(toks)
 }
@@ -284,310 +237,184 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of array, struct and function types the reader follows.
+/// It bounds the recursion of [`Parser::ty`] on hostile input, and with it
+/// every later recursion over the type it would have built.
+const MAX_TYPE_DEPTH: usize = 128;
+
 /// Operand placeholder resolved in phase B of body construction.
-#[derive(Clone, Debug)]
-enum RawOperand {
+#[derive(Clone, Copy, Debug)]
+enum RawOperand<'s> {
     Local(u32),
     Int(TypeId, i64),
     Float(TypeId, u64),
     Undef(TypeId),
-    Sym(TypeId, String),
+    Sym(TypeId, &'s str),
 }
 
 #[derive(Clone, Debug)]
-struct RawInst {
+struct RawInst<'s> {
     line: usize,
     op: Opcode,
     ty: TypeId,
     aux_ty: Option<TypeId>,
     pred: Option<Predicate>,
-    operands: Vec<RawOperand>,
-    blocks: Vec<String>,
+    operands: Vec<RawOperand<'s>>,
+    blocks: Vec<&'s str>,
     result_name: Option<u32>,
 }
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'s> {
+    toks: Vec<(Tok<'s>, usize)>,
     pos: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Parser {
-        match lex(src) {
-            Ok(toks) => Parser { toks, pos: 0 },
-            Err(e) => Parser {
-                toks: vec![SpannedTok { tok: Tok::Str(e.msg.clone()), line: e.line }],
-                pos: usize::MAX, // poisoned; module() surfaces the error
-            },
-        }
-    }
-
+impl<'s> Parser<'s> {
     fn module(&mut self) -> Result<Module, ParseError> {
-        if self.pos == usize::MAX {
-            // Lexing failed; reproduce the error.
-            let line = self.toks[0].line;
-            if let Tok::Str(msg) = &self.toks[0].tok {
-                return Err(ParseError { line, msg: msg.clone() });
-            }
-            unreachable!()
-        }
         self.expect_word("module")?;
         let name = match self.next()? {
             (Tok::Str(s), _) => s,
-            (_, line) => return Err(ParseError { line, msg: "expected module name".into() }),
+            (_, line) => return Err(err(line, "expected module name")),
         };
         self.expect(Tok::LBrace)?;
         let mut m = Module::new(name);
 
-        // First pass over declarations so call operands can resolve symbols
-        // lazily: we simply parse in order, but create constant FuncRef
-        // operands by name at body-build time, when the whole symbol table
-        // exists. To allow forward references, we scan the token stream for
-        // all `define`/`declare` headers up front.
-        self.predeclare(&mut m)?;
-
-        loop {
-            match self.peek()? {
-                (Tok::RBrace, _) => {
-                    self.next()?;
-                    break;
+        // First loop: every top-level item up to the module's `}` is parsed
+        // and registered; a definition's body is stepped over by brace
+        // matching and its first token index kept. A token that starts no
+        // item (or the input ending here) usually means a brace went astray
+        // in the body before it, so that error waits for the second loop:
+        // the body names the line where it went wrong.
+        let mut bodies = Vec::new();
+        let stray = loop {
+            match self.next() {
+                Ok((Tok::RBrace, _)) => break None,
+                Ok((Tok::Word("global"), _)) => self.global(&mut m)?,
+                Ok((Tok::Word("declare"), _)) => {
+                    self.header(&mut m, false)?;
                 }
-                (Tok::Word(w), _) if w == "global" => self.global(&mut m)?,
-                (Tok::Word(w), _) if w == "declare" => self.declare_skip(&mut m)?,
-                (Tok::Word(w), _) if w == "define" => self.define(&mut m)?,
-                (_, line) => {
-                    return Err(ParseError {
-                        line,
-                        msg: "expected `global`, `declare`, `define` or `}`".into(),
-                    })
+                Ok((Tok::Word("define"), _)) => {
+                    let fid = self.header(&mut m, true)?;
+                    self.expect(Tok::LBrace)?;
+                    bodies.push((fid, self.pos));
+                    let mut depth = 1;
+                    while depth > 0 {
+                        match self.next()?.0 {
+                            Tok::LBrace => depth += 1,
+                            Tok::RBrace => depth -= 1,
+                            _ => {}
+                        }
+                    }
                 }
+                Ok((_, line)) => {
+                    break Some(err(line, "expected `global`, `declare`, `define` or `}`"))
+                }
+                Err(end_of_input) => break Some(end_of_input),
             }
+        };
+        // Second loop: each body, now that every symbol it can name exists.
+        for (fid, at) in bodies {
+            self.pos = at;
+            self.body(&mut m, fid)?;
         }
-        Ok(m)
+        stray.map_or(Ok(m), Err)
     }
 
-    /// Pre-scan: register every function (and global) symbol with its
-    /// signature so that references resolve regardless of order.
-    fn predeclare(&mut self, m: &mut Module) -> Result<(), ParseError> {
-        let saved = self.pos;
-        loop {
-            match self.peek() {
-                Err(_) => break,
-                Ok((Tok::RBrace, _)) => break,
-                Ok((Tok::Word(w), _)) if w == "global" => {
-                    self.next()?;
-                    let (name, line) = self.sym()?;
-                    self.expect(Tok::Colon)?;
-                    let ty = self.ty(m)?;
-                    self.expect(Tok::Eq)?;
-                    self.expect(Tok::LBracket)?;
-                    let mut init = Vec::new();
-                    loop {
-                        match self.next()? {
-                            (Tok::RBracket, _) => break,
-                            (Tok::Int(v), _) => {
-                                init.push(u8::try_from(v).map_err(|_| ParseError {
-                                    line,
-                                    msg: "global byte out of range".into(),
-                                })?)
-                            }
-                            (Tok::Comma, _) => {}
-                            (_, line) => {
-                                return Err(ParseError { line, msg: "bad global init".into() })
-                            }
-                        }
-                    }
-                    m.add_global(Global { name, ty, init });
-                }
-                Ok((Tok::Word(w), _)) if w == "declare" || w == "define" => {
-                    let is_decl = w == "declare";
-                    self.next()?;
-                    if !is_decl {
-                        if let (Tok::Word(w2), _) = self.peek()? {
-                            if w2 == "internal" {
-                                self.next()?;
-                            }
-                        }
-                    }
-                    let (name, _) = self.sym()?;
-                    self.expect(Tok::LParen)?;
-                    let mut params = Vec::new();
-                    loop {
-                        match self.peek()? {
-                            (Tok::RParen, _) => {
-                                self.next()?;
-                                break;
-                            }
-                            (Tok::Comma, _) => {
-                                self.next()?;
-                            }
-                            _ => {
-                                params.push(self.ty(m)?);
-                                // Parameter name in definitions.
-                                if let (Tok::Local(_), _) = self.peek()? {
-                                    self.next()?;
-                                }
-                            }
-                        }
-                    }
-                    self.expect(Tok::Arrow)?;
-                    let ret = self.ty(m)?;
-                    let f = if is_decl {
-                        Function::new_declaration(name, params, ret)
-                    } else {
-                        Function::new(name, params, ret)
-                    };
-                    m.add_function(f);
-                    // Skip over the body if present.
-                    if let Ok((Tok::LBrace, _)) = self.peek() {
-                        let mut depth = 0usize;
-                        loop {
-                            match self.next()? {
-                                (Tok::LBrace, _) => depth += 1,
-                                (Tok::RBrace, _) => {
-                                    depth -= 1;
-                                    if depth == 0 {
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-                Ok(_) => {
-                    self.next()?;
-                }
-            }
-        }
-        self.pos = saved;
-        Ok(())
-    }
-
-    /// Skips a `global` line in the main pass (already handled in predeclare).
+    /// `global @name : T = [byte, ...]`, after the keyword.
     fn global(&mut self, m: &mut Module) -> Result<(), ParseError> {
-        self.next()?; // global
-        self.sym()?;
+        let (name, line) = self.sym()?;
+        if m.lookup_global(name).is_some() {
+            return Err(err(line, format!("duplicate definition of @{name}")));
+        }
         self.expect(Tok::Colon)?;
-        self.ty(m)?;
+        let ty = self.ty(m)?;
         self.expect(Tok::Eq)?;
         self.expect(Tok::LBracket)?;
-        loop {
-            if let (Tok::RBracket, _) = self.next()? {
-                break;
-            }
-        }
+        let init = self.list(Tok::RBracket, |p| match p.next()? {
+            (Tok::Int(v), _) => u8::try_from(v).map_err(|_| err(line, "global byte out of range")),
+            (_, line) => Err(err(line, "bad global init")),
+        })?;
+        m.add_global(Global { name: name.to_string(), ty, init });
         Ok(())
     }
 
-    /// Skips a `declare` line in the main pass.
-    fn declare_skip(&mut self, m: &mut Module) -> Result<(), ParseError> {
-        self.next()?; // declare
-        self.sym()?;
-        self.expect(Tok::LParen)?;
-        loop {
-            match self.peek()? {
-                (Tok::RParen, _) => {
-                    self.next()?;
-                    break;
-                }
-                (Tok::Comma, _) => {
-                    self.next()?;
-                }
-                _ => {
-                    self.ty(m)?;
-                }
-            }
-        }
-        self.expect(Tok::Arrow)?;
-        self.ty(m)?;
-        Ok(())
-    }
-
-    fn define(&mut self, m: &mut Module) -> Result<(), ParseError> {
-        self.next()?; // define
-        let mut linkage = Linkage::External;
-        if let (Tok::Word(w), _) = self.peek()? {
-            if w == "internal" {
-                linkage = Linkage::Internal;
-                self.next()?;
-            }
+    /// `declare @f(T, ...) -> T` or `define [internal] @f(T %n, ...) -> T`,
+    /// after the keyword; registers the function.
+    fn header(&mut self, m: &mut Module, define: bool) -> Result<FuncId, ParseError> {
+        let internal = define && self.peek()?.0 == Tok::Word("internal");
+        if internal {
+            self.pos += 1;
         }
         let (name, line) = self.sym()?;
-        // Header already registered during predeclare; skip to `{`.
-        self.expect(Tok::LParen)?;
-        loop {
-            if let (Tok::RParen, _) = self.next()? { break }
+        if m.lookup_function(name).is_some() {
+            return Err(err(line, format!("duplicate definition of @{name}")));
         }
-        self.expect(Tok::Arrow)?;
-        self.ty(m)?;
-        self.expect(Tok::LBrace)?;
-
-        let fid = m.lookup_function(&name).ok_or_else(|| ParseError {
-            line,
-            msg: format!("function @{name} not predeclared"),
+        self.expect(Tok::LParen)?;
+        let params = self.list(Tok::RParen, |p| {
+            let ty = p.ty(m)?;
+            // Definitions name their parameters.
+            if define && matches!(p.peek(), Ok((Tok::Local(_), _))) {
+                p.pos += 1;
+            }
+            Ok(ty)
         })?;
-        m.function_mut(fid).linkage = linkage;
+        self.expect(Tok::Arrow)?;
+        let ret = self.ty(m)?;
+        let mut f = if define {
+            Function::new(name, params, ret)
+        } else {
+            Function::new_declaration(name, params, ret)
+        };
+        if internal {
+            f.linkage = Linkage::Internal;
+        }
+        Ok(m.add_function(f))
+    }
 
-        // Parse body: labels + raw instructions.
-        let mut labels: Vec<String> = Vec::new();
-        let mut body: Vec<(usize, Vec<RawInst>)> = Vec::new(); // (label idx, insts)
+    /// The labelled blocks of one definition, from after its `{` to its `}`.
+    fn body(&mut self, m: &mut Module, fid: FuncId) -> Result<(), ParseError> {
+        let mut blocks: Vec<(&str, Vec<RawInst>)> = Vec::new();
         loop {
-            match self.peek()? {
+            let (result_name, line) = match self.peek()? {
                 (Tok::RBrace, _) => {
-                    self.next()?;
+                    self.pos += 1;
                     break;
                 }
                 (Tok::Word(w), line) => {
                     // Either a label `bbN:` or an instruction mnemonic.
-                    if let (Tok::Colon, _) = self.peek_ahead(1)? {
-                        if Opcode::from_mnemonic(&w).is_none() {
-                            self.next()?;
-                            self.next()?;
-                            labels.push(w.clone());
-                            body.push((labels.len() - 1, Vec::new()));
-                            continue;
-                        }
+                    if self.peek_ahead(1)?.0 == Tok::Colon && Opcode::from_mnemonic(w).is_none() {
+                        self.pos += 2;
+                        blocks.push((w, Vec::new()));
+                        continue;
                     }
-                    if body.is_empty() {
-                        return Err(ParseError {
-                            line,
-                            msg: "instruction before first label".into(),
-                        });
-                    }
-                    let inst = self.raw_inst(m, None)?;
-                    body.last_mut().unwrap().1.push(inst);
+                    (None, line)
                 }
                 (Tok::Local(n), _) => {
-                    self.next()?;
+                    self.pos += 1;
                     self.expect(Tok::Eq)?;
-                    if body.is_empty() {
-                        return Err(ParseError {
-                            line: self.cur_line(),
-                            msg: "instruction before first label".into(),
-                        });
-                    }
-                    let inst = self.raw_inst(m, Some(n))?;
-                    body.last_mut().unwrap().1.push(inst);
+                    (Some(n), self.cur_line())
                 }
-                (_, line) => {
-                    return Err(ParseError { line, msg: "expected label or instruction".into() })
-                }
-            }
+                (_, line) => return Err(err(line, "expected label or instruction")),
+            };
+            let Some((_, insts)) = blocks.last_mut() else {
+                return Err(err(line, "instruction before first label"));
+            };
+            insts.push(self.raw_inst(m, result_name)?);
         }
-
-        build_body(m, fid, &labels, &body)?;
-        Ok(())
+        build_body(m, fid, &blocks)
     }
 
-    fn raw_inst(&mut self, m: &mut Module, result_name: Option<u32>) -> Result<RawInst, ParseError> {
-        let (tok, line) = self.next()?;
-        let word = match tok {
-            Tok::Word(w) => w,
-            _ => return Err(ParseError { line, msg: "expected instruction mnemonic".into() }),
+    fn raw_inst(
+        &mut self,
+        m: &mut Module,
+        result_name: Option<u32>,
+    ) -> Result<RawInst<'s>, ParseError> {
+        let (word, line) = match self.next()? {
+            (Tok::Word(w), line) => (w, line),
+            (_, line) => return Err(err(line, "expected instruction mnemonic")),
         };
-        let op = Opcode::from_mnemonic(&word)
-            .ok_or_else(|| ParseError { line, msg: format!("unknown mnemonic `{word}`") })?;
+        let op = Opcode::from_mnemonic(word)
+            .ok_or_else(|| err(line, format!("unknown mnemonic `{word}`")))?;
         let void = m.types.void();
         let boolean = m.types.bool();
         let ptr = m.types.ptr();
@@ -606,8 +433,7 @@ impl Parser {
                 // `ret` or `ret T opnd` — lookahead: next token a type word?
                 if self.at_type() {
                     let t = self.ty(m)?;
-                    let o = self.operand(t)?;
-                    inst.operands.push(o);
+                    inst.operands.push(self.operand(t)?);
                 }
             }
             Opcode::Br => inst.blocks.push(self.label()?),
@@ -620,26 +446,13 @@ impl Parser {
             }
             Opcode::Unreachable => {}
             Opcode::Invoke | Opcode::Call => {
-                let ret = self.ty(m)?;
-                inst.ty = ret;
+                inst.ty = self.ty(m)?;
                 inst.operands.push(self.operand(ptr)?); // callee
                 self.expect(Tok::LParen)?;
-                loop {
-                    match self.peek()? {
-                        (Tok::RParen, _) => {
-                            self.next()?;
-                            break;
-                        }
-                        (Tok::Comma, _) => {
-                            self.next()?;
-                        }
-                        _ => {
-                            let t = self.ty(m)?;
-                            let o = self.operand(t)?;
-                            inst.operands.push(o);
-                        }
-                    }
-                }
+                inst.operands.extend(self.list(Tok::RParen, |p| {
+                    let t = p.ty(m)?;
+                    p.operand(t)
+                })?);
                 if op == Opcode::Invoke {
                     self.expect_word("to")?;
                     inst.blocks.push(self.label()?);
@@ -660,13 +473,11 @@ impl Parser {
                 inst.operands.push(self.operand(t)?);
             }
             Opcode::Alloca => {
-                let t = self.ty(m)?;
-                inst.aux_ty = Some(t);
+                inst.aux_ty = Some(self.ty(m)?);
                 inst.ty = ptr;
             }
             Opcode::Load => {
-                let t = self.ty(m)?;
-                inst.ty = t;
+                inst.ty = self.ty(m)?;
                 self.expect(Tok::Comma)?;
                 inst.operands.push(self.operand(ptr)?);
             }
@@ -677,8 +488,7 @@ impl Parser {
                 inst.operands.push(self.operand(ptr)?);
             }
             Opcode::Gep => {
-                let elem = self.ty(m)?;
-                inst.aux_ty = Some(elem);
+                inst.aux_ty = Some(self.ty(m)?);
                 inst.ty = ptr;
                 self.expect(Tok::Comma)?;
                 inst.operands.push(self.operand(ptr)?);
@@ -693,20 +503,20 @@ impl Parser {
                 inst.ty = self.ty(m)?;
             }
             Opcode::ICmp | Opcode::FCmp => {
-                let (ptok, pline) = self.next()?;
-                let pw = match ptok {
-                    Tok::Word(w) => w,
-                    _ => return Err(ParseError { line: pline, msg: "expected predicate".into() }),
+                let (pw, pline) = match self.next()? {
+                    (Tok::Word(w), line) => (w, line),
+                    (_, line) => return Err(err(line, "expected predicate")),
                 };
                 inst.pred = Some(if op == Opcode::ICmp {
-                    Predicate::Int(IntPredicate::from_mnemonic(&pw).ok_or_else(|| ParseError {
-                        line: pline,
-                        msg: format!("bad int predicate `{pw}`"),
-                    })?)
+                    Predicate::Int(
+                        IntPredicate::from_mnemonic(pw)
+                            .ok_or_else(|| err(pline, format!("bad int predicate `{pw}`")))?,
+                    )
                 } else {
-                    Predicate::Float(FloatPredicate::from_mnemonic(&pw).ok_or_else(|| {
-                        ParseError { line: pline, msg: format!("bad float predicate `{pw}`") }
-                    })?)
+                    Predicate::Float(
+                        FloatPredicate::from_mnemonic(pw)
+                            .ok_or_else(|| err(pline, format!("bad float predicate `{pw}`")))?,
+                    )
                 });
                 let t = self.ty(m)?;
                 inst.ty = boolean;
@@ -732,227 +542,199 @@ impl Parser {
                     self.expect(Tok::Comma)?;
                     inst.blocks.push(self.label()?);
                     self.expect(Tok::RBracket)?;
-                    if let (Tok::Comma, _) = self.peek()? {
-                        self.next()?;
-                    } else {
+                    if self.peek()?.0 != Tok::Comma {
                         break;
                     }
+                    self.pos += 1;
                 }
             }
-            o => {
-                return Err(ParseError { line, msg: format!("cannot parse opcode {o:?}") });
-            }
+            o => return Err(err(line, format!("cannot parse opcode {o:?}"))),
         }
         Ok(inst)
     }
 
     // ---- token helpers ----------------------------------------------------
 
-    fn next(&mut self) -> Result<(Tok, usize), ParseError> {
-        let t = self.toks.get(self.pos).cloned().ok_or(ParseError {
-            line: self.cur_line(),
-            msg: "unexpected end of input".into(),
-        })?;
+    fn peek_ahead(&self, n: usize) -> Result<(Tok<'s>, usize), ParseError> {
+        let tok = self.toks.get(self.pos + n).copied();
+        tok.ok_or_else(|| err(self.cur_line(), "unexpected end of input"))
+    }
+
+    fn peek(&self) -> Result<(Tok<'s>, usize), ParseError> {
+        self.peek_ahead(0)
+    }
+
+    fn next(&mut self) -> Result<(Tok<'s>, usize), ParseError> {
+        let tok = self.peek()?;
         self.pos += 1;
-        Ok((t.tok, t.line))
+        Ok(tok)
     }
 
-    fn peek(&self) -> Result<(Tok, usize), ParseError> {
-        self.toks
-            .get(self.pos)
-            .cloned()
-            .map(|t| (t.tok, t.line))
-            .ok_or(ParseError { line: self.cur_line(), msg: "unexpected end of input".into() })
-    }
-
-    fn peek_ahead(&self, n: usize) -> Result<(Tok, usize), ParseError> {
-        self.toks
-            .get(self.pos + n)
-            .cloned()
-            .map(|t| (t.tok, t.line))
-            .ok_or(ParseError { line: self.cur_line(), msg: "unexpected end of input".into() })
-    }
-
+    /// Line of the token before the cursor.
     fn cur_line(&self) -> usize {
-        self.toks.get(self.pos.saturating_sub(1)).map(|t| t.line).unwrap_or(0)
+        self.toks.get(self.pos.saturating_sub(1)).map_or(0, |t| t.1)
     }
 
-    fn expect(&mut self, want: Tok) -> Result<(), ParseError> {
-        let (got, line) = self.next()?;
-        if got == want {
-            Ok(())
-        } else {
-            Err(ParseError { line, msg: format!("expected {want:?}, found {got:?}") })
+    fn expect(&mut self, want: Tok<'s>) -> Result<(), ParseError> {
+        match self.next()? {
+            (got, _) if got == want => Ok(()),
+            (got, line) => Err(err(line, format!("expected {want:?}, found {got:?}"))),
         }
     }
 
     fn expect_word(&mut self, w: &str) -> Result<(), ParseError> {
-        let (got, line) = self.next()?;
-        match got {
-            Tok::Word(s) if s == w => Ok(()),
-            other => Err(ParseError { line, msg: format!("expected `{w}`, found {other:?}") }),
+        match self.next()? {
+            (Tok::Word(s), _) if s == w => Ok(()),
+            (other, line) => Err(err(line, format!("expected `{w}`, found {other:?}"))),
         }
     }
 
-    fn sym(&mut self) -> Result<(String, usize), ParseError> {
-        let (got, line) = self.next()?;
-        match got {
-            Tok::Sym(s) => Ok((s, line)),
-            other => Err(ParseError { line, msg: format!("expected `@name`, found {other:?}") }),
+    fn sym(&mut self) -> Result<(&'s str, usize), ParseError> {
+        match self.next()? {
+            (Tok::Sym(s), line) => Ok((s, line)),
+            (other, line) => Err(err(line, format!("expected `@name`, found {other:?}"))),
         }
     }
 
-    fn label(&mut self) -> Result<String, ParseError> {
-        let (got, line) = self.next()?;
-        match got {
-            Tok::Word(w) => Ok(w),
-            other => Err(ParseError { line, msg: format!("expected label, found {other:?}") }),
+    fn label(&mut self) -> Result<&'s str, ParseError> {
+        match self.next()? {
+            (Tok::Word(w), _) => Ok(w),
+            (other, line) => Err(err(line, format!("expected label, found {other:?}"))),
+        }
+    }
+
+    /// Items up to `close`, which is consumed. Commas separate the items but,
+    /// as the printer always writes them, are not insisted on.
+    fn list<T>(
+        &mut self,
+        close: Tok<'s>,
+        mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
+        let mut items = Vec::new();
+        loop {
+            let tok = self.peek()?.0;
+            if tok == close {
+                self.pos += 1;
+                return Ok(items);
+            }
+            if tok == Tok::Comma {
+                self.pos += 1;
+            } else {
+                items.push(item(self)?);
+            }
         }
     }
 
     fn at_type(&self) -> bool {
         match self.peek() {
             Ok((Tok::Word(w), _)) => {
-                w == "void"
-                    || w == "ptr"
-                    || w == "f32"
-                    || w == "f64"
-                    || w == "fn"
-                    || (w.starts_with('i') && w[1..].chars().all(|c| c.is_ascii_digit()) && w.len() > 1)
+                let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+                matches!(w, "void" | "ptr" | "f32" | "f64" | "fn")
+                    || w.strip_prefix('i').is_some_and(digits)
             }
-            Ok((Tok::LBracket, _)) | Ok((Tok::LBrace, _)) => true,
+            Ok((Tok::LBracket | Tok::LBrace, _)) => true,
             _ => false,
         }
     }
 
     fn ty(&mut self, m: &mut Module) -> Result<TypeId, ParseError> {
+        self.ty_at(m, 0)
+    }
+
+    /// A type written inside `depth` enclosing types.
+    fn ty_at(&mut self, m: &mut Module, depth: usize) -> Result<TypeId, ParseError> {
         let (tok, line) = self.next()?;
+        if depth > MAX_TYPE_DEPTH {
+            return Err(err(line, format!("type nesting deeper than {MAX_TYPE_DEPTH}")));
+        }
+        let inner = depth + 1;
         match tok {
-            Tok::Word(w) => match w.as_str() {
-                "void" => Ok(m.types.void()),
-                "ptr" => Ok(m.types.ptr()),
-                "f32" => Ok(m.types.f32()),
-                "f64" => Ok(m.types.f64()),
-                "fn" => {
-                    self.expect(Tok::LParen)?;
-                    let mut params = Vec::new();
-                    loop {
-                        match self.peek()? {
-                            (Tok::RParen, _) => {
-                                self.next()?;
-                                break;
-                            }
-                            (Tok::Comma, _) => {
-                                self.next()?;
-                            }
-                            _ => params.push(self.ty(m)?),
-                        }
-                    }
-                    self.expect(Tok::Arrow)?;
-                    let ret = self.ty(m)?;
-                    Ok(m.types.func(params, ret))
+            Tok::Word("void") => Ok(m.types.void()),
+            Tok::Word("ptr") => Ok(m.types.ptr()),
+            Tok::Word("f32") => Ok(m.types.f32()),
+            Tok::Word("f64") => Ok(m.types.f64()),
+            Tok::Word("fn") => {
+                self.expect(Tok::LParen)?;
+                let params = self.list(Tok::RParen, |p| p.ty_at(m, inner))?;
+                self.expect(Tok::Arrow)?;
+                let ret = self.ty_at(m, inner)?;
+                Ok(m.types.func(params, ret))
+            }
+            Tok::Word(w) if w.starts_with('i') => {
+                let bits: u32 = w[1..].parse().map_err(|_| err(line, format!("bad type `{w}`")))?;
+                if bits == 0 || bits > 128 {
+                    return Err(err(line, format!("bad int width `{w}`")));
                 }
-                _ if w.starts_with('i') => {
-                    let bits: u32 = w[1..]
-                        .parse()
-                        .map_err(|_| ParseError { line, msg: format!("bad type `{w}`") })?;
-                    if bits == 0 || bits > 128 {
-                        return Err(ParseError { line, msg: format!("bad int width `{w}`") });
-                    }
-                    Ok(m.types.int(bits))
-                }
-                _ => Err(ParseError { line, msg: format!("unknown type `{w}`") }),
-            },
+                Ok(m.types.int(bits))
+            }
+            Tok::Word(w) => Err(err(line, format!("unknown type `{w}`"))),
             Tok::LBracket => {
-                let (n, nline) = self.next()?;
-                let len = match n {
-                    Tok::Int(v) if v >= 0 => v as u64,
-                    _ => return Err(ParseError { line: nline, msg: "bad array length".into() }),
+                let len = match self.next()? {
+                    (Tok::Int(v), _) if v >= 0 => v as u64,
+                    (_, line) => return Err(err(line, "bad array length")),
                 };
                 self.expect_word("x")?;
-                let elem = self.ty(m)?;
+                let elem = self.ty_at(m, inner)?;
                 self.expect(Tok::RBracket)?;
                 Ok(m.types.array(elem, len))
             }
             Tok::LBrace => {
-                let mut fields = Vec::new();
-                loop {
-                    match self.peek()? {
-                        (Tok::RBrace, _) => {
-                            self.next()?;
-                            break;
-                        }
-                        (Tok::Comma, _) => {
-                            self.next()?;
-                        }
-                        _ => fields.push(self.ty(m)?),
-                    }
-                }
+                let fields = self.list(Tok::RBrace, |p| p.ty_at(m, inner))?;
                 Ok(m.types.strukt(fields))
             }
-            other => Err(ParseError { line, msg: format!("expected type, found {other:?}") }),
+            other => Err(err(line, format!("expected type, found {other:?}"))),
         }
     }
 
-    fn operand(&mut self, ty: TypeId) -> Result<RawOperand, ParseError> {
-        let (tok, line) = self.next()?;
-        Ok(match tok {
-            Tok::Local(n) => RawOperand::Local(n),
-            Tok::Int(v) => RawOperand::Int(ty, v),
-            Tok::FloatBits(b) => RawOperand::Float(ty, b),
-            Tok::Word(w) if w == "undef" => RawOperand::Undef(ty),
-            Tok::Sym(s) => RawOperand::Sym(ty, s),
-            other => {
-                return Err(ParseError { line, msg: format!("expected operand, found {other:?}") })
-            }
-        })
+    fn operand(&mut self, ty: TypeId) -> Result<RawOperand<'s>, ParseError> {
+        match self.next()? {
+            (Tok::Local(n), _) => Ok(RawOperand::Local(n)),
+            (Tok::Int(v), _) => Ok(RawOperand::Int(ty, v)),
+            (Tok::FloatBits(b), _) => Ok(RawOperand::Float(ty, b)),
+            (Tok::Word("undef"), _) => Ok(RawOperand::Undef(ty)),
+            (Tok::Sym(s), _) => Ok(RawOperand::Sym(ty, s)),
+            (other, line) => Err(err(line, format!("expected operand, found {other:?}"))),
+        }
     }
 }
 
 /// Phase A+B body construction (see module docs).
 fn build_body(
     m: &mut Module,
-    fid: crate::ids::FuncId,
-    labels: &[String],
-    body: &[(usize, Vec<RawInst>)],
+    fid: FuncId,
+    blocks: &[(&str, Vec<RawInst<'_>>)],
 ) -> Result<(), ParseError> {
     // Create blocks in label order.
     let mut label_map: HashMap<&str, BlockId> = HashMap::new();
     {
         let f = m.function_mut(fid);
-        for label in labels {
-            let bb = f.add_block(label.clone());
-            label_map.insert(label.as_str(), bb);
+        for (label, _) in blocks {
+            label_map.insert(label, f.add_block(*label));
         }
     }
     // Phase A: append instructions with placeholder operands, recording
     // result names.
     let mut name_map: HashMap<u32, ValueId> = HashMap::new();
-    {
-        for i in 0..m.function(fid).num_args() {
-            let v = m.function(fid).arg(i);
-            name_map.insert(i as u32, v);
-        }
+    for i in 0..m.function(fid).num_args() {
+        name_map.insert(i as u32, m.function(fid).arg(i));
     }
-    let mut created: Vec<(crate::ids::InstId, &RawInst)> = Vec::new();
-    for (label_idx, insts) in body {
-        let bb = label_map[labels[*label_idx].as_str()];
+    let mut created: Vec<(InstId, &RawInst)> = Vec::new();
+    for (label, insts) in blocks {
+        let bb = label_map[label];
         for raw in insts {
-            let blocks: Result<Vec<BlockId>, ParseError> = raw
+            let targets: Result<Vec<BlockId>, ParseError> = raw
                 .blocks
                 .iter()
                 .map(|l| {
-                    label_map.get(l.as_str()).copied().ok_or_else(|| ParseError {
-                        line: raw.line,
-                        msg: format!("unknown label `{l}`"),
-                    })
+                    let bb = label_map.get(l).copied();
+                    bb.ok_or_else(|| err(raw.line, format!("unknown label `{l}`")))
                 })
                 .collect();
             let inst = Instruction {
                 op: raw.op,
                 ty: raw.ty,
                 operands: Vec::new(),
-                blocks: blocks?,
+                blocks: targets?,
                 pred: raw.pred,
                 aux_ty: raw.aux_ty,
                 parent: bb,
@@ -963,23 +745,15 @@ fn build_body(
             match (res, raw.result_name) {
                 (Some(v), Some(n)) => {
                     if name_map.insert(n, v).is_some() {
-                        return Err(ParseError {
-                            line: raw.line,
-                            msg: format!("%{n} defined twice"),
-                        });
+                        return Err(err(raw.line, format!("%{n} defined twice")));
                     }
                 }
-                (Some(_), None) => {
-                    // Value-producing instruction without a result name:
-                    // tolerated (result is simply unused/unnamed).
-                }
+                // A value-producing instruction without a result name is
+                // tolerated: the result is simply unused.
+                (_, None) => {}
                 (None, Some(n)) => {
-                    return Err(ParseError {
-                        line: raw.line,
-                        msg: format!("%{n} = <void instruction>"),
-                    });
+                    return Err(err(raw.line, format!("%{n} = <void instruction>")));
                 }
-                (None, None) => {}
             }
             created.push((iid, raw));
         }
@@ -988,29 +762,25 @@ fn build_body(
     for (iid, raw) in created {
         let mut resolved = Vec::with_capacity(raw.operands.len());
         for o in &raw.operands {
-            let v = match o {
-                RawOperand::Local(n) => *name_map.get(n).ok_or_else(|| ParseError {
-                    line: raw.line,
-                    msg: format!("use of undefined value %{n}"),
-                })?,
+            let v = match *o {
+                RawOperand::Local(n) => *name_map
+                    .get(&n)
+                    .ok_or_else(|| err(raw.line, format!("use of undefined value %{n}")))?,
                 RawOperand::Int(ty, v) => {
                     let (f, types) = m.func_mut_and_types(fid);
-                    f.const_int(types, *ty, *v)
+                    f.const_int(types, ty, v)
                 }
                 RawOperand::Float(ty, bits) => {
-                    m.function_mut(fid).const_float(*ty, f64::from_bits(*bits))
+                    m.function_mut(fid).const_float(ty, f64::from_bits(bits))
                 }
-                RawOperand::Undef(ty) => m.function_mut(fid).undef(*ty),
+                RawOperand::Undef(ty) => m.function_mut(fid).undef(ty),
                 RawOperand::Sym(ty, name) => {
                     if let Some(callee) = m.lookup_function(name) {
-                        m.function_mut(fid).func_ref(callee, *ty)
+                        m.function_mut(fid).func_ref(callee, ty)
                     } else if let Some(g) = m.lookup_global(name) {
-                        m.function_mut(fid).global_ref(g, *ty)
+                        m.function_mut(fid).global_ref(g, ty)
                     } else {
-                        return Err(ParseError {
-                            line: raw.line,
-                            msg: format!("unknown symbol @{name}"),
-                        });
+                        return Err(err(raw.line, format!("unknown symbol @{name}")));
                     }
                 }
             };

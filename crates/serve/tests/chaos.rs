@@ -10,7 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use f3m_serve::protocol::{render_request, Request, RequestEnvelope};
+use f3m_serve::protocol::{parse_response, render_request, Request, RequestEnvelope};
 use f3m_serve::{Client, PollerKind, ServeConfig, Server};
 
 fn start(cfg: ServeConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
@@ -280,6 +280,45 @@ fn oversized_nonreader_is_resolved_within_deadline() {
     // The daemon stayed responsive throughout and shuts down cleanly.
     c.call_expect(Request::Ping, "pong").unwrap();
     drop(loris);
+    shutdown(addr);
+    join_within(h, Duration::from_secs(20));
+}
+
+/// The three payloads that used to take the daemon down — a function
+/// defined twice (a panic under the corpus's writer lock, which stayed
+/// poisoned), a type nested 200 000 deep and a frame of 3 MB of `[` (stack
+/// overflows, which abort the process) — are answered as plain errors, and
+/// the write verbs still work afterwards.
+#[test]
+fn hostile_payloads_are_errors_and_the_daemon_keeps_mutating() {
+    let (addr, h) = start(quick());
+    let mut c = Client::connect(addr).unwrap();
+    c.set_timeout(Some(Duration::from_secs(20))).unwrap();
+    let f = "define @f(i32 %0) -> i32 {\nbb0:\n  %1 = add i32 %0, 1\n  ret i32 %1\n}\n";
+    let module = |body: &str| format!("module \"m\" {{\n{body}}}\n");
+    c.call_expect(Request::Ingest { name: None, ir: module(f) }, "ingested").unwrap();
+
+    let twice = Some(module(&f.repeat(2)));
+    let twice = Request::Update { module: "m".into(), func: "f".into(), ir: twice };
+    let deep = "[1 x ".repeat(200_000);
+    let deep = format!("define @g() -> void {{\nbb0:\n  %0 = alloca {deep}\n  ret\n}}\n");
+    let deep = Request::Ingest { name: Some("deep".into()), ir: module(&deep) };
+    let frames = [
+        render_request(&RequestEnvelope::of(twice)).into_bytes(),
+        render_request(&RequestEnvelope::of(deep)).into_bytes(),
+        vec![b'['; 3 << 20],
+    ];
+    for frame in &frames {
+        let reply = parse_response(c.send_raw(frame).unwrap().as_bytes()).unwrap();
+        let message = reply.get("message").and_then(f3m_trace::Json::as_str).unwrap_or_default();
+        assert_eq!(reply.get("type").and_then(f3m_trace::Json::as_str), Some("error"), "{reply:?}");
+        assert!(!message.is_empty() && !message.starts_with("internal panic"), "{message}");
+    }
+
+    let touch = Request::Update { module: "m".into(), func: "f".into(), ir: None };
+    c.call_expect(touch, "updated").unwrap();
+    c.call_expect(Request::Evict { name: "m".into() }, "evicted").unwrap();
+    c.call_expect(Request::Ping, "pong").unwrap();
     shutdown(addr);
     join_within(h, Duration::from_secs(20));
 }

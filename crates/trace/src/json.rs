@@ -86,7 +86,8 @@ impl Json {
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax problem.
+/// Returns a message with the byte offset of the first syntax problem;
+/// containers nested deeper than 64 are one.
 pub fn parse(s: &str) -> Result<Json, String> {
     let mut r = Reader::new(s);
     let v = r.value()?;
@@ -293,14 +294,21 @@ impl Writer {
     }
 }
 
+/// Deepest container nesting the reader follows: the width of [`Writer`]'s
+/// `has_item` bitmask, so whatever the writer can nest reads back. It
+/// bounds the recursion of [`Reader::value`] on hostile input.
+const MAX_DEPTH: u32 = u64::BITS;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: u32,
 }
 
 impl<'a> Reader<'a> {
     fn new(s: &'a str) -> Reader<'a> {
-        Reader { bytes: s.as_bytes(), pos: 0 }
+        Reader { bytes: s.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn err(&self, msg: &str) -> String {
@@ -331,8 +339,15 @@ impl<'a> Reader<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            open @ (b'{' | b'[') => {
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -507,6 +522,20 @@ mod tests {
             "{\"a\" 1}",
         ] {
             assert!(parse(bad).is_err(), "expected parse error for {bad:?}");
+        }
+    }
+
+    /// A frame is untrusted input: nesting past [`MAX_DEPTH`] is an error,
+    /// not a stack overflow (which would abort this test binary).
+    #[test]
+    fn nesting_is_bounded() {
+        for (open, leaf, close) in [("[", "1", "]"), ("{\"a\":", "1", "}")] {
+            let nest = |n: usize| open.repeat(n) + leaf + &close.repeat(n);
+            assert!(parse(&nest(MAX_DEPTH as usize)).is_ok());
+            let e = parse(&nest(MAX_DEPTH as usize + 1)).unwrap_err();
+            assert!(e.starts_with("nesting deeper than 64 at byte "), "{e}");
+            assert!(parse(&nest(1_000_000)).is_err());
+            assert!(parse(&open.repeat(1_000_000)).is_err());
         }
     }
 
