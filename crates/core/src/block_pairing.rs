@@ -38,24 +38,36 @@ pub struct BlockParts {
     pub term_code: u32,
 }
 
+/// Appends `bb`'s phis to `phis` and its other non-terminator instructions
+/// to `body`, and returns its terminator: the one rule for which
+/// instruction a body index of an [`Alignment`] names, shared by the
+/// planner and the code generator.
+///
+/// # Panics
+///
+/// Panics if the block has no terminator (unverified function).
+pub(crate) fn split_block(
+    f: &Function,
+    bb: BlockId,
+    phis: &mut Vec<InstId>,
+    body: &mut Vec<InstId>,
+) -> InstId {
+    let (&term, rest) = f.block(bb).insts.split_last().expect("empty block");
+    assert!(f.inst(term).is_terminator(), "block without terminator");
+    for &i in rest {
+        if f.inst(i).op == Opcode::Phi { &mut *phis } else { &mut *body }.push(i);
+    }
+    term
+}
+
 /// Splits a block into parts.
 ///
 /// # Panics
 ///
 /// Panics if the block has no terminator (unverified function).
 pub fn block_parts(f: &Function, bb: BlockId) -> BlockParts {
-    let insts = &f.block(bb).insts;
-    let term = *insts.last().expect("empty block");
-    assert!(f.inst(term).is_terminator(), "block without terminator");
-    let mut phis = Vec::new();
-    let mut body = Vec::new();
-    for &i in &insts[..insts.len() - 1] {
-        if f.inst(i).op == Opcode::Phi {
-            phis.push(i);
-        } else {
-            body.push(i);
-        }
-    }
+    let (mut phis, mut body) = (Vec::new(), Vec::new());
+    let term = split_block(f, bb, &mut phis, &mut body);
     let body_codes = body.iter().map(|&i| encode_inst(f, f.inst(i))).collect();
     BlockParts {
         phis,

@@ -20,20 +20,26 @@
 //! paper; [`RepairMode::LegacyBuggy`] reproduces HyFM's original buggy
 //! store placement so tests can demonstrate the miscompilation the paper
 //! reports.
-
-use std::collections::HashMap;
+//!
+//! The first three rules are decided by one structure walk, [`Layout`],
+//! which emits nothing: it lays out the merged blocks, says which original
+//! instruction(s) each merged instruction stands for, and adds up the
+//! bytes. The builder materialises a function from it; the commit path
+//! reads its byte count first — a lower bound on the built function's
+//! size — and does not build a pair the count already proves too big.
 
 use f3m_ir::cfg::Cfg;
 use f3m_ir::dom::DomTree;
+use f3m_ir::function::Function;
 use f3m_ir::ids::{BlockId, FuncId, InstId, ValueId};
 use f3m_ir::inst::{Instruction, Opcode};
-use f3m_ir::function::Function;
 use f3m_ir::module::Module;
+use f3m_ir::size::{inst_size, FUNCTION_OVERHEAD};
 use f3m_ir::types::{TypeId, TypeStore};
-use f3m_ir::value::ValueKind;
+use f3m_ir::value::{normalize_int, ConstKey, Value, ValueKind};
 
 use crate::align::AlignEntry;
-use crate::block_pairing::{block_parts, insts_mergeable, PairPlan};
+use crate::block_pairing::{insts_mergeable, split_block, BlockPairPlan, PairPlan};
 
 /// How SSA dominance violations are repaired.
 ///
@@ -104,39 +110,529 @@ pub struct MergedFunction {
     pub selects_inserted: usize,
     /// Number of values demoted to stack slots during repair.
     pub demotions: usize,
+    /// Bytes the structure walk counted before anything was emitted:
+    /// `function_size(&func)` minus what phi-edge selects and dominance
+    /// repair added, so a lower bound on it under every [`RepairMode`].
+    pub layout_size: u64,
+    /// Operand selects the structure walk counted: `selects_inserted`
+    /// minus the phi-edge selects.
+    pub operand_selects: usize,
 }
 
+/// `inst_size` of any instruction with opcode `op`: the size model reads
+/// nothing else of an instruction, which is what lets a merged function be
+/// sized before it exists.
+pub(crate) fn op_size(op: Opcode) -> u64 {
+    inst_size(&Instruction {
+        op,
+        ty: TypeId::VOID,
+        operands: Vec::new(),
+        blocks: Vec::new(),
+        pred: None,
+        aux_ty: None,
+        parent: BlockId::from_index(0),
+        result: None,
+    })
+}
+
+/// The original instruction(s) one merged instruction stands for. Sides are
+/// indexes into [`Layout::sides`]: 0 is the first function, 1 the second.
 #[derive(Clone, Copy, Debug)]
 enum Src {
     Merged(InstId, InstId),
-    Side1(InstId),
-    Side2(InstId),
+    Own(usize, InstId),
 }
 
-/// Original-edge attribution: which original predecessor block(s) a final
-/// CFG edge corresponds to, per side.
-type EdgeMap = HashMap<(BlockId, BlockId), (Option<BlockId>, Option<BlockId>)>;
+/// How a merged block ends.
+#[derive(Clone, Copy, Debug)]
+enum End {
+    /// In its last [`Src`], an original terminator, whose merged targets
+    /// are the next entries of [`Layout::targets`].
+    Term,
+    /// `condbr %fid, side2, side1`.
+    Guard { side1: u32, side2: u32 },
+    /// `br` to the block.
+    Br(u32),
+}
 
-struct MergeBuilder<'m> {
+/// What a merged block is for, which names it. Numbers are merged block
+/// indexes unless the payload is a [`BlockId`] of an original.
+#[derive(Clone, Copy, Debug)]
+enum Role {
+    Entry,
+    Pair(BlockId, BlockId),
+    /// The arms and the join of the guard diamond that splits block `.0`.
+    Side1(u32),
+    Side2(u32),
+    Join(u32),
+    /// The arms of the never-rejoining terminator diamond below block `.0`.
+    Term1(u32),
+    Term2(u32),
+    Clone1(BlockId),
+    Clone2(BlockId),
+    /// Where target `.1` of block `.0`'s merged terminator diverges.
+    Dispatch(u32, u32),
+}
+
+impl Role {
+    fn name(self) -> String {
+        match self {
+            Role::Entry => "entry".to_string(),
+            Role::Pair(b1, b2) => format!("pair.{}.{}", b1.index(), b2.index()),
+            Role::Side1(b) => format!("side1.{b}"),
+            Role::Side2(b) => format!("side2.{b}"),
+            Role::Join(b) => format!("join.{b}"),
+            Role::Term1(b) => format!("term1.{b}"),
+            Role::Term2(b) => format!("term2.{b}"),
+            Role::Clone1(b) => format!("clone1.{}", b.index()),
+            Role::Clone2(b) => format!("clone2.{}", b.index()),
+            Role::Dispatch(b, k) => format!("dispatch.{b}.{k}"),
+        }
+    }
+}
+
+struct LayoutBlock {
+    role: Role,
+    /// One past the block's last slot in [`Layout::srcs`]; its first is
+    /// where the block before it ends.
+    srcs_end: u32,
+    end: End,
+}
+
+/// One original function as the layout sees it.
+struct Side<'m> {
+    f: &'m Function,
+    /// Merged argument index of each parameter.
+    param_map: Vec<usize>,
+    /// By `InstId`: the slot of [`Layout::srcs`] that carries the
+    /// instruction, [`NONE`] for one linked into no planned block.
+    slot: Vec<u32>,
+}
+
+const NONE: u32 = u32::MAX;
+
+/// The structure of the merged function for one pair under one plan,
+/// before any of it exists: blocks in creation order (block 0 is the entry
+/// dispatch), the instructions copied from the originals in emission
+/// order, every terminator's merged targets, and the bytes all of that
+/// will take.
+///
+/// Computed from the bodies as they are *now* — a commit earlier in the
+/// same wave may have redirected call sites inside either function, which
+/// changes operand counts and with them what [`insts_mergeable`] says — so
+/// a layout is good for one attempt and is never cached or speculated.
+pub(crate) struct Layout<'m> {
     m: &'m Module,
-    fa: &'m Function,
-    fb: &'m Function,
-    nf: Function,
-    cfg: MergeConfig,
-    void_ty: TypeId,
-    ptr_ty: TypeId,
-    param_map1: Vec<usize>,
-    param_map2: Vec<usize>,
-    map1: HashMap<ValueId, ValueId>,
-    map2: HashMap<ValueId, ValueId>,
-    entry1: HashMap<BlockId, BlockId>,
-    entry2: HashMap<BlockId, BlockId>,
-    exit1: HashMap<BlockId, BlockId>,
-    exit2: HashMap<BlockId, BlockId>,
-    pendings: Vec<(InstId, Src)>,
-    edges: EdgeMap,
-    selects_inserted: usize,
-    demotions: usize,
+    sides: [Side<'m>; 2],
+    params: Vec<TypeId>,
+    blocks: Vec<LayoutBlock>,
+    srcs: Vec<Src>,
+    targets: Vec<u32>,
+    size: u64,
+    operand_selects: usize,
+}
+
+/// The merged parameter list — the `i1` function identifier, the first
+/// function's parameters, then each of the second's that finds no unshared
+/// slot of its type — with both functions' parameter maps into it.
+fn merge_params(fa: &Function, fb: &Function) -> (Vec<TypeId>, Vec<usize>, Vec<usize>) {
+    let mut merged: Vec<TypeId> = vec![TypeId::BOOL];
+    let mut map1 = Vec::with_capacity(fa.params.len());
+    for &p in &fa.params {
+        map1.push(merged.len());
+        merged.push(p);
+    }
+    let mut used2 = vec![false; merged.len()];
+    used2[0] = true; // fid slot never shared
+    let mut map2 = Vec::with_capacity(fb.params.len());
+    for &p in &fb.params {
+        match (1..merged.len()).find(|&i| !used2[i] && merged[i] == p) {
+            Some(i) => {
+                used2[i] = true;
+                map2.push(i);
+            }
+            None => {
+                map2.push(merged.len());
+                merged.push(p);
+                used2.push(true);
+            }
+        }
+    }
+    (merged, map1, map2)
+}
+
+/// What the constant-like `val` of an original is in the merged function:
+/// integers renormalised to their width, references retyped `ptr`. `None`
+/// for arguments and instruction results.
+fn merged_const(types: &TypeStore, val: &Value) -> Option<Value> {
+    let (kind, ty) = match val.kind {
+        ValueKind::Arg(_) | ValueKind::Inst(_) => return None,
+        ValueKind::ConstInt(x) => {
+            let x = types.int_bits(val.ty).map_or(x, |bits| normalize_int(x, bits));
+            (ValueKind::ConstInt(x), val.ty)
+        }
+        ValueKind::FuncRef(_) | ValueKind::GlobalRef(_) => (val.kind, TypeId::PTR),
+        ValueKind::ConstFloat(_) | ValueKind::Undef => (val.kind, val.ty),
+    };
+    Some(Value { kind, ty })
+}
+
+/// A paired block's instructions as the plan's alignment indexes them.
+#[derive(Default)]
+struct Parts {
+    phis: Vec<InstId>,
+    body: Vec<InstId>,
+}
+
+impl Parts {
+    /// Splits `bb` the way the planner did, minus the encoding, and
+    /// returns its terminator.
+    fn split(&mut self, f: &Function, bb: BlockId) -> InstId {
+        self.phis.clear();
+        self.body.clear();
+        split_block(f, bb, &mut self.phis, &mut self.body)
+    }
+}
+
+impl<'m> Layout<'m> {
+    /// Walks `plan` over `(f1, f2)`.
+    ///
+    /// # Errors
+    ///
+    /// [`MergeError::IncompatibleReturnTypes`] when the return types differ.
+    pub(crate) fn new(
+        m: &'m Module,
+        f1: FuncId,
+        f2: FuncId,
+        plan: &PairPlan,
+    ) -> Result<Layout<'m>, MergeError> {
+        let (fa, fb) = (m.function(f1), m.function(f2));
+        if fa.ret_ty != fb.ret_ty {
+            return Err(MergeError::IncompatibleReturnTypes);
+        }
+        let (params, map1, map2) = merge_params(fa, fb);
+        let side =
+            |f: &'m Function, param_map| Side { f, param_map, slot: vec![NONE; f.num_insts()] };
+        let mut lay = Layout {
+            m,
+            sides: [side(fa, map1), side(fb, map2)],
+            params,
+            blocks: Vec::new(),
+            srcs: Vec::with_capacity(fa.num_linked_insts() + fb.num_linked_insts()),
+            targets: Vec::new(),
+            size: FUNCTION_OVERHEAD,
+            operand_selects: 0,
+        };
+        // Merged entry block of each original block, by `BlockId`.
+        let mut entry = [vec![NONE; fa.block_arena_len()], vec![NONE; fb.block_arena_len()]];
+
+        // The entry dispatch comes first and is decided last.
+        lay.open(Role::Entry);
+        lay.close(End::Term);
+        let mut parts = (Parts::default(), Parts::default());
+        let mut mismatch = (Vec::new(), Vec::new());
+        for pair in &plan.pairs {
+            let head = lay.walk_pair(pair, &mut parts, &mut mismatch);
+            entry[0][pair.b1.index()] = head;
+            entry[1][pair.b2.index()] = head;
+        }
+        for (s, unpaired) in [&plan.unpaired1, &plan.unpaired2].into_iter().enumerate() {
+            for &bb in unpaired {
+                let role = if s == 0 { Role::Clone1(bb) } else { Role::Clone2(bb) };
+                entry[s][bb.index()] = lay.open(role);
+                for &i in &lay.sides[s].f.block(bb).insts {
+                    lay.push(Src::Own(s, i));
+                }
+                lay.close(End::Term);
+            }
+        }
+
+        let (h1, h2) = (entry_of(&entry[0], fa.entry()), entry_of(&entry[1], fb.entry()));
+        let dispatch = if h1 == h2 { End::Br(h1) } else { End::Guard { side1: h1, side2: h2 } };
+        lay.blocks[0].end = dispatch;
+        lay.size += end_size(dispatch);
+        lay.resolve_targets(&entry);
+        lay.count_operand_selects();
+        Ok(lay)
+    }
+
+    /// The layout's byte count: `function_size` of the function
+    /// [`build`](Layout::build) would return, short of what phi-edge
+    /// selects and dominance repair add to it. Both only ever add
+    /// instructions, so this is a lower bound under every [`RepairMode`],
+    /// and exact for a build that needs neither.
+    pub(crate) fn size_lower_bound(&self) -> u64 {
+        self.size
+    }
+
+    // ---- the structure walk ----------------------------------------------
+
+    /// Starts a block: what is pushed from now on belongs to it.
+    fn open(&mut self, role: Role) -> u32 {
+        self.blocks.push(LayoutBlock { role, srcs_end: NONE, end: End::Term });
+        self.blocks.len() as u32 - 1
+    }
+
+    /// Ends the open block.
+    fn close(&mut self, end: End) {
+        let b = self.blocks.last_mut().expect("a block is open");
+        b.srcs_end = self.srcs.len() as u32;
+        b.end = end;
+        self.size += end_size(end);
+    }
+
+    fn push(&mut self, src: Src) {
+        let slot = self.srcs.len() as u32;
+        let (s, i) = match src {
+            Src::Merged(i1, i2) => {
+                self.sides[1].slot[i2.index()] = slot;
+                (0, i1)
+            }
+            Src::Own(s, i) => (s, i),
+        };
+        self.sides[s].slot[i.index()] = slot;
+        self.size += inst_size(self.sides[s].f.inst(i));
+        self.srcs.push(src);
+    }
+
+    /// Puts a pending mismatch run into a guard diamond below the open
+    /// block — one arm per side, both rejoining — and opens the join. No
+    /// run, no diamond.
+    fn diamond(&mut self, mismatch: &mut (Vec<InstId>, Vec<InstId>)) {
+        if mismatch.0.is_empty() && mismatch.1.is_empty() {
+            return;
+        }
+        let split = self.blocks.len() as u32 - 1;
+        let (side1, side2, join) = (split + 1, split + 2, split + 3);
+        self.close(End::Guard { side1, side2 });
+        self.open(Role::Side1(split));
+        for i in mismatch.0.drain(..) {
+            self.push(Src::Own(0, i));
+        }
+        self.close(End::Br(join));
+        self.open(Role::Side2(split));
+        for j in mismatch.1.drain(..) {
+            self.push(Src::Own(1, j));
+        }
+        self.close(End::Br(join));
+        self.open(Role::Join(split));
+    }
+
+    /// Lays out one paired block and returns its head: the merged phi
+    /// prefix, then the body as shared segments with a guard diamond per
+    /// maximal mismatch run, then the terminator.
+    fn walk_pair(
+        &mut self,
+        pair: &BlockPairPlan,
+        (p1, p2): &mut (Parts, Parts),
+        mismatch: &mut (Vec<InstId>, Vec<InstId>),
+    ) -> u32 {
+        let (fa, fb) = (self.sides[0].f, self.sides[1].f);
+        let (t1, t2) = (p1.split(fa, pair.b1), p2.split(fb, pair.b2));
+        let head = self.open(Role::Pair(pair.b1, pair.b2));
+        for k in 0..pair.phi_pairs {
+            self.push(Src::Merged(p1.phis[k], p2.phis[k]));
+        }
+        // The alignment matched on encodings; a match is shared only if it
+        // passes the strict slot-wise compatibility check.
+        for entry in &pair.body.entries {
+            match *entry {
+                AlignEntry::Match(i, j) => {
+                    let (i1, i2) = (p1.body[i], p2.body[j]);
+                    if insts_mergeable(fa, i1, fb, i2) {
+                        self.diamond(mismatch);
+                        self.push(Src::Merged(i1, i2));
+                    } else {
+                        mismatch.0.push(i1);
+                        mismatch.1.push(i2);
+                    }
+                }
+                AlignEntry::GapRight(i) => mismatch.0.push(p1.body[i]),
+                AlignEntry::GapLeft(j) => mismatch.1.push(p2.body[j]),
+            }
+        }
+        if pair.term_match && insts_mergeable(fa, t1, fb, t2) {
+            self.diamond(mismatch);
+            self.push(Src::Merged(t1, t2));
+            self.close(End::Term);
+        } else {
+            // Fold the trailing mismatch run and both terminators into one
+            // final diamond that never rejoins.
+            let split = self.blocks.len() as u32 - 1;
+            self.close(End::Guard { side1: split + 1, side2: split + 2 });
+            self.open(Role::Term1(split));
+            for i in mismatch.0.drain(..) {
+                self.push(Src::Own(0, i));
+            }
+            self.push(Src::Own(0, t1));
+            self.close(End::Term);
+            self.open(Role::Term2(split));
+            for j in mismatch.1.drain(..) {
+                self.push(Src::Own(1, j));
+            }
+            self.push(Src::Own(1, t2));
+            self.close(End::Term);
+        }
+        head
+    }
+
+    /// Maps every original terminator's targets into the merged function,
+    /// in block order. Where the two sides of a merged terminator go to
+    /// different merged blocks, the target is a dispatch block on `%fid`.
+    fn resolve_targets(&mut self, entry: &[Vec<u32>; 2]) {
+        let [fa, fb] = [self.sides[0].f, self.sides[1].f];
+        for b in 0..self.blocks.len() {
+            let Some(term) = self.terminator_of(b) else { continue };
+            match term {
+                Src::Merged(t1, t2) => {
+                    let targets = fa.inst(t1).blocks.iter().zip(&fb.inst(t2).blocks);
+                    for (k, (&o1, &o2)) in targets.enumerate() {
+                        let (m1, m2) = (entry_of(&entry[0], o1), entry_of(&entry[1], o2));
+                        if m1 != m2 {
+                            let end = End::Guard { side1: m1, side2: m2 };
+                            self.open(Role::Dispatch(b as u32, k as u32));
+                            self.close(end);
+                        }
+                        let target = if m1 == m2 { m1 } else { self.blocks.len() as u32 - 1 };
+                        self.targets.push(target);
+                    }
+                }
+                Src::Own(s, t) => {
+                    let mapped =
+                        self.sides[s].f.inst(t).blocks.iter().map(|&o| entry_of(&entry[s], o));
+                    self.targets.extend(mapped);
+                }
+            }
+        }
+    }
+
+    /// The original terminator(s) block `b` ends in, if it ends in one.
+    fn terminator_of(&self, b: usize) -> Option<Src> {
+        let block = &self.blocks[b];
+        matches!(block.end, End::Term).then(|| self.srcs[block.srcs_end as usize - 1])
+    }
+
+    /// Counts the operand slots of merged non-phi instructions whose two
+    /// sides resolve to different merged values — each costs a `select`.
+    fn count_operand_selects(&mut self) {
+        let [a, b] = &self.sides;
+        let mut selects = 0;
+        for &src in &self.srcs {
+            let Src::Merged(i1, i2) = src else { continue };
+            let (i1, i2) = (a.f.inst(i1), b.f.inst(i2));
+            if i1.op == Opcode::Phi {
+                continue;
+            }
+            let slots = i1.operands.iter().zip(&i2.operands);
+            selects += slots.filter(|&(&v1, &v2)| !self.same_merged_value(v1, v2)).count();
+        }
+        self.operand_selects = selects;
+        self.size += selects as u64 * op_size(Opcode::Select);
+    }
+
+    /// Whether `v1` of the first function and `v2` of the second resolve to
+    /// one merged value: parameters sharing a slot, results of one merged
+    /// instruction, or constants the merged function interns as one.
+    fn same_merged_value(&self, v1: ValueId, v2: ValueId) -> bool {
+        let [a, b] = &self.sides;
+        let (v1, v2) = (a.f.value(v1), b.f.value(v2));
+        match (v1.kind, v2.kind) {
+            (ValueKind::Arg(i), ValueKind::Arg(j)) => {
+                a.param_map[i as usize] == b.param_map[j as usize]
+            }
+            (ValueKind::Inst(d1), ValueKind::Inst(d2)) => a.slot[d1.index()] == b.slot[d2.index()],
+            _ => match (merged_const(&self.m.types, v1), merged_const(&self.m.types, v2)) {
+                (Some(c1), Some(c2)) => ConstKey::of(&c1) == ConstKey::of(&c2),
+                _ => false,
+            },
+        }
+    }
+
+    /// Which original predecessor block(s) the merged edge `pred -> head`
+    /// stands for, per side: those of the original terminator `pred` ends
+    /// in, or, out of a dispatch block, the one side it sends to `head`.
+    /// Nothing for the edges out of guards and the entry dispatch, which
+    /// no original edge corresponds to.
+    fn edge_origin(&self, pred: BlockId, head: BlockId) -> [Option<BlockId>; 2] {
+        let parent = |s: usize, t| Some(self.sides[s].f.inst(t).parent);
+        let origin = |b: usize| match self.terminator_of(b) {
+            Some(Src::Merged(t1, t2)) => [parent(0, t1), parent(1, t2)],
+            Some(Src::Own(0, t)) => [parent(0, t), None],
+            Some(Src::Own(_, t)) => [None, parent(1, t)],
+            None => [None, None],
+        };
+        let block = &self.blocks[pred.index()];
+        match (block.role, block.end) {
+            (Role::Dispatch(from, _), End::Guard { side1, side2 }) => {
+                let [o1, o2] = origin(from as usize);
+                let head = head.index() as u32;
+                [o1.filter(|_| head == side1), o2.filter(|_| head == side2)]
+            }
+            _ => origin(pred.index()),
+        }
+    }
+
+    // ---- materialising -----------------------------------------------------
+
+    /// Builds the merged function the layout describes.
+    ///
+    /// # Errors
+    ///
+    /// [`MergeError::RepairFailed`] if the dominance repair loop does not
+    /// converge (which would indicate a bug — it is bounded but always
+    /// converges on valid input); [`MergeError::Internal`] if a phi cannot
+    /// be rebuilt.
+    pub(crate) fn build(
+        mut self,
+        cfg: MergeConfig,
+        name: String,
+    ) -> Result<MergedFunction, MergeError> {
+        let params = std::mem::take(&mut self.params);
+        let nf = Function::new(name, params, self.sides[0].f.ret_ty);
+        let mut b = MergeBuilder {
+            lay: &self,
+            nf,
+            cfg,
+            insts: Vec::with_capacity(self.srcs.len()),
+            selects_inserted: 0,
+            demotions: 0,
+        };
+        b.emit();
+        b.resolve_operands();
+        debug_assert_eq!(b.selects_inserted, self.operand_selects);
+        // The merged CFG is final here: selects, repair phis and stack
+        // slots add no block and no edge, so one of each analysis serves
+        // the rest of the build.
+        let graph = Graph::of(&b.nf);
+        b.resolve_phis(&graph)?;
+        b.repair_dominance(&graph)?;
+        let MergeBuilder { nf, selects_inserted, demotions, .. } = b;
+        let [side1, side2] = self.sides;
+        Ok(MergedFunction {
+            func: nf,
+            param_map1: side1.param_map,
+            param_map2: side2.param_map,
+            selects_inserted,
+            demotions,
+            layout_size: self.size,
+            operand_selects: self.operand_selects,
+        })
+    }
+}
+
+fn end_size(end: End) -> u64 {
+    match end {
+        End::Term => 0,
+        End::Guard { .. } => op_size(Opcode::CondBr),
+        End::Br(_) => op_size(Opcode::Br),
+    }
+}
+
+/// The merged entry block of original block `bb`.
+fn entry_of(entry: &[u32], bb: BlockId) -> u32 {
+    let head = entry[bb.index()];
+    assert_ne!(head, NONE, "branch to {bb:?}, which the plan does not cover");
+    head
 }
 
 /// Builds the merged function for `(f1, f2)` under `plan`.
@@ -155,391 +651,145 @@ pub fn build_merged(
     cfg: MergeConfig,
     name: String,
 ) -> Result<MergedFunction, MergeError> {
-    let fa = m.function(f1);
-    let fb = m.function(f2);
-    if fa.ret_ty != fb.ret_ty {
-        return Err(MergeError::IncompatibleReturnTypes);
-    }
-
-    // Pre-interned scalar ids are stable across stores, so a scratch store
-    // gives us bool/void/ptr without mutating the module.
-    let mut scratch = TypeStore::new();
-    let bool_ty = scratch.bool();
-    let void_ty = scratch.void();
-    let ptr_ty = scratch.ptr();
-
-    // ---- merged parameter list -----------------------------------------
-    let mut merged_params: Vec<TypeId> = vec![bool_ty];
-    let mut param_map1 = Vec::with_capacity(fa.params.len());
-    for &p in &fa.params {
-        param_map1.push(merged_params.len());
-        merged_params.push(p);
-    }
-    let mut used2 = vec![false; merged_params.len()];
-    used2[0] = true; // fid slot never shared
-    let mut param_map2 = Vec::with_capacity(fb.params.len());
-    for &p in &fb.params {
-        let reuse = merged_params
-            .iter()
-            .enumerate()
-            .position(|(i, &t)| !used2[i] && i > 0 && t == p);
-        match reuse {
-            Some(i) => {
-                used2[i] = true;
-                param_map2.push(i);
-            }
-            None => {
-                param_map2.push(merged_params.len());
-                merged_params.push(p);
-                used2.push(true);
-            }
-        }
-    }
-
-    let nf = Function::new(name, merged_params, fa.ret_ty);
-    let mut b = MergeBuilder {
-        m,
-        fa,
-        fb,
-        nf,
-        cfg,
-        void_ty,
-        ptr_ty,
-        param_map1,
-        param_map2,
-        map1: HashMap::new(),
-        map2: HashMap::new(),
-        entry1: HashMap::new(),
-        entry2: HashMap::new(),
-        exit1: HashMap::new(),
-        exit2: HashMap::new(),
-        pendings: Vec::new(),
-        edges: EdgeMap::new(),
-        selects_inserted: 0,
-        demotions: 0,
-    };
-    b.build(plan)?;
-    Ok(MergedFunction {
-        func: b.nf,
-        param_map1: b.param_map1,
-        param_map2: b.param_map2,
-        selects_inserted: b.selects_inserted,
-        demotions: b.demotions,
-    })
+    Layout::new(m, f1, f2, plan)?.build(cfg, name)
 }
 
-impl<'m> MergeBuilder<'m> {
+/// The analyses of the merged CFG, computed once per build.
+struct Graph {
+    cfg: Cfg,
+    dom: DomTree,
+    /// Each block's distinct predecessors in ascending order — what a phi
+    /// lists — as one flat list with per-block offsets.
+    pred_list: Vec<BlockId>,
+    pred_off: Vec<u32>,
+}
+
+impl Graph {
+    fn of(f: &Function) -> Graph {
+        let cfg = Cfg::compute(f);
+        let dom = DomTree::compute(f, &cfg);
+        let (mut pred_list, mut distinct) = (Vec::new(), Vec::new());
+        let mut pred_off = Vec::with_capacity(f.block_arena_len() + 1);
+        for b in 0..f.block_arena_len() {
+            pred_off.push(pred_list.len() as u32);
+            distinct.clear();
+            distinct.extend_from_slice(cfg.preds(BlockId::from_index(b)));
+            distinct.sort_unstable();
+            distinct.dedup();
+            pred_list.extend_from_slice(&distinct);
+        }
+        pred_off.push(pred_list.len() as u32);
+        Graph { cfg, dom, pred_list, pred_off }
+    }
+
+    fn preds(&self, bb: BlockId) -> &[BlockId] {
+        let b = bb.index();
+        &self.pred_list[self.pred_off[b] as usize..self.pred_off[b + 1] as usize]
+    }
+}
+
+struct MergeBuilder<'l, 'm> {
+    lay: &'l Layout<'m>,
+    nf: Function,
+    cfg: MergeConfig,
+    /// The emitted instruction of each layout slot.
+    insts: Vec<InstId>,
+    selects_inserted: usize,
+    demotions: usize,
+}
+
+impl MergeBuilder<'_, '_> {
     fn fid(&self) -> ValueId {
         self.nf.arg(0)
     }
 
-    fn build(&mut self, plan: &PairPlan) -> Result<(), MergeError> {
-        let entry0 = self.nf.add_block("entry");
+    // ---- phase 1: the layout's blocks, instructions and branches ----------
 
-        // ---- phase 1: structure ----------------------------------------
-        for pair in &plan.pairs {
-            self.emit_pair(pair);
-        }
-        for &b1 in &plan.unpaired1 {
-            self.emit_clone(b1, true);
-        }
-        for &b2 in &plan.unpaired2 {
-            self.emit_clone(b2, false);
-        }
-
-        // Entry dispatch.
-        let h1 = self.entry1[&self.fa.entry()];
-        let h2 = self.entry2[&self.fb.entry()];
-        if h1 == h2 {
-            self.append_raw(entry0, Opcode::Br, self.void_ty, vec![], vec![h1]);
-        } else {
-            let fid = self.fid();
-            self.append_raw(entry0, Opcode::CondBr, self.void_ty, vec![fid], vec![h2, h1]);
-        }
-
-        // ---- phase 2a: terminator targets ------------------------------
-        self.resolve_terminators();
-        // ---- phase 2b: ordinary operands --------------------------------
-        self.resolve_operands();
-        // ---- phase 2c: phis ---------------------------------------------
-        self.resolve_phis()?;
-        // ---- phase 3: dominance repair ----------------------------------
-        self.repair_dominance()?;
-        Ok(())
+    fn append(&mut self, bb: BlockId, inst: Instruction) -> InstId {
+        self.nf.append_inst(&self.lay.m.types, bb, inst).0
     }
 
-    // ---- emission helpers ----------------------------------------------
-
-    fn append_raw(
-        &mut self,
-        bb: BlockId,
-        op: Opcode,
-        ty: TypeId,
-        operands: Vec<ValueId>,
-        blocks: Vec<BlockId>,
-    ) -> Option<ValueId> {
-        self.nf
-            .append_inst(
-                &self.m.types,
-                bb,
-                Instruction {
-                    op,
-                    ty,
-                    operands,
-                    blocks,
-                    pred: None,
-                    aux_ty: None,
-                    parent: bb,
-                    result: None,
-                },
-            )
-            .1
-    }
-
-    fn emit_pending(&mut self, bb: BlockId, src: Src) {
-        let (proto_f, proto_id) = match src {
-            Src::Merged(i1, _) | Src::Side1(i1) => (self.fa, i1),
-            Src::Side2(i2) => (self.fb, i2),
-        };
-        let proto = proto_f.inst(proto_id);
-        let inst = Instruction {
-            op: proto.op,
-            ty: proto.ty,
-            operands: Vec::new(),
-            blocks: Vec::new(),
-            pred: proto.pred,
-            aux_ty: proto.aux_ty,
-            parent: bb,
+    fn emit(&mut self) {
+        let lay = self.lay;
+        for block in &lay.blocks {
+            self.nf.add_block(block.role.name());
+        }
+        let block_id = |b: u32| BlockId::from_index(b as usize);
+        let guard = |op, operands, blocks, parent| Instruction {
+            op,
+            ty: TypeId::VOID,
+            operands,
+            blocks,
+            pred: None,
+            aux_ty: None,
+            parent,
             result: None,
         };
-        let (new_id, result) = self.nf.append_inst(&self.m.types, bb, inst);
-        if let Some(r) = result {
-            match src {
-                Src::Merged(i1, i2) => {
-                    if let Some(r1) = self.fa.inst(i1).result {
-                        self.map1.insert(r1, r);
-                    }
-                    if let Some(r2) = self.fb.inst(i2).result {
-                        self.map2.insert(r2, r);
-                    }
-                }
-                Src::Side1(i1) => {
-                    if let Some(r1) = self.fa.inst(i1).result {
-                        self.map1.insert(r1, r);
-                    }
-                }
-                Src::Side2(i2) => {
-                    if let Some(r2) = self.fb.inst(i2).result {
-                        self.map2.insert(r2, r);
-                    }
-                }
+        let mut targets = lay.targets.iter().map(|&t| block_id(t));
+        for (b, block) in lay.blocks.iter().enumerate() {
+            let bb = BlockId::from_index(b);
+            while self.insts.len() < block.srcs_end as usize {
+                let (s, i) = match lay.srcs[self.insts.len()] {
+                    Src::Merged(i1, _) => (0, i1),
+                    Src::Own(s, i) => (s, i),
+                };
+                let proto = lay.sides[s].f.inst(i);
+                // Operands wait for phase 2; the terminator's targets are
+                // the layout's.
+                let last = self.insts.len() + 1 == block.srcs_end as usize;
+                let blocks = if last && matches!(block.end, End::Term) {
+                    targets.by_ref().take(proto.blocks.len()).collect()
+                } else {
+                    Vec::new()
+                };
+                let inst = Instruction {
+                    op: proto.op,
+                    ty: proto.ty,
+                    operands: Vec::new(),
+                    blocks,
+                    pred: proto.pred,
+                    aux_ty: proto.aux_ty,
+                    parent: bb,
+                    result: None,
+                };
+                let new_id = self.append(bb, inst);
+                self.insts.push(new_id);
             }
-        }
-        self.pendings.push((new_id, src));
-    }
-
-    fn emit_pair(&mut self, pair: &crate::block_pairing::BlockPairPlan) {
-        let parts1 = block_parts(self.fa, pair.b1);
-        let parts2 = block_parts(self.fb, pair.b2);
-        let head = self.nf.add_block(format!("pair.{}.{}", pair.b1.index(), pair.b2.index()));
-        self.entry1.insert(pair.b1, head);
-        self.entry2.insert(pair.b2, head);
-
-        // Merged phi prefix.
-        for k in 0..pair.phi_pairs {
-            self.emit_pending(head, Src::Merged(parts1.phis[k], parts2.phis[k]));
-        }
-
-        // Body runs: group alignment entries, validating matches with the
-        // strict slot-wise compatibility check.
-        let mut current = head;
-        let mut pending_mismatch: (Vec<InstId>, Vec<InstId>) = (Vec::new(), Vec::new());
-        let flush =
-            |this: &mut Self, current: &mut BlockId, mm: &mut (Vec<InstId>, Vec<InstId>)| {
-                if mm.0.is_empty() && mm.1.is_empty() {
-                    return;
+            match block.end {
+                End::Term => {}
+                End::Guard { side1, side2 } => {
+                    let to = vec![block_id(side2), block_id(side1)];
+                    self.append(bb, guard(Opcode::CondBr, vec![self.fid()], to, bb));
                 }
-                let s1 = this.nf.add_block(format!("side1.{}", current.index()));
-                let s2 = this.nf.add_block(format!("side2.{}", current.index()));
-                let join = this.nf.add_block(format!("join.{}", current.index()));
-                let fid = this.fid();
-                this.append_raw(*current, Opcode::CondBr, this.void_ty, vec![fid], vec![s2, s1]);
-                for &i in &mm.0 {
-                    this.emit_pending(s1, Src::Side1(i));
-                }
-                for &j in &mm.1 {
-                    this.emit_pending(s2, Src::Side2(j));
-                }
-                this.append_raw(s1, Opcode::Br, this.void_ty, vec![], vec![join]);
-                this.append_raw(s2, Opcode::Br, this.void_ty, vec![], vec![join]);
-                mm.0.clear();
-                mm.1.clear();
-                *current = join;
-            };
-        for entry in &pair.body.entries {
-            match *entry {
-                AlignEntry::Match(i, j) => {
-                    let (i1, i2) = (parts1.body[i], parts2.body[j]);
-                    if insts_mergeable(self.fa, i1, self.fb, i2) {
-                        flush(self, &mut current, &mut pending_mismatch);
-                        self.emit_pending(current, Src::Merged(i1, i2));
-                    } else {
-                        pending_mismatch.0.push(i1);
-                        pending_mismatch.1.push(i2);
-                    }
-                }
-                AlignEntry::GapRight(i) => pending_mismatch.0.push(parts1.body[i]),
-                AlignEntry::GapLeft(j) => pending_mismatch.1.push(parts2.body[j]),
-            }
-        }
-
-        // Terminator.
-        let term_ok = pair.term_match
-            && insts_mergeable(self.fa, parts1.term, self.fb, parts2.term);
-        if term_ok {
-            flush(self, &mut current, &mut pending_mismatch);
-            self.emit_pending(current, Src::Merged(parts1.term, parts2.term));
-            self.exit1.insert(pair.b1, current);
-            self.exit2.insert(pair.b2, current);
-        } else {
-            // Fold the trailing mismatch run and both terminators into one
-            // final diamond that never rejoins.
-            let s1 = self.nf.add_block(format!("term1.{}", current.index()));
-            let s2 = self.nf.add_block(format!("term2.{}", current.index()));
-            let fid = self.fid();
-            self.append_raw(current, Opcode::CondBr, self.void_ty, vec![fid], vec![s2, s1]);
-            let (mm1, mm2) = std::mem::take(&mut pending_mismatch);
-            for i in mm1 {
-                self.emit_pending(s1, Src::Side1(i));
-            }
-            for j in mm2 {
-                self.emit_pending(s2, Src::Side2(j));
-            }
-            self.emit_pending(s1, Src::Side1(parts1.term));
-            self.emit_pending(s2, Src::Side2(parts2.term));
-            self.exit1.insert(pair.b1, s1);
-            self.exit2.insert(pair.b2, s2);
-        }
-    }
-
-    fn emit_clone(&mut self, bb: BlockId, side1: bool) {
-        let f = if side1 { self.fa } else { self.fb };
-        let nb = self
-            .nf
-            .add_block(format!("clone{}.{}", if side1 { 1 } else { 2 }, bb.index()));
-        if side1 {
-            self.entry1.insert(bb, nb);
-            self.exit1.insert(bb, nb);
-        } else {
-            self.entry2.insert(bb, nb);
-            self.exit2.insert(bb, nb);
-        }
-        let insts: Vec<InstId> = f.block(bb).insts.clone();
-        for i in insts {
-            self.emit_pending(nb, if side1 { Src::Side1(i) } else { Src::Side2(i) });
-        }
-    }
-
-    // ---- phase 2a -------------------------------------------------------
-
-    fn record_edge(&mut self, head: BlockId, pred: BlockId, o1: Option<BlockId>, o2: Option<BlockId>) {
-        let e = self.edges.entry((head, pred)).or_insert((None, None));
-        if o1.is_some() {
-            e.0 = o1;
-        }
-        if o2.is_some() {
-            e.1 = o2;
-        }
-    }
-
-    fn resolve_terminators(&mut self) {
-        let pendings = self.pendings.clone();
-        for (new_id, src) in pendings {
-            if !self.nf.inst(new_id).op.is_terminator() {
-                continue;
-            }
-            let parent = self.nf.inst(new_id).parent;
-            match src {
-                Src::Merged(t1, t2) => {
-                    let (b1src, b2src) =
-                        (self.fa.inst(t1).parent, self.fb.inst(t2).parent);
-                    let targets1 = self.fa.inst(t1).blocks.clone();
-                    let targets2 = self.fb.inst(t2).blocks.clone();
-                    let mut new_targets = Vec::with_capacity(targets1.len());
-                    for (k, &o1) in targets1.iter().enumerate() {
-                        let o2 = targets2[k];
-                        let m1 = self.entry1[&o1];
-                        let m2 = self.entry2[&o2];
-                        if m1 == m2 {
-                            self.record_edge(m1, parent, Some(b1src), Some(b2src));
-                            new_targets.push(m1);
-                        } else {
-                            let d = self
-                                .nf
-                                .add_block(format!("dispatch.{}.{}", parent.index(), k));
-                            let fid = self.fid();
-                            self.append_raw(
-                                d,
-                                Opcode::CondBr,
-                                self.void_ty,
-                                vec![fid],
-                                vec![m2, m1],
-                            );
-                            self.record_edge(m1, d, Some(b1src), None);
-                            self.record_edge(m2, d, None, Some(b2src));
-                            new_targets.push(d);
-                        }
-                    }
-                    self.nf.inst_mut(new_id).blocks = new_targets;
-                }
-                Src::Side1(t1) => {
-                    let b1src = self.fa.inst(t1).parent;
-                    let targets: Vec<BlockId> = self.fa.inst(t1).blocks.clone();
-                    let mapped: Vec<BlockId> =
-                        targets.iter().map(|t| self.entry1[t]).collect();
-                    for &mt in &mapped {
-                        self.record_edge(mt, parent, Some(b1src), None);
-                    }
-                    self.nf.inst_mut(new_id).blocks = mapped;
-                }
-                Src::Side2(t2) => {
-                    let b2src = self.fb.inst(t2).parent;
-                    let targets: Vec<BlockId> = self.fb.inst(t2).blocks.clone();
-                    let mapped: Vec<BlockId> =
-                        targets.iter().map(|t| self.entry2[t]).collect();
-                    for &mt in &mapped {
-                        self.record_edge(mt, parent, None, Some(b2src));
-                    }
-                    self.nf.inst_mut(new_id).blocks = mapped;
+                End::Br(to) => {
+                    self.append(bb, guard(Opcode::Br, vec![], vec![block_id(to)], bb));
                 }
             }
         }
     }
 
-    // ---- phase 2b -------------------------------------------------------
+    // ---- phase 2a: ordinary operands ---------------------------------------
 
-    fn resolve1(&mut self, v: ValueId) -> ValueId {
-        resolve_side(
-            self.m,
-            self.fa,
-            &mut self.nf,
-            &self.map1,
-            &self.param_map1,
-            self.ptr_ty,
-            v,
-        )
-    }
-
-    fn resolve2(&mut self, v: ValueId) -> ValueId {
-        resolve_side(
-            self.m,
-            self.fb,
-            &mut self.nf,
-            &self.map2,
-            &self.param_map2,
-            self.ptr_ty,
-            v,
-        )
+    /// The merged value of `v`, a value of side `s`.
+    fn resolve(&mut self, s: usize, v: ValueId) -> ValueId {
+        let lay = self.lay;
+        let side = &lay.sides[s];
+        let val = side.f.value(v);
+        match val.kind {
+            ValueKind::Arg(i) => self.nf.arg(side.param_map[i as usize]),
+            ValueKind::Inst(def) => {
+                let slot = side.slot[def.index()];
+                assert_ne!(slot, NONE, "unmapped instruction value {v:?}");
+                self.nf
+                    .inst(self.insts[slot as usize])
+                    .result
+                    .expect("a used instruction has a result")
+            }
+            _ => {
+                let c = merged_const(&lay.m.types, val).expect("constant-like value");
+                self.nf.intern_const(c)
+            }
+        }
     }
 
     /// Inserts `select %fid, v2, v1` immediately before position `pos` of
@@ -548,7 +798,7 @@ impl<'m> MergeBuilder<'m> {
         let ty = self.nf.value(v1).ty;
         let fid = self.fid();
         let (_, val) = self.nf.insert_inst(
-            &self.m.types,
+            &self.lay.m.types,
             bb,
             pos,
             Instruction {
@@ -567,19 +817,19 @@ impl<'m> MergeBuilder<'m> {
     }
 
     fn resolve_operands(&mut self) {
-        let pendings = self.pendings.clone();
-        for (new_id, src) in pendings {
+        let lay = self.lay;
+        for (slot, &src) in lay.srcs.iter().enumerate() {
+            let new_id = self.insts[slot];
             if self.nf.inst(new_id).op == Opcode::Phi {
                 continue;
             }
             let resolved = match src {
                 Src::Merged(i1, i2) => {
-                    let ops1 = self.fa.inst(i1).operands.clone();
-                    let ops2 = self.fb.inst(i2).operands.clone();
+                    let ops1 = &lay.sides[0].f.inst(i1).operands;
+                    let ops2 = &lay.sides[1].f.inst(i2).operands;
                     let mut out = Vec::with_capacity(ops1.len());
-                    for (&v1, &v2) in ops1.iter().zip(ops2.iter()) {
-                        let m1 = self.resolve1(v1);
-                        let m2 = self.resolve2(v2);
+                    for (&v1, &v2) in ops1.iter().zip(ops2) {
+                        let (m1, m2) = (self.resolve(0, v1), self.resolve(1, v2));
                         if m1 == m2 {
                             out.push(m1);
                         } else {
@@ -596,108 +846,82 @@ impl<'m> MergeBuilder<'m> {
                     }
                     out
                 }
-                Src::Side1(i1) => {
-                    let ops = self.fa.inst(i1).operands.clone();
-                    ops.into_iter().map(|v| self.resolve1(v)).collect()
-                }
-                Src::Side2(i2) => {
-                    let ops = self.fb.inst(i2).operands.clone();
-                    ops.into_iter().map(|v| self.resolve2(v)).collect()
+                Src::Own(s, i) => {
+                    let ops = &lay.sides[s].f.inst(i).operands;
+                    ops.iter().map(|&v| self.resolve(s, v)).collect()
                 }
             };
             self.nf.inst_mut(new_id).operands = resolved;
         }
     }
 
-    // ---- phase 2c -------------------------------------------------------
+    // ---- phase 2b: phis -----------------------------------------------------
 
-    fn resolve_phis(&mut self) -> Result<(), MergeError> {
-        let cfg = Cfg::compute(&self.nf);
-        let pendings = self.pendings.clone();
-        for (new_id, src) in pendings {
+    fn resolve_phis(&mut self, graph: &Graph) -> Result<(), MergeError> {
+        let lay = self.lay;
+        for (slot, &src) in lay.srcs.iter().enumerate() {
+            let new_id = self.insts[slot];
             if self.nf.inst(new_id).op != Opcode::Phi {
                 continue;
             }
             let h = self.nf.inst(new_id).parent;
-            let mut preds: Vec<BlockId> = cfg.preds(h).to_vec();
-            preds.sort();
-            preds.dedup();
+            let preds = graph.preds(h);
             let mut in_vals = Vec::with_capacity(preds.len());
-            let mut in_blocks = Vec::with_capacity(preds.len());
-            for p in preds {
-                let &(o1, o2) = self.edges.get(&(h, p)).ok_or_else(|| {
-                    MergeError::Internal(format!(
-                        "no edge attribution for {:?} -> {:?}",
-                        p, h
-                    ))
-                })?;
-                let val = match (src, o1, o2) {
-                    (Src::Merged(p1, p2), Some(x1), Some(x2)) => {
-                        let v1 = incoming_of(self.fa, p1, x1)?;
-                        let v2 = incoming_of(self.fb, p2, x2)?;
-                        let m1 = self.resolve1(v1);
-                        let m2 = self.resolve2(v2);
-                        if m1 == m2 {
-                            m1
-                        } else {
-                            // Select at the end of the shared predecessor.
-                            let pos = self.nf.block(p).insts.len() - 1;
-                            self.insert_select(p, pos, m1, m2)
-                        }
-                    }
-                    (Src::Merged(p1, _) | Src::Side1(p1), Some(x1), None) => {
-                        let v1 = incoming_of(self.fa, p1, x1)?;
-                        self.resolve1(v1)
-                    }
-                    (Src::Merged(_, p2) | Src::Side2(p2), None, Some(x2)) => {
-                        let v2 = incoming_of(self.fb, p2, x2)?;
-                        self.resolve2(v2)
-                    }
-                    (Src::Side1(p1), Some(x1), Some(_)) => {
-                        let v1 = incoming_of(self.fa, p1, x1)?;
-                        self.resolve1(v1)
-                    }
-                    (Src::Side2(p2), Some(_), Some(x2)) => {
-                        let v2 = incoming_of(self.fb, p2, x2)?;
-                        self.resolve2(v2)
-                    }
-                    _ => {
-                        return Err(MergeError::Internal(format!(
-                            "edge into phi block {h:?} from {p:?} has no usable attribution"
-                        )))
-                    }
+            for &p in preds {
+                let origin = lay.edge_origin(p, h);
+                let incoming = |s: usize, phi| match origin[s] {
+                    Some(x) => incoming_of(lay.sides[s].f, phi, x).map(Some),
+                    None => Ok(None),
                 };
-                in_vals.push(val);
-                in_blocks.push(p);
+                let val = match src {
+                    Src::Merged(p1, p2) => match (incoming(0, p1)?, incoming(1, p2)?) {
+                        (Some(v1), Some(v2)) => {
+                            let (m1, m2) = (self.resolve(0, v1), self.resolve(1, v2));
+                            if m1 == m2 {
+                                Some(m1)
+                            } else {
+                                // Select at the end of the shared predecessor.
+                                let pos = self.nf.block(p).insts.len() - 1;
+                                Some(self.insert_select(p, pos, m1, m2))
+                            }
+                        }
+                        (Some(v1), None) => Some(self.resolve(0, v1)),
+                        (None, Some(v2)) => Some(self.resolve(1, v2)),
+                        (None, None) => None,
+                    },
+                    Src::Own(s, phi) => incoming(s, phi)?.map(|v| self.resolve(s, v)),
+                };
+                in_vals.push(val.ok_or_else(|| {
+                    MergeError::Internal(format!(
+                        "edge into phi block {h:?} from {p:?} has no usable attribution"
+                    ))
+                })?);
             }
             let inst = self.nf.inst_mut(new_id);
             inst.operands = in_vals;
-            inst.blocks = in_blocks;
+            inst.blocks = preds.to_vec();
         }
         Ok(())
     }
 
     // ---- phase 3: dominance repair ---------------------------------------
 
-    fn repair_dominance(&mut self) -> Result<(), MergeError> {
+    fn repair_dominance(&mut self, graph: &Graph) -> Result<(), MergeError> {
+        let mut memo = Vec::new();
         for _round in 0..16 {
-            let violations = find_violations(&self.nf);
+            let mut violations = find_violations(&self.nf, graph);
             if violations.is_empty() {
                 return Ok(());
             }
-            // Group violating uses by defining instruction.
-            let mut by_def: HashMap<InstId, Vec<UseSite>> = HashMap::new();
-            for (def, site) in violations {
-                by_def.entry(def).or_default().push(site);
-            }
-            let mut defs: Vec<InstId> = by_def.keys().copied().collect();
-            defs.sort();
-            for def in defs {
+            // Group violating uses by defining instruction; the sort is
+            // stable, so each definition's uses stay in scan order.
+            violations.sort_by_key(|&(def, _)| def);
+            for uses in violations.chunk_by(|a, b| a.0 == b.0) {
+                let def = uses[0].0;
+                let uses = uses.iter().map(|&(_, site)| site);
                 match self.cfg.repair {
-                    RepairMode::Phi => self.reconstruct_ssa(def, &by_def[&def]),
-                    RepairMode::Stack | RepairMode::LegacyBuggy => {
-                        self.demote(def, &by_def[&def])
-                    }
+                    RepairMode::Phi => self.reconstruct_ssa(def, uses, graph, &mut memo),
+                    RepairMode::Stack | RepairMode::LegacyBuggy => self.demote(def, uses),
                 }
             }
         }
@@ -710,130 +934,109 @@ impl<'m> MergeBuilder<'m> {
     /// operandless placeholder phis to break cycles). Paths the definition
     /// cannot reach contribute `undef` — those are exactly the cross-side
     /// paths execution never takes for the side that owns the value.
-    fn reconstruct_ssa(&mut self, def: InstId, uses: &[UseSite]) {
+    ///
+    /// `memo` is scratch: the reaching value at the end of each block, by
+    /// `BlockId`, for this one definition.
+    fn reconstruct_ssa(
+        &mut self,
+        def: InstId,
+        uses: impl Iterator<Item = UseSite>,
+        graph: &Graph,
+        memo: &mut Vec<Option<ValueId>>,
+    ) {
         self.demotions += 1; // counted as a repaired value either way
         let def_val = self.nf.inst(def).result.expect("repairing a valued instruction");
-        let ty = self.nf.value(def_val).ty;
-        let def_block = self.nf.inst(def).parent;
-        let cfg = Cfg::compute(&self.nf);
-        let mut memo: HashMap<BlockId, ValueId> = HashMap::new();
+        let reach =
+            Reach { def_val, def_block: self.nf.inst(def).parent, ty: self.nf.value(def_val).ty };
+        memo.clear();
+        memo.resize(self.nf.block_arena_len(), None);
         for site in uses {
-            match *site {
+            // A use inside `ub` that the definition does not dominate
+            // reads the value reaching `ub`'s entry, which equals the value
+            // at its end because the definition is not in `ub`.
+            let (inst, slot, at_end_of) = match site {
                 UseSite::Operand { inst, slot } => {
                     let ub = self.nf.inst(inst).parent;
                     debug_assert_ne!(
-                        ub, def_block,
+                        ub, reach.def_block,
                         "same-block use-before-def cannot occur in merged code"
                     );
-                    let v = self.read_at_entry(ub, def_val, def_block, ty, &cfg, &mut memo);
-                    self.nf.inst_mut(inst).operands[slot] = v;
+                    (inst, slot, ub)
                 }
-                UseSite::PhiIncoming { inst, slot, block } => {
-                    let v = self.read_at_end(block, def_val, def_block, ty, &cfg, &mut memo);
-                    self.nf.inst_mut(inst).operands[slot] = v;
-                }
-            }
+                UseSite::PhiIncoming { inst, slot, block } => (inst, slot, block),
+            };
+            let v = self.read_at_end(at_end_of, reach, graph, memo);
+            self.nf.inst_mut(inst).operands[slot] = v;
         }
     }
 
-    /// The reaching value of `def` at the end of `bb`.
-    #[allow(clippy::too_many_arguments)]
+    /// The reaching value of `reach`'s definition at the end of `bb`.
     fn read_at_end(
         &mut self,
         bb: BlockId,
-        def_val: ValueId,
-        def_block: BlockId,
-        ty: TypeId,
-        cfg: &Cfg,
-        memo: &mut HashMap<BlockId, ValueId>,
+        reach: Reach,
+        graph: &Graph,
+        memo: &mut Vec<Option<ValueId>>,
     ) -> ValueId {
-        if bb == def_block {
-            return def_val;
+        if bb == reach.def_block {
+            return reach.def_val;
         }
-        if let Some(&v) = memo.get(&bb) {
+        if let Some(v) = memo[bb.index()] {
             return v;
         }
-        if !cfg.is_reachable(bb) {
-            let u = self.nf.undef(ty);
-            memo.insert(bb, u);
-            return u;
-        }
-        let mut preds: Vec<BlockId> = cfg.preds(bb).to_vec();
-        preds.sort();
-        preds.dedup();
-        if preds.is_empty() {
-            let u = self.nf.undef(ty);
-            memo.insert(bb, u);
-            return u;
-        }
-        if preds.len() == 1 {
+        let preds = graph.preds(bb);
+        let v = if !graph.cfg.is_reachable(bb) || preds.is_empty() {
+            self.nf.undef(reach.ty)
+        } else if let [pred] = *preds {
             // No join: forward through the single predecessor. Memoize
             // *after* the recursive call; single-pred chains cannot cycle
             // back into themselves without passing a multi-pred block.
-            let v = self.read_at_end(preds[0], def_val, def_block, ty, cfg, memo);
-            memo.insert(bb, v);
-            return v;
-        }
-        // Join point: place a placeholder phi first to break cycles.
-        let (phi_id, phi_val) = self.nf.insert_inst(
-            &self.m.types,
-            bb,
-            0,
-            Instruction {
-                op: Opcode::Phi,
-                ty,
-                operands: vec![],
-                blocks: vec![],
-                pred: None,
-                aux_ty: None,
-                parent: bb,
-                result: None,
-            },
-        );
-        let phi_val = phi_val.expect("phi value");
-        memo.insert(bb, phi_val);
-        let vals: Vec<ValueId> = preds
-            .iter()
-            .map(|&p| self.read_at_end(p, def_val, def_block, ty, cfg, memo))
-            .collect();
-        let phi = self.nf.inst_mut(phi_id);
-        phi.operands = vals;
-        phi.blocks = preds;
-        phi_val
-    }
-
-    /// The reaching value of `def` at the entry of `bb` (for a use inside
-    /// `bb` that the definition does not dominate).
-    #[allow(clippy::too_many_arguments)]
-    fn read_at_entry(
-        &mut self,
-        bb: BlockId,
-        def_val: ValueId,
-        def_block: BlockId,
-        ty: TypeId,
-        cfg: &Cfg,
-        memo: &mut HashMap<BlockId, ValueId>,
-    ) -> ValueId {
-        // Entry value equals the end value of the same block whenever the
-        // def is not in `bb`, which `reconstruct_ssa` asserts.
-        self.read_at_end(bb, def_val, def_block, ty, cfg, memo)
+            self.read_at_end(pred, reach, graph, memo)
+        } else {
+            // Join point: place a placeholder phi first to break cycles.
+            let (phi_id, phi_val) = self.nf.insert_inst(
+                &self.lay.m.types,
+                bb,
+                0,
+                Instruction {
+                    op: Opcode::Phi,
+                    ty: reach.ty,
+                    operands: vec![],
+                    blocks: vec![],
+                    pred: None,
+                    aux_ty: None,
+                    parent: bb,
+                    result: None,
+                },
+            );
+            let phi_val = phi_val.expect("phi value");
+            memo[bb.index()] = Some(phi_val);
+            let vals: Vec<ValueId> =
+                preds.iter().map(|&p| self.read_at_end(p, reach, graph, memo)).collect();
+            let phi = self.nf.inst_mut(phi_id);
+            phi.operands = vals;
+            phi.blocks = preds.to_vec();
+            phi_val
+        };
+        memo[bb.index()] = Some(v);
+        v
     }
 
     /// Demotes `def`'s value to a stack slot, rewriting the given uses to
     /// loads. Implements the Section III-E store-placement rules.
-    fn demote(&mut self, def: InstId, uses: &[UseSite]) {
+    fn demote(&mut self, def: InstId, uses: impl Iterator<Item = UseSite>) {
         self.demotions += 1;
         let def_val = self.nf.inst(def).result.expect("demoting a valued instruction");
         let slot_ty = self.nf.value(def_val).ty;
         // Slot in the entry block (dominates everything).
         let entry = self.nf.entry();
         let (_, slot) = self.nf.insert_inst(
-            &self.m.types,
+            &self.lay.m.types,
             entry,
             0,
             Instruction {
                 op: Opcode::Alloca,
-                ty: self.ptr_ty,
+                ty: TypeId::PTR,
                 operands: vec![],
                 blocks: vec![],
                 pred: None,
@@ -878,12 +1081,12 @@ impl<'m> MergeBuilder<'m> {
             }
         };
         self.nf.insert_inst(
-            &self.m.types,
+            &self.lay.m.types,
             store_block,
             store_pos,
             Instruction {
                 op: Opcode::Store,
-                ty: self.void_ty,
+                ty: TypeId::VOID,
                 operands: vec![def_val, slot],
                 blocks: vec![],
                 pred: None,
@@ -894,7 +1097,7 @@ impl<'m> MergeBuilder<'m> {
         );
 
         // Rewrite uses.
-        let mut sites: Vec<UseSite> = uses.to_vec();
+        let mut sites: Vec<UseSite> = uses.collect();
         if self.cfg.repair == RepairMode::LegacyBuggy {
             // Legacy HyFM also rewrote non-violating uses inside the
             // defining block — those now load *before* the store runs.
@@ -923,7 +1126,7 @@ impl<'m> MergeBuilder<'m> {
                         .position(|&i| i == inst)
                         .expect("use in its block");
                     let (_, load) = self.nf.insert_inst(
-                        &self.m.types,
+                        &self.lay.m.types,
                         bb,
                         pos,
                         Instruction {
@@ -943,7 +1146,7 @@ impl<'m> MergeBuilder<'m> {
                     // Load at the end of the incoming block.
                     let pos = self.nf.block(block).insts.len() - 1;
                     let (_, load) = self.nf.insert_inst(
-                        &self.m.types,
+                        &self.lay.m.types,
                         block,
                         pos,
                         Instruction {
@@ -964,6 +1167,15 @@ impl<'m> MergeBuilder<'m> {
     }
 }
 
+/// The value under dominance repair: what [`MergeBuilder::read_at_end`]
+/// looks for.
+#[derive(Clone, Copy)]
+struct Reach {
+    def_val: ValueId,
+    def_block: BlockId,
+    ty: TypeId,
+}
+
 /// A use of a value that violates SSA dominance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum UseSite {
@@ -974,9 +1186,8 @@ enum UseSite {
 }
 
 /// Scans a function for SSA dominance violations.
-fn find_violations(f: &Function) -> Vec<(InstId, UseSite)> {
-    let cfg = Cfg::compute(f);
-    let dt = DomTree::compute(f, &cfg);
+fn find_violations(f: &Function, graph: &Graph) -> Vec<(InstId, UseSite)> {
+    let (cfg, dt) = (&graph.cfg, &graph.dom);
     let mut out = Vec::new();
     for &bb in &f.block_order {
         if !cfg.is_reachable(bb) {
@@ -987,10 +1198,7 @@ fn find_violations(f: &Function) -> Vec<(InstId, UseSite)> {
                 for (slot, (in_bb, v)) in inst.phi_incomings().enumerate() {
                     if let ValueKind::Inst(def) = f.value(v).kind {
                         if !dt.dominates_phi_use(f, def, in_bb) {
-                            out.push((
-                                def,
-                                UseSite::PhiIncoming { inst: iid, slot, block: in_bb },
-                            ));
+                            out.push((def, UseSite::PhiIncoming { inst: iid, slot, block: in_bb }));
                         }
                     }
                 }
@@ -1013,32 +1221,7 @@ fn incoming_of(f: &Function, phi: InstId, pred: BlockId) -> Result<ValueId, Merg
         .phi_incomings()
         .find(|(bb, _)| *bb == pred)
         .map(|(_, v)| v)
-        .ok_or_else(|| {
-            MergeError::Internal(format!("phi {phi:?} has no incoming for {pred:?}"))
-        })
-}
-
-fn resolve_side(
-    m: &Module,
-    orig: &Function,
-    nf: &mut Function,
-    map: &HashMap<ValueId, ValueId>,
-    param_map: &[usize],
-    ptr_ty: TypeId,
-    v: ValueId,
-) -> ValueId {
-    let val = orig.value(v);
-    match val.kind {
-        ValueKind::Arg(i) => nf.arg(param_map[i as usize]),
-        ValueKind::Inst(_) => *map
-            .get(&v)
-            .unwrap_or_else(|| panic!("unmapped instruction value {v:?}")),
-        ValueKind::ConstInt(x) => nf.const_int(&m.types, val.ty, x),
-        ValueKind::ConstFloat(bits) => nf.const_float(val.ty, f64::from_bits(bits)),
-        ValueKind::Undef => nf.undef(val.ty),
-        ValueKind::FuncRef(f) => nf.func_ref(f, ptr_ty),
-        ValueKind::GlobalRef(g) => nf.global_ref(g, ptr_ty),
-    }
+        .ok_or_else(|| MergeError::Internal(format!("phi {phi:?} has no incoming for {pred:?}")))
 }
 
 /// Builds the thunk that redirects `orig` into `merged`.
@@ -1055,16 +1238,11 @@ pub fn build_thunk(
 ) -> Function {
     let of = m.function(orig);
     let mf = m.function(merged);
-    let mut scratch = TypeStore::new();
-    let ptr_ty = scratch.ptr();
-    let void_ty = scratch.void();
-    let bool_ty = scratch.bool();
-
     let mut t = Function::new(of.name.clone(), of.params.clone(), of.ret_ty);
     t.linkage = of.linkage;
     let bb = t.add_block("entry");
-    let callee = t.func_ref(merged, ptr_ty);
-    let fid = t.const_int(&m.types, bool_ty, i64::from(fid_value));
+    let callee = t.func_ref(merged, TypeId::PTR);
+    let fid = t.const_int(&m.types, TypeId::BOOL, i64::from(fid_value));
     let mut args: Vec<ValueId> = Vec::with_capacity(mf.params.len());
     args.push(fid);
     for (slot, &ty) in mf.params.iter().enumerate().skip(1) {
@@ -1097,7 +1275,7 @@ pub fn build_thunk(
         bb,
         Instruction {
             op: Opcode::Ret,
-            ty: void_ty,
+            ty: TypeId::VOID,
             operands: ret_val.into_iter().collect(),
             blocks: vec![],
             pred: None,

@@ -3,7 +3,10 @@
 //!
 //! [`Committer::attempt`] is the one place a ranked, aligned pair's fate is
 //! decided, and its [`Verdict`] is all a driver (the per-module pass, the
-//! global planner) needs for its bookkeeping. Committing is the only stage
+//! global planner) needs for its bookkeeping. Past the gate, the merged
+//! function is laid out but not built until the layout's byte count — an
+//! exact lower bound on what the build would measure — leaves room for a
+//! profit. Committing is the only stage
 //! that mutates the module: the merged function is appended, every call
 //! site of the originals is redirected, and each original is replaced by a
 //! thunk (or dropped to a declaration when module-private and never
@@ -18,12 +21,13 @@ use f3m_ir::function::{Function, Linkage};
 use f3m_ir::ids::{FuncId, InstId};
 use f3m_ir::inst::Opcode;
 use f3m_ir::module::Module;
-use f3m_ir::size::function_size;
+use f3m_ir::size::{function_size, FUNCTION_OVERHEAD};
+use f3m_ir::types::TypeId;
 use f3m_ir::value::ValueKind;
 use f3m_ir::verify::verify_function;
 
 use crate::block_pairing::PairPlan;
-use crate::codegen::{build_merged, build_thunk, MergeConfig};
+use crate::codegen::{build_thunk, op_size, Layout, MergeConfig};
 
 /// Module-wide reference index, maintained incrementally across commits so
 /// that call-site redirection does not rescan the whole module per merge
@@ -123,9 +127,6 @@ impl RefIndex {
         fid_value: bool,
         param_map: &[usize],
     ) {
-        let mut scratch = f3m_ir::types::TypeStore::new();
-        let ptr_ty = scratch.ptr();
-        let bool_ty = scratch.bool();
         let merged_params = m.function(merged).params.clone();
         let sites = self.call_sites.remove(&target).unwrap_or_default();
         let mut moved = Vec::with_capacity(sites.len());
@@ -136,8 +137,8 @@ impl RefIndex {
             let old_args: Vec<f3m_ir::ids::ValueId> =
                 m.function(owner).inst(iid).operands[1..].to_vec();
             let (f, types) = m.func_mut_and_types(owner);
-            let callee = f.func_ref(merged, ptr_ty);
-            let fid_const = f.const_int(types, bool_ty, i64::from(fid_value));
+            let callee = f.func_ref(merged, TypeId::PTR);
+            let fid_const = f.const_int(types, TypeId::BOOL, i64::from(fid_value));
             let mut new_ops = vec![callee, fid_const];
             for (slot, &ty) in merged_params.iter().enumerate().skip(1) {
                 match param_map.iter().position(|&s| s == slot) {
@@ -155,17 +156,30 @@ impl RefIndex {
     }
 }
 
+/// Size of the thunk [`build_thunk`] leaves in place of an original that
+/// must keep its symbol: one block, a call and a `ret`, whatever the
+/// signature.
+fn thunk_size() -> u64 {
+    FUNCTION_OVERHEAD + op_size(Opcode::Call) + op_size(Opcode::Ret)
+}
+
+/// Bytes the surviving thunks of a commit take: one per original that
+/// cannot be dropped.
+fn thunks_size(drop1: bool, drop2: bool) -> u64 {
+    (u64::from(!drop1) + u64::from(!drop2)) * thunk_size()
+}
+
 /// Fixed size overhead of committing a merge: merged-function overhead +
 /// entry dispatch + one thunk per non-droppable original, minus the two
 /// eliminated original-function overheads. Used by the
 /// alignment-profitability gate before any code is generated.
 fn fixed_overhead(drop1: bool, drop2: bool) -> i64 {
-    let thunk_cost = |dropped: bool| if dropped { 0i64 } else { 18 };
-    14 + thunk_cost(drop1) + thunk_cost(drop2) - 24
+    let added = FUNCTION_OVERHEAD + op_size(Opcode::Br) + thunks_size(drop1, drop2);
+    added as i64 - 2 * FUNCTION_OVERHEAD as i64
 }
 
-/// The stage that turned a pair down after code was generated for it
-/// (deterministic for a fixed workload: commit walks are serial).
+/// The stage that turned a pair down past the gate (deterministic for a
+/// fixed workload: commit walks are serial).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reject {
     /// The code generator could not build a merged body for the plan.
@@ -173,7 +187,10 @@ pub enum Reject {
     /// The merged body failed verification (a codegen bug; the candidate
     /// is dropped rather than corrupting the module).
     Verify,
-    /// The merged body verified but did not shrink the module.
+    /// The merged body would not shrink the module: it was built, verified
+    /// and measured, or its layout already proved it too big. (A pair
+    /// proven too big is never built, so one that would also have failed
+    /// to build or verify is reported here.)
     Size,
 }
 
@@ -182,7 +199,7 @@ pub enum Reject {
 pub enum Verdict {
     /// The alignment-profit gate said no before any code was generated.
     Unprofitable,
-    /// Code was generated and then turned down.
+    /// The pair got past the gate and was then turned down.
     Rejected(Reject),
     /// The merge was committed; `saved` is the pair's (positive)
     /// `size_before - size_after`.
@@ -192,25 +209,35 @@ pub enum Verdict {
 /// Owns the reference index and decides every pair's fate.
 pub struct Committer {
     refs: RefIndex,
+    /// [`Reject::Size`] verdicts the layout's byte count decided, with no
+    /// code generated.
+    bounded: u64,
 }
 
 impl Committer {
     /// Builds the initial reference index over `m` (parallel across up to
     /// `jobs` threads, deterministic for any job count).
     pub fn build(m: &Module, jobs: usize) -> Committer {
-        Committer { refs: RefIndex::build(m, jobs) }
+        Committer { refs: RefIndex::build(m, jobs), bounded: 0 }
+    }
+
+    /// How many pairs so far were turned down as [`Reject::Size`] by the
+    /// merged-size lower bound alone, before any code was generated.
+    pub(crate) fn bounded(&self) -> u64 {
+        self.bounded
     }
 
     /// The whole pair pipeline for `(f1, f2)` under `plan`: the
     /// alignment-profit gate, then [`try_commit`](Committer::try_commit).
     /// Returns the verdict and, when the pair got past the gate, the time
-    /// spent generating, checking and committing code.
+    /// spent bounding, generating, checking and committing code.
     ///
     /// The gate is HyFM's: skip code generation when even an optimistic
     /// estimate (every matched instruction shared, ignoring operand
     /// selects) cannot pay for the fixed costs — where most unprofitable
-    /// pairs die cheaply. The policy is written down here only: a tighter
-    /// profit bound (ROADMAP item 5) replaces the condition below.
+    /// pairs die cheaply. It is the paper's policy and is written down
+    /// here only; the exact bound in [`try_commit`](Committer::try_commit)
+    /// sits behind it and changes no decision.
     pub fn attempt(
         &mut self,
         m: &mut Module,
@@ -230,16 +257,18 @@ impl Committer {
 
     /// Whether `f`'s original symbol can disappear entirely after a merge:
     /// module-private and never referenced outside a direct-call position.
-    fn droppable(&self, m: &Module, f: FuncId) -> bool {
+    pub(crate) fn droppable(&self, m: &Module, f: FuncId) -> bool {
         m.function(f).linkage == Linkage::Internal && !self.refs.address_taken.contains(&f)
     }
 
     /// [`attempt`](Committer::attempt) without the gate (so never
-    /// `Unprofitable`): generates the merged function for `(f1, f2)` under
-    /// `plan`, verifies it, and commits it if the post-merge size (merged
-    /// body + surviving thunks) beats the pair's current size. On success
-    /// the module is rewritten (call sites redirected, originals replaced);
-    /// on any rejection it is left unchanged.
+    /// `Unprofitable`): lays out the merged function for `(f1, f2)` under
+    /// `plan`, and unless the layout alone proves the post-merge size
+    /// (merged body + surviving thunks) cannot beat the pair's current
+    /// size, generates it, verifies it, and commits it if the measured
+    /// size does. On success the module is rewritten (call sites
+    /// redirected, originals replaced); on any rejection it is left
+    /// unchanged.
     pub fn try_commit(
         &mut self,
         m: &mut Module,
@@ -250,11 +279,18 @@ impl Committer {
     ) -> Verdict {
         let drop1 = self.droppable(m, f1);
         let drop2 = self.droppable(m, f2);
-        let name = m.fresh_name("__merged");
-        let Ok(mf) = build_merged(m, f1, f2, plan, config, name) else {
+        let Ok(layout) = Layout::new(m, f1, f2, plan) else {
             return Verdict::Rejected(Reject::Build);
         };
         let size_before = function_size(m.function(f1)) + function_size(m.function(f2));
+        if layout.size_lower_bound() + thunks_size(drop1, drop2) >= size_before {
+            self.bounded += 1;
+            return Verdict::Rejected(Reject::Size);
+        }
+        let name = m.fresh_name("__merged");
+        let Ok(mf) = layout.build(config, name) else {
+            return Verdict::Rejected(Reject::Build);
+        };
         let merged_size = function_size(&mf.func);
         let merged_id = m.add_function(mf.func);
         if verify_function(m, merged_id).is_err() {
@@ -306,21 +342,37 @@ impl Committer {
 mod tests {
     use super::*;
     use crate::block_pairing::plan_blocks;
+    use crate::codegen::build_merged;
     use f3m_ir::parser::parse_module_unverified as parse_module;
     use f3m_ir::printer::print_module;
     use f3m_ir::size::module_size;
     use f3m_ir::verify::verify_module;
 
-    /// `@name(i32) -> i32`: a chain of `ops` integer instructions whose
+    /// `@name(i32) -> ret_ty`: a chain of `ops` integer instructions whose
     /// constants start at `salt`, then `tail` (which sees the chain's last
     /// value as `%{ops}`).
     fn chain(name: &str, ret_ty: &str, ops: usize, salt: usize, tail: &str) -> String {
+        wide_chain(name, 1, ret_ty, ops, salt, tail)
+    }
+
+    /// [`chain`] with `params` `i32` parameters, of which the chain reads
+    /// the first; its last value is `%{params - 1 + ops}`.
+    fn wide_chain(
+        name: &str,
+        params: usize,
+        ret_ty: &str,
+        ops: usize,
+        salt: usize,
+        tail: &str,
+    ) -> String {
+        let sig: Vec<String> = (0..params).map(|i| format!("i32 %{i}")).collect();
         let mut body = String::new();
         for i in 1..=ops {
             let op = ["add", "mul", "xor", "sub"][i % 4];
-            body += &format!("  %{i} = {op} i32 %{}, {}\n", i - 1, salt + i);
+            let (dst, src) = (params + i - 1, if i == 1 { 0 } else { params + i - 2 });
+            body += &format!("  %{dst} = {op} i32 %{src}, {}\n", salt + i);
         }
-        format!("define @{name}(i32 %0) -> {ret_ty} {{\nbb0:\n{body}{tail}}}\n")
+        format!("define @{name}({}) -> {ret_ty} {{\nbb0:\n{body}{tail}}}\n", sig.join(", "))
     }
 
     /// One [`Committer::attempt`] on a module's first two definitions.
@@ -329,14 +381,18 @@ mod tests {
         codegen: Option<Duration>,
         /// `plan.matched_insts()` of the attempted plan.
         matched: usize,
+        /// Whether the merged-size lower bound decided it.
+        bounded: bool,
         before: Module,
         after: Module,
     }
 
     impl Tried {
-        /// Whether the attempt left the printed module byte-identical.
+        /// Whether the attempt left the printed module byte-identical and
+        /// no function behind.
         fn unchanged(&self) -> bool {
             print_module(&self.before) == print_module(&self.after)
+                && self.before.functions().count() == self.after.functions().count()
         }
     }
 
@@ -350,7 +406,8 @@ mod tests {
         let mut committer = Committer::build(&m, 1);
         let (verdict, codegen) =
             committer.attempt(&mut m, ids[0], ids[1], &plan, MergeConfig::default());
-        Tried { verdict, codegen, matched: plan.matched_insts(), before, after: m }
+        let bounded = committer.bounded() == 1;
+        Tried { verdict, codegen, matched: plan.matched_insts(), bounded, before, after: m }
     }
 
     #[test]
@@ -383,7 +440,7 @@ mod tests {
         let t = attempt(&defs);
         assert_eq!(t.verdict, Verdict::Rejected(Reject::Build));
         assert!(t.codegen.is_some(), "the pair got past the gate");
-        assert!(t.unchanged());
+        assert!(t.unchanged() && !t.bounded, "no return type, no layout to bound");
     }
 
     #[test]
@@ -399,19 +456,97 @@ mod tests {
         let t = attempt(&defs);
         assert_eq!(t.verdict, Verdict::Rejected(Reject::Verify));
         assert!(t.codegen.is_some());
-        assert!(t.unchanged());
+        assert!(t.unchanged() && !t.bounded);
     }
 
     #[test]
     fn merged_body_that_does_not_shrink_is_rejected_at_size() {
         // Every instruction matches, so the optimistic gate passes — but
         // every constant differs, and the operand selects eat the saving.
+        // The layout counts those selects, so nothing is built.
         let defs = chain("a", "i32", 12, 0, "  ret i32 %12\n")
             + &chain("b", "i32", 12, 1000, "  ret i32 %12\n");
         let t = attempt(&defs);
         assert_eq!(t.verdict, Verdict::Rejected(Reject::Size));
-        assert!(t.codegen.is_some());
-        assert!(t.unchanged());
+        assert!(t.codegen.is_some(), "bounding is codegen-stage time");
+        assert!(t.unchanged() && t.bounded);
+    }
+
+    #[test]
+    fn pair_is_bounded_from_the_bodies_its_attempt_sees() {
+        // `@c` calls `@a` where `@d` calls `@e`: a match when both are
+        // planned. Then `@a` merges with the wider `@b`, its call site in
+        // `@c` is redirected (`call @__merged(0, %10, undef)`), and the
+        // two calls no longer share a shape: a guard diamond and a select
+        // on the result where there was one call and a select on the
+        // callee.
+        let wide = wide_chain("b", 2, "i32", 20, 0, "  ret i32 %21\n");
+        let caller = |name, callee| {
+            let tail = format!("  %11 = call i32 @{callee}(i32 %10)\n  ret i32 %11\n");
+            chain(name, "i32", 10, 0, &tail)
+        };
+        let defs = chain("a", "i32", 20, 0, "  ret i32 %20\n")
+            + &wide
+            + &chain("e", "i32", 1, 0, "  ret i32 %1\n")
+            + &caller("c", "a")
+            + &caller("d", "e");
+        let mut m = parse_module(&format!("module \"t\" {{\n{defs}}}\n")).unwrap();
+        verify_module(&m).unwrap();
+        let ids = m.defined_functions();
+        let (a, b, c, d) = (ids[0], ids[1], ids[3], ids[4]);
+        let (plan_ab, plan_cd) = (plan_blocks(&m, a, b), plan_blocks(&m, c, d));
+        let bound = |m: &Module| Layout::new(m, c, d, &plan_cd).unwrap().size_lower_bound();
+        let planned = bound(&m);
+
+        let mut committer = Committer::build(&m, 1);
+        let config = MergeConfig::default();
+        let (verdict, _) = committer.attempt(&mut m, a, b, &plan_ab, config);
+        assert!(matches!(verdict, Verdict::Committed { .. }), "{verdict:?}");
+
+        // As planned the pair would have paid; as it is now it cannot.
+        let size_before = function_size(m.function(c)) + function_size(m.function(d));
+        let attempted = bound(&m);
+        let thunks = thunks_size(false, false);
+        assert!(planned + thunks < size_before && size_before <= attempted + thunks);
+        // Building it anyway agrees, and pays two repair phis on top: each
+        // call's result has to reach the select below the diamond.
+        let built = build_merged(&m, c, d, &plan_cd, config, "__probe".into()).unwrap();
+        assert_eq!((built.layout_size, built.demotions), (attempted, 2));
+        assert_eq!(function_size(&built.func), attempted + 2 * op_size(Opcode::Phi));
+
+        let before = print_module(&m);
+        let (verdict, codegen) = committer.attempt(&mut m, c, d, &plan_cd, config);
+        assert_eq!(verdict, Verdict::Rejected(Reject::Size));
+        assert!(codegen.is_some() && committer.bounded() == 1);
+        assert_eq!(print_module(&m), before);
+    }
+
+    #[test]
+    fn size_model_is_derived_from_the_instruction_sizes() {
+        // What the constants spelled before they were derived.
+        assert_eq!(thunk_size(), 18);
+        let overheads = [(true, true), (false, true), (true, false), (false, false)]
+            .map(|(drop1, drop2)| fixed_overhead(drop1, drop2));
+        assert_eq!(overheads, [14 - 24, 14 + 18 - 24, 14 + 18 - 24, 14 + 18 + 18 - 24]);
+
+        // Every thunk is `thunk_size()` bytes, which is what lets the bound
+        // price the survivors of a merge it does not build.
+        for params in [0, 1, 6] {
+            for (ret_ty, ret) in [("i32", "  ret i32 7\n"), ("void", "  ret\n")] {
+                let def = |name| wide_chain(name, params, ret_ty, 0, 0, ret);
+                let text = format!("module \"t\" {{\n{}{}}}\n", def("a"), def("b"));
+                let mut m = parse_module(&text).unwrap();
+                let ids = m.defined_functions();
+                let (a, b) = (ids[0], ids[1]);
+                let plan = plan_blocks(&m, a, b);
+                let mf = build_merged(&m, a, b, &plan, MergeConfig::default(), "m".into()).unwrap();
+                let merged = m.add_function(mf.func);
+                for (orig, fid, map) in [(a, false, &mf.param_map1), (b, true, &mf.param_map2)] {
+                    let thunk = build_thunk(&m, orig, merged, fid, map);
+                    assert_eq!(function_size(&thunk), thunk_size(), "{params} x {ret_ty}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -180,7 +180,10 @@ enum Fate {
         similarity: f64,
         align_ratio: f64,
         verdict: Verdict,
-        /// Zero unless the pair got past the gate and code was generated.
+        /// A `Rejected(Size)` that the merged-size lower bound decided,
+        /// with no code generated.
+        bounded: bool,
+        /// Zero unless the pair got past the gate.
         codegen: Duration,
     },
 }
@@ -213,9 +216,10 @@ impl MergeReport {
                 s.aligns_wasted += 1;
                 s.wave_conflicts += 1;
             }
-            Fate::Attempted { f1, f2, similarity, align_ratio, verdict, codegen } => {
+            Fate::Attempted { f1, f2, similarity, align_ratio, verdict, bounded, codegen } => {
                 s.aligns_reused += 1;
                 s.pairs_attempted += 1;
+                s.commits_bounded += u64::from(bounded);
                 let mut size_delta = 0;
                 match verdict {
                     Verdict::Unprofitable => {}
@@ -449,7 +453,7 @@ fn walk(
 /// Hands the still-intact pair `(i, j)` to [`Committer::attempt`] and, on
 /// a commit, retires both functions from the search structure, the parts
 /// cache and the availability mask. A `commit` span is recorded only when
-/// the pair got past the gate and code was generated.
+/// the pair got past the gate.
 fn attempt_pair(
     m: &mut Module,
     st: &mut PassState,
@@ -463,7 +467,9 @@ fn attempt_pair(
     let matched = plan.matched_insts() as f64;
     let total_insts = m.function(f1).num_linked_insts() + m.function(f2).num_linked_insts();
     let align_ratio = if total_insts == 0 { 0.0 } else { 2.0 * matched / total_insts as f64 };
+    let bounded_before = st.committer.bounded();
     let (verdict, codegen) = st.committer.attempt(m, f1, f2, plan, config.merge);
+    let bounded = st.committer.bounded() > bounded_before;
     let committed = matches!(verdict, Verdict::Committed { .. });
     if let (Some(t), Some(spent)) = (tracer, codegen) {
         let dur_ns = spent.as_nanos() as u64;
@@ -471,6 +477,7 @@ fn attempt_pair(
             ("f1", f1.index() as u64),
             ("f2", f2.index() as u64),
             ("committed", u64::from(committed)),
+            ("bounded", u64::from(bounded)),
         ];
         t.complete("commit", "commit", 0, t.now_ns().saturating_sub(dur_ns), dur_ns, args);
     }
@@ -482,7 +489,7 @@ fn attempt_pair(
         }
     }
     let codegen = codegen.unwrap_or_default();
-    Fate::Attempted { f1, f2, similarity, align_ratio, verdict, codegen }
+    Fate::Attempted { f1, f2, similarity, align_ratio, verdict, bounded, codegen }
 }
 
 /// Lays one member's rank (and, if it aligned, align) duration on the
@@ -510,11 +517,49 @@ fn replay_on_lane(t: &Tracer, mut cursor: u64, member: usize, out: &WaveOutcome)
 mod tests {
     use super::*;
     use crate::block_pairing::plan_blocks;
+    use crate::codegen::{build_merged, build_thunk};
     use f3m_ir::printer::print_module;
+    use f3m_ir::size::function_size;
+    use f3m_ir::verify::verify_function;
+
+    /// What the commit path decided before there was a bound: build the
+    /// merged function, verify it, build both thunks, compare sizes. Leaves
+    /// `m` as it found it.
+    fn build_and_compare(
+        m: &mut Module,
+        (f1, f2): (FuncId, FuncId),
+        [drop1, drop2]: [bool; 2],
+        plan: &PairPlan,
+        config: MergeConfig,
+    ) -> Verdict {
+        let name = m.fresh_name("__merged");
+        let Ok(mf) = build_merged(m, f1, f2, plan, config, name) else {
+            return Verdict::Rejected(Reject::Build);
+        };
+        let size_before = function_size(m.function(f1)) + function_size(m.function(f2));
+        let merged_size = function_size(&mf.func);
+        let merged_id = m.add_function(mf.func);
+        let verified = verify_function(m, merged_id).is_ok();
+        let thunks = [(f1, false, drop1, &mf.param_map1), (f2, true, drop2, &mf.param_map2)]
+            .map(|(f, fid, dropped, map)| {
+                if dropped { 0 } else { function_size(&build_thunk(m, f, merged_id, fid, map)) }
+            });
+        m.remove_last_function(merged_id);
+        let size_after = merged_size + thunks[0] + thunks[1];
+        if !verified {
+            Verdict::Rejected(Reject::Verify)
+        } else if size_after >= size_before {
+            Verdict::Rejected(Reject::Size)
+        } else {
+            Verdict::Committed { saved: size_before as i64 - size_after as i64 }
+        }
+    }
 
     /// Replaying the attempt log through [`Committer::attempt`] on a fresh
-    /// copy reproduces every verdict, and the per-verdict tallies are
-    /// exactly what the report counted.
+    /// copy reproduces every verdict, the per-verdict tallies are exactly
+    /// what the report counted, and every verdict past the gate is the one
+    /// building and measuring the pair arrives at — the bound in front of
+    /// the build decides sooner, never differently.
     #[test]
     fn verdict_tallies_match_the_report_counters() {
         for (spec, config) in f3m_workloads::mini_suite().iter().zip([
@@ -527,6 +572,9 @@ mod tests {
             let report = run_pass(&mut merged, &config);
             let s = &report.stats;
             assert!(s.merges_committed > 0 && s.commits_rejected_size > 0, "{}", spec.name);
+            // Both ways of rejecting on size happen: by the bound, and by
+            // measuring a build the bound let through.
+            assert!(0 < s.commits_bounded && s.commits_bounded < s.commits_rejected_size);
 
             let mut replay = pristine;
             let mut committer = Committer::build(&replay, 1);
@@ -534,6 +582,9 @@ mod tests {
             let (mut build, mut verify, mut size) = (0, 0, 0);
             for a in &report.attempts {
                 let plan = plan_blocks(&replay, a.f1, a.f2);
+                let pair = (a.f1, a.f2);
+                let drops = [a.f1, a.f2].map(|f| committer.droppable(&replay, f));
+                let measured = build_and_compare(&mut replay, pair, drops, &plan, config.merge);
                 let (verdict, codegen) =
                     committer.attempt(&mut replay, a.f1, a.f2, &plan, config.merge);
                 assert_eq!(codegen.is_some(), verdict != Verdict::Unprofitable);
@@ -547,8 +598,12 @@ mod tests {
                         assert_eq!((a.committed, a.size_delta), (true, saved));
                     }
                 }
+                if verdict != Verdict::Unprofitable {
+                    assert_eq!(verdict, measured, "{}: {:?} + {:?}", spec.name, a.f1, a.f2);
+                }
                 assert_eq!(a.committed, matches!(verdict, Verdict::Committed { .. }));
             }
+            assert_eq!(committer.bounded(), s.commits_bounded);
             assert_eq!(print_module(&replay), print_module(&merged), "{}", spec.name);
             assert_eq!(committed, s.merges_committed);
             let rejects =

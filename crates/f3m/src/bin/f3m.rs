@@ -310,12 +310,13 @@ fn cmd_merge(args: &[String]) -> CliResult {
 
     let after = f3m::ir::size::module_size(&m);
     eprintln!(
-        "merged {} of {} attempted pairs in {:.1} ms ({} waves); \
-         size {} -> {} bytes ({:.2}% reduction)",
+        "merged {} of {} attempted pairs in {:.1} ms ({} waves, {} pairs proven too big \
+         unbuilt); size {} -> {} bytes ({:.2}% reduction)",
         report.stats.merges_committed,
         report.stats.pairs_attempted,
         elapsed.as_secs_f64() * 1e3,
         report.stats.waves,
+        report.stats.commits_bounded,
         before,
         after,
         // From the two sizes printed: `--dce` shrinks the module further

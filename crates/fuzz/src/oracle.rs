@@ -15,13 +15,22 @@
 //! every `--jobs` level must print the identical merged module
 //! (**jobs-divergence**), since the wave commit is documented to be
 //! deterministic.
+//!
+//! A fifth, once per strategy, guards the shortcut the commit path takes:
+//! it turns a pair down unbuilt when the merged function's layout already
+//! counts too many bytes, which is only sound if that count never exceeds
+//! what a build would measure (**size-bound**).
 
+use f3m_core::block_pairing::plan_blocks;
+use f3m_core::codegen::build_merged;
+use f3m_core::commit::Committer;
 use f3m_core::pass::{run_pass, PassConfig};
 use f3m_interp::oracle::{observe, Observation};
 use f3m_interp::{Limits, Val};
 use f3m_ir::module::Module;
 use f3m_ir::parser::check_print_fixpoint;
 use f3m_ir::printer::print_module;
+use f3m_ir::size::function_size;
 use f3m_ir::verify::verify_module;
 
 /// Candidate-selection strategies the oracle exercises, declared in
@@ -104,6 +113,9 @@ pub enum FailureKind {
     RoundTrip,
     /// Two worker counts produced different merged modules.
     JobsDivergence,
+    /// The merged-size lower bound exceeded the size of the function it
+    /// bounds, or missed it where nothing was added to the layout.
+    SizeBound,
 }
 
 impl FailureKind {
@@ -114,6 +126,7 @@ impl FailureKind {
             FailureKind::Differential => "differential",
             FailureKind::RoundTrip => "round-trip",
             FailureKind::JobsDivergence => "jobs-divergence",
+            FailureKind::SizeBound => "size-bound",
         }
     }
 }
@@ -147,6 +160,38 @@ pub fn check_module(base: &Module, oc: &OracleConfig) -> OracleOutcome {
     })
 }
 
+/// Replays the pairs the production pass attempts on `base` under `config`,
+/// in commit order so each is seen with the bodies its attempt saw, and
+/// holds the layout's byte count against a build of each pair: never above
+/// the built function's size, and equal to it when the build added no
+/// phi-edge select and repaired nothing.
+fn check_size_bound(base: &Module, config: &PassConfig) -> Result<(), String> {
+    let report = run_pass(&mut base.clone(), config);
+    let mut m = base.clone();
+    let mut committer = Committer::build(&m, 1);
+    for a in &report.attempts {
+        let plan = plan_blocks(&m, a.f1, a.f2);
+        if let Ok(mf) = build_merged(&m, a.f1, a.f2, &plan, config.merge, "__bound".into()) {
+            let size = function_size(&mf.func);
+            let added = mf.selects_inserted != mf.operand_selects || mf.demotions > 0;
+            if mf.layout_size > size || (!added && mf.layout_size != size) {
+                return Err(format!(
+                    "@{} + @{}: the layout counts {} bytes, the build measures {size} \
+                     ({} of {} selects on operands, {} values repaired)",
+                    m.function(a.f1).name,
+                    m.function(a.f2).name,
+                    mf.layout_size,
+                    mf.operand_selects,
+                    mf.selects_inserted,
+                    mf.demotions
+                ));
+            }
+        }
+        committer.attempt(&mut m, a.f1, a.f2, &plan, config.merge);
+    }
+    Ok(())
+}
+
 /// Runs the oracle with an injectable merge step. The campaign's
 /// self-test threads a deliberately buggy merge through here to prove the
 /// oracle catches real codegen bugs.
@@ -162,6 +207,11 @@ pub fn check_module_with<F: Fn(&mut Module, &PassConfig)>(
         .map(|&a| observe(base, &oc.driver, &[Val::Int(a)], oc.limits))
         .collect();
     for &strategy in &oc.strategies {
+        if let Err(detail) = check_size_bound(base, &strategy.config(1)) {
+            let kind = FailureKind::SizeBound;
+            outcome.failure = Some(OracleFailure { kind, strategy, jobs: 1, detail });
+            return outcome;
+        }
         let mut printed_per_jobs: Vec<(usize, String)> = Vec::new();
         for &jobs in &oc.jobs_levels {
             let fail = |kind, detail| OracleFailure { kind, strategy, jobs, detail };

@@ -19,6 +19,14 @@ use std::fmt;
 pub struct TypeId(pub(crate) u32);
 
 impl TypeId {
+    /// `void` in every store [`TypeStore::new`] builds: the scalars it
+    /// pre-interns get their ids by construction.
+    pub const VOID: TypeId = TypeId(0);
+    /// `i1` in every store [`TypeStore::new`] builds.
+    pub const BOOL: TypeId = TypeId(1);
+    /// The opaque pointer type in every store [`TypeStore::new`] builds.
+    pub const PTR: TypeId = TypeId(8);
+
     /// Raw index of this type inside its store.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -284,6 +292,14 @@ mod tests {
         assert_eq!(a.f64(), b.f64());
         assert_eq!(a.ptr(), b.ptr());
         assert_eq!(a.void(), b.void());
+    }
+
+    #[test]
+    fn pre_interned_ids_are_the_type_id_constants() {
+        let mut ts = TypeStore::new();
+        assert_eq!((ts.void(), ts.bool(), ts.ptr()), (TypeId::VOID, TypeId::BOOL, TypeId::PTR));
+        // Asking interned nothing new: the ids were there from `new`.
+        assert_eq!(ts.len(), TypeStore::new().len());
     }
 
     #[test]

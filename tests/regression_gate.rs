@@ -37,6 +37,8 @@ fn collect_metrics() -> MetricsRegistry {
         let mut m = build_module(&spec);
         let report = run_pass(&mut m, &PassConfig::f3m());
         f3m::ir::verify::verify_module(&m).expect("merged module verifies");
+        let (bounded, size) = (report.stats.commits_bounded, report.stats.commits_rejected_size);
+        assert!(bounded <= size, "{name}: {bounded} bounded of {size} size rejects");
         report.export_metrics(&mut reg, prefix);
     }
     collect_incremental_metrics(&mut reg);
@@ -342,6 +344,11 @@ fn tolerance_for(name: &str) -> Tolerance {
         "conns_open" | "conns_total" | "frames_reassembled" | "sheds" | "admitted" => {
             Tolerance::exact()
         }
+        // The merged-size lower bound changes no decision, only where a
+        // size reject is decided: a pair it stops proving too big costs a
+        // whole build again, and one it starts to turn down means the
+        // layout walk and the builder no longer agree.
+        "commits_bounded" => Tolerance::exact(),
         // Everything else (pairs, merges, waves, cache counters, rejects).
         _ => Tolerance { rel: 0.10, abs: 4.0 },
     }
