@@ -234,9 +234,11 @@ mod tests {
     fn backend_cost_grows_with_module_size() {
         let small = BenchOpts::default().build(&table1()[0].scaled(0.1));
         let big = BenchOpts::default().build(&table1()[0]);
-        let _ = backend_cost(&small);
-        let a = backend_cost(&small);
-        let b = backend_cost(&big);
+        // Fastest of three readings a side, as the bench ledger reads its
+        // timings: one reading stretched by a neighbor on a shared
+        // 2-vCPU box is not the module's cost.
+        let fastest = |m: &Module| (0..3).map(|_| backend_cost(m)).min().unwrap();
+        let (a, b) = (fastest(&small), fastest(&big));
         assert!(b > a, "{b:?} vs {a:?}");
     }
 

@@ -59,23 +59,63 @@
 //! were last invalidated). Ranked-candidate queries are memoized in a
 //! [`QueryCache`]: a cached list computed under pinned epoch `P` is
 //! valid for a query pinned at `E` iff `dirty_rev ≤ min(P, E)` — i.e. no
-//! mutation has touched the entry's band-collision neighborhood since
-//! before either pin — and it holds enough candidates: it was computed
-//! for at least as many as are asked for now, or came out shorter than
-//! it was allowed to be, which makes it the whole list. Durable inputs (function bodies, [`MergeParams`])
-//! invalidate through `dirty_rev`; volatile inputs (the epoch itself,
-//! counters) never do — a query's result is a pure function of the
-//! durable state visible at its pin.
+//! mutation that could change the list has happened since before either
+//! pin — and it holds enough candidates: it was computed for at least as
+//! many as are asked for now, or came out shorter than it was allowed to
+//! be, which makes it the whole list. Durable inputs (function bodies,
+//! [`MergeParams`]) invalidate through `dirty_rev`; volatile inputs (the
+//! epoch itself, counters) never do — a query's result is a pure
+//! function of the durable state visible at its pin.
 //!
-//! Invalidation granularity comes from
-//! [`ShardedLshIndex::apply_delta`]: a mutation removes/inserts band
-//! keys and gets back exactly the entries sharing a bucket with any
-//! touched key (old or new) — the changed functions plus their
-//! band-collision neighborhoods. Only those entries lose their memoized
-//! ranks; everything else answers the next query from cache. The
-//! [`CorpusStats`] counters `memo_hits`/`memo_misses`/`funcs_invalidated`
-//! make this observable (and jobs-invariant: none depends on worker
-//! count).
+//! **Granularity is chosen by the verb, not by a knob.** Whole-module
+//! `ingest`/`evict` go through [`ShardedLshIndex::apply_delta`] and
+//! invalidate the *band-collision neighborhood*: every entry sharing a
+//! bucket with any touched key, old or new. That set is sound, and for
+//! hundreds of changed rows it is also the cheap answer — testing each
+//! (changed row, neighbor) pair would cost more than the request.
+//!
+//! A row-level edit ([`Corpus::update_function`], a touch,
+//! [`Corpus::ingest_function`]) uses the neighborhood only as the
+//! *candidate set* of a test. Under single-probe an entry probes exactly
+//! the buckets it is stored in and sees their first `bucket_cap` ids, so
+//! a memoized list `L(q)` with floor `s_q` — the score of its last entry,
+//! or the threshold when it came out shorter than asked — can change
+//! through an edit of row `x` in four ways only, all read off the touched
+//! buckets by [`ShardedLshIndex::apply_row_delta`]:
+//!
+//! 1. `x ∈ L(q)`: it left, or its score changed.
+//! 2. `x` is inside the visible window of a bucket `q` shares with `x`'s
+//!    *new* keys and `sim(q, x) ≥ s_q`. `≥`, not `>`: at the floor the
+//!    name tie-break may still rank `x` before the `k`-th entry.
+//! 3. `x` left the window of an *old* bucket longer than the cap, so the
+//!    entry just behind the cut **entered** it: every member `q` gains
+//!    that candidate `y` — dirty if `y ∉ L(q)` and `sim(q, y) ≥ s_q`.
+//! 4. `x` joined the window of an already-full *new* bucket, so the last
+//!    visible entry **left** it: every member `q` may lose that candidate
+//!    `z` — dirty if `z ∈ L(q)`.
+//!
+//! An edit moves at most one other entry across the cap per touched
+//! bucket, which is what keeps the test exact under id-ordered
+//! truncation. An appended function has the newest id, sits last in every
+//! bucket and can only fire rule 2. `x` itself is always dirty; everything
+//! else keeps its memo and its `dirty_rev`; an entry without a memo has
+//! nothing to lose. The similarity question is the ranking kernel's
+//! (`Kernel::score` against the floor, sketch bound first). With
+//! `probes > 0` an entry also visits buckets it is not a member of, so
+//! membership no longer says who sees a change and every verb keeps the
+//! neighborhood rule. `funcs_invalidated` counts the surviving entries
+//! that lost a memo, `funcs_spared` the memoized neighbors that were
+//! tested and kept (both jobs-invariant, like `memo_hits`/`memo_misses`).
+//!
+//! Sparing neighbors makes two orderings load-bearing. A row-level edit
+//! is **one critical section** against `ranked`: the new row, the index
+//! delta, the stamps and the epoch bump all happen under a single table
+//! write guard, so no reader can rank the new row against the old index
+//! and keep the result (with every neighbor stamped, that list would have
+//! been discarded; now it might not be). And `ranked` memoizes only under
+//! the current epoch: a reader pinned before the edit but ranking after
+//! it does not see an appended entry, and the edit — which judged the
+//! memos it found — never judged that list.
 //!
 //! ## Cancellation
 //!
@@ -92,11 +132,11 @@
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock, RwLock, RwLockWriteGuard};
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, BackendKind, FingerprintBackend};
-use f3m_fingerprint::lsh::{BandKey, LshParams, QueryScratch};
+use f3m_fingerprint::lsh::{BandKey, Crossed, LshParams, QueryScratch};
 use f3m_fingerprint::pager::PagerKind;
 use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore, RowRef};
 use f3m_fingerprint::sharded::{ShardStats, ShardedLshIndex};
@@ -165,8 +205,8 @@ pub struct UpdateSummary {
     /// (`false` for a pure `touch`, which only re-fingerprints).
     pub changed: bool,
     /// Surviving resident functions whose memoized ranks this mutation
-    /// invalidated — the changed function plus its band-collision
-    /// neighborhood, old and new.
+    /// invalidated — the changed function plus the entries whose memoized
+    /// list the edit could change.
     pub funcs_invalidated: u64,
 }
 
@@ -198,12 +238,15 @@ pub struct QueryResult {
     /// ascending on ties. The list is a function of the live functions
     /// *and their latest-ingest order*: a corpus rebuilt by ingesting the
     /// surviving modules in the order they were last ingested ranks
-    /// identically, whatever internal entry ids it assigns. Ingest order
-    /// matters because a probed bucket larger than `bucket_cap` is
+    /// identically, whatever internal entry ids it assigns — provided no
+    /// function was appended with [`Corpus::ingest_function`]. Ingest
+    /// order matters because a probed bucket larger than `bucket_cap` is
     /// truncated to its lowest entry ids, so evicting and re-ingesting
-    /// one module can change another module's k-th candidate. While no
-    /// probed bucket exceeds the cap, the list depends on the live
-    /// functions alone.
+    /// one module can change another module's k-th candidate; and an
+    /// appended function takes the newest entry id of the corpus, where a
+    /// rebuild gives it an id inside its module's range, so the two
+    /// truncate such a bucket differently. While no probed bucket exceeds
+    /// the cap, the list depends on the live functions alone.
     pub candidates: Vec<RankedCandidate>,
 }
 
@@ -245,8 +288,12 @@ pub struct CorpusStats {
     pub memo_hits: u64,
     /// Ranked-candidate queries that had to recompute.
     pub memo_misses: u64,
-    /// Surviving entries whose memoized ranks mutations invalidated.
+    /// Surviving entries whose memoized ranks mutations invalidated: the
+    /// entries whose memoized list the edit could change.
     pub funcs_invalidated: u64,
+    /// Bucket neighbors of row-level edits whose memoized list was tested
+    /// against the edit and kept.
+    pub funcs_spared: u64,
     /// Cancellable queries aborted because a newer epoch superseded them.
     pub queries_superseded: u64,
     /// Candidates whose low-byte sketch a ranking compared.
@@ -282,6 +329,7 @@ pub const CORPUS_STATS: &[Stat<CorpusStats>] = &[
     Stat::new("memo_hits",          "corpus.memo_hits",          "count",   true,  1, |s| Count(s.memo_hits)),
     Stat::new("memo_misses",        "corpus.memo_misses",        "count",   true,  1, |s| Count(s.memo_misses)),
     Stat::new("funcs_invalidated",  "corpus.funcs_invalidated",  "count",   true,  1, |s| Count(s.funcs_invalidated)),
+    Stat::new("funcs_spared",       "corpus.funcs_spared",       "count",   true,  1, |s| Count(s.funcs_spared)),
     Stat::new("queries_superseded", "corpus.queries_superseded", "count",   true,  1, |s| Count(s.queries_superseded)),
     // Ranking work: a function of the durable state, the query sequence
     // and whether rows are heap rows (which carry a sketch) or rows of a
@@ -334,8 +382,8 @@ struct Entry {
     /// `update_function`; `added` for entries never updated.
     rev: u64,
     /// Revision at which the entry's memoized ranks were last
-    /// invalidated — by its own (re)computation or by a mutation in its
-    /// band-collision neighborhood.
+    /// invalidated — by its own (re)computation or by a mutation that
+    /// could change them.
     dirty_rev: u64,
 }
 
@@ -450,6 +498,23 @@ impl CachedRank {
     fn covers(&self, k: usize) -> bool {
         k <= self.k || self.ranked.len() < self.k
     }
+
+    /// Whether `id` is one of the listed candidates.
+    fn lists(&self, id: usize) -> bool {
+        self.ranked.iter().any(|&(j, _)| j == id)
+    }
+
+    /// The equal-slot count below which a newcomer cannot enter the list:
+    /// the count of its last entry when it is full — *at* that count the
+    /// name tie-break may still rank a newcomer before the `k`-th — and
+    /// the threshold's when it came out shorter than `k`. A list asked to
+    /// hold nothing admits nothing.
+    fn floor(&self, sims: &SimTable, threshold_floor: usize) -> usize {
+        if self.ranked.len() < self.k {
+            return threshold_floor;
+        }
+        self.ranked.last().map_or(usize::MAX, |&(_, kth)| sims.floor(|sim| sim >= kth))
+    }
 }
 
 /// Memo layer over per-entry ranked candidates. Lock order is always
@@ -461,6 +526,7 @@ struct CorpusCounters {
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     funcs_invalidated: AtomicU64,
+    funcs_spared: AtomicU64,
     queries_superseded: AtomicU64,
     sketch_comparisons: AtomicU64,
     full_comparisons: AtomicU64,
@@ -494,6 +560,9 @@ pub struct Corpus {
     resident: Option<ResidentStore>,
     /// Serializes ingest/evict/update so epoch intervals never interleave.
     mutate: Mutex<()>,
+    /// Table write guards taken by mutations (see [`Corpus::write_table`]).
+    #[cfg(test)]
+    table_writes: AtomicU64,
 }
 
 /// True if `s` is non-empty and lexable as an IR symbol (`@name`), i.e.
@@ -522,6 +591,8 @@ impl Corpus {
             counters: CorpusCounters::default(),
             resident: None,
             mutate: Mutex::new(()),
+            #[cfg(test)]
+            table_writes: AtomicU64::new(0),
         }
     }
 
@@ -587,7 +658,7 @@ impl Corpus {
         let _writer = self.mutate.lock().unwrap();
         let next_epoch = self.index.epoch() + 1;
         let inserted: Vec<(usize, Vec<BandKey>)> = {
-            let mut t = self.table.write().unwrap();
+            let mut t = self.write_table();
             if t.live_module(&name).is_ok() {
                 return Err(format!("module `{name}` is already ingested (evict it first)"));
             }
@@ -617,7 +688,7 @@ impl Corpus {
             });
             (0..funcs.len()).map(|i| (first_id + i, rows.keys(i).to_vec())).collect()
         };
-        let epoch = self.publish(&[], &inserted, next_epoch).0;
+        let epoch = self.publish(&[], &inserted, next_epoch);
         Ok(IngestSummary { module: name, functions: inserted.len(), skipped, epoch })
     }
 
@@ -628,7 +699,7 @@ impl Corpus {
         let _writer = self.mutate.lock().unwrap();
         let next_epoch = self.index.epoch() + 1;
         let removed: Vec<(usize, Vec<BandKey>)> = {
-            let mut t = self.table.write().unwrap();
+            let mut t = self.write_table();
             let mi = t.live_module(name)?;
             t.modules[mi].live = false;
             let ids = t.modules[mi].entry_ids.clone();
@@ -639,7 +710,7 @@ impl Corpus {
                 })
                 .collect()
         };
-        let epoch = self.publish(&removed, &[], next_epoch).0;
+        let epoch = self.publish(&removed, &[], next_epoch);
         Ok(EvictSummary { module: name.to_string(), functions: removed.len(), epoch })
     }
 
@@ -650,10 +721,10 @@ impl Corpus {
     /// of `func`; the resident module is re-rendered with that one body
     /// spliced in (print + parse, so the result is verified) and only the
     /// function's own fingerprint is recomputed. The index is updated by
-    /// delta — old band keys out, new keys in — and exactly the touched
-    /// band-collision neighborhood loses its memoized ranks. A `touch`
-    /// re-fingerprints the resident body and forces the same
-    /// invalidation without changing any IR.
+    /// delta — old band keys out, new keys in — and only the entries whose
+    /// memoized list the edit could change lose it (module docs,
+    /// "Incremental recompute"). A `touch` re-fingerprints the resident
+    /// body and runs the same test without changing any IR.
     pub fn update_function(
         &self,
         module: &str,
@@ -680,7 +751,8 @@ impl Corpus {
     /// The one function-level write path: parse the incoming IR, find the
     /// definition, check eligibility, render the resident module with the
     /// body spliced in, re-parse (which verifies the splice), fingerprint
-    /// the one row and publish the index delta. With `replace`, `func`
+    /// the one row and — in one critical section — install it, apply the
+    /// index delta and stamp what it invalidates. With `replace`, `func`
     /// must be a resident merge-eligible function and its row is
     /// rewritten (`ir == None` re-fingerprints the resident body);
     /// without, `func` must be new to the module and gets a new entry.
@@ -750,41 +822,54 @@ impl Corpus {
             PackedFingerprintStore::of_functions(m, &[fid], &*self.backend, self.cfg.params.lsh, 1);
         drop(t);
 
-        // Install the new body, row and stamps before touching the index,
-        // so any id the index surfaces always has backing entry data.
-        let (entry_id, removes) = {
-            let mut t = self.table.write().unwrap();
-            if let Some(m2) = rebuilt {
-                t.modules[mi].module.set(m2);
-            }
-            let base = self.heap_base();
-            match existing {
-                Some(id) => {
-                    let old_keys = self.row(&t, &t.entries[id]).keys().to_vec();
-                    match (t.entries[id].row as usize).checked_sub(base) {
-                        Some(heap_row) => t.rows.set_row(heap_row, row.sig(0), row.keys(0)),
-                        // The mapped snapshot is immutable: re-point the
-                        // entry at a new heap row.
-                        None => {
-                            t.entries[id].row = (base + t.rows.len()) as u32;
-                            t.rows.extend_from(&row);
-                        }
+        // One critical section against `ranked` (see the module docs): the
+        // new body and row go in, the index delta runs and the stamps are
+        // written under a single table write guard, and the epoch advances
+        // inside it. The cache is only ever touched under a table guard, so
+        // taking it here, before the shard locks, waits for nobody.
+        let mut t = self.write_table();
+        let mut cache = self.cache.write().unwrap();
+        if let Some(m2) = rebuilt {
+            t.modules[mi].module.set(m2);
+        }
+        let base = self.heap_base();
+        let (entry_id, old_keys) = match existing {
+            Some(id) => {
+                let old_keys = self.row(&t, &t.entries[id]).keys().to_vec();
+                match (t.entries[id].row as usize).checked_sub(base) {
+                    Some(heap_row) => t.rows.set_row(heap_row, row.sig(0), row.keys(0)),
+                    // The mapped snapshot is immutable: re-point the
+                    // entry at a new heap row.
+                    None => {
+                        t.entries[id].row = (base + t.rows.len()) as u32;
+                        t.rows.extend_from(&row);
                     }
-                    t.entries[id].rev = next_epoch;
-                    (id, vec![(id, old_keys)])
                 }
-                None => {
-                    let id = t.entries.len();
-                    let e = Entry::fresh(module, func, base + t.rows.len(), next_epoch);
-                    t.entries.push(e);
-                    t.rows.extend_from(&row);
-                    t.modules[mi].entry_ids.push(id);
-                    (id, Vec::new())
-                }
+                t.entries[id].rev = next_epoch;
+                (id, old_keys)
+            }
+            None => {
+                let id = t.entries.len();
+                let e = Entry::fresh(module, func, base + t.rows.len(), next_epoch);
+                t.entries.push(e);
+                t.rows.extend_from(&row);
+                t.modules[mi].entry_ids.push(id);
+                (id, Vec::new())
             }
         };
-        let (epoch, funcs_invalidated) =
-            self.publish(&removes, &[(entry_id, row.keys(0).to_vec())], next_epoch);
+        let (dirty, spared) = if self.cfg.params.probes == 0 {
+            self.reindex_row(&t, &cache, entry_id, &old_keys)
+        } else {
+            // Multi-probe entries also visit buckets they are not members
+            // of, so membership does not say who can see the change: the
+            // whole neighborhood goes.
+            let removes: Vec<_> = existing.map(|id| (id, old_keys)).into_iter().collect();
+            (self.index.apply_delta(&removes, &[(entry_id, row.keys(0).to_vec())]), 0)
+        };
+        let funcs_invalidated = self.stamp(&mut t, &mut cache, &dirty, next_epoch);
+        self.counters.funcs_spared.fetch_add(spared, Ordering::Relaxed);
+        let epoch = self.index.advance_epoch();
+        debug_assert_eq!(epoch, next_epoch);
         Ok(UpdateSummary {
             module: module.to_string(),
             func: func.to_string(),
@@ -794,36 +879,131 @@ impl Corpus {
         })
     }
 
-    /// Finishes a staged mutation: applies its index delta, stamps the
-    /// touched band-collision neighborhood invalidated at `next_epoch`,
-    /// drops its memoized ranks and publishes the epoch. Returns the
-    /// epoch and how many *surviving* residents were invalidated: entries
+    /// The table write guard of a mutation stage. Unit tests count the
+    /// acquisitions: a row-level mutation takes exactly one.
+    fn write_table(&self) -> RwLockWriteGuard<'_, Table> {
+        #[cfg(test)]
+        self.table_writes.fetch_add(1, Ordering::Relaxed);
+        self.table.write().unwrap()
+    }
+
+    /// Moves entry `x` — whose new row is already installed in `t` — from
+    /// `old_keys` (empty for a new entry) to its row's keys in the index,
+    /// and decides from the touched buckets which memoized lists the edit
+    /// can change: the four rules of the module docs. Returns those
+    /// entries (`x` first) and how many memoized bucket neighbors were
+    /// tested and spared. Single-probe only.
+    fn reindex_row(
+        &self,
+        t: &Table,
+        cache: &HashMap<usize, CachedRank>,
+        x: usize,
+        old_keys: &[BandKey],
+    ) -> (Vec<usize>, u64) {
+        const SEEN: u8 = 1;
+        const SEES_ROW: u8 = 2;
+        const DIRTY: u8 = 4;
+        let mut state = vec![0u8; t.entries.len()];
+        let mut neighbors = Vec::new();
+        // Whether `q`'s row reaches the floor of `q`'s `memo` against the
+        // kernel's row. Not booked as ranking work: no list is ranked.
+        let reaches = |kernel: &Kernel, q: usize, memo: &CachedRank| {
+            let floor = memo.floor(&self.sims, self.threshold_floor);
+            let row = || Some(self.row(t, &t.entries[q]));
+            kernel.score(floor, 0, row, &mut QueryCounters::default()).is_some()
+        };
+
+        let x_row = self.row(t, &t.entries[x]);
+        self.index.apply_row_delta(x, old_keys, x_row.keys(), |bucket| {
+            for &q in bucket.members {
+                if state[q] & SEEN == 0 {
+                    neighbors.push(q);
+                }
+                state[q] |= SEEN | if bucket.visible { SEES_ROW } else { 0 };
+            }
+            // Rules 3 and 4: the one other id the step moved across the cap
+            // is a candidate every member gained, or may have lost.
+            let (other, entered) = match bucket.crossed {
+                Some(Crossed::Entered(y)) => (y, true),
+                Some(Crossed::Left(z)) => (z, false),
+                None => return,
+            };
+            let other_row = entered.then(|| self.row(t, &t.entries[other]));
+            let kernel = other_row.as_ref().map(Kernel::unprobed);
+            for &q in bucket.members {
+                if q == x || q == other || state[q] & DIRTY != 0 {
+                    continue;
+                }
+                let Some(memo) = cache.get(&q) else { continue };
+                let changed = match &kernel {
+                    Some(kernel) => !memo.lists(other) && reaches(kernel, q, memo),
+                    None => memo.lists(other),
+                };
+                if changed {
+                    state[q] |= DIRTY;
+                }
+            }
+        });
+
+        // Rules 1 and 2, once per neighbor. Row order for the same reason
+        // as in `ranked`: under a resident budget each shard faults once.
+        if self.resident.is_some() {
+            neighbors.sort_unstable();
+        }
+        let kernel = Kernel::unprobed(&x_row);
+        let (mut dirty, mut spared) = (vec![x], 0);
+        for q in neighbors.into_iter().filter(|&q| q != x) {
+            let Some(memo) = cache.get(&q) else { continue };
+            if state[q] & DIRTY != 0
+                || memo.lists(x)
+                || (state[q] & SEES_ROW != 0 && reaches(&kernel, q, memo))
+            {
+                dirty.push(q);
+            } else {
+                spared += 1;
+            }
+        }
+        (dirty, spared)
+    }
+
+    /// Stamps `dirty` invalidated at `next_epoch` and drops its memoized
+    /// ranks. Returns how many *surviving* residents that was: entries
     /// created or evicted by this very mutation had no reusable memo to
     /// lose and are not counted.
+    fn stamp(
+        &self,
+        t: &mut Table,
+        cache: &mut HashMap<usize, CachedRank>,
+        dirty: &[usize],
+        next_epoch: u64,
+    ) -> u64 {
+        let mut invalidated = 0u64;
+        for &id in dirty {
+            let e = &mut t.entries[id];
+            e.dirty_rev = next_epoch;
+            cache.remove(&id);
+            if e.added < next_epoch && e.evicted > next_epoch {
+                invalidated += 1;
+            }
+        }
+        self.counters.funcs_invalidated.fetch_add(invalidated, Ordering::Relaxed);
+        invalidated
+    }
+
+    /// Finishes a staged module-level mutation: applies its index delta,
+    /// stamps the touched band-collision neighborhood (see [`Self::stamp`])
+    /// and publishes the epoch, which it returns.
     fn publish(
         &self,
         removes: &[(usize, Vec<BandKey>)],
         inserts: &[(usize, Vec<BandKey>)],
         next_epoch: u64,
-    ) -> (u64, u64) {
+    ) -> u64 {
         let dirty = self.index.apply_delta(removes, inserts);
-        let mut invalidated = 0u64;
-        {
-            let mut t = self.table.write().unwrap();
-            let mut cache = self.cache.write().unwrap();
-            for &id in &dirty {
-                let e = &mut t.entries[id];
-                e.dirty_rev = next_epoch;
-                cache.remove(&id);
-                if e.added < next_epoch && e.evicted > next_epoch {
-                    invalidated += 1;
-                }
-            }
-        }
-        self.counters.funcs_invalidated.fetch_add(invalidated, Ordering::Relaxed);
+        self.stamp(&mut self.write_table(), &mut self.cache.write().unwrap(), &dirty, next_epoch);
         let epoch = self.index.advance_epoch();
         debug_assert_eq!(epoch, next_epoch);
-        (epoch, invalidated)
+        epoch
     }
 
     /// Top-`k` resident candidates for one function, by qualified
@@ -929,7 +1109,7 @@ impl Corpus {
     /// rebuilds in latest-ingest order — which is what makes the global
     /// merge plan deterministic. Because the rankings
     /// run through the memo, a repeat call after a mutation recomputes
-    /// only the invalidated band-collision neighborhoods (observable via
+    /// only the invalidated entries (observable via
     /// `memo_hits`/`memo_misses` in [`CorpusStats`]).
     ///
     /// Returns the pinned epoch alongside the pairs; the whole scan runs
@@ -999,10 +1179,9 @@ impl Corpus {
     ///
     /// The list is memoized in the [`QueryCache`]: a cached list computed
     /// under pinned epoch `P` serves a query pinned at `E` iff
-    /// `dirty_rev ≤ min(P, E)` — no mutation has touched this entry's
-    /// band-collision neighborhood since before either pin, so the two
-    /// pins see the same durable inputs — and it [covers](CachedRank::covers)
-    /// `k`.
+    /// `dirty_rev ≤ min(P, E)` — no mutation that could change the list
+    /// has happened since before either pin, so the two pins see the same
+    /// durable inputs — and it [covers](CachedRank::covers) `k`.
     fn ranked(
         &self,
         t: &Table,
@@ -1050,7 +1229,14 @@ impl Corpus {
         self.counters.sketch_comparisons.fetch_add(counters.sketch_comparisons, Ordering::Relaxed);
         self.counters.full_comparisons.fetch_add(counters.full_comparisons, Ordering::Relaxed);
         let result = Self::render_result(t, ent, &ranked, k);
-        self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, k, ranked });
+        // Only a list ranked under the current epoch is kept. A row-level
+        // edit advances the epoch inside its critical section, so a reader
+        // pinned before it ranks after it under a stale pin: entries the
+        // edit appended are invisible to that list, and the edit — which
+        // judged the memos it found, not this one — never stamped it.
+        if self.index.epoch() == epoch {
+            self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, k, ranked });
+        }
         result
     }
 
@@ -1090,6 +1276,7 @@ impl Corpus {
             memo_hits: self.counters.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.counters.memo_misses.load(Ordering::Relaxed),
             funcs_invalidated: self.counters.funcs_invalidated.load(Ordering::Relaxed),
+            funcs_spared: self.counters.funcs_spared.load(Ordering::Relaxed),
             queries_superseded: self.counters.queries_superseded.load(Ordering::Relaxed),
             sketch_comparisons: self.counters.sketch_comparisons.load(Ordering::Relaxed),
             full_comparisons: self.counters.full_comparisons.load(Ordering::Relaxed),
@@ -1779,7 +1966,7 @@ mod tests {
         );
 
         // O(changed): with every live entry warmed, re-querying both
-        // modules recomputes exactly the invalidated neighborhood.
+        // modules recomputes exactly the invalidated entries.
         c.query_module("alpha", 5).unwrap();
         c.query_module("beta", 5).unwrap();
         let miss_before = c.stats().memo_misses;
@@ -1820,6 +2007,42 @@ mod tests {
         assert_eq!(before, after, "touch is semantically a no-op");
         let recomputed = c.stats().memo_misses - miss_before;
         assert_eq!(recomputed, up.funcs_invalidated, "touch recomputes exactly the dirty set");
+        let stats = c.stats();
+        assert!(stats.funcs_spared > 0, "a no-op edit keeps some bucket neighbor's list");
+        assert!(
+            up.funcs_invalidated + stats.funcs_spared < before.len() as u64,
+            "and entries outside its buckets are not even tested"
+        );
+    }
+
+    /// A row-level mutation is one critical section against `ranked`:
+    /// the new row goes in before the index delta and the stamps are
+    /// written after it, so a single table write guard per mutation means
+    /// all three happen under it. Module-level verbs stage under one guard
+    /// and stamp under a second — sound there because they stamp every
+    /// bucket neighbor.
+    #[test]
+    fn row_level_mutations_take_one_table_write_guard() {
+        let c = corpus();
+        let alpha = workload("alpha", 11);
+        let (dst, src) = family_pair(&alpha);
+        let guards = |mutation: &dyn Fn()| {
+            let before = c.table_writes.load(Ordering::Relaxed);
+            mutation();
+            c.table_writes.load(Ordering::Relaxed) - before
+        };
+        assert_eq!(guards(&|| drop(c.ingest(alpha.clone()).unwrap())), 2);
+        c.query_module("alpha", 5).unwrap();
+
+        let patch = body_swap_patch(&alpha, &dst, &src);
+        assert_eq!(guards(&|| drop(c.update_function("alpha", &dst, Some(&patch)).unwrap())), 1);
+        assert_eq!(guards(&|| drop(c.update_function("alpha", &dst, None).unwrap())), 1);
+        let mut donor = workload("donor", 11);
+        let sid = donor.lookup_function(&src).unwrap();
+        donor.rename_function(sid, "fresh_fn".to_string());
+        let body = f3m_ir::printer::print_module(&donor);
+        assert_eq!(guards(&|| drop(c.ingest_function("alpha", "fresh_fn", &body).unwrap())), 1);
+        assert_eq!(guards(&|| drop(c.evict("alpha").unwrap())), 2);
     }
 
     #[test]

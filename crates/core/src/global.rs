@@ -750,11 +750,11 @@ bb0:
 
     /// The corpus-global candidate pull feeding the planner is memoized:
     /// a warm pull recomputes nothing, and after `update_function` only
-    /// the dirtied band-collision neighborhood is re-ranked — a
-    /// subsequent global merge re-verifies only plans whose candidate
-    /// neighborhoods intersect the dirty set.
+    /// the entries whose memoized list the edit could change are
+    /// re-ranked — a subsequent global merge re-verifies only plans whose
+    /// candidate lists intersect that set.
     #[test]
-    fn global_candidates_recompute_only_the_dirty_neighborhood_after_update() {
+    fn global_candidates_recompute_only_what_an_update_invalidates() {
         let mods = [workload("m0", 41, 14), workload("m1", 41, 14)];
         let c = corpus_of(&mods);
         let (_, cold) = c.global_candidates(4).unwrap();
@@ -763,8 +763,8 @@ bb0:
         assert_eq!(cold, warm);
         assert_eq!(c.stats().memo_misses, miss_warmed, "warm global pull recomputes nothing");
 
-        // Touch one function: semantically a no-op, but it dirties its
-        // band-collision neighborhood.
+        // Touch one function: semantically a no-op, but it dirties itself
+        // and whichever lists it could have moved in.
         let touched = mods[0]
             .defined_functions()
             .into_iter()
@@ -780,7 +780,7 @@ bb0:
         let recomputed = c.stats().memo_misses - miss_before;
         assert_eq!(
             recomputed, up.funcs_invalidated,
-            "only the dirty neighborhood is re-ranked"
+            "only the invalidated entries are re-ranked"
         );
         assert!(
             recomputed < c.stats().functions_live as u64,

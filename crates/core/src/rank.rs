@@ -202,6 +202,15 @@ impl<'q> Kernel<'q> {
         Kernel { query, slack: query.sig().len() - lsh.bands + probe.truncated }
     }
 
+    /// The kernel for a `query` row set against rows no probe produced —
+    /// the corpus's invalidation test asks whether one named row reaches
+    /// a memoized list's floor. There are no hit counts to bound with
+    /// (pass `hits = 0` to [`Kernel::score`]), so bound (i) never prunes
+    /// and the sketch bound alone sits in front of the full compare.
+    pub(crate) fn unprobed(query: &'q RowRef<'q>) -> Kernel<'q> {
+        Kernel { query, slack: query.sig().len() }
+    }
+
     /// The equal-slot count of the candidate found in `hits` probed
     /// buckets, if it reaches `floor` — `None` as soon as an upper bound
     /// on it falls short: (i) `slack + hits`, from the probe alone, then

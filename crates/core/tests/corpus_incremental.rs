@@ -5,8 +5,30 @@
 //! and the whole transcript is identical across worker counts. Every
 //! query draws its own `k`, so the live corpus answers from memoized
 //! lists computed for other `k`s where the rebuilt one computes afresh.
+//!
+//! The property is what holds the score-bounded invalidation of row-level
+//! edits (`corpus.rs`, "Incremental recompute") to *exact*: a spared memo
+//! that the edit did change shows up as a divergence from the rebuild.
+//! The default `bucket_cap` of 100 is never exceeded by these ≤ 100-entry
+//! corpora, so the matrix also runs caps 1, 2, 3 and 8, where most buckets
+//! are truncated and an edit moves other entries across the cut.
+//!
+//! Mutation checks, each run by hand against this file in release (32
+//! seeds a cell) with one rule of `Corpus::reindex_row` disabled:
+//! without rule 1 or without rule 2 the default matrix already fails
+//! (seed 7); without rule 3 (the entry that *enters* a window the edited
+//! row left) the 16 × 1 banding fails at caps 1 and 2 (seed 1013, the
+//! debug seed) and 100 × 2 at caps 2 and 3 (seed 1037); without rule 4
+//! (the entry that *leaves* a full window the row joined) 100 × 2 fails
+//! at cap 2 (seed 1000) and 16 × 1 at caps 3 and 8 (seeds 1013, 1034,
+//! 1035, 1037); with rule 2's `≥` weakened to `>` on full lists 100 × 2
+//! fails at cap 3 and at the default cap (seed 1002).
 
-use f3m_core::corpus::{Corpus, CorpusConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+
+use f3m_core::corpus::{Corpus, CorpusConfig, QueryOutcome};
+use f3m_fingerprint::adaptive::MergeParams;
 use f3m_ir::module::Module;
 use f3m_ir::printer::print_module;
 use f3m_prng::SmallRng;
@@ -49,6 +71,24 @@ fn rename_patch(m: &Module, src: &str, fresh: &str) -> String {
     print_module(&patched)
 }
 
+/// The functions `dst`'s body can be swapped with: members of its family
+/// AND signature-identical (some siblings are retyped clones) — the
+/// module's driver calls must stay valid.
+fn siblings<'f>(m: &Module, funcs: &'f [String], dst: &str) -> Vec<&'f String> {
+    let Some((fam, _)) = dst.rsplit_once('_') else { return Vec::new() };
+    let sig = |name: &str| {
+        let f = m.function(m.lookup_function(name).unwrap());
+        (f.params.clone(), f.ret_ty)
+    };
+    let dst_sig = sig(dst);
+    funcs
+        .iter()
+        .filter(|f| {
+            *f != dst && f.rsplit_once('_').map(|(p, _)| p) == Some(fam) && sig(f) == dst_sig
+        })
+        .collect()
+}
+
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Op {
     Ingest,
@@ -60,12 +100,17 @@ enum Op {
 }
 
 /// One deterministic interleaving driven by `seed`, applied to a corpus
-/// with `jobs` ingest workers. Returns the transcript of every query
-/// result along the way. After each mutation, queries on the live
-/// incremental corpus are compared byte-for-byte against a fresh corpus
-/// rebuilt from the surviving module sources.
-fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
-    let cfg = CorpusConfig { jobs, ..CorpusConfig::default() };
+/// configured by `cfg`. Returns the transcript of every query result
+/// along the way. After each mutation, queries on the live incremental
+/// corpus are compared byte-for-byte against a fresh corpus rebuilt from
+/// the surviving module sources.
+///
+/// `appends` admits `Op::IngestFunction`. An appended function takes the
+/// newest entry id where a rebuild gives it an id inside its module's
+/// range, so wherever a probed bucket exceeds the cap the two corpora
+/// legitimately truncate differently (see `QueryResult::candidates`):
+/// runs whose cap the corpus can exceed draw an update instead.
+fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild: bool) -> String {
     let corpus = Corpus::new(cfg.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
     // Drawn from a generator of its own, so the interleaving of a seed is
@@ -88,7 +133,8 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
             3 => Op::Touch,
             4..=5 => Op::Update,
             6 => Op::Touch,
-            7 => Op::IngestFunction,
+            7 if appends => Op::IngestFunction,
+            7 => Op::Update,
             _ => Op::Query,
         };
         match op {
@@ -111,23 +157,7 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
                     .unwrap();
                 let funcs = eligible(&m);
                 let dst = &funcs[rng.gen_range(0..funcs.len())];
-                // Swap within the family AND only between signature-
-                // identical members (some siblings are retyped clones):
-                // the module's driver calls must stay valid.
-                let Some((fam, _)) = dst.rsplit_once('_') else { continue };
-                let sig = |name: &str| {
-                    let f = m.function(m.lookup_function(name).unwrap());
-                    (f.params.clone(), f.ret_ty)
-                };
-                let dst_sig = sig(dst);
-                let siblings: Vec<&String> = funcs
-                    .iter()
-                    .filter(|f| {
-                        *f != dst
-                            && f.rsplit_once('_').map(|(p, _)| p) == Some(fam)
-                            && sig(f) == dst_sig
-                    })
-                    .collect();
+                let siblings = siblings(&m, &funcs, dst);
                 if siblings.is_empty() {
                     continue;
                 }
@@ -184,7 +214,9 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
                 assert_eq!(
                     format!("{inc:?}"),
                     format!("{fresh:?}"),
-                    "incremental vs rebuilt diverged on `{name}` (k={k}) after step {step} ({op:?})"
+                    "incremental vs rebuilt diverged on `{name}` (k={k}) after step {step} \
+                     ({op:?}) of seed {seed} under {:?}",
+                    cfg.params
                 );
             }
         }
@@ -198,23 +230,188 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
     transcript
 }
 
+/// Seeds of one cell of the matrix: `lead` alone in a debug build, 32 in
+/// release, where CI's "Invalidation exactness" step runs this file.
+fn seeds(lead: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    let n = if cfg!(debug_assertions) { lead.len() } else { 32 };
+    lead.iter().copied().chain(1000..).take(n)
+}
+
+fn with_jobs(jobs: usize) -> CorpusConfig {
+    CorpusConfig { jobs, ..CorpusConfig::default() }
+}
+
 #[test]
 fn incremental_matches_rebuild_after_every_prefix() {
-    for seed in [7, 42] {
-        run_interleaving(seed, 1, true);
+    for seed in seeds(&[7, 42]) {
+        run_interleaving(seed, &with_jobs(1), true, true);
+    }
+}
+
+/// The same property where buckets overflow: the edited row moves other
+/// entries across the cap, which only rules 3 and 4 see. Two bandings:
+/// the default 100 × 2, whose buckets hold little more than a family, and
+/// 16 × 1, where any shared slot is a shared bucket, windows are crowded
+/// and a better candidate is routinely hidden behind the cut. Odd seeds
+/// raise the threshold, so short lists floor at it and full ones at their
+/// `k`-th entry.
+#[test]
+fn incremental_matches_rebuild_under_truncation() {
+    for (k, rows) in [(200, 2), (16, 1)] {
+        for bucket_cap in [1, 2, 3, 8] {
+            for seed in seeds(&[1013]) {
+                let threshold = [0.0, 0.3][(seed % 2) as usize];
+                let params = MergeParams::custom(k, rows, threshold, bucket_cap);
+                run_interleaving(seed, &CorpusConfig { params, ..with_jobs(1) }, false, true);
+            }
+        }
+    }
+}
+
+/// Multi-probe corpora keep the coarse neighbourhood rule for every verb
+/// (an entry also visits buckets it is not a member of); it must stay
+/// exact too.
+#[test]
+fn incremental_matches_rebuild_under_multi_probe() {
+    for probes in [4, 16] {
+        for seed in seeds(&[7]) {
+            let params = MergeParams::static_default().with_probes(probes);
+            run_interleaving(seed, &CorpusConfig { params, ..with_jobs(1) }, true, true);
+        }
     }
 }
 
 #[test]
 fn interleaving_transcript_is_identical_across_jobs() {
-    // The rebuild-equivalence is checked by the test above; here the
+    // The rebuild-equivalence is checked by the tests above; here the
     // whole transcript (mutation summaries + every query result) must be
-    // byte-identical across ingest worker counts.
-    let t1 = run_interleaving(42, 1, false);
-    let t2 = run_interleaving(42, 2, false);
-    let t8 = run_interleaving(42, 8, false);
-    assert_eq!(t1, t2, "jobs 1 vs 2 transcripts diverged");
-    assert_eq!(t1, t8, "jobs 1 vs 8 transcripts diverged");
-    assert!(t1.contains("query"), "transcript has no queries");
-    assert!(t1.contains("update"), "transcript has no updates");
+    // byte-identical across ingest worker counts, with and without
+    // truncated buckets.
+    for (bucket_cap, appends) in [(100, true), (2, false)] {
+        let params = MergeParams::custom(200, 2, 0.0, bucket_cap);
+        let run = |jobs| {
+            run_interleaving(42, &CorpusConfig { params, ..with_jobs(jobs) }, appends, false)
+        };
+        let (t1, t2, t8) = (run(1), run(2), run(8));
+        assert_eq!(t1, t2, "cap {bucket_cap}: jobs 1 vs 2 transcripts diverged");
+        assert_eq!(t1, t8, "cap {bucket_cap}: jobs 1 vs 8 transcripts diverged");
+        assert!(t1.contains("query"), "transcript has no queries");
+        assert!(t1.contains("update"), "transcript has no updates");
+    }
+}
+
+/// Readers against a writer. Reader threads sweep every module at every
+/// `k` while one writer applies a fixed sequence of body swaps, touches
+/// and appends, most of which spare most memoized lists. Whatever the
+/// interleaving, no reader may leave behind a list the writer's edits
+/// changed: after the join every answer equals a corpus rebuilt from the
+/// final sources. (The window in which a half-applied edit could be
+/// observed is closed structurally — see
+/// `row_level_mutations_take_one_table_write_guard` in `corpus.rs` — and
+/// is microseconds wide, so this test alone would rarely land in it.)
+#[test]
+fn readers_racing_a_writer_leave_only_current_lists() {
+    const READERS: usize = 2;
+    let names = ["r0", "r1", "r2"];
+    // A threshold, so that the `k = 50` lists the sweeps memoize — all
+    // shorter than asked — floor above zero and can be spared at all.
+    let params = MergeParams { threshold: 0.3, ..MergeParams::static_default() };
+    let cfg = CorpusConfig { params, ..with_jobs(1) };
+    let corpus = Corpus::new(cfg.clone());
+    for (i, name) in names.iter().enumerate() {
+        corpus.ingest(workload(name, 700 + i as u64)).unwrap();
+    }
+    let sweep = |corpus: &Corpus| -> Vec<String> {
+        let mut answers = Vec::new();
+        for name in names {
+            for k in [50, 5, 1] {
+                answers.push(format!("{:?}", corpus.query_module(name, k).unwrap().1));
+            }
+        }
+        answers
+    };
+
+    let (start, done) = (Barrier::new(READERS + 1), AtomicBool::new(false));
+    let sweeps = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let mut sweeps = 0;
+                    // At least one sweep after the last edit landed.
+                    while !done.load(Ordering::Acquire) || sweeps == 0 {
+                        sweep(&corpus);
+                        sweeps += 1;
+                    }
+                    sweeps
+                })
+            })
+            .collect();
+        start.wait();
+        for step in 0..24usize {
+            let name = names[step % names.len()];
+            let m = f3m_ir::parser::parse_module(&corpus.module_source(name).unwrap()).unwrap();
+            let funcs = eligible(&m);
+            let dst = &funcs[(step * 7) % funcs.len()];
+            match siblings(&m, &funcs, dst).first() {
+                _ if step % 6 == 5 => {
+                    let fresh = format!("x{step}");
+                    corpus.ingest_function(name, &fresh, &rename_patch(&m, dst, &fresh)).unwrap();
+                }
+                Some(src) if step % 3 != 2 => {
+                    let patch = body_swap_patch(&m, dst, src);
+                    corpus.update_function(name, dst, Some(&patch)).unwrap();
+                }
+                _ => drop(corpus.update_function(name, dst, None).unwrap()),
+            }
+        }
+        done.store(true, Ordering::Release);
+        readers.into_iter().map(|r| r.join().unwrap()).sum::<usize>()
+    });
+    assert!(sweeps >= READERS, "every reader swept at least once");
+
+    let rebuilt = Corpus::new(cfg);
+    for name in names {
+        let src = corpus.module_source(name).unwrap();
+        rebuilt.ingest(f3m_ir::parser::parse_module(&src).unwrap()).unwrap();
+    }
+    assert_eq!(sweep(&corpus), sweep(&rebuilt), "answers after the race vs a rebuilt corpus");
+    let warm = corpus.stats();
+    assert!(warm.memo_hits > 0, "the readers were served from the memo");
+    assert!(warm.funcs_spared > 0, "the edits spared memoized neighbors");
+    sweep(&corpus);
+    assert_eq!(corpus.stats().memo_misses, warm.memo_misses, "a second sweep is all hits");
+}
+
+/// The interleaving the race above would have to hit, forced: a module
+/// query pins its epoch, an append lands (the supersession callback runs
+/// between rankings, with no lock held), and the rankings then run under
+/// the stale pin, to which the appended function is invisible. No bucket
+/// neighbor had a memo for the append to judge, so none was stamped; if
+/// those rankings were memoized they would be served at the new epoch
+/// without the new function.
+#[test]
+fn rankings_under_a_stale_pin_are_not_memoized() {
+    let corpus = Corpus::new(with_jobs(1));
+    let m = workload("m", 900);
+    corpus.ingest(m.clone()).unwrap();
+    let funcs = eligible(&m);
+    let (src, patch) = (&funcs[0], rename_patch(&m, &funcs[0], "twin"));
+
+    let mut appended = false;
+    let outcome = corpus
+        .query_module_cancellable("m", 5, |_| {
+            if !std::mem::replace(&mut appended, true) {
+                corpus.ingest_function("m", "twin", &patch).unwrap();
+            }
+            false
+        })
+        .unwrap();
+    assert!(matches!(outcome, QueryOutcome::Superseded { .. }), "the append superseded the pin");
+
+    let (_, after) = corpus.query_function("m", src, 5).unwrap();
+    assert!(
+        after.candidates.iter().any(|c| c.func == "m.twin" && c.similarity == 1.0),
+        "the clone is in its source's list at the new epoch: {after:?}"
+    );
 }

@@ -27,7 +27,7 @@
 //! [`ShardedLshIndex::probe_keys_into`](crate::sharded::ShardedLshIndex::probe_keys_into)
 //! share.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::fnv::fnv1a_u64s;
 
@@ -168,6 +168,43 @@ pub struct LshQueryStats {
     /// with any candidate behind the cut, so a bound on a candidate's
     /// matching bands is its [`QueryScratch::hits`] plus this.
     pub truncated: usize,
+}
+
+/// One step of a one-row delta on a single bucket (see
+/// [`LshIndex::row_delta`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowOp {
+    /// The row's key for this band changed away from the bucket's.
+    Remove,
+    /// The row's key for this band changed to the bucket's.
+    Insert,
+    /// The row's key for this band is unchanged; the bucket is only read.
+    Keep,
+}
+
+/// The one *other* member a [`RowOp`] moved across the `bucket_cap`
+/// boundary of a bucket. A bucket shows its first `bucket_cap` ids, so
+/// taking a row out of that window pulls exactly one id in from behind
+/// the cut, and putting a row into a full window pushes exactly one out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Crossed<T> {
+    /// Was just behind the cut and is now the last visible id.
+    Entered(T),
+    /// Was the last visible id and is now just behind the cut.
+    Left(T),
+}
+
+/// What one [`RowOp`] did to one bucket, as seen by the bucket's members —
+/// under single-probe, exactly the items that probe it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BucketDelta<'b, T> {
+    /// The bucket after the step, ascending (empty if the step emptied it).
+    pub members: &'b [T],
+    /// Whether the row is among the first `bucket_cap` ids after the step
+    /// (never, for a bucket it left).
+    pub visible: bool,
+    /// The member the step moved across the cap, if any.
+    pub crossed: Option<Crossed<T>>,
 }
 
 /// An item id that indexes [`QueryScratch`]'s dense table directly.
@@ -357,6 +394,57 @@ impl<T: DenseId> LshIndex<T> {
                         self.buckets.remove(key);
                     }
                 }
+            }
+        }
+    }
+
+    /// Applies one step of a one-row delta — row `id` leaves, joins or
+    /// stays in the bucket under `key` — and reports what the step changed
+    /// for the items probing that bucket: who they are, whether they can
+    /// see the row, and which other id the step moved across the cap.
+    /// The bucket ends up exactly as [`Self::insert_with_keys`] /
+    /// [`Self::remove_with_keys`] leave it — sorted, reclaimed once
+    /// empty, untouched by the removal of an absent id — which stay
+    /// separate because the pass's index build and commit walk run them a
+    /// million times a sweep and have no use for the report.
+    pub fn row_delta(&mut self, id: T, key: BandKey, op: RowOp) -> BucketDelta<'_, T> {
+        let cap = self.params.bucket_cap;
+        let first = |bucket: &[T]| bucket.partition_point(|&m| m < id);
+        let unchanged = |members| BucketDelta { members, visible: false, crossed: None };
+        match op {
+            RowOp::Remove => {
+                let Entry::Occupied(mut slot) = self.buckets.entry(key) else {
+                    return unchanged(&[]);
+                };
+                let bucket = slot.get_mut();
+                let pos = first(bucket);
+                if bucket.get(pos) != Some(&id) {
+                    return unchanged(slot.into_mut());
+                }
+                bucket.remove(pos);
+                if bucket.is_empty() {
+                    slot.remove();
+                    return unchanged(&[]);
+                }
+                // The id that was just behind the cut slid into the window.
+                let crossed =
+                    (pos < cap && bucket.len() >= cap).then(|| Crossed::Entered(bucket[cap - 1]));
+                BucketDelta { members: slot.into_mut(), visible: false, crossed }
+            }
+            RowOp::Insert => {
+                let bucket = self.buckets.entry(key).or_default();
+                let pos = first(bucket);
+                bucket.insert(pos, id);
+                let visible = pos < cap;
+                // The last visible id was pushed just behind the cut.
+                let crossed = (visible && bucket.len() > cap).then(|| Crossed::Left(bucket[cap]));
+                BucketDelta { members: bucket, visible, crossed }
+            }
+            RowOp::Keep => {
+                let members = self.probe_key(key).unwrap_or(&[]);
+                let pos = first(members);
+                let visible = pos < cap && members.get(pos) == Some(&id);
+                BucketDelta { members, visible, crossed: None }
             }
         }
     }

@@ -22,7 +22,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use crate::lsh::{BandKey, DenseId, LshIndex, LshParams, LshQueryStats, QueryScratch};
+use crate::lsh::{
+    BandKey, BucketDelta, DenseId, LshIndex, LshParams, LshQueryStats, QueryScratch, RowOp,
+};
 
 /// Occupancy counters for one shard, surfaced through the daemon's
 /// `stats` response and the server metrics registry.
@@ -188,6 +190,50 @@ impl<T: DenseId> ShardedLshIndex<T> {
         dirty.sort_unstable();
         dirty.dedup();
         dirty
+    }
+
+    /// The one-row form of [`Self::apply_delta`]: moves row `id` from its
+    /// `old` band keys (empty for a row new to the index) to its `new`
+    /// ones, leaving the index as `apply_delta(&[(id, old)], &[(id, new)])`
+    /// would, and instead of collecting the touched neighborhoods calls
+    /// `visit` once per touched bucket with a [`BucketDelta`] — borrowed
+    /// under the owning shard's lock, no bucket is copied. A band whose
+    /// key did not change is visited once and left alone; a band whose
+    /// key changed is visited as the bucket the row left, then as the
+    /// bucket it joined.
+    ///
+    /// Under single-probe an item probes exactly the buckets it is a
+    /// member of and sees their first `bucket_cap` ids, so the visits
+    /// name everything the delta can change in anybody's candidate set:
+    /// the row itself where it is visible, and per bucket the one id that
+    /// crossed the cap. Callers serialize against other writers and bump
+    /// the epoch, as for `apply_delta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `old` is neither empty nor as long as `new`.
+    pub fn apply_row_delta(
+        &self,
+        id: T,
+        old: &[BandKey],
+        new: &[BandKey],
+        mut visit: impl FnMut(BucketDelta<'_, T>),
+    ) {
+        assert!(old.is_empty() || old.len() == new.len(), "old and new keys band for band");
+        let mut step = |key: BandKey, op: RowOp| {
+            let mut shard = self.shards[self.shard_of(key)].write().unwrap();
+            visit(shard.row_delta(id, key, op));
+        };
+        for (band, &key) in new.iter().enumerate() {
+            match old.get(band) {
+                Some(&was) if was == key => step(key, RowOp::Keep),
+                Some(&was) => {
+                    step(was, RowOp::Remove);
+                    step(key, RowOp::Insert);
+                }
+                None => step(key, RowOp::Insert),
+            }
+        }
     }
 
     /// Distinct candidates sharing at least one band with the querier,
@@ -438,6 +484,78 @@ mod tests {
         assert!(dirty.contains(&2));
         assert!(dirty.contains(&1), "co-bucketed twin must be dirtied");
         assert!(!dirty.contains(&9), "disjoint item must not be dirtied");
+    }
+
+    /// `apply_row_delta` leaves the index as `apply_delta` does, and its
+    /// visits name every change to a touched bucket's visible window: the
+    /// row where it is visible, and exactly the ids that a brute-force
+    /// before/after comparison of the window finds entering or leaving.
+    #[test]
+    fn apply_row_delta_reports_every_window_change() {
+        use crate::lsh::Crossed;
+        for bucket_cap in [1, 2, 3, 8, usize::MAX] {
+            let p = LshParams { bucket_cap, ..params() };
+            let window = |idx: &ShardedLshIndex<u32>, key: BandKey| -> Vec<u32> {
+                let members = idx.members_of_keys(&[key]);
+                members.into_iter().take(bucket_cap).collect()
+            };
+            let (mut entered, mut left) = (0, 0);
+            // Every row in turn moves three families on; row 40 is new.
+            for id in 0..=40u32 {
+                let (old_fp, new_fp) = ((id < 40).then_some(id), id + 3);
+                let (by_row, by_batch) = (ShardedLshIndex::new(p, 3), ShardedLshIndex::new(p, 3));
+                for i in (0..40u32).filter(|&i| old_fp.is_some() || i != id) {
+                    by_row.insert_with_keys(i, &band_keys_for(p, &fp(i)));
+                    by_batch.insert_with_keys(i, &band_keys_for(p, &fp(i)));
+                }
+                let old = old_fp.map_or(Vec::new(), |f| band_keys_for(p, &fp(f)));
+                let new = band_keys_for(p, &fp(new_fp));
+                // The steps the delta takes, band by band.
+                let mut steps: Vec<BandKey> = Vec::new();
+                for (band, &key) in new.iter().enumerate() {
+                    if old.get(band).is_some_and(|&was| was != key) {
+                        steps.push(old[band]);
+                    }
+                    steps.push(key);
+                }
+                let before: Vec<Vec<u32>> = steps.iter().map(|&k| window(&by_row, k)).collect();
+
+                let mut visits = Vec::new();
+                by_row.apply_row_delta(id, &old, &new, |b| {
+                    visits.push((b.members.to_vec(), b.visible, b.crossed));
+                });
+                let removes: Vec<_> = old_fp.map(|_| (id, old.clone())).into_iter().collect();
+                by_batch.apply_delta(&removes, &[(id, new.clone())]);
+                for shard in 0..3 {
+                    assert_eq!(by_row.export_shard(shard), by_batch.export_shard(shard));
+                }
+
+                assert_eq!(visits.len(), steps.len(), "one visit per step");
+                let stepped = steps.iter().zip(&before).zip(&visits);
+                for ((&key, was), (members, visible, crossed)) in stepped {
+                    let what = format!("cap {bucket_cap} row {id} key {key:#x}");
+                    assert_eq!(members, &by_row.members_of_keys(&[key]), "{what}");
+                    let now = window(&by_row, key);
+                    assert_eq!(*visible, now.contains(&id), "{what}");
+                    let others =
+                        |w: &[u32]| -> Vec<u32> { w.iter().copied().filter(|&m| m != id).collect() };
+                    let (was, now) = (others(was), others(&now));
+                    let came: Vec<u32> = now.iter().copied().filter(|m| !was.contains(m)).collect();
+                    let went: Vec<u32> = was.iter().copied().filter(|m| !now.contains(m)).collect();
+                    let expected = match (&came[..], &went[..]) {
+                        ([], []) => None,
+                        ([y], []) => Some(Crossed::Entered(*y)),
+                        ([], [z]) => Some(Crossed::Left(*z)),
+                        _ => panic!("{what}: a one-row delta moved {came:?} in and {went:?} out"),
+                    };
+                    assert_eq!(*crossed, expected, "{what}");
+                    entered += usize::from(matches!(crossed, Some(Crossed::Entered(_))));
+                    left += usize::from(matches!(crossed, Some(Crossed::Left(_))));
+                }
+            }
+            let truncates = bucket_cap != usize::MAX;
+            assert_eq!((entered > 0, left > 0), (truncates, truncates), "cap {bucket_cap}");
+        }
     }
 
     /// Export + restore over all shards reproduces the index exactly,

@@ -24,9 +24,10 @@
 //! ```
 //!
 //! `update` replaces one resident function's body in place (no module
-//! evict; only the changed function is re-fingerprinted and only its
-//! band-collision neighborhood is invalidated); omitting `"ir"` makes it
-//! a *touch* — re-fingerprint and invalidate without changing IR. A
+//! evict; only the changed function is re-fingerprinted and only the
+//! memoized rankings the edit could change are invalidated); omitting
+//! `"ir"` makes it a *touch* — re-fingerprint and run the same
+//! invalidation test without changing IR. A
 //! `query` carrying `"if_epoch"` is answered with `superseded` instead
 //! of candidates when the corpus epoch has moved past that value — the
 //! incremental client's cheap way to notice its snapshot is stale.
@@ -131,8 +132,8 @@ pub enum Request {
     /// `superseded` when the corpus epoch no longer matches.
     Query { module: String, func: Option<String>, k: usize, if_epoch: Option<u64> },
     /// Replace one resident function's body (`ir` set) or merely touch
-    /// it (`ir` absent): re-fingerprint, invalidate the band-collision
-    /// neighborhood, leave the rest of the module resident.
+    /// it (`ir` absent): re-fingerprint, invalidate the rankings the
+    /// edit could change, leave the rest of the module resident.
     Update { module: String, func: String, ir: Option<String> },
     /// Run the full pass over the combined resident corpus.
     Merge { strategy: String, jobs: Option<usize> },
@@ -633,6 +634,7 @@ mod tests {
                     memo_hits: 11,
                     memo_misses: 5,
                     funcs_invalidated: 3,
+                    funcs_spared: 7,
                     queries_superseded: 1,
                     sketch_comparisons: 30,
                     full_comparisons: 4,

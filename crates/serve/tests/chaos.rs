@@ -166,6 +166,7 @@ fn artefacts_flush_after_chaos() {
         "serve.corpus.memo_hits count true",
         "serve.corpus.memo_misses count true",
         "serve.corpus.funcs_invalidated count true",
+        "serve.corpus.funcs_spared count true",
         "serve.corpus.queries_superseded count true",
         "serve.corpus.sketch_comparisons count true",
         "serve.corpus.full_comparisons count true",

@@ -270,14 +270,21 @@ fn collect_incremental_metrics(reg: &mut MetricsRegistry) {
     patched.rename_function(d, format!("{dst}__old"));
     patched.rename_function(s, dst.clone());
     let patch = f3m::ir::printer::print_module(&patched);
-    corpus.update_function("inc_a", &dst, Some(&patch)).expect("gate corpus update");
-    sweep(&corpus); // post-update: misses == dirty neighborhood
+    let misses_before = corpus.stats().memo_misses;
+    let up = corpus.update_function("inc_a", &dst, Some(&patch)).expect("gate corpus update");
+    sweep(&corpus); // post-update: misses == the entries the edit invalidated
 
     let stats = corpus.stats();
+    assert_eq!(
+        stats.memo_misses - misses_before,
+        up.funcs_invalidated,
+        "the post-update sweep re-ranks exactly what the update invalidated"
+    );
     for (name, v) in [
         ("incremental.memo_hits", stats.memo_hits),
         ("incremental.memo_misses", stats.memo_misses),
         ("incremental.funcs_invalidated", stats.funcs_invalidated),
+        ("incremental.funcs_spared", stats.funcs_spared),
         ("incremental.queries_superseded", stats.queries_superseded),
         ("incremental.sketch_comparisons", stats.sketch_comparisons),
         ("incremental.full_comparisons", stats.full_comparisons),
@@ -329,7 +336,9 @@ fn tolerance_for(name: &str) -> Tolerance {
         // Incremental-recompute work counts: how much one update dirties
         // is a banded quantity (a granularity regression blows well past
         // 15 %); hit/miss totals for the fixed sweep sequence likewise.
-        "memo_hits" | "memo_misses" | "funcs_invalidated" => Tolerance { rel: 0.15, abs: 8.0 },
+        "memo_hits" | "memo_misses" | "funcs_invalidated" | "funcs_spared" => {
+            Tolerance { rel: 0.15, abs: 8.0 }
+        }
         // Residency thrash for the fixed single-budget sweep: fault and
         // spill totals are logical decisions (pager-independent); a
         // shard-sizing or LRU-policy change that doubles them is a
