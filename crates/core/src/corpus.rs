@@ -107,6 +107,15 @@
 //! that lost a memo, `funcs_spared` the memoized neighbors that were
 //! tested and kept (both jobs-invariant, like `memo_hits`/`memo_misses`).
 //!
+//! One edit is wider than its row. Type encoding numbers are arrival
+//! indices in the module's `TypeStore`, so a spliced body that introduces,
+//! drops or reorders a non-prelude type renumbers the types of functions
+//! the edit never touched. When the rebuilt module's type table is not a
+//! prefix-match of the resident one the module's other rows are recomputed
+//! from it, and those whose signature changed move in the same critical
+//! section under the neighborhood rule; `x` is then judged by the four
+//! rules against the index they already moved in.
+//!
 //! Sparing neighbors makes two orderings load-bearing. A row-level edit
 //! is **one critical section** against `ranked`: the new row, the index
 //! delta, the stamps and the epoch bump all happen under a single table
@@ -720,8 +729,9 @@ impl Corpus {
     /// `replacement_ir` is module-wrapped IR text containing a definition
     /// of `func`; the resident module is re-rendered with that one body
     /// spliced in (print + parse, so the result is verified) and only the
-    /// function's own fingerprint is recomputed. The index is updated by
-    /// delta — old band keys out, new keys in — and only the entries whose
+    /// function's own fingerprint is recomputed — plus those of functions
+    /// whose types the splice renumbered (module docs). The index is updated
+    /// by delta — old band keys out, new keys in — and only the entries whose
     /// memoized list the edit could change lose it (module docs,
     /// "Incremental recompute"). A `touch` re-fingerprints the resident
     /// body and runs the same test without changing any IR.
@@ -737,7 +747,8 @@ impl Corpus {
     /// Appends one new merge-eligible function to a resident module
     /// without evicting it. `ir` is module-wrapped IR text defining
     /// `func`; the resident module is re-rendered with the body appended
-    /// (print + parse) and exactly one fingerprint is computed.
+    /// (print + parse) and exactly one fingerprint is computed, unless the
+    /// new header renumbers types the resident bodies use.
     pub fn ingest_function(
         &self,
         module: &str,
@@ -817,9 +828,30 @@ impl Corpus {
 
         // Fingerprint the one function from the effective body.
         let m = rebuilt.as_ref().unwrap_or(resident);
-        let fid = m.lookup_function(func).expect("spliced function exists");
-        let row =
-            PackedFingerprintStore::of_functions(m, &[fid], &*self.backend, self.cfg.params.lsh, 1);
+        let fingerprint = |names: &[&str]| {
+            let funcs: Vec<_> = names
+                .iter()
+                .map(|name| m.lookup_function(name).expect("a splice keeps every function"))
+                .collect();
+            PackedFingerprintStore::of_functions(m, &funcs, &*self.backend, self.cfg.params.lsh, 1)
+        };
+        let row = fingerprint(&[func]);
+        // Encoding numbers are arrival indices: a splice that changes the
+        // order in which types are first seen renumbers the types of
+        // functions it never touched, and their rows with them. Those are
+        // recomputed from the rebuilt module: (entry, signature, band keys).
+        let mut renumbered = Vec::new();
+        if !m.types.same_numbering(&resident.types) {
+            let others: Vec<usize> =
+                t.modules[mi].entry_ids.iter().copied().filter(|&id| Some(id) != existing).collect();
+            let names: Vec<&str> = others.iter().map(|&id| t.entries[id].func.as_str()).collect();
+            let rows = fingerprint(&names);
+            for (i, id) in others.into_iter().enumerate() {
+                if rows.sig(i) != self.row(&t, &t.entries[id]).sig() {
+                    renumbered.push((id, rows.sig(i).to_vec(), rows.keys(i).to_vec()));
+                }
+            }
+        }
         drop(t);
 
         // One critical section against `ranked` (see the module docs): the
@@ -832,32 +864,27 @@ impl Corpus {
         if let Some(m2) = rebuilt {
             t.modules[mi].module.set(m2);
         }
-        let base = self.heap_base();
+        // Renumbered rows take the neighborhood rule, like a module-level
+        // edit of just those rows; the edited row is judged after it, against
+        // the index they are already moved in.
+        let (mut removes, mut inserts) = (Vec::new(), Vec::new());
+        for (id, sig, keys) in renumbered {
+            removes.push((id, self.rewrite_row(&mut t, id, &sig, &keys, next_epoch)));
+            inserts.push((id, keys));
+        }
+        let mut dirty = self.index.apply_delta(&removes, &inserts);
         let (entry_id, old_keys) = match existing {
-            Some(id) => {
-                let old_keys = self.row(&t, &t.entries[id]).keys().to_vec();
-                match (t.entries[id].row as usize).checked_sub(base) {
-                    Some(heap_row) => t.rows.set_row(heap_row, row.sig(0), row.keys(0)),
-                    // The mapped snapshot is immutable: re-point the
-                    // entry at a new heap row.
-                    None => {
-                        t.entries[id].row = (base + t.rows.len()) as u32;
-                        t.rows.extend_from(&row);
-                    }
-                }
-                t.entries[id].rev = next_epoch;
-                (id, old_keys)
-            }
+            Some(id) => (id, self.rewrite_row(&mut t, id, row.sig(0), row.keys(0), next_epoch)),
             None => {
                 let id = t.entries.len();
-                let e = Entry::fresh(module, func, base + t.rows.len(), next_epoch);
+                let e = Entry::fresh(module, func, self.heap_base() + t.rows.len(), next_epoch);
                 t.entries.push(e);
                 t.rows.extend_from(&row);
                 t.modules[mi].entry_ids.push(id);
                 (id, Vec::new())
             }
         };
-        let (dirty, spared) = if self.cfg.params.probes == 0 {
+        let (edited, spared) = if self.cfg.params.probes == 0 {
             self.reindex_row(&t, &cache, entry_id, &old_keys)
         } else {
             // Multi-probe entries also visit buckets they are not members
@@ -866,6 +893,9 @@ impl Corpus {
             let removes: Vec<_> = existing.map(|id| (id, old_keys)).into_iter().collect();
             (self.index.apply_delta(&removes, &[(entry_id, row.keys(0).to_vec())]), 0)
         };
+        dirty.extend(edited);
+        dirty.sort_unstable();
+        dirty.dedup();
         let funcs_invalidated = self.stamp(&mut t, &mut cache, &dirty, next_epoch);
         self.counters.funcs_spared.fetch_add(spared, Ordering::Relaxed);
         let epoch = self.index.advance_epoch();
@@ -877,6 +907,29 @@ impl Corpus {
             changed,
             funcs_invalidated,
         })
+    }
+
+    /// Gives resident entry `id` a recomputed row at `epoch` and returns
+    /// the band keys it had.
+    fn rewrite_row(
+        &self,
+        t: &mut Table,
+        id: usize,
+        sig: &[u64],
+        keys: &[BandKey],
+        epoch: u64,
+    ) -> Vec<BandKey> {
+        let old_keys = self.row(t, &t.entries[id]).keys().to_vec();
+        match (t.entries[id].row as usize).checked_sub(self.heap_base()) {
+            Some(heap_row) => t.rows.set_row(heap_row, sig, keys),
+            // The mapped snapshot is immutable: re-point the entry at a
+            // new heap row.
+            None => {
+                t.entries[id].row = (self.heap_base() + t.rows.push_with_keys(sig, keys)) as u32
+            }
+        }
+        t.entries[id].rev = epoch;
+        old_keys
     }
 
     /// The table write guard of a mutation stage. Unit tests count the
@@ -1987,6 +2040,46 @@ mod tests {
             src_body.lines().skip(1).collect::<Vec<_>>(),
             "updated body equals the source body modulo the header line"
         );
+    }
+
+    /// Type encoding numbers are arrival indices, so an edit that changes
+    /// the order in which array types are first seen renumbers the types
+    /// of functions it never touched. Their rows must follow: here `g`'s
+    /// `[5 x i32]`/`[7 x i32]` move up one when `f` stops introducing
+    /// `[3 x i32]` ahead of them.
+    #[test]
+    fn update_refingerprints_rows_whose_types_it_renumbers() {
+        let define = |name: &str, allocas: &[u32]| {
+            let n = allocas.len();
+            let allocas: String = allocas
+                .iter()
+                .enumerate()
+                .map(|(i, len)| format!("  %{} = alloca [{len} x i32]\n", i + 1))
+                .collect();
+            let adds: String =
+                (n + 1..n + 11).map(|i| format!("  %{i} = add i32 %0, {i}\n")).collect();
+            format!(
+                "define @{name}(i32 %0) -> i32 {{\nbb0:\n{allocas}{adds}  ret i32 %{}\n}}\n",
+                n + 10
+            )
+        };
+        let g_allocas = [5, 7, 5, 7];
+        let src = format!("module \"m\" {{\n{}{}}}\n", define("f", &[3]), define("g", &g_allocas));
+        let patch = format!("module \"p\" {{\n{}}}\n", define("f", &g_allocas));
+
+        let c = corpus();
+        c.ingest(parse_module(&src).unwrap()).unwrap();
+        let (_, before) = c.query_function("m", "g", 5).unwrap();
+        assert!(before.candidates.iter().all(|cand| cand.similarity < 1.0), "{before:?}");
+        let up = c.update_function("m", "f", Some(&patch)).unwrap();
+        assert_eq!(up.funcs_invalidated, 2, "the edited row and the renumbered one");
+
+        let fresh = corpus();
+        fresh.ingest(parse_module(&c.module_source("m").unwrap()).unwrap()).unwrap();
+        let (_, live) = c.query_function("m", "g", 5).unwrap();
+        let (_, rebuilt) = fresh.query_function("m", "g", 5).unwrap();
+        assert_eq!(live.candidates, rebuilt.candidates);
+        assert_eq!(live.candidates[0].similarity, 1.0, "`f` now has `g`'s body: {live:?}");
     }
 
     #[test]

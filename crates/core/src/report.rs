@@ -130,7 +130,7 @@ fn stage(t: &StageTime) -> Value {
     Stage { success_ns: t.success.as_nanos() as u64, fail_ns: t.fail.as_nanos() as u64 }
 }
 
-/// Every statistic, in [`MergeStats::to_json`] order: the one place a
+/// Every statistic, in `stats` object order: the one place a
 /// counter is named besides its field. Work counts are deterministic (they
 /// gate in the perf-regression test); wall-clock readings are not.
 const MERGE_STATS: &[Stat<MergeStats>] = &[
@@ -170,9 +170,9 @@ const MERGE_STATS: &[Stat<MergeStats>] = &[
     Stat::det("size_reduction", "fraction", |s| Real(s.size_reduction())),
 ];
 
-/// The exact top-level key set of [`MergeStats::to_json`], in emission
-/// order. Downstream consumers (bench figure scripts, the regression gate)
-/// may rely on exactly these keys being present.
+/// The exact key set of the `stats` object of [`MergeReport::to_json`],
+/// in emission order. Downstream consumers (bench figure scripts, the
+/// regression gate) may rely on exactly these keys being present.
 pub const STATS_JSON_KEYS: &[&str] = &stats::keys::<_, { MERGE_STATS.len() }>(MERGE_STATS);
 
 impl MergeStats {
@@ -195,15 +195,6 @@ impl MergeStats {
     /// (stages as `<stage>_success_ns` / `<stage>_fail_ns`).
     pub fn export_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
         stats::export(reg, prefix, MERGE_STATS, self);
-    }
-
-    /// Renders the statistics as one JSON object (the `stats` value of
-    /// [`MergeReport::to_json`]; also emitted standalone by the bench
-    /// harness's `BENCH_pass.json`).
-    pub fn to_json(&self) -> String {
-        let mut w = Writer::with_capacity(1024);
-        stats::write_object(&mut w, MERGE_STATS, self);
-        w.finish()
     }
 }
 
@@ -415,9 +406,13 @@ mod tests {
         "size_reduction",
     ];
 
-    fn top_level_keys(json: &str) -> Vec<String> {
-        match f3m_trace::json::parse(json).unwrap() {
-            f3m_trace::Json::Object(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+    /// The keys of the `stats` object a report over `stats` renders.
+    fn stats_keys(stats: MergeStats) -> Vec<String> {
+        let report = MergeReport { stats, ..Default::default() }.to_json();
+        match f3m_trace::json::parse(&report).unwrap().get("stats") {
+            Some(f3m_trace::Json::Object(fields)) => {
+                fields.iter().map(|(k, _)| k.clone()).collect()
+            }
             other => panic!("not an object: {other:?}"),
         }
     }
@@ -425,12 +420,12 @@ mod tests {
     #[test]
     fn stats_json_emits_exactly_the_documented_key_set() {
         assert_eq!(STATS_JSON_KEYS, GOLDEN_KEYS);
-        assert_eq!(top_level_keys(&MergeStats::default().to_json()), GOLDEN_KEYS);
+        assert_eq!(stats_keys(MergeStats::default()), GOLDEN_KEYS);
         // Populated stats must not grow or reorder keys either.
         let mut s = MergeStats { functions: 9, waves: 3, ..Default::default() };
         s.size_before = 100;
         s.size_after = 80;
-        assert_eq!(top_level_keys(&s.to_json()), GOLDEN_KEYS);
+        assert_eq!(stats_keys(s), GOLDEN_KEYS);
     }
 
     #[test]

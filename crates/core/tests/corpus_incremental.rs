@@ -13,16 +13,25 @@
 //! corpora, so the matrix also runs caps 1, 2, 3 and 8, where most buckets
 //! are truncated and an edit moves other entries across the cut.
 //!
+//! One update in three also resizes the scratch array of the body it
+//! splices in, which introduces an array type, drops one or makes one
+//! arrive earlier — and so renumbers the types, hence the fingerprint
+//! rows, of functions the update never names (`splice_function`
+//! recomputes those rows).
+//!
 //! Mutation checks, each run by hand against this file in release (32
-//! seeds a cell) with one rule of `Corpus::reindex_row` disabled:
+//! seeds a cell) with one piece of `Corpus::splice_function` /
+//! `reindex_row` disabled: without the renumbered-row recompute every
+//! cell of every matrix fails, the debug seeds (7, 42, 1013) included;
 //! without rule 1 or without rule 2 the default matrix already fails
 //! (seed 7); without rule 3 (the entry that *enters* a window the edited
 //! row left) the 16 × 1 banding fails at caps 1 and 2 (seed 1013, the
-//! debug seed) and 100 × 2 at caps 2 and 3 (seed 1037); without rule 4
-//! (the entry that *leaves* a full window the row joined) 100 × 2 fails
-//! at cap 2 (seed 1000) and 16 × 1 at caps 3 and 8 (seeds 1013, 1034,
-//! 1035, 1037); with rule 2's `≥` weakened to `>` on full lists 100 × 2
-//! fails at cap 3 and at the default cap (seed 1002).
+//! debug seed), 3 (seeds 1003, 1015, 1019) and 8 (seeds 1015, 1027);
+//! without rule 4 (the entry that *leaves* a full window the row joined)
+//! 100 × 2 fails at cap 2 (seed 1000) and 16 × 1 at caps 2 (seed 1011)
+//! and 8 (seed 1013); with rule 2's `≥` weakened to `>` on full lists
+//! the default cap fails (seeds 1002, 1005, 1017), 100 × 2 at caps 3 and
+//! 8 (seed 1002) and 16 × 1 at caps 2, 3 and 8 (seed 1020).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -71,6 +80,19 @@ fn rename_patch(m: &Module, src: &str, fresh: &str) -> String {
     print_module(&patched)
 }
 
+/// `patch` with every `alloca`'d array resized to `len` elements. A body
+/// so retyped introduces an array type, drops one, or makes one arrive
+/// earlier than the function that used to introduce it — each of which
+/// renumbers the types, hence the rows, of functions the update never
+/// names.
+fn resize_arrays(patch: &str, len: u32) -> String {
+    let resize = |line: &str| match (line.find("alloca ["), line.find(" x ")) {
+        (Some(open), Some(x)) => format!("{}alloca [{len}{}\n", &line[..open], &line[x..]),
+        _ => format!("{line}\n"),
+    };
+    patch.lines().map(resize).collect()
+}
+
 /// The functions `dst`'s body can be swapped with: members of its family
 /// AND signature-identical (some siblings are retyped clones) — the
 /// module's driver calls must stay valid.
@@ -117,6 +139,12 @@ fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild:
     // the one it always was.
     let mut k_rng = SmallRng::seed_from_u64(seed ^ 0x6B);
     let mut draw_k = move || [1, 5, 50][k_rng.gen_range(0..3usize)];
+    // Likewise: one update in three also resizes the body's scratch array,
+    // to a length of the generator's own range (so it may be another
+    // function's, or nobody's).
+    let mut len_rng = SmallRng::seed_from_u64(seed ^ 0x7A);
+    let mut draw_len =
+        move || (len_rng.gen_range(0..3u32) == 0).then(|| len_rng.gen_range(3..24u32));
     // Shadow state: live module names in ingest order. Sources are read
     // back through `module_source`, which re-renders exactly what the
     // corpus holds after function-level surgery.
@@ -162,7 +190,10 @@ fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild:
                     continue;
                 }
                 let src = siblings[rng.gen_range(0..siblings.len())];
-                let patch = body_swap_patch(&m, dst, src);
+                let mut patch = body_swap_patch(&m, dst, src);
+                if let Some(len) = draw_len() {
+                    patch = resize_arrays(&patch, len);
+                }
                 let up = corpus.update_function(name, dst, Some(&patch)).unwrap();
                 transcript.push_str(&format!(
                     "step {step}: update {name}.{dst} changed={}\n",

@@ -118,6 +118,16 @@ impl TypeStore {
         id
     }
 
+    /// Whether one store's table is a prefix of the other's. A type is
+    /// interned after the types it is built from, so equal kinds at equal
+    /// indices are the same type: `true` means every type both stores hold
+    /// has the same id — hence encoding number — in both. `false` is
+    /// conservative: the tables may diverge only in types they do not share.
+    pub fn same_numbering(&self, other: &TypeStore) -> bool {
+        let n = self.kinds.len().min(other.kinds.len());
+        self.kinds[..n] == other.kinds[..n]
+    }
+
     /// Returns the structure of `id`.
     ///
     /// # Panics

@@ -31,8 +31,8 @@
 //! ## Admission control and refusals
 //!
 //! [`Admission`] decides before the queue is touched: queue-depth and
-//! global in-flight thresholds (off by default, on in the soak bench and
-//! the fairness tests) and the per-connection cap produce `overloaded`
+//! global in-flight thresholds (off by default, on in the fairness tests)
+//! and the per-connection cap produce `overloaded`
 //! responses with a `retry_after_ms` hint; a literal queue-full produces
 //! `busy`. Both carry the queue depth and a shared monotone `shed_seq`.
 //!

@@ -4,6 +4,7 @@
 //! are byte-identical across worker counts, and shut down gracefully.
 
 use std::net::SocketAddr;
+use std::sync::Barrier;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -296,6 +297,60 @@ fn responses_are_byte_identical_across_worker_counts() {
             assert_eq!(a, b, "response {i} differs between --jobs 1 and --jobs {jobs}");
         }
     }
+}
+
+/// The event loop under many clients: every connection is open before
+/// the first request is sent and stays open until the last is answered,
+/// each request of the mixed traffic gets its verb's own answer — no
+/// error, no refusal — and the server reports having held all of them
+/// open together.
+#[test]
+fn concurrent_clients_are_all_held_open_and_all_answered() {
+    const CLIENTS: usize = 64;
+    const REQUESTS: usize = 8;
+    let server = Server::bind(ServeConfig { jobs: 2, queue_cap: 256, ..ServeConfig::default() })
+        .expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap();
+    let h = std::thread::spawn(move || server.run());
+    let mut admin = Client::connect(addr).unwrap();
+    ingest(&mut admin, &workload("soak", 7));
+
+    let all = Barrier::new(CLIENTS);
+    let client = |ci: usize| -> Result<(), String> {
+        let connected = Client::connect(addr).map_err(|e| e.to_string());
+        all.wait(); // every connection is open before traffic starts
+        let answered = connected.and_then(|mut c| {
+            c.set_timeout(Some(Duration::from_secs(30))).map_err(|e| e.to_string())?;
+            for q in 0..REQUESTS {
+                let (body, answer) = match (ci + q) % 8 {
+                    0 => (Request::Stats, "stats"),
+                    1 => {
+                        let module = "soak".into();
+                        (Request::Query { module, func: None, k: 3, if_epoch: None }, "candidates")
+                    }
+                    _ => (Request::Ping, "pong"),
+                };
+                c.call_expect(body, answer).map_err(|e| format!("request {q}: {e}"))?;
+            }
+            Ok(c)
+        });
+        all.wait(); // and none closes before every client is done
+        answered.map(drop)
+    };
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS).map(|ci| s.spawn(move || client(ci))).collect();
+        for (ci, c) in clients.into_iter().enumerate() {
+            c.join().unwrap().unwrap_or_else(|e| panic!("client {ci}: {e}"));
+        }
+    });
+
+    let v = admin.call_expect(Request::Stats, "stats").unwrap();
+    let server = v.get("server").unwrap();
+    let count = |key: &str| server.get(key).and_then(Json::as_u64).unwrap();
+    assert!(count("conns_open_hwm") > CLIENTS as u64, "clients and the admin: {server:?}");
+    assert_eq!((count("errors"), count("sheds"), count("rejects_busy")), (0, 0, 0));
+    admin.call_expect(Request::Shutdown, "bye").unwrap();
+    h.join().unwrap().expect("clean shutdown");
 }
 
 /// `shutdown` rides the queue: everything accepted before it still gets

@@ -65,7 +65,7 @@ use std::path::Path;
 /// Writes `contents` to `path`, creating the parent directory chain first.
 ///
 /// Every artefact writer in the workspace (trace/metrics exporters, the
-/// bench harness, the regression-gate baseline) goes through this so a
+/// regression-gate baseline) goes through this so a
 /// fresh clone without a `results/` directory never errors.
 pub fn write_with_dirs(path: &Path, contents: &str) -> io::Result<()> {
     if let Some(parent) = path.parent() {

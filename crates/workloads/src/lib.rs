@@ -12,9 +12,7 @@
 //! workloads.
 
 pub mod gen;
-pub mod stream;
 pub mod suite;
 
 pub use gen::{declare_externals, generate_function, MutationProfile, ShapeParams};
-pub use stream::{chrome_full, EncodedFunction, FunctionStream};
 pub use suite::{build_module, mini_suite, summarize, table1, SizeClass, WorkloadSpec};

@@ -200,7 +200,7 @@ pub fn build_module(spec: &WorkloadSpec) -> Module {
     m
 }
 
-pub(crate) fn sample_size(rng: &mut SmallRng, mean: usize) -> usize {
+fn sample_size(rng: &mut SmallRng, mean: usize) -> usize {
     // Skewed distribution: many small functions, a long tail of large ones.
     let base = rng.gen_range(mean / 2..=mean + mean / 2);
     if rng.gen_bool(0.08) {
