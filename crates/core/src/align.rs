@@ -16,8 +16,6 @@
 //! merge loop holds one scratch per worker thread, so the alignment hot
 //! path performs no per-call allocation.
 
-use f3m_ir::ids::InstId;
-
 /// One column of an alignment: a matched pair or a one-sided gap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlignEntry {
@@ -251,23 +249,6 @@ pub fn linear_block_align_with<'a>(
         j += 1;
     }
     AlignRef { entries: &scratch.entries, matches, total: n + m }
-}
-
-/// Convenience: the matched pairs of an alignment as instruction-id pairs,
-/// given the id vectors the encodings came from.
-pub fn matched_inst_pairs(
-    align: &Alignment,
-    left_ids: &[InstId],
-    right_ids: &[InstId],
-) -> Vec<(InstId, InstId)> {
-    align
-        .entries
-        .iter()
-        .filter_map(|e| match e {
-            AlignEntry::Match(i, j) => Some((left_ids[*i], right_ids[*j])),
-            _ => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -74,14 +74,15 @@
 //! hundreds of changed rows it is also the cheap answer — testing each
 //! (changed row, neighbor) pair would cost more than the request.
 //!
-//! A row-level edit ([`Corpus::update_function`], a touch,
-//! [`Corpus::ingest_function`]) uses the neighborhood only as the
-//! *candidate set* of a test. Under single-probe an entry probes exactly
-//! the buckets it is stored in and sees their first `bucket_cap` ids, so
-//! a memoized list `L(q)` with floor `s_q` — the score of its last entry,
-//! or the threshold when it came out shorter than asked — can change
-//! through an edit of row `x` in four ways only, all read off the touched
-//! buckets by [`ShardedLshIndex::apply_row_delta`]:
+//! The one function-grained write ([`Corpus::update_function`]: a
+//! replacement, or a touch) uses the neighborhood only as the *candidate
+//! set* of a test. An entry probes exactly the buckets it is stored in —
+//! an invariant of the index, there is no other probe — and sees their
+//! first `bucket_cap` ids, so a memoized list `L(q)` with floor `s_q` —
+//! the score of its last entry, or the threshold when it came out shorter
+//! than asked — can change through an edit of row `x` in four ways only,
+//! all read off the touched buckets by
+//! [`ShardedLshIndex::apply_row_delta`]:
 //!
 //! 1. `x ∈ L(q)`: it left, or its score changed.
 //! 2. `x` is inside the visible window of a bucket `q` shares with `x`'s
@@ -96,16 +97,13 @@
 //!
 //! An edit moves at most one other entry across the cap per touched
 //! bucket, which is what keeps the test exact under id-ordered
-//! truncation. An appended function has the newest id, sits last in every
-//! bucket and can only fire rule 2. `x` itself is always dirty; everything
-//! else keeps its memo and its `dirty_rev`; an entry without a memo has
-//! nothing to lose. The similarity question is the ranking kernel's
-//! (`Kernel::score` against the floor, sketch bound first). With
-//! `probes > 0` an entry also visits buckets it is not a member of, so
-//! membership no longer says who sees a change and every verb keeps the
-//! neighborhood rule. `funcs_invalidated` counts the surviving entries
-//! that lost a memo, `funcs_spared` the memoized neighbors that were
-//! tested and kept (both jobs-invariant, like `memo_hits`/`memo_misses`).
+//! truncation. `x` itself is always dirty; everything else keeps its memo
+//! and its `dirty_rev`; an entry without a memo has nothing to lose. The
+//! similarity question is the ranking kernel's (`Kernel::score` against
+//! the floor, sketch bound first). `funcs_invalidated` counts the
+//! surviving entries that lost a memo, `funcs_spared` the memoized
+//! neighbors that were tested and kept (both jobs-invariant, like
+//! `memo_hits`/`memo_misses`).
 //!
 //! One edit is wider than its row. Type encoding numbers are arrival
 //! indices in the module's `TypeStore`, so a spliced body that introduces,
@@ -122,9 +120,13 @@
 //! write guard, so no reader can rank the new row against the old index
 //! and keep the result (with every neighbor stamped, that list would have
 //! been discarded; now it might not be). And `ranked` memoizes only under
-//! the current epoch: a reader pinned before the edit but ranking after
-//! it does not see an appended entry, and the edit — which judged the
-//! memos it found — never judged that list.
+//! the current epoch. A replacement alone adds and evicts no entry, so a
+//! reader pinned before it and ranking after it sees the post-edit state
+//! — but a module ingest *and* an update can both land inside one
+//! reader's pin: the ingest stamps only the neighbors its rows have on
+//! arrival, the update then moves one of those rows next to an entry that
+//! has no memo yet (nothing to judge, nothing stamped), and the stale
+//! reader ranks that entry without the row, which its pin cannot see.
 //!
 //! ## Cancellation
 //!
@@ -158,7 +160,7 @@ use f3m_trace::json;
 use f3m_trace::stats::{self, Stat, Value::*};
 
 use crate::pass::{run_pass, MergeReport, PassConfig};
-use crate::rank::{top_k, widened_keys, Kernel, QueryCounters, SimTable};
+use crate::rank::{top_k, Kernel, QueryCounters, SimTable};
 
 /// Configuration of a [`Corpus`].
 #[derive(Clone, Debug)]
@@ -247,15 +249,12 @@ pub struct QueryResult {
     /// ascending on ties. The list is a function of the live functions
     /// *and their latest-ingest order*: a corpus rebuilt by ingesting the
     /// surviving modules in the order they were last ingested ranks
-    /// identically, whatever internal entry ids it assigns — provided no
-    /// function was appended with [`Corpus::ingest_function`]. Ingest
+    /// identically, whatever internal entry ids it assigns. Ingest
     /// order matters because a probed bucket larger than `bucket_cap` is
     /// truncated to its lowest entry ids, so evicting and re-ingesting
-    /// one module can change another module's k-th candidate; and an
-    /// appended function takes the newest entry id of the corpus, where a
-    /// rebuild gives it an id inside its module's range, so the two
-    /// truncate such a bucket differently. While no probed bucket exceeds
-    /// the cap, the list depends on the live functions alone.
+    /// one module can change another module's k-th candidate. While no
+    /// probed bucket exceeds the cap, the list depends on the live
+    /// functions alone.
     pub candidates: Vec<RankedCandidate>,
 }
 
@@ -724,7 +723,8 @@ impl Corpus {
     }
 
     /// Replaces (or, with `replacement_ir == None`, merely *touches*) one
-    /// resident merge-eligible function without evicting its module.
+    /// resident merge-eligible function without evicting its module — the
+    /// one function-grained write.
     ///
     /// `replacement_ir` is module-wrapped IR text containing a definition
     /// of `func`; the resident module is re-rendered with that one body
@@ -741,41 +741,6 @@ impl Corpus {
         func: &str,
         replacement_ir: Option<&str>,
     ) -> Result<UpdateSummary, String> {
-        self.splice_function("update", module, func, replacement_ir, true)
-    }
-
-    /// Appends one new merge-eligible function to a resident module
-    /// without evicting it. `ir` is module-wrapped IR text defining
-    /// `func`; the resident module is re-rendered with the body appended
-    /// (print + parse) and exactly one fingerprint is computed, unless the
-    /// new header renumbers types the resident bodies use.
-    pub fn ingest_function(
-        &self,
-        module: &str,
-        func: &str,
-        ir: &str,
-    ) -> Result<IngestSummary, String> {
-        let up = self.splice_function("ingest-function", module, func, Some(ir), false)?;
-        Ok(IngestSummary { module: up.module, functions: 1, skipped: 0, epoch: up.epoch })
-    }
-
-    /// The one function-level write path: parse the incoming IR, find the
-    /// definition, check eligibility, render the resident module with the
-    /// body spliced in, re-parse (which verifies the splice), fingerprint
-    /// the one row and — in one critical section — install it, apply the
-    /// index delta and stamp what it invalidates. With `replace`, `func`
-    /// must be a resident merge-eligible function and its row is
-    /// rewritten (`ir == None` re-fingerprints the resident body);
-    /// without, `func` must be new to the module and gets a new entry.
-    fn splice_function(
-        &self,
-        verb: &str,
-        module: &str,
-        func: &str,
-        ir: Option<&str>,
-        replace: bool,
-    ) -> Result<UpdateSummary, String> {
-        let noun = if replace { "replacement" } else { "body" };
         let _writer = self.mutate.lock().unwrap();
         let next_epoch = self.index.epoch() + 1;
 
@@ -784,43 +749,30 @@ impl Corpus {
         let t = self.table.read().unwrap();
         let mi = t.live_module(module)?;
         let resident = t.modules[mi].module.get();
-        let existing = if replace {
-            Some(t.entry_of(mi, func)?)
-        } else {
-            if resident.lookup_function(func).is_some() {
-                return Err(format!(
-                    "module `{module}` already has a function `{func}` (use update)"
-                ));
-            }
-            let qualified = format!("{module}.{func}");
-            if t.entries.iter().any(|e| e.evicted == u64::MAX && e.qualified == qualified) {
-                return Err(format!("qualified name `{qualified}` collides with a resident function"));
-            }
-            None
-        };
+        let entry_id = t.entry_of(mi, func)?;
 
         let mut rebuilt = None;
-        if let Some(text) = ir {
+        if let Some(text) = replacement_ir {
             let incoming =
-                parse_module(text).map_err(|e| format!("{verb}: {noun} does not parse: {e}"))?;
+                parse_module(text).map_err(|e| format!("update: replacement does not parse: {e}"))?;
             let fid = incoming
                 .lookup_function(func)
                 .filter(|&f| !incoming.function(f).is_declaration)
-                .ok_or_else(|| format!("{verb}: {noun} does not define `{func}`"))?;
+                .ok_or_else(|| format!("update: replacement does not define `{func}`"))?;
             if incoming.function(fid).num_linked_insts() == 0 {
                 return Err(format!(
-                    "{verb}: {noun} `{func}` has no linked instructions \
+                    "update: replacement `{func}` has no linked instructions \
                      (would become merge-ineligible)"
                 ));
             }
             let fn_text = print_function(&incoming, fid);
             // A replacement that prints like the resident body is a touch.
-            let resident_text = resident.lookup_function(func).map(|f| print_function(resident, f));
-            if resident_text.as_ref() != Some(&fn_text) {
+            let resident_fid = resident.lookup_function(func).expect("an entry names a function");
+            if print_function(resident, resident_fid) != fn_text {
                 let src = render_module_source(resident, Some((func, &fn_text)));
                 rebuilt = Some(
                     parse_module(&src)
-                        .map_err(|e| format!("{verb}: spliced module does not verify: {e}"))?,
+                        .map_err(|e| format!("update: spliced module does not verify: {e}"))?,
                 );
             }
         }
@@ -843,7 +795,7 @@ impl Corpus {
         let mut renumbered = Vec::new();
         if !m.types.same_numbering(&resident.types) {
             let others: Vec<usize> =
-                t.modules[mi].entry_ids.iter().copied().filter(|&id| Some(id) != existing).collect();
+                t.modules[mi].entry_ids.iter().copied().filter(|&id| id != entry_id).collect();
             let names: Vec<&str> = others.iter().map(|&id| t.entries[id].func.as_str()).collect();
             let rows = fingerprint(&names);
             for (i, id) in others.into_iter().enumerate() {
@@ -873,26 +825,8 @@ impl Corpus {
             inserts.push((id, keys));
         }
         let mut dirty = self.index.apply_delta(&removes, &inserts);
-        let (entry_id, old_keys) = match existing {
-            Some(id) => (id, self.rewrite_row(&mut t, id, row.sig(0), row.keys(0), next_epoch)),
-            None => {
-                let id = t.entries.len();
-                let e = Entry::fresh(module, func, self.heap_base() + t.rows.len(), next_epoch);
-                t.entries.push(e);
-                t.rows.extend_from(&row);
-                t.modules[mi].entry_ids.push(id);
-                (id, Vec::new())
-            }
-        };
-        let (edited, spared) = if self.cfg.params.probes == 0 {
-            self.reindex_row(&t, &cache, entry_id, &old_keys)
-        } else {
-            // Multi-probe entries also visit buckets they are not members
-            // of, so membership does not say who can see the change: the
-            // whole neighborhood goes.
-            let removes: Vec<_> = existing.map(|id| (id, old_keys)).into_iter().collect();
-            (self.index.apply_delta(&removes, &[(entry_id, row.keys(0).to_vec())]), 0)
-        };
+        let old_keys = self.rewrite_row(&mut t, entry_id, row.sig(0), row.keys(0), next_epoch);
+        let (edited, spared) = self.reindex_row(&t, &cache, entry_id, &old_keys);
         dirty.extend(edited);
         dirty.sort_unstable();
         dirty.dedup();
@@ -941,11 +875,10 @@ impl Corpus {
     }
 
     /// Moves entry `x` — whose new row is already installed in `t` — from
-    /// `old_keys` (empty for a new entry) to its row's keys in the index,
-    /// and decides from the touched buckets which memoized lists the edit
-    /// can change: the four rules of the module docs. Returns those
-    /// entries (`x` first) and how many memoized bucket neighbors were
-    /// tested and spared. Single-probe only.
+    /// `old_keys` to its row's keys in the index, and decides from the
+    /// touched buckets which memoized lists the edit can change: the four
+    /// rules of the module docs. Returns those entries (`x` first) and how
+    /// many memoized bucket neighbors were tested and spared.
     fn reindex_row(
         &self,
         t: &Table,
@@ -1214,14 +1147,6 @@ impl Corpus {
         Ok((epoch, pairs))
     }
 
-    /// Revision stamp of a resident function's fingerprint — the epoch
-    /// at which it was last (re)computed.
-    pub fn function_revision(&self, module: &str, func: &str) -> Option<u64> {
-        let t = self.table.read().unwrap();
-        let id = t.entry_of(t.live_module(module).ok()?, func).ok()?;
-        Some(t.entries[id].rev)
-    }
-
     /// Ranks the best `k` candidates of entry `i` visible at `epoch`:
     /// probe the sharded index into the query's `scratch`, then let the
     /// ranking kernel select, among the candidates inside their epoch
@@ -1253,10 +1178,7 @@ impl Corpus {
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
         let params = &self.cfg.params;
         let row = self.row(t, ent);
-        let probe = match widened_keys(params, row.sig()) {
-            Some(keys) => self.index.probe_keys_into(&keys, i, scratch),
-            None => self.index.probe_keys_into(row.keys(), i, scratch),
-        };
+        let probe = self.index.probe_keys_into(row.keys(), i, scratch);
         // The selection does not depend on the visiting order, the cost
         // does. Discovery order is free; row order costs a sort of every
         // candidate id, and pays only where rows can fault: under a
@@ -1282,11 +1204,13 @@ impl Corpus {
         self.counters.sketch_comparisons.fetch_add(counters.sketch_comparisons, Ordering::Relaxed);
         self.counters.full_comparisons.fetch_add(counters.full_comparisons, Ordering::Relaxed);
         let result = Self::render_result(t, ent, &ranked, k);
-        // Only a list ranked under the current epoch is kept. A row-level
-        // edit advances the epoch inside its critical section, so a reader
-        // pinned before it ranks after it under a stale pin: entries the
-        // edit appended are invisible to that list, and the edit — which
-        // judged the memos it found, not this one — never stamped it.
+        // Only a list ranked under the current epoch is kept. A reader can
+        // pin `P`, a module ingest publish `P+1` without sharing a bucket
+        // with `i`, and an update at `P+2` then move one of the new rows
+        // into a bucket of `i`: that update finds no memo of `i` to judge
+        // and stamps nothing, and the row is invisible to this ranking
+        // (`added > P`). Kept, the list would be served at `P+2` without
+        // it.
         if self.index.epoch() == epoch {
             self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, k, ranked });
         }
@@ -1337,9 +1261,9 @@ impl Corpus {
     }
 
     /// IR text of one resident module as currently held — including any
-    /// function-level surgery applied by [`Corpus::update_function`] or
-    /// [`Corpus::ingest_function`]. Re-ingesting this text into a fresh
-    /// corpus reproduces the module's resident state exactly.
+    /// function-level surgery applied by [`Corpus::update_function`].
+    /// Re-ingesting this text into a fresh corpus reproduces the module's
+    /// resident state exactly.
     pub fn module_source(&self, module: &str) -> Result<String, String> {
         let t = self.table.read().unwrap();
         Ok(t.modules[t.live_module(module)?].module.source())
@@ -1503,8 +1427,7 @@ impl Corpus {
 
     /// `cfg.params` must match the snapshot header exactly — resident
     /// fingerprints are only valid under the parameters they were
-    /// computed with. `probes` is deliberately not compared: it is a
-    /// query-time knob, never part of the stored state.
+    /// computed with.
     fn check_snapshot_params(h: &SnapshotHeader, params: &MergeParams) -> Result<(), SnapshotError> {
         let describe = |backend: BackendKind, k: usize, lsh: LshParams, threshold: f64| {
             let (name, bands, rows) = (backend.name(), lsh.bands, lsh.rows);
@@ -1629,12 +1552,11 @@ fn decode_corpus_payload(bytes: &[u8], entries: usize) -> Result<CorpusPayload, 
 
 /// Re-renders `m` to IR text with optional single-function surgery:
 /// `splice = (name, fn_text)` substitutes the body of the definition
-/// called `name`, or appends `fn_text` as a new definition at the end
-/// when there is none. Globals, declarations and function order are
+/// called `name`. Globals, declarations and function order are
 /// preserved, so entry ids keep lining up with the module's
 /// defined-function order. Callers parse the result, which verifies the
 /// splice.
-fn render_module_source(m: &Module, mut splice: Option<(&str, &str)>) -> String {
+fn render_module_source(m: &Module, splice: Option<(&str, &str)>) -> String {
     let mut text = format!("module \"{}\" {{\n", m.name);
     for (_, g) in m.globals() {
         text.push_str(&print_global(m, g));
@@ -1646,16 +1568,9 @@ fn render_module_source(m: &Module, mut splice: Option<(&str, &str)>) -> String 
     }
     for (id, f) in m.functions().filter(|(_, f)| !f.is_declaration) {
         match splice {
-            Some((name, fn_text)) if name == f.name => {
-                text.push_str(fn_text);
-                splice = None;
-            }
+            Some((name, fn_text)) if name == f.name => text.push_str(fn_text),
             _ => text.push_str(&print_function(m, id)),
         }
-        text.push('\n');
-    }
-    if let Some((_, fn_text)) = splice {
-        text.push_str(fn_text);
         text.push('\n');
     }
     text.push_str("}\n");
@@ -1792,32 +1707,29 @@ mod tests {
 
         for backend in [BackendKind::MinHash, BackendKind::Embed] {
             for threshold in [0.0, 0.3] {
-                for probes in [0, 4] {
-                    let params = MergeParams { threshold, ..MergeParams::static_default() }
-                        .with_backend(backend)
-                        .with_probes(probes);
-                    let case = format!("{} t={threshold} probes={probes}", backend.name());
-                    let c = Corpus::new(CorpusConfig { params, shards: 4, jobs: 2 });
-                    c.ingest(m1.clone()).unwrap();
-                    c.ingest(m2.clone()).unwrap();
-                    let search = LshBackendSearch::build(&combined, &funcs, params, 1);
+                let params = MergeParams { threshold, ..MergeParams::static_default() }
+                    .with_backend(backend);
+                let case = format!("{} t={threshold}", backend.name());
+                let c = Corpus::new(CorpusConfig { params, shards: 4, jobs: 2 });
+                c.ingest(m1.clone()).unwrap();
+                c.ingest(m2.clone()).unwrap();
+                let search = LshBackendSearch::build(&combined, &funcs, params, 1);
 
-                    let (_, results) = c.query_module("alpha", 5).unwrap();
-                    assert!(!results.is_empty());
-                    let mut nonempty = 0;
-                    for (i, r) in results.iter().enumerate() {
-                        let offline_names: Vec<(String, f64)> = search
-                            .ranked_candidates(i, &available, 5)
-                            .into_iter()
-                            .map(|(j, s)| (combined.function(funcs[j]).name.clone(), s))
-                            .collect();
-                        let daemon_names: Vec<(String, f64)> =
-                            r.candidates.iter().map(|c| (c.func.clone(), c.similarity)).collect();
-                        assert_eq!(daemon_names, offline_names, "{case}: function {i} ({})", r.func);
-                        nonempty += usize::from(!r.candidates.is_empty());
-                    }
-                    assert!(nonempty > 0, "{case}: workload families must produce candidates");
+                let (_, results) = c.query_module("alpha", 5).unwrap();
+                assert!(!results.is_empty());
+                let mut nonempty = 0;
+                for (i, r) in results.iter().enumerate() {
+                    let offline_names: Vec<(String, f64)> = search
+                        .ranked_candidates(i, &available, 5)
+                        .into_iter()
+                        .map(|(j, s)| (combined.function(funcs[j]).name.clone(), s))
+                        .collect();
+                    let daemon_names: Vec<(String, f64)> =
+                        r.candidates.iter().map(|c| (c.func.clone(), c.similarity)).collect();
+                    assert_eq!(daemon_names, offline_names, "{case}: function {i} ({})", r.func);
+                    nonempty += usize::from(!r.candidates.is_empty());
                 }
+                assert!(nonempty > 0, "{case}: workload families must produce candidates");
             }
         }
     }
@@ -1998,14 +1910,19 @@ mod tests {
         assert_eq!(s.memo_misses, miss_after_warm, "warm query must not recompute");
         assert!(s.memo_hits >= cold.len() as u64);
 
-        let rev_before = c.function_revision("alpha", &dst).unwrap();
+        // The row's revision: what the snapshot's stale-epoch check reads.
+        let rev = || {
+            let t = c.table.read().unwrap();
+            t.entries[t.entry_of(t.live_module("alpha").unwrap(), &dst).unwrap()].rev
+        };
+        let rev_before = rev();
         let patch = body_swap_patch(&alpha, &dst, &src);
         let up = c.update_function("alpha", &dst, Some(&patch)).unwrap();
         assert!(up.changed);
         assert!(up.funcs_invalidated >= 1, "at least the updated function is dirtied");
         assert_eq!(up.epoch, c.epoch());
-        assert_eq!(c.function_revision("alpha", &dst), Some(up.epoch));
-        assert!(c.function_revision("alpha", &dst).unwrap() > rev_before);
+        assert_eq!(rev(), up.epoch);
+        assert!(rev() > rev_before);
 
         // The new body is byte-identical to its source sibling, so the
         // source is now a similarity-1.0 candidate of the updated
@@ -2130,49 +2047,7 @@ mod tests {
         let patch = body_swap_patch(&alpha, &dst, &src);
         assert_eq!(guards(&|| drop(c.update_function("alpha", &dst, Some(&patch)).unwrap())), 1);
         assert_eq!(guards(&|| drop(c.update_function("alpha", &dst, None).unwrap())), 1);
-        let mut donor = workload("donor", 11);
-        let sid = donor.lookup_function(&src).unwrap();
-        donor.rename_function(sid, "fresh_fn".to_string());
-        let body = f3m_ir::printer::print_module(&donor);
-        assert_eq!(guards(&|| drop(c.ingest_function("alpha", "fresh_fn", &body).unwrap())), 1);
         assert_eq!(guards(&|| drop(c.evict("alpha").unwrap())), 2);
-    }
-
-    #[test]
-    fn ingest_function_appends_without_evicting() {
-        let c = corpus();
-        c.ingest(workload("alpha", 11)).unwrap();
-        let beta = workload("beta", 22);
-        c.ingest(beta.clone()).unwrap();
-
-        // Clone an eligible alpha function under a fresh name (a donor
-        // module with alpha's seed shares its external declarations, so
-        // the transplanted body splices cleanly); the original is then
-        // its 1.0-similarity candidate.
-        let mut donor = workload("donor", 11);
-        let (src, _) = family_pair(&donor);
-        let sid = donor.lookup_function(&src).unwrap();
-        donor.rename_function(sid, "fresh_fn".to_string());
-        let patch = f3m_ir::printer::print_module(&donor);
-        drop(beta);
-
-        let epoch_before = c.epoch();
-        let sum = c.ingest_function("alpha", "fresh_fn", &patch).unwrap();
-        assert_eq!(sum.functions, 1);
-        assert_eq!(sum.epoch, epoch_before + 1);
-        assert_eq!(c.stats().modules_live, 2, "no module was evicted");
-
-        let (_, qr) = c.query_function("alpha", "fresh_fn", 5).unwrap();
-        assert!(
-            qr.candidates.iter().any(|cand| cand.func == format!("alpha.{src}")),
-            "clone source must be a candidate: {qr:?}"
-        );
-        assert_eq!(qr.candidates.first().map(|cand| cand.similarity), Some(1.0), "{qr:?}");
-
-        // Appending again under the same name is rejected; so is a
-        // non-resident module.
-        assert!(c.ingest_function("alpha", "fresh_fn", &patch).unwrap_err().contains("already"));
-        assert!(c.ingest_function("ghost", "fresh_fn", &patch).unwrap_err().contains("resident"));
     }
 
     #[test]

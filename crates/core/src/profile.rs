@@ -75,15 +75,6 @@ impl CandidateSet {
         self.best - self.eps
     }
 
-    /// The best similarity seen, if any candidate was offered.
-    pub fn best_similarity(&self) -> Option<f64> {
-        if self.items.is_empty() {
-            None
-        } else {
-            Some(self.best)
-        }
-    }
-
     /// Resolves the selection: without a profile, the highest-similarity
     /// candidate; with one, the *coldest* near-tied candidate (similarity
     /// breaking ties back).

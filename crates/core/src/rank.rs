@@ -14,8 +14,8 @@
 //! keeps its signatures and band keys in a [`PackedFingerprintStore`].
 //! The resident corpus drives its own index and epochs but ranks through
 //! the same leaves: [`PackedFingerprintStore::of_functions`] for rows,
-//! `widened_keys` for the probed key list and the ranking kernel below
-//! for everything after the probe.
+//! a row's stored band keys as the probed key list and the ranking kernel
+//! below for everything after the probe.
 //!
 //! ## The ranking kernel
 //!
@@ -35,9 +35,7 @@ use std::collections::BinaryHeap;
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, equal_bytes, equal_slots, signature_similarity};
-use f3m_fingerprint::lsh::{
-    probe_keys_for, BandKey, LshIndex, LshParams, LshQueryStats, QueryScratch,
-};
+use f3m_fingerprint::lsh::{LshIndex, LshParams, LshQueryStats, QueryScratch};
 use f3m_fingerprint::opcode_freq::OpcodeFingerprint;
 use f3m_fingerprint::par::par_map_indexed;
 use f3m_fingerprint::resident::RowRef;
@@ -152,14 +150,6 @@ pub(crate) fn sort_ranked<'a>(ranked: &mut [(usize, f64)], name: impl Fn(usize) 
     ranked.sort_by(|a, b| {
         b.1.total_cmp(&a.1).then_with(|| name(a.0).cmp(name(b.0))).then(a.0.cmp(&b.0))
     });
-}
-
-/// The key list a ranking probes for a row with signature `sig`: the
-/// widened multi-probe list, or `None` under classic single-probe
-/// (`params.probes == 0`), where the row's stored band keys are probed
-/// directly without allocating.
-pub(crate) fn widened_keys(params: &MergeParams, sig: &[u64]) -> Option<Vec<BandKey>> {
-    (params.probes > 0).then(|| probe_keys_for(params.lsh, sig, params.probes))
 }
 
 /// The `k + 1` similarities two `k`-slot signatures can have:
@@ -394,9 +384,10 @@ impl CandidateSearch for ExhaustiveOpcodeSearch {
     }
 }
 
-/// F3M: signature fingerprints (MinHash by default, SimHash or TLSH-style
-/// via `MergeParams::backend`) queried through a banded LSH index, with
-/// the similarity threshold applied after the bucket lookup. Signatures
+/// F3M: signature fingerprints (MinHash by default, SimHash or the
+/// function embedding via `MergeParams::backend`) queried through a
+/// banded LSH index, with the similarity threshold applied after the
+/// bucket lookup. Signatures
 /// and band keys live in a [`PackedFingerprintStore`], so both the index
 /// build and every probe walk contiguous memory.
 pub struct LshBackendSearch {
@@ -445,12 +436,10 @@ impl LshBackendSearch {
         signature_similarity(self.store.sig(i), self.store.sig(j))
     }
 
-    /// Probes the index for row `i`'s candidates into `scratch`.
+    /// Probes the buckets row `i` is stored in for its candidates, into
+    /// `scratch`.
     fn probe(&self, i: usize, scratch: &mut QueryScratch<usize>) -> LshQueryStats {
-        match widened_keys(&self.params, self.store.sig(i)) {
-            Some(keys) => self.index.probe_keys_into(&keys, i, scratch),
-            None => self.index.probe_keys_into(self.store.keys(i), i, scratch),
-        }
+        self.index.probe_keys_into(self.store.keys(i), i, scratch)
     }
 
     /// The top-`k` available candidates for function `i`, as
@@ -588,9 +577,9 @@ mod tests {
         ranked.iter().map(|&(j, sim)| (j, sim.to_bits())).collect()
     }
 
-    /// Exactness: on every backend, probe budget, bucket cap and banding,
-    /// under random availability masks and thresholds, the kernel makes
-    /// the decision of the naive loop — the same near-tie set (so the
+    /// Exactness: on every backend, bucket cap and banding, under random
+    /// availability masks and thresholds, the kernel makes the decision
+    /// of the naive loop — the same near-tie set (so the
     /// same `choose`, with and without a profile, index and similarity
     /// bits) and the same top-`k` lists.
     #[test]
@@ -609,49 +598,45 @@ mod tests {
                     let lsh = MergeParams::custom(k, rows, 0.0, usize::MAX).lsh;
                     let backend = backend_for(kind, k);
                     let store = PackedFingerprintStore::of_functions(&m, &funcs, &*backend, lsh, 1);
-                    for probes in [0, 8] {
-                        for bucket_cap in [3, 100, usize::MAX] {
-                            let threshold = [0.0, 0.25, 0.6][rng.gen_range(0..3usize)];
-                            let params = MergeParams::custom(k, rows, threshold, bucket_cap)
-                                .with_backend(kind)
-                                .with_probes(probes);
-                            let mut index = LshIndex::new(params.lsh);
-                            for i in 0..n {
-                                index.insert_with_keys(i, store.keys(i));
-                            }
-                            let search =
-                                LshBackendSearch::over(params, store.clone(), names.clone(), index);
-                            let what = format!(
-                                "case {case} {} k={k} rows={rows} probes={probes} \
-                                 cap={bucket_cap} t={threshold}",
-                                kind.name()
-                            );
-                            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.7)).collect();
-                            let mut scratch = SearchScratch::new();
-                            for available in [vec![true; n], mask] {
-                                for i in (0..n).step_by(3) {
-                                    let mut c = QueryCounters::default();
-                                    let head = search.best_candidates(i, &available, &mut c, &mut scratch);
-                                    let naive = naive_near_tie_head(&search, i, &available);
-                                    assert_eq!(format!("{head:?}"), format!("{naive:?}"), "{what} fn {i}");
-                                    for profile in [None, Some(&profile)] {
-                                        let pick = |set: &CandidateSet| {
-                                            set.choose(profile, |j| funcs[j])
-                                                .map(|(j, sim)| (j, sim.to_bits()))
-                                        };
-                                        assert_eq!(pick(&head), pick(&naive), "{what} fn {i}");
-                                    }
-                                    for top in [1, 5, 50] {
-                                        assert_eq!(
-                                            bits(&kernel_top_k(&search, i, &available, top, &mut c)),
-                                            bits(&search.ranked_candidates(i, &available, top)),
-                                            "{what} fn {i} top-{top}"
-                                        );
-                                    }
-                                    assert!(c.full_comparisons <= 4 * c.comparisons, "{what} fn {i}");
-                                    decided += 4 * c.comparisons;
-                                    pruned += 4 * c.comparisons - c.full_comparisons;
+                    for bucket_cap in [3, 100, usize::MAX] {
+                        let threshold = [0.0, 0.25, 0.6][rng.gen_range(0..3usize)];
+                        let params =
+                            MergeParams::custom(k, rows, threshold, bucket_cap).with_backend(kind);
+                        let mut index = LshIndex::new(params.lsh);
+                        for i in 0..n {
+                            index.insert_with_keys(i, store.keys(i));
+                        }
+                        let search =
+                            LshBackendSearch::over(params, store.clone(), names.clone(), index);
+                        let what = format!(
+                            "case {case} {} k={k} rows={rows} cap={bucket_cap} t={threshold}",
+                            kind.name()
+                        );
+                        let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.7)).collect();
+                        let mut scratch = SearchScratch::new();
+                        for available in [vec![true; n], mask] {
+                            for i in (0..n).step_by(3) {
+                                let mut c = QueryCounters::default();
+                                let head = search.best_candidates(i, &available, &mut c, &mut scratch);
+                                let naive = naive_near_tie_head(&search, i, &available);
+                                assert_eq!(format!("{head:?}"), format!("{naive:?}"), "{what} fn {i}");
+                                for profile in [None, Some(&profile)] {
+                                    let pick = |set: &CandidateSet| {
+                                        set.choose(profile, |j| funcs[j])
+                                            .map(|(j, sim)| (j, sim.to_bits()))
+                                    };
+                                    assert_eq!(pick(&head), pick(&naive), "{what} fn {i}");
                                 }
+                                for top in [1, 5, 50] {
+                                    assert_eq!(
+                                        bits(&kernel_top_k(&search, i, &available, top, &mut c)),
+                                        bits(&search.ranked_candidates(i, &available, top)),
+                                        "{what} fn {i} top-{top}"
+                                    );
+                                }
+                                assert!(c.full_comparisons <= 4 * c.comparisons, "{what} fn {i}");
+                                decided += 4 * c.comparisons;
+                                pruned += 4 * c.comparisons - c.full_comparisons;
                             }
                         }
                     }

@@ -16,22 +16,32 @@
 //! One update in three also resizes the scratch array of the body it
 //! splices in, which introduces an array type, drops one or makes one
 //! arrive earlier — and so renumbers the types, hence the fingerprint
-//! rows, of functions the update never names (`splice_function`
+//! rows, of functions the update never names (`update_function`
 //! recomputes those rows).
 //!
 //! Mutation checks, each run by hand against this file in release (32
-//! seeds a cell) with one piece of `Corpus::splice_function` /
-//! `reindex_row` disabled: without the renumbered-row recompute every
-//! cell of every matrix fails, the debug seeds (7, 42, 1013) included;
-//! without rule 1 or without rule 2 the default matrix already fails
-//! (seed 7); without rule 3 (the entry that *enters* a window the edited
-//! row left) the 16 × 1 banding fails at caps 1 and 2 (seed 1013, the
-//! debug seed), 3 (seeds 1003, 1015, 1019) and 8 (seeds 1015, 1027);
-//! without rule 4 (the entry that *leaves* a full window the row joined)
-//! 100 × 2 fails at cap 2 (seed 1000) and 16 × 1 at caps 2 (seed 1011)
-//! and 8 (seed 1013); with rule 2's `≥` weakened to `>` on full lists
-//! the default cap fails (seeds 1002, 1005, 1017), 100 × 2 at caps 3 and
-//! 8 (seed 1002) and 16 × 1 at caps 2, 3 and 8 (seed 1020).
+//! seeds a cell) with one piece of `Corpus::update_function` /
+//! `reindex_row` disabled, re-run when `update` became the only
+//! function-grained write (PR 23): without the renumbered-row recompute
+//! every cell of every matrix fails, the debug seeds (7, 42, 1013)
+//! included; without rule 1 or without rule 2 every cell fails too (seeds
+//! 7 and 42 in the default matrix); without rule 3 (the entry that
+//! *enters* a window the edited row left) the 16 × 1 banding fails at
+//! caps 1 and 2 (seed 1013, the debug seed, and 1015, 1027), 3 (seeds
+//! 1003, 1015, 1019, 1022, 1023) and 8 (seeds 1015, 1027); without rule 4
+//! (the entry that *leaves* a full window the row joined) 100 × 2 fails
+//! at cap 2 (seed 1000) and 16 × 1 at caps 2 (seed 1011) and 8 (seed
+//! 1013); with rule 2's `≥` weakened to `>` on full lists the default cap
+//! fails (seeds 1002, 1005, 1006, 1019, 1020), 100 × 2 at caps 3 and 8
+//! (seed 1002) and 16 × 1 at caps 2, 3 and 8 (seed 1020).
+//!
+//! `Corpus::ranked` memoizes only under the current epoch. With that
+//! guard deleted every cell of every matrix and the
+//! readers-against-a-writer run still equal a rebuild (same 32 seeds a
+//! cell) — the interleaving is single-threaded and the race's writer only
+//! updates and touches, so neither lands a module ingest inside a
+//! reader's pin — and the forced interleaving below, which lands an
+//! ingest and then an update under one stale pin, fails: the guard stays.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -70,16 +80,6 @@ fn body_swap_patch(m: &Module, dst: &str, src: &str) -> String {
     print_module(&patched)
 }
 
-/// IR text of `m` with `src` renamed to `fresh` (self-transplant donor
-/// for `ingest_function`: same module, so every callee it references is
-/// already declared in the splice target).
-fn rename_patch(m: &Module, src: &str, fresh: &str) -> String {
-    let mut patched = m.clone();
-    let s = patched.lookup_function(src).unwrap();
-    patched.rename_function(s, fresh.to_string());
-    print_module(&patched)
-}
-
 /// `patch` with every `alloca`'d array resized to `len` elements. A body
 /// so retyped introduces an array type, drops one, or makes one arrive
 /// earlier than the function that used to introduce it — each of which
@@ -111,13 +111,23 @@ fn siblings<'f>(m: &Module, funcs: &'f [String], dst: &str) -> Vec<&'f String> {
         .collect()
 }
 
+/// A fresh corpus rebuilt from the current sources of `corpus`'s modules
+/// `names`, ingested in that order: the oracle every test compares with.
+fn rebuilt_from<S: AsRef<str>>(corpus: &Corpus, cfg: &CorpusConfig, names: &[S]) -> Corpus {
+    let rebuilt = Corpus::new(cfg.clone());
+    for name in names {
+        let src = corpus.module_source(name.as_ref()).unwrap();
+        rebuilt.ingest(f3m_ir::parser::parse_module(&src).unwrap()).unwrap();
+    }
+    rebuilt
+}
+
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Op {
     Ingest,
     Evict,
     Update,
     Touch,
-    IngestFunction,
     Query,
 }
 
@@ -126,13 +136,7 @@ enum Op {
 /// along the way. After each mutation, queries on the live incremental
 /// corpus are compared byte-for-byte against a fresh corpus rebuilt from
 /// the surviving module sources.
-///
-/// `appends` admits `Op::IngestFunction`. An appended function takes the
-/// newest entry id where a rebuild gives it an id inside its module's
-/// range, so wherever a probed bucket exceeds the cap the two corpora
-/// legitimately truncate differently (see `QueryResult::candidates`):
-/// runs whose cap the corpus can exceed draw an update instead.
-fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild: bool) -> String {
+fn run_interleaving(seed: u64, cfg: &CorpusConfig, check_rebuild: bool) -> String {
     let corpus = Corpus::new(cfg.clone());
     let mut rng = SmallRng::seed_from_u64(seed);
     // Drawn from a generator of its own, so the interleaving of a seed is
@@ -150,7 +154,6 @@ fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild:
     // corpus holds after function-level surgery.
     let mut live: Vec<String> = Vec::new();
     let mut next_module = 0u64;
-    let mut next_fresh = 0u64;
     let mut transcript = String::new();
 
     for step in 0..40 {
@@ -159,10 +162,8 @@ fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild:
             0..=2 => Op::Update,
             3 if live.len() > 1 => Op::Evict,
             3 => Op::Touch,
-            4..=5 => Op::Update,
+            4..=5 | 7 => Op::Update,
             6 => Op::Touch,
-            7 if appends => Op::IngestFunction,
-            7 => Op::Update,
             _ => Op::Query,
         };
         match op {
@@ -176,7 +177,7 @@ fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild:
                 let victim = live.remove(rng.gen_range(0..live.len()));
                 corpus.evict(&victim).unwrap();
             }
-            Op::Update | Op::Touch | Op::IngestFunction | Op::Query if live.is_empty() => {
+            Op::Update | Op::Touch | Op::Query if live.is_empty() => {
                 continue;
             }
             Op::Update => {
@@ -209,18 +210,6 @@ fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild:
                 let up = corpus.update_function(name, func, None).unwrap();
                 assert!(!up.changed, "a touch never changes IR");
             }
-            Op::IngestFunction => {
-                let name = &live[rng.gen_range(0..live.len())];
-                let m = f3m_ir::parser::parse_module(&corpus.module_source(name).unwrap())
-                    .unwrap();
-                let funcs = eligible(&m);
-                let src = &funcs[rng.gen_range(0..funcs.len())];
-                let fresh = format!("x{next_fresh}");
-                next_fresh += 1;
-                let patch = rename_patch(&m, src, &fresh);
-                corpus.ingest_function(name, &fresh, &patch).unwrap();
-                transcript.push_str(&format!("step {step}: ingest_function {name}.{fresh}\n"));
-            }
             Op::Query => {
                 let name = &live[rng.gen_range(0..live.len())];
                 let k = draw_k();
@@ -233,11 +222,7 @@ fn run_interleaving(seed: u64, cfg: &CorpusConfig, appends: bool, check_rebuild:
             // From-scratch rebuild of the surviving state: every live
             // module's current source, ingested in order, into a fresh
             // corpus. Every module query must match byte-for-byte.
-            let rebuilt = Corpus::new(cfg.clone());
-            for name in &live {
-                let src = corpus.module_source(name).unwrap();
-                rebuilt.ingest(f3m_ir::parser::parse_module(&src).unwrap()).unwrap();
-            }
+            let rebuilt = rebuilt_from(&corpus, cfg, &live);
             for name in &live {
                 let k = draw_k();
                 let (_, inc) = corpus.query_module(name, k).unwrap();
@@ -275,7 +260,7 @@ fn with_jobs(jobs: usize) -> CorpusConfig {
 #[test]
 fn incremental_matches_rebuild_after_every_prefix() {
     for seed in seeds(&[7, 42]) {
-        run_interleaving(seed, &with_jobs(1), true, true);
+        run_interleaving(seed, &with_jobs(1), true);
     }
 }
 
@@ -293,21 +278,8 @@ fn incremental_matches_rebuild_under_truncation() {
             for seed in seeds(&[1013]) {
                 let threshold = [0.0, 0.3][(seed % 2) as usize];
                 let params = MergeParams::custom(k, rows, threshold, bucket_cap);
-                run_interleaving(seed, &CorpusConfig { params, ..with_jobs(1) }, false, true);
+                run_interleaving(seed, &CorpusConfig { params, ..with_jobs(1) }, true);
             }
-        }
-    }
-}
-
-/// Multi-probe corpora keep the coarse neighbourhood rule for every verb
-/// (an entry also visits buckets it is not a member of); it must stay
-/// exact too.
-#[test]
-fn incremental_matches_rebuild_under_multi_probe() {
-    for probes in [4, 16] {
-        for seed in seeds(&[7]) {
-            let params = MergeParams::static_default().with_probes(probes);
-            run_interleaving(seed, &CorpusConfig { params, ..with_jobs(1) }, true, true);
         }
     }
 }
@@ -318,11 +290,9 @@ fn interleaving_transcript_is_identical_across_jobs() {
     // whole transcript (mutation summaries + every query result) must be
     // byte-identical across ingest worker counts, with and without
     // truncated buckets.
-    for (bucket_cap, appends) in [(100, true), (2, false)] {
+    for bucket_cap in [100, 2] {
         let params = MergeParams::custom(200, 2, 0.0, bucket_cap);
-        let run = |jobs| {
-            run_interleaving(42, &CorpusConfig { params, ..with_jobs(jobs) }, appends, false)
-        };
+        let run = |jobs| run_interleaving(42, &CorpusConfig { params, ..with_jobs(jobs) }, false);
         let (t1, t2, t8) = (run(1), run(2), run(8));
         assert_eq!(t1, t2, "cap {bucket_cap}: jobs 1 vs 2 transcripts diverged");
         assert_eq!(t1, t8, "cap {bucket_cap}: jobs 1 vs 8 transcripts diverged");
@@ -332,8 +302,8 @@ fn interleaving_transcript_is_identical_across_jobs() {
 }
 
 /// Readers against a writer. Reader threads sweep every module at every
-/// `k` while one writer applies a fixed sequence of body swaps, touches
-/// and appends, most of which spare most memoized lists. Whatever the
+/// `k` while one writer applies a fixed sequence of body swaps and
+/// touches, most of which spare most memoized lists. Whatever the
 /// interleaving, no reader may leave behind a list the writer's edits
 /// changed: after the join every answer equals a corpus rebuilt from the
 /// final sources. (The window in which a half-applied edit could be
@@ -385,10 +355,6 @@ fn readers_racing_a_writer_leave_only_current_lists() {
             let funcs = eligible(&m);
             let dst = &funcs[(step * 7) % funcs.len()];
             match siblings(&m, &funcs, dst).first() {
-                _ if step % 6 == 5 => {
-                    let fresh = format!("x{step}");
-                    corpus.ingest_function(name, &fresh, &rename_patch(&m, dst, &fresh)).unwrap();
-                }
                 Some(src) if step % 3 != 2 => {
                     let patch = body_swap_patch(&m, dst, src);
                     corpus.update_function(name, dst, Some(&patch)).unwrap();
@@ -401,11 +367,7 @@ fn readers_racing_a_writer_leave_only_current_lists() {
     });
     assert!(sweeps >= READERS, "every reader swept at least once");
 
-    let rebuilt = Corpus::new(cfg);
-    for name in names {
-        let src = corpus.module_source(name).unwrap();
-        rebuilt.ingest(f3m_ir::parser::parse_module(&src).unwrap()).unwrap();
-    }
+    let rebuilt = rebuilt_from(&corpus, &cfg, &names);
     assert_eq!(sweep(&corpus), sweep(&rebuilt), "answers after the race vs a rebuilt corpus");
     let warm = corpus.stats();
     assert!(warm.memo_hits > 0, "the readers were served from the memo");
@@ -415,34 +377,81 @@ fn readers_racing_a_writer_leave_only_current_lists() {
 }
 
 /// The interleaving the race above would have to hit, forced: a module
-/// query pins its epoch, an append lands (the supersession callback runs
-/// between rankings, with no lock held), and the rankings then run under
-/// the stale pin, to which the appended function is invisible. No bucket
-/// neighbor had a memo for the append to judge, so none was stamped; if
-/// those rankings were memoized they would be served at the new epoch
-/// without the new function.
+/// query pins its epoch `P`; a fourth module is ingested (`P+1`) and one
+/// of its functions — which arrived sharing no bucket with a function `q`
+/// of the queried module — is updated into a copy of `q` (`P+2`), both
+/// inside the supersession callback, which runs between rankings with no
+/// lock held; the rankings then run under the stale pin. The ingest did
+/// not stamp `q` (no shared bucket), the update found no memo of `q` to
+/// judge, and the copy is invisible at `P`: if those rankings were
+/// memoized, `q`'s list would be served at `P+2` without its copy.
 #[test]
 fn rankings_under_a_stale_pin_are_not_memoized() {
-    let corpus = Corpus::new(with_jobs(1));
-    let m = workload("m", 900);
-    corpus.ingest(m.clone()).unwrap();
-    let funcs = eligible(&m);
-    let (src, patch) = (&funcs[0], rename_patch(&m, &funcs[0], "twin"));
+    let names = ["p0", "p1", "p2", "late"];
+    let cfg = CorpusConfig { params: MergeParams::custom(200, 2, 0.0, 100), ..with_jobs(1) };
+    let modules: Vec<Module> =
+        names.iter().enumerate().map(|(i, name)| workload(name, 900 + i as u64)).collect();
+    let (p0, late) = (&modules[0], &modules[3]);
 
-    let mut appended = false;
+    // At threshold 0 and a `k` past the corpus size a list names every bucket
+    // neighbor, so a scout corpus tells which pairs share none on arrival.
+    let scout = Corpus::new(cfg.clone());
+    for m in &modules {
+        scout.ingest(m.clone()).unwrap();
+    }
+    let sig = |m: &Module, name: &str| {
+        let f = m.function(m.lookup_function(name).unwrap());
+        (f.params.clone(), f.ret_ty)
+    };
+    let late_funcs = eligible(late);
+    let (q, x) = eligible(p0)
+        .into_iter()
+        .find_map(|q| {
+            let (_, list) = scout.query_function("p0", &q, 1_000).unwrap();
+            if list.candidates.iter().any(|c| c.func.starts_with("late.")) {
+                return None;
+            }
+            let x = late_funcs.iter().find(|x| sig(late, x) == sig(p0, &q))?;
+            Some((q, x.clone()))
+        })
+        .expect("a function of `p0` that shares no bucket with `late` as it arrives");
+    // Every workload declares the same externals and calls nothing else,
+    // so a body of `p0` verifies inside `late`.
+    let mut donor = p0.clone();
+    if let Some(taken) = donor.lookup_function(&x).filter(|_| x != q) {
+        donor.rename_function(taken, format!("{x}__old"));
+    }
+    let qid = donor.lookup_function(&q).unwrap();
+    donor.rename_function(qid, x.clone());
+    let patch = print_module(&donor);
+
+    let corpus = Corpus::new(cfg.clone());
+    for m in &modules[..3] {
+        corpus.ingest(m.clone()).unwrap();
+    }
+    let mut landed = false;
     let outcome = corpus
-        .query_module_cancellable("m", 5, |_| {
-            if !std::mem::replace(&mut appended, true) {
-                corpus.ingest_function("m", "twin", &patch).unwrap();
+        .query_module_cancellable("p0", 5, |_| {
+            if !std::mem::replace(&mut landed, true) {
+                corpus.ingest(late.clone()).unwrap();
+                assert!(corpus.update_function("late", &x, Some(&patch)).unwrap().changed);
             }
             false
         })
         .unwrap();
-    assert!(matches!(outcome, QueryOutcome::Superseded { .. }), "the append superseded the pin");
+    assert!(matches!(outcome, QueryOutcome::Superseded { .. }), "the writes superseded the pin");
 
-    let (_, after) = corpus.query_function("m", src, 5).unwrap();
+    let (_, after) = corpus.query_function("p0", &q, 5).unwrap();
     assert!(
-        after.candidates.iter().any(|c| c.func == "m.twin" && c.similarity == 1.0),
-        "the clone is in its source's list at the new epoch: {after:?}"
+        after.candidates.iter().any(|c| c.func == format!("late.{x}")),
+        "the copy is in its source's list at the new epoch: {after:?}"
     );
+    let rebuilt = rebuilt_from(&corpus, &cfg, &names);
+    for name in names {
+        assert_eq!(
+            format!("{:?}", corpus.query_module(name, 5).unwrap().1),
+            format!("{:?}", rebuilt.query_module(name, 5).unwrap().1),
+            "`{name}` after late.{x} became a copy of p0.{q} under a stale pin"
+        );
+    }
 }

@@ -1,24 +1,17 @@
 //! Equivalence of the mmap-resident restore path with the bulk restore
-//! path, and monotonicity of multi-probe widening.
+//! path.
 //!
 //! A corpus restored through [`Corpus::load_snapshot_resident`] under any
 //! budget is a pure paging change: query answers, epochs and subsequent
 //! mutations must be byte-identical to a bulk [`Corpus::load_snapshot`]
 //! of the same file, at every shard count and jobs level, whichever
-//! pager backend serves the rows. Multi-probe widening may only ever
-//! *add* candidates: the probe sequence is prefix-stable, so the
-//! candidate set at probe budget `p1` is a subset of the set at
-//! `p2 > p1`, and probing composes with residency without changing
-//! answers.
+//! pager backend serves the rows.
 
 use std::path::PathBuf;
 
 use f3m_core::corpus::{Corpus, CorpusConfig};
-use f3m_fingerprint::encode::encode_function;
-use f3m_fingerprint::lsh::{band_keys_for, probe_keys_for};
 use f3m_fingerprint::pager::PagerKind;
 use f3m_fingerprint::resident::TARGET_SHARD_BYTES;
-use f3m_fingerprint::{backend_for, MergeParams, ShardedLshIndex};
 use f3m_ir::module::Module;
 use f3m_ir::printer::print_module;
 
@@ -217,88 +210,5 @@ fn resident_corpus_mutations_match_bulk_twin() {
         assert_eq!(dump(&reloaded), dump(&bulk), "resident reload of {saved:?}");
         let _ = std::fs::remove_dir_all(saved.parent().unwrap());
     }
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
-}
-
-/// Probe sequences are prefix-stable, so candidate sets grow
-/// monotonically with the probe budget and always contain the unprobed
-/// set.
-#[test]
-fn multi_probe_candidates_grow_monotonically()  {
-    let mut spec = f3m_workloads::mini_suite()[1].clone();
-    spec.functions = 72;
-    spec.seed = 5150;
-    let m = f3m_workloads::build_module(&spec);
-    let params = MergeParams::static_default();
-    let backend = backend_for(params.backend, params.k);
-    let sigs: Vec<Vec<u64>> = m
-        .defined_functions()
-        .into_iter()
-        .map(|f| backend.signature(&encode_function(&m.types, m.function(f))))
-        .collect();
-
-    let index: ShardedLshIndex<usize> = ShardedLshIndex::new(params.lsh, 3);
-    for (i, sig) in sigs.iter().enumerate() {
-        index.insert_with_keys(i, &band_keys_for(params.lsh, sig));
-    }
-
-    for (i, sig) in sigs.iter().enumerate() {
-        let base_keys = band_keys_for(params.lsh, sig);
-        let (base, _) = index.candidates_counted(&base_keys, i);
-        let mut prev: Vec<usize> = base;
-        for probes in [4usize, 16, 64] {
-            let keys = probe_keys_for(params.lsh, sig, probes);
-            assert_eq!(&keys[..base_keys.len()], &base_keys[..], "prefix-stable probes");
-            let (cands, _) = index.candidates_counted(&keys, i);
-            assert!(
-                prev.iter().all(|c| cands.contains(c)),
-                "fn {i}: probes={probes} dropped a candidate"
-            );
-            assert!(cands.len() >= prev.len(), "fn {i}: candidate count shrank");
-            prev = cands;
-        }
-    }
-
-    // Probing must genuinely *recall* a near-miss, not just re-collect
-    // the base buckets. Plant a neighbor one low-bit flip away in every
-    // band: it shares no exact band with the query (invisible to the
-    // unprobed lookup), but probe 0 perturbs band 0 slot 0 bit 0 —
-    // exactly the neighbor's band-0 bucket.
-    let query = sigs[0].clone();
-    let r = params.lsh.rows;
-    let mut neighbor = query.clone();
-    for j in 0..params.lsh.bands {
-        neighbor[j * r] ^= 1;
-    }
-    let nid = sigs.len();
-    index.insert_with_keys(nid, &band_keys_for(params.lsh, &neighbor));
-    let (unprobed, _) = index.candidates_counted(&band_keys_for(params.lsh, &query), 0);
-    assert!(!unprobed.contains(&nid), "neighbor shares no exact band");
-    let (probed, _) = index.candidates_counted(&probe_keys_for(params.lsh, &query, 1), 0);
-    assert!(probed.contains(&nid), "one probe recalls the adjacent bucket");
-}
-
-/// Probing composes with residency: a probed corpus restored bulk and
-/// restored resident answer identically.
-#[test]
-fn probed_queries_match_across_restore_modes() {
-    let cfg = || CorpusConfig {
-        jobs: 1,
-        params: MergeParams::static_default().with_probes(16),
-        ..CorpusConfig::default()
-    };
-    let corpus = populated_corpus(cfg(), 3);
-    let path = tmp("probed");
-    corpus.save_snapshot(&path).expect("save");
-
-    let bulk = Corpus::load_snapshot(&path, cfg()).expect("bulk load");
-    let resident = Corpus::load_snapshot_resident(&path, cfg(), PagerKind::Auto, TINY_BUDGET)
-        .expect("resident load");
-    assert_eq!(query_dump(&resident, 3), query_dump(&bulk, 3), "probed answers");
-
-    // The probe budget is a query-time knob: a snapshot written with
-    // probes=16 loads fine under probes=0 and vice versa.
-    let unprobed = CorpusConfig { jobs: 1, ..CorpusConfig::default() };
-    Corpus::load_snapshot(&path, unprobed).expect("probes are not a snapshot parameter");
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }

@@ -29,7 +29,7 @@ const USAGE: &str = "\
 usage: f3m <merge|stats|run|gen|fuzz|serve|client|snapshot|list> ...
 
 merge <input.ir> [-o out.ir] [--strategy hyfm|f3m|f3m-adaptive]
-       [--backend minhash|simhash|tlsh|embed] [--probes n]
+       [--backend minhash|simhash|embed]
        [--threshold t] [--bands b] [--rows r] [-k k] [--bucket-cap c]
        [--jobs n] [--report json] [--repair phi|stack|legacy] [--dce]
        [--trace chrome:path] [--metrics path]
@@ -44,8 +44,8 @@ fuzz  [--iterations n] [--seed s] [--corpus dir]
        [--protocol [--cases n]] [--global]
        [--trace chrome:path] [--metrics path]
 serve [--addr host:port] [--jobs n] [--queue-cap c] [--shards s]
-       [--backend minhash|simhash|tlsh|embed] [--snapshot path]
-       [--probes n] [--resident-budget bytes]
+       [--backend minhash|simhash|embed] [--snapshot path]
+       [--resident-budget bytes]
        [--shed-depth d] [--max-inflight n] [--max-inflight-per-conn n]
        [--read-deadline-ms t] [--idle-timeout-ms t]
        [--trace chrome:path] [--metrics path]
@@ -214,6 +214,14 @@ fn wants_json_report(a: &Args) -> Result<bool, String> {
     }
 }
 
+/// The fingerprint family called `name` (`--backend`), or an error listing
+/// the families there are.
+fn parse_backend(name: &str) -> Result<BackendKind, String> {
+    BackendKind::parse(name).ok_or_else(|| {
+        format!("unknown backend `{name}` ({})", BackendKind::ALL.map(BackendKind::name).join(", "))
+    })
+}
+
 fn cmd_merge(args: &[String]) -> CliResult {
     if args.iter().any(|a| a == "--global") {
         return cmd_merge_global(args);
@@ -221,8 +229,8 @@ fn cmd_merge(args: &[String]) -> CliResult {
     let a = split_args(
         args,
         &[
-            "-o", "--strategy", "--threshold", "--backend", "--probes", "--bands", "--rows", "-k",
-            "--bucket-cap", "--jobs", "--report", "--repair", "--trace", "--metrics",
+            "-o", "--strategy", "--threshold", "--backend", "--bands", "--rows", "-k", "--bucket-cap",
+            "--jobs", "--report", "--repair", "--trace", "--metrics",
         ],
         &["--dce"],
     )?;
@@ -240,22 +248,13 @@ fn cmd_merge(args: &[String]) -> CliResult {
         }
     }
     if let Some(name) = a.value("--backend") {
-        let backend = BackendKind::parse(name)
-            .ok_or_else(|| format!("unknown backend `{name}` (minhash, simhash, tlsh, embed)"))?;
+        let backend = parse_backend(name)?;
         if let Strategy::F3m(params) = &mut config.strategy {
             params.backend = backend;
         } else {
             return Err("--backend only applies to --strategy f3m (adaptive derives \
                         its parameters per module; hyfm has no fingerprint index)"
                 .into());
-        }
-    }
-    if let Some(n) = a.value("--probes") {
-        let probes: usize = n.parse()?;
-        if let Strategy::F3m(params) = &mut config.strategy {
-            params.probes = probes;
-        } else {
-            return Err("--probes only applies to --strategy f3m".into());
         }
     }
     let lsh_knobs = ["--bands", "--rows", "--bucket-cap", "-k"];
@@ -614,7 +613,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let a = split_args(
         args,
         &[
-            "--addr", "--jobs", "--queue-cap", "--shards", "--backend", "--snapshot", "--probes",
+            "--addr", "--jobs", "--queue-cap", "--shards", "--backend", "--snapshot",
             "--resident-budget", "--shed-depth", "--max-inflight", "--max-inflight-per-conn",
             "--read-deadline-ms", "--idle-timeout-ms", "--trace", "--metrics",
         ],
@@ -623,8 +622,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let obs = Observability::parse(&a)?;
     let backend = match a.value("--backend") {
         None => BackendKind::MinHash,
-        Some(name) => BackendKind::parse(name)
-            .ok_or_else(|| format!("unknown backend `{name}` (minhash, simhash, tlsh, embed)"))?,
+        Some(name) => parse_backend(name)?,
     };
     let mut admission = f3m::serve::AdmissionConfig::default();
     if let Some(v) = a.value("--shed-depth") {
@@ -642,7 +640,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         queue_cap: a.parsed("--queue-cap")?.unwrap_or(64),
         shards: a.parsed("--shards")?.unwrap_or(8),
         backend,
-        probes: a.parsed("--probes")?.unwrap_or(0),
         resident_budget: a.parsed("--resident-budget")?,
         admission,
         snapshot_path: a.value("--snapshot").map(PathBuf::from),

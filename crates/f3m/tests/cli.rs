@@ -254,6 +254,16 @@ fn undeclared_flags_and_missing_values_are_rejected() {
     assert!(stderr.contains("unknown flag `--sharsd`"), "{stderr}");
     let stderr = run_err(f3m().arg("merge").arg(&input).arg("--jobs"));
     assert!(stderr.contains("`--jobs` needs a value"), "{stderr}");
+    // Retired with ISSUE 23: the multi-probe budget and the fourth backend.
+    let stderr = run_err(f3m().arg("merge").arg(&input).args(["--probes", "4"]));
+    assert!(stderr.contains("unknown flag `--probes`"), "{stderr}");
+    let stderr = run_err(f3m().args(["serve", "--probes", "4"]));
+    assert!(stderr.contains("unknown flag `--probes`"), "{stderr}");
+    let tlsh = ["--strategy", "f3m", "--backend", "tlsh"];
+    let stderr = run_err(f3m().arg("merge").arg(&input).args(tlsh));
+    assert!(stderr.contains("unknown backend `tlsh` (minhash, simhash, embed)"), "{stderr}");
+    let stderr = run_err(f3m().args(["serve", "--backend", "tlsh"]));
+    assert!(stderr.contains("unknown backend `tlsh` (minhash, simhash, embed)"), "{stderr}");
     // `run <input.ir> <function>` takes no flags; negative integers are
     // arguments, not flags.
     let stderr = run_err(f3m().arg("run").arg(&input).args(["__driver", "42", "--jobs", "2"]));

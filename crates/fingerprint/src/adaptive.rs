@@ -21,12 +21,6 @@ pub struct MergeParams {
     pub threshold: f64,
     /// Fingerprint family producing the signatures.
     pub backend: BackendKind,
-    /// Extra multi-probe LSH perturbations per query (0 = classic
-    /// single-probe). A query-time knob: it changes which buckets are
-    /// *looked at*, never what is stored, so it is not part of the
-    /// snapshot header and two corpora differing only in `probes` are
-    /// snapshot-compatible.
-    pub probes: usize,
 }
 
 impl MergeParams {
@@ -38,7 +32,6 @@ impl MergeParams {
             lsh: LshParams { rows: 2, bands: DEFAULT_K / 2, bucket_cap: 100 },
             threshold: 0.0,
             backend: BackendKind::MinHash,
-            probes: 0,
         }
     }
 
@@ -54,7 +47,6 @@ impl MergeParams {
             lsh: LshParams { rows: 2, bands, bucket_cap: 100 },
             threshold,
             backend: BackendKind::MinHash,
-            probes: 0,
         }
     }
 
@@ -66,18 +58,12 @@ impl MergeParams {
             lsh: LshParams { rows, bands: k / rows, bucket_cap },
             threshold,
             backend: BackendKind::MinHash,
-            probes: 0,
         }
     }
 
     /// The same parameters with a different fingerprint family.
     pub fn with_backend(self, backend: BackendKind) -> MergeParams {
         MergeParams { backend, ..self }
-    }
-
-    /// The same parameters with a multi-probe budget.
-    pub fn with_probes(self, probes: usize) -> MergeParams {
-        MergeParams { probes, ..self }
     }
 }
 

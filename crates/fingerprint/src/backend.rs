@@ -16,12 +16,6 @@
 //!   slot equality is byte-granular Hamming similarity of the 8·k-bit
 //!   SimHash, and an `r = 2` band carries 16 bits of entropy (a one-bit
 //!   slot would collapse every band bucket to ≤ 4 distinct keys).
-//! - [`BackendKind::Tlsh`] — a TLSH-style locality hash: shingle hashes
-//!   are scattered into `4k` counting buckets, the count distribution's
-//!   quartiles turn each bucket into a 2-bit code, and each slot packs 4
-//!   codes. Quartile coding makes the digest depend on the *shape* of the
-//!   body distribution rather than raw counts, so it tolerates function
-//!   length differences better than raw frequency vectors.
 //! - [`BackendKind::Embed`] — a KEENHash-style function-aware embedding:
 //!   a namespaced feature vector (opcode unigrams, opcode bigrams,
 //!   instruction shape, length bucket) is projected through the SimHash
@@ -36,7 +30,7 @@
 //! per backend, only the signature function differs.
 
 use crate::fnv::{fnv1a_u64s, xor_constants};
-use crate::minhash::{minhash_signature, shingle_hashes};
+use crate::minhash::minhash_signature;
 
 /// Selector for a fingerprint family, as chosen by `--backend`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -46,8 +40,6 @@ pub enum BackendKind {
     MinHash,
     /// SimHash over opcode frequencies, 8 projection bits per slot.
     SimHash,
-    /// TLSH-style quartile-coded bucket counts, 4 codes per slot.
-    Tlsh,
     /// Function-aware feature embedding (unigrams/bigrams/shape/length)
     /// with SimHash projection, 8 sign bits per slot.
     Embed,
@@ -55,15 +47,14 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// All backends, in CLI/bench presentation order.
-    pub const ALL: [BackendKind; 4] =
-        [BackendKind::MinHash, BackendKind::SimHash, BackendKind::Tlsh, BackendKind::Embed];
+    pub const ALL: [BackendKind; 3] =
+        [BackendKind::MinHash, BackendKind::SimHash, BackendKind::Embed];
 
     /// The CLI name (`--backend <name>`).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::MinHash => "minhash",
             BackendKind::SimHash => "simhash",
-            BackendKind::Tlsh => "tlsh",
             BackendKind::Embed => "embed",
         }
     }
@@ -73,12 +64,17 @@ impl BackendKind {
         BackendKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
+    /// The snapshot tag of a backend that was shipped once and then
+    /// retired (ISSUE 23: dominated on every recorded axis). Never
+    /// reassigned, so an old snapshot is refused by name instead of being
+    /// read as some other family's signatures.
+    pub const RETIRED_TAG: u8 = 2;
+
     /// A stable one-byte tag for the snapshot header.
     pub fn tag(self) -> u8 {
         match self {
             BackendKind::MinHash => 0,
             BackendKind::SimHash => 1,
-            BackendKind::Tlsh => 2,
             BackendKind::Embed => 3,
         }
     }
@@ -116,7 +112,6 @@ pub fn backend_for(kind: BackendKind, k: usize) -> Box<dyn FingerprintBackend> {
     match kind {
         BackendKind::MinHash => Box::new(MinHashBackend::new(k)),
         BackendKind::SimHash => Box::new(SimHashBackend::new(k)),
-        BackendKind::Tlsh => Box::new(TlshBackend::new(k)),
         BackendKind::Embed => Box::new(EmbedBackend::new(k)),
     }
 }
@@ -283,67 +278,6 @@ impl FingerprintBackend for SimHashBackend {
     }
 }
 
-/// TLSH-style locality hash: shingle hashes scatter into `4k` counting
-/// buckets; quartiles of the non-trivial count distribution code each
-/// bucket in 2 bits; 4 codes pack into each signature slot.
-pub struct TlshBackend {
-    k: usize,
-}
-
-/// Quartile codes per TLSH signature slot.
-pub const TLSH_CODES_PER_SLOT: usize = 4;
-
-impl TlshBackend {
-    pub fn new(k: usize) -> TlshBackend {
-        TlshBackend { k }
-    }
-}
-
-impl FingerprintBackend for TlshBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Tlsh
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn signature(&self, encoded: &[u32]) -> Vec<u64> {
-        let nbuckets = self.k * TLSH_CODES_PER_SLOT;
-        let mut counts = vec![0u32; nbuckets];
-        for h in shingle_hashes(encoded) {
-            counts[(h % nbuckets as u64) as usize] += 1;
-        }
-        // Quartiles of the count distribution (zeros included: sparse
-        // functions legitimately leave most buckets empty, and the
-        // quartile cut then separates occupied from empty buckets).
-        let mut sorted = counts.clone();
-        sorted.sort_unstable();
-        let q1 = sorted[nbuckets / 4];
-        let q2 = sorted[nbuckets / 2];
-        let q3 = sorted[3 * nbuckets / 4];
-        (0..self.k)
-            .map(|s| {
-                let mut slot = 0u64;
-                for c in 0..TLSH_CODES_PER_SLOT {
-                    let count = counts[s * TLSH_CODES_PER_SLOT + c];
-                    let code: u64 = if count <= q1 {
-                        0
-                    } else if count <= q2 {
-                        1
-                    } else if count <= q3 {
-                        2
-                    } else {
-                        3
-                    };
-                    slot |= code << (2 * c);
-                }
-                slot
-            })
-            .collect()
-    }
-}
-
 /// KEENHash-style function embedding. The function is summarized as a
 /// sparse feature vector in four namespaces over the [encoded
 /// word](crate::encode) (opcode 31–24, operand count 23–20, result type
@@ -358,9 +292,9 @@ impl FingerprintBackend for TlshBackend {
 ///
 /// The vector is then projected exactly like SimHash
 /// ([`projection_bits`]), packing [`SIMHASH_BITS_PER_SLOT`] sign bits
-/// per slot — so banding, similarity, storage and multi-probe key
-/// perturbation all work unchanged. Accumulation over a hash map is
-/// order-independent because signed addition commutes.
+/// per slot — so banding, similarity and storage all work unchanged.
+/// Accumulation over a hash map is order-independent because signed
+/// addition commutes.
 pub struct EmbedBackend {
     k: usize,
 }
@@ -449,6 +383,10 @@ mod tests {
         }
         assert_eq!(BackendKind::parse("nope"), None);
         assert_eq!(BackendKind::from_tag(200), None);
+        // Tags are an on-disk format: pinned by value, the retired one
+        // never handed out again.
+        assert_eq!(BackendKind::ALL.map(BackendKind::tag), [0, 1, 3]);
+        assert_eq!(BackendKind::from_tag(BackendKind::RETIRED_TAG), None);
         assert_eq!(BackendKind::default(), BackendKind::MinHash);
     }
 
@@ -517,7 +455,7 @@ mod tests {
         // a varied corpus — the reason SimHash packs 8 bits per slot
         // instead of one sign bit per slot.
         let p = LshParams { rows: 2, bands: 16, bucket_cap: 100 };
-        for kind in [BackendKind::SimHash, BackendKind::Tlsh, BackendKind::Embed] {
+        for kind in [BackendKind::SimHash, BackendKind::Embed] {
             let backend = backend_for(kind, 32);
             let mut keys = std::collections::HashSet::new();
             for f in 0..40u32 {

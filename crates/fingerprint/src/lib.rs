@@ -30,7 +30,7 @@ pub mod store;
 
 pub use adaptive::MergeParams;
 pub use backend::{backend_for, signature_similarity, BackendKind, FingerprintBackend};
-pub use lsh::{probe_keys_for, BandKey, LshIndex, LshParams, QueryScratch};
+pub use lsh::{BandKey, LshIndex, LshParams, QueryScratch};
 pub use pager::{new_pager, Pager, PagerKind};
 pub use resident::{ResidencyCounters, ResidentStore, RowRef};
 pub use sharded::{ShardStats, ShardedLshIndex};

@@ -16,8 +16,8 @@
 //!
 //! The index is signature-agnostic: any [fingerprint
 //! backend](crate::backend) that produces a `k`-slot `u64` signature bands
-//! through the same [`band_keys_for`] path (MinHash slots, SimHash
-//! projection bytes, TLSH-style quartile codes).
+//! through the same [`band_keys_for`] path (MinHash slots, SimHash and
+//! embedding projection bytes).
 //!
 //! Over-populated buckets (caused by very common instruction subsequences)
 //! are tamed by capping the number of entries taken per bucket
@@ -101,50 +101,6 @@ pub fn band_keys_for(params: LshParams, sig: &[u64]) -> Vec<BandKey> {
         .collect()
 }
 
-/// Band keys plus a multi-probe sequence of `probes` perturbed keys.
-///
-/// Multi-probe LSH: instead of growing recall by adding bands (which
-/// grows the *index*), perturb the query's bands and look into the
-/// neighboring buckets a near-duplicate would most plausibly have landed
-/// in — paying query-time work for recall, tunable per query.
-///
-/// The probe sequence is deterministic and *prefix-stable*: the result
-/// for `probes = n` is exactly the first `bands + n` keys of the result
-/// for `probes = n + 1`. Fed through `probe_keys_into` (which dedups),
-/// that makes the candidate set monotonically non-decreasing in
-/// `probes` — recall can only go up.
-///
-/// Perturbation `d` flips one low bit of one slot of band `d % bands`:
-/// variant `v = d / bands` selects slot `v % rows` and bit
-/// `(v / rows) % 8`. The low 8 bits are the right target for every
-/// backend: SimHash and the embedding backend pack their 8 per-slot
-/// projection signs there ([`SIMHASH_BITS_PER_SLOT`]
-/// (crate::backend::SIMHASH_BITS_PER_SLOT)), so a single-bit flip is
-/// precisely the adjacent Hamming bucket; for MinHash/TLSH slot values
-/// it is simply the smallest perturbation of the banded value.
-///
-/// # Panics
-///
-/// Panics if the signature is smaller than `k = rows × bands`.
-pub fn probe_keys_for(params: LshParams, sig: &[u64], probes: usize) -> Vec<BandKey> {
-    let r = params.rows;
-    let mut keys = band_keys_for(params, sig);
-    keys.reserve(probes);
-    let mut band = vec![0u64; r];
-    for d in 0..probes {
-        let j = d % params.bands;
-        let v = d / params.bands;
-        let slot = v % r;
-        let bit = (v / r) % 8;
-        band.copy_from_slice(&sig[j * r..(j + 1) * r]);
-        band[slot] ^= 1u64 << bit;
-        keys.push(fold_key(
-            fnv1a_u64s(&band).wrapping_add((j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        ));
-    }
-    keys
-}
-
 /// An LSH index mapping band hashes to buckets of items.
 #[derive(Clone, Debug)]
 pub struct LshIndex<T> {
@@ -195,7 +151,7 @@ pub enum Crossed<T> {
 }
 
 /// What one [`RowOp`] did to one bucket, as seen by the bucket's members —
-/// under single-probe, exactly the items that probe it.
+/// exactly the items that probe it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketDelta<'b, T> {
     /// The bucket after the step, ascending (empty if the step emptied it).
@@ -556,63 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_sequence_is_prefix_stable() {
-        let p = params();
-        let s: Vec<u32> = (3..40).collect();
-        let f = sig(&s, 32);
-        assert_eq!(probe_keys_for(p, &f, 0), band_keys_for(p, &f));
-        for n in 0..64usize {
-            let shorter = probe_keys_for(p, &f, n);
-            let longer = probe_keys_for(p, &f, n + 1);
-            assert_eq!(&longer[..shorter.len()], &shorter[..], "probes={n}");
-            assert_eq!(longer.len(), p.bands + n + 1);
-        }
-    }
-
-    #[test]
-    fn probes_reach_neighboring_buckets() {
-        // A single low-bit flip in one slot is exactly what a probe
-        // perturbs, so the probed key set of the clean signature must hit
-        // the flipped signature's base bucket for that band.
-        let p = params();
-        let s: Vec<u32> = (0..30).collect();
-        let clean = sig(&s, 32);
-        let mut flipped = clean.clone();
-        flipped[0] ^= 1; // band 0, slot 0, bit 0 = first perturbation
-        let base_flipped = band_keys_for(p, &flipped);
-        let probed = probe_keys_for(p, &clean, 1);
-        assert_eq!(probed[p.bands], base_flipped[0], "probe 0 lands in the neighbor bucket");
-        // And the probe keys are not already in the base set.
-        assert!(!band_keys_for(p, &clean).contains(&probed[p.bands]));
-    }
-
-    #[test]
-    fn probed_query_is_a_superset_of_the_base_query() {
-        let p = params();
-        let mut idx = LshIndex::new(p);
-        for i in 0..200u32 {
-            let s: Vec<u32> = (i % 11..i % 11 + 25).collect();
-            idx.insert(i, &sig(&s, 32));
-        }
-        let q = sig(&(2..27).collect::<Vec<u32>>(), 32);
-        let mut scratch = QueryScratch::new();
-        let mut prev: Option<Vec<u32>> = None;
-        for probes in [0usize, 8, 32, 128] {
-            let keys = probe_keys_for(p, &q, probes);
-            idx.probe_keys_into(&keys, u32::MAX, &mut scratch);
-            let mut got = scratch.out.clone();
-            got.sort_unstable();
-            if let Some(prev) = &prev {
-                assert!(
-                    prev.iter().all(|c| got.binary_search(c).is_ok()),
-                    "candidates must be monotone in probes (probes={probes})"
-                );
-            }
-            prev = Some(got);
-        }
-    }
-
-    #[test]
     fn identical_items_share_all_bands() {
         let mut idx = LshIndex::new(params());
         let s: Vec<u32> = (0..20).collect();
@@ -759,7 +658,7 @@ mod tests {
         let mut scratch = QueryScratch::new();
         let mut truncated = 0;
         for (i, f) in sigs.iter().enumerate() {
-            let keys = probe_keys_for(p, f, 8);
+            let keys = band_keys_for(p, f);
             let stats = idx.probe_keys_into(&keys, i as u32, &mut scratch);
             // Recount from the buckets themselves.
             let mut hits = std::collections::BTreeMap::new();

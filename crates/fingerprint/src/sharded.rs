@@ -193,25 +193,25 @@ impl<T: DenseId> ShardedLshIndex<T> {
     }
 
     /// The one-row form of [`Self::apply_delta`]: moves row `id` from its
-    /// `old` band keys (empty for a row new to the index) to its `new`
-    /// ones, leaving the index as `apply_delta(&[(id, old)], &[(id, new)])`
-    /// would, and instead of collecting the touched neighborhoods calls
+    /// `old` band keys to its `new` ones, leaving the index as
+    /// `apply_delta(&[(id, old)], &[(id, new)])` would, and instead of
+    /// collecting the touched neighborhoods calls
     /// `visit` once per touched bucket with a [`BucketDelta`] — borrowed
     /// under the owning shard's lock, no bucket is copied. A band whose
     /// key did not change is visited once and left alone; a band whose
     /// key changed is visited as the bucket the row left, then as the
     /// bucket it joined.
     ///
-    /// Under single-probe an item probes exactly the buckets it is a
-    /// member of and sees their first `bucket_cap` ids, so the visits
-    /// name everything the delta can change in anybody's candidate set:
-    /// the row itself where it is visible, and per bucket the one id that
-    /// crossed the cap. Callers serialize against other writers and bump
-    /// the epoch, as for `apply_delta`.
+    /// An item probes exactly the buckets it is a member of and sees
+    /// their first `bucket_cap` ids, so the visits name everything the
+    /// delta can change in anybody's candidate set: the row itself where
+    /// it is visible, and per bucket the one id that crossed the cap.
+    /// Callers serialize against other writers and bump the epoch, as for
+    /// `apply_delta`.
     ///
     /// # Panics
     ///
-    /// Panics if `old` is neither empty nor as long as `new`.
+    /// Panics if `old` and `new` differ in length.
     pub fn apply_row_delta(
         &self,
         id: T,
@@ -219,19 +219,17 @@ impl<T: DenseId> ShardedLshIndex<T> {
         new: &[BandKey],
         mut visit: impl FnMut(BucketDelta<'_, T>),
     ) {
-        assert!(old.is_empty() || old.len() == new.len(), "old and new keys band for band");
+        assert_eq!(old.len(), new.len(), "old and new keys band for band");
         let mut step = |key: BandKey, op: RowOp| {
             let mut shard = self.shards[self.shard_of(key)].write().unwrap();
             visit(shard.row_delta(id, key, op));
         };
-        for (band, &key) in new.iter().enumerate() {
-            match old.get(band) {
-                Some(&was) if was == key => step(key, RowOp::Keep),
-                Some(&was) => {
-                    step(was, RowOp::Remove);
-                    step(key, RowOp::Insert);
-                }
-                None => step(key, RowOp::Insert),
+        for (&was, &key) in old.iter().zip(new) {
+            if was == key {
+                step(key, RowOp::Keep);
+            } else {
+                step(was, RowOp::Remove);
+                step(key, RowOp::Insert);
             }
         }
     }
@@ -500,21 +498,20 @@ mod tests {
                 members.into_iter().take(bucket_cap).collect()
             };
             let (mut entered, mut left) = (0, 0);
-            // Every row in turn moves three families on; row 40 is new.
-            for id in 0..=40u32 {
-                let (old_fp, new_fp) = ((id < 40).then_some(id), id + 3);
+            // Every row in turn moves three families on.
+            for id in 0..40u32 {
                 let (by_row, by_batch) = (ShardedLshIndex::new(p, 3), ShardedLshIndex::new(p, 3));
-                for i in (0..40u32).filter(|&i| old_fp.is_some() || i != id) {
+                for i in 0..40u32 {
                     by_row.insert_with_keys(i, &band_keys_for(p, &fp(i)));
                     by_batch.insert_with_keys(i, &band_keys_for(p, &fp(i)));
                 }
-                let old = old_fp.map_or(Vec::new(), |f| band_keys_for(p, &fp(f)));
-                let new = band_keys_for(p, &fp(new_fp));
+                let old = band_keys_for(p, &fp(id));
+                let new = band_keys_for(p, &fp(id + 3));
                 // The steps the delta takes, band by band.
                 let mut steps: Vec<BandKey> = Vec::new();
-                for (band, &key) in new.iter().enumerate() {
-                    if old.get(band).is_some_and(|&was| was != key) {
-                        steps.push(old[band]);
+                for (&was, &key) in old.iter().zip(&new) {
+                    if was != key {
+                        steps.push(was);
                     }
                     steps.push(key);
                 }
@@ -524,8 +521,7 @@ mod tests {
                 by_row.apply_row_delta(id, &old, &new, |b| {
                     visits.push((b.members.to_vec(), b.visible, b.crossed));
                 });
-                let removes: Vec<_> = old_fp.map(|_| (id, old.clone())).into_iter().collect();
-                by_batch.apply_delta(&removes, &[(id, new.clone())]);
+                by_batch.apply_delta(&[(id, old.clone())], &[(id, new.clone())]);
                 for shard in 0..3 {
                     assert_eq!(by_row.export_shard(shard), by_batch.export_shard(shard));
                 }

@@ -188,14 +188,6 @@ pub struct SnapshotLayout {
     pub file_len: usize,
 }
 
-impl SnapshotLayout {
-    /// Bytes the pools occupy (padding + sig pool + key pool) — the part
-    /// of the file a resident open does *not* read eagerly.
-    pub fn pool_bytes(&self) -> usize {
-        self.file_len - self.meta_end
-    }
-}
-
 /// Everything except the pools: the validated meta prefix of a snapshot.
 /// This is what a lazy/resident open materializes — the pools stay on
 /// disk behind the [`SnapshotLayout`] geometry.
@@ -428,8 +420,16 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
 
     // From here on the meta region is exactly what was written; any
     // structural failure means the writer lied.
-    let backend =
-        BackendKind::from_tag(buf[12]).ok_or(SnapshotError::Corrupt("unknown backend tag"))?;
+    let backend = match buf[12] {
+        BackendKind::RETIRED_TAG => {
+            return Err(SnapshotError::Mismatch(
+                "written by a fingerprint backend that has since been retired (tag 2); \
+                 re-ingest its sources under minhash, simhash or embed"
+                    .to_string(),
+            ))
+        }
+        tag => BackendKind::from_tag(tag).ok_or(SnapshotError::Corrupt("unknown backend tag"))?,
+    };
     let k = read_u32(buf, 13) as usize;
     let rows = read_u32(buf, 17) as usize;
     let bands = read_u32(buf, 21) as usize;
@@ -710,7 +710,7 @@ mod tests {
     fn empty_snapshot_round_trips() {
         let p = params();
         let header = SnapshotHeader {
-            backend: BackendKind::Tlsh,
+            backend: BackendKind::Embed,
             k: 32,
             lsh: p,
             threshold: 0.0,
@@ -722,7 +722,7 @@ mod tests {
         let bytes = encode_snapshot(&header, &store, &[], &[]);
         let snap = decode_snapshot(&bytes).expect("empty snapshot decodes");
         assert_eq!(snap.header.entries, 0);
-        assert_eq!(snap.header.backend, BackendKind::Tlsh);
+        assert_eq!(snap.header.backend, BackendKind::Embed);
         assert!(snap.buckets.is_empty());
     }
 
@@ -822,6 +822,22 @@ mod tests {
         future[8..12].copy_from_slice(&99u32.to_le_bytes());
         reseal_meta(&mut future);
         assert!(matches!(decode_snapshot(&future), Err(SnapshotError::BadVersion(99))));
+        // A checksum-valid file carrying the retired backend's tag is
+        // refused by what it is, an unknown tag as corruption.
+        let mut retired = clean.clone();
+        retired[12] = BackendKind::RETIRED_TAG;
+        reseal_meta(&mut retired);
+        match decode_snapshot(&retired) {
+            Err(SnapshotError::Mismatch(why)) => assert!(why.contains("retired"), "{why}"),
+            other => panic!("tag 2 must be refused as retired, got {:?}", other.map(|_| ())),
+        }
+        let mut unknown = clean.clone();
+        unknown[12] = 4;
+        reseal_meta(&mut unknown);
+        assert!(matches!(
+            decode_snapshot(&unknown),
+            Err(SnapshotError::Corrupt("unknown backend tag"))
+        ));
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    /// Cumulative instructions executed by all calls so far.
-    pub fn total_steps(&self) -> u64 {
-        self.steps
-    }
-
     /// Instructions executed inside the body of `f` (not counting callees).
     pub fn func_steps(&self, f: FuncId) -> u64 {
         self.per_func[f.index()]

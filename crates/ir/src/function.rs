@@ -385,12 +385,6 @@ impl Function {
             }
         }
     }
-
-    /// The linear instruction stream of the function, in block order — the
-    /// representation fingerprints and whole-function alignment work on.
-    pub fn linearize(&self) -> Vec<InstId> {
-        self.linked_insts().map(|(id, _)| id).collect()
-    }
 }
 
 #[cfg(test)]
@@ -685,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn linearize_follows_block_order() {
+    fn linked_insts_follow_block_order() {
         let (mut ts, mut f) = setup();
         let void = ts.void();
         let bb0 = f.add_block("a");
@@ -715,6 +709,6 @@ mod tests {
                 result: None,
             },
         );
-        assert_eq!(f.linearize(), vec![i0, i1]);
+        assert_eq!(f.linked_insts().map(|(id, _)| id).collect::<Vec<_>>(), vec![i0, i1]);
     }
 }

@@ -142,11 +142,6 @@ impl Opcode {
         )
     }
 
-    /// True if the instruction may access memory.
-    pub fn touches_memory(self) -> bool {
-        matches!(self, Opcode::Load | Opcode::Store | Opcode::Alloca)
-    }
-
     /// Every opcode with its mnemonic, in discriminant order; the one place
     /// an opcode is named besides its variant.
     const ALL: &'static [(Opcode, &'static str)] = &[

@@ -196,9 +196,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Fingerprint family for the resident corpus.
     pub backend: BackendKind,
-    /// Extra multi-probe LSH perturbations per candidate query
-    /// (0 = classic single-probe).
-    pub probes: usize,
     /// `Some(bytes)` restores the snapshot through the mmap-resident
     /// fingerprint store instead of a bulk read, keeping at most this
     /// many pool bytes hot (0 = map everything, spill nothing). `None`
@@ -234,7 +231,6 @@ impl Default for ServeConfig {
             queue_cap: 64,
             shards: 8,
             backend: BackendKind::MinHash,
-            probes: 0,
             resident_budget: None,
             poller: PollerKind::Auto,
             admission: AdmissionConfig::default(),
@@ -307,9 +303,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let corpus_cfg = CorpusConfig {
-            params: MergeParams::static_default()
-                .with_backend(cfg.backend)
-                .with_probes(cfg.probes),
+            params: MergeParams::static_default().with_backend(cfg.backend),
             shards: cfg.shards.max(1),
             jobs: cfg.jobs.max(1),
         };

@@ -55,10 +55,6 @@ impl Json {
         }
     }
 
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|n| n as usize)
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
