@@ -405,6 +405,57 @@ impl<T: DenseId> LshIndex<T> {
         }
     }
 
+    /// Applies everything a batch does to the bucket under `key` in one
+    /// lookup — `removes` first, one occurrence per listed id, then
+    /// `inserts`, both ascending — and calls `visit` for every member the
+    /// bucket held before and for every inserted id: the union of the
+    /// bucket's contents before and after, which is what the batch can
+    /// change for anyone probing it. The bucket ends up exactly as
+    /// [`Self::remove_with_keys`] per removal followed by
+    /// [`Self::insert_with_keys`] per insertion leave it: sorted, reclaimed
+    /// once empty, untouched by the removal of an absent id, and holding an
+    /// id once per time it was inserted (two bands of one row can fold to
+    /// the same key). Nothing is copied; insertions that sort after the
+    /// bucket's last id — a module ingest's always do — are appended.
+    pub fn key_delta(
+        &mut self,
+        key: BandKey,
+        removes: &[T],
+        inserts: &[T],
+        mut visit: impl FnMut(T),
+    ) {
+        debug_assert!(removes.is_sorted() && inserts.is_sorted(), "batches are ascending");
+        match self.buckets.entry(key) {
+            Entry::Vacant(slot) => {
+                if !inserts.is_empty() {
+                    slot.insert(inserts.to_vec());
+                }
+            }
+            Entry::Occupied(mut slot) => {
+                let bucket = slot.get_mut();
+                // One walk visits the members and drops the removed ones.
+                let mut gone = removes.iter().peekable();
+                bucket.retain(|&m| {
+                    visit(m);
+                    while gone.next_if(|&&g| g < m).is_some() {}
+                    gone.next_if(|&&g| g == m).is_none()
+                });
+                match inserts.first() {
+                    Some(&first) if bucket.last().is_some_and(|&last| last > first) => {
+                        for &id in inserts {
+                            bucket.insert(bucket.partition_point(|&m| m < id), id);
+                        }
+                    }
+                    _ => bucket.extend_from_slice(inserts),
+                }
+                if bucket.is_empty() {
+                    slot.remove();
+                }
+            }
+        }
+        inserts.iter().copied().for_each(visit);
+    }
+
     /// The sorted contents of the bucket under one band key (`None` when
     /// empty). This is the probing primitive a sharded wrapper uses to
     /// reproduce [`Self::candidates_counted`] across shard boundaries.

@@ -18,6 +18,16 @@
 //! readers pin [`ShardedLshIndex::epoch`] once and filter what they find
 //! against per-entry epoch intervals kept by the caller (see
 //! `f3m-core`'s corpus). The index itself stores only ids.
+//!
+//! Writes come in two grains. A module-level delta
+//! ([`ShardedLshIndex::apply_delta`]) is one batched pass: its
+//! `(key, op, id)` triples are sorted once, each shard is write-locked
+//! once, each distinct key costs one bucket lookup, and the ids met are
+//! marked in a dense table — the cost is the rows that move plus the
+//! members of the buckets they move through, with no bucket copied. A
+//! one-row delta ([`ShardedLshIndex::apply_row_delta`]) hands each touched
+//! bucket to a visitor instead, so its caller can judge neighbors one by
+//! one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -130,37 +140,23 @@ impl<T: DenseId> ShardedLshIndex<T> {
         }
     }
 
-    /// Distinct items currently resident in the buckets under `keys`, in
-    /// ascending item order — the **band-collision neighborhood** of those
-    /// keys. This is the dirty set an incremental caller must invalidate
-    /// when entries under `keys` change: any item whose candidate list
-    /// could be affected by the change shares at least one of these
-    /// buckets, and is therefore in the returned set.
-    pub fn members_of_keys(&self, keys: &[BandKey]) -> Vec<T> {
-        let mut members: Vec<T> = Vec::new();
-        self.for_each_shard_batch(keys, |shard, batch| {
-            let idx = shard.read().unwrap();
-            for &key in batch {
-                if let Some(bucket) = idx.probe_key(key) {
-                    members.extend_from_slice(bucket);
-                }
-            }
-        });
-        members.sort_unstable();
-        members.dedup();
-        members
-    }
-
     /// Applies a batch of removals then insertions and returns the union
     /// of the band-collision neighborhoods touched — every item (old or
     /// new) that shared a bucket with any removed or inserted key, before
     /// or after the change. The set is sorted and deduplicated.
     ///
-    /// This is the delta primitive behind incremental corpus updates: a
-    /// single-function edit removes the function's old band keys, inserts
-    /// its new ones, and must invalidate exactly the returned set — the
-    /// function itself plus its (old and new) bucket neighbors — instead
-    /// of evicting and re-indexing a whole module.
+    /// This is the delta primitive behind module-level corpus writes: the
+    /// dirty set an incremental caller must invalidate when entries under
+    /// these keys change, since any item whose candidate list the change
+    /// could affect shares at least one of the touched buckets.
+    ///
+    /// The batch is one pass: every `(key, op, id)` of both lists is
+    /// sorted once, each shard is write-locked once, and each distinct key
+    /// costs one bucket lookup ([`LshIndex::key_delta`]) that marks the
+    /// members it meets in a dense table — no bucket is copied and nothing
+    /// larger than the dirty set is sorted. The index ends up as
+    /// [`Self::remove_with_keys`] per removal followed by
+    /// [`Self::insert_with_keys`] per insertion would leave it.
     ///
     /// The caller is responsible for serializing batches against other
     /// writers (as with [`Self::insert_with_keys`]) and for bumping the
@@ -170,25 +166,40 @@ impl<T: DenseId> ShardedLshIndex<T> {
         removes: &[(T, Vec<BandKey>)],
         inserts: &[(T, Vec<BandKey>)],
     ) -> Vec<T> {
-        let touched: Vec<BandKey> = removes
-            .iter()
-            .chain(inserts.iter())
-            .flat_map(|(_, keys)| keys.iter().copied())
-            .collect();
-        // Neighborhood *before*: catches items co-bucketed with removed
-        // keys (including the removed items themselves).
-        let mut dirty = self.members_of_keys(&touched);
-        for (id, keys) in removes {
-            self.remove_with_keys(*id, keys);
+        // `false < true`: within a key, removals sort before insertions.
+        let mut ops: Vec<(BandKey, bool, T)> = Vec::new();
+        for (rows, insert) in [(removes, false), (inserts, true)] {
+            for (id, keys) in rows {
+                ops.extend(keys.iter().map(|&key| (key, insert, *id)));
+            }
         }
-        for (id, keys) in inserts {
-            self.insert_with_keys(*id, keys);
+        ops.sort_unstable();
+        let ids: Vec<T> = ops.iter().map(|&(_, _, id)| id).collect();
+
+        let (mut marked, mut dirty) = (Vec::new(), Vec::new());
+        let mut mark = |id: T| {
+            let i = id.index();
+            if i >= marked.len() {
+                marked.resize((i + 1).next_power_of_two(), false);
+            }
+            if !std::mem::replace(&mut marked[i], true) {
+                dirty.push(id);
+            }
+        };
+        // `shard_of` is monotone in the key, so a shard's keys are one run.
+        let mut at = 0;
+        let mut runs = ops.chunk_by(|a, b| a.0 == b.0).peekable();
+        while let Some(run) = runs.peek() {
+            let owner = self.shard_of(run[0].0);
+            let mut shard = self.shards[owner].write().unwrap();
+            while let Some(run) = runs.next_if(|run| self.shard_of(run[0].0) == owner) {
+                let (removed, inserted) =
+                    ids[at..at + run.len()].split_at(run.partition_point(|op| !op.1));
+                shard.key_delta(run[0].0, removed, inserted, &mut mark);
+                at += run.len();
+            }
         }
-        // Neighborhood *after*: catches items co-bucketed with inserted
-        // keys (including the inserted items themselves).
-        dirty.extend(self.members_of_keys(&touched));
         dirty.sort_unstable();
-        dirty.dedup();
         dirty
     }
 
@@ -320,6 +331,47 @@ mod tests {
 
     fn params() -> LshParams {
         LshParams { rows: 2, bands: 16, bucket_cap: 3 }
+    }
+
+    impl<T: DenseId> ShardedLshIndex<T> {
+        /// Distinct items resident in the buckets under `keys`, ascending —
+        /// the band-collision neighborhood of those keys, by copying and
+        /// sorting every bucket: the definition `apply_delta` is tested
+        /// against.
+        fn members_of_keys(&self, keys: &[BandKey]) -> Vec<T> {
+            let mut members: Vec<T> = Vec::new();
+            self.for_each_shard_batch(keys, |shard, batch| {
+                let idx = shard.read().unwrap();
+                for &key in batch {
+                    members.extend_from_slice(idx.probe_key(key).unwrap_or(&[]));
+                }
+            });
+            members.sort_unstable();
+            members.dedup();
+            members
+        }
+
+        /// `apply_delta` by its definition: the neighborhood before, each
+        /// removal then each insertion in order, the neighborhood after.
+        fn apply_delta_sequentially(
+            &self,
+            removes: &[(T, Vec<BandKey>)],
+            inserts: &[(T, Vec<BandKey>)],
+        ) -> Vec<T> {
+            let touched: Vec<BandKey> =
+                removes.iter().chain(inserts).flat_map(|(_, keys)| keys.iter().copied()).collect();
+            let mut dirty = self.members_of_keys(&touched);
+            for (id, keys) in removes {
+                self.remove_with_keys(*id, keys);
+            }
+            for (id, keys) in inserts {
+                self.insert_with_keys(*id, keys);
+            }
+            dirty.extend(self.members_of_keys(&touched));
+            dirty.sort_unstable();
+            dirty.dedup();
+            dirty
+        }
     }
 
     fn fp(seed: u32) -> Vec<u64> {
@@ -462,6 +514,122 @@ mod tests {
             let keys = band_keys_for(p, f);
             assert_eq!(sharded.candidates_counted(&keys, *id), flat.candidates_counted(f, *id));
         }
+    }
+
+    /// Random batches against the sequential definition, on the returned
+    /// set, on every bucket of every shard and on every resident row's
+    /// probe. Keys come from a ten-letter alphabet, so buckets collide and
+    /// a row's four bands repeat a key; ids come from a pool of 48, so a
+    /// round inserts below resident ids (the non-append path) as well as
+    /// above them. A round moves rows (removed under their keys, inserted
+    /// under new ones sharing some), removes some whole and some from one
+    /// band, inserts some, removes ids that are not there, and lists rows
+    /// with no keys at all.
+    #[test]
+    fn apply_delta_matches_sequential_removal_and_insertion() {
+        use f3m_prng::SmallRng;
+        use std::collections::BTreeMap;
+        type Rows = Vec<(u32, Vec<BandKey>)>;
+        type Resident = BTreeMap<u32, Vec<BandKey>>;
+        const BANDS: usize = 4;
+
+        // Batch shapes met: moved rows, absent removals, insertions below a
+        // resident id, rows listing a key twice.
+        let mut met = [0usize; 4];
+        let mut batch = |rng: &mut SmallRng, alphabet: &[BandKey], resident: &mut Resident| {
+            let row_keys = |rng: &mut SmallRng| -> Vec<BandKey> {
+                let bands = if rng.gen_bool(0.1) { 0 } else { BANDS };
+                (0..bands).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect()
+            };
+            let (mut removes, mut inserts): (Rows, Rows) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(0..24) {
+                let id = rng.gen_range(0..48u32);
+                if removes.iter().chain(&inserts).any(|&(listed, _)| listed == id) {
+                    continue;
+                }
+                match (resident.remove(&id), rng.gen_range(0..4)) {
+                    (Some(old), 0) => removes.push((id, old)),
+                    // One band only: of a key the row lists twice, one
+                    // copy stays.
+                    (Some(mut old), 1) if !old.is_empty() => {
+                        let key = old.swap_remove(rng.gen_range(0..old.len()));
+                        removes.push((id, vec![key]));
+                        resident.insert(id, old);
+                    }
+                    (Some(old), _) => {
+                        let mut new = row_keys(rng);
+                        for (key, &was) in new.iter_mut().zip(&old) {
+                            *key = if rng.gen_bool(0.5) { was } else { *key };
+                        }
+                        removes.push((id, old));
+                        inserts.push((id, new.clone()));
+                        resident.insert(id, new);
+                        met[0] += 1;
+                    }
+                    (None, 0) => {
+                        removes.push((id, row_keys(rng)));
+                        met[1] += 1;
+                    }
+                    (None, _) => {
+                        let keys = row_keys(rng);
+                        let twice = |k| keys.iter().filter(|&o| o == k).count() > 1;
+                        met[2] += usize::from(resident.range(id..).next().is_some());
+                        met[3] += usize::from(keys.iter().any(twice));
+                        inserts.push((id, keys.clone()));
+                        resident.insert(id, keys);
+                    }
+                }
+            }
+            (removes, inserts)
+        };
+
+        let seeds = if cfg!(debug_assertions) { 6 } else { 300 };
+        for (seed, shards, bucket_cap) in (0..seeds)
+            .flat_map(|seed| (1..=5).map(move |shards| (seed, shards)))
+            .flat_map(|(seed, shards)| [1, 2, 3, 100].map(|cap| (seed, shards, cap)))
+        {
+            let mut rng =
+                SmallRng::seed_from_u64((seed * 5 + shards as u64) * 100 + bucket_cap as u64);
+            let p = LshParams { rows: 2, bands: BANDS, bucket_cap };
+            let (batched, reference) =
+                (ShardedLshIndex::new(p, shards), ShardedLshIndex::new(p, shards));
+            let alphabet: Vec<BandKey> = (0..10).map(|_| rng.next_u32()).collect();
+            let mut resident = BTreeMap::new();
+            for round in 0..5 {
+                let (removes, inserts) = batch(&mut rng, &alphabet, &mut resident);
+                let case = || {
+                    format!(
+                        "seed {seed} shards {shards} cap {bucket_cap} round {round}: \
+                         -{removes:?} +{inserts:?}"
+                    )
+                };
+                assert_eq!(
+                    batched.apply_delta(&removes, &inserts),
+                    reference.apply_delta_sequentially(&removes, &inserts),
+                    "{}",
+                    case()
+                );
+                for shard in 0..shards {
+                    assert_eq!(
+                        batched.export_shard(shard),
+                        reference.export_shard(shard),
+                        "{}",
+                        case()
+                    );
+                }
+                let (mut got, mut expected) = (QueryScratch::new(), QueryScratch::new());
+                for (&id, keys) in &resident {
+                    assert_eq!(
+                        batched.probe_keys_into(keys, id, &mut got),
+                        reference.probe_keys_into(keys, id, &mut expected),
+                        "row {id} of {}",
+                        case()
+                    );
+                    assert_eq!(got.out, expected.out, "row {id} of {}", case());
+                }
+            }
+        }
+        assert!(met.iter().all(|&n| n > 0), "every batch shape occurs: {met:?}");
     }
 
     /// An item whose keys share no bucket with the delta is not dirtied —
