@@ -111,14 +111,13 @@
 //! neighbors that were tested and kept (both jobs-invariant, like
 //! `memo_hits`/`memo_misses`).
 //!
-//! One edit is wider than its row. Type encoding numbers are arrival
-//! indices in the module's `TypeStore`, so a spliced body that introduces,
-//! drops or reorders a non-prelude type renumbers the types of functions
-//! the edit never touched. When the rebuilt module's type table is not a
-//! prefix-match of the resident one the module's other rows are recomputed
-//! from it, and those whose signature changed move in the same critical
-//! section under the neighborhood rule; `x` is then judged by the four
-//! rules against the index they already moved in.
+//! An edit is exactly as wide as its row. Type codes are structural
+//! (`TypeId::encoding_number` is a function of the type alone), so a body
+//! that introduces or drops a type changes no other function's encoding,
+//! and the edited function is spliced into the resident module in place:
+//! only its definition is parsed out of the replacement text, re-parsed
+//! against the module's symbols and types, verified with its callers when
+//! its signature changed, and installed — no render, no module parse.
 //!
 //! Sparing neighbors makes two orderings load-bearing. A row-level edit
 //! is **one critical section** against `ranked`: the new row, the index
@@ -159,9 +158,12 @@ use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore, RowRef};
 use f3m_fingerprint::sharded::{ShardStats, ShardedLshIndex};
 use f3m_fingerprint::snapshot::{self, Reader, SnapshotError, SnapshotHeader, Writer};
 use f3m_fingerprint::store::PackedFingerprintStore;
+use f3m_ir::function::Function;
+use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
-use f3m_ir::parser::parse_module;
+use f3m_ir::parser::{parse_module, parse_module_for, parse_replacement};
 use f3m_ir::printer::{print_declaration, print_function, print_global};
+use f3m_ir::types::TypeStore;
 use f3m_trace::json;
 use f3m_trace::stats::{self, Stat, Value::*};
 
@@ -457,13 +459,21 @@ impl LazyModule {
         })
     }
 
+    /// The parsed module for an in-place edit; the deferred source, which
+    /// would no longer describe it, is dropped.
+    fn get_mut(&mut self) -> &mut Module {
+        self.get();
+        self.src = None;
+        self.cell.get_mut().expect("parsed just above")
+    }
+
     /// The canonical IR source: verbatim if the deferred source was
     /// never parsed (rendering is the identity on rendered sources),
     /// rendered otherwise.
     fn source(&self) -> String {
         match (self.cell.get(), &self.src) {
             (None, Some(src)) => src.clone(),
-            (m, _) => render_module_source(m.expect("parsed or deferred"), None),
+            (m, _) => render_module_source(m.expect("parsed or deferred")),
         }
     }
 }
@@ -754,14 +764,22 @@ impl Corpus {
     /// one function-grained write.
     ///
     /// `replacement_ir` is module-wrapped IR text containing a definition
-    /// of `func`; the resident module is re-rendered with that one body
-    /// spliced in (print + parse, so the result is verified) and only the
-    /// function's own fingerprint is recomputed — plus those of functions
-    /// whose types the splice renumbered (module docs). The index is updated
-    /// by delta — old band keys out, new keys in — and only the entries whose
-    /// memoized list the edit could change lose it (module docs,
-    /// "Incremental recompute"). A `touch` re-fingerprints the resident
-    /// body and runs the same test without changing any IR.
+    /// of `func`. Only that definition is read: the text is lexed and its
+    /// top level parsed, every other body is stepped over unread, and
+    /// `func`'s body is parsed and verified — a malformed body of another
+    /// function in the text is ignored. The definition's canonical print is
+    /// then re-parsed against the resident module's symbols and types and
+    /// verified as the module would verify with it installed (itself, and
+    /// its callers when its signature changed); a parse error there names
+    /// the line the definition would occupy in [`Corpus::module_source`].
+    /// The new function is installed into the resident module in place —
+    /// no render, no module parse — and only its own fingerprint is
+    /// recomputed: type codes are structural, so no other row can move.
+    /// The index is updated by delta — old band keys out, new keys in — and
+    /// only the entries whose memoized list the edit could change lose it
+    /// (module docs, "Incremental recompute"). A replacement that prints
+    /// like the resident body, and a `touch`, re-fingerprint the resident
+    /// body and run the same test without changing any IR.
     pub fn update_function(
         &self,
         module: &str,
@@ -771,66 +789,24 @@ impl Corpus {
         let _writer = self.mutate.lock().unwrap();
         let next_epoch = self.index.epoch() + 1;
 
-        // Everything up to the install runs under a read lock: parsing
-        // and printing dominate the cost, and readers keep being served.
+        // Everything up to the install runs under a read lock, and readers
+        // keep being served.
         let t = self.table.read().unwrap();
         let (mi, resident) = t.live_body(module)?;
         let resident = resident.get();
         let entry_id = t.entry_of(mi, func)?;
-
-        let mut rebuilt = None;
-        if let Some(text) = replacement_ir {
-            let incoming =
-                parse_module(text).map_err(|e| format!("update: replacement does not parse: {e}"))?;
-            let fid = incoming
-                .lookup_function(func)
-                .filter(|&f| !incoming.function(f).is_declaration)
-                .ok_or_else(|| format!("update: replacement does not define `{func}`"))?;
-            if incoming.function(fid).num_linked_insts() == 0 {
-                return Err(format!(
-                    "update: replacement `{func}` has no linked instructions \
-                     (would become merge-ineligible)"
-                ));
-            }
-            let fn_text = print_function(&incoming, fid);
-            // A replacement that prints like the resident body is a touch.
-            let resident_fid = resident.lookup_function(func).expect("an entry names a function");
-            if print_function(resident, resident_fid) != fn_text {
-                let src = render_module_source(resident, Some((func, &fn_text)));
-                rebuilt = Some(
-                    parse_module(&src)
-                        .map_err(|e| format!("update: spliced module does not verify: {e}"))?,
-                );
-            }
-        }
-        let changed = rebuilt.is_some();
-
-        // Fingerprint the one function from the effective body.
-        let m = rebuilt.as_ref().unwrap_or(resident);
-        let fingerprint = |names: &[&str]| {
-            let funcs: Vec<_> = names
-                .iter()
-                .map(|name| m.lookup_function(name).expect("a splice keeps every function"))
-                .collect();
-            PackedFingerprintStore::of_functions(m, &funcs, &*self.backend, self.cfg.params.lsh, 1)
+        let fid = resident.lookup_function(func).expect("an entry names a function");
+        let replacement = match replacement_ir {
+            Some(text) => replacement_for(resident, fid, text)?,
+            None => None,
         };
-        let row = fingerprint(&[func]);
-        // Encoding numbers are arrival indices: a splice that changes the
-        // order in which types are first seen renumbers the types of
-        // functions it never touched, and their rows with them. Those are
-        // recomputed from the rebuilt module: (entry, signature, band keys).
-        let mut renumbered = Vec::new();
-        if !m.types.same_numbering(&resident.types) {
-            let others: Vec<usize> =
-                t.modules[mi].entry_ids.iter().copied().filter(|&id| id != entry_id).collect();
-            let names: Vec<&str> = others.iter().map(|&id| t.entries[id].func.as_str()).collect();
-            let rows = fingerprint(&names);
-            for (i, id) in others.into_iter().enumerate() {
-                if rows.sig(i) != self.row(&t, &t.entries[id]).sig() {
-                    renumbered.push((id, rows.sig(i).to_vec(), rows.keys(i).to_vec()));
-                }
-            }
-        }
+        let (sig, keys) = {
+            let (types, f) = match &replacement {
+                Some((f, types)) => (types, f),
+                None => (&resident.types, resident.function(fid)),
+            };
+            PackedFingerprintStore::row_of(types, f, &*self.backend, self.cfg.params.lsh)
+        };
         drop(t);
 
         // One critical section against `ranked` (see the module docs): the
@@ -840,23 +816,15 @@ impl Corpus {
         // taking it here, before the shard locks, waits for nobody.
         let mut t = self.write_table();
         let mut cache = self.cache.write().unwrap();
-        if let Some(m2) = rebuilt {
-            t.modules[mi].body = Some(LazyModule::parsed(m2));
+        let changed = replacement.is_some();
+        if let Some((f, types)) = replacement {
+            let m = t.modules[mi].body.as_mut().expect("the module is live").get_mut();
+            // An extension of the resident store: every id keeps its type.
+            m.types = types;
+            m.replace_function(fid, f);
         }
-        // Renumbered rows take the neighborhood rule, like a module-level
-        // edit of just those rows; the edited row is judged after it, against
-        // the index they are already moved in.
-        let (mut removes, mut inserts) = (Vec::new(), Vec::new());
-        for (id, sig, keys) in renumbered {
-            removes.push((id, self.rewrite_row(&mut t, id, &sig, &keys, next_epoch)));
-            inserts.push((id, keys));
-        }
-        let mut dirty = self.index.apply_delta(&removes, &inserts);
-        let old_keys = self.rewrite_row(&mut t, entry_id, row.sig(0), row.keys(0), next_epoch);
-        let (edited, spared) = self.reindex_row(&t, &cache, entry_id, &old_keys);
-        dirty.extend(edited);
-        dirty.sort_unstable();
-        dirty.dedup();
+        let old_keys = self.rewrite_row(&mut t, entry_id, &sig, &keys, next_epoch);
+        let (dirty, spared) = self.reindex_row(&t, &cache, entry_id, &old_keys);
         let funcs_invalidated = self.stamp(&mut t, &mut cache, &dirty, next_epoch);
         self.counters.funcs_spared.fetch_add(spared, Ordering::Relaxed);
         let epoch = self.index.advance_epoch();
@@ -1571,13 +1539,11 @@ fn decode_corpus_payload(bytes: &[u8], entries: usize) -> Result<CorpusPayload, 
     })
 }
 
-/// Re-renders `m` to IR text with optional single-function surgery:
-/// `splice = (name, fn_text)` substitutes the body of the definition
-/// called `name`. Globals, declarations and function order are
-/// preserved, so entry ids keep lining up with the module's
-/// defined-function order. Callers parse the result, which verifies the
-/// splice.
-fn render_module_source(m: &Module, splice: Option<(&str, &str)>) -> String {
+/// Renders `m` to its canonical IR source: globals, then declarations,
+/// then definitions, each definition followed by a blank line. Function
+/// order within each group is preserved, so entry ids keep lining up with
+/// the module's defined-function order.
+fn render_module_source(m: &Module) -> String {
     let mut text = format!("module \"{}\" {{\n", m.name);
     for (_, g) in m.globals() {
         text.push_str(&print_global(m, g));
@@ -1587,15 +1553,60 @@ fn render_module_source(m: &Module, splice: Option<(&str, &str)>) -> String {
         text.push_str(&print_declaration(m, f));
         text.push('\n');
     }
-    for (id, f) in m.functions().filter(|(_, f)| !f.is_declaration) {
-        match splice {
-            Some((name, fn_text)) if name == f.name => text.push_str(fn_text),
-            _ => text.push_str(&print_function(m, id)),
-        }
+    for (id, _) in m.functions().filter(|(_, f)| !f.is_declaration) {
+        text.push_str(&print_function(m, id));
         text.push('\n');
     }
     text.push_str("}\n");
     text
+}
+
+/// How many lines of [`render_module_source`]`(m)` come before
+/// definition `id`'s: a line of `id`'s printed text plus this is the line
+/// it has in the module's source.
+fn lines_before(m: &Module, id: FuncId) -> usize {
+    let declarations = m.functions().filter(|(_, f)| f.is_declaration).count();
+    // A printed definition is its header, one line per label and per
+    // instruction, and the closing brace; the blank line follows.
+    let definitions: usize = m
+        .functions()
+        .take_while(|&(g, _)| g != id)
+        .filter(|(_, f)| !f.is_declaration)
+        .map(|(_, f)| f.num_blocks() + f.num_linked_insts() + 3)
+        .sum();
+    1 + m.num_globals() + declarations + definitions
+}
+
+/// The new definition of `resident`'s function `fid` that `text` — module-
+/// wrapped IR defining it — carries, re-parsed against `resident` with the
+/// type store it needs (see [`Corpus::update_function`]); `None` when it
+/// prints like the resident body.
+fn replacement_for(
+    resident: &Module,
+    fid: FuncId,
+    text: &str,
+) -> Result<Option<(Function, TypeStore)>, String> {
+    let func = &resident.function(fid).name;
+    let (incoming, id) =
+        parse_module_for(text, func).map_err(|e| format!("update: replacement does not parse: {e}"))?;
+    let id = id.ok_or_else(|| format!("update: replacement does not define `{func}`"))?;
+    if incoming.function(id).num_linked_insts() == 0 {
+        return Err(format!(
+            "update: replacement `{func}` has no linked instructions \
+             (would become merge-ineligible)"
+        ));
+    }
+    let fn_text = print_function(&incoming, id);
+    if print_function(resident, fid) == fn_text {
+        return Ok(None);
+    }
+    let spliced = parse_replacement(resident, fid, &fn_text).map_err(|mut e| {
+        if e.line > 0 {
+            e.line += lines_before(resident, fid);
+        }
+        format!("update: spliced module does not verify: {e}")
+    })?;
+    Ok(Some(spliced))
 }
 
 /// Combines modules into one, qualifying every definition as
@@ -1695,7 +1706,7 @@ mod tests {
     use super::*;
     use crate::rank::LshBackendSearch;
     use f3m_fingerprint::backend::BackendKind;
-    use f3m_ir::ids::FuncId;
+    use f3m_ir::printer::print_module;
 
     fn workload(name: &str, seed: u64) -> Module {
         let mut spec = f3m_workloads::mini_suite()[0].clone();
@@ -2047,44 +2058,61 @@ mod tests {
         );
     }
 
-    /// Type encoding numbers are arrival indices, so an edit that changes
-    /// the order in which array types are first seen renumbers the types
-    /// of functions it never touched. Their rows must follow: here `g`'s
-    /// `[5 x i32]`/`[7 x i32]` move up one when `f` stops introducing
-    /// `[3 x i32]` ahead of them.
+    /// Type codes are structural. `f` introduces `[3 x i32]` ahead of
+    /// `g`'s `[5 x i32]` and `[7 x i32]`, and an update that stops
+    /// introducing it — under arrival numbering, a renumbering of both of
+    /// `g`'s array types — leaves `g`'s row bit-identical. What the edit
+    /// dirties is then what the four rules say: `g`'s list does not name
+    /// `f` and `f`'s new row shares no bucket with `g`, so `f` alone loses
+    /// its memo and `g` is answered from its own.
     #[test]
-    fn update_refingerprints_rows_whose_types_it_renumbers() {
-        let define = |name: &str, allocas: &[u32]| {
+    fn update_leaves_rows_of_untouched_functions_bit_identical() {
+        let define = |name: &str, allocas: &[u32], op: &str| {
             let n = allocas.len();
             let allocas: String = allocas
                 .iter()
                 .enumerate()
                 .map(|(i, len)| format!("  %{} = alloca [{len} x i32]\n", i + 1))
                 .collect();
-            let adds: String =
-                (n + 1..n + 11).map(|i| format!("  %{i} = add i32 %0, {i}\n")).collect();
+            let ops: String =
+                (n + 1..n + 11).map(|i| format!("  %{i} = {op} i32 %0, {i}\n")).collect();
             format!(
-                "define @{name}(i32 %0) -> i32 {{\nbb0:\n{allocas}{adds}  ret i32 %{}\n}}\n",
+                "define @{name}(i32 %0) -> i32 {{\nbb0:\n{allocas}{ops}  ret i32 %{}\n}}\n",
                 n + 10
             )
         };
-        let g_allocas = [5, 7, 5, 7];
-        let src = format!("module \"m\" {{\n{}{}}}\n", define("f", &[3]), define("g", &g_allocas));
-        let patch = format!("module \"p\" {{\n{}}}\n", define("f", &g_allocas));
+        let src = format!(
+            "module \"m\" {{\n{}{}}}\n",
+            define("f", &[3], "mul"),
+            define("g", &[5, 7, 5, 7], "add")
+        );
+        let patch = format!("module \"p\" {{\n{}}}\n", define("f", &[], "xor"));
 
         let c = corpus();
         c.ingest(parse_module(&src).unwrap()).unwrap();
-        let (_, before) = c.query_function("m", "g", 5).unwrap();
-        assert!(before.candidates.iter().all(|cand| cand.similarity < 1.0), "{before:?}");
+        let g_sig = || {
+            let t = c.table.read().unwrap();
+            let id = t.entry_of(t.live_module("m").unwrap(), "g").unwrap();
+            c.row(&t, &t.entries[id]).sig().to_vec()
+        };
+        let before = g_sig();
+        let (_, listed) = c.query_function("m", "g", 5).unwrap();
+        assert!(listed.candidates.is_empty(), "`g` lists nothing, `f` included: {listed:?}");
+
         let up = c.update_function("m", "f", Some(&patch)).unwrap();
-        assert_eq!(up.funcs_invalidated, 2, "the edited row and the renumbered one");
+        assert!(up.changed);
+        assert!(g_sig() == before, "`g`'s row is untouched, bit for bit");
+        let (_, f_list) = c.query_function("m", "f", 5).unwrap();
+        assert!(f_list.candidates.is_empty(), "`f`'s new row shares no bucket with `g`");
+        assert_eq!(up.funcs_invalidated, 1, "the edited row alone");
+        let hits = c.stats().memo_hits;
+        let (_, live) = c.query_function("m", "g", 5).unwrap();
+        assert_eq!(c.stats().memo_hits, hits + 1, "`g` kept its memo");
 
         let fresh = corpus();
         fresh.ingest(parse_module(&c.module_source("m").unwrap()).unwrap()).unwrap();
-        let (_, live) = c.query_function("m", "g", 5).unwrap();
-        let (_, rebuilt) = fresh.query_function("m", "g", 5).unwrap();
-        assert_eq!(live.candidates, rebuilt.candidates);
-        assert_eq!(live.candidates[0].similarity, 1.0, "`f` now has `g`'s body: {live:?}");
+        assert_eq!(live, fresh.query_function("m", "g", 5).unwrap().1);
+        assert_eq!(f_list, fresh.query_function("m", "f", 5).unwrap().1);
     }
 
     #[test]
@@ -2175,6 +2203,240 @@ mod tests {
             .contains("does not verify"));
         // Nothing above mutated the corpus.
         assert_eq!(c.epoch(), 1);
+    }
+
+    /// The update this PR replaced, kept as the reference the in-place
+    /// splice is held to: the whole replacement text parsed and verified,
+    /// then the resident module re-rendered with the printed definition
+    /// spliced in and re-parsed whole. `None` is a touch.
+    fn spliced_by_reparse(resident: &Module, func: &str, text: &str) -> Result<Option<Module>, String> {
+        let incoming =
+            parse_module(text).map_err(|e| format!("update: replacement does not parse: {e}"))?;
+        let id = incoming
+            .lookup_function(func)
+            .filter(|&f| !incoming.function(f).is_declaration)
+            .ok_or_else(|| format!("update: replacement does not define `{func}`"))?;
+        let fn_text = print_function(&incoming, id);
+        let old_text = print_function(resident, resident.lookup_function(func).unwrap());
+        if fn_text == old_text {
+            return Ok(None);
+        }
+        let src = render_module_source(resident).replacen(&old_text, &fn_text, 1);
+        parse_module(&src)
+            .map(Some)
+            .map_err(|e| format!("update: spliced module does not verify: {e}"))
+    }
+
+    /// `patch` with every `alloca`'d array resized to `len` elements.
+    fn resize_arrays(patch: &str, len: u32) -> String {
+        let resize = |line: &str| match (line.find("alloca ["), line.find(" x ")) {
+            (Some(open), Some(x)) => format!("{}alloca [{len}{}\n", &line[..open], &line[x..]),
+            _ => format!("{line}\n"),
+        };
+        patch.lines().map(resize).collect()
+    }
+
+    /// What one update did, by kind of outcome.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    enum Verdict {
+        Touched,
+        Spliced { resigned: bool, relinked: bool },
+        /// The refusal's message up to its first line number, the
+        /// verifier's verdict cut where the problems start.
+        Refused(String),
+    }
+
+    /// Applies `text` to `module.func` of `c` in place and holds every
+    /// outcome to [`spliced_by_reparse`]: the same verdict and error text,
+    /// an untouched corpus on refusal, and otherwise the same printed
+    /// module and the same row for every one of its entries.
+    fn update_like_the_reference(c: &Corpus, module: &str, func: &str, text: &str) -> Verdict {
+        let resident = c.table.read().unwrap().live_body(module).unwrap().1.get().clone();
+        let reference = spliced_by_reparse(&resident, func, text);
+        let epoch = c.epoch();
+        let got = c.update_function(module, func, Some(text));
+        let expected = match (reference, got) {
+            (Err(want), Err(got)) => {
+                assert_eq!(got, want, "{module}.{func}: refusal text");
+                assert_eq!(c.epoch(), epoch, "a refused update mutates nothing");
+                let cut = got.find(" at line ").unwrap_or(got.len());
+                let stage = got[..cut].to_string();
+                let verified = got.contains("verification failed");
+                return Verdict::Refused(stage + if verified { ": verification failed" } else { "" });
+            }
+            (Ok(expected), Ok(up)) => {
+                assert_eq!(up.changed, expected.is_some(), "{module}.{func}: touch or splice");
+                expected
+            }
+            (want, got) => panic!(
+                "{module}.{func}: the reference {} where the splice {}",
+                want.map_or_else(|e| format!("refused ({e})"), |_| "accepted".into()),
+                got.map_or_else(|e| format!("refused ({e})"), |_| "accepted".into()),
+            ),
+        };
+        let verdict = match &expected {
+            None => Verdict::Touched,
+            Some(m) => {
+                let header = |m: &Module| {
+                    let f = m.function(m.lookup_function(func).unwrap());
+                    let types: Vec<String> = f.params.iter().map(|&p| m.types.display(p)).collect();
+                    (types, m.types.display(f.ret_ty), f.linkage)
+                };
+                let (old, new) = (header(&resident), header(m));
+                Verdict::Spliced {
+                    resigned: (&old.0, &old.1) != (&new.0, &new.1),
+                    relinked: old.2 != new.2,
+                }
+            }
+        };
+        let expected = expected.unwrap_or(resident);
+        let t = c.table.read().unwrap();
+        let (mi, body) = t.live_body(module).unwrap();
+        assert_eq!(print_module(body.get()), print_module(&expected), "{module}.{func}: module");
+        let ids = &t.modules[mi].entry_ids;
+        let funcs: Vec<FuncId> = ids
+            .iter()
+            .map(|&id| expected.lookup_function(&t.entries[id].func).unwrap())
+            .collect();
+        let rows = PackedFingerprintStore::of_functions(
+            &expected,
+            &funcs,
+            &*c.backend,
+            c.cfg.params.lsh,
+            1,
+        );
+        for (i, &id) in ids.iter().enumerate() {
+            let row = c.row(&t, &t.entries[id]);
+            let name = &t.entries[id].func;
+            assert!(row.sig() == rows.sig(i), "{module}.{func}: signature of {name}");
+            assert_eq!(row.keys(), rows.keys(i), "{module}.{func}: band keys of {name}");
+        }
+        verdict
+    }
+
+    /// The in-place splice is the re-parse it replaced, exactly: generated
+    /// modules × every eligible function × three donor bodies — a family
+    /// sibling where there is one and two strangers, so signatures change,
+    /// and callers either still verify or refuse the edit — each as it is,
+    /// with its arrays resized and with its linkage flipped; then the
+    /// refusals of `update_rejects_bad_replacements` at every function, and
+    /// a replacement that names a symbol the module lacks, whose parse
+    /// error carries the line the definition has in the module's source.
+    /// The edits land one after another, so later ones splice into modules
+    /// earlier ones changed in place.
+    #[test]
+    fn in_place_splice_matches_the_reparse_reference() {
+        use std::collections::HashSet;
+        let seeds = if cfg!(debug_assertions) { 1..2 } else { 1..9 };
+        let mut seen = HashSet::new();
+        for seed in seeds {
+            let c = corpus();
+            let generated = workload("m", seed);
+            c.ingest(parse_module(&print_module(&generated)).unwrap()).unwrap();
+            let names: Vec<String> = {
+                let t = c.table.read().unwrap();
+                let (mi, _) = t.live_body("m").unwrap();
+                t.modules[mi].entry_ids.iter().map(|&id| t.entries[id].func.clone()).collect()
+            };
+            let resident = || c.table.read().unwrap().live_body("m").unwrap().1.get().clone();
+            for (i, dst) in names.iter().enumerate() {
+                let sibling = names.iter().find(|n| {
+                    *n != dst && n.rsplit_once('_').map(|p| p.0) == dst.rsplit_once('_').map(|p| p.0)
+                });
+                let strangers = [&names[(i + 1) % names.len()], &names[(i + 7) % names.len()]];
+                for donor in sibling.into_iter().chain(strangers) {
+                    let resident = resident();
+                    let internal = resident.function(resident.lookup_function(dst).unwrap()).linkage
+                        == f3m_ir::function::Linkage::Internal;
+                    // The donor's body under `dst`'s name, `internal` or not.
+                    let patch = |internal: bool| {
+                        let kw = if internal { "define internal @" } else { "define @" };
+                        body_swap_patch(&resident, dst, donor)
+                            .replace(&format!("define internal @{dst}("), &format!("define @{dst}("))
+                            .replace(&format!("define @{dst}("), &format!("{kw}{dst}("))
+                    };
+                    let len = 3 + i as u32 % 20;
+                    for text in [patch(internal), resize_arrays(&patch(internal), len), patch(!internal)] {
+                        seen.insert(update_like_the_reference(&c, "m", dst, &text));
+                    }
+                }
+                let dangling = format!(
+                    "module \"p\" {{\ndeclare @__nowhere() -> i32\n\
+                     define @{dst}() -> i32 {{\nbb0:\n  %0 = call i32 @__nowhere()\n  ret i32 %0\n}}\n}}\n"
+                );
+                for text in ["module \"p\" {\n}\n", "module \"p\" { define @x( }", &dangling] {
+                    seen.insert(update_like_the_reference(&c, "m", dst, text));
+                }
+            }
+        }
+        let refused = |stage: &str| Verdict::Refused(format!("update: {stage}"));
+        for kind in [
+            Verdict::Touched,
+            refused("replacement does not define `f0_0`"),
+            refused("replacement does not parse: parse error"),
+            refused("spliced module does not verify: parse error"),
+            refused("spliced module does not verify: parse error: verification failed"),
+            Verdict::Spliced { resigned: false, relinked: false },
+            Verdict::Spliced { resigned: false, relinked: true },
+            Verdict::Spliced { resigned: true, relinked: false },
+        ] {
+            assert!(seen.contains(&kind), "no update came out {kind:?}: {seen:?}");
+        }
+    }
+
+    /// The replacement text is read for `func`'s definition: a lexical
+    /// error anywhere, an error at the top level and an error in `func`'s
+    /// body are refused in the words a whole-module parse uses.
+    #[test]
+    fn update_refuses_what_it_reads_as_a_module_parse_would() {
+        let c = corpus();
+        let alpha = workload("alpha", 11);
+        c.ingest(alpha.clone()).unwrap();
+        let (dst, src) = family_pair(&alpha);
+        let patch = body_swap_patch(&alpha, &dst, &src);
+        let (head, tail) = patch.split_at(patch.find(&format!("@{dst}(")).unwrap());
+        let body_start = head.len() + tail.find("bb0:\n").unwrap() + 5;
+        let broken = [
+            // Lexical: a stray byte, in a body the update never reads.
+            (patch.replacen("ret ", "ret $", 1), "unexpected character `$`"),
+            // Top level: a token that starts no item.
+            (patch.replacen("declare ", "declared ", 1), "expected `global`"),
+            // `dst`'s own body.
+            (
+                format!("{}  bogus i32 0\n{}", &patch[..body_start], &patch[body_start..]),
+                "unknown mnemonic `bogus`",
+            ),
+        ];
+        for (text, why) in &broken {
+            let whole = parse_module(text).unwrap_err();
+            assert!(whole.msg.starts_with(why), "{whole}");
+            let got = c.update_function("alpha", &dst, Some(text)).unwrap_err();
+            assert_eq!(got, format!("update: replacement does not parse: {whole}"));
+        }
+        assert_eq!(c.epoch(), 1, "nothing was installed");
+    }
+
+    /// ... and nothing inside another definition's braces is read: a body
+    /// a module parse refuses does not stop the update of `func`.
+    #[test]
+    fn update_ignores_other_bodies_of_the_replacement() {
+        let c = corpus();
+        let alpha = workload("alpha", 11);
+        c.ingest(alpha.clone()).unwrap();
+        let (dst, src) = family_pair(&alpha);
+        let patch = body_swap_patch(&alpha, &dst, &src);
+        let text = patch.replacen("}\n", "}\ndefine @broken() -> i32 {\nbb0:\n  bogus i32 0\n}\n", 1);
+        assert!(parse_module(&text).is_err(), "a module parse refuses the text");
+        let up = c.update_function("alpha", &dst, Some(&text)).unwrap();
+        assert!(up.changed);
+        let fresh = corpus();
+        fresh.ingest(parse_module(&patch).unwrap()).unwrap();
+        let printed = |c: &Corpus| {
+            let t = c.table.read().unwrap();
+            let m = t.live_body(t.modules[0].name.as_str()).unwrap().1.get();
+            print_function(m, m.lookup_function(&dst).unwrap())
+        };
+        assert_eq!(printed(&c), printed(&fresh), "the update took `{dst}` from the text");
     }
 
     #[test]

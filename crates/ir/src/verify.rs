@@ -14,7 +14,7 @@ use crate::ids::{BlockId, FuncId, InstId, ValueId};
 use crate::inst::{Opcode, Predicate};
 use crate::function::Function;
 use crate::module::Module;
-use crate::types::TypeKind;
+use crate::types::{TypeKind, TypeStore};
 use crate::value::ValueKind;
 
 /// A single verification failure.
@@ -103,7 +103,57 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
 /// Returns every problem found. An empty function body is reported as a
 /// single [`VerifyError::EmptyFunction`].
 pub fn verify_function(m: &Module, id: FuncId) -> Result<(), Vec<VerifyError>> {
-    let f = m.function(id);
+    verify_body(&m.types, &|callee| m.function(callee), m.function(id))
+}
+
+/// Verifies `m` as if its definition `id` were replaced by `f`, whose types
+/// live in `types` — `m.types` or an extension of it. Only what the
+/// replacement can break is looked at: `f` itself and, when its parameter
+/// or return types differ from the definition it replaces, every other
+/// definition that references `id`. For an `m` that verified, the result
+/// is what [`verify_module`] says of `m` with `f` installed, errors in the
+/// same order.
+///
+/// # Errors
+///
+/// Returns every problem found, in module order.
+pub fn verify_replacement(
+    m: &Module,
+    types: &TypeStore,
+    id: FuncId,
+    f: &Function,
+) -> Result<(), Vec<VerifyError>> {
+    let old = m.function(id);
+    let resigned = old.params != f.params || old.ret_ty != f.ret_ty;
+    let refers = |g: &Function| g.values().any(|(_, v)| v.kind == ValueKind::FuncRef(id));
+    let callee = |c: FuncId| if c == id { f } else { m.function(c) };
+    let mut errs = Vec::new();
+    for (gid, g) in m.functions().filter(|(_, g)| !g.is_declaration) {
+        let body = if gid == id {
+            f
+        } else if resigned && refers(g) {
+            g
+        } else {
+            continue;
+        };
+        if let Err(mut e) = verify_body(types, &callee, body) {
+            errs.append(&mut e);
+        }
+    }
+    if errs.is_empty() {
+        Ok(())
+    } else {
+        Err(errs)
+    }
+}
+
+/// Verifies definition `f` whose types live in `ts`; `callee` gives the
+/// functions its direct calls name.
+fn verify_body<'m>(
+    ts: &TypeStore,
+    callee: &dyn Fn(FuncId) -> &'m Function,
+    f: &Function,
+) -> Result<(), Vec<VerifyError>> {
     let fname = f.name.clone();
     let mut errs: Vec<VerifyError> = Vec::new();
 
@@ -166,8 +216,8 @@ pub fn verify_function(m: &Module, id: FuncId) -> Result<(), Vec<VerifyError>> {
             continue; // unreachable code is tolerated, like in LLVM
         }
         for (iid, inst) in f.block_insts(bb) {
-            check_shape(m, f, &fname, iid, inst, &mut errs);
-            check_types(m, f, &fname, iid, inst, &mut errs);
+            check_shape(callee, f, &fname, iid, inst, &mut errs);
+            check_types(ts, f, &fname, iid, inst, &mut errs);
             if inst.op == Opcode::Phi {
                 check_phi(f, &cfg, &dt, &fname, iid, bb, &mut errs);
             } else {
@@ -245,8 +295,8 @@ fn check_phi(
     }
 }
 
-fn check_shape(
-    m: &Module,
+fn check_shape<'m>(
+    callee: &dyn Fn(FuncId) -> &'m Function,
     f: &Function,
     fname: &str,
     iid: InstId,
@@ -335,8 +385,8 @@ fn check_shape(
     }
     // Call/invoke signature checks against direct callees.
     if matches!(inst.op, Opcode::Call | Opcode::Invoke) && !inst.operands.is_empty() {
-        if let ValueKind::FuncRef(callee) = f.value(inst.operands[0]).kind {
-            let callee_f = m.function(callee);
+        if let ValueKind::FuncRef(id) = f.value(inst.operands[0]).kind {
+            let callee_f = callee(id);
             let args = &inst.operands[1..];
             if args.len() != callee_f.params.len() {
                 errs.push(VerifyError::SignatureMismatch {
@@ -372,14 +422,13 @@ fn check_shape(
 }
 
 fn check_types(
-    m: &Module,
+    ts: &TypeStore,
     f: &Function,
     fname: &str,
     iid: InstId,
     inst: &crate::inst::Instruction,
     errs: &mut Vec<VerifyError>,
 ) {
-    let ts = &m.types;
     let mut bad = |detail: String| {
         errs.push(VerifyError::TypeError { func: fname.to_string(), inst: iid, detail });
     };
@@ -514,7 +563,6 @@ fn check_types(
             }
         _ => {}
     }
-    let _ = m;
 }
 
 fn int_widths(
