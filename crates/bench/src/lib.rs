@@ -5,6 +5,8 @@
 //! share: scaling policy, the simulated "rest of the compilation
 //! pipeline", and plain-text table/series printing.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use f3m_core::pass::{run_pass, MergeReport, PassConfig};

@@ -24,10 +24,10 @@
 //! adopts the decoded store whole, an update overwrites its fixed-width
 //! row in place. [`Corpus::load_snapshot_resident`] puts a read-only
 //! [`ResidentStore`] *base* under it: row numbers below its `len()` are
-//! rows of the mapped snapshot file (restore cost is O(touched rows)),
-//! numbers from there up are heap rows, and updating a base row —
-//! the file is immutable while mapped — re-points the entry at a new heap
-//! row. [`RowRef`] is the one borrowed view of either.
+//! rows of the snapshot file, read in shard by shard (restore cost is
+//! O(touched rows)), numbers from there up are heap rows, and updating a
+//! base row — the base is read-only — re-points the entry at a new heap
+//! row. [`RowRef`] is the one view of either.
 //!
 //! ## Namespacing
 //!
@@ -154,10 +154,10 @@ use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, BackendKind, FingerprintBackend};
 use f3m_fingerprint::lsh::{BandKey, Crossed, LshParams, QueryScratch};
 use f3m_fingerprint::pager::PagerKind;
-use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore, RowRef};
+use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore};
 use f3m_fingerprint::sharded::{ShardStats, ShardedLshIndex};
 use f3m_fingerprint::snapshot::{self, Reader, SnapshotError, SnapshotHeader, Writer};
-use f3m_fingerprint::store::PackedFingerprintStore;
+use f3m_fingerprint::store::{PackedFingerprintStore, RowRef};
 use f3m_ir::function::Function;
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
@@ -319,7 +319,7 @@ pub struct CorpusStats {
     /// Pager backend of the resident fingerprint store (`None` when
     /// every row is a heap row: fresh, or bulk-loaded).
     pub resident_pager: Option<&'static str>,
-    /// Logical pool bytes currently resident in the mmap-backed store.
+    /// Snapshot pool bytes currently resident in the file-backed store.
     pub resident_bytes: u64,
     /// Shards faulted in by the residency manager since load.
     pub shard_faults: u64,
@@ -347,9 +347,10 @@ pub const CORPUS_STATS: &[Stat<CorpusStats>] = &[
     Stat::new("funcs_invalidated",  "corpus.funcs_invalidated",  "count",   true,  1, |s| Count(s.funcs_invalidated)),
     Stat::new("funcs_spared",       "corpus.funcs_spared",       "count",   true,  1, |s| Count(s.funcs_spared)),
     Stat::new("queries_superseded", "corpus.queries_superseded", "count",   true,  1, |s| Count(s.queries_superseded)),
-    // Ranking work: a function of the durable state, the query sequence
-    // and whether rows are heap rows (which carry a sketch) or rows of a
-    // mapped snapshot (which do not) — never of jobs or shard count.
+    // Ranking work: a function of the durable state and the query
+    // sequence — never of jobs or shard count. Over a resident base a
+    // ranking visits its candidates in row order, so a resident restore
+    // can book other counts than its bulk twin.
     Stat::new("sketch_comparisons", "corpus.sketch_comparisons", "count",   true,  1, |s| Count(s.sketch_comparisons)),
     Stat::new("full_comparisons",   "corpus.full_comparisons",   "count",   true,  1, |s| Count(s.full_comparisons)),
     // Residency: fault/spill totals depend on worker interleaving when
@@ -387,8 +388,8 @@ struct Entry {
     /// `<module>.<func>`, the corpus-wide identity.
     qualified: String,
     /// Fingerprint row (signature + band keys): below the resident
-    /// base's `len()` a row of the mapped snapshot, from there up a row
-    /// of [`Table::rows`].
+    /// base's `len()` a row of the snapshot file, from there up a row of
+    /// [`Table::rows`].
     row: u32,
     /// First epoch at which this entry is visible.
     added: u64,
@@ -851,8 +852,8 @@ impl Corpus {
         let old_keys = self.row(t, &t.entries[id]).keys().to_vec();
         match (t.entries[id].row as usize).checked_sub(self.heap_base()) {
             Some(heap_row) => t.rows.set_row(heap_row, sig, keys),
-            // The mapped snapshot is immutable: re-point the entry at a
-            // new heap row.
+            // The resident base is read-only: re-point the entry at a new
+            // heap row.
             None => {
                 t.entries[id].row = (self.heap_base() + t.rows.push_with_keys(sig, keys)) as u32
             }
@@ -1395,15 +1396,16 @@ impl Corpus {
 
     /// Restores a snapshot *without* reading the fingerprint pools:
     /// validates and decodes only the meta prefix (header, bucket
-    /// directory, payload), maps the pools through a [`ResidentStore`],
-    /// and leaves every entry's row resident in the file. Rows
-    /// fault in shard-by-shard as queries touch them, and
-    /// `resident_budget` (0 = unlimited) caps how many pool bytes stay
-    /// hot at once — restart cost becomes O(touched), not O(corpus).
+    /// directory, payload), opens the file as a [`ResidentStore`], and
+    /// leaves every entry's row in the file. Rows are read in
+    /// shard-by-shard as queries touch them, and `resident_budget`
+    /// (0 = unlimited) caps how many snapshot pool bytes stay hot at
+    /// once — restart cost becomes O(touched), not O(corpus).
+    /// `PagerKind::Auto` is the only pager.
     ///
     /// Answers are byte-identical to [`Corpus::load_snapshot`] under any
-    /// budget and any pager backend; only the residency counters (and
-    /// RSS) differ. Rejects the same mismatch/stale conditions.
+    /// budget; only the residency counters, RSS and the ranking-work
+    /// counters differ. Rejects the same mismatch/stale conditions.
     pub fn load_snapshot_resident(
         path: &Path,
         cfg: CorpusConfig,

@@ -63,6 +63,8 @@
 //! assert!(report.stats.size_after < report.stats.size_before);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod align;
 pub mod analysis;
 pub mod block_pairing;

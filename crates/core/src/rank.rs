@@ -38,8 +38,7 @@ use f3m_fingerprint::backend::{backend_for, equal_bytes, equal_slots, signature_
 use f3m_fingerprint::lsh::{LshIndex, LshParams, LshQueryStats, QueryScratch};
 use f3m_fingerprint::opcode_freq::OpcodeFingerprint;
 use f3m_fingerprint::par::par_map_indexed;
-use f3m_fingerprint::resident::RowRef;
-use f3m_fingerprint::store::PackedFingerprintStore;
+use f3m_fingerprint::store::{PackedFingerprintStore, RowRef};
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
 
@@ -179,7 +178,9 @@ impl SimTable {
 
 /// One query row against its probed candidates.
 pub(crate) struct Kernel<'q> {
-    query: &'q RowRef<'q>,
+    /// The query row's signature and sketch.
+    sig: &'q [u64],
+    sketch: &'q [u8],
     /// Bound (i) before the candidate's own hits: of the `k` slots, each
     /// band whose key differs holds at least one differing slot, and each
     /// truncated bucket may hide a matching band.
@@ -189,7 +190,8 @@ pub(crate) struct Kernel<'q> {
 impl<'q> Kernel<'q> {
     /// The kernel for `query`, whose probe under `lsh` reported `probe`.
     pub(crate) fn new(query: &'q RowRef<'q>, lsh: LshParams, probe: &LshQueryStats) -> Kernel<'q> {
-        Kernel { query, slack: query.sig().len() - lsh.bands + probe.truncated }
+        let slack = query.sig().len() - lsh.bands + probe.truncated;
+        Kernel { sig: query.sig(), sketch: query.sketch(), slack }
     }
 
     /// The kernel for a `query` row set against rows no probe produced —
@@ -198,13 +200,13 @@ impl<'q> Kernel<'q> {
     /// (pass `hits = 0` to [`Kernel::score`]), so bound (i) never prunes
     /// and the sketch bound alone sits in front of the full compare.
     pub(crate) fn unprobed(query: &'q RowRef<'q>) -> Kernel<'q> {
-        Kernel { query, slack: query.sig().len() }
+        Kernel { sig: query.sig(), sketch: query.sketch(), slack: query.sig().len() }
     }
 
     /// The equal-slot count of the candidate found in `hits` probed
     /// buckets, if it reaches `floor` — `None` as soon as an upper bound
     /// on it falls short: (i) `slack + hits`, from the probe alone, then
-    /// (ii) the equal low bytes, when both rows carry a sketch. `row`
+    /// (ii) the equal bytes of the two rows' sketches. `row`
     /// fetches the candidate's row, or `None` for a candidate the driver
     /// does not want (consumed, not visible); it runs only past bound
     /// (i), so a candidate pruned there costs no memory access.
@@ -219,14 +221,12 @@ impl<'q> Kernel<'q> {
             return None;
         }
         let row = row()?;
-        if let (Some(query), Some(cand)) = (self.query.sketch(), row.sketch()) {
-            counters.sketch_comparisons += 1;
-            if equal_bytes(query, cand) < floor {
-                return None;
-            }
+        counters.sketch_comparisons += 1;
+        if equal_bytes(self.sketch, row.sketch()) < floor {
+            return None;
         }
         counters.full_comparisons += 1;
-        let equal = equal_slots(self.query.sig(), row.sig());
+        let equal = equal_slots(self.sig, row.sig());
         (equal >= floor).then_some(equal)
     }
 }

@@ -1,11 +1,11 @@
-//! Equivalence of the mmap-resident restore path with the bulk restore
-//! path.
+//! Equivalence of the resident restore path, which reads the snapshot's
+//! pools in shard by shard, with the bulk restore path.
 //!
 //! A corpus restored through [`Corpus::load_snapshot_resident`] under any
 //! budget is a pure paging change: query answers, epochs and subsequent
 //! mutations must be byte-identical to a bulk [`Corpus::load_snapshot`]
-//! of the same file, at every shard count and jobs level, whichever
-//! pager backend serves the rows.
+//! of the same file, at every shard count and jobs level. Its rows carry
+//! the sketch a heap row carries, so its rankings use the sketch bound.
 
 use std::path::PathBuf;
 
@@ -49,7 +49,7 @@ fn query_dump(c: &Corpus, modules: usize) -> Vec<(u64, String)> {
 const TINY_BUDGET: u64 = TARGET_SHARD_BYTES as u64;
 
 /// Budgeted resident restore answers byte-identically to bulk restore at
-/// every shard count and jobs level.
+/// every shard count and jobs level, ranking through the sketch bound.
 #[test]
 fn resident_restore_matches_bulk_across_shards_and_jobs() {
     for shards in 1..=5usize {
@@ -70,41 +70,38 @@ fn resident_restore_matches_bulk_across_shards_and_jobs() {
                 query_dump(&bulk, 3),
                 "s{shards} j{jobs}: answers"
             );
-            let (_, counters) = resident.residency().expect("resident counters");
+            let (pager, counters) = resident.residency().expect("resident counters");
+            assert_eq!(pager, "file");
             assert!(counters.resident_bytes <= TINY_BUDGET, "budget holds");
             assert!(bulk.residency().is_none(), "bulk restore has no residency");
+            let sketched = resident.stats().sketch_comparisons;
+            assert!(sketched > 0, "s{shards} j{jobs}: resident rows rank through the sketch");
             let _ = std::fs::remove_dir_all(path.parent().unwrap());
         }
     }
 }
 
-/// The residency counters record logical paging decisions, so the mmap
-/// pager and the portable read-at fallback report the same numbers for
-/// the same access pattern — and of course the same answers.
+/// A snapshot of an empty corpus restores resident — a store with no
+/// shards — and the restored corpus takes a module like a fresh one.
 #[test]
-fn pager_backends_agree_on_answers_and_counters() {
+fn empty_snapshot_restores_resident_and_ingests() {
     let cfg = || CorpusConfig { jobs: 1, ..CorpusConfig::default() };
-    let corpus = populated_corpus(cfg(), 3);
-    let path = tmp("pagers");
-    corpus.save_snapshot(&path).expect("save");
+    let path = tmp("empty");
+    populated_corpus(cfg(), 0).save_snapshot(&path).expect("save");
 
-    let run = |kind: PagerKind| {
-        let c = Corpus::load_snapshot_resident(&path, cfg(), kind, TINY_BUDGET);
-        let c = match c {
-            Ok(c) => c,
-            Err(e) => panic!("resident load: {e:?}"),
-        };
-        let dump = query_dump(&c, 3);
-        let (name, counters) = c.residency().expect("counters");
-        (dump, name, counters)
-    };
-    let (dump_a, name_a, ca) = run(PagerKind::File);
-    let (dump_b, name_b, cb) = run(PagerKind::Auto);
-    assert_eq!(name_a, "file");
-    assert_eq!(dump_a, dump_b, "pagers {name_a} vs {name_b}: answers");
-    assert_eq!(ca.resident_bytes, cb.resident_bytes);
-    assert_eq!(ca.shard_faults, cb.shard_faults);
-    assert_eq!(ca.shard_spills, cb.shard_spills);
+    let resident = Corpus::load_snapshot_resident(&path, cfg(), PagerKind::Auto, TINY_BUDGET)
+        .expect("resident load of an empty snapshot");
+    let fresh = populated_corpus(cfg(), 0);
+    assert_eq!(resident.stats().functions_live, 0);
+    let mut spec = f3m_workloads::mini_suite()[0].clone();
+    spec.functions = 24;
+    let mut m = f3m_workloads::build_module(&spec);
+    m.name = "par_m0".into();
+    resident.ingest(m.clone()).expect("ingest into the resident restore");
+    fresh.ingest(m).expect("ingest into a fresh corpus");
+    assert_eq!(query_dump(&resident, 1), query_dump(&fresh, 1), "answers");
+    let (_, counters) = resident.residency().expect("resident counters");
+    assert_eq!((counters.shard_faults, counters.resident_bytes), (0, 0), "no base row to read");
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
@@ -140,7 +137,7 @@ fn body_swap_patch(m: &Module, dst: &str, src: &str) -> String {
 }
 
 /// A resident corpus is not read-only: ingest appends heap rows, a real
-/// body swap of a function whose row lives in the mapped file re-points
+/// body swap of a function whose row lives in the snapshot file re-points
 /// it at a new heap row, evict drops a module — all in lockstep with the
 /// same mutations applied to a bulk-restored twin, and a snapshot of
 /// either mutated corpus reloads to the same answers.

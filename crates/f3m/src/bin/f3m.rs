@@ -31,7 +31,7 @@ usage: f3m <merge|stats|run|gen|fuzz|serve|client|snapshot|list> ...
 merge <input.ir> [-o out.ir] [--strategy hyfm|f3m|f3m-adaptive]
        [--backend minhash|simhash|embed]
        [--threshold t] [--bands b] [--rows r] [-k k] [--bucket-cap c]
-       [--jobs n] [--report json] [--repair phi|stack|legacy] [--dce]
+       [--jobs n] [--report json] [--dce]
        [--trace chrome:path] [--metrics path]
 merge --global <a.ir> <b.ir> ... [-o out.ir] [--jobs n] [-k k]
        [--min-profit bytes] [--shards s] [--report json] [--metrics path]
@@ -230,7 +230,7 @@ fn cmd_merge(args: &[String]) -> CliResult {
         args,
         &[
             "-o", "--strategy", "--threshold", "--backend", "--bands", "--rows", "-k", "--bucket-cap",
-            "--jobs", "--report", "--repair", "--trace", "--metrics",
+            "--jobs", "--report", "--trace", "--metrics",
         ],
         &["--dce"],
     )?;
@@ -286,14 +286,6 @@ fn cmd_merge(args: &[String]) -> CliResult {
         config.jobs = jobs.parse()?;
     }
     let json_report = wants_json_report(&a)?;
-    config.merge = MergeConfig {
-        repair: match a.value("--repair") {
-            None | Some("phi") => RepairMode::Phi,
-            Some("stack") => RepairMode::Stack,
-            Some("legacy") => RepairMode::LegacyBuggy,
-            Some(other) => return Err(format!("unknown repair mode `{other}`").into()),
-        },
-    };
 
     let obs = Observability::parse(&a)?;
     let tracer = obs.tracer();
@@ -728,7 +720,7 @@ fn cmd_client(args: &[String]) -> CliResult {
 /// `f3m snapshot [describe] <file>` — open and fully validate an index
 /// snapshot (checksum, structure, corpus payload) and print its vitals:
 /// header parameters, per-pool byte layout, bucket-directory occupancy,
-/// and what the mmap-resident loader would do with it. Exit code
+/// and the shards the resident loader would read it in by. Exit code
 /// reflects validity, so CI can gate on a restored artefact.
 fn cmd_snapshot(args: &[String]) -> CliResult {
     // `describe` is an optional verb; with or without it the snapshot is
@@ -742,7 +734,8 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
     let p = std::path::Path::new(path);
     let snap =
         f3m::fingerprint::snapshot::open_snapshot(p).map_err(|e| format!("{path}: {e}"))?;
-    let meta = f3m::fingerprint::snapshot::open_snapshot_meta(p)
+    let pager = f3m::fingerprint::PagerKind::Auto;
+    let (meta, resident) = f3m::fingerprint::ResidentStore::open(p, pager, 0)
         .map_err(|e| format!("{path}: {e}"))?;
     let h = &snap.header;
     let modules = f3m::core::Corpus::snapshot_sources(p)
@@ -751,9 +744,6 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
     let bucket_members: usize = snap.buckets.iter().map(|(_, m)| m.len()).sum();
     let max_bucket = snap.buckets.iter().map(|(_, m)| m.len()).max().unwrap_or(0);
     let bytes_per_fn = snap.store.bytes_per_fn();
-    let rows_per_shard =
-        (f3m::fingerprint::resident::TARGET_SHARD_BYTES / bytes_per_fn.max(1)).max(1);
-    let resident_shards = h.entries.div_ceil(rows_per_shard);
     println!(
         "{path}: valid snapshot\n\
          \x20 backend:    {}\n\
@@ -793,8 +783,8 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
         l.key_pool_bytes,
         l.pool_start,
         l.pool_start % 8 == 0,
-        resident_shards,
-        rows_per_shard,
+        resident.num_shards(),
+        resident.rows_per_shard(),
     );
     Ok(())
 }

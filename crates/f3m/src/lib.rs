@@ -34,6 +34,8 @@
 //! f3m::ir::verify::verify_module(&module).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use f3m_core as core;
 pub use f3m_fingerprint as fingerprint;
 pub use f3m_fuzz as fuzz;

@@ -264,6 +264,13 @@ fn undeclared_flags_and_missing_values_are_rejected() {
     assert!(stderr.contains("unknown backend `tlsh` (minhash, simhash, embed)"), "{stderr}");
     let stderr = run_err(f3m().args(["serve", "--backend", "tlsh"]));
     assert!(stderr.contains("unknown backend `tlsh` (minhash, simhash, embed)"), "{stderr}");
+    // Retired from the product surface: the repair-mode ablation, whose
+    // `legacy` mode writes a module the paper calls miscompiled. The
+    // library keeps `RepairMode` for the tests that pin each mode.
+    for mode in ["phi", "stack", "legacy"] {
+        let stderr = run_err(f3m().arg("merge").arg(&input).args(["--repair", mode]));
+        assert!(stderr.contains("unknown flag `--repair`"), "{stderr}");
+    }
     // `run <input.ir> <function>` takes no flags; negative integers are
     // arguments, not flags.
     let stderr = run_err(f3m().arg("run").arg(&input).args(["__driver", "42", "--jobs", "2"]));

@@ -14,6 +14,8 @@
 //! the paper's Equations 3 and 4 for scaling the similarity threshold and
 //! band count with program size.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod backend;
 pub mod encode;
@@ -31,10 +33,10 @@ pub mod store;
 pub use adaptive::MergeParams;
 pub use backend::{backend_for, signature_similarity, BackendKind, FingerprintBackend};
 pub use lsh::{BandKey, LshIndex, LshParams, QueryScratch};
-pub use pager::{new_pager, Pager, PagerKind};
-pub use resident::{ResidencyCounters, ResidentStore, RowRef};
+pub use pager::PagerKind;
+pub use resident::{ResidencyCounters, ResidentStore};
 pub use sharded::{ShardStats, ShardedLshIndex};
 pub use minhash::minhash_signature;
 pub use opcode_freq::OpcodeFingerprint;
 pub use snapshot::{SnapshotError, SnapshotFile, SnapshotHeader, SnapshotLayout, SnapshotMeta};
-pub use store::PackedFingerprintStore;
+pub use store::{PackedFingerprintStore, RowRef};

@@ -3,11 +3,10 @@
 //! A resident daemon that dies loses nothing but time — yet at a million
 //! functions, "time" is minutes of re-fingerprinting and re-bucketing.
 //! The snapshot captures the whole candidate-search state in one
-//! contiguous, mmap-friendly file, so a restart is a bulk load instead of
-//! a rebuild — or, via [`open_snapshot_meta`] + the
-//! [`resident`](crate::resident) layer, no pool read at all: the SoA
-//! pools are mapped lazily and faulted in per shard as queries touch
-//! them.
+//! contiguous file, so a restart is a bulk load instead of a rebuild — or,
+//! via [`open_snapshot_meta`] + the [`resident`](crate::resident) layer,
+//! no pool read at open at all: the SoA pools are read in per shard, by
+//! positioned reads, as queries touch them.
 //!
 //! ## Wire layout, version 3 (all integers little-endian)
 //!
@@ -54,12 +53,12 @@
 //! header, directory and payload (everything except its own field) and
 //! is verified on every open; `pool_fnv` seals the padding + pools and
 //! is only verified by the bulk [`decode_snapshot`] path. That split is
-//! what makes lazy residency possible: a pager can map the pools
-//! without reading a single pool byte, because validating the prefix no
-//! longer requires streaming the (multi-GiB at chrome scale) pools
-//! through a hash. Since an `mmap` base address is page-aligned, the
-//! 8-aligned `pool_start` file offset also gives correctly aligned
-//! in-memory `&[u64]` views of the signature pool.
+//! what makes lazy residency possible: a store can open the file without
+//! reading a single pool byte, because validating the prefix no longer
+//! requires streaming the (multi-GiB at chrome scale) pools through a
+//! hash. Every reader decodes pool bytes into owned, aligned vectors, so
+//! nothing depends on `pool_start` being 8-aligned; it stays aligned
+//! because it is part of the format.
 //!
 //! The pools are verbatim copies of a
 //! [`PackedFingerprintStore`](crate::store::PackedFingerprintStore)'s
@@ -693,8 +692,8 @@ mod tests {
 
     #[test]
     fn sig_pool_is_eight_byte_aligned() {
-        // The whole point of the v2 layout: a page-aligned mapping of the
-        // file yields a correctly aligned &[u64] view of the sig pool.
+        // The v2 layout puts the pools at an 8-aligned offset with zeroed
+        // padding before them; the format keeps both.
         for n in [0u32, 1, 6, 12] {
             for payload in [&b""[..], b"x", b"seven b", b"unaligned payload!"] {
                 let (mut header, store, buckets) = build_fixture(n);

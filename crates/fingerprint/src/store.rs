@@ -21,9 +21,11 @@
 //! to skip most full-signature compares. It is rebuilt from `sigs`
 //! wherever rows enter the store and never serialized. Rows are
 //! fixed-width, so a changed function overwrites its row in place
-//! ([`PackedFingerprintStore::set_row`]). [`RowRef`] is the borrowed view
-//! of one row, shared with the file-backed
+//! ([`PackedFingerprintStore::set_row`]). [`RowRef`] is the view of one
+//! row, whether the store is a heap store or one shard of the file-backed
 //! [`ResidentStore`](crate::resident::ResidentStore).
+
+use std::sync::Arc;
 
 use f3m_ir::function::Function;
 use f3m_ir::ids::FuncId;
@@ -34,7 +36,6 @@ use crate::backend::FingerprintBackend;
 use crate::encode::encode_function;
 use crate::lsh::{band_keys_for, BandKey, LshParams};
 use crate::par::par_map_indexed;
-use crate::resident::RowRef;
 
 /// Contiguous signature, band-key and sketch pools, indexed by function
 /// id.
@@ -199,13 +200,10 @@ impl PackedFingerprintStore {
         &self.sketch[i * self.k..(i + 1) * self.k]
     }
 
-    /// Borrowed view of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
+    /// Borrowed view of row `i`. Its accessors panic if `i` is out of
+    /// range.
     pub fn row(&self, i: usize) -> RowRef<'_> {
-        RowRef::borrowed(self.sig(i), self.keys(i), self.sketch(i))
+        RowRef { rows: Rows::Borrowed(self), i }
     }
 
     /// The whole signature pool (snapshot serialization order).
@@ -249,6 +247,49 @@ impl PackedFingerprintStore {
         std::mem::size_of_val(self.sigs.as_slice())
             + std::mem::size_of_val(self.keys.as_slice())
             + self.sketch.len()
+    }
+}
+
+/// One row of a [`PackedFingerprintStore`]: its signature slots, band
+/// keys and sketch. A heap store's row borrows the store; a resident
+/// shard's row shares the shard, so a spill cannot free it mid-read.
+pub struct RowRef<'a> {
+    rows: Rows<'a>,
+    i: usize,
+}
+
+enum Rows<'a> {
+    Borrowed(&'a PackedFingerprintStore),
+    Shared(Arc<PackedFingerprintStore>),
+}
+
+impl RowRef<'_> {
+    /// Row `i` of a shared store. Its accessors panic if `i` is out of
+    /// range.
+    pub(crate) fn shared(rows: Arc<PackedFingerprintStore>, i: usize) -> RowRef<'static> {
+        RowRef { rows: Rows::Shared(rows), i }
+    }
+
+    fn store(&self) -> &PackedFingerprintStore {
+        match &self.rows {
+            Rows::Borrowed(store) => store,
+            Rows::Shared(store) => store,
+        }
+    }
+
+    /// The row's `k` signature slots.
+    pub fn sig(&self) -> &[u64] {
+        self.store().sig(self.i)
+    }
+
+    /// The row's `bands` band keys.
+    pub fn keys(&self) -> &[BandKey] {
+        self.store().keys(self.i)
+    }
+
+    /// The low byte of each of the row's signature slots.
+    pub fn sketch(&self) -> &[u8] {
+        self.store().sketch(self.i)
     }
 }
 

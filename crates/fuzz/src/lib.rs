@@ -11,6 +11,8 @@
 //! corpus for replay; [`campaign`] ties it together deterministically,
 //! seed in, JSON summary out. Surfaced on the command line as `f3m fuzz`.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod global;
 pub mod mutate;

@@ -5,7 +5,8 @@
 //! server is bombarded with seeded scenarios — random well-formed frame
 //! interleavings, truncated and oversized length prefixes, garbage
 //! payloads, mid-request disconnects, byte-at-a-time slowloris dribbles,
-//! and pipelined bursts across multiple connections.
+//! and pipelined bursts across multiple connections. Some well-formed
+//! requests carry non-ASCII text in every string field.
 //!
 //! ## Oracle contract
 //!
@@ -175,7 +176,31 @@ fn random_request(rng: &mut SmallRng, ingested: &mut Vec<String>) -> Request {
             k: 2,
             if_epoch: None,
         },
-        _ => Request::Ping,
+        _ => with_non_ascii_strings(random_request(rng, &mut Vec::new()), rng),
+    }
+}
+
+/// Rewrites every string field of `req` — names, and the IR of an update
+/// — to text mixing ASCII, escaped characters and two- to four-byte
+/// characters, so the frame reader decodes multi-byte runs of every
+/// width. No module or symbol name may hold such text, so each answer is
+/// a well-formed `error`. A request without string fields becomes a
+/// query naming such a module.
+fn with_non_ascii_strings(req: Request, rng: &mut SmallRng) -> Request {
+    const CHARS: [char; 6] = ['a', '"', '\\', 'é', '関', '😀'];
+    let mut text = || -> String {
+        let n = rng.gen_range(0..512u32);
+        let tail = (0..n).map(|_| CHARS[rng.gen_range(0..CHARS.len() as u32) as usize]);
+        std::iter::once('é').chain(tail).collect()
+    };
+    match req {
+        Request::Ingest { ir, .. } => Request::Ingest { name: Some(text()), ir },
+        Request::Evict { .. } => Request::Evict { name: text() },
+        Request::Update { .. } => Request::Update { module: text(), func: text(), ir: Some(text()) },
+        Request::Query { func, k, if_epoch, .. } => {
+            Request::Query { module: text(), func: func.map(|_| text()), k, if_epoch }
+        }
+        _ => Request::Query { module: text(), func: Some(text()), k: 2, if_epoch: None },
     }
 }
 
@@ -533,6 +558,25 @@ mod tests {
         assert!(check_response(error("unknown request type `x`").as_bytes()).is_ok());
         let caught = check_response(error("internal panic handling `update`").as_bytes());
         assert!(caught.unwrap_err().contains("worker panicked"));
+    }
+
+    #[test]
+    fn non_ascii_requests_survive_the_wire_and_name_nothing() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..64 {
+            let req = with_non_ascii_strings(random_request(&mut rng, &mut Vec::new()), &mut rng);
+            let names: Vec<&str> = match &req {
+                Request::Ingest { name, .. } => vec![name.as_deref().unwrap()],
+                Request::Evict { name } => vec![name],
+                Request::Update { module, func, ir } => vec![module, func, ir.as_deref().unwrap()],
+                Request::Query { module, .. } => vec![module],
+                other => panic!("a {} request carries no string field", other.type_name()),
+            };
+            assert!(names.iter().all(|s| !s.is_ascii()), "{names:?}");
+            let text = render_request(&RequestEnvelope::of(req.clone()));
+            let parsed = f3m_serve::protocol::parse_request(text.as_bytes()).unwrap();
+            assert_eq!(parsed.body, req, "{text}");
+        }
     }
 
     #[test]

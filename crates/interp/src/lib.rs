@@ -13,6 +13,8 @@
 //! deterministic pure value sources, `ext_sink*` accumulate a checksum.
 //! Anything else traps, keeping workloads honest.
 
+#![forbid(unsafe_code)]
+
 pub mod interp;
 pub mod memory;
 pub mod oracle;

@@ -37,6 +37,8 @@
 //! assert_eq!(reparsed.num_functions(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cfg;
 pub mod dom;

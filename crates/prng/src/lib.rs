@@ -10,6 +10,8 @@
 //! The API intentionally mirrors `rand`'s method names (`seed_from_u64`,
 //! `gen_range`, `gen_bool`) so call sites read identically.
 
+#![forbid(unsafe_code)]
+
 /// A small, fast, deterministic generator (SplitMix64).
 ///
 /// Not cryptographically secure; statistically solid for workload

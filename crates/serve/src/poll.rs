@@ -4,17 +4,20 @@
 //! Two backends, both std-only (the workspace's zero-dependency rule
 //! means no `libc`/`mio`):
 //!
-//! - [`EpollPoller`] — Linux `epoll` driven by raw syscalls via
+//! - `EpollPoller` — Linux `epoll` driven by raw syscalls via
 //!   `std::arch::asm!` (x86_64 and aarch64). Level-triggered, so the
 //!   event loop never misses bytes it left unread in the kernel buffer.
+//!   These syscalls are the workspace's only `unsafe` code; each block
+//!   states why it is sound.
 //! - [`FallbackPoller`] — a portable degraded mode: `wait` sleeps a
 //!   short tick and reports every registered token as maybe-ready; the
 //!   event loop's non-blocking reads turn the false positives into
 //!   `WouldBlock` no-ops. Correct everywhere, a little warmer on CPU.
 //!
-//! Backend choice is [`PollerKind::Auto`] (epoll where available) unless
-//! the config says otherwise — the chaos tests run the whole daemon
-//! suite on the fallback backend to keep it honest.
+//! [`new_poller`] builds epoll on Linux (x86_64 and aarch64) and the
+//! fallback everywhere else, or when epoll cannot be set up.
+//! [`PollerKind::Fallback`] forces the fallback: the chaos tests run the
+//! daemon on it to keep it honest.
 //!
 //! [`Waker`] is the cross-thread nudge: workers finishing a job must pop
 //! the event loop out of `wait` to get their response flushed. Under
@@ -46,7 +49,6 @@ pub enum PollerKind {
     /// Epoll where the platform supports it, fallback otherwise.
     #[default]
     Auto,
-    Epoll,
     Fallback,
 }
 
@@ -63,20 +65,17 @@ pub trait Poller: Send {
     fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()>;
 }
 
-/// Constructs the requested backend (with `Auto` resolution) plus its
-/// waker. `waker_fd` is `Some` when the waker must be registered
-/// with the poller (epoll); the fallback needs no registration.
+/// Constructs the requested backend plus its waker. The waker source is
+/// `Some` when it must be registered with the poller (epoll); the
+/// fallback needs no registration.
 pub fn new_poller(kind: PollerKind) -> (Box<dyn Poller>, Waker, Option<WakerSource>) {
-    match kind {
-        PollerKind::Fallback => (Box::new(FallbackPoller::default()), Waker::noop(), None),
-        PollerKind::Epoll | PollerKind::Auto => match epoll::EpollPoller::new() {
-            Ok(p) => match Waker::pipe() {
-                Ok((waker, source)) => (Box::new(p), waker, Some(source)),
-                Err(_) => (Box::new(FallbackPoller::default()), Waker::noop(), None),
-            },
-            Err(_) => (Box::new(FallbackPoller::default()), Waker::noop(), None),
-        },
+    if kind == PollerKind::Auto {
+        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+        if let (Ok(p), Ok((waker, source))) = (epoll::EpollPoller::new(), Waker::pipe()) {
+            return (Box::new(p), waker, Some(source));
+        }
     }
+    (Box::new(FallbackPoller::default()), Waker::noop(), None)
 }
 
 // ---------------------------------------------------------------------------
@@ -129,17 +128,13 @@ impl Waker {
         }
     }
 
-    #[cfg(unix)]
+    /// The self-pipe epoll waits on beside the sockets.
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
     fn pipe() -> io::Result<(Waker, WakerSource)> {
         let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
         Ok((Waker { tx: Some(std::sync::Arc::new(tx)) }, WakerSource { rx }))
-    }
-
-    #[cfg(not(unix))]
-    fn pipe() -> io::Result<(Waker, WakerSource)> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no waker pipe on this platform"))
     }
 
     /// Pops the event loop out of `wait`. A full pipe is fine — one
@@ -246,11 +241,22 @@ mod epoll {
     mod nr {
         pub const EPOLL_CREATE1: i64 = 20;
         pub const EPOLL_CTL: i64 = 21;
-        pub const EPOLL_PWAIT: i64 = 22;
+        /// `epoll_pwait`, called with a null sigmask: aarch64 has no
+        /// `epoll_wait`.
+        pub const EPOLL_WAIT: i64 = 22;
         pub const CLOSE: i64 = 57;
     }
 
     /// Raw 5-argument syscall. Negative returns are `-errno`.
+    ///
+    /// # Safety
+    ///
+    /// `n` and its arguments must make a syscall that touches no memory
+    /// but what the arguments point at, and every pointer argument must
+    /// be valid for the kernel's reads or writes for the call's duration.
+    /// The asm itself declares everything the instruction clobbers: the
+    /// return register, and `rcx`/`r11` on x86_64. The kernel preserves
+    /// every other register and does not use the user stack.
     #[cfg(target_arch = "x86_64")]
     unsafe fn syscall5(n: i64, a1: i64, a2: i64, a3: i64, a4: i64, a5: i64) -> i64 {
         let ret: i64;
@@ -269,6 +275,7 @@ mod epoll {
         ret
     }
 
+    /// See the x86_64 twin.
     #[cfg(target_arch = "aarch64")]
     unsafe fn syscall5(n: i64, a1: i64, a2: i64, a3: i64, a4: i64, a5: i64) -> i64 {
         let ret: i64;
@@ -294,16 +301,14 @@ mod epoll {
     }
 
     pub struct EpollPoller {
+        /// Owned: opened by `new`, closed once by `drop`.
         epfd: RawFd,
         buf: Vec<EpollEvent>,
     }
 
-    // The epoll fd is used from the event-loop thread only; Send is what
-    // `Box<dyn Poller>` construction on one thread and use on another needs.
-    unsafe impl Send for EpollPoller {}
-
     impl EpollPoller {
         pub fn new() -> io::Result<EpollPoller> {
+            // SAFETY: epoll_create1 takes no pointer; it only opens a fd.
             let epfd = check(unsafe { syscall5(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0) })?;
             Ok(EpollPoller {
                 epfd: epfd as RawFd,
@@ -317,6 +322,9 @@ mod epoll {
                 data: token,
             };
             let ptr = if op == EPOLL_CTL_DEL { 0 } else { &mut ev as *mut EpollEvent as i64 };
+            // SAFETY: the kernel reads one `epoll_event` at `ptr`, and `ev`
+            // is one, laid out as the kernel's struct, alive across the
+            // call. `EPOLL_CTL_DEL` reads nothing and takes a null pointer.
             check(unsafe { syscall5(nr::EPOLL_CTL, self.epfd as i64, op, fd as i64, ptr, 0) })
                 .map(|_| ())
         }
@@ -324,6 +332,8 @@ mod epoll {
 
     impl Drop for EpollPoller {
         fn drop(&mut self) {
+            // SAFETY: close takes no pointer, and `epfd` is this poller's
+            // own fd, closed exactly once, here.
             let _ = unsafe { syscall5(nr::CLOSE, self.epfd as i64, 0, 0, 0, 0) };
         }
     }
@@ -351,10 +361,11 @@ mod epoll {
             let n = {
                 let ptr = self.buf.as_mut_ptr() as i64;
                 let cap = self.buf.len() as i64;
-                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the kernel writes at most `cap` `epoll_event`s at
+                // `ptr`, and `buf` holds `cap` of them, laid out as the
+                // kernel's struct; nothing else touches it during the call.
+                // The fifth argument is epoll_pwait's null sigmask.
                 let ret = unsafe { syscall5(nr::EPOLL_WAIT, self.epfd as i64, ptr, cap, ms, 0) };
-                #[cfg(target_arch = "aarch64")]
-                let ret = unsafe { syscall5(nr::EPOLL_PWAIT, self.epfd as i64, ptr, cap, ms, 0) };
                 match ret {
                     r if r == -EINTR => 0,
                     r => check(r)?,
@@ -372,50 +383,6 @@ mod epoll {
             }
             Ok(())
         }
-    }
-}
-
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-mod epoll {
-    use super::{FallbackPoller, Poller};
-    use std::io;
-
-    /// Platforms without the raw-syscall epoll backend fall through to
-    /// the portable poller at construction time.
-    pub struct EpollPoller;
-
-    impl EpollPoller {
-        pub fn new() -> io::Result<EpollPoller> {
-            Err(io::Error::new(io::ErrorKind::Unsupported, "epoll backend unavailable"))
-        }
-    }
-
-    impl Poller for EpollPoller {
-        fn backend_name(&self) -> &'static str {
-            "unsupported"
-        }
-        fn register(&mut self, _: super::RawFd, _: u64, _: bool) -> io::Result<()> {
-            unreachable!("EpollPoller::new always fails on this platform")
-        }
-        fn modify(&mut self, _: super::RawFd, _: u64, _: bool) -> io::Result<()> {
-            unreachable!()
-        }
-        fn deregister(&mut self, _: super::RawFd) -> io::Result<()> {
-            unreachable!()
-        }
-        fn wait(
-            &mut self,
-            _: &mut Vec<super::PollEvent>,
-            _: std::time::Duration,
-        ) -> io::Result<()> {
-            unreachable!()
-        }
-    }
-
-    // Referenced so the fallback type is used on every platform.
-    #[allow(dead_code)]
-    fn _portable() -> FallbackPoller {
-        FallbackPoller::default()
     }
 }
 
@@ -478,7 +445,7 @@ mod tests {
     #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
     #[test]
     fn epoll_backend_reports_readiness() {
-        let (poller, _waker, _src) = new_poller(PollerKind::Epoll);
+        let (poller, _waker, _src) = new_poller(PollerKind::Auto);
         if poller.backend_name() == "epoll" {
             backend_roundtrip(poller);
         }

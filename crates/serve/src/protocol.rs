@@ -638,7 +638,7 @@ mod tests {
                     queries_superseded: 1,
                     sketch_comparisons: 30,
                     full_comparisons: 4,
-                    resident_pager: Some("mmap"),
+                    resident_pager: Some("file"),
                     resident_bytes: 4096,
                     shard_faults: 2,
                     shard_spills: 1,
@@ -678,7 +678,7 @@ mod tests {
         let corpus = v.get("corpus").unwrap();
         assert_eq!(corpus.get("memo_hits").and_then(Json::as_u64), Some(11));
         assert_eq!(corpus.get("queries_superseded").and_then(Json::as_u64), Some(1));
-        assert_eq!(corpus.get("resident_pager").and_then(Json::as_str), Some("mmap"));
+        assert_eq!(corpus.get("resident_pager").and_then(Json::as_str), Some("file"));
         assert_eq!(corpus.get("resident_bytes").and_then(Json::as_u64), Some(4096));
         assert_eq!(corpus.get("shard_faults").and_then(Json::as_u64), Some(2));
         assert_eq!(corpus.get("shard_spills").and_then(Json::as_u64), Some(1));

@@ -196,10 +196,10 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Fingerprint family for the resident corpus.
     pub backend: BackendKind,
-    /// `Some(bytes)` restores the snapshot through the mmap-resident
-    /// fingerprint store instead of a bulk read, keeping at most this
-    /// many pool bytes hot (0 = map everything, spill nothing). `None`
-    /// keeps the bulk O(file) restore.
+    /// `Some(bytes)` restores the snapshot through the file-backed
+    /// resident fingerprint store instead of a bulk read, keeping at most
+    /// this many snapshot pool bytes hot (0 = read shards in as touched,
+    /// spill nothing). `None` keeps the bulk O(file) restore.
     pub resident_budget: Option<u64>,
     /// Readiness backend (`Auto` = epoll where available).
     pub poller: PollerKind,
@@ -813,8 +813,8 @@ fn flush_artifacts(cfg: &ServeConfig, shared: &Shared) {
 }
 
 /// Builds the resident corpus: restored from the configured snapshot
-/// when one is present and trustworthy (through the mmap-resident store
-/// when `resident_budget` is set, a bulk read otherwise), rebuilt from
+/// when one is present and trustworthy (through the file-backed resident
+/// store when `resident_budget` is set, a bulk read otherwise), rebuilt from
 /// the snapshot's module sources when its index is stale, empty
 /// otherwise.
 fn open_corpus(cfg: &ServeConfig, corpus_cfg: CorpusConfig) -> (Corpus, SnapshotStatus) {

@@ -285,11 +285,13 @@ fn oversized_nonreader_is_resolved_within_deadline() {
     join_within(h, Duration::from_secs(20));
 }
 
-/// The three payloads that used to take the daemon down — a function
-/// defined twice (a panic under the corpus's writer lock, which stayed
-/// poisoned), a type nested 200 000 deep and a frame of 3 MB of `[` (stack
-/// overflows, which abort the process) — are answered as plain errors, and
-/// the write verbs still work afterwards.
+/// The payloads that used to take the daemon down — a function defined
+/// twice (a panic under the corpus's writer lock, which stayed poisoned), a
+/// type nested 200 000 deep and a frame of 3 MB of `[` (stack overflows,
+/// which abort the process) — or to tie up a worker — 600 kB of multi-byte
+/// text in a string field (decoded in time quadratic in its length) — are
+/// answered promptly as plain errors, and the write verbs still work
+/// afterwards.
 #[test]
 fn hostile_payloads_are_errors_and_the_daemon_keeps_mutating() {
     let (addr, h) = start(quick());
@@ -304,16 +306,23 @@ fn hostile_payloads_are_errors_and_the_daemon_keeps_mutating() {
     let deep = "[1 x ".repeat(200_000);
     let deep = format!("define @g() -> void {{\nbb0:\n  %0 = alloca {deep}\n  ret\n}}\n");
     let deep = Request::Ingest { name: Some("deep".into()), ir: module(&deep) };
+    let wide = Some("é関😀\"".repeat(50_000));
+    let wide = Request::Update { module: "m".into(), func: "f".into(), ir: wide };
     let frames = [
         render_request(&RequestEnvelope::of(twice)).into_bytes(),
         render_request(&RequestEnvelope::of(deep)).into_bytes(),
         vec![b'['; 3 << 20],
+        render_request(&RequestEnvelope::of(wide)).into_bytes(),
     ];
     for frame in &frames {
+        let t0 = Instant::now();
         let reply = parse_response(c.send_raw(frame).unwrap().as_bytes()).unwrap();
+        let elapsed = t0.elapsed();
         let message = reply.get("message").and_then(f3m_trace::Json::as_str).unwrap_or_default();
         assert_eq!(reply.get("type").and_then(f3m_trace::Json::as_str), Some("error"), "{reply:?}");
         assert!(!message.is_empty() && !message.starts_with("internal panic"), "{message}");
+        let kb = frame.len() >> 10;
+        assert!(elapsed < Duration::from_secs(5), "a {kb} kB frame took {elapsed:?}: {message}");
     }
 
     let touch = Request::Update { module: "m".into(), func: "f".into(), ir: None };

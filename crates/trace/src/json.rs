@@ -296,6 +296,7 @@ impl Writer {
 const MAX_DEPTH: u32 = u64::BITS;
 
 struct Reader<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Containers open around `pos`.
@@ -304,7 +305,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn new(s: &'a str) -> Reader<'a> {
-        Reader { bytes: s.as_bytes(), pos: 0, depth: 0 }
+        Reader { src: s, bytes: s.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn err(&self, msg: &str) -> String {
@@ -403,59 +404,46 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Decodes a string in time linear in its length: each run between
+    /// escapes is copied as one slice of the input. A run ends at an ASCII
+    /// `"` or `\`, so it is whole characters of the already-valid `&str`.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("unsupported escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) if c < 0x80 => {
-                    out.push(c as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+            let Some(run) = run else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            match self.bytes.get(self.pos).copied() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
+                        16,
+                    )
+                    .map_err(|_| self.err("bad \\u escape"))?;
+                    out.push(char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?);
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("unsupported escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -533,6 +521,22 @@ mod tests {
             assert!(parse(&nest(1_000_000)).is_err());
             assert!(parse(&open.repeat(1_000_000)).is_err());
         }
+    }
+
+    /// A string of multi-byte characters decodes in time linear in its
+    /// length; a decoder that re-validates the rest of the input per
+    /// character takes seconds here.
+    #[test]
+    fn multi_byte_strings_decode_in_linear_time() {
+        let wide: String = "é関😀\"\\x".repeat(40_000);
+        let doc = format!("{{\"s\":\"{}\",\"t\":\"{}\"}}", escape(&wide), "ü".repeat(100_000));
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(v.get("s").unwrap().as_str(), Some(wide.as_str()));
+        assert_eq!(v.get("t").unwrap().as_str().map(str::len), Some(200_000));
+        assert!(elapsed < std::time::Duration::from_secs(1), "{} kB took {elapsed:?}", doc.len() >> 10);
+        assert!(parse("\"é关").unwrap_err().starts_with("unterminated string at byte 6"));
     }
 
     #[test]

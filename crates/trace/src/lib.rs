@@ -44,6 +44,8 @@
 //! assert!(tracer.to_chrome_json().contains("\"traceEvents\""));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod clock;
 pub mod json;

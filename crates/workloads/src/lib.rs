@@ -11,6 +11,8 @@
 //! scaled `linux-scale` (45k functions) and `chrome-scale` (120k)
 //! workloads.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod suite;
 

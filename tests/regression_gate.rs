@@ -49,12 +49,12 @@ fn collect_metrics() -> MetricsRegistry {
 }
 
 /// Deterministic residency scenario: one module snapshotted to disk,
-/// restored through the mmap-resident store under a budget smaller than
-/// the pool, then swept with a fixed single-threaded query sequence.
-/// The residency counters record *logical* fault/spill decisions — the
-/// same numbers whichever pager backend `Auto` picks — so they gate like
-/// work counts: a shard-sizing or LRU change that doubles the thrash for
-/// this access pattern trips the band.
+/// restored through the file-backed resident store under a budget
+/// smaller than the pool, then swept with a fixed single-threaded query
+/// sequence. The residency counters record the manager's fault/spill
+/// decisions in snapshot pool bytes, so they gate like work counts: a
+/// shard-sizing or LRU change that doubles the thrash for this access
+/// pattern trips the band.
 fn collect_residency_metrics(reg: &mut MetricsRegistry) {
     use f3m::core::corpus::{Corpus, CorpusConfig};
     use f3m::fingerprint::pager::PagerKind;
@@ -340,8 +340,8 @@ fn tolerance_for(name: &str) -> Tolerance {
             Tolerance { rel: 0.15, abs: 8.0 }
         }
         // Residency thrash for the fixed single-budget sweep: fault and
-        // spill totals are logical decisions (pager-independent); a
-        // shard-sizing or LRU-policy change that doubles them is a
+        // spill totals are the manager's decisions; a shard-sizing or
+        // LRU-policy change that doubles them is a
         // regression. Resident bytes track shard geometry, so a benign
         // row-layout tweak moves them a little, not a lot.
         "shard_faults" | "shard_spills" => Tolerance { rel: 0.15, abs: 16.0 },
