@@ -7,11 +7,11 @@
 //! [`ShardedLshIndex`]. Ingesting a module fingerprints *only* that
 //! module's functions and inserts them; evicting removes the module's
 //! band keys and frees its body — what stays of an evicted module is a
-//! tombstone record and its entries' closed epoch intervals. Neither ever
-//! rebuilds the index.
+//! tombstone record and its entries' epoch stamps. Neither ever rebuilds
+//! the index.
 //!
 //! The corpus drives the rank step, it does not re-implement it: it owns
-//! the epoch intervals, the namespace and the `QueryCache`, and ranks
+//! the epoch, the namespace and the `QueryCache`, and ranks
 //! through the kernel of [`crate::rank`] — the one the offline pass runs
 //! on. [`LshBackendSearch::ranked_candidates`](crate::rank::LshBackendSearch::ranked_candidates)
 //! stays a separate, exhaustive driver because it is the reference these
@@ -40,17 +40,24 @@
 //! fingerprints — are unchanged. [`combine_modules`] builds the merged
 //! corpus module the `merge` request runs the full pass over.
 //!
-//! ## Epochs and visibility
+//! ## Epochs and consistency
 //!
-//! Mutations are serialized (one writer at a time); each bumps the index
-//! epoch *after* completing, and every entry records the epoch interval
-//! `[added, evicted)` in which it is visible. A reader pins
-//! [`ShardedLshIndex::epoch`] once and filters candidates against that
-//! pin, so an in-flight ingest is either fully visible or not at all.
-//! Eviction additionally removes band keys physically (cost proportional
-//! to the module's own keys); removal is visible to queries immediately,
-//! which only ever *hides* candidates early — never resurfaces stale
-//! ones.
+//! Every corpus operation is one critical section under the table guard,
+//! and the table holds the epoch. A mutation — `ingest`, `evict` or
+//! `update_function` — installs its entries or row, applies its index
+//! delta, stamps the memoized lists it can change and advances the epoch
+//! under a single write guard. A read — a function or module query,
+//! `global_candidates`, `stats`, a snapshot save — reads the epoch and
+//! ranks under a single read guard. A reader therefore sees each mutation
+//! whole or not at all, its answer is the answer at the epoch it returns,
+//! and an id found in a bucket is live by construction: eviction removes
+//! an entry's band keys in the same critical section that stamps it
+//! evicted. Lock order is table → cache → shards.
+//!
+//! Entries keep the epochs they were added and evicted at as stamps: the
+//! snapshot payload carries them, and a mutation counts only surviving
+//! entries as invalidated. Evicted entries stay in the table until a
+//! snapshot save and restore compacts them.
 //!
 //! ## Incremental recompute (revisions + memoized ranks)
 //!
@@ -59,15 +66,14 @@
 //! were computed — bumped by [`Corpus::update_function`]) and
 //! `dirty_rev` (the revision at which its *memoized ranked candidates*
 //! were last invalidated). Ranked-candidate queries are memoized in a
-//! [`QueryCache`]: a cached list computed under pinned epoch `P` is
-//! valid for a query pinned at `E` iff `dirty_rev ≤ min(P, E)` — i.e. no
-//! mutation that could change the list has happened since before either
-//! pin — and it holds enough candidates: it was computed for at least as
-//! many as are asked for now, or came out shorter than it was allowed to
-//! be, which makes it the whole list. Durable inputs (function bodies,
+//! [`QueryCache`]: a cached list computed at epoch `P` serves a query iff
+//! `dirty_rev ≤ P` — no mutation that could change the list has landed
+//! since — and it holds enough candidates: it was computed for at least
+//! as many as are asked for now, or came out shorter than it was allowed
+//! to be, which makes it the whole list. Durable inputs (function bodies,
 //! [`MergeParams`]) invalidate through `dirty_rev`; volatile inputs (the
 //! epoch itself, counters) never do — a query's result is a pure
-//! function of the durable state visible at its pin.
+//! function of the durable state at its epoch.
 //!
 //! **Granularity is chosen by the verb, not by a knob.** Whole-module
 //! `ingest`/`evict` go through [`ShardedLshIndex::apply_delta`] and
@@ -119,36 +125,15 @@
 //! against the module's symbols and types, verified with its callers when
 //! its signature changed, and installed — no render, no module parse.
 //!
-//! Sparing neighbors makes two orderings load-bearing. A row-level edit
-//! is **one critical section** against `ranked`: the new row, the index
-//! delta, the stamps and the epoch bump all happen under a single table
-//! write guard, so no reader can rank the new row against the old index
-//! and keep the result (with every neighbor stamped, that list would have
-//! been discarded; now it might not be). And `ranked` memoizes only under
-//! the current epoch. A replacement alone adds and evicts no entry, so a
-//! reader pinned before it and ranking after it sees the post-edit state
-//! — but a module ingest *and* an update can both land inside one
-//! reader's pin: the ingest stamps only the neighbors its rows have on
-//! arrival, the update then moves one of those rows next to an entry that
-//! has no memo yet (nothing to judge, nothing stamped), and the stale
-//! reader ranks that entry without the row, which its pin cannot see.
-//!
-//! ## Cancellation
-//!
-//! [`Corpus::query_module_cancellable`] pins an epoch, then releases and
-//! re-acquires the table lock between per-function rankings, invoking a
-//! supersession predicate each time. When a newer epoch supersedes the
-//! pin mid-query the computation aborts with
-//! [`QueryOutcome::Superseded`] (counted in `queries_superseded`)
-//! instead of finishing a corpus-sized answer nobody can trust.
-//! [`Corpus::query_module`] retries a few times and then falls back to a
-//! lock-held consistent pass, so synchronous callers keep their
-//! deterministic, never-superseded behaviour.
+//! Sparing neighbors rests on the one consistency rule above. An edit's
+//! new row, index delta, stamps and epoch bump happen under one write
+//! guard, and a ranking and the memo it leaves happen under one read
+//! guard, so no reader can rank against half an edit and keep the list.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock, RwLockWriteGuard};
+use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, BackendKind, FingerprintBackend};
@@ -229,16 +214,6 @@ pub struct UpdateSummary {
     pub funcs_invalidated: u64,
 }
 
-/// Outcome of a cancellable module query.
-#[derive(Clone, Debug, PartialEq)]
-pub enum QueryOutcome {
-    /// The query ran to completion under its pinned epoch.
-    Complete { epoch: u64, results: Vec<QueryResult> },
-    /// A mutation superseded the pinned epoch mid-query; partial work
-    /// was discarded. `epoch` is the epoch observed at abort time.
-    Superseded { started: u64, epoch: u64 },
-}
-
 /// One ranked candidate of a query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RankedCandidate {
@@ -310,7 +285,8 @@ pub struct CorpusStats {
     /// Bucket neighbors of row-level edits whose memoized list was tested
     /// against the edit and kept.
     pub funcs_spared: u64,
-    /// Cancellable queries aborted because a newer epoch superseded them.
+    /// Requests answered `superseded`: a stale `if_epoch`, or a global
+    /// plan a mutation raced.
     pub queries_superseded: u64,
     /// Candidates whose low-byte sketch a ranking compared.
     pub sketch_comparisons: u64,
@@ -391,9 +367,9 @@ struct Entry {
     /// base's `len()` a row of the snapshot file, from there up a row of
     /// [`Table::rows`].
     row: u32,
-    /// First epoch at which this entry is visible.
+    /// Epoch of the ingest that created it.
     added: u64,
-    /// First epoch at which it is no longer visible (`u64::MAX` = live).
+    /// Epoch of the evict that removed it (`u64::MAX` = live).
     evicted: u64,
     /// Revision (epoch) at which the row was computed. Bumped by
     /// `update_function`; `added` for entries never updated.
@@ -405,7 +381,7 @@ struct Entry {
 }
 
 impl Entry {
-    /// An entry becoming visible at `epoch`.
+    /// An entry created at `epoch`.
     fn fresh(module: &str, func: &str, row: usize, epoch: u64) -> Entry {
         Entry {
             func: func.to_string(),
@@ -484,6 +460,9 @@ struct Table {
     modules: Vec<ModuleRecord>,
     /// Heap fingerprint rows (see the module docs).
     rows: PackedFingerprintStore,
+    /// Mutations applied so far (resumed from a snapshot's header): the
+    /// epoch every read under this guard answers at.
+    epoch: u64,
 }
 
 impl Table {
@@ -515,7 +494,7 @@ impl Table {
 
 /// One memoized ranked-candidate list: the best `k` candidates of an
 /// entry (threshold-filtered, in ranking order), stamped with the epoch
-/// it was computed under.
+/// it was computed at.
 struct CachedRank {
     pinned: u64,
     /// How many candidates were asked for.
@@ -563,15 +542,11 @@ struct CorpusCounters {
     full_comparisons: AtomicU64,
 }
 
-/// How many times `query_module` retries a superseded cancellable pass
-/// before falling back to a lock-held consistent one.
-const QUERY_RETRIES: usize = 3;
-
 /// The resident corpus: ingested modules + sharded fingerprint index.
 ///
-/// All operations take `&self`; reads proceed concurrently, mutations
-/// serialize on an internal lock. See the module docs for the visibility
-/// model.
+/// All operations take `&self`. Reads proceed concurrently, each under
+/// one table read guard; each mutation holds one table write guard (see
+/// the module docs, "Epochs and consistency").
 pub struct Corpus {
     cfg: CorpusConfig,
     backend: Box<dyn FingerprintBackend>,
@@ -589,11 +564,13 @@ pub struct Corpus {
     /// Read-only base of the row space (rows below its `len()`); `None`
     /// for fresh and bulk-loaded corpora.
     resident: Option<ResidentStore>,
-    /// Serializes ingest/evict/update so epoch intervals never interleave.
+    /// Serializes writers: `update_function` validates and fingerprints
+    /// under a read guard before it takes the write guard, and no other
+    /// mutation may land in between.
     mutate: Mutex<()>,
-    /// Table write guards taken by mutations (see [`Corpus::write_table`]).
+    /// Table guards taken, read and write (see [`Corpus::read_table`]).
     #[cfg(test)]
-    table_writes: AtomicU64,
+    table_guards: [AtomicU64; 2],
 }
 
 /// True if `s` is non-empty and lexable as an IR symbol (`@name`), i.e.
@@ -617,13 +594,13 @@ impl Corpus {
             cfg,
             backend,
             index,
-            table: RwLock::new(Table { entries: Vec::new(), modules: Vec::new(), rows }),
+            table: RwLock::new(Table { entries: Vec::new(), modules: Vec::new(), rows, epoch: 0 }),
             cache: RwLock::new(HashMap::new()),
             counters: CorpusCounters::default(),
             resident: None,
             mutate: Mutex::new(()),
             #[cfg(test)]
-            table_writes: AtomicU64::new(0),
+            table_guards: Default::default(),
         }
     }
 
@@ -657,9 +634,9 @@ impl Corpus {
         self.resident.as_ref().map(|s| (s.pager_name(), s.counters()))
     }
 
-    /// The epoch currently visible to readers.
+    /// The current epoch: how many mutations the corpus has applied.
     pub fn epoch(&self) -> u64 {
-        self.index.epoch()
+        self.read_table().epoch
     }
 
     /// Registers `m` under its own `name`, fingerprints its
@@ -689,47 +666,44 @@ impl Corpus {
         );
 
         let _writer = self.mutate.lock().unwrap();
-        let next_epoch = self.index.epoch() + 1;
-        let inserted: Vec<(usize, Vec<BandKey>)> = {
-            let mut t = self.write_table();
-            if t.live_module(&name).is_ok() {
-                return Err(format!("module `{name}` is already ingested (evict it first)"));
-            }
-            // Live module names are unique, so two qualified names can only
-            // coincide across a dot: `a` + `b.c` against `a.b` + `c`.
-            let dotted = |short: &str, long: &str| {
-                long.strip_prefix(short).is_some_and(|rest| rest.starts_with('.'))
-            };
-            let rivals: HashSet<&str> = t
-                .live_modules()
-                .map(|(mi, _)| &t.modules[mi])
-                .filter(|rec| dotted(&rec.name, &name) || dotted(&name, &rec.name))
-                .flat_map(|rec| rec.entry_ids.iter().map(|&id| t.entries[id].qualified.as_str()))
-                .collect();
-            if !rivals.is_empty() {
-                for &f in &funcs {
-                    let q = format!("{name}.{}", m.function(f).name);
-                    if rivals.contains(q.as_str()) {
-                        return Err(format!(
-                            "qualified name `{q}` collides with a resident function"
-                        ));
-                    }
+        let mut t = self.write_table();
+        if t.live_module(&name).is_ok() {
+            return Err(format!("module `{name}` is already ingested (evict it first)"));
+        }
+        // Live module names are unique, so two qualified names can only
+        // coincide across a dot: `a` + `b.c` against `a.b` + `c`.
+        let dotted = |short: &str, long: &str| {
+            long.strip_prefix(short).is_some_and(|rest| rest.starts_with('.'))
+        };
+        let rivals: HashSet<&str> = t
+            .live_modules()
+            .map(|(mi, _)| &t.modules[mi])
+            .filter(|rec| dotted(&rec.name, &name) || dotted(&name, &rec.name))
+            .flat_map(|rec| rec.entry_ids.iter().map(|&id| t.entries[id].qualified.as_str()))
+            .collect();
+        if !rivals.is_empty() {
+            for &f in &funcs {
+                let q = format!("{name}.{}", m.function(f).name);
+                if rivals.contains(q.as_str()) {
+                    return Err(format!("qualified name `{q}` collides with a resident function"));
                 }
             }
-            let first_id = t.entries.len();
-            let first_row = self.heap_base() + t.rows.len();
-            t.rows.extend_from(&rows);
-            for (i, &f) in funcs.iter().enumerate() {
-                t.entries.push(Entry::fresh(&name, &m.function(f).name, first_row + i, next_epoch));
-            }
-            t.modules.push(ModuleRecord {
-                name: name.clone(),
-                body: Some(LazyModule::parsed(m)),
-                entry_ids: (first_id..first_id + funcs.len()).collect(),
-            });
-            (0..funcs.len()).map(|i| (first_id + i, rows.keys(i).to_vec())).collect()
-        };
-        let epoch = self.publish(&[], &inserted, next_epoch);
+        }
+        let epoch = t.epoch + 1;
+        let first_id = t.entries.len();
+        let first_row = self.heap_base() + t.rows.len();
+        t.rows.extend_from(&rows);
+        for (i, &f) in funcs.iter().enumerate() {
+            t.entries.push(Entry::fresh(&name, &m.function(f).name, first_row + i, epoch));
+        }
+        t.modules.push(ModuleRecord {
+            name: name.clone(),
+            body: Some(LazyModule::parsed(m)),
+            entry_ids: (first_id..first_id + funcs.len()).collect(),
+        });
+        let inserted: Vec<(usize, Vec<BandKey>)> =
+            (0..funcs.len()).map(|i| (first_id + i, rows.keys(i).to_vec())).collect();
+        self.publish(&mut t, &[], &inserted, epoch);
         Ok(IngestSummary { module: name, functions: inserted.len(), skipped, epoch })
     }
 
@@ -739,24 +713,22 @@ impl Corpus {
     /// buckets they leave — the index is never rebuilt.
     pub fn evict(&self, name: &str) -> Result<EvictSummary, String> {
         let _writer = self.mutate.lock().unwrap();
-        let next_epoch = self.index.epoch() + 1;
-        let (removed, body) = {
-            let mut t = self.write_table();
-            let mi = t.live_module(name)?;
-            let body = t.modules[mi].body.take();
-            let ids = t.modules[mi].entry_ids.clone();
-            let removed: Vec<(usize, Vec<BandKey>)> = ids
-                .iter()
-                .map(|&id| {
-                    t.entries[id].evicted = next_epoch;
-                    (id, self.row(&t, &t.entries[id]).keys().to_vec())
-                })
-                .collect();
-            (removed, body)
-        };
+        let mut t = self.write_table();
+        let mi = t.live_module(name)?;
+        let epoch = t.epoch + 1;
+        let body = t.modules[mi].body.take();
+        let ids = t.modules[mi].entry_ids.clone();
+        let removed: Vec<(usize, Vec<BandKey>)> = ids
+            .iter()
+            .map(|&id| {
+                t.entries[id].evicted = epoch;
+                (id, self.row(&t, &t.entries[id]).keys().to_vec())
+            })
+            .collect();
+        self.publish(&mut t, &removed, &[], epoch);
+        drop(t);
         // Freed outside the table guard: readers do not wait for it.
         drop(body);
-        let epoch = self.publish(&removed, &[], next_epoch);
         Ok(EvictSummary { module: name.to_string(), functions: removed.len(), epoch })
     }
 
@@ -788,11 +760,10 @@ impl Corpus {
         replacement_ir: Option<&str>,
     ) -> Result<UpdateSummary, String> {
         let _writer = self.mutate.lock().unwrap();
-        let next_epoch = self.index.epoch() + 1;
 
-        // Everything up to the install runs under a read lock, and readers
-        // keep being served.
-        let t = self.table.read().unwrap();
+        // Everything up to the install runs under a read guard, and
+        // readers keep being served.
+        let t = self.read_table();
         let (mi, resident) = t.live_body(module)?;
         let resident = resident.get();
         let entry_id = t.entry_of(mi, func)?;
@@ -810,13 +781,14 @@ impl Corpus {
         };
         drop(t);
 
-        // One critical section against `ranked` (see the module docs): the
-        // new body and row go in, the index delta runs and the stamps are
-        // written under a single table write guard, and the epoch advances
-        // inside it. The cache is only ever touched under a table guard, so
-        // taking it here, before the shard locks, waits for nobody.
+        // One critical section (module docs, "Epochs and consistency"):
+        // the new body and row go in, the index delta runs, the stamps are
+        // written and the epoch advances under a single table write guard.
+        // The cache is only ever touched under a table guard, so taking it
+        // here, before the shard locks, waits for nobody.
         let mut t = self.write_table();
         let mut cache = self.cache.write().unwrap();
+        let epoch = t.epoch + 1;
         let changed = replacement.is_some();
         if let Some((f, types)) = replacement {
             let m = t.modules[mi].body.as_mut().expect("the module is live").get_mut();
@@ -824,12 +796,11 @@ impl Corpus {
             m.types = types;
             m.replace_function(fid, f);
         }
-        let old_keys = self.rewrite_row(&mut t, entry_id, &sig, &keys, next_epoch);
+        let old_keys = self.rewrite_row(&mut t, entry_id, &sig, &keys, epoch);
         let (dirty, spared) = self.reindex_row(&t, &cache, entry_id, &old_keys);
-        let funcs_invalidated = self.stamp(&mut t, &mut cache, &dirty, next_epoch);
+        let funcs_invalidated = self.stamp(&mut t, &mut cache, &dirty, epoch);
         self.counters.funcs_spared.fetch_add(spared, Ordering::Relaxed);
-        let epoch = self.index.advance_epoch();
-        debug_assert_eq!(epoch, next_epoch);
+        t.epoch = epoch;
         Ok(UpdateSummary {
             module: module.to_string(),
             func: func.to_string(),
@@ -862,11 +833,19 @@ impl Corpus {
         old_keys
     }
 
-    /// The table write guard of a mutation stage. Unit tests count the
-    /// acquisitions: a row-level mutation takes exactly one.
+    /// The table read guard of a read. Unit tests count the acquisitions
+    /// of both guards: a read takes one read guard, a mutation one write
+    /// guard.
+    fn read_table(&self) -> RwLockReadGuard<'_, Table> {
+        #[cfg(test)]
+        self.table_guards[0].fetch_add(1, Ordering::Relaxed);
+        self.table.read().unwrap()
+    }
+
+    /// The table write guard of a mutation (see [`Self::read_table`]).
     fn write_table(&self) -> RwLockWriteGuard<'_, Table> {
         #[cfg(test)]
-        self.table_writes.fetch_add(1, Ordering::Relaxed);
+        self.table_guards[1].fetch_add(1, Ordering::Relaxed);
         self.table.write().unwrap()
     }
 
@@ -948,23 +927,23 @@ impl Corpus {
         (dirty, spared)
     }
 
-    /// Stamps `dirty` invalidated at `next_epoch` and drops its memoized
-    /// ranks. Returns how many *surviving* residents that was: entries
-    /// created or evicted by this very mutation had no reusable memo to
-    /// lose and are not counted.
+    /// Stamps `dirty` invalidated at `epoch`, the mutation's own, and
+    /// drops its memoized ranks. Returns how many *surviving* residents
+    /// that was: entries created or evicted by this very mutation had no
+    /// reusable memo to lose and are not counted.
     fn stamp(
         &self,
         t: &mut Table,
         cache: &mut HashMap<usize, CachedRank>,
         dirty: &[usize],
-        next_epoch: u64,
+        epoch: u64,
     ) -> u64 {
         let mut invalidated = 0u64;
         for &id in dirty {
             let e = &mut t.entries[id];
-            e.dirty_rev = next_epoch;
+            e.dirty_rev = epoch;
             cache.remove(&id);
-            if e.added < next_epoch && e.evicted > next_epoch {
+            if e.added < epoch && e.evicted > epoch {
                 invalidated += 1;
             }
         }
@@ -972,20 +951,20 @@ impl Corpus {
         invalidated
     }
 
-    /// Finishes a staged module-level mutation: applies its index delta,
-    /// stamps the touched band-collision neighborhood (see [`Self::stamp`])
-    /// and publishes the epoch, which it returns.
+    /// Finishes a module-level mutation under its table write guard:
+    /// applies its index delta, stamps the touched band-collision
+    /// neighborhood (see [`Self::stamp`]) and advances the epoch to
+    /// `epoch`, the mutation's own.
     fn publish(
         &self,
+        t: &mut Table,
         removes: &[(usize, Vec<BandKey>)],
         inserts: &[(usize, Vec<BandKey>)],
-        next_epoch: u64,
-    ) -> u64 {
+        epoch: u64,
+    ) {
         let dirty = self.index.apply_delta(removes, inserts);
-        self.stamp(&mut self.write_table(), &mut self.cache.write().unwrap(), &dirty, next_epoch);
-        let epoch = self.index.advance_epoch();
-        debug_assert_eq!(epoch, next_epoch);
-        epoch
+        self.stamp(t, &mut self.cache.write().unwrap(), &dirty, epoch);
+        t.epoch = epoch;
     }
 
     /// Top-`k` resident candidates for one function, by qualified
@@ -996,90 +975,32 @@ impl Corpus {
         func: &str,
         k: usize,
     ) -> Result<(u64, QueryResult), String> {
-        let epoch = self.index.epoch();
-        let t = self.table.read().unwrap();
+        let t = self.read_table();
         let id = t.entry_of(t.live_module(module)?, func)?;
-        Ok((epoch, self.with_scratch(|scratch| self.ranked(&t, id, epoch, k, scratch))))
+        Ok((t.epoch, self.with_scratch(|scratch| self.ranked(&t, id, k, scratch))))
     }
 
     /// Top-`k` resident candidates for every merge-eligible function of
-    /// `module`, in function order.
-    ///
-    /// Runs the cancellable pass with an epoch-supersession predicate and
-    /// retries a few times under write pressure; if every attempt is
-    /// superseded, falls back to one consistent pass holding the table
-    /// read lock throughout (briefly blocking writers). Synchronous
-    /// callers therefore always get a complete, snapshot-consistent
-    /// answer.
+    /// `module`, in function order, and the epoch they answer at: one pass
+    /// under one table read guard, which writers wait out.
     pub fn query_module(&self, module: &str, k: usize) -> Result<(u64, Vec<QueryResult>), String> {
-        for _ in 0..QUERY_RETRIES {
-            match self.query_module_cancellable(module, k, |pinned| self.epoch() != pinned)? {
-                QueryOutcome::Complete { epoch, results } => return Ok((epoch, results)),
-                QueryOutcome::Superseded { .. } => continue,
-            }
-        }
-        let epoch = self.index.epoch();
-        let t = self.table.read().unwrap();
+        let t = self.read_table();
         let rec = &t.modules[t.live_module(module)?];
         let results = self.with_scratch(|scratch| {
-            rec.entry_ids.iter().map(|&id| self.ranked(&t, id, epoch, k, scratch)).collect()
+            rec.entry_ids.iter().map(|&id| self.ranked(&t, id, k, scratch)).collect()
         });
-        Ok((epoch, results))
+        Ok((t.epoch, results))
     }
 
-    /// Cancellable variant of [`Corpus::query_module`]: pins the current
-    /// epoch, then releases and re-acquires the table lock between
-    /// per-function rankings, calling `is_superseded(pinned)` at each
-    /// boundary. Returns [`QueryOutcome::Superseded`] (and bumps
-    /// `queries_superseded`) as soon as the predicate fires — or at the
-    /// end, when the completed pass is found to have raced a mutation —
-    /// so a long module query never blocks writers for its whole
-    /// duration, and a `Complete` outcome is always a consistent snapshot
-    /// at the pinned epoch.
-    pub fn query_module_cancellable(
-        &self,
-        module: &str,
-        k: usize,
-        mut is_superseded: impl FnMut(u64) -> bool,
-    ) -> Result<QueryOutcome, String> {
-        let epoch = self.index.epoch();
-        let entry_ids: Vec<usize> = {
-            let t = self.table.read().unwrap();
-            t.modules[t.live_module(module)?].entry_ids.clone()
-        };
-        let mut results = Vec::with_capacity(entry_ids.len());
-        let completed = self.with_scratch(|scratch| {
-            for &id in &entry_ids {
-                if is_superseded(epoch) {
-                    return false;
-                }
-                let t = self.table.read().unwrap();
-                results.push(self.ranked(&t, id, epoch, k, scratch));
-            }
-            true
-        });
-        if !completed {
-            return Ok(self.superseded(epoch));
-        }
-        // A mutation may have staged state we read without yet advancing
-        // the epoch. If no writer is active now and the epoch still
-        // matches the pin, every ranking above saw the pinned snapshot.
-        if is_superseded(epoch) || self.epoch() != epoch {
-            return Ok(self.superseded(epoch));
-        }
-        match self.mutate.try_lock() {
-            Ok(guard) => drop(guard),
-            Err(_) => return Ok(self.superseded(epoch)),
-        }
-        Ok(QueryOutcome::Complete { epoch, results })
-    }
-
-    /// Records a query that was answered `superseded` — either one this
-    /// corpus cancelled itself or a caller-side epoch-precondition miss
-    /// (the daemon's `if_epoch`) — and builds the outcome.
-    pub fn superseded(&self, started: u64) -> QueryOutcome {
-        self.counters.queries_superseded.fetch_add(1, Ordering::Relaxed);
-        QueryOutcome::Superseded { started, epoch: self.index.epoch() }
+    /// The current epoch if it has moved past `pinned` — a caller's stale
+    /// `if_epoch`, or a plan a mutation raced — counted in
+    /// `queries_superseded`; `None` while the corpus is still at `pinned`.
+    pub fn superseded_since(&self, pinned: u64) -> Option<u64> {
+        let epoch = self.epoch();
+        (epoch != pinned).then(|| {
+            self.counters.queries_superseded.fetch_add(1, Ordering::Relaxed);
+            epoch
+        })
     }
 
     /// Corpus-global candidate pairs: every live function's top-`k`
@@ -1094,12 +1015,10 @@ impl Corpus {
     /// only the invalidated entries (observable via
     /// `memo_hits`/`memo_misses` in [`CorpusStats`]).
     ///
-    /// Returns the pinned epoch alongside the pairs; the whole scan runs
-    /// under one table read lock, so the list is a consistent snapshot at
-    /// that epoch.
+    /// Returns the epoch alongside the pairs; the whole scan runs under
+    /// one table read guard, so the list is the answer at that epoch.
     pub fn global_candidates(&self, k: usize) -> Result<(u64, Vec<GlobalPair>), String> {
-        let epoch = self.index.epoch();
-        let t = self.table.read().unwrap();
+        let t = self.read_table();
         let mut module_of: HashMap<&str, usize> = HashMap::new();
         for (mi, _) in t.live_modules() {
             for &id in &t.modules[mi].entry_ids {
@@ -1110,7 +1029,7 @@ impl Corpus {
         self.with_scratch(|scratch| {
             for (mi, _) in t.live_modules() {
                 for &id in &t.modules[mi].entry_ids {
-                    let res = self.ranked(&t, id, epoch, k, scratch);
+                    let res = self.ranked(&t, id, k, scratch);
                     for cand in &res.candidates {
                         let (a, b) = if res.func <= cand.func {
                             (res.func.clone(), cand.func.clone())
@@ -1138,33 +1057,32 @@ impl Corpus {
                 .then_with(|| x.a.cmp(&y.a))
                 .then_with(|| x.b.cmp(&y.b))
         });
-        Ok((epoch, pairs))
+        Ok((t.epoch, pairs))
     }
 
-    /// Ranks the best `k` candidates of entry `i` visible at `epoch`:
-    /// probe the sharded index into the query's `scratch`, then let the
-    /// ranking kernel select, among the candidates inside their epoch
-    /// interval and at or above the similarity threshold, the first `k`
-    /// in ranking order — the list `LshBackendSearch::ranked_candidates`
-    /// computes exhaustively, so daemon queries agree with the offline
-    /// search over [`combine_modules`].
+    /// Ranks the best `k` candidates of entry `i`: probe the sharded index
+    /// into the query's `scratch`, then let the ranking kernel select,
+    /// among the candidates at or above the similarity threshold, the
+    /// first `k` in ranking order — the list
+    /// `LshBackendSearch::ranked_candidates` computes exhaustively, so
+    /// daemon queries agree with the offline search over
+    /// [`combine_modules`]. The caller holds the table guard `t` across
+    /// the ranking, so every id the probe finds is live.
     ///
-    /// The list is memoized in the [`QueryCache`]: a cached list computed
-    /// under pinned epoch `P` serves a query pinned at `E` iff
-    /// `dirty_rev ≤ min(P, E)` — no mutation that could change the list
-    /// has happened since before either pin, so the two pins see the same
-    /// durable inputs — and it [covers](CachedRank::covers) `k`.
+    /// The list is memoized in the [`QueryCache`] at the current epoch: a
+    /// cached list computed at epoch `P` serves iff `dirty_rev ≤ P` — no
+    /// mutation that could change the list has landed since — and it
+    /// [covers](CachedRank::covers) `k`.
     fn ranked(
         &self,
         t: &Table,
         i: usize,
-        epoch: u64,
         k: usize,
         scratch: &mut QueryScratch<usize>,
     ) -> QueryResult {
         let ent = &t.entries[i];
         if let Some(c) = self.cache.read().unwrap().get(&i) {
-            if ent.dirty_rev <= c.pinned.min(epoch) && c.covers(k) {
+            if ent.dirty_rev <= c.pinned && c.covers(k) {
                 self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
                 return Self::render_result(t, ent, &c.ranked, k);
             }
@@ -1190,24 +1108,15 @@ impl Corpus {
             scratch.out.iter().copied(),
             |j, floor| {
                 let e = &t.entries[j];
-                let visible = || (e.added <= epoch && epoch < e.evicted).then(|| self.row(t, e));
-                kernel.score(floor, scratch.hits(j), visible, &mut counters)
+                debug_assert_eq!(e.evicted, u64::MAX, "an id in a bucket is live");
+                kernel.score(floor, scratch.hits(j), || Some(self.row(t, e)), &mut counters)
             },
             |j| &t.entries[j].qualified,
         );
         self.counters.sketch_comparisons.fetch_add(counters.sketch_comparisons, Ordering::Relaxed);
         self.counters.full_comparisons.fetch_add(counters.full_comparisons, Ordering::Relaxed);
         let result = Self::render_result(t, ent, &ranked, k);
-        // Only a list ranked under the current epoch is kept. A reader can
-        // pin `P`, a module ingest publish `P+1` without sharing a bucket
-        // with `i`, and an update at `P+2` then move one of the new rows
-        // into a bucket of `i`: that update finds no memo of `i` to judge
-        // and stamps nothing, and the row is invisible to this ranking
-        // (`added > P`). Kept, the list would be served at `P+2` without
-        // it.
-        if self.index.epoch() == epoch {
-            self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, k, ranked });
-        }
+        self.cache.write().unwrap().insert(i, CachedRank { pinned: t.epoch, k, ranked });
         result
     }
 
@@ -1227,8 +1136,7 @@ impl Corpus {
 
     /// Snapshot of corpus and index occupancy.
     pub fn stats(&self) -> CorpusStats {
-        let epoch = self.index.epoch();
-        let t = self.table.read().unwrap();
+        let t = self.read_table();
         let residency = self.residency();
         let rc = residency.map(|(_, c)| c).unwrap_or_default();
         CorpusStats {
@@ -1236,7 +1144,7 @@ impl Corpus {
             resident_bytes: rc.resident_bytes,
             shard_faults: rc.shard_faults,
             shard_spills: rc.shard_spills,
-            epoch,
+            epoch: t.epoch,
             modules_live: t.live_modules().count(),
             modules_total: t.modules.len(),
             functions_live: t.entries.iter().filter(|e| e.evicted == u64::MAX).count(),
@@ -1259,14 +1167,14 @@ impl Corpus {
     /// Re-ingesting this text into a fresh corpus reproduces the module's
     /// resident state exactly.
     pub fn module_source(&self, module: &str) -> Result<String, String> {
-        let t = self.table.read().unwrap();
+        let t = self.read_table();
         Ok(t.live_body(module)?.1.source())
     }
 
     /// The combined module over all live modules, in ingest order, with
     /// every definition under its qualified name (see [`combine_modules`]).
     pub fn combined_module(&self) -> Result<Module, String> {
-        let t = self.table.read().unwrap();
+        let t = self.read_table();
         let live: Vec<&Module> = t.live_modules().map(|(_, body)| body.get()).collect();
         combine_modules(&live)
     }
@@ -1291,7 +1199,7 @@ impl Corpus {
     /// state (`modules_total`/`entries_total` restart at the live
     /// counts, memo counters at zero).
     pub fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.save_snapshot_stamped(path, self.index.epoch())
+        self.write_snapshot(path, None)
     }
 
     /// [`Corpus::save_snapshot`] with an explicit header epoch. Exposed
@@ -1299,10 +1207,14 @@ impl Corpus {
     /// stamps (the stale-epoch condition loaders must reject).
     #[doc(hidden)]
     pub fn save_snapshot_stamped(&self, path: &Path, epoch: u64) -> Result<(), SnapshotError> {
-        // Serialize against writers so the table, the index and the
-        // epoch are one consistent cut.
-        let _writer = self.mutate.lock().unwrap();
-        let t = self.table.read().unwrap();
+        self.write_snapshot(path, Some(epoch))
+    }
+
+    /// Writes the snapshot under one table read guard, so the table, the
+    /// index and the epoch are one consistent cut. `header_epoch` replaces
+    /// the epoch in the header.
+    fn write_snapshot(&self, path: &Path, header_epoch: Option<u64>) -> Result<(), SnapshotError> {
+        let t = self.read_table();
 
         // Compact live entries to dense snapshot rows (entry order, so
         // bucket member lists stay ascending after remapping).
@@ -1368,7 +1280,7 @@ impl Corpus {
             lsh: self.cfg.params.lsh,
             threshold: self.cfg.params.threshold,
             shards: self.index.num_shards(),
-            epoch,
+            epoch: header_epoch.unwrap_or(t.epoch),
             entries: live.len(),
         };
         snapshot::save_snapshot(path, &header, &store, &buckets, &payload.buf)
@@ -1465,8 +1377,9 @@ impl Corpus {
         let mut corpus = Corpus::new(cfg);
         corpus.resident = resident;
         {
-            let mut t = corpus.table.write().unwrap();
+            let t = corpus.table.get_mut().unwrap();
             t.rows = rows;
+            t.epoch = header.epoch;
             let mut entry_ids: Vec<Vec<usize>> = vec![Vec::new(); payload.modules.len()];
             for (row, (mi, entry)) in payload.entries.into_iter().enumerate() {
                 entry_ids[mi].push(row);
@@ -1486,7 +1399,6 @@ impl Corpus {
         for (key, rows) in buckets {
             corpus.index.restore_bucket(key, rows.into_iter().map(|r| r as usize).collect());
         }
-        corpus.index.set_epoch(header.epoch);
         Ok(corpus)
     }
 
@@ -2143,29 +2055,39 @@ mod tests {
         );
     }
 
-    /// A row-level mutation is one critical section against `ranked`:
-    /// the new row goes in before the index delta and the stamps are
-    /// written after it, so a single table write guard per mutation means
-    /// all three happen under it. Module-level verbs stage under one guard
-    /// and stamp under a second — sound there because they stamp every
-    /// bucket neighbor.
+    /// Every corpus operation is one critical section: a mutation installs
+    /// its rows, applies its index delta, stamps and advances the epoch
+    /// under a single table write guard, and a read ranks under a single
+    /// read guard — so no reader sees half a mutation. (An update also
+    /// takes a read guard first, to parse and fingerprint the new body.)
     #[test]
-    fn row_level_mutations_take_one_table_write_guard() {
+    fn every_operation_takes_one_table_guard() {
         let c = corpus();
         let alpha = workload("alpha", 11);
         let (dst, src) = family_pair(&alpha);
-        let guards = |mutation: &dyn Fn()| {
-            let before = c.table_writes.load(Ordering::Relaxed);
-            mutation();
-            c.table_writes.load(Ordering::Relaxed) - before
+        // (read guards, write guards) taken by `op`.
+        let guards = |op: &dyn Fn()| {
+            let count = || c.table_guards.each_ref().map(|n| n.load(Ordering::Relaxed));
+            let before = count();
+            op();
+            let after = count();
+            (after[0] - before[0], after[1] - before[1])
         };
-        assert_eq!(guards(&|| drop(c.ingest(alpha.clone()).unwrap())), 2);
-        c.query_module("alpha", 5).unwrap();
+        assert_eq!(guards(&|| drop(c.ingest(alpha.clone()).unwrap())), (0, 1));
+        assert_eq!(guards(&|| drop(c.ingest(workload("beta", 22)).unwrap())), (0, 1));
+        assert_eq!(guards(&|| drop(c.query_module("alpha", 5).unwrap())), (1, 0));
+        assert_eq!(guards(&|| drop(c.query_function("alpha", &dst, 5).unwrap())), (1, 0));
+        assert_eq!(guards(&|| drop(c.global_candidates(5).unwrap())), (1, 0));
+        assert_eq!(guards(&|| drop(c.stats())), (1, 0));
+        let path = std::env::temp_dir().join(format!("f3m_corpus_guards_{}", std::process::id()));
+        assert_eq!(guards(&|| c.save_snapshot(&path).unwrap()), (1, 0));
+        std::fs::remove_file(&path).unwrap();
 
         let patch = body_swap_patch(&alpha, &dst, &src);
-        assert_eq!(guards(&|| drop(c.update_function("alpha", &dst, Some(&patch)).unwrap())), 1);
-        assert_eq!(guards(&|| drop(c.update_function("alpha", &dst, None).unwrap())), 1);
-        assert_eq!(guards(&|| drop(c.evict("alpha").unwrap())), 2);
+        let update = || drop(c.update_function("alpha", &dst, Some(&patch)).unwrap());
+        assert_eq!(guards(&update), (1, 1));
+        assert_eq!(guards(&|| drop(c.update_function("alpha", &dst, None).unwrap())), (1, 1));
+        assert_eq!(guards(&|| drop(c.evict("alpha").unwrap())), (0, 1));
     }
 
     #[test]
@@ -2439,34 +2361,6 @@ mod tests {
             print_function(m, m.lookup_function(&dst).unwrap())
         };
         assert_eq!(printed(&c), printed(&fresh), "the update took `{dst}` from the text");
-    }
-
-    #[test]
-    fn cancellable_query_supersedes_on_predicate() {
-        let c = corpus();
-        c.ingest(workload("alpha", 11)).unwrap();
-
-        let mut calls = 0;
-        let outcome = c
-            .query_module_cancellable("alpha", 3, |_| {
-                calls += 1;
-                calls > 1
-            })
-            .unwrap();
-        match outcome {
-            QueryOutcome::Superseded { started, epoch } => {
-                assert_eq!(started, 1);
-                assert_eq!(epoch, 1, "no mutation actually happened");
-            }
-            other => panic!("predicate must supersede the query: {other:?}"),
-        }
-        assert_eq!(c.stats().queries_superseded, 1);
-
-        // With a truthful predicate on a quiescent corpus the outcome is
-        // complete and identical to the synchronous path.
-        let outcome = c.query_module_cancellable("alpha", 3, |pinned| c.epoch() != pinned).unwrap();
-        let (epoch, results) = c.query_module("alpha", 3).unwrap();
-        assert_eq!(outcome, QueryOutcome::Complete { epoch, results });
     }
 
     #[test]

@@ -35,18 +35,16 @@
 //! fails (seeds 1002, 1005, 1006, 1019, 1020), 100 × 2 at caps 3 and 8
 //! (seed 1002) and 16 × 1 at caps 2, 3 and 8 (seed 1020).
 //!
-//! `Corpus::ranked` memoizes only under the current epoch. With that
-//! guard deleted every cell of every matrix and the
-//! readers-against-a-writer run still equal a rebuild (same 32 seeds a
-//! cell) — the interleaving is single-threaded and the race's writer only
-//! updates and touches, so neither lands a module ingest inside a
-//! reader's pin — and the forced interleaving below, which lands an
-//! ingest and then an update under one stale pin, fails: the guard stays.
+//! Every corpus read and write is one critical section under the table
+//! guard (`corpus.rs`, "Epochs and consistency"). The readers-against-a-
+//! writer test below holds concurrent answers to it: an answer is a
+//! function of the epoch it returns.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
-use f3m_core::corpus::{Corpus, CorpusConfig, QueryOutcome};
+use f3m_core::corpus::{Corpus, CorpusConfig};
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_ir::module::Module;
 use f3m_ir::printer::print_module;
@@ -301,15 +299,26 @@ fn interleaving_transcript_is_identical_across_jobs() {
     }
 }
 
+/// Every answer a sweep got, by (module, `k`, the epoch it answered at).
+type Answers = HashMap<(&'static str, usize, u64), String>;
+
+/// Records `answer` under `key`: two answers to one module and `k` at one
+/// epoch must be identical.
+fn record(answers: &mut Answers, key: (&'static str, usize, u64), answer: String) {
+    let seen = answers.entry(key).or_insert_with(|| answer.clone());
+    assert_eq!(*seen, answer, "two answers to {key:?} (module, k, epoch)");
+}
+
 /// Readers against a writer. Reader threads sweep every module at every
 /// `k` while one writer applies a fixed sequence of body swaps and
-/// touches, most of which spare most memoized lists. Whatever the
-/// interleaving, no reader may leave behind a list the writer's edits
-/// changed: after the join every answer equals a corpus rebuilt from the
-/// final sources. (The window in which a half-applied edit could be
-/// observed is closed structurally — see
-/// `row_level_mutations_take_one_table_write_guard` in `corpus.rs` — and
-/// is microseconds wide, so this test alone would rarely land in it.)
+/// touches, most of which spare most memoized lists, with an evict and a
+/// re-ingest of one module among them. Every answer is the answer at the
+/// epoch it returns: answers to one module and `k` recorded at one epoch
+/// are identical, whichever reader got them, memoized or not. And no
+/// reader may leave behind a list the writer's edits changed: after the
+/// join every answer equals a corpus rebuilt from the final sources.
+/// (`every_operation_takes_one_table_guard` in `corpus.rs` pins the
+/// mechanism; this test checks the answers.)
 #[test]
 fn readers_racing_a_writer_leave_only_current_lists() {
     const READERS: usize = 2;
@@ -322,36 +331,59 @@ fn readers_racing_a_writer_leave_only_current_lists() {
     for (i, name) in names.iter().enumerate() {
         corpus.ingest(workload(name, 700 + i as u64)).unwrap();
     }
-    let sweep = |corpus: &Corpus| -> Vec<String> {
-        let mut answers = Vec::new();
+    let sweep = |corpus: &Corpus, answers: &mut Answers| {
         for name in names {
             for k in [50, 5, 1] {
-                answers.push(format!("{:?}", corpus.query_module(name, k).unwrap().1));
+                // Between its evict and its re-ingest a module is not resident.
+                let Ok((epoch, results)) = corpus.query_module(name, k) else { continue };
+                record(answers, (name, k, epoch), format!("{results:?}"));
             }
         }
-        answers
     };
+    // The module the writer evicts and re-ingests: last in ingest order
+    // from then on.
+    const REINGEST: usize = 24;
+    let reingested = names[REINGEST % names.len()];
 
     let (start, done) = (Barrier::new(READERS + 1), AtomicBool::new(false));
+    let swept = AtomicUsize::new(0);
+    let mut answers = Answers::new();
     let sweeps = std::thread::scope(|s| {
         let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 s.spawn(|| {
                     start.wait();
-                    let mut sweeps = 0;
+                    let (mut sweeps, mut answers) = (0, Answers::new());
                     // At least one sweep after the last edit landed.
                     while !done.load(Ordering::Acquire) || sweeps == 0 {
-                        sweep(&corpus);
+                        sweep(&corpus, &mut answers);
                         sweeps += 1;
+                        swept.fetch_add(1, Ordering::Release);
                     }
-                    sweeps
+                    (sweeps, answers)
                 })
             })
             .collect();
         start.wait();
-        for step in 0..24usize {
+        for step in 0..48usize {
+            // Two sweeps a reader between writes, so every epoch is
+            // answered more than once and writes land inside sweeps; a
+            // reader that panicked stops sweeping, and its join reports it.
+            // (Against a module query that released its guard between
+            // rankings, the answers at some epoch disagreed in 12 runs of 12.)
+            let target = swept.load(Ordering::Acquire) + 2 * READERS;
+            let behind = || swept.load(Ordering::Acquire) < target;
+            while behind() && !readers.iter().any(|r| r.is_finished()) {
+                std::thread::yield_now();
+            }
             let name = names[step % names.len()];
-            let m = f3m_ir::parser::parse_module(&corpus.module_source(name).unwrap()).unwrap();
+            let src = corpus.module_source(name).unwrap();
+            let m = f3m_ir::parser::parse_module(&src).unwrap();
+            if step == REINGEST {
+                corpus.evict(name).unwrap();
+                corpus.ingest(m).unwrap();
+                continue;
+            }
             let funcs = eligible(&m);
             let dst = &funcs[(step * 7) % funcs.len()];
             match siblings(&m, &funcs, dst).first() {
@@ -363,95 +395,33 @@ fn readers_racing_a_writer_leave_only_current_lists() {
             }
         }
         done.store(true, Ordering::Release);
-        readers.into_iter().map(|r| r.join().unwrap()).sum::<usize>()
+        let mut sweeps = 0;
+        for reader in readers {
+            let (n, got) = reader.join().unwrap();
+            sweeps += n;
+            for (key, answer) in got {
+                record(&mut answers, key, answer);
+            }
+        }
+        sweeps
     });
     assert!(sweeps >= READERS, "every reader swept at least once");
+    // The corpus answers at its final epoch as the readers' last sweeps did.
+    sweep(&corpus, &mut answers);
 
-    let rebuilt = rebuilt_from(&corpus, &cfg, &names);
-    assert_eq!(sweep(&corpus), sweep(&rebuilt), "answers after the race vs a rebuilt corpus");
+    let order: Vec<&str> =
+        names.iter().copied().filter(|&n| n != reingested).chain([reingested]).collect();
+    let rebuilt = rebuilt_from(&corpus, &cfg, &order);
+    let (mut after, mut fresh) = (Answers::new(), Answers::new());
+    sweep(&corpus, &mut after);
+    sweep(&rebuilt, &mut fresh);
+    let by_query = |answers: Answers| -> BTreeMap<(&str, usize), String> {
+        answers.into_iter().map(|((name, k, _), answer)| ((name, k), answer)).collect()
+    };
+    assert_eq!(by_query(after), by_query(fresh), "answers after the race vs a rebuilt corpus");
     let warm = corpus.stats();
     assert!(warm.memo_hits > 0, "the readers were served from the memo");
     assert!(warm.funcs_spared > 0, "the edits spared memoized neighbors");
-    sweep(&corpus);
+    sweep(&corpus, &mut Answers::new());
     assert_eq!(corpus.stats().memo_misses, warm.memo_misses, "a second sweep is all hits");
-}
-
-/// The interleaving the race above would have to hit, forced: a module
-/// query pins its epoch `P`; a fourth module is ingested (`P+1`) and one
-/// of its functions — which arrived sharing no bucket with a function `q`
-/// of the queried module — is updated into a copy of `q` (`P+2`), both
-/// inside the supersession callback, which runs between rankings with no
-/// lock held; the rankings then run under the stale pin. The ingest did
-/// not stamp `q` (no shared bucket), the update found no memo of `q` to
-/// judge, and the copy is invisible at `P`: if those rankings were
-/// memoized, `q`'s list would be served at `P+2` without its copy.
-#[test]
-fn rankings_under_a_stale_pin_are_not_memoized() {
-    let names = ["p0", "p1", "p2", "late"];
-    let cfg = CorpusConfig { params: MergeParams::custom(200, 2, 0.0, 100), ..with_jobs(1) };
-    let modules: Vec<Module> =
-        names.iter().enumerate().map(|(i, name)| workload(name, 900 + i as u64)).collect();
-    let (p0, late) = (&modules[0], &modules[3]);
-
-    // At threshold 0 and a `k` past the corpus size a list names every bucket
-    // neighbor, so a scout corpus tells which pairs share none on arrival.
-    let scout = Corpus::new(cfg.clone());
-    for m in &modules {
-        scout.ingest(m.clone()).unwrap();
-    }
-    let sig = |m: &Module, name: &str| {
-        let f = m.function(m.lookup_function(name).unwrap());
-        (f.params.clone(), f.ret_ty)
-    };
-    let late_funcs = eligible(late);
-    let (q, x) = eligible(p0)
-        .into_iter()
-        .find_map(|q| {
-            let (_, list) = scout.query_function("p0", &q, 1_000).unwrap();
-            if list.candidates.iter().any(|c| c.func.starts_with("late.")) {
-                return None;
-            }
-            let x = late_funcs.iter().find(|x| sig(late, x) == sig(p0, &q))?;
-            Some((q, x.clone()))
-        })
-        .expect("a function of `p0` that shares no bucket with `late` as it arrives");
-    // Every workload declares the same externals and calls nothing else,
-    // so a body of `p0` verifies inside `late`.
-    let mut donor = p0.clone();
-    if let Some(taken) = donor.lookup_function(&x).filter(|_| x != q) {
-        donor.rename_function(taken, format!("{x}__old"));
-    }
-    let qid = donor.lookup_function(&q).unwrap();
-    donor.rename_function(qid, x.clone());
-    let patch = print_module(&donor);
-
-    let corpus = Corpus::new(cfg.clone());
-    for m in &modules[..3] {
-        corpus.ingest(m.clone()).unwrap();
-    }
-    let mut landed = false;
-    let outcome = corpus
-        .query_module_cancellable("p0", 5, |_| {
-            if !std::mem::replace(&mut landed, true) {
-                corpus.ingest(late.clone()).unwrap();
-                assert!(corpus.update_function("late", &x, Some(&patch)).unwrap().changed);
-            }
-            false
-        })
-        .unwrap();
-    assert!(matches!(outcome, QueryOutcome::Superseded { .. }), "the writes superseded the pin");
-
-    let (_, after) = corpus.query_function("p0", &q, 5).unwrap();
-    assert!(
-        after.candidates.iter().any(|c| c.func == format!("late.{x}")),
-        "the copy is in its source's list at the new epoch: {after:?}"
-    );
-    let rebuilt = rebuilt_from(&corpus, &cfg, &names);
-    for name in names {
-        assert_eq!(
-            format!("{:?}", corpus.query_module(name, 5).unwrap().1),
-            format!("{:?}", rebuilt.query_module(name, 5).unwrap().1),
-            "`{name}` after late.{x} became a copy of p0.{q} under a stale pin"
-        );
-    }
 }

@@ -1,11 +1,10 @@
-//! A sharded, epoch-versioned wrapper around [`LshIndex`] for resident
-//! (daemon) use.
+//! A sharded wrapper around [`LshIndex`] for resident (daemon) use.
 //!
 //! The band-key space is split into `n` contiguous ranges, each owning a
-//! private [`LshIndex`] behind its own `RwLock`, so ingest into one shard
-//! and queries against others proceed concurrently. A key `k` lives in
-//! shard `⌊k·n / 2³²⌋` — a multiply-shift that partitions the 32-bit
-//! [`BandKey`] space into equal contiguous ranges without division.
+//! private [`LshIndex`] behind its own `RwLock`, so the bare index is safe
+//! to share between threads. A key `k` lives in shard `⌊k·n / 2³²⌋` — a
+//! multiply-shift that partitions the 32-bit [`BandKey`] space into equal
+//! contiguous ranges without division.
 //!
 //! **Shard-transparency invariant:** because each band key is owned by
 //! exactly one shard, probing the owning shard per key reproduces the
@@ -13,11 +12,10 @@
 //! truncation, and the examined/evicted counts — of a single unsharded
 //! [`LshIndex`] holding the same entries. Tests pin this equivalence.
 //!
-//! Visibility is versioned by a monotonically increasing **epoch**. A
-//! writer inserts (or removes) entries first and bumps the epoch last;
-//! readers pin [`ShardedLshIndex::epoch`] once and filter what they find
-//! against per-entry epoch intervals kept by the caller (see
-//! `f3m-core`'s corpus). The index itself stores only ids.
+//! The index stores only ids and keeps no version of its own. A caller
+//! that needs a batch of writes to appear at once serializes the index
+//! under a lock of its own: `f3m-core`'s corpus reads and writes it only
+//! under its table guard, which also holds the corpus epoch.
 //!
 //! Writes come in two grains. A module-level delta
 //! ([`ShardedLshIndex::apply_delta`]) is one batched pass: its
@@ -29,7 +27,6 @@
 //! bucket to a visitor instead, so its caller can judge neighbors one by
 //! one.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use crate::lsh::{
@@ -48,17 +45,17 @@ pub struct ShardStats {
     pub entries: usize,
 }
 
-/// A fixed-width set of [`LshIndex`] shards plus the epoch counter.
+/// A fixed-width set of [`LshIndex`] shards.
 ///
-/// All mutating operations take `&self`; interior locking keeps them safe
-/// to call from server worker threads. Writers that must not interleave
-/// batches (e.g. two module ingests) serialize *outside* this type — the
-/// index only guarantees per-shard consistency and epoch monotonicity.
+/// All mutating operations take `&self`; the per-shard locks keep them
+/// safe to call from server worker threads. Callers that must not
+/// interleave batches (e.g. two module ingests), or must not let a reader
+/// see half of one, serialize *outside* this type — the index only
+/// guarantees per-shard consistency.
 #[derive(Debug)]
 pub struct ShardedLshIndex<T> {
     params: LshParams,
     shards: Vec<RwLock<LshIndex<T>>>,
-    epoch: AtomicU64,
 }
 
 impl<T: DenseId> ShardedLshIndex<T> {
@@ -70,7 +67,7 @@ impl<T: DenseId> ShardedLshIndex<T> {
     pub fn new(params: LshParams, num_shards: usize) -> ShardedLshIndex<T> {
         assert!(num_shards > 0, "need at least one shard");
         let shards = (0..num_shards).map(|_| RwLock::new(LshIndex::new(params))).collect();
-        ShardedLshIndex { params, shards, epoch: AtomicU64::new(0) }
+        ShardedLshIndex { params, shards }
     }
 
     /// The banding parameters shared by every shard.
@@ -86,22 +83,6 @@ impl<T: DenseId> ShardedLshIndex<T> {
     /// equal-width key ranges.
     pub fn shard_of(&self, key: BandKey) -> usize {
         ((key as u64 * self.shards.len() as u64) >> 32) as usize
-    }
-
-    /// The epoch visible to readers right now.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Publishes all prior writes under a new epoch and returns it.
-    pub fn advance_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Forces the epoch to `epoch` — used when restoring the index from a
-    /// snapshot, so readers resume at the epoch the snapshot captured.
-    pub fn set_epoch(&self, epoch: u64) {
-        self.epoch.store(epoch, Ordering::Release);
     }
 
     /// Inserts an item under pre-computed band keys (see
@@ -159,8 +140,7 @@ impl<T: DenseId> ShardedLshIndex<T> {
     /// [`Self::insert_with_keys`] per insertion would leave it.
     ///
     /// The caller is responsible for serializing batches against other
-    /// writers (as with [`Self::insert_with_keys`]) and for bumping the
-    /// epoch afterwards.
+    /// writers and readers (as with [`Self::insert_with_keys`]).
     pub fn apply_delta(
         &self,
         removes: &[(T, Vec<BandKey>)],
@@ -217,8 +197,7 @@ impl<T: DenseId> ShardedLshIndex<T> {
     /// their first `bucket_cap` ids, so the visits name everything the
     /// delta can change in anybody's candidate set: the row itself where
     /// it is visible, and per bucket the one id that crossed the cap.
-    /// Callers serialize against other writers and bump the epoch, as for
-    /// `apply_delta`.
+    /// Callers serialize it as they serialize `apply_delta`.
     ///
     /// # Panics
     ///
@@ -450,17 +429,6 @@ mod tests {
             assert!(s < 4);
             last = s;
         }
-    }
-
-    #[test]
-    fn epoch_advances_monotonically() {
-        let idx: ShardedLshIndex<u32> = ShardedLshIndex::new(params(), 2);
-        assert_eq!(idx.epoch(), 0);
-        assert_eq!(idx.advance_epoch(), 1);
-        assert_eq!(idx.advance_epoch(), 2);
-        assert_eq!(idx.epoch(), 2);
-        idx.set_epoch(40);
-        assert_eq!(idx.epoch(), 40);
     }
 
     /// `members_of_keys` returns exactly the items resident under the
@@ -751,8 +719,8 @@ mod tests {
         }
     }
 
-    /// Concurrent ingest and query never panic, and every item committed
-    /// before the final epoch is findable afterwards.
+    /// Concurrent ingest and query never panic, and every item inserted
+    /// is findable after the writers join.
     #[test]
     fn concurrent_ingest_and_query_smoke() {
         let p = params();
@@ -764,7 +732,6 @@ mod tests {
                     for i in 0..20 {
                         let id = w * 100 + i;
                         idx.insert_with_keys(id, &band_keys_for(p, &fp(id)));
-                        idx.advance_epoch();
                     }
                 })
             })
@@ -784,8 +751,7 @@ mod tests {
         for t in writers.into_iter().chain(readers) {
             t.join().unwrap();
         }
-        assert_eq!(idx.epoch(), 60);
-        let (cands, _) = idx.candidates_counted(&band_keys_for(p, &fp(5)), u32::MAX);
+        let (cands, _)= idx.candidates_counted(&band_keys_for(p, &fp(5)), u32::MAX);
         assert!(cands.contains(&5));
     }
 }

@@ -27,7 +27,7 @@
 //! │  25   8  bucket_cap   u64  (usize::MAX stored as u64::MAX)       │
 //! │  33   8  threshold    f64  (IEEE-754 bits)                       │
 //! │  41   4  shards       u32  shard count at save time              │
-//! │  45   8  epoch        u64  index epoch at save time              │
+//! │  45   8  epoch        u64  corpus epoch at save time             │
 //! │  53   8  entries      u64  n = number of function rows           │
 //! │  61   8  payload_len  u64  opaque caller section length          │
 //! │  69   8  dir_len      u64  bucket directory length in bytes      │
@@ -165,7 +165,7 @@ pub struct SnapshotHeader {
     pub threshold: f64,
     /// Shard count at save time (informational; loaders may re-shard).
     pub shards: usize,
-    /// Index epoch at save time.
+    /// Corpus epoch at save time.
     pub epoch: u64,
     /// Number of function rows.
     pub entries: usize,

@@ -43,8 +43,10 @@
 //! (maximum queue wait; expired requests answer an error instead of
 //! occupying a worker). Responses mirror the request types (`ingested`,
 //! `evicted`, `candidates`, `updated`, `report`, `stats`, `pong`,
-//! `slept`, `bye`), plus `superseded` for epoch-conditional or cancelled
-//! queries and three refusals:
+//! `slept`, `bye`), plus `superseded` — the answer to a stale `if_epoch`
+//! and to a `global_merge` plan a mutation raced, never to a query the
+//! daemon cancelled (every corpus read is one critical section, so none
+//! is) — and three refusals:
 //!
 //! - `busy` — the bounded queue itself was full at enqueue time. Carries
 //!   the observed `queue_depth` and a monotone `shed_seq` so a client
@@ -397,8 +399,9 @@ pub enum Response {
     Evicted(EvictSummary),
     Updated(UpdateSummary),
     Candidates { epoch: u64, results: Vec<QueryResult> },
-    /// A query pinned at epoch `started` was overtaken by a mutation (or
-    /// its `if_epoch` precondition already failed); `epoch` is current.
+    /// A request pinned at epoch `started` — by its `if_epoch`, or by the
+    /// candidates a global plan was drawn from — was overtaken by a
+    /// mutation; `epoch` is current.
     Superseded { started: u64, epoch: u64 },
     /// `report` is the pre-rendered `MergeReport::to_json` object (spliced
     /// verbatim; the pass serializer already emits deterministic JSON).

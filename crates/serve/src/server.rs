@@ -72,7 +72,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use f3m_core::corpus::{Corpus, CorpusConfig, QueryOutcome, CORPUS_STATS, SHARD_STATS};
+use f3m_core::corpus::{Corpus, CorpusConfig, CORPUS_STATS, SHARD_STATS};
 use f3m_core::pass::PassConfig;
 use f3m_core::{GlobalMergePlanner, GlobalPlanConfig};
 use f3m_fingerprint::adaptive::MergeParams;
@@ -368,6 +368,11 @@ const FRAMES_PER_TURN: usize = 8;
 /// buffered responses before being dropped (and counted `slow_closes`).
 const DRAIN_FLUSH_DEADLINE: Duration = Duration::from_secs(3);
 
+/// `accept`'s errors for a full descriptor table, per process and system
+/// wide (the same numbers on Linux, the BSDs and macOS).
+const ENFILE: i32 = 23;
+const EMFILE: i32 = 24;
+
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -387,6 +392,9 @@ struct EventLoop<'a> {
     /// Requests admitted and not yet completed, across all connections.
     global_inflight: usize,
     accepting: bool,
+    /// Since when the listener has been out of the poller because the
+    /// process ran out of file descriptors (see [`Self::accept_ready`]).
+    listener_paused: Option<Instant>,
     /// Set when the shutdown completion has been delivered; starts the
     /// drain-flush clock.
     drain_started: Option<Instant>,
@@ -414,6 +422,7 @@ impl<'a> EventLoop<'a> {
             admission: Admission::new(cfg.admission),
             global_inflight: 0,
             accepting: true,
+            listener_paused: None,
             drain_started: None,
             scratch: vec![0u8; 64 * 1024],
         }
@@ -453,6 +462,9 @@ impl<'a> EventLoop<'a> {
             self.parse_turn(now);
             self.sweep_deadlines(now);
             self.reap(now);
+            if self.listener_paused.is_some_and(|since| now.duration_since(since) >= TICK) {
+                self.resume_listener();
+            }
             if self.shutdown_complete(now) {
                 break;
             }
@@ -497,7 +509,41 @@ impl<'a> EventLoop<'a> {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                // Out of file descriptors: the connection stays in the
+                // backlog, and the level-triggered listener would report it
+                // on every wait. Stop polling it until a connection is
+                // dropped or a tick has passed.
+                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                    self.pause_listener(now);
+                    break;
+                }
                 Err(_) => break,
+            }
+        }
+    }
+
+    /// Takes the listener out of the poller; [`Self::resume_listener`]
+    /// puts it back.
+    fn pause_listener(&mut self, now: Instant) {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            let _ = self.poller.deregister(self.listener.as_raw_fd());
+        }
+        self.listener_paused = Some(now);
+    }
+
+    /// Polls a paused listener again, unless shutdown has stopped
+    /// accepting; a registration that fails is retried a tick later.
+    fn resume_listener(&mut self) {
+        if self.listener_paused.take().is_none() || !self.accepting {
+            return;
+        }
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            if self.poller.register(self.listener.as_raw_fd(), LISTENER_TOKEN, false).is_err() {
+                self.listener_paused = Some(Instant::now());
             }
         }
     }
@@ -760,8 +806,9 @@ impl<'a> EventLoop<'a> {
         // real); their completions find no connection and are dropped.
         self.global_inflight = self.global_inflight.saturating_sub(conn.in_flight);
         self.rr.retain(|&t| t != token);
-        let mut c = self.shared.counters.lock().unwrap();
-        c.conns_open = self.conns.len() as u64;
+        self.shared.counters.lock().unwrap().conns_open = self.conns.len() as u64;
+        // The descriptor just freed may be the one a paused accept needs.
+        self.resume_listener();
     }
 
     /// After shutdown: queue drained, all completions applied, all
@@ -959,22 +1006,12 @@ fn complete(shared: &Shared, token: u64, id: Option<u64>, resp: &Response, shutd
     shared.waker.wake();
 }
 
-/// How many times a cancellable module query is restarted after being
-/// epoch-superseded before the client is answered `superseded`.
-const QUERY_RESTARTS: usize = 2;
-
 /// The epoch precondition shared by `query` and `global_merge`: `None`
 /// while the corpus is still at `pinned`, otherwise the `superseded`
-/// response — counted through the corpus so the miss shows up in
-/// `queries_superseded` like any other supersession.
+/// response, counted in `queries_superseded`.
 fn superseded_since(shared: &Shared, pinned: u64) -> Option<Response> {
-    if shared.corpus.epoch() == pinned {
-        return None;
-    }
-    let QueryOutcome::Superseded { started, epoch } = shared.corpus.superseded(pinned) else {
-        unreachable!("`Corpus::superseded` only ever reports a supersession")
-    };
-    Some(Response::Superseded { started, epoch })
+    let epoch = shared.corpus.superseded_since(pinned)?;
+    Some(Response::Superseded { started: pinned, epoch })
 }
 
 /// Dispatches one request against the resident corpus.
@@ -1003,33 +1040,13 @@ fn handle(shared: &Shared, req: &Request) -> Response {
             if let Some(stale) = if_epoch.and_then(|want| superseded_since(shared, want)) {
                 return stale;
             }
-            match func {
-                Some(f) => match shared.corpus.query_function(module, f, *k) {
-                    Ok((epoch, r)) => Response::Candidates { epoch, results: vec![r] },
-                    Err(message) => Response::Error { message },
-                },
-                // Module queries run cancellable: concurrent mutations
-                // abort and restart them a bounded number of times, then
-                // the client is told its answer was superseded rather
-                // than being handed a torn snapshot.
-                None => {
-                    let mut last = (0, 0);
-                    for _ in 0..=QUERY_RESTARTS {
-                        let outcome = shared.corpus.query_module_cancellable(module, *k, |pin| {
-                            shared.corpus.epoch() != pin
-                        });
-                        match outcome {
-                            Ok(QueryOutcome::Complete { epoch, results }) => {
-                                return Response::Candidates { epoch, results }
-                            }
-                            Ok(QueryOutcome::Superseded { started, epoch }) => {
-                                last = (started, epoch);
-                            }
-                            Err(message) => return Response::Error { message },
-                        }
-                    }
-                    Response::Superseded { started: last.0, epoch: last.1 }
-                }
+            let answer = match func {
+                Some(f) => shared.corpus.query_function(module, f, *k).map(|(e, r)| (e, vec![r])),
+                None => shared.corpus.query_module(module, *k),
+            };
+            match answer {
+                Ok((epoch, results)) => Response::Candidates { epoch, results },
+                Err(message) => Response::Error { message },
             }
         }
         Request::Update { module, func, ir } => {
