@@ -3,9 +3,10 @@
 //!
 //! A [`Corpus`] holds every ingested module plus one fingerprint entry per
 //! merge-eligible function (definitions with at least one linked
-//! instruction — the same filter [`run_pass`] applies), indexed in a
-//! [`ShardedLshIndex`]. Ingesting a module fingerprints *only* that
-//! module's functions and inserts them; evicting removes the module's
+//! instruction — the same filter [`run_pass`] applies), indexed in one
+//! [`LshIndex`] — the type the offline pass builds, here held by the
+//! table for the corpus lifetime. Ingesting a module fingerprints *only*
+//! that module's functions and inserts them; evicting removes the module's
 //! band keys and frees its body — what stays of an evicted module is a
 //! tombstone record and its entries' epoch stamps. Neither ever rebuilds
 //! the index.
@@ -52,7 +53,9 @@
 //! whole or not at all, its answer is the answer at the epoch it returns,
 //! and an id found in a bucket is live by construction: eviction removes
 //! an entry's band keys in the same critical section that stamps it
-//! evicted. Lock order is table → cache → shards.
+//! evicted. The index lives in the table, so the borrow checker holds
+//! writers to the write guard and readers to the read guard; no lock of
+//! its own. Lock order is table → cache.
 //!
 //! Entries keep the epochs they were added and evicted at as stamps: the
 //! snapshot payload carries them, and a mutation counts only surviving
@@ -76,7 +79,7 @@
 //! function of the durable state at its epoch.
 //!
 //! **Granularity is chosen by the verb, not by a knob.** Whole-module
-//! `ingest`/`evict` go through [`ShardedLshIndex::apply_delta`] and
+//! `ingest`/`evict` go through [`LshIndex::apply_delta`] and
 //! invalidate the *band-collision neighborhood*: every entry sharing a
 //! bucket with any touched key, old or new. The index computes that set
 //! in the one batched pass that applies the delta — one lookup per
@@ -94,7 +97,7 @@
 //! the score of its last entry, or the threshold when it came out shorter
 //! than asked — can change through an edit of row `x` in four ways only,
 //! all read off the touched buckets by
-//! [`ShardedLshIndex::apply_row_delta`]:
+//! [`LshIndex::apply_row_delta`]:
 //!
 //! 1. `x ∈ L(q)`: it left, or its score changed.
 //! 2. `x` is inside the visible window of a bucket `q` shares with `x`'s
@@ -137,10 +140,9 @@ use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, BackendKind, FingerprintBackend};
-use f3m_fingerprint::lsh::{BandKey, Crossed, LshParams, QueryScratch};
+use f3m_fingerprint::lsh::{BandKey, Crossed, LshIndex, LshParams, QueryScratch};
 use f3m_fingerprint::pager::PagerKind;
 use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore};
-use f3m_fingerprint::sharded::{ShardStats, ShardedLshIndex};
 use f3m_fingerprint::snapshot::{self, Reader, SnapshotError, SnapshotHeader, Writer};
 use f3m_fingerprint::store::{PackedFingerprintStore, RowRef};
 use f3m_ir::function::Function;
@@ -149,8 +151,7 @@ use f3m_ir::module::Module;
 use f3m_ir::parser::{parse_module, parse_module_for, parse_replacement};
 use f3m_ir::printer::{print_declaration, print_function, print_global};
 use f3m_ir::types::TypeStore;
-use f3m_trace::json;
-use f3m_trace::stats::{self, Stat, Value::*};
+use f3m_trace::stats::{Stat, Value::*};
 
 use crate::pass::{run_pass, MergeReport, PassConfig};
 use crate::rank::{top_k, Kernel, QueryCounters, SimTable};
@@ -162,15 +163,13 @@ pub struct CorpusConfig {
     /// corpus lifetime: changing `k` or the banding would invalidate every
     /// resident fingerprint.
     pub params: MergeParams,
-    /// Number of index shards.
-    pub shards: usize,
     /// Worker threads for per-module fingerprinting at ingest.
     pub jobs: usize,
 }
 
 impl Default for CorpusConfig {
     fn default() -> CorpusConfig {
-        CorpusConfig { params: MergeParams::static_default(), shards: 8, jobs: 1 }
+        CorpusConfig { params: MergeParams::static_default(), jobs: 1 }
     }
 }
 
@@ -241,7 +240,7 @@ pub struct QueryResult {
     pub candidates: Vec<RankedCandidate>,
 }
 
-/// A corpus-global candidate pair drawn from the sharded index, endpoints
+/// A corpus-global candidate pair drawn from the index, endpoints
 /// in canonical (lexicographic) order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GlobalPair {
@@ -267,14 +266,12 @@ pub struct CorpusStats {
     pub modules_total: usize,
     /// Function entries currently visible.
     pub functions_live: usize,
-    /// Function entries ever created.
+    /// Function entries ever created, live and evicted.
     pub entries_total: usize,
-    /// Non-empty buckets across all shards.
+    /// Non-empty index buckets.
     pub index_buckets: usize,
-    /// Fullest bucket across all shards.
+    /// Fullest index bucket.
     pub index_max_bucket: usize,
-    /// Per-shard occupancy, in shard order.
-    pub shards: Vec<ShardStats>,
     /// Ranked-candidate queries answered from the memo cache.
     pub memo_hits: u64,
     /// Ranked-candidate queries that had to recompute.
@@ -313,7 +310,7 @@ pub const CORPUS_STATS: &[Stat<CorpusStats>] = &[
     Stat::json_only("modules_live", |s| Count(s.modules_live as u64)),
     Stat::json_only("modules_total", |s| Count(s.modules_total as u64)),
     Stat::json_only("functions_live", |s| Count(s.functions_live as u64)),
-    Stat::new("entries_total",      "index.entries",             "buckets", true,  3, |s| Count(s.entries_total as u64)),
+    Stat::new("entries_total",      "corpus.entries_total",      "count",   true,  3, |s| Count(s.entries_total as u64)),
     Stat::new("index_buckets",      "index.buckets",             "buckets", true,  2, |s| Count(s.index_buckets as u64)),
     Stat::new("index_max_bucket",   "index.max_bucket",          "buckets", true,  2, |s| Count(s.index_max_bucket as u64)),
     // Incremental recompute: jobs-invariant and, for a synchronous client,
@@ -324,7 +321,7 @@ pub const CORPUS_STATS: &[Stat<CorpusStats>] = &[
     Stat::new("funcs_spared",       "corpus.funcs_spared",       "count",   true,  1, |s| Count(s.funcs_spared)),
     Stat::new("queries_superseded", "corpus.queries_superseded", "count",   true,  1, |s| Count(s.queries_superseded)),
     // Ranking work: a function of the durable state and the query
-    // sequence — never of jobs or shard count. Over a resident base a
+    // sequence — never of jobs. Over a resident base a
     // ranking visits its candidates in row order, so a resident restore
     // can book other counts than its bulk twin.
     Stat::new("sketch_comparisons", "corpus.sketch_comparisons", "count",   true,  1, |s| Count(s.sketch_comparisons)),
@@ -336,27 +333,6 @@ pub const CORPUS_STATS: &[Stat<CorpusStats>] = &[
     Stat::new("shard_faults",       "resident.faults",           "count",   false, 1, |s| Count(s.shard_faults)),
     Stat::new("shard_spills",       "resident.spills",           "count",   false, 1, |s| Count(s.shard_spills)),
 ];
-
-/// The counters of one [`CorpusStats::shards`] element, in response order.
-#[rustfmt::skip]
-pub const SHARD_STATS: &[Stat<ShardStats>] = &[
-    Stat::new("num_buckets",     "buckets",    "buckets", true, 0, |s| Count(s.num_buckets as u64)),
-    Stat::new("max_bucket_size", "max_bucket", "entries", true, 1, |s| Count(s.max_bucket_size as u64)),
-    Stat::det("entries", "entries", |s| Count(s.entries as u64)),
-];
-
-impl CorpusStats {
-    /// Writes the `corpus` object of a `stats` response.
-    pub fn write_json(&self, w: &mut json::Writer) {
-        w.begin_object();
-        stats::write_fields(w, CORPUS_STATS, self);
-        w.key("shards").begin_array();
-        for shard in &self.shards {
-            stats::write_object(w, SHARD_STATS, shard);
-        }
-        w.end_array().end_object();
-    }
-}
 
 struct Entry {
     /// Original (unqualified) function name.
@@ -460,6 +436,9 @@ struct Table {
     modules: Vec<ModuleRecord>,
     /// Heap fingerprint rows (see the module docs).
     rows: PackedFingerprintStore,
+    /// Every live entry id under its row's band keys: written under the
+    /// write guard, probed under the read guard.
+    index: LshIndex<usize>,
     /// Mutations applied so far (resumed from a snapshot's header): the
     /// epoch every read under this guard answers at.
     epoch: u64,
@@ -542,7 +521,7 @@ struct CorpusCounters {
     full_comparisons: AtomicU64,
 }
 
-/// The resident corpus: ingested modules + sharded fingerprint index.
+/// The resident corpus: ingested modules + their fingerprint index.
 ///
 /// All operations take `&self`. Reads proceed concurrently, each under
 /// one table read guard; each mutation holds one table write guard (see
@@ -550,7 +529,6 @@ struct CorpusCounters {
 pub struct Corpus {
     cfg: CorpusConfig,
     backend: Box<dyn FingerprintBackend>,
-    index: ShardedLshIndex<usize>,
     table: RwLock<Table>,
     cache: QueryCache,
     counters: CorpusCounters,
@@ -583,8 +561,8 @@ impl Corpus {
     /// Creates an empty corpus.
     pub fn new(cfg: CorpusConfig) -> Corpus {
         let backend = backend_for(cfg.params.backend, cfg.params.k);
-        let index = ShardedLshIndex::new(cfg.params.lsh, cfg.shards);
         let rows = PackedFingerprintStore::with_capacity(cfg.params.k, cfg.params.lsh.bands, 0);
+        let index = LshIndex::new(cfg.params.lsh);
         let sims = SimTable::new(cfg.params.k);
         let threshold = cfg.params.threshold;
         Corpus {
@@ -593,8 +571,13 @@ impl Corpus {
             scratches: Mutex::new(Vec::new()),
             cfg,
             backend,
-            index,
-            table: RwLock::new(Table { entries: Vec::new(), modules: Vec::new(), rows, epoch: 0 }),
+            table: RwLock::new(Table {
+                entries: Vec::new(),
+                modules: Vec::new(),
+                rows,
+                index,
+                epoch: 0,
+            }),
             cache: RwLock::new(HashMap::new()),
             counters: CorpusCounters::default(),
             resident: None,
@@ -609,14 +592,15 @@ impl Corpus {
         self.resident.as_ref().map_or(0, ResidentStore::len)
     }
 
-    /// One entry's fingerprint row, wherever it lives. Faults the owning
-    /// shard of a resident row in (and may spill a cold shard under the
-    /// budget) as a side effect.
-    fn row<'t>(&'t self, t: &'t Table, e: &Entry) -> RowRef<'t> {
+    /// One entry's fingerprint row, wherever it lives: the resident base,
+    /// or `rows`, the table's heap rows. Faults the owning shard of a
+    /// resident row in (and may spill a cold shard under the budget) as a
+    /// side effect.
+    fn row<'t>(&'t self, rows: &'t PackedFingerprintStore, e: &Entry) -> RowRef<'t> {
         let row = e.row as usize;
         match &self.resident {
             Some(base) if row < base.len() => base.row(row),
-            _ => t.rows.row(row - self.heap_base()),
+            _ => rows.row(row - self.heap_base()),
         }
     }
 
@@ -722,7 +706,7 @@ impl Corpus {
             .iter()
             .map(|&id| {
                 t.entries[id].evicted = epoch;
-                (id, self.row(&t, &t.entries[id]).keys().to_vec())
+                (id, self.row(&t.rows, &t.entries[id]).keys().to_vec())
             })
             .collect();
         self.publish(&mut t, &removed, &[], epoch);
@@ -785,7 +769,7 @@ impl Corpus {
         // the new body and row go in, the index delta runs, the stamps are
         // written and the epoch advances under a single table write guard.
         // The cache is only ever touched under a table guard, so taking it
-        // here, before the shard locks, waits for nobody.
+        // here waits for nobody.
         let mut t = self.write_table();
         let mut cache = self.cache.write().unwrap();
         let epoch = t.epoch + 1;
@@ -797,7 +781,7 @@ impl Corpus {
             m.replace_function(fid, f);
         }
         let old_keys = self.rewrite_row(&mut t, entry_id, &sig, &keys, epoch);
-        let (dirty, spared) = self.reindex_row(&t, &cache, entry_id, &old_keys);
+        let (dirty, spared) = self.reindex_row(&mut t, &cache, entry_id, &old_keys);
         let funcs_invalidated = self.stamp(&mut t, &mut cache, &dirty, epoch);
         self.counters.funcs_spared.fetch_add(spared, Ordering::Relaxed);
         t.epoch = epoch;
@@ -820,7 +804,7 @@ impl Corpus {
         keys: &[BandKey],
         epoch: u64,
     ) -> Vec<BandKey> {
-        let old_keys = self.row(t, &t.entries[id]).keys().to_vec();
+        let old_keys = self.row(&t.rows, &t.entries[id]).keys().to_vec();
         match (t.entries[id].row as usize).checked_sub(self.heap_base()) {
             Some(heap_row) => t.rows.set_row(heap_row, sig, keys),
             // The resident base is read-only: re-point the entry at a new
@@ -856,7 +840,7 @@ impl Corpus {
     /// many memoized bucket neighbors were tested and spared.
     fn reindex_row(
         &self,
-        t: &Table,
+        t: &mut Table,
         cache: &HashMap<usize, CachedRank>,
         x: usize,
         old_keys: &[BandKey],
@@ -864,18 +848,20 @@ impl Corpus {
         const SEEN: u8 = 1;
         const SEES_ROW: u8 = 2;
         const DIRTY: u8 = 4;
-        let mut state = vec![0u8; t.entries.len()];
+        // The visitor reads rows while the index moves `x`'s keys.
+        let Table { entries, rows, index, .. } = t;
+        let row = |q: usize| self.row(rows, &entries[q]);
+        let mut state = vec![0u8; entries.len()];
         let mut neighbors = Vec::new();
         // Whether `q`'s row reaches the floor of `q`'s `memo` against the
         // kernel's row. Not booked as ranking work: no list is ranked.
         let reaches = |kernel: &Kernel, q: usize, memo: &CachedRank| {
             let floor = memo.floor(&self.sims, self.threshold_floor);
-            let row = || Some(self.row(t, &t.entries[q]));
-            kernel.score(floor, 0, row, &mut QueryCounters::default()).is_some()
+            kernel.score(floor, 0, || Some(row(q)), &mut QueryCounters::default()).is_some()
         };
 
-        let x_row = self.row(t, &t.entries[x]);
-        self.index.apply_row_delta(x, old_keys, x_row.keys(), |bucket| {
+        let x_row = row(x);
+        index.apply_row_delta(x, old_keys, x_row.keys(), |bucket| {
             for &q in bucket.members {
                 if state[q] & SEEN == 0 {
                     neighbors.push(q);
@@ -889,7 +875,7 @@ impl Corpus {
                 Some(Crossed::Left(z)) => (z, false),
                 None => return,
             };
-            let other_row = entered.then(|| self.row(t, &t.entries[other]));
+            let other_row = entered.then(|| row(other));
             let kernel = other_row.as_ref().map(Kernel::unprobed);
             for &q in bucket.members {
                 if q == x || q == other || state[q] & DIRTY != 0 {
@@ -962,7 +948,7 @@ impl Corpus {
         inserts: &[(usize, Vec<BandKey>)],
         epoch: u64,
     ) {
-        let dirty = self.index.apply_delta(removes, inserts);
+        let dirty = t.index.apply_delta(removes, inserts);
         self.stamp(t, &mut self.cache.write().unwrap(), &dirty, epoch);
         t.epoch = epoch;
     }
@@ -1008,8 +994,8 @@ impl Corpus {
     /// symmetrized, deduped and ordered by similarity descending then
     /// qualified names ascending. The resulting list is a pure function
     /// of the per-function rankings (see [`QueryResult::candidates`]) and
-    /// the merge parameters — identical for any shard count and across
-    /// rebuilds in latest-ingest order — which is what makes the global
+    /// the merge parameters — identical across rebuilds in latest-ingest
+    /// order — which is what makes the global
     /// merge plan deterministic. Because the rankings
     /// run through the memo, a repeat call after a mutation recomputes
     /// only the invalidated entries (observable via
@@ -1060,7 +1046,7 @@ impl Corpus {
         Ok((t.epoch, pairs))
     }
 
-    /// Ranks the best `k` candidates of entry `i`: probe the sharded index
+    /// Ranks the best `k` candidates of entry `i`: probe the index
     /// into the query's `scratch`, then let the ranking kernel select,
     /// among the candidates at or above the similarity threshold, the
     /// first `k` in ranking order — the list
@@ -1089,8 +1075,8 @@ impl Corpus {
         }
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
         let params = &self.cfg.params;
-        let row = self.row(t, ent);
-        let probe = self.index.probe_keys_into(row.keys(), i, scratch);
+        let row = self.row(&t.rows, ent);
+        let probe = t.index.probe_keys_into(row.keys(), i, scratch);
         // The selection does not depend on the visiting order, the cost
         // does. Discovery order is free; row order costs a sort of every
         // candidate id, and pays only where rows can fault: under a
@@ -1109,7 +1095,7 @@ impl Corpus {
             |j, floor| {
                 let e = &t.entries[j];
                 debug_assert_eq!(e.evicted, u64::MAX, "an id in a bucket is live");
-                kernel.score(floor, scratch.hits(j), || Some(self.row(t, e)), &mut counters)
+                kernel.score(floor, scratch.hits(j), || Some(self.row(&t.rows, e)), &mut counters)
             },
             |j| &t.entries[j].qualified,
         );
@@ -1149,9 +1135,8 @@ impl Corpus {
             modules_total: t.modules.len(),
             functions_live: t.entries.iter().filter(|e| e.evicted == u64::MAX).count(),
             entries_total: t.entries.len(),
-            index_buckets: self.index.num_buckets(),
-            index_max_bucket: self.index.max_bucket_size(),
-            shards: self.index.shard_stats(),
+            index_buckets: t.index.num_buckets(),
+            index_max_bucket: t.index.max_bucket_size(),
             memo_hits: self.counters.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.counters.memo_misses.load(Ordering::Relaxed),
             funcs_invalidated: self.counters.funcs_invalidated.load(Ordering::Relaxed),
@@ -1189,7 +1174,7 @@ impl Corpus {
     }
 
     /// Persists the live corpus as one contiguous snapshot file: packed
-    /// signature and band-key pools, the bucket directory of the sharded
+    /// signature and band-key pools, the bucket directory of the
     /// index, and a payload carrying module sources plus per-entry epoch
     /// stamps. [`Corpus::load_snapshot`] restores the whole thing in
     /// O(file size) — no re-fingerprinting, no index rebuild.
@@ -1230,25 +1215,25 @@ impl Corpus {
             live.len(),
         );
         for &id in &live {
-            let row = self.row(&t, &t.entries[id]);
+            let row = self.row(&t.rows, &t.entries[id]);
             store.push_with_keys(row.sig(), row.keys());
         }
 
-        // Bucket directory across all shards. Band keys are globally
-        // unique (the key determines its shard), so one flat directory
-        // suffices and a loader with a different shard count re-routes.
-        let mut buckets: Vec<(BandKey, Vec<u32>)> = Vec::new();
-        for shard in 0..self.index.num_shards() {
-            for (key, members) in self.index.export_shard(shard) {
+        // The bucket directory: the index's buckets, already in key order,
+        // with entry ids renumbered to snapshot rows.
+        let buckets: Vec<(BandKey, Vec<u32>)> = t
+            .index
+            .export_buckets()
+            .into_iter()
+            .map(|(key, members)| {
                 let rows: Vec<u32> = members.into_iter().map(|id| row_of[id]).collect();
                 debug_assert!(
                     rows.windows(2).all(|w| w[0] < w[1]),
                     "live rows preserve entry order"
                 );
-                buckets.push((key, rows));
-            }
-        }
-        buckets.sort_unstable_by_key(|&(key, _)| key);
+                (key, rows)
+            })
+            .collect();
 
         // Payload: live module sources, then per-row metadata.
         let live_modules: Vec<(usize, &LazyModule)> = t.live_modules().collect();
@@ -1279,7 +1264,6 @@ impl Corpus {
             k: self.cfg.params.k,
             lsh: self.cfg.params.lsh,
             threshold: self.cfg.params.threshold,
-            shards: self.index.num_shards(),
             epoch: header_epoch.unwrap_or(t.epoch),
             entries: live.len(),
         };
@@ -1288,9 +1272,8 @@ impl Corpus {
 
     /// Restores a corpus saved by [`Corpus::save_snapshot`] in one bulk
     /// read: the decoded packed store becomes the table's row store as
-    /// is, the index is rebuilt bucket-by-bucket from the directory
-    /// (re-routed if `cfg.shards` differs from the writer's), and the
-    /// epoch resumes where the snapshot left off. Module bodies are NOT
+    /// is, the index is rebuilt bucket-by-bucket from the directory, and
+    /// the epoch resumes where the snapshot left off. Module bodies are NOT
     /// parsed here — queries run on the resident signatures, so restore
     /// cost is I/O + decode, and each body parses on first touch (an
     /// update, a merge, or a source render).
@@ -1395,9 +1378,9 @@ impl Corpus {
                     entry_ids: ids,
                 });
             }
-        }
-        for (key, rows) in buckets {
-            corpus.index.restore_bucket(key, rows.into_iter().map(|r| r as usize).collect());
+            for (key, rows) in buckets {
+                t.index.restore_bucket(key, rows.into_iter().map(|r| r as usize).collect());
+            }
         }
         Ok(corpus)
     }
@@ -1632,7 +1615,7 @@ mod tests {
     }
 
     fn corpus() -> Corpus {
-        Corpus::new(CorpusConfig { shards: 4, jobs: 2, ..CorpusConfig::default() })
+        Corpus::new(CorpusConfig { jobs: 2, ..CorpusConfig::default() })
     }
 
     /// The daemon's answers equal the offline search's over the combined
@@ -1656,7 +1639,7 @@ mod tests {
                 let params = MergeParams { threshold, ..MergeParams::static_default() }
                     .with_backend(backend);
                 let case = format!("{} t={threshold}", backend.name());
-                let c = Corpus::new(CorpusConfig { params, shards: 4, jobs: 2 });
+                let c = Corpus::new(CorpusConfig { params, jobs: 2 });
                 c.ingest(m1.clone()).unwrap();
                 c.ingest(m2.clone()).unwrap();
                 let search = LshBackendSearch::build(&combined, &funcs, params, 1);
@@ -1688,7 +1671,7 @@ mod tests {
     fn memo_serves_the_requests_its_list_covers() {
         let params = MergeParams { threshold: 0.3, ..MergeParams::static_default() };
         let build = || {
-            let c = Corpus::new(CorpusConfig { params, shards: 4, jobs: 2 });
+            let c = Corpus::new(CorpusConfig { params, jobs: 2 });
             c.ingest(workload("alpha", 11)).unwrap();
             c.ingest(workload("beta", 22)).unwrap();
             c
@@ -1846,7 +1829,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corpus.f3msnap");
         c.save_snapshot(&path).unwrap();
-        let cfg = CorpusConfig { shards: 4, jobs: 2, ..CorpusConfig::default() };
+        let cfg = CorpusConfig { jobs: 2, ..CorpusConfig::default() };
         let restored = Corpus::load_snapshot(&path, cfg).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         let stats = restored.stats();
@@ -2007,7 +1990,7 @@ mod tests {
         let g_sig = || {
             let t = c.table.read().unwrap();
             let id = t.entry_of(t.live_module("m").unwrap(), "g").unwrap();
-            c.row(&t, &t.entries[id]).sig().to_vec()
+            c.row(&t.rows, &t.entries[id]).sig().to_vec()
         };
         let before = g_sig();
         let (_, listed) = c.query_function("m", "g", 5).unwrap();
@@ -2078,7 +2061,7 @@ mod tests {
         assert_eq!(guards(&|| drop(c.query_module("alpha", 5).unwrap())), (1, 0));
         assert_eq!(guards(&|| drop(c.query_function("alpha", &dst, 5).unwrap())), (1, 0));
         assert_eq!(guards(&|| drop(c.global_candidates(5).unwrap())), (1, 0));
-        assert_eq!(guards(&|| drop(c.stats())), (1, 0));
+        assert_eq!(guards(&|| { c.stats(); }), (1, 0));
         let path = std::env::temp_dir().join(format!("f3m_corpus_guards_{}", std::process::id()));
         assert_eq!(guards(&|| c.save_snapshot(&path).unwrap()), (1, 0));
         std::fs::remove_file(&path).unwrap();
@@ -2230,7 +2213,7 @@ mod tests {
             1,
         );
         for (i, &id) in ids.iter().enumerate() {
-            let row = c.row(&t, &t.entries[id]);
+            let row = c.row(&t.rows, &t.entries[id]);
             let name = &t.entries[id].func;
             assert!(row.sig() == rows.sig(i), "{module}.{func}: signature of {name}");
             assert_eq!(row.keys(), rows.keys(i), "{module}.{func}: band keys of {name}");

@@ -5,7 +5,7 @@
 //! that happen to live in the same translation unit. At fleet scale the
 //! big wins sit *across* modules — N build targets each carrying their
 //! own copy of the same helper — which is exactly the shape the corpus's
-//! sharded LSH index already sees globally. Following the optimistic
+//! LSH index already sees globally. Following the optimistic
 //! global function merging recipe, [`GlobalMergePlanner`] runs two
 //! phases:
 //!
@@ -570,7 +570,7 @@ mod tests {
     }
 
     fn corpus_of(mods: &[Module]) -> Corpus {
-        let c = Corpus::new(CorpusConfig { shards: 4, jobs: 2, ..CorpusConfig::default() });
+        let c = Corpus::new(CorpusConfig { jobs: 2, ..CorpusConfig::default() });
         for m in mods {
             c.ingest(m.clone()).unwrap();
         }
@@ -657,31 +657,6 @@ mod tests {
         }
         assert_eq!(renders[0], renders[1], "jobs 1 vs 2");
         assert_eq!(renders[0], renders[2], "jobs 1 vs 8");
-    }
-
-    /// Candidate ordering and the full global merge plan are identical
-    /// across shard counts 1..=5: exact similarity ties (multiples of
-    /// `1/k`) break on the rebuild-stable qualified name everywhere, so
-    /// how entries were routed to shards can never leak into the plan.
-    #[test]
-    fn global_merge_is_shard_count_invariant() {
-        let mods = [workload("m0", 41, 16), workload("m1", 41, 16), workload("m2", 90, 12)];
-        let mut renders = Vec::new();
-        for shards in 1..=5 {
-            let c = Corpus::new(CorpusConfig { shards, jobs: 2, ..CorpusConfig::default() });
-            for m in &mods {
-                c.ingest(m.clone()).unwrap();
-            }
-            let (_, pairs) = c.global_candidates(4).unwrap();
-            let (report, merged, _) =
-                GlobalMergePlanner::new(&c, GlobalPlanConfig::default()).run().unwrap();
-            renders.push((pairs, report.to_json(), f3m_ir::printer::print_module(&merged)));
-        }
-        for (n, r) in renders.iter().enumerate().skip(1) {
-            assert_eq!(renders[0].0, r.0, "candidate pairs, shards=1 vs shards={}", n + 1);
-            assert_eq!(renders[0].1, r.1, "report, shards=1 vs shards={}", n + 1);
-            assert_eq!(renders[0].2, r.2, "merged module, shards=1 vs shards={}", n + 1);
-        }
     }
 
     /// Re-running on the same corpus is deterministic end to end.

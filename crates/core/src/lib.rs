@@ -17,7 +17,7 @@
 //! - [`pass`] — the thin driver looping rank → align → codegen/commit over
 //!   HyFM / F3M-static / F3M-adaptive strategies,
 //! - [`corpus`] — the resident multi-module corpus with incremental
-//!   (epoch-versioned, sharded) indexing behind the `f3m-serve` daemon,
+//!   (epoch-versioned) indexing behind the `f3m-serve` daemon,
 //! - [`analysis`] — exhaustive pairwise metrics behind Figures 4/6/10.
 //!
 //! # Examples

@@ -111,7 +111,6 @@ fn mismatched_parameters_are_rejected() {
     let wrong_backend = CorpusConfig {
         jobs: 1,
         params: MergeParams::static_default().with_backend(BackendKind::SimHash),
-        ..CorpusConfig::default()
     };
     match Corpus::load_snapshot(&path, wrong_backend) {
         Err(SnapshotError::Mismatch(msg)) => {
@@ -124,7 +123,6 @@ fn mismatched_parameters_are_rejected() {
     let wrong_k = CorpusConfig {
         jobs: 1,
         params: MergeParams::custom(64, 2, 0.0, 100),
-        ..CorpusConfig::default()
     };
     assert!(matches!(
         Corpus::load_snapshot(&path, wrong_k).err(),

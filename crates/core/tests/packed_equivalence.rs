@@ -4,17 +4,14 @@
 //!
 //! The packed store is a pure layout change: for every backend the
 //! signatures and band keys it hands back must be byte-identical to the
-//! per-function vectors they were packed from, candidate sets must not
-//! depend on the shard count, and the merged module must not depend on
-//! the jobs level. Any divergence here means the SoA refactor changed
+//! per-function vectors they were packed from, and the merged module must
+//! not depend on the jobs level. Any divergence here means the SoA refactor changed
 //! semantics, not just cache behavior.
 
 use f3m_core::pass::{run_pass, PassConfig};
 use f3m_fingerprint::encode::encode_function;
 use f3m_fingerprint::lsh::band_keys_for;
-use f3m_fingerprint::{
-    backend_for, BackendKind, LshIndex, MergeParams, PackedFingerprintStore, ShardedLshIndex,
-};
+use f3m_fingerprint::{backend_for, BackendKind, MergeParams, PackedFingerprintStore};
 use f3m_ir::module::Module;
 
 fn workload() -> Module {
@@ -79,39 +76,6 @@ fn packed_rows_match_per_function_storage() {
             assert_eq!(rt.sig(i), store.sig(i));
             assert_eq!(rt.keys(i), store.keys(i));
             assert_eq!(rt.sketch(i), store.sketch(i), "the sketch is rederived from the pools");
-        }
-    }
-}
-
-/// Candidate sets from the sharded index match the unsharded one for
-/// every shard count — banding decides the bucket, sharding only decides
-/// who owns it.
-#[test]
-fn candidate_sets_are_shard_count_invariant() {
-    let m = workload();
-    let encs = encoded_functions(&m);
-    let params = MergeParams::static_default();
-    let backend = backend_for(params.backend, params.k);
-    let keys: Vec<Vec<_>> = encs
-        .iter()
-        .map(|e| band_keys_for(params.lsh, &backend.signature(e)))
-        .collect();
-
-    let mut flat: LshIndex<usize> = LshIndex::new(params.lsh);
-    for (i, e) in encs.iter().enumerate() {
-        flat.insert(i, &backend.signature(e));
-    }
-
-    for shards in 1..=5 {
-        let sharded: ShardedLshIndex<usize> = ShardedLshIndex::new(params.lsh, shards);
-        for (i, k) in keys.iter().enumerate() {
-            sharded.insert_with_keys(i, k);
-        }
-        for (i, k) in keys.iter().enumerate() {
-            let sig = backend.signature(&encs[i]);
-            let (a, _) = flat.candidates(&sig, i);
-            let (b, _) = sharded.candidates_counted(k, i);
-            assert_eq!(a, b, "candidates for fn {i} with {shards} shard(s)");
         }
     }
 }

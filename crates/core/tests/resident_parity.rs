@@ -4,7 +4,7 @@
 //! A corpus restored through [`Corpus::load_snapshot_resident`] under any
 //! budget is a pure paging change: query answers, epochs and subsequent
 //! mutations must be byte-identical to a bulk [`Corpus::load_snapshot`]
-//! of the same file, at every shard count and jobs level. Its rows carry
+//! of the same file, at every jobs level. Its rows carry
 //! the sketch a heap row carries, so its rankings use the sketch bound.
 
 use std::path::PathBuf;
@@ -49,35 +49,27 @@ fn query_dump(c: &Corpus, modules: usize) -> Vec<(u64, String)> {
 const TINY_BUDGET: u64 = TARGET_SHARD_BYTES as u64;
 
 /// Budgeted resident restore answers byte-identically to bulk restore at
-/// every shard count and jobs level, ranking through the sketch bound.
+/// every jobs level, ranking through the sketch bound.
 #[test]
-fn resident_restore_matches_bulk_across_shards_and_jobs() {
-    for shards in 1..=5usize {
-        for jobs in [1usize, 2, 8] {
-            let cfg =
-                || CorpusConfig { shards, jobs, ..CorpusConfig::default() };
-            let corpus = populated_corpus(cfg(), 3);
-            let path = tmp(&format!("grid_s{shards}_j{jobs}"));
-            corpus.save_snapshot(&path).expect("save");
+fn resident_restore_matches_bulk_across_jobs() {
+    for jobs in [1usize, 2, 8] {
+        let cfg = || CorpusConfig { jobs, ..CorpusConfig::default() };
+        let corpus = populated_corpus(cfg(), 3);
+        let path = tmp(&format!("grid_j{jobs}"));
+        corpus.save_snapshot(&path).expect("save");
 
-            let bulk = Corpus::load_snapshot(&path, cfg()).expect("bulk load");
-            let resident =
-                Corpus::load_snapshot_resident(&path, cfg(), PagerKind::Auto, TINY_BUDGET)
-                    .expect("resident load");
-            assert_eq!(resident.epoch(), bulk.epoch(), "s{shards} j{jobs}: epoch");
-            assert_eq!(
-                query_dump(&resident, 3),
-                query_dump(&bulk, 3),
-                "s{shards} j{jobs}: answers"
-            );
-            let (pager, counters) = resident.residency().expect("resident counters");
-            assert_eq!(pager, "file");
-            assert!(counters.resident_bytes <= TINY_BUDGET, "budget holds");
-            assert!(bulk.residency().is_none(), "bulk restore has no residency");
-            let sketched = resident.stats().sketch_comparisons;
-            assert!(sketched > 0, "s{shards} j{jobs}: resident rows rank through the sketch");
-            let _ = std::fs::remove_dir_all(path.parent().unwrap());
-        }
+        let bulk = Corpus::load_snapshot(&path, cfg()).expect("bulk load");
+        let resident = Corpus::load_snapshot_resident(&path, cfg(), PagerKind::Auto, TINY_BUDGET)
+            .expect("resident load");
+        assert_eq!(resident.epoch(), bulk.epoch(), "j{jobs}: epoch");
+        assert_eq!(query_dump(&resident, 3), query_dump(&bulk, 3), "j{jobs}: answers");
+        let (pager, counters) = resident.residency().expect("resident counters");
+        assert_eq!(pager, "file");
+        assert!(counters.resident_bytes <= TINY_BUDGET, "budget holds");
+        assert!(bulk.residency().is_none(), "bulk restore has no residency");
+        let sketched = resident.stats().sketch_comparisons;
+        assert!(sketched > 0, "j{jobs}: resident rows rank through the sketch");
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }
 

@@ -17,7 +17,7 @@
 //! silently ignored.
 //!
 //! The daemon pair keeps a corpus resident across invocations: `f3m
-//! serve` holds the sharded LSH index in memory and `f3m client` sends
+//! serve` holds the LSH index in memory and `f3m client` sends
 //! one request per invocation and prints the JSON response on stdout.
 
 use std::path::PathBuf;
@@ -34,7 +34,7 @@ merge <input.ir> [-o out.ir] [--strategy hyfm|f3m|f3m-adaptive]
        [--jobs n] [--report json] [--dce]
        [--trace chrome:path] [--metrics path]
 merge --global <a.ir> <b.ir> ... [-o out.ir] [--jobs n] [-k k]
-       [--min-profit bytes] [--shards s] [--report json] [--metrics path]
+       [--min-profit bytes] [--report json] [--metrics path]
 stats <input.ir>
 run   <input.ir> <function> [int args...]
 run   [--workload name] [--scale f] [--strategy s] [--jobs n]
@@ -43,7 +43,7 @@ gen   <workload> [-o out.ir] [--scale f]
 fuzz  [--iterations n] [--seed s] [--corpus dir]
        [--protocol [--cases n]] [--global]
        [--trace chrome:path] [--metrics path]
-serve [--addr host:port] [--jobs n] [--queue-cap c] [--shards s]
+serve [--addr host:port] [--jobs n] [--queue-cap c]
        [--backend minhash|simhash|embed] [--snapshot path]
        [--resident-budget bytes]
        [--shed-depth d] [--max-inflight n] [--max-inflight-per-conn n]
@@ -334,7 +334,7 @@ fn cmd_merge(args: &[String]) -> CliResult {
 fn cmd_merge_global(args: &[String]) -> CliResult {
     let a = split_args(
         args,
-        &["-o", "--jobs", "-k", "--min-profit", "--shards", "--report", "--metrics"],
+        &["-o", "--jobs", "-k", "--min-profit", "--report", "--metrics"],
         &["--global"],
     )?;
     let inputs = &a.positional;
@@ -342,17 +342,12 @@ fn cmd_merge_global(args: &[String]) -> CliResult {
         return Err("merge --global needs at least one input file".into());
     }
     let jobs: usize = a.parsed("--jobs")?.unwrap_or(1);
-    let shards: usize = a.parsed("--shards")?.unwrap_or(4);
-    if jobs == 0 || shards == 0 {
-        return Err("--jobs and --shards must be positive".into());
+    if jobs == 0 {
+        return Err("--jobs must be positive".into());
     }
     let json_report = wants_json_report(&a)?;
 
-    let corpus = f3m::core::Corpus::new(f3m::core::CorpusConfig {
-        shards,
-        jobs,
-        ..Default::default()
-    });
+    let corpus = f3m::core::Corpus::new(f3m::core::CorpusConfig { jobs, ..Default::default() });
     for path in inputs {
         let m = load(path)?;
         corpus.ingest(m).map_err(|e| format!("{path}: {e}"))?;
@@ -605,7 +600,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let a = split_args(
         args,
         &[
-            "--addr", "--jobs", "--queue-cap", "--shards", "--backend", "--snapshot",
+            "--addr", "--jobs", "--queue-cap", "--backend", "--snapshot",
             "--resident-budget", "--shed-depth", "--max-inflight", "--max-inflight-per-conn",
             "--read-deadline-ms", "--idle-timeout-ms", "--trace", "--metrics",
         ],
@@ -630,7 +625,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         addr: a.value("--addr").unwrap_or(DEFAULT_SERVE_ADDR).to_string(),
         jobs: a.parsed("--jobs")?.unwrap_or(2),
         queue_cap: a.parsed("--queue-cap")?.unwrap_or(64),
-        shards: a.parsed("--shards")?.unwrap_or(8),
         backend,
         resident_budget: a.parsed("--resident-budget")?,
         admission,
@@ -645,8 +639,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(v) = a.value("--idle-timeout-ms") {
         cfg.idle_timeout_ms = v.parse()?;
     }
-    if cfg.jobs == 0 || cfg.queue_cap == 0 || cfg.shards == 0 {
-        return Err("--jobs, --queue-cap and --shards must be positive".into());
+    if cfg.jobs == 0 || cfg.queue_cap == 0 {
+        return Err("--jobs and --queue-cap must be positive".into());
     }
     f3m::serve::serve(cfg)?;
     eprintln!("f3m-serve: shut down cleanly");
@@ -753,7 +747,6 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
          \x20 entries:    {} functions ({} bytes/fn packed)\n\
          \x20 buckets:    {} ({} members, max bucket {})\n\
          \x20 modules:    {}\n\
-         \x20 shards:     {} (at save; loaders re-route freely)\n\
          \x20 layout:     file {} B = meta {} B (directory {} B, payload {} B) \
          + pools {} B\n\
          \x20 pools:      signatures {} B + band keys {} B at offset {} \
@@ -773,7 +766,6 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
         bucket_members,
         max_bucket,
         modules.len(),
-        h.shards,
         l.file_len,
         l.meta_end,
         l.dir_len,

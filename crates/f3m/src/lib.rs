@@ -13,7 +13,7 @@
 //! - [`fuzz`]: differential fuzzing of the whole pipeline — IR mutators,
 //!   a merge oracle, deterministic campaigns and a delta-debugging
 //!   reducer (`f3m fuzz` on the command line),
-//! - [`serve`]: the resident merge daemon — a persistent sharded LSH
+//! - [`serve`]: the resident merge daemon — a persistent LSH-indexed
 //!   corpus with epoch-versioned ingestion behind a length-prefixed JSON
 //!   TCP protocol (`f3m serve` / `f3m client` on the command line),
 //! - [`trace`]: pipeline observability — structured span tracing with a

@@ -271,6 +271,12 @@ fn undeclared_flags_and_missing_values_are_rejected() {
         let stderr = run_err(f3m().arg("merge").arg(&input).args(["--repair", mode]));
         assert!(stderr.contains("unknown flag `--repair`"), "{stderr}");
     }
+    // Retired with the shard layer: the daemon holds one index, and a
+    // shard count changed no answer.
+    let stderr = run_err(f3m().args(["serve", "--shards", "4"]));
+    assert!(stderr.contains("unknown flag `--shards`"), "{stderr}");
+    let stderr = run_err(f3m().args(["merge", "--global"]).arg(&input).args(["--shards", "2"]));
+    assert!(stderr.contains("unknown flag `--shards`"), "{stderr}");
     // `run <input.ir> <function>` takes no flags; negative integers are
     // arguments, not flags.
     let stderr = run_err(f3m().arg("run").arg(&input).args(["__driver", "42", "--jobs", "2"]));

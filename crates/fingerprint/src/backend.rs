@@ -3,7 +3,7 @@
 //! The paper's candidate search is MinHash + banded LSH, but the LSH
 //! machinery itself is family-agnostic: anything that maps a function to a
 //! fixed-width signature whose *slot-equality fraction* approximates a
-//! similarity measure can reuse the banding, bucketing, sharding and
+//! similarity measure can reuse the banding, bucketing and
 //! snapshot layers unchanged. This module is that seam.
 //!
 //! Every backend emits a `k`-slot `u64` signature:

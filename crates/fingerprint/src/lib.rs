@@ -35,7 +35,6 @@ pub use backend::{backend_for, signature_similarity, BackendKind, FingerprintBac
 pub use lsh::{BandKey, LshIndex, LshParams, QueryScratch};
 pub use pager::PagerKind;
 pub use resident::{ResidencyCounters, ResidentStore};
-pub use sharded::{ShardStats, ShardedLshIndex};
 pub use minhash::minhash_signature;
 pub use opcode_freq::OpcodeFingerprint;
 pub use snapshot::{SnapshotError, SnapshotFile, SnapshotHeader, SnapshotLayout, SnapshotMeta};

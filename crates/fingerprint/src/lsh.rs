@@ -22,10 +22,21 @@
 //! Over-populated buckets (caused by very common instruction subsequences)
 //! are tamed by capping the number of entries taken per bucket
 //! (Section III-C / Figure 16); the cap is applied where a probe folds a
-//! bucket into its [`QueryScratch`], the one bucket walk both
-//! [`LshIndex::probe_keys_into`] and
-//! [`ShardedLshIndex::probe_keys_into`](crate::sharded::ShardedLshIndex::probe_keys_into)
-//! share.
+//! bucket into its [`QueryScratch`].
+//!
+//! One index type serves both drivers: the offline pass builds an
+//! [`LshIndex`] per sweep, and `f3m-core`'s resident corpus owns one for
+//! its lifetime, read and written only under its table guard. The index
+//! stores ids and nothing else — no version, no lock.
+//!
+//! The corpus writes in two grains. A module-level delta
+//! ([`LshIndex::apply_delta`]) is one batched pass: its `(key, op, id)`
+//! triples are sorted once, each distinct key costs one bucket lookup, and
+//! the ids met are marked in a dense table — the cost is the rows that
+//! move plus the members of the buckets they move through, with no bucket
+//! copied. A one-row delta ([`LshIndex::apply_row_delta`]) hands each
+//! touched bucket to a visitor instead, so its caller can judge neighbors
+//! one by one.
 
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -129,7 +140,7 @@ pub struct LshQueryStats {
 /// One step of a one-row delta on a single bucket (see
 /// [`LshIndex::row_delta`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RowOp {
+enum RowOp {
     /// The row's key for this band changed away from the bucket's.
     Remove,
     /// The row's key for this band changed to the bucket's.
@@ -138,10 +149,11 @@ pub enum RowOp {
     Keep,
 }
 
-/// The one *other* member a [`RowOp`] moved across the `bucket_cap`
-/// boundary of a bucket. A bucket shows its first `bucket_cap` ids, so
-/// taking a row out of that window pulls exactly one id in from behind
-/// the cut, and putting a row into a full window pushes exactly one out.
+/// The one *other* member a step of [`LshIndex::apply_row_delta`] moved
+/// across the `bucket_cap` boundary of a bucket. A bucket shows its first
+/// `bucket_cap` ids, so taking a row out of that window pulls exactly one
+/// id in from behind the cut, and putting a row into a full window pushes
+/// exactly one out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Crossed<T> {
     /// Was just behind the cut and is now the last visible id.
@@ -150,8 +162,8 @@ pub enum Crossed<T> {
     Left(T),
 }
 
-/// What one [`RowOp`] did to one bucket, as seen by the bucket's members —
-/// exactly the items that probe it.
+/// What one step of [`LshIndex::apply_row_delta`] did to one bucket, as
+/// seen by the bucket's members — exactly the items that probe it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketDelta<'b, T> {
     /// The bucket after the step, ascending (empty if the step emptied it).
@@ -189,9 +201,8 @@ struct Slot {
     hits: u32,
 }
 
-/// Reusable per-query buffers for [`LshIndex::probe_keys_into`] /
-/// [`ShardedLshIndex::probe_keys_into`](crate::sharded::ShardedLshIndex::probe_keys_into):
-/// a generation-stamped table indexed by candidate id — it dedups the
+/// Reusable per-query buffers for [`LshIndex::probe_keys_into`]: a
+/// generation-stamped table indexed by candidate id — it dedups the
 /// probe and counts, per candidate, the probed buckets it was found in —
 /// and the candidate list. Both survive across queries (a new probe bumps
 /// the generation instead of clearing), so a warm scratch answers every
@@ -244,12 +255,11 @@ impl<T: DenseId> QueryScratch<T> {
         self.grows
     }
 
-    /// Folds one probed bucket into the current probe — the bucket walk
-    /// shared by the plain and the sharded index: at most `cap` entries
-    /// are taken, `exclude` (the querier) is skipped before anything is
-    /// recorded, a first sighting joins `out`, every sighting counts as
-    /// a hit.
-    pub(crate) fn visit_bucket(
+    /// Folds one probed bucket into the current probe: at most `cap`
+    /// entries are taken, `exclude` (the querier) is skipped before
+    /// anything is recorded, a first sighting joins `out`, every sighting
+    /// counts as a hit.
+    fn visit_bucket(
         &mut self,
         bucket: &[T],
         cap: usize,
@@ -354,6 +364,94 @@ impl<T: DenseId> LshIndex<T> {
         }
     }
 
+    /// Applies a batch of removals then insertions and returns the union
+    /// of the band-collision neighborhoods touched — every item (old or
+    /// new) that shared a bucket with any removed or inserted key, before
+    /// or after the change. The set is sorted and deduplicated.
+    ///
+    /// This is the delta primitive behind module-level corpus writes: the
+    /// dirty set an incremental caller must invalidate when entries under
+    /// these keys change, since any item whose candidate list the change
+    /// could affect shares at least one of the touched buckets.
+    ///
+    /// The batch is one pass: every `(key, op, id)` of both lists is
+    /// sorted once, and each distinct key costs one bucket lookup
+    /// (`key_delta`) that marks the members it meets in a dense
+    /// table — no bucket is copied and nothing larger than the dirty set
+    /// is sorted. The index ends up as [`Self::remove_with_keys`] per
+    /// removal followed by [`Self::insert_with_keys`] per insertion would
+    /// leave it.
+    pub fn apply_delta(
+        &mut self,
+        removes: &[(T, Vec<BandKey>)],
+        inserts: &[(T, Vec<BandKey>)],
+    ) -> Vec<T> {
+        // `false < true`: within a key, removals sort before insertions.
+        let mut ops: Vec<(BandKey, bool, T)> = Vec::new();
+        for (rows, insert) in [(removes, false), (inserts, true)] {
+            for (id, keys) in rows {
+                ops.extend(keys.iter().map(|&key| (key, insert, *id)));
+            }
+        }
+        ops.sort_unstable();
+        let ids: Vec<T> = ops.iter().map(|&(_, _, id)| id).collect();
+
+        let (mut marked, mut dirty) = (Vec::new(), Vec::new());
+        let mut mark = |id: T| {
+            let i = id.index();
+            if i >= marked.len() {
+                marked.resize((i + 1).next_power_of_two(), false);
+            }
+            if !std::mem::replace(&mut marked[i], true) {
+                dirty.push(id);
+            }
+        };
+        let mut at = 0;
+        for run in ops.chunk_by(|a, b| a.0 == b.0) {
+            let (removed, inserted) =
+                ids[at..at + run.len()].split_at(run.partition_point(|op| !op.1));
+            self.key_delta(run[0].0, removed, inserted, &mut mark);
+            at += run.len();
+        }
+        dirty.sort_unstable();
+        dirty
+    }
+
+    /// The one-row form of [`Self::apply_delta`]: moves row `id` from its
+    /// `old` band keys to its `new` ones, leaving the index as
+    /// `apply_delta(&[(id, old)], &[(id, new)])` would, and instead of
+    /// collecting the touched neighborhoods calls `visit` once per touched
+    /// bucket with a [`BucketDelta`] — borrowed from the index, no bucket
+    /// is copied. A band whose key did not change is visited once and left
+    /// alone; a band whose key changed is visited as the bucket the row
+    /// left, then as the bucket it joined.
+    ///
+    /// An item probes exactly the buckets it is a member of and sees
+    /// their first `bucket_cap` ids, so the visits name everything the
+    /// delta can change in anybody's candidate set: the row itself where
+    /// it is visible, and per bucket the one id that crossed the cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `old` and `new` differ in length.
+    pub fn apply_row_delta(
+        &mut self,
+        id: T,
+        old: &[BandKey],
+        new: &[BandKey],
+        mut visit: impl FnMut(BucketDelta<'_, T>),
+    ) {
+        assert_eq!(old.len(), new.len(), "old and new keys band for band");
+        for (&was, &key) in old.iter().zip(new) {
+            if was == key {
+                visit(self.row_delta(id, key, RowOp::Keep));
+            } else {
+                visit(self.row_delta(id, was, RowOp::Remove));
+                visit(self.row_delta(id, key, RowOp::Insert));
+            }
+        }
+    }
+
     /// Applies one step of a one-row delta — row `id` leaves, joins or
     /// stays in the bucket under `key` — and reports what the step changed
     /// for the items probing that bucket: who they are, whether they can
@@ -363,7 +461,7 @@ impl<T: DenseId> LshIndex<T> {
     /// empty, untouched by the removal of an absent id — which stay
     /// separate because the pass's index build and commit walk run them a
     /// million times a sweep and have no use for the report.
-    pub fn row_delta(&mut self, id: T, key: BandKey, op: RowOp) -> BucketDelta<'_, T> {
+    fn row_delta(&mut self, id: T, key: BandKey, op: RowOp) -> BucketDelta<'_, T> {
         let cap = self.params.bucket_cap;
         let first = |bucket: &[T]| bucket.partition_point(|&m| m < id);
         let unchanged = |members| BucketDelta { members, visible: false, crossed: None };
@@ -417,7 +515,7 @@ impl<T: DenseId> LshIndex<T> {
     /// id once per time it was inserted (two bands of one row can fold to
     /// the same key). Nothing is copied; insertions that sort after the
     /// bucket's last id — a module ingest's always do — are appended.
-    pub fn key_delta(
+    fn key_delta(
         &mut self,
         key: BandKey,
         removes: &[T],
@@ -457,8 +555,7 @@ impl<T: DenseId> LshIndex<T> {
     }
 
     /// The sorted contents of the bucket under one band key (`None` when
-    /// empty). This is the probing primitive a sharded wrapper uses to
-    /// reproduce [`Self::candidates_counted`] across shard boundaries.
+    /// empty).
     pub fn probe_key(&self, key: BandKey) -> Option<&[T]> {
         self.buckets.get(&key).map(Vec::as_slice)
     }
@@ -472,8 +569,8 @@ impl<T: DenseId> LshIndex<T> {
         self.buckets.insert(key, items);
     }
 
-    /// All buckets as `(key, sorted items)`, ordered by key — the
-    /// deterministic serialization order the snapshot writer uses.
+    /// All buckets as `(key, sorted items)`, ordered by key — the bucket
+    /// directory order the snapshot writer stores them in.
     pub fn export_buckets(&self) -> Vec<(BandKey, Vec<T>)> {
         let mut out: Vec<(BandKey, Vec<T>)> =
             self.buckets.iter().map(|(&k, v)| (k, v.clone())).collect();
@@ -878,5 +975,277 @@ mod tests {
         let idx: LshIndex<u32> = LshIndex::new(LshParams { rows: 4, bands: 10, bucket_cap: 100 });
         let f = sig(&[1, 2, 3], 8); // needs 40 slots
         let _ = idx.band_keys(&f).count();
+    }
+
+    impl<T: DenseId> LshIndex<T> {
+        /// Distinct items resident in the buckets under `keys`, ascending —
+        /// the band-collision neighborhood of those keys, by copying and
+        /// sorting every bucket: the definition `apply_delta` is tested
+        /// against.
+        fn members_of_keys(&self, keys: &[BandKey]) -> Vec<T> {
+            let mut members: Vec<T> =
+                keys.iter().flat_map(|&key| self.probe_key(key).unwrap_or(&[])).copied().collect();
+            members.sort_unstable();
+            members.dedup();
+            members
+        }
+
+        /// `apply_delta` by its definition: the neighborhood before, each
+        /// removal then each insertion in order, the neighborhood after.
+        fn apply_delta_sequentially(
+            &mut self,
+            removes: &[(T, Vec<BandKey>)],
+            inserts: &[(T, Vec<BandKey>)],
+        ) -> Vec<T> {
+            let touched: Vec<BandKey> =
+                removes.iter().chain(inserts).flat_map(|(_, keys)| keys.iter().copied()).collect();
+            let mut dirty = self.members_of_keys(&touched);
+            for (id, keys) in removes {
+                self.remove_with_keys(*id, keys);
+            }
+            for (id, keys) in inserts {
+                self.insert_with_keys(*id, keys);
+            }
+            dirty.extend(self.members_of_keys(&touched));
+            dirty.sort_unstable();
+            dirty.dedup();
+            dirty
+        }
+    }
+
+    /// A 32-slot signature of one of seven overlapping shingle windows.
+    fn fp(seed: u32) -> Vec<u64> {
+        sig(&(0..24).map(|i| i + seed % 7).collect::<Vec<u32>>(), 32)
+    }
+
+    /// `members_of_keys` returns exactly the items resident under the
+    /// probed buckets, and `apply_delta` returns the union of old and new
+    /// neighborhoods while leaving the index identical to direct
+    /// removal + insertion.
+    #[test]
+    fn apply_delta_returns_collision_neighborhood() {
+        let p = LshParams { bucket_cap: 3, ..params() };
+        let items: Vec<(u32, Vec<u64>)> = (0..10).map(|i| (i, fp(i))).collect();
+        let mut idx = LshIndex::new(p);
+        for (id, f) in &items {
+            idx.insert(*id, f);
+        }
+        // The neighborhood of an item's own keys contains at least itself.
+        for (id, f) in &items {
+            let members = idx.members_of_keys(&band_keys_for(p, f));
+            assert!(members.contains(id), "item {id} missing from its own neighborhood");
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "sorted and deduplicated");
+        }
+
+        // Move item 3 to a new fingerprint via a delta.
+        let old_keys = band_keys_for(p, &items[3].1);
+        let new_fp = fp(3 + 100);
+        let new_keys = band_keys_for(p, &new_fp);
+        let before_old = idx.members_of_keys(&old_keys);
+        let dirty = idx.apply_delta(&[(3u32, old_keys.clone())], &[(3u32, new_keys.clone())]);
+        // The dirty set covers the item itself plus both neighborhoods.
+        assert!(dirty.contains(&3));
+        for m in before_old {
+            assert!(dirty.contains(&m), "old neighbor {m} missing from dirty set");
+        }
+        for m in idx.members_of_keys(&new_keys) {
+            assert!(dirty.contains(&m), "new neighbor {m} missing from dirty set");
+        }
+
+        // The index state matches a from-scratch build with the new keys.
+        let mut flat = LshIndex::new(p);
+        for (id, f) in &items {
+            flat.insert(*id, if *id == 3 { &new_fp } else { f });
+        }
+        for (id, f) in &items {
+            let f = if *id == 3 { &new_fp } else { f };
+            assert_eq!(idx.candidates_counted(f, *id), flat.candidates_counted(f, *id));
+        }
+    }
+
+    /// Random batches against the sequential definition, on the returned
+    /// set, on every bucket and on every resident row's probe. Keys come
+    /// from a ten-letter alphabet, so buckets collide and a row's four
+    /// bands repeat a key; ids come from a pool of 48, so a round inserts
+    /// below resident ids (the non-append path) as well as above them. A
+    /// round moves rows (removed under their keys, inserted under new ones
+    /// sharing some), removes some whole and some from one band, inserts
+    /// some, removes ids that are not there, and lists rows with no keys at
+    /// all.
+    #[test]
+    fn apply_delta_matches_sequential_removal_and_insertion() {
+        use f3m_prng::SmallRng;
+        use std::collections::BTreeMap;
+        type Rows = Vec<(u32, Vec<BandKey>)>;
+        type Resident = BTreeMap<u32, Vec<BandKey>>;
+        const BANDS: usize = 4;
+
+        // Batch shapes met: moved rows, absent removals, insertions below a
+        // resident id, rows listing a key twice.
+        let mut met = [0usize; 4];
+        let mut batch = |rng: &mut SmallRng, alphabet: &[BandKey], resident: &mut Resident| {
+            let row_keys = |rng: &mut SmallRng| -> Vec<BandKey> {
+                let bands = if rng.gen_bool(0.1) { 0 } else { BANDS };
+                (0..bands).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect()
+            };
+            let (mut removes, mut inserts): (Rows, Rows) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(0..24) {
+                let id = rng.gen_range(0..48u32);
+                if removes.iter().chain(&inserts).any(|&(listed, _)| listed == id) {
+                    continue;
+                }
+                match (resident.remove(&id), rng.gen_range(0..4)) {
+                    (Some(old), 0) => removes.push((id, old)),
+                    // One band only: of a key the row lists twice, one
+                    // copy stays.
+                    (Some(mut old), 1) if !old.is_empty() => {
+                        let key = old.swap_remove(rng.gen_range(0..old.len()));
+                        removes.push((id, vec![key]));
+                        resident.insert(id, old);
+                    }
+                    (Some(old), _) => {
+                        let mut new = row_keys(rng);
+                        for (key, &was) in new.iter_mut().zip(&old) {
+                            *key = if rng.gen_bool(0.5) { was } else { *key };
+                        }
+                        removes.push((id, old));
+                        inserts.push((id, new.clone()));
+                        resident.insert(id, new);
+                        met[0] += 1;
+                    }
+                    (None, 0) => {
+                        removes.push((id, row_keys(rng)));
+                        met[1] += 1;
+                    }
+                    (None, _) => {
+                        let keys = row_keys(rng);
+                        let twice = |k| keys.iter().filter(|&o| o == k).count() > 1;
+                        met[2] += usize::from(resident.range(id..).next().is_some());
+                        met[3] += usize::from(keys.iter().any(twice));
+                        inserts.push((id, keys.clone()));
+                        resident.insert(id, keys);
+                    }
+                }
+            }
+            (removes, inserts)
+        };
+
+        let seeds = if cfg!(debug_assertions) { 6 } else { 300 };
+        let cells = (0..seeds).flat_map(|seed| [1, 2, 3, 100].map(|cap| (seed, cap)));
+        for (seed, bucket_cap) in cells {
+            let mut rng = SmallRng::seed_from_u64(seed * 100 + bucket_cap as u64);
+            let p = LshParams { rows: 2, bands: BANDS, bucket_cap };
+            let (mut batched, mut reference) = (LshIndex::new(p), LshIndex::new(p));
+            let alphabet: Vec<BandKey> = (0..10).map(|_| rng.next_u32()).collect();
+            let mut resident = BTreeMap::new();
+            for round in 0..5 {
+                let (removes, inserts) = batch(&mut rng, &alphabet, &mut resident);
+                let case = || {
+                    format!("seed {seed} cap {bucket_cap} round {round}: -{removes:?} +{inserts:?}")
+                };
+                assert_eq!(
+                    batched.apply_delta(&removes, &inserts),
+                    reference.apply_delta_sequentially(&removes, &inserts),
+                    "{}",
+                    case()
+                );
+                assert_eq!(batched.export_buckets(), reference.export_buckets(), "{}", case());
+                let (mut got, mut expected) = (QueryScratch::new(), QueryScratch::new());
+                for (&id, keys) in &resident {
+                    assert_eq!(
+                        batched.probe_keys_into(keys, id, &mut got),
+                        reference.probe_keys_into(keys, id, &mut expected),
+                        "row {id} of {}",
+                        case()
+                    );
+                    assert_eq!(got.out, expected.out, "row {id} of {}", case());
+                }
+            }
+        }
+        assert!(met.iter().all(|&n| n > 0), "every batch shape occurs: {met:?}");
+    }
+
+    /// An item whose keys share no bucket with the delta is not dirtied —
+    /// invalidation is O(neighborhood), not O(index).
+    #[test]
+    fn apply_delta_spares_disjoint_items() {
+        let p = LshParams { rows: 2, bands: 4, bucket_cap: 8 };
+        let mut idx: LshIndex<u32> = LshIndex::new(p);
+        // Disjoint shingle streams → disjoint buckets.
+        let far = sig(&(5000..5024).collect::<Vec<u32>>(), 32);
+        let near = fp(1);
+        let near_twin = fp(1);
+        idx.insert(1, &near);
+        idx.insert(9, &far);
+        let dirty = idx.apply_delta(&[], &[(2u32, band_keys_for(p, &near_twin))]);
+        assert!(dirty.contains(&2));
+        assert!(dirty.contains(&1), "co-bucketed twin must be dirtied");
+        assert!(!dirty.contains(&9), "disjoint item must not be dirtied");
+    }
+
+    /// `apply_row_delta` leaves the index as `apply_delta` does, and its
+    /// visits name every change to a touched bucket's visible window: the
+    /// row where it is visible, and exactly the ids that a brute-force
+    /// before/after comparison of the window finds entering or leaving.
+    #[test]
+    fn apply_row_delta_reports_every_window_change() {
+        for bucket_cap in [1, 2, 3, 8, usize::MAX] {
+            let p = LshParams { bucket_cap, ..params() };
+            let window = |idx: &LshIndex<u32>, key: BandKey| -> Vec<u32> {
+                idx.members_of_keys(&[key]).into_iter().take(bucket_cap).collect()
+            };
+            let (mut entered, mut left) = (0, 0);
+            // Every row in turn moves three families on.
+            for id in 0..40u32 {
+                let (mut by_row, mut by_batch) = (LshIndex::new(p), LshIndex::new(p));
+                for i in 0..40u32 {
+                    by_row.insert(i, &fp(i));
+                    by_batch.insert(i, &fp(i));
+                }
+                let old = band_keys_for(p, &fp(id));
+                let new = band_keys_for(p, &fp(id + 3));
+                // The steps the delta takes, band by band.
+                let mut steps: Vec<BandKey> = Vec::new();
+                for (&was, &key) in old.iter().zip(&new) {
+                    if was != key {
+                        steps.push(was);
+                    }
+                    steps.push(key);
+                }
+                let before: Vec<Vec<u32>> = steps.iter().map(|&k| window(&by_row, k)).collect();
+
+                let mut visits = Vec::new();
+                by_row.apply_row_delta(id, &old, &new, |b| {
+                    visits.push((b.members.to_vec(), b.visible, b.crossed));
+                });
+                by_batch.apply_delta(&[(id, old.clone())], &[(id, new.clone())]);
+                assert_eq!(by_row.export_buckets(), by_batch.export_buckets());
+
+                assert_eq!(visits.len(), steps.len(), "one visit per step");
+                let stepped = steps.iter().zip(&before).zip(&visits);
+                for ((&key, was), (members, visible, crossed)) in stepped {
+                    let what = format!("cap {bucket_cap} row {id} key {key:#x}");
+                    assert_eq!(members, &by_row.members_of_keys(&[key]), "{what}");
+                    let now = window(&by_row, key);
+                    assert_eq!(*visible, now.contains(&id), "{what}");
+                    let others =
+                        |w: &[u32]| -> Vec<u32> { w.iter().copied().filter(|&m| m != id).collect() };
+                    let (was, now) = (others(was), others(&now));
+                    let came: Vec<u32> = now.iter().copied().filter(|m| !was.contains(m)).collect();
+                    let went: Vec<u32> = was.iter().copied().filter(|m| !now.contains(m)).collect();
+                    let expected = match (&came[..], &went[..]) {
+                        ([], []) => None,
+                        ([y], []) => Some(Crossed::Entered(*y)),
+                        ([], [z]) => Some(Crossed::Left(*z)),
+                        _ => panic!("{what}: a one-row delta moved {came:?} in and {went:?} out"),
+                    };
+                    assert_eq!(*crossed, expected, "{what}");
+                    entered += usize::from(matches!(crossed, Some(Crossed::Entered(_))));
+                    left += usize::from(matches!(crossed, Some(Crossed::Left(_))));
+                }
+            }
+            let truncates = bucket_cap != usize::MAX;
+            assert_eq!((entered > 0, left > 0), (truncates, truncates), "cap {bucket_cap}");
+        }
     }
 }

@@ -294,7 +294,6 @@ mod tests {
             k: 32,
             lsh: p,
             threshold: 0.25,
-            shards: 4,
             epoch: 3,
             entries: n as usize,
         };

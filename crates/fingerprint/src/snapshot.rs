@@ -26,7 +26,7 @@
 //! │  21   4  bands        u32  LSH bands (= band keys per function)  │
 //! │  25   8  bucket_cap   u64  (usize::MAX stored as u64::MAX)       │
 //! │  33   8  threshold    f64  (IEEE-754 bits)                       │
-//! │  41   4  shards       u32  shard count at save time              │
+//! │  41   4  reserved     u32  written 1, ignored on load            │
 //! │  45   8  epoch        u64  corpus epoch at save time             │
 //! │  53   8  entries      u64  n = number of function rows           │
 //! │  61   8  payload_len  u64  opaque caller section length          │
@@ -63,10 +63,13 @@
 //! The pools are verbatim copies of a
 //! [`PackedFingerprintStore`](crate::store::PackedFingerprintStore)'s
 //! arrays, so saving is two bulk writes and loading reconstitutes the
-//! store without per-entry work. The bucket directory spans *all* shards
-//! (keys are globally unique across shards); the loader re-routes each
-//! bucket to its owning shard, so reader and writer may use different
-//! shard counts.
+//! store without per-entry work. The bucket directory is the index's
+//! buckets in key order, installed whole by the loader.
+//!
+//! The word at offset 41 once held the writer's index shard count. The
+//! index is one map now; the word stays in the layout, written as 1 —
+//! readers that still take it for a shard count refuse 0 — and is read by
+//! nobody, so files that hold another count there load unchanged.
 //!
 //! Every decode failure is a typed [`SnapshotError`] — a truncated or
 //! garbled file must degrade to a rebuild, never a panic. Headers are
@@ -163,8 +166,6 @@ pub struct SnapshotHeader {
     pub lsh: LshParams,
     /// Similarity threshold the index was built for.
     pub threshold: f64,
-    /// Shard count at save time (informational; loaders may re-shard).
-    pub shards: usize,
     /// Corpus epoch at save time.
     pub epoch: u64,
     /// Number of function rows.
@@ -200,8 +201,7 @@ pub struct SnapshotMeta {
     pub header: SnapshotHeader,
     /// Byte geometry of the whole file.
     pub layout: SnapshotLayout,
-    /// Bucket directory across all shards: `(key, ascending fn ids)`,
-    /// ascending by key.
+    /// Bucket directory: `(key, ascending fn ids)`, ascending by key.
     pub buckets: Vec<(BandKey, Vec<u32>)>,
     /// The caller's opaque section (corpus metadata).
     pub payload: Vec<u8>,
@@ -215,8 +215,7 @@ pub struct SnapshotFile {
     pub header: SnapshotHeader,
     /// The packed signature + band-key pools.
     pub store: PackedFingerprintStore,
-    /// Bucket directory across all shards: `(key, ascending fn ids)`,
-    /// ascending by key.
+    /// Bucket directory: `(key, ascending fn ids)`, ascending by key.
     pub buckets: Vec<(BandKey, Vec<u32>)>,
     /// The caller's opaque section (corpus metadata).
     pub payload: Vec<u8>,
@@ -327,7 +326,7 @@ pub fn encode_snapshot(
     w.u32(header.lsh.bands as u32);
     w.u64(header.lsh.bucket_cap as u64);
     w.u64(header.threshold.to_bits());
-    w.u32(header.shards as u32);
+    w.u32(1); // reserved (module docs)
     w.u64(header.epoch);
     w.u64(header.entries as u64);
     w.u64(payload.len() as u64);
@@ -439,7 +438,6 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
     let bands = read_u32(buf, 21) as usize;
     let bucket_cap = usize::try_from(read_u64(buf, 25)).unwrap_or(usize::MAX);
     let threshold = f64::from_bits(read_u64(buf, 33));
-    let shards = read_u32(buf, 41) as usize;
     let epoch = read_u64(buf, 45);
     let entries =
         usize::try_from(read_u64(buf, 53)).map_err(|_| SnapshotError::Corrupt("entry count"))?;
@@ -448,9 +446,6 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
     }
     if k < rows * bands {
         return Err(SnapshotError::Corrupt("k smaller than rows × bands"));
-    }
-    if shards == 0 {
-        return Err(SnapshotError::Corrupt("zero shards"));
     }
     if !threshold.is_finite() {
         return Err(SnapshotError::Corrupt("non-finite threshold"));
@@ -493,7 +488,6 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
             k,
             lsh: LshParams { rows, bands, bucket_cap },
             threshold,
-            shards,
             epoch,
             entries,
         },
@@ -655,7 +649,6 @@ mod tests {
             k: 32,
             lsh: p,
             threshold: 0.25,
-            shards: 4,
             epoch: 9,
             entries: n as usize,
         };
@@ -690,6 +683,25 @@ mod tests {
         );
     }
 
+    /// The reserved word at offset 41 is written as 1 and read by nobody:
+    /// files carrying another value there — the shard counts older
+    /// writers stored — decode to the same header, store and buckets.
+    #[test]
+    fn the_reserved_word_is_ignored_on_load() {
+        let (header, store, buckets) = build_fixture(12);
+        let clean = encode_snapshot(&header, &store, &buckets, b"payload");
+        assert_eq!(read_u32(&clean, 41), 1);
+        for word in [1u32, 4, 8] {
+            let mut bytes = clean.clone();
+            bytes[41..45].copy_from_slice(&word.to_le_bytes());
+            reseal_meta(&mut bytes);
+            let snap = decode_snapshot(&bytes).expect("any reserved word decodes");
+            assert_eq!(snap.header, header, "word {word}");
+            assert_eq!(snap.store, store, "word {word}");
+            assert_eq!(snap.buckets, buckets, "word {word}");
+        }
+    }
+
     #[test]
     fn sig_pool_is_eight_byte_aligned() {
         // The v2 layout puts the pools at an 8-aligned offset with zeroed
@@ -718,7 +730,6 @@ mod tests {
             k: 32,
             lsh: p,
             threshold: 0.0,
-            shards: 1,
             epoch: 0,
             entries: 0,
         };

@@ -228,7 +228,7 @@ pub fn check_module_set(mods: &[Module], cfg: &GlobalCampaignConfig) -> GlobalOu
         })
         .collect();
 
-    let corpus = Corpus::new(CorpusConfig { shards: 4, jobs: 2, ..Default::default() });
+    let corpus = Corpus::new(CorpusConfig { jobs: 2, ..Default::default() });
     for m in mods {
         if let Err(e) = corpus.ingest(m.clone()) {
             out.failure = fail("planner-error", 0, format!("ingest {}: {e}", m.name));

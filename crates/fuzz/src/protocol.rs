@@ -239,7 +239,6 @@ fn start_daemon(cfg: &ProtocolCampaignConfig) -> std::io::Result<Harness> {
     let server = Server::bind(ServeConfig {
         jobs: cfg.jobs.max(1),
         queue_cap: cfg.queue_cap.max(1),
-        shards: 4,
         // Short read deadline so slowloris victims are reaped within the
         // campaign, proving the sweep works; idle timeout stays long so
         // healthy probes never trip it.

@@ -1,7 +1,7 @@
 //! # f3m-serve — the resident merge daemon
 //!
 //! Merging as a service: instead of re-fingerprinting and re-indexing a
-//! corpus for every invocation, a long-lived daemon keeps the sharded
+//! corpus for every invocation, a long-lived daemon keeps the
 //! LSH index (and the modules behind it) resident and answers requests
 //! over TCP. Ingestion is incremental and epoch-versioned — adding or
 //! evicting one module touches only that module's bucket entries, never

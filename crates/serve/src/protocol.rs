@@ -63,7 +63,9 @@
 
 use std::io::{Read, Write};
 
-use f3m_core::corpus::{CorpusStats, EvictSummary, IngestSummary, QueryResult, UpdateSummary};
+use f3m_core::corpus::{
+    CorpusStats, EvictSummary, IngestSummary, QueryResult, UpdateSummary, CORPUS_STATS,
+};
 use f3m_trace::json::{self, Json, Writer};
 use f3m_trace::stats::{self, Stat, Value::*};
 
@@ -480,7 +482,7 @@ pub fn render_response(id: Option<u64>, resp: &Response) -> String {
             w.key("epoch").u64(*epoch).key("report").raw(report);
         }
         Response::Stats { corpus, server } => {
-            corpus.write_json(w.key("corpus"));
+            stats::write_object(w.key("corpus"), CORPUS_STATS, corpus);
             stats::write_object(w.key("server"), SERVER_COUNTERS, server);
         }
         Response::Slept { ms } => {
@@ -633,7 +635,6 @@ mod tests {
                     entries_total: 27,
                     index_buckets: 40,
                     index_max_bucket: 4,
-                    shards: vec![Default::default(); 2],
                     memo_hits: 11,
                     memo_misses: 5,
                     funcs_invalidated: 3,

@@ -72,7 +72,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use f3m_core::corpus::{Corpus, CorpusConfig, CORPUS_STATS, SHARD_STATS};
+use f3m_core::corpus::{Corpus, CorpusConfig, CORPUS_STATS};
 use f3m_core::pass::PassConfig;
 use f3m_core::{GlobalMergePlanner, GlobalPlanConfig};
 use f3m_fingerprint::adaptive::MergeParams;
@@ -192,8 +192,6 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Bounded queue capacity; pushes beyond it answer `busy`.
     pub queue_cap: usize,
-    /// LSH index shards for the resident corpus.
-    pub shards: usize,
     /// Fingerprint family for the resident corpus.
     pub backend: BackendKind,
     /// `Some(bytes)` restores the snapshot through the file-backed
@@ -229,7 +227,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             jobs: 2,
             queue_cap: 64,
-            shards: 8,
             backend: BackendKind::MinHash,
             resident_budget: None,
             poller: PollerKind::Auto,
@@ -304,7 +301,6 @@ impl Server {
         listener.set_nonblocking(true)?;
         let corpus_cfg = CorpusConfig {
             params: MergeParams::static_default().with_backend(cfg.backend),
-            shards: cfg.shards.max(1),
             jobs: cfg.jobs.max(1),
         };
         let (corpus, snapshot) = open_corpus(&cfg, corpus_cfg);
@@ -927,8 +923,8 @@ fn open_corpus(cfg: &ServeConfig, corpus_cfg: CorpusConfig) -> (Corpus, Snapshot
 }
 
 /// Renders the daemon's metrics registry from the counter tables of
-/// [`ServerCounters`], `CorpusStats` and `ShardStats` (plus the worker
-/// count and the snapshot lifecycle, which live here). The sequence below
+/// [`ServerCounters`] and `CorpusStats` (plus the worker count and the
+/// snapshot lifecycle, which live here). The sequence below
 /// *is* the artefact layout; the tables' sections only say which rows each
 /// step picks up.
 fn render_metrics(shared: &Shared, cfg: &ServeConfig, snapshot_saved: Option<bool>) -> String {
@@ -956,12 +952,9 @@ fn render_metrics(shared: &Shared, cfg: &ServeConfig, snapshot_saved: Option<boo
     local(&mut reg, "serve.snapshot.rebuilt", false, u64::from(snap.rebuilt));
     local(&mut reg, "serve.snapshot.entries", false, snap.entries);
     local(&mut reg, "serve.snapshot.saved", false, snapshot_saved.map_or(0, u64::from));
-    // Index occupancy, whole and per shard.
+    // Index occupancy, then the entries the corpus ever created.
     stats::export_section(&mut reg, "serve", CORPUS_STATS, &corpus, 2);
     stats::export_section(&mut reg, "serve", CORPUS_STATS, &corpus, 3);
-    for (i, shard) in corpus.shards.iter().enumerate() {
-        stats::export(&mut reg, &format!("serve.shard{i}"), SHARD_STATS, shard);
-    }
     reg.to_json()
 }
 

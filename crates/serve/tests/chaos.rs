@@ -20,7 +20,7 @@ fn start(cfg: ServeConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
 }
 
 fn quick() -> ServeConfig {
-    ServeConfig { jobs: 2, shards: 4, ..ServeConfig::default() }
+    ServeConfig { jobs: 2, ..ServeConfig::default() }
 }
 
 /// Joins the daemon thread with a deadline — the "no stuck threads"
@@ -141,15 +141,14 @@ fn artefacts_flush_after_chaos() {
         assert!(dump.contains(key), "metrics artefact missing `{key}`:\n{dump}");
     }
     // The artefact's layout is frozen: name, unit and determinism tag of
-    // every metric, in this order, then three metrics per index shard.
-    // The list is a literal so a counter-table edit that moves or renames
-    // a row shows up here.
+    // every metric, in this order. The list is a literal so a
+    // counter-table edit that moves or renames a row shows up here.
     let layout: Vec<String> = f3m_trace::parse_metrics(&dump)
         .unwrap()
         .iter()
         .map(|m| format!("{} {} {}", m.name, m.unit, m.deterministic))
         .collect();
-    let fixed = [
+    let expected = [
         "serve.requests.ingest requests true",
         "serve.requests.evict requests true",
         "serve.requests.query requests true",
@@ -191,16 +190,9 @@ fn artefacts_flush_after_chaos() {
         "serve.snapshot.saved count false",
         "serve.index.buckets buckets true",
         "serve.index.max_bucket buckets true",
-        "serve.index.entries buckets true",
+        "serve.corpus.entries_total count true",
     ];
-    assert_eq!(layout[..fixed.len()], fixed);
-    let shards = &layout[fixed.len()..];
-    assert!(!shards.is_empty() && shards.len().is_multiple_of(3), "{shards:?}");
-    for (i, shard) in shards.chunks(3).enumerate() {
-        assert_eq!(shard[0], format!("serve.shard{i}.buckets buckets true"));
-        assert_eq!(shard[1], format!("serve.shard{i}.entries entries true"));
-        assert_eq!(shard[2], format!("serve.shard{i}.max_bucket entries true"));
-    }
+    assert_eq!(layout, expected);
     std::fs::remove_dir_all(&dir).ok();
 }
 

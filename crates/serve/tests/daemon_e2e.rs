@@ -31,7 +31,7 @@ fn ir_text(m: &Module) -> String {
 }
 
 fn start(jobs: usize) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(ServeConfig { jobs, shards: 4, ..ServeConfig::default() })
+    let server = Server::bind(ServeConfig { jobs, ..ServeConfig::default() })
         .expect("bind ephemeral port");
     let addr = server.local_addr().unwrap();
     (addr, std::thread::spawn(move || server.run()))
@@ -163,15 +163,8 @@ fn ingest_query_evict_merge_over_a_real_socket() {
     assert_eq!(corpus.get("epoch").and_then(Json::as_u64), Some(5));
     assert_eq!(corpus.get("modules_live").and_then(Json::as_u64), Some(3));
     assert_eq!(corpus.get("modules_total").and_then(Json::as_u64), Some(4));
-    let shards = corpus.get("shards").and_then(Json::as_array).unwrap();
-    assert_eq!(shards.len(), 4);
-    let shard_buckets: u64 =
-        shards.iter().map(|s| s.get("num_buckets").and_then(Json::as_u64).unwrap()).sum();
-    assert_eq!(
-        corpus.get("index_buckets").and_then(Json::as_u64),
-        Some(shard_buckets),
-        "per-shard stats must sum to the index totals"
-    );
+    let occupied = |key| corpus.get(key).and_then(Json::as_u64).is_some_and(|n| n > 0);
+    assert!(occupied("index_buckets") && occupied("index_max_bucket"), "the index holds alpha");
 
     let v = c
         .call_expect(

@@ -36,7 +36,6 @@ fn tmp_snap(name: &str) -> PathBuf {
 fn start(snapshot: PathBuf) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
     let server = Server::bind(ServeConfig {
         jobs: 1,
-        shards: 4,
         snapshot_path: Some(snapshot),
         ..ServeConfig::default()
     })
@@ -102,7 +101,6 @@ fn stale_snapshot_rebuilds_from_embedded_sources() {
     // entries, exactly what a crashed writer could leave behind.
     let cfg = || CorpusConfig {
         jobs: 1,
-        shards: 4,
         params: f3m_fingerprint::MergeParams::static_default(),
     };
     let corpus = Corpus::new(cfg());

@@ -27,7 +27,7 @@ fn ir_text(m: &Module) -> String {
 }
 
 fn start(jobs: usize) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(ServeConfig { jobs, shards: 4, ..ServeConfig::default() })
+    let server = Server::bind(ServeConfig { jobs, ..ServeConfig::default() })
         .expect("bind ephemeral port");
     let addr = server.local_addr().unwrap();
     (addr, std::thread::spawn(move || server.run()))

@@ -7,7 +7,6 @@
 use f3m_core::corpus::{
     CorpusStats, EvictSummary, IngestSummary, QueryResult, RankedCandidate, UpdateSummary,
 };
-use f3m_fingerprint::sharded::ShardStats;
 use f3m_serve::protocol::{
     parse_request, render_request, render_response, Request, RequestEnvelope, Response,
     ServerCounters,
@@ -89,10 +88,6 @@ fn every_response_variant_renders_the_captured_bytes() {
         entries_total: 27,
         index_buckets: 40,
         index_max_bucket: 4,
-        shards: vec![
-            ShardStats::default(),
-            ShardStats { num_buckets: 3, max_bucket_size: 2, entries: 5 },
-        ],
         memo_hits: 11,
         memo_misses: 5,
         funcs_invalidated: 3,
@@ -155,14 +150,14 @@ fn every_response_variant_renders_the_captured_bytes() {
         ),
         (
             Response::Stats { corpus: Box::new(corpus(Some("mmap"))), server: Box::new(server) },
-            "{\"type\":\"stats\",\"corpus\":{\"epoch\":5,\"modules_live\":2,\"modules_total\":3,\"functions_live\":18,\"entries_total\":27,\"index_buckets\":40,\"index_max_bucket\":4,\"memo_hits\":11,\"memo_misses\":5,\"funcs_invalidated\":3,\"funcs_spared\":9,\"queries_superseded\":1,\"sketch_comparisons\":70,\"full_comparisons\":12,\"resident_pager\":\"mmap\",\"resident_bytes\":4096,\"shard_faults\":2,\"shard_spills\":1,\"shards\":[{\"num_buckets\":0,\"max_bucket_size\":0,\"entries\":0},{\"num_buckets\":3,\"max_bucket_size\":2,\"entries\":5}]},\"server\":{\"requests\":{\"ingest\":20,\"evict\":21,\"query\":22,\"update\":23,\"merge\":24,\"global_merge\":25,\"stats\":26,\"ping\":27,\"sleep\":28,\"shutdown\":29},\"rejects_busy\":1,\"rejects_deadline\":2,\"errors\":3,\"queue_depth_hwm\":4,\"conns_open\":5,\"conns_open_hwm\":6,\"conns_total\":7,\"frames_reassembled\":8,\"sheds\":9,\"slow_closes\":10}}",
+            "{\"type\":\"stats\",\"corpus\":{\"epoch\":5,\"modules_live\":2,\"modules_total\":3,\"functions_live\":18,\"entries_total\":27,\"index_buckets\":40,\"index_max_bucket\":4,\"memo_hits\":11,\"memo_misses\":5,\"funcs_invalidated\":3,\"funcs_spared\":9,\"queries_superseded\":1,\"sketch_comparisons\":70,\"full_comparisons\":12,\"resident_pager\":\"mmap\",\"resident_bytes\":4096,\"shard_faults\":2,\"shard_spills\":1},\"server\":{\"requests\":{\"ingest\":20,\"evict\":21,\"query\":22,\"update\":23,\"merge\":24,\"global_merge\":25,\"stats\":26,\"ping\":27,\"sleep\":28,\"shutdown\":29},\"rejects_busy\":1,\"rejects_deadline\":2,\"errors\":3,\"queue_depth_hwm\":4,\"conns_open\":5,\"conns_open_hwm\":6,\"conns_total\":7,\"frames_reassembled\":8,\"sheds\":9,\"slow_closes\":10}}",
         ),
         (
             Response::Stats {
-            corpus: Box::new(CorpusStats { shards: vec![], ..corpus(None) }),
+            corpus: Box::new(corpus(None)),
             server: Box::new(ServerCounters::default()),
         },
-            "{\"type\":\"stats\",\"id\":9,\"corpus\":{\"epoch\":5,\"modules_live\":2,\"modules_total\":3,\"functions_live\":18,\"entries_total\":27,\"index_buckets\":40,\"index_max_bucket\":4,\"memo_hits\":11,\"memo_misses\":5,\"funcs_invalidated\":3,\"funcs_spared\":9,\"queries_superseded\":1,\"sketch_comparisons\":70,\"full_comparisons\":12,\"resident_pager\":null,\"resident_bytes\":4096,\"shard_faults\":2,\"shard_spills\":1,\"shards\":[]},\"server\":{\"requests\":{\"ingest\":0,\"evict\":0,\"query\":0,\"update\":0,\"merge\":0,\"global_merge\":0,\"stats\":0,\"ping\":0,\"sleep\":0,\"shutdown\":0},\"rejects_busy\":0,\"rejects_deadline\":0,\"errors\":0,\"queue_depth_hwm\":0,\"conns_open\":0,\"conns_open_hwm\":0,\"conns_total\":0,\"frames_reassembled\":0,\"sheds\":0,\"slow_closes\":0}}",
+            "{\"type\":\"stats\",\"id\":9,\"corpus\":{\"epoch\":5,\"modules_live\":2,\"modules_total\":3,\"functions_live\":18,\"entries_total\":27,\"index_buckets\":40,\"index_max_bucket\":4,\"memo_hits\":11,\"memo_misses\":5,\"funcs_invalidated\":3,\"funcs_spared\":9,\"queries_superseded\":1,\"sketch_comparisons\":70,\"full_comparisons\":12,\"resident_pager\":null,\"resident_bytes\":4096,\"shard_faults\":2,\"shard_spills\":1},\"server\":{\"requests\":{\"ingest\":0,\"evict\":0,\"query\":0,\"update\":0,\"merge\":0,\"global_merge\":0,\"stats\":0,\"ping\":0,\"sleep\":0,\"shutdown\":0},\"rejects_busy\":0,\"rejects_deadline\":0,\"errors\":0,\"queue_depth_hwm\":0,\"conns_open\":0,\"conns_open_hwm\":0,\"conns_total\":0,\"frames_reassembled\":0,\"sheds\":0,\"slow_closes\":0}}",
         ),
         (
             Response::Pong,

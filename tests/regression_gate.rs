@@ -60,7 +60,7 @@ fn collect_residency_metrics(reg: &mut MetricsRegistry) {
     use f3m::fingerprint::pager::PagerKind;
     use f3m::fingerprint::resident::TARGET_SHARD_BYTES;
 
-    let cfg = CorpusConfig { jobs: 1, shards: 2, ..CorpusConfig::default() };
+    let cfg = CorpusConfig { jobs: 1, ..CorpusConfig::default() };
     let corpus = Corpus::new(cfg.clone());
     // ~400 rows at ~2 kB/row spans several 256 kB shards, so a one-shard
     // budget makes the sweep below genuinely fault and spill.
@@ -114,7 +114,7 @@ fn collect_global_metrics(reg: &mut MetricsRegistry) {
     use f3m::core::corpus::{Corpus, CorpusConfig};
     use f3m::core::{GlobalMergePlanner, GlobalPlanConfig};
 
-    let corpus = Corpus::new(CorpusConfig { shards: 4, jobs: 2, ..CorpusConfig::default() });
+    let corpus = Corpus::new(CorpusConfig { jobs: 2, ..CorpusConfig::default() });
     for (name, seed) in [("glob_a", 500u64), ("glob_b", 500), ("glob_c", 777)] {
         let mut spec = f3m::workloads::mini_suite()[0].clone();
         spec.functions = 16;
@@ -140,8 +140,7 @@ fn collect_global_metrics(reg: &mut MetricsRegistry) {
 fn collect_serve_metrics(reg: &mut MetricsRegistry) {
     use f3m::serve::{protocol::Request, Client, ServeConfig, Server};
 
-    let server =
-        Server::bind(ServeConfig { jobs: 1, shards: 4, ..ServeConfig::default() }).expect("bind");
+    let server = Server::bind(ServeConfig { jobs: 1, ..ServeConfig::default() }).expect("bind");
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run());
     let mut c = Client::connect(addr).unwrap();
