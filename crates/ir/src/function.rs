@@ -212,6 +212,27 @@ impl Function {
 
     // ---- instructions ----------------------------------------------------
 
+    /// Reserves room for exactly `blocks` more blocks, `insts` more
+    /// instructions and at most `values` more values: what a reader that
+    /// has counted a body asks for before building it, so no arena regrows
+    /// on the way. [`Function::shrink_to_fit`] returns what a bound on the
+    /// values left unused.
+    pub(crate) fn reserve(&mut self, blocks: usize, insts: usize, values: usize) {
+        self.blocks.reserve_exact(blocks);
+        self.block_order.reserve_exact(blocks);
+        self.insts.reserve_exact(insts);
+        self.values.reserve_exact(values);
+    }
+
+    /// Gives back the arenas' spare capacity, for a function that is built
+    /// and will be kept as it is.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.blocks.shrink_to_fit();
+        self.block_order.shrink_to_fit();
+        self.insts.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
     /// Appends `inst` to block `bb`, creating a result value if the result
     /// type is first-class. Returns the result value (or `None`).
     pub fn append_inst(

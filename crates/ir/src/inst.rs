@@ -199,7 +199,7 @@ impl Opcode {
 
     /// Parses a mnemonic back into an opcode.
     pub fn from_mnemonic(s: &str) -> Option<Opcode> {
-        lookup(Self::ALL, s)
+        lookup(Self::ALL, &OPCODE_SLOTS, s)
     }
 
     /// Iterates over every opcode.
@@ -208,9 +208,65 @@ impl Opcode {
     }
 }
 
-/// The entry of a mnemonic table that is spelt `s`.
-fn lookup<T: Copy>(table: &[(T, &str)], s: &str) -> Option<T> {
-    table.iter().find(|(_, mnemonic)| *mnemonic == s).map(|&(item, _)| item)
+/// Slots of a mnemonic table's hash; a power of two, so a slot is the top
+/// byte of a 32-bit hash.
+const SLOTS: usize = 256;
+
+/// A perfect hash of one mnemonic table, found at compile time: under
+/// `seed` every mnemonic of the table has a slot of its own, and `index`
+/// maps each slot to its entry's position in the table (`u8::MAX` when no
+/// mnemonic hashes there). The table stays the one place a mnemonic is
+/// spelt; this is derived from it.
+struct Slots {
+    seed: u32,
+    index: [u8; SLOTS],
+}
+
+static OPCODE_SLOTS: Slots = perfect_hash(Opcode::ALL);
+static INT_PREDICATE_SLOTS: Slots = perfect_hash(IntPredicate::ALL);
+static FLOAT_PREDICATE_SLOTS: Slots = perfect_hash(FloatPredicate::ALL);
+
+/// The slot of `s` under `seed`: FNV-1a over its bytes from a seeded
+/// offset basis, top byte.
+const fn slot(seed: u32, s: &[u8]) -> usize {
+    let mut h: u32 = 0x811c_9dc5 ^ seed;
+    let mut i = 0;
+    while i < s.len() {
+        h = (h ^ s[i] as u32).wrapping_mul(0x0100_0193);
+        i += 1;
+    }
+    (h >> 24) as usize
+}
+
+/// The first seed from zero up under which `table`'s mnemonics take
+/// distinct slots. A seed serves a table of n with odds of about
+/// e^(−n²/512) — one in fifty for the 45 opcodes — so the search, run by
+/// the compiler, tries tens of seeds.
+const fn perfect_hash<T>(table: &[(T, &str)]) -> Slots {
+    assert!(table.len() < u8::MAX as usize, "slot indices are bytes");
+    let mut seed = 0;
+    'seeds: loop {
+        let mut index = [u8::MAX; SLOTS];
+        let mut i = 0;
+        while i < table.len() {
+            let s = slot(seed, table[i].1.as_bytes());
+            if index[s] != u8::MAX {
+                seed += 1;
+                continue 'seeds;
+            }
+            index[s] = i as u8;
+            i += 1;
+        }
+        return Slots { seed, index };
+    }
+}
+
+/// The entry of a mnemonic table that is spelt `s`: one hash and one
+/// comparison, however long the table.
+fn lookup<T: Copy>(table: &[(T, &str)], slots: &Slots, s: &str) -> Option<T> {
+    let at = slots.index[slot(slots.seed, s.as_bytes())];
+    let &(item, spelt) = table.get(usize::from(at))?;
+    (spelt == s).then_some(item)
 }
 
 /// Integer comparison predicates (subset of LLVM's `icmp`).
@@ -250,7 +306,7 @@ impl IntPredicate {
 
     /// Parses a predicate mnemonic.
     pub fn from_mnemonic(s: &str) -> Option<Self> {
-        lookup(Self::ALL, s)
+        lookup(Self::ALL, &INT_PREDICATE_SLOTS, s)
     }
 
     /// Small integer used by the fingerprint encoding to distinguish
@@ -289,7 +345,7 @@ impl FloatPredicate {
 
     /// Parses a predicate mnemonic.
     pub fn from_mnemonic(s: &str) -> Option<Self> {
-        lookup(Self::ALL, s)
+        lookup(Self::ALL, &FLOAT_PREDICATE_SLOTS, s)
     }
 
     /// Small integer used by the fingerprint encoding.
@@ -422,6 +478,14 @@ mod tests {
                 assert!(seen.insert(spelt), "mnemonic `{spelt}` appears twice");
                 assert_eq!(mnemonic(item), spelt);
                 assert_eq!(parse(mnemonic(item)), Some(item));
+                // A hash slot is one comparison: near misses must not land
+                // on the slot's entry.
+                let near = (0..spelt.len()).map(|n| spelt[..n].to_string());
+                let near = near.chain(["x", "_", "0"].map(|tail| format!("{spelt}{tail}")));
+                for word in near.chain([spelt.to_uppercase()]) {
+                    let listed = table.iter().find(|&&(_, s)| s == word).map(|&(item, _)| item);
+                    assert_eq!(parse(&word), listed, "{word}");
+                }
             }
             assert_eq!(parse("no-such-mnemonic"), None);
         }

@@ -6,9 +6,11 @@
 //! top-level item — `global` lines, `declare`/`define` headers — and steps
 //! over each definition's body by brace matching; the second parses each
 //! body into the function its header created. With every header registered
-//! before any body is read, calls resolve forward references. Within a
-//! body, instructions are built in two phases so that phi-nodes can
-//! reference values defined later (back edges).
+//! before any body is read, calls resolve forward references. A body is
+//! first staged — every instruction, operand and target label appended to
+//! flat buffers the parser reuses from body to body — and then built in
+//! two phases, so that phi-nodes can reference values defined later (back
+//! edges).
 //!
 //! Two entry points serve a one-function edit of a resident module
 //! without parsing the module: [`parse_module_for`] reads a module text
@@ -35,6 +37,7 @@
 //! assert_eq!(m.num_functions(), 1);
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -99,7 +102,7 @@ fn verification_failed(errs: &[VerifyError]) -> ParseError {
 /// level or an error in `name`'s body (verifier failures of `name` on line
 /// 0); nothing inside another definition's braces is looked at.
 pub fn parse_module_for(src: &str, name: &str) -> Result<(Module, Option<FuncId>), ParseError> {
-    let m = Parser { toks: lex(src)?, pos: 0 }.module(Some(name))?;
+    let m = Parser::new(src)?.module(Some(name), Parser::body)?;
     let id = m.lookup_function(name).filter(|&id| !m.function(id).is_declaration);
     if let Some(id) = id {
         verify_function(&m, id).map_err(|errs| verification_failed(&errs))?;
@@ -124,7 +127,7 @@ pub fn parse_replacement(
     id: FuncId,
     text: &str,
 ) -> Result<(Function, TypeStore), ParseError> {
-    let mut p = Parser { toks: lex(text)?, pos: 0 };
+    let mut p = Parser::new(text)?;
     let mut types = m.types.clone();
     p.expect_word("define")?;
     let internal = p.internal(true);
@@ -165,7 +168,7 @@ pub fn check_print_fixpoint(printed: &str) -> Result<(), String> {
 ///
 /// Returns a [`ParseError`] for syntax errors.
 pub fn parse_module_unverified(src: &str) -> Result<Module, ParseError> {
-    Parser { toks: lex(src)?, pos: 0 }.module(None)
+    Parser::new(src)?.module(None, Parser::body)
 }
 
 // ---------------------------------------------------------------------------
@@ -318,26 +321,101 @@ enum RawOperand<'s> {
     Sym(TypeId, &'s str),
 }
 
-#[derive(Clone, Debug)]
-struct RawInst<'s> {
+/// One instruction as [`Parser::raw_inst`] read it, staged until its body
+/// is built. Its operands and target labels are runs of
+/// [`Stage::operands`] and [`Stage::targets`]: each starts where the
+/// previous instruction's ends and ends where this one records.
+#[derive(Clone, Copy, Debug)]
+struct Staged {
     line: usize,
     op: Opcode,
     ty: TypeId,
     aux_ty: Option<TypeId>,
     pred: Option<Predicate>,
-    operands: Vec<RawOperand<'s>>,
-    blocks: Vec<&'s str>,
     result_name: Option<u32>,
+    operands_end: usize,
+    targets_end: usize,
 }
+
+/// The flat buffers one definition's body is staged in before it is
+/// built. The parser owns them and clears them for each body, so a module
+/// parse grows them a handful of times instead of allocating two vectors
+/// per instruction.
+#[derive(Default)]
+struct Stage<'s> {
+    /// Each block's label, the line of the label and the block's first
+    /// instruction in `insts`.
+    blocks: Vec<(&'s str, usize, usize)>,
+    insts: Vec<Staged>,
+    operands: Vec<RawOperand<'s>>,
+    targets: Vec<&'s str>,
+    /// Label → block of the body being built ([`label_blocks`]).
+    labels: HashMap<&'s str, BlockId>,
+    names: Names,
+}
+
+/// The values a body names, `%n` → value. A body of `a` arguments and `i`
+/// instructions that numbers its values as the printer does — `%0`
+/// upward, one per argument and result — names them in a dense table of
+/// `a + i` slots; any other name (sparse numbering, or a hostile
+/// `%4294967295`) goes to std's `HashMap`, so the table is never larger
+/// than the body.
+#[derive(Default)]
+struct Names {
+    dense: Vec<Option<ValueId>>,
+    sparse: HashMap<u32, ValueId>,
+}
+
+impl Names {
+    /// Empties the table for a body of `f` with `insts` instructions, the
+    /// arguments named by position.
+    fn reset(&mut self, f: &Function, insts: usize) {
+        let len = f.num_args() + insts;
+        self.dense.clear();
+        self.dense.reserve_exact(len);
+        self.dense.extend((0..f.num_args()).map(|i| Some(f.arg(i))));
+        self.dense.resize(len, None);
+        self.sparse.clear();
+    }
+
+    /// Names `v` `%n`; `false` if `%n` already named a value.
+    fn define(&mut self, n: u32, v: ValueId) -> bool {
+        match self.dense.get_mut(n as usize) {
+            Some(slot) => slot.replace(v).is_none(),
+            None => self.sparse.insert(n, v).is_none(),
+        }
+    }
+
+    /// The value named `%n`, if any.
+    fn get(&self, n: u32) -> Option<ValueId> {
+        match self.dense.get(n as usize) {
+            Some(slot) => *slot,
+            None => self.sparse.get(&n).copied(),
+        }
+    }
+}
+
+/// What reads one definition's body, after its `{`, into its function
+/// ([`Parser::body`]; tests pass the reference builder).
+type BodyReader<'s> =
+    fn(&mut Parser<'s>, &Module, &mut TypeStore, &mut Function) -> Result<(), ParseError>;
 
 struct Parser<'s> {
     toks: Vec<(Tok<'s>, usize)>,
     pos: usize,
+    /// Where [`Parser::body`] stages the definition it reads.
+    stage: Stage<'s>,
 }
 
 impl<'s> Parser<'s> {
-    /// A whole module; with `only`, the body of that definition alone.
-    fn module(&mut self, only: Option<&str>) -> Result<Module, ParseError> {
+    /// A parser at the start of `src`'s tokens.
+    fn new(src: &'s str) -> Result<Self, ParseError> {
+        Ok(Parser { toks: lex(src)?, pos: 0, stage: Stage::default() })
+    }
+
+    /// A whole module, each body read by `body`; with `only`, the body of
+    /// that definition alone.
+    fn module(&mut self, only: Option<&str>, body: BodyReader<'s>) -> Result<Module, ParseError> {
         self.expect_word("module")?;
         let name = match self.next()? {
             (Tok::Str(s), _) => s,
@@ -390,7 +468,7 @@ impl<'s> Parser<'s> {
             self.pos = at;
             let stand_in = Function::new_declaration("", Vec::new(), TypeId::VOID);
             let mut f = std::mem::replace(m.function_mut(fid), stand_in);
-            self.body(&m, &mut types, &mut f)?;
+            body(self, &m, &mut types, &mut f)?;
             *m.function_mut(fid) = f;
         }
         m.types = types;
@@ -467,15 +545,15 @@ impl<'s> Parser<'s> {
     }
 
     /// The labelled blocks of one definition, from after its `{` to its
-    /// `}`, built into `f`: types intern into `types`, symbols resolve
-    /// among `syms`'s.
+    /// `}`, staged and then built into `f`: types intern into `types`,
+    /// symbols resolve among `syms`'s.
     fn body(
         &mut self,
         syms: &Module,
         types: &mut TypeStore,
         f: &mut Function,
     ) -> Result<(), ParseError> {
-        let mut blocks: Vec<(&str, Vec<RawInst>)> = Vec::new();
+        self.stage.clear();
         loop {
             let (result_name, line) = match self.peek()? {
                 (Tok::RBrace, _) => {
@@ -486,7 +564,7 @@ impl<'s> Parser<'s> {
                     // Either a label `bbN:` or an instruction mnemonic.
                     if self.peek_ahead(1)?.0 == Tok::Colon && Opcode::from_mnemonic(w).is_none() {
                         self.pos += 2;
-                        blocks.push((w, Vec::new()));
+                        self.stage.blocks.push((w, line, self.stage.insts.len()));
                         continue;
                     }
                     (None, line)
@@ -498,149 +576,124 @@ impl<'s> Parser<'s> {
                 }
                 (_, line) => return Err(err(line, "expected label or instruction")),
             };
-            let Some((_, insts)) = blocks.last_mut() else {
+            if self.stage.blocks.is_empty() {
                 return Err(err(line, "instruction before first label"));
-            };
-            insts.push(self.raw_inst(types, result_name)?);
+            }
+            self.raw_inst(types, result_name)?;
         }
-        build_body(f, types, syms, &blocks)
+        self.stage.build(f, types, syms)
     }
 
+    /// One instruction, from its mnemonic on, staged: its operands and
+    /// target labels are appended to the stage's vectors.
     fn raw_inst(
         &mut self,
         types: &mut TypeStore,
         result_name: Option<u32>,
-    ) -> Result<RawInst<'s>, ParseError> {
+    ) -> Result<(), ParseError> {
         let (word, line) = match self.next()? {
             (Tok::Word(w), line) => (w, line),
             (_, line) => return Err(err(line, "expected instruction mnemonic")),
         };
         let op = Opcode::from_mnemonic(word)
             .ok_or_else(|| err(line, format!("unknown mnemonic `{word}`")))?;
-        let (void, boolean, ptr) = (TypeId::VOID, TypeId::BOOL, TypeId::PTR);
-        let mut inst = RawInst {
-            line,
-            op,
-            ty: void,
-            aux_ty: None,
-            pred: None,
-            operands: Vec::new(),
-            blocks: Vec::new(),
-            result_name,
-        };
+        let (boolean, ptr) = (TypeId::BOOL, TypeId::PTR);
+        let (mut ty, mut aux_ty, mut pred) = (TypeId::VOID, None, None);
         match op {
             Opcode::Ret => {
                 // `ret` or `ret T opnd` — lookahead: next token a type word?
                 if self.at_type() {
                     let t = self.ty(types)?;
-                    inst.operands.push(self.operand(t)?);
+                    self.stage_operand(t)?;
                 }
             }
-            Opcode::Br => inst.blocks.push(self.label()?),
+            Opcode::Br => self.stage_target()?,
             Opcode::CondBr => {
-                inst.operands.push(self.operand(boolean)?);
+                self.stage_operand(boolean)?;
                 self.expect(Tok::Comma)?;
-                inst.blocks.push(self.label()?);
+                self.stage_target()?;
                 self.expect(Tok::Comma)?;
-                inst.blocks.push(self.label()?);
+                self.stage_target()?;
             }
             Opcode::Unreachable => {}
             Opcode::Invoke | Opcode::Call => {
-                inst.ty = self.ty(types)?;
-                inst.operands.push(self.operand(ptr)?); // callee
+                ty = self.ty(types)?;
+                self.stage_operand(ptr)?; // callee
                 self.expect(Tok::LParen)?;
-                inst.operands.extend(self.list(Tok::RParen, |p| {
+                self.each(Tok::RParen, |p| {
                     let t = p.ty(types)?;
-                    p.operand(t)
-                })?);
+                    p.stage_operand(t)
+                })?;
                 if op == Opcode::Invoke {
                     self.expect_word("to")?;
-                    inst.blocks.push(self.label()?);
+                    self.stage_target()?;
                     self.expect_word("unwind")?;
-                    inst.blocks.push(self.label()?);
+                    self.stage_target()?;
                 }
             }
             Opcode::FNeg => {
-                let t = self.ty(types)?;
-                inst.ty = t;
-                inst.operands.push(self.operand(t)?);
+                ty = self.ty(types)?;
+                self.stage_operand(ty)?;
             }
             o if o.is_binary() => {
-                let t = self.ty(types)?;
-                inst.ty = t;
-                inst.operands.push(self.operand(t)?);
+                ty = self.ty(types)?;
+                self.stage_operand(ty)?;
                 self.expect(Tok::Comma)?;
-                inst.operands.push(self.operand(t)?);
+                self.stage_operand(ty)?;
             }
             Opcode::Alloca => {
-                inst.aux_ty = Some(self.ty(types)?);
-                inst.ty = ptr;
+                aux_ty = Some(self.ty(types)?);
+                ty = ptr;
             }
             Opcode::Load => {
-                inst.ty = self.ty(types)?;
+                ty = self.ty(types)?;
                 self.expect(Tok::Comma)?;
-                inst.operands.push(self.operand(ptr)?);
+                self.stage_operand(ptr)?;
             }
             Opcode::Store => {
                 let t = self.ty(types)?;
-                inst.operands.push(self.operand(t)?);
+                self.stage_operand(t)?;
                 self.expect(Tok::Comma)?;
-                inst.operands.push(self.operand(ptr)?);
+                self.stage_operand(ptr)?;
             }
             Opcode::Gep => {
-                inst.aux_ty = Some(self.ty(types)?);
-                inst.ty = ptr;
+                aux_ty = Some(self.ty(types)?);
+                ty = ptr;
                 self.expect(Tok::Comma)?;
-                inst.operands.push(self.operand(ptr)?);
+                self.stage_operand(ptr)?;
                 self.expect(Tok::Comma)?;
                 let idx_t = self.ty(types)?;
-                inst.operands.push(self.operand(idx_t)?);
+                self.stage_operand(idx_t)?;
             }
             o if o.is_cast() => {
                 let from = self.ty(types)?;
-                inst.operands.push(self.operand(from)?);
+                self.stage_operand(from)?;
                 self.expect_word("to")?;
-                inst.ty = self.ty(types)?;
+                ty = self.ty(types)?;
             }
             Opcode::ICmp | Opcode::FCmp => {
-                let (pw, pline) = match self.next()? {
-                    (Tok::Word(w), line) => (w, line),
-                    (_, line) => return Err(err(line, "expected predicate")),
-                };
-                inst.pred = Some(if op == Opcode::ICmp {
-                    Predicate::Int(
-                        IntPredicate::from_mnemonic(pw)
-                            .ok_or_else(|| err(pline, format!("bad int predicate `{pw}`")))?,
-                    )
-                } else {
-                    Predicate::Float(
-                        FloatPredicate::from_mnemonic(pw)
-                            .ok_or_else(|| err(pline, format!("bad float predicate `{pw}`")))?,
-                    )
-                });
+                pred = Some(self.predicate(op)?);
                 let t = self.ty(types)?;
-                inst.ty = boolean;
-                inst.operands.push(self.operand(t)?);
+                ty = boolean;
+                self.stage_operand(t)?;
                 self.expect(Tok::Comma)?;
-                inst.operands.push(self.operand(t)?);
+                self.stage_operand(t)?;
             }
             Opcode::Select => {
-                inst.operands.push(self.operand(boolean)?);
+                self.stage_operand(boolean)?;
                 self.expect(Tok::Comma)?;
-                let t = self.ty(types)?;
-                inst.ty = t;
-                inst.operands.push(self.operand(t)?);
+                ty = self.ty(types)?;
+                self.stage_operand(ty)?;
                 self.expect(Tok::Comma)?;
-                inst.operands.push(self.operand(t)?);
+                self.stage_operand(ty)?;
             }
             Opcode::Phi => {
-                let t = self.ty(types)?;
-                inst.ty = t;
+                ty = self.ty(types)?;
                 loop {
                     self.expect(Tok::LBracket)?;
-                    inst.operands.push(self.operand(t)?);
+                    self.stage_operand(ty)?;
                     self.expect(Tok::Comma)?;
-                    inst.blocks.push(self.label()?);
+                    self.stage_target()?;
                     self.expect(Tok::RBracket)?;
                     if self.peek()?.0 != Tok::Comma {
                         break;
@@ -650,7 +703,51 @@ impl<'s> Parser<'s> {
             }
             o => return Err(err(line, format!("cannot parse opcode {o:?}"))),
         }
-        Ok(inst)
+        let stage = &mut self.stage;
+        stage.insts.push(Staged {
+            line,
+            op,
+            ty,
+            aux_ty,
+            pred,
+            result_name,
+            operands_end: stage.operands.len(),
+            targets_end: stage.targets.len(),
+        });
+        Ok(())
+    }
+
+    /// An operand of type `ty`, appended to the stage.
+    fn stage_operand(&mut self, ty: TypeId) -> Result<(), ParseError> {
+        let operand = self.operand(ty)?;
+        self.stage.operands.push(operand);
+        Ok(())
+    }
+
+    /// A target label, appended to the stage.
+    fn stage_target(&mut self) -> Result<(), ParseError> {
+        let label = self.label()?;
+        self.stage.targets.push(label);
+        Ok(())
+    }
+
+    /// The predicate word of an `icmp` (`op` = [`Opcode::ICmp`]) or `fcmp`.
+    fn predicate(&mut self, op: Opcode) -> Result<Predicate, ParseError> {
+        let (pw, pline) = match self.next()? {
+            (Tok::Word(w), line) => (w, line),
+            (_, line) => return Err(err(line, "expected predicate")),
+        };
+        Ok(if op == Opcode::ICmp {
+            Predicate::Int(
+                IntPredicate::from_mnemonic(pw)
+                    .ok_or_else(|| err(pline, format!("bad int predicate `{pw}`")))?,
+            )
+        } else {
+            Predicate::Float(
+                FloatPredicate::from_mnemonic(pw)
+                    .ok_or_else(|| err(pline, format!("bad float predicate `{pw}`")))?,
+            )
+        })
     }
 
     // ---- token helpers ----------------------------------------------------
@@ -703,26 +800,40 @@ impl<'s> Parser<'s> {
         }
     }
 
-    /// Items up to `close`, which is consumed. Commas separate the items but,
-    /// as the printer always writes them, are not insisted on.
+    /// Items up to `close`, which is consumed, each read by `item`. Commas
+    /// separate the items but, as the printer always writes them, are not
+    /// insisted on.
+    fn each(
+        &mut self,
+        close: Tok<'s>,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        loop {
+            let tok = self.peek()?.0;
+            if tok == close {
+                self.pos += 1;
+                return Ok(());
+            }
+            if tok == Tok::Comma {
+                self.pos += 1;
+            } else {
+                item(self)?;
+            }
+        }
+    }
+
+    /// The items [`Parser::each`] reads, collected.
     fn list<T>(
         &mut self,
         close: Tok<'s>,
         mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
     ) -> Result<Vec<T>, ParseError> {
         let mut items = Vec::new();
-        loop {
-            let tok = self.peek()?.0;
-            if tok == close {
-                self.pos += 1;
-                return Ok(items);
-            }
-            if tok == Tok::Comma {
-                self.pos += 1;
-            } else {
-                items.push(item(self)?);
-            }
-        }
+        self.each(close, |p| {
+            items.push(item(p)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 
     fn at_type(&self) -> bool {
@@ -747,12 +858,13 @@ impl<'s> Parser<'s> {
         if depth > MAX_TYPE_DEPTH {
             return Err(err(line, format!("type nesting deeper than {MAX_TYPE_DEPTH}")));
         }
+        if let Tok::Word(w) = tok {
+            if let Some(scalar) = TypeId::scalar(w) {
+                return Ok(scalar);
+            }
+        }
         let inner = depth + 1;
         match tok {
-            Tok::Word("void") => Ok(types.void()),
-            Tok::Word("ptr") => Ok(types.ptr()),
-            Tok::Word("f32") => Ok(types.f32()),
-            Tok::Word("f64") => Ok(types.f64()),
             Tok::Word("fn") => {
                 self.expect(Tok::LParen)?;
                 let params = self.list(Tok::RParen, |p| p.ty_at(types, inner))?;
@@ -798,91 +910,133 @@ impl<'s> Parser<'s> {
     }
 }
 
-/// Phase A+B construction of `f`'s body (see module docs); symbols
-/// resolve among `syms`'s.
-fn build_body(
+/// Creates `f`'s blocks in label order and maps each label to its block in
+/// `labels`: the label step every body builder takes first. A label used
+/// twice is an error on the line of its second use.
+fn label_blocks<'s>(
     f: &mut Function,
-    types: &TypeStore,
-    syms: &Module,
-    blocks: &[(&str, Vec<RawInst<'_>>)],
+    labels: &mut HashMap<&'s str, BlockId>,
+    blocks: impl IntoIterator<Item = (&'s str, usize)>,
 ) -> Result<(), ParseError> {
-    // Create blocks in label order.
-    let mut label_map: HashMap<&str, BlockId> = HashMap::new();
-    for (label, _) in blocks {
-        label_map.insert(label, f.add_block(*label));
-    }
-    // Phase A: append instructions with placeholder operands, recording
-    // result names.
-    let mut name_map: HashMap<u32, ValueId> = HashMap::new();
-    for i in 0..f.num_args() {
-        name_map.insert(i as u32, f.arg(i));
-    }
-    let mut created: Vec<(InstId, &RawInst)> = Vec::new();
-    for (label, insts) in blocks {
-        let bb = label_map[label];
-        for raw in insts {
-            let targets: Result<Vec<BlockId>, ParseError> = raw
-                .blocks
-                .iter()
-                .map(|l| {
-                    let bb = label_map.get(l).copied();
-                    bb.ok_or_else(|| err(raw.line, format!("unknown label `{l}`")))
-                })
-                .collect();
-            let inst = Instruction {
-                op: raw.op,
-                ty: raw.ty,
-                operands: Vec::new(),
-                blocks: targets?,
-                pred: raw.pred,
-                aux_ty: raw.aux_ty,
-                parent: bb,
-                result: None,
-            };
-            let (iid, res) = f.append_inst(types, bb, inst);
-            match (res, raw.result_name) {
-                (Some(v), Some(n)) => {
-                    if name_map.insert(n, v).is_some() {
-                        return Err(err(raw.line, format!("%{n} defined twice")));
-                    }
-                }
-                // A value-producing instruction without a result name is
-                // tolerated: the result is simply unused.
-                (_, None) => {}
-                (None, Some(n)) => {
-                    return Err(err(raw.line, format!("%{n} = <void instruction>")));
-                }
+    labels.clear();
+    for (label, line) in blocks {
+        match labels.entry(label) {
+            Entry::Occupied(_) => return Err(err(line, format!("duplicate label `{label}`"))),
+            Entry::Vacant(slot) => {
+                slot.insert(f.add_block(label));
             }
-            created.push((iid, raw));
         }
-    }
-    // Phase B: resolve operands.
-    for (iid, raw) in created {
-        let mut resolved = Vec::with_capacity(raw.operands.len());
-        for o in &raw.operands {
-            let v = match *o {
-                RawOperand::Local(n) => *name_map
-                    .get(&n)
-                    .ok_or_else(|| err(raw.line, format!("use of undefined value %{n}")))?,
-                RawOperand::Int(ty, v) => f.const_int(types, ty, v),
-                RawOperand::Float(ty, bits) => f.const_float(ty, f64::from_bits(bits)),
-                RawOperand::Undef(ty) => f.undef(ty),
-                RawOperand::Sym(ty, name) => {
-                    if let Some(callee) = syms.lookup_function(name) {
-                        f.func_ref(callee, ty)
-                    } else if let Some(g) = syms.lookup_global(name) {
-                        f.global_ref(g, ty)
-                    } else {
-                        return Err(err(raw.line, format!("unknown symbol @{name}")));
-                    }
-                }
-            };
-            resolved.push(v);
-        }
-        f.inst_mut(iid).operands = resolved;
     }
     Ok(())
 }
+
+impl Stage<'_> {
+    /// Forgets the body staged last.
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.insts.clear();
+        self.operands.clear();
+        self.targets.clear();
+    }
+
+    /// Builds the staged body into `f` in two phases (see module docs):
+    /// phase A appends every instruction, block by block in label order,
+    /// and names its result; phase B resolves the operands and interns
+    /// constants, instruction by instruction. The order fixes every id the
+    /// body gets — a constant's `ValueId` is its place in interning order —
+    /// so it is the order of the builder this one replaced, which the
+    /// reference in `parser::reference` keeps. Symbols resolve among
+    /// `syms`'s.
+    fn build(
+        &mut self,
+        f: &mut Function,
+        types: &TypeStore,
+        syms: &Module,
+    ) -> Result<(), ParseError> {
+        let Stage { blocks, insts, operands, targets, labels, names } = self;
+        // Every instruction may name a result and every operand that is not
+        // a local may intern a constant: the value arena needs no more, and
+        // gives back what it did not use once the body is built.
+        let constants = operands.iter().filter(|o| !matches!(o, RawOperand::Local(_))).count();
+        f.reserve(blocks.len(), insts.len(), insts.len() + constants);
+        let first_block = f.block_arena_len();
+        label_blocks(f, labels, blocks.iter().map(|&(label, line, _)| (label, line)))?;
+        names.reset(f, insts.len());
+
+        // Phase A: append instructions with placeholder operands, recording
+        // result names.
+        let first_inst = f.num_insts();
+        let mut target = 0;
+        for (b, &(_, _, start)) in blocks.iter().enumerate() {
+            let end = blocks.get(b + 1).map_or(insts.len(), |next| next.2);
+            let bb = BlockId::from_index(first_block + b);
+            f.block_mut(bb).insts.reserve_exact(end - start);
+            for s in &insts[start..end] {
+                let mut succs = Vec::with_capacity(s.targets_end - target);
+                for label in &targets[target..s.targets_end] {
+                    let bb = labels.get(label).copied();
+                    succs.push(bb.ok_or_else(|| err(s.line, format!("unknown label `{label}`")))?);
+                }
+                target = s.targets_end;
+                let inst = Instruction {
+                    op: s.op,
+                    ty: s.ty,
+                    operands: Vec::new(),
+                    blocks: succs,
+                    pred: s.pred,
+                    aux_ty: s.aux_ty,
+                    parent: bb,
+                    result: None,
+                };
+                match (f.append_inst(types, bb, inst).1, s.result_name) {
+                    (Some(v), Some(n)) => {
+                        if !names.define(n, v) {
+                            return Err(err(s.line, format!("%{n} defined twice")));
+                        }
+                    }
+                    // A value-producing instruction without a result name is
+                    // tolerated: the result is simply unused.
+                    (_, None) => {}
+                    (None, Some(n)) => {
+                        return Err(err(s.line, format!("%{n} = <void instruction>")));
+                    }
+                }
+            }
+        }
+        // Phase B: resolve operands, in the order phase A appended their
+        // instructions.
+        let mut operand = 0;
+        for (i, s) in insts.iter().enumerate() {
+            let mut resolved = Vec::with_capacity(s.operands_end - operand);
+            for &o in &operands[operand..s.operands_end] {
+                resolved.push(match o {
+                    RawOperand::Local(n) => names
+                        .get(n)
+                        .ok_or_else(|| err(s.line, format!("use of undefined value %{n}")))?,
+                    RawOperand::Int(ty, v) => f.const_int(types, ty, v),
+                    RawOperand::Float(ty, bits) => f.const_float(ty, f64::from_bits(bits)),
+                    RawOperand::Undef(ty) => f.undef(ty),
+                    RawOperand::Sym(ty, name) => {
+                        if let Some(callee) = syms.lookup_function(name) {
+                            f.func_ref(callee, ty)
+                        } else if let Some(g) = syms.lookup_global(name) {
+                            f.global_ref(g, ty)
+                        } else {
+                            return Err(err(s.line, format!("unknown symbol @{name}")));
+                        }
+                    }
+                });
+            }
+            operand = s.operands_end;
+            f.inst_mut(InstId::from_index(first_inst + i)).operands = resolved;
+        }
+        f.shrink_to_fit();
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

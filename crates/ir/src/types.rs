@@ -49,6 +49,15 @@ impl TypeId {
         }
     }
 
+    /// The pre-interned scalar the IR text spells `word` — `void`, `i1`,
+    /// `i8`, `i16`, `i32`, `i64`, `f32`, `f64` or `ptr` — whose id is the
+    /// same in every store [`TypeStore::new`] builds, so a reader answers
+    /// it without hashing into one.
+    pub(crate) fn scalar(word: &str) -> Option<TypeId> {
+        let index = PRELUDE.iter().position(|&(_, spelt)| spelt == word)?;
+        Some(TypeId::prelude(index as u32))
+    }
+
     /// Raw index of this type inside its store.
     pub fn index(self) -> usize {
         self.index as usize
@@ -101,17 +110,18 @@ impl fmt::Debug for TypeId {
 /// Added to a pre-interned scalar's index to give its code.
 const PRELUDE_CODE_OFFSET: u32 = 3;
 
-/// The scalars [`TypeStore::new`] pre-interns, in index order.
-const PRELUDE: [TypeKind; 9] = [
-    TypeKind::Void,
-    TypeKind::Int(1),
-    TypeKind::Int(8),
-    TypeKind::Int(16),
-    TypeKind::Int(32),
-    TypeKind::Int(64),
-    TypeKind::F32,
-    TypeKind::F64,
-    TypeKind::Ptr,
+/// The scalars [`TypeStore::new`] pre-interns, in index order, each with
+/// the word the IR text spells it with.
+const PRELUDE: [(TypeKind, &str); 9] = [
+    (TypeKind::Void, "void"),
+    (TypeKind::Int(1), "i1"),
+    (TypeKind::Int(8), "i8"),
+    (TypeKind::Int(16), "i16"),
+    (TypeKind::Int(32), "i32"),
+    (TypeKind::Int(64), "i64"),
+    (TypeKind::F32, "f32"),
+    (TypeKind::F64, "f64"),
+    (TypeKind::Ptr, "ptr"),
 ];
 
 /// The structural code of `kind` (see [`TypeId::encoding_number`]): a
@@ -127,7 +137,7 @@ const PRELUDE: [TypeKind; 9] = [
 /// reduction read no lower, and dynamic overhead no higher, than arrival
 /// numbering's on either workload.
 fn structural_code(kind: &TypeKind) -> NonZeroU32 {
-    if let Some(i) = PRELUDE.iter().position(|p| p == kind) {
+    if let Some(i) = PRELUDE.iter().position(|(p, _)| p == kind) {
         return TypeId::prelude(i as u32).code;
     }
     let mut h: u32 = 0x811c_9dc5;
@@ -205,7 +215,7 @@ impl TypeStore {
     /// constants); encoding numbers are structural and need no such help.
     pub fn new() -> Self {
         let mut ts = TypeStore { kinds: Vec::new(), lookup: HashMap::new() };
-        for kind in PRELUDE {
+        for (kind, _) in PRELUDE {
             ts.intern(kind);
         }
         ts
@@ -404,6 +414,20 @@ mod tests {
         assert_eq!((ts.void(), ts.bool(), ts.ptr()), (TypeId::VOID, TypeId::BOOL, TypeId::PTR));
         // Asking interned nothing new: the ids were there from `new`.
         assert_eq!(ts.len(), TypeStore::new().len());
+    }
+
+    #[test]
+    fn scalar_words_name_the_pre_interned_ids() {
+        let mut ts = TypeStore::new();
+        for (i, (kind, word)) in PRELUDE.iter().enumerate() {
+            let id = TypeId::scalar(word).unwrap();
+            assert_eq!((id, ts.intern(kind.clone())), (TypeId::prelude(i as u32), id), "{word}");
+            assert_eq!(ts.display(id), *word);
+        }
+        assert_eq!(ts.len(), TypeStore::new().len(), "every scalar word was pre-interned");
+        for word in ["i24", "i128", "i08", "fn", "int", "", "void "] {
+            assert_eq!(TypeId::scalar(word), None, "{word:?}");
+        }
     }
 
     #[test]

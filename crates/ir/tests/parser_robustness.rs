@@ -116,6 +116,11 @@ fn duplicate_items_are_errors() {
     }
     // Functions and globals are separate namespaces.
     assert!(parse_module(&format!("module \"t\" {{\nglobal @x : i8 = [1]\n{f}\n}}")).is_ok());
+    // A label repeated within one body names the second label's line,
+    // while other bodies may reuse it.
+    let twice = "define @y() -> void {\nbb0:\n  br bb1\nbb1:\n  br bb0\nbb0:\n  ret\n}";
+    let err = parse_module(&format!("module \"t\" {{\n{f}\n{twice}\n}}")).unwrap_err();
+    assert_eq!((err.line, err.msg.as_str()), (11, "duplicate label `bb0`"));
 }
 
 #[test]

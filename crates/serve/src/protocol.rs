@@ -203,16 +203,15 @@ pub const DEFAULT_QUERY_K: usize = 3;
 /// connection.
 pub fn parse_request(payload: &[u8]) -> Result<RequestEnvelope, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "request is not UTF-8".to_string())?;
-    let v = json::parse(text)?;
-    let ty = v.get("type").and_then(Json::as_str).ok_or("missing `type` field")?;
-    let str_field = |name: &str| -> Result<String, String> {
-        v.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or(format!("`{ty}` request: missing string field `{name}`"))
+    // String fields are moved out of the decoded document, not copied: an
+    // `ingest` or `update` carries a whole module's text in `ir`.
+    let mut v = json::parse(text)?;
+    let ty = v.take_str("type").ok_or("missing `type` field")?;
+    let ty = ty.as_str();
+    let str_field = |v: &mut Json, name: &str| -> Result<String, String> {
+        v.take_str(name).ok_or_else(|| format!("`{ty}` request: missing string field `{name}`"))
     };
-    let opt_str = |name: &str| v.get(name).and_then(Json::as_str).map(str::to_string);
-    let opt_u64 = |name: &str| -> Result<Option<u64>, String> {
+    let opt_u64 = |v: &Json, name: &str| -> Result<Option<u64>, String> {
         match v.get(name) {
             None | Some(Json::Null) => Ok(None),
             Some(x) => x
@@ -222,36 +221,36 @@ pub fn parse_request(payload: &[u8]) -> Result<RequestEnvelope, String> {
         }
     };
     let body = match ty {
-        "ingest" => Request::Ingest { name: opt_str("name"), ir: str_field("ir")? },
-        "evict" => Request::Evict { name: str_field("name")? },
+        "ingest" => Request::Ingest { name: v.take_str("name"), ir: str_field(&mut v, "ir")? },
+        "evict" => Request::Evict { name: str_field(&mut v, "name")? },
         "query" => Request::Query {
-            module: str_field("module")?,
-            func: opt_str("func"),
-            k: opt_u64("k")?.map(|k| k as usize).unwrap_or(DEFAULT_QUERY_K),
-            if_epoch: opt_u64("if_epoch")?,
+            module: str_field(&mut v, "module")?,
+            func: v.take_str("func"),
+            k: opt_u64(&v, "k")?.map(|k| k as usize).unwrap_or(DEFAULT_QUERY_K),
+            if_epoch: opt_u64(&v, "if_epoch")?,
         },
         "update" => Request::Update {
-            module: str_field("module")?,
-            func: str_field("func")?,
-            ir: opt_str("ir"),
+            module: str_field(&mut v, "module")?,
+            func: str_field(&mut v, "func")?,
+            ir: v.take_str("ir"),
         },
         "merge" => Request::Merge {
-            strategy: opt_str("strategy").unwrap_or_else(|| "f3m".to_string()),
-            jobs: opt_u64("jobs")?.map(|j| j as usize),
+            strategy: v.take_str("strategy").unwrap_or_else(|| "f3m".to_string()),
+            jobs: opt_u64(&v, "jobs")?.map(|j| j as usize),
         },
         "global_merge" => Request::GlobalMerge {
-            jobs: opt_u64("jobs")?.map(|j| j as usize),
-            if_epoch: opt_u64("if_epoch")?,
+            jobs: opt_u64(&v, "jobs")?.map(|j| j as usize),
+            if_epoch: opt_u64(&v, "if_epoch")?,
         },
         "stats" => Request::Stats,
         "ping" => Request::Ping,
         "sleep" => Request::Sleep {
-            ms: opt_u64("ms")?.ok_or("`sleep` request: missing `ms`")?,
+            ms: opt_u64(&v, "ms")?.ok_or("`sleep` request: missing `ms`")?,
         },
         "shutdown" => Request::Shutdown,
         other => return Err(format!("unknown request type `{other}`")),
     };
-    Ok(RequestEnvelope { id: opt_u64("id")?, deadline_ms: opt_u64("deadline_ms")?, body })
+    Ok(RequestEnvelope { id: opt_u64(&v, "id")?, deadline_ms: opt_u64(&v, "deadline_ms")?, body })
 }
 
 /// Writes `"key":value` when the optional field is set.

@@ -40,6 +40,19 @@ impl Json {
         }
     }
 
+    /// Moves the string out of the field [`Json::get`] finds for `key`,
+    /// leaving an empty string behind; `None` when that field is missing
+    /// or not a string.
+    pub fn take_str(&mut self, key: &str) -> Option<String> {
+        match self {
+            Json::Object(fields) => match fields.iter_mut().find(|(k, _)| k == key) {
+                Some((_, Json::Str(s))) => Some(std::mem::take(s)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
@@ -475,6 +488,16 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
         assert_eq!(v.get("e").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn take_str_moves_the_field_get_finds() {
+        let mut v = parse(r#"{"s":"first","n":1,"s":"second"}"#).unwrap();
+        assert_eq!(v.take_str("s").as_deref(), Some("first"));
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(""), "left empty, still first");
+        assert_eq!((v.take_str("n"), v.take_str("missing")), (None, None));
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some(1), "a number stays");
+        assert_eq!(parse(r#""s""#).unwrap().take_str("s"), None);
     }
 
     #[test]
