@@ -2,14 +2,14 @@
 //! state behind the `f3m-serve` daemon.
 //!
 //! A [`Corpus`] holds every ingested module plus one fingerprint entry per
-//! merge-eligible function (definitions with at least one linked
-//! instruction — the same filter [`run_pass`] applies), indexed in one
+//! merge-eligible function ([`Module::merge_eligible`], the filter
+//! [`run_pass`] applies), indexed in one
 //! [`LshIndex`] — the type the offline pass builds, here held by the
 //! table for the corpus lifetime. Ingesting a module fingerprints *only*
 //! that module's functions and inserts them; evicting removes the module's
 //! band keys and frees its body — what stays of an evicted module is a
-//! tombstone record and its entries' epoch stamps. Neither ever rebuilds
-//! the index.
+//! tombstone record and its dead entries. Neither ever rebuilds the
+//! index.
 //!
 //! The corpus drives the rank step, it does not re-implement it: it owns
 //! the epoch, the namespace and the `QueryCache`, and ranks
@@ -44,39 +44,32 @@
 //! ## Epochs and consistency
 //!
 //! Every corpus operation is one critical section under the table guard,
-//! and the table holds the epoch. A mutation — `ingest`, `evict` or
-//! `update_function` — installs its entries or row, applies its index
-//! delta, stamps the memoized lists it can change and advances the epoch
-//! under a single write guard. A read — a function or module query,
-//! `global_candidates`, `stats`, a snapshot save — reads the epoch and
-//! ranks under a single read guard. A reader therefore sees each mutation
-//! whole or not at all, its answer is the answer at the epoch it returns,
-//! and an id found in a bucket is live by construction: eviction removes
-//! an entry's band keys in the same critical section that stamps it
-//! evicted. The index lives in the table, so the borrow checker holds
-//! writers to the write guard and readers to the read guard; no lock of
-//! its own. Lock order is table → cache.
+//! and the table holds the epoch — the corpus's one clock. A mutation —
+//! `ingest`, `evict` or `update_function` — installs its entries or row,
+//! applies its index delta, removes the memoized lists it can change and
+//! advances the epoch under a single write guard. A read — a function or
+//! module query, `global_candidates`, `stats`, a snapshot save — reads
+//! the epoch and ranks under a single read guard. A reader therefore sees
+//! each mutation whole or not at all, its answer is the answer at the
+//! epoch it returns, and an id found in a bucket is live by construction:
+//! eviction removes an entry's band keys in the same critical section
+//! that marks it dead. The index lives in the table, so the borrow
+//! checker holds writers to the write guard and readers to the read
+//! guard; no lock of its own. Lock order is table → cache.
 //!
-//! Entries keep the epochs they were added and evicted at as stamps: the
-//! snapshot payload carries them, and a mutation counts only surviving
-//! entries as invalidated. Evicted entries stay in the table until a
-//! snapshot save and restore compacts them.
+//! Evicted entries stay in the table, dead, until a snapshot save and
+//! restore compacts them.
 //!
-//! ## Incremental recompute (revisions + memoized ranks)
+//! ## Incremental recompute (memoized ranks)
 //!
-//! The epoch counter doubles as the corpus **revision**: every entry
-//! carries `rev` (the revision at which its fingerprint and band keys
-//! were computed — bumped by [`Corpus::update_function`]) and
-//! `dirty_rev` (the revision at which its *memoized ranked candidates*
-//! were last invalidated). Ranked-candidate queries are memoized in a
-//! [`QueryCache`]: a cached list computed at epoch `P` serves a query iff
-//! `dirty_rev ≤ P` — no mutation that could change the list has landed
-//! since — and it holds enough candidates: it was computed for at least
-//! as many as are asked for now, or came out shorter than it was allowed
-//! to be, which makes it the whole list. Durable inputs (function bodies,
-//! [`MergeParams`]) invalidate through `dirty_rev`; volatile inputs (the
-//! epoch itself, counters) never do — a query's result is a pure
-//! function of the durable state at its epoch.
+//! Ranked-candidate queries are memoized in a [`QueryCache`]. A memo is
+//! valid while present; a mutation removes, under its write guard, every
+//! memo it can change. So a cached list serves a query iff it exists and
+//! holds enough candidates: it was computed for at least as many as are
+//! asked for now, or came out shorter than it was allowed to be, which
+//! makes it the whole list. Nothing records when a list was computed:
+//! the ranking that leaves it runs under one read guard, so no mutation
+//! lands between the ranking and the memo.
 //!
 //! **Granularity is chosen by the verb, not by a knob.** Whole-module
 //! `ingest`/`evict` go through [`LshIndex::apply_delta`] and
@@ -112,11 +105,11 @@
 //!
 //! An edit moves at most one other entry across the cap per touched
 //! bucket, which is what keeps the test exact under id-ordered
-//! truncation. `x` itself is always dirty; everything else keeps its memo
-//! and its `dirty_rev`; an entry without a memo has nothing to lose. The
-//! similarity question is the ranking kernel's (`Kernel::score` against
-//! the floor, sketch bound first). `funcs_invalidated` counts the
-//! surviving entries that lost a memo, `funcs_spared` the memoized
+//! truncation. `x` itself is always dirty; everything else keeps its
+//! memo; an entry without a memo has nothing to lose. The similarity
+//! question is the ranking kernel's (`Kernel::score` against the floor,
+//! sketch bound first). `funcs_invalidated` counts the dirty entries that
+//! were live before and after the mutation, `funcs_spared` the memoized
 //! neighbors that were tested and kept (both jobs-invariant, like
 //! `memo_hits`/`memo_misses`).
 //!
@@ -129,9 +122,10 @@
 //! its signature changed, and installed — no render, no module parse.
 //!
 //! Sparing neighbors rests on the one consistency rule above. An edit's
-//! new row, index delta, stamps and epoch bump happen under one write
-//! guard, and a ranking and the memo it leaves happen under one read
-//! guard, so no reader can rank against half an edit and keep the list.
+//! new row, index delta, memo removals and epoch bump happen under one
+//! write guard, and a ranking and the memo it leaves happen under one
+//! read guard, so no reader can rank against half an edit and keep the
+//! list.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -149,7 +143,7 @@ use f3m_ir::function::Function;
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
 use f3m_ir::parser::{parse_module, parse_module_for, parse_replacement};
-use f3m_ir::printer::{print_declaration, print_function, print_global};
+use f3m_ir::printer::{print_declaration, print_function, print_global, print_module};
 use f3m_ir::types::TypeStore;
 use f3m_trace::stats::{Stat, Value::*};
 
@@ -343,31 +337,15 @@ struct Entry {
     /// base's `len()` a row of the snapshot file, from there up a row of
     /// [`Table::rows`].
     row: u32,
-    /// Epoch of the ingest that created it.
-    added: u64,
-    /// Epoch of the evict that removed it (`u64::MAX` = live).
-    evicted: u64,
-    /// Revision (epoch) at which the row was computed. Bumped by
-    /// `update_function`; `added` for entries never updated.
-    rev: u64,
-    /// Revision at which the entry's memoized ranks were last
-    /// invalidated — by its own (re)computation or by a mutation that
-    /// could change them.
-    dirty_rev: u64,
+    /// Whether its module is still resident; `false` once evicted.
+    live: bool,
 }
 
 impl Entry {
-    /// An entry created at `epoch`.
-    fn fresh(module: &str, func: &str, row: usize, epoch: u64) -> Entry {
-        Entry {
-            func: func.to_string(),
-            qualified: format!("{module}.{func}"),
-            row: row as u32,
-            added: epoch,
-            evicted: u64::MAX,
-            rev: epoch,
-            dirty_rev: epoch,
-        }
+    /// A live entry of `module`'s function `func` at fingerprint row `row`.
+    fn new(module: &str, func: &str, row: usize) -> Entry {
+        let qualified = format!("{module}.{func}");
+        Entry { func: func.to_string(), qualified, row: row as u32, live: true }
     }
 }
 
@@ -421,12 +399,12 @@ impl LazyModule {
     }
 
     /// The canonical IR source: verbatim if the deferred source was
-    /// never parsed (rendering is the identity on rendered sources),
-    /// rendered otherwise.
+    /// never parsed (printing is the identity on printed sources),
+    /// printed otherwise.
     fn source(&self) -> String {
         match (self.cell.get(), &self.src) {
             (None, Some(src)) => src.clone(),
-            (m, _) => render_module_source(m.expect("parsed or deferred")),
+            (m, _) => print_module(m.expect("parsed or deferred")),
         }
     }
 }
@@ -472,10 +450,9 @@ impl Table {
 }
 
 /// One memoized ranked-candidate list: the best `k` candidates of an
-/// entry (threshold-filtered, in ranking order), stamped with the epoch
-/// it was computed at.
+/// entry (threshold-filtered, in ranking order). It is valid while it
+/// exists: every mutation that could change it removes it.
 struct CachedRank {
-    pinned: u64,
     /// How many candidates were asked for.
     k: usize,
     ranked: Vec<(usize, f64)>,
@@ -637,10 +614,8 @@ impl Corpus {
                  (allowed: A-Z a-z 0-9 _ .)"
             ));
         }
-        let defined = m.defined_functions();
-        let funcs: Vec<_> =
-            defined.iter().copied().filter(|&f| m.function(f).num_linked_insts() > 0).collect();
-        let skipped = defined.len() - funcs.len();
+        let funcs = m.merge_eligible();
+        let skipped = m.defined_functions().len() - funcs.len();
         let rows = PackedFingerprintStore::of_functions(
             &m,
             &funcs,
@@ -673,12 +648,11 @@ impl Corpus {
                 }
             }
         }
-        let epoch = t.epoch + 1;
         let first_id = t.entries.len();
         let first_row = self.heap_base() + t.rows.len();
         t.rows.extend_from(&rows);
         for (i, &f) in funcs.iter().enumerate() {
-            t.entries.push(Entry::fresh(&name, &m.function(f).name, first_row + i, epoch));
+            t.entries.push(Entry::new(&name, &m.function(f).name, first_row + i));
         }
         t.modules.push(ModuleRecord {
             name: name.clone(),
@@ -687,7 +661,7 @@ impl Corpus {
         });
         let inserted: Vec<(usize, Vec<BandKey>)> =
             (0..funcs.len()).map(|i| (first_id + i, rows.keys(i).to_vec())).collect();
-        self.publish(&mut t, &[], &inserted, epoch);
+        let epoch = self.publish(&mut t, &[], &inserted);
         Ok(IngestSummary { module: name, functions: inserted.len(), skipped, epoch })
     }
 
@@ -699,17 +673,16 @@ impl Corpus {
         let _writer = self.mutate.lock().unwrap();
         let mut t = self.write_table();
         let mi = t.live_module(name)?;
-        let epoch = t.epoch + 1;
         let body = t.modules[mi].body.take();
         let ids = t.modules[mi].entry_ids.clone();
         let removed: Vec<(usize, Vec<BandKey>)> = ids
             .iter()
             .map(|&id| {
-                t.entries[id].evicted = epoch;
+                t.entries[id].live = false;
                 (id, self.row(&t.rows, &t.entries[id]).keys().to_vec())
             })
             .collect();
-        self.publish(&mut t, &removed, &[], epoch);
+        let epoch = self.publish(&mut t, &removed, &[]);
         drop(t);
         // Freed outside the table guard: readers do not wait for it.
         drop(body);
@@ -766,13 +739,12 @@ impl Corpus {
         drop(t);
 
         // One critical section (module docs, "Epochs and consistency"):
-        // the new body and row go in, the index delta runs, the stamps are
-        // written and the epoch advances under a single table write guard.
-        // The cache is only ever touched under a table guard, so taking it
-        // here waits for nobody.
+        // the new body and row go in, the index delta runs, the memos it
+        // can change are removed and the epoch advances under a single
+        // table write guard. The cache is only ever touched under a table
+        // guard, so taking it here waits for nobody.
         let mut t = self.write_table();
         let mut cache = self.cache.write().unwrap();
-        let epoch = t.epoch + 1;
         let changed = replacement.is_some();
         if let Some((f, types)) = replacement {
             let m = t.modules[mi].body.as_mut().expect("the module is live").get_mut();
@@ -780,30 +752,24 @@ impl Corpus {
             m.types = types;
             m.replace_function(fid, f);
         }
-        let old_keys = self.rewrite_row(&mut t, entry_id, &sig, &keys, epoch);
+        let old_keys = self.rewrite_row(&mut t, entry_id, &sig, &keys);
         let (dirty, spared) = self.reindex_row(&mut t, &cache, entry_id, &old_keys);
-        let funcs_invalidated = self.stamp(&mut t, &mut cache, &dirty, epoch);
+        // Every entry the test names is live and was live before.
+        let funcs_invalidated = self.invalidate(&mut cache, &dirty, |_| true);
         self.counters.funcs_spared.fetch_add(spared, Ordering::Relaxed);
-        t.epoch = epoch;
+        t.epoch += 1;
         Ok(UpdateSummary {
             module: module.to_string(),
             func: func.to_string(),
-            epoch,
+            epoch: t.epoch,
             changed,
             funcs_invalidated,
         })
     }
 
-    /// Gives resident entry `id` a recomputed row at `epoch` and returns
-    /// the band keys it had.
-    fn rewrite_row(
-        &self,
-        t: &mut Table,
-        id: usize,
-        sig: &[u64],
-        keys: &[BandKey],
-        epoch: u64,
-    ) -> Vec<BandKey> {
+    /// Gives resident entry `id` a recomputed row and returns the band
+    /// keys it had.
+    fn rewrite_row(&self, t: &mut Table, id: usize, sig: &[u64], keys: &[BandKey]) -> Vec<BandKey> {
         let old_keys = self.row(&t.rows, &t.entries[id]).keys().to_vec();
         match (t.entries[id].row as usize).checked_sub(self.heap_base()) {
             Some(heap_row) => t.rows.set_row(heap_row, sig, keys),
@@ -813,7 +779,6 @@ impl Corpus {
                 t.entries[id].row = (self.heap_base() + t.rows.push_with_keys(sig, keys)) as u32
             }
         }
-        t.entries[id].rev = epoch;
         old_keys
     }
 
@@ -913,44 +878,43 @@ impl Corpus {
         (dirty, spared)
     }
 
-    /// Stamps `dirty` invalidated at `epoch`, the mutation's own, and
-    /// drops its memoized ranks. Returns how many *surviving* residents
-    /// that was: entries created or evicted by this very mutation had no
-    /// reusable memo to lose and are not counted.
-    fn stamp(
+    /// Removes the memoized ranks of `dirty`, the entries a mutation can
+    /// change — the one thing that keeps a stale list from being served.
+    /// Returns how many of them `survive` the mutation, live before and
+    /// after it: an entry it created or evicted had no reusable memo to
+    /// lose and is not counted.
+    fn invalidate(
         &self,
-        t: &mut Table,
         cache: &mut HashMap<usize, CachedRank>,
         dirty: &[usize],
-        epoch: u64,
+        survives: impl Fn(usize) -> bool,
     ) -> u64 {
         let mut invalidated = 0u64;
         for &id in dirty {
-            let e = &mut t.entries[id];
-            e.dirty_rev = epoch;
             cache.remove(&id);
-            if e.added < epoch && e.evicted > epoch {
-                invalidated += 1;
-            }
+            invalidated += u64::from(survives(id));
         }
         self.counters.funcs_invalidated.fetch_add(invalidated, Ordering::Relaxed);
         invalidated
     }
 
     /// Finishes a module-level mutation under its table write guard:
-    /// applies its index delta, stamps the touched band-collision
-    /// neighborhood (see [`Self::stamp`]) and advances the epoch to
-    /// `epoch`, the mutation's own.
+    /// applies its index delta, invalidates the touched band-collision
+    /// neighborhood (see [`Self::invalidate`]) and advances the epoch.
+    /// Returns the mutation's epoch. The evicted entries in `removes` are
+    /// already marked dead; the ids in `inserts` are the newest entries.
     fn publish(
         &self,
         t: &mut Table,
         removes: &[(usize, Vec<BandKey>)],
         inserts: &[(usize, Vec<BandKey>)],
-        epoch: u64,
-    ) {
+    ) -> u64 {
         let dirty = t.index.apply_delta(removes, inserts);
-        self.stamp(t, &mut self.cache.write().unwrap(), &dirty, epoch);
-        t.epoch = epoch;
+        let first_new = inserts.first().map_or(t.entries.len(), |&(id, _)| id);
+        let survives = |id: usize| id < first_new && t.entries[id].live;
+        self.invalidate(&mut self.cache.write().unwrap(), &dirty, survives);
+        t.epoch += 1;
+        t.epoch
     }
 
     /// Top-`k` resident candidates for one function, by qualified
@@ -1055,10 +1019,9 @@ impl Corpus {
     /// [`combine_modules`]. The caller holds the table guard `t` across
     /// the ranking, so every id the probe finds is live.
     ///
-    /// The list is memoized in the [`QueryCache`] at the current epoch: a
-    /// cached list computed at epoch `P` serves iff `dirty_rev ≤ P` — no
-    /// mutation that could change the list has landed since — and it
-    /// [covers](CachedRank::covers) `k`.
+    /// The list is memoized in the [`QueryCache`]: a cached list serves
+    /// iff it exists — every mutation that could change it removes it —
+    /// and it [covers](CachedRank::covers) `k`.
     fn ranked(
         &self,
         t: &Table,
@@ -1067,11 +1030,9 @@ impl Corpus {
         scratch: &mut QueryScratch<usize>,
     ) -> QueryResult {
         let ent = &t.entries[i];
-        if let Some(c) = self.cache.read().unwrap().get(&i) {
-            if ent.dirty_rev <= c.pinned && c.covers(k) {
-                self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-                return Self::render_result(t, ent, &c.ranked, k);
-            }
+        if let Some(c) = self.cache.read().unwrap().get(&i).filter(|c| c.covers(k)) {
+            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return Self::render_result(t, ent, &c.ranked, k);
         }
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
         let params = &self.cfg.params;
@@ -1094,7 +1055,7 @@ impl Corpus {
             scratch.out.iter().copied(),
             |j, floor| {
                 let e = &t.entries[j];
-                debug_assert_eq!(e.evicted, u64::MAX, "an id in a bucket is live");
+                debug_assert!(e.live, "an id in a bucket is live");
                 kernel.score(floor, scratch.hits(j), || Some(self.row(&t.rows, e)), &mut counters)
             },
             |j| &t.entries[j].qualified,
@@ -1102,7 +1063,7 @@ impl Corpus {
         self.counters.sketch_comparisons.fetch_add(counters.sketch_comparisons, Ordering::Relaxed);
         self.counters.full_comparisons.fetch_add(counters.full_comparisons, Ordering::Relaxed);
         let result = Self::render_result(t, ent, &ranked, k);
-        self.cache.write().unwrap().insert(i, CachedRank { pinned: t.epoch, k, ranked });
+        self.cache.write().unwrap().insert(i, CachedRank { k, ranked });
         result
     }
 
@@ -1133,7 +1094,7 @@ impl Corpus {
             epoch: t.epoch,
             modules_live: t.live_modules().count(),
             modules_total: t.modules.len(),
-            functions_live: t.entries.iter().filter(|e| e.evicted == u64::MAX).count(),
+            functions_live: t.entries.iter().filter(|e| e.live).count(),
             entries_total: t.entries.len(),
             index_buckets: t.index.num_buckets(),
             index_max_bucket: t.index.max_bucket_size(),
@@ -1175,36 +1136,22 @@ impl Corpus {
 
     /// Persists the live corpus as one contiguous snapshot file: packed
     /// signature and band-key pools, the bucket directory of the
-    /// index, and a payload carrying module sources plus per-entry epoch
-    /// stamps. [`Corpus::load_snapshot`] restores the whole thing in
-    /// O(file size) — no re-fingerprinting, no index rebuild.
+    /// index, and a payload carrying module sources plus each row's
+    /// module and function. [`Corpus::load_snapshot`] restores the whole
+    /// thing in O(file size) — no re-fingerprinting, no index rebuild.
     ///
     /// Evicted modules and entries are compacted away; the restored
     /// corpus is equivalent to a fresh one holding exactly the live
     /// state (`modules_total`/`entries_total` restart at the live
-    /// counts, memo counters at zero).
+    /// counts, memo counters at zero). The file is written under one
+    /// table read guard, so the table, the index and the epoch are one
+    /// consistent cut.
     pub fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.write_snapshot(path, None)
-    }
-
-    /// [`Corpus::save_snapshot`] with an explicit header epoch. Exposed
-    /// so tests can craft snapshots whose header is older than the entry
-    /// stamps (the stale-epoch condition loaders must reject).
-    #[doc(hidden)]
-    pub fn save_snapshot_stamped(&self, path: &Path, epoch: u64) -> Result<(), SnapshotError> {
-        self.write_snapshot(path, Some(epoch))
-    }
-
-    /// Writes the snapshot under one table read guard, so the table, the
-    /// index and the epoch are one consistent cut. `header_epoch` replaces
-    /// the epoch in the header.
-    fn write_snapshot(&self, path: &Path, header_epoch: Option<u64>) -> Result<(), SnapshotError> {
         let t = self.read_table();
 
         // Compact live entries to dense snapshot rows (entry order, so
         // bucket member lists stay ascending after remapping).
-        let live: Vec<usize> =
-            (0..t.entries.len()).filter(|&i| t.entries[i].evicted == u64::MAX).collect();
+        let live: Vec<usize> = (0..t.entries.len()).filter(|&i| t.entries[i].live).collect();
         let mut row_of = vec![u32::MAX; t.entries.len()];
         for (row, &id) in live.iter().enumerate() {
             row_of[id] = row as u32;
@@ -1250,13 +1197,9 @@ impl Corpus {
             payload.str(&body.source());
         }
         for &id in &live {
-            let e = &t.entries[id];
             debug_assert_ne!(entry_module[id], u32::MAX, "live entry belongs to a live module");
             payload.u32(entry_module[id]);
-            payload.str(&e.func);
-            payload.u64(e.added);
-            payload.u64(e.rev);
-            payload.u64(e.dirty_rev);
+            payload.str(&t.entries[id].func);
         }
 
         let header = SnapshotHeader {
@@ -1264,7 +1207,7 @@ impl Corpus {
             k: self.cfg.params.k,
             lsh: self.cfg.params.lsh,
             threshold: self.cfg.params.threshold,
-            epoch: header_epoch.unwrap_or(t.epoch),
+            epoch: t.epoch,
             entries: live.len(),
         };
         snapshot::save_snapshot(path, &header, &store, &buckets, &payload.buf)
@@ -1280,10 +1223,7 @@ impl Corpus {
     ///
     /// `cfg.params` must match the snapshot header exactly — resident
     /// fingerprints are only valid under the parameters they were
-    /// computed with — otherwise [`SnapshotError::Mismatch`]. A snapshot
-    /// whose entry stamps exceed its header epoch is rejected with
-    /// [`SnapshotError::StaleEpoch`]; callers (the daemon) fall back to
-    /// re-ingesting [`Corpus::snapshot_sources`].
+    /// computed with — otherwise [`SnapshotError::Mismatch`].
     pub fn load_snapshot(path: &Path, cfg: CorpusConfig) -> Result<Corpus, SnapshotError> {
         let snap = snapshot::open_snapshot(path)?;
         Self::restore(cfg, snap.header, snap.buckets, &snap.payload, snap.store, None)
@@ -1300,7 +1240,7 @@ impl Corpus {
     ///
     /// Answers are byte-identical to [`Corpus::load_snapshot`] under any
     /// budget; only the residency counters, RSS and the ranking-work
-    /// counters differ. Rejects the same mismatch/stale conditions.
+    /// counters differ. Rejects the same files and mismatches.
     pub fn load_snapshot_resident(
         path: &Path,
         cfg: CorpusConfig,
@@ -1333,10 +1273,10 @@ impl Corpus {
     }
 
     /// Shared tail of the two snapshot loaders: check the parameters,
-    /// decode the payload, reject stale epochs, build the table (entry
-    /// `i` is snapshot row `i` — of `rows`, or of the `resident` base
-    /// when there is one and `rows` is empty), restore the bucket
-    /// directory and resume the epoch.
+    /// decode the payload, build the table (entry `i` is snapshot row `i`
+    /// — of `rows`, or of the `resident` base when there is one and
+    /// `rows` is empty), restore the bucket directory and resume the
+    /// epoch.
     fn restore(
         cfg: CorpusConfig,
         header: SnapshotHeader,
@@ -1347,16 +1287,6 @@ impl Corpus {
     ) -> Result<Corpus, SnapshotError> {
         Self::check_snapshot_params(&header, &cfg.params)?;
         let payload = decode_corpus_payload(payload, header.entries)?;
-        let newest_entry = payload
-            .entries
-            .iter()
-            .map(|(_, e)| e.added.max(e.rev).max(e.dirty_rev))
-            .max()
-            .unwrap_or(0);
-        if newest_entry > header.epoch {
-            return Err(SnapshotError::StaleEpoch { snapshot: header.epoch, newest_entry });
-        }
-
         let mut corpus = Corpus::new(cfg);
         corpus.resident = resident;
         {
@@ -1384,15 +1314,6 @@ impl Corpus {
         }
         Ok(corpus)
     }
-
-    /// The `(module name, IR source)` pairs stored in a snapshot's
-    /// payload — the rebuild path for snapshots whose index cannot be
-    /// trusted (e.g. [`SnapshotError::StaleEpoch`]): parse and re-ingest
-    /// each source into a fresh corpus.
-    pub fn snapshot_sources(path: &Path) -> Result<Vec<(String, String)>, SnapshotError> {
-        let snap = snapshot::open_snapshot(path)?;
-        Ok(decode_corpus_payload(&snap.payload, snap.header.entries)?.modules)
-    }
 }
 
 /// The decoded snapshot payload.
@@ -1412,16 +1333,15 @@ fn decode_corpus_payload(bytes: &[u8], entries: usize) -> Result<CorpusPayload, 
             modules.push((r.str()?, r.str()?));
         }
         // A hostile header can claim any entry count; each record is at
-        // least 32 bytes, so cap the preallocation by what could possibly
+        // least 8 bytes, so cap the preallocation by what could possibly
         // still be encoded (the loop then fails with a clean truncation).
-        let mut out = Vec::with_capacity(entries.min(bytes.len() / 32 + 1));
+        let mut out = Vec::with_capacity(entries.min(bytes.len() / 8 + 1));
         for row in 0..entries {
             let (mi, func) = (r.u32()? as usize, r.str()?);
             let Some((module, _)) = modules.get(mi) else {
                 return Err(SnapshotError::Corrupt("entry references a missing module"));
             };
-            let (added, rev, dirty_rev) = (r.u64()?, r.u64()?, r.u64()?);
-            out.push((mi, Entry { added, rev, dirty_rev, ..Entry::fresh(module, &func, row, 0) }));
+            out.push((mi, Entry::new(module, &func, row)));
         }
         if r.remaining() != 0 {
             return Err(SnapshotError::Corrupt("corpus payload has trailing bytes"));
@@ -1436,42 +1356,21 @@ fn decode_corpus_payload(bytes: &[u8], entries: usize) -> Result<CorpusPayload, 
     })
 }
 
-/// Renders `m` to its canonical IR source: globals, then declarations,
-/// then definitions, each definition followed by a blank line. Function
-/// order within each group is preserved, so entry ids keep lining up with
-/// the module's defined-function order.
-fn render_module_source(m: &Module) -> String {
-    let mut text = format!("module \"{}\" {{\n", m.name);
-    for (_, g) in m.globals() {
-        text.push_str(&print_global(m, g));
-        text.push('\n');
-    }
-    for (_, f) in m.functions().filter(|(_, f)| f.is_declaration) {
-        text.push_str(&print_declaration(m, f));
-        text.push('\n');
-    }
-    for (id, _) in m.functions().filter(|(_, f)| !f.is_declaration) {
-        text.push_str(&print_function(m, id));
-        text.push('\n');
-    }
-    text.push_str("}\n");
-    text
-}
-
-/// How many lines of [`render_module_source`]`(m)` come before
-/// definition `id`'s: a line of `id`'s printed text plus this is the line
-/// it has in the module's source.
+/// How many lines of [`print_module`]`(m)` come before definition `id`'s:
+/// a line of `id`'s printed text plus this is the line it has in the
+/// module's source.
 fn lines_before(m: &Module, id: FuncId) -> usize {
-    let declarations = m.functions().filter(|(_, f)| f.is_declaration).count();
-    // A printed definition is its header, one line per label and per
-    // instruction, and the closing brace; the blank line follows.
-    let definitions: usize = m
+    // The module header, one line per global and a blank line after them.
+    let header = 1 + m.num_globals() + usize::from(m.num_globals() > 0);
+    // A declaration is one line; a definition is its header, one line per
+    // label and per instruction, and the closing brace. A blank line
+    // follows each.
+    let functions: usize = m
         .functions()
         .take_while(|&(g, _)| g != id)
-        .filter(|(_, f)| !f.is_declaration)
-        .map(|(_, f)| f.num_blocks() + f.num_linked_insts() + 3)
+        .map(|(_, f)| if f.is_declaration { 2 } else { f.num_blocks() + f.num_linked_insts() + 3 })
         .sum();
-    1 + m.num_globals() + declarations + definitions
+    header + functions
 }
 
 /// The new definition of `resident`'s function `fid` that `text` — module-
@@ -1603,7 +1502,6 @@ mod tests {
     use super::*;
     use crate::rank::LshBackendSearch;
     use f3m_fingerprint::backend::BackendKind;
-    use f3m_ir::printer::print_module;
 
     fn workload(name: &str, seed: u64) -> Module {
         let mut spec = f3m_workloads::mini_suite()[0].clone();
@@ -1627,11 +1525,7 @@ mod tests {
         let m1 = workload("alpha", 11);
         let m2 = workload("beta", 22);
         let combined = combine_modules(&[&m1, &m2]).unwrap();
-        let funcs: Vec<FuncId> = combined
-            .defined_functions()
-            .into_iter()
-            .filter(|&f| combined.function(f).num_linked_insts() > 0)
-            .collect();
+        let funcs = combined.merge_eligible();
         let available = vec![true; funcs.len()];
 
         for backend in [BackendKind::MinHash, BackendKind::Embed] {
@@ -1856,12 +1750,8 @@ mod tests {
     /// Two merge-eligible members of the same workload family in `m`
     /// (same generated signature, different bodies), as (name_a, name_b).
     fn family_pair(m: &Module) -> (String, String) {
-        let eligible: Vec<String> = m
-            .defined_functions()
-            .into_iter()
-            .filter(|&f| m.function(f).num_linked_insts() > 0)
-            .map(|f| m.function(f).name.clone())
-            .collect();
+        let eligible: Vec<String> =
+            m.merge_eligible().into_iter().map(|f| m.function(f).name.clone()).collect();
         for a in &eligible {
             let Some((fam, member)) = a.rsplit_once('_') else { continue };
             if member != "0" {
@@ -1906,19 +1796,11 @@ mod tests {
         assert_eq!(s.memo_misses, miss_after_warm, "warm query must not recompute");
         assert!(s.memo_hits >= cold.len() as u64);
 
-        // The row's revision: what the snapshot's stale-epoch check reads.
-        let rev = || {
-            let t = c.table.read().unwrap();
-            t.entries[t.entry_of(t.live_module("alpha").unwrap(), &dst).unwrap()].rev
-        };
-        let rev_before = rev();
         let patch = body_swap_patch(&alpha, &dst, &src);
         let up = c.update_function("alpha", &dst, Some(&patch)).unwrap();
         assert!(up.changed);
         assert!(up.funcs_invalidated >= 1, "at least the updated function is dirtied");
         assert_eq!(up.epoch, c.epoch());
-        assert_eq!(rev(), up.epoch);
-        assert!(rev() > rev_before);
 
         // The new body is byte-identical to its source sibling, so the
         // source is now a similarity-1.0 candidate of the updated
@@ -2039,8 +1921,8 @@ mod tests {
     }
 
     /// Every corpus operation is one critical section: a mutation installs
-    /// its rows, applies its index delta, stamps and advances the epoch
-    /// under a single table write guard, and a read ranks under a single
+    /// its rows, applies its index delta, removes memos and advances the
+    /// epoch under a single table write guard, and a read ranks under a single
     /// read guard — so no reader sees half a mutation. (An update also
     /// takes a read guard first, to parse and fingerprint the new body.)
     #[test]
@@ -2128,7 +2010,7 @@ mod tests {
         if fn_text == old_text {
             return Ok(None);
         }
-        let src = render_module_source(resident).replacen(&old_text, &fn_text, 1);
+        let src = print_module(resident).replacen(&old_text, &fn_text, 1);
         parse_module(&src)
             .map(Some)
             .map_err(|e| format!("update: spliced module does not verify: {e}"))

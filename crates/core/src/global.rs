@@ -339,11 +339,7 @@ impl<'c> GlobalMergePlanner<'c> {
         excluded: &HashSet<(String, String)>,
     ) -> Result<Vec<Speculative>, String> {
         let jobs = self.cfg.jobs.max(1);
-        let funcs: Vec<FuncId> = m
-            .defined_functions()
-            .into_iter()
-            .filter(|&f| m.function(f).num_linked_insts() > 0)
-            .collect();
+        let funcs = m.merge_eligible();
         let index_of: HashMap<&str, usize> =
             funcs.iter().enumerate().map(|(i, &f)| (m.function(f).name.as_str(), i)).collect();
 
@@ -784,9 +780,8 @@ bb0:
         // Touch one function: semantically a no-op, but it dirties itself
         // and whichever lists it could have moved in.
         let touched = mods[0]
-            .defined_functions()
+            .merge_eligible()
             .into_iter()
-            .filter(|&f| mods[0].function(f).num_linked_insts() > 0)
             .map(|f| mods[0].function(f).name.clone())
             .find(|n| n != "__driver")
             .unwrap();

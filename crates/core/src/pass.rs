@@ -325,11 +325,7 @@ fn preprocess(
     report: &mut MergeReport,
 ) -> PassState {
     let jobs = config.jobs.max(1);
-    let funcs: Vec<FuncId> = m
-        .defined_functions()
-        .into_iter()
-        .filter(|&f| m.function(f).num_linked_insts() > 0)
-        .collect();
+    let funcs = m.merge_eligible();
     let n = funcs.len();
     report.stats.functions = n;
 

@@ -695,11 +695,7 @@ mod tests {
         spec.functions = functions;
         spec.seed = seed;
         let m = f3m_workloads::build_module(&spec);
-        let funcs = m
-            .defined_functions()
-            .into_iter()
-            .filter(|&f| m.function(f).num_linked_insts() > 0)
-            .collect();
+        let funcs = m.merge_eligible();
         (m, funcs)
     }
 

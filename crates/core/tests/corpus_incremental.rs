@@ -1,6 +1,6 @@
 //! Equivalence property for the incremental recompute engine: after
 //! every prefix of a randomized ingest/evict/update/query interleaving,
-//! the revision-stamped corpus answers module queries byte-identically
+//! the memoizing corpus answers module queries byte-identically
 //! to a from-scratch corpus rebuilt from the surviving module sources —
 //! and the whole transcript is identical across worker counts. Every
 //! query draws its own `k`, so the live corpus answers from memoized
@@ -35,6 +35,12 @@
 //! fails (seeds 1002, 1005, 1006, 1019, 1020), 100 × 2 at caps 3 and 8
 //! (seed 1002) and 16 × 1 at caps 2, 3 and 8 (seed 1020).
 //!
+//! A memo is valid while present, so removing it is the one guard against
+//! a stale list. Without the removal in `Corpus::invalidate` (run in
+//! debug), both rebuild matrices and the readers-against-a-writer test
+//! fail; only the jobs-invariance transcript, which compares the corpus
+//! with itself, passes.
+//!
 //! Every corpus read and write is one critical section under the table
 //! guard (`corpus.rs`, "Epochs and consistency"). The readers-against-a-
 //! writer test below holds concurrent answers to it: an answer is a
@@ -61,11 +67,7 @@ fn workload(name: &str, seed: u64) -> Module {
 
 /// Merge-eligible function names of `m`, in defined order.
 fn eligible(m: &Module) -> Vec<String> {
-    m.defined_functions()
-        .into_iter()
-        .filter(|&f| m.function(f).num_linked_insts() > 0)
-        .map(|f| m.function(f).name.clone())
-        .collect()
+    m.merge_eligible().into_iter().map(|f| m.function(f).name.clone()).collect()
 }
 
 /// IR text of `m` with `dst`'s body replaced by `src`'s.

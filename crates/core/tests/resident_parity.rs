@@ -100,12 +100,7 @@ fn empty_snapshot_restores_resident_and_ingests() {
 /// Two merge-eligible, signature-identical members of one generated
 /// family of `m` — a body swap between them keeps the module verifying.
 fn swap_pair(m: &Module) -> (String, String) {
-    let eligible: Vec<_> = m
-        .defined_functions()
-        .into_iter()
-        .map(|f| m.function(f))
-        .filter(|f| f.num_linked_insts() > 0)
-        .collect();
+    let eligible: Vec<_> = m.merge_eligible().into_iter().map(|f| m.function(f)).collect();
     let family = |name: &str| name.rsplit_once('_').map(|(fam, _)| fam.to_string());
     for (i, a) in eligible.iter().enumerate() {
         for b in &eligible[i + 1..] {

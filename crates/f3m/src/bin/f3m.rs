@@ -732,7 +732,13 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
     let (meta, resident) = f3m::fingerprint::ResidentStore::open(p, pager, 0)
         .map_err(|e| format!("{path}: {e}"))?;
     let h = &snap.header;
-    let modules = f3m::core::Corpus::snapshot_sources(p)
+    let params = f3m::fingerprint::MergeParams {
+        k: h.k,
+        lsh: h.lsh,
+        threshold: h.threshold,
+        backend: h.backend,
+    };
+    let corpus = f3m::core::Corpus::load_snapshot(p, f3m::core::CorpusConfig { params, jobs: 1 })
         .map_err(|e| format!("{path}: corpus payload: {e}"))?;
     let l = &meta.layout;
     let bucket_members: usize = snap.buckets.iter().map(|(_, m)| m.len()).sum();
@@ -765,7 +771,7 @@ fn cmd_snapshot(args: &[String]) -> CliResult {
         snap.buckets.len(),
         bucket_members,
         max_bucket,
-        modules.len(),
+        corpus.stats().modules_live,
         l.file_len,
         l.meta_end,
         l.dir_len,

@@ -66,8 +66,8 @@ impl BackendKind {
 
     /// The snapshot tag of a backend that was shipped once and then
     /// retired (ISSUE 23: dominated on every recorded axis). Never
-    /// reassigned, so an old snapshot is refused by name instead of being
-    /// read as some other family's signatures.
+    /// reassigned, so a file written under it is never read as some other
+    /// family's signatures.
     pub const RETIRED_TAG: u8 = 2;
 
     /// A stable one-byte tag for the snapshot header.
@@ -211,10 +211,44 @@ fn projection_bits(feature: u64, chunk: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The `k`-slot SimHash of a sparse feature vector given as `(feature,
+/// weight)` pairs: every feature pushes each of the `8k` projection bits
+/// (its [`projection_bits`] row) up or down by its weight, and the signs
+/// of the sums are packed [`SIMHASH_BITS_PER_SLOT`] per slot. Signed
+/// addition commutes, so the order of the pairs does not matter.
+fn project(k: usize, features: impl IntoIterator<Item = (u64, i64)>) -> Vec<u64> {
+    let bits = k * SIMHASH_BITS_PER_SLOT;
+    let mut acc = vec![0i64; bits];
+    for (feature, w) in features {
+        for chunk in 0..bits.div_ceil(64) {
+            let row = projection_bits(feature, chunk as u64);
+            let lo = chunk * 64;
+            for (i, a) in acc[lo..(lo + 64).min(bits)].iter_mut().enumerate() {
+                if row >> i & 1 == 1 {
+                    *a += w;
+                } else {
+                    *a -= w;
+                }
+            }
+        }
+    }
+    (0..k)
+        .map(|s| {
+            let mut slot = 0u64;
+            for b in 0..SIMHASH_BITS_PER_SLOT {
+                if acc[s * SIMHASH_BITS_PER_SLOT + b] >= 0 {
+                    slot |= 1 << b;
+                }
+            }
+            slot
+        })
+        .collect()
+}
+
 /// SimHash over the opcode-frequency vector. The feature set is the
 /// distinct opcodes of the stream (the high byte of each [encoded
-/// word](crate::encode)), weighted by occurrence count; the projection has
-/// `8k` sign bits, packed 8 per slot.
+/// word](crate::encode)), weighted by occurrence count, [projected](project)
+/// to `8k` sign bits, packed 8 per slot.
 pub struct SimHashBackend {
     k: usize,
 }
@@ -238,43 +272,13 @@ impl FingerprintBackend for SimHashBackend {
     }
 
     fn signature(&self, encoded: &[u32]) -> Vec<u64> {
-        let bits = self.k * SIMHASH_BITS_PER_SLOT;
         // Opcode histogram: feature = high byte of the encoded word.
         let mut counts = [0i64; 256];
         for &w in encoded {
             counts[(w >> 24) as usize] += 1;
         }
-        // Signed accumulation: each present opcode pushes every projection
-        // bit up or down by its count.
-        let mut acc = vec![0i64; bits];
-        for (op, &w) in counts.iter().enumerate() {
-            if w == 0 {
-                continue;
-            }
-            for chunk in 0..bits.div_ceil(64) {
-                let row = projection_bits(op as u64, chunk as u64);
-                let lo = chunk * 64;
-                for (i, a) in acc[lo..(lo + 64).min(bits)].iter_mut().enumerate() {
-                    if row >> i & 1 == 1 {
-                        *a += w;
-                    } else {
-                        *a -= w;
-                    }
-                }
-            }
-        }
-        // Pack sign bits, 8 per slot.
-        (0..self.k)
-            .map(|s| {
-                let mut slot = 0u64;
-                for b in 0..SIMHASH_BITS_PER_SLOT {
-                    if acc[s * SIMHASH_BITS_PER_SLOT + b] >= 0 {
-                        slot |= 1 << b;
-                    }
-                }
-                slot
-            })
-            .collect()
+        let present = counts.iter().enumerate().filter(|&(_, &w)| w != 0);
+        project(self.k, present.map(|(op, &w)| (op as u64, w)))
     }
 }
 
@@ -290,11 +294,9 @@ impl FingerprintBackend for SimHashBackend {
 /// - `0x04`: one log2 length-bucket feature, so very different-sized
 ///   functions separate even when their opcode mix agrees.
 ///
-/// The vector is then projected exactly like SimHash
-/// ([`projection_bits`]), packing [`SIMHASH_BITS_PER_SLOT`] sign bits
-/// per slot — so banding, similarity and storage all work unchanged.
-/// Accumulation over a hash map is order-independent because signed
-/// addition commutes.
+/// The vector is then [projected](project) exactly like SimHash's,
+/// packing [`SIMHASH_BITS_PER_SLOT`] sign bits per slot — so banding,
+/// similarity and storage all work unchanged.
 pub struct EmbedBackend {
     k: usize,
 }
@@ -320,7 +322,6 @@ impl FingerprintBackend for EmbedBackend {
     }
 
     fn signature(&self, encoded: &[u32]) -> Vec<u64> {
-        let bits = self.k * SIMHASH_BITS_PER_SLOT;
         let mut features: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
         let mut prev_op: Option<u64> = None;
         for &w in encoded {
@@ -336,32 +337,7 @@ impl FingerprintBackend for EmbedBackend {
         }
         let len_bucket = (usize::BITS - encoded.len().leading_zeros()) as u64;
         *features.entry(0x04 << 56 | len_bucket).or_insert(0) += EMBED_LEN_WEIGHT;
-
-        let mut acc = vec![0i64; bits];
-        for (&feat, &w) in &features {
-            for chunk in 0..bits.div_ceil(64) {
-                let row = projection_bits(feat, chunk as u64);
-                let lo = chunk * 64;
-                for (i, a) in acc[lo..(lo + 64).min(bits)].iter_mut().enumerate() {
-                    if row >> i & 1 == 1 {
-                        *a += w;
-                    } else {
-                        *a -= w;
-                    }
-                }
-            }
-        }
-        (0..self.k)
-            .map(|s| {
-                let mut slot = 0u64;
-                for b in 0..SIMHASH_BITS_PER_SLOT {
-                    if acc[s * SIMHASH_BITS_PER_SLOT + b] >= 0 {
-                        slot |= 1 << b;
-                    }
-                }
-                slot
-            })
-            .collect()
+        project(self.k, features)
     }
 }
 
@@ -520,6 +496,26 @@ mod tests {
             assert!(equal_bytes(&low(&sa), &low(&sb)) >= equal, "{}", kind.name());
             assert_eq!(signature_similarity(&sa, &sb), equal as f64 / 114.0, "{}", kind.name());
         }
+    }
+
+    /// Every backend's signatures over one Table I module, hashed to one
+    /// digest per backend. The digests were recorded before the two
+    /// sign-bit backends shared [`project`]; a bit that moves fails here.
+    #[test]
+    fn signatures_over_a_table_i_module_are_pinned() {
+        let m = f3m_workloads::build_module(&f3m_workloads::table1()[0]);
+        let streams: Vec<Vec<u32>> = m
+            .defined_functions()
+            .into_iter()
+            .map(|f| crate::encode::encode_function(&m.types, m.function(f)))
+            .collect();
+        assert_eq!(streams.len(), 41);
+        let digests = BackendKind::ALL.map(|kind| {
+            let backend = backend_for(kind, 200);
+            let slots: Vec<u64> = streams.iter().flat_map(|s| backend.signature(s)).collect();
+            fnv1a_u64s(&slots)
+        });
+        assert_eq!(digests, [0x33fc_2490_5ecb_44be, 0x33ea_4fab_38ee_523e, 0xf44c_1b3e_03b5_02ae]);
     }
 
     #[test]

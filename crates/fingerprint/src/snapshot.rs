@@ -8,48 +8,47 @@
 //! no pool read at open at all: the SoA pools are read in per shard, by
 //! positioned reads, as queries touch them.
 //!
-//! ## Wire layout, version 3 (all integers little-endian)
+//! ## Wire layout, version 4 (all integers little-endian)
 //!
-//! Version 3 is version 2's layout. The bump marks what the rows mean:
-//! signatures computed over structural type codes rather than the
-//! arrival-order numbers a v2 file's rows were computed with, which no
-//! index may mix, so a v2 file is refused as [`SnapshotError::BadVersion`].
+//! Rows are signatures computed over structural type codes, which no
+//! index may mix with another encoding's, and the header has no word
+//! that readers ignore: a file of any other version is refused as
+//! [`SnapshotError::BadVersion`] before another byte is read.
 //!
 //! ```text
 //! off  size
 //! ┌──────────────────────────────────────────────────────────────────┐
 //! │   0   8  magic        "F3MSNAP1"                                 │
-//! │   8   4  version      u32 (= 3)                                  │
+//! │   8   4  version      u32 (= 4)                                  │
 //! │  12   1  backend      u8 tag (BackendKind::tag)                  │
 //! │  13   4  k            u32  signature slots per function          │
 //! │  17   4  rows         u32  LSH rows per band                     │
 //! │  21   4  bands        u32  LSH bands (= band keys per function)  │
 //! │  25   8  bucket_cap   u64  (usize::MAX stored as u64::MAX)       │
 //! │  33   8  threshold    f64  (IEEE-754 bits)                       │
-//! │  41   4  reserved     u32  written 1, ignored on load            │
-//! │  45   8  epoch        u64  corpus epoch at save time             │
-//! │  53   8  entries      u64  n = number of function rows           │
-//! │  61   8  payload_len  u64  opaque caller section length          │
-//! │  69   8  dir_len      u64  bucket directory length in bytes      │
-//! │  77   8  meta_fnv     u64  FNV-1a over [0,77) ++ [85,meta_end)   │
-//! │  85   8  pool_fnv     u64  FNV-1a over [meta_end,file_len)       │
+//! │  41   8  epoch        u64  corpus epoch at save time             │
+//! │  49   8  entries      u64  n = number of function rows           │
+//! │  57   8  payload_len  u64  opaque caller section length          │
+//! │  65   8  dir_len      u64  bucket directory length in bytes      │
+//! │  73   8  meta_fnv     u64  FNV-1a over [0,73) ++ [81,meta_end)   │
+//! │  81   8  pool_fnv     u64  FNV-1a over [meta_end,file_len)       │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │  93      bucket directory:  num_buckets u64, then per bucket     │
+//! │  89      bucket directory:  num_buckets u64, then per bucket     │
 //! │            key u32 · len u32 · members len × u32  (keys          │
 //! │            ascending, members ascending fn ids)                  │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │          payload  payload_len bytes (opaque to this layer; the   │
-//! │            corpus stores module sources + entry metadata here)   │
+//! │            corpus stores module sources + per-row module/func)   │
 //! │          …zero padding to pool_start = align8(meta_end)…         │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │          sig pool   n × k u64      (SoA, row-major by fn id)     │
 //! │          key pool   n × bands u32  (SoA, row-major by fn id)     │
 //! └──────────────────────────────────────────────────────────────────┘
-//! meta_end = 93 + dir_len + payload_len
+//! meta_end = 89 + dir_len + payload_len
 //! ```
 //!
-//! Version 2 moves the pools to the *end* of the file, 8-byte aligned,
-//! and splits the v1 whole-file checksum in two. `meta_fnv` seals the
+//! Version 2 moved the pools to the *end* of the file, 8-byte aligned,
+//! and split the v1 whole-file checksum in two. `meta_fnv` seals the
 //! header, directory and payload (everything except its own field) and
 //! is verified on every open; `pool_fnv` seals the padding + pools and
 //! is only verified by the bulk [`decode_snapshot`] path. That split is
@@ -66,13 +65,8 @@
 //! store without per-entry work. The bucket directory is the index's
 //! buckets in key order, installed whole by the loader.
 //!
-//! The word at offset 41 once held the writer's index shard count. The
-//! index is one map now; the word stays in the layout, written as 1 —
-//! readers that still take it for a shard count refuse 0 — and is read by
-//! nobody, so files that hold another count there load unchanged.
-//!
 //! Every decode failure is a typed [`SnapshotError`] — a truncated or
-//! garbled file must degrade to a rebuild, never a panic. Headers are
+//! garbled file must degrade to an empty start, never a panic. Headers are
 //! untrusted: every pre-allocation is capped by the bytes actually
 //! present, so a hostile `entries`/bucket count cannot force a huge
 //! allocation.
@@ -89,14 +83,14 @@ use crate::store::PackedFingerprintStore;
 /// the format version — that lives in the `version` field).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"F3MSNAP1";
 /// Current format version.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Fixed-size header length in bytes (magic through `pool_fnv`).
-pub const SNAPSHOT_HEADER_LEN: usize = 93;
+pub const SNAPSHOT_HEADER_LEN: usize = 89;
 /// Offset of the `meta_fnv` field.
-const META_FNV_OFF: usize = 77;
+const META_FNV_OFF: usize = 73;
 /// Offset of the `pool_fnv` field.
-const POOL_FNV_OFF: usize = 85;
+const POOL_FNV_OFF: usize = 81;
 
 /// Why a snapshot could not be written or read back.
 #[derive(Debug)]
@@ -116,14 +110,6 @@ pub enum SnapshotError {
     /// The snapshot is internally valid but incompatible with the
     /// configuration trying to load it (e.g. different merge params).
     Mismatch(String),
-    /// The snapshot's epoch predates state it claims to contain — the
-    /// caller should fall back to a rebuild.
-    StaleEpoch {
-        /// Epoch recorded in the snapshot header.
-        snapshot: u64,
-        /// Newest epoch stamp found in the snapshot's own entries.
-        newest_entry: u64,
-    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -138,10 +124,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             SnapshotError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
             SnapshotError::Mismatch(what) => write!(f, "snapshot incompatible: {what}"),
-            SnapshotError::StaleEpoch { snapshot, newest_entry } => write!(
-                f,
-                "snapshot stale: header epoch {snapshot} < newest entry epoch {newest_entry}"
-            ),
         }
     }
 }
@@ -326,7 +308,6 @@ pub fn encode_snapshot(
     w.u32(header.lsh.bands as u32);
     w.u64(header.lsh.bucket_cap as u64);
     w.u64(header.threshold.to_bits());
-    w.u32(1); // reserved (module docs)
     w.u64(header.epoch);
     w.u64(header.entries as u64);
     w.u64(payload.len() as u64);
@@ -381,8 +362,9 @@ fn header_meta_end(buf: &[u8]) -> Result<u64, SnapshotError> {
     if !buf.starts_with(SNAPSHOT_MAGIC) {
         return Err(SnapshotError::BadMagic);
     }
-    // Version before checksum: a future format may checksum differently,
-    // so hashing its bytes under v2 rules would mislabel it as corrupt.
+    // Version before checksum: another format may checksum differently,
+    // so hashing its bytes under this version's rules would mislabel it
+    // as corrupt.
     let version = read_u32(buf, 8);
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::BadVersion(version));
@@ -391,8 +373,8 @@ fn header_meta_end(buf: &[u8]) -> Result<u64, SnapshotError> {
         return Err(SnapshotError::Truncated);
     }
     (SNAPSHOT_HEADER_LEN as u64)
-        .checked_add(read_u64(buf, 69))
-        .and_then(|v| v.checked_add(read_u64(buf, 61)))
+        .checked_add(read_u64(buf, 65))
+        .and_then(|v| v.checked_add(read_u64(buf, 57)))
         .ok_or(SnapshotError::Truncated)
 }
 
@@ -408,8 +390,8 @@ fn header_meta_end(buf: &[u8]) -> Result<u64, SnapshotError> {
 /// files (`Truncated`).
 pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, SnapshotError> {
     let meta_end64 = header_meta_end(buf)?;
-    let payload_len64 = read_u64(buf, 61);
-    let dir_len64 = read_u64(buf, 69);
+    let payload_len64 = read_u64(buf, 57);
+    let dir_len64 = read_u64(buf, 65);
     let meta_fnv = read_u64(buf, META_FNV_OFF);
     let pool_fnv = read_u64(buf, POOL_FNV_OFF);
     if meta_end64 > file_len || meta_end64 > buf.len() as u64 {
@@ -423,24 +405,16 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
 
     // From here on the meta region is exactly what was written; any
     // structural failure means the writer lied.
-    let backend = match buf[12] {
-        BackendKind::RETIRED_TAG => {
-            return Err(SnapshotError::Mismatch(
-                "written by a fingerprint backend that has since been retired (tag 2); \
-                 re-ingest its sources under minhash, simhash or embed"
-                    .to_string(),
-            ))
-        }
-        tag => BackendKind::from_tag(tag).ok_or(SnapshotError::Corrupt("unknown backend tag"))?,
-    };
+    let backend =
+        BackendKind::from_tag(buf[12]).ok_or(SnapshotError::Corrupt("unknown backend tag"))?;
     let k = read_u32(buf, 13) as usize;
     let rows = read_u32(buf, 17) as usize;
     let bands = read_u32(buf, 21) as usize;
     let bucket_cap = usize::try_from(read_u64(buf, 25)).unwrap_or(usize::MAX);
     let threshold = f64::from_bits(read_u64(buf, 33));
-    let epoch = read_u64(buf, 45);
+    let epoch = read_u64(buf, 41);
     let entries =
-        usize::try_from(read_u64(buf, 53)).map_err(|_| SnapshotError::Corrupt("entry count"))?;
+        usize::try_from(read_u64(buf, 49)).map_err(|_| SnapshotError::Corrupt("entry count"))?;
     if k == 0 || rows == 0 || bands == 0 {
         return Err(SnapshotError::Corrupt("zero row width"));
     }
@@ -659,8 +633,8 @@ mod tests {
     /// so structural/version checks can be exercised behind a valid
     /// checksum.
     fn reseal_meta(bytes: &mut [u8]) {
-        let payload_len = read_u64(bytes, 61) as usize;
-        let dir_len = read_u64(bytes, 69) as usize;
+        let payload_len = read_u64(bytes, 57) as usize;
+        let dir_len = read_u64(bytes, 65) as usize;
         let meta_end = SNAPSHOT_HEADER_LEN + dir_len + payload_len;
         let sum = fnv1a_seeded(fnv1a(&bytes[..META_FNV_OFF]), &bytes[POOL_FNV_OFF..meta_end]);
         bytes[META_FNV_OFF..META_FNV_OFF + 8].copy_from_slice(&sum.to_le_bytes());
@@ -681,25 +655,6 @@ mod tests {
             encode_snapshot(&snap.header, &snap.store, &snap.buckets, &snap.payload),
             bytes
         );
-    }
-
-    /// The reserved word at offset 41 is written as 1 and read by nobody:
-    /// files carrying another value there — the shard counts older
-    /// writers stored — decode to the same header, store and buckets.
-    #[test]
-    fn the_reserved_word_is_ignored_on_load() {
-        let (header, store, buckets) = build_fixture(12);
-        let clean = encode_snapshot(&header, &store, &buckets, b"payload");
-        assert_eq!(read_u32(&clean, 41), 1);
-        for word in [1u32, 4, 8] {
-            let mut bytes = clean.clone();
-            bytes[41..45].copy_from_slice(&word.to_le_bytes());
-            reseal_meta(&mut bytes);
-            let snap = decode_snapshot(&bytes).expect("any reserved word decodes");
-            assert_eq!(snap.header, header, "word {word}");
-            assert_eq!(snap.store, store, "word {word}");
-            assert_eq!(snap.buckets, buckets, "word {word}");
-        }
     }
 
     #[test]
@@ -837,28 +792,29 @@ mod tests {
         future[8..12].copy_from_slice(&99u32.to_le_bytes());
         reseal_meta(&mut future);
         assert!(matches!(decode_snapshot(&future), Err(SnapshotError::BadVersion(99))));
-        // So is one written before type codes were structural: its rows
-        // were computed under another instruction encoding.
-        let mut arrival_numbered = clean.clone();
-        arrival_numbered[8..12].copy_from_slice(&2u32.to_le_bytes());
-        reseal_meta(&mut arrival_numbered);
-        assert!(matches!(decode_snapshot(&arrival_numbered), Err(SnapshotError::BadVersion(2))));
-        // A checksum-valid file carrying the retired backend's tag is
-        // refused by what it is, an unknown tag as corruption.
-        let mut retired = clean.clone();
-        retired[12] = BackendKind::RETIRED_TAG;
-        reseal_meta(&mut retired);
-        match decode_snapshot(&retired) {
-            Err(SnapshotError::Mismatch(why)) => assert!(why.contains("retired"), "{why}"),
-            other => panic!("tag 2 must be refused as retired, got {:?}", other.map(|_| ())),
+        // So is one written before type codes were structural (v2: its
+        // rows were computed under another instruction encoding), and one
+        // with v3's header, which has a reserved word at offset 41.
+        for old in [2u32, 3] {
+            let mut older = clean.clone();
+            older[8..12].copy_from_slice(&old.to_le_bytes());
+            reseal_meta(&mut older);
+            assert!(
+                matches!(decode_snapshot(&older), Err(SnapshotError::BadVersion(v)) if v == old)
+            );
         }
-        let mut unknown = clean.clone();
-        unknown[12] = 4;
-        reseal_meta(&mut unknown);
-        assert!(matches!(
-            decode_snapshot(&unknown),
-            Err(SnapshotError::Corrupt("unknown backend tag"))
-        ));
+        // A checksum-valid file carrying a tag no backend has — the
+        // retired backend's included, which only v2 files were written
+        // with — is corrupt.
+        for tag in [BackendKind::RETIRED_TAG, 4] {
+            let mut unknown = clean.clone();
+            unknown[12] = tag;
+            reseal_meta(&mut unknown);
+            assert!(matches!(
+                decode_snapshot(&unknown),
+                Err(SnapshotError::Corrupt("unknown backend tag"))
+            ));
+        }
     }
 
     #[test]
@@ -867,13 +823,13 @@ mod tests {
         // check before any pool allocation happens.
         let (header, store, buckets) = build_fixture(6);
         let mut bytes = encode_snapshot(&header, &store, &buckets, b"payload");
-        bytes[53..61].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        bytes[49..57].copy_from_slice(&(1u64 << 40).to_le_bytes());
         reseal_meta(&mut bytes);
         assert!(matches!(decode_snapshot(&bytes), Err(SnapshotError::Truncated)));
         // An entry count whose pool size overflows entirely is Corrupt.
         let (header, store, buckets) = build_fixture(6);
         let mut bytes = encode_snapshot(&header, &store, &buckets, b"payload");
-        bytes[53..61].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[49..57].copy_from_slice(&u64::MAX.to_le_bytes());
         reseal_meta(&mut bytes);
         assert!(matches!(decode_snapshot(&bytes), Err(SnapshotError::Corrupt(_))));
 

@@ -56,13 +56,9 @@ pub fn apply_random(
     None
 }
 
-/// Picks a random function definition with at least one instruction.
+/// Picks a random merge-eligible function definition.
 fn pick_func(m: &Module, rng: &mut SmallRng) -> Option<FuncId> {
-    let cands: Vec<FuncId> = m
-        .defined_functions()
-        .into_iter()
-        .filter(|&f| m.function(f).num_linked_insts() > 0)
-        .collect();
+    let cands = m.merge_eligible();
     if cands.is_empty() {
         return None;
     }

@@ -205,6 +205,16 @@ impl Module {
             .collect()
     }
 
+    /// Ids of the definitions a merge may take part in — those with at
+    /// least one linked instruction — in function order. The one
+    /// eligibility rule of the pass, the corpus and the global planner.
+    pub fn merge_eligible(&self) -> Vec<FuncId> {
+        self.functions()
+            .filter(|(_, f)| !f.is_declaration && f.num_linked_insts() > 0)
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     /// Total number of linked instructions across all definitions.
     pub fn total_insts(&self) -> usize {
         self.funcs.iter().filter(|f| !f.is_declaration).map(|f| f.num_linked_insts()).sum()

@@ -78,7 +78,6 @@ use f3m_core::{GlobalMergePlanner, GlobalPlanConfig};
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::BackendKind;
 use f3m_fingerprint::pager::PagerKind;
-use f3m_fingerprint::snapshot::SnapshotError;
 use f3m_ir::parser::parse_module;
 use f3m_trace::metrics::MetricsRegistry;
 use f3m_trace::stats;
@@ -210,10 +209,10 @@ pub struct ServeConfig {
     /// this long. 0 disables.
     pub idle_timeout_ms: u64,
     /// Index snapshot file: loaded at bind if present (so a restart is
-    /// O(file size) instead of a re-ingest), saved on shutdown. A stale
-    /// snapshot (entry stamps newer than its header epoch) falls back to
-    /// re-ingesting the module sources it carries; an unreadable one
-    /// starts empty.
+    /// O(file size) instead of a re-ingest), saved on shutdown. A file
+    /// that cannot be restored — unreadable, corrupt, another format
+    /// version or other search parameters — starts the daemon empty, and
+    /// the shutdown save replaces it.
     pub snapshot_path: Option<PathBuf>,
     /// Flat-JSON metrics artefact written on shutdown.
     pub metrics_path: Option<PathBuf>,
@@ -243,12 +242,10 @@ impl Default for ServeConfig {
 /// How the resident corpus came to be at bind time.
 #[derive(Clone, Copy, Debug, Default)]
 struct SnapshotStatus {
-    /// Wall-clock of the restore (or the rebuild fallback), in ms.
+    /// Wall-clock of the restore, in ms.
     load_ms: u64,
-    /// The snapshot restored directly (O(load), no re-fingerprinting).
+    /// The snapshot restored (O(load), no re-fingerprinting).
     loaded: bool,
-    /// The snapshot was stale; the corpus was rebuilt from its sources.
-    rebuilt: bool,
     /// Live entries resident right after startup.
     entries: u64,
 }
@@ -856,9 +853,8 @@ fn flush_artifacts(cfg: &ServeConfig, shared: &Shared) {
 }
 
 /// Builds the resident corpus: restored from the configured snapshot
-/// when one is present and trustworthy (through the file-backed resident
-/// store when `resident_budget` is set, a bulk read otherwise), rebuilt from
-/// the snapshot's module sources when its index is stale, empty
+/// when one is present and usable (through the file-backed resident
+/// store when `resident_budget` is set, a bulk read otherwise), empty
 /// otherwise.
 fn open_corpus(cfg: &ServeConfig, corpus_cfg: CorpusConfig) -> (Corpus, SnapshotStatus) {
     let mut status = SnapshotStatus::default();
@@ -890,31 +886,6 @@ fn open_corpus(cfg: &ServeConfig, corpus_cfg: CorpusConfig) -> (Corpus, Snapshot
             );
             (corpus, status)
         }
-        Err(e @ SnapshotError::StaleEpoch { .. }) => {
-            // The packed index cannot be trusted, but the module sources
-            // in the payload still can: re-ingest them from scratch.
-            eprintln!("f3m-serve: snapshot {}: {e}; rebuilding from sources", path.display());
-            let corpus = Corpus::new(corpus_cfg);
-            match Corpus::snapshot_sources(path) {
-                Ok(sources) => {
-                    for (name, src) in sources {
-                        let ingested = parse_module(&src)
-                            .map_err(|err| format!("does not parse: {err}"))
-                            .and_then(|m| corpus.ingest(m).map(|_| ()));
-                        if let Err(err) = ingested {
-                            eprintln!("f3m-serve: rebuild of module `{name}` failed: {err}");
-                        }
-                    }
-                    status.rebuilt = true;
-                    status.load_ms = t0.elapsed().as_millis() as u64;
-                    status.entries = corpus.stats().functions_live as u64;
-                }
-                Err(err) => {
-                    eprintln!("f3m-serve: rebuild failed ({err}); starting empty");
-                }
-            }
-            (corpus, status)
-        }
         Err(e) => {
             eprintln!("f3m-serve: snapshot {} unusable ({e}); starting empty", path.display());
             (Corpus::new(corpus_cfg), status)
@@ -944,12 +915,11 @@ fn render_metrics(shared: &Shared, cfg: &ServeConfig, snapshot_saved: Option<boo
     // (after the memo counters): residency, refusals, connection churn.
     stats::export_section(&mut reg, "serve", CORPUS_STATS, &corpus, 1);
     stats::export_section(&mut reg, "serve", SERVER_COUNTERS, &counters, 1);
-    // Load time is wall-clock; loaded/rebuilt/entries depend on what was
-    // on disk at startup.
+    // Load time is wall-clock; loaded/entries depend on what was on disk
+    // at startup.
     let snap = &shared.snapshot;
     local(&mut reg, "serve.snapshot.load_ms", false, snap.load_ms);
     local(&mut reg, "serve.snapshot.loaded", false, u64::from(snap.loaded));
-    local(&mut reg, "serve.snapshot.rebuilt", false, u64::from(snap.rebuilt));
     local(&mut reg, "serve.snapshot.entries", false, snap.entries);
     local(&mut reg, "serve.snapshot.saved", false, snapshot_saved.map_or(0, u64::from));
     // Index occupancy, then the entries the corpus ever created.

@@ -185,7 +185,6 @@ fn artefacts_flush_after_chaos() {
         "serve.readiness_wakeups count false",
         "serve.snapshot.load_ms count false",
         "serve.snapshot.loaded count false",
-        "serve.snapshot.rebuilt count false",
         "serve.snapshot.entries count false",
         "serve.snapshot.saved count false",
         "serve.index.buckets buckets true",

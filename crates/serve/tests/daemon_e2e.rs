@@ -11,7 +11,6 @@ use std::time::Duration;
 use f3m_core::corpus::combine_modules;
 use f3m_core::rank::LshBackendSearch;
 use f3m_fingerprint::adaptive::MergeParams;
-use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
 use f3m_serve::protocol::{read_frame, render_request, write_frame, Request, RequestEnvelope};
 use f3m_serve::{Client, ServeConfig, Server};
@@ -44,12 +43,8 @@ fn ingest(c: &mut Client, m: &Module) -> Json {
 /// Two merge-eligible members of the same generated family (same
 /// signature, different bodies) — update fodder.
 fn family_pair(m: &Module) -> (String, String) {
-    let eligible: Vec<String> = m
-        .defined_functions()
-        .into_iter()
-        .filter(|&f| m.function(f).num_linked_insts() > 0)
-        .map(|f| m.function(f).name.clone())
-        .collect();
+    let eligible: Vec<String> =
+        m.merge_eligible().into_iter().map(|f| m.function(f).name.clone()).collect();
     for a in &eligible {
         if let Some((fam, "0")) = a.rsplit_once('_') {
             let b = format!("{fam}_1");
@@ -87,11 +82,7 @@ fn ingest_query_evict_merge_over_a_real_socket() {
     // `query` must agree with the offline seam over the combined corpus:
     // same candidates, same similarities, same order.
     let combined = combine_modules(&[&mods[0], &mods[1], &mods[2]]).unwrap();
-    let funcs: Vec<FuncId> = combined
-        .defined_functions()
-        .into_iter()
-        .filter(|&f| combined.function(f).num_linked_insts() > 0)
-        .collect();
+    let funcs = combined.merge_eligible();
     let search = LshBackendSearch::build(&combined, &funcs, MergeParams::static_default(), 1);
     let available = vec![true; funcs.len()];
 

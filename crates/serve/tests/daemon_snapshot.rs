@@ -3,10 +3,9 @@
 //! A daemon configured with `snapshot_path` saves its corpus on shutdown
 //! and reopens it at the next bind. The restarted daemon must answer
 //! queries byte-identically to the one that wrote the snapshot — without
-//! any ingest traffic. Snapshots that cannot be trusted exercise the two
-//! fallbacks: a stale one (entry stamps newer than the header epoch)
-//! rebuilds from the module sources embedded in the payload, a corrupt
-//! one starts empty.
+//! any ingest traffic. A snapshot that cannot be restored — corrupt, or
+//! written in another format version — starts the daemon empty, and its
+//! shutdown replaces the file with one the next life restores.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -93,58 +92,17 @@ fn restarted_daemon_serves_identical_queries_from_snapshot() {
     let _ = std::fs::remove_dir_all(snap.parent().unwrap());
 }
 
-#[test]
-fn stale_snapshot_rebuilds_from_embedded_sources() {
-    let snap = tmp_snap("stale");
-
-    // Craft a stale snapshot offline: header epoch one behind the
-    // entries, exactly what a crashed writer could leave behind.
-    let cfg = || CorpusConfig {
-        jobs: 1,
-        params: f3m_fingerprint::MergeParams::static_default(),
-    };
-    let corpus = Corpus::new(cfg());
-    for (name, seed) in [("st_a", 51u64), ("st_b", 52)] {
-        corpus.ingest(workload(name, seed)).unwrap();
-    }
-    corpus.save_snapshot_stamped(&snap, corpus.epoch() - 1).unwrap();
-
-    // The daemon must come up serving both modules via the source
-    // fallback, with the same candidate sets a direct ingest produces.
-    let (addr, handle) = start(snap.clone());
-    let direct = {
-        let fresh = Corpus::new(cfg());
-        for (name, seed) in [("st_a", 51u64), ("st_b", 52)] {
-            fresh.ingest(workload(name, seed)).unwrap();
-        }
-        let (_, rs) = fresh.query_module("st_a", 3).unwrap();
-        rs
-    };
-    let served = query(addr, "st_a");
-    for r in &direct {
-        for cand in &r.candidates {
-            assert!(
-                served.contains(&cand.func),
-                "rebuilt daemon must rank {} for {}",
-                cand.func,
-                r.func
-            );
-        }
-    }
-    shutdown(addr, handle);
-    let _ = std::fs::remove_dir_all(snap.parent().unwrap());
-}
-
-#[test]
-fn corrupt_snapshot_starts_empty_and_recovers_on_next_save() {
-    let snap = tmp_snap("corrupt");
-    std::fs::write(&snap, b"not a snapshot at all").unwrap();
+/// A snapshot the daemon cannot restore starts it empty: the module it
+/// holds is unknown. It still works as a fresh daemon, and shutdown
+/// replaces the file with a valid snapshot the next life restores.
+fn unusable_snapshot_starts_empty_and_is_replaced(name: &str, contents: &[u8], module: &str) {
+    let snap = tmp_snap(name);
+    std::fs::write(&snap, contents).unwrap();
 
     let (addr, handle) = start(snap.clone());
     let mut c = Client::connect(addr).unwrap();
-    // Empty corpus: the module is unknown.
     let r = c
-        .call(Request::Query { module: "ghost".into(), func: None, k: 3, if_epoch: None })
+        .call(Request::Query { module: module.into(), func: None, k: 3, if_epoch: None })
         .unwrap();
     use f3m_trace::Json;
     assert_eq!(
@@ -153,16 +111,41 @@ fn corrupt_snapshot_starts_empty_and_recovers_on_next_save() {
         "unknown module errors: {r:?}"
     );
 
-    // It still works as a fresh daemon, and shutdown replaces the
-    // garbage file with a valid snapshot.
     let ir = f3m_ir::printer::print_module(&workload("cr_a", 61));
     c.call_expect(Request::Ingest { name: None, ir }, "ingested").unwrap();
     let before = query(addr, "cr_a");
     drop(c);
     shutdown(addr, handle);
+    let saved = std::fs::read(&snap).unwrap();
+    let version = u32::from_le_bytes(saved[8..12].try_into().unwrap());
+    assert_eq!(version, f3m_fingerprint::snapshot::SNAPSHOT_VERSION);
 
     let (addr2, handle2) = start(snap.clone());
     assert_eq!(query(addr2, "cr_a"), before, "next life loads the repaired snapshot");
     shutdown(addr2, handle2);
     let _ = std::fs::remove_dir_all(snap.parent().unwrap());
+}
+
+#[test]
+fn corrupt_snapshot_starts_empty_and_recovers_on_next_save() {
+    unusable_snapshot_starts_empty_and_is_replaced("corrupt", b"not a snapshot at all", "ghost");
+}
+
+/// A file of another format version is refused before anything else in
+/// it is read (a v3 file's header is laid out differently): the daemon
+/// starts empty and writes the current version on shutdown.
+#[test]
+fn older_format_version_starts_empty_and_is_saved_in_the_current_one() {
+    let path = tmp_snap("v3-source");
+    let corpus = Corpus::new(CorpusConfig { jobs: 1, ..CorpusConfig::default() });
+    corpus.ingest(workload("v3_a", 51)).unwrap();
+    corpus.save_snapshot(&path).unwrap();
+    let mut v3 = std::fs::read(&path).unwrap();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    assert!(matches!(
+        f3m_fingerprint::snapshot::decode_snapshot(&v3),
+        Err(f3m_fingerprint::SnapshotError::BadVersion(3))
+    ));
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    unusable_snapshot_starts_empty_and_is_replaced("v3", &v3, "v3_a");
 }

@@ -169,12 +169,8 @@ fn ir_text(m: &Module) -> String {
 /// Two merge-eligible members of the same generated family (same
 /// signature, different bodies) — update fodder.
 fn family_pair(m: &Module) -> (String, String) {
-    let eligible: Vec<String> = m
-        .defined_functions()
-        .into_iter()
-        .filter(|&f| m.function(f).num_linked_insts() > 0)
-        .map(|f| m.function(f).name.clone())
-        .collect();
+    let eligible: Vec<String> =
+        m.merge_eligible().into_iter().map(|f| m.function(f).name.clone()).collect();
     for a in &eligible {
         if let Some((fam, "0")) = a.rsplit_once('_') {
             let b = format!("{fam}_1");

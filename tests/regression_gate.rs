@@ -242,12 +242,8 @@ fn collect_incremental_metrics(reg: &mut MetricsRegistry) {
     // One in-place edit: swap the bodies of a signature-identical
     // family pair of `inc_a`, then sweep again.
     let m = f3m::ir::parser::parse_module(&corpus.module_source("inc_a").unwrap()).unwrap();
-    let eligible: Vec<String> = m
-        .defined_functions()
-        .into_iter()
-        .filter(|&f| m.function(f).num_linked_insts() > 0)
-        .map(|f| m.function(f).name.clone())
-        .collect();
+    let eligible: Vec<String> =
+        m.merge_eligible().into_iter().map(|f| m.function(f).name.clone()).collect();
     let sig = |name: &str| {
         let f = m.function(m.lookup_function(name).unwrap());
         (f.params.clone(), f.ret_ty)
