@@ -2,16 +2,16 @@
 //! alignment-profit gate and the size-checked commit of a planned merge.
 //!
 //! [`Committer::attempt`] is the one place a ranked, aligned pair's fate is
-//! decided, and its [`Verdict`] is all a driver (the per-module pass, the
-//! global planner) needs for its bookkeeping. Past the gate, the merged
+//! decided, and its [`Verdict`] is all the pass needs for its
+//! bookkeeping. Past the gate, the merged
 //! function is laid out but not built until the layout's byte count — an
 //! exact lower bound on what the build would measure — leaves room for a
 //! profit. Committing is the only stage
 //! that mutates the module: the merged function is appended, every call
 //! site of the originals is redirected, and each original is replaced by a
 //! thunk (or dropped to a declaration when module-private and never
-//! address-taken). [`Committer`] owns all of that state so the drivers stay
-//! pure pipelines over immutable queries.
+//! address-taken). [`Committer`] owns all of that state so the pass stays
+//! a pure pipeline over immutable queries.
 
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};

@@ -38,8 +38,9 @@
 //! lexer accepts only `[A-Za-z0-9_.]`. Call sites reference callees
 //! through `FuncId`s, never names, so qualifying is a pure rename
 //! ([`Module::rename_function`]) and instruction encodings — and hence
-//! fingerprints — are unchanged. [`combine_modules`] builds the merged
-//! corpus module the `merge` request runs the full pass over.
+//! fingerprints — are unchanged. [`combine_modules`] builds the combined
+//! corpus module that [`global_merge`](crate::global::global_merge) runs
+//! the pass over.
 //!
 //! ## Epochs and consistency
 //!
@@ -48,7 +49,7 @@
 //! `ingest`, `evict` or `update_function` — installs its entries or row,
 //! applies its index delta, removes the memoized lists it can change and
 //! advances the epoch under a single write guard. A read — a function or
-//! module query, `global_candidates`, `stats`, a snapshot save — reads
+//! module query, the combined module, `stats`, a snapshot save — reads
 //! the epoch and ranks under a single read guard. A reader therefore sees
 //! each mutation whole or not at all, its answer is the answer at the
 //! epoch it returns, and an id found in a bucket is live by construction:
@@ -147,8 +148,12 @@ use f3m_ir::printer::{print_declaration, print_function, print_global, print_mod
 use f3m_ir::types::TypeStore;
 use f3m_trace::stats::{Stat, Value::*};
 
-use crate::pass::{run_pass, MergeReport, PassConfig};
 use crate::rank::{top_k, Kernel, QueryCounters, SimTable};
+
+/// One consistent cut of the live corpus: `(epoch, live modules, module
+/// of each merge-eligible function by qualified name, combined module)`
+/// (see [`Corpus::combined_cut`]).
+pub(crate) type Cut = (u64, usize, HashMap<String, usize>, Module);
 
 /// Configuration of a [`Corpus`].
 #[derive(Clone, Debug)]
@@ -232,21 +237,6 @@ pub struct QueryResult {
     /// probed bucket exceeds the cap, the list depends on the live
     /// functions alone.
     pub candidates: Vec<RankedCandidate>,
-}
-
-/// A corpus-global candidate pair drawn from the index, endpoints
-/// in canonical (lexicographic) order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GlobalPair {
-    /// Lexicographically smaller qualified endpoint.
-    pub a: String,
-    /// Lexicographically larger qualified endpoint.
-    pub b: String,
-    /// Estimated similarity (symmetric, so either endpoint's ranking
-    /// reports the same value).
-    pub similarity: f64,
-    /// Whether the endpoints live in different resident modules.
-    pub cross_module: bool,
 }
 
 /// A point-in-time corpus/index snapshot for `stats` responses.
@@ -953,63 +943,6 @@ impl Corpus {
         })
     }
 
-    /// Corpus-global candidate pairs: every live function's top-`k`
-    /// ranked candidates through the memoized [`QueryCache`] path,
-    /// symmetrized, deduped and ordered by similarity descending then
-    /// qualified names ascending. The resulting list is a pure function
-    /// of the per-function rankings (see [`QueryResult::candidates`]) and
-    /// the merge parameters — identical across rebuilds in latest-ingest
-    /// order — which is what makes the global
-    /// merge plan deterministic. Because the rankings
-    /// run through the memo, a repeat call after a mutation recomputes
-    /// only the invalidated entries (observable via
-    /// `memo_hits`/`memo_misses` in [`CorpusStats`]).
-    ///
-    /// Returns the epoch alongside the pairs; the whole scan runs under
-    /// one table read guard, so the list is the answer at that epoch.
-    pub fn global_candidates(&self, k: usize) -> Result<(u64, Vec<GlobalPair>), String> {
-        let t = self.read_table();
-        let mut module_of: HashMap<&str, usize> = HashMap::new();
-        for (mi, _) in t.live_modules() {
-            for &id in &t.modules[mi].entry_ids {
-                module_of.insert(t.entries[id].qualified.as_str(), mi);
-            }
-        }
-        let mut best: HashMap<(String, String), (f64, bool)> = HashMap::new();
-        self.with_scratch(|scratch| {
-            for (mi, _) in t.live_modules() {
-                for &id in &t.modules[mi].entry_ids {
-                    let res = self.ranked(&t, id, k, scratch);
-                    for cand in &res.candidates {
-                        let (a, b) = if res.func <= cand.func {
-                            (res.func.clone(), cand.func.clone())
-                        } else {
-                            (cand.func.clone(), res.func.clone())
-                        };
-                        let cross = module_of.get(a.as_str()) != module_of.get(b.as_str());
-                        best.entry((a, b)).or_insert((cand.similarity, cross));
-                    }
-                }
-            }
-        });
-        let mut pairs: Vec<GlobalPair> = best
-            .into_iter()
-            .map(|((a, b), (similarity, cross_module))| GlobalPair {
-                a,
-                b,
-                similarity,
-                cross_module,
-            })
-            .collect();
-        pairs.sort_by(|x, y| {
-            y.similarity
-                .total_cmp(&x.similarity)
-                .then_with(|| x.a.cmp(&y.a))
-                .then_with(|| x.b.cmp(&y.b))
-        });
-        Ok((t.epoch, pairs))
-    }
-
     /// Ranks the best `k` candidates of entry `i`: probe the index
     /// into the query's `scratch`, then let the ranking kernel select,
     /// among the candidates at or above the similarity threshold, the
@@ -1118,20 +1051,29 @@ impl Corpus {
     }
 
     /// The combined module over all live modules, in ingest order, with
-    /// every definition under its qualified name (see [`combine_modules`]).
-    pub fn combined_module(&self) -> Result<Module, String> {
-        let t = self.read_table();
-        let live: Vec<&Module> = t.live_modules().map(|(_, body)| body.get()).collect();
-        combine_modules(&live)
+    /// every definition under its qualified name (see [`combine_modules`]),
+    /// and the epoch it is the answer at: one cut under one table read
+    /// guard.
+    pub fn combined_module(&self) -> Result<(u64, Module), String> {
+        let (epoch, _, _, m) = self.combined_cut()?;
+        Ok((epoch, m))
     }
 
-    /// Runs the full merging pass over the combined resident corpus and
-    /// returns the report together with the merged module. The resident
-    /// state is untouched — the pass mutates a freshly combined copy.
-    pub fn merge(&self, config: &PassConfig) -> Result<(MergeReport, Module), String> {
-        let mut m = self.combined_module()?;
-        let report = run_pass(&mut m, config);
-        Ok((report, m))
+    /// [`Corpus::combined_module`] plus, from the same read guard, the
+    /// number of live modules and the live module (by table index) of each
+    /// merge-eligible function, keyed by qualified name — what a
+    /// cross-module merge reports beside its merges.
+    pub(crate) fn combined_cut(&self) -> Result<Cut, String> {
+        let t = self.read_table();
+        let mut module_of = HashMap::new();
+        let mut live = Vec::new();
+        for (mi, body) in t.live_modules() {
+            for &id in &t.modules[mi].entry_ids {
+                module_of.insert(t.entries[id].qualified.clone(), mi);
+            }
+            live.push(body.get());
+        }
+        Ok((t.epoch, live.len(), module_of, combine_modules(&live)?))
     }
 
     /// Persists the live corpus as one contiguous snapshot file: packed
@@ -1500,6 +1442,8 @@ pub fn combine_modules(mods: &[&Module]) -> Result<Module, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::{global_merge, GlobalPlanConfig};
+    use crate::pass::{run_pass, PassConfig};
     use crate::rank::LshBackendSearch;
     use f3m_fingerprint::backend::BackendKind;
 
@@ -1711,7 +1655,8 @@ mod tests {
             assert_eq!(c.query_module(name, 5).unwrap().1, fresh.query_module(name, 5).unwrap().1);
         }
         let merged = |c: &Corpus| {
-            let (report, m) = c.merge(&PassConfig::f3m()).unwrap();
+            let (_, mut m) = c.combined_module().unwrap();
+            let report = run_pass(&mut m, &PassConfig::f3m());
             (report.stats.merges_committed, f3m_ir::printer::print_module(&m))
         };
         assert_eq!(merged(&c), merged(&fresh));
@@ -1734,12 +1679,16 @@ mod tests {
         }
     }
 
+    /// The pass runs over the combined corpus: one cut, answered at the
+    /// epoch it was read at.
     #[test]
     fn merge_runs_over_combined_corpus() {
         let c = corpus();
         c.ingest(workload("alpha", 5)).unwrap();
         c.ingest(workload("beta", 5)).unwrap();
-        let (report, merged) = c.merge(&PassConfig::f3m()).unwrap();
+        let (epoch, mut merged) = c.combined_module().unwrap();
+        assert_eq!(epoch, c.epoch());
+        let report = run_pass(&mut merged, &PassConfig::f3m());
         assert!(report.stats.merges_committed > 0, "twin modules must merge");
         assert!(merged.lookup_function("alpha.__driver").is_some());
         assert!(merged.lookup_function("beta.__driver").is_some());
@@ -1823,7 +1772,7 @@ mod tests {
         assert_eq!(c.stats().memo_misses, miss_before, "all entries warm again");
 
         // The resident module really carries the new body.
-        let combined = c.combined_module().unwrap();
+        let (_, combined) = c.combined_module().unwrap();
         let patched_alpha_body = print_function(
             &combined,
             combined.lookup_function(&format!("alpha.{dst}")).unwrap(),
@@ -1942,7 +1891,9 @@ mod tests {
         assert_eq!(guards(&|| drop(c.ingest(workload("beta", 22)).unwrap())), (0, 1));
         assert_eq!(guards(&|| drop(c.query_module("alpha", 5).unwrap())), (1, 0));
         assert_eq!(guards(&|| drop(c.query_function("alpha", &dst, 5).unwrap())), (1, 0));
-        assert_eq!(guards(&|| drop(c.global_candidates(5).unwrap())), (1, 0));
+        assert_eq!(guards(&|| drop(c.combined_module().unwrap())), (1, 0));
+        let global = || drop(global_merge(&c, &GlobalPlanConfig::default()).unwrap());
+        assert_eq!(guards(&global), (1, 0));
         assert_eq!(guards(&|| { c.stats(); }), (1, 0));
         let path = std::env::temp_dir().join(format!("f3m_corpus_guards_{}", std::process::id()));
         assert_eq!(guards(&|| c.save_snapshot(&path).unwrap()), (1, 0));

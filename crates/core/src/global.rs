@@ -1,33 +1,28 @@
-//! Cross-module global merging: the optimistic two-phase engine over the
-//! resident corpus.
+//! Cross-module global merging: the F3M pass over the combined corpus,
+//! then whole-corpus verification.
 //!
 //! Per-module merging (the classic pass) can only deduplicate functions
 //! that happen to live in the same translation unit. At fleet scale the
 //! big wins sit *across* modules — N build targets each carrying their
-//! own copy of the same helper — which is exactly the shape the corpus's
-//! LSH index already sees globally. Following the optimistic
-//! global function merging recipe, [`GlobalMergePlanner`] runs two
-//! phases:
+//! own copy of the same helper. The corpus's combined module holds every
+//! live definition under its qualified name, so the ordinary pass over it
+//! sees every pair, cross-module ones included. [`global_merge`] is that
+//! pass plus the checks a merged corpus must pass before it is reported:
 //!
-//! 1. **Optimistic phase** — draw candidate pairs from the corpus-global
-//!    index ([`Corpus::global_candidates`]), speculatively align every
-//!    pair in parallel against the pristine combined module, then commit
-//!    greedily in pair-priority order through the same
-//!    [`Committer`] seam the per-module pass uses. Everything the pass
-//!    guarantees (serial commit walk, jobs-count byte-identity) carries
-//!    over.
-//! 2. **Verification phase** — re-check every speculative merge
-//!    globally: a profitability floor over all referencing modules (the
-//!    committed saving already prices call-site rewrites and thunk
-//!    retention corpus-wide), the module verifier, a print→parse
-//!    fixpoint, and an interpreter differential probing each merge's
-//!    thunks and direct callers against the pristine corpus. Losers are
-//!    **rolled back by transactional replay**: they join an excluded-pair
-//!    set and the optimistic phase re-runs from a pristine combined
-//!    module, so an undone merge leaves no ghost state — the final
-//!    corpus is byte-identical to a run that excluded the losers up
-//!    front. The excluded set grows monotonically, so the replay loop
-//!    terminates.
+//! 1. **One cut** — the combined module, its epoch and the module each
+//!    function came from, read under one table read guard
+//!    ([`Corpus::combined_module`] is the same cut without the owners).
+//! 2. **The pass** — [`run_pass`] with [`PassConfig::f3m`] at the
+//!    caller's `jobs`. Its [`Committer`](crate::commit::Committer)
+//!    verifies every merged body and refuses any merge that does not
+//!    shrink the module, so every commit already saves bytes corpus-wide.
+//! 3. **Verification** — the module verifier and a print→parse fixpoint
+//!    over the whole merged corpus, then an interpreter differential
+//!    probing each merge's endpoints and their pristine direct callers
+//!    against the pristine combined module. A failed check fails the
+//!    request with an error naming the check and the implicated pairs:
+//!    nothing is published, the way offline `f3m merge` exits on
+//!    `verification failed`.
 //!
 //! All [`GlobalStats`] counters are deterministic (no wall clock), so
 //! [`GlobalMergeReport::to_json`] doubles as the determinism key for the
@@ -35,24 +30,19 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use f3m_fingerprint::par::par_map_indexed_with;
 use f3m_interp::oracle::observe;
 use f3m_interp::{Limits, Val};
 use f3m_ir::ids::FuncId;
 use f3m_ir::inst::Opcode;
 use f3m_ir::module::Module;
-use f3m_ir::size::module_size;
 use f3m_ir::types::TypeKind;
 use f3m_ir::value::ValueKind;
 use f3m_trace::json::Writer;
 use f3m_trace::stats::{self, Stat, Value::*};
 use f3m_trace::MetricsRegistry;
 
-use crate::align::AlignScratch;
-use crate::block_pairing::{BlockPartsCache, PairPlan};
-use crate::codegen::MergeConfig;
-use crate::commit::{Committer, Verdict};
-use crate::corpus::{Corpus, GlobalPair};
+use crate::corpus::Corpus;
+use crate::pass::{run_pass, PassConfig};
 
 /// Deterministic integer salts for the differential probes. Each probe
 /// calls an entry point with per-parameter values derived from one salt,
@@ -60,46 +50,24 @@ use crate::corpus::{Corpus, GlobalPair};
 /// [`Observation`](f3m_interp::oracle::Observation)s.
 const PROBE_SALTS: [i64; 3] = [0, 7, -9];
 
-/// Configuration of a [`GlobalMergePlanner`] run.
+/// Configuration of a [`global_merge`].
 #[derive(Clone, Debug)]
 pub struct GlobalPlanConfig {
-    /// Code-generation options forwarded to the committer.
-    pub merge: MergeConfig,
-    /// Worker threads for the speculative alignment fan-out. Any value
-    /// produces the same merged module and report.
+    /// Worker threads for the pass. Any value produces the same merged
+    /// module and report.
     pub jobs: usize,
-    /// Candidates drawn per resident function from the global index.
-    pub k: usize,
-    /// Verification-phase profitability floor: a surviving merge must
-    /// save at least this many bytes across all referencing modules.
-    pub min_profit: i64,
     /// Execution limits for the differential probes.
     pub limits: Limits,
-    /// Replay-round safety bound (the excluded set grows every round, so
-    /// the loop converges long before this in practice).
-    pub max_rounds: usize,
-    /// Pairs (qualified names, either order) excluded before the first
-    /// optimistic round — the rollback-soundness test replays a run with
-    /// its losers pre-excluded through this.
-    pub excluded: Vec<(String, String)>,
 }
 
 impl Default for GlobalPlanConfig {
     fn default() -> GlobalPlanConfig {
-        GlobalPlanConfig {
-            merge: MergeConfig::default(),
-            jobs: 1,
-            k: 4,
-            min_profit: 1,
-            limits: Limits::default(),
-            max_rounds: 16,
-            excluded: Vec::new(),
-        }
+        GlobalPlanConfig { jobs: 1, limits: Limits::default() }
     }
 }
 
 impl GlobalPlanConfig {
-    /// Sets the speculative-phase worker-thread count.
+    /// Sets the pass's worker-thread count.
     pub fn with_jobs(mut self, jobs: usize) -> GlobalPlanConfig {
         self.jobs = jobs;
         self
@@ -112,33 +80,22 @@ impl GlobalPlanConfig {
 /// determinism key.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GlobalStats {
-    /// Live resident functions when candidates were drawn.
+    /// Merge-eligible functions in the combined module.
     pub functions: u64,
     /// Live resident modules.
     pub modules: u64,
-    /// Candidate pairs drawn from the global index (after symmetric
-    /// dedup, before exclusion).
-    pub pairs_considered: u64,
-    /// Candidate pairs whose endpoints live in different modules.
-    pub cross_module_pairs: u64,
-    /// Merges committed by the *first* optimistic round — before any
-    /// verification verdicts.
-    pub optimistic_merges: u64,
-    /// Merges surviving the final verification round.
+    /// Merges the pass committed; a report exists only if all of them
+    /// passed verification.
     pub verified_merges: u64,
-    /// Optimistic merges rolled back across all replay rounds.
-    pub rolled_back: u64,
-    /// Optimistic+verification rounds executed (1 = no rollback).
-    pub rounds: u64,
     /// Differential probe comparisons performed.
     pub differential_probes: u64,
     /// Probes skipped because either side hit a resource limit.
     pub differential_skips: u64,
-    /// Bytes saved by the surviving merges, summed corpus-wide.
+    /// Bytes saved by the merges, summed corpus-wide.
     pub global_profit_bytes: u64,
     /// Combined-module size before any merging.
     pub size_before: u64,
-    /// Combined-module size after the surviving merges.
+    /// Combined-module size after the merges.
     pub size_after: u64,
 }
 
@@ -147,12 +104,7 @@ pub struct GlobalStats {
 const GLOBAL_STATS: &[Stat<GlobalStats>] = &[
     Stat::det("functions", "functions", |s| Count(s.functions)),
     Stat::det("modules", "modules", |s| Count(s.modules)),
-    Stat::det("pairs_considered", "pairs", |s| Count(s.pairs_considered)),
-    Stat::det("cross_module_pairs", "pairs", |s| Count(s.cross_module_pairs)),
-    Stat::det("optimistic_merges", "merges", |s| Count(s.optimistic_merges)),
     Stat::det("verified_merges", "merges", |s| Count(s.verified_merges)),
-    Stat::det("rolled_back", "merges", |s| Count(s.rolled_back)),
-    Stat::det("rounds", "rounds", |s| Count(s.rounds)),
     Stat::det("differential_probes", "probes", |s| Count(s.differential_probes)),
     Stat::det("differential_skips", "probes", |s| Count(s.differential_skips)),
     Stat::det("global_profit_bytes", "bytes", |s| Count(s.global_profit_bytes)),
@@ -167,7 +119,7 @@ pub const GLOBAL_STATS_JSON_KEYS: &[&str] =
     &stats::keys::<_, { GLOBAL_STATS.len() }>(GLOBAL_STATS);
 
 impl GlobalStats {
-    /// Fraction of the combined size removed by the surviving merges.
+    /// Fraction of the combined size removed by the merges.
     pub fn size_reduction(&self) -> f64 {
         if self.size_before == 0 {
             0.0
@@ -191,7 +143,7 @@ impl GlobalStats {
     }
 }
 
-/// One surviving merge: the two qualified originals and the bytes the
+/// One committed merge: the two qualified originals and the bytes the
 /// commit saved corpus-wide.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalMergeRecord {
@@ -206,24 +158,20 @@ pub struct GlobalMergeRecord {
     pub cross_module: bool,
 }
 
-/// The result of a [`GlobalMergePlanner`] run.
+/// The result of a [`global_merge`].
 #[derive(Clone, Debug, Default)]
 pub struct GlobalMergeReport {
     /// Deterministic counters.
     pub stats: GlobalStats,
-    /// Surviving merges, in commit order of the final round.
+    /// Committed merges, in the pass's commit order.
     pub merges: Vec<GlobalMergeRecord>,
-    /// Pairs rolled back by verification, in rollback order across
-    /// rounds. Feeding these into [`GlobalPlanConfig::excluded`] and
-    /// re-running reproduces the final module byte-for-byte.
-    pub rolled_back_pairs: Vec<(String, String)>,
 }
 
 impl GlobalMergeReport {
     /// Renders the report as one JSON object: `stats` (exactly
-    /// [`GLOBAL_STATS_JSON_KEYS`]), `merges`, and `rolled_back`. Every
-    /// field is deterministic, so this string is the `global_merge`
-    /// determinism key.
+    /// [`GLOBAL_STATS_JSON_KEYS`]) and `merges`. Every field is
+    /// deterministic, so this string is the `global_merge` determinism
+    /// key.
     pub fn to_json(&self) -> String {
         let mut w = Writer::with_capacity(512 + self.merges.len() * 96);
         stats::write_object(w.begin_object().key("stats"), GLOBAL_STATS, &self.stats);
@@ -231,10 +179,6 @@ impl GlobalMergeReport {
         for rec in &self.merges {
             w.begin_object().key("a").str(&rec.a).key("b").str(&rec.b);
             w.key("saved").raw(rec.saved).key("cross_module").bool(rec.cross_module).end_object();
-        }
-        w.end_array().key("rolled_back").begin_array();
-        for (a, b) in &self.rolled_back_pairs {
-            w.begin_array().str(a).str(b).end_array();
         }
         w.end_array().end_object();
         w.finish()
@@ -246,267 +190,118 @@ impl GlobalMergeReport {
     }
 }
 
-/// A merge committed by one optimistic round, before verification.
-struct Speculative {
-    key: (String, String),
-    saved: i64,
-    cross_module: bool,
-    /// The pair's `FuncId`s in the pristine combined module.
-    f1: FuncId,
-    f2: FuncId,
+/// Merges the live corpus as one module: the F3M pass over the combined
+/// module, then [`verify`]. Returns the report, the merged combined
+/// module and the epoch of the cut it was computed from. The resident
+/// corpus is never mutated — callers decide what to do with the merged
+/// module (and whether a raced epoch supersedes it).
+///
+/// # Errors
+///
+/// The corpus cannot be combined, or a verification check fails; the
+/// message names the check and the implicated pairs.
+pub fn global_merge(
+    corpus: &Corpus,
+    cfg: &GlobalPlanConfig,
+) -> Result<(GlobalMergeReport, Module, u64), String> {
+    let (epoch, modules, module_of, pristine) = corpus.combined_cut()?;
+    let mut merged = pristine.clone();
+    let pass = run_pass(&mut merged, &PassConfig::f3m().with_jobs(cfg.jobs));
+    let merges: Vec<GlobalMergeRecord> = pass
+        .attempts
+        .iter()
+        .filter(|at| at.committed)
+        .map(|at| {
+            let [x, y] = [at.f1, at.f2].map(|f| pristine.function(f).name.clone());
+            let cross_module = module_of.get(&x) != module_of.get(&y);
+            let (a, b) = if x <= y { (x, y) } else { (y, x) };
+            GlobalMergeRecord { a, b, saved: at.size_delta, cross_module }
+        })
+        .collect();
+    let mut stats = GlobalStats {
+        functions: pass.stats.functions as u64,
+        modules: modules as u64,
+        verified_merges: merges.len() as u64,
+        global_profit_bytes: merges.iter().map(|r| r.saved.max(0) as u64).sum(),
+        size_before: pass.stats.size_before,
+        size_after: pass.stats.size_after,
+        ..GlobalStats::default()
+    };
+    verify(&pristine, &merged, &merges, cfg.limits, &mut stats)?;
+    Ok((GlobalMergeReport { stats, merges }, merged, epoch))
 }
 
-/// The two-phase cross-module merge engine. See the module docs for the
-/// phase structure and the rollback rule.
-pub struct GlobalMergePlanner<'c> {
-    corpus: &'c Corpus,
-    cfg: GlobalPlanConfig,
-}
-
-impl<'c> GlobalMergePlanner<'c> {
-    pub fn new(corpus: &'c Corpus, cfg: GlobalPlanConfig) -> GlobalMergePlanner<'c> {
-        GlobalMergePlanner { corpus, cfg }
+/// The checks a merged corpus must pass, in order:
+/// 1. the module verifier over the whole merged corpus,
+/// 2. a print→parse fixpoint of it,
+/// 3. an interpreter differential: each merge's endpoints (through their
+///    thunks, when retained) and every pristine direct caller of an
+///    endpoint are called with [`PROBE_SALTS`] in the pristine and the
+///    merged corpus, and the folded observations must agree.
+///
+/// The first failure is the error. A differential failure names the
+/// probed function and every merge it implicates: those it is an
+/// endpoint of or calls an endpoint of directly.
+fn verify(
+    pristine: &Module,
+    merged: &Module,
+    merges: &[GlobalMergeRecord],
+    limits: Limits,
+    stats: &mut GlobalStats,
+) -> Result<(), String> {
+    if let Err(errs) = f3m_ir::verify::verify_module(merged) {
+        return Err(format!("verification failed: verifier: {}", errs[0]));
+    }
+    let printed = f3m_ir::printer::print_module(merged);
+    if let Err(e) = f3m_ir::parser::check_print_fixpoint(&printed) {
+        return Err(format!("verification failed: print/parse fixpoint: {e}"));
     }
 
-    /// Runs both phases to fixpoint and returns the report, the merged
-    /// combined module, and the epoch the candidate pairs were drawn at.
-    /// The resident corpus is never mutated — callers decide what to do
-    /// with the merged module (and whether a raced epoch supersedes it).
-    pub fn run(&self) -> Result<(GlobalMergeReport, Module, u64), String> {
-        let (epoch, pairs) = self.corpus.global_candidates(self.cfg.k)?;
-        let snapshot = self.corpus.stats();
+    // Probe entry points: each merge's endpoints plus their pristine
+    // direct callers — the functions whose behaviour a commit could have
+    // changed — each with the merges it implicates.
+    let callers = direct_callers(pristine);
+    let mut blame: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (n, rec) in merges.iter().enumerate() {
+        for name in [&rec.a, &rec.b] {
+            blame.entry(name).or_default().insert(n);
+            let Some(f) = pristine.lookup_function(name) else { continue };
+            for &caller in callers.get(&f).into_iter().flatten() {
+                blame.entry(&pristine.function(caller).name).or_default().insert(n);
+            }
+        }
+    }
 
-        let mut report = GlobalMergeReport::default();
-        report.stats.functions = snapshot.functions_live as u64;
-        report.stats.modules = snapshot.modules_live as u64;
-        report.stats.pairs_considered = pairs.len() as u64;
-        report.stats.cross_module_pairs =
-            pairs.iter().filter(|p| p.cross_module).count() as u64;
-
-        let pristine = self.corpus.combined_module()?;
-        report.stats.size_before = module_size(&pristine) as u64;
-
-        let mut excluded: HashSet<(String, String)> =
-            self.cfg.excluded.iter().map(|(a, b)| pair_key(a, b)).collect();
-
-        loop {
-            report.stats.rounds += 1;
-            if report.stats.rounds > self.cfg.max_rounds as u64 {
+    for (&entry, implicated) in &blame {
+        let Some(pf) = pristine.lookup_function(entry) else { continue };
+        // Dropped originals become declarations in the merged module;
+        // their behaviour is covered through their callers.
+        let defined_in_merged =
+            merged.lookup_function(entry).is_some_and(|f| !merged.function(f).is_declaration);
+        if !defined_in_merged {
+            continue;
+        }
+        for salt in PROBE_SALTS {
+            let args = probe_args(pristine, pf, salt);
+            let base = observe(pristine, entry, &args, limits);
+            let obs = observe(merged, entry, &args, limits);
+            let Some(agree) = base.agrees(&obs) else {
+                stats.differential_skips += 1;
+                continue;
+            };
+            stats.differential_probes += 1;
+            if !agree {
+                let pairs: Vec<String> =
+                    implicated.iter().map(|&n| format!("{} + {}", merges[n].a, merges[n].b)).collect();
                 return Err(format!(
-                    "global merge failed to converge after {} rounds",
-                    self.cfg.max_rounds
+                    "verification failed: differential: @{entry}{args:?} observed {base:?} \
+                     before and {obs:?} after merging {}",
+                    pairs.join(", ")
                 ));
             }
-            let mut m = pristine.clone();
-            let committed = self.optimistic_phase(&mut m, &pairs, &excluded)?;
-            if report.stats.rounds == 1 {
-                report.stats.optimistic_merges = committed.len() as u64;
-            }
-            let losers = self.verification_phase(&pristine, &m, &committed, &mut report.stats);
-            if losers.is_empty() {
-                report.stats.verified_merges = committed.len() as u64;
-                report.stats.global_profit_bytes =
-                    committed.iter().map(|s| s.saved.max(0) as u64).sum();
-                report.stats.size_after = module_size(&m) as u64;
-                report.merges = committed
-                    .into_iter()
-                    .map(|s| GlobalMergeRecord {
-                        a: s.key.0,
-                        b: s.key.1,
-                        saved: s.saved,
-                        cross_module: s.cross_module,
-                    })
-                    .collect();
-                return Ok((report, m, epoch));
-            }
-            report.stats.rolled_back += losers.len() as u64;
-            for key in losers {
-                excluded.insert(key.clone());
-                report.rolled_back_pairs.push(key);
-            }
         }
     }
-
-    /// One optimistic round: speculative parallel alignment of every
-    /// non-excluded pair against the pristine `m`, then a serial commit
-    /// walk in pair-priority order. Mirrors the per-module pass's
-    /// speculate/commit split, so the merged module and the returned
-    /// commit list are byte-identical for every `jobs` value.
-    fn optimistic_phase(
-        &self,
-        m: &mut Module,
-        pairs: &[GlobalPair],
-        excluded: &HashSet<(String, String)>,
-    ) -> Result<Vec<Speculative>, String> {
-        let jobs = self.cfg.jobs.max(1);
-        let funcs = m.merge_eligible();
-        let index_of: HashMap<&str, usize> =
-            funcs.iter().enumerate().map(|(i, &f)| (m.function(f).name.as_str(), i)).collect();
-
-        // Resolve pairs to function indexes, dropping excluded pairs and
-        // any endpoint that is no longer merge-eligible in the combined
-        // module (e.g. raced away — the caller re-checks the epoch).
-        let work: Vec<(usize, usize, (String, String), bool)> = pairs
-            .iter()
-            .filter(|p| !excluded.contains(&(p.a.clone(), p.b.clone())))
-            .filter_map(|p| {
-                let i = *index_of.get(p.a.as_str())?;
-                let j = *index_of.get(p.b.as_str())?;
-                Some((i, j, (p.a.clone(), p.b.clone()), p.cross_module))
-            })
-            .collect();
-
-        // Speculative phase: plan every pair against the pristine module
-        // on the worker pool. Read-only, so job count changes wall-clock
-        // time only.
-        let parts = BlockPartsCache::build(m, &funcs, jobs);
-        let m_ro: &Module = m;
-        let plans: Vec<PairPlan> =
-            par_map_indexed_with(work.len(), jobs, AlignScratch::new, |scratch, wi| {
-                let (i, j, _, _) = work[wi];
-                parts.plan(m_ro, &funcs, i, j, scratch).0
-            });
-
-        // Serial commit walk in pair-priority order: the only mutation
-        // point, identical for every job count.
-        let mut committer = Committer::build(m, jobs);
-        let mut available = vec![true; funcs.len()];
-        let mut committed = Vec::new();
-        for ((i, j, key, cross_module), plan) in work.into_iter().zip(plans) {
-            if !available[i] || !available[j] {
-                continue; // an earlier commit consumed an endpoint
-            }
-            let (f1, f2) = (funcs[i], funcs[j]);
-            if let (Verdict::Committed { saved }, _) =
-                committer.attempt(m, f1, f2, &plan, self.cfg.merge)
-            {
-                available[i] = false;
-                available[j] = false;
-                committed.push(Speculative { key, saved, cross_module, f1, f2 });
-            }
-        }
-        Ok(committed)
-    }
-
-    /// The verification phase over one optimistic round: returns the pair
-    /// keys to roll back (empty = the round stands).
-    ///
-    /// Checks, in order:
-    /// 1. profitability — a merge must save at least `min_profit` bytes
-    ///    corpus-wide (the committed delta already prices every rewritten
-    ///    call site and retained thunk),
-    /// 2. the module verifier plus a print→parse fixpoint over the whole
-    ///    merged corpus,
-    /// 3. an interpreter differential: each merge's endpoints (through
-    ///    their thunks, when retained) and every pristine direct caller
-    ///    of an endpoint are probed with [`PROBE_SALTS`] in the pristine
-    ///    and merged corpus, and the folded observations must agree.
-    ///
-    /// A failing probe rolls back every merge it can implicate: the
-    /// merges whose endpoints the probed function calls directly (or is).
-    /// A whole-module failure (verifier, fixpoint) implicates the entire
-    /// round — conservative, sound, and still convergent.
-    fn verification_phase(
-        &self,
-        pristine: &Module,
-        merged: &Module,
-        committed: &[Speculative],
-        stats: &mut GlobalStats,
-    ) -> Vec<(String, String)> {
-        if committed.is_empty() {
-            return Vec::new();
-        }
-        let mut losers: BTreeSet<(String, String)> = BTreeSet::new();
-
-        // 1. Global profitability floor.
-        for s in committed {
-            if s.saved < self.cfg.min_profit {
-                losers.insert(s.key.clone());
-            }
-        }
-
-        // 2. Whole-module verifier + print→parse fixpoint. `try_commit`
-        // verifies each merged function already, so a failure here means
-        // a cross-merge interaction — attribute it to the whole round.
-        let all_keys = || committed.iter().map(|s| s.key.clone()).collect::<Vec<_>>();
-        if f3m_ir::verify::verify_module(merged).is_err() {
-            return all_keys();
-        }
-        let printed = f3m_ir::printer::print_module(merged);
-        if f3m_ir::parser::check_print_fixpoint(&printed).is_err() {
-            return all_keys();
-        }
-
-        // 3. Interpreter differential. Probe entry points: each merge's
-        // endpoints plus their pristine direct callers — the functions
-        // whose behaviour the commit could have changed. `blame` maps an
-        // entry point back to the merges it can implicate.
-        let callers = direct_callers(pristine);
-        let endpoint_of: HashMap<&str, usize> = committed
-            .iter()
-            .enumerate()
-            .flat_map(|(n, s)| [(s.key.0.as_str(), n), (s.key.1.as_str(), n)])
-            .collect();
-        let mut blame: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
-        for (n, s) in committed.iter().enumerate() {
-            for &f in &[s.f1, s.f2] {
-                let name = &pristine.function(f).name;
-                blame.entry(name.clone()).or_default().insert(n);
-                for caller in callers.get(&f).into_iter().flatten() {
-                    let caller_name = pristine.function(*caller).name.clone();
-                    let mut implicated: BTreeSet<usize> = BTreeSet::new();
-                    implicated.insert(n);
-                    // The caller may reach endpoints of other merges too.
-                    if let Some(&other) = endpoint_of.get(caller_name.as_str()) {
-                        implicated.insert(other);
-                    }
-                    blame.entry(caller_name).or_default().extend(implicated);
-                }
-            }
-        }
-
-        for (entry, implicated) in &blame {
-            if implicated.iter().all(|&n| losers.contains(&committed[n].key)) {
-                continue; // every implicated merge is already rolled back
-            }
-            let Some(pf) = pristine.lookup_function(entry) else { continue };
-            // Dropped originals become declarations in the merged module;
-            // their behaviour is covered through their callers.
-            let defined_in_merged = merged
-                .lookup_function(entry)
-                .is_some_and(|f| !merged.function(f).is_declaration);
-            if !defined_in_merged {
-                continue;
-            }
-            for salt in PROBE_SALTS {
-                let args = probe_args(pristine, pf, salt);
-                let base = observe(pristine, entry, &args, self.cfg.limits);
-                let obs = observe(merged, entry, &args, self.cfg.limits);
-                let Some(agree) = base.agrees(&obs) else {
-                    stats.differential_skips += 1;
-                    continue;
-                };
-                stats.differential_probes += 1;
-                if !agree {
-                    for &n in implicated {
-                        losers.insert(committed[n].key.clone());
-                    }
-                    break;
-                }
-            }
-        }
-
-        losers.into_iter().collect()
-    }
-}
-
-/// Normalizes a pair to its canonical `(min, max)` name order.
-pub fn pair_key(a: &str, b: &str) -> (String, String) {
-    if a <= b {
-        (a.to_string(), b.to_string())
-    } else {
-        (b.to_string(), a.to_string())
-    }
+    Ok(())
 }
 
 /// Deterministic per-parameter probe values for one salt.
@@ -554,6 +349,8 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusConfig;
     use f3m_interp::oracle::Observation;
+    use f3m_ir::parser::parse_module;
+    use f3m_ir::printer::print_module;
     use f3m_workloads::WorkloadSpec;
 
     fn workload(name: &str, seed: u64, functions: usize) -> Module {
@@ -573,20 +370,24 @@ mod tests {
         c
     }
 
+    /// `global_merge` at the default configuration.
+    fn merge_default(c: &Corpus) -> (GlobalMergeReport, Module) {
+        let (report, merged, _) = global_merge(c, &GlobalPlanConfig::default()).unwrap();
+        (report, merged)
+    }
+
     /// Two modules generated from the same seed are function-for-function
-    /// twins across the module boundary: global merging must find
-    /// cross-module pairs and commit verified merges.
+    /// twins across the module boundary: global merging must commit
+    /// verified merges, some of them across the boundary.
     #[test]
     fn global_merge_finds_cross_module_twins() {
         let mods = [workload("m0", 41, 18), workload("m1", 41, 18)];
         let c = corpus_of(&mods);
-        let planner = GlobalMergePlanner::new(&c, GlobalPlanConfig::default());
-        let (report, merged, _) = planner.run().unwrap();
-        assert!(report.stats.cross_module_pairs > 0, "twins must collide in the index");
+        let (report, merged) = merge_default(&c);
         assert!(report.stats.verified_merges > 0, "twins must merge");
         assert!(
             report.merges.iter().any(|r| r.cross_module),
-            "at least one surviving merge must cross the module boundary"
+            "at least one merge must cross the module boundary"
         );
         assert!(report.stats.size_after < report.stats.size_before);
         f3m_ir::verify::verify_module(&merged).unwrap();
@@ -594,13 +395,16 @@ mod tests {
             report.stats.global_profit_bytes,
             report.merges.iter().map(|r| r.saved.max(0) as u64).sum::<u64>()
         );
+        let live = c.stats();
+        assert_eq!(report.stats.functions, live.functions_live as u64);
+        assert_eq!(report.stats.modules, live.modules_live as u64);
     }
 
     /// The economics of going global: a per-module pass cannot see a twin
     /// that lives in another module, so over three modules of which two
-    /// share a seed the global plan saves strictly more bytes than the sum
-    /// of the ordinary F3M pass over each — and on the same split of the
-    /// scaled Table I `chrome-scale` spec, whose families mostly fold
+    /// share a seed the global merge saves strictly more bytes than the
+    /// sum of the ordinary F3M pass over each — and on the same split of
+    /// the scaled Table I `chrome-scale` spec, whose families mostly fold
     /// inside a module already, never fewer.
     #[test]
     fn global_plan_saves_more_than_per_module_passes() {
@@ -619,15 +423,11 @@ mod tests {
             let per_module: u64 = mods
                 .iter()
                 .map(|m| {
-                    let stats = crate::run_pass(&mut m.clone(), &crate::PassConfig::f3m()).stats;
+                    let stats = run_pass(&mut m.clone(), &PassConfig::f3m()).stats;
                     stats.size_before - stats.size_after
                 })
                 .sum();
-            // Each function competes for draws with its in-module family
-            // and its cross-module twins: `k` grows with the module count.
-            let cfg = GlobalPlanConfig { k: 10, ..GlobalPlanConfig::default() };
-            let corpus = corpus_of(&mods);
-            let (report, merged, _) = GlobalMergePlanner::new(&corpus, cfg).run().unwrap();
+            let (report, merged) = merge_default(&corpus_of(&mods));
             f3m_ir::verify::verify_module(&merged).unwrap();
             let global = report.stats.size_before - report.stats.size_after;
             assert!(
@@ -639,8 +439,7 @@ mod tests {
     }
 
     /// The merged module and the full report are byte-identical for any
-    /// jobs value (the speculative phase is read-only; commits are a
-    /// serial walk).
+    /// jobs value, because the pass's merged module is.
     #[test]
     fn global_merge_is_jobs_invariant() {
         let mods = [workload("m0", 51, 16), workload("m1", 51, 16), workload("m2", 77, 12)];
@@ -648,8 +447,8 @@ mod tests {
         let mut renders = Vec::new();
         for jobs in [1, 2, 8] {
             let cfg = GlobalPlanConfig::default().with_jobs(jobs);
-            let (report, merged, _) = GlobalMergePlanner::new(&c, cfg).run().unwrap();
-            renders.push((report.to_json(), f3m_ir::printer::print_module(&merged)));
+            let (report, merged, _) = global_merge(&c, &cfg).unwrap();
+            renders.push((report.to_json(), print_module(&merged)));
         }
         assert_eq!(renders[0], renders[1], "jobs 1 vs 2");
         assert_eq!(renders[0], renders[2], "jobs 1 vs 8");
@@ -661,75 +460,19 @@ mod tests {
         let mods = [workload("m0", 63, 14), workload("m1", 63, 14)];
         let c = corpus_of(&mods);
         let run = || {
-            let (report, merged, _) =
-                GlobalMergePlanner::new(&c, GlobalPlanConfig::default()).run().unwrap();
-            (report.to_json(), f3m_ir::printer::print_module(&merged))
+            let (report, merged) = merge_default(&c);
+            (report.to_json(), print_module(&merged))
         };
         assert_eq!(run(), run());
     }
 
-    /// An unreachable profitability floor rolls everything back and the
-    /// replay converges to the pristine module.
-    #[test]
-    fn verification_floor_rolls_back_to_pristine() {
-        let mods = [workload("m0", 41, 14), workload("m1", 41, 14)];
-        let c = corpus_of(&mods);
-        let cfg = GlobalPlanConfig { min_profit: i64::MAX, ..GlobalPlanConfig::default() };
-        let (report, merged, _) = GlobalMergePlanner::new(&c, cfg).run().unwrap();
-        assert_eq!(report.stats.verified_merges, 0);
-        assert!(report.stats.rolled_back > 0, "the optimistic merges must be rolled back");
-        assert!(report.stats.rounds > 1);
-        let pristine = c.combined_module().unwrap();
-        assert_eq!(
-            f3m_ir::printer::print_module(&merged),
-            f3m_ir::printer::print_module(&pristine),
-            "full rollback must leave no ghost state"
-        );
-        assert_eq!(report.stats.size_before, report.stats.size_after);
+    /// A module `name` holding the one definition `body`; the tests below
+    /// ingest it twice, as `m0` and `m1`, to get a twin pair.
+    fn twin(name: &str, body: &str) -> Module {
+        parse_module(&format!("module \"{name}\" {{\n{body}}}\n")).unwrap()
     }
 
-    /// Verification-phase rollback is sound: replaying the run with the
-    /// rolled-back pairs excluded up front converges in one round to the
-    /// byte-identical merged module — the losers leave no ghost state.
-    #[test]
-    fn rollback_replay_matches_upfront_exclusion() {
-        let mods = [workload("m0", 41, 16), workload("m1", 41, 16)];
-        let c = corpus_of(&mods);
-        // Probe the profit distribution, then set the floor at its top
-        // so some merges survive verification and the rest roll back.
-        let (probe, _, _) =
-            GlobalMergePlanner::new(&c, GlobalPlanConfig::default()).run().unwrap();
-        let max = probe.merges.iter().map(|r| r.saved).max().expect("twins must merge");
-        let min = probe.merges.iter().map(|r| r.saved).min().unwrap();
-        assert!(min < max, "workload must produce a profit spread");
-        let cfg = GlobalPlanConfig { min_profit: max, ..GlobalPlanConfig::default() };
-        let (a, merged_a, _) = GlobalMergePlanner::new(&c, cfg.clone()).run().unwrap();
-        assert!(a.stats.verified_merges > 0, "the floor must keep the top merges");
-        assert!(a.stats.rolled_back > 0, "the floor must roll back the rest");
-        assert!(a.stats.rounds > 1);
-
-        let replay = GlobalPlanConfig { excluded: a.rolled_back_pairs.clone(), ..cfg };
-        let (b, merged_b, _) = GlobalMergePlanner::new(&c, replay).run().unwrap();
-        assert_eq!(b.stats.rolled_back, 0, "pre-excluded losers cannot roll back again");
-        assert_eq!(b.stats.rounds, 1, "upfront exclusion must converge immediately");
-        assert_eq!(a.merges, b.merges, "surviving merges must be identical");
-        assert_eq!(
-            f3m_ir::printer::print_module(&merged_a),
-            f3m_ir::printer::print_module(&merged_b),
-            "rollback must be equivalent to never having tried the losers"
-        );
-    }
-
-    /// Twins whose probes return NaN agree with themselves: the observation
-    /// comparison is bit-for-bit, so verification must not roll the merge
-    /// back as a differential mismatch.
-    #[test]
-    fn nan_returning_twins_survive_verification() {
-        let twin = |name: &str| {
-            f3m_ir::parser::parse_module(&format!(
-                r#"
-module "{name}" {{
-define @nan(f64 %0) -> f64 {{
+    const NAN_BODY: &str = "define @nan(f64 %0) -> f64 {
 bb0:
   %1 = fmul f64 %0, %0
   %2 = fadd f64 %1, %0
@@ -740,45 +483,85 @@ bb0:
   %7 = fsub f64 %6, %6
   %8 = fdiv f64 %7, %7
   ret f64 %8
-}}
-}}
-"#
-            ))
-            .unwrap()
-        };
-        let c = corpus_of(&[twin("m0"), twin("m1")]);
-        let pristine = c.combined_module().unwrap();
+}
+";
+
+    /// Straight-line integer code whose result moves with its last
+    /// constant, `1000`.
+    const INT_BODY: &str = "define @f(i32 %0) -> i32 {
+bb0:
+  %1 = mul i32 %0, 3
+  %2 = add i32 %1, 7
+  %3 = xor i32 %2, %0
+  %4 = mul i32 %3, 5
+  %5 = sub i32 %4, %1
+  %6 = add i32 %5, %2
+  %7 = mul i32 %6, 11
+  %8 = xor i32 %7, %3
+  %9 = sub i32 %8, %4
+  %10 = add i32 %9, 1000
+  ret i32 %10
+}
+";
+
+    /// Twins whose probes return NaN agree with themselves: the observation
+    /// comparison is bit-for-bit, so verification must not fail the merge
+    /// as a differential mismatch.
+    #[test]
+    fn nan_returning_twins_survive_verification() {
+        let c = corpus_of(&[twin("m0", NAN_BODY), twin("m1", NAN_BODY)]);
+        let (_, pristine) = c.combined_module().unwrap();
         let probe = observe(&pristine, "m0.nan", &[Val::Float(3.5)], Limits::default());
         assert!(
             matches!(probe, Observation::Completed { ret: Some(Val::Float(x)), .. } if x.is_nan()),
             "the fixture must return NaN: {probe:?}"
         );
-        let (report, merged, _) =
-            GlobalMergePlanner::new(&c, GlobalPlanConfig::default()).run().unwrap();
-        assert_eq!(report.stats.optimistic_merges, 1, "the twins must merge");
+        let (report, merged) = merge_default(&c);
+        assert_eq!(report.stats.verified_merges, 1, "the twins must merge and verify");
         assert!(report.stats.differential_probes > 0, "the merge must have been probed");
-        assert_eq!(report.stats.rolled_back, 0, "NaN == NaN bit-for-bit is not a mismatch");
-        assert_eq!(report.stats.verified_merges, 1);
         f3m_ir::verify::verify_module(&merged).unwrap();
     }
 
-    /// The corpus-global candidate pull feeding the planner is memoized:
-    /// a warm pull recomputes nothing, and after `update_function` only
-    /// the entries whose memoized list the edit could change are
-    /// re-ranked — a subsequent global merge re-verifies only plans whose
-    /// candidate lists intersect that set.
+    /// Verification is fail-stop: a merged corpus that breaks a check is
+    /// an error naming the check — and, for the differential, the pair
+    /// whose merged body changed behaviour — never a report.
     #[test]
-    fn global_candidates_recompute_only_what_an_update_invalidates() {
+    fn verification_fails_stop_naming_the_check() {
+        let c = corpus_of(&[twin("m0", INT_BODY), twin("m1", INT_BODY)]);
+        let (report, merged) = merge_default(&c);
+        assert_eq!(report.merges.len(), 1, "the twins must merge");
+        let (_, pristine) = c.combined_module().unwrap();
+        let check = |m: &Module| {
+            verify(&pristine, m, &report.merges, Limits::default(), &mut GlobalStats::default())
+        };
+        check(&merged).unwrap();
+
+        // One constant of the merged body changed: the module still
+        // verifies and round-trips, so only the differential can see it.
+        let text = print_module(&merged);
+        let at = text.find("define @__merged").expect("the pass appends a merged body");
+        let tampered = format!("{}{}", &text[..at], text[at..].replacen(", 1000", ", 1001", 1));
+        assert_ne!(tampered, text, "the merged body carries the constant");
+        let err = check(&parse_module(&tampered).unwrap()).unwrap_err();
+        assert!(err.contains("differential"), "{err}");
+        assert!(err.contains("m0.f + m1.f"), "{err}");
+
+        // A block without its terminator fails the verifier.
+        let unverified = f3m_ir::parser::parse_module_unverified(
+            "module \"corpus\" {\ndefine @m0.f(i32 %0) -> i32 {\nbb0:\n  %1 = add i32 %0, 1\n}\n}\n",
+        )
+        .unwrap();
+        let err = check(&unverified).unwrap_err();
+        assert!(err.contains("verifier"), "{err}");
+    }
+
+    /// A `global_merge` after an `update_function` touch answers at the
+    /// touch's epoch, and exactly what a fresh corpus over the same
+    /// modules answers.
+    #[test]
+    fn global_merge_after_a_touch_matches_a_fresh_corpus() {
         let mods = [workload("m0", 41, 14), workload("m1", 41, 14)];
         let c = corpus_of(&mods);
-        let (_, cold) = c.global_candidates(4).unwrap();
-        let miss_warmed = c.stats().memo_misses;
-        let (_, warm) = c.global_candidates(4).unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(c.stats().memo_misses, miss_warmed, "warm global pull recomputes nothing");
-
-        // Touch one function: semantically a no-op, but it dirties itself
-        // and whichever lists it could have moved in.
         let touched = mods[0]
             .merge_eligible()
             .into_iter()
@@ -786,32 +569,11 @@ bb0:
             .find(|n| n != "__driver")
             .unwrap();
         let up = c.update_function("m0", &touched, None).unwrap();
-        let miss_before = c.stats().memo_misses;
-        let (epoch, after) = c.global_candidates(4).unwrap();
+        let (report, merged, epoch) = global_merge(&c, &GlobalPlanConfig::default()).unwrap();
         assert_eq!(epoch, up.epoch);
-        assert_eq!(after, warm, "a touch must not change the candidate plan");
-        let recomputed = c.stats().memo_misses - miss_before;
-        assert_eq!(
-            recomputed, up.funcs_invalidated,
-            "only the invalidated entries are re-ranked"
-        );
-        assert!(
-            recomputed < c.stats().functions_live as u64,
-            "a touch must not flush the whole memo"
-        );
-
-        // The post-update plan is exactly what a cold corpus over the
-        // same modules produces — memo reuse can't perturb the merge.
-        let (report, merged, _) =
-            GlobalMergePlanner::new(&c, GlobalPlanConfig::default()).run().unwrap();
-        let fresh = corpus_of(&mods);
-        let (fresh_report, fresh_merged, _) =
-            GlobalMergePlanner::new(&fresh, GlobalPlanConfig::default()).run().unwrap();
+        let (fresh_report, fresh_merged) = merge_default(&corpus_of(&mods));
         assert_eq!(report.to_json(), fresh_report.to_json());
-        assert_eq!(
-            f3m_ir::printer::print_module(&merged),
-            f3m_ir::printer::print_module(&fresh_merged)
-        );
+        assert_eq!(print_module(&merged), print_module(&fresh_merged));
     }
 
     /// `GlobalStats::to_json`, `GLOBAL_STATS_JSON_KEYS` and
@@ -820,15 +582,10 @@ bb0:
     /// contract test).
     #[test]
     fn global_stats_json_emits_exactly_the_documented_key_set() {
-        const GOLDEN_KEYS: [&str; 14] = [
+        const GOLDEN_KEYS: [&str; 9] = [
             "functions",
             "modules",
-            "pairs_considered",
-            "cross_module_pairs",
-            "optimistic_merges",
             "verified_merges",
-            "rolled_back",
-            "rounds",
             "differential_probes",
             "differential_skips",
             "global_profit_bytes",
@@ -849,7 +606,7 @@ bb0:
         stats.export_metrics(&mut reg, "global");
         let snaps = reg.snapshots();
         let names: Vec<&str> = snaps.iter().map(|s| &s.name["global.".len()..]).collect();
-        assert_eq!(names, GOLDEN_KEYS[..13]);
+        assert_eq!(names, GOLDEN_KEYS[..8]);
         assert!(snaps.iter().all(|s| s.deterministic));
     }
 }

@@ -18,6 +18,8 @@
 //!   HyFM / F3M-static / F3M-adaptive strategies,
 //! - [`corpus`] — the resident multi-module corpus with incremental
 //!   (epoch-versioned) indexing behind the `f3m-serve` daemon,
+//! - [`global`] — cross-module merging: the pass over the combined corpus
+//!   plus whole-corpus verification,
 //! - [`analysis`] — exhaustive pairwise metrics behind Figures 4/6/10.
 //!
 //! # Examples
@@ -79,9 +81,9 @@ pub mod rank;
 pub mod report;
 
 pub use codegen::{MergeConfig, MergeError, RepairMode};
-pub use corpus::{combine_modules, Corpus, CorpusConfig, CorpusStats, GlobalPair, QueryResult};
+pub use corpus::{combine_modules, Corpus, CorpusConfig, CorpusStats, QueryResult};
 pub use global::{
-    GlobalMergePlanner, GlobalMergeReport, GlobalPlanConfig, GlobalStats, GLOBAL_STATS_JSON_KEYS,
+    global_merge, GlobalMergeReport, GlobalPlanConfig, GlobalStats, GLOBAL_STATS_JSON_KEYS,
 };
 pub use pass::{run_pass, run_pass_traced, MergeReport, MergeStats, PassConfig, Strategy};
 pub use profile::Profile;

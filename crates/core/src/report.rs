@@ -238,20 +238,6 @@ pub struct MergeReport {
 pub const LSH_OCCUPANCY_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
 impl MergeReport {
-    /// Zeroes every wall-clock field (stage durations and per-attempt
-    /// times), leaving only deterministic work counts. The serve daemon
-    /// strips reports before rendering `merge` responses so the bytes on
-    /// the wire are identical for any `--jobs` setting and machine speed.
-    pub fn strip_wall_clock(&mut self) {
-        self.stats.preprocess = Duration::ZERO;
-        self.stats.rank = StageTime::default();
-        self.stats.align = StageTime::default();
-        self.stats.codegen = StageTime::default();
-        for a in &mut self.attempts {
-            a.time = Duration::ZERO;
-        }
-    }
-
     /// Registers and populates all metrics of this report under
     /// `<prefix>.`: every [`MergeStats`] field plus the LSH bucket
     /// occupancy histogram.
@@ -331,40 +317,6 @@ mod tests {
         }
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn strip_wall_clock_zeroes_every_duration() {
-        let mut report = MergeReport::default();
-        report.stats.preprocess = Duration::from_nanos(1500);
-        report.stats.rank =
-            StageTime { success: Duration::from_nanos(10), fail: Duration::from_nanos(20) };
-        report.stats.align =
-            StageTime { success: Duration::from_nanos(30), fail: Duration::from_nanos(40) };
-        report.stats.codegen =
-            StageTime { success: Duration::from_nanos(50), fail: Duration::from_nanos(60) };
-        report.stats.merges_committed = 1;
-        report.attempts.push(AttemptRecord {
-            f1: FuncId::from_index(0),
-            f2: FuncId::from_index(1),
-            similarity: 0.9,
-            align_ratio: 0.8,
-            committed: true,
-            size_delta: 7,
-            time: Duration::from_nanos(900),
-        });
-        let mut twin = report.clone();
-        twin.stats.preprocess = Duration::from_nanos(999_999);
-        twin.attempts[0].time = Duration::from_nanos(123_456);
-        report.strip_wall_clock();
-        twin.strip_wall_clock();
-        assert_eq!(report.stats.total_time(), Duration::ZERO);
-        assert_eq!(report.attempts[0].time, Duration::ZERO);
-        // Two runs that differ only in timing render byte-identically.
-        assert_eq!(report.to_json(), twin.to_json());
-        assert!(report.to_json().contains("\"preprocess_ns\":0"));
-        // Work counts survive.
-        assert!(report.to_json().contains("\"merges_committed\":1"));
     }
 
     /// The documented key set, spelled out: a row added to (or dropped

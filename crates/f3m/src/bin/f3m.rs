@@ -33,8 +33,8 @@ merge <input.ir> [-o out.ir] [--strategy hyfm|f3m|f3m-adaptive]
        [--threshold t] [--bands b] [--rows r] [-k k] [--bucket-cap c]
        [--jobs n] [--report json] [--dce]
        [--trace chrome:path] [--metrics path]
-merge --global <a.ir> <b.ir> ... [-o out.ir] [--jobs n] [-k k]
-       [--min-profit bytes] [--report json] [--metrics path]
+merge --global <a.ir> <b.ir> ... [-o out.ir] [--jobs n]
+       [--report json] [--metrics path]
 stats <input.ir>
 run   <input.ir> <function> [int args...]
 run   [--workload name] [--scale f] [--strategy s] [--jobs n]
@@ -53,7 +53,6 @@ client [--addr host:port] ingest <file.ir> [--name n]
 client [--addr host:port] evict <module>
 client [--addr host:port] query <module> [--func f] [-k n] [--if-epoch e]
 client [--addr host:port] update <module> <func> [patch.ir]
-client [--addr host:port] merge [--strategy hyfm|f3m|f3m-adaptive] [--jobs n]
 client [--addr host:port] global-merge [--jobs n] [--if-epoch e]
 client [--addr host:port] stats|ping|shutdown
 snapshot [describe] <file>
@@ -329,14 +328,11 @@ fn cmd_merge(args: &[String]) -> CliResult {
 }
 
 /// `merge --global`: ingest every input module into a fresh resident
-/// corpus and run the two-phase cross-module planner — optimistic merges
-/// from the corpus-global index, then global verification with rollback.
+/// corpus and merge it across module boundaries — the F3M pass over the
+/// combined corpus, then the verifier, the print/parse fixpoint and the
+/// interpreter differential. A failed check exits 1 naming it.
 fn cmd_merge_global(args: &[String]) -> CliResult {
-    let a = split_args(
-        args,
-        &["-o", "--jobs", "-k", "--min-profit", "--report", "--metrics"],
-        &["--global"],
-    )?;
+    let a = split_args(args, &["-o", "--jobs", "--report", "--metrics"], &["--global"])?;
     let inputs = &a.positional;
     if inputs.is_empty() {
         return Err("merge --global needs at least one input file".into());
@@ -353,33 +349,20 @@ fn cmd_merge_global(args: &[String]) -> CliResult {
         corpus.ingest(m).map_err(|e| format!("{path}: {e}"))?;
     }
 
-    let mut cfg = f3m::core::GlobalPlanConfig::default().with_jobs(jobs);
-    if let Some(k) = a.value("-k") {
-        cfg.k = k.parse()?;
-    }
-    if let Some(p) = a.value("--min-profit") {
-        cfg.min_profit = p.parse()?;
-    }
+    let cfg = f3m::core::GlobalPlanConfig::default().with_jobs(jobs);
     let t0 = std::time::Instant::now();
-    let (report, merged, _epoch) = f3m::core::GlobalMergePlanner::new(&corpus, cfg).run()?;
+    let (report, merged, _epoch) = f3m::core::global_merge(&corpus, &cfg)?;
     let elapsed = t0.elapsed();
-    f3m::ir::verify::verify_module(&merged)
-        .map_err(|e| format!("verification failed: {}", e[0]))?;
 
     let s = &report.stats;
     eprintln!(
-        "global merge over {} modules ({} functions): {} optimistic, {} verified, \
-         {} rolled back in {} round(s), {:.1} ms; {} of {} pairs cross-module; \
-         size {} -> {} bytes ({:.2}% reduction)",
+        "global merge over {} modules ({} functions): {} verified merges ({} cross-module) \
+         in {:.1} ms; size {} -> {} bytes ({:.2}% reduction)",
         s.modules,
         s.functions,
-        s.optimistic_merges,
         s.verified_merges,
-        s.rolled_back,
-        s.rounds,
+        report.merges.iter().filter(|r| r.cross_module).count(),
         elapsed.as_secs_f64() * 1e3,
-        s.cross_module_pairs,
-        s.pairs_considered,
         s.size_before,
         s.size_after,
         s.size_reduction() * 100.0
@@ -534,9 +517,9 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     };
     let corpus_dir = a.value("--corpus").map(std::path::PathBuf::from);
     if a.has("--global") {
-        // Global mode fuzzes the two-phase cross-module planner: several
-        // mutated modules per iteration, jobs byte-identity, and a
-        // cross-module driver differential.
+        // Global mode fuzzes the cross-module merge: several mutated
+        // modules per iteration, jobs byte-identity, and a cross-module
+        // driver differential.
         let mut cfg = f3m::fuzz::GlobalCampaignConfig { seed, corpus_dir, ..Default::default() };
         // The shared 500-iteration default is sized for the single-module
         // campaign; only override the global default when asked.
@@ -650,11 +633,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 fn cmd_client(args: &[String]) -> CliResult {
     use f3m::serve::Request;
     // First positional is the verb; flags may precede it.
-    let a = split_args(
-        args,
-        &["--addr", "--name", "--func", "-k", "--if-epoch", "--strategy", "--jobs"],
-        &[],
-    )?;
+    let a = split_args(args, &["--addr", "--name", "--func", "-k", "--if-epoch", "--jobs"], &[])?;
     let addr = a.value("--addr").unwrap_or(DEFAULT_SERVE_ADDR);
     let positional = &a.positional;
     let verb = *positional.first().ok_or("client needs a request type (try `f3m` for usage)")?;
@@ -680,10 +659,6 @@ fn cmd_client(args: &[String]) -> CliResult {
             func: positional.get(2).ok_or("update needs a function name")?.to_string(),
             // No file = touch: re-fingerprint the function in place.
             ir: positional.get(3).map(std::fs::read_to_string).transpose()?,
-        },
-        "merge" => Request::Merge {
-            strategy: a.value("--strategy").unwrap_or("f3m").to_string(),
-            jobs: a.parsed("--jobs")?,
         },
         "global-merge" => Request::GlobalMerge {
             jobs: a.parsed("--jobs")?,

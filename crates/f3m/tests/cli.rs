@@ -277,6 +277,16 @@ fn undeclared_flags_and_missing_values_are_rejected() {
     assert!(stderr.contains("unknown flag `--shards`"), "{stderr}");
     let stderr = run_err(f3m().args(["merge", "--global"]).arg(&input).args(["--shards", "2"]));
     assert!(stderr.contains("unknown flag `--shards`"), "{stderr}");
+    // Retired with the second cross-module engine: the planner's knobs
+    // and the daemon's `merge` verb. Strategy choice is offline only.
+    for knob in [["-k", "4"], ["--min-profit", "1"]] {
+        let stderr = run_err(f3m().args(["merge", "--global"]).arg(&input).args(knob));
+        assert!(stderr.contains(&format!("unknown flag `{}`", knob[0])), "{stderr}");
+    }
+    let stderr = run_err(f3m().args(["client", "merge"]));
+    assert!(stderr.contains("unknown client request `merge`"), "{stderr}");
+    let stderr = run_err(f3m().args(["client", "merge", "--strategy", "f3m"]));
+    assert!(stderr.contains("unknown flag `--strategy`"), "{stderr}");
     // `run <input.ir> <function>` takes no flags; negative integers are
     // arguments, not flags.
     let stderr = run_err(f3m().arg("run").arg(&input).args(["__driver", "42", "--jobs", "2"]));

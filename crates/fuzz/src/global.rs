@@ -1,13 +1,13 @@
-//! Cross-module fuzzing of the two-phase global merge planner.
+//! Cross-module fuzzing of [`global_merge`].
 //!
 //! Each iteration builds *several* modules at once — some sharing a
 //! family seed so cross-module twins are guaranteed, some drawing fresh
 //! families — stacks random structural mutations on each, and then runs
-//! the [`GlobalMergePlanner`] over a resident corpus holding all of
-//! them. The oracle enforces, per iteration:
+//! [`global_merge`] over a resident corpus holding all of them. The
+//! oracle enforces, per iteration:
 //!
-//! 1. **Jobs byte-identity**: the planner's merged module and report
-//!    JSON are identical at every jobs level (1, 2 and 8 by default).
+//! 1. **Jobs byte-identity**: the merged module and report JSON are
+//!    identical at every jobs level (1, 2 and 8 by default).
 //! 2. **Verifier + round-trip**: the merged module verifies and its
 //!    printed form is a reparse fixpoint.
 //! 3. **Cross-module differential**: every module's `__driver` entry
@@ -25,7 +25,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use f3m_core::corpus::{combine_modules, Corpus, CorpusConfig};
-use f3m_core::{GlobalMergePlanner, GlobalMergeReport, GlobalPlanConfig};
+use f3m_core::{global_merge, GlobalMergeReport, GlobalPlanConfig};
 use f3m_interp::oracle::{observe, Observation};
 use f3m_interp::{Limits, Val};
 use f3m_ir::module::Module;
@@ -52,7 +52,7 @@ pub struct GlobalCampaignConfig {
     pub corpus_dir: Option<PathBuf>,
     /// Maximum mutations stacked per module (0 is allowed per draw).
     pub max_mutations: usize,
-    /// Planner jobs levels; all must produce byte-identical output.
+    /// `global_merge` jobs levels; all must produce byte-identical output.
     pub jobs_levels: Vec<usize>,
     /// Driver arguments, one differential observation each.
     pub args: Vec<i64>,
@@ -81,11 +81,12 @@ pub struct GlobalFailure {
     pub iteration: usize,
     /// The iteration's derived seed (replays the module set).
     pub iter_seed: u64,
-    /// Failure kind (`mutator-invalid`, `planner-error`,
+    /// Failure kind (`mutator-invalid`, `merge-error`,
     /// `jobs-divergence`, `merged-invalid`, `round-trip`,
     /// `differential`).
     pub kind: String,
-    /// Planner jobs level under which it failed (0 when not cell-bound).
+    /// `global_merge` jobs level under which it failed (0 when not
+    /// cell-bound).
     pub jobs: usize,
     /// Mismatch description.
     pub detail: String,
@@ -106,12 +107,8 @@ pub struct GlobalCampaignSummary {
     pub mutations_applied: usize,
     /// Differential cells skipped on resource-limit observations.
     pub resource_skips: usize,
-    /// Speculative merges committed by first-round optimistic phases.
-    pub optimistic_total: u64,
-    /// Merges surviving global verification.
+    /// Merges that passed global verification.
     pub verified_total: u64,
-    /// Merges rolled back by the verification phase.
-    pub rolled_back_total: u64,
     /// Verified merges that crossed a module boundary.
     pub cross_module_merges_total: u64,
     /// All failures found.
@@ -125,9 +122,7 @@ const GLOBAL_CAMPAIGN_STATS: &[Stat<GlobalCampaignSummary>] = &[
     Stat::det("modules_built", "modules", |s| Count(s.modules_built as u64)),
     Stat::det("mutations_applied", "mutations", |s| Count(s.mutations_applied as u64)),
     Stat::det("resource_skips", "cells", |s| Count(s.resource_skips as u64)),
-    Stat::det("optimistic_total", "merges", |s| Count(s.optimistic_total)),
     Stat::det("verified_total", "merges", |s| Count(s.verified_total)),
-    Stat::det("rolled_back_total", "merges", |s| Count(s.rolled_back_total)),
     Stat::det("cross_module_merges_total", "merges", |s| Count(s.cross_module_merges_total)),
     Stat::new("failure_count", "failures", "failures", true, 0, |s| Count(s.failures.len() as u64)),
 ];
@@ -191,12 +186,12 @@ pub struct GlobalOutcome {
     pub failure: Option<(String, usize, String)>,
     /// Differential cells skipped on resource limits.
     pub resource_skips: usize,
-    /// The report of the first jobs level, when planning succeeded.
+    /// The report of the first jobs level, when the merge succeeded.
     pub report: Option<GlobalMergeReport>,
 }
 
-/// Runs the global oracle over one module set: mutator validity, the
-/// two-phase plan at every jobs level with byte-identity, verifier,
+/// Runs the global oracle over one module set: mutator validity,
+/// `global_merge` at every jobs level with byte-identity, verifier,
 /// round-trip fixpoint, and the cross-module driver differential.
 pub fn check_module_set(mods: &[Module], cfg: &GlobalCampaignConfig) -> GlobalOutcome {
     let mut out = GlobalOutcome::default();
@@ -211,7 +206,7 @@ pub fn check_module_set(mods: &[Module], cfg: &GlobalCampaignConfig) -> GlobalOu
     let pristine = match combine_modules(&refs) {
         Ok(m) => m,
         Err(e) => {
-            out.failure = fail("planner-error", 0, format!("combine: {e}"));
+            out.failure = fail("merge-error", 0, format!("combine: {e}"));
             return out;
         }
     };
@@ -231,18 +226,18 @@ pub fn check_module_set(mods: &[Module], cfg: &GlobalCampaignConfig) -> GlobalOu
     let corpus = Corpus::new(CorpusConfig { jobs: 2, ..Default::default() });
     for m in mods {
         if let Err(e) = corpus.ingest(m.clone()) {
-            out.failure = fail("planner-error", 0, format!("ingest {}: {e}", m.name));
+            out.failure = fail("merge-error", 0, format!("ingest {}: {e}", m.name));
             return out;
         }
     }
     let mut first: Option<(String, String)> = None;
     let mut merged_first: Option<Module> = None;
     for &jobs in &cfg.jobs_levels {
-        let plan_cfg = GlobalPlanConfig { limits: cfg.limits, ..Default::default() }.with_jobs(jobs);
-        let (report, merged, _epoch) = match GlobalMergePlanner::new(&corpus, plan_cfg).run() {
+        let merge_cfg = GlobalPlanConfig { jobs, limits: cfg.limits };
+        let (report, merged, _epoch) = match global_merge(&corpus, &merge_cfg) {
             Ok(r) => r,
             Err(e) => {
-                out.failure = fail("planner-error", jobs, e);
+                out.failure = fail("merge-error", jobs, e);
                 return out;
             }
         };
@@ -268,7 +263,7 @@ pub fn check_module_set(mods: &[Module], cfg: &GlobalCampaignConfig) -> GlobalOu
                         "jobs-divergence",
                         jobs,
                         format!(
-                            "planner output differs between --jobs {} and {jobs}",
+                            "global merge output differs between --jobs {} and {jobs}",
                             cfg.jobs_levels[0]
                         ),
                     );
@@ -315,9 +310,7 @@ pub fn run_global_campaign(cfg: &GlobalCampaignConfig) -> GlobalCampaignSummary 
         let outcome = check_module_set(&mods, cfg);
         summary.resource_skips += outcome.resource_skips;
         if let Some(report) = &outcome.report {
-            summary.optimistic_total += report.stats.optimistic_merges;
             summary.verified_total += report.stats.verified_merges;
-            summary.rolled_back_total += report.stats.rolled_back;
             summary.cross_module_merges_total +=
                 report.merges.iter().filter(|r| r.cross_module).count() as u64;
         }
@@ -359,13 +352,12 @@ pub fn replay_global_case(iter_seed: u64) -> Result<String, String> {
     if let Some((kind, jobs, detail)) = outcome.failure {
         return Err(format!("{kind} (jobs {jobs}): {detail}"));
     }
-    let report = outcome.report.ok_or("planner produced no report")?;
+    let report = outcome.report.ok_or("global merge produced no report")?;
     Ok(format!(
-        "modules={} mutations={} verified={} cross_module={} rolled_back={}",
+        "modules={} mutations={} verified={} cross_module={}",
         mods.len(),
         mutations,
         report.stats.verified_merges,
         report.merges.iter().filter(|r| r.cross_module).count(),
-        report.stats.rolled_back
     ))
 }

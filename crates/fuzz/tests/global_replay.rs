@@ -3,10 +3,10 @@
 //! Every line of `corpus/global/seeds.txt` is one case seed of the
 //! global fuzzer ([`f3m_fuzz::replay_global_case`]); each replay
 //! reconstructs that seeded multi-module set and enforces the full
-//! oracle — jobs 1/2/8 byte-identity of the two-phase plan, verifier
-//! and print/parse fixpoint on the merged module, and the cross-module
+//! oracle — jobs 1/2/8 byte-identity of `global_merge`, verifier and
+//! print/parse fixpoint on the merged module, and the cross-module
 //! `__driver` differential. The corpus is a regression net: any global
-//! planner bug found by a campaign gets its case seed appended here.
+//! merge bug found by a campaign gets its case seed appended here.
 
 use std::path::PathBuf;
 

@@ -51,9 +51,7 @@ fn global_summary_renders_the_captured_bytes() {
         modules_built: 11,
         mutations_applied: 7,
         resource_skips: 1,
-        optimistic_total: 20,
         verified_total: 18,
-        rolled_back_total: 2,
         cross_module_merges_total: 6,
         failures: vec![
             GlobalFailure {
@@ -76,11 +74,11 @@ fn global_summary_renders_the_captured_bytes() {
     };
     assert_eq!(
         g.to_json(),
-        "{\n  \"iterations\": 4,\n  \"modules_built\": 11,\n  \"mutations_applied\": 7,\n  \"resource_skips\": 1,\n  \"optimistic_total\": 20,\n  \"verified_total\": 18,\n  \"rolled_back_total\": 2,\n  \"cross_module_merges_total\": 6,\n  \"failure_count\": 2,\n  \"failures\": [\n    {\"iteration\": 2, \"seed\": \"0xabc\", \"kind\": \"jobs-divergence\", \"jobs\": 8, \"modules\": 3, \"detail\": \"planner \\\"out\\\"\\n\"},\n    {\"iteration\": 3, \"seed\": \"0x1\", \"kind\": \"round-trip\", \"jobs\": 1, \"modules\": 2, \"detail\": \"d\"}\n  ]\n}"
+        "{\n  \"iterations\": 4,\n  \"modules_built\": 11,\n  \"mutations_applied\": 7,\n  \"resource_skips\": 1,\n  \"verified_total\": 18,\n  \"cross_module_merges_total\": 6,\n  \"failure_count\": 2,\n  \"failures\": [\n    {\"iteration\": 2, \"seed\": \"0xabc\", \"kind\": \"jobs-divergence\", \"jobs\": 8, \"modules\": 3, \"detail\": \"planner \\\"out\\\"\\n\"},\n    {\"iteration\": 3, \"seed\": \"0x1\", \"kind\": \"round-trip\", \"jobs\": 1, \"modules\": 2, \"detail\": \"d\"}\n  ]\n}"
     );
     assert_eq!(
         GlobalCampaignSummary { failures: vec![], ..g }.to_json(),
-        "{\n  \"iterations\": 4,\n  \"modules_built\": 11,\n  \"mutations_applied\": 7,\n  \"resource_skips\": 1,\n  \"optimistic_total\": 20,\n  \"verified_total\": 18,\n  \"rolled_back_total\": 2,\n  \"cross_module_merges_total\": 6,\n  \"failure_count\": 0,\n  \"failures\": []\n}"
+        "{\n  \"iterations\": 4,\n  \"modules_built\": 11,\n  \"mutations_applied\": 7,\n  \"resource_skips\": 1,\n  \"verified_total\": 18,\n  \"cross_module_merges_total\": 6,\n  \"failure_count\": 0,\n  \"failures\": []\n}"
     );
 }
 

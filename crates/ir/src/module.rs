@@ -207,7 +207,7 @@ impl Module {
 
     /// Ids of the definitions a merge may take part in — those with at
     /// least one linked instruction — in function order. The one
-    /// eligibility rule of the pass, the corpus and the global planner.
+    /// eligibility rule of the pass and the corpus.
     pub fn merge_eligible(&self) -> Vec<FuncId> {
         self.functions()
             .filter(|(_, f)| !f.is_declaration && f.num_linked_insts() > 0)

@@ -17,7 +17,6 @@
 //! {"type":"evict","name":"m"}
 //! {"type":"query","module":"m","func":"f0_0","k":3,"if_epoch":7}
 //! {"type":"update","module":"m","func":"f0_0","ir":"module \"p\" { ... }"}
-//! {"type":"merge","strategy":"f3m","jobs":2}
 //! {"type":"global_merge","jobs":2,"if_epoch":7}
 //! {"type":"stats"}  {"type":"ping"}  {"type":"shutdown"}
 //! {"type":"sleep","ms":100}
@@ -31,12 +30,12 @@
 //! `query` carrying `"if_epoch"` is answered with `superseded` instead
 //! of candidates when the corpus epoch has moved past that value — the
 //! incremental client's cheap way to notice its snapshot is stale.
-//! `global_merge` runs the two-phase cross-module
-//! [`GlobalMergePlanner`](f3m_core::GlobalMergePlanner) over the whole
-//! resident corpus; it honours `"if_epoch"` with the same `superseded`
-//! semantics as `query` (both before planning and after — a mutation
-//! that lands while the planner runs supersedes the stale plan rather
-//! than publishing it).
+//! `global_merge` runs [`global_merge`](f3m_core::global_merge) — the
+//! F3M pass over the whole resident corpus plus the verification checks
+//! — and answers its report, or an error naming the failed check; it
+//! honours `"if_epoch"` with the same `superseded` semantics as `query`
+//! (both before merging and after — a mutation that lands while the
+//! merge runs supersedes the stale report rather than publishing it).
 //!
 //! Any request may carry `"id"` (an opaque integer echoed in the
 //! response, for correlating pipelined requests) and `"deadline_ms"`
@@ -139,12 +138,10 @@ pub enum Request {
     /// it (`ir` absent): re-fingerprint, invalidate the rankings the
     /// edit could change, leave the rest of the module resident.
     Update { module: String, func: String, ir: Option<String> },
-    /// Run the full pass over the combined resident corpus.
-    Merge { strategy: String, jobs: Option<usize> },
-    /// Run the two-phase cross-module global merge planner over the
-    /// resident corpus. With `if_epoch` set, answered `superseded` when
-    /// the corpus epoch no longer matches (checked both before planning
-    /// and again before publishing the result).
+    /// Merge the resident corpus across module boundaries
+    /// ([`f3m_core::global_merge`]). With `if_epoch` set, answered
+    /// `superseded` when the corpus epoch no longer matches (checked both
+    /// before merging and again before publishing the result).
     GlobalMerge { jobs: Option<usize>, if_epoch: Option<u64> },
     Stats,
     Ping,
@@ -163,7 +160,6 @@ impl Request {
             Request::Evict { .. } => "evict",
             Request::Query { .. } => "query",
             Request::Update { .. } => "update",
-            Request::Merge { .. } => "merge",
             Request::GlobalMerge { .. } => "global_merge",
             Request::Stats => "stats",
             Request::Ping => "ping",
@@ -234,10 +230,6 @@ pub fn parse_request(payload: &[u8]) -> Result<RequestEnvelope, String> {
             func: str_field(&mut v, "func")?,
             ir: v.take_str("ir"),
         },
-        "merge" => Request::Merge {
-            strategy: v.take_str("strategy").unwrap_or_else(|| "f3m".to_string()),
-            jobs: opt_u64(&v, "jobs")?.map(|j| j as usize),
-        },
         "global_merge" => Request::GlobalMerge {
             jobs: opt_u64(&v, "jobs")?.map(|j| j as usize),
             if_epoch: opt_u64(&v, "if_epoch")?,
@@ -289,10 +281,6 @@ pub fn render_request(env: &RequestEnvelope) -> String {
         Request::Update { module, func, ir } => {
             w.key("module").str(module).key("func").str(func);
             opt_str(&mut w, "ir", ir);
-        }
-        Request::Merge { strategy, jobs } => {
-            w.key("strategy").str(strategy);
-            opt_u64(&mut w, "jobs", jobs.map(|j| j as u64));
         }
         Request::GlobalMerge { jobs, if_epoch } => {
             opt_u64(&mut w, "jobs", jobs.map(|j| j as u64));
@@ -375,7 +363,6 @@ pub const REQUEST_TYPES: &[&str] = &[
     "evict",
     "query",
     "update",
-    "merge",
     "global_merge",
     "stats",
     "ping",
@@ -404,8 +391,8 @@ pub enum Response {
     /// candidates a global plan was drawn from — was overtaken by a
     /// mutation; `epoch` is current.
     Superseded { started: u64, epoch: u64 },
-    /// `report` is the pre-rendered `MergeReport::to_json` object (spliced
-    /// verbatim; the pass serializer already emits deterministic JSON).
+    /// `report` is the pre-rendered `GlobalMergeReport::to_json` object
+    /// (spliced verbatim; it is already deterministic JSON).
     Report { epoch: u64, report: String },
     /// Boxed: the two stat blocks dwarf every other variant, and
     /// responses spend their life behind one match before rendering.
@@ -549,8 +536,6 @@ mod tests {
                 ir: Some("module \"p\" {\n}\n".into()),
             }),
             RequestEnvelope::of(Request::Update { module: "m".into(), func: "f".into(), ir: None }),
-            RequestEnvelope::of(Request::Merge { strategy: "f3m".into(), jobs: Some(2) }),
-            RequestEnvelope::of(Request::Merge { strategy: "hyfm".into(), jobs: None }),
             RequestEnvelope::of(Request::GlobalMerge { jobs: Some(2), if_epoch: Some(9) }),
             RequestEnvelope::of(Request::GlobalMerge { jobs: None, if_epoch: None }),
             RequestEnvelope::of(Request::Stats),

@@ -73,8 +73,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use f3m_core::corpus::{Corpus, CorpusConfig, CORPUS_STATS};
-use f3m_core::pass::PassConfig;
-use f3m_core::{GlobalMergePlanner, GlobalPlanConfig};
+use f3m_core::{global_merge, GlobalPlanConfig};
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::BackendKind;
 use f3m_fingerprint::pager::PagerKind;
@@ -1018,26 +1017,9 @@ fn handle(shared: &Shared, req: &Request) -> Response {
                 Err(message) => Response::Error { message },
             }
         }
-        Request::Merge { strategy, jobs } => {
-            let Some(mut cfg) = PassConfig::from_strategy_name(strategy) else {
-                return Response::Error { message: format!("unknown strategy `{strategy}`") };
-            };
-            if let Some(j) = jobs {
-                cfg = cfg.with_jobs(*j);
-            }
-            match shared.corpus.merge(&cfg) {
-                Ok((mut report, _merged)) => {
-                    // Wall-clock fields vary run to run; zero them so the
-                    // response is a pure function of corpus state.
-                    report.strip_wall_clock();
-                    Response::Report { epoch: shared.corpus.epoch(), report: report.to_json() }
-                }
-                Err(message) => Response::Error { message },
-            }
-        }
         Request::GlobalMerge { jobs, if_epoch } => {
             // Mirroring `query`: a stale pin is answered `superseded`
-            // before any planning work.
+            // before any merging work.
             if let Some(stale) = if_epoch.and_then(|want| superseded_since(shared, want)) {
                 return stale;
             }
@@ -1045,11 +1027,10 @@ fn handle(shared: &Shared, req: &Request) -> Response {
             if let Some(j) = jobs {
                 cfg = cfg.with_jobs(*j);
             }
-            let planner = GlobalMergePlanner::new(&shared.corpus, cfg);
-            match planner.run() {
+            match global_merge(&shared.corpus, &cfg) {
                 Ok((report, _merged, pinned)) => {
-                    // A mutation that landed while the planner ran makes
-                    // the plan stale; supersede it rather than publish.
+                    // A mutation that landed while the merge ran makes
+                    // the report stale; supersede it rather than publish.
                     superseded_since(shared, pinned).unwrap_or_else(|| Response::Report {
                         epoch: pinned,
                         report: report.to_json(),

@@ -153,7 +153,6 @@ fn artefacts_flush_after_chaos() {
         "serve.requests.evict requests true",
         "serve.requests.query requests true",
         "serve.requests.update requests true",
-        "serve.requests.merge requests true",
         "serve.requests.global_merge requests true",
         "serve.requests.stats requests true",
         "serve.requests.ping requests true",

@@ -125,25 +125,15 @@ fn ingest_query_evict_merge_over_a_real_socket() {
     // commit.
     ingest(&mut c, &workload("delta", 11));
     let v = c
-        .call_expect(Request::Merge { strategy: "f3m".into(), jobs: None }, "report")
+        .call_expect(Request::GlobalMerge { jobs: None, if_epoch: None }, "report")
         .unwrap();
     let committed = v
         .get("report")
         .and_then(|r| r.get("stats"))
-        .and_then(|s| s.get("merges_committed"))
+        .and_then(|s| s.get("verified_merges"))
         .and_then(Json::as_u64)
         .unwrap();
     assert!(committed > 0, "twin modules must merge");
-    // One strategy vocabulary: the canonical `f3m-adaptive` and its CLI
-    // alias `adaptive` are the same request, and an unknown name is
-    // refused with the wire text scripts already match on.
-    let merge_raw = |c: &mut Client, strategy: &str| {
-        let req = Request::Merge { strategy: strategy.into(), jobs: None };
-        c.request_raw(&RequestEnvelope::of(req)).unwrap()
-    };
-    assert_eq!(merge_raw(&mut c, "f3m-adaptive"), merge_raw(&mut c, "adaptive"));
-    assert!(merge_raw(&mut c, "f3m-adaptive").contains("\"type\":\"report\""));
-    assert!(merge_raw(&mut c, "nonsense").contains("unknown strategy `nonsense`"));
 
     // Evict is incremental: epoch advances, no rebuild, and the evicted
     // module's functions stop appearing as candidates.
@@ -180,8 +170,8 @@ fn ingest_query_evict_merge_over_a_real_socket() {
 
 /// The same synchronous request sequence, byte for byte, at any worker
 /// count: corpus state transitions are totally ordered and responses are
-/// rendered with fixed field order (merge reports with wall-clock fields
-/// zeroed).
+/// rendered with fixed field order (a merge report holds no wall-clock
+/// field).
 #[test]
 fn responses_are_byte_identical_across_worker_counts() {
     fn scenario(jobs: usize) -> Vec<String> {
@@ -251,11 +241,8 @@ fn responses_are_byte_identical_across_worker_counts() {
             .unwrap(),
         );
         raw.push(
-            c.request_raw(&RequestEnvelope::of(Request::Merge {
-                strategy: "f3m".into(),
-                jobs: None,
-            }))
-            .unwrap(),
+            c.request_raw(&RequestEnvelope::of(Request::GlobalMerge { jobs: None, if_epoch: None }))
+                .unwrap(),
         );
         raw.push(c.request_raw(&RequestEnvelope::of(Request::Evict { name: "beta".into() })).unwrap());
         raw.push(

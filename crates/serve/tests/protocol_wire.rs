@@ -67,6 +67,9 @@ fn malformed_json_gets_error_frame_and_connection_survives() {
         let v = f3m_serve::protocol::parse_response(raw.as_bytes()).unwrap();
         assert_eq!(v.get("type").and_then(Json::as_str), Some("error"), "payload {bad:?}");
     }
+    // The retired `merge` verb is an unknown request type, not a pass.
+    let raw = c.send_raw(b"{\"type\":\"merge\",\"strategy\":\"f3m\"}").unwrap();
+    assert!(raw.contains("unknown request type `merge`"), "{raw}");
     // Same connection still serves well-formed requests.
     c.call_expect(Request::Ping, "pong").unwrap();
     stop(addr, h);

@@ -46,8 +46,6 @@ fn every_request_variant_renders_the_captured_bytes() {
             "{\"type\":\"update\",\"module\":\"m\",\"func\":\"f\",\"ir\":\"module \\\"p\\\" {\\n}\\n\"}",
         ),
         (RequestEnvelope::of(Request::Update { module: "m".into(), func: "f".into(), ir: None }), "{\"type\":\"update\",\"module\":\"m\",\"func\":\"f\"}"),
-        (RequestEnvelope::of(Request::Merge { strategy: "f3m".into(), jobs: Some(2) }), "{\"type\":\"merge\",\"strategy\":\"f3m\",\"jobs\":2}"),
-        (RequestEnvelope::of(Request::Merge { strategy: "hyfm".into(), jobs: None }), "{\"type\":\"merge\",\"strategy\":\"hyfm\"}"),
         (RequestEnvelope::of(Request::GlobalMerge { jobs: Some(2), if_epoch: Some(9) }), "{\"type\":\"global_merge\",\"jobs\":2,\"if_epoch\":9}"),
         (RequestEnvelope::of(Request::GlobalMerge { jobs: None, if_epoch: None }), "{\"type\":\"global_merge\"}"),
         (RequestEnvelope::of(Request::Stats), "{\"type\":\"stats\"}"),
@@ -59,6 +57,14 @@ fn every_request_variant_renders_the_captured_bytes() {
         assert_eq!(render_request(&req), golden);
         assert_eq!(parse_request(golden.as_bytes()).unwrap(), req, "golden must parse back");
     }
+}
+
+/// The `merge` verb is retired — `global_merge` is the one cross-module
+/// engine — so its old frame is an unknown request type.
+#[test]
+fn the_retired_merge_verb_is_an_unknown_request_type() {
+    let err = parse_request(b"{\"type\":\"merge\",\"strategy\":\"f3m\"}").unwrap_err();
+    assert_eq!(err, "unknown request type `merge`");
 }
 
 #[test]
@@ -150,14 +156,14 @@ fn every_response_variant_renders_the_captured_bytes() {
         ),
         (
             Response::Stats { corpus: Box::new(corpus(Some("mmap"))), server: Box::new(server) },
-            "{\"type\":\"stats\",\"corpus\":{\"epoch\":5,\"modules_live\":2,\"modules_total\":3,\"functions_live\":18,\"entries_total\":27,\"index_buckets\":40,\"index_max_bucket\":4,\"memo_hits\":11,\"memo_misses\":5,\"funcs_invalidated\":3,\"funcs_spared\":9,\"queries_superseded\":1,\"sketch_comparisons\":70,\"full_comparisons\":12,\"resident_pager\":\"mmap\",\"resident_bytes\":4096,\"shard_faults\":2,\"shard_spills\":1},\"server\":{\"requests\":{\"ingest\":20,\"evict\":21,\"query\":22,\"update\":23,\"merge\":24,\"global_merge\":25,\"stats\":26,\"ping\":27,\"sleep\":28,\"shutdown\":29},\"rejects_busy\":1,\"rejects_deadline\":2,\"errors\":3,\"queue_depth_hwm\":4,\"conns_open\":5,\"conns_open_hwm\":6,\"conns_total\":7,\"frames_reassembled\":8,\"sheds\":9,\"slow_closes\":10}}",
+            "{\"type\":\"stats\",\"corpus\":{\"epoch\":5,\"modules_live\":2,\"modules_total\":3,\"functions_live\":18,\"entries_total\":27,\"index_buckets\":40,\"index_max_bucket\":4,\"memo_hits\":11,\"memo_misses\":5,\"funcs_invalidated\":3,\"funcs_spared\":9,\"queries_superseded\":1,\"sketch_comparisons\":70,\"full_comparisons\":12,\"resident_pager\":\"mmap\",\"resident_bytes\":4096,\"shard_faults\":2,\"shard_spills\":1},\"server\":{\"requests\":{\"ingest\":20,\"evict\":21,\"query\":22,\"update\":23,\"global_merge\":24,\"stats\":25,\"ping\":26,\"sleep\":27,\"shutdown\":28},\"rejects_busy\":1,\"rejects_deadline\":2,\"errors\":3,\"queue_depth_hwm\":4,\"conns_open\":5,\"conns_open_hwm\":6,\"conns_total\":7,\"frames_reassembled\":8,\"sheds\":9,\"slow_closes\":10}}",
         ),
         (
             Response::Stats {
             corpus: Box::new(corpus(None)),
             server: Box::new(ServerCounters::default()),
         },
-            "{\"type\":\"stats\",\"id\":9,\"corpus\":{\"epoch\":5,\"modules_live\":2,\"modules_total\":3,\"functions_live\":18,\"entries_total\":27,\"index_buckets\":40,\"index_max_bucket\":4,\"memo_hits\":11,\"memo_misses\":5,\"funcs_invalidated\":3,\"funcs_spared\":9,\"queries_superseded\":1,\"sketch_comparisons\":70,\"full_comparisons\":12,\"resident_pager\":null,\"resident_bytes\":4096,\"shard_faults\":2,\"shard_spills\":1},\"server\":{\"requests\":{\"ingest\":0,\"evict\":0,\"query\":0,\"update\":0,\"merge\":0,\"global_merge\":0,\"stats\":0,\"ping\":0,\"sleep\":0,\"shutdown\":0},\"rejects_busy\":0,\"rejects_deadline\":0,\"errors\":0,\"queue_depth_hwm\":0,\"conns_open\":0,\"conns_open_hwm\":0,\"conns_total\":0,\"frames_reassembled\":0,\"sheds\":0,\"slow_closes\":0}}",
+            "{\"type\":\"stats\",\"id\":9,\"corpus\":{\"epoch\":5,\"modules_live\":2,\"modules_total\":3,\"functions_live\":18,\"entries_total\":27,\"index_buckets\":40,\"index_max_bucket\":4,\"memo_hits\":11,\"memo_misses\":5,\"funcs_invalidated\":3,\"funcs_spared\":9,\"queries_superseded\":1,\"sketch_comparisons\":70,\"full_comparisons\":12,\"resident_pager\":null,\"resident_bytes\":4096,\"shard_faults\":2,\"shard_spills\":1},\"server\":{\"requests\":{\"ingest\":0,\"evict\":0,\"query\":0,\"update\":0,\"global_merge\":0,\"stats\":0,\"ping\":0,\"sleep\":0,\"shutdown\":0},\"rejects_busy\":0,\"rejects_deadline\":0,\"errors\":0,\"queue_depth_hwm\":0,\"conns_open\":0,\"conns_open_hwm\":0,\"conns_total\":0,\"frames_reassembled\":0,\"sheds\":0,\"slow_closes\":0}}",
         ),
         (
             Response::Pong,
