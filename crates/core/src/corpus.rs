@@ -4,8 +4,10 @@
 //! A [`Corpus`] holds every ingested module plus one fingerprint entry per
 //! merge-eligible function ([`Module::merge_eligible`], the filter
 //! [`run_pass`] applies), indexed in one
-//! [`LshIndex`] — the type the offline pass builds, here held by the
-//! table for the corpus lifetime. Ingesting a module fingerprints *only*
+//! [`LshIndex`] held by the table for the corpus lifetime — the mutable
+//! index, where the offline pass builds a shrink-only
+//! [`FlatIndex`](f3m_fingerprint::lsh::FlatIndex) per sweep; both fold a
+//! probed bucket by the same rule. Ingesting a module fingerprints *only*
 //! that module's functions and inserts them; evicting removes the module's
 //! band keys and frees its body — what stays of an evicted module is a
 //! tombstone record and its dead entries. Neither ever rebuilds the

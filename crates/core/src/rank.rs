@@ -35,7 +35,7 @@ use std::collections::BinaryHeap;
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, equal_bytes, equal_slots, signature_similarity};
-use f3m_fingerprint::lsh::{LshIndex, LshParams, LshQueryStats, QueryScratch};
+use f3m_fingerprint::lsh::{FlatIndex, LshParams, LshQueryStats, QueryScratch};
 use f3m_fingerprint::opcode_freq::OpcodeFingerprint;
 use f3m_fingerprint::par::par_map_indexed;
 use f3m_fingerprint::store::{PackedFingerprintStore, RowRef};
@@ -95,10 +95,11 @@ pub struct IndexStats {
 }
 
 /// Reusable per-worker buffers for [`CandidateSearch::best_candidates`] —
-/// the [`QueryScratch`] a corpus query carries too. One scratch lives
-/// beside each wave worker's alignment scratch, so the hot rank loop
-/// performs no per-query allocation.
-pub type SearchScratch = QueryScratch<usize>;
+/// the [`QueryScratch`] a corpus query carries too, over the `u32` row ids
+/// of the pass's [`FlatIndex`]. One scratch lives beside each wave
+/// worker's alignment scratch, so the hot rank loop performs no per-query
+/// allocation.
+pub type SearchScratch = QueryScratch<u32>;
 
 /// Strategy seam between the pass driver and a candidate-search structure.
 ///
@@ -388,13 +389,14 @@ impl CandidateSearch for ExhaustiveOpcodeSearch {
 /// function embedding via `MergeParams::backend`) queried through a
 /// banded LSH index, with the similarity threshold applied after the
 /// bucket lookup. Signatures
-/// and band keys live in a [`PackedFingerprintStore`], so both the index
-/// build and every probe walk contiguous memory.
+/// and band keys live in a [`PackedFingerprintStore`], and the index is a
+/// [`FlatIndex`] over its key pool, so the build, every probe and every
+/// removal walk contiguous memory and hash nothing.
 pub struct LshBackendSearch {
     params: MergeParams,
     store: PackedFingerprintStore,
     names: Vec<String>,
-    index: LshIndex<usize>,
+    index: FlatIndex,
     sims: SimTable,
     /// Smallest equal-slot count whose similarity is not below the
     /// threshold.
@@ -403,26 +405,27 @@ pub struct LshBackendSearch {
 
 impl LshBackendSearch {
     /// Fingerprints every function into packed rows (see
-    /// [`PackedFingerprintStore::of_functions`]), then populates the
-    /// index sequentially in function order so bucket contents are
-    /// identical for any job count.
+    /// [`PackedFingerprintStore::of_functions`]) and indexes them; the
+    /// store, and so the index, is identical for any job count.
     pub fn build(m: &Module, funcs: &[FuncId], params: MergeParams, jobs: usize) -> LshBackendSearch {
         let backend = backend_for(params.backend, params.k);
         let store = PackedFingerprintStore::of_functions(m, funcs, &*backend, params.lsh, jobs);
-        let mut index = LshIndex::new(params.lsh);
-        for i in 0..store.len() {
-            index.insert_with_keys(i, store.keys(i));
-        }
         let names = funcs.iter().map(|&f| m.function(f).name.clone()).collect();
-        LshBackendSearch::over(params, store, names, index)
+        LshBackendSearch::over(params, store, names)
     }
 
+    /// The search over `store`'s rows, row `i` named `names[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store's band keys do not fit the index's `u32` slot
+    /// numbers — so every row id fits the `u32` ids cast below.
     fn over(
         params: MergeParams,
         store: PackedFingerprintStore,
         names: Vec<String>,
-        index: LshIndex<usize>,
     ) -> LshBackendSearch {
+        let index = FlatIndex::build(params.lsh, store.key_pool());
         let sims = SimTable::new(params.k);
         // "Not below", not "at or above": the filter this replaces skipped
         // `sim < threshold`, which keeps everything under a NaN threshold.
@@ -438,8 +441,8 @@ impl LshBackendSearch {
 
     /// Probes the buckets row `i` is stored in for its candidates, into
     /// `scratch`.
-    fn probe(&self, i: usize, scratch: &mut QueryScratch<usize>) -> LshQueryStats {
-        self.index.probe_keys_into(self.store.keys(i), i, scratch)
+    fn probe(&self, i: usize, scratch: &mut SearchScratch) -> LshQueryStats {
+        self.index.probe_into(i as u32, scratch)
     }
 
     /// The top-`k` available candidates for function `i`, as
@@ -450,13 +453,14 @@ impl LshBackendSearch {
     /// reference that the kernel, and corpus and daemon `query` answers,
     /// are tested against.
     pub fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)> {
-        let mut scratch = QueryScratch::new();
+        let mut scratch = SearchScratch::new();
         self.probe(i, &mut scratch);
         let mut ranked: Vec<(usize, f64)> = scratch
             .out
             .iter()
-            .filter(|&&j| available[j])
-            .map(|&j| (j, self.similarity(i, j)))
+            .map(|&j| j as usize)
+            .filter(|&j| available[j])
+            .map(|j| (j, self.similarity(i, j)))
             .filter(|&(_, sim)| sim >= self.params.threshold)
             .collect();
         sort_ranked(&mut ranked, |j| &self.names[j]);
@@ -493,10 +497,10 @@ impl CandidateSearch for LshBackendSearch {
         near_tie_head(
             &self.sims,
             self.threshold_floor,
-            scratch.out.iter().copied(),
+            scratch.out.iter().map(|&j| j as usize),
             |j, floor| {
                 let row = || available[j].then(|| self.store.row(j));
-                kernel.score(floor, scratch.hits(j), row, counters)
+                kernel.score(floor, scratch.hits(j as u32), row, counters)
             },
         )
     }
@@ -504,17 +508,15 @@ impl CandidateSearch for LshBackendSearch {
     fn invalidate(&mut self, idx: usize) {
         // The packed row stays (ids are positional); only the index entry
         // goes away.
-        self.index.remove_with_keys(idx, self.store.keys(idx));
+        self.index.remove(idx as u32);
     }
 
     fn index_stats(&self) -> IndexStats {
-        // HashMap iteration order is unstable; sort so the stats compare
-        // equal across runs and job counts.
-        let mut bucket_sizes = self.index.bucket_sizes();
+        let mut bucket_sizes: Vec<usize> = self.index.bucket_sizes().collect();
         bucket_sizes.sort_unstable();
         IndexStats {
-            buckets: self.index.num_buckets(),
-            max_bucket: self.index.max_bucket_size(),
+            buckets: bucket_sizes.len(),
+            max_bucket: bucket_sizes.last().copied().unwrap_or(0),
             bucket_sizes,
             bytes_per_fn: self.store.bytes_per_fn(),
         }
@@ -536,7 +538,7 @@ mod tests {
         let mut scratch = SearchScratch::new();
         search.probe(i, &mut scratch);
         let mut set = CandidateSet::new(NEAR_TIE_EPS);
-        for &j in scratch.out.iter().filter(|&&j| available[j]) {
+        for j in scratch.out.iter().map(|&j| j as usize).filter(|&j| available[j]) {
             let sim = search.similarity(i, j);
             if sim < search.params.threshold {
                 continue;
@@ -564,10 +566,10 @@ mod tests {
             &search.sims,
             k,
             search.sims.floor(|sim| sim >= threshold),
-            scratch.out.iter().copied(),
+            scratch.out.iter().map(|&j| j as usize),
             |j, floor| {
                 let row = || available[j].then(|| search.store.row(j));
-                kernel.score(floor, scratch.hits(j), row, counters)
+                kernel.score(floor, scratch.hits(j as u32), row, counters)
             },
             |j| &search.names[j],
         )
@@ -602,12 +604,7 @@ mod tests {
                         let threshold = [0.0, 0.25, 0.6][rng.gen_range(0..3usize)];
                         let params =
                             MergeParams::custom(k, rows, threshold, bucket_cap).with_backend(kind);
-                        let mut index = LshIndex::new(params.lsh);
-                        for i in 0..n {
-                            index.insert_with_keys(i, store.keys(i));
-                        }
-                        let search =
-                            LshBackendSearch::over(params, store.clone(), names.clone(), index);
+                        let search = LshBackendSearch::over(params, store.clone(), names.clone());
                         let what = format!(
                             "case {case} {} k={k} rows={rows} cap={bucket_cap} t={threshold}",
                             kind.name()
@@ -668,14 +665,11 @@ mod tests {
         let sigs: Vec<Vec<u64>> =
             [query.clone(), decoy(1), decoy(2), decoy(3), decoy(4), duplicate].into();
         let mut store = PackedFingerprintStore::with_capacity(32, params.lsh.bands, sigs.len());
-        let mut index = LshIndex::new(params.lsh);
-        for (i, sig) in sigs.iter().enumerate() {
-            let keys = band_keys_for(params.lsh, sig);
-            store.push_with_keys(sig, &keys);
-            index.insert_with_keys(i, &keys);
+        for sig in &sigs {
+            store.push_with_keys(sig, &band_keys_for(params.lsh, sig));
         }
         let names = (0..sigs.len()).map(|i| format!("f{i}")).collect();
-        let search = LshBackendSearch::over(params, store, names, index);
+        let search = LshBackendSearch::over(params, store, names);
 
         let available = vec![true; sigs.len()];
         let mut scratch = SearchScratch::new();
@@ -737,7 +731,7 @@ mod tests {
             .iter()
             .filter(|&&i| {
                 search.probe(i, &mut scratch);
-                scratch.out.iter().any(|&j| family(j) == family(i))
+                scratch.out.iter().any(|&j| family(j as usize) == family(i))
             })
             .count();
         assert!(planted.len() > 300, "most of the module is planted: {}", planted.len());

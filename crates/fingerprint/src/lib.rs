@@ -9,8 +9,11 @@
 //!   estimates the Jaccard index of the functions' instruction
 //!   subsequences.
 //!
-//! [`lsh::LshIndex`] provides the banded approximate nearest-neighbour
-//! search with the per-bucket comparison cap, and [`adaptive`] implements
+//! [`lsh`] provides the banded approximate nearest-neighbour search with
+//! the per-bucket comparison cap, as two structures with one probe rule:
+//! [`lsh::FlatIndex`], which the offline pass builds once per sweep and
+//! only shrinks, and [`lsh::LshIndex`], which the resident corpus writes in
+//! place for its lifetime. [`adaptive`] implements
 //! the paper's Equations 3 and 4 for scaling the similarity threshold and
 //! band count with program size.
 
@@ -32,7 +35,7 @@ pub mod store;
 
 pub use adaptive::MergeParams;
 pub use backend::{backend_for, signature_similarity, BackendKind, FingerprintBackend};
-pub use lsh::{BandKey, LshIndex, LshParams, QueryScratch};
+pub use lsh::{BandKey, FlatIndex, LshIndex, LshParams, QueryScratch};
 pub use pager::PagerKind;
 pub use resident::{ResidencyCounters, ResidentStore};
 pub use minhash::minhash_signature;

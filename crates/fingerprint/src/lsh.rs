@@ -24,10 +24,17 @@
 //! (Section III-C / Figure 16); the cap is applied where a probe folds a
 //! bucket into its [`QueryScratch`].
 //!
-//! One index type serves both drivers: the offline pass builds an
-//! [`LshIndex`] per sweep, and `f3m-core`'s resident corpus owns one for
-//! its lifetime, read and written only under its table guard. The index
-//! stores ids and nothing else — no version, no lock.
+//! Two structures serve the two drivers, with one probe rule. The
+//! offline pass builds a [`FlatIndex`] per sweep: one sort lays its
+//! buckets out in a single id pool, each row remembers its bucket
+//! numbers, and the sweep only removes. `f3m-core`'s resident corpus owns
+//! an [`LshIndex`] for its lifetime — a hash map of buckets that ingest,
+//! evict, update and restore write in place — read and written only under
+//! its table guard. Both fold each probed bucket into a [`QueryScratch`]
+//! by the one rule in `QueryScratch::visit_bucket`, so the cap window,
+//! the querier skip, the hit counts and discovery order cannot differ,
+//! and `LshIndex` is the reference the flat index is tested against.
+//! Neither stores more than ids — no version, no lock.
 //!
 //! The corpus writes in two grains. A module-level delta
 //! ([`LshIndex::apply_delta`]) is one batched pass: its `(key, op, id)`
@@ -39,6 +46,7 @@
 //! one by one.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 use crate::fnv::fnv1a_u64s;
 
@@ -201,7 +209,8 @@ struct Slot {
     hits: u32,
 }
 
-/// Reusable per-query buffers for [`LshIndex::probe_keys_into`]: a
+/// Reusable per-query buffers for [`LshIndex::probe_keys_into`] and
+/// [`FlatIndex::probe_into`]: a
 /// generation-stamped table indexed by candidate id — it dedups the
 /// probe and counts, per candidate, the probed buckets it was found in —
 /// and the candidate list. Both survive across queries (a new probe bumps
@@ -331,8 +340,9 @@ impl<T: DenseId> LshIndex<T> {
     /// Buckets are kept sorted by item id, so the set of entries surviving
     /// the `bucket_cap` truncation in [`Self::candidates`] — and therefore
     /// the candidate list and every derived counter — is independent of
-    /// insertion order. (The pass build inserts ids in ascending order
-    /// anyway; sorting makes the guarantee hold for arbitrary callers.)
+    /// insertion order. ([`FlatIndex::build`] lays out the same sorted
+    /// buckets in one sort; this path is for callers that insert one row
+    /// at a time, in any order.)
     pub fn insert_with_keys(&mut self, id: T, keys: &[BandKey]) {
         for &key in keys {
             let bucket = self.buckets.entry(key).or_default();
@@ -459,8 +469,8 @@ impl<T: DenseId> LshIndex<T> {
     /// The bucket ends up exactly as [`Self::insert_with_keys`] /
     /// [`Self::remove_with_keys`] leave it — sorted, reclaimed once
     /// empty, untouched by the removal of an absent id — which stay
-    /// separate because the pass's index build and commit walk run them a
-    /// million times a sweep and have no use for the report.
+    /// separate as the plain one-row forms the batched delta and
+    /// [`FlatIndex`] are tested against, with no use for the report.
     fn row_delta(&mut self, id: T, key: BandKey, op: RowOp) -> BucketDelta<'_, T> {
         let cap = self.params.bucket_cap;
         let first = |bucket: &[T]| bucket.partition_point(|&m| m < id);
@@ -642,6 +652,110 @@ impl<T: DenseId> LshIndex<T> {
     /// buckets are where the `bucket_cap` truncation bites.
     pub fn max_bucket_size(&self) -> usize {
         self.buckets.values().map(|v| v.len()).max().unwrap_or(0)
+    }
+}
+
+/// The offline pass's band index: built once from a key pool, then only
+/// shrunk. Its buckets are the ones [`LshIndex::insert_with_keys`] builds
+/// from the same rows, stored as slices of one id pool, and every row
+/// keeps the bucket number of each of its bands, so neither a probe nor a
+/// removal hashes a key. Probes fold buckets through the same
+/// [`QueryScratch`] rule as [`LshIndex::probe_keys_into`].
+#[derive(Clone, Debug)]
+pub struct FlatIndex {
+    bands: usize,
+    bucket_cap: usize,
+    /// Every bucket's rows, bucket after bucket, each ascending.
+    ids: Vec<u32>,
+    /// Bucket `b` holds `ids[starts[b]..ends[b]]`; a removal lowers its
+    /// end, and a bucket never grows back.
+    starts: Vec<u32>,
+    ends: Vec<u32>,
+    /// The bucket of row `r`'s band `j`, at `r × bands + j`.
+    bucket_of: Vec<u32>,
+}
+
+impl FlatIndex {
+    /// Indexes `key_pool`: rows of `params.bands` keys laid end to end, as
+    /// a [`PackedFingerprintStore`](crate::store::PackedFingerprintStore)
+    /// holds them, row `r` at `r × bands`. One sort of `(key, slot)` words
+    /// groups the slots by key, and within a key by row; the walk over
+    /// the sorted words lays out the buckets and records each slot's
+    /// bucket. A row whose bands fold to one key sits in that bucket once
+    /// per band, as it would in an [`LshIndex`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `bands` is zero, if the pool does not hold
+    /// whole rows, or if it holds `u32::MAX` keys or more.
+    pub fn build(params: LshParams, key_pool: &[BandKey]) -> FlatIndex {
+        let bands = params.bands;
+        assert!(params.rows > 0 && bands > 0, "rows/bands must be positive");
+        assert!(key_pool.len().is_multiple_of(bands), "the key pool holds whole rows");
+        assert!(key_pool.len() < u32::MAX as usize, "slot numbers must fit in u32");
+        let mut words: Vec<u64> =
+            key_pool.iter().zip(0u64..).map(|(&key, slot)| u64::from(key) << 32 | slot).collect();
+        words.sort_unstable();
+        let mut ids = Vec::with_capacity(words.len());
+        let mut starts = Vec::new();
+        let mut bucket_of = vec![0; words.len()];
+        let mut last = None;
+        for word in words {
+            let (key, slot) = ((word >> 32) as BandKey, word as u32 as usize);
+            if last != Some(key) {
+                last = Some(key);
+                starts.push(ids.len() as u32);
+            }
+            bucket_of[slot] = starts.len() as u32 - 1;
+            ids.push((slot / bands) as u32);
+        }
+        let ends = starts.iter().skip(1).copied().chain([ids.len() as u32]).collect();
+        FlatIndex { bands, bucket_cap: params.bucket_cap, ids, starts, ends, bucket_of }
+    }
+
+    /// Takes `row` out of the bucket of each of its bands: once per band,
+    /// so a row listed twice in one bucket leaves it twice. Removing a row
+    /// that is not there is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` was not in the key pool.
+    pub fn remove(&mut self, row: u32) {
+        let at = row as usize * self.bands;
+        for &b in &self.bucket_of[at..at + self.bands] {
+            let Range { start, end } = self.span(b);
+            if let Ok(pos) = self.ids[start..end].binary_search(&row) {
+                self.ids.copy_within(start + pos + 1..end, start + pos);
+                self.ends[b as usize] -= 1;
+            }
+        }
+    }
+
+    /// Probes the buckets of `row`'s bands into `scratch`, skipping the row
+    /// itself: what [`LshIndex::probe_keys_into`] answers for the row's
+    /// keys over the same rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` was not in the key pool.
+    pub fn probe_into(&self, row: u32, scratch: &mut QueryScratch<u32>) -> LshQueryStats {
+        scratch.reset();
+        let mut stats = LshQueryStats::default();
+        let at = row as usize * self.bands;
+        for &b in &self.bucket_of[at..at + self.bands] {
+            scratch.visit_bucket(&self.ids[self.span(b)], self.bucket_cap, row, &mut stats);
+        }
+        stats
+    }
+
+    /// Where bucket `b`'s rows sit in `ids`.
+    fn span(&self, b: u32) -> Range<usize> {
+        self.starts[b as usize] as usize..self.ends[b as usize] as usize
+    }
+
+    /// Sizes of the non-empty buckets, in key order.
+    pub fn bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.starts.iter().zip(&self.ends).map(|(&s, &e)| (e - s) as usize).filter(|&n| n > 0)
     }
 }
 
@@ -967,6 +1081,82 @@ mod tests {
         let (cands, _) = idx.candidates_counted(&f1, u32::MAX);
         assert_eq!(cands, vec![0, 2], "cap keeps the lowest surviving ids");
         assert_eq!(idx.num_entries(), 4);
+    }
+
+    /// The flat index is the mutable one under removal: random key pools
+    /// are built both ways — `FlatIndex::build` over the pool,
+    /// `insert_with_keys` row by row — and after every step of a random
+    /// removal sequence (repeats included) every row's probe must match
+    /// `probe_keys_into` on its keys: the same `out` order, the same hits
+    /// per candidate, the same stats, and the same bucket sizes overall.
+    /// Keys come from alphabets of 2 to 12 letters, so buckets outgrow
+    /// every cap in {1, 3, 100, ∞} but the last, and one row in six has all
+    /// its bands on one key.
+    ///
+    /// Mutation check (scratch copy): dropping `ends[b] -= 1` from
+    /// `FlatIndex::remove`, or removing a row once per distinct bucket
+    /// instead of once per band, fails this test.
+    #[test]
+    fn flat_index_matches_lsh_index_under_removals() {
+        use f3m_prng::SmallRng;
+        const BANDS: usize = 4;
+        let seeds = if cfg!(debug_assertions) { 6 } else { 64 };
+        // Removals of a row holding one key twice; probes cut at cap 100.
+        let (mut folded, mut cut_at_100) = (0, 0);
+        for seed in 0..seeds {
+            for bucket_cap in [1, 3, 100, usize::MAX] {
+                let mut rng = SmallRng::seed_from_u64(seed * 100 + bucket_cap.min(99) as u64);
+                let p = LshParams { rows: 2, bands: BANDS, bucket_cap };
+                let alphabet: Vec<BandKey> =
+                    (0..2 + seed % 11).map(|_| rng.next_u32()).collect();
+                let mut pool = Vec::new();
+                for _ in 0..rng.gen_range(1..=160) {
+                    let one = alphabet[rng.gen_range(0..alphabet.len())];
+                    let all_one = rng.gen_bool(1.0 / 6.0);
+                    pool.extend((0..BANDS).map(|_| {
+                        if all_one { one } else { alphabet[rng.gen_range(0..alphabet.len())] }
+                    }));
+                }
+                let n = pool.len() / BANDS;
+                let keys = |row: u32| &pool[row as usize * BANDS..(row as usize + 1) * BANDS];
+                let mut flat = FlatIndex::build(p, &pool);
+                let mut reference = LshIndex::new(p);
+                for row in 0..n as u32 {
+                    reference.insert_with_keys(row, keys(row));
+                }
+                let (mut got, mut expected) = (QueryScratch::new(), QueryScratch::new());
+                for step in 0..=n {
+                    let case = format!("seed {seed} cap {bucket_cap} step {step}");
+                    if step > 0 {
+                        let row = rng.gen_range(0..n as u32);
+                        flat.remove(row);
+                        reference.remove_with_keys(row, keys(row));
+                        let mut sorted = keys(row).to_vec();
+                        sorted.sort_unstable();
+                        folded += usize::from(sorted.windows(2).any(|w| w[0] == w[1]));
+                    }
+                    let mut sizes: Vec<usize> = flat.bucket_sizes().collect();
+                    sizes.sort_unstable();
+                    let mut want = reference.bucket_sizes();
+                    want.sort_unstable();
+                    assert_eq!(sizes, want, "{case}");
+                    for row in 0..n as u32 {
+                        let stats = flat.probe_into(row, &mut got);
+                        assert_eq!(
+                            stats,
+                            reference.probe_keys_into(keys(row), row, &mut expected),
+                            "row {row} of {case}"
+                        );
+                        assert_eq!(got.out, expected.out, "row {row} of {case}");
+                        for &c in &got.out {
+                            assert_eq!(got.hits(c), expected.hits(c), "row {row} of {case}");
+                        }
+                        cut_at_100 += usize::from(bucket_cap == 100 && stats.truncated > 0);
+                    }
+                }
+            }
+        }
+        assert!(folded > 0 && cut_at_100 > 0, "folded rows {folded}, cut at 100 {cut_at_100}");
     }
 
     #[test]
