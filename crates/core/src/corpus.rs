@@ -686,10 +686,14 @@ impl Corpus {
     /// one function-grained write.
     ///
     /// `replacement_ir` is module-wrapped IR text containing a definition
-    /// of `func`. Only that definition is read: the text is lexed and its
-    /// top level parsed, every other body is stepped over unread, and
-    /// `func`'s body is parsed and verified — a malformed body of another
-    /// function in the text is ignored. The definition's canonical print is
+    /// of `func`. Only that definition is read: the text's top level is
+    /// parsed, every other body is stepped over by a brace skim that
+    /// neither lexes nor reads it, and `func`'s body is lexed, parsed and
+    /// verified — a malformed body of another function in the text is
+    /// ignored, even one that does not lex
+    /// ([`parse_module_for`](f3m_ir::parser::parse_module_for)). So the
+    /// parse costs what the top level and `func`'s body cost, not what
+    /// the whole text does. The definition's canonical print is
     /// then re-parsed against the resident module's symbols and types and
     /// verified as the module would verify with it installed (itself, and
     /// its callers when its signature changed); a parse error there names
@@ -2138,16 +2142,16 @@ mod tests {
         let patch = body_swap_patch(&alpha, &dst, &src);
         let (head, tail) = patch.split_at(patch.find(&format!("@{dst}(")).unwrap());
         let body_start = head.len() + tail.find("bb0:\n").unwrap() + 5;
+        let in_dst = |line: &str| format!("{}{line}\n{}", &patch[..body_start], &patch[body_start..]);
         let broken = [
-            // Lexical: a stray byte, in a body the update never reads.
-            (patch.replacen("ret ", "ret $", 1), "unexpected character `$`"),
+            // Lexical: a stray byte where a top-level item starts, and in
+            // `dst`'s own body.
+            (patch.replacen("declare ", "$declare ", 1), "unexpected character `$`"),
+            (in_dst("  ret $"), "unexpected character `$`"),
             // Top level: a token that starts no item.
             (patch.replacen("declare ", "declared ", 1), "expected `global`"),
             // `dst`'s own body.
-            (
-                format!("{}  bogus i32 0\n{}", &patch[..body_start], &patch[body_start..]),
-                "unknown mnemonic `bogus`",
-            ),
+            (in_dst("  bogus i32 0"), "unknown mnemonic `bogus`"),
         ];
         for (text, why) in &broken {
             let whole = parse_module(text).unwrap_err();
@@ -2158,8 +2162,9 @@ mod tests {
         assert_eq!(c.epoch(), 1, "nothing was installed");
     }
 
-    /// ... and nothing inside another definition's braces is read: a body
-    /// a module parse refuses does not stop the update of `func`.
+    /// ... and nothing inside another definition's braces is read, or
+    /// even lexed: a body a module parse refuses does not stop the update
+    /// of `func`.
     #[test]
     fn update_ignores_other_bodies_of_the_replacement() {
         let c = corpus();
@@ -2171,6 +2176,13 @@ mod tests {
         assert!(parse_module(&text).is_err(), "a module parse refuses the text");
         let up = c.update_function("alpha", &dst, Some(&text)).unwrap();
         assert!(up.changed);
+        // A stray byte in the first body, which is not `dst`'s.
+        let unlexed = patch.replacen("ret ", "ret $", 1);
+        assert!(!patch[..patch.find("ret ").unwrap()].contains(&format!("@{dst}(")));
+        let err = parse_module(&unlexed).unwrap_err();
+        assert_eq!(err.msg, "unexpected character `$`", "a module parse refuses it");
+        let up = c.update_function("alpha", &dst, Some(&unlexed)).unwrap();
+        assert!(!up.changed, "the same body as the update before");
         let fresh = corpus();
         fresh.ingest(parse_module(&patch).unwrap()).unwrap();
         let printed = |c: &Corpus| {

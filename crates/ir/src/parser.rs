@@ -1,24 +1,32 @@
 //! Textual IR parser.
 //!
-//! Parses the syntax produced by [`crate::printer`]. The text is lexed once
-//! into tokens that borrow from it, and a hand-written recursive-descent
-//! parser walks the token vector in two loops: the first parses every
-//! top-level item — `global` lines, `declare`/`define` headers — and steps
-//! over each definition's body by brace matching; the second parses each
-//! body into the function its header created. With every header registered
-//! before any body is read, calls resolve forward references. A body is
-//! first staged — every instruction, operand and target label appended to
-//! flat buffers the parser reuses from body to body — and then built in
-//! two phases, so that phi-nodes can reference values defined later (back
-//! edges).
+//! Parses the syntax produced by [`crate::printer`]. A hand-written
+//! recursive-descent parser reads the text through a cursor that lexes on
+//! demand — tokens borrow from the text, and no token vector is built —
+//! in two loops: the first parses every top-level item — `global` lines,
+//! `declare`/`define` headers — and steps over each definition's body by a
+//! byte-level brace skim that lexes nothing; the second seeks to each body
+//! and lexes it as it parses it into the function its header created.
+//! With every header registered before any body is read, calls resolve
+//! forward references. A body is first staged — every instruction,
+//! operand and target label appended to flat buffers the parser reuses
+//! from body to body — and then built in two phases, so that phi-nodes can
+//! reference values defined later (back edges).
 //!
 //! Two entry points serve a one-function edit of a resident module
 //! without parsing the module: [`parse_module_for`] reads a module text
-//! for one definition only (the second loop visits that body alone), and
-//! [`parse_replacement`] reads one printed definition against an existing
-//! module's symbols and types.
+//! for one definition only (the second loop visits that body alone, and
+//! no other body is lexed), and [`parse_replacement`] reads one printed
+//! definition against an existing module's symbols and types.
 //!
-//! The first error wins and carries its 1-based line; no input panics.
+//! The first error in reading order wins and carries its 1-based line:
+//! the top level first — the headers and the skim over each body — then
+//! each body read, in order. One exception: a token where a top-level
+//! item should start (a stray token, a lexical error or the end of input)
+//! is reported after the bodies, since it usually means a brace went
+//! astray in the body before it. Text the parser does not read — after
+//! the module's `}`, or in a body [`parse_module_for`] steps over — is
+//! not lexed, so it cannot be an error. No input panics.
 //!
 //! # Examples
 //!
@@ -77,9 +85,7 @@ fn err(line: usize, msg: impl Into<String>) -> ParseError {
 /// Returns a [`ParseError`] for syntax errors; verifier failures are
 /// reported as a parse error on line 0 listing the problems.
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
-    let m = parse_module_unverified(src)?;
-    verify_module(&m).map_err(|errs| verification_failed(&errs))?;
-    Ok(m)
+    Parser::new(src).verified_module()
 }
 
 /// Verifier failures as the parse error every entry point reports them
@@ -89,25 +95,22 @@ fn verification_failed(errs: &[VerifyError]) -> ParseError {
     err(0, format!("verification failed: {}", errs.join("; ")))
 }
 
-/// Parses module text `src` for its definition of `name` alone: the whole
-/// text is lexed and its top level parsed as [`parse_module`] does, every
-/// other definition's body is stepped over by brace matching and left
-/// unread (the function keeps its header and no blocks), and `name`'s body
-/// is parsed and verified. Returns the module and `name`'s id — `None`
-/// when `src` has no definition of `name`.
+/// Parses module text `src` for its definition of `name` alone: its top
+/// level is parsed as [`parse_module`] does, every other definition's body
+/// is stepped over by the brace skim and neither lexed nor read (the
+/// function keeps its header and no blocks), and `name`'s body is parsed
+/// and verified. Returns the module and `name`'s id — `None` when `src`
+/// has no definition of `name`.
 ///
 /// # Errors
 ///
-/// What [`parse_module`] reports for a lexical error, an error at the top
-/// level or an error in `name`'s body (verifier failures of `name` on line
-/// 0); nothing inside another definition's braces is looked at.
+/// What [`parse_module`] reports for an error at the top level or in
+/// `name`'s body (verifier failures of `name` on line 0). Inside another
+/// definition's braces only the braces, comments and strings are looked
+/// at, so what does not lex there is no error; an unterminated string, or
+/// the input ending there, is.
 pub fn parse_module_for(src: &str, name: &str) -> Result<(Module, Option<FuncId>), ParseError> {
-    let m = Parser::new(src)?.module(Some(name), Parser::body)?;
-    let id = m.lookup_function(name).filter(|&id| !m.function(id).is_declaration);
-    if let Some(id) = id {
-        verify_function(&m, id).map_err(|errs| verification_failed(&errs))?;
-    }
-    Ok((m, id))
+    Parser::new(src).module_for(name)
 }
 
 /// Parses `text` — one definition, as [`print_function`](crate::printer::print_function)
@@ -127,23 +130,7 @@ pub fn parse_replacement(
     id: FuncId,
     text: &str,
 ) -> Result<(Function, TypeStore), ParseError> {
-    let mut p = Parser::new(text)?;
-    let mut types = m.types.clone();
-    p.expect_word("define")?;
-    let internal = p.internal(true);
-    let (name, line) = p.sym()?;
-    let want = &m.function(id).name;
-    if name != want {
-        return Err(err(line, format!("expected a definition of @{want}, found @{name}")));
-    }
-    let mut f = p.signature(&mut types, name, internal, true)?;
-    p.expect(Tok::LBrace)?;
-    p.body(m, &mut types, &mut f)?;
-    if let Ok((tok, line)) = p.peek() {
-        return Err(err(line, format!("expected end of input, found {tok:?}")));
-    }
-    verify_replacement(m, &types, id, &f).map_err(|errs| verification_failed(&errs))?;
-    Ok((f, types))
+    Parser::new(text).replacement(m, id)
 }
 
 /// The print→parse→print fixpoint every merge oracle checks: `printed`
@@ -168,7 +155,7 @@ pub fn check_print_fixpoint(printed: &str) -> Result<(), String> {
 ///
 /// Returns a [`ParseError`] for syntax errors.
 pub fn parse_module_unverified(src: &str) -> Result<Module, ParseError> {
-    Parser::new(src)?.module(None, Parser::body)
+    Parser::new(src).module(None, Parser::body)
 }
 
 // ---------------------------------------------------------------------------
@@ -207,43 +194,134 @@ fn run(bytes: &[u8], from: usize, keep: impl Fn(u8) -> bool) -> usize {
     from + bytes[from..].iter().take_while(|&&b| keep(b)).count()
 }
 
+/// The end of the run of decimal digits at `from`, and the number they
+/// spell — `None` past `u64::MAX`.
+fn digits(bytes: &[u8], from: usize) -> (usize, Option<u64>) {
+    let (mut i, mut value) = (from, Some(0u64));
+    while let Some(&b) = bytes.get(i).filter(|b| b.is_ascii_digit()) {
+        value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+        i += 1;
+    }
+    (i, value)
+}
+
 fn is_name_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
 }
 
-/// Splits `src` into tokens, each with its 1-based line. Every slice
-/// boundary is next to an ASCII byte, so slicing `src` cannot split a
-/// character.
-fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
-    let bytes = src.as_bytes();
-    // Not pre-sized: one `len / 3` reservation parsed no faster than growth
-    // by doubling and left the daemon's peak RSS higher (EXPERIMENTS.md).
-    let mut toks = Vec::new();
-    let (mut i, mut line) = (0, 1);
-    while i < bytes.len() {
+/// Newlines in `bytes`, counted in runs of 255 bytes so that each run's
+/// count fits the byte-wide sum the compiler vectorizes.
+fn newlines(bytes: &[u8]) -> usize {
+    let count = |run: &[u8]| run.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'));
+    bytes.chunks(255).map(|run| usize::from(count(run))).sum()
+}
+
+/// Whether the skim over a body stops at `b`: a brace, or the start of
+/// a comment or a string.
+fn is_stop(b: u8) -> bool {
+    (b == b'{') | (b == b'}') | (b == b';') | (b == b'"')
+}
+
+/// The first byte at or after `from` the skim stops at. Chunks without
+/// one are passed over whole, tested by a byte-wide fold the compiler
+/// vectorizes.
+fn next_stop(bytes: &[u8], mut from: usize) -> Option<usize> {
+    const CHUNK: usize = 32;
+    while let Some(chunk) = bytes[from..].first_chunk::<CHUNK>() {
+        if chunk.iter().fold(0u8, |stops, &b| stops | u8::from(is_stop(b))) != 0 {
+            break;
+        }
+        from += CHUNK;
+    }
+    bytes[from..].iter().position(|&b| is_stop(b)).map(|k| from + k)
+}
+
+/// Where the parser's tokens come from: a [`Cursor`] over the source, or
+/// — in tests — the token vector it replaced.
+trait Tokens<'s> {
+    /// Where a definition's body starts, to come back to.
+    type Mark: Copy;
+
+    /// The token `n` (0 or 1) ahead of the cursor and its 1-based line;
+    /// `None` past the end of input.
+    fn ahead(&mut self, n: usize) -> Result<Option<(Tok<'s>, usize)>, ParseError>;
+
+    /// Consumes the token `ahead(0)` returned.
+    fn bump(&mut self);
+
+    /// `ahead(0)`, consumed.
+    fn next(&mut self) -> Result<Option<(Tok<'s>, usize)>, ParseError>;
+
+    /// Line of the token before the cursor; 0 before the first.
+    fn cur_line(&self) -> usize;
+
+    /// Steps over a definition's body, from after its `{` (just consumed)
+    /// to after the `}` that matches it, and returns where the body
+    /// starts.
+    fn skip_body(&mut self) -> Result<Self::Mark, ParseError>;
+
+    /// Puts the cursor back at `mark`.
+    fn seek(&mut self, mark: Self::Mark);
+}
+
+/// The lexer: a cursor over the source that tokenizes only what the parser
+/// reads, holding the two tokens of lookahead the grammar needs. Every
+/// slice boundary is next to an ASCII byte, so slicing the source cannot
+/// split a character.
+struct Cursor<'s> {
+    src: &'s str,
+    /// Byte offset and line where the next token not in `ahead` starts
+    /// (or the whitespace before it).
+    at: usize,
+    line: usize,
+    /// Tokens lexed ahead of the cursor: the first `buffered` slots.
+    ahead: [(Tok<'s>, usize); 2],
+    buffered: usize,
+    /// Line of the last token consumed.
+    last: usize,
+}
+
+impl<'s> Cursor<'s> {
+    fn new(src: &'s str) -> Self {
+        Cursor { src, at: 0, line: 1, ahead: [(Tok::Comma, 0); 2], buffered: 0, last: 0 }
+    }
+
+    /// Lexes the token at the cursor and moves past it; `None` at the end
+    /// of input. On an error the cursor stays where it was.
+    #[inline(always)]
+    fn lex(&mut self) -> Result<Option<(Tok<'s>, usize)>, ParseError> {
+        let (src, bytes) = (self.src, self.src.as_bytes());
+        let (mut i, mut line) = (self.at, self.line);
+        loop {
+            match bytes.get(i) {
+                None => {
+                    (self.at, self.line) = (i, line);
+                    return Ok(None);
+                }
+                Some(b'\n') => line += 1,
+                Some(b' ' | b'\t' | b'\r') => {}
+                Some(b';') => {
+                    i = run(bytes, i, |b| b != b'\n');
+                    continue;
+                }
+                Some(_) => break,
+            }
+            i += 1;
+        }
         let start = i;
         let tok = match bytes[i] {
-            b'\n' => {
-                line += 1;
-                i += 1;
-                continue;
-            }
-            b' ' | b'\t' | b'\r' => {
-                i += 1;
-                continue;
-            }
-            b';' => {
-                i = run(bytes, i, |b| b != b'\n');
-                continue;
-            }
             b'-' if bytes.get(i + 1) == Some(&b'>') => {
                 i += 2;
                 Tok::Arrow
             }
             b'-' => {
-                i = run(bytes, i + 1, |b| b.is_ascii_digit());
-                let text = &src[start..i];
-                Tok::Int(text.parse().map_err(|_| err(line, format!("bad integer `{text}`")))?)
+                let magnitude;
+                (i, magnitude) = digits(bytes, i + 1);
+                let value = magnitude.filter(|_| i > start + 1);
+                match value.and_then(|m| 0i64.checked_sub_unsigned(m)) {
+                    Some(v) => Tok::Int(v),
+                    None => return Err(err(line, format!("bad integer `{}`", &src[start..i]))),
+                }
             }
             b'"' => {
                 let end = run(bytes, i + 1, |b| b != b'"');
@@ -254,11 +332,15 @@ fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
                 Tok::Str(&src[start + 1..end])
             }
             b'%' => {
-                i = run(bytes, i + 1, |b| b.is_ascii_digit());
+                let n;
+                (i, n) = digits(bytes, i + 1);
                 if i == start + 1 {
                     return Err(err(line, "expected number after `%`"));
                 }
-                Tok::Local(src[start + 1..i].parse().map_err(|_| err(line, "bad local number"))?)
+                match n.and_then(|n| u32::try_from(n).ok()) {
+                    Some(n) => Tok::Local(n),
+                    None => return Err(err(line, "bad local number")),
+                }
             }
             b'@' => {
                 i = run(bytes, i + 1, is_name_byte);
@@ -273,9 +355,12 @@ fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
                 Tok::FloatBits(bits.map_err(|_| err(line, "bad float bits"))?)
             }
             b'0'..=b'9' => {
-                i = run(bytes, i, |b| b.is_ascii_digit());
-                let text = &src[start..i];
-                Tok::Int(text.parse().map_err(|_| err(line, format!("integer overflow `{text}`")))?)
+                let value;
+                (i, value) = digits(bytes, i);
+                match value.and_then(|v| i64::try_from(v).ok()) {
+                    Some(v) => Tok::Int(v),
+                    None => return Err(err(line, format!("integer overflow `{}`", &src[start..i]))),
+                }
             }
             b if b.is_ascii_alphabetic() || b == b'_' => {
                 i = run(bytes, i, is_name_byte);
@@ -297,9 +382,125 @@ fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
                 }
             }
         };
-        toks.push((tok, line));
+        // A string is the one token that can span lines: it has the line
+        // it starts on, and the cursor moves on by the lines it spans.
+        let spanned = if let Tok::Str(s) = tok { newlines(s.as_bytes()) } else { 0 };
+        (self.at, self.line) = (i, line + spanned);
+        Ok(Some((tok, line)))
     }
-    Ok(toks)
+
+    /// Line of the last token in the text from the cursor on — `last`
+    /// when there is none: what an end of input inside a skimmed body
+    /// reports.
+    fn last_token_line(&self) -> usize {
+        let bytes = self.src.as_bytes();
+        let (mut i, mut line, mut last) = (self.at, self.line, self.last);
+        while i < bytes.len() {
+            match bytes[i] {
+                b'\n' => line += 1,
+                b' ' | b'\t' | b'\r' => {}
+                b';' => {
+                    i = run(bytes, i, |b| b != b'\n');
+                    continue;
+                }
+                b'"' => {
+                    last = line;
+                    let end = run(bytes, i + 1, |b| b != b'"');
+                    line += newlines(&bytes[i..end]);
+                    i = end;
+                }
+                _ => last = line,
+            }
+            i += 1;
+        }
+        last
+    }
+}
+
+impl<'s> Tokens<'s> for Cursor<'s> {
+    /// The byte offset after the body's `{`, and its line.
+    type Mark = (usize, usize);
+
+    #[inline]
+    fn ahead(&mut self, n: usize) -> Result<Option<(Tok<'s>, usize)>, ParseError> {
+        while self.buffered <= n {
+            let Some(tok) = self.lex()? else {
+                return Ok(None);
+            };
+            self.ahead[self.buffered] = tok;
+            self.buffered += 1;
+        }
+        Ok(Some(self.ahead[n]))
+    }
+
+    #[inline]
+    fn bump(&mut self) {
+        debug_assert!(self.buffered > 0, "bump without a token ahead");
+        self.last = self.ahead[0].1;
+        self.ahead[0] = self.ahead[1];
+        self.buffered -= 1;
+    }
+
+    /// Lexes straight to the caller when no token is buffered.
+    #[inline]
+    fn next(&mut self) -> Result<Option<(Tok<'s>, usize)>, ParseError> {
+        if self.buffered > 0 {
+            let tok = self.ahead[0];
+            self.bump();
+            return Ok(Some(tok));
+        }
+        let tok = self.lex()?;
+        if let Some((_, line)) = tok {
+            self.last = line;
+        }
+        Ok(tok)
+    }
+
+    fn cur_line(&self) -> usize {
+        self.last
+    }
+
+    /// Skims the body's bytes for braces without tokenizing them. Braces
+    /// in a `;` comment or a string are stepped over as [`Cursor::lex`]
+    /// steps over them, so on text that lexes the skim ends at the `}`
+    /// the token walk would; nothing else in the body is looked at.
+    fn skip_body(&mut self) -> Result<Self::Mark, ParseError> {
+        debug_assert_eq!(self.buffered, 0, "a body starts after a consumed `{{`");
+        let bytes = self.src.as_bytes();
+        let mark = (self.at, self.line);
+        let (mut i, mut depth) = (self.at, 1usize);
+        while depth > 0 {
+            let Some(stop) = next_stop(bytes, i) else {
+                return Err(err(self.last_token_line(), "unexpected end of input"));
+            };
+            i = match bytes[stop] {
+                b'{' => {
+                    depth += 1;
+                    stop + 1
+                }
+                b'}' => {
+                    depth -= 1;
+                    stop + 1
+                }
+                b';' => run(bytes, stop, |b| b != b'\n'),
+                _ => {
+                    let end = run(bytes, stop + 1, |b| b != b'"');
+                    if end == bytes.len() {
+                        let line = self.line + newlines(&bytes[self.at..stop]);
+                        return Err(err(line, "unterminated string"));
+                    }
+                    end + 1
+                }
+            };
+        }
+        self.line += newlines(&bytes[self.at..i]);
+        (self.at, self.last) = (i, self.line);
+        Ok(mark)
+    }
+
+    fn seek(&mut self, (at, line): Self::Mark) {
+        (self.at, self.line, self.last, self.buffered) = (at, line, line, 0);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -397,25 +598,63 @@ impl Names {
 
 /// What reads one definition's body, after its `{`, into its function
 /// ([`Parser::body`]; tests pass the reference builder).
-type BodyReader<'s> =
-    fn(&mut Parser<'s>, &Module, &mut TypeStore, &mut Function) -> Result<(), ParseError>;
+type BodyReader<'s, T> =
+    fn(&mut Parser<'s, T>, &Module, &mut TypeStore, &mut Function) -> Result<(), ParseError>;
 
-struct Parser<'s> {
-    toks: Vec<(Tok<'s>, usize)>,
-    pos: usize,
+struct Parser<'s, T> {
+    toks: T,
     /// Where [`Parser::body`] stages the definition it reads.
     stage: Stage<'s>,
 }
 
-impl<'s> Parser<'s> {
-    /// A parser at the start of `src`'s tokens.
-    fn new(src: &'s str) -> Result<Self, ParseError> {
-        Ok(Parser { toks: lex(src)?, pos: 0, stage: Stage::default() })
+impl<'s> Parser<'s, Cursor<'s>> {
+    /// A parser at the start of `src`.
+    fn new(src: &'s str) -> Self {
+        Parser { toks: Cursor::new(src), stage: Stage::default() }
+    }
+}
+
+impl<'s, T: Tokens<'s>> Parser<'s, T> {
+    /// [`parse_module`]'s work.
+    fn verified_module(mut self) -> Result<Module, ParseError> {
+        let m = self.module(None, Parser::body)?;
+        verify_module(&m).map_err(|errs| verification_failed(&errs))?;
+        Ok(m)
+    }
+
+    /// [`parse_module_for`]'s work.
+    fn module_for(mut self, name: &str) -> Result<(Module, Option<FuncId>), ParseError> {
+        let m = self.module(Some(name), Parser::body)?;
+        let id = m.lookup_function(name).filter(|&id| !m.function(id).is_declaration);
+        if let Some(id) = id {
+            verify_function(&m, id).map_err(|errs| verification_failed(&errs))?;
+        }
+        Ok((m, id))
+    }
+
+    /// [`parse_replacement`]'s work.
+    fn replacement(mut self, m: &Module, id: FuncId) -> Result<(Function, TypeStore), ParseError> {
+        let mut types = m.types.clone();
+        self.expect_word("define")?;
+        let internal = self.internal(true);
+        let (name, line) = self.sym()?;
+        let want = &m.function(id).name;
+        if name != want {
+            return Err(err(line, format!("expected a definition of @{want}, found @{name}")));
+        }
+        let mut f = self.signature(&mut types, name, internal, true)?;
+        self.expect(Tok::LBrace)?;
+        self.body(m, &mut types, &mut f)?;
+        if let Some((tok, line)) = self.toks.ahead(0)? {
+            return Err(err(line, format!("expected end of input, found {tok:?}")));
+        }
+        verify_replacement(m, &types, id, &f).map_err(|errs| verification_failed(&errs))?;
+        Ok((f, types))
     }
 
     /// A whole module, each body read by `body`; with `only`, the body of
     /// that definition alone.
-    fn module(&mut self, only: Option<&str>, body: BodyReader<'s>) -> Result<Module, ParseError> {
+    fn module(&mut self, only: Option<&str>, body: BodyReader<'s, T>) -> Result<Module, ParseError> {
         self.expect_word("module")?;
         let name = match self.next()? {
             (Tok::Str(s), _) => s,
@@ -426,10 +665,11 @@ impl<'s> Parser<'s> {
 
         // First loop: every top-level item up to the module's `}` is parsed
         // and registered; a definition's body is stepped over by brace
-        // matching and its first token index kept. A token that starts no
-        // item (or the input ending here) usually means a brace went astray
-        // in the body before it, so that error waits for the second loop:
-        // the body names the line where it went wrong.
+        // matching ([`Tokens::skip_body`]) and where it starts is kept. A
+        // token that starts no item (or a lexical error or the input ending
+        // there) usually means a brace went astray in the body before it,
+        // so that error waits for the second loop: the body names the line
+        // where it went wrong.
         let mut bodies = Vec::new();
         let stray = loop {
             match self.next() {
@@ -441,16 +681,9 @@ impl<'s> Parser<'s> {
                 Ok((Tok::Word("define"), _)) => {
                     let fid = self.header(&mut m, true)?;
                     self.expect(Tok::LBrace)?;
+                    let at = self.toks.skip_body()?;
                     if only.is_none_or(|name| name == m.function(fid).name) {
-                        bodies.push((fid, self.pos));
-                    }
-                    let mut depth = 1;
-                    while depth > 0 {
-                        match self.next()?.0 {
-                            Tok::LBrace => depth += 1,
-                            Tok::RBrace => depth -= 1,
-                            _ => {}
-                        }
+                        bodies.push((fid, at));
                     }
                 }
                 Ok((_, line)) => {
@@ -465,7 +698,7 @@ impl<'s> Parser<'s> {
         // the module answers the symbol lookups meanwhile.
         let mut types = std::mem::take(&mut m.types);
         for (fid, at) in bodies {
-            self.pos = at;
+            self.toks.seek(at);
             let stand_in = Function::new_declaration("", Vec::new(), TypeId::VOID);
             let mut f = std::mem::replace(m.function_mut(fid), stand_in);
             body(self, &m, &mut types, &mut f)?;
@@ -509,7 +742,9 @@ impl<'s> Parser<'s> {
     /// consumed.
     fn internal(&mut self, define: bool) -> bool {
         let internal = define && matches!(self.peek(), Ok((Tok::Word("internal"), _)));
-        self.pos += usize::from(internal);
+        if internal {
+            self.toks.bump();
+        }
         internal
     }
 
@@ -527,7 +762,7 @@ impl<'s> Parser<'s> {
             let ty = p.ty(types)?;
             // Definitions name their parameters.
             if define && matches!(p.peek(), Ok((Tok::Local(_), _))) {
-                p.pos += 1;
+                p.toks.bump();
             }
             Ok(ty)
         })?;
@@ -557,20 +792,21 @@ impl<'s> Parser<'s> {
         loop {
             let (result_name, line) = match self.peek()? {
                 (Tok::RBrace, _) => {
-                    self.pos += 1;
+                    self.toks.bump();
                     break;
                 }
                 (Tok::Word(w), line) => {
                     // Either a label `bbN:` or an instruction mnemonic.
                     if self.peek_ahead(1)?.0 == Tok::Colon && Opcode::from_mnemonic(w).is_none() {
-                        self.pos += 2;
+                        self.toks.bump();
+                        self.toks.bump();
                         self.stage.blocks.push((w, line, self.stage.insts.len()));
                         continue;
                     }
                     (None, line)
                 }
                 (Tok::Local(n), _) => {
-                    self.pos += 1;
+                    self.toks.bump();
                     self.expect(Tok::Eq)?;
                     (Some(n), self.cur_line())
                 }
@@ -698,7 +934,7 @@ impl<'s> Parser<'s> {
                     if self.peek()?.0 != Tok::Comma {
                         break;
                     }
-                    self.pos += 1;
+                    self.toks.bump();
                 }
             }
             o => return Err(err(line, format!("cannot parse opcode {o:?}"))),
@@ -752,24 +988,27 @@ impl<'s> Parser<'s> {
 
     // ---- token helpers ----------------------------------------------------
 
-    fn peek_ahead(&self, n: usize) -> Result<(Tok<'s>, usize), ParseError> {
-        let tok = self.toks.get(self.pos + n).copied();
-        tok.ok_or_else(|| err(self.cur_line(), "unexpected end of input"))
+    fn peek_ahead(&mut self, n: usize) -> Result<(Tok<'s>, usize), ParseError> {
+        match self.toks.ahead(n)? {
+            Some(tok) => Ok(tok),
+            None => Err(err(self.cur_line(), "unexpected end of input")),
+        }
     }
 
-    fn peek(&self) -> Result<(Tok<'s>, usize), ParseError> {
+    fn peek(&mut self) -> Result<(Tok<'s>, usize), ParseError> {
         self.peek_ahead(0)
     }
 
     fn next(&mut self) -> Result<(Tok<'s>, usize), ParseError> {
-        let tok = self.peek()?;
-        self.pos += 1;
-        Ok(tok)
+        match self.toks.next()? {
+            Some(tok) => Ok(tok),
+            None => Err(err(self.cur_line(), "unexpected end of input")),
+        }
     }
 
     /// Line of the token before the cursor.
     fn cur_line(&self) -> usize {
-        self.toks.get(self.pos.saturating_sub(1)).map_or(0, |t| t.1)
+        self.toks.cur_line()
     }
 
     fn expect(&mut self, want: Tok<'s>) -> Result<(), ParseError> {
@@ -811,11 +1050,11 @@ impl<'s> Parser<'s> {
         loop {
             let tok = self.peek()?.0;
             if tok == close {
-                self.pos += 1;
+                self.toks.bump();
                 return Ok(());
             }
             if tok == Tok::Comma {
-                self.pos += 1;
+                self.toks.bump();
             } else {
                 item(self)?;
             }
@@ -823,11 +1062,11 @@ impl<'s> Parser<'s> {
     }
 
     /// The items [`Parser::each`] reads, collected.
-    fn list<T>(
+    fn list<I>(
         &mut self,
         close: Tok<'s>,
-        mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
-    ) -> Result<Vec<T>, ParseError> {
+        mut item: impl FnMut(&mut Self) -> Result<I, ParseError>,
+    ) -> Result<Vec<I>, ParseError> {
         let mut items = Vec::new();
         self.each(close, |p| {
             items.push(item(p)?);
@@ -836,7 +1075,7 @@ impl<'s> Parser<'s> {
         Ok(items)
     }
 
-    fn at_type(&self) -> bool {
+    fn at_type(&mut self) -> bool {
         match self.peek() {
             Ok((Tok::Word(w), _)) => {
                 let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());

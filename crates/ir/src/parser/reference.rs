@@ -1,16 +1,180 @@
-//! The body builder the staged one replaced, kept as the reference the
-//! staged builder is held to: every instruction read into a [`RawInst`]
-//! with an operand vector and a target vector of its own, the blocks
-//! into a vector of those, then built in the same two phases through a
-//! label map and a name map. Only the label step ([`label_blocks`]) is
-//! shared, so both report a repeated label alike.
+//! What the parser replaced, kept as the references it is held to.
 //!
-//! The tests below run both builders over the same text and require the
-//! same module — printed alike, and numbered alike: every value,
-//! instruction, block and type id, constants in the same order — or the
-//! same `(line, msg)`.
+//! - The body builder the staged one replaced: every instruction read
+//!   into a [`RawInst`] with an operand vector and a target vector of its
+//!   own, the blocks into a vector of those, then built in the same two
+//!   phases through a label map and a name map. Only the label step
+//!   ([`label_blocks`]) is shared, so both report a repeated label alike.
+//! - The token vector the cursor replaced: [`lex`] splits the whole text
+//!   into tokens up front, and [`TokenVec`] walks them, stepping over a
+//!   body by counting brace tokens.
+//!
+//! The tests below run the staged and the reference builder over the same
+//! text, and the cursor and the token vector, and require the same
+//! module — printed alike, and numbered alike: every value, instruction,
+//! block and type id, constants in the same order — or the same
+//! `(line, msg)`.
 
 use super::*;
+
+/// Splits `src` into tokens, each with the 1-based line it starts on, up
+/// to the first lexical error, which comes with them.
+fn lex(src: &str) -> (Vec<(Tok<'_>, usize)>, Option<ParseError>) {
+    let mut toks = Vec::new();
+    let end = lex_into(src, &mut toks);
+    (toks, end.err())
+}
+
+/// [`lex`]'s work: the tokens are pushed to `toks`.
+fn lex_into<'s>(src: &'s str, toks: &mut Vec<(Tok<'s>, usize)>) -> Result<(), ParseError> {
+    let bytes = src.as_bytes();
+    let (mut i, mut line) = (0, 1);
+    while i < bytes.len() {
+        let start = i;
+        let tok = match bytes[i] {
+            b'\n' => {
+                line += 1;
+                i += 1;
+                continue;
+            }
+            b' ' | b'\t' | b'\r' => {
+                i += 1;
+                continue;
+            }
+            b';' => {
+                i = run(bytes, i, |b| b != b'\n');
+                continue;
+            }
+            b'-' if bytes.get(i + 1) == Some(&b'>') => {
+                i += 2;
+                Tok::Arrow
+            }
+            b'-' => {
+                i = run(bytes, i + 1, |b| b.is_ascii_digit());
+                let text = &src[start..i];
+                Tok::Int(text.parse().map_err(|_| err(line, format!("bad integer `{text}`")))?)
+            }
+            b'"' => {
+                let end = run(bytes, i + 1, |b| b != b'"');
+                if end == bytes.len() {
+                    return Err(err(line, "unterminated string"));
+                }
+                i = end + 1;
+                toks.push((Tok::Str(&src[start + 1..end]), line));
+                // The lines a string spans count.
+                line += newlines(&bytes[start..end]);
+                continue;
+            }
+            b'%' => {
+                i = run(bytes, i + 1, |b| b.is_ascii_digit());
+                if i == start + 1 {
+                    return Err(err(line, "expected number after `%`"));
+                }
+                Tok::Local(src[start + 1..i].parse().map_err(|_| err(line, "bad local number"))?)
+            }
+            b'@' => {
+                i = run(bytes, i + 1, is_name_byte);
+                if i == start + 1 {
+                    return Err(err(line, "expected name after `@`"));
+                }
+                Tok::Sym(&src[start + 1..i])
+            }
+            b'0' if bytes.get(i + 1) == Some(&b'f') => {
+                i = run(bytes, i + 2, |b| b.is_ascii_hexdigit());
+                let bits = u64::from_str_radix(&src[start + 2..i], 16);
+                Tok::FloatBits(bits.map_err(|_| err(line, "bad float bits"))?)
+            }
+            b'0'..=b'9' => {
+                i = run(bytes, i, |b| b.is_ascii_digit());
+                let text = &src[start..i];
+                Tok::Int(text.parse().map_err(|_| err(line, format!("integer overflow `{text}`")))?)
+            }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                i = run(bytes, i, is_name_byte);
+                Tok::Word(&src[start..i])
+            }
+            b => {
+                i += 1;
+                match b {
+                    b'{' => Tok::LBrace,
+                    b'}' => Tok::RBrace,
+                    b'(' => Tok::LParen,
+                    b')' => Tok::RParen,
+                    b'[' => Tok::LBracket,
+                    b']' => Tok::RBracket,
+                    b',' => Tok::Comma,
+                    b':' => Tok::Colon,
+                    b'=' => Tok::Eq,
+                    _ => return Err(err(line, format!("unexpected character `{}`", b as char))),
+                }
+            }
+        };
+        toks.push((tok, line));
+    }
+    Ok(())
+}
+
+/// The tokens [`lex`] made of a whole text, walked by index.
+struct TokenVec<'s> {
+    toks: Vec<(Tok<'s>, usize)>,
+    pos: usize,
+}
+
+impl<'s> Tokens<'s> for TokenVec<'s> {
+    /// The index of the body's first token.
+    type Mark = usize;
+
+    fn ahead(&mut self, n: usize) -> Result<Option<(Tok<'s>, usize)>, ParseError> {
+        Ok(self.toks.get(self.pos + n).copied())
+    }
+
+    fn bump(&mut self) {
+        self.pos += 1;
+    }
+
+    fn next(&mut self) -> Result<Option<(Tok<'s>, usize)>, ParseError> {
+        let tok = self.toks.get(self.pos).copied();
+        self.pos += usize::from(tok.is_some());
+        Ok(tok)
+    }
+
+    fn cur_line(&self) -> usize {
+        self.toks.get(self.pos.saturating_sub(1)).map_or(0, |t| t.1)
+    }
+
+    /// Counts brace tokens to the one that closes the body.
+    fn skip_body(&mut self) -> Result<usize, ParseError> {
+        let at = self.pos;
+        let mut depth = 1;
+        while depth > 0 {
+            let Some(&(tok, _)) = self.toks.get(self.pos) else {
+                return Err(err(self.cur_line(), "unexpected end of input"));
+            };
+            match tok {
+                Tok::LBrace => depth += 1,
+                Tok::RBrace => depth -= 1,
+                _ => {}
+            }
+            self.pos += 1;
+        }
+        Ok(at)
+    }
+
+    fn seek(&mut self, at: usize) {
+        self.pos = at;
+    }
+}
+
+impl<'s> Parser<'s, TokenVec<'s>> {
+    /// A parser over `src` lexed whole: its first lexical error before
+    /// anything is parsed.
+    fn over_vector(src: &'s str) -> Result<Self, ParseError> {
+        match lex(src) {
+            (toks, None) => Ok(Parser { toks: TokenVec { toks, pos: 0 }, stage: Stage::default() }),
+            (_, Some(e)) => Err(e),
+        }
+    }
+}
 
 #[derive(Clone, Debug)]
 struct RawInst<'s> {
@@ -27,10 +191,10 @@ struct RawInst<'s> {
 /// [`parse_module_unverified`](super::parse_module_unverified) with every
 /// body read by the reference builder.
 fn parse_module_unverified(src: &str) -> Result<Module, ParseError> {
-    Parser::new(src)?.module(None, Parser::reference_body)
+    Parser::new(src).module(None, Parser::reference_body)
 }
 
-impl<'s> Parser<'s> {
+impl<'s, T: Tokens<'s>> Parser<'s, T> {
     /// [`Parser::body`] as it was: a `RawInst` per instruction.
     fn reference_body(
         &mut self,
@@ -42,19 +206,20 @@ impl<'s> Parser<'s> {
         loop {
             let (result_name, line) = match self.peek()? {
                 (Tok::RBrace, _) => {
-                    self.pos += 1;
+                    self.toks.bump();
                     break;
                 }
                 (Tok::Word(w), line) => {
                     if self.peek_ahead(1)?.0 == Tok::Colon && Opcode::from_mnemonic(w).is_none() {
-                        self.pos += 2;
+                        self.toks.bump();
+                        self.toks.bump();
                         blocks.push((w, line, Vec::new()));
                         continue;
                     }
                     (None, line)
                 }
                 (Tok::Local(n), _) => {
-                    self.pos += 1;
+                    self.toks.bump();
                     self.expect(Tok::Eq)?;
                     (Some(n), self.cur_line())
                 }
@@ -193,7 +358,7 @@ impl<'s> Parser<'s> {
                     if self.peek()?.0 != Tok::Comma {
                         break;
                     }
-                    self.pos += 1;
+                    self.toks.bump();
                 }
             }
             o => return Err(err(line, format!("cannot parse opcode {o:?}"))),
@@ -293,31 +458,51 @@ mod tests {
     /// (constants in interning order), instructions and blocks, with every
     /// type they name by index and by structure.
     fn numbering(m: &Module) -> String {
-        let ty = |t: TypeId| format!("{t:?}={}", m.types.display(t));
         let mut out = format!("{} types\n", m.types.len());
         for (id, f) in m.functions() {
-            let params: Vec<String> = f.params.iter().map(|&t| ty(t)).collect();
-            let _ = writeln!(out, "{id:?} @{} {params:?} -> {}", f.name, ty(f.ret_ty));
-            for (v, value) in f.values() {
-                let _ = writeln!(out, "  {v:?} {:?} {}", value.kind, ty(value.ty));
-            }
-            for i in 0..f.num_insts() {
-                let inst = f.inst(InstId::from_index(i));
-                let aux = inst.aux_ty.map(ty);
-                let _ = writeln!(out, "  {inst:?} {} {aux:?}", ty(inst.ty));
-            }
-            for b in 0..f.block_arena_len() {
-                let _ = writeln!(out, "  {:?}", f.block(BlockId::from_index(b)));
-            }
-            let _ = writeln!(out, "  {:?}", f.block_order);
+            number_function(&mut out, &m.types, id, f);
         }
         out
     }
 
-    /// What a builder made of one text: the module's print and numbering,
+    /// [`numbering`]'s lines for function `id`, `f`, whose types live in
+    /// `types`.
+    fn number_function(out: &mut String, types: &TypeStore, id: FuncId, f: &Function) {
+        let ty = |t: TypeId| format!("{t:?}={}", types.display(t));
+        let params: Vec<String> = f.params.iter().map(|&t| ty(t)).collect();
+        let _ = writeln!(out, "{id:?} {:?} @{} {params:?} -> {}", f.linkage, f.name, ty(f.ret_ty));
+        for (v, value) in f.values() {
+            let _ = writeln!(out, "  {v:?} {:?} {}", value.kind, ty(value.ty));
+        }
+        for i in 0..f.num_insts() {
+            let inst = f.inst(InstId::from_index(i));
+            let aux = inst.aux_ty.map(ty);
+            let _ = writeln!(out, "  {inst:?} {} {aux:?}", ty(inst.ty));
+        }
+        for b in 0..f.block_arena_len() {
+            let _ = writeln!(out, "  {:?}", f.block(BlockId::from_index(b)));
+        }
+        let _ = writeln!(out, "  {:?}", f.block_order);
+    }
+
+    /// What a parse made of one text: the module's print and numbering,
     /// or the error.
     fn outcome(parsed: &Result<Module, ParseError>) -> Result<(String, String), ParseError> {
         parsed.as_ref().map(|m| (print_module(m), numbering(m))).map_err(Clone::clone)
+    }
+
+    /// Requires two outcomes to be the same module, printed and numbered
+    /// alike, or the same error; `what` names the check on failure.
+    fn same(what: &str, got: Result<(String, String), ParseError>, want: Result<(String, String), ParseError>) {
+        match (got, want) {
+            (Ok((print, ids)), Ok((want_print, want_ids))) => {
+                assert_eq!(print, want_print, "{what}: printed module");
+                let diff = ids.lines().zip(want_ids.lines()).enumerate().find(|(_, (a, b))| a != b);
+                assert_eq!(diff, None, "{what}: id numbering, (line, (got, want))");
+                assert_eq!(ids.lines().count(), want_ids.lines().count(), "{what}: id numbering");
+            }
+            (got, want) => assert_eq!(got.err(), want.err(), "{what}: parse error"),
+        }
     }
 
     /// Parses `src` with both builders, requires the same outcome and
@@ -325,26 +510,11 @@ mod tests {
     /// staged parse took.
     fn agree<'s>(src: &'s str, what: &str) -> (Stage<'s>, Result<Module, ParseError>, Duration) {
         let t0 = Instant::now();
-        let (stage, staged) = match Parser::new(src) {
-            Ok(mut p) => {
-                let m = p.module(None, Parser::body);
-                (p.stage, m)
-            }
-            Err(lex) => (Stage::default(), Err(lex)),
-        };
+        let mut p = Parser::new(src);
+        let staged = p.module(None, Parser::body);
+        let stage = p.stage;
         let elapsed = t0.elapsed();
-        let reference = parse_module_unverified(src);
-        match (outcome(&staged), outcome(&reference)) {
-            (Ok((print, ids)), Ok((want_print, want_ids))) => {
-                assert_eq!(print, want_print, "{what}: printed module");
-                let diff = ids.lines().zip(want_ids.lines()).enumerate().find(|(_, (a, b))| a != b);
-                assert_eq!(diff, None, "{what}: id numbering, (line, (staged, reference))");
-                assert_eq!(ids.lines().count(), want_ids.lines().count(), "{what}: id numbering");
-            }
-            (got, want) => {
-                assert_eq!(got.err(), want.err(), "{what}: parse error");
-            }
-        }
+        same(what, outcome(&staged), outcome(&parse_module_unverified(src)));
         (stage, staged, elapsed)
     }
 
@@ -390,13 +560,20 @@ mod tests {
         ":", "=", "(", ")", "[", "]", "{", "}", "\n",
     ];
 
+    /// Tokens that reach the lexer and the skim: braces in a comment, in
+    /// a string and in a struct type, a string over two lines, an
+    /// unterminated string, and characters and numbers that do not lex.
+    const LEXICAL: &[&str] = &[
+        "; {", "; }", "\"}\"", "\"{ ;\"", "\"a\nb\"", "{ i32, { i64 } }", "\"", "$", "%",
+        "99999999999999999999",
+    ];
+
     /// The hostile mutations of the parser robustness sweep, drawn over
     /// `text`'s lines, bytes and whitespace-separated tokens.
     fn hostile_mutations(text: &str, rng: &mut SmallRng) -> Vec<(String, String)> {
         let lines: Vec<&str> = text.lines().collect();
         let joined = |lines: &[&str]| lines.join("\n");
         let line = |rng: &mut SmallRng| rng.gen_range(0..lines.len());
-        let token = |rng: &mut SmallRng| TOKENS[rng.gen_range(0..TOKENS.len())];
         let mut out = Vec::new();
         for _ in 0..DRAWS {
             let (a, b) = (line(rng), line(rng));
@@ -411,18 +588,56 @@ mod tests {
             out.push((format!("lines {a} and {b} swapped"), joined(&swapped)));
             let cut = rng.gen_range(0..=text.len());
             out.push((format!("truncated at byte {cut}"), text[..cut].to_string()));
-            let at = rng.gen_range(0..=text.len());
-            let inserted = token(rng);
-            let text_with = format!("{} {inserted} {}", &text[..at], &text[at..]);
-            out.push((format!("{inserted:?} inserted at byte {at}"), text_with));
-            let words: Vec<&str> = text.split(' ').collect();
-            let w = rng.gen_range(0..words.len());
-            let replaced = token(rng);
-            let mut replaced_words = words.clone();
-            replaced_words[w] = replaced;
-            out.push((format!("word {w} replaced by {replaced:?}"), replaced_words.join(" ")));
+            out.extend(token_mutations(text, TOKENS, rng));
         }
         out
+    }
+
+    /// A token of `tokens` inserted at a byte of `text`, and one put in
+    /// place of a whitespace-separated word.
+    fn token_mutations(text: &str, tokens: &[&str], rng: &mut SmallRng) -> [(String, String); 2] {
+        let at = rng.gen_range(0..=text.len());
+        let inserted = tokens[rng.gen_range(0..tokens.len())];
+        let text_with = format!("{} {inserted} {}", &text[..at], &text[at..]);
+        let mut words: Vec<&str> = text.split(' ').collect();
+        let w = rng.gen_range(0..words.len());
+        let replaced = tokens[rng.gen_range(0..tokens.len())];
+        words[w] = replaced;
+        [
+            (format!("{inserted:?} inserted at byte {at}"), text_with),
+            (format!("word {w} replaced by {replaced:?}"), words.join(" ")),
+        ]
+    }
+
+    /// Visits every text the differentials read, in order: each module
+    /// [`modules`] lists, as printed, then each of its hostile mutations
+    /// and its [`LEXICAL`] token mutations (drawn apart, so they leave
+    /// the hostile draws as they were); then modules the fuzzer's
+    /// structural mutators changed, each step printed. The visitor gets
+    /// what the text is, the text, and whether it is a printed module —
+    /// which must parse.
+    fn each_input(seed: u64, mut visit: impl FnMut(&str, &str, bool)) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut lexical = SmallRng::seed_from_u64(!seed);
+        for (name, text) in modules() {
+            visit(&name, &text, true);
+            let lexical = (0..DRAWS).flat_map(|_| token_mutations(&text, LEXICAL, &mut lexical));
+            for (how, mutated) in hostile_mutations(&text, &mut rng).into_iter().chain(lexical) {
+                visit(&format!("{name}, {how}"), &mutated, false);
+            }
+        }
+        let rows = if cfg!(debug_assertions) { 3 } else { 23 };
+        for spec in f3m_workloads::table1().iter().take(rows) {
+            let spec = spec.scaled(24.0 / spec.functions as f64);
+            let mut m = f3m_workloads::build_module(&spec);
+            for step in 0..DRAWS * 2 {
+                let Some(mutator) = f3m_fuzz::mutate::apply_random(&mut m, &mut rng, 8) else {
+                    continue;
+                };
+                let what = format!("{}, mutation {step} ({mutator})", spec.name);
+                visit(&what, &f3m_ir::printer::print_module(&m), true);
+            }
+        }
     }
 
     /// The staged builder is the reference builder, exactly: the same
@@ -433,37 +648,133 @@ mod tests {
     /// inserted and replaced.
     #[test]
     fn staged_builder_matches_the_reference() {
-        let mut rng = SmallRng::seed_from_u64(0x5_7A6E);
         let mut refusals = BTreeSet::new();
-        for (name, text) in modules() {
-            let (_, result, _) = agree(&text, &name);
-            assert!(result.is_ok(), "{name} parses: {:?}", result.err());
-            for (how, mutated) in hostile_mutations(&text, &mut rng) {
-                if let Err(e) = agree(&mutated, &format!("{name}, {how}")).1 {
-                    refusals.insert(e.msg);
-                }
+        each_input(INPUTS, |what, text, printed| match agree(text, what).1 {
+            Ok(_) => {}
+            Err(e) => {
+                assert!(!printed, "{what} parses: {e:?}");
+                refusals.insert(e.msg);
             }
-        }
-        // Structural mutations: the fuzzer's mutators over generated
-        // modules, each step printed and parsed by both builders.
-        let rows = if cfg!(debug_assertions) { 3 } else { 23 };
-        for spec in f3m_workloads::table1().iter().take(rows) {
-            let spec = spec.scaled(24.0 / spec.functions as f64);
-            let mut m = f3m_workloads::build_module(&spec);
-            for step in 0..DRAWS * 2 {
-                let Some(mutator) = f3m_fuzz::mutate::apply_random(&mut m, &mut rng, 8) else {
-                    continue;
-                };
-                let what = format!("{}, mutation {step} ({mutator})", spec.name);
-                let text = f3m_ir::printer::print_module(&m);
-                assert!(agree(&text, &what).1.is_ok(), "{what} parses");
-            }
-        }
+        });
         for kind in
             ["duplicate label", "unknown label", "use of undefined value", "defined twice", "unknown symbol"]
         {
             let reached = refusals.iter().any(|msg| msg.contains(kind));
             assert!(reached, "no mutation reached `{kind}`: {refusals:?}");
+        }
+    }
+
+    /// The seed both differentials draw their inputs with.
+    const INPUTS: u64 = 0x5_7A6E;
+
+    /// The tokens the cursor yields for `src`, each with its line, up to
+    /// its first lexical error, which comes with them. They are taken by
+    /// turns through [`Tokens::next`] and through `ahead(0)` and `bump`.
+    fn cursor_tokens(src: &str) -> (Vec<(Tok<'_>, usize)>, Option<ParseError>) {
+        let mut cursor = Cursor::new(src);
+        let mut toks = Vec::new();
+        loop {
+            let tok = if toks.len() % 2 == 0 {
+                cursor.next()
+            } else {
+                let tok = cursor.ahead(0);
+                if let Ok(Some(_)) = tok {
+                    cursor.bump();
+                }
+                tok
+            };
+            match tok {
+                Ok(Some(tok)) => toks.push(tok),
+                Ok(None) => return (toks, None),
+                Err(e) => return (toks, Some(e)),
+            }
+        }
+    }
+
+    /// The names `src`'s `define` lines give.
+    fn defined_names(src: &str) -> Vec<&str> {
+        src.lines()
+            .filter_map(|l| l.strip_prefix("define "))
+            .filter_map(|l| l.trim_start_matches("internal ").strip_prefix('@'))
+            .filter_map(|l| l.split('(').next())
+            .collect()
+    }
+
+    /// [`parse_module_for`]'s outcome: the module's print and numbering
+    /// with the id it found, or the error.
+    fn outcome_for(parsed: Result<(Module, Option<FuncId>), ParseError>) -> Result<(String, String), ParseError> {
+        parsed.map(|(m, id)| (print_module(&m), format!("{id:?}\n{}", numbering(&m))))
+    }
+
+    /// [`parse_replacement`]'s outcome: the size of the store it came
+    /// with and the new definition of `id` numbered — every value,
+    /// instruction and block with the types it names, which is what a
+    /// print of it would show — or the error.
+    fn outcome_replacing(
+        id: FuncId,
+        parsed: Result<(Function, TypeStore), ParseError>,
+    ) -> Result<(String, String), ParseError> {
+        parsed.map(|(f, types)| {
+            let mut ids = String::new();
+            number_function(&mut ids, &types, id, &f);
+            (format!("{} types", types.len()), ids)
+        })
+    }
+
+    /// The cursor is the token vector it replaced, exactly, over every
+    /// input of [`staged_builder_matches_the_reference`]: it yields
+    /// [`lex`]'s tokens and lines up to the first lexical error, then the
+    /// same error; and on every text that lexes, [`parse_module`] and
+    /// [`parse_module_for`] — for a name the text defines, and for one it
+    /// does not, so that every body is skimmed — give what the parser
+    /// over the token vector gives. So does [`parse_replacement`] over a
+    /// printed module's definitions and their hostile mutations.
+    #[test]
+    fn cursor_matches_the_token_vector() {
+        let mut rng = SmallRng::seed_from_u64(0xC0_2504);
+        let mut lexical = BTreeSet::new();
+        each_input(INPUTS, |what, text, printed| {
+            let (toks, error) = cursor_tokens(text);
+            let (want_toks, want_error) = lex(text);
+            let diff = toks.iter().zip(&want_toks).position(|(a, b)| a != b);
+            assert_eq!(diff, None, "{what}: first token that differs");
+            assert_eq!(toks.len(), want_toks.len(), "{what}: tokens before the end or the error");
+            assert_eq!(error, want_error, "{what}: lexical error");
+            if let Some(e) = error {
+                lexical.insert(e.msg);
+                return;
+            }
+            let vector = || Parser::over_vector(text).unwrap();
+            let got = outcome(&parse_module(text));
+            same(&format!("{what}: parse_module"), got, outcome(&vector().verified_module()));
+            let names = defined_names(text);
+            let defined = names.get(rng.gen_range(0..names.len().max(1))).copied();
+            for name in defined.into_iter().chain(["__nowhere"]) {
+                let got = outcome_for(parse_module_for(text, name));
+                let want = outcome_for(vector().module_for(name));
+                same(&format!("{what}: parse_module_for {name}"), got, want);
+            }
+            if !printed {
+                return;
+            }
+            let m = parse_module(text).unwrap();
+            let defs: Vec<FuncId> =
+                m.functions().filter(|(_, f)| !f.is_declaration).map(|(id, _)| id).collect();
+            let id = defs[rng.gen_range(0..defs.len())];
+            let def = crate::printer::print_function(&m, id);
+            let mut texts = vec![("as printed".to_string(), def.clone())];
+            texts.extend(hostile_mutations(&def, &mut rng));
+            texts.extend((0..DRAWS).flat_map(|_| token_mutations(&def, LEXICAL, &mut rng)));
+            for (how, text) in texts {
+                let what = format!("{what}: parse_replacement of @{}, {how}", m.function(id).name);
+                let Ok(p) = Parser::over_vector(&text) else { continue };
+                let got = outcome_replacing(id, parse_replacement(&m, id, &text));
+                same(&what, got, outcome_replacing(id, p.replacement(&m, id)));
+            }
+        });
+        for kind in ["unexpected character", "expected number after `%`", "integer overflow", "unterminated string"] {
+            let reached = lexical.iter().any(|msg| msg.contains(kind));
+            assert!(reached, "no mutation reached `{kind}`: {lexical:?}");
         }
     }
 

@@ -3,7 +3,9 @@
 //! `f3m-prng` seeded sweeps (the workspace builds offline, so no proptest);
 //! CI runs them a second time in release, where they draw more cases.
 
-use f3m_ir::parser::parse_module;
+use std::time::{Duration, Instant};
+
+use f3m_ir::parser::{parse_module, parse_module_for};
 use f3m_prng::SmallRng;
 
 const VALID: &str = r#"
@@ -176,5 +178,116 @@ fn type_nesting_is_bounded() {
         // Unclosed and in a header, as a hostile frame might send it.
         let err = parse_module(&format!("module \"t\" {{\ndeclare @f({}", open.repeat(200_000)));
         assert_eq!(err.unwrap_err().msg, "type nesting deeper than 128", "{open}");
+    }
+}
+
+/// A newline inside a string counts: every error after it names its line.
+#[test]
+fn lines_count_inside_strings() {
+    let err = parse_module("module \"a\nb\" {\nfoo\n}").unwrap_err();
+    assert_eq!((err.line, err.msg.as_str()), (3, "expected `global`, `declare`, `define` or `}`"));
+}
+
+/// A module whose `@other` has `line` as the second line of its body, and
+/// whose `@f` is well formed.
+fn with_other_body(line: &str) -> String {
+    format!(
+        "module \"t\" {{\ndefine @other(i32 %0) -> i32 {{\nbb0:\n{line}\n  ret i32 %0\n}}\n\
+         define @f(i32 %0) -> i32 {{\nbb0:\n  %1 = add i32 %0, 1\n  ret i32 %1\n}}\n}}\n"
+    )
+}
+
+/// `parse_module_for` reads `name`'s body and steps over the others
+/// without lexing them.
+fn reads_f_alone(src: &str) {
+    let (m, id) = parse_module_for(src, "f").unwrap_or_else(|e| panic!("{e}: {src}"));
+    assert_eq!(m.function(id.unwrap()).num_linked_insts(), 2, "{src}");
+    assert_eq!(m.function(m.lookup_function("other").unwrap()).num_blocks(), 0, "{src}");
+}
+
+/// A body `parse_module_for` steps over is not lexed: what does not lex
+/// there is no error, while `parse_module`, and `parse_module_for` for
+/// that body, still refuse it as they always did.
+#[test]
+fn a_skipped_body_is_not_lexed() {
+    let cases = [
+        ("  $", "unexpected character `$`"),
+        ("  %1 = add i32 %, 1", "expected number after `%`"),
+        ("  %1 = add i32 %0, 99999999999999999999", "integer overflow `99999999999999999999`"),
+    ];
+    for (line, msg) in cases {
+        let src = with_other_body(line);
+        reads_f_alone(&src);
+        for err in [parse_module(&src).unwrap_err(), parse_module_for(&src, "other").unwrap_err()] {
+            assert_eq!((err.line, err.msg.as_str()), (4, msg), "{src}");
+        }
+    }
+}
+
+/// The skim that steps over a body matches its braces as the tokens do:
+/// a brace in a `;` comment or a string is not one, a struct type's are.
+#[test]
+fn the_skim_matches_braces_as_the_tokens_do() {
+    let cases = [
+        ("  ; } {", None),
+        ("  ; {{{", None),
+        ("  \"} ; {\"", Some("expected label or instruction")),
+        ("  \"{\" ; \"}\"", Some("expected label or instruction")),
+        ("  %1 = alloca { i32, { i64 } }", None),
+    ];
+    for (line, refusal) in cases {
+        let src = with_other_body(line);
+        reads_f_alone(&src);
+        let parsed = parse_module(&src).map(|_| ()).map_err(|e| (e.line, e.msg));
+        assert_eq!(parsed, refusal.map_or(Ok(()), |msg| Err((4, msg.to_string()))), "{src}");
+    }
+}
+
+/// Input that ends inside a body reports the end of input on the line of
+/// the last token, whether the body is skipped or read.
+#[test]
+fn input_ending_in_a_skipped_body() {
+    let cases = [
+        ("module \"t\" {\ndefine @g(i32 %0) -> i32 {\nbb0:\n  %1 = add i32 %0, 1 ; {\n\n; }\n", 4),
+        ("module \"t\" {\ndefine @g() -> void {\n\n  ; bb0:\n", 2),
+        ("module \"t\" {\ndefine @g() -> void {\nbb0: \"}\n\" ; }\n", 3),
+        ("module \"t\" {\ndefine @g() -> void {\nbb0:\n  %1 = alloca { i32,\n { i64 }", 5),
+    ];
+    for (src, line) in cases {
+        for name in ["g", "nowhere"] {
+            let err = parse_module_for(src, name).unwrap_err();
+            assert_eq!((err.line, err.msg.as_str()), (line, "unexpected end of input"), "{src}");
+        }
+        let err = parse_module(src).unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (line, "unexpected end of input"), "{src}");
+    }
+}
+
+/// A skipped body of a megabyte of `{`, of comment, or after an
+/// unterminated string is stepped over in linear time, as is the same
+/// body read by `parse_module`: each is refused or read within the
+/// bound `chaos.rs` gives a hostile frame.
+#[test]
+fn hostile_skipped_bodies_stay_linear() {
+    const MB: usize = 1 << 20;
+    let cases = [
+        ("a megabyte of `{`", "{".repeat(MB), false),
+        ("a megabyte of `{` on lines", "{\n".repeat(MB / 2), false),
+        ("a megabyte of comment", format!("  ; {}", "}".repeat(MB)), true),
+        ("a megabyte of comments", "  ; {\n".repeat(MB / 6), true),
+        ("an unterminated string", format!("  \"{}", "} {\n".repeat(MB / 4)), false),
+    ];
+    for (what, line, reads) in cases {
+        let src = with_other_body(&line);
+        let t0 = Instant::now();
+        let parsed = parse_module_for(&src, "f");
+        assert_eq!(parsed.is_ok(), reads, "{what}: {:?}", parsed.err());
+        if reads {
+            reads_f_alone(&src);
+        }
+        let module = parse_module(&src);
+        assert_eq!(module.is_ok(), reads, "{what}: {:?}", module.err());
+        let elapsed = t0.elapsed();
+        assert!(elapsed < Duration::from_secs(5), "{what}: took {elapsed:?}");
     }
 }

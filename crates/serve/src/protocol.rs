@@ -24,8 +24,10 @@
 //!
 //! `update` replaces one resident function's body in place (no module
 //! evict; only the changed function is re-fingerprinted and only the
-//! memoized rankings the edit could change are invalidated); omitting
-//! `"ir"` makes it a *touch* — re-fingerprint and run the same
+//! memoized rankings the edit could change are invalidated). Of `"ir"`
+//! only the named function's definition is read: the other bodies in it
+//! are stepped over without being lexed, so a malformed one is no error.
+//! Omitting `"ir"` makes it a *touch* — re-fingerprint and run the same
 //! invalidation test without changing IR. A
 //! `query` carrying `"if_epoch"` is answered with `superseded` instead
 //! of candidates when the corpus epoch has moved past that value — the
