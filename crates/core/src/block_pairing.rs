@@ -115,10 +115,10 @@ impl BlockPartsCache {
         self.slots[idx].as_ref()
     }
 
-    /// Plans the merge of function indexes `(i, j)` of `funcs`: the
-    /// speculative half of a pair attempt, read-only on the module and
-    /// the cache. A slot a commit invalidated is re-encoded on the fly;
-    /// the second value counts those misses (0, 1 or 2).
+    /// Plans the merge of function indexes `(i, j)` of `funcs`: the align
+    /// step of a pair attempt, read-only on the module and the cache. A
+    /// slot a commit invalidated is re-encoded on the fly; the second value
+    /// counts those misses (0, 1 or 2).
     pub fn plan(
         &self,
         m: &Module,

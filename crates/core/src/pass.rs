@@ -1,21 +1,19 @@
-//! The function-merging pass: a thin wave-loop driver over the pipeline of
-//! Figure 1 of the paper.
+//! The function-merging pass: a thin driver over the pipeline of Figure 1
+//! of the paper.
 //!
 //! ```text
 //! preprocess   search structure + Committer + BlockPartsCache  (parallel)
-//! loop (wave):
-//!   speculate  rank + align every still-available function     (parallel)
-//!   walk       classify each member, attempt, account          (serial)
+//! loop over the functions, in index order, skipping consumed ones:
+//!   rank       best candidate among the still-available functions
+//!   align      plan the chosen pair from its current bodies
+//!   attempt    Committer::attempt, booked by MergeReport::account
 //! ```
 //!
-//! Each wave snapshots the availability mask, then ranks every remaining
-//! function and aligns its chosen pair speculatively on the worker pool
-//! (`--jobs`). The serial walk revisits the wave in index order: a member
-//! consumed by an earlier commit in the same wave is discarded, one whose
-//! partner was taken is deferred to the next wave for re-ranking, and an
-//! intact pair goes to [`Committer::attempt`], which alone decides its
-//! fate. All module mutation and all counter accumulation happen in the
-//! walk, so the merged module and every [`MergeReport`] counter are
+//! `--jobs` parallelizes the preprocess; the loop is serial. Each function
+//! no commit has consumed is ranked against the current availability mask,
+//! its chosen pair is aligned and handed to [`Committer::attempt`], which
+//! alone decides its fate, so every plan is made from the bodies its
+//! attempt sees. The merged module and every [`MergeReport`] counter are
 //! **byte-identical for every `jobs` value**.
 //!
 //! Three strategies run through the
@@ -26,13 +24,11 @@
 //! program size, Equations 3 and 4).
 //!
 //! Timing is recorded per stage, split into *success* and *fail* buckets
-//! exactly as in the paper's Figures 3 and 13 (stage times sum per-pair
-//! durations, so they exceed wall-clock when waves run wide).
+//! exactly as in the paper's Figures 3 and 13.
 
 use std::time::{Duration, Instant};
 
 use f3m_fingerprint::adaptive::MergeParams;
-use f3m_fingerprint::par::par_map_indexed_with;
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
 use f3m_ir::size::module_size;
@@ -71,9 +67,9 @@ pub struct PassConfig {
     /// Optional execution profile: near-tied candidates are resolved
     /// toward the coldest function (the paper's Section IV-F proposal).
     pub profile: Option<Profile>,
-    /// Worker threads for the preprocess stage *and* the wave loop's
-    /// speculative rank/align phase. `0` and `1` both mean fully
-    /// sequential; any value produces the same merged module.
+    /// Worker threads for the preprocess stage; the merge loop is serial.
+    /// `0` and `1` both mean fully sequential; any value produces the same
+    /// merged module.
     pub jobs: usize,
 }
 
@@ -126,8 +122,8 @@ impl PassConfig {
     }
 }
 
-/// What `preprocess` builds and the waves share: read-only in `speculate`,
-/// mutated only by the serial `walk`. Every index is into `funcs`.
+/// What `preprocess` builds and the loop mutates. Every index is into
+/// `funcs`.
 struct PassState {
     funcs: Vec<FuncId>,
     search: Box<dyn CandidateSearch + Send + Sync>,
@@ -135,117 +131,86 @@ struct PassState {
     parts: BlockPartsCache,
     /// Not yet consumed by a merge.
     available: Vec<bool>,
-    /// The walk reached a final verdict (committed, failed, or no
-    /// candidate); a deferred member stays false and re-enters next wave.
-    processed: Vec<bool>,
 }
 
-/// One wave member's speculative result, produced on the worker pool and
-/// consumed by the serial commit walk.
-struct WaveOutcome {
+/// One function's turn in the loop, as [`MergeReport::account`] books it.
+struct Turn {
     /// Ranking counters for this query.
     counters: QueryCounters,
     /// Wall-clock of the rank query.
     rank_time: Duration,
-    /// The chosen candidate's index and similarity with the speculative
-    /// alignment plan for the pair, if ranking found one.
-    pair: Option<(usize, f64, PairPlan)>,
-    /// Wall-clock of the speculative alignment.
+    /// Wall-clock of the alignment (zero without a candidate).
     align_time: Duration,
+    /// Alignment work (DP cells + linear positions).
+    align_cells: u64,
     /// Cache slots that had to be re-encoded (0, 1 or 2).
     cache_misses: u32,
-    /// Alignment work (DP cells + linear positions) for this member. A
-    /// per-pair quantity, so summing it stays job-count independent.
-    align_cells: u64,
-    /// Scratch-buffer growths while aligning this member. Depends on what
-    /// the worker's scratch processed before, so jobs-DEPENDENT: exported
-    /// to the tracer only, never into [`MergeStats`].
-    scratch_grows: u64,
+    /// The attempt on the chosen pair, if ranking found one.
+    attempt: Option<Attempt>,
 }
 
-/// What the commit walk decided for one wave member.
-enum Fate {
-    /// Ranking found no candidate; the member is done.
-    NoCandidate,
-    /// An earlier commit this wave consumed the member as a partner: its
-    /// speculative work is wasted and it is done for good.
-    SelfConsumed,
-    /// Only the partner was consumed: deferred to the next wave, where it
-    /// is re-ranked against the updated availability.
-    Deferred,
-    /// The pair reached [`Committer::attempt`].
-    Attempted {
-        f1: FuncId,
-        f2: FuncId,
-        similarity: f64,
-        align_ratio: f64,
-        verdict: Verdict,
-        /// A `Rejected(Size)` that the merged-size lower bound decided,
-        /// with no code generated.
-        bounded: bool,
-        /// Zero unless the pair got past the gate.
-        codegen: Duration,
-    },
+/// What [`Committer::attempt`] made of one ranked, aligned pair.
+struct Attempt {
+    f1: FuncId,
+    f2: FuncId,
+    similarity: f64,
+    align_ratio: f64,
+    verdict: Verdict,
+    /// A `Rejected(Size)` that the merged-size lower bound decided, with
+    /// no code generated.
+    bounded: bool,
+    /// Zero unless the pair got past the gate.
+    codegen: Duration,
 }
 
 impl MergeReport {
-    /// Books one wave member: the only place the pass attributes stage
-    /// time to the success/fail buckets, bumps the wave, attempt and
-    /// reject counters, or writes the attempt log.
-    fn account(&mut self, out: &WaveOutcome, fate: Fate) {
+    /// Books one turn: the only place the pass attributes stage time to
+    /// the success/fail buckets, bumps the attempt and reject counters, or
+    /// writes the attempt log.
+    fn account(&mut self, turn: Turn) {
         let s = &mut self.stats;
-        s.fingerprint_comparisons += out.counters.comparisons;
-        s.sketch_comparisons += out.counters.sketch_comparisons;
-        s.full_comparisons += out.counters.full_comparisons;
-        s.candidates_examined += out.counters.examined;
-        s.candidates_returned += out.counters.returned;
-        s.bucket_evictions += out.counters.evicted;
-        s.probe_collisions += out.counters.collisions;
-        s.lsh_allocs_saved += out.counters.saved_allocs;
-        s.align_cells += out.align_cells;
-        if out.pair.is_some() {
-            s.aligns_speculative += 1;
-            s.block_parts_cache_misses += u64::from(out.cache_misses);
-            s.block_parts_cache_hits += u64::from(2 - out.cache_misses);
-        }
+        s.fingerprint_comparisons += turn.counters.comparisons;
+        s.sketch_comparisons += turn.counters.sketch_comparisons;
+        s.full_comparisons += turn.counters.full_comparisons;
+        s.candidates_examined += turn.counters.examined;
+        s.candidates_returned += turn.counters.returned;
+        s.bucket_evictions += turn.counters.evicted;
+        s.probe_collisions += turn.counters.collisions;
+        s.lsh_allocs_saved += turn.counters.saved_allocs;
+        s.align_cells += turn.align_cells;
         let (mut committed, mut codegen_time) = (false, Duration::ZERO);
-        match fate {
-            Fate::NoCandidate => {}
-            Fate::SelfConsumed => s.aligns_wasted += 1,
-            Fate::Deferred => {
-                s.aligns_wasted += 1;
-                s.wave_conflicts += 1;
-            }
-            Fate::Attempted { f1, f2, similarity, align_ratio, verdict, bounded, codegen } => {
-                s.aligns_reused += 1;
-                s.pairs_attempted += 1;
-                s.commits_bounded += u64::from(bounded);
-                let mut size_delta = 0;
-                match verdict {
-                    Verdict::Unprofitable => {}
-                    Verdict::Rejected(Reject::Build) => s.commits_rejected_build += 1,
-                    Verdict::Rejected(Reject::Verify) => s.commits_rejected_verify += 1,
-                    Verdict::Rejected(Reject::Size) => s.commits_rejected_size += 1,
-                    Verdict::Committed { saved } => {
-                        s.merges_committed += 1;
-                        (committed, size_delta) = (true, saved);
-                    }
+        if let Some(Attempt { f1, f2, similarity, align_ratio, verdict, bounded, codegen }) =
+            turn.attempt
+        {
+            s.block_parts_cache_misses += u64::from(turn.cache_misses);
+            s.block_parts_cache_hits += u64::from(2 - turn.cache_misses);
+            s.pairs_attempted += 1;
+            s.commits_bounded += u64::from(bounded);
+            let mut size_delta = 0;
+            match verdict {
+                Verdict::Unprofitable => {}
+                Verdict::Rejected(Reject::Build) => s.commits_rejected_build += 1,
+                Verdict::Rejected(Reject::Verify) => s.commits_rejected_verify += 1,
+                Verdict::Rejected(Reject::Size) => s.commits_rejected_size += 1,
+                Verdict::Committed { saved } => {
+                    s.merges_committed += 1;
+                    (committed, size_delta) = (true, saved);
                 }
-                codegen_time = codegen;
-                self.attempts.push(AttemptRecord {
-                    f1,
-                    f2,
-                    similarity,
-                    align_ratio,
-                    committed,
-                    size_delta,
-                    time: out.align_time + codegen,
-                });
             }
+            codegen_time = codegen;
+            self.attempts.push(AttemptRecord {
+                f1,
+                f2,
+                similarity,
+                align_ratio,
+                committed,
+                size_delta,
+                time: turn.align_time + codegen,
+            });
         }
-        // Figures 3 and 13: a member's whole stage time goes to the bucket
+        // Figures 3 and 13: a turn's whole stage time goes to the bucket
         // its attempt ended in; only a committed merge is a success.
-        let spent = [out.rank_time, out.align_time, codegen_time];
+        let spent = [turn.rank_time, turn.align_time, codegen_time];
         for (stage, spent) in [&mut s.rank, &mut s.align, &mut s.codegen].into_iter().zip(spent) {
             let bucket = if committed { &mut stage.success } else { &mut stage.fail };
             *bucket += spent;
@@ -261,16 +226,11 @@ pub fn run_pass(m: &mut Module, config: &PassConfig) -> MergeReport {
 }
 
 /// [`run_pass`] with optional structured tracing. With `Some(tracer)`,
-/// spans cover every stage seam (fingerprint/index build, per-pair rank
-/// and align, each commit, the serial walk) and one cumulative
-/// `wave_counters` sample is emitted per wave. With `None` every
-/// instrumentation point is skipped — the untraced path does no extra
-/// work beyond the counters [`MergeStats`] always carried.
-///
-/// Track layout: track 0 is the serial driver (preprocess, commit walk,
-/// commits); track 1 replays the speculative per-pair rank/align
-/// durations end-to-end in commit-walk order, since the real executions
-/// overlap on a worker pool and have no stable wall-clock placement.
+/// spans cover every stage seam (the preprocess and its fingerprint,
+/// reference-index and block-parts builds; each rank, align and commit),
+/// all on track 0 at the time they ran. With `None` every instrumentation
+/// point is skipped — the untraced path does no extra work beyond the
+/// counters [`MergeStats`] always carried.
 pub fn run_pass_traced(
     m: &mut Module,
     config: &PassConfig,
@@ -279,38 +239,16 @@ pub fn run_pass_traced(
     let mut report = MergeReport::default();
     report.stats.size_before = module_size(m);
     let mut st = preprocess(m, config, tracer, &mut report);
-
-    // Wave loop: speculative parallel rank+align, then the serial walk.
-    loop {
-        let members: Vec<usize> =
-            (0..st.funcs.len()).filter(|&i| st.available[i] && !st.processed[i]).collect();
-        if members.is_empty() {
-            break;
+    let mut scratch = (AlignScratch::new(), SearchScratch::new());
+    for i in 0..st.funcs.len() {
+        if st.available[i] {
+            let turn = take_turn(m, &mut st, i, &mut scratch, config, tracer);
+            report.account(turn);
         }
-        report.stats.waves += 1;
-        let mut wave_span = span_on(tracer, "pass", format!("wave {}", report.stats.waves));
-        wave_span.arg("members", members.len() as u64);
-        let outcomes = speculate(m, &st, &members, config, tracer);
-        walk(m, &mut st, &members, outcomes, config, tracer, &mut report);
-        if let Some(t) = tracer {
-            // Cumulative samples: each series is monotone non-decreasing
-            // across waves (asserted by the observability tests).
-            t.counter(
-                "pass",
-                "wave_counters",
-                vec![
-                    ("merges_committed", report.stats.merges_committed as u64),
-                    ("aligns_speculative", report.stats.aligns_speculative),
-                    ("aligns_wasted", report.stats.aligns_wasted),
-                    ("wave_conflicts", report.stats.wave_conflicts),
-                    ("cache_hits", report.stats.block_parts_cache_hits),
-                    ("cache_misses", report.stats.block_parts_cache_misses),
-                ],
-            );
-        }
-        wave_span.finish();
     }
-
+    // Kept for the ledger: one loop, every alignment attempted.
+    report.stats.waves = 1;
+    report.stats.aligns_speculative = report.stats.pairs_attempted as u64;
     report.stats.size_after = module_size(m);
     report
 }
@@ -355,101 +293,60 @@ fn preprocess(
     };
     pre_span.finish();
     report.stats.preprocess = t0.elapsed();
-    let (available, processed) = (vec![true; n], vec![false; n]);
-    PassState { funcs, search, committer, parts, available, processed }
+    PassState { funcs, search, committer, parts, available: vec![true; n] }
 }
 
-/// The speculative phase of one wave: ranks every member against the
-/// wave-entry snapshot of `available`, then aligns its chosen pair, in
-/// index order across the worker pool. Everything here is read-only on the
-/// module and the pass state; each worker owns one reusable alignment
-/// scratch.
-fn speculate(
-    m: &Module,
-    st: &PassState,
-    members: &[usize],
-    config: &PassConfig,
-    tracer: Option<&Tracer>,
-) -> Vec<WaveOutcome> {
-    let mut spec_span = span_on(tracer, "pass", "speculate");
-    let outcomes: Vec<WaveOutcome> = par_map_indexed_with(
-        members.len(),
-        config.jobs.max(1),
-        || (AlignScratch::new(), SearchScratch::new()),
-        |(scratch, search_scratch), mi| {
-            let i = members[mi];
-            let t_rank = Instant::now();
-            let mut counters = QueryCounters::default();
-            let set = st.search.best_candidates(i, &st.available, &mut counters, search_scratch);
-            let best = set.choose(config.profile.as_ref(), |idx| st.funcs[idx]);
-            let rank_time = t_rank.elapsed();
-            let before = scratch.stats();
-            let (pair, align_time, cache_misses) = match best {
-                Some((j, similarity)) => {
-                    let t_align = Instant::now();
-                    let (plan, misses) = st.parts.plan(m, &st.funcs, i, j, scratch);
-                    (Some((j, similarity, plan)), t_align.elapsed(), misses)
-                }
-                None => (None, Duration::ZERO, 0),
-            };
-            let after = scratch.stats();
-            WaveOutcome {
-                counters,
-                rank_time,
-                pair,
-                align_time,
-                cache_misses,
-                align_cells: after.cells - before.cells,
-                scratch_grows: after.dp_grows - before.dp_grows,
-            }
-        },
-    );
-    spec_span.arg("members", members.len() as u64);
-    spec_span.arg("scratch_grows", outcomes.iter().map(|o| o.scratch_grows).sum());
-    spec_span.finish();
-    outcomes
-}
-
-/// The serial commit walk of one wave, in fixed index order: the only
-/// place that mutates the module, the masks, or the report — identical
-/// for every job count. Each member is classified into a [`Fate`] and
-/// booked through [`MergeReport::account`].
-fn walk(
+/// Function `i`'s turn: ranks it against the functions still available,
+/// aligns the chosen pair from the current bodies and hands it to
+/// [`attempt_pair`].
+fn take_turn(
     m: &mut Module,
     st: &mut PassState,
-    members: &[usize],
-    outcomes: Vec<WaveOutcome>,
+    i: usize,
+    (scratch, search_scratch): &mut (AlignScratch, SearchScratch),
     config: &PassConfig,
     tracer: Option<&Tracer>,
-    report: &mut MergeReport,
-) {
-    // Replay the speculative per-pair durations end-to-end on track 1
-    // (they ran concurrently; see `run_pass_traced` for the layout).
-    let mut lane_cursor = tracer.map(|t| t.now_ns()).unwrap_or(0);
-    let mut walk_span = span_on(tracer, "pass", "commit_walk");
-    walk_span.arg("members", members.len() as u64);
-    for (&i, out) in members.iter().zip(outcomes) {
-        if let Some(t) = tracer {
-            lane_cursor = replay_on_lane(t, lane_cursor, i, &out);
-        }
-        let fate = match &out.pair {
-            None => Fate::NoCandidate,
-            Some(_) if !st.available[i] => Fate::SelfConsumed,
-            Some((j, ..)) if !st.available[*j] => Fate::Deferred,
-            Some((j, similarity, plan)) => {
-                attempt_pair(m, st, (i, *j), *similarity, plan, config, tracer)
-            }
-        };
-        st.processed[i] = !matches!(fate, Fate::Deferred);
-        report.account(&out, fate);
+) -> Turn {
+    let t_rank = Instant::now();
+    let mut counters = QueryCounters::default();
+    let set = st.search.best_candidates(i, &st.available, &mut counters, search_scratch);
+    let best = set.choose(config.profile.as_ref(), |idx| st.funcs[idx]);
+    let rank_time = t_rank.elapsed();
+    record(tracer, "rank", rank_time, || {
+        let c = &counters;
+        vec![
+            ("function", i as u64),
+            ("examined", c.examined),
+            ("returned", c.returned),
+            ("evicted", c.evicted),
+        ]
+    });
+    let mut turn = Turn {
+        counters,
+        rank_time,
+        align_time: Duration::ZERO,
+        align_cells: 0,
+        cache_misses: 0,
+        attempt: None,
+    };
+    if let Some((j, similarity)) = best {
+        let (t_align, cells_before) = (Instant::now(), scratch.stats().cells);
+        let (plan, cache_misses) = st.parts.plan(m, &st.funcs, i, j, scratch);
+        turn.align_time = t_align.elapsed();
+        turn.align_cells = scratch.stats().cells - cells_before;
+        turn.cache_misses = cache_misses;
+        record(tracer, "align", turn.align_time, || {
+            vec![("function", i as u64), ("cells", turn.align_cells)]
+        });
+        turn.attempt = Some(attempt_pair(m, st, (i, j), similarity, &plan, config, tracer));
     }
-    walk_span.finish();
+    turn
 }
 
-/// Hands the still-intact pair `(i, j)` to [`Committer::attempt`] and, on
-/// a commit, retires both functions from the search structure, the parts
-/// cache and the availability mask. A `commit` span is recorded only when
-/// the pair got past the gate.
+/// Hands the pair `(i, j)` to [`Committer::attempt`] and, on a commit,
+/// retires both functions from the search structure, the parts cache and
+/// the availability mask. A `commit` span is recorded only when the pair
+/// got past the gate.
 fn attempt_pair(
     m: &mut Module,
     st: &mut PassState,
@@ -458,7 +355,7 @@ fn attempt_pair(
     plan: &PairPlan,
     config: &PassConfig,
     tracer: Option<&Tracer>,
-) -> Fate {
+) -> Attempt {
     let (f1, f2) = (st.funcs[i], st.funcs[j]);
     let matched = plan.matched_insts() as f64;
     let total_insts = m.function(f1).num_linked_insts() + m.function(f2).num_linked_insts();
@@ -467,15 +364,15 @@ fn attempt_pair(
     let (verdict, codegen) = st.committer.attempt(m, f1, f2, plan, config.merge);
     let bounded = st.committer.bounded() > bounded_before;
     let committed = matches!(verdict, Verdict::Committed { .. });
-    if let (Some(t), Some(spent)) = (tracer, codegen) {
-        let dur_ns = spent.as_nanos() as u64;
-        let args = vec![
-            ("f1", f1.index() as u64),
-            ("f2", f2.index() as u64),
-            ("committed", u64::from(committed)),
-            ("bounded", u64::from(bounded)),
-        ];
-        t.complete("commit", "commit", 0, t.now_ns().saturating_sub(dur_ns), dur_ns, args);
+    if let Some(spent) = codegen {
+        record(tracer, "commit", spent, || {
+            vec![
+                ("f1", f1.index() as u64),
+                ("f2", f2.index() as u64),
+                ("committed", u64::from(committed)),
+                ("bounded", u64::from(bounded)),
+            ]
+        });
     }
     if committed {
         for idx in [i, j] {
@@ -485,28 +382,21 @@ fn attempt_pair(
         }
     }
     let codegen = codegen.unwrap_or_default();
-    Fate::Attempted { f1, f2, similarity, align_ratio, verdict, bounded, codegen }
+    Attempt { f1, f2, similarity, align_ratio, verdict, bounded, codegen }
 }
 
-/// Lays one member's rank (and, if it aligned, align) duration on the
-/// replay track starting at `cursor`; returns the advanced cursor.
-fn replay_on_lane(t: &Tracer, mut cursor: u64, member: usize, out: &WaveOutcome) -> u64 {
-    let rank_ns = out.rank_time.as_nanos() as u64;
-    let args = vec![
-        ("member", member as u64),
-        ("examined", out.counters.examined),
-        ("returned", out.counters.returned),
-        ("evicted", out.counters.evicted),
-    ];
-    t.complete("rank", "rank", 1, cursor, rank_ns, args);
-    cursor += rank_ns;
-    if out.pair.is_some() {
-        let align_ns = out.align_time.as_nanos() as u64;
-        let args = vec![("member", member as u64), ("cells", out.align_cells)];
-        t.complete("align", "align", 1, cursor, align_ns, args);
-        cursor += align_ns;
+/// Records `name` (its own category) on track 0 as a span of `spent` that
+/// ends now; `args` is built only when a tracer is installed.
+fn record(
+    tracer: Option<&Tracer>,
+    name: &'static str,
+    spent: Duration,
+    args: impl FnOnce() -> Vec<(&'static str, u64)>,
+) {
+    if let Some(t) = tracer {
+        let dur_ns = spent.as_nanos() as u64;
+        t.complete(name, name, 0, t.now_ns().saturating_sub(dur_ns), dur_ns, args());
     }
-    cursor
 }
 
 #[cfg(test)]
@@ -607,8 +497,6 @@ mod tests {
             assert_eq!((build, verify, size), rejects);
             let rejected = (build + verify + size) as usize;
             assert_eq!(unprofitable + rejected + committed, s.pairs_attempted);
-            assert_eq!(s.aligns_reused as usize, s.pairs_attempted);
-            assert_eq!(s.aligns_speculative, s.aligns_reused + s.aligns_wasted);
         }
     }
 

@@ -48,20 +48,15 @@ pub struct MergeStats {
     pub align: StageTime,
     /// Merged-function generation, verification and profitability time.
     pub codegen: StageTime,
-    /// Waves executed by the merge loop (each wave speculatively ranks and
-    /// aligns every still-available function, then commits serially).
+    /// Kept for the benchmark ledger, which reads it; not reported: always
+    /// 1, the one merge loop.
     pub waves: u64,
-    /// Candidate pairs aligned speculatively on the worker pool.
+    /// Kept for the benchmark ledger, which reads it; not reported: the
+    /// alignments run, each of which reaches an attempt (`pairs_attempted`).
     pub aligns_speculative: u64,
-    /// Speculative alignments consumed by the serial commit walk (the pair
-    /// survived to the profitability gate / commit attempt).
-    pub aligns_reused: u64,
-    /// Speculative alignments discarded because one side of the pair was
-    /// consumed by an earlier commit in the same wave.
+    /// Kept for the benchmark ledger, which reads it; not reported: always
+    /// 0, no alignment is discarded.
     pub aligns_wasted: u64,
-    /// Wave conflicts: pairs whose *partner* was consumed earlier in the
-    /// wave; the function is deferred and re-ranked in the next wave.
-    pub wave_conflicts: u64,
     /// Alignment attempts served from the per-function `BlockParts` cache
     /// (two lookups per aligned pair).
     pub block_parts_cache_hits: u64,
@@ -142,11 +137,6 @@ const MERGE_STATS: &[Stat<MergeStats>] = &[
     Stat::wall("align", "ns", |s| stage(&s.align)),
     Stat::wall("codegen", "ns", |s| stage(&s.codegen)),
     Stat::wall("total_ns", "ns", |s| Count(s.total_time().as_nanos() as u64)),
-    Stat::det("waves", "waves", |s| Count(s.waves)),
-    Stat::det("aligns_speculative", "alignments", |s| Count(s.aligns_speculative)),
-    Stat::det("aligns_reused", "alignments", |s| Count(s.aligns_reused)),
-    Stat::det("aligns_wasted", "alignments", |s| Count(s.aligns_wasted)),
-    Stat::det("wave_conflicts", "pairs", |s| Count(s.wave_conflicts)),
     Stat::det("block_parts_cache_hits", "lookups", |s| Count(s.block_parts_cache_hits)),
     Stat::det("block_parts_cache_misses", "lookups", |s| Count(s.block_parts_cache_misses)),
     Stat::det("fingerprint_comparisons", "comparisons", |s| Count(s.fingerprint_comparisons)),
@@ -288,8 +278,6 @@ mod tests {
             size_delta: 42,
             time: Duration::from_nanos(900),
         });
-        report.stats.waves = 2;
-        report.stats.aligns_speculative = 5;
         report.stats.block_parts_cache_hits = 10;
         let j = report.to_json();
         for key in [
@@ -299,11 +287,6 @@ mod tests {
             "\"preprocess_ns\":1500",
             "\"candidates_examined\"",
             "\"candidates_returned\"",
-            "\"waves\":2",
-            "\"aligns_speculative\":5",
-            "\"aligns_reused\"",
-            "\"aligns_wasted\"",
-            "\"wave_conflicts\"",
             "\"block_parts_cache_hits\":10",
             "\"block_parts_cache_misses\"",
             "\"attempts\"",
@@ -321,7 +304,7 @@ mod tests {
 
     /// The documented key set, spelled out: a row added to (or dropped
     /// from) the table must show up here as a deliberate edit.
-    const GOLDEN_KEYS: [&str; 34] = [
+    const GOLDEN_KEYS: [&str; 29] = [
         "functions",
         "pairs_attempted",
         "merges_committed",
@@ -330,11 +313,6 @@ mod tests {
         "align",
         "codegen",
         "total_ns",
-        "waves",
-        "aligns_speculative",
-        "aligns_reused",
-        "aligns_wasted",
-        "wave_conflicts",
         "block_parts_cache_hits",
         "block_parts_cache_misses",
         "fingerprint_comparisons",
@@ -373,8 +351,10 @@ mod tests {
     fn stats_json_emits_exactly_the_documented_key_set() {
         assert_eq!(STATS_JSON_KEYS, GOLDEN_KEYS);
         assert_eq!(stats_keys(MergeStats::default()), GOLDEN_KEYS);
-        // Populated stats must not grow or reorder keys either.
-        let mut s = MergeStats { functions: 9, waves: 3, ..Default::default() };
+        // Populated stats must not grow or reorder keys either, and the
+        // fields kept for the ledger stay out of the report.
+        let mut s = MergeStats { functions: 9, waves: 1, ..Default::default() };
+        s.aligns_speculative = 4;
         s.size_before = 100;
         s.size_after = 80;
         assert_eq!(stats_keys(s), GOLDEN_KEYS);

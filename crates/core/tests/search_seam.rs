@@ -2,11 +2,14 @@
 //! agree where their semantics overlap, and the parallel preprocess path
 //! must be invisible in the results.
 
-use f3m_core::pass::{run_pass, PassConfig, Strategy};
+use std::collections::HashSet;
+
+use f3m_core::pass::{run_pass, run_pass_traced, PassConfig, Strategy};
 use f3m_core::rank::{build_search, QueryCounters, SearchScratch};
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_ir::parser::parse_module;
 use f3m_ir::printer::print_module;
+use f3m_trace::Tracer;
 use f3m_workloads::suite::{build_module, table1};
 
 /// Three two-clone families with pairwise distinct opcode mixes. Every
@@ -162,7 +165,7 @@ fn invalidated_candidates_stop_appearing() {
 
 /// Everything the determinism contract covers for one pass run: the
 /// printed merged module, every non-timing `MergeStats` counter (including
-/// the wave and cache counters), and the full attempt log. Float fields
+/// the cache counters), and the full attempt log. Float fields
 /// are compared bit-exactly.
 type AttemptKey = (usize, usize, u64, u64, bool, i64);
 
@@ -175,11 +178,6 @@ fn determinism_key(
         s.functions as u64,
         s.pairs_attempted as u64,
         s.merges_committed as u64,
-        s.waves,
-        s.aligns_speculative,
-        s.aligns_reused,
-        s.aligns_wasted,
-        s.wave_conflicts,
         s.block_parts_cache_hits,
         s.block_parts_cache_misses,
         s.fingerprint_comparisons,
@@ -221,9 +219,8 @@ fn determinism_key(
 
 /// Pass-level determinism suite: for every strategy and several workload
 /// modules, the merged module and all report counters must be
-/// byte-identical across `--jobs 1/2/8`. This is the enforcement of the
-/// wave loop's core contract (speculative parallel rank/align, serial
-/// deterministic commit).
+/// byte-identical across `--jobs 1/2/8`: `--jobs` parallelizes only the
+/// preprocess, and nothing it builds depends on the job count.
 #[test]
 fn pass_is_byte_identical_across_jobs_for_all_strategies() {
     let workloads = ["429.mcf", "462.libquantum", "433.milc"];
@@ -249,18 +246,13 @@ fn pass_is_byte_identical_across_jobs_for_all_strategies() {
                     ),
                 }
             }
-            // Sanity on the wave bookkeeping itself: every speculative
-            // alignment is either reused or wasted, and cache traffic is
-            // two lookups per speculation.
+            // Cache traffic is two lookups per attempted pair.
             let (_, report) = reference.unwrap();
             let s = &report.stats;
-            assert!(s.waves >= 1, "{name}: at least one wave runs");
-            assert_eq!(s.aligns_speculative, s.aligns_reused + s.aligns_wasted);
             assert_eq!(
                 s.block_parts_cache_hits + s.block_parts_cache_misses,
-                2 * s.aligns_speculative
+                2 * s.pairs_attempted as u64
             );
-            assert_eq!(s.aligns_reused, s.pairs_attempted as u64);
         }
     }
 }
@@ -295,6 +287,40 @@ fn job_count_is_invisible_in_merged_modules_and_counters() {
                     make().strategy
                 ),
             }
+        }
+    }
+}
+
+/// The merge loop's contract, for every strategy: each function takes one
+/// turn, in index order, unless a commit already consumed it; and every
+/// alignment it runs reaches `Committer::attempt`.
+#[test]
+fn merge_loop_takes_each_function_once_in_index_order() {
+    let workloads = ["429.mcf", "462.libquantum"];
+    for name in workloads {
+        let spec = table1()
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("known workload")
+            .scaled(0.5);
+        let base = build_module(&spec);
+        for make in [PassConfig::hyfm, PassConfig::f3m, PassConfig::f3m_adaptive] {
+            let mut m = base.clone();
+            let tracer = Tracer::new();
+            let report = run_pass_traced(&mut m, &make(), Some(&tracer));
+            let label = format!("{name} {:?}", make().strategy);
+            assert!(report.stats.merges_committed > 0, "{label}: nothing merged");
+            let f1s: Vec<usize> = report.attempts.iter().map(|a| a.f1.index()).collect();
+            assert!(f1s.windows(2).all(|w| w[0] < w[1]), "{label}: f1 out of order: {f1s:?}");
+            let mut consumed = HashSet::new();
+            for a in &report.attempts {
+                assert!(!consumed.contains(&a.f1), "{label}: {:?} was consumed", a.f1);
+                if a.committed {
+                    consumed.insert(a.f2);
+                }
+            }
+            let aligns = tracer.events().iter().filter(|e| e.name == "align").count();
+            assert_eq!(aligns, report.stats.pairs_attempted, "{label}");
         }
     }
 }

@@ -1,9 +1,8 @@
 //! `f3m` — command-line driver for the function-merging reproduction.
 //!
-//! `--jobs <n>` parallelizes the whole pipeline: fingerprint construction
-//! and the merge loop's speculative rank/align waves both fan out across
-//! `n` threads, with a deterministic serial commit walk keeping the output
-//! byte-identical for every job count.
+//! `--jobs <n>` parallelizes the preprocess (fingerprints, the reference
+//! index, the encoded block parts) across `n` threads; the merge loop that
+//! follows is serial, so the output is byte-identical for every job count.
 //!
 //! Observability: `--trace chrome:<path>` writes a Chrome `trace_event`
 //! JSON (load it at `chrome://tracing` or in Perfetto) covering every
@@ -300,12 +299,11 @@ fn cmd_merge(args: &[String]) -> CliResult {
 
     let after = f3m::ir::size::module_size(&m);
     eprintln!(
-        "merged {} of {} attempted pairs in {:.1} ms ({} waves, {} pairs proven too big \
-         unbuilt); size {} -> {} bytes ({:.2}% reduction)",
+        "merged {} of {} attempted pairs in {:.1} ms ({} pairs proven too big unbuilt); \
+         size {} -> {} bytes ({:.2}% reduction)",
         report.stats.merges_committed,
         report.stats.pairs_attempted,
         elapsed.as_secs_f64() * 1e3,
-        report.stats.waves,
         report.stats.commits_bounded,
         before,
         after,
@@ -445,12 +443,11 @@ fn cmd_run_demo(a: &Args) -> CliResult {
         .map_err(|e| format!("verification failed: {}", e[0]))?;
 
     eprintln!(
-        "{name} x{scale}: merged {} of {} attempted pairs in {:.1} ms \
-         ({} waves); size {} -> {} ({:.2}% reduction)",
+        "{name} x{scale}: merged {} of {} attempted pairs in {:.1} ms; \
+         size {} -> {} ({:.2}% reduction)",
         report.stats.merges_committed,
         report.stats.pairs_attempted,
         elapsed.as_secs_f64() * 1e3,
-        report.stats.waves,
         report.stats.size_before,
         report.stats.size_after,
         report.stats.size_reduction() * 100.0

@@ -22,29 +22,9 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    par_map_indexed_with(n, jobs, || (), |(), i| f(i))
-}
-
-/// [`par_map_indexed`] with per-worker mutable state: `init` runs once on
-/// each worker thread and the resulting state is threaded through every
-/// call that worker makes. The state is scratch only — it must not
-/// influence results, or the job-count independence contract breaks.
-/// Used to give each alignment worker a reusable DP buffer without any
-/// cross-thread synchronization.
-///
-/// # Panics
-///
-/// Propagates a panic from any invocation of `init` or `f`.
-pub fn par_map_indexed_with<R, S, F, G>(n: usize, jobs: usize, init: G, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut S, usize) -> R + Sync,
-    G: Fn() -> S + Sync,
-{
     let workers = jobs.clamp(1, n.max(1));
     if workers <= 1 || n < 2 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
+        return (0..n).map(f).collect();
     }
     let chunk = n.div_ceil(workers);
     let mut out: Vec<R> = Vec::with_capacity(n);
@@ -52,13 +32,9 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|t| {
                 let f = &f;
-                let init = &init;
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
-                s.spawn(move || {
-                    let mut state = init();
-                    (lo..hi).map(|i| f(&mut state, i)).collect::<Vec<R>>()
-                })
+                s.spawn(move || (lo..hi).map(f).collect::<Vec<R>>())
             })
             .collect();
         for h in handles {
@@ -95,19 +71,12 @@ mod tests {
     }
 
     #[test]
-    fn with_state_matches_sequential_and_reuses_per_worker_state() {
-        let expect: Vec<usize> = (0..53).map(|i| i * 3).collect();
+    fn matches_sequential_map_over_borrowed_input() {
+        // The preprocess shape: `f` reads a slice shared by every worker.
+        let input: Vec<usize> = (0..53).rev().collect();
+        let expect: Vec<usize> = input.iter().map(|x| x * 3).collect();
         for jobs in [1, 2, 5, 64] {
-            // The state is a scratch Vec; results must not depend on it.
-            let got = par_map_indexed_with(
-                53,
-                jobs,
-                Vec::<usize>::new,
-                |scratch, i| {
-                    scratch.push(i); // grows within a worker, never shared
-                    i * 3
-                },
-            );
+            let got = par_map_indexed(53, jobs, |i| input[i] * 3);
             assert_eq!(got, expect, "jobs={jobs}");
         }
     }

@@ -1,6 +1,5 @@
 //! Observability tier-1 suite: golden snapshot of the `--report json`
-//! output, wave-counter monotonicity, and Chrome-trace span coverage of
-//! every pipeline stage.
+//! output and Chrome-trace span coverage of every pipeline stage.
 
 use std::path::{Path, PathBuf};
 
@@ -80,52 +79,11 @@ fn json_report_matches_golden_snapshot() {
 
 #[test]
 fn normalize_ns_only_touches_ns_values() {
-    let raw = r#"{"total_ns":123456,"waves":7,"rank":{"success_ns":9,"fail_ns":0}}"#;
+    let raw = r#"{"total_ns":123456,"functions":7,"rank":{"success_ns":9,"fail_ns":0}}"#;
     assert_eq!(
         normalize_ns(raw),
-        r#"{"total_ns":0,"waves":7,"rank":{"success_ns":0,"fail_ns":0}}"#
+        r#"{"total_ns":0,"functions":7,"rank":{"success_ns":0,"fail_ns":0}}"#
     );
-}
-
-// ---------------------------------------------------------------------------
-// Satellite 3 (part 2): wave/cache counters are monotone over a run.
-
-/// The per-wave `wave_counters` samples emit *cumulative* values, so every
-/// series must be non-decreasing in emission order — a counter that ever
-/// steps backwards means a wave lost or double-counted work.
-#[test]
-fn wave_counter_series_are_monotone() {
-    let mut m = gate_module();
-    let tracer = Tracer::new();
-    let report = run_pass_traced(&mut m, &PassConfig::f3m(), Some(&tracer));
-
-    let samples: Vec<_> = tracer
-        .events()
-        .into_iter()
-        .filter(|e| e.kind == EventKind::Counter && e.name == "wave_counters")
-        .collect();
-    assert_eq!(
-        samples.len() as u64,
-        report.stats.waves,
-        "one cumulative sample per wave"
-    );
-
-    let series: Vec<&str> = samples[0].args.iter().map(|&(k, _)| k).collect();
-    for key in &series {
-        let mut prev = 0u64;
-        for (i, s) in samples.iter().enumerate() {
-            let v = s.arg(key).unwrap_or_else(|| panic!("wave {i} missing series `{key}`"));
-            assert!(v >= prev, "series `{key}` decreased at wave {i}: {prev} -> {v}");
-            prev = v;
-        }
-    }
-
-    // The final samples agree with the report totals.
-    let last = samples.last().unwrap();
-    assert_eq!(last.arg("merges_committed"), Some(report.stats.merges_committed as u64));
-    assert_eq!(last.arg("aligns_speculative"), Some(report.stats.aligns_speculative));
-    assert_eq!(last.arg("wave_conflicts"), Some(report.stats.wave_conflicts));
-    assert_eq!(last.arg("cache_hits"), Some(report.stats.block_parts_cache_hits));
 }
 
 // ---------------------------------------------------------------------------
@@ -148,23 +106,26 @@ fn chrome_trace_covers_fingerprint_rank_align_commit() {
     };
     assert_eq!(spans_named("fingerprint"), 1);
     assert_eq!(spans_named("preprocess"), 1);
-    // One rank span per wave member, one align span per speculative
-    // alignment, one commit span per pair that survives the
-    // profitability gate into `try_commit`.
-    assert!(spans_named("rank") >= report.stats.pairs_attempted);
-    assert_eq!(spans_named("align") as u64, report.stats.aligns_speculative);
+    // One rank span per ranking query — every function no earlier commit
+    // consumed as its partner — one align span per attempted pair, and
+    // one commit span per pair that got past the profitability gate.
+    let consumed_ahead = report
+        .attempts
+        .iter()
+        .filter(|a| a.committed && a.f2.index() > a.f1.index())
+        .count();
+    assert_eq!(spans_named("rank"), report.stats.functions - consumed_ahead);
+    assert_eq!(spans_named("align"), report.stats.pairs_attempted);
     assert!(spans_named("commit") >= report.stats.merges_committed);
     assert!(spans_named("commit") <= report.stats.pairs_attempted);
-    assert_eq!(spans_named("commit_walk") as u64, report.stats.waves);
     let committed_spans = events
         .iter()
         .filter(|e| e.name == "commit" && e.arg("committed") == Some(1))
         .count();
     assert_eq!(committed_spans, report.stats.merges_committed);
 
-    // Per-pair spans live on the replay track (tid 1), driver spans on 0.
-    assert!(events.iter().filter(|e| e.name == "rank").all(|e| e.tid == 1));
-    assert!(events.iter().filter(|e| e.name == "commit").all(|e| e.tid == 0));
+    // One track: every span is recorded in place on tid 0.
+    assert!(events.iter().all(|e| e.tid == 0));
 
     // The export is structurally a Chrome trace: one traceEvents array,
     // no stray control characters, balanced braces (no string in the
@@ -176,7 +137,7 @@ fn chrome_trace_covers_fingerprint_rank_align_commit() {
     let closes = json.matches('}').count();
     assert_eq!(opens, closes, "unbalanced braces in chrome trace export");
     assert_eq!(json.matches('[').count(), json.matches(']').count());
-    for needle in ["\"ph\":\"X\"", "\"ph\":\"C\"", "\"pid\":1", "\"cat\":\"preprocess\""] {
+    for needle in ["\"ph\":\"X\"", "\"pid\":1", "\"cat\":\"preprocess\""] {
         assert!(json.contains(needle), "chrome export missing {needle}");
     }
 }

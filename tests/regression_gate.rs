@@ -351,7 +351,7 @@ fn tolerance_for(name: &str) -> Tolerance {
         // whole build again, and one it starts to turn down means the
         // layout walk and the builder no longer agree.
         "commits_bounded" => Tolerance::exact(),
-        // Everything else (pairs, merges, waves, cache counters, rejects).
+        // Everything else (pairs, merges, cache counters, rejects).
         _ => Tolerance { rel: 0.10, abs: 4.0 },
     }
 }
