@@ -13,7 +13,7 @@
 //! [`linear_block_align_with`]) that reuse an [`AlignScratch`]'s DP table
 //! and entries buffer across calls and return a borrowed [`AlignRef`];
 //! the owning signatures are thin wrappers over a fresh scratch. The
-//! merge loop holds one scratch per worker thread, so the alignment hot
+//! merge loop holds one scratch for the whole pass, so the alignment hot
 //! path performs no per-call allocation.
 
 /// One column of an alignment: a matched pair or a one-sided gap.
@@ -50,7 +50,7 @@ impl Alignment {
 }
 
 /// Reusable alignment working memory: the Needleman–Wunsch DP table and a
-/// staging buffer for alignment entries. One scratch per worker thread
+/// staging buffer for alignment entries. One scratch reused across calls
 /// makes the alignment hot path allocation-free: candidate alignments are
 /// scored through the borrowed [`AlignRef`] view and discarded, and only
 /// the winning alignment is materialized with [`AlignRef::to_owned`].
@@ -65,9 +65,9 @@ pub struct AlignScratch {
 ///
 /// `cells` is a pure function of the aligned sequence lengths, so summing
 /// it over all alignments of a pass is deterministic and job-count
-/// independent. `dp_grows` depends on which pairs a particular worker
-/// thread happened to process, so it is *per-scratch* telemetry only —
-/// never aggregate it into jobs-invariant stats.
+/// independent. `dp_grows` depends on which pairs a particular scratch
+/// happened to see before, so it is *per-scratch* telemetry only — never
+/// aggregate it into jobs-invariant stats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AlignScratchStats {
     /// DP cells computed by [`needleman_wunsch_with`] plus positions

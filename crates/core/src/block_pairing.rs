@@ -6,16 +6,12 @@
 //! counterpart stay unpaired and are cloned verbatim into the merged
 //! function, guarded by the function identifier.
 //!
-//! Encoding a function's blocks into [`BlockParts`] is pure per-function
-//! work, so the pass builds a [`BlockPartsCache`] once in the (parallel)
-//! preprocess stage and every alignment attempt reads from it instead of
-//! re-encoding both functions; entries are invalidated when a commit
-//! replaces the function body.
-
-use std::borrow::Cow;
+//! The pass encodes a pair's blocks into [`FunctionParts`] when it aligns
+//! the pair, from the bodies as they stand then: a commit earlier in the
+//! loop may have redirected a call site in either function, so an encoding
+//! made before the loop could plan from code that is no longer there.
 
 use f3m_fingerprint::encode::encode_inst;
-use f3m_fingerprint::par::par_map_indexed;
 use f3m_ir::ids::{BlockId, FuncId, InstId};
 use f3m_ir::inst::Opcode;
 use f3m_ir::function::Function;
@@ -85,65 +81,10 @@ pub struct FunctionParts {
     pub blocks: Vec<(BlockId, BlockParts)>,
 }
 
-/// Splits every block of `f` (the per-function unit of work the
-/// [`BlockPartsCache`] parallelizes over).
+/// Splits every block of `f`.
 pub fn function_parts(f: &Function) -> FunctionParts {
     FunctionParts {
         blocks: f.block_order.iter().map(|&b| (b, block_parts(f, b))).collect(),
-    }
-}
-
-/// Per-function cache of encoded [`FunctionParts`], indexed by the pass's
-/// function index. Built once in the preprocess stage (in parallel across
-/// `jobs` threads), then shared read-only across alignment workers;
-/// entries are invalidated when a commit replaces the function body.
-pub struct BlockPartsCache {
-    slots: Vec<Option<FunctionParts>>,
-}
-
-impl BlockPartsCache {
-    /// Encodes every function's blocks, fanning out across up to `jobs`
-    /// threads (deterministic for any job count).
-    pub fn build(m: &Module, funcs: &[FuncId], jobs: usize) -> BlockPartsCache {
-        let slots =
-            par_map_indexed(funcs.len(), jobs, |i| Some(function_parts(m.function(funcs[i]))));
-        BlockPartsCache { slots }
-    }
-
-    /// The cached parts for function index `idx`, if still valid.
-    pub fn get(&self, idx: usize) -> Option<&FunctionParts> {
-        self.slots[idx].as_ref()
-    }
-
-    /// Plans the merge of function indexes `(i, j)` of `funcs`: the align
-    /// step of a pair attempt, read-only on the module and the cache. A
-    /// slot a commit invalidated is re-encoded on the fly; the second value
-    /// counts those misses (0, 1 or 2).
-    pub fn plan(
-        &self,
-        m: &Module,
-        funcs: &[FuncId],
-        i: usize,
-        j: usize,
-        scratch: &mut AlignScratch,
-    ) -> (PairPlan, u32) {
-        let mut misses = 0;
-        let mut parts = |idx: usize| match self.get(idx) {
-            Some(p) => Cow::Borrowed(p),
-            None => {
-                misses += 1;
-                Cow::Owned(function_parts(m.function(funcs[idx])))
-            }
-        };
-        let (parts1, parts2) = (parts(i), parts(j));
-        (plan_blocks_with(m, funcs[i], funcs[j], &parts1, &parts2, scratch), misses)
-    }
-
-    /// Drops the entry for function index `idx` (its body was replaced by
-    /// a commit; a consumed function is never aligned again, so the slot
-    /// stays empty).
-    pub fn invalidate(&mut self, idx: usize) {
-        self.slots[idx] = None;
     }
 }
 
@@ -271,9 +212,10 @@ pub fn plan_blocks(m: &Module, f1: FuncId, f2: FuncId) -> PairPlan {
     plan_blocks_with(m, f1, f2, &parts1, &parts2, &mut AlignScratch::new())
 }
 
-/// [`plan_blocks`] over precomputed [`FunctionParts`] and a reusable
-/// [`AlignScratch`]: the allocation- and encoding-free hot path used by
-/// the wave loop. Candidate block pairs are *scored* through the scratch
+/// [`plan_blocks`] over the pair's [`FunctionParts`] and a reusable
+/// [`AlignScratch`]: the pass's align step, which encodes the pair itself
+/// and plans on the merge loop's one scratch. Candidate block pairs are
+/// *scored* through the scratch
 /// (no entries materialized); only each winning pair's alignment is
 /// re-run and copied out into the plan.
 pub fn plan_blocks_with(
@@ -482,86 +424,6 @@ bb0:
             "swapped argument types must not be mergeable even though the \
              encoding product collides"
         );
-    }
-
-    #[test]
-    fn cached_planner_matches_uncached_planner() {
-        let (m, f1, f2) = two_funcs(
-            r#"
-module "t" {
-define @a(i32 %0) -> i32 {
-bb0:
-  %1 = add i32 %0, 1
-  %2 = icmp sgt i32 %1, 10
-  condbr %2, bb1, bb2
-bb1:
-  ret i32 %1
-bb2:
-  %3 = mul i32 %1, 2
-  %4 = xor i32 %3, 9
-  ret i32 %4
-}
-define @b(i32 %0) -> i32 {
-bb0:
-  %1 = add i32 %0, 1
-  %2 = icmp sgt i32 %1, 10
-  condbr %2, bb1, bb2
-bb1:
-  ret i32 %1
-bb2:
-  %3 = mul i32 %1, 3
-  %4 = xor i32 %3, 9
-  ret i32 %4
-}
-}
-"#,
-        );
-        let funcs = [f1, f2];
-        let cache = BlockPartsCache::build(&m, &funcs, 2);
-        assert_eq!(cache.slots.len(), 2);
-        let mut scratch = AlignScratch::new();
-        let cached = plan_blocks_with(
-            &m,
-            f1,
-            f2,
-            cache.get(0).unwrap(),
-            cache.get(1).unwrap(),
-            &mut scratch,
-        );
-        let fresh = plan_blocks(&m, f1, f2);
-        assert_eq!(cached.pairs.len(), fresh.pairs.len());
-        for (c, f) in cached.pairs.iter().zip(fresh.pairs.iter()) {
-            assert_eq!((c.b1, c.b2, c.phi_pairs, c.term_match), (f.b1, f.b2, f.phi_pairs, f.term_match));
-            assert_eq!(c.body.entries, f.body.entries);
-        }
-        assert_eq!(cached.unpaired1, fresh.unpaired1);
-        assert_eq!(cached.unpaired2, fresh.unpaired2);
-        assert_eq!(cached.matched_insts(), fresh.matched_insts());
-    }
-
-    #[test]
-    fn cache_invalidation_empties_the_slot() {
-        let (m, f1, f2) = two_funcs(
-            r#"
-module "t" {
-define @a(i32 %0) -> i32 {
-bb0:
-  %1 = add i32 %0, 1
-  ret i32 %1
-}
-define @b(i32 %0) -> i32 {
-bb0:
-  %1 = add i32 %0, 2
-  ret i32 %1
-}
-}
-"#,
-        );
-        let mut cache = BlockPartsCache::build(&m, &[f1, f2], 1);
-        assert!(cache.get(0).is_some());
-        cache.invalidate(0);
-        assert!(cache.get(0).is_none());
-        assert!(cache.get(1).is_some());
     }
 
     #[test]

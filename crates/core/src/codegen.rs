@@ -218,7 +218,7 @@ const NONE: u32 = u32::MAX;
 /// will take.
 ///
 /// Computed from the bodies as they are *now* — a commit earlier in the
-/// same wave may have redirected call sites inside either function, which
+/// merge loop may have redirected call sites inside either function, which
 /// changes operand counts and with them what [`insts_mergeable`] says — so
 /// a layout is good for one attempt and is never cached or speculated.
 pub(crate) struct Layout<'m> {

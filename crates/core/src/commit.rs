@@ -53,22 +53,32 @@ struct ScanResult {
     address_taken: Vec<FuncId>,
 }
 
+/// Every function reference in `f`'s body, in instruction order, as
+/// `(instruction, target, callee)`: `callee` marks a direct call site
+/// (slot 0 of a `Call` or `Invoke`), and any other slot is a use that
+/// takes the target's address. The one callee-position rule, shared by
+/// the reference index and `global_merge`'s caller map.
+pub(crate) fn func_refs(f: &Function) -> impl Iterator<Item = (InstId, FuncId, bool)> + '_ {
+    f.linked_insts().flat_map(move |(iid, inst)| {
+        let call = matches!(inst.op, Opcode::Call | Opcode::Invoke);
+        inst.operands.iter().enumerate().filter_map(move |(slot, &op)| match f.value(op).kind {
+            ValueKind::FuncRef(target) => Some((iid, target, call && slot == 0)),
+            _ => None,
+        })
+    })
+}
+
 fn scan_one(m: &Module, owner: FuncId) -> ScanResult {
     let mut res = ScanResult { owner, sites: Vec::new(), address_taken: Vec::new() };
     let f = m.function(owner);
     if f.is_declaration {
         return res;
     }
-    for (iid, inst) in f.linked_insts() {
-        for (slot, &op) in inst.operands.iter().enumerate() {
-            if let ValueKind::FuncRef(target) = f.value(op).kind {
-                let is_callee = slot == 0 && matches!(inst.op, Opcode::Call | Opcode::Invoke);
-                if is_callee {
-                    res.sites.push((target, iid));
-                } else {
-                    res.address_taken.push(target);
-                }
-            }
+    for (iid, target, callee) in func_refs(f) {
+        if callee {
+            res.sites.push((target, iid));
+        } else {
+            res.address_taken.push(target);
         }
     }
     res

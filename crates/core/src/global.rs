@@ -33,14 +33,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use f3m_interp::oracle::observe;
 use f3m_interp::{Limits, Val};
 use f3m_ir::ids::FuncId;
-use f3m_ir::inst::Opcode;
 use f3m_ir::module::Module;
 use f3m_ir::types::TypeKind;
-use f3m_ir::value::ValueKind;
 use f3m_trace::json::Writer;
 use f3m_trace::stats::{self, Stat, Value::*};
 use f3m_trace::MetricsRegistry;
 
+use crate::commit::func_refs;
 use crate::corpus::Corpus;
 use crate::pass::{run_pass, PassConfig};
 
@@ -320,7 +319,7 @@ fn probe_args(m: &Module, f: FuncId, salt: i64) -> Vec<Val> {
 }
 
 /// Map from callee to the defined functions that call it directly (the
-/// same callee-position scan the commit index performs).
+/// callee positions the commit index records, by the same walk).
 fn direct_callers(m: &Module) -> HashMap<FuncId, Vec<FuncId>> {
     let mut callers: HashMap<FuncId, Vec<FuncId>> = HashMap::new();
     for (owner, f) in m.functions() {
@@ -328,16 +327,9 @@ fn direct_callers(m: &Module) -> HashMap<FuncId, Vec<FuncId>> {
             continue;
         }
         let mut seen: HashSet<FuncId> = HashSet::new();
-        for (_, inst) in f.linked_insts() {
-            if !matches!(inst.op, Opcode::Call | Opcode::Invoke) {
-                continue;
-            }
-            if let Some(&op) = inst.operands.first() {
-                if let ValueKind::FuncRef(target) = f.value(op).kind {
-                    if seen.insert(target) {
-                        callers.entry(target).or_default().push(owner);
-                    }
-                }
+        for (_, target, callee) in func_refs(f) {
+            if callee && seen.insert(target) {
+                callers.entry(target).or_default().push(owner);
             }
         }
     }

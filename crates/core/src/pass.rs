@@ -2,10 +2,10 @@
 //! of the paper.
 //!
 //! ```text
-//! preprocess   search structure + Committer + BlockPartsCache  (parallel)
+//! preprocess   search structure + Committer  (parallel)
 //! loop over the functions, in index order, skipping consumed ones:
 //!   rank       best candidate among the still-available functions
-//!   align      plan the chosen pair from its current bodies
+//!   align      encode and plan the chosen pair as its bodies stand
 //!   attempt    Committer::attempt, booked by MergeReport::account
 //! ```
 //!
@@ -35,7 +35,7 @@ use f3m_ir::size::module_size;
 use f3m_trace::{span_on, Tracer};
 
 use crate::align::AlignScratch;
-use crate::block_pairing::{BlockPartsCache, PairPlan};
+use crate::block_pairing::{function_parts, plan_blocks_with, PairPlan};
 use crate::codegen::MergeConfig;
 use crate::commit::{Committer, Reject, Verdict};
 use crate::profile::Profile;
@@ -126,9 +126,8 @@ impl PassConfig {
 /// `funcs`.
 struct PassState {
     funcs: Vec<FuncId>,
-    search: Box<dyn CandidateSearch + Send + Sync>,
+    search: Box<dyn CandidateSearch>,
     committer: Committer,
-    parts: BlockPartsCache,
     /// Not yet consumed by a merge.
     available: Vec<bool>,
 }
@@ -143,8 +142,6 @@ struct Turn {
     align_time: Duration,
     /// Alignment work (DP cells + linear positions).
     align_cells: u64,
-    /// Cache slots that had to be re-encoded (0, 1 or 2).
-    cache_misses: u32,
     /// The attempt on the chosen pair, if ranking found one.
     attempt: Option<Attempt>,
 }
@@ -176,14 +173,11 @@ impl MergeReport {
         s.candidates_returned += turn.counters.returned;
         s.bucket_evictions += turn.counters.evicted;
         s.probe_collisions += turn.counters.collisions;
-        s.lsh_allocs_saved += turn.counters.saved_allocs;
         s.align_cells += turn.align_cells;
         let (mut committed, mut codegen_time) = (false, Duration::ZERO);
         if let Some(Attempt { f1, f2, similarity, align_ratio, verdict, bounded, codegen }) =
             turn.attempt
         {
-            s.block_parts_cache_misses += u64::from(turn.cache_misses);
-            s.block_parts_cache_hits += u64::from(2 - turn.cache_misses);
             s.pairs_attempted += 1;
             s.commits_bounded += u64::from(bounded);
             let mut size_delta = 0;
@@ -226,11 +220,11 @@ pub fn run_pass(m: &mut Module, config: &PassConfig) -> MergeReport {
 }
 
 /// [`run_pass`] with optional structured tracing. With `Some(tracer)`,
-/// spans cover every stage seam (the preprocess and its fingerprint,
-/// reference-index and block-parts builds; each rank, align and commit),
-/// all on track 0 at the time they ran. With `None` every instrumentation
-/// point is skipped — the untraced path does no extra work beyond the
-/// counters [`MergeStats`] always carried.
+/// spans cover every stage seam (the preprocess and its fingerprint and
+/// reference-index builds; each rank, align and commit), all on track 0
+/// at the time they ran. With `None` every instrumentation point is
+/// skipped — the untraced path does no extra work beyond the counters
+/// [`MergeStats`] always carried.
 pub fn run_pass_traced(
     m: &mut Module,
     config: &PassConfig,
@@ -253,9 +247,9 @@ pub fn run_pass_traced(
     report
 }
 
-/// Builds fingerprints + search structure, the reference index and the
-/// encoded block parts, all fanned out across `jobs` threads, and records
-/// the index shape and the stage time in `report`.
+/// Builds fingerprints + search structure and the reference index, both
+/// fanned out across `jobs` threads, and records the index shape and the
+/// stage time in `report`.
 fn preprocess(
     m: &Module,
     config: &PassConfig,
@@ -287,17 +281,14 @@ fn preprocess(
         let _s = span_on(tracer, "preprocess", "ref_index");
         Committer::build(m, jobs)
     };
-    let parts = {
-        let _s = span_on(tracer, "preprocess", "block_parts");
-        BlockPartsCache::build(m, &funcs, jobs)
-    };
     pre_span.finish();
     report.stats.preprocess = t0.elapsed();
-    PassState { funcs, search, committer, parts, available: vec![true; n] }
+    PassState { funcs, search, committer, available: vec![true; n] }
 }
 
 /// Function `i`'s turn: ranks it against the functions still available,
-/// aligns the chosen pair from the current bodies and hands it to
+/// encodes and aligns the chosen pair as its bodies stand (a commit may
+/// have redirected a call site in either) and hands it to
 /// [`attempt_pair`].
 fn take_turn(
     m: &mut Module,
@@ -326,15 +317,15 @@ fn take_turn(
         rank_time,
         align_time: Duration::ZERO,
         align_cells: 0,
-        cache_misses: 0,
         attempt: None,
     };
     if let Some((j, similarity)) = best {
         let (t_align, cells_before) = (Instant::now(), scratch.stats().cells);
-        let (plan, cache_misses) = st.parts.plan(m, &st.funcs, i, j, scratch);
+        let (f1, f2) = (st.funcs[i], st.funcs[j]);
+        let (parts1, parts2) = (function_parts(m.function(f1)), function_parts(m.function(f2)));
+        let plan = plan_blocks_with(m, f1, f2, &parts1, &parts2, scratch);
         turn.align_time = t_align.elapsed();
         turn.align_cells = scratch.stats().cells - cells_before;
-        turn.cache_misses = cache_misses;
         record(tracer, "align", turn.align_time, || {
             vec![("function", i as u64), ("cells", turn.align_cells)]
         });
@@ -344,9 +335,9 @@ fn take_turn(
 }
 
 /// Hands the pair `(i, j)` to [`Committer::attempt`] and, on a commit,
-/// retires both functions from the search structure, the parts cache and
-/// the availability mask. A `commit` span is recorded only when the pair
-/// got past the gate.
+/// retires both functions from the search structure and the availability
+/// mask. A `commit` span is recorded only when the pair got past the
+/// gate.
 fn attempt_pair(
     m: &mut Module,
     st: &mut PassState,
@@ -357,9 +348,7 @@ fn attempt_pair(
     tracer: Option<&Tracer>,
 ) -> Attempt {
     let (f1, f2) = (st.funcs[i], st.funcs[j]);
-    let matched = plan.matched_insts() as f64;
-    let total_insts = m.function(f1).num_linked_insts() + m.function(f2).num_linked_insts();
-    let align_ratio = if total_insts == 0 { 0.0 } else { 2.0 * matched / total_insts as f64 };
+    let align_ratio = align_ratio(m, f1, f2, plan);
     let bounded_before = st.committer.bounded();
     let (verdict, codegen) = st.committer.attempt(m, f1, f2, plan, config.merge);
     let bounded = st.committer.bounded() > bounded_before;
@@ -377,12 +366,19 @@ fn attempt_pair(
     if committed {
         for idx in [i, j] {
             st.search.invalidate(idx);
-            st.parts.invalidate(idx);
             st.available[idx] = false;
         }
     }
     let codegen = codegen.unwrap_or_default();
     Attempt { f1, f2, similarity, align_ratio, verdict, bounded, codegen }
+}
+
+/// The share of `(f1, f2)`'s instructions `plan` matches, as the attempt
+/// log records it.
+fn align_ratio(m: &Module, f1: FuncId, f2: FuncId, plan: &PairPlan) -> f64 {
+    let matched = plan.matched_insts() as f64;
+    let total_insts = m.function(f1).num_linked_insts() + m.function(f2).num_linked_insts();
+    if total_insts == 0 { 0.0 } else { 2.0 * matched / total_insts as f64 }
 }
 
 /// Records `name` (its own category) on track 0 as a span of `spent` that
@@ -441,18 +437,170 @@ mod tests {
         }
     }
 
-    /// Replaying the attempt log through [`Committer::attempt`] on a fresh
-    /// copy reproduces every verdict, the per-verdict tallies are exactly
-    /// what the report counted, and every verdict past the gate is the one
-    /// building and measuring the pair arrives at — the bound in front of
-    /// the build decides sooner, never differently.
+    /// Replays `report`'s attempt log through [`Committer::attempt`] on a
+    /// fresh copy of `pristine`, planning every pair from the replay's
+    /// current bodies. The recorded alignment ratios and verdicts are
+    /// reproduced bit for bit, the per-verdict tallies are exactly what the
+    /// report counted, and every verdict past the gate is the one building
+    /// and measuring the pair arrives at — the bound in front of the build
+    /// decides sooner, never differently.
+    fn replay_attempts(
+        pristine: &Module,
+        merged: &Module,
+        report: &MergeReport,
+        config: &PassConfig,
+    ) {
+        let s = &report.stats;
+        let mut replay = pristine.clone();
+        let mut committer = Committer::build(&replay, 1);
+        let (mut unprofitable, mut committed) = (0, 0);
+        let (mut build, mut verify, mut size) = (0, 0, 0);
+        for a in &report.attempts {
+            let plan = plan_blocks(&replay, a.f1, a.f2);
+            let ratio = align_ratio(&replay, a.f1, a.f2, &plan);
+            assert_eq!(
+                a.align_ratio.to_bits(),
+                ratio.to_bits(),
+                "{}: {:?} + {:?} recorded align_ratio {} but its current bodies plan to {ratio}",
+                pristine.name,
+                a.f1,
+                a.f2,
+                a.align_ratio
+            );
+            let pair = (a.f1, a.f2);
+            let drops = [a.f1, a.f2].map(|f| committer.droppable(&replay, f));
+            let measured = build_and_compare(&mut replay, pair, drops, &plan, config.merge);
+            let (verdict, codegen) =
+                committer.attempt(&mut replay, a.f1, a.f2, &plan, config.merge);
+            assert_eq!(codegen.is_some(), verdict != Verdict::Unprofitable);
+            match verdict {
+                Verdict::Unprofitable => unprofitable += 1,
+                Verdict::Rejected(Reject::Build) => build += 1,
+                Verdict::Rejected(Reject::Verify) => verify += 1,
+                Verdict::Rejected(Reject::Size) => size += 1,
+                Verdict::Committed { saved } => {
+                    committed += 1;
+                    assert_eq!((a.committed, a.size_delta), (true, saved));
+                }
+            }
+            if verdict != Verdict::Unprofitable {
+                assert_eq!(verdict, measured, "{}: {:?} + {:?}", pristine.name, a.f1, a.f2);
+            }
+            assert_eq!(a.committed, matches!(verdict, Verdict::Committed { .. }));
+        }
+        assert_eq!(committer.bounded(), s.commits_bounded);
+        assert_eq!(print_module(&replay), print_module(merged), "{}", pristine.name);
+        assert_eq!(committed, s.merges_committed);
+        let rejects =
+            (s.commits_rejected_build, s.commits_rejected_verify, s.commits_rejected_size);
+        assert_eq!((build, verify, size), rejects);
+        let rejected = (build + verify + size) as usize;
+        assert_eq!(unprofitable + rejected + committed, s.pairs_attempted);
+    }
+
+    /// Twins `f` and `g` merge on the first turn, which redirects `c`'s
+    /// call of `@f` to the merged body. `c`'s twin `d` calls `@h`, of
+    /// `f`'s signature, so before that commit the two align completely
+    /// and after it they differ at the call.
+    const REDIRECTED_CALLER: &str = r#"
+module "redirected" {
+define internal @f(i32 %0) -> i32 {
+bb0:
+  %1 = mul i32 %0, 3
+  %2 = add i32 %1, 7
+  %3 = xor i32 %2, %0
+  %4 = sub i32 %3, 5
+  %5 = and i32 %4, 255
+  %6 = or i32 %5, %1
+  %7 = shl i32 %6, 2
+  ret i32 %7
+}
+define internal @g(i32 %0) -> i32 {
+bb0:
+  %1 = mul i32 %0, 3
+  %2 = add i32 %1, 7
+  %3 = xor i32 %2, %0
+  %4 = sub i32 %3, 5
+  %5 = and i32 %4, 255
+  %6 = or i32 %5, %1
+  %7 = shl i32 %6, 2
+  ret i32 %7
+}
+define @h(i32 %0) -> i32 {
+bb0:
+  %1 = icmp slt i32 %0, 0
+  %2 = select %1, i32 0, %0
+  ret i32 %2
+}
+define @c(i32 %0) -> i32 {
+bb0:
+  %1 = add i32 %0, 1
+  %2 = mul i32 %1, 3
+  %3 = sub i32 %2, %0
+  %4 = xor i32 %3, 9
+  %5 = and i32 %4, 1023
+  %6 = or i32 %5, 16
+  %7 = shl i32 %6, 1
+  %8 = add i32 %7, %1
+  %9 = mul i32 %8, 5
+  %10 = sub i32 %9, %2
+  %11 = xor i32 %10, %3
+  %12 = and i32 %11, 4095
+  %13 = call i32 @f(i32 %12)
+  %14 = add i32 %13, %4
+  %15 = mul i32 %14, 7
+  %16 = sub i32 %15, %5
+  %17 = xor i32 %16, %6
+  %18 = and i32 %17, 65535
+  %19 = or i32 %18, %7
+  %20 = shl i32 %19, 2
+  %21 = add i32 %20, %8
+  %22 = mul i32 %21, 11
+  %23 = sub i32 %22, %9
+  %24 = xor i32 %23, %10
+  %25 = and i32 %24, 255
+  ret i32 %25
+}
+define @d(i32 %0) -> i32 {
+bb0:
+  %1 = add i32 %0, 1
+  %2 = mul i32 %1, 3
+  %3 = sub i32 %2, %0
+  %4 = xor i32 %3, 9
+  %5 = and i32 %4, 1023
+  %6 = or i32 %5, 16
+  %7 = shl i32 %6, 1
+  %8 = add i32 %7, %1
+  %9 = mul i32 %8, 5
+  %10 = sub i32 %9, %2
+  %11 = xor i32 %10, %3
+  %12 = and i32 %11, 4095
+  %13 = call i32 @h(i32 %12)
+  %14 = add i32 %13, %4
+  %15 = mul i32 %14, 7
+  %16 = sub i32 %15, %5
+  %17 = xor i32 %16, %6
+  %18 = and i32 %17, 65535
+  %19 = or i32 %18, %7
+  %20 = shl i32 %19, 2
+  %21 = add i32 %20, %8
+  %22 = mul i32 %21, 11
+  %23 = sub i32 %22, %9
+  %24 = xor i32 %23, %10
+  %25 = and i32 %24, 255
+  ret i32 %25
+}
+}
+"#;
+
+    /// Every attempt of a pass replays, verdict and alignment ratio alike,
+    /// on the mini suite and on [`REDIRECTED_CALLER`], whose `(c, d)` is
+    /// aligned only after the first commit changed `c`.
     #[test]
     fn verdict_tallies_match_the_report_counters() {
-        for (spec, config) in f3m_workloads::mini_suite().iter().zip([
-            PassConfig::hyfm(),
-            PassConfig::f3m(),
-            PassConfig::f3m_adaptive().with_jobs(4),
-        ]) {
+        let configs =
+            || [PassConfig::hyfm(), PassConfig::f3m(), PassConfig::f3m_adaptive().with_jobs(4)];
+        for (spec, config) in f3m_workloads::mini_suite().iter().zip(configs()) {
             let pristine = f3m_workloads::build_module(spec);
             let mut merged = pristine.clone();
             let report = run_pass(&mut merged, &config);
@@ -461,42 +609,17 @@ mod tests {
             // Both ways of rejecting on size happen: by the bound, and by
             // measuring a build the bound let through.
             assert!(0 < s.commits_bounded && s.commits_bounded < s.commits_rejected_size);
-
-            let mut replay = pristine;
-            let mut committer = Committer::build(&replay, 1);
-            let (mut unprofitable, mut committed) = (0, 0);
-            let (mut build, mut verify, mut size) = (0, 0, 0);
-            for a in &report.attempts {
-                let plan = plan_blocks(&replay, a.f1, a.f2);
-                let pair = (a.f1, a.f2);
-                let drops = [a.f1, a.f2].map(|f| committer.droppable(&replay, f));
-                let measured = build_and_compare(&mut replay, pair, drops, &plan, config.merge);
-                let (verdict, codegen) =
-                    committer.attempt(&mut replay, a.f1, a.f2, &plan, config.merge);
-                assert_eq!(codegen.is_some(), verdict != Verdict::Unprofitable);
-                match verdict {
-                    Verdict::Unprofitable => unprofitable += 1,
-                    Verdict::Rejected(Reject::Build) => build += 1,
-                    Verdict::Rejected(Reject::Verify) => verify += 1,
-                    Verdict::Rejected(Reject::Size) => size += 1,
-                    Verdict::Committed { saved } => {
-                        committed += 1;
-                        assert_eq!((a.committed, a.size_delta), (true, saved));
-                    }
-                }
-                if verdict != Verdict::Unprofitable {
-                    assert_eq!(verdict, measured, "{}: {:?} + {:?}", spec.name, a.f1, a.f2);
-                }
-                assert_eq!(a.committed, matches!(verdict, Verdict::Committed { .. }));
-            }
-            assert_eq!(committer.bounded(), s.commits_bounded);
-            assert_eq!(print_module(&replay), print_module(&merged), "{}", spec.name);
-            assert_eq!(committed, s.merges_committed);
-            let rejects =
-                (s.commits_rejected_build, s.commits_rejected_verify, s.commits_rejected_size);
-            assert_eq!((build, verify, size), rejects);
-            let rejected = (build + verify + size) as usize;
-            assert_eq!(unprofitable + rejected + committed, s.pairs_attempted);
+            replay_attempts(&pristine, &merged, &report, &config);
+        }
+        let pristine = f3m_ir::parser::parse_module(REDIRECTED_CALLER).unwrap();
+        let id = |name| pristine.lookup_function(name).unwrap();
+        for config in configs() {
+            let mut merged = pristine.clone();
+            let report = run_pass(&mut merged, &config);
+            let first = &report.attempts[0];
+            assert!(first.committed && (first.f1, first.f2) == (id("f"), id("g")));
+            assert!(report.attempts.iter().any(|a| (a.f1, a.f2) == (id("c"), id("d"))));
+            replay_attempts(&pristine, &merged, &report, &config);
         }
     }
 

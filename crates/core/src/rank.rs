@@ -72,10 +72,6 @@ pub struct QueryCounters {
     /// Cross-band duplicate bucket hits during LSH probes (an entry found
     /// again in a later band of the same query).
     pub collisions: u64,
-    /// Allocations avoided by answering the query from a reusable scratch
-    /// instead of a fresh dedup table + candidate vector (one per
-    /// scratch-served probe, so the count is job-count independent).
-    pub saved_allocs: u64,
 }
 
 /// A point-in-time description of a search structure, for observability
@@ -94,11 +90,10 @@ pub struct IndexStats {
     pub bytes_per_fn: usize,
 }
 
-/// Reusable per-worker buffers for [`CandidateSearch::best_candidates`] —
-/// the [`QueryScratch`] a corpus query carries too, over the `u32` row ids
-/// of the pass's [`FlatIndex`]. One scratch lives beside each wave
-/// worker's alignment scratch, so the hot rank loop performs no per-query
-/// allocation.
+/// Reusable buffers for [`CandidateSearch::best_candidates`] — the
+/// [`QueryScratch`] a corpus query carries too, over the `u32` row ids of
+/// the pass's [`FlatIndex`]. The merge loop keeps one beside its alignment
+/// scratch, so the rank step performs no per-query allocation.
 pub type SearchScratch = QueryScratch<u32>;
 
 /// Strategy seam between the pass driver and a candidate-search structure.
@@ -117,7 +112,7 @@ pub trait CandidateSearch {
     /// near-tie [`CandidateSet`] (so a profile can bias the final choice).
     /// `available[j]` is false for functions already consumed by a merge;
     /// implementations must never return such candidates, nor `i` itself.
-    /// `scratch` is the caller's reusable query buffer (one per worker).
+    /// `scratch` is the caller's reusable query buffer.
     fn best_candidates(
         &self,
         i: usize,
@@ -316,18 +311,15 @@ pub(crate) fn top_k<'n>(
 }
 
 /// Builds the search structure for `strategy` over `funcs`, fanning the
-/// per-function fingerprint work out across up to `jobs` threads.
-///
-/// The returned structure is `Send + Sync`: queries take `&self`, so the
-/// wave loop can rank many functions concurrently against one snapshot of
-/// the availability mask (mutation — `invalidate` — stays confined to the
-/// serial commit walk).
+/// per-function fingerprint work out across up to `jobs` threads. The
+/// merge loop queries it and invalidates merged functions, one turn at a
+/// time.
 pub fn build_search(
     m: &Module,
     funcs: &[FuncId],
     strategy: &Strategy,
     jobs: usize,
-) -> Box<dyn CandidateSearch + Send + Sync> {
+) -> Box<dyn CandidateSearch> {
     match strategy {
         Strategy::Hyfm => Box::new(ExhaustiveOpcodeSearch::build(m, funcs, jobs)),
         Strategy::F3m(p) => Box::new(LshBackendSearch::build(m, funcs, *p, jobs)),
@@ -489,9 +481,6 @@ impl CandidateSearch for LshBackendSearch {
         // One similarity question per distinct candidate — the quantity
         // the paper's bucket cap bounds.
         counters.comparisons += scratch.out.len() as u64;
-        // One dedup table + one candidate vector that were *not* allocated
-        // because the scratch served this probe.
-        counters.saved_allocs += 1;
         let query = self.store.row(i);
         let kernel = Kernel::new(&query, self.params.lsh, &qstats);
         near_tie_head(
@@ -765,7 +754,6 @@ mod tests {
             );
             assert_eq!(c_warm.examined, c_fresh.examined);
             assert_eq!(c_warm.collisions, c_fresh.collisions);
-            assert_eq!(c_warm.saved_allocs, 1, "one saved alloc per probe");
         }
     }
 }

@@ -57,12 +57,6 @@ pub struct MergeStats {
     /// Kept for the benchmark ledger, which reads it; not reported: always
     /// 0, no alignment is discarded.
     pub aligns_wasted: u64,
-    /// Alignment attempts served from the per-function `BlockParts` cache
-    /// (two lookups per aligned pair).
-    pub block_parts_cache_hits: u64,
-    /// Alignment attempts that had to re-encode a function because its
-    /// cache slot was invalid.
-    pub block_parts_cache_misses: u64,
     /// Similarity questions asked: one per distinct candidate a ranking
     /// query had to decide, however the ranking kernel answered it.
     pub fingerprint_comparisons: u64,
@@ -87,10 +81,6 @@ pub struct MergeStats {
     /// exhaustive baseline). High collision counts mean the band keys are
     /// redundant for the corpus — a backend-quality signal.
     pub probe_collisions: u64,
-    /// Per-probe allocations avoided by the reusable query scratch (one
-    /// dedup table + candidate vector per query served; zero for the
-    /// exhaustive baseline). Job-count independent by construction.
-    pub lsh_allocs_saved: u64,
     /// Alignment work: DP cells computed plus linear-alignment positions
     /// advanced, summed over every alignment of the pass. A pure function
     /// of which pairs were aligned, so deterministic and job-count
@@ -137,8 +127,6 @@ const MERGE_STATS: &[Stat<MergeStats>] = &[
     Stat::wall("align", "ns", |s| stage(&s.align)),
     Stat::wall("codegen", "ns", |s| stage(&s.codegen)),
     Stat::wall("total_ns", "ns", |s| Count(s.total_time().as_nanos() as u64)),
-    Stat::det("block_parts_cache_hits", "lookups", |s| Count(s.block_parts_cache_hits)),
-    Stat::det("block_parts_cache_misses", "lookups", |s| Count(s.block_parts_cache_misses)),
     Stat::det("fingerprint_comparisons", "comparisons", |s| Count(s.fingerprint_comparisons)),
     Stat::det("sketch_comparisons", "comparisons", |s| Count(s.sketch_comparisons)),
     Stat::det("full_comparisons", "comparisons", |s| Count(s.full_comparisons)),
@@ -146,7 +134,6 @@ const MERGE_STATS: &[Stat<MergeStats>] = &[
     Stat::det("candidates_returned", "candidates", |s| Count(s.candidates_returned)),
     Stat::det("bucket_evictions", "entries", |s| Count(s.bucket_evictions)),
     Stat::det("probe_collisions", "entries", |s| Count(s.probe_collisions)),
-    Stat::det("lsh_allocs_saved", "allocations", |s| Count(s.lsh_allocs_saved)),
     Stat::det("align_cells", "cells", |s| Count(s.align_cells)),
     Stat::det("commits_rejected_build", "commits", |s| Count(s.commits_rejected_build)),
     Stat::det("commits_rejected_verify", "commits", |s| Count(s.commits_rejected_verify)),
@@ -278,7 +265,7 @@ mod tests {
             size_delta: 42,
             time: Duration::from_nanos(900),
         });
-        report.stats.block_parts_cache_hits = 10;
+        report.stats.align_cells = 10;
         let j = report.to_json();
         for key in [
             "\"stats\"",
@@ -287,8 +274,7 @@ mod tests {
             "\"preprocess_ns\":1500",
             "\"candidates_examined\"",
             "\"candidates_returned\"",
-            "\"block_parts_cache_hits\":10",
-            "\"block_parts_cache_misses\"",
+            "\"align_cells\":10",
             "\"attempts\"",
             "\"f1\":0",
             "\"f2\":2",
@@ -304,7 +290,7 @@ mod tests {
 
     /// The documented key set, spelled out: a row added to (or dropped
     /// from) the table must show up here as a deliberate edit.
-    const GOLDEN_KEYS: [&str; 29] = [
+    const GOLDEN_KEYS: [&str; 26] = [
         "functions",
         "pairs_attempted",
         "merges_committed",
@@ -313,8 +299,6 @@ mod tests {
         "align",
         "codegen",
         "total_ns",
-        "block_parts_cache_hits",
-        "block_parts_cache_misses",
         "fingerprint_comparisons",
         "sketch_comparisons",
         "full_comparisons",
@@ -322,7 +306,6 @@ mod tests {
         "candidates_returned",
         "bucket_evictions",
         "probe_collisions",
-        "lsh_allocs_saved",
         "align_cells",
         "commits_rejected_build",
         "commits_rejected_verify",

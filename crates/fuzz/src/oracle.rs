@@ -13,8 +13,8 @@
 //!
 //! A fourth cross-cell check catches scheduling bugs: within one strategy,
 //! every `--jobs` level must print the identical merged module
-//! (**jobs-divergence**), since the wave commit is documented to be
-//! deterministic.
+//! (**jobs-divergence**), since `--jobs` parallelizes only the preprocess
+//! and the merge loop is serial.
 //!
 //! A fifth, once per strategy, guards the shortcut the commit path takes:
 //! it turns a pair down unbuilt when the merged function's layout already

@@ -319,8 +319,9 @@ fn tolerance_for(name: &str) -> Tolerance {
         // Work counts: ±15 % or a small absolute slack.
         "fingerprint_comparisons" | "sketch_comparisons" | "full_comparisons"
         | "candidates_examined" | "candidates_returned" | "align_cells" | "bucket_evictions"
-        | "lsh_buckets" | "lsh_max_bucket" | "lsh_bucket_occupancy" | "probe_collisions"
-        | "lsh_allocs_saved" => Tolerance { rel: 0.15, abs: 16.0 },
+        | "lsh_buckets" | "lsh_max_bucket" | "lsh_bucket_occupancy" | "probe_collisions" => {
+            Tolerance { rel: 0.15, abs: 16.0 }
+        }
         // Global-merge work counts: verification fan-out for the fixed
         // three-module scenario. Banded like the other work counts — a
         // change that doubles the probe count is a complexity
