@@ -130,6 +130,7 @@
 //! read guard, so no reader can rank against half an edit and keep the
 //! list.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,7 +147,7 @@ use f3m_ir::function::Function;
 use f3m_ir::ids::FuncId;
 use f3m_ir::module::Module;
 use f3m_ir::parser::{parse_module, parse_module_for, parse_replacement};
-use f3m_ir::printer::{print_declaration, print_function, print_global, print_module};
+use f3m_ir::printer::{lines_before, print_declaration, print_function, print_global, print_module};
 use f3m_ir::types::TypeStore;
 use f3m_trace::stats::{Stat, Value::*};
 
@@ -390,13 +391,13 @@ impl LazyModule {
         self.cell.get_mut().expect("parsed just above")
     }
 
-    /// The canonical IR source: verbatim if the deferred source was
+    /// The canonical IR source: the deferred source, borrowed, if it was
     /// never parsed (printing is the identity on printed sources),
     /// printed otherwise.
-    fn source(&self) -> String {
+    fn source(&self) -> Cow<'_, str> {
         match (self.cell.get(), &self.src) {
-            (None, Some(src)) => src.clone(),
-            (m, _) => print_module(m.expect("parsed or deferred")),
+            (None, Some(src)) => Cow::Borrowed(src),
+            (m, _) => Cow::Owned(print_module(m.expect("parsed or deferred"))),
         }
     }
 }
@@ -1053,7 +1054,7 @@ impl Corpus {
     /// resident state exactly.
     pub fn module_source(&self, module: &str) -> Result<String, String> {
         let t = self.read_table();
-        Ok(t.live_body(module)?.1.source())
+        Ok(t.live_body(module)?.1.source().into_owned())
     }
 
     /// The combined module over all live modules, in ingest order, with
@@ -1302,23 +1303,6 @@ fn decode_corpus_payload(bytes: &[u8], entries: usize) -> Result<CorpusPayload, 
         SnapshotError::Truncated => SnapshotError::Corrupt("corpus payload truncated"),
         other => other,
     })
-}
-
-/// How many lines of [`print_module`]`(m)` come before definition `id`'s:
-/// a line of `id`'s printed text plus this is the line it has in the
-/// module's source.
-fn lines_before(m: &Module, id: FuncId) -> usize {
-    // The module header, one line per global and a blank line after them.
-    let header = 1 + m.num_globals() + usize::from(m.num_globals() > 0);
-    // A declaration is one line; a definition is its header, one line per
-    // label and per instruction, and the closing brace. A blank line
-    // follows each.
-    let functions: usize = m
-        .functions()
-        .take_while(|&(g, _)| g != id)
-        .map(|(_, f)| if f.is_declaration { 2 } else { f.num_blocks() + f.num_linked_insts() + 3 })
-        .sum();
-    header + functions
 }
 
 /// The new definition of `resident`'s function `fid` that `text` — module-

@@ -1275,7 +1275,7 @@ impl Stage<'_> {
 }
 
 #[cfg(test)]
-mod reference;
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

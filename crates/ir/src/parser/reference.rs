@@ -445,7 +445,7 @@ fn build_body(
     Ok(())
 }
 
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeSet;
     use std::fmt::Write as _;
     use std::time::{Duration, Instant};
@@ -616,7 +616,7 @@ mod tests {
     /// structural mutators changed, each step printed. The visitor gets
     /// what the text is, the text, and whether it is a printed module —
     /// which must parse.
-    fn each_input(seed: u64, mut visit: impl FnMut(&str, &str, bool)) {
+    pub(crate) fn each_input(seed: u64, mut visit: impl FnMut(&str, &str, bool)) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut lexical = SmallRng::seed_from_u64(!seed);
         for (name, text) in modules() {
@@ -665,7 +665,7 @@ mod tests {
     }
 
     /// The seed both differentials draw their inputs with.
-    const INPUTS: u64 = 0x5_7A6E;
+    pub(crate) const INPUTS: u64 = 0x5_7A6E;
 
     /// The tokens the cursor yields for `src`, each with its line, up to
     /// its first lexical error, which comes with them. They are taken by

@@ -8,226 +8,356 @@
 //! Instruction results and arguments are printed as `%N` in numbering
 //! order: arguments first, then every value-producing instruction in block
 //! order. Constants are printed inline at their use sites.
+//!
+//! Every entry point drives one private `Printer`, which appends to a single
+//! output buffer: a type is spelled once per call and copied from then
+//! on, integers are written digit by digit, and the value numbers live in
+//! one vector reused from function to function. No operand, instruction
+//! or function gets a string of its own.
 
-use std::fmt::Write as _;
-
+use crate::function::{Function, Linkage};
 use crate::ids::{BlockId, FuncId, ValueId};
 use crate::inst::{Instruction, Opcode, Predicate};
-use crate::function::{Function, Linkage};
 use crate::module::{Global, Module};
+use crate::types::TypeId;
 use crate::value::ValueKind;
 
 /// Prints a whole module.
 pub fn print_module(m: &Module) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "module \"{}\" {{", m.name);
-    for (_, g) in m.globals() {
-        let _ = writeln!(out, "{}", print_global(m, g));
-    }
-    if m.num_globals() > 0 {
-        out.push('\n');
-    }
-    for (id, f) in m.functions() {
-        if f.is_declaration {
-            let _ = writeln!(out, "{}", print_declaration(m, f));
-        } else {
-            out.push_str(&print_function(m, id));
-        }
-        out.push('\n');
-    }
-    out.push_str("}\n");
-    out
+    let mut p = Printer::new(m);
+    p.module();
+    p.out
 }
 
 /// Prints one global as its `global @name : ty = [bytes]` line (no
 /// trailing newline).
 pub fn print_global(m: &Module, g: &Global) -> String {
-    let bytes: Vec<String> = g.init.iter().map(|b| b.to_string()).collect();
-    format!("global @{} : {} = [{}]", g.name, m.types.display(g.ty), bytes.join(", "))
+    let mut p = Printer::new(m);
+    p.global(g);
+    p.out
 }
 
 /// Prints one external declaration as its `declare @name(params) -> ret`
 /// line (no trailing newline).
 pub fn print_declaration(m: &Module, f: &Function) -> String {
-    let params: Vec<String> = f.params.iter().map(|&p| m.types.display(p)).collect();
-    format!("declare @{}({}) -> {}", f.name, params.join(", "), m.types.display(f.ret_ty))
+    let mut p = Printer::new(m);
+    p.declaration(f);
+    p.out
 }
 
 /// Prints one function definition.
 pub fn print_function(m: &Module, id: FuncId) -> String {
-    let f = m.function(id);
-    let names = ValueNames::assign(f);
-    let mut out = String::new();
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| format!("{} %{}", m.types.display(p), i))
-        .collect();
-    let kw = match f.linkage {
-        Linkage::External => "define",
-        Linkage::Internal => "define internal",
-    };
-    let _ = writeln!(
-        out,
-        "{} @{}({}) -> {} {{",
-        kw,
-        f.name,
-        params.join(", "),
-        m.types.display(f.ret_ty)
-    );
-    for &bb in &f.block_order {
-        let _ = writeln!(out, "bb{}:", bb.index());
-        for (_, inst) in f.block_insts(bb) {
-            let _ = writeln!(out, "  {}", print_inst(m, f, inst, &names));
+    let mut p = Printer::new(m);
+    p.function(m.function(id));
+    p.out
+}
+
+/// How many lines of [`print_module`]`(m)` come before definition `id`'s:
+/// a line of `id`'s printed text plus this is the line it has in the
+/// module's source.
+pub fn lines_before(m: &Module, id: FuncId) -> usize {
+    // The module header, one line per global and a blank line after them.
+    let header = 1 + m.num_globals() + usize::from(m.num_globals() > 0);
+    // A declaration is one line; a definition is its header, one line per
+    // label and per instruction, and the closing brace. A blank line
+    // follows each.
+    let functions: usize = m
+        .functions()
+        .take_while(|&(g, _)| g != id)
+        .map(|(_, f)| if f.is_declaration { 2 } else { f.num_blocks() + f.num_linked_insts() + 3 })
+        .sum();
+    header + functions
+}
+
+/// A value with no number: an unlinked definition, or not a definition.
+const UNNAMED: u32 = u32::MAX;
+
+/// The one printer behind every entry point.
+struct Printer<'m> {
+    m: &'m Module,
+    /// The text printed so far.
+    out: String,
+    /// The spellings of the types met so far, back to back.
+    spelled: String,
+    /// Each type's `start..end` in `spelled`, by index; `start == end`
+    /// until it is met (no type spells as the empty string).
+    spans: Vec<(u32, u32)>,
+    /// The current function's `%N` number of each value, by index, or
+    /// [`UNNAMED`].
+    names: Vec<u32>,
+}
+
+impl<'m> Printer<'m> {
+    fn new(m: &'m Module) -> Printer<'m> {
+        Printer {
+            m,
+            out: String::new(),
+            spelled: String::new(),
+            spans: vec![(0, 0); m.types.len()],
+            names: Vec::new(),
         }
     }
-    out.push_str("}\n");
-    out
-}
 
-/// Assigns printable `%N` names to arguments and instruction results.
-pub struct ValueNames {
-    names: Vec<Option<u32>>,
-}
+    fn module(&mut self) {
+        let m = self.m;
+        // A printed instruction line is about 30 bytes.
+        self.out.reserve(m.total_insts() * 32);
+        self.s("module \"").s(&m.name).s("\" {\n");
+        for (_, g) in m.globals() {
+            self.global(g).c('\n');
+        }
+        if m.num_globals() > 0 {
+            self.c('\n');
+        }
+        for (_, f) in m.functions() {
+            if f.is_declaration {
+                self.declaration(f).c('\n');
+            } else {
+                self.function(f);
+            }
+            self.c('\n');
+        }
+        self.s("}\n");
+    }
 
-impl ValueNames {
+    fn global(&mut self, g: &Global) -> &mut Self {
+        self.s("global @").s(&g.name).s(" : ").ty(g.ty).s(" = [");
+        for (i, &b) in g.init.iter().enumerate() {
+            self.comma(i).uint(u64::from(b));
+        }
+        self.c(']')
+    }
+
+    fn declaration(&mut self, f: &Function) -> &mut Self {
+        self.s("declare @").s(&f.name).c('(');
+        for (i, &p) in f.params.iter().enumerate() {
+            self.comma(i).ty(p);
+        }
+        self.s(") -> ").ty(f.ret_ty)
+    }
+
+    fn function(&mut self, f: &Function) {
+        self.number(f);
+        let kw = match f.linkage {
+            Linkage::External => "define @",
+            Linkage::Internal => "define internal @",
+        };
+        self.s(kw).s(&f.name).c('(');
+        for (i, &p) in f.params.iter().enumerate() {
+            self.comma(i).ty(p).s(" %").uint(i as u64);
+        }
+        self.s(") -> ").ty(f.ret_ty).s(" {\n");
+        for &bb in &f.block_order {
+            self.label(bb).s(":\n");
+            for (_, inst) in f.block_insts(bb) {
+                self.s("  ");
+                self.inst(f, inst);
+                self.c('\n');
+            }
+        }
+        self.s("}\n");
+    }
+
     /// Numbers the values of `f`: arguments first, then results in block
     /// order.
-    pub fn assign(f: &Function) -> ValueNames {
-        let mut names = vec![None; f.num_values()];
+    fn number(&mut self, f: &Function) {
+        self.names.clear();
+        self.names.resize(f.num_values(), UNNAMED);
         let mut next = 0u32;
         for i in 0..f.num_args() {
-            names[f.arg(i).index()] = Some(next);
+            self.names[f.arg(i).index()] = next;
             next += 1;
         }
         for (_, inst) in f.linked_insts() {
             if let Some(r) = inst.result {
-                names[r.index()] = Some(next);
+                self.names[r.index()] = next;
                 next += 1;
             }
         }
-        ValueNames { names }
     }
 
-    /// Printable name of `v`, if it was assigned one.
-    pub fn get(&self, v: ValueId) -> Option<u32> {
-        self.names.get(v.index()).copied().flatten()
+    /// The `%N` number of `v`, if it has one.
+    fn name(&self, v: ValueId) -> Option<u32> {
+        self.names.get(v.index()).copied().filter(|&n| n != UNNAMED)
     }
-}
 
-fn operand(m: &Module, f: &Function, names: &ValueNames, v: ValueId) -> String {
-    let val = f.value(v);
-    match val.kind {
-        ValueKind::Arg(_) | ValueKind::Inst(_) => match names.get(v) {
-            Some(n) => format!("%{n}"),
-            None => format!("%?{}", v.index()), // unlinked def; diagnostic only
-        },
-        ValueKind::ConstInt(x) => format!("{x}"),
-        ValueKind::ConstFloat(bits) => format!("0f{bits:016X}"),
-        ValueKind::Undef => "undef".to_string(),
-        ValueKind::FuncRef(fid) => format!("@{}", m.function(fid).name),
-        ValueKind::GlobalRef(gid) => format!("@{}", m.global(gid).name),
+    /// One instruction, without indent or newline.
+    fn inst(&mut self, f: &Function, inst: &Instruction) {
+        let (ops, blocks) = (&inst.operands, &inst.blocks);
+        match inst.op {
+            Opcode::Ret => {
+                self.s("ret");
+                if let Some(&v) = ops.first() {
+                    self.c(' ').typed(f, v);
+                }
+            }
+            Opcode::Br => {
+                self.s("br ").label(blocks[0]);
+            }
+            Opcode::CondBr => {
+                self.s("condbr ").operand(f, ops[0]).s(", ").label(blocks[0]).s(", ").label(blocks[1]);
+            }
+            Opcode::Unreachable => {
+                self.s("unreachable");
+            }
+            Opcode::Invoke => {
+                self.result(inst).s("invoke ").ty(inst.ty).c(' ').operand(f, ops[0]).args(f, &ops[1..]);
+                self.s(" to ").label(blocks[0]).s(" unwind ").label(blocks[1]);
+            }
+            Opcode::FNeg => {
+                self.result(inst).s("fneg ").ty(inst.ty).c(' ').operand(f, ops[0]);
+            }
+            o if o.is_binary() => {
+                self.result(inst).s(o.mnemonic()).c(' ').ty(inst.ty).c(' ');
+                self.operand(f, ops[0]).s(", ").operand(f, ops[1]);
+            }
+            Opcode::Alloca => {
+                self.result(inst).s("alloca ").ty(inst.aux_ty.expect("alloca aux_ty"));
+            }
+            Opcode::Load => {
+                self.result(inst).s("load ").ty(inst.ty).s(", ").operand(f, ops[0]);
+            }
+            Opcode::Store => {
+                self.s("store ").typed(f, ops[0]).s(", ").operand(f, ops[1]);
+            }
+            Opcode::Gep => {
+                self.result(inst).s("gep ").ty(inst.aux_ty.expect("gep aux_ty")).s(", ");
+                self.operand(f, ops[0]).s(", ").typed(f, ops[1]);
+            }
+            o if o.is_cast() => {
+                self.result(inst).s(o.mnemonic()).c(' ').typed(f, ops[0]).s(" to ").ty(inst.ty);
+            }
+            Opcode::ICmp | Opcode::FCmp => {
+                let pred = match inst.pred.expect("cmp predicate") {
+                    Predicate::Int(p) => p.mnemonic(),
+                    Predicate::Float(p) => p.mnemonic(),
+                };
+                self.result(inst).s(inst.op.mnemonic()).c(' ').s(pred).c(' ').typed(f, ops[0]);
+                self.s(", ").operand(f, ops[1]);
+            }
+            Opcode::Select => {
+                self.result(inst).s("select ").operand(f, ops[0]).s(", ").ty(inst.ty).c(' ');
+                self.operand(f, ops[1]).s(", ").operand(f, ops[2]);
+            }
+            Opcode::Phi => {
+                self.result(inst).s("phi ").ty(inst.ty).c(' ');
+                for (i, (&v, &b)) in ops.iter().zip(blocks).enumerate() {
+                    self.comma(i).s("[ ").operand(f, v).s(", ").label(b).s(" ]");
+                }
+            }
+            Opcode::Call => {
+                self.result(inst).s("call ").ty(inst.ty).c(' ').operand(f, ops[0]).args(f, &ops[1..]);
+            }
+            o => unreachable!("unhandled opcode in printer: {o:?}"),
+        }
     }
-}
 
-fn bb(b: BlockId) -> String {
-    format!("bb{}", b.index())
-}
+    /// `%N = ` for an instruction whose result has a number.
+    fn result(&mut self, inst: &Instruction) -> &mut Self {
+        match inst.result.and_then(|r| self.name(r)) {
+            Some(n) => self.c('%').uint(u64::from(n)).s(" = "),
+            None => self,
+        }
+    }
 
-/// Prints a single instruction (without trailing newline).
-pub fn print_inst(m: &Module, f: &Function, inst: &Instruction, names: &ValueNames) -> String {
-    let op = |i: usize| operand(m, f, names, inst.operands[i]);
-    let ty = |t| m.types.display(t);
-    let res = inst
-        .result
-        .and_then(|r| names.get(r))
-        .map(|n| format!("%{n} = "))
-        .unwrap_or_default();
-    match inst.op {
-        Opcode::Ret => {
-            if inst.operands.is_empty() {
-                "ret".to_string()
-            } else {
-                format!("ret {} {}", ty(f.value(inst.operands[0]).ty), op(0))
+    /// A call's or invoke's `(ty a, ty b, ...)`.
+    fn args(&mut self, f: &Function, args: &[ValueId]) -> &mut Self {
+        self.c('(');
+        for (i, &a) in args.iter().enumerate() {
+            self.comma(i).typed(f, a);
+        }
+        self.c(')')
+    }
+
+    /// `ty v`: `v` after its type.
+    fn typed(&mut self, f: &Function, v: ValueId) -> &mut Self {
+        self.ty(f.value(v).ty).c(' ').operand(f, v)
+    }
+
+    /// One use of `v`: its number, or the constant or symbol inline.
+    fn operand(&mut self, f: &Function, v: ValueId) -> &mut Self {
+        let m = self.m;
+        match f.value(v).kind {
+            ValueKind::Arg(_) | ValueKind::Inst(_) => match self.name(v) {
+                Some(n) => self.c('%').uint(u64::from(n)),
+                // An unlinked definition; diagnostic only.
+                None => self.s("%?").uint(v.index() as u64),
+            },
+            ValueKind::ConstInt(x) => {
+                if x < 0 {
+                    self.c('-');
+                }
+                self.uint(x.unsigned_abs())
+            }
+            ValueKind::ConstFloat(bits) => {
+                self.s("0f");
+                for shift in (0..64).step_by(4).rev() {
+                    self.c(char::from(b"0123456789ABCDEF"[(bits >> shift) as usize & 0xF]));
+                }
+                self
+            }
+            ValueKind::Undef => self.s("undef"),
+            ValueKind::FuncRef(fid) => self.c('@').s(&m.function(fid).name),
+            ValueKind::GlobalRef(gid) => self.c('@').s(&m.global(gid).name),
+        }
+    }
+
+    fn label(&mut self, b: BlockId) -> &mut Self {
+        self.s("bb").uint(b.index() as u64)
+    }
+
+    /// The `, ` before every item of a list but its first.
+    fn comma(&mut self, i: usize) -> &mut Self {
+        if i > 0 {
+            self.s(", ");
+        }
+        self
+    }
+
+    /// Appends one character.
+    fn c(&mut self, ch: char) -> &mut Self {
+        self.out.push(ch);
+        self
+    }
+
+    /// Appends `text`.
+    fn s(&mut self, text: &str) -> &mut Self {
+        self.out.push_str(text);
+        self
+    }
+
+    /// `n` in decimal.
+    fn uint(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
             }
         }
-        Opcode::Br => format!("br {}", bb(inst.blocks[0])),
-        Opcode::CondBr => {
-            format!("condbr {}, {}, {}", op(0), bb(inst.blocks[0]), bb(inst.blocks[1]))
+        self.s(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+    }
+
+    /// `t`'s spelling: spelled on first use, copied from then on.
+    fn ty(&mut self, t: TypeId) -> &mut Self {
+        let (start, end) = self.spans[t.index()];
+        if start < end {
+            self.out.push_str(&self.spelled[start as usize..end as usize]);
+            return self;
         }
-        Opcode::Unreachable => "unreachable".to_string(),
-        Opcode::Invoke => {
-            let args: Vec<String> = inst.operands[1..]
-                .iter()
-                .map(|&a| format!("{} {}", ty(f.value(a).ty), operand(m, f, names, a)))
-                .collect();
-            format!(
-                "{res}invoke {} {}({}) to {} unwind {}",
-                ty(inst.ty),
-                op(0),
-                args.join(", "),
-                bb(inst.blocks[0]),
-                bb(inst.blocks[1])
-            )
-        }
-        Opcode::FNeg => format!("{res}fneg {} {}", ty(inst.ty), op(0)),
-        o if o.is_binary() => {
-            format!("{res}{} {} {}, {}", o.mnemonic(), ty(inst.ty), op(0), op(1))
-        }
-        Opcode::Alloca => format!("{res}alloca {}", ty(inst.aux_ty.expect("alloca aux_ty"))),
-        Opcode::Load => format!("{res}load {}, {}", ty(inst.ty), op(0)),
-        Opcode::Store => {
-            format!("store {} {}, {}", ty(f.value(inst.operands[0]).ty), op(0), op(1))
-        }
-        Opcode::Gep => format!(
-            "{res}gep {}, {}, {} {}",
-            ty(inst.aux_ty.expect("gep aux_ty")),
-            op(0),
-            ty(f.value(inst.operands[1]).ty),
-            op(1)
-        ),
-        o if o.is_cast() => format!(
-            "{res}{} {} {} to {}",
-            o.mnemonic(),
-            ty(f.value(inst.operands[0]).ty),
-            op(0),
-            ty(inst.ty)
-        ),
-        Opcode::ICmp | Opcode::FCmp => {
-            let pred = match inst.pred.expect("cmp predicate") {
-                Predicate::Int(p) => p.mnemonic(),
-                Predicate::Float(p) => p.mnemonic(),
-            };
-            format!(
-                "{res}{} {} {} {}, {}",
-                inst.op.mnemonic(),
-                pred,
-                ty(f.value(inst.operands[0]).ty),
-                op(0),
-                op(1)
-            )
-        }
-        Opcode::Select => format!("{res}select {}, {} {}, {}", op(0), ty(inst.ty), op(1), op(2)),
-        Opcode::Phi => {
-            let arms: Vec<String> = inst
-                .operands
-                .iter()
-                .zip(inst.blocks.iter())
-                .map(|(&v, &b)| format!("[ {}, {} ]", operand(m, f, names, v), bb(b)))
-                .collect();
-            format!("{res}phi {} {}", ty(inst.ty), arms.join(", "))
-        }
-        Opcode::Call => {
-            let args: Vec<String> = inst.operands[1..]
-                .iter()
-                .map(|&a| format!("{} {}", ty(f.value(a).ty), operand(m, f, names, a)))
-                .collect();
-            format!("{res}call {} {}({})", ty(inst.ty), op(0), args.join(", "))
-        }
-        o => unreachable!("unhandled opcode in printer: {o:?}"),
+        let start = self.spelled.len();
+        self.m.types.display_into(t, &mut self.spelled);
+        self.out.push_str(&self.spelled[start..]);
+        self.spans[t.index()] = (start as u32, self.spelled.len() as u32);
+        self
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -303,5 +433,28 @@ mod tests {
         m.add_function(f);
         let text = print_module(&m);
         assert!(text.contains("ret f64 0f3FF0000000000000"), "{text}");
+    }
+
+    /// [`lines_before`] is the printed layout: for every function of each
+    /// Table I row at small scale, the number of lines of the module's
+    /// print before that function's `define` line.
+    #[test]
+    fn lines_before_counts_the_printed_lines() {
+        for spec in f3m_workloads::table1() {
+            let spec = spec.scaled((12.0 / spec.functions as f64).min(1.0));
+            // The generator builds the library build's `Module`; its print
+            // parses into this build's.
+            let text = f3m_ir::printer::print_module(&f3m_workloads::build_module(&spec));
+            let m = crate::parser::parse_module(&text).unwrap();
+            let printed = print_module(&m);
+            let mut defined = 0;
+            for (id, f) in m.functions().filter(|(_, f)| !f.is_declaration) {
+                let head = format!(" @{}(", f.name);
+                let at = printed.lines().position(|l| l.starts_with("define") && l.contains(&head));
+                assert_eq!(Some(lines_before(&m, id)), at, "{}: @{}", spec.name, f.name);
+                defined += 1;
+            }
+            assert!(defined > 0, "{} defines functions", spec.name);
+        }
     }
 }

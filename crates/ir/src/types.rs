@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroU32;
 
@@ -362,20 +363,44 @@ impl TypeStore {
 
     /// Renders `id` in the textual IR syntax.
     pub fn display(&self, id: TypeId) -> String {
+        let mut out = String::new();
+        self.display_into(id, &mut out);
+        out
+    }
+
+    /// Appends [`display`](TypeStore::display)`(id)` to `out`.
+    pub(crate) fn display_into(&self, id: TypeId, out: &mut String) {
+        let list = |ids: &[TypeId], out: &mut String| {
+            for (i, &t) in ids.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                self.display_into(t, out);
+            }
+        };
         match self.kind(id) {
-            TypeKind::Void => "void".to_string(),
-            TypeKind::Int(b) => format!("i{b}"),
-            TypeKind::F32 => "f32".to_string(),
-            TypeKind::F64 => "f64".to_string(),
-            TypeKind::Ptr => "ptr".to_string(),
-            TypeKind::Array { elem, len } => format!("[{} x {}]", len, self.display(*elem)),
+            TypeKind::Void => out.push_str("void"),
+            TypeKind::Int(b) => {
+                let _ = write!(out, "i{b}");
+            }
+            TypeKind::F32 => out.push_str("f32"),
+            TypeKind::F64 => out.push_str("f64"),
+            TypeKind::Ptr => out.push_str("ptr"),
+            TypeKind::Array { elem, len } => {
+                let _ = write!(out, "[{len} x ");
+                self.display_into(*elem, out);
+                out.push(']');
+            }
             TypeKind::Struct { fields } => {
-                let inner: Vec<String> = fields.iter().map(|f| self.display(*f)).collect();
-                format!("{{{}}}", inner.join(", "))
+                out.push('{');
+                list(fields, out);
+                out.push('}');
             }
             TypeKind::Func { params, ret } => {
-                let inner: Vec<String> = params.iter().map(|p| self.display(*p)).collect();
-                format!("fn({}) -> {}", inner.join(", "), self.display(*ret))
+                out.push_str("fn(");
+                list(params, out);
+                out.push_str(") -> ");
+                self.display_into(*ret, out);
             }
         }
     }
@@ -441,6 +466,11 @@ mod tests {
         let void = ts.void();
         let f = ts.func(vec![st, i8], void);
         assert_eq!(ts.display(f), "fn({[16 x i8], ptr}, i8) -> void");
+        let empty = ts.strukt(vec![]);
+        let nested = ts.array(f, 2);
+        let returns_empty = ts.func(vec![], empty);
+        assert_eq!(ts.display(returns_empty), "fn() -> {}");
+        assert_eq!(ts.display(nested), "[2 x fn({[16 x i8], ptr}, i8) -> void]");
     }
 
     #[test]
