@@ -3,9 +3,9 @@
 //!
 //! A [`Corpus`] holds every ingested module plus one fingerprint entry per
 //! merge-eligible function ([`Module::merge_eligible`], the filter
-//! [`run_pass`] applies), indexed in one
-//! [`LshIndex`] held by the table for the corpus lifetime — the mutable
-//! index, where the offline pass builds a shrink-only
+//! [`run_pass`] applies), indexed in one [`LshIndex`] of `u32` entry
+//! ids held by the table for the corpus lifetime — the mutable index,
+//! where the offline pass builds a shrink-only
 //! [`FlatIndex`](f3m_fingerprint::lsh::FlatIndex) per sweep; both fold a
 //! probed bucket by the same rule. Ingesting a module fingerprints *only*
 //! that module's functions and inserts them; evicting removes the module's
@@ -24,8 +24,10 @@
 //!
 //! An entry records one `row` number into the table's
 //! [`PackedFingerprintStore`]: fresh ingests append, a bulk snapshot load
-//! adopts the decoded store whole, an update overwrites its fixed-width
-//! row in place. [`Corpus::load_snapshot_resident`] puts a read-only
+//! adopts the decoded store whole (and the decoded bucket directory,
+//! whose `u32` members are the index's ids, bucket by bucket as it is),
+//! an update overwrites its fixed-width row in place.
+//! [`Corpus::load_snapshot_resident`] puts a read-only
 //! [`ResidentStore`] *base* under it: row numbers below its `len()` are
 //! rows of the snapshot file, read in shard by shard (restore cost is
 //! O(touched rows)), numbers from there up are heap rows, and updating a
@@ -408,8 +410,11 @@ struct Table {
     /// Heap fingerprint rows (see the module docs).
     rows: PackedFingerprintStore,
     /// Every live entry id under its row's band keys: written under the
-    /// write guard, probed under the read guard.
-    index: LshIndex<usize>,
+    /// write guard, probed under the read guard. Ids are `u32`, the width
+    /// of a snapshot's bucket members, so a restore moves each directory
+    /// bucket in as it is; `ingest` refuses an entry whose id would not
+    /// fit, so every table id converts at this boundary.
+    index: LshIndex<u32>,
     /// Mutations applied so far (resumed from a snapshot's header): the
     /// epoch every read under this guard answers at.
     epoch: u64,
@@ -508,7 +513,7 @@ pub struct Corpus {
     /// Warm query scratches. A query checks one out and returns it, so
     /// the dense probe table is allocated once per concurrent reader,
     /// not once per query.
-    scratches: Mutex<Vec<QueryScratch<usize>>>,
+    scratches: Mutex<Vec<QueryScratch<u32>>>,
     /// Read-only base of the row space (rows below its `len()`); `None`
     /// for fresh and bulk-loaded corpora.
     resident: Option<ResidentStore>,
@@ -575,7 +580,7 @@ impl Corpus {
     }
 
     /// Runs `query` with a scratch checked out of the pool.
-    fn with_scratch<R>(&self, query: impl FnOnce(&mut QueryScratch<usize>) -> R) -> R {
+    fn with_scratch<R>(&self, query: impl FnOnce(&mut QueryScratch<u32>) -> R) -> R {
         let pool = || self.scratches.lock().expect("no query panics holding the scratch pool");
         let mut scratch = pool().pop().unwrap_or_default();
         let result = query(&mut scratch);
@@ -643,6 +648,7 @@ impl Corpus {
         }
         let first_id = t.entries.len();
         let first_row = self.heap_base() + t.rows.len();
+        check_entry_ids(first_id.max(first_row), funcs.len())?;
         t.rows.extend_from(&rows);
         for (i, &f) in funcs.iter().enumerate() {
             t.entries.push(Entry::new(&name, &m.function(f).name, first_row + i));
@@ -652,8 +658,8 @@ impl Corpus {
             body: Some(LazyModule::parsed(m)),
             entry_ids: (first_id..first_id + funcs.len()).collect(),
         });
-        let inserted: Vec<(usize, Vec<BandKey>)> =
-            (0..funcs.len()).map(|i| (first_id + i, rows.keys(i).to_vec())).collect();
+        let inserted: Vec<(u32, Vec<BandKey>)> =
+            (0..funcs.len()).map(|i| ((first_id + i) as u32, rows.keys(i).to_vec())).collect();
         let epoch = self.publish(&mut t, &[], &inserted);
         Ok(IngestSummary { module: name, functions: inserted.len(), skipped, epoch })
     }
@@ -668,11 +674,11 @@ impl Corpus {
         let mi = t.live_module(name)?;
         let body = t.modules[mi].body.take();
         let ids = t.modules[mi].entry_ids.clone();
-        let removed: Vec<(usize, Vec<BandKey>)> = ids
+        let removed: Vec<(u32, Vec<BandKey>)> = ids
             .iter()
             .map(|&id| {
                 t.entries[id].live = false;
-                (id, self.row(&t.rows, &t.entries[id]).keys().to_vec())
+                (id as u32, self.row(&t.rows, &t.entries[id]).keys().to_vec())
             })
             .collect();
         let epoch = self.publish(&mut t, &removed, &[]);
@@ -752,7 +758,7 @@ impl Corpus {
         let old_keys = self.rewrite_row(&mut t, entry_id, &sig, &keys);
         let (dirty, spared) = self.reindex_row(&mut t, &cache, entry_id, &old_keys);
         // Every entry the test names is live and was live before.
-        let funcs_invalidated = self.invalidate(&mut cache, &dirty, |_| true);
+        let funcs_invalidated = self.invalidate(&mut cache, dirty, |_| true);
         self.counters.funcs_spared.fetch_add(spared, Ordering::Relaxed);
         t.epoch += 1;
         Ok(UpdateSummary {
@@ -823,8 +829,8 @@ impl Corpus {
         };
 
         let x_row = row(x);
-        index.apply_row_delta(x, old_keys, x_row.keys(), |bucket| {
-            for &q in bucket.members {
+        index.apply_row_delta(x as u32, old_keys, x_row.keys(), |bucket| {
+            for q in bucket.members.iter().map(|&q| q as usize) {
                 if state[q] & SEEN == 0 {
                     neighbors.push(q);
                 }
@@ -833,13 +839,13 @@ impl Corpus {
             // Rules 3 and 4: the one other id the step moved across the cap
             // is a candidate every member gained, or may have lost.
             let (other, entered) = match bucket.crossed {
-                Some(Crossed::Entered(y)) => (y, true),
-                Some(Crossed::Left(z)) => (z, false),
+                Some(Crossed::Entered(y)) => (y as usize, true),
+                Some(Crossed::Left(z)) => (z as usize, false),
                 None => return,
             };
             let other_row = entered.then(|| row(other));
             let kernel = other_row.as_ref().map(Kernel::unprobed);
-            for &q in bucket.members {
+            for q in bucket.members.iter().map(|&q| q as usize) {
                 if q == x || q == other || state[q] & DIRTY != 0 {
                     continue;
                 }
@@ -883,11 +889,11 @@ impl Corpus {
     fn invalidate(
         &self,
         cache: &mut HashMap<usize, CachedRank>,
-        dirty: &[usize],
+        dirty: impl IntoIterator<Item = usize>,
         survives: impl Fn(usize) -> bool,
     ) -> u64 {
         let mut invalidated = 0u64;
-        for &id in dirty {
+        for id in dirty {
             cache.remove(&id);
             invalidated += u64::from(survives(id));
         }
@@ -903,13 +909,14 @@ impl Corpus {
     fn publish(
         &self,
         t: &mut Table,
-        removes: &[(usize, Vec<BandKey>)],
-        inserts: &[(usize, Vec<BandKey>)],
+        removes: &[(u32, Vec<BandKey>)],
+        inserts: &[(u32, Vec<BandKey>)],
     ) -> u64 {
         let dirty = t.index.apply_delta(removes, inserts);
-        let first_new = inserts.first().map_or(t.entries.len(), |&(id, _)| id);
+        let first_new = inserts.first().map_or(t.entries.len(), |&(id, _)| id as usize);
         let survives = |id: usize| id < first_new && t.entries[id].live;
-        self.invalidate(&mut self.cache.write().unwrap(), &dirty, survives);
+        let dirty = dirty.into_iter().map(|id| id as usize);
+        self.invalidate(&mut self.cache.write().unwrap(), dirty, survives);
         t.epoch += 1;
         t.epoch
     }
@@ -967,7 +974,7 @@ impl Corpus {
         t: &Table,
         i: usize,
         k: usize,
-        scratch: &mut QueryScratch<usize>,
+        scratch: &mut QueryScratch<u32>,
     ) -> QueryResult {
         let ent = &t.entries[i];
         if let Some(c) = self.cache.read().unwrap().get(&i).filter(|c| c.covers(k)) {
@@ -977,7 +984,7 @@ impl Corpus {
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
         let params = &self.cfg.params;
         let row = self.row(&t.rows, ent);
-        let probe = t.index.probe_keys_into(row.keys(), i, scratch);
+        let probe = t.index.probe_keys_into(row.keys(), i as u32, scratch);
         // The selection does not depend on the visiting order, the cost
         // does. Discovery order is free; row order costs a sort of every
         // candidate id, and pays only where rows can fault: under a
@@ -992,11 +999,12 @@ impl Corpus {
             &self.sims,
             k,
             self.threshold_floor,
-            scratch.out.iter().copied(),
+            scratch.out.iter().map(|&j| j as usize),
             |j, floor| {
                 let e = &t.entries[j];
                 debug_assert!(e.live, "an id in a bucket is live");
-                kernel.score(floor, scratch.hits(j), || Some(self.row(&t.rows, e)), &mut counters)
+                let hits = scratch.hits(j as u32);
+                kernel.score(floor, hits, || Some(self.row(&t.rows, e)), &mut counters)
             },
             |j| &t.entries[j].qualified,
         );
@@ -1122,7 +1130,7 @@ impl Corpus {
             .export_buckets()
             .into_iter()
             .map(|(key, members)| {
-                let rows: Vec<u32> = members.into_iter().map(|id| row_of[id]).collect();
+                let rows: Vec<u32> = members.into_iter().map(|id| row_of[id as usize]).collect();
                 debug_assert!(
                     rows.windows(2).all(|w| w[0] < w[1]),
                     "live rows preserve entry order"
@@ -1257,11 +1265,28 @@ impl Corpus {
                     entry_ids: ids,
                 });
             }
+            // Entry `i` is row `i`, and the index holds `u32` ids like the
+            // directory: each bucket moves in as decoded.
+            t.index.reserve(buckets.len());
             for (key, rows) in buckets {
-                t.index.restore_bucket(key, rows.into_iter().map(|r| r as usize).collect());
+                t.index.restore_bucket(key, rows);
             }
         }
         Ok(corpus)
+    }
+}
+
+/// Checks that `n` entries (or rows) numbered from `first` get ids the
+/// index can hold. The index holds `u32` ids and a corpus at most
+/// `u32::MAX` entries, so `u32::MAX` is never an id — it stays the
+/// snapshot writer's no-row mark.
+fn check_entry_ids(first: usize, n: usize) -> Result<(), String> {
+    match first.checked_add(n) {
+        Some(end) if end <= u32::MAX as usize => Ok(()),
+        _ => Err(format!(
+            "the corpus holds at most {} entries; this module would pass it",
+            u32::MAX
+        )),
     }
 }
 
@@ -1532,6 +1557,18 @@ mod tests {
             short += usize::from(total < 2);
         }
         assert!(long > 0 && short > 0, "need long ({long}) and complete ({short}) lists");
+    }
+
+    /// Entry ids are the index's `u32` ids: an ingest that would number
+    /// an entry `u32::MAX` or past it is refused, not wrapped.
+    #[test]
+    fn entry_ids_stop_below_u32_max() {
+        let max = u32::MAX as usize;
+        assert!(check_entry_ids(0, 600).is_ok());
+        assert!(check_entry_ids(max - 600, 600).is_ok(), "the last id is u32::MAX - 1");
+        assert!(check_entry_ids(max - 600, 601).is_err());
+        assert!(check_entry_ids(max, 0).is_ok(), "an empty module takes no id");
+        assert!(check_entry_ids(usize::MAX, 1).is_err(), "no overflow on the way");
     }
 
     /// A cold single-function query checks a warm scratch out of the

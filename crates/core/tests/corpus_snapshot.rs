@@ -10,6 +10,7 @@
 use std::path::PathBuf;
 
 use f3m_core::corpus::{Corpus, CorpusConfig};
+use f3m_fingerprint::snapshot::open_snapshot_meta;
 use f3m_fingerprint::{BackendKind, MergeParams, SnapshotError};
 
 fn tmp(name: &str) -> PathBuf {
@@ -154,14 +155,43 @@ fn truncated_and_corrupted_files_are_rejected() {
         );
     }
 
-    // A single flipped payload byte trips the checksum.
-    let mut flipped = bytes.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x40;
-    std::fs::write(&path, &flipped).unwrap();
-    assert!(matches!(
-        Corpus::load_snapshot(&path, cfg()).err(),
-        Some(SnapshotError::ChecksumMismatch)
-    ));
+    // One bit flipped in each region trips a checksum: the meta sum for
+    // the header, both sum fields, the directory and the payload, the
+    // pool sum for the pools. A meta-only open reads no pool byte, so it
+    // refuses every meta flip and accepts the pool flips.
+    let field = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
+    let (payload_len, dir_len, entries) = (field(57), field(65), field(49));
+    let meta_end = 89 + dir_len + payload_len;
+    let pool_start = meta_end.next_multiple_of(8);
+    let key_pool = pool_start + entries * cfg().params.k * 8;
+    assert!(key_pool < bytes.len(), "the fixture has a key pool");
+    let flips = [
+        ("header field k", 13, true),
+        ("meta_sum", 73, true),
+        ("pool_sum", 81, true),
+        ("bucket directory", 89 + dir_len / 2, true),
+        ("payload", 89 + dir_len + payload_len / 2, true),
+        ("sig pool", (pool_start + key_pool) / 2, false),
+        ("key pool", (key_pool + bytes.len()) / 2, false),
+    ];
+    for (region, pos, in_meta) in flips {
+        let mut flipped = bytes.clone();
+        flipped[pos] ^= 0x40;
+        std::fs::write(&path, &flipped).unwrap();
+        let loaded = Corpus::load_snapshot(&path, cfg());
+        assert!(
+            matches!(loaded.err(), Some(SnapshotError::ChecksumMismatch)),
+            "a flip in the {region} (byte {pos}) must be a checksum mismatch"
+        );
+        let meta = open_snapshot_meta(&path);
+        if in_meta {
+            assert!(
+                matches!(meta, Err(SnapshotError::ChecksumMismatch)),
+                "a meta-only open must refuse the {region} flip (byte {pos})"
+            );
+        } else {
+            assert!(meta.is_ok(), "a meta-only open reads no {region} byte");
+        }
+    }
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }

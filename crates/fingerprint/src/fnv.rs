@@ -21,15 +21,7 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// assert_eq!(fnv1a(b""), 0xCBF29CE484222325, "empty input = offset basis");
 /// ```
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_seeded(FNV_OFFSET, bytes)
-}
-
-/// FNV-1a continuation: folds `bytes` into an existing hash state, so a
-/// digest can cover discontiguous regions of a buffer (hash region A,
-/// then feed the result back as the seed for region B). With
-/// `FNV_OFFSET` as the seed this is exactly [`fnv1a`].
-pub fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);

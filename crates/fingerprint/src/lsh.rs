@@ -570,6 +570,12 @@ impl<T: DenseId> LshIndex<T> {
         self.buckets.get(&key).map(Vec::as_slice)
     }
 
+    /// Makes room for `additional` more buckets without rehashing — a
+    /// restore knows its directory's bucket count before it installs any.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buckets.reserve(additional);
+    }
+
     /// Installs one whole bucket as restored from a snapshot. `items`
     /// must be sorted ascending and non-empty — snapshot loaders validate
     /// before calling. Replaces any existing bucket under `key`.

@@ -8,7 +8,7 @@
 //! no pool read at open at all: the SoA pools are read in per shard, by
 //! positioned reads, as queries touch them.
 //!
-//! ## Wire layout, version 4 (all integers little-endian)
+//! ## Wire layout, version 5 (all integers little-endian)
 //!
 //! Rows are signatures computed over structural type codes, which no
 //! index may mix with another encoding's, and the header has no word
@@ -19,7 +19,7 @@
 //! off  size
 //! ┌──────────────────────────────────────────────────────────────────┐
 //! │   0   8  magic        "F3MSNAP1"                                 │
-//! │   8   4  version      u32 (= 4)                                  │
+//! │   8   4  version      u32 (= 5)                                  │
 //! │  12   1  backend      u8 tag (BackendKind::tag)                  │
 //! │  13   4  k            u32  signature slots per function          │
 //! │  17   4  rows         u32  LSH rows per band                     │
@@ -30,8 +30,8 @@
 //! │  49   8  entries      u64  n = number of function rows           │
 //! │  57   8  payload_len  u64  opaque caller section length          │
 //! │  65   8  dir_len      u64  bucket directory length in bytes      │
-//! │  73   8  meta_fnv     u64  FNV-1a over [0,73) ++ [81,meta_end)   │
-//! │  81   8  pool_fnv     u64  FNV-1a over [meta_end,file_len)       │
+//! │  73   8  meta_sum     u64  XXH64 over [0,73) ++ [81,meta_end)    │
+//! │  81   8  pool_sum     u64  XXH64 over [meta_end,file_len)        │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │  89      bucket directory:  num_buckets u64, then per bucket     │
 //! │            key u32 · len u32 · members len × u32  (keys          │
@@ -48,9 +48,9 @@
 //! ```
 //!
 //! Version 2 moved the pools to the *end* of the file, 8-byte aligned,
-//! and split the v1 whole-file checksum in two. `meta_fnv` seals the
+//! and split the v1 whole-file checksum in two. `meta_sum` seals the
 //! header, directory and payload (everything except its own field) and
-//! is verified on every open; `pool_fnv` seals the padding + pools and
+//! is verified on every open; `pool_sum` seals the padding + pools and
 //! is only verified by the bulk [`decode_snapshot`] path. That split is
 //! what makes lazy residency possible: a store can open the file without
 //! reading a single pool byte, because validating the prefix no longer
@@ -59,11 +59,21 @@
 //! nothing depends on `pool_start` being 8-aligned; it stays aligned
 //! because it is part of the format.
 //!
+//! Version 5 changed only the two sums: both are XXH64 (`meta_sum` is the
+//! seeded continuation `xxh64(xxh64(0, [0,73)), [81,meta_end))`,
+//! `pool_sum` is `xxh64(0, [meta_end,file_len))`). Through v4 they were
+//! byte-serial FNV-1a, whose one multiply per byte made the two sums most
+//! of a bulk restore; XXH64 folds four 8-byte lanes at a time and runs at
+//! memory speed. FNV-1a stays the fingerprint hash (paper Section III-B):
+//! no signature slot or band key changed.
+//!
 //! The pools are verbatim copies of a
 //! [`PackedFingerprintStore`](crate::store::PackedFingerprintStore)'s
 //! arrays, so saving is two bulk writes and loading reconstitutes the
 //! store without per-entry work. The bucket directory is the index's
-//! buckets in key order, installed whole by the loader.
+//! buckets in key order, members as `u32` row ids — the id width the
+//! corpus's index holds — so the loader installs each bucket whole, the
+//! decoded vector moved in as it is.
 //!
 //! Every decode failure is a typed [`SnapshotError`] — a truncated or
 //! garbled file must degrade to an empty start, never a panic. Headers are
@@ -75,7 +85,6 @@ use std::fmt;
 use std::path::Path;
 
 use crate::backend::BackendKind;
-use crate::fnv::{fnv1a, fnv1a_seeded};
 use crate::lsh::{BandKey, LshParams};
 use crate::store::PackedFingerprintStore;
 
@@ -83,14 +92,82 @@ use crate::store::PackedFingerprintStore;
 /// the format version — that lives in the `version` field).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"F3MSNAP1";
 /// Current format version.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
-/// Fixed-size header length in bytes (magic through `pool_fnv`).
+/// Fixed-size header length in bytes (magic through `pool_sum`).
 pub const SNAPSHOT_HEADER_LEN: usize = 89;
-/// Offset of the `meta_fnv` field.
-const META_FNV_OFF: usize = 73;
-/// Offset of the `pool_fnv` field.
-const POOL_FNV_OFF: usize = 81;
+/// Offset of the `meta_sum` field.
+const META_SUM_OFF: usize = 73;
+/// Offset of the `pool_sum` field.
+const POOL_SUM_OFF: usize = 81;
+
+// XXH64's five primes.
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// XXH64 of `bytes` under `seed` — the snapshot checksum. Passing one
+/// region's sum as the seed of the next seals discontiguous regions.
+fn xxh64(seed: u64, bytes: &[u8]) -> u64 {
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+    }
+    fn lane(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b[..8].try_into().unwrap())
+    }
+    let stripes = bytes.chunks_exact(32);
+    let mut rest = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [
+            seed.wrapping_add(P1).wrapping_add(P2),
+            seed.wrapping_add(P2),
+            seed,
+            seed.wrapping_sub(P1),
+        ];
+        for stripe in stripes {
+            for (i, acc) in v.iter_mut().enumerate() {
+                *acc = round(*acc, lane(&stripe[8 * i..]));
+            }
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for acc in v {
+            h = (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        seed.wrapping_add(P5)
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while rest.len() >= 8 {
+        h = (h ^ round(0, lane(rest))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        rest = &rest[8..];
+    }
+    if rest.len() >= 4 {
+        let word = u64::from(u32::from_le_bytes(rest[..4].try_into().unwrap()));
+        h = (h ^ word.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// The `meta_sum` of a file whose meta region ends at `meta_end`: its
+/// header before the field, then everything from `pool_sum` on.
+fn meta_sum(buf: &[u8], meta_end: usize) -> u64 {
+    xxh64(xxh64(0, &buf[..META_SUM_OFF]), &buf[POOL_SUM_OFF..meta_end])
+}
 
 /// Why a snapshot could not be written or read back.
 #[derive(Debug)]
@@ -103,7 +180,7 @@ pub enum SnapshotError {
     BadVersion(u32),
     /// The file ends before the structure it promises.
     Truncated,
-    /// An FNV-1a checksum (meta or pool) does not match the contents.
+    /// A checksum (meta or pool) does not match the contents.
     ChecksumMismatch,
     /// Structurally invalid contents (the message names the field).
     Corrupt(&'static str),
@@ -188,7 +265,7 @@ pub struct SnapshotMeta {
     /// The caller's opaque section (corpus metadata).
     pub payload: Vec<u8>,
     /// Stored pool checksum (verified only by the bulk decode path).
-    pub pool_fnv: u64,
+    pub pool_sum: u64,
 }
 
 /// A fully decoded snapshot.
@@ -312,8 +389,8 @@ pub fn encode_snapshot(
     w.u64(header.entries as u64);
     w.u64(payload.len() as u64);
     w.u64(dir_len as u64);
-    w.u64(0); // meta_fnv, patched below
-    w.u64(0); // pool_fnv, patched below
+    w.u64(0); // meta_sum, patched below
+    w.u64(0); // pool_sum, patched below
     assert_eq!(w.buf.len(), SNAPSHOT_HEADER_LEN, "header layout drifted");
 
     w.buf.extend_from_slice(&dir.buf);
@@ -327,11 +404,11 @@ pub fn encode_snapshot(
         w.u32(k);
     }
 
-    // pool_fnv first: meta_fnv covers the sealed pool_fnv field bytes.
-    let pool_fnv = fnv1a(&w.buf[meta_end..]);
-    w.buf[POOL_FNV_OFF..POOL_FNV_OFF + 8].copy_from_slice(&pool_fnv.to_le_bytes());
-    let meta_fnv = fnv1a_seeded(fnv1a(&w.buf[..META_FNV_OFF]), &w.buf[POOL_FNV_OFF..meta_end]);
-    w.buf[META_FNV_OFF..META_FNV_OFF + 8].copy_from_slice(&meta_fnv.to_le_bytes());
+    // pool_sum first: meta_sum covers the sealed pool_sum field bytes.
+    let pool_sum = xxh64(0, &w.buf[meta_end..]);
+    w.buf[POOL_SUM_OFF..POOL_SUM_OFF + 8].copy_from_slice(&pool_sum.to_le_bytes());
+    let meta_sum = meta_sum(&w.buf, meta_end);
+    w.buf[META_SUM_OFF..META_SUM_OFF + 8].copy_from_slice(&meta_sum.to_le_bytes());
     w.buf
 }
 
@@ -392,14 +469,13 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
     let meta_end64 = header_meta_end(buf)?;
     let payload_len64 = read_u64(buf, 57);
     let dir_len64 = read_u64(buf, 65);
-    let meta_fnv = read_u64(buf, META_FNV_OFF);
-    let pool_fnv = read_u64(buf, POOL_FNV_OFF);
+    let stored_meta_sum = read_u64(buf, META_SUM_OFF);
+    let pool_sum = read_u64(buf, POOL_SUM_OFF);
     if meta_end64 > file_len || meta_end64 > buf.len() as u64 {
         return Err(SnapshotError::Truncated);
     }
     let meta_end = meta_end64 as usize;
-    let got = fnv1a_seeded(fnv1a(&buf[..META_FNV_OFF]), &buf[POOL_FNV_OFF..meta_end]);
-    if got != meta_fnv {
+    if meta_sum(buf, meta_end) != stored_meta_sum {
         return Err(SnapshotError::ChecksumMismatch);
     }
 
@@ -476,7 +552,7 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
         },
         buckets,
         payload,
-        pool_fnv,
+        pool_sum,
     })
 }
 
@@ -531,7 +607,7 @@ fn parse_directory(
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
     let meta = decode_snapshot_meta(bytes, bytes.len() as u64)?;
     let l = meta.layout;
-    if fnv1a(&bytes[l.meta_end..]) != meta.pool_fnv {
+    if xxh64(0, &bytes[l.meta_end..]) != meta.pool_sum {
         return Err(SnapshotError::ChecksumMismatch);
     }
     let sigs = le_u64s(&bytes[l.pool_start..l.pool_start + l.sig_pool_bytes]);
@@ -577,7 +653,7 @@ pub fn open_snapshot(path: &Path) -> Result<SnapshotFile, SnapshotError> {
 /// the meta region is a few MiB while the pools are GiBs.
 ///
 /// The pool checksum is *not* verified here (that would require reading
-/// the pools); the returned [`SnapshotMeta::pool_fnv`] lets a caller do
+/// the pools); the returned [`SnapshotMeta::pool_sum`] lets a caller do
 /// so later if it wants the full-integrity path.
 pub fn open_snapshot_meta(path: &Path) -> Result<SnapshotMeta, SnapshotError> {
     use std::io::Read;
@@ -636,8 +712,39 @@ mod tests {
         let payload_len = read_u64(bytes, 57) as usize;
         let dir_len = read_u64(bytes, 65) as usize;
         let meta_end = SNAPSHOT_HEADER_LEN + dir_len + payload_len;
-        let sum = fnv1a_seeded(fnv1a(&bytes[..META_FNV_OFF]), &bytes[POOL_FNV_OFF..meta_end]);
-        bytes[META_FNV_OFF..META_FNV_OFF + 8].copy_from_slice(&sum.to_le_bytes());
+        let sum = meta_sum(bytes, meta_end);
+        bytes[META_SUM_OFF..META_SUM_OFF + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn xxh64_known_answers() {
+        assert_eq!(xxh64(0, b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(0, b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one 32-byte stripe, then an 8-, a 4- and three 1-byte
+        // tail steps.
+        let spam = b"Nobody inspects the spammish repetition";
+        assert_eq!(spam.len(), 39);
+        assert_eq!(xxh64(0, spam), 0xfbce_a83c_8a37_8bf1);
+    }
+
+    #[test]
+    fn the_sums_are_the_documented_xxh64_continuations() {
+        let (header, store, buckets) = build_fixture(12);
+        let bytes = encode_snapshot(&header, &store, &buckets, b"opaque corpus bytes");
+        let meta = decode_snapshot_meta(&bytes, bytes.len() as u64).expect("meta decodes");
+        let meta_end = meta.layout.meta_end;
+        let continued = xxh64(xxh64(0, &bytes[..73]), &bytes[81..meta_end]);
+        assert_eq!(read_u64(&bytes, 73), continued, "meta_sum seals [0,73) ++ [81,meta_end)");
+        assert_eq!(meta.pool_sum, xxh64(0, &bytes[meta_end..]), "pool_sum seals the tail");
+        // The continuation is not the sum of the concatenation: a file
+        // sealed that way fails the meta check.
+        let mut joined = bytes.clone();
+        let concat = [&bytes[..73], &bytes[81..meta_end]].concat();
+        joined[73..81].copy_from_slice(&xxh64(0, &concat).to_le_bytes());
+        assert!(matches!(
+            decode_snapshot_meta(&joined, joined.len() as u64),
+            Err(SnapshotError::ChecksumMismatch)
+        ));
     }
 
     #[test]
@@ -793,9 +900,10 @@ mod tests {
         reseal_meta(&mut future);
         assert!(matches!(decode_snapshot(&future), Err(SnapshotError::BadVersion(99))));
         // So is one written before type codes were structural (v2: its
-        // rows were computed under another instruction encoding), and one
-        // with v3's header, which has a reserved word at offset 41.
-        for old in [2u32, 3] {
+        // rows were computed under another instruction encoding), one
+        // with v3's header, which has a reserved word at offset 41, and
+        // one sealed with v4's FNV-1a sums.
+        for old in [2u32, 3, 4] {
             let mut older = clean.clone();
             older[8..12].copy_from_slice(&old.to_le_bytes());
             reseal_meta(&mut older);

@@ -131,21 +131,50 @@ fn corrupt_snapshot_starts_empty_and_recovers_on_next_save() {
     unusable_snapshot_starts_empty_and_is_replaced("corrupt", b"not a snapshot at all", "ghost");
 }
 
+/// A snapshot as a v4 writer sealed it. v5 kept v4's layout and changed
+/// only the two sums, which v4 computed as byte-serial FNV-1a: `meta_fnv`
+/// over `[0,73)` continued over `[81,meta_end)`, `pool_fnv` over
+/// `[meta_end,file_len)`.
+fn as_v4(v5: &[u8]) -> Vec<u8> {
+    use f3m_fingerprint::fnv::{fnv1a, FNV_OFFSET, FNV_PRIME};
+    let fnv = |seed: u64, bytes: &[u8]| {
+        bytes.iter().fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    };
+    assert_eq!(fnv(FNV_OFFSET, b"foobar"), fnv1a(b"foobar"), "the fold is FNV-1a");
+    let mut v4 = v5.to_vec();
+    v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+    let field = |off: usize| u64::from_le_bytes(v5[off..off + 8].try_into().unwrap()) as usize;
+    let meta_end = 89 + field(65) + field(57);
+    let pool_fnv = fnv(FNV_OFFSET, &v4[meta_end..]);
+    v4[81..89].copy_from_slice(&pool_fnv.to_le_bytes());
+    let meta_fnv = fnv(fnv(FNV_OFFSET, &v4[..73]), &v4[81..meta_end]);
+    v4[73..81].copy_from_slice(&meta_fnv.to_le_bytes());
+    v4
+}
+
 /// A file of another format version is refused before anything else in
-/// it is read (a v3 file's header is laid out differently): the daemon
-/// starts empty and writes the current version on shutdown.
+/// it is read (a v3 file's header is laid out differently, a v4 file's
+/// sums are computed differently): the daemon starts empty and writes
+/// the current version on shutdown.
 #[test]
 fn older_format_version_starts_empty_and_is_saved_in_the_current_one() {
-    let path = tmp_snap("v3-source");
+    let path = tmp_snap("old-source");
     let corpus = Corpus::new(CorpusConfig { jobs: 1, ..CorpusConfig::default() });
-    corpus.ingest(workload("v3_a", 51)).unwrap();
+    corpus.ingest(workload("old_a", 51)).unwrap();
     corpus.save_snapshot(&path).unwrap();
-    let mut v3 = std::fs::read(&path).unwrap();
-    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-    assert!(matches!(
-        f3m_fingerprint::snapshot::decode_snapshot(&v3),
-        Err(f3m_fingerprint::SnapshotError::BadVersion(3))
-    ));
+    let current = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    unusable_snapshot_starts_empty_and_is_replaced("v3", &v3, "v3_a");
+    assert_eq!(f3m_fingerprint::snapshot::SNAPSHOT_VERSION, 5);
+
+    let mut v3 = current.clone();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let v4 = as_v4(&current);
+    for (name, old, version) in [("v3", v3, 3), ("v4", v4, 4)] {
+        let err = f3m_fingerprint::snapshot::decode_snapshot(&old).expect_err(name);
+        assert!(
+            matches!(err, f3m_fingerprint::SnapshotError::BadVersion(v) if v == version),
+            "{name}: {err}"
+        );
+        unusable_snapshot_starts_empty_and_is_replaced(name, &old, "old_a");
+    }
 }
