@@ -136,7 +136,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, BackendKind, FingerprintBackend};
@@ -220,17 +220,23 @@ pub struct UpdateSummary {
 /// One ranked candidate of a query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RankedCandidate {
-    /// Qualified name of the candidate function.
-    pub func: String,
+    /// Qualified name of the candidate function, shared with the
+    /// corpus entry (see [`QueryResult`]).
+    pub func: Arc<str>,
     /// Estimated Jaccard similarity to the queried function.
     pub similarity: f64,
 }
 
 /// Top-k candidates of one queried function.
+///
+/// The names are `Arc<str>`s shared with the corpus's entries: an answer
+/// bumps a reference count per name instead of copying it, and a name
+/// stays valid after its module is evicted (the answer holds it). Both
+/// compare and print as the plain `<module>.<function>` text.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryResult {
     /// Qualified name of the queried function.
-    pub func: String,
+    pub func: Arc<str>,
     /// Candidates, best first: similarity descending, qualified name
     /// ascending on ties. The list is a function of the live functions
     /// *and their latest-ingest order*: a corpus rebuilt by ingesting the
@@ -324,10 +330,12 @@ pub const CORPUS_STATS: &[Stat<CorpusStats>] = &[
 ];
 
 struct Entry {
-    /// Original (unqualified) function name.
-    func: String,
-    /// `<module>.<func>`, the corpus-wide identity.
-    qualified: String,
+    /// `<module>.<func>`, the corpus-wide identity; every answer naming
+    /// this entry shares it.
+    qualified: Arc<str>,
+    /// Where the original (unqualified) function name starts in
+    /// `qualified`.
+    func_at: usize,
     /// Fingerprint row (signature + band keys): below the resident
     /// base's `len()` a row of the snapshot file, from there up a row of
     /// [`Table::rows`].
@@ -339,8 +347,13 @@ struct Entry {
 impl Entry {
     /// A live entry of `module`'s function `func` at fingerprint row `row`.
     fn new(module: &str, func: &str, row: usize) -> Entry {
-        let qualified = format!("{module}.{func}");
-        Entry { func: func.to_string(), qualified, row: row as u32, live: true }
+        let qualified = Arc::from(format!("{module}.{func}"));
+        Entry { qualified, func_at: module.len() + 1, row: row as u32, live: true }
+    }
+
+    /// Original (unqualified) function name.
+    fn func(&self) -> &str {
+        &self.qualified[self.func_at..]
     }
 }
 
@@ -441,7 +454,7 @@ impl Table {
     /// Entry id of module `mi`'s merge-eligible function `func`.
     fn entry_of(&self, mi: usize, func: &str) -> Result<usize, String> {
         let rec = &self.modules[mi];
-        rec.entry_ids.iter().copied().find(|&id| self.entries[id].func == func).ok_or_else(|| {
+        rec.entry_ids.iter().copied().find(|&id| self.entries[id].func() == func).ok_or_else(|| {
             format!("module `{}` has no merge-eligible function `{func}`", rec.name)
         })
     }
@@ -636,7 +649,7 @@ impl Corpus {
             .live_modules()
             .map(|(mi, _)| &t.modules[mi])
             .filter(|rec| dotted(&rec.name, &name) || dotted(&name, &rec.name))
-            .flat_map(|rec| rec.entry_ids.iter().map(|&id| t.entries[id].qualified.as_str()))
+            .flat_map(|rec| rec.entry_ids.iter().map(|&id| &*t.entries[id].qualified))
             .collect();
         if !rivals.is_empty() {
             for &f in &funcs {
@@ -1006,7 +1019,7 @@ impl Corpus {
                 let hits = scratch.hits(j as u32);
                 kernel.score(floor, hits, || Some(self.row(&t.rows, e)), &mut counters)
             },
-            |j| &t.entries[j].qualified,
+            |j| &*t.entries[j].qualified,
         );
         self.counters.sketch_comparisons.fetch_add(counters.sketch_comparisons, Ordering::Relaxed);
         self.counters.full_comparisons.fetch_add(counters.full_comparisons, Ordering::Relaxed);
@@ -1017,12 +1030,12 @@ impl Corpus {
 
     fn render_result(t: &Table, ent: &Entry, ranked: &[(usize, f64)], k: usize) -> QueryResult {
         QueryResult {
-            func: ent.qualified.clone(),
+            func: Arc::clone(&ent.qualified),
             candidates: ranked
                 .iter()
                 .take(k)
                 .map(|&(j, similarity)| RankedCandidate {
-                    func: t.entries[j].qualified.clone(),
+                    func: Arc::clone(&t.entries[j].qualified),
                     similarity,
                 })
                 .collect(),
@@ -1084,7 +1097,7 @@ impl Corpus {
         let mut live = Vec::new();
         for (mi, body) in t.live_modules() {
             for &id in &t.modules[mi].entry_ids {
-                module_of.insert(t.entries[id].qualified.clone(), mi);
+                module_of.insert(t.entries[id].qualified.to_string(), mi);
             }
             live.push(body.get());
         }
@@ -1156,7 +1169,7 @@ impl Corpus {
         for &id in &live {
             debug_assert_ne!(entry_module[id], u32::MAX, "live entry belongs to a live module");
             payload.u32(entry_module[id]);
-            payload.str(&t.entries[id].func);
+            payload.str(t.entries[id].func());
         }
 
         let header = SnapshotHeader {
@@ -1507,7 +1520,7 @@ mod tests {
                         .map(|(j, s)| (combined.function(funcs[j]).name.clone(), s))
                         .collect();
                     let daemon_names: Vec<(String, f64)> =
-                        r.candidates.iter().map(|c| (c.func.clone(), c.similarity)).collect();
+                        r.candidates.iter().map(|c| (c.func.to_string(), c.similarity)).collect();
                     assert_eq!(daemon_names, offline_names, "{case}: function {i} ({})", r.func);
                     nonempty += usize::from(!r.candidates.is_empty());
                 }
@@ -1785,7 +1798,7 @@ mod tests {
         let top = qr.candidates.first().expect("swapped body must have candidates");
         assert_eq!(top.similarity, 1.0, "identical body ranks at 1.0: {qr:?}");
         assert!(
-            qr.candidates.iter().any(|cand| cand.func == format!("alpha.{src}")),
+            qr.candidates.iter().any(|cand| *cand.func == format!("alpha.{src}")),
             "source sibling must surface: {qr:?}"
         );
 
@@ -2063,7 +2076,7 @@ mod tests {
         let ids = &t.modules[mi].entry_ids;
         let funcs: Vec<FuncId> = ids
             .iter()
-            .map(|&id| expected.lookup_function(&t.entries[id].func).unwrap())
+            .map(|&id| expected.lookup_function(t.entries[id].func()).unwrap())
             .collect();
         let rows = PackedFingerprintStore::of_functions(
             &expected,
@@ -2074,7 +2087,7 @@ mod tests {
         );
         for (i, &id) in ids.iter().enumerate() {
             let row = c.row(&t.rows, &t.entries[id]);
-            let name = &t.entries[id].func;
+            let name = t.entries[id].func();
             assert!(row.sig() == rows.sig(i), "{module}.{func}: signature of {name}");
             assert_eq!(row.keys(), rows.keys(i), "{module}.{func}: band keys of {name}");
         }
@@ -2103,7 +2116,7 @@ mod tests {
             let names: Vec<String> = {
                 let t = c.table.read().unwrap();
                 let (mi, _) = t.live_body("m").unwrap();
-                t.modules[mi].entry_ids.iter().map(|&id| t.entries[id].func.clone()).collect()
+                t.modules[mi].entry_ids.iter().map(|&id| t.entries[id].func().to_string()).collect()
             };
             let resident = || c.table.read().unwrap().live_body("m").unwrap().1.get().clone();
             for (i, dst) in names.iter().enumerate() {

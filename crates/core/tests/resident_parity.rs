@@ -158,7 +158,7 @@ fn resident_corpus_mutations_match_bulk_twin() {
         assert!(up.changed, "the swap must change the body");
         let (_, qr) = c.query_function("par_m0", &dst, 4).expect("query swapped function");
         assert_eq!(
-            qr.candidates.first().map(|cand| (cand.func.as_str(), cand.similarity)),
+            qr.candidates.first().map(|cand| (&*cand.func, cand.similarity)),
             Some((format!("par_m0.{src}").as_str(), 1.0)),
             "the swapped function now fingerprints like its source sibling"
         );

@@ -627,16 +627,26 @@ impl<T: DenseId> LshIndex<T> {
     /// order [`Self::candidates_counted`] returns them, and their
     /// per-candidate bucket counts in [`QueryScratch::hits`]. A warm
     /// scratch services every query of a pass without allocating.
+    ///
+    /// The keys are looked up a chunk at a time before any of the chunk's
+    /// buckets is folded: the lookups do not depend on each other, so
+    /// their cache misses overlap instead of each waiting on the fold
+    /// before it. The buckets still fold in key order.
     pub fn probe_keys_into(
         &self,
         keys: &[BandKey],
         exclude: T,
         scratch: &mut QueryScratch<T>,
     ) -> LshQueryStats {
+        const CHUNK: usize = 32;
         scratch.reset();
         let mut stats = LshQueryStats::default();
-        for key in keys {
-            if let Some(bucket) = self.buckets.get(key) {
+        for chunk in keys.chunks(CHUNK) {
+            let mut buckets: [&[T]; CHUNK] = [&[]; CHUNK];
+            for (bucket, key) in buckets.iter_mut().zip(chunk) {
+                *bucket = self.buckets.get(key).map_or(&[], Vec::as_slice);
+            }
+            for bucket in &buckets[..chunk.len()] {
                 scratch.visit_bucket(bucket, self.params.bucket_cap, exclude, &mut stats);
             }
         }

@@ -62,7 +62,10 @@
 //! same corpus state are byte-identical — the determinism tests compare
 //! raw frames across `--jobs` settings.
 
-use std::io::{Read, Write};
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Read, Write};
+use std::ops::Range;
 
 use f3m_core::corpus::{
     CorpusStats, EvictSummary, IngestSummary, QueryResult, UpdateSummary, CORPUS_STATS,
@@ -108,11 +111,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// truncation mid-frame is an [`FrameError::Io`] with `UnexpectedEof`.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     let mut len_buf = [0u8; 4];
-    // A clean close between frames shows up as EOF on the first byte.
-    match r.read(&mut len_buf[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(FrameError::Io(e)),
+    // A clean close between frames shows up as EOF on the first byte. A
+    // signal that interrupts the wait is retried, as `read_exact` retries
+    // it below.
+    loop {
+        match r.read(&mut len_buf[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
     }
     r.read_exact(&mut len_buf[1..]).map_err(FrameError::Io)?;
     let len = u32::from_be_bytes(len_buf);
@@ -435,6 +443,9 @@ impl Response {
 
 /// Renders a response, echoing the request `id` when present.
 pub fn render_response(id: Option<u64>, resp: &Response) -> String {
+    if let Response::Candidates { epoch, results } = resp {
+        return render_candidates(id, *epoch, results);
+    }
     let mut w = Writer::with_capacity(128);
     w.begin_object().key("type").str(resp.type_name());
     opt_u64(&mut w, "id", id);
@@ -453,18 +464,6 @@ pub fn render_response(id: Option<u64>, resp: &Response) -> String {
         }
         Response::Superseded { started, epoch } => {
             w.key("started").u64(*started).key("epoch").u64(*epoch);
-        }
-        Response::Candidates { epoch, results } => {
-            w.key("epoch").u64(*epoch).key("results").begin_array();
-            for r in results {
-                w.begin_object().key("func").str(&r.func).key("candidates").begin_array();
-                for c in &r.candidates {
-                    w.begin_object().key("func").str(&c.func);
-                    w.key("similarity").f64(c.similarity).end_object();
-                }
-                w.end_array().end_object();
-            }
-            w.end_array();
         }
         Response::Report { epoch, report } => {
             w.key("epoch").u64(*epoch).key("report").raw(report);
@@ -486,11 +485,88 @@ pub fn render_response(id: Option<u64>, resp: &Response) -> String {
         Response::Error { message } => {
             w.key("message").str(message);
         }
-        Response::Pong | Response::Bye => {}
+        // `candidates` answers went to `render_candidates` above.
+        Response::Pong | Response::Bye | Response::Candidates { .. } => {}
     }
     w.end_object();
     w.finish()
 }
+
+/// Bytes of a `candidates` answer besides its names: per result, and per
+/// candidate with room for a typical similarity (`0.8771929824561403`).
+const RESULT_BYTES: usize = r#"{"func":"","candidates":[]},"#.len();
+const CANDIDATE_BYTES: usize = r#"{"func":"","similarity":0.8771929824561403},"#.len();
+
+/// Renders a `candidates` answer — the daemon's bulk response, a module
+/// query's every function with its ranked list — into one buffer sized
+/// up front, keys written as literals. The bytes are what the
+/// [`Writer`] writes for the same response (`protocol::reference` holds
+/// it to that): names go through [`json::push_escaped`], and each
+/// distinct similarity is formatted by [`json::push_f64`] once.
+fn render_candidates(id: Option<u64>, epoch: u64, results: &[QueryResult]) -> String {
+    let size: usize = results
+        .iter()
+        .map(|r| {
+            let cands: usize = r.candidates.iter().map(|c| c.func.len()).sum();
+            RESULT_BYTES + r.func.len() + r.candidates.len() * CANDIDATE_BYTES + cands
+        })
+        .sum();
+    let mut out = String::with_capacity(96 + size);
+    out.push_str(r#"{"type":"candidates""#);
+    if let Some(id) = id {
+        let _ = write!(out, r#","id":{id}"#);
+    }
+    let _ = write!(out, r#","epoch":{epoch},"results":["#);
+    let mut sims = SimTexts::default();
+    for (i, r) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(r#"{"func":""#);
+        json::push_escaped(&mut out, &r.func);
+        out.push_str(r#"","candidates":["#);
+        for (j, c) in r.candidates.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str(r#"{"func":""#);
+            json::push_escaped(&mut out, &c.func);
+            out.push_str(r#"","similarity":"#);
+            out.push_str(sims.text(c.similarity));
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
+    out
+}
+
+/// The JSON text of each distinct similarity of one response, formatted
+/// once. A similarity is `equal / k` for a signature of `k` slots, so an
+/// answer of thousands of candidates holds at most `k + 1` distinct values.
+/// Keyed by the exact `f64` bits: two candidates share a text only when
+/// they have the same value.
+#[derive(Default)]
+struct SimTexts {
+    /// Where each value's text lies in `texts`.
+    at: HashMap<u64, Range<usize>>,
+    texts: String,
+}
+
+impl SimTexts {
+    fn text(&mut self, x: f64) -> &str {
+        let texts = &mut self.texts;
+        let at = self.at.entry(x.to_bits()).or_insert_with(|| {
+            let start = texts.len();
+            json::push_f64(texts, x);
+            start..texts.len()
+        });
+        &self.texts[at.clone()]
+    }
+}
+
+#[cfg(test)]
+mod reference;
 
 /// Parses a response frame into generic [`Json`] (clients pick fields
 /// out of the document rather than reconstructing typed values).
@@ -730,5 +806,28 @@ mod tests {
         // Truncated length prefix itself.
         let stub = [0u8, 0];
         assert!(matches!(read_frame(&mut &stub[..]), Err(FrameError::Io(_))));
+    }
+
+    /// A signal that lands while a blocking reader waits for the first
+    /// byte of a frame interrupts the `read`; the frame still arrives.
+    #[test]
+    fn read_frame_retries_an_interrupted_read() {
+        struct InterruptOnce<'a> {
+            interrupted: bool,
+            rest: &'a [u8],
+        }
+        impl Read for InterruptOnce<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if !std::mem::replace(&mut self.interrupted, true) {
+                    return Err(ErrorKind::Interrupted.into());
+                }
+                self.rest.read(buf)
+            }
+        }
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"{\"type\":\"pong\"}").unwrap();
+        let mut r = InterruptOnce { interrupted: false, rest: &wire };
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"type\":\"pong\"}");
+        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF after the frame");
     }
 }

@@ -6,7 +6,10 @@
 //! parser; the serve daemon's wire protocol decodes through the same
 //! reader so the workspace carries exactly one JSON implementation. The
 //! writer half is the only code that escapes a string or formats a float:
-//! [`escape`] and [`fmt_f64`] are thin wrappers over it.
+//! [`escape`] and [`fmt_f64`] are thin wrappers over it, and
+//! [`push_escaped`] and [`push_f64`] append the same text to a caller's
+//! buffer for a renderer that lays out its own keys (the daemon's
+//! `candidates` answer).
 //!
 //! Parsed values keep object fields in document order (`Vec`, not a map),
 //! which makes round-trip tests and deterministic re-rendering easy.
@@ -107,9 +110,28 @@ pub fn parse(s: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Whether `b` must be escaped inside a JSON string literal.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
 /// Appends `s` escaped for a JSON string literal (quotes, backslashes and
 /// control characters; everything else, non-ASCII included, verbatim).
-fn push_escaped(out: &mut String, s: &str) {
+/// One scan finds the first byte to escape: a string without one — every
+/// qualified function name — is copied whole.
+pub fn push_escaped(out: &mut String, s: &str) {
+    match s.bytes().position(needs_escape) {
+        None => out.push_str(s),
+        Some(first) => {
+            out.push_str(&s[..first]);
+            escape_each(out, &s[first..]);
+        }
+    }
+}
+
+/// The escaping path of [`push_escaped`]: copies the runs between escaped
+/// bytes and writes each escape.
+fn escape_each(out: &mut String, s: &str) {
     let mut clean_from = 0;
     for (i, b) in s.bytes().enumerate() {
         let esc = match b {
@@ -131,9 +153,10 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push_str(&s[clean_from..]);
 }
 
-/// JSON has no NaN/Infinity, so non-finite values render as `0`; integral
-/// floats print without a fraction so counters round-trip exactly.
-fn push_f64(out: &mut String, x: f64) {
+/// Appends `x` as a JSON number. JSON has no NaN/Infinity, so non-finite
+/// values render as `0`; integral floats print without a fraction so
+/// counters round-trip exactly.
+pub fn push_f64(out: &mut String, x: f64) {
     if !x.is_finite() || x == 0.0 {
         out.push('0');
     } else {
@@ -560,6 +583,36 @@ mod tests {
         assert_eq!(v.get("t").unwrap().as_str().map(str::len), Some(200_000));
         assert!(elapsed < std::time::Duration::from_secs(1), "{} kB took {elapsed:?}", doc.len() >> 10);
         assert!(parse("\"é关").unwrap_err().starts_with("unterminated string at byte 6"));
+    }
+
+    /// The one-scan fast path writes what the escaping path writes, on
+    /// random strings with and without bytes to escape, wherever in the
+    /// string the first one falls.
+    #[test]
+    fn push_escaped_fast_path_matches_the_escaping_path() {
+        const ALPHABET: &[&str] = &[
+            "a", "Z", "0", ".", "_", " ", "é", "関", "\u{1F600}", "\u{7f}", // never escaped
+            "\"", "\\", "\n", "\t", "\u{0}", "\u{1f}",
+        ];
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            ((z ^ (z >> 29)) % bound as u64) as usize
+        };
+        let mut clean = 0;
+        for _ in 0..4000 {
+            // Half the strings draw from the bytes that never escape.
+            let pool = if next(2) == 0 { 10 } else { ALPHABET.len() };
+            let s: String = (0..next(40)).map(|_| ALPHABET[next(pool)]).collect();
+            clean += usize::from(!s.bytes().any(needs_escape));
+            let (mut fast, mut slow) = ("<".to_string(), "<".to_string());
+            push_escaped(&mut fast, &s);
+            escape_each(&mut slow, &s);
+            assert_eq!(fast, slow, "{s:?}");
+            assert_eq!(parse(&format!("\"{}\"", &fast[1..])).unwrap(), Json::Str(s));
+        }
+        assert!((1000..3000).contains(&clean), "both paths are exercised: {clean} clean");
     }
 
     #[test]
