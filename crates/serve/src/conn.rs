@@ -17,16 +17,31 @@
 //!      └───────────────────────────────────────◀── [flushing] ◀┘
 //! ```
 //!
-//! The reassembly buffer is bounded: a frame's length prefix is vetted
-//! against `MAX_FRAME` before its payload accumulates, and `fill` stops
-//! reading once a whole oversized-free frame could be buffered, so one
-//! connection can never hold more than ~one maximum frame plus a read
-//! quantum of kernel-delivered pipeline.
+//! Reassembly keeps the bytes of a frame in one place. Reads land in
+//! the inbox, a flat `Vec<u8>` the frames are cut from. Once a frame's
+//! length prefix is in and its payload is not, the payload moves to a
+//! frame `Vec` of its own and the rest of it is read straight into that
+//! `Vec`, a read quantum at a time and never past the frame's end; the
+//! completed frame is moved out, not copied. A frame that is whole in
+//! the inbox by the time it is reached (it came in one read, or behind
+//! a frame not yet taken) is copied out of it once.
+//!
+//! The buffers grow only as bytes arrive: a length prefix is vetted
+//! against `MAX_FRAME` before its payload accumulates, and even a prefix
+//! claiming `MAX_FRAME` reserves no more than the bytes received plus
+//! one [`READ_QUANTUM`]. `fill` stops reading once a whole frame could
+//! be buffered, so one connection can never hold more than ~one maximum
+//! frame plus a read quantum of kernel-delivered pipeline. A connection
+//! whose input is all taken keeps at most one read quantum of capacity.
 
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
+
+/// Bytes one read asks the socket for (the size of the scratch buffer
+/// `fill` is handed), and the most capacity a connection keeps while it
+/// holds no input.
+pub const READ_QUANTUM: usize = 64 * 1024;
 
 /// Cap on bytes a single `fill` call may leave unparsed — one maximal
 /// frame plus its prefix. Pipelined requests beyond it stay in the
@@ -62,8 +77,19 @@ pub enum TakeFrame {
 /// Per-connection state owned by the event loop.
 pub struct Connection {
     pub stream: TcpStream,
-    /// Unparsed inbound bytes (length prefixes and payloads).
-    buf: VecDeque<u8>,
+    /// Received bytes not yet cut into frames (length prefixes and
+    /// payloads), from `head` on. They follow the frame in `frame`.
+    inbox: Vec<u8>,
+    /// Offset in `inbox` of the first byte not yet taken.
+    head: usize,
+    /// The payload of the frame being read straight off the socket. Its
+    /// first `frame_filled` bytes have arrived; the rest of its length is
+    /// zero-filled room for the next read.
+    frame: Vec<u8>,
+    frame_filled: usize,
+    /// The payload length `frame` is read up to; `None` while no frame is
+    /// being read into it.
+    frame_len: Option<usize>,
     /// Rendered-but-unsent response bytes.
     outbox: Vec<u8>,
     /// How much of `outbox` has reached the kernel.
@@ -96,7 +122,11 @@ impl Connection {
     pub fn new(stream: TcpStream, now: Instant) -> Connection {
         Connection {
             stream,
-            buf: VecDeque::new(),
+            inbox: Vec::new(),
+            head: 0,
+            frame: Vec::new(),
+            frame_filled: 0,
+            frame_len: None,
             outbox: Vec::new(),
             sent: 0,
             in_flight: 0,
@@ -119,17 +149,23 @@ impl Connection {
         }
     }
 
-    /// Drains the socket into the reassembly buffer without blocking.
+    /// Drains the socket into the reassembly buffers without blocking.
     pub fn fill(&mut self, scratch: &mut [u8], max_frame: u32, now: Instant) -> FillOutcome {
         let cap = read_buffer_cap(max_frame);
         loop {
-            if self.buf.len() >= cap {
+            if self.unparsed() >= cap {
                 return FillOutcome::Progress;
             }
-            match self.stream.read(scratch) {
+            if self.frame_len.is_none() {
+                self.start_frame(max_frame);
+            }
+            let read = match self.frame_len {
+                Some(len) if self.frame_filled < len => self.read_into_frame(len),
+                _ => self.read_into_inbox(scratch),
+            };
+            match read {
                 Ok(0) => return FillOutcome::Eof,
-                Ok(n) => {
-                    self.buf.extend(&scratch[..n]);
+                Ok(_) => {
                     self.last_activity = now;
                     // A fresh partial frame starts its slowloris clock at
                     // first byte; progress on an existing one does not
@@ -147,52 +183,120 @@ impl Connection {
         }
     }
 
-    /// Pops one complete frame off the reassembly buffer.
+    /// Received bytes not yet taken as frames, length prefixes included.
+    fn unparsed(&self) -> usize {
+        self.inbox.len() - self.head + self.frame_len.map_or(0, |_| 4 + self.frame_filled)
+    }
+
+    /// The length prefix of the next frame in the inbox, once all four
+    /// bytes of it are in.
+    fn prefix(&self) -> Option<u32> {
+        let prefix = self.inbox.get(self.head..self.head + 4)?;
+        Some(u32::from_be_bytes(prefix.try_into().expect("four bytes")))
+    }
+
+    /// When the next frame in the inbox has its prefix in but not all of
+    /// its payload, moves the payload bytes that are in to `frame`, where
+    /// the rest is read. Every byte after that prefix is the frame's, as
+    /// the frame is incomplete.
+    fn start_frame(&mut self, max_frame: u32) {
+        let Some(len) = self.prefix() else { return };
+        let len = len as usize;
+        if len > max_frame as usize || self.inbox.len() - self.head >= 4 + len {
+            return;
+        }
+        self.inbox.drain(..self.head + 4);
+        self.inbox.shrink_to(self.inbox.len() + READ_QUANTUM);
+        self.head = 0;
+        self.frame = std::mem::take(&mut self.inbox);
+        self.frame_filled = self.frame.len();
+        self.frame_len = Some(len);
+    }
+
+    /// One read straight into `frame`, of at most a read quantum and never
+    /// past the frame's end. Room is reserved only once the bytes before
+    /// it have arrived, so `frame` holds no more than the bytes received
+    /// plus one read quantum.
+    fn read_into_frame(&mut self, len: usize) -> std::io::Result<usize> {
+        if self.frame_filled == self.frame.len() {
+            let room = READ_QUANTUM.min(len - self.frame_filled);
+            self.frame.reserve_exact(room);
+            self.frame.resize(self.frame_filled + room, 0);
+        }
+        let n = self.stream.read(&mut self.frame[self.frame_filled..])?;
+        self.frame_filled += n;
+        Ok(n)
+    }
+
+    /// One read through `scratch`, appended to the inbox. The taken bytes
+    /// at the inbox's front are dropped first once they outnumber the
+    /// rest, so moving the rest down stays linear in the bytes read.
+    fn read_into_inbox(&mut self, scratch: &mut [u8]) -> std::io::Result<usize> {
+        if self.head > self.inbox.len() - self.head {
+            self.inbox.drain(..self.head);
+            self.head = 0;
+        }
+        let n = self.stream.read(scratch)?;
+        self.inbox.extend_from_slice(&scratch[..n]);
+        Ok(n)
+    }
+
+    /// Pops one complete frame: the frame read into `frame`, which comes
+    /// first, or else the next one in the inbox.
     pub fn take_frame(&mut self, max_frame: u32, now: Instant) -> TakeFrame {
-        if self.buf.len() < 4 {
-            if self.buf.is_empty() {
-                self.partial_since = None;
+        let payload = match self.frame_len {
+            Some(len) if self.frame_filled < len => return TakeFrame::Pending,
+            Some(_) => {
+                self.frame_len = None;
+                self.frame_filled = 0;
+                std::mem::take(&mut self.frame)
             }
-            return TakeFrame::Pending;
+            None => {
+                let Some(len) = self.prefix() else {
+                    if !self.has_buffered_input() {
+                        self.partial_since = None;
+                    }
+                    return TakeFrame::Pending;
+                };
+                if len > max_frame {
+                    return TakeFrame::Oversized(len);
+                }
+                let start = self.head + 4;
+                let Some(payload) = self.inbox.get(start..start + len as usize) else {
+                    return TakeFrame::Pending;
+                };
+                let payload = payload.to_vec();
+                self.head = start + len as usize;
+                payload
+            }
+        };
+        if self.head == self.inbox.len() {
+            // Everything received is taken: keep at most a read quantum.
+            self.inbox.clear();
+            self.inbox.shrink_to(READ_QUANTUM);
+            self.head = 0;
         }
-        let mut prefix = [0u8; 4];
-        for (i, b) in self.buf.iter().take(4).enumerate() {
-            prefix[i] = *b;
-        }
-        let len = u32::from_be_bytes(prefix);
-        if len > max_frame {
-            return TakeFrame::Oversized(len);
-        }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
-            return TakeFrame::Pending;
-        }
-        self.buf.drain(..4);
-        let payload: Vec<u8> = self.buf.drain(..len as usize).collect();
         // Frame completed: restart (or clear) the partial clock for
         // whatever trails it.
-        self.partial_since = if self.buf.is_empty() { None } else { Some(now) };
+        self.partial_since = if self.has_buffered_input() { Some(now) } else { None };
         TakeFrame::Frame(payload)
     }
 
     /// Whether unparsed bytes remain (complete or partial frames).
     pub fn has_buffered_input(&self) -> bool {
-        !self.buf.is_empty()
+        self.frame_len.is_some() || self.head < self.inbox.len()
     }
 
     /// Whether the buffer holds at least one complete frame ready to
     /// parse (used to distinguish "pipelined backlog" from "slowloris
     /// dribble" in the deadline sweep).
     pub fn has_complete_frame(&self, max_frame: u32) -> bool {
-        if self.buf.len() < 4 {
-            return false;
+        match self.frame_len {
+            Some(len) => self.frame_filled == len,
+            None => self.prefix().is_some_and(|len| {
+                len > max_frame || self.inbox.len() - self.head >= 4 + len as usize
+            }),
         }
-        let mut prefix = [0u8; 4];
-        for (i, b) in self.buf.iter().take(4).enumerate() {
-            prefix[i] = *b;
-        }
-        let len = u32::from_be_bytes(prefix);
-        len > max_frame || self.buf.len() >= 4 + len as usize
     }
 
     /// Queues one response frame (length prefix + payload) for writing.
@@ -272,8 +376,8 @@ mod tests {
             peer.flush().unwrap();
             // Wait for the byte to land server-side.
             let deadline = Instant::now() + std::time::Duration::from_secs(5);
-            let before = conn.buf.len();
-            while conn.buf.len() == before {
+            let before = conn.unparsed();
+            while conn.unparsed() == before {
                 assert_eq!(conn.fill(&mut scratch, MAX, Instant::now()), FillOutcome::Progress);
                 assert!(Instant::now() < deadline, "byte never arrived");
             }
@@ -293,7 +397,7 @@ mod tests {
         peer.flush().unwrap();
         let mut scratch = vec![0u8; 4096];
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while conn.buf.len() < 4 {
+        while conn.unparsed() < 4 {
             conn.fill(&mut scratch, MAX, Instant::now());
             assert!(Instant::now() < deadline);
         }
@@ -311,7 +415,7 @@ mod tests {
         peer.write_all(&full[..6]).unwrap();
         peer.flush().unwrap();
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while conn.buf.len() < 6 {
+        while conn.unparsed() < 6 {
             conn.fill(&mut scratch, MAX, Instant::now());
             assert!(Instant::now() < deadline);
         }
@@ -322,7 +426,7 @@ mod tests {
         peer.write_all(&full[6..8]).unwrap();
         peer.flush().unwrap();
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while conn.buf.len() < 8 {
+        while conn.unparsed() < 8 {
             conn.fill(&mut scratch, MAX, Instant::now());
             assert!(Instant::now() < deadline);
         }
@@ -332,12 +436,139 @@ mod tests {
         peer.write_all(&full[8..]).unwrap();
         peer.flush().unwrap();
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while conn.buf.len() < full.len() {
+        while conn.unparsed() < full.len() {
             conn.fill(&mut scratch, MAX, Instant::now());
             assert!(Instant::now() < deadline);
         }
         assert!(matches!(conn.take_frame(MAX, Instant::now()), TakeFrame::Frame(_)));
         assert!(conn.partial_since.is_none());
+    }
+
+    /// Capacity the connection holds for inbound bytes.
+    fn reserved(conn: &Connection) -> usize {
+        conn.inbox.capacity() + conn.frame.capacity()
+    }
+
+    /// Pipelined frames of 0, 1, 4, 65 536 ± 1 bytes and 1 MiB, written in
+    /// random pieces (some inside a length prefix) and read through random
+    /// scratch sizes, come out byte-identical and in order; the frame
+    /// buffer never holds more than the bytes received plus one read
+    /// quantum, and once the last 1 MiB frame is taken, read straight into
+    /// its own buffer or through the inbox, at most one read quantum of
+    /// capacity is left.
+    #[test]
+    fn large_frames_reassemble_byte_identical_at_any_split() {
+        use f3m_prng::SmallRng;
+        use std::io::Write;
+        const LENS: [usize; 7] = [0, 1, 4, 65_535, 65_536, 65_537, 1 << 20];
+        const PIECES: [usize; 10] = [1, 2, 3, 4, 5, 7, 100, 4096, 65_536, 300_000];
+        const SCRATCH: [usize; 6] = [1, 3, 5, 64, 4096, READ_QUANTUM];
+        for seed in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(0xF4A3E + seed);
+            // The 1 MiB frame comes last, and once more in between.
+            let mut lens: Vec<usize> = LENS.to_vec();
+            lens.extend_from_slice(&LENS[..6]);
+            for i in (1..lens.len()).rev() {
+                lens.swap(i, rng.gen_range(0..=i));
+            }
+            lens.push(1 << 20);
+            let frames: Vec<Vec<u8>> =
+                lens.iter().map(|&len| (0..len).map(|_| rng.next_u64() as u8).collect()).collect();
+            let wire = frames.iter().flat_map(|f| frame(f)).collect::<Vec<u8>>();
+            let pieces: Vec<(usize, bool)> = {
+                let mut at = 0;
+                let mut out = Vec::new();
+                while at < wire.len() {
+                    let n = PIECES[rng.gen_range(0..PIECES.len())].min(wire.len() - at);
+                    out.push((n, rng.gen_range(0..8) == 0));
+                    at += n;
+                }
+                out
+            };
+
+            let (mut conn, mut peer) = pair();
+            peer.set_nodelay(true).unwrap();
+            let writer = std::thread::spawn(move || {
+                let mut at = 0;
+                for (n, pause) in pieces {
+                    peer.write_all(&wire[at..at + n]).unwrap();
+                    peer.flush().unwrap();
+                    at += n;
+                    if pause {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                }
+                peer
+            });
+            let deadline = Instant::now() + std::time::Duration::from_secs(30);
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            while got.len() < frames.len() {
+                let mut scratch = vec![0u8; SCRATCH[rng.gen_range(0..SCRATCH.len())]];
+                assert_eq!(conn.fill(&mut scratch, MAX, Instant::now()), FillOutcome::Progress);
+                assert!(
+                    conn.frame.capacity() <= conn.frame_filled + READ_QUANTUM,
+                    "frame buffer of {} for {} bytes received",
+                    conn.frame.capacity(),
+                    conn.frame_filled
+                );
+                loop {
+                    match conn.take_frame(MAX, Instant::now()) {
+                        TakeFrame::Frame(payload) => got.push(payload),
+                        TakeFrame::Pending => break,
+                        TakeFrame::Oversized(len) => panic!("oversized {len}"),
+                    }
+                }
+                assert!(Instant::now() < deadline, "{} of {} frames", got.len(), frames.len());
+            }
+            let _peer = writer.join().unwrap();
+            for (i, (got, want)) in got.iter().zip(&frames).enumerate() {
+                assert!(got == want, "seed {seed}: frame {i} of {} bytes differs", want.len());
+            }
+            assert!(!conn.has_buffered_input() && conn.partial_since.is_none());
+            assert!(reserved(&conn) <= READ_QUANTUM, "{} bytes kept", reserved(&conn));
+        }
+
+        // A 1 MiB frame read while a complete one is still untaken stays
+        // in the inbox; once both are taken, a read quantum is all it keeps.
+        let (mut conn, mut peer) = pair();
+        let frames = [b"{}".to_vec(), vec![b'x'; 1 << 20]];
+        let wire = frames.iter().flat_map(|f| frame(f)).collect::<Vec<u8>>();
+        let total = wire.len();
+        let writer = std::thread::spawn(move || peer.write_all(&wire).map(|()| peer));
+        let mut scratch = vec![0u8; READ_QUANTUM];
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while conn.unparsed() < total {
+            assert_eq!(conn.fill(&mut scratch, MAX, Instant::now()), FillOutcome::Progress);
+            assert!(Instant::now() < deadline);
+        }
+        let _peer = writer.join().unwrap().unwrap();
+        assert!(conn.inbox.capacity() > READ_QUANTUM, "both frames are in the inbox");
+        for want in frames {
+            assert!(conn.take_frame(MAX, Instant::now()) == TakeFrame::Frame(want));
+        }
+        assert!(reserved(&conn) <= READ_QUANTUM, "{} bytes kept", reserved(&conn));
+    }
+
+    /// A prefix claiming `MAX_FRAME` reserves room for the bytes that
+    /// came with it plus one read quantum, not for the frame it claims.
+    #[test]
+    fn hostile_prefix_reserves_only_what_arrived() {
+        use crate::protocol::MAX_FRAME;
+        use std::io::Write;
+        let (mut conn, mut peer) = pair();
+        peer.write_all(&MAX_FRAME.to_be_bytes()).unwrap();
+        peer.write_all(&[b'x'; 10]).unwrap();
+        peer.flush().unwrap();
+        let mut scratch = vec![0u8; READ_QUANTUM];
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while conn.unparsed() < 14 {
+            assert_eq!(conn.fill(&mut scratch, MAX_FRAME, Instant::now()), FillOutcome::Progress);
+            assert!(Instant::now() < deadline);
+        }
+        assert!(reserved(&conn) <= 14 + READ_QUANTUM, "{} bytes reserved", reserved(&conn));
+        assert_eq!(conn.take_frame(MAX_FRAME, Instant::now()), TakeFrame::Pending);
+        assert!(conn.has_buffered_input() && !conn.has_complete_frame(MAX_FRAME));
+        assert!(conn.partial_since.is_some(), "the slowloris clock runs");
     }
 
     #[test]

@@ -83,7 +83,7 @@ use f3m_trace::stats;
 use f3m_trace::tracer::span_on;
 use f3m_trace::{write_with_dirs, Tracer};
 
-use crate::conn::{Connection, FillOutcome, TakeFrame};
+use crate::conn::{Connection, FillOutcome, TakeFrame, READ_QUANTUM};
 use crate::poll::{new_poller, PollEvent, Poller, PollerKind, Waker, WakerSource};
 use crate::protocol::{
     parse_request, render_response, Request, Response, ServerCounters, MAX_FRAME, SERVER_COUNTERS,
@@ -416,7 +416,7 @@ impl<'a> EventLoop<'a> {
             accepting: true,
             listener_paused: None,
             drain_started: None,
-            scratch: vec![0u8; 64 * 1024],
+            scratch: vec![0u8; READ_QUANTUM],
         }
     }
 

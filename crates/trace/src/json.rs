@@ -326,6 +326,60 @@ impl Writer {
     }
 }
 
+/// `0x01` in every byte of a word.
+const LANES: u64 = u64::from_le_bytes([1; 8]);
+
+/// Sets the top bit of the lowest zero byte of `word`. Bytes above it may
+/// be flagged falsely (a borrow runs up from a zero byte), those below
+/// never are, so the lowest set bit is exact.
+fn zero_byte_bits(word: u64) -> u64 {
+    word.wrapping_sub(LANES) & !word & (LANES << 7)
+}
+
+/// Offset of the first `byte` in `bytes` at or after `from`, eight bytes a
+/// step.
+#[inline]
+fn find_byte(bytes: &[u8], from: usize, byte: u8) -> Option<usize> {
+    let pattern = LANES * u64::from(byte);
+    let rest = bytes.get(from..)?;
+    let mut words = rest.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+        let hits = zero_byte_bits(word ^ pattern);
+        if hits != 0 {
+            return Some(from + i * 8 + (hits.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = words.remainder();
+    let tail_at = from + rest.len() - tail.len();
+    tail.iter().position(|&b| b == byte).map(|i| tail_at + i)
+}
+
+/// [`find_byte`] for a byte that is rare in `bytes`, such as the quote
+/// that closes a long string: 32 bytes a step, and the step with a match
+/// in it searched again a word at a time.
+fn find_rare_byte(bytes: &[u8], from: usize, byte: u8) -> Option<usize> {
+    let pattern = LANES * u64::from(byte);
+    let rest = bytes.get(from..)?;
+    let mut blocks = rest.chunks_exact(32);
+    for (i, block) in blocks.by_ref().enumerate() {
+        let hits = block.chunks_exact(8).fold(0, |hits, word| {
+            let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+            hits | zero_byte_bits(word ^ pattern)
+        });
+        if hits != 0 {
+            return find_byte(block, 0, byte).map(|at| from + i * 32 + at);
+        }
+    }
+    find_byte(bytes, from + rest.len() - blocks.remainder().len(), byte)
+}
+
+/// The value of exactly four hex digits.
+fn hex4(hex: &[u8]) -> Option<u32> {
+    let digits: &[u8; 4] = hex.try_into().ok()?;
+    digits.iter().try_fold(0, |acc, &b| Some(acc << 4 | char::from(b).to_digit(16)?))
+}
+
 /// Deepest container nesting the reader follows: the width of [`Writer`]'s
 /// `has_item` bitmask, so whatever the writer can nest reads back. It
 /// bounds the recursion of [`Reader::value`] on hostile input.
@@ -337,11 +391,21 @@ struct Reader<'a> {
     pos: usize,
     /// Containers open around `pos`.
     depth: u32,
+    /// Decode strings with the decoder [`Reader::string`] replaced.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl<'a> Reader<'a> {
     fn new(s: &'a str) -> Reader<'a> {
-        Reader { src: s, bytes: s.as_bytes(), pos: 0, depth: 0 }
+        Reader {
+            src: s,
+            bytes: s.as_bytes(),
+            pos: 0,
+            depth: 0,
+            #[cfg(test)]
+            reference: false,
+        }
     }
 
     fn err(&self, msg: &str) -> String {
@@ -440,47 +504,92 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Decodes a string in time linear in its length: each run between
-    /// escapes is copied as one slice of the input. A run ends at an ASCII
-    /// `"` or `\`, so it is whole characters of the already-valid `&str`.
+    /// Decodes a string at memory speed. One pass finds the closing quote,
+    /// which sizes the buffer once; a second finds each backslash before
+    /// it a word at a time, and the run up to that escape is copied as one
+    /// slice of the input. A run ends at an ASCII `\` or `"`, so it is
+    /// whole characters of the already-valid `&str`: nothing is validated
+    /// again, and a string without escapes is a single copy.
     fn string(&mut self) -> Result<String, String> {
+        #[cfg(test)]
+        if self.reference {
+            return self.reference_string();
+        }
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
-            let Some(run) = run else {
-                self.pos = self.bytes.len();
-                return Err(self.err("unterminated string"));
-            };
-            out.push_str(&self.src[self.pos..self.pos + run]);
-            self.pos += run + 1;
-            if self.bytes[self.pos - 1] == b'"' {
-                return Ok(out);
-            }
-            match self.bytes.get(self.pos).copied() {
-                Some(b'"') => out.push('"'),
-                Some(b'\\') => out.push('\\'),
-                Some(b'/') => out.push('/'),
-                Some(b'n') => out.push('\n'),
-                Some(b'r') => out.push('\r'),
-                Some(b't') => out.push('\t'),
-                Some(b'u') => {
-                    let hex = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .ok_or_else(|| self.err("truncated \\u escape"))?;
-                    let code = u32::from_str_radix(
-                        std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                        16,
-                    )
-                    .map_err(|_| self.err("bad \\u escape"))?;
-                    out.push(char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?);
-                    self.pos += 4;
-                }
-                _ => return Err(self.err("unsupported escape")),
-            }
+        let end = self.closing_quote();
+        let mut out = String::with_capacity(end.map_or(0, |end| end - self.pos));
+        let body = &self.bytes[..end.unwrap_or(self.bytes.len())];
+        while let Some(at) = find_byte(body, self.pos, b'\\') {
+            out.push_str(&self.src[self.pos..at]);
+            self.pos = at + 1;
+            out.push(self.decode_escape()?);
             self.pos += 1;
         }
+        let Some(end) = end else {
+            self.pos = self.bytes.len();
+            return Err(self.err("unterminated string"));
+        };
+        out.push_str(&self.src[self.pos..end]);
+        self.pos = end + 1;
+        Ok(out)
+    }
+
+    /// Offset of the quote that closes the string whose body starts at
+    /// `pos`: the first `"` behind an even run of backslashes. Only escapes
+    /// hold a `\` or `"`, so up to the first malformed escape this is the
+    /// quote a left-to-right decode stops at, and the decoded text is no
+    /// longer than the bytes before it.
+    fn closing_quote(&self) -> Option<usize> {
+        let mut from = self.pos;
+        loop {
+            let at = find_rare_byte(self.bytes, from, b'"')?;
+            let escaped = self.bytes[self.pos..at].iter().rev().take_while(|&&b| b == b'\\');
+            if escaped.count() % 2 == 0 {
+                return Some(at);
+            }
+            from = at + 1;
+        }
+    }
+
+    /// Decodes the escape whose `\` precedes `pos`, leaving `pos` on its
+    /// last byte. A `\u` escape takes exactly four hex digits; a UTF-16
+    /// surrogate pair written as two of them decodes to one `char`, and a
+    /// surrogate without its partner is an error at its `u`.
+    fn decode_escape(&mut self) -> Result<char, String> {
+        let c = match self.bytes.get(self.pos).copied() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hex = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let unit = hex4(hex).ok_or_else(|| self.err("bad \\u escape"))?;
+                let (code, digits) = match unit {
+                    0xD800..=0xDBFF => {
+                        let low = match self.bytes.get(self.pos + 5..self.pos + 11) {
+                            Some([b'\\', b'u', low @ ..]) => hex4(low),
+                            _ => None,
+                        };
+                        let low = low
+                            .filter(|low| (0xDC00..=0xDFFF).contains(low))
+                            .ok_or_else(|| self.err("unpaired surrogate in \\u escape"))?;
+                        (0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00), 10)
+                    }
+                    0xDC00..=0xDFFF => return Err(self.err("unpaired surrogate in \\u escape")),
+                    _ => (unit, 4),
+                };
+                let c = char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?;
+                self.pos += digits;
+                c
+            }
+            _ => return Err(self.err("unsupported escape")),
+        };
+        Ok(c)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -498,6 +607,9 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| self.err("invalid number"))
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -583,6 +695,77 @@ mod tests {
         assert_eq!(v.get("t").unwrap().as_str().map(str::len), Some(200_000));
         assert!(elapsed < std::time::Duration::from_secs(1), "{} kB took {elapsed:?}", doc.len() >> 10);
         assert!(parse("\"é关").unwrap_err().starts_with("unterminated string at byte 6"));
+    }
+
+    /// A character outside the BMP arrives as a UTF-16 surrogate pair, as
+    /// Python's `json.dumps` writes it.
+    #[test]
+    fn surrogate_pair_decodes_to_one_char() {
+        assert_eq!(parse(r#""m\ud83d\ude00""#), Ok(Json::Str("m\u{1F600}".into())));
+        let ends = Json::Str("\u{10000}\u{10FFFF}".into());
+        assert_eq!(parse(r#""\uD800\uDC00\uDBFF\uDFFF""#), Ok(ends));
+        let escaped: String = "a😀é𝄞".encode_utf16().map(|u| format!("\\u{u:04x}")).collect();
+        assert_eq!(parse(&format!("\"{escaped}\"")), Ok(Json::Str("a😀é𝄞".into())));
+    }
+
+    #[test]
+    fn lone_surrogate_is_refused_at_its_escape() {
+        let unpaired = |at: usize| Err(format!("unpaired surrogate in \\u escape at byte {at}"));
+        assert_eq!(parse(r#""m\ud83d""#), unpaired(3));
+        assert_eq!(parse(r#""m\ud83dx\ude00""#), unpaired(3));
+        assert_eq!(parse(r#""m\ud83d\u0041""#), unpaired(3), "high then a non-surrogate");
+        assert_eq!(parse(r#""m\ud83d\ud83d""#), unpaired(3), "high then high");
+        assert_eq!(parse(r#""ab\ude00\ud83d""#), unpaired(4), "low before high");
+        assert_eq!(parse(r#""\ud83d\u""#), unpaired(2), "a truncated partner");
+    }
+
+    /// `from_str_radix` takes a sign; a `\u` escape takes four hex digits.
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, r#""\u00é""#] {
+            assert_eq!(parse(bad), Err("bad \\u escape at byte 2".into()), "{bad}");
+        }
+        assert_eq!(parse(r#""\u004""#), Err("bad \\u escape at byte 2".into()));
+        assert_eq!(parse(r#""\u004"#), Err("truncated \\u escape at byte 2".into()));
+        assert_eq!(parse(r#""\u0041\u00e9\uFFFF""#), Ok(Json::Str("Aé\u{FFFF}".into())));
+    }
+
+    /// The word scan finds a byte at every offset of a word, behind bytes
+    /// whose top bit is set and beside the byte one above it (a borrow
+    /// would flag it falsely).
+    #[test]
+    fn word_scan_finds_the_first_match() {
+        for len in 0..72 {
+            for at in 0..=len {
+                for byte in [b'"', b'\\'] {
+                    let mut bytes: Vec<u8> =
+                        (0..len).map(|i| [b'a', 0xC3, 0xA9, byte + 1][i % 4]).collect();
+                    let want = (at < len).then(|| {
+                        bytes[at] = byte;
+                        at
+                    });
+                    for from in 0..=at.min(len) {
+                        assert_eq!(find_byte(&bytes, from, byte), want, "{len} {at} {from}");
+                        assert_eq!(find_rare_byte(&bytes, from, byte), want, "{len} {at} {from}");
+                    }
+                    assert_eq!(find_byte(&bytes, len + 1, byte), None);
+                    assert_eq!(find_rare_byte(&bytes, len + 1, byte), None);
+                }
+            }
+        }
+    }
+
+    /// The buffer is reserved once, to the string's length in the document:
+    /// an upper bound on its decoded length, which growth by doubling would
+    /// not land on.
+    #[test]
+    fn string_buffer_is_reserved_once() {
+        let ir = "define @f() -> void {\nbb0:\n  ret\n}\n\"q\"\\".repeat(500);
+        let escaped = escape(&ir);
+        let Json::Str(s) = parse(&format!("\"{escaped}\"")).unwrap() else { panic!() };
+        assert_eq!((s.as_str(), s.capacity()), (ir.as_str(), escaped.len()));
+        let Json::Str(s) = parse(r#""\u00e9\ud83d\ude00 x\\\"""#).unwrap() else { panic!() };
+        assert_eq!((s.as_str(), s.capacity()), ("é😀 x\\\"", 24));
     }
 
     /// The one-scan fast path writes what the escaping path writes, on
