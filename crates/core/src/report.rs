@@ -40,7 +40,10 @@ pub struct MergeStats {
     pub pairs_attempted: usize,
     /// Merges committed (pairs replaced by thunks + merged function).
     pub merges_committed: usize,
-    /// Fingerprint construction time.
+    /// Preprocess time: fingerprinting every eligible function and
+    /// building the candidate search over them, plus
+    /// [`Committer::build`](crate::commit::Committer::build)'s scan of
+    /// every function body for the reference index.
     pub preprocess: Duration,
     /// Candidate search time.
     pub rank: StageTime,

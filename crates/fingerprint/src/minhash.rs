@@ -7,6 +7,32 @@
 //! of each derived hash over all shingles. The fraction of equal fingerprint
 //! slots estimates the Jaccard index of the shingle sets within
 //! `O(1/sqrt(k))`.
+//!
+//! # The two-pass kernel
+//!
+//! Taking the xor-min of every shingle hash against `k` `u64` lanes costs
+//! `n × k` scalar steps: SSE2, the baseline x86-64 target, has no 64-bit
+//! vector compare. [`minhash_signature`] computes the same minima in two
+//! passes instead, exactly, bit for bit:
+//!
+//! 1. The hashes are sorted and deduplicated, so the hashes sharing a top
+//!    byte (the bits `63..56`) form one contiguous *bucket*.
+//! 2. **Pass 1, byte lanes.** For every slot `i`, the least
+//!    `top(h) ^ top(c_i)` over the present top bytes is taken in `u8`
+//!    lanes, sixteen slots a `pminub`.
+//! 3. **Pass 2, resolve.** Slot `i` is the least `h ^ c_i` over the one
+//!    bucket `least_i ^ top(c_i)`, which usually holds one or two hashes.
+//!
+//! *Why it is exact.* `top(h ^ c) = top(h) ^ top(c)`, and the top byte is
+//! the most significant, so the least `h ^ c` has the least top byte,
+//! `least_i`. Every hash with that top byte under xor lies in the bucket
+//! `least_i ^ top(c_i)` (xor by `top(c_i)` is a bijection on bytes), and
+//! every hash in that bucket has it; the minimum over the bucket is the
+//! minimum over all. Duplicates change no minimum, so dropping them is
+//! exact too. The work is `n log n` for the sort, `min(n, 256) × k / 16`
+//! vector steps for pass 1 and about `k` for pass 2. The slot loop it
+//! replaced is kept as `reference` under `#[cfg(test)]`, and every
+//! signature is held to it.
 
 use std::collections::HashSet;
 
@@ -17,6 +43,10 @@ pub const SHINGLE_LEN: usize = 2;
 
 /// Default fingerprint size (`k = 200`).
 pub const DEFAULT_K: usize = 200;
+
+/// Slots per pass-1 block: a block's byte lanes stay in four vector
+/// registers while every present top byte is folded into them.
+const BLOCK: usize = 64;
 
 /// The MinHash signature of an encoded instruction stream: one minimum per
 /// xor constant in `consts` (see [`xor_constants`](crate::fnv::xor_constants);
@@ -32,16 +62,96 @@ pub const DEFAULT_K: usize = 200;
 /// Panics if `consts` is empty.
 pub fn minhash_signature(consts: &[u64], encoded: &[u32]) -> Vec<u64> {
     assert!(!consts.is_empty(), "fingerprint size must be positive");
-    let mut hashes = vec![u64::MAX; consts.len()];
-    for base in shingle_hashes(encoded) {
-        for (slot, &c) in hashes.iter_mut().zip(consts.iter()) {
-            let h = base ^ c;
-            if h < *slot {
-                *slot = h;
-            }
+    signature_of_hashes(consts, &mut shingle_hashes(encoded))
+}
+
+/// The two-pass kernel behind [`minhash_signature`] (see the module docs),
+/// over a multiset of shingle hashes. Sorts and deduplicates `hashes` in
+/// place, so the only allocation is the signature.
+fn signature_of_hashes(consts: &[u64], hashes: &mut Vec<u64>) -> Vec<u64> {
+    let mut sig = vec![u64::MAX; consts.len()];
+    if hashes.is_empty() {
+        return sig;
+    }
+    hashes.sort_unstable();
+    hashes.dedup();
+    let buckets = Buckets::of_sorted(hashes);
+    for (out, consts) in sig.chunks_mut(BLOCK).zip(consts.chunks(BLOCK)) {
+        let mut tops = [0u8; BLOCK];
+        for (t, &c) in tops.iter_mut().zip(consts) {
+            *t = top_byte(c);
+        }
+        let least = least_top_bytes(buckets.present(), &tops);
+        for (((slot, &c), &l), &t) in out.iter_mut().zip(consts).zip(&least).zip(&tops) {
+            // Pass 2: the one bucket whose hashes reach the least top byte.
+            // Most hold one or two, so both are read without a branch.
+            let bucket = buckets.get(hashes, l ^ t);
+            let pair = (bucket[0] ^ c).min(bucket[usize::from(2 <= bucket.len())] ^ c);
+            *slot = if bucket.len() > 2 { crowded(bucket, c, pair) } else { pair };
         }
     }
-    hashes
+    sig
+}
+
+/// Pass 1: for each lane `i`, the least `p ^ tops[i]` over the present top
+/// bytes `p`, sixteen lanes a `pminub`.
+fn least_top_bytes(present: &[u8], tops: &[u8; BLOCK]) -> [u8; BLOCK] {
+    let mut least = [u8::MAX; BLOCK];
+    for &p in present {
+        for (l, &t) in least.iter_mut().zip(tops) {
+            *l = (*l).min(p ^ t);
+        }
+    }
+    least
+}
+
+/// Pass 2 past a bucket's first two hashes: rare enough after
+/// deduplication that keeping it out of line pays.
+#[cold]
+#[inline(never)]
+fn crowded(bucket: &[u64], c: u64, pair: u64) -> u64 {
+    bucket[2..].iter().fold(pair, |m, &h| m.min(h ^ c))
+}
+
+fn top_byte(h: u64) -> u8 {
+    (h >> 56) as u8
+}
+
+/// The top-byte buckets of a sorted, deduplicated hash set.
+struct Buckets {
+    /// Bucket `t` is `hashes[start[t]..end[t]]`.
+    start: [usize; 256],
+    end: [usize; 256],
+    /// The top bytes of the non-empty buckets, ascending.
+    present: [u8; 256],
+    distinct: usize,
+}
+
+impl Buckets {
+    fn of_sorted(hashes: &[u64]) -> Buckets {
+        let mut b = Buckets { start: [0; 256], end: [0; 256], present: [0; 256], distinct: 0 };
+        let mut prev = None;
+        for (i, &h) in hashes.iter().enumerate() {
+            let t = top_byte(h);
+            if prev != Some(t) {
+                prev = Some(t);
+                b.start[usize::from(t)] = i;
+                b.present[b.distinct] = t;
+                b.distinct += 1;
+            }
+            b.end[usize::from(t)] = i + 1;
+        }
+        b
+    }
+
+    fn present(&self) -> &[u8] {
+        &self.present[..self.distinct]
+    }
+
+    fn get<'h>(&self, hashes: &'h [u64], t: u8) -> &'h [u64] {
+        let t = usize::from(t);
+        &hashes[self.start[t]..self.end[t]]
+    }
 }
 
 /// The FNV-1a hash of every shingle in the stream (multiset, in order).
@@ -71,6 +181,9 @@ pub fn exact_jaccard(a: &[u32], b: &[u32]) -> f64 {
     let union = sa.len() + sb.len() - inter;
     inter as f64 / union as f64
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
