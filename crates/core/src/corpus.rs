@@ -25,8 +25,9 @@
 //! An entry records one `row` number into the table's
 //! [`PackedFingerprintStore`]: fresh ingests append, a bulk snapshot load
 //! adopts the decoded store whole (and the decoded bucket directory,
-//! whose `u32` members are the index's ids, bucket by bucket as it is),
-//! an update overwrites its fixed-width row in place.
+//! whose flat `u32` member array becomes the index's bucket pool as it
+//! is, [`LshIndex::from_directory`]), an update overwrites its
+//! fixed-width row in place.
 //! [`Corpus::load_snapshot_resident`] puts a read-only
 //! [`ResidentStore`] *base* under it: row numbers below its `len()` are
 //! rows of the snapshot file, read in shard by shard (restore cost is
@@ -82,8 +83,9 @@
 //! bucket with any touched key, old or new. The index computes that set
 //! in the one batched pass that applies the delta — one lookup per
 //! distinct key, ids marked in a dense table, no bucket copied — so a
-//! 600-function module costs ≈ 7 ms of index work in a ≈ 40 ms re-ingest
-//! that is now mostly parse. The set is sound, and for hundreds of
+//! 600-function module's index work (8.5–10.7 ms on a shared 2 vCPU host,
+//! DESIGN.md "One index and the epoch model") is a fraction of a
+//! re-ingest that is mostly parse. The set is sound, and for hundreds of
 //! changed rows it is also the cheap answer — one estimate per (changed
 //! row, neighbor) pair would cost twice the request.
 //!
@@ -140,7 +142,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard}
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, BackendKind, FingerprintBackend};
-use f3m_fingerprint::lsh::{BandKey, Crossed, LshIndex, LshParams, QueryScratch};
+use f3m_fingerprint::lsh::{BandKey, BucketDirectory, Crossed, LshIndex, LshParams, QueryScratch};
 use f3m_fingerprint::pager::PagerKind;
 use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore};
 use f3m_fingerprint::snapshot::{self, Reader, SnapshotError, SnapshotHeader, Writer};
@@ -1136,21 +1138,13 @@ impl Corpus {
             store.push_with_keys(row.sig(), row.keys());
         }
 
-        // The bucket directory: the index's buckets, already in key order,
-        // with entry ids renumbered to snapshot rows.
-        let buckets: Vec<(BandKey, Vec<u32>)> = t
-            .index
-            .export_buckets()
-            .into_iter()
-            .map(|(key, members)| {
-                let rows: Vec<u32> = members.into_iter().map(|id| row_of[id as usize]).collect();
-                debug_assert!(
-                    rows.windows(2).all(|w| w[0] < w[1]),
-                    "live rows preserve entry order"
-                );
-                (key, rows)
-            })
-            .collect();
+        // The bucket directory: the index's buckets laid out flat in key
+        // order, entry ids renumbered to snapshot rows in place.
+        let buckets = t.index.export_directory().map(|id| row_of[id as usize]);
+        debug_assert!(
+            buckets.iter().all(|(_, rows)| rows.windows(2).all(|w| w[0] < w[1])),
+            "live rows preserve entry order"
+        );
 
         // Payload: live module sources, then per-row metadata.
         let live_modules: Vec<(usize, &LazyModule)> = t.live_modules().collect();
@@ -1185,7 +1179,7 @@ impl Corpus {
 
     /// Restores a corpus saved by [`Corpus::save_snapshot`] in one bulk
     /// read: the decoded packed store becomes the table's row store as
-    /// is, the index is rebuilt bucket-by-bucket from the directory, and
+    /// is, the index takes the decoded directory over as its pool, and
     /// the epoch resumes where the snapshot left off. Module bodies are NOT
     /// parsed here — queries run on the resident signatures, so restore
     /// cost is I/O + decode, and each body parses on first touch (an
@@ -1250,7 +1244,7 @@ impl Corpus {
     fn restore(
         cfg: CorpusConfig,
         header: SnapshotHeader,
-        buckets: Vec<(BandKey, Vec<u32>)>,
+        buckets: BucketDirectory<u32>,
         payload: &[u8],
         rows: PackedFingerprintStore,
         resident: Option<ResidentStore>,
@@ -1279,11 +1273,8 @@ impl Corpus {
                 });
             }
             // Entry `i` is row `i`, and the index holds `u32` ids like the
-            // directory: each bucket moves in as decoded.
-            t.index.reserve(buckets.len());
-            for (key, rows) in buckets {
-                t.index.restore_bucket(key, rows);
-            }
+            // directory: the index takes the directory over as its pool.
+            t.index = LshIndex::from_directory(header.lsh, buckets);
         }
         Ok(corpus)
     }

@@ -28,13 +28,33 @@
 //! offline pass builds a [`FlatIndex`] per sweep: one sort lays its
 //! buckets out in a single id pool, each row remembers its bucket
 //! numbers, and the sweep only removes. `f3m-core`'s resident corpus owns
-//! an [`LshIndex`] for its lifetime — a hash map of buckets that ingest,
-//! evict, update and restore write in place — read and written only under
-//! its table guard. Both fold each probed bucket into a [`QueryScratch`]
-//! by the one rule in `QueryScratch::visit_bucket`, so the cap window,
-//! the querier skip, the hit counts and discovery order cannot differ,
-//! and `LshIndex` is the reference the flat index is tested against.
-//! Neither stores more than ids — no version, no lock.
+//! an [`LshIndex`] for its lifetime — buckets that ingest, evict, update
+//! and restore write in place — read and written only under its table
+//! guard. Both fold each probed bucket into a [`QueryScratch`] by the one
+//! rule in `QueryScratch::visit_bucket`, so the cap window, the querier
+//! skip, the hit counts and discovery order cannot differ, and `LshIndex`
+//! is the reference the flat index is tested against. Neither stores more
+//! than ids — no version, no lock.
+//!
+//! ## The bucket pool
+//!
+//! An [`LshIndex`] keeps every bucket's members in one pool. Each bucket
+//! has a record — key, start, length and room — and an open-addressed,
+//! linear-probing table maps a key to its record. Band keys come from
+//! client IR, so the table hashes with std's `RandomState`, seeded per
+//! index; it is never more than three quarters full, and is rebuilt
+//! larger, dropping the records of emptied buckets, when a new bucket
+//! would pass that. A bucket's members sit ascending in the first `len`
+//! cells of its room. A bucket that outgrows its room moves to the end of
+//! the pool with double the room (one that already ends the pool grows
+//! where it is), and its old cells die; so do an emptied bucket's. When
+//! the dead cells outnumber the members, the pool is compacted: every
+//! bucket is laid out anew, with the room it had. A snapshot restore
+//! takes the directory's flat arrays ([`BucketDirectory`]) over as the
+//! pool — one record per bucket, one table fill, no allocation per bucket
+//! — and a save writes them back in key order. The map of per-bucket
+//! `Vec`s the pool replaced is kept as `reference` under `#[cfg(test)]`,
+//! and the pool is held to it under random writes.
 //!
 //! The corpus writes in two grains. A module-level delta
 //! ([`LshIndex::apply_delta`]) is one batched pass: its `(key, op, id)`
@@ -45,7 +65,7 @@
 //! touched bucket to a visitor instead, so its caller can judge neighbors
 //! one by one.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
 
 use crate::fnv::fnv1a_u64s;
@@ -120,11 +140,91 @@ pub fn band_keys_for(params: LshParams, sig: &[u64]) -> Vec<BandKey> {
         .collect()
 }
 
-/// An LSH index mapping band hashes to buckets of items.
+/// Buckets laid out flat: bucket `i` holds band key `keys[i]` and the
+/// members from `members[starts[i]]` up to the next bucket's start (the
+/// last bucket runs to the end of `members`), each ascending. It is the
+/// image of a snapshot's bucket directory:
+/// [`LshIndex::export_directory`] writes one in key order, and
+/// [`LshIndex::from_directory`] takes one over as its pool.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BucketDirectory<T> {
+    /// Each bucket's key, ascending.
+    pub(crate) keys: Vec<BandKey>,
+    /// Where each bucket's members start in `members`, ascending.
+    pub(crate) starts: Vec<u32>,
+    /// Every bucket's members, bucket after bucket.
+    pub(crate) members: Vec<T>,
+}
+
+impl<T> BucketDirectory<T> {
+    /// Number of buckets.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether there are no buckets.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Bucket `i`'s members.
+    fn bucket(&self, i: usize) -> &[T] {
+        let end = self.starts.get(i + 1).map_or(self.members.len(), |&e| e as usize);
+        &self.members[self.starts[i] as usize..end]
+    }
+
+    /// `(key, members)` of every bucket, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (BandKey, &[T])> + '_ {
+        self.keys.iter().enumerate().map(|(i, &key)| (key, self.bucket(i)))
+    }
+
+    /// The same buckets with every member mapped through `f`.
+    pub fn map<U>(self, f: impl FnMut(T) -> U) -> BucketDirectory<U> {
+        let BucketDirectory { keys, starts, members } = self;
+        BucketDirectory { keys, starts, members: members.into_iter().map(f).collect() }
+    }
+}
+
+/// One bucket of an [`LshIndex`]: its members sit at
+/// `pool[start..start + len]`, ascending, inside the `room` cells from
+/// `start` that are reserved for it. A bucket that empties gives its
+/// room up and keeps its key (`len == room == 0`) until the table is next
+/// rebuilt.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    key: BandKey,
+    start: u32,
+    len: u32,
+    room: u32,
+}
+
+/// A table slot that holds no bucket.
+const VACANT: u32 = u32::MAX;
+
+/// The smallest table, in slots.
+const MIN_TABLE: usize = 16;
+
+/// An LSH index mapping band hashes to buckets of items: one pool of
+/// members, one record per bucket, and an open-addressed table from key
+/// to record (see the module docs).
 #[derive(Clone, Debug)]
 pub struct LshIndex<T> {
     params: LshParams,
-    buckets: HashMap<BandKey, Vec<T>>,
+    /// Every bucket's members, each bucket in its own run of cells.
+    pool: Vec<T>,
+    /// One record per bucket, in no particular order.
+    buckets: Vec<Bucket>,
+    /// Linear-probing table of record numbers, a power of two long and at
+    /// most three quarters full; [`VACANT`] marks a free slot.
+    table: Vec<u32>,
+    /// Band keys come from client IR, so the table is keyed per index.
+    hasher: RandomState,
+    /// Members over all buckets.
+    live: usize,
+    /// Buckets holding at least one member.
+    nonempty: usize,
+    /// Pool cells outside every bucket's room.
+    dead: usize,
 }
 
 /// Per-query work counts reported by [`LshIndex::candidates_counted`].
@@ -308,7 +408,46 @@ impl<T: DenseId> LshIndex<T> {
     /// Panics if `rows` or `bands` is zero.
     pub fn new(params: LshParams) -> LshIndex<T> {
         assert!(params.rows > 0 && params.bands > 0, "rows/bands must be positive");
-        LshIndex { params, buckets: HashMap::new() }
+        LshIndex {
+            params,
+            pool: Vec::new(),
+            buckets: Vec::new(),
+            table: vec![VACANT; MIN_TABLE],
+            hasher: RandomState::new(),
+            live: 0,
+            nonempty: 0,
+            dead: 0,
+        }
+    }
+
+    /// An index whose buckets are `dir`'s, taking its member array over as
+    /// the pool: one record per bucket, each with exactly its own room,
+    /// and one table fill. `dir` must hold non-empty buckets under
+    /// distinct keys — snapshot loaders validate before calling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `bands` is zero, or if `dir` holds `u32::MAX`
+    /// members or more.
+    pub fn from_directory(params: LshParams, dir: BucketDirectory<T>) -> LshIndex<T> {
+        let BucketDirectory { keys, starts, members } = dir;
+        debug_assert!(keys.is_sorted(), "directory keys are ascending");
+        assert!(members.len() < u32::MAX as usize, "the pool holds fewer than 2³² cells");
+        let ends = starts.iter().skip(1).copied().chain([members.len() as u32]);
+        let mut index = LshIndex::new(params);
+        index.buckets = keys
+            .iter()
+            .zip(&starts)
+            .zip(ends)
+            .map(|((&key, &start), end)| {
+                debug_assert!(start < end, "directory buckets are non-empty");
+                Bucket { key, start, len: end - start, room: end - start }
+            })
+            .collect();
+        index.live = members.len();
+        index.pool = members;
+        index.rebuild_table(keys.len());
+        index
     }
 
     /// The banding parameters.
@@ -345,10 +484,10 @@ impl<T: DenseId> LshIndex<T> {
     /// at a time, in any order.)
     pub fn insert_with_keys(&mut self, id: T, keys: &[BandKey]) {
         for &key in keys {
-            let bucket = self.buckets.entry(key).or_default();
-            let pos = bucket.binary_search(&id).unwrap_or_else(|p| p);
-            bucket.insert(pos, id);
+            let b = self.bucket_for(key);
+            self.insert_one(b, id);
         }
+        self.settle();
     }
 
     /// Removes an item from all its bands (no-op for absent entries).
@@ -362,16 +501,14 @@ impl<T: DenseId> LshIndex<T> {
     /// the item's own band count, never to index size, which is what makes
     /// rebuild-free eviction possible for a resident index.
     pub fn remove_with_keys(&mut self, id: T, keys: &[BandKey]) {
-        for key in keys {
-            if let Some(v) = self.buckets.get_mut(key) {
-                if let Ok(pos) = v.binary_search(&id) {
-                    v.remove(pos);
-                    if v.is_empty() {
-                        self.buckets.remove(key);
-                    }
+        for &key in keys {
+            if let Some(b) = self.find(key) {
+                if let Ok(pos) = self.members(b).binary_search(&id) {
+                    self.remove_one(b, pos);
                 }
             }
         }
+        self.settle();
     }
 
     /// Applies a batch of removals then insertions and returns the union
@@ -423,6 +560,7 @@ impl<T: DenseId> LshIndex<T> {
             self.key_delta(run[0].0, removed, inserted, &mut mark);
             at += run.len();
         }
+        self.settle();
         dirty.sort_unstable();
         dirty
     }
@@ -467,50 +605,46 @@ impl<T: DenseId> LshIndex<T> {
     /// for the items probing that bucket: who they are, whether they can
     /// see the row, and which other id the step moved across the cap.
     /// The bucket ends up exactly as [`Self::insert_with_keys`] /
-    /// [`Self::remove_with_keys`] leave it — sorted, reclaimed once
-    /// empty, untouched by the removal of an absent id — which stay
-    /// separate as the plain one-row forms the batched delta and
-    /// [`FlatIndex`] are tested against, with no use for the report.
+    /// [`Self::remove_with_keys`] leave it: sorted, emptied buckets
+    /// reclaimed, untouched by the removal of an absent id.
     fn row_delta(&mut self, id: T, key: BandKey, op: RowOp) -> BucketDelta<'_, T> {
         let cap = self.params.bucket_cap;
         let first = |bucket: &[T]| bucket.partition_point(|&m| m < id);
-        let unchanged = |members| BucketDelta { members, visible: false, crossed: None };
-        match op {
+        let unchanged = BucketDelta { members: &[], visible: false, crossed: None };
+        let (b, visible, crossed) = match op {
             RowOp::Remove => {
-                let Entry::Occupied(mut slot) = self.buckets.entry(key) else {
-                    return unchanged(&[]);
-                };
-                let bucket = slot.get_mut();
-                let pos = first(bucket);
-                if bucket.get(pos) != Some(&id) {
-                    return unchanged(slot.into_mut());
+                let Some(b) = self.find(key) else { return unchanged };
+                let pos = first(self.members(b));
+                if self.members(b).get(pos) != Some(&id) {
+                    (b, false, None)
+                } else {
+                    self.remove_one(b, pos);
+                    let bucket = self.members(b);
+                    // The id that was just behind the cut slid into the
+                    // window.
+                    let crossed = (pos < cap && bucket.len() >= cap)
+                        .then(|| Crossed::Entered(bucket[cap - 1]));
+                    (b, false, crossed)
                 }
-                bucket.remove(pos);
-                if bucket.is_empty() {
-                    slot.remove();
-                    return unchanged(&[]);
-                }
-                // The id that was just behind the cut slid into the window.
-                let crossed =
-                    (pos < cap && bucket.len() >= cap).then(|| Crossed::Entered(bucket[cap - 1]));
-                BucketDelta { members: slot.into_mut(), visible: false, crossed }
             }
             RowOp::Insert => {
-                let bucket = self.buckets.entry(key).or_default();
-                let pos = first(bucket);
-                bucket.insert(pos, id);
+                let b = self.bucket_for(key);
+                let pos = self.insert_one(b, id);
                 let visible = pos < cap;
+                let bucket = self.members(b);
                 // The last visible id was pushed just behind the cut.
                 let crossed = (visible && bucket.len() > cap).then(|| Crossed::Left(bucket[cap]));
-                BucketDelta { members: bucket, visible, crossed }
+                (b, visible, crossed)
             }
             RowOp::Keep => {
-                let members = self.probe_key(key).unwrap_or(&[]);
+                let Some(b) = self.find(key) else { return unchanged };
+                let members = self.members(b);
                 let pos = first(members);
-                let visible = pos < cap && members.get(pos) == Some(&id);
-                BucketDelta { members, visible, crossed: None }
+                (b, pos < cap && members.get(pos) == Some(&id), None)
             }
-        }
+        };
+        self.settle();
+        BucketDelta { members: self.members(b), visible, crossed }
     }
 
     /// Applies everything a batch does to the bucket under `key` in one
@@ -523,8 +657,9 @@ impl<T: DenseId> LshIndex<T> {
     /// [`Self::insert_with_keys`] per insertion leave it: sorted, reclaimed
     /// once empty, untouched by the removal of an absent id, and holding an
     /// id once per time it was inserted (two bands of one row can fold to
-    /// the same key). Nothing is copied; insertions that sort after the
-    /// bucket's last id — a module ingest's always do — are appended.
+    /// the same key). Nothing is copied but the members that move: the
+    /// survivors close up in place, and the insertions merge in from the
+    /// back of the bucket's room.
     fn key_delta(
         &mut self,
         key: BandKey,
@@ -533,46 +668,62 @@ impl<T: DenseId> LshIndex<T> {
         mut visit: impl FnMut(T),
     ) {
         debug_assert!(removes.is_sorted() && inserts.is_sorted(), "batches are ascending");
-        match self.buckets.entry(key) {
-            Entry::Vacant(slot) => {
-                if !inserts.is_empty() {
-                    slot.insert(inserts.to_vec());
-                }
-            }
-            Entry::Occupied(mut slot) => {
-                let bucket = slot.get_mut();
-                // One walk visits the members and drops the removed ones.
-                let mut gone = removes.iter().peekable();
-                bucket.retain(|&m| {
-                    visit(m);
-                    while gone.next_if(|&&g| g < m).is_some() {}
-                    gone.next_if(|&&g| g == m).is_none()
-                });
-                match inserts.first() {
-                    Some(&first) if bucket.last().is_some_and(|&last| last > first) => {
-                        for &id in inserts {
-                            bucket.insert(bucket.partition_point(|&m| m < id), id);
-                        }
-                    }
-                    _ => bucket.extend_from_slice(inserts),
-                }
-                if bucket.is_empty() {
-                    slot.remove();
-                }
+        let b = match self.find(key) {
+            Some(b) => b,
+            None if inserts.is_empty() => return,
+            None => self.bucket_for(key),
+        };
+        let Bucket { start, len: was, .. } = self.buckets[b];
+        let cells = &mut self.pool[start as usize..(start + was) as usize];
+        // One walk visits the members and drops the removed ones.
+        let mut gone = removes.iter().peekable();
+        let mut kept = 0;
+        for i in 0..cells.len() {
+            let m = cells[i];
+            visit(m);
+            while gone.next_if(|&&g| g < m).is_some() {}
+            if gone.next_if(|&&g| g == m).is_none() {
+                cells[kept] = m;
+                kept += 1;
             }
         }
+        self.buckets[b].len = kept as u32;
+        if let Some(&first) = inserts.first() {
+            self.make_room(b, inserts.len(), first);
+            let start = self.buckets[b].start as usize;
+            let cells = &mut self.pool[start..start + kept + inserts.len()];
+            // Merge from the back: each step writes the larger of the two
+            // tails into the last free cell. Insertions that sort after
+            // the bucket's last id — a module ingest's always do — are a
+            // plain copy.
+            let (mut i, mut j) = (kept, inserts.len());
+            while j > 0 {
+                if i > 0 && cells[i - 1] > inserts[j - 1] {
+                    cells[i + j - 1] = cells[i - 1];
+                    i -= 1;
+                } else {
+                    cells[i + j - 1] = inserts[j - 1];
+                    j -= 1;
+                }
+            }
+            self.buckets[b].len += inserts.len() as u32;
+        }
+        self.booked(b, was as usize);
         inserts.iter().copied().for_each(visit);
     }
 
     /// The sorted contents of the bucket under one band key (`None` when
     /// empty).
     pub fn probe_key(&self, key: BandKey) -> Option<&[T]> {
-        self.buckets.get(&key).map(Vec::as_slice)
+        self.find(key).map(|b| self.members(b)).filter(|members| !members.is_empty())
     }
 
     /// Makes room for `additional` more buckets without rehashing — a
     /// restore knows its directory's bucket count before it installs any.
     pub fn reserve(&mut self, additional: usize) {
+        if (self.buckets.len() + additional) * 4 > self.table.len() * 3 {
+            self.rebuild_table(self.nonempty + additional);
+        }
         self.buckets.reserve(additional);
     }
 
@@ -582,22 +733,46 @@ impl<T: DenseId> LshIndex<T> {
     pub fn restore_bucket(&mut self, key: BandKey, items: Vec<T>) {
         debug_assert!(!items.is_empty(), "snapshot buckets are non-empty");
         debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "snapshot buckets are sorted");
-        self.buckets.insert(key, items);
+        let b = self.bucket_for(key);
+        let Bucket { len: was, room, .. } = self.buckets[b];
+        self.dead += room as usize;
+        let start = self.pool.len();
+        self.pool.extend_from_slice(&items);
+        self.check_pool();
+        let len = items.len() as u32;
+        self.buckets[b] = Bucket { key, start: start as u32, len, room: len };
+        self.booked(b, was as usize);
+        self.settle();
     }
 
     /// All buckets as `(key, sorted items)`, ordered by key — the bucket
     /// directory order the snapshot writer stores them in.
     pub fn export_buckets(&self) -> Vec<(BandKey, Vec<T>)> {
-        let mut out: Vec<(BandKey, Vec<T>)> =
-            self.buckets.iter().map(|(&k, v)| (k, v.clone())).collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
+        self.export_directory().iter().map(|(key, items)| (key, items.to_vec())).collect()
+    }
+
+    /// All buckets laid out flat in key order, as the snapshot writer
+    /// stores them: one copy of the members, no per-bucket allocation.
+    pub fn export_directory(&self) -> BucketDirectory<T> {
+        let mut order: Vec<Bucket> = self.buckets.iter().filter(|b| b.len > 0).copied().collect();
+        order.sort_unstable_by_key(|b| b.key);
+        let mut dir = BucketDirectory {
+            keys: Vec::with_capacity(order.len()),
+            starts: Vec::with_capacity(order.len()),
+            members: Vec::with_capacity(self.live),
+        };
+        for b in order {
+            dir.keys.push(b.key);
+            dir.starts.push(dir.members.len() as u32);
+            dir.members.extend_from_slice(&self.pool[b.start as usize..(b.start + b.len) as usize]);
+        }
+        dir
     }
 
     /// Total entries across all buckets (an item counts once per band it
     /// occupies).
     pub fn num_entries(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.live
     }
 
     /// Collects the distinct candidates sharing at least one band with
@@ -643,8 +818,8 @@ impl<T: DenseId> LshIndex<T> {
         let mut stats = LshQueryStats::default();
         for chunk in keys.chunks(CHUNK) {
             let mut buckets: [&[T]; CHUNK] = [&[]; CHUNK];
-            for (bucket, key) in buckets.iter_mut().zip(chunk) {
-                *bucket = self.buckets.get(key).map_or(&[], Vec::as_slice);
+            for (bucket, &key) in buckets.iter_mut().zip(chunk) {
+                *bucket = self.find(key).map_or(&[], |b| self.members(b));
             }
             for bucket in &buckets[..chunk.len()] {
                 scratch.visit_bucket(bucket, self.params.bucket_cap, exclude, &mut stats);
@@ -656,18 +831,173 @@ impl<T: DenseId> LshIndex<T> {
     /// Sizes of all non-empty buckets (for the Figure 16 style analysis of
     /// over-populated buckets).
     pub fn bucket_sizes(&self) -> Vec<usize> {
-        self.buckets.values().map(|v| v.len()).collect()
+        self.buckets.iter().filter(|b| b.len > 0).map(|b| b.len as usize).collect()
     }
 
     /// Number of non-empty buckets.
     pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
+        self.nonempty
     }
 
     /// Size of the fullest bucket (0 for an empty index). Over-populated
     /// buckets are where the `bucket_cap` truncation bites.
     pub fn max_bucket_size(&self) -> usize {
-        self.buckets.values().map(|v| v.len()).max().unwrap_or(0)
+        self.buckets.iter().map(|b| b.len as usize).max().unwrap_or(0)
+    }
+
+    /// The table slot `key` hashes to.
+    fn home(&self, key: BandKey) -> usize {
+        self.hasher.hash_one(key) as usize & (self.table.len() - 1)
+    }
+
+    /// The record of the bucket under `key`, empty or not.
+    #[inline]
+    fn find(&self, key: BandKey) -> Option<usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            match self.table[slot] {
+                VACANT => return None,
+                b if self.buckets[b as usize].key == key => return Some(b as usize),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The record of the bucket under `key`, made (empty, with no room)
+    /// if there is none. Adding a record to a table three quarters full
+    /// rebuilds the table first.
+    fn bucket_for(&mut self, key: BandKey) -> usize {
+        if let Some(b) = self.find(key) {
+            return b;
+        }
+        if (self.buckets.len() + 1) * 4 > self.table.len() * 3 {
+            self.rebuild_table(self.nonempty + 1);
+        }
+        let b = self.buckets.len();
+        self.buckets.push(Bucket { key, start: 0, len: 0, room: 0 });
+        self.place(b);
+        b
+    }
+
+    /// Puts record `b` into the first free slot from its key's home.
+    fn place(&mut self, b: usize) {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home(self.buckets[b].key);
+        while self.table[slot] != VACANT {
+            slot = (slot + 1) & mask;
+        }
+        self.table[slot] = b as u32;
+    }
+
+    /// Drops the records of emptied buckets and lays the table out anew,
+    /// sized for `buckets` non-empty ones at most two thirds full.
+    fn rebuild_table(&mut self, buckets: usize) {
+        self.buckets.retain(|b| b.len > 0);
+        self.nonempty = self.buckets.len();
+        let slots = (buckets.max(self.nonempty) * 3 / 2 + 1).next_power_of_two().max(MIN_TABLE);
+        self.table.clear();
+        self.table.resize(slots, VACANT);
+        for b in 0..self.buckets.len() {
+            self.place(b);
+        }
+    }
+
+    /// Bucket `b`'s members.
+    fn members(&self, b: usize) -> &[T] {
+        let Bucket { start, len, .. } = self.buckets[b];
+        &self.pool[start as usize..(start + len) as usize]
+    }
+
+    /// Makes bucket `b`'s room hold `more` members beyond its current
+    /// ones. A bucket that ends the pool grows where it is; any other
+    /// moves to the end of the pool with double the room (at least the
+    /// room it needs, at least four), and its old cells die. `fill` stands
+    /// in the new cells until they are written.
+    fn make_room(&mut self, b: usize, more: usize, fill: T) {
+        let Bucket { start, len, room, .. } = self.buckets[b];
+        let (start, len, room) = (start as usize, len as usize, room as usize);
+        if len + more <= room {
+            return;
+        }
+        let grown = (len + more).max(2 * room).max(4);
+        if start + room == self.pool.len() {
+            self.pool.resize(start + grown, fill);
+        } else {
+            let to = self.pool.len();
+            self.pool.extend_from_within(start..start + len);
+            self.pool.resize(to + grown, fill);
+            self.buckets[b].start = to as u32;
+            self.dead += room;
+        }
+        self.check_pool();
+        self.buckets[b].room = grown as u32;
+    }
+
+    /// Inserts `id` into bucket `b` in order and returns its position.
+    fn insert_one(&mut self, b: usize, id: T) -> usize {
+        let was = self.buckets[b].len as usize;
+        self.make_room(b, 1, id);
+        let start = self.buckets[b].start as usize;
+        let cells = &mut self.pool[start..start + was + 1];
+        let pos = cells[..was].partition_point(|&m| m < id);
+        cells.copy_within(pos..was, pos + 1);
+        cells[pos] = id;
+        self.buckets[b].len += 1;
+        self.booked(b, was);
+        pos
+    }
+
+    /// Takes the member at `pos` out of bucket `b`.
+    fn remove_one(&mut self, b: usize, pos: usize) {
+        let Bucket { start, len, .. } = self.buckets[b];
+        let (start, len) = (start as usize, len as usize);
+        self.pool.copy_within(start + pos + 1..start + len, start + pos);
+        self.buckets[b].len -= 1;
+        self.booked(b, len);
+    }
+
+    /// Books bucket `b`'s change from `was` members to the ones it holds
+    /// now: an emptied bucket gives its room up, its cells die.
+    fn booked(&mut self, b: usize, was: usize) {
+        let bucket = &mut self.buckets[b];
+        let now = bucket.len as usize;
+        self.live = self.live - was + now;
+        if was > 0 && now == 0 {
+            self.dead += bucket.room as usize;
+            bucket.room = 0;
+            self.nonempty -= 1;
+        } else if was == 0 && now > 0 {
+            self.nonempty += 1;
+        }
+    }
+
+    /// Cell positions are `u32`s.
+    fn check_pool(&self) {
+        assert!(self.pool.len() < u32::MAX as usize, "the pool holds fewer than 2³² cells");
+    }
+
+    /// Compacts the pool once its dead cells outnumber its members.
+    fn settle(&mut self) {
+        if self.dead > self.live {
+            self.compact();
+        }
+    }
+
+    /// Lays every non-empty bucket out anew, record after record, each
+    /// with the room it had; the dead cells are gone.
+    fn compact(&mut self) {
+        let mut pool = Vec::with_capacity(self.pool.len() - self.dead);
+        for bucket in &mut self.buckets {
+            let (start, len, room) = (bucket.start as usize, bucket.len as usize, bucket.room);
+            bucket.start = pool.len() as u32;
+            if len > 0 {
+                pool.extend_from_slice(&self.pool[start..start + len]);
+                pool.resize((bucket.start + room) as usize, self.pool[start]);
+            }
+        }
+        self.pool = pool;
+        self.dead = 0;
     }
 }
 
@@ -774,6 +1104,9 @@ impl FlatIndex {
         self.starts.iter().zip(&self.ends).map(|(&s, &e)| (e - s) as usize).filter(|&n| n > 0)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

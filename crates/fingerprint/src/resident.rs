@@ -215,9 +215,11 @@ impl ResidentStore {
             }
             raw
         };
-        let sigs = le_u64s(&read(self.sig_off + start * self.k * 8, (end - start) * self.k * 8));
+        let sigs =
+            le_u64s(&read(self.sig_off + start * self.k * 8, (end - start) * self.k * 8)).collect();
         let keys =
-            le_u32s(&read(self.key_off + start * self.bands * 4, (end - start) * self.bands * 4));
+            le_u32s(&read(self.key_off + start * self.bands * 4, (end - start) * self.bands * 4))
+                .collect();
         let rows = PackedFingerprintStore::from_pools(self.k, self.bands, sigs, keys)
             .expect("a shard's pool slices hold whole rows");
         Arc::new(rows)
@@ -275,7 +277,7 @@ impl ResidentStore {
 mod tests {
     use super::*;
     use crate::backend::BackendKind;
-    use crate::lsh::{band_keys_for, LshParams};
+    use crate::lsh::{band_keys_for, BucketDirectory, LshParams};
     use crate::fnv::xor_constants;
     use crate::minhash::minhash_signature;
     use crate::snapshot::{save_snapshot, SnapshotHeader};
@@ -299,7 +301,8 @@ mod tests {
         };
         let dir = std::env::temp_dir().join("f3m-resident-test");
         let path = dir.join(name);
-        save_snapshot(&path, &header, &store, &[], b"payload").expect("save");
+        save_snapshot(&path, &header, &store, &BucketDirectory::default(), b"payload")
+            .expect("save");
         (path, store)
     }
 

@@ -72,8 +72,24 @@
 //! arrays, so saving is two bulk writes and loading reconstitutes the
 //! store without per-entry work. The bucket directory is the index's
 //! buckets in key order, members as `u32` row ids — the id width the
-//! corpus's index holds — so the loader installs each bucket whole, the
-//! decoded vector moved in as it is.
+//! corpus's index holds — and is decoded into a flat
+//! [`BucketDirectory`] (keys, starts, members) that the index takes over
+//! as its bucket pool.
+//!
+//! ## Reading
+//!
+//! One decoder, [`read_snapshot`], serves every bulk read: a file
+//! ([`open_snapshot`]) or a byte slice ([`decode_snapshot`]). It never
+//! holds the file whole. It reads the 89-byte header, then the directory
+//! and the payload into one buffer each, and checks `meta_sum` over them
+//! before any structural parse, so bit rot stays a `ChecksumMismatch`.
+//! The payload buffer is the one returned, so it is not copied again. The
+//! pools then stream through one buffer of at most 1 MiB: each chunk is
+//! hashed into `pool_sum` by a streaming XXH64 — equal to the one-shot
+//! sum wherever the chunks split — and decoded straight into the store's
+//! vectors. A meta-only open ([`open_snapshot_meta`]) is the first half.
+//! Short and interrupted reads are retried; a stream that ends early is
+//! `Truncated`.
 //!
 //! Every decode failure is a typed [`SnapshotError`] — a truncated or
 //! garbled file must degrade to an empty start, never a panic. Headers are
@@ -82,10 +98,12 @@
 //! allocation.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::Path;
 
 use crate::backend::BackendKind;
-use crate::lsh::{BandKey, LshParams};
+use crate::lsh::{BucketDirectory, LshParams};
 use crate::store::PackedFingerprintStore;
 
 /// File magic: "F3MSNAP1" (the trailing `1` is part of the magic, not
@@ -100,6 +118,8 @@ pub const SNAPSHOT_HEADER_LEN: usize = 89;
 const META_SUM_OFF: usize = 73;
 /// Offset of the `pool_sum` field.
 const POOL_SUM_OFF: usize = 81;
+/// The most pool bytes a bulk read holds at once.
+const READ_CHUNK: usize = 1 << 20;
 
 // XXH64's five primes.
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -108,59 +128,112 @@ const P3: u64 = 0x1656_67B1_9E37_79F9;
 const P4: u64 = 0x85EB_CA77_C2B2_AE63;
 const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
-/// XXH64 of `bytes` under `seed` — the snapshot checksum. Passing one
-/// region's sum as the seed of the next seals discontiguous regions.
-fn xxh64(seed: u64, bytes: &[u8]) -> u64 {
-    fn round(acc: u64, lane: u64) -> u64 {
-        acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+fn round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+fn lane(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().unwrap())
+}
+
+/// Folds one 32-byte stripe into the four accumulators.
+fn fold(acc: &mut [u64; 4], stripe: &[u8]) {
+    for (i, a) in acc.iter_mut().enumerate() {
+        *a = round(*a, lane(&stripe[8 * i..]));
     }
-    fn lane(b: &[u8]) -> u64 {
-        u64::from_le_bytes(b[..8].try_into().unwrap())
-    }
-    let stripes = bytes.chunks_exact(32);
-    let mut rest = stripes.remainder();
-    let mut h = if bytes.len() >= 32 {
-        let mut v = [
+}
+
+/// XXH64 fed in pieces — the snapshot checksum. It folds each 32-byte
+/// stripe as it completes and holds back at most one partial stripe, so
+/// the sum of a region read a chunk at a time equals the sum of the whole
+/// region at once, wherever the chunks split it.
+struct Xxh64 {
+    seed: u64,
+    acc: [u64; 4],
+    /// The partial stripe not folded yet: `stripe[..held]`.
+    stripe: [u8; 32],
+    held: usize,
+    total: u64,
+}
+
+impl Xxh64 {
+    fn new(seed: u64) -> Xxh64 {
+        let acc = [
             seed.wrapping_add(P1).wrapping_add(P2),
             seed.wrapping_add(P2),
             seed,
             seed.wrapping_sub(P1),
         ];
-        for stripe in stripes {
-            for (i, acc) in v.iter_mut().enumerate() {
-                *acc = round(*acc, lane(&stripe[8 * i..]));
+        Xxh64 { seed, acc, stripe: [0; 32], held: 0, total: 0 }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.held > 0 {
+            let take = (32 - self.held).min(bytes.len());
+            self.stripe[self.held..self.held + take].copy_from_slice(&bytes[..take]);
+            self.held += take;
+            bytes = &bytes[take..];
+            if self.held < 32 {
+                return;
             }
+            fold(&mut self.acc, &self.stripe);
+            self.held = 0;
         }
-        let mut h = v[0]
-            .rotate_left(1)
-            .wrapping_add(v[1].rotate_left(7))
-            .wrapping_add(v[2].rotate_left(12))
-            .wrapping_add(v[3].rotate_left(18));
-        for acc in v {
-            h = (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4);
+        let stripes = bytes.chunks_exact(32);
+        let rest = stripes.remainder();
+        let mut acc = self.acc;
+        for stripe in stripes {
+            fold(&mut acc, stripe);
         }
-        h
-    } else {
-        seed.wrapping_add(P5)
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    while rest.len() >= 8 {
-        h = (h ^ round(0, lane(rest))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
-        rest = &rest[8..];
+        self.acc = acc;
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.held = rest.len();
     }
-    if rest.len() >= 4 {
-        let word = u64::from(u32::from_le_bytes(rest[..4].try_into().unwrap()));
-        h = (h ^ word.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
-        rest = &rest[4..];
+
+    fn digest(&self) -> u64 {
+        let mut h = if self.total >= 32 {
+            let v = self.acc;
+            let mut h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            for acc in v {
+                h = (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            self.seed.wrapping_add(P5)
+        };
+        h = h.wrapping_add(self.total);
+        let mut rest = &self.stripe[..self.held];
+        while rest.len() >= 8 {
+            h = (h ^ round(0, lane(rest))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            let word = u64::from(u32::from_le_bytes(rest[..4].try_into().unwrap()));
+            h = (h ^ word.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &b in rest {
+            h = (h ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
-    for &b in rest {
-        h = (h ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
+}
+
+/// XXH64 of `bytes` under `seed`. Passing one region's sum as the seed of
+/// the next seals discontiguous regions.
+fn xxh64(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = Xxh64::new(seed);
+    h.update(bytes);
+    h.digest()
 }
 
 /// The `meta_sum` of a file whose meta region ends at `meta_end`: its
@@ -260,8 +333,8 @@ pub struct SnapshotMeta {
     pub header: SnapshotHeader,
     /// Byte geometry of the whole file.
     pub layout: SnapshotLayout,
-    /// Bucket directory: `(key, ascending fn ids)`, ascending by key.
-    pub buckets: Vec<(BandKey, Vec<u32>)>,
+    /// Bucket directory: ascending fn ids per bucket, ascending by key.
+    pub buckets: BucketDirectory<u32>,
     /// The caller's opaque section (corpus metadata).
     pub payload: Vec<u8>,
     /// Stored pool checksum (verified only by the bulk decode path).
@@ -274,8 +347,8 @@ pub struct SnapshotFile {
     pub header: SnapshotHeader,
     /// The packed signature + band-key pools.
     pub store: PackedFingerprintStore,
-    /// Bucket directory: `(key, ascending fn ids)`, ascending by key.
-    pub buckets: Vec<(BandKey, Vec<u32>)>,
+    /// Bucket directory: ascending fn ids per bucket, ascending by key.
+    pub buckets: BucketDirectory<u32>,
     /// The caller's opaque section (corpus metadata).
     pub payload: Vec<u8>,
 }
@@ -354,7 +427,7 @@ fn align8(n: usize) -> usize {
 pub fn encode_snapshot(
     header: &SnapshotHeader,
     store: &PackedFingerprintStore,
-    buckets: &[(BandKey, Vec<u32>)],
+    buckets: &BucketDirectory<u32>,
     payload: &[u8],
 ) -> Vec<u8> {
     assert_eq!(store.k(), header.k, "store width disagrees with header");
@@ -363,8 +436,8 @@ pub fn encode_snapshot(
 
     let mut dir = Writer::default();
     dir.u64(buckets.len() as u64);
-    for (key, members) in buckets {
-        dir.u32(*key);
+    for (key, members) in buckets.iter() {
+        dir.u32(key);
         dir.u32(members.len() as u32);
         for &m in members {
             dir.u32(m);
@@ -420,14 +493,16 @@ fn read_u64(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
 }
 
-/// A little-endian `u64` pool as written by [`encode_snapshot`].
-pub(crate) fn le_u64s(bytes: &[u8]) -> Vec<u64> {
-    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
+/// The words of a little-endian `u64` pool as written by
+/// [`encode_snapshot`].
+pub(crate) fn le_u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()))
 }
 
-/// A little-endian `u32` pool as written by [`encode_snapshot`].
-pub(crate) fn le_u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect()
+/// The words of a little-endian `u32` pool as written by
+/// [`encode_snapshot`].
+pub(crate) fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap()))
 }
 
 /// Checks the magic, version and length of a snapshot's fixed header and
@@ -455,42 +530,77 @@ fn header_meta_end(buf: &[u8]) -> Result<u64, SnapshotError> {
         .ok_or(SnapshotError::Truncated)
 }
 
-/// Parses and validates the meta region of a snapshot from `buf`, which
-/// must hold at least the first `meta_end` bytes of the file;
-/// `file_len` is the true on-disk length (used to validate the implied
-/// pool geometry without reading the pools).
+/// Fills `buf` from `r`; the stream ending first is
+/// [`SnapshotError::Truncated`]. Short and interrupted reads are retried.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<(), SnapshotError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => SnapshotError::Truncated,
+        _ => SnapshotError::Io(e),
+    })
+}
+
+/// Reads from `r` until `buf` is full or the stream ends, and returns how
+/// many bytes arrived. Short and interrupted reads are retried.
+fn fill_up_to(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, SnapshotError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(SnapshotError::Io(e)),
+        }
+    }
+    Ok(got)
+}
+
+/// Reads and validates the meta region of a snapshot — header, bucket
+/// directory, payload — from the start of `r`, leaving `r` at the end of
+/// the payload. `file_len` is the length of the whole file, which
+/// validates the pool geometry without reading the pools.
 ///
 /// Validation order matters for error typing: magic → version →
 /// meta-region bounds → meta checksum → structural checks. Structural
 /// `Corrupt` errors therefore only fire on files that were *written*
 /// malformed, never on bit rot (that's a `ChecksumMismatch`) or short
-/// files (`Truncated`).
-pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, SnapshotError> {
-    let meta_end64 = header_meta_end(buf)?;
-    let payload_len64 = read_u64(buf, 57);
-    let dir_len64 = read_u64(buf, 65);
-    let stored_meta_sum = read_u64(buf, META_SUM_OFF);
-    let pool_sum = read_u64(buf, POOL_SUM_OFF);
-    if meta_end64 > file_len || meta_end64 > buf.len() as u64 {
+/// files (`Truncated`). The directory and the payload are each read into
+/// a buffer of their own — the payload's is the one returned — and
+/// hashed there; the directory is parsed only once the sum holds.
+fn read_meta(r: &mut impl Read, file_len: u64) -> Result<SnapshotMeta, SnapshotError> {
+    let mut head = [0u8; SNAPSHOT_HEADER_LEN];
+    let got = fill_up_to(r, &mut head)?;
+    let meta_end64 = header_meta_end(&head[..got])?;
+    if meta_end64 > file_len {
         return Err(SnapshotError::Truncated);
     }
-    let meta_end = meta_end64 as usize;
-    if meta_sum(buf, meta_end) != stored_meta_sum {
+    // Both lengths fit in `file_len` now, so neither buffer can be made
+    // larger than the file.
+    let payload_len = read_u64(&head, 57) as usize;
+    let dir_len = read_u64(&head, 65) as usize;
+    let mut dir = vec![0; dir_len];
+    fill(r, &mut dir)?;
+    let mut payload = vec![0; payload_len];
+    fill(r, &mut payload)?;
+    let mut sum = Xxh64::new(xxh64(0, &head[..META_SUM_OFF]));
+    for part in [&head[POOL_SUM_OFF..], &dir, &payload] {
+        sum.update(part);
+    }
+    if sum.digest() != read_u64(&head, META_SUM_OFF) {
         return Err(SnapshotError::ChecksumMismatch);
     }
 
     // From here on the meta region is exactly what was written; any
     // structural failure means the writer lied.
     let backend =
-        BackendKind::from_tag(buf[12]).ok_or(SnapshotError::Corrupt("unknown backend tag"))?;
-    let k = read_u32(buf, 13) as usize;
-    let rows = read_u32(buf, 17) as usize;
-    let bands = read_u32(buf, 21) as usize;
-    let bucket_cap = usize::try_from(read_u64(buf, 25)).unwrap_or(usize::MAX);
-    let threshold = f64::from_bits(read_u64(buf, 33));
-    let epoch = read_u64(buf, 41);
+        BackendKind::from_tag(head[12]).ok_or(SnapshotError::Corrupt("unknown backend tag"))?;
+    let k = read_u32(&head, 13) as usize;
+    let rows = read_u32(&head, 17) as usize;
+    let bands = read_u32(&head, 21) as usize;
+    let bucket_cap = usize::try_from(read_u64(&head, 25)).unwrap_or(usize::MAX);
+    let threshold = f64::from_bits(read_u64(&head, 33));
+    let epoch = read_u64(&head, 41);
     let entries =
-        usize::try_from(read_u64(buf, 49)).map_err(|_| SnapshotError::Corrupt("entry count"))?;
+        usize::try_from(read_u64(&head, 49)).map_err(|_| SnapshotError::Corrupt("entry count"))?;
     if k == 0 || rows == 0 || bands == 0 {
         return Err(SnapshotError::Corrupt("zero row width"));
     }
@@ -504,6 +614,7 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
     // Pool geometry implied by the header; validated against the true
     // file length so a hostile `entries` cannot force an allocation —
     // the check fails before any pool byte is touched.
+    let meta_end = meta_end64 as usize;
     let sig_pool_bytes = entries
         .checked_mul(k)
         .and_then(|v| v.checked_mul(8))
@@ -524,13 +635,11 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
         return Err(SnapshotError::Corrupt("trailing bytes"));
     }
 
-    let dir_len = dir_len64 as usize;
-    let mut r = Reader::new(&buf[SNAPSHOT_HEADER_LEN..SNAPSHOT_HEADER_LEN + dir_len]);
+    let mut r = Reader::new(&dir);
     let buckets = parse_directory(&mut r, entries)?;
     if r.remaining() != 0 {
         return Err(SnapshotError::Corrupt("bucket directory trailing bytes"));
     }
-    let payload = buf[SNAPSHOT_HEADER_LEN + dir_len..meta_end].to_vec();
 
     Ok(SnapshotMeta {
         header: SnapshotHeader {
@@ -543,7 +652,7 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
         },
         layout: SnapshotLayout {
             dir_len,
-            payload_len: payload_len64 as usize,
+            payload_len,
             meta_end,
             pool_start,
             sig_pool_bytes,
@@ -552,17 +661,27 @@ pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, S
         },
         buckets,
         payload,
-        pool_sum,
+        pool_sum: read_u64(&head, POOL_SUM_OFF),
     })
 }
 
-/// Parses the bucket directory. The region is checksum-verified before
+/// Parses and validates the meta region of a snapshot from `buf`, which
+/// must hold at least the first `meta_end` bytes of the file;
+/// `file_len` is the true on-disk length (used to validate the implied
+/// pool geometry without reading the pools). The checks and their order
+/// are [`open_snapshot_meta`]'s.
+pub fn decode_snapshot_meta(buf: &[u8], file_len: u64) -> Result<SnapshotMeta, SnapshotError> {
+    read_meta(&mut &buf[..], file_len)
+}
+
+/// Parses the bucket directory into flat arrays, the form the corpus's
+/// index takes over as its pool. The region is checksum-verified before
 /// this runs, so running off its end means the directory lies about
 /// itself — `Corrupt`, not `Truncated`.
 fn parse_directory(
     r: &mut Reader<'_>,
     entries: usize,
-) -> Result<Vec<(BandKey, Vec<u32>)>, SnapshotError> {
+) -> Result<BucketDirectory<u32>, SnapshotError> {
     let truncated = |e| match e {
         SnapshotError::Truncated => SnapshotError::Corrupt("bucket directory truncated"),
         other => other,
@@ -571,80 +690,139 @@ fn parse_directory(
         .map_err(|_| SnapshotError::Corrupt("bucket count"))?;
     // Untrusted count: each bucket needs ≥ 12 bytes (key + len + one
     // member), so cap the pre-allocation by what is physically present.
-    let mut buckets: Vec<(BandKey, Vec<u32>)> =
-        Vec::with_capacity(num_buckets.min(r.remaining() / 12));
-    let mut last_key: Option<BandKey> = None;
+    let room = num_buckets.min(r.remaining() / 12);
+    let mut dir = BucketDirectory {
+        keys: Vec::with_capacity(room),
+        starts: Vec::with_capacity(room),
+        members: Vec::with_capacity(r.remaining().saturating_sub(8 * room) / 4),
+    };
     for _ in 0..num_buckets {
         let key = r.u32().map_err(truncated)?;
-        if let Some(prev) = last_key {
-            if key <= prev {
-                return Err(SnapshotError::Corrupt("bucket keys not ascending"));
-            }
+        if dir.keys.last().is_some_and(|&prev| key <= prev) {
+            return Err(SnapshotError::Corrupt("bucket keys not ascending"));
         }
-        last_key = Some(key);
         let len = r.u32().map_err(truncated)? as usize;
         if len == 0 {
             return Err(SnapshotError::Corrupt("empty bucket"));
         }
-        let members = le_u32s(
-            r.take(len.checked_mul(4).ok_or(SnapshotError::Corrupt("bucket size"))?)
-                .map_err(truncated)?,
-        );
+        let bytes =
+            r.take(len.checked_mul(4).ok_or(SnapshotError::Corrupt("bucket size"))?).map_err(truncated)?;
+        let start = dir.members.len();
+        dir.members.extend(le_u32s(bytes));
+        let members = &dir.members[start..];
         if !members.windows(2).all(|w| w[0] < w[1]) {
             return Err(SnapshotError::Corrupt("bucket members not ascending"));
         }
         if members.iter().any(|&m| m as usize >= entries) {
             return Err(SnapshotError::Corrupt("bucket member out of range"));
         }
-        buckets.push((key, members));
+        dir.keys.push(key);
+        dir.starts.push(start as u32);
     }
-    Ok(buckets)
+    if dir.members.len() >= u32::MAX as usize {
+        return Err(SnapshotError::Corrupt("bucket directory size"));
+    }
+    Ok(dir)
+}
+
+/// Reads the pools that follow the meta region `meta` was read from —
+/// the padding, then the signature pool, then the key pool — through one
+/// buffer of at most [`READ_CHUNK`] bytes: each chunk is hashed into the
+/// pool sum and decoded straight into the store's vectors. A stream that
+/// runs on past the pools is `Corrupt("trailing bytes")`.
+fn read_pools(
+    r: &mut impl Read,
+    meta: &SnapshotMeta,
+) -> Result<PackedFingerprintStore, SnapshotError> {
+    let l = meta.layout;
+    let mut sum = Xxh64::new(0);
+    let mut padding = [0u8; 8];
+    let padding = &mut padding[..l.pool_start - l.meta_end];
+    fill(r, padding)?;
+    sum.update(padding);
+    let mut chunk = vec![0; READ_CHUNK.min(l.sig_pool_bytes.max(l.key_pool_bytes))];
+    let mut stream = |len: usize, decode: &mut dyn FnMut(&[u8])| {
+        let mut left = len;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            let part = &mut chunk[..n];
+            fill(r, part)?;
+            sum.update(part);
+            decode(part);
+            left -= part.len();
+        }
+        Ok::<(), SnapshotError>(())
+    };
+    let mut sigs = Vec::with_capacity(l.sig_pool_bytes / 8);
+    stream(l.sig_pool_bytes, &mut |part| sigs.extend(le_u64s(part)))?;
+    let mut keys = Vec::with_capacity(l.key_pool_bytes / 4);
+    stream(l.key_pool_bytes, &mut |part| keys.extend(le_u32s(part)))?;
+    if sum.digest() != meta.pool_sum {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    if fill_up_to(r, &mut [0])? != 0 {
+        return Err(SnapshotError::Corrupt("trailing bytes"));
+    }
+    PackedFingerprintStore::from_pools(meta.header.k, meta.header.lsh.bands, sigs, keys)
+        .ok_or(SnapshotError::Corrupt("inconsistent pools"))
+}
+
+/// Reads and validates a whole snapshot from `reader`, which yields the
+/// `len` bytes of one file from its start: the meta region first
+/// ([`decode_snapshot_meta`]'s checks), then the pools, streamed and
+/// checked against the pool sum. Never holds the file whole.
+pub fn read_snapshot(mut reader: impl Read, len: u64) -> Result<SnapshotFile, SnapshotError> {
+    let meta = read_meta(&mut reader, len)?;
+    let store = read_pools(&mut reader, &meta)?;
+    Ok(SnapshotFile { header: meta.header, store, buckets: meta.buckets, payload: meta.payload })
 }
 
 /// Decodes and validates snapshot bytes, pools included. Inverse of
 /// [`encode_snapshot`]; every malformation maps to a typed
-/// [`SnapshotError`].
+/// [`SnapshotError`]. The decoder is [`read_snapshot`]'s, run over the
+/// slice.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
-    let meta = decode_snapshot_meta(bytes, bytes.len() as u64)?;
-    let l = meta.layout;
-    if xxh64(0, &bytes[l.meta_end..]) != meta.pool_sum {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let sigs = le_u64s(&bytes[l.pool_start..l.pool_start + l.sig_pool_bytes]);
-    let keys = le_u32s(&bytes[l.pool_start + l.sig_pool_bytes..]);
-    let store = PackedFingerprintStore::from_pools(meta.header.k, meta.header.lsh.bands, sigs, keys)
-        .ok_or(SnapshotError::Corrupt("inconsistent pools"))?;
-    Ok(SnapshotFile { header: meta.header, store, buckets: meta.buckets, payload: meta.payload })
+    read_snapshot(bytes, bytes.len() as u64)
 }
 
-/// Writes a snapshot file atomically (temp file + rename), so a crash
-/// mid-save never leaves a half-written snapshot where a loader expects a
-/// valid one.
+/// Writes a snapshot file atomically: to a temp file named after it
+/// (`path` plus `.tmp`, so two snapshots never share one), then renamed
+/// over it, so a crash mid-save never leaves a half-written snapshot where
+/// a loader expects a valid one, and a reader holding the old file keeps
+/// reading the old bytes. A failed write or rename removes the temp file.
 pub fn save_snapshot(
     path: &Path,
     header: &SnapshotHeader,
     store: &PackedFingerprintStore,
-    buckets: &[(BandKey, Vec<u32>)],
+    buckets: &BucketDirectory<u32>,
     payload: &[u8],
 ) -> Result<(), SnapshotError> {
     let bytes = encode_snapshot(header, store, buckets, payload);
-    let tmp = path.with_extension("tmp");
+    let mut name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "a snapshot path names a file"))?
+        .to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
         }
     }
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    let saved = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if saved.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    Ok(saved?)
 }
 
-/// Reads and validates a snapshot file — the whole file in one bulk read
-/// (the layout is contiguous precisely so this is a single sequential
-/// I/O), then a zero-rebuild decode. Verifies both checksums.
+/// Reads and validates a snapshot file, both checksums included, by
+/// [`read_snapshot`]: the meta region into its own buffers, the pools a
+/// chunk at a time into the store.
 pub fn open_snapshot(path: &Path) -> Result<SnapshotFile, SnapshotError> {
-    let bytes = std::fs::read(path)?;
-    decode_snapshot(&bytes)
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    read_snapshot(file, len)
 }
 
 /// Reads and validates only the meta prefix of a snapshot file — header,
@@ -656,20 +834,9 @@ pub fn open_snapshot(path: &Path) -> Result<SnapshotFile, SnapshotError> {
 /// the pools); the returned [`SnapshotMeta::pool_sum`] lets a caller do
 /// so later if it wants the full-integrity path.
 pub fn open_snapshot_meta(path: &Path) -> Result<SnapshotMeta, SnapshotError> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path)?;
-    let file_len = f.metadata()?.len();
-    let mut buf = Vec::new();
-    (&mut f).take(SNAPSHOT_HEADER_LEN as u64).read_to_end(&mut buf)?;
-    let meta_end = header_meta_end(&buf)?;
-    if meta_end > file_len {
-        return Err(SnapshotError::Truncated);
-    }
-    (&mut f).take(meta_end - SNAPSHOT_HEADER_LEN as u64).read_to_end(&mut buf)?;
-    if (buf.len() as u64) < meta_end {
-        return Err(SnapshotError::Truncated);
-    }
-    decode_snapshot_meta(&buf, file_len)
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    read_meta(&mut file, len)
 }
 
 #[cfg(test)]
@@ -683,7 +850,7 @@ mod tests {
         LshParams { rows: 2, bands: 16, bucket_cap: 100 }
     }
 
-    fn build_fixture(n: u32) -> (SnapshotHeader, PackedFingerprintStore, Vec<(BandKey, Vec<u32>)>) {
+    fn build_fixture(n: u32) -> (SnapshotHeader, PackedFingerprintStore, BucketDirectory<u32>) {
         let p = params();
         let mut store = PackedFingerprintStore::with_capacity(32, p.bands, n as usize);
         let mut index: LshIndex<u32> = LshIndex::new(p);
@@ -702,7 +869,7 @@ mod tests {
             epoch: 9,
             entries: n as usize,
         };
-        (header, store, index.export_buckets())
+        (header, store, index.export_directory())
     }
 
     /// Re-seals the meta checksum after a test mutates the meta region,
@@ -716,6 +883,61 @@ mod tests {
         bytes[META_SUM_OFF..META_SUM_OFF + 8].copy_from_slice(&sum.to_le_bytes());
     }
 
+    /// The one-shot XXH64 the streaming hasher replaced, kept verbatim as
+        /// the reference it is held to.
+        fn one_shot_xxh64(seed: u64, bytes: &[u8]) -> u64 {
+        fn round(acc: u64, lane: u64) -> u64 {
+            acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+        }
+        fn lane(b: &[u8]) -> u64 {
+            u64::from_le_bytes(b[..8].try_into().unwrap())
+        }
+        let stripes = bytes.chunks_exact(32);
+        let mut rest = stripes.remainder();
+        let mut h = if bytes.len() >= 32 {
+            let mut v = [
+                seed.wrapping_add(P1).wrapping_add(P2),
+                seed.wrapping_add(P2),
+                seed,
+                seed.wrapping_sub(P1),
+            ];
+            for stripe in stripes {
+                for (i, acc) in v.iter_mut().enumerate() {
+                    *acc = round(*acc, lane(&stripe[8 * i..]));
+                }
+            }
+            let mut h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            for acc in v {
+                h = (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            seed.wrapping_add(P5)
+        };
+        h = h.wrapping_add(bytes.len() as u64);
+        while rest.len() >= 8 {
+            h = (h ^ round(0, lane(rest))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            let word = u64::from(u32::from_le_bytes(rest[..4].try_into().unwrap()));
+            h = (h ^ word.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &b in rest {
+            h = (h ^ u64::from(b).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+
     #[test]
     fn xxh64_known_answers() {
         assert_eq!(xxh64(0, b""), 0xef46_db37_51d8_e999);
@@ -725,6 +947,51 @@ mod tests {
         let spam = b"Nobody inspects the spammish repetition";
         assert_eq!(spam.len(), 39);
         assert_eq!(xxh64(0, spam), 0xfbce_a83c_8a37_8bf1);
+        // Fed a byte at a time, the streaming hasher gives the same three.
+        for (input, sum) in [
+            (&b""[..], 0xef46_db37_51d8_e999),
+            (b"abc", 0x44bc_2cf5_ad77_0999),
+            (spam, 0xfbce_a83c_8a37_8bf1),
+        ] {
+            let mut h = Xxh64::new(0);
+            input.chunks(1).for_each(|b| h.update(b));
+            assert_eq!(h.digest(), sum);
+            assert_eq!(one_shot_xxh64(0, input), sum);
+        }
+    }
+
+    /// The streaming sum is the one-shot sum wherever the input is split:
+    /// at every split point of random inputs up to five stripes long (so
+    /// a split lands in every position of a stripe, before and after the
+    /// first whole one), under random seeds, and in three-way splits of
+    /// longer inputs.
+    #[test]
+    fn streaming_xxh64_equals_the_one_shot_sum_at_every_split() {
+        use f3m_prng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(73);
+        for len in 0..=160 {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+            let seed = if len % 2 == 0 { 0 } else { rng.next_u64() };
+            let want = one_shot_xxh64(seed, &bytes);
+            assert_eq!(xxh64(seed, &bytes), want, "len {len}");
+            for at in 0..=len {
+                let mut h = Xxh64::new(seed);
+                h.update(&bytes[..at]);
+                h.update(&bytes[at..]);
+                assert_eq!(h.digest(), want, "len {len} split at {at}");
+            }
+        }
+        for _ in 0..200 {
+            let len = rng.gen_range(0..5000usize);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+            let (a, b) = (rng.gen_range(0..=len), rng.gen_range(0..=len));
+            let (a, b) = (a.min(b), a.max(b));
+            let mut h = Xxh64::new(7);
+            for part in [&bytes[..a], &bytes[a..b], &bytes[b..]] {
+                h.update(part);
+            }
+            assert_eq!(h.digest(), one_shot_xxh64(7, &bytes), "len {len} split at {a}, {b}");
+        }
     }
 
     #[test]
@@ -796,7 +1063,7 @@ mod tests {
             entries: 0,
         };
         let store = PackedFingerprintStore::with_capacity(32, p.bands, 0);
-        let bytes = encode_snapshot(&header, &store, &[], &[]);
+        let bytes = encode_snapshot(&header, &store, &BucketDirectory::default(), &[]);
         let snap = decode_snapshot(&bytes).expect("empty snapshot decodes");
         assert_eq!(snap.header.entries, 0);
         assert_eq!(snap.header.backend, BackendKind::Embed);
@@ -960,7 +1227,7 @@ mod tests {
         // Craft a file whose checksum is right but whose bucket directory
         // lies — decode must still reject it with Corrupt.
         let (header, store, mut buckets) = build_fixture(6);
-        buckets[0].1.push(100); // member id out of range (entries = 6)
+        buckets.members.push(100); // last bucket: id out of range (entries = 6)
         let bytes = encode_snapshot(&header, &store, &buckets, &[]);
         assert!(matches!(
             decode_snapshot(&bytes),
@@ -968,14 +1235,77 @@ mod tests {
         ));
 
         let (header, store, mut buckets) = build_fixture(6);
-        buckets[0].1.reverse();
-        if buckets[0].1.len() > 1 {
+        let first = buckets.iter().next().expect("a bucket").1.len();
+        buckets.members[..first].reverse();
+        if first > 1 {
             let bytes = encode_snapshot(&header, &store, &buckets, &[]);
             assert!(matches!(
                 decode_snapshot(&bytes),
                 Err(SnapshotError::Corrupt("bucket members not ascending"))
             ));
         }
+    }
+
+    /// A fresh directory under the system temp dir for one test.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("f3m-snapshot-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        dir
+    }
+
+    /// A snapshot's temp file is its own name plus `.tmp`: saving `c.a`
+    /// leaves a file called `c.tmp` alone (with `with_extension` it was
+    /// `c.a`'s, and `c.b`'s, temp file) and leaves no temp file behind.
+    #[test]
+    fn each_snapshot_has_its_own_temp_file() {
+        let (header, store, buckets) = build_fixture(4);
+        let dir = scratch_dir("temp-name");
+        std::fs::write(dir.join("c.tmp"), b"keep").unwrap();
+        for name in ["c.a", "c.b"] {
+            save_snapshot(&dir.join(name), &header, &store, &buckets, b"p").expect("save");
+            assert!(!dir.join(format!("{name}.tmp")).exists(), "{name}: temp file left behind");
+        }
+        assert_eq!(std::fs::read(dir.join("c.tmp")).unwrap(), b"keep");
+        assert_eq!(open_snapshot(&dir.join("c.b")).expect("open").payload, b"p");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot named `x.tmp` is replaced whole, never rewritten in
+    /// place: a reader that opened the old file keeps reading the old
+    /// bytes.
+    #[cfg(unix)]
+    #[test]
+    fn a_snapshot_named_tmp_is_replaced_not_rewritten() {
+        use std::io::Read;
+        let dir = scratch_dir("named-tmp");
+        let path = dir.join("x.tmp");
+        let (header, store, buckets) = build_fixture(4);
+        save_snapshot(&path, &header, &store, &buckets, b"old").expect("save");
+        let old = std::fs::read(&path).unwrap();
+        let mut reader = std::fs::File::open(&path).unwrap();
+        let (header, store, buckets) = build_fixture(6);
+        save_snapshot(&path, &header, &store, &buckets, b"new").expect("save over");
+        let mut seen = Vec::new();
+        reader.read_to_end(&mut seen).unwrap();
+        assert_eq!(seen, old, "the open file was rewritten in place");
+        assert_eq!(open_snapshot(&path).expect("open").payload, b"new");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A save whose rename fails — here onto a directory that is not
+    /// empty — is an I/O error and removes its temp file.
+    #[test]
+    fn a_failed_save_removes_its_temp_file() {
+        let dir = scratch_dir("failed-rename");
+        let target = dir.join("d");
+        std::fs::create_dir_all(target.join("inner")).unwrap();
+        let (header, store, buckets) = build_fixture(4);
+        let err = save_snapshot(&target, &header, &store, &buckets, b"p").expect_err("rename");
+        assert!(matches!(err, SnapshotError::Io(_)), "{err}");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["d"], "only the directory remains");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
