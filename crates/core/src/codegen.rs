@@ -32,7 +32,7 @@ use f3m_ir::cfg::Cfg;
 use f3m_ir::dom::DomTree;
 use f3m_ir::function::Function;
 use f3m_ir::ids::{BlockId, FuncId, InstId, ValueId};
-use f3m_ir::inst::{Instruction, Opcode};
+use f3m_ir::inst::{Instruction, Opcode, Operands, Targets};
 use f3m_ir::module::Module;
 use f3m_ir::size::{inst_size, FUNCTION_OVERHEAD};
 use f3m_ir::types::{TypeId, TypeStore};
@@ -126,8 +126,8 @@ pub(crate) fn op_size(op: Opcode) -> u64 {
     inst_size(&Instruction {
         op,
         ty: TypeId::VOID,
-        operands: Vec::new(),
-        blocks: Vec::new(),
+        operands: Operands::new(),
+        blocks: Targets::new(),
         pred: None,
         aux_ty: None,
         parent: BlockId::from_index(0),
@@ -715,7 +715,7 @@ impl MergeBuilder<'_, '_> {
             self.nf.add_block(block.role.name());
         }
         let block_id = |b: u32| BlockId::from_index(b as usize);
-        let guard = |op, operands, blocks, parent| Instruction {
+        let guard = |op, operands: Operands, blocks: Targets, parent| Instruction {
             op,
             ty: TypeId::VOID,
             operands,
@@ -740,12 +740,12 @@ impl MergeBuilder<'_, '_> {
                 let blocks = if last && matches!(block.end, End::Term) {
                     targets.by_ref().take(proto.blocks.len()).collect()
                 } else {
-                    Vec::new()
+                    Targets::new()
                 };
                 let inst = Instruction {
                     op: proto.op,
                     ty: proto.ty,
-                    operands: Vec::new(),
+                    operands: Operands::new(),
                     blocks,
                     pred: proto.pred,
                     aux_ty: proto.aux_ty,
@@ -758,11 +758,11 @@ impl MergeBuilder<'_, '_> {
             match block.end {
                 End::Term => {}
                 End::Guard { side1, side2 } => {
-                    let to = vec![block_id(side2), block_id(side1)];
-                    self.append(bb, guard(Opcode::CondBr, vec![self.fid()], to, bb));
+                    let to = [block_id(side2), block_id(side1)].into();
+                    self.append(bb, guard(Opcode::CondBr, [self.fid()].into(), to, bb));
                 }
                 End::Br(to) => {
-                    self.append(bb, guard(Opcode::Br, vec![], vec![block_id(to)], bb));
+                    self.append(bb, guard(Opcode::Br, Operands::new(), [block_id(to)].into(), bb));
                 }
             }
         }
@@ -804,8 +804,8 @@ impl MergeBuilder<'_, '_> {
             Instruction {
                 op: Opcode::Select,
                 ty,
-                operands: vec![fid, v2, v1],
-                blocks: vec![],
+                operands: [fid, v2, v1].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -827,7 +827,7 @@ impl MergeBuilder<'_, '_> {
                 Src::Merged(i1, i2) => {
                     let ops1 = &lay.sides[0].f.inst(i1).operands;
                     let ops2 = &lay.sides[1].f.inst(i2).operands;
-                    let mut out = Vec::with_capacity(ops1.len());
+                    let mut out = Operands::with_capacity(ops1.len());
                     for (&v1, &v2) in ops1.iter().zip(ops2) {
                         let (m1, m2) = (self.resolve(0, v1), self.resolve(1, v2));
                         if m1 == m2 {
@@ -866,7 +866,7 @@ impl MergeBuilder<'_, '_> {
             }
             let h = self.nf.inst(new_id).parent;
             let preds = graph.preds(h);
-            let mut in_vals = Vec::with_capacity(preds.len());
+            let mut in_vals = Operands::with_capacity(preds.len());
             for &p in preds {
                 let origin = lay.edge_origin(p, h);
                 let incoming = |s: usize, phi| match origin[s] {
@@ -899,7 +899,7 @@ impl MergeBuilder<'_, '_> {
             }
             let inst = self.nf.inst_mut(new_id);
             inst.operands = in_vals;
-            inst.blocks = preds.to_vec();
+            inst.blocks = preds.into();
         }
         Ok(())
     }
@@ -1001,8 +1001,8 @@ impl MergeBuilder<'_, '_> {
                 Instruction {
                     op: Opcode::Phi,
                     ty: reach.ty,
-                    operands: vec![],
-                    blocks: vec![],
+                    operands: Operands::new(),
+                    blocks: Targets::new(),
                     pred: None,
                     aux_ty: None,
                     parent: bb,
@@ -1011,11 +1011,11 @@ impl MergeBuilder<'_, '_> {
             );
             let phi_val = phi_val.expect("phi value");
             memo[bb.index()] = Some(phi_val);
-            let vals: Vec<ValueId> =
+            let vals: Operands =
                 preds.iter().map(|&p| self.read_at_end(p, reach, graph, memo)).collect();
             let phi = self.nf.inst_mut(phi_id);
             phi.operands = vals;
-            phi.blocks = preds.to_vec();
+            phi.blocks = preds.into();
             phi_val
         };
         memo[bb.index()] = Some(v);
@@ -1037,8 +1037,8 @@ impl MergeBuilder<'_, '_> {
             Instruction {
                 op: Opcode::Alloca,
                 ty: TypeId::PTR,
-                operands: vec![],
-                blocks: vec![],
+                operands: Operands::new(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: Some(slot_ty),
                 parent: entry,
@@ -1087,8 +1087,8 @@ impl MergeBuilder<'_, '_> {
             Instruction {
                 op: Opcode::Store,
                 ty: TypeId::VOID,
-                operands: vec![def_val, slot],
-                blocks: vec![],
+                operands: [def_val, slot].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: store_block,
@@ -1102,7 +1102,7 @@ impl MergeBuilder<'_, '_> {
             // Legacy HyFM also rewrote non-violating uses inside the
             // defining block — those now load *before* the store runs.
             for (iid, inst) in self.nf.block_insts(def_block) {
-                if inst.op == Opcode::Store && inst.operands == vec![def_val, slot] {
+                if inst.op == Opcode::Store && inst.operands[..] == [def_val, slot] {
                     continue;
                 }
                 for (slot_idx, &op) in inst.operands.iter().enumerate() {
@@ -1132,8 +1132,8 @@ impl MergeBuilder<'_, '_> {
                         Instruction {
                             op: Opcode::Load,
                             ty: slot_ty,
-                            operands: vec![slot],
-                            blocks: vec![],
+                            operands: [slot].into(),
+                            blocks: Targets::new(),
                             pred: None,
                             aux_ty: None,
                             parent: bb,
@@ -1152,8 +1152,8 @@ impl MergeBuilder<'_, '_> {
                         Instruction {
                             op: Opcode::Load,
                             ty: slot_ty,
-                            operands: vec![slot],
-                            blocks: vec![],
+                            operands: [slot].into(),
+                            blocks: Targets::new(),
                             pred: None,
                             aux_ty: None,
                             parent: block,
@@ -1243,19 +1243,18 @@ pub fn build_thunk(
     let bb = t.add_block("entry");
     let callee = t.func_ref(merged, TypeId::PTR);
     let fid = t.const_int(&m.types, TypeId::BOOL, i64::from(fid_value));
-    let mut args: Vec<ValueId> = Vec::with_capacity(mf.params.len());
-    args.push(fid);
+    let mut call_ops = Operands::with_capacity(1 + mf.params.len());
+    call_ops.push(callee);
+    call_ops.push(fid);
     for (slot, &ty) in mf.params.iter().enumerate().skip(1) {
         match param_map.iter().position(|&s| s == slot) {
-            Some(orig_idx) => args.push(t.arg(orig_idx)),
+            Some(orig_idx) => call_ops.push(t.arg(orig_idx)),
             None => {
                 let u = t.undef(ty);
-                args.push(u);
+                call_ops.push(u);
             }
         }
     }
-    let mut call_ops = vec![callee];
-    call_ops.extend(args);
     let (_, ret_val) = t.append_inst(
         &m.types,
         bb,
@@ -1263,7 +1262,7 @@ pub fn build_thunk(
             op: Opcode::Call,
             ty: of.ret_ty,
             operands: call_ops,
-            blocks: vec![],
+            blocks: Targets::new(),
             pred: None,
             aux_ty: None,
             parent: bb,
@@ -1277,7 +1276,7 @@ pub fn build_thunk(
             op: Opcode::Ret,
             ty: TypeId::VOID,
             operands: ret_val.into_iter().collect(),
-            blocks: vec![],
+            blocks: Targets::new(),
             pred: None,
             aux_ty: None,
             parent: bb,

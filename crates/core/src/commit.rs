@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use f3m_fingerprint::par::par_map_indexed;
 use f3m_ir::function::{Function, Linkage};
 use f3m_ir::ids::{FuncId, InstId};
-use f3m_ir::inst::Opcode;
+use f3m_ir::inst::{Opcode, Operands};
 use f3m_ir::module::Module;
 use f3m_ir::size::{function_size, FUNCTION_OVERHEAD};
 use f3m_ir::types::TypeId;
@@ -144,15 +144,17 @@ impl RefIndex {
             if version != self.version(owner) {
                 continue; // stale: the owner's body was replaced
             }
-            let old_args: Vec<f3m_ir::ids::ValueId> =
-                m.function(owner).inst(iid).operands[1..].to_vec();
             let (f, types) = m.func_mut_and_types(owner);
+            // `[callee, args...]`: the old call's arguments are `old[1..]`.
+            let old = std::mem::take(&mut f.inst_mut(iid).operands);
             let callee = f.func_ref(merged, TypeId::PTR);
             let fid_const = f.const_int(types, TypeId::BOOL, i64::from(fid_value));
-            let mut new_ops = vec![callee, fid_const];
+            let mut new_ops = Operands::with_capacity(1 + merged_params.len());
+            new_ops.push(callee);
+            new_ops.push(fid_const);
             for (slot, &ty) in merged_params.iter().enumerate().skip(1) {
                 match param_map.iter().position(|&s| s == slot) {
-                    Some(orig_idx) => new_ops.push(old_args[orig_idx]),
+                    Some(orig_idx) => new_ops.push(old[1 + orig_idx]),
                     None => {
                         let u = f.undef(ty);
                         new_ops.push(u);

@@ -1142,7 +1142,7 @@ impl Corpus {
         // order, entry ids renumbered to snapshot rows in place.
         let buckets = t.index.export_directory().map(|id| row_of[id as usize]);
         debug_assert!(
-            buckets.iter().all(|(_, rows)| rows.windows(2).all(|w| w[0] < w[1])),
+            buckets.iter().all(|(_, rows)| rows.windows(2).all(|w| w[0] <= w[1])),
             "live rows preserve entry order"
         );
 

@@ -73,10 +73,8 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
         let mut d = f3m_ir::function::Function::new(format!("__drv_{name}"), params.clone(), ret_ty);
         let bb = d.add_block("entry");
         let callee = d.func_ref(id, ptr_ty);
-        let mut ops = vec![callee];
-        for i in 0..params.len() {
-            ops.push(d.arg(i));
-        }
+        let ops: f3m_ir::inst::Operands =
+            std::iter::once(callee).chain((0..params.len()).map(|i| d.arg(i))).collect();
         let (_, r) = d.append_inst(
             &m.types,
             bb,
@@ -84,7 +82,7 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
                 op: f3m_ir::inst::Opcode::Call,
                 ty: ret_ty,
                 operands: ops,
-                blocks: vec![],
+                blocks: f3m_ir::inst::Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -98,7 +96,7 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
                 op: f3m_ir::inst::Opcode::Ret,
                 ty: void_ty,
                 operands: r.into_iter().collect(),
-                blocks: vec![],
+                blocks: f3m_ir::inst::Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -681,8 +679,8 @@ bb0:
             f3m_ir::inst::Instruction {
                 op: f3m_ir::inst::Opcode::Ret,
                 ty: scratch.void(),
-                operands: vec![arg],
-                blocks: vec![],
+                operands: [arg].into(),
+                blocks: f3m_ir::inst::Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,

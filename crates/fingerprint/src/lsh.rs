@@ -142,7 +142,8 @@ pub fn band_keys_for(params: LshParams, sig: &[u64]) -> Vec<BandKey> {
 
 /// Buckets laid out flat: bucket `i` holds band key `keys[i]` and the
 /// members from `members[starts[i]]` up to the next bucket's start (the
-/// last bucket runs to the end of `members`), each ascending. It is the
+/// last bucket runs to the end of `members`), each ascending — a row whose
+/// bands fold to one key is in that bucket once per band. It is the
 /// image of a snapshot's bucket directory:
 /// [`LshIndex::export_directory`] writes one in key order, and
 /// [`LshIndex::from_directory`] takes one over as its pool.
@@ -716,33 +717,6 @@ impl<T: DenseId> LshIndex<T> {
     /// empty).
     pub fn probe_key(&self, key: BandKey) -> Option<&[T]> {
         self.find(key).map(|b| self.members(b)).filter(|members| !members.is_empty())
-    }
-
-    /// Makes room for `additional` more buckets without rehashing — a
-    /// restore knows its directory's bucket count before it installs any.
-    pub fn reserve(&mut self, additional: usize) {
-        if (self.buckets.len() + additional) * 4 > self.table.len() * 3 {
-            self.rebuild_table(self.nonempty + additional);
-        }
-        self.buckets.reserve(additional);
-    }
-
-    /// Installs one whole bucket as restored from a snapshot. `items`
-    /// must be sorted ascending and non-empty — snapshot loaders validate
-    /// before calling. Replaces any existing bucket under `key`.
-    pub fn restore_bucket(&mut self, key: BandKey, items: Vec<T>) {
-        debug_assert!(!items.is_empty(), "snapshot buckets are non-empty");
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "snapshot buckets are sorted");
-        let b = self.bucket_for(key);
-        let Bucket { len: was, room, .. } = self.buckets[b];
-        self.dead += room as usize;
-        let start = self.pool.len();
-        self.pool.extend_from_slice(&items);
-        self.check_pool();
-        let len = items.len() as u32;
-        self.buckets[b] = Bucket { key, start: start as u32, len, room: len };
-        self.booked(b, was as usize);
-        self.settle();
     }
 
     /// All buckets as `(key, sorted items)`, ordered by key — the bucket
@@ -1330,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_bucket_reproduces_exported_index() {
+    fn from_directory_reproduces_exported_index() {
         let p = params();
         let mut idx = LshIndex::new(p);
         let streams: Vec<Vec<u32>> = (0..6u32).map(|i| (i % 3..i % 3 + 20).collect()).collect();
@@ -1338,10 +1312,12 @@ mod tests {
         for (i, f) in sigs.iter().enumerate() {
             idx.insert(i as u32, f);
         }
-        let mut restored = LshIndex::new(p);
-        for (key, items) in idx.export_buckets() {
-            restored.restore_bucket(key, items);
-        }
+        // A row whose bands all fold to one key sits in its bucket once
+        // per band, twice in a row.
+        let key = idx.band_keys(&sigs[0]).next().unwrap();
+        idx.insert_with_keys(6, &vec![key; p.bands]);
+        let restored = LshIndex::from_directory(p, idx.export_directory());
+        assert_eq!(restored.export_buckets(), idx.export_buckets());
         assert_eq!(restored.num_buckets(), idx.num_buckets());
         assert_eq!(restored.num_entries(), idx.num_entries());
         for (i, f) in sigs.iter().enumerate() {

@@ -292,21 +292,6 @@ impl<T: DenseId> LshIndex<T> {
         self.buckets.get(&key).map(Vec::as_slice)
     }
 
-    /// Makes room for `additional` more buckets without rehashing — a
-    /// restore knows its directory's bucket count before it installs any.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buckets.reserve(additional);
-    }
-
-    /// Installs one whole bucket as restored from a snapshot. `items`
-    /// must be sorted ascending and non-empty — snapshot loaders validate
-    /// before calling. Replaces any existing bucket under `key`.
-    pub fn restore_bucket(&mut self, key: BandKey, items: Vec<T>) {
-        debug_assert!(!items.is_empty(), "snapshot buckets are non-empty");
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "snapshot buckets are sorted");
-        self.buckets.insert(key, items);
-    }
-
     /// All buckets as `(key, sorted items)`, ordered by key — the bucket
     /// directory order the snapshot writer stores them in.
     pub fn export_buckets(&self) -> Vec<(BandKey, Vec<T>)> {
@@ -471,9 +456,8 @@ fn directory(buckets: &[(BandKey, Vec<u32>)]) -> BucketDirectory<u32> {
 /// sequences at caps 1, 3, 100 and unbounded mix module ingests and
 /// evictions and mixed batches (`apply_delta`, dirty sets compared),
 /// one-row moves (`apply_row_delta`, every `BucketDelta` compared),
-/// one-row inserts and removals, restores — whole-directory
-/// (`from_directory`) and bucket by bucket (`restore_bucket`) — and
-/// compactions forced between steps. After every step every observable
+/// one-row inserts and removals, restores (`from_directory`, folded rows
+/// included) and compactions forced between steps. After every step every observable
 /// must agree ([`assert_same`]) and the pool's invariants hold. Keys come
 /// from alphabets of 2 to 12 letters, so buckets outgrow cap 100, and
 /// one row in six has all its bands on one key.
@@ -485,9 +469,9 @@ fn directory(buckets: &[(BandKey, Vec<u32>)]) -> BucketDirectory<u32> {
 fn pool_matches_the_map_of_vecs() {
     const BANDS: usize = 4;
     let seeds = if cfg!(debug_assertions) { 4 } else { 48 };
-    // Step kinds met, rows whose bands fold to one key, bucket-by-bucket
-    // restores, probes cut at cap 100.
-    let (mut met, mut folded, mut by_bucket, mut cut_at_100) = ([0usize; 8], 0, 0, 0);
+    // Step kinds met, rows whose bands fold to one key, probes cut at
+    // cap 100.
+    let (mut met, mut folded, mut cut_at_100) = ([0usize; 8], 0, 0);
     for seed in 0..seeds {
         for bucket_cap in [1, 3, 100, usize::MAX] {
             let mut rng = SmallRng::seed_from_u64(seed * 1000 + bucket_cap.min(999) as u64);
@@ -589,26 +573,9 @@ fn pool_matches_the_map_of_vecs() {
                             }
                         }
                     }
-                    // A restore from the reference's export, whole or
-                    // bucket by bucket (`restore_bucket` takes strictly
-                    // ascending buckets, so not with a folded row).
+                    // A restore from the reference's export.
                     6 => {
-                        let exported = map.export_buckets();
-                        let strict =
-                            exported.iter().all(|(_, m)| m.windows(2).all(|w| w[0] < w[1]));
-                        if !strict || rng.gen_bool(0.5) {
-                            pool = super::LshIndex::from_directory(p, directory(&exported));
-                        } else {
-                            by_bucket += 1;
-                            pool = super::LshIndex::new(p);
-                            pool.reserve(exported.len());
-                            map = LshIndex::new(p);
-                            map.reserve(exported.len());
-                            for (key, members) in exported {
-                                pool.restore_bucket(key, members.clone());
-                                map.restore_bucket(key, members);
-                            }
-                        }
+                        pool = super::LshIndex::from_directory(p, directory(&map.export_buckets()));
                     }
                     // A compaction forced between writes.
                     _ => pool.compact(),
@@ -627,25 +594,9 @@ fn pool_matches_the_map_of_vecs() {
         }
     }
     assert!(
-        met.iter().all(|&n| n > 0) && folded > 0 && by_bucket > 0 && cut_at_100 > 0,
-        "steps met {met:?}, folded rows {folded}, bucket-wise restores {by_bucket}, \
-         probes cut at 100 {cut_at_100}"
+        met.iter().all(|&n| n > 0) && folded > 0 && cut_at_100 > 0,
+        "steps met {met:?}, folded rows {folded}, probes cut at 100 {cut_at_100}"
     );
-}
-
-/// Restoring over a live bucket replaces it, and its old cells die.
-#[test]
-fn restore_bucket_replaces_a_live_bucket() {
-    let p = LshParams { rows: 2, bands: 1, bucket_cap: 100 };
-    let (mut pool, mut map) = (super::LshIndex::new(p), LshIndex::new(p));
-    for id in [3u32, 1, 2] {
-        pool.insert_with_keys(id, &[7]);
-        map.insert_with_keys(id, &[7]);
-    }
-    pool.restore_bucket(7, vec![5, 9]);
-    map.restore_bucket(7, vec![5, 9]);
-    let resident = BTreeMap::from([(5, vec![7]), (9, vec![7])]);
-    assert_same(&pool, &map, &resident, "restore over a live bucket");
 }
 
 /// The signature-level entry points agree too: rows inserted and removed

@@ -710,7 +710,9 @@ fn parse_directory(
         let start = dir.members.len();
         dir.members.extend(le_u32s(bytes));
         let members = &dir.members[start..];
-        if !members.windows(2).all(|w| w[0] < w[1]) {
+        // Non-decreasing: a row whose bands fold to one key is in its
+        // bucket once per band.
+        if !members.windows(2).all(|w| w[0] <= w[1]) {
             return Err(SnapshotError::Corrupt("bucket members not ascending"));
         }
         if members.iter().any(|&m| m as usize >= entries) {
@@ -842,7 +844,9 @@ pub fn open_snapshot_meta(path: &Path) -> Result<SnapshotMeta, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsh::{band_keys_for, LshIndex};
+    use crate::lsh::{band_keys_for, LshIndex, QueryScratch};
+    use crate::pager::PagerKind;
+    use crate::resident::ResidentStore;
     use crate::fnv::xor_constants;
     use crate::minhash::minhash_signature;
 
@@ -1088,6 +1092,47 @@ mod tests {
         assert_eq!(meta.buckets, snap.buckets);
         assert_eq!(meta.payload, snap.payload);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A row whose bands all fold to one key sits in that bucket once
+    /// per band, so the bucket holds its id several times in a row. Such
+    /// an index saves, and the bulk and the resident readers load the
+    /// same buckets back and answer every row's probe alike.
+    #[test]
+    fn a_folded_row_saves_and_loads_through_both_readers() {
+        let p = params();
+        let (mut header, mut store, buckets) = build_fixture(8);
+        let mut index = LshIndex::from_directory(p, buckets);
+        let key = store.keys(3)[0];
+        let folded = vec![key; p.bands];
+        let sig = store.sig(3).to_vec();
+        store.push_with_keys(&sig, &folded);
+        index.insert_with_keys(8, &folded);
+        header.entries = 9;
+        let buckets = index.export_directory();
+        let (_, members) = buckets.iter().find(|&(k, _)| k == key).expect("the folded bucket");
+        assert_eq!(members.iter().filter(|&&m| m == 8).count(), p.bands);
+
+        let dir = scratch_dir("folded");
+        let path = dir.join("folded.f3msnap");
+        save_snapshot(&path, &header, &store, &buckets, b"p").expect("save");
+        let bulk = open_snapshot(&path).expect("the bulk reader loads a folded row");
+        let (meta, resident) = ResidentStore::open(&path, PagerKind::Auto, 0)
+            .expect("the resident reader loads a folded row");
+        assert_eq!((&bulk.buckets, &meta.buckets), (&buckets, &buckets));
+        assert_eq!(bulk.store, store);
+
+        let restored = LshIndex::from_directory(p, bulk.buckets);
+        let (mut want, mut got) = (QueryScratch::new(), QueryScratch::new());
+        for row in 0..9 {
+            assert_eq!(resident.row(row).keys(), store.keys(row), "row {row}");
+            let (keys, id) = (store.keys(row), row as u32);
+            let stats = index.probe_keys_into(keys, id, &mut want);
+            assert_eq!(restored.probe_keys_into(keys, id, &mut got), stats, "row {row}");
+            assert_eq!(want.out, got.out, "row {row}");
+            assert!(want.out.iter().all(|&c| want.hits(c) == got.hits(c)), "row {row}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,7 +16,9 @@
 
 use f3m_ir::ids::{BlockId, FuncId, InstId};
 use f3m_ir::function::Linkage;
-use f3m_ir::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
+use f3m_ir::inst::{
+    FloatPredicate, Instruction, IntPredicate, Opcode, Operands, Predicate, Targets,
+};
 use f3m_ir::module::Module;
 use f3m_ir::value::ValueKind;
 use f3m_prng::SmallRng;
@@ -115,8 +117,8 @@ fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
         Instruction {
             op: Opcode::Br,
             ty: void,
-            operands: vec![],
-            blocks: vec![succ],
+            operands: Operands::new(),
+            blocks: [succ].into(),
             pred: None,
             aux_ty: None,
             parent: tramp,
@@ -389,8 +391,8 @@ fn mut_cast_round_trip(m: &mut Module, rng: &mut SmallRng) -> bool {
     let mk = |op: Opcode, ty, operand| Instruction {
         op,
         ty,
-        operands: vec![operand],
-        blocks: vec![],
+        operands: [operand].into(),
+        blocks: Targets::new(),
         pred: None,
         aux_ty: None,
         parent: bb,
@@ -454,7 +456,8 @@ fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
     let ret_ty = m.function(callee).ret_ty;
     let (f, ts) = m.func_mut_and_types(caller);
     let fref = f.func_ref(callee, ptr_ty);
-    let mut operands = vec![fref];
+    let mut operands = Operands::with_capacity(1 + params.len());
+    operands.push(fref);
     for &p in &params {
         let arg = if ts.is_int(p) {
             let v = rng.gen_range(-100..=100i64);
@@ -482,7 +485,7 @@ fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
             op: Opcode::Call,
             ty: ret_ty,
             operands,
-            blocks: vec![],
+            blocks: Targets::new(),
             pred: None,
             aux_ty: None,
             parent: bb,

@@ -23,8 +23,8 @@
 use std::collections::HashSet;
 
 use f3m_ir::function::Function;
-use f3m_ir::ids::{BlockId, FuncId, InstId, ValueId};
-use f3m_ir::inst::{Instruction, Opcode};
+use f3m_ir::ids::{BlockId, FuncId, InstId};
+use f3m_ir::inst::{Instruction, Opcode, Operands, Targets};
 use f3m_ir::module::Module;
 use f3m_ir::parser::parse_module;
 use f3m_ir::printer::print_module;
@@ -178,7 +178,7 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
     stub.linkage = linkage;
     let bb = stub.add_block("entry");
     let ts = &cand.types;
-    let mut operands = Vec::new();
+    let mut operands = Operands::new();
     if !ts.is_void(ret_ty) {
         let v = if ts.is_int(ret_ty) {
             stub.const_int(ts, ret_ty, 0)
@@ -196,7 +196,7 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
             op: Opcode::Ret,
             ty: void,
             operands,
-            blocks: vec![],
+            blocks: Targets::new(),
             pred: None,
             aux_ty: None,
             parent: bb,
@@ -230,8 +230,8 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
         Instruction {
             op: Opcode::Unreachable,
             ty: void,
-            operands: vec![],
-            blocks: vec![],
+            operands: Operands::new(),
+            blocks: Targets::new(),
             pred: None,
             aux_ty: None,
             parent: bb,
@@ -247,12 +247,9 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
         if !f.inst(pid).blocks.contains(&bb) {
             continue;
         }
-        let kept: Vec<(BlockId, ValueId)> = f
-            .inst(pid)
-            .phi_incomings()
-            .filter(|&(b, _)| b != bb)
-            .collect();
-        if kept.is_empty() {
+        let (blocks, operands): (Targets, Operands) =
+            f.inst(pid).phi_incomings().filter(|&(b, _)| b != bb).unzip();
+        if blocks.is_empty() {
             // Every incoming came through bb; the phi is dead.
             if let Some(r) = f.inst(pid).result {
                 let ty = f.value(r).ty;
@@ -262,8 +259,8 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
             f.unlink_inst(pid);
         } else {
             let inst = f.inst_mut(pid);
-            inst.blocks = kept.iter().map(|&(b, _)| b).collect();
-            inst.operands = kept.iter().map(|&(_, v)| v).collect();
+            inst.blocks = blocks;
+            inst.operands = operands;
         }
     }
     cand

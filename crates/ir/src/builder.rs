@@ -23,7 +23,7 @@
 //! ```
 
 use crate::ids::{BlockId, InstId, ValueId};
-use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
+use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Operands, Predicate, Targets};
 use crate::function::Function;
 use crate::types::{TypeId, TypeStore};
 
@@ -88,14 +88,14 @@ impl<'a> FunctionBuilder<'a> {
     fn inst(
         op: Opcode,
         ty: TypeId,
-        operands: Vec<ValueId>,
-        blocks: Vec<BlockId>,
+        operands: impl Into<Operands>,
+        blocks: impl Into<Targets>,
     ) -> Instruction {
         Instruction {
             op,
             ty,
-            operands,
-            blocks,
+            operands: operands.into(),
+            blocks: blocks.into(),
             pred: None,
             aux_ty: None,
             parent: BlockId::from_index(0),
@@ -121,7 +121,7 @@ impl<'a> FunctionBuilder<'a> {
     pub fn binary(&mut self, op: Opcode, lhs: ValueId, rhs: ValueId) -> ValueId {
         assert!(op.is_binary(), "binary() with non-binary opcode {op:?}");
         let ty = self.f.value(lhs).ty;
-        self.emit_valued(Self::inst(op, ty, vec![lhs, rhs], vec![]))
+        self.emit_valued(Self::inst(op, ty, [lhs, rhs], []))
     }
 
     /// `add`.
@@ -142,7 +142,7 @@ impl<'a> FunctionBuilder<'a> {
     /// `fneg`.
     pub fn fneg(&mut self, x: ValueId) -> ValueId {
         let ty = self.f.value(x).ty;
-        self.emit_valued(Self::inst(Opcode::FNeg, ty, vec![x], vec![]))
+        self.emit_valued(Self::inst(Opcode::FNeg, ty, [x], []))
     }
 
     // ---- comparisons ------------------------------------------------------
@@ -150,7 +150,7 @@ impl<'a> FunctionBuilder<'a> {
     /// `icmp <pred>`; result is `i1`.
     pub fn icmp(&mut self, pred: IntPredicate, lhs: ValueId, rhs: ValueId) -> ValueId {
         let b = self.ts.bool();
-        let mut i = Self::inst(Opcode::ICmp, b, vec![lhs, rhs], vec![]);
+        let mut i = Self::inst(Opcode::ICmp, b, [lhs, rhs], []);
         i.pred = Some(Predicate::Int(pred));
         self.emit_valued(i)
     }
@@ -158,7 +158,7 @@ impl<'a> FunctionBuilder<'a> {
     /// `fcmp <pred>`; result is `i1`.
     pub fn fcmp(&mut self, pred: FloatPredicate, lhs: ValueId, rhs: ValueId) -> ValueId {
         let b = self.ts.bool();
-        let mut i = Self::inst(Opcode::FCmp, b, vec![lhs, rhs], vec![]);
+        let mut i = Self::inst(Opcode::FCmp, b, [lhs, rhs], []);
         i.pred = Some(Predicate::Float(pred));
         self.emit_valued(i)
     }
@@ -166,7 +166,7 @@ impl<'a> FunctionBuilder<'a> {
     /// `select cond, if_true, if_false`.
     pub fn select(&mut self, cond: ValueId, t: ValueId, e: ValueId) -> ValueId {
         let ty = self.f.value(t).ty;
-        self.emit_valued(Self::inst(Opcode::Select, ty, vec![cond, t, e], vec![]))
+        self.emit_valued(Self::inst(Opcode::Select, ty, [cond, t, e], []))
     }
 
     // ---- memory -------------------------------------------------------------
@@ -174,26 +174,26 @@ impl<'a> FunctionBuilder<'a> {
     /// `alloca ty` — stack slot; result is `ptr`.
     pub fn alloca(&mut self, ty: TypeId) -> ValueId {
         let p = self.ts.ptr();
-        let mut i = Self::inst(Opcode::Alloca, p, vec![], vec![]);
+        let mut i = Self::inst(Opcode::Alloca, p, [], []);
         i.aux_ty = Some(ty);
         self.emit_valued(i)
     }
 
     /// `load ty, ptr`.
     pub fn load(&mut self, ty: TypeId, ptr: ValueId) -> ValueId {
-        self.emit_valued(Self::inst(Opcode::Load, ty, vec![ptr], vec![]))
+        self.emit_valued(Self::inst(Opcode::Load, ty, [ptr], []))
     }
 
     /// `store value, ptr`.
     pub fn store(&mut self, value: ValueId, ptr: ValueId) {
         let v = self.ts.void();
-        self.emit(Self::inst(Opcode::Store, v, vec![value, ptr], vec![]));
+        self.emit(Self::inst(Opcode::Store, v, [value, ptr], []));
     }
 
     /// `gep elem_ty, ptr, index` — computes `ptr + index * sizeof(elem_ty)`.
     pub fn gep(&mut self, elem_ty: TypeId, ptr: ValueId, index: ValueId) -> ValueId {
         let p = self.ts.ptr();
-        let mut i = Self::inst(Opcode::Gep, p, vec![ptr, index], vec![]);
+        let mut i = Self::inst(Opcode::Gep, p, [ptr, index], []);
         i.aux_ty = Some(elem_ty);
         self.emit_valued(i)
     }
@@ -203,7 +203,7 @@ impl<'a> FunctionBuilder<'a> {
     /// Generic cast to `ty`.
     pub fn cast(&mut self, op: Opcode, x: ValueId, ty: TypeId) -> ValueId {
         assert!(op.is_cast(), "cast() with non-cast opcode {op:?}");
-        self.emit_valued(Self::inst(op, ty, vec![x], vec![]))
+        self.emit_valued(Self::inst(op, ty, [x], []))
     }
 
     // ---- control flow ----------------------------------------------------------
@@ -211,40 +211,39 @@ impl<'a> FunctionBuilder<'a> {
     /// Unconditional branch.
     pub fn br(&mut self, target: BlockId) {
         let v = self.ts.void();
-        self.emit(Self::inst(Opcode::Br, v, vec![], vec![target]));
+        self.emit(Self::inst(Opcode::Br, v, [], [target]));
     }
 
     /// Conditional branch on an `i1`.
     pub fn cond_br(&mut self, cond: ValueId, then_bb: BlockId, else_bb: BlockId) {
         let v = self.ts.void();
-        self.emit(Self::inst(Opcode::CondBr, v, vec![cond], vec![then_bb, else_bb]));
+        self.emit(Self::inst(Opcode::CondBr, v, [cond], [then_bb, else_bb]));
     }
 
     /// Return (with a value, or `None` for `ret void`).
     pub fn ret(&mut self, value: Option<ValueId>) {
         let v = self.ts.void();
-        let ops = value.into_iter().collect();
-        self.emit(Self::inst(Opcode::Ret, v, ops, vec![]));
+        let ops: Operands = value.into_iter().collect();
+        self.emit(Self::inst(Opcode::Ret, v, ops, []));
     }
 
     /// `unreachable`.
     pub fn unreachable(&mut self) {
         let v = self.ts.void();
-        self.emit(Self::inst(Opcode::Unreachable, v, vec![], vec![]));
+        self.emit(Self::inst(Opcode::Unreachable, v, [], []));
     }
 
     /// `phi ty [v, bb]...`.
     pub fn phi(&mut self, ty: TypeId, incomings: &[(ValueId, BlockId)]) -> ValueId {
-        let (ops, bbs): (Vec<_>, Vec<_>) = incomings.iter().copied().unzip();
+        let (ops, bbs): (Operands, Targets) = incomings.iter().copied().unzip();
         self.emit_valued(Self::inst(Opcode::Phi, ty, ops, bbs))
     }
 
     /// Direct or indirect call; `ret_ty` is the callee's return type.
     /// Returns `None` when `ret_ty` is `void`.
     pub fn call(&mut self, callee: ValueId, args: &[ValueId], ret_ty: TypeId) -> Option<ValueId> {
-        let mut ops = vec![callee];
-        ops.extend_from_slice(args);
-        self.emit(Self::inst(Opcode::Call, ret_ty, ops, vec![])).1
+        let ops: Operands = std::iter::once(callee).chain(args.iter().copied()).collect();
+        self.emit(Self::inst(Opcode::Call, ret_ty, ops, [])).1
     }
 
     /// `invoke callee(args) to normal unwind exceptional`. Terminator.
@@ -257,9 +256,8 @@ impl<'a> FunctionBuilder<'a> {
         normal: BlockId,
         unwind: BlockId,
     ) -> Option<ValueId> {
-        let mut ops = vec![callee];
-        ops.extend_from_slice(args);
-        self.emit(Self::inst(Opcode::Invoke, ret_ty, ops, vec![normal, unwind])).1
+        let ops: Operands = std::iter::once(callee).chain(args.iter().copied()).collect();
+        self.emit(Self::inst(Opcode::Invoke, ret_ty, ops, [normal, unwind])).1
     }
 }
 

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use crate::ids::{BlockId, FuncId, GlobalId, InstId, ValueId};
-use crate::inst::{Instruction, Opcode};
+use crate::inst::{Instruction, Opcode, Operands};
 use crate::types::{TypeId, TypeStore};
 use crate::value::{normalize_int, ConstKey, Value, ValueKind};
 
@@ -385,8 +385,8 @@ impl Function {
             Instruction {
                 op: Opcode::Br,
                 ty: void_ty,
-                operands: vec![],
-                blocks: vec![new_bb],
+                operands: Operands::new(),
+                blocks: [new_bb].into(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -411,6 +411,7 @@ impl Function {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::Targets;
 
     fn setup() -> (TypeStore, Function) {
         let mut ts = TypeStore::new();
@@ -461,8 +462,8 @@ mod tests {
             Instruction {
                 op: Opcode::Add,
                 ty: i32t,
-                operands: vec![a, b],
-                blocks: vec![],
+                operands: [a, b].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -476,8 +477,8 @@ mod tests {
             Instruction {
                 op: Opcode::Ret,
                 ty: void,
-                operands: vec![res.unwrap()],
-                blocks: vec![],
+                operands: [res.unwrap()].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -498,8 +499,8 @@ mod tests {
         let mk = |op: Opcode, ty: TypeId, bb: BlockId| Instruction {
             op,
             ty,
-            operands: vec![a, a],
-            blocks: if op == Opcode::Phi { vec![bb, bb] } else { vec![] },
+            operands: [a, a].into(),
+            blocks: if op == Opcode::Phi { [bb, bb].into() } else { Targets::new() },
             pred: None,
             aux_ty: None,
             parent: bb,
@@ -523,8 +524,8 @@ mod tests {
             Instruction {
                 op: Opcode::Add,
                 ty: i32t,
-                operands: vec![a, a],
-                blocks: vec![],
+                operands: [a, a].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -532,7 +533,7 @@ mod tests {
             },
         );
         f.replace_all_uses(a, b);
-        assert_eq!(f.inst(i).operands, vec![b, b]);
+        assert_eq!(f.inst(i).operands[..], [b, b]);
         let _ = res;
     }
 
@@ -545,8 +546,8 @@ mod tests {
         let mk = || Instruction {
             op: Opcode::Add,
             ty: i32t,
-            operands: vec![a, a],
-            blocks: vec![],
+            operands: [a, a].into(),
+            blocks: Targets::new(),
             pred: None,
             aux_ty: None,
             parent: bb,
@@ -579,8 +580,8 @@ mod tests {
             Instruction {
                 op: Opcode::Add,
                 ty: i32t,
-                operands: vec![a, a],
-                blocks: vec![],
+                operands: [a, a].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb0,
@@ -593,8 +594,8 @@ mod tests {
             Instruction {
                 op: Opcode::ICmp,
                 ty: boolt,
-                operands: vec![a, add.unwrap()],
-                blocks: vec![],
+                operands: [a, add.unwrap()].into(),
+                blocks: Targets::new(),
                 pred: Some(crate::inst::Predicate::Int(crate::inst::IntPredicate::Slt)),
                 aux_ty: None,
                 parent: bb0,
@@ -607,8 +608,8 @@ mod tests {
             Instruction {
                 op: Opcode::CondBr,
                 ty: void,
-                operands: vec![cond.unwrap()],
-                blocks: vec![bb1, bb0],
+                operands: [cond.unwrap()].into(),
+                blocks: [bb1, bb0].into(),
                 pred: None,
                 aux_ty: None,
                 parent: bb0,
@@ -622,8 +623,8 @@ mod tests {
             Instruction {
                 op: Opcode::Phi,
                 ty: i32t,
-                operands: vec![add.unwrap()],
-                blocks: vec![bb0],
+                operands: [add.unwrap()].into(),
+                blocks: [bb0].into(),
                 pred: None,
                 aux_ty: None,
                 parent: bb1,
@@ -636,8 +637,8 @@ mod tests {
             Instruction {
                 op: Opcode::Ret,
                 ty: void,
-                operands: vec![phi.unwrap()],
-                blocks: vec![],
+                operands: [phi.unwrap()].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb1,
@@ -647,16 +648,16 @@ mod tests {
         let new_bb = f.split_block(&ts, void, bb0, 1);
         // bb0 keeps [add, br new_bb]; new_bb holds [icmp, condbr].
         assert_eq!(f.block(bb0).insts.len(), 2);
-        assert_eq!(f.terminator(bb0).unwrap().1.blocks, vec![new_bb]);
+        assert_eq!(f.terminator(bb0).unwrap().1.blocks[..], [new_bb]);
         assert_eq!(f.block(new_bb).insts.len(), 2);
         for (_, inst) in f.block_insts(new_bb) {
             assert_eq!(inst.parent, new_bb);
         }
         // The condbr's self-loop edge still points at bb0...
-        assert_eq!(f.terminator(new_bb).unwrap().1.blocks, vec![bb1, bb0]);
+        assert_eq!(f.terminator(new_bb).unwrap().1.blocks[..], [bb1, bb0]);
         // ...and the phi in bb1 now names new_bb as its incoming.
         let (_, phi_inst) = f.block_insts(bb1).next().unwrap();
-        assert_eq!(phi_inst.blocks, vec![new_bb]);
+        assert_eq!(phi_inst.blocks[..], [new_bb]);
     }
 
     #[test]
@@ -674,8 +675,8 @@ mod tests {
             Instruction {
                 op: Opcode::Phi,
                 ty: i32t,
-                operands: vec![a],
-                blocks: vec![bb],
+                operands: [a].into(),
+                blocks: [bb].into(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -688,8 +689,8 @@ mod tests {
             Instruction {
                 op: Opcode::Ret,
                 ty: void,
-                operands: vec![a],
-                blocks: vec![],
+                operands: [a].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb,
@@ -708,8 +709,8 @@ mod tests {
         let mk_br = |target: BlockId| Instruction {
             op: Opcode::Br,
             ty: void,
-            operands: vec![],
-            blocks: vec![target],
+            operands: Operands::new(),
+            blocks: [target].into(),
             pred: None,
             aux_ty: None,
             parent: bb0,
@@ -722,8 +723,8 @@ mod tests {
             Instruction {
                 op: Opcode::Unreachable,
                 ty: void,
-                operands: vec![],
-                blocks: vec![],
+                operands: Operands::new(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: bb1,

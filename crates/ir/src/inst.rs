@@ -2,14 +2,26 @@
 //!
 //! The opcode set mirrors the LLVM instructions that occur in the programs
 //! the F3M paper evaluates on. Each instruction has a result type (possibly
-//! `void`), a flat operand list, an optional list of target blocks (for
-//! terminators and for phi incoming blocks), an optional comparison
+//! `void`), a flat operand list, a list of target blocks (for terminators
+//! and for phi incoming blocks; often empty), an optional comparison
 //! predicate and an optional auxiliary type (`alloca`'s allocated type,
 //! `load`'s loaded type, `gep`'s element type, casts' source type is implied
 //! by the operand).
 
 use crate::ids::{BlockId, InstId, ValueId};
 use crate::types::TypeId;
+
+mod list;
+
+pub use list::InlineList;
+
+/// An instruction's value operands: three in place, more in one boxed
+/// `Vec` (only calls, invokes and phis ever have more).
+pub type Operands = InlineList<ValueId, 3>;
+
+/// An instruction's block operands: two in place, more in one boxed `Vec`
+/// (only phis ever have more).
+pub type Targets = InlineList<BlockId, 2>;
 
 /// Instruction opcodes.
 ///
@@ -401,9 +413,9 @@ pub struct Instruction {
     /// Result type (`void` for `store`, `br`, etc.).
     pub ty: TypeId,
     /// Value operands (see table above).
-    pub operands: Vec<ValueId>,
+    pub operands: Operands,
     /// Block operands: branch targets, or phi incoming blocks.
-    pub blocks: Vec<BlockId>,
+    pub blocks: Targets,
     /// Comparison predicate for `icmp`/`fcmp`.
     pub pred: Option<Predicate>,
     /// Auxiliary type: allocated type for `alloca`, element type for `gep`.

@@ -50,7 +50,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::ids::{BlockId, FuncId, InstId, ValueId};
-use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
+use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Operands, Predicate, Targets};
 use crate::function::{Function, Linkage};
 use crate::module::{Global, Module};
 use crate::printer::print_module;
@@ -1211,7 +1211,7 @@ impl Stage<'_> {
             let bb = BlockId::from_index(first_block + b);
             f.block_mut(bb).insts.reserve_exact(end - start);
             for s in &insts[start..end] {
-                let mut succs = Vec::with_capacity(s.targets_end - target);
+                let mut succs = Targets::with_capacity(s.targets_end - target);
                 for label in &targets[target..s.targets_end] {
                     let bb = labels.get(label).copied();
                     succs.push(bb.ok_or_else(|| err(s.line, format!("unknown label `{label}`")))?);
@@ -1220,7 +1220,7 @@ impl Stage<'_> {
                 let inst = Instruction {
                     op: s.op,
                     ty: s.ty,
-                    operands: Vec::new(),
+                    operands: Operands::new(),
                     blocks: succs,
                     pred: s.pred,
                     aux_ty: s.aux_ty,
@@ -1246,7 +1246,7 @@ impl Stage<'_> {
         // instructions.
         let mut operand = 0;
         for (i, s) in insts.iter().enumerate() {
-            let mut resolved = Vec::with_capacity(s.operands_end - operand);
+            let mut resolved = Operands::with_capacity(s.operands_end - operand);
             for &o in &operands[operand..s.operands_end] {
                 resolved.push(match o {
                     RawOperand::Local(n) => names

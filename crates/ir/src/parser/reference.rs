@@ -396,8 +396,8 @@ fn build_body(
             let inst = Instruction {
                 op: raw.op,
                 ty: raw.ty,
-                operands: Vec::new(),
-                blocks: targets?,
+                operands: Operands::new(),
+                blocks: targets?.into(),
                 pred: raw.pred,
                 aux_ty: raw.aux_ty,
                 parent: bb,
@@ -440,7 +440,7 @@ fn build_body(
             };
             resolved.push(v);
         }
-        f.inst_mut(iid).operands = resolved;
+        f.inst_mut(iid).operands = resolved.into();
     }
     Ok(())
 }

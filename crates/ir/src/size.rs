@@ -58,6 +58,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::function::Function;
+    use crate::inst::{Operands, Targets};
     use crate::module::Module;
 
     #[test]
@@ -106,8 +107,8 @@ mod tests {
             let inst = Instruction {
                 op,
                 ty: crate::types::TypeStore::new().void(),
-                operands: vec![],
-                blocks: vec![],
+                operands: Operands::new(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: BlockId::from_index(0),

@@ -271,7 +271,7 @@ fn check_phi(
     let mut preds: Vec<BlockId> = cfg.preds(bb).to_vec();
     preds.sort();
     preds.dedup();
-    let mut incoming: Vec<BlockId> = inst.blocks.clone();
+    let mut incoming: Vec<BlockId> = inst.blocks.to_vec();
     incoming.sort();
     incoming.dedup();
     if preds != incoming {
@@ -581,7 +581,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::function::Function;
-    use crate::inst::{Instruction, IntPredicate};
+    use crate::inst::{Instruction, IntPredicate, Operands, Targets};
     use crate::module::Module;
 
     fn simple_module() -> Module {
@@ -659,8 +659,8 @@ mod tests {
             Instruction {
                 op: Opcode::Add,
                 ty: i32t,
-                operands: vec![arg, arg],
-                blocks: vec![],
+                operands: [arg, arg].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: other,
@@ -674,8 +674,8 @@ mod tests {
             Instruction {
                 op: Opcode::Ret,
                 ty: void,
-                operands: vec![late.unwrap()],
-                blocks: vec![],
+                operands: [late.unwrap()].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: entry,
@@ -688,8 +688,8 @@ mod tests {
             Instruction {
                 op: Opcode::Unreachable,
                 ty: void,
-                operands: vec![],
-                blocks: vec![],
+                operands: Operands::new(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: other,
@@ -738,20 +738,20 @@ mod tests {
         let mut f = Function::new("bad", vec![i32t], i32t);
         let entry = f.add_block("entry");
         let arg = f.arg(0);
-        let mk = |op, ty, operands: Vec<ValueId>, blocks: Vec<BlockId>| Instruction {
+        let mk = |op, ty, operands: &[ValueId], blocks: &[BlockId]| Instruction {
             op,
             ty,
-            operands,
-            blocks,
+            operands: operands.into(),
+            blocks: blocks.into(),
             pred: None,
             aux_ty: None,
             parent: entry,
             result: None,
         };
-        let (_, add) = f.append_inst(&m.types, entry, mk(Opcode::Add, i32t, vec![arg, arg], vec![]));
+        let (_, add) = f.append_inst(&m.types, entry, mk(Opcode::Add, i32t, &[arg, arg], &[]));
         // Phi after a non-phi; also give it a bogus incoming to keep shape valid.
-        f.append_inst(&m.types, entry, mk(Opcode::Phi, i32t, vec![arg], vec![entry]));
-        f.append_inst(&m.types, entry, mk(Opcode::Ret, void, vec![add.unwrap()], vec![]));
+        f.append_inst(&m.types, entry, mk(Opcode::Phi, i32t, &[arg], &[entry]));
+        f.append_inst(&m.types, entry, mk(Opcode::Ret, void, &[add.unwrap()], &[]));
         let id = m.add_function(f);
         let errs = verify_function(&m, id).unwrap_err();
         assert!(errs.iter().any(|e| matches!(e, VerifyError::MisplacedPhi { .. })), "{errs:?}");
@@ -801,8 +801,8 @@ mod tests {
             Instruction {
                 op: Opcode::ICmp,
                 ty: i32t, // should be i1
-                operands: vec![arg, arg],
-                blocks: vec![],
+                operands: [arg, arg].into(),
+                blocks: Targets::new(),
                 pred: Some(Predicate::Int(IntPredicate::Eq)),
                 aux_ty: None,
                 parent: entry,
@@ -815,8 +815,8 @@ mod tests {
             Instruction {
                 op: Opcode::Ret,
                 ty: void,
-                operands: vec![c.unwrap()],
-                blocks: vec![],
+                operands: [c.unwrap()].into(),
+                blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
                 parent: entry,
