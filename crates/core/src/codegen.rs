@@ -155,44 +155,10 @@ enum End {
     Br(u32),
 }
 
-/// What a merged block is for, which names it. Numbers are merged block
-/// indexes unless the payload is a [`BlockId`] of an original.
-#[derive(Clone, Copy, Debug)]
-enum Role {
-    Entry,
-    Pair(BlockId, BlockId),
-    /// The arms and the join of the guard diamond that splits block `.0`.
-    Side1(u32),
-    Side2(u32),
-    Join(u32),
-    /// The arms of the never-rejoining terminator diamond below block `.0`.
-    Term1(u32),
-    Term2(u32),
-    Clone1(BlockId),
-    Clone2(BlockId),
-    /// Where target `.1` of block `.0`'s merged terminator diverges.
-    Dispatch(u32, u32),
-}
-
-impl Role {
-    fn name(self) -> String {
-        match self {
-            Role::Entry => "entry".to_string(),
-            Role::Pair(b1, b2) => format!("pair.{}.{}", b1.index(), b2.index()),
-            Role::Side1(b) => format!("side1.{b}"),
-            Role::Side2(b) => format!("side2.{b}"),
-            Role::Join(b) => format!("join.{b}"),
-            Role::Term1(b) => format!("term1.{b}"),
-            Role::Term2(b) => format!("term2.{b}"),
-            Role::Clone1(b) => format!("clone1.{}", b.index()),
-            Role::Clone2(b) => format!("clone2.{}", b.index()),
-            Role::Dispatch(b, k) => format!("dispatch.{b}.{k}"),
-        }
-    }
-}
-
 struct LayoutBlock {
-    role: Role,
+    /// For a dispatch block — where a target of a merged terminator
+    /// diverges — the merged block that terminator ends.
+    dispatch_of: Option<u32>,
     /// One past the block's last slot in [`Layout::srcs`]; its first is
     /// where the block before it ends.
     srcs_end: u32,
@@ -327,7 +293,7 @@ impl<'m> Layout<'m> {
         let mut entry = [vec![NONE; fa.block_arena_len()], vec![NONE; fb.block_arena_len()]];
 
         // The entry dispatch comes first and is decided last.
-        lay.open(Role::Entry);
+        lay.open();
         lay.close(End::Term);
         let mut parts = (Parts::default(), Parts::default());
         let mut mismatch = (Vec::new(), Vec::new());
@@ -338,8 +304,7 @@ impl<'m> Layout<'m> {
         }
         for (s, unpaired) in [&plan.unpaired1, &plan.unpaired2].into_iter().enumerate() {
             for &bb in unpaired {
-                let role = if s == 0 { Role::Clone1(bb) } else { Role::Clone2(bb) };
-                entry[s][bb.index()] = lay.open(role);
+                entry[s][bb.index()] = lay.open();
                 for &i in &lay.sides[s].f.block(bb).insts {
                     lay.push(Src::Own(s, i));
                 }
@@ -368,8 +333,8 @@ impl<'m> Layout<'m> {
     // ---- the structure walk ----------------------------------------------
 
     /// Starts a block: what is pushed from now on belongs to it.
-    fn open(&mut self, role: Role) -> u32 {
-        self.blocks.push(LayoutBlock { role, srcs_end: NONE, end: End::Term });
+    fn open(&mut self) -> u32 {
+        self.blocks.push(LayoutBlock { dispatch_of: None, srcs_end: NONE, end: End::Term });
         self.blocks.len() as u32 - 1
     }
 
@@ -405,17 +370,17 @@ impl<'m> Layout<'m> {
         let split = self.blocks.len() as u32 - 1;
         let (side1, side2, join) = (split + 1, split + 2, split + 3);
         self.close(End::Guard { side1, side2 });
-        self.open(Role::Side1(split));
+        self.open();
         for i in mismatch.0.drain(..) {
             self.push(Src::Own(0, i));
         }
         self.close(End::Br(join));
-        self.open(Role::Side2(split));
+        self.open();
         for j in mismatch.1.drain(..) {
             self.push(Src::Own(1, j));
         }
         self.close(End::Br(join));
-        self.open(Role::Join(split));
+        self.open();
     }
 
     /// Lays out one paired block and returns its head: the merged phi
@@ -429,7 +394,7 @@ impl<'m> Layout<'m> {
     ) -> u32 {
         let (fa, fb) = (self.sides[0].f, self.sides[1].f);
         let (t1, t2) = (p1.split(fa, pair.b1), p2.split(fb, pair.b2));
-        let head = self.open(Role::Pair(pair.b1, pair.b2));
+        let head = self.open();
         for k in 0..pair.phi_pairs {
             self.push(Src::Merged(p1.phis[k], p2.phis[k]));
         }
@@ -460,13 +425,13 @@ impl<'m> Layout<'m> {
             // final diamond that never rejoins.
             let split = self.blocks.len() as u32 - 1;
             self.close(End::Guard { side1: split + 1, side2: split + 2 });
-            self.open(Role::Term1(split));
+            self.open();
             for i in mismatch.0.drain(..) {
                 self.push(Src::Own(0, i));
             }
             self.push(Src::Own(0, t1));
             self.close(End::Term);
-            self.open(Role::Term2(split));
+            self.open();
             for j in mismatch.1.drain(..) {
                 self.push(Src::Own(1, j));
             }
@@ -486,12 +451,12 @@ impl<'m> Layout<'m> {
             match term {
                 Src::Merged(t1, t2) => {
                     let targets = fa.inst(t1).blocks.iter().zip(&fb.inst(t2).blocks);
-                    for (k, (&o1, &o2)) in targets.enumerate() {
+                    for (&o1, &o2) in targets {
                         let (m1, m2) = (entry_of(&entry[0], o1), entry_of(&entry[1], o2));
                         if m1 != m2 {
-                            let end = End::Guard { side1: m1, side2: m2 };
-                            self.open(Role::Dispatch(b as u32, k as u32));
-                            self.close(end);
+                            let d = self.open();
+                            self.blocks[d as usize].dispatch_of = Some(b as u32);
+                            self.close(End::Guard { side1: m1, side2: m2 });
                         }
                         let target = if m1 == m2 { m1 } else { self.blocks.len() as u32 - 1 };
                         self.targets.push(target);
@@ -562,8 +527,8 @@ impl<'m> Layout<'m> {
             None => [None, None],
         };
         let block = &self.blocks[pred.index()];
-        match (block.role, block.end) {
-            (Role::Dispatch(from, _), End::Guard { side1, side2 }) => {
+        match (block.dispatch_of, block.end) {
+            (Some(from), End::Guard { side1, side2 }) => {
                 let [o1, o2] = origin(from as usize);
                 let head = head.index() as u32;
                 [o1.filter(|_| head == side1), o2.filter(|_| head == side2)]
@@ -711,8 +676,8 @@ impl MergeBuilder<'_, '_> {
 
     fn emit(&mut self) {
         let lay = self.lay;
-        for block in &lay.blocks {
-            self.nf.add_block(block.role.name());
+        for _ in &lay.blocks {
+            self.nf.add_block();
         }
         let block_id = |b: u32| BlockId::from_index(b as usize);
         let guard = |op, operands: Operands, blocks: Targets, parent| Instruction {
@@ -1240,7 +1205,7 @@ pub fn build_thunk(
     let mf = m.function(merged);
     let mut t = Function::new(of.name.clone(), of.params.clone(), of.ret_ty);
     t.linkage = of.linkage;
-    let bb = t.add_block("entry");
+    let bb = t.add_block();
     let callee = t.func_ref(merged, TypeId::PTR);
     let fid = t.const_int(&m.types, TypeId::BOOL, i64::from(fid_value));
     let mut call_ops = Operands::with_capacity(1 + mf.params.len());

@@ -3,11 +3,23 @@
 //! bookkeeping.
 
 use f3m_core::block_pairing::plan_blocks;
-use f3m_core::codegen::{build_merged, MergeConfig};
+use f3m_core::codegen::{build_merged, build_thunk, MergeConfig};
 use f3m_core::pass::{run_pass, PassConfig};
 use f3m_interp::{Interpreter, Limits, Val};
+use f3m_ir::function::Function;
+use f3m_ir::ids::ValueId;
 use f3m_ir::parser::parse_module;
+use f3m_ir::value::ValueKind;
 use f3m_ir::verify::verify_function;
+
+/// Argument `i` is value `i` of the arena, and a value of kind `Arg(i)`.
+fn assert_args_by_position(f: &Function) {
+    assert_eq!(f.num_args(), f.params.len(), "@{}", f.name);
+    for i in 0..f.num_args() {
+        assert_eq!(f.arg(i), ValueId::from_index(i), "@{} arg {i}", f.name);
+        assert_eq!(f.value(f.arg(i)).kind, ValueKind::Arg(i as u32), "@{} arg {i}", f.name);
+    }
+}
 
 #[test]
 fn merges_functions_with_invokes() {
@@ -92,6 +104,15 @@ bb0:
     assert_eq!(mf.param_map1, vec![1, 2, 3]);
     assert_eq!(mf.param_map2[0], 1, "first i32 shared");
     assert_eq!(mf.param_map2[1], 3, "f64 shared");
+    // The merged function and both thunks hold their arguments by position.
+    assert_args_by_position(&mf.func);
+    let mut m = m;
+    let merged = m.add_function(mf.func);
+    for (orig, fid, map) in [(ids[0], false, &mf.param_map1), (ids[1], true, &mf.param_map2)] {
+        let thunk = build_thunk(&m, orig, merged, fid, map);
+        assert_eq!(thunk.params, m.function(orig).params);
+        assert_args_by_position(&thunk);
+    }
 }
 
 #[test]

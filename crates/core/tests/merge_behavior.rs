@@ -71,7 +71,7 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
             (f.params.clone(), f.ret_ty)
         };
         let mut d = f3m_ir::function::Function::new(format!("__drv_{name}"), params.clone(), ret_ty);
-        let bb = d.add_block("entry");
+        let bb = d.add_block();
         let callee = d.func_ref(id, ptr_ty);
         let ops: f3m_ir::inst::Operands =
             std::iter::once(callee).chain((0..params.len()).map(|i| d.arg(i))).collect();
@@ -671,7 +671,7 @@ bb0:
         let i32t = scratch.int(32);
         let i64t = scratch.int(64);
         let mut f = f3m_ir::function::Function::new("m", vec![b, i32t, i64t], i32t);
-        let bb = f.add_block("entry");
+        let bb = f.add_block();
         let arg = f.arg(1);
         f.append_inst(
             &m.types,

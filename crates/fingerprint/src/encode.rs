@@ -65,7 +65,7 @@ mod tests {
         let mut f = Function::new("f", vec![i32t, i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             build(&mut b);
         }
@@ -104,7 +104,7 @@ mod tests {
         let mut f = Function::new("f", vec![i32t, i32t, i64t, i64t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             let a32 = b.add(b.func().arg(0), b.func().arg(1));
             let _a64 = b.add(b.func().arg(2), b.func().arg(3));
@@ -138,7 +138,7 @@ mod tests {
         let mut f1 = Function::new("a", vec![i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f1);
-            let e = b.create_block("entry");
+            let e = b.create_block();
             b.position_at_end(e);
             let a = b.func().arg(0);
             b.ret(Some(a));
@@ -146,7 +146,7 @@ mod tests {
         let mut f2 = Function::new("b", vec![i64t], i64t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f2);
-            let e = b.create_block("entry");
+            let e = b.create_block();
             b.position_at_end(e);
             let a = b.func().arg(0);
             b.ret(Some(a));

@@ -68,7 +68,7 @@ mod tests {
         let mut f = Function::new("f", vec![i32t, i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let e = b.create_block("entry");
+            let e = b.create_block();
             b.position_at_end(e);
             let mut acc = b.func().arg(0);
             for _ in 0..n_adds {
@@ -118,7 +118,7 @@ mod tests {
             let mut f = Function::new(name, vec![i32t, i32t], i32t);
             {
                 let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-                let e = b.create_block("entry");
+                let e = b.create_block();
                 b.position_at_end(e);
                 let (x, y) = (b.func().arg(0), b.func().arg(1));
                 let r = if add_first {

@@ -20,6 +20,7 @@ use f3m_ir::inst::{
     FloatPredicate, Instruction, IntPredicate, Opcode, Operands, Predicate, Targets,
 };
 use f3m_ir::module::Module;
+use f3m_ir::types::TypeId;
 use f3m_ir::value::ValueKind;
 use f3m_prng::SmallRng;
 
@@ -95,7 +96,6 @@ fn mut_split_block(m: &mut Module, rng: &mut SmallRng) -> bool {
 /// deduplicated predecessor set.
 fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
     let Some(fid) = pick_func(m, rng) else { return false };
-    let void = m.types.void();
     let (f, ts) = m.func_mut_and_types(fid);
     let mut edges: Vec<(BlockId, InstId, usize)> = Vec::new();
     for &bb in &f.block_order {
@@ -110,13 +110,13 @@ fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
     }
     let (bb, tid, si) = edges[rng.gen_range(0..edges.len())];
     let succ = f.inst(tid).blocks[si];
-    let tramp = f.add_block(format!("{}.edge", f.block(bb).name));
+    let tramp = f.add_block();
     f.append_inst(
         ts,
         tramp,
         Instruction {
             op: Opcode::Br,
-            ty: void,
+            ty: TypeId::VOID,
             operands: Operands::new(),
             blocks: [succ].into(),
             pred: None,

@@ -176,7 +176,7 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
         (f.name.clone(), f.params.clone(), f.ret_ty, f.linkage);
     let mut stub = Function::new(name, params, ret_ty);
     stub.linkage = linkage;
-    let bb = stub.add_block("entry");
+    let bb = stub.add_block();
     let ts = &cand.types;
     let mut operands = Operands::new();
     if !ts.is_void(ret_ty) {

@@ -14,7 +14,7 @@
 //! let i32t = ts.int(32);
 //! let mut f = Function::new("add3", vec![i32t, i32t, i32t], i32t);
 //! let mut b = FunctionBuilder::new(&mut ts, &mut f);
-//! let entry = b.create_block("entry");
+//! let entry = b.create_block();
 //! b.position_at_end(entry);
 //! let t0 = b.add(b.func().arg(0), b.func().arg(1));
 //! let t1 = b.add(t0, b.func().arg(2));
@@ -57,8 +57,8 @@ impl<'a> FunctionBuilder<'a> {
     }
 
     /// Appends a new block (does not change the insertion point).
-    pub fn create_block(&mut self, name: impl Into<String>) -> BlockId {
-        self.f.add_block(name)
+    pub fn create_block(&mut self) -> BlockId {
+        self.f.add_block()
     }
 
     /// Sets the insertion point to the end of `bb`.
@@ -276,10 +276,10 @@ mod tests {
     fn builds_diamond_cfg() {
         let (mut ts, mut f) = setup();
         let mut b = FunctionBuilder::new(&mut ts, &mut f);
-        let entry = b.create_block("entry");
-        let then_bb = b.create_block("then");
-        let else_bb = b.create_block("else");
-        let join = b.create_block("join");
+        let entry = b.create_block();
+        let then_bb = b.create_block();
+        let else_bb = b.create_block();
+        let join = b.create_block();
         b.position_at_end(entry);
         let c = b.icmp(IntPredicate::Slt, b.func().arg(0), b.func().arg(1));
         b.cond_br(c, then_bb, else_bb);
@@ -305,7 +305,7 @@ mod tests {
         let void = ts.void();
         let ptr = ts.ptr();
         let mut b = FunctionBuilder::new(&mut ts, &mut f);
-        let entry = b.create_block("entry");
+        let entry = b.create_block();
         b.position_at_end(entry);
         let callee = b.f.func_ref(crate::ids::FuncId::from_index(0), ptr);
         let r = b.call(callee, &[], void);
@@ -317,7 +317,7 @@ mod tests {
         let (mut ts, mut f) = setup();
         let i32t = ts.int(32);
         let mut b = FunctionBuilder::new(&mut ts, &mut f);
-        let entry = b.create_block("entry");
+        let entry = b.create_block();
         b.position_at_end(entry);
         let slot = b.alloca(i32t);
         b.store(b.func().arg(0), slot);
@@ -334,7 +334,7 @@ mod tests {
     fn binary_rejects_non_binary() {
         let (mut ts, mut f) = setup();
         let mut b = FunctionBuilder::new(&mut ts, &mut f);
-        let entry = b.create_block("entry");
+        let entry = b.create_block();
         b.position_at_end(entry);
         b.binary(Opcode::ICmp, b.func().arg(0), b.func().arg(1));
     }

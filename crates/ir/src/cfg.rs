@@ -98,10 +98,10 @@ mod tests {
         let i32t = ts.int(32);
         let mut f = Function::new("d", vec![i32t, i32t], i32t);
         let mut b = FunctionBuilder::new(&mut ts, &mut f);
-        let entry = b.create_block("entry");
-        let t = b.create_block("t");
-        let e = b.create_block("e");
-        let j = b.create_block("j");
+        let entry = b.create_block();
+        let t = b.create_block();
+        let e = b.create_block();
+        let j = b.create_block();
         b.position_at_end(entry);
         let c = b.icmp(IntPredicate::Slt, b.func().arg(0), b.func().arg(1));
         b.cond_br(c, t, e);
@@ -142,8 +142,8 @@ mod tests {
         let i32t = ts.int(32);
         let mut f = Function::new("u", vec![], i32t);
         let mut b = FunctionBuilder::new(&mut ts, &mut f);
-        let entry = b.create_block("entry");
-        let dead = b.create_block("dead");
+        let entry = b.create_block();
+        let dead = b.create_block();
         b.position_at_end(entry);
         let c0 = b.const_int(i32t, 1);
         b.ret(Some(c0));

@@ -140,10 +140,10 @@ mod tests {
         let i32t = ts.int(32);
         let mut f = Function::new("g", vec![i32t, i32t], i32t);
         let mut b = FunctionBuilder::new(&mut ts, &mut f);
-        let entry = b.create_block("entry");
-        let ba = b.create_block("a");
-        let bb = b.create_block("b");
-        let bc = b.create_block("c");
+        let entry = b.create_block();
+        let ba = b.create_block();
+        let bb = b.create_block();
+        let bc = b.create_block();
         b.position_at_end(entry);
         let c = b.icmp(IntPredicate::Eq, b.func().arg(0), b.func().arg(1));
         b.cond_br(c, ba, bb);
@@ -226,10 +226,10 @@ mod tests {
         let i32t = ts.int(32);
         let mut f = Function::new("l", vec![i32t], i32t);
         let mut bld = FunctionBuilder::new(&mut ts, &mut f);
-        let entry = bld.create_block("entry");
-        let header = bld.create_block("header");
-        let body = bld.create_block("body");
-        let exit = bld.create_block("exit");
+        let entry = bld.create_block();
+        let header = bld.create_block();
+        let body = bld.create_block();
+        let exit = bld.create_block();
         bld.position_at_end(entry);
         bld.br(header);
         bld.position_at_end(header);

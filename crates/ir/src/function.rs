@@ -24,13 +24,12 @@ pub enum Linkage {
     Internal,
 }
 
-/// A basic block: a label plus an ordered list of instructions, the last of
-/// which is a terminator (once the function is complete).
+/// A basic block: an ordered list of instructions, the last of which is a
+/// terminator (once the function is complete). A block is named by its
+/// [`BlockId`] alone: the printer labels it `bbN` from the id, and the
+/// labels of a parsed text live only while its body is parsed.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Block {
-    /// Name used by the printer (`bb0`, `entry.merged`, ...). Not
-    /// semantically meaningful; uniqueness is by [`BlockId`].
-    pub name: String,
     /// Instructions in execution order.
     pub insts: Vec<InstId>,
 }
@@ -53,31 +52,30 @@ pub struct Function {
     values: Vec<Value>,
     insts: Vec<Instruction>,
     blocks: Vec<Block>,
-    arg_values: Vec<ValueId>,
     const_map: HashMap<ConstKey, ValueId>,
 }
 
 impl Function {
-    /// Creates an empty function definition with one value per parameter.
+    /// Creates an empty function definition with one value per parameter:
+    /// the `i`-th parameter's value is the `i`-th value of the arena.
     pub fn new(name: impl Into<String>, params: Vec<TypeId>, ret_ty: TypeId) -> Self {
-        let mut f = Function {
+        let values = params
+            .iter()
+            .enumerate()
+            .map(|(i, &ty)| Value { kind: ValueKind::Arg(i as u32), ty })
+            .collect();
+        Function {
             name: name.into(),
-            params: params.clone(),
+            params,
             ret_ty,
             linkage: Linkage::External,
             is_declaration: false,
             block_order: Vec::new(),
-            values: Vec::new(),
+            values,
             insts: Vec::new(),
             blocks: Vec::new(),
-            arg_values: Vec::new(),
             const_map: HashMap::new(),
-        };
-        for (i, &ty) in params.iter().enumerate() {
-            let v = f.push_value(Value { kind: ValueKind::Arg(i as u32), ty });
-            f.arg_values.push(v);
         }
-        f
     }
 
     /// Creates an external declaration (no body).
@@ -101,12 +99,13 @@ impl Function {
     ///
     /// Panics if `i` is out of range.
     pub fn arg(&self, i: usize) -> ValueId {
-        self.arg_values[i]
+        assert!(i < self.params.len(), "argument {i} of a function with {}", self.params.len());
+        ValueId::from_index(i)
     }
 
     /// Number of parameters.
     pub fn num_args(&self) -> usize {
-        self.arg_values.len()
+        self.params.len()
     }
 
     /// Looks up a value.
@@ -172,9 +171,9 @@ impl Function {
     // ---- blocks -----------------------------------------------------------
 
     /// Appends a new empty block at the end of the block order.
-    pub fn add_block(&mut self, name: impl Into<String>) -> BlockId {
+    pub fn add_block(&mut self) -> BlockId {
         let id = BlockId::from_index(self.blocks.len());
-        self.blocks.push(Block { name: name.into(), insts: Vec::new() });
+        self.blocks.push(Block::default());
         self.block_order.push(id);
         id
     }
@@ -342,26 +341,17 @@ impl Function {
     /// function that named `bb` are retargeted to the new block, since
     /// every edge the old terminator carried now leaves from the tail.
     ///
-    /// `void_ty` must be the interned `void` type (needed for the new
-    /// branch; this method only holds a shared [`TypeStore`] borrow).
     /// Returns the new block.
     ///
     /// # Panics
     ///
     /// Panics if `pos` falls inside the leading phi group or past the last
     /// instruction (the split must leave a terminator to move).
-    pub fn split_block(
-        &mut self,
-        ts: &TypeStore,
-        void_ty: TypeId,
-        bb: BlockId,
-        pos: usize,
-    ) -> BlockId {
+    pub fn split_block(&mut self, ts: &TypeStore, bb: BlockId, pos: usize) -> BlockId {
         assert!(pos >= self.first_non_phi(bb), "cannot split inside the phi group");
         assert!(pos < self.block(bb).insts.len(), "split must leave a terminator to move");
         let tail = self.blocks[bb.index()].insts.split_off(pos);
-        let name = format!("{}.split", self.blocks[bb.index()].name);
-        let new_bb = self.add_block(name);
+        let new_bb = self.add_block();
         for &i in &tail {
             self.insts[i.index()].parent = new_bb;
         }
@@ -384,7 +374,7 @@ impl Function {
             bb,
             Instruction {
                 op: Opcode::Br,
-                ty: void_ty,
+                ty: TypeId::VOID,
                 operands: Operands::new(),
                 blocks: [new_bb].into(),
                 pred: None,
@@ -454,7 +444,7 @@ mod tests {
         let (mut ts, mut f) = setup();
         let i32t = ts.int(32);
         let void = ts.void();
-        let bb = f.add_block("entry");
+        let bb = f.add_block();
         let (a, b) = (f.arg(0), f.arg(1));
         let (_, res) = f.append_inst(
             &ts,
@@ -494,7 +484,7 @@ mod tests {
     fn first_non_phi_skips_leading_phis() {
         let (mut ts, mut f) = setup();
         let i32t = ts.int(32);
-        let bb = f.add_block("bb");
+        let bb = f.add_block();
         let a = f.arg(0);
         let mk = |op: Opcode, ty: TypeId, bb: BlockId| Instruction {
             op,
@@ -516,7 +506,7 @@ mod tests {
     fn replace_all_uses_rewrites_operands() {
         let (mut ts, mut f) = setup();
         let i32t = ts.int(32);
-        let bb = f.add_block("entry");
+        let bb = f.add_block();
         let (a, b) = (f.arg(0), f.arg(1));
         let (i, res) = f.append_inst(
             &ts,
@@ -541,7 +531,7 @@ mod tests {
     fn unlink_inst_removes_from_block_only() {
         let (mut ts, mut f) = setup();
         let i32t = ts.int(32);
-        let bb = f.add_block("entry");
+        let bb = f.add_block();
         let a = f.arg(0);
         let mk = || Instruction {
             op: Opcode::Add,
@@ -571,8 +561,8 @@ mod tests {
         let boolt = ts.bool();
         let void = ts.void();
         let mut f = Function::new("t", vec![i32t], i32t);
-        let bb0 = f.add_block("bb0");
-        let bb1 = f.add_block("bb1");
+        let bb0 = f.add_block();
+        let bb1 = f.add_block();
         let a = f.arg(0);
         let (_, add) = f.append_inst(
             &ts,
@@ -645,7 +635,7 @@ mod tests {
                 result: None,
             },
         );
-        let new_bb = f.split_block(&ts, void, bb0, 1);
+        let new_bb = f.split_block(&ts, bb0, 1);
         // bb0 keeps [add, br new_bb]; new_bb holds [icmp, condbr].
         assert_eq!(f.block(bb0).insts.len(), 2);
         assert_eq!(f.terminator(bb0).unwrap().1.blocks[..], [new_bb]);
@@ -667,7 +657,7 @@ mod tests {
         let i32t = ts.int(32);
         let void = ts.void();
         let mut f = Function::new("t", vec![i32t], i32t);
-        let bb = f.add_block("bb");
+        let bb = f.add_block();
         let a = f.arg(0);
         f.append_inst(
             &ts,
@@ -697,15 +687,15 @@ mod tests {
                 result: None,
             },
         );
-        f.split_block(&ts, void, bb, 0);
+        f.split_block(&ts, bb, 0);
     }
 
     #[test]
     fn linked_insts_follow_block_order() {
         let (mut ts, mut f) = setup();
         let void = ts.void();
-        let bb0 = f.add_block("a");
-        let bb1 = f.add_block("b");
+        let bb0 = f.add_block();
+        let bb1 = f.add_block();
         let mk_br = |target: BlockId| Instruction {
             op: Opcode::Br,
             ty: void,

@@ -24,7 +24,7 @@
 //! let mut f = Function::new("square", vec![i32t], i32t);
 //! {
 //!     let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-//!     let entry = b.create_block("entry");
+//!     let entry = b.create_block();
 //!     b.position_at_end(entry);
 //!     let x = b.func().arg(0);
 //!     let sq = b.mul(x, x);

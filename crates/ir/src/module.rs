@@ -220,8 +220,7 @@ impl Module {
         self.funcs.iter().filter(|f| !f.is_declaration).map(|f| f.num_linked_insts()).sum()
     }
 
-    /// Splits a block of function `fid` at instruction position `pos`,
-    /// interning the `void` type on the caller's behalf. See
+    /// Splits a block of function `fid` at instruction position `pos`. See
     /// [`Function::split_block`] for the exact semantics.
     pub fn split_block(
         &mut self,
@@ -229,9 +228,8 @@ impl Module {
         bb: crate::ids::BlockId,
         pos: usize,
     ) -> crate::ids::BlockId {
-        let void = self.types.void();
         let Module { funcs, types, .. } = self;
-        funcs[fid.index()].split_block(types, void, bb, pos)
+        funcs[fid.index()].split_block(types, bb, pos)
     }
 
     /// Generates a fresh function name with the given prefix that does not

@@ -1162,7 +1162,7 @@ fn label_blocks<'s>(
         match labels.entry(label) {
             Entry::Occupied(_) => return Err(err(line, format!("duplicate label `{label}`"))),
             Entry::Vacant(slot) => {
-                slot.insert(f.add_block(label));
+                slot.insert(f.add_block());
             }
         }
     }

@@ -371,7 +371,7 @@ mod tests {
         let mut f = Function::new("max", vec![i32t, i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             let c = b.icmp(IntPredicate::Sgt, b.func().arg(0), b.func().arg(1));
             let r = b.select(c, b.func().arg(0), b.func().arg(1));
@@ -398,7 +398,7 @@ mod tests {
         let mut f = Function::new("inc", vec![i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             let one = b.const_int(i32t, 1);
             let r = b.add(b.func().arg(0), one);
@@ -425,7 +425,7 @@ mod tests {
         let mut f = Function::new("one", vec![], f64t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             let one = b.const_float(f64t, 1.0);
             b.ret(Some(one));

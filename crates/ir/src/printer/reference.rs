@@ -276,7 +276,7 @@ fn corner_module() -> Module {
     helper.linkage = Linkage::Internal;
     {
         let mut b = FunctionBuilder::new(&mut m.types, &mut helper);
-        let entry = b.create_block("entry");
+        let entry = b.create_block();
         b.position_at_end(entry);
         let x = b.func().arg(0);
         let bits = b.func_mut().intern_const(crate::value::Value {
@@ -293,10 +293,10 @@ fn corner_module() -> Module {
     let unlinked;
     {
         let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-        let entry = b.create_block("entry");
-        let normal = b.create_block("normal");
-        let unwind = b.create_block("unwind");
-        let join = b.create_block("join");
+        let entry = b.create_block();
+        let normal = b.create_block();
+        let unwind = b.create_block();
+        let join = b.create_block();
         b.position_at_end(entry);
         let (a, x, p) = (b.func().arg(0), b.func().arg(1), b.func().arg(2));
         let min = b.const_int(i64t, i64::MIN);

@@ -76,7 +76,7 @@ mod tests {
         let mut small = Function::new("small", vec![i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut small);
-            let e = b.create_block("entry");
+            let e = b.create_block();
             b.position_at_end(e);
             let a = b.func().arg(0);
             b.ret(Some(a));
@@ -84,7 +84,7 @@ mod tests {
         let mut big = Function::new("big", vec![i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut big);
-            let e = b.create_block("entry");
+            let e = b.create_block();
             b.position_at_end(e);
             let mut acc = b.func().arg(0);
             for _ in 0..10 {

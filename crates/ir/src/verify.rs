@@ -590,7 +590,7 @@ mod tests {
         let mut f = Function::new("ok", vec![i32t, i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             let s = b.add(b.func().arg(0), b.func().arg(1));
             b.ret(Some(s));
@@ -612,7 +612,7 @@ mod tests {
         let mut f = Function::new("bad", vec![i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             b.add(b.func().arg(0), b.func().arg(0));
             // no ret
@@ -632,7 +632,7 @@ mod tests {
         let mut f = Function::new("bad", vec![i64t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             let a = b.func().arg(0);
             b.ret(Some(a));
@@ -648,8 +648,8 @@ mod tests {
         let i32t = m.types.int(32);
         let void = m.types.void();
         let mut f = Function::new("bad", vec![i32t], i32t);
-        let entry = f.add_block("entry");
-        let other = f.add_block("other");
+        let entry = f.add_block();
+        let other = f.add_block();
         // entry: ret uses a value defined in `other`, which does not
         // dominate entry.
         let arg = f.arg(0);
@@ -711,8 +711,8 @@ mod tests {
         let mut f = Function::new("bad", vec![i32t], i32t);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
-            let next = b.create_block("next");
+            let entry = b.create_block();
+            let next = b.create_block();
             b.position_at_end(entry);
             b.br(next);
             b.position_at_end(next);
@@ -736,7 +736,7 @@ mod tests {
         let i32t = m.types.int(32);
         let void = m.types.void();
         let mut f = Function::new("bad", vec![i32t], i32t);
-        let entry = f.add_block("entry");
+        let entry = f.add_block();
         let arg = f.arg(0);
         let mk = |op, ty, operands: &[ValueId], blocks: &[BlockId]| Instruction {
             op,
@@ -768,7 +768,7 @@ mod tests {
         let fr = f.func_ref(callee, ptr);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-            let entry = b.create_block("entry");
+            let entry = b.create_block();
             b.position_at_end(entry);
             // Pass an i64 where `ok` expects two i32 params: both an arity
             // and a type mismatch.
@@ -793,7 +793,7 @@ mod tests {
         let i32t = m.types.int(32);
         let void = m.types.void();
         let mut f = Function::new("bad", vec![i32t], i32t);
-        let entry = f.add_block("entry");
+        let entry = f.add_block();
         let arg = f.arg(0);
         let (_, c) = f.append_inst(
             &m.types,

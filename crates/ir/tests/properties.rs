@@ -10,13 +10,13 @@
 use f3m_ir::builder::FunctionBuilder;
 use f3m_ir::cfg::Cfg;
 use f3m_ir::dom::DomTree;
-use f3m_ir::ids::ValueId;
+use f3m_ir::ids::{InstId, ValueId};
 use f3m_ir::inst::{IntPredicate, Opcode};
-use f3m_ir::function::Function;
+use f3m_ir::function::{Block, Function};
 use f3m_ir::module::Module;
 use f3m_ir::printer::print_module;
 use f3m_ir::parser::parse_module;
-use f3m_ir::value::normalize_int;
+use f3m_ir::value::{normalize_int, ValueKind};
 use f3m_ir::verify::verify_module;
 use f3m_prng::SmallRng;
 
@@ -68,7 +68,7 @@ fn build_from_recipe(steps: &[Step]) -> Module {
     let mut f = Function::new("f", vec![i32t, i32t], i32t);
     {
         let mut b = FunctionBuilder::new(&mut m.types, &mut f);
-        let entry = b.create_block("entry");
+        let entry = b.create_block();
         b.position_at_end(entry);
         let arr_ty = b.types().array(i32t, 4);
         let scratch = b.alloca(arr_ty);
@@ -105,9 +105,9 @@ fn build_from_recipe(steps: &[Step]) -> Module {
                     let x = pick(&pool, c1);
                     let y = pick(&pool, c2);
                     let cond = b.icmp(IntPredicate::Slt, x, y);
-                    let then_bb = b.create_block("t");
-                    let else_bb = b.create_block("e");
-                    let join = b.create_block("j");
+                    let then_bb = b.create_block();
+                    let else_bb = b.create_block();
+                    let join = b.create_block();
                     b.cond_br(cond, then_bb, else_bb);
                     b.position_at_end(then_bb);
                     let tv = b.add(x, y);
@@ -167,6 +167,47 @@ fn reparsed_module_has_same_shape() {
             f3m_ir::size::function_size(f2),
             "size model stable across round trip"
         );
+    }
+}
+
+/// Argument `i` is value `i` of the arena, and a value of kind `Arg(i)`.
+fn assert_args_by_position(f: &Function) {
+    assert_eq!(f.num_args(), f.params.len(), "@{}", f.name);
+    for i in 0..f.num_args() {
+        assert_eq!(f.arg(i), ValueId::from_index(i), "@{} arg {i}", f.name);
+        assert_eq!(f.value(f.arg(i)).kind, ValueKind::Arg(i as u32), "@{} arg {i}", f.name);
+    }
+}
+
+#[test]
+fn blocks_are_their_lists_and_arguments_their_positions() {
+    // A block holds its instruction list and nothing else: no label.
+    assert_eq!(std::mem::size_of::<Block>(), std::mem::size_of::<Vec<InstId>>());
+    let text = r#"
+module "t" {
+declare @ext(i64, f64, ptr) -> void
+define @none() -> void {
+bb0:
+  ret
+}
+define internal @three(i32 %0, i64 %1, f64 %2) -> i64 {
+entry:
+  %3 = add i64 %1, 7
+  br exit
+exit:
+  ret i64 %3
+}
+}
+"#;
+    let parsed = parse_module(text).unwrap();
+    parsed.functions().for_each(|(_, f)| assert_args_by_position(f));
+    let mut rng = SmallRng::seed_from_u64(13);
+    for _ in 0..16 {
+        let m = build_from_recipe(&random_recipe(&mut rng, 20));
+        let m2 = parse_module(&print_module(&m)).unwrap();
+        for m in [&m, &m2] {
+            m.functions().for_each(|(_, f)| assert_args_by_position(f));
+        }
     }
 }
 

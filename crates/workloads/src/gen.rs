@@ -494,7 +494,7 @@ impl<'a, 'b> GenCtx<'a, 'b> {
             };
             if shape.allow_invoke && self.srng.chance(0.25) {
                 // Invoke: terminator; continue in the normal block.
-                let normal = self.b.create_block("inv.norm");
+                let normal = self.b.create_block();
                 let unwind = self.unwind_block.expect("unwind block pre-created");
                 let v = self
                     .b
@@ -564,7 +564,7 @@ pub fn generate_function(
     f.linkage = linkage;
 
     let mut b = FunctionBuilder::new(ts, &mut f);
-    let entry = b.create_block("entry");
+    let entry = b.create_block();
     b.position_at_end(entry);
 
     let mut ctx = {
@@ -647,7 +647,7 @@ pub fn generate_function(
     }
     // Pre-create the unwind sink when invokes are allowed.
     if shape.allow_invoke {
-        let uw = ctx.b.create_block("unwind.sink");
+        let uw = ctx.b.create_block();
         ctx.unwind_block = Some(uw);
     }
 
@@ -736,9 +736,9 @@ fn emit_diamond(ctx: &mut GenCtx<'_, '_>, shape: &ShapeParams) {
     let y = ctx.pick_int();
     let p = ctx.pred_palette[ctx.srng.range(ctx.pred_palette.len())];
     let cond = ctx.b.icmp(p, x, y);
-    let then_bb = ctx.b.create_block("then");
-    let else_bb = ctx.b.create_block("else");
-    let join = ctx.b.create_block("join");
+    let then_bb = ctx.b.create_block();
+    let else_bb = ctx.b.create_block();
+    let join = ctx.b.create_block();
     ctx.b.cond_br(cond, then_bb, else_bb);
     ctx.emitted += 2;
 
@@ -783,9 +783,9 @@ fn emit_loop(ctx: &mut GenCtx<'_, '_>, shape: &ShapeParams) {
     let _ = shape;
     let trip = ctx.srng.range_i64(2, 6);
     let pre = ctx.b.current_block();
-    let header = ctx.b.create_block("loop.header");
-    let body = ctx.b.create_block("loop.body");
-    let exit = ctx.b.create_block("loop.exit");
+    let header = ctx.b.create_block();
+    let body = ctx.b.create_block();
+    let exit = ctx.b.create_block();
 
     let init = ctx.pick_int();
     let zero = ctx.b.const_int(ctx.int_ty, 0);

@@ -240,7 +240,7 @@ fn build_driver(m: &mut Module, generated: &[f3m_ir::ids::FuncId], seed: u64) {
     let mut d = Function::new("__driver", vec![i64t], i64t);
     {
         let mut b = FunctionBuilder::new(&mut m.types, &mut d);
-        let entry = b.create_block("entry");
+        let entry = b.create_block();
         b.position_at_end(entry);
         let x = b.func().arg(0);
         let mut acc = x;

@@ -1,6 +1,7 @@
 //! Where a module's memory goes, layer by layer: instruction structs,
 //! their operand and target lists (in place, or spilled to the heap),
-//! values, blocks, and function metadata. Bytes are counted from
+//! values, blocks, and function metadata (the struct, the name, the
+//! parameter list and the constant map, a row each). Bytes are counted from
 //! `size_of` and element counts alone (no allocator hook), so they leave
 //! out malloc's per-chunk overhead; the heap allocations each layer makes
 //! are counted beside its bytes for that reason. Last, the `VmRSS` one
@@ -70,7 +71,10 @@ struct Footprint {
     targets: Lists,
     values: Layer,
     blocks: Layer,
-    meta: Layer,
+    structs: Layer,
+    names: Layer,
+    params: Layer,
+    const_maps: Layer,
     inst_count: usize,
     value_count: usize,
 }
@@ -103,35 +107,31 @@ impl Footprint {
         let (bytes, allocs) = buffer::<Value>(f.num_values());
         self.values.add(bytes, allocs);
 
-        // Blocks: the arena, the order, and each block's name and list.
+        // Blocks: the arena, the order, and each block's list.
         let (bytes, allocs) = buffer::<Block>(f.block_arena_len());
         self.blocks.add(bytes, allocs);
         let (bytes, allocs) = buffer::<BlockId>(f.block_order.len());
         self.blocks.add(bytes, allocs);
         for b in 0..f.block_arena_len() {
             let block = f.block(BlockId::from_index(b));
-            let (bytes, allocs) = buffer::<u8>(block.name.len());
-            self.blocks.add(bytes, allocs);
             let (bytes, allocs) = buffer::<InstId>(block.insts.len());
             self.blocks.add(bytes, allocs);
         }
 
-        // Metadata: the struct, name, parameters and argument values, and
-        // the constant map (one entry per interned constant, in a
-        // hashbrown table of a power-of-two number of buckets at most
-        // seven eighths full, one control byte each).
-        self.meta.add(size_of::<Function>(), 0);
+        // Metadata: the struct, the name, the parameters, and the constant
+        // map (one entry per interned constant, in a hashbrown table of a
+        // power-of-two number of buckets at most seven eighths full, one
+        // control byte each).
+        self.structs.add(size_of::<Function>(), 0);
         let (bytes, allocs) = buffer::<u8>(f.name.len());
-        self.meta.add(bytes, allocs);
+        self.names.add(bytes, allocs);
         let (bytes, allocs) = buffer::<TypeId>(f.params.len());
-        self.meta.add(bytes, allocs);
-        let (bytes, allocs) = buffer::<ValueId>(f.num_args());
-        self.meta.add(bytes, allocs);
+        self.params.add(bytes, allocs);
         let constants = f.values().filter(|(_, v)| v.is_constant_like()).count();
         if constants > 0 {
             let buckets = (constants * 8 / 7 + 1).next_power_of_two().max(4);
             let entry = size_of::<(ConstKey, ValueId)>();
-            self.meta.add(buckets * (entry + 1), 1);
+            self.const_maps.add(buckets * (entry + 1), 1);
         }
     }
 
@@ -164,7 +164,10 @@ impl Footprint {
         let rows = [
             ("values", self.values),
             ("blocks", self.blocks),
-            ("function metadata", self.meta),
+            ("function structs", self.structs),
+            ("function names", self.names),
+            ("parameter lists", self.params),
+            ("constant maps", self.const_maps),
         ];
         for (what, layer) in rows {
             println!(
