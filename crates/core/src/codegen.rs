@@ -36,7 +36,7 @@ use f3m_ir::inst::{Instruction, Opcode, Operands, Targets};
 use f3m_ir::module::Module;
 use f3m_ir::size::{inst_size, FUNCTION_OVERHEAD};
 use f3m_ir::types::{TypeId, TypeStore};
-use f3m_ir::value::{normalize_int, ConstKey, Value, ValueKind};
+use f3m_ir::value::{normalize_int, Value, ValueKind};
 
 use crate::align::AlignEntry;
 use crate::block_pairing::{insts_mergeable, split_block, BlockPairPlan, PairPlan};
@@ -228,19 +228,20 @@ fn merge_params(fa: &Function, fb: &Function) -> (Vec<TypeId>, Vec<usize>, Vec<u
 }
 
 /// What the constant-like `val` of an original is in the merged function:
-/// integers renormalised to their width, references retyped `ptr`. `None`
+/// integers renormalised to their width, anything else as it is. `None`
 /// for arguments and instruction results.
 fn merged_const(types: &TypeStore, val: &Value) -> Option<Value> {
-    let (kind, ty) = match val.kind {
-        ValueKind::Arg(_) | ValueKind::Inst(_) => return None,
+    match val.kind {
+        ValueKind::Arg(_) | ValueKind::Inst(_) => None,
         ValueKind::ConstInt(x) => {
             let x = types.int_bits(val.ty).map_or(x, |bits| normalize_int(x, bits));
-            (ValueKind::ConstInt(x), val.ty)
+            Some(Value { kind: ValueKind::ConstInt(x), ty: val.ty })
         }
-        ValueKind::FuncRef(_) | ValueKind::GlobalRef(_) => (val.kind, TypeId::PTR),
-        ValueKind::ConstFloat(_) | ValueKind::Undef => (val.kind, val.ty),
-    };
-    Some(Value { kind, ty })
+        ValueKind::ConstFloat(_)
+        | ValueKind::Undef
+        | ValueKind::FuncRef(_)
+        | ValueKind::GlobalRef(_) => Some(*val),
+    }
 }
 
 /// A paired block's instructions as the plan's alignment indexes them.
@@ -497,7 +498,8 @@ impl<'m> Layout<'m> {
 
     /// Whether `v1` of the first function and `v2` of the second resolve to
     /// one merged value: parameters sharing a slot, results of one merged
-    /// instruction, or constants the merged function interns as one.
+    /// instruction, or equal constants. The one rule for both the select
+    /// count and the build: where it holds, one side's value serves both.
     fn same_merged_value(&self, v1: ValueId, v2: ValueId) -> bool {
         let [a, b] = &self.sides;
         let (v1, v2) = (a.f.value(v1), b.f.value(v2));
@@ -507,7 +509,7 @@ impl<'m> Layout<'m> {
             }
             (ValueKind::Inst(d1), ValueKind::Inst(d2)) => a.slot[d1.index()] == b.slot[d2.index()],
             _ => match (merged_const(&self.m.types, v1), merged_const(&self.m.types, v2)) {
-                (Some(c1), Some(c2)) => ConstKey::of(&c1) == ConstKey::of(&c2),
+                (Some(c1), Some(c2)) => c1 == c2,
                 _ => false,
             },
         }
@@ -752,7 +754,7 @@ impl MergeBuilder<'_, '_> {
             }
             _ => {
                 let c = merged_const(&lay.m.types, val).expect("constant-like value");
-                self.nf.intern_const(c)
+                self.nf.push_const(c)
             }
         }
     }
@@ -794,10 +796,10 @@ impl MergeBuilder<'_, '_> {
                     let ops2 = &lay.sides[1].f.inst(i2).operands;
                     let mut out = Operands::with_capacity(ops1.len());
                     for (&v1, &v2) in ops1.iter().zip(ops2) {
-                        let (m1, m2) = (self.resolve(0, v1), self.resolve(1, v2));
-                        if m1 == m2 {
-                            out.push(m1);
+                        if lay.same_merged_value(v1, v2) {
+                            out.push(self.resolve(0, v1));
                         } else {
+                            let (m1, m2) = (self.resolve(0, v1), self.resolve(1, v2));
                             let bb = self.nf.inst(new_id).parent;
                             let pos = self
                                 .nf
@@ -840,15 +842,14 @@ impl MergeBuilder<'_, '_> {
                 };
                 let val = match src {
                     Src::Merged(p1, p2) => match (incoming(0, p1)?, incoming(1, p2)?) {
+                        (Some(v1), Some(v2)) if lay.same_merged_value(v1, v2) => {
+                            Some(self.resolve(0, v1))
+                        }
                         (Some(v1), Some(v2)) => {
+                            // Select at the end of the shared predecessor.
                             let (m1, m2) = (self.resolve(0, v1), self.resolve(1, v2));
-                            if m1 == m2 {
-                                Some(m1)
-                            } else {
-                                // Select at the end of the shared predecessor.
-                                let pos = self.nf.block(p).insts.len() - 1;
-                                Some(self.insert_select(p, pos, m1, m2))
-                            }
+                            let pos = self.nf.block(p).insts.len() - 1;
+                            Some(self.insert_select(p, pos, m1, m2))
                         }
                         (Some(v1), None) => Some(self.resolve(0, v1)),
                         (None, Some(v2)) => Some(self.resolve(1, v2)),
@@ -1206,7 +1207,7 @@ pub fn build_thunk(
     let mut t = Function::new(of.name.clone(), of.params.clone(), of.ret_ty);
     t.linkage = of.linkage;
     let bb = t.add_block();
-    let callee = t.func_ref(merged, TypeId::PTR);
+    let callee = t.func_ref(merged);
     let fid = t.const_int(&m.types, TypeId::BOOL, i64::from(fid_value));
     let mut call_ops = Operands::with_capacity(1 + mf.params.len());
     call_ops.push(callee);

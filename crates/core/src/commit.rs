@@ -147,7 +147,7 @@ impl RefIndex {
             let (f, types) = m.func_mut_and_types(owner);
             // `[callee, args...]`: the old call's arguments are `old[1..]`.
             let old = std::mem::take(&mut f.inst_mut(iid).operands);
-            let callee = f.func_ref(merged, TypeId::PTR);
+            let callee = f.func_ref(merged);
             let fid_const = f.const_int(types, TypeId::BOOL, i64::from(fid_value));
             let mut new_ops = Operands::with_capacity(1 + merged_params.len());
             new_ops.push(callee);

@@ -8,6 +8,7 @@ use f3m_core::pass::{run_pass, PassConfig};
 use f3m_interp::{Interpreter, Limits, Val};
 use f3m_ir::function::Function;
 use f3m_ir::ids::ValueId;
+use f3m_ir::inst::Opcode;
 use f3m_ir::parser::parse_module;
 use f3m_ir::value::ValueKind;
 use f3m_ir::verify::verify_function;
@@ -229,8 +230,7 @@ bb1:
 
 #[test]
 fn merged_function_reports_guard_statistics() {
-    let m = parse_module(
-        r#"
+    let differ = r#"
 module "t" {
 define @g1(i32 %0) -> i32 {
 bb0:
@@ -245,15 +245,51 @@ bb0:
   ret i32 %2
 }
 }
-"#,
-    )
-    .unwrap();
-    let ids = m.defined_functions();
-    let plan = plan_blocks(&m, ids[0], ids[1]);
-    let mf =
-        build_merged(&m, ids[0], ids[1], &plan, MergeConfig::default(), "mm".into()).unwrap();
-    assert_eq!(mf.selects_inserted, 2, "two differing constants");
-    assert_eq!(mf.demotions, 0, "straight-line merge needs no repair");
+"#;
+    // The same constant repeats in matched slots, phi incomings included;
+    // only the last `xor` differs.
+    let repeat = r#"
+module "t" {
+define @k1(i32 %0, i1 %1) -> i32 {
+bb0:
+  %2 = add i32 %0, 10
+  condbr %1, bb1, bb2
+bb1:
+  %3 = mul i32 %2, 10
+  br bb2
+bb2:
+  %4 = phi i32 [ 10, bb0 ], [ %3, bb1 ]
+  %5 = xor i32 %4, 10
+  ret i32 %5
+}
+define @k2(i32 %0, i1 %1) -> i32 {
+bb0:
+  %2 = add i32 %0, 10
+  condbr %1, bb1, bb2
+bb1:
+  %3 = mul i32 %2, 10
+  br bb2
+bb2:
+  %4 = phi i32 [ 10, bb0 ], [ %3, bb1 ]
+  %5 = xor i32 %4, 11
+  ret i32 %5
+}
+}
+"#;
+    for (src, selects) in [(differ, 2), (repeat, 1)] {
+        let m = parse_module(src).unwrap();
+        let ids = m.defined_functions();
+        let plan = plan_blocks(&m, ids[0], ids[1]);
+        let mf =
+            build_merged(&m, ids[0], ids[1], &plan, MergeConfig::default(), "mm".into()).unwrap();
+        assert_eq!(mf.selects_inserted, selects, "one select a differing constant");
+        assert_eq!(mf.demotions, 0, "the merge needs no repair");
+        let f = &mf.func;
+        for (_, inst) in f.linked_insts().filter(|(_, i)| i.op == Opcode::Select) {
+            let (v1, v2) = (f.value(inst.operands[1]), f.value(inst.operands[2]));
+            assert!(v1 != v2 || !v1.is_constant_like(), "select between equal constants");
+        }
+    }
 }
 
 #[test]

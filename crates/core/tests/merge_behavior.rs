@@ -61,7 +61,6 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
         .map(|(id, f)| (id, f.name.clone()))
         .collect();
     let mut scratch = f3m_ir::types::TypeStore::new();
-    let ptr_ty = scratch.ptr();
     let void_ty = scratch.void();
     let mut drivers = Vec::new();
     for (id, name) in targets {
@@ -72,7 +71,7 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
         };
         let mut d = f3m_ir::function::Function::new(format!("__drv_{name}"), params.clone(), ret_ty);
         let bb = d.add_block();
-        let callee = d.func_ref(id, ptr_ty);
+        let callee = d.func_ref(id);
         let ops: f3m_ir::inst::Operands =
             std::iter::once(callee).chain((0..params.len()).map(|i| d.arg(i))).collect();
         let (_, r) = d.append_inst(

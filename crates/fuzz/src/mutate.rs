@@ -436,7 +436,6 @@ fn reaches(m: &Module, from: FuncId, target: FuncId) -> bool {
 /// unbounded recursion appears.
 fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
     let Some(caller) = pick_func(m, rng) else { return false };
-    let ptr_ty = m.types.ptr();
     let callees: Vec<FuncId> = m
         .functions()
         .filter(|&(id, f)| {
@@ -455,7 +454,7 @@ fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
     let params = m.function(callee).params.clone();
     let ret_ty = m.function(callee).ret_ty;
     let (f, ts) = m.func_mut_and_types(caller);
-    let fref = f.func_ref(callee, ptr_ty);
+    let fref = f.func_ref(callee);
     let mut operands = Operands::with_capacity(1 + params.len());
     operands.push(fref);
     for &p in &params {

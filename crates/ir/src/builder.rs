@@ -303,11 +303,10 @@ mod tests {
     fn call_void_returns_none() {
         let (mut ts, mut f) = setup();
         let void = ts.void();
-        let ptr = ts.ptr();
         let mut b = FunctionBuilder::new(&mut ts, &mut f);
         let entry = b.create_block();
         b.position_at_end(entry);
-        let callee = b.f.func_ref(crate::ids::FuncId::from_index(0), ptr);
+        let callee = b.f.func_ref(crate::ids::FuncId::from_index(0));
         let r = b.call(callee, &[], void);
         assert!(r.is_none());
     }

@@ -2,15 +2,13 @@
 //!
 //! A [`Function`] owns three arenas — values, instructions and blocks — plus
 //! the ordered list of its blocks (entry first). All mutation goes through
-//! methods that keep the auxiliary indices (constant dedup map, result
-//! links) consistent.
-
-use std::collections::HashMap;
+//! methods that keep the result links consistent. Each constant an operand
+//! names is a value of its own; nothing looks one up by content.
 
 use crate::ids::{BlockId, FuncId, GlobalId, InstId, ValueId};
 use crate::inst::{Instruction, Opcode, Operands};
 use crate::types::{TypeId, TypeStore};
-use crate::value::{normalize_int, ConstKey, Value, ValueKind};
+use crate::value::{normalize_int, Value, ValueKind};
 
 /// Linkage of a function, which decides whether the merging pass may delete
 /// or rewrite it.
@@ -52,7 +50,6 @@ pub struct Function {
     values: Vec<Value>,
     insts: Vec<Instruction>,
     blocks: Vec<Block>,
-    const_map: HashMap<ConstKey, ValueId>,
 }
 
 impl Function {
@@ -74,7 +71,6 @@ impl Function {
             values,
             insts: Vec::new(),
             blocks: Vec::new(),
-            const_map: HashMap::new(),
         }
     }
 
@@ -123,49 +119,44 @@ impl Function {
         self.values.iter().enumerate().map(|(i, v)| (ValueId::from_index(i), v))
     }
 
-    /// Interns an integer constant of type `ty` (an integer or pointer
-    /// type), normalizing the payload to the type's width.
+    /// Adds an integer constant of type `ty` (an integer or pointer type),
+    /// normalizing the payload to the type's width.
     pub fn const_int(&mut self, ts: &TypeStore, ty: TypeId, value: i64) -> ValueId {
         let value = match ts.int_bits(ty) {
             Some(bits) => normalize_int(value, bits),
             None => value,
         };
-        self.intern_const(Value { kind: ValueKind::ConstInt(value), ty })
+        self.push_const(Value { kind: ValueKind::ConstInt(value), ty })
     }
 
-    /// Interns a floating-point constant of type `ty`.
+    /// Adds a floating-point constant of type `ty`.
     pub fn const_float(&mut self, ty: TypeId, value: f64) -> ValueId {
-        self.intern_const(Value { kind: ValueKind::ConstFloat(value.to_bits()), ty })
+        self.push_const(Value { kind: ValueKind::ConstFloat(value.to_bits()), ty })
     }
 
-    /// Interns `undef` of type `ty`.
+    /// Adds `undef` of type `ty`.
     pub fn undef(&mut self, ty: TypeId) -> ValueId {
-        self.intern_const(Value { kind: ValueKind::Undef, ty })
+        self.push_const(Value { kind: ValueKind::Undef, ty })
     }
 
-    /// Interns a reference to a function (always of pointer type `ptr_ty`).
-    pub fn func_ref(&mut self, f: FuncId, ptr_ty: TypeId) -> ValueId {
-        self.intern_const(Value { kind: ValueKind::FuncRef(f), ty: ptr_ty })
+    /// Adds a reference to a function, of type `ptr`.
+    pub fn func_ref(&mut self, f: FuncId) -> ValueId {
+        self.push_const(Value { kind: ValueKind::FuncRef(f), ty: TypeId::PTR })
     }
 
-    /// Interns a reference to a global (always of pointer type `ptr_ty`).
-    pub fn global_ref(&mut self, g: GlobalId, ptr_ty: TypeId) -> ValueId {
-        self.intern_const(Value { kind: ValueKind::GlobalRef(g), ty: ptr_ty })
+    /// Adds a reference to a global, of type `ptr`.
+    pub fn global_ref(&mut self, g: GlobalId) -> ValueId {
+        self.push_const(Value { kind: ValueKind::GlobalRef(g), ty: TypeId::PTR })
     }
 
-    /// Interns an arbitrary constant-like value.
+    /// Adds an arbitrary constant-like value, a new value on each call.
     ///
     /// # Panics
     ///
     /// Panics if the value is not constant-like.
-    pub fn intern_const(&mut self, v: Value) -> ValueId {
-        let key = ConstKey::of(&v).expect("intern_const on non-constant value");
-        if let Some(&id) = self.const_map.get(&key) {
-            return id;
-        }
-        let id = self.push_value(v);
-        self.const_map.insert(key, id);
-        id
+    pub fn push_const(&mut self, v: Value) -> ValueId {
+        assert!(v.is_constant_like(), "push_const on non-constant value");
+        self.push_value(v)
     }
 
     // ---- blocks -----------------------------------------------------------
@@ -419,14 +410,15 @@ mod tests {
     }
 
     #[test]
-    fn const_interning_dedups() {
+    fn each_constant_is_its_own_value() {
         let (mut ts, mut f) = setup();
         let i32t = ts.int(32);
         let a = f.const_int(&ts, i32t, 7);
         let b = f.const_int(&ts, i32t, 7);
-        assert_eq!(a, b);
+        assert_ne!(a, b);
+        assert_eq!(f.value(a), f.value(b));
         let c = f.const_int(&ts, i32t, 8);
-        assert_ne!(a, c);
+        assert_ne!(f.value(a), f.value(c));
     }
 
     #[test]
@@ -436,7 +428,7 @@ mod tests {
         let mut f = Function::new("t", vec![], i8t);
         let a = f.const_int(&ts, i8t, 255);
         let b = f.const_int(&ts, i8t, -1);
-        assert_eq!(a, b, "255 and -1 are the same i8 pattern");
+        assert_eq!(f.value(a), f.value(b), "255 and -1 are the same i8 pattern");
     }
 
     #[test]

@@ -56,6 +56,7 @@ use crate::module::{Global, Module};
 use crate::printer::print_module;
 use crate::types::{TypeId, TypeStore};
 use crate::verify::{verify_function, verify_module, verify_replacement, VerifyError};
+use crate::value::{Value, ValueKind};
 
 /// Parse failure with a line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1169,6 +1170,30 @@ fn label_blocks<'s>(
     Ok(())
 }
 
+/// The value a `@name` operand of type `ty` on `line` stands for: a
+/// reference to the function or global `syms` names so, which is always of
+/// type `ptr`. The symbol step every body builder shares.
+fn sym_ref(
+    f: &mut Function,
+    types: &TypeStore,
+    syms: &Module,
+    line: usize,
+    ty: TypeId,
+    name: &str,
+) -> Result<ValueId, ParseError> {
+    let kind = if let Some(callee) = syms.lookup_function(name) {
+        ValueKind::FuncRef(callee)
+    } else if let Some(g) = syms.lookup_global(name) {
+        ValueKind::GlobalRef(g)
+    } else {
+        return Err(err(line, format!("unknown symbol @{name}")));
+    };
+    if ty != TypeId::PTR {
+        return Err(err(line, format!("symbol @{name} used as {}, not ptr", types.display(ty))));
+    }
+    Ok(f.push_const(Value { kind, ty }))
+}
+
 impl Stage<'_> {
     /// Forgets the body staged last.
     fn clear(&mut self) {
@@ -1180,12 +1205,11 @@ impl Stage<'_> {
 
     /// Builds the staged body into `f` in two phases (see module docs):
     /// phase A appends every instruction, block by block in label order,
-    /// and names its result; phase B resolves the operands and interns
-    /// constants, instruction by instruction. The order fixes every id the
-    /// body gets — a constant's `ValueId` is its place in interning order —
-    /// so it is the order of the builder this one replaced, which the
-    /// reference in `parser::reference` keeps. Symbols resolve among
-    /// `syms`'s.
+    /// and names its result; phase B resolves the operands, instruction by
+    /// instruction, adding a value for each constant. The order fixes every
+    /// id the body gets, so it is the order of the builder this one
+    /// replaced, which the reference in `parser::reference` keeps. Symbols
+    /// resolve among `syms`'s.
     fn build(
         &mut self,
         f: &mut Function,
@@ -1194,8 +1218,8 @@ impl Stage<'_> {
     ) -> Result<(), ParseError> {
         let Stage { blocks, insts, operands, targets, labels, names } = self;
         // Every instruction may name a result and every operand that is not
-        // a local may intern a constant: the value arena needs no more, and
-        // gives back what it did not use once the body is built.
+        // a local is a constant: the value arena needs no more, and gives
+        // back what void instructions did not use once the body is built.
         let constants = operands.iter().filter(|o| !matches!(o, RawOperand::Local(_))).count();
         f.reserve(blocks.len(), insts.len(), insts.len() + constants);
         let first_block = f.block_arena_len();
@@ -1255,15 +1279,7 @@ impl Stage<'_> {
                     RawOperand::Int(ty, v) => f.const_int(types, ty, v),
                     RawOperand::Float(ty, bits) => f.const_float(ty, f64::from_bits(bits)),
                     RawOperand::Undef(ty) => f.undef(ty),
-                    RawOperand::Sym(ty, name) => {
-                        if let Some(callee) = syms.lookup_function(name) {
-                            f.func_ref(callee, ty)
-                        } else if let Some(g) = syms.lookup_global(name) {
-                            f.global_ref(g, ty)
-                        } else {
-                            return Err(err(s.line, format!("unknown symbol @{name}")));
-                        }
-                    }
+                    RawOperand::Sym(ty, name) => sym_ref(f, types, syms, s.line, ty, name)?,
                 });
             }
             operand = s.operands_end;

@@ -428,15 +428,7 @@ fn build_body(
                 RawOperand::Int(ty, v) => f.const_int(types, ty, v),
                 RawOperand::Float(ty, bits) => f.const_float(ty, f64::from_bits(bits)),
                 RawOperand::Undef(ty) => f.undef(ty),
-                RawOperand::Sym(ty, name) => {
-                    if let Some(callee) = syms.lookup_function(name) {
-                        f.func_ref(callee, ty)
-                    } else if let Some(g) = syms.lookup_global(name) {
-                        f.global_ref(g, ty)
-                    } else {
-                        return Err(err(raw.line, format!("unknown symbol @{name}")));
-                    }
-                }
+                RawOperand::Sym(ty, name) => sym_ref(f, types, syms, raw.line, ty, name)?,
             };
             resolved.push(v);
         }
@@ -455,8 +447,8 @@ pub(crate) mod tests {
     use super::*;
 
     /// Every id a parse assigns, in arena order: each function's values
-    /// (constants in interning order), instructions and blocks, with every
-    /// type they name by index and by structure.
+    /// (a constant per operand, in operand order), instructions and
+    /// blocks, with every type they name by index and by structure.
     fn numbering(m: &Module) -> String {
         let mut out = format!("{} types\n", m.types.len());
         for (id, f) in m.functions() {

@@ -279,7 +279,7 @@ fn corner_module() -> Module {
         let entry = b.create_block();
         b.position_at_end(entry);
         let x = b.func().arg(0);
-        let bits = b.func_mut().intern_const(crate::value::Value {
+        let bits = b.func_mut().push_const(crate::value::Value {
             kind: ValueKind::ConstFloat(0x7FC0_0000_DEAD_BEEF),
             ty: f32t,
         });
@@ -315,9 +315,9 @@ fn corner_module() -> Module {
         let c = b.fcmp(crate::inst::FloatPredicate::Olt, x, zero);
         let s = b.select(c, x, tiny);
         let t = b.cast(Opcode::FPToSI, s, i64t);
-        let g = b.func_mut().global_ref(global, ptr);
-        let callee = b.func_mut().func_ref(ext, ptr);
-        let nop_ref = b.func_mut().func_ref(nop, ptr);
+        let g = b.func_mut().global_ref(global);
+        let callee = b.func_mut().func_ref(ext);
+        let nop_ref = b.func_mut().func_ref(nop);
         b.call(nop_ref, &[], void);
         let u = b.func_mut().undef(i64t);
         let r = b.invoke(callee, &[t, g], i64t, normal, unwind).unwrap();

@@ -3,7 +3,9 @@
 //! A [`Value`] is anything that can appear as an instruction operand:
 //! function arguments, instruction results, constants, `undef`, and
 //! references to module-level entities (functions, globals). Values are
-//! stored in a per-function arena; constants are deduplicated per function.
+//! stored in a per-function arena, where each constant an operand names is
+//! a value of its own: two constants are the same when their [`Value`]s
+//! are equal, whatever their ids.
 
 use crate::ids::{FuncId, GlobalId, InstId};
 use crate::types::TypeId;
@@ -67,39 +69,6 @@ impl Value {
     }
 }
 
-/// Key used to deduplicate constant values within a function. Types are
-/// keyed by [`TypeId::index`], which identifies a type within its store as
-/// the whole id does, in a key of 16 bytes rather than 24.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ConstKey {
-    /// Integer constant of a type.
-    Int(u32, i64),
-    /// Float constant of a type (bit pattern).
-    Float(u32, u64),
-    /// `undef` of a type.
-    Undef(u32),
-    /// Function reference.
-    Func(FuncId),
-    /// Global reference.
-    Global(GlobalId),
-}
-
-impl ConstKey {
-    /// Builds the dedup key for a constant-like value, or `None` if the
-    /// value is not constant-like.
-    pub fn of(v: &Value) -> Option<ConstKey> {
-        let ty = v.ty.index() as u32;
-        Some(match v.kind {
-            ValueKind::ConstInt(x) => ConstKey::Int(ty, x),
-            ValueKind::ConstFloat(b) => ConstKey::Float(ty, b),
-            ValueKind::Undef => ConstKey::Undef(ty),
-            ValueKind::FuncRef(f) => ConstKey::Func(f),
-            ValueKind::GlobalRef(g) => ConstKey::Global(g),
-            _ => return None,
-        })
-    }
-}
-
 /// Truncates a 64-bit pattern to `bits` and sign-extends back; the canonical
 /// representation used for [`ValueKind::ConstInt`] payloads.
 pub fn normalize_int(value: i64, bits: u32) -> i64 {
@@ -113,7 +82,6 @@ pub fn normalize_int(value: i64, bits: u32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ValueId;
     use crate::types::TypeStore;
 
     #[test]
@@ -140,14 +108,12 @@ mod tests {
     }
 
     #[test]
-    fn const_keys_distinguish_types() {
+    fn constants_distinguish_types() {
         let mut ts = TypeStore::new();
         let (i8t, i16t) = (ts.int(8), ts.int(16));
         let a = Value { kind: ValueKind::ConstInt(1), ty: i8t };
         let b = Value { kind: ValueKind::ConstInt(1), ty: i16t };
-        assert_ne!(ConstKey::of(&a), ConstKey::of(&b));
-        let arg = Value { kind: ValueKind::Arg(0), ty: i8t };
-        assert_eq!(ConstKey::of(&arg), None);
-        let _ = ValueId::from_index(0);
+        assert_ne!(a, b);
+        assert_eq!(a, Value { kind: ValueKind::ConstInt(1), ty: ts.int(8) });
     }
 }

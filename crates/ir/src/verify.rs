@@ -762,10 +762,9 @@ mod tests {
         let mut m = simple_module();
         let i32t = m.types.int(32);
         let i64t = m.types.int(64);
-        let ptr = m.types.ptr();
         let callee = m.lookup_function("ok").unwrap();
         let mut f = Function::new("caller", vec![i64t], i32t);
-        let fr = f.func_ref(callee, ptr);
+        let fr = f.func_ref(callee);
         {
             let mut b = FunctionBuilder::new(&mut m.types, &mut f);
             let entry = b.create_block();

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use f3m_ir::parser::{parse_module, parse_module_for};
+use f3m_ir::parser::{parse_module, parse_module_for, parse_replacement};
 use f3m_prng::SmallRng;
 
 const VALID: &str = r#"
@@ -139,6 +139,42 @@ fn helpful_errors_for_common_mistakes() {
             err.msg.contains(needle),
             "expected `{needle}` in error for {src:?}, got: {err}"
         );
+    }
+}
+
+/// A `@symbol` operand is a reference, always of type `ptr`: used as any
+/// other type it is an error on its line, through every entry point that
+/// builds a body — a whole module, one definition of it, and a
+/// replacement body as the daemon's `update` reads one.
+#[test]
+fn symbol_operands_are_ptr() {
+    let module = |body: &str| {
+        format!(
+            "module \"t\" {{\ndeclare @ext(i64) -> i64\nglobal @g : i64 = [0]\n\
+             define @f(i64 %0) -> i64 {{\nbb0:\n{body}\n}}\n}}"
+        )
+    };
+    let good = "  %1 = call i64 @ext(i64 %0)\n  ret i64 %1";
+    let m = parse_module(&module(good)).unwrap();
+    let cases = [
+        ("  %1 = add i64 @ext, 1\n  %2 = call i64 @ext(i64 %1)\n  ret i64 %2", "@ext used as i64"),
+        ("  %1 = add i64 %0, @g\n  ret i64 %1", "@g used as i64"),
+        ("  %1 = call i64 @ext(i64 @g)\n  ret i64 %1", "@g used as i64"),
+    ];
+    let id = m.lookup_function("f").unwrap();
+    for (body, needle) in cases {
+        let src = module(body);
+        for err in [
+            parse_module(&src).unwrap_err(),
+            parse_module_for(&src, "f").unwrap_err(),
+        ] {
+            assert_eq!(err.line, 6, "{src}");
+            assert!(err.msg.contains(needle), "expected `{needle}`, got: {err}");
+        }
+        let text = format!("define @f(i64 %0) -> i64 {{\nbb0:\n{body}\n}}");
+        let err = parse_replacement(&m, id, &text).unwrap_err();
+        assert_eq!(err.line, 3, "{text}");
+        assert!(err.msg.contains(needle), "expected `{needle}`, got: {err}");
     }
 }
 

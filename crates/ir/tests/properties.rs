@@ -211,6 +211,28 @@ exit:
     }
 }
 
+/// Each constant an operand names is a value of its own: a parsed
+/// function holds exactly as many constant-like values as its linked
+/// instructions have constant operand slots, however often one constant
+/// repeats.
+#[test]
+fn constants_are_operands() {
+    let spec = f3m_workloads::table1().into_iter().find(|s| s.name == "429.mcf").unwrap();
+    let m = parse_module(&print_module(&f3m_workloads::build_module(&spec))).unwrap();
+    let mut total = 0;
+    for (_, f) in m.functions().filter(|(_, f)| !f.is_declaration) {
+        let values = f.values().filter(|(_, v)| v.is_constant_like()).count();
+        let slots = f
+            .linked_insts()
+            .flat_map(|(_, inst)| inst.operands.iter())
+            .filter(|&&v| f.value(v).is_constant_like())
+            .count();
+        assert_eq!(values, slots, "@{}", f.name);
+        total += slots;
+    }
+    assert!(total > 0, "429.mcf names constants");
+}
+
 #[test]
 fn dominator_tree_matches_first_principles() {
     // First-principles dominance: A dominates B iff removing A from

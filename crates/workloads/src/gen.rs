@@ -461,11 +461,7 @@ impl<'a, 'b> GenCtx<'a, 'b> {
         if use_float {
             let arg = self.pick_float();
             let callee_id = self.externals[2];
-            let callee = {
-                let ptr = self.b.types().ptr();
-                let f = self.b.func_mut();
-                f.func_ref(callee_id, ptr)
-            };
+            let callee = self.b.func_mut().func_ref(callee_id);
             let v = self.b.call(callee, &[arg], self.f64_ty).expect("f64 src");
             self.pool.floats.push(v);
         } else {
@@ -487,11 +483,7 @@ impl<'a, 'b> GenCtx<'a, 'b> {
                 self.emitted += 1;
                 (self.externals[0], i32t, widened)
             };
-            let callee = {
-                let ptr = self.b.types().ptr();
-                let f = self.b.func_mut();
-                f.func_ref(callee_id, ptr)
-            };
+            let callee = self.b.func_mut().func_ref(callee_id);
             if shape.allow_invoke && self.srng.chance(0.25) {
                 // Invoke: terminator; continue in the normal block.
                 let normal = self.b.create_block();

@@ -216,7 +216,6 @@ fn sample_size(rng: &mut SmallRng, mean: usize) -> usize {
 fn build_driver(m: &mut Module, generated: &[f3m_ir::ids::FuncId], seed: u64) {
     let i64t = m.types.int(64);
     let f64t = m.types.f64();
-    let ptr = m.types.ptr();
     let void = m.types.void();
     let sink64 = m.lookup_function("ext_sink_i64").expect("externals declared");
 
@@ -262,7 +261,7 @@ fn build_driver(m: &mut Module, generated: &[f3m_ir::ids::FuncId], seed: u64) {
                     }
                 })
                 .collect();
-            let cref = b.func_mut().func_ref(*callee, ptr);
+            let cref = b.func_mut().func_ref(*callee);
             let r = b.call(cref, &args, *ret_ty);
             if let Some(r) = r {
                 // Fold the result into the accumulator.
@@ -278,7 +277,7 @@ fn build_driver(m: &mut Module, generated: &[f3m_ir::ids::FuncId], seed: u64) {
                 acc = b.binary(Opcode::Add, acc, widened);
             }
         }
-        let sref = b.func_mut().func_ref(sink64, ptr);
+        let sref = b.func_mut().func_ref(sink64);
         b.call(sref, &[acc], void);
         b.ret(Some(acc));
     }

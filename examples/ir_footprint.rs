@@ -1,10 +1,10 @@
 //! Where a module's memory goes, layer by layer: instruction structs,
 //! their operand and target lists (in place, or spilled to the heap),
-//! values, blocks, and function metadata (the struct, the name, the
-//! parameter list and the constant map, a row each). Bytes are counted from
-//! `size_of` and element counts alone (no allocator hook), so they leave
-//! out malloc's per-chunk overhead; the heap allocations each layer makes
-//! are counted beside its bytes for that reason. Last, the `VmRSS` one
+//! values, blocks, and function metadata (the struct, the name and the
+//! parameter list, a row each). Bytes are counted from `size_of` and
+//! element counts alone (no allocator hook), so they leave out malloc's
+//! per-chunk overhead; the heap allocations each layer makes are counted
+//! beside its bytes for that reason. Last, the `VmRSS` one
 //! more clone of the module adds, read from `/proc/self/status`.
 //!
 //! It runs on the two pass inputs of the performance ledger: the eleven
@@ -16,7 +16,6 @@
 use std::mem::size_of;
 
 use f3m::ir::function::Block;
-use f3m::ir::value::ConstKey;
 use f3m::prelude::*;
 use f3m::workloads::suite::SizeClass;
 
@@ -74,7 +73,6 @@ struct Footprint {
     structs: Layer,
     names: Layer,
     params: Layer,
-    const_maps: Layer,
     inst_count: usize,
     value_count: usize,
 }
@@ -118,21 +116,12 @@ impl Footprint {
             self.blocks.add(bytes, allocs);
         }
 
-        // Metadata: the struct, the name, the parameters, and the constant
-        // map (one entry per interned constant, in a hashbrown table of a
-        // power-of-two number of buckets at most seven eighths full, one
-        // control byte each).
+        // Metadata: the struct, the name and the parameters.
         self.structs.add(size_of::<Function>(), 0);
         let (bytes, allocs) = buffer::<u8>(f.name.len());
         self.names.add(bytes, allocs);
         let (bytes, allocs) = buffer::<TypeId>(f.params.len());
         self.params.add(bytes, allocs);
-        let constants = f.values().filter(|(_, v)| v.is_constant_like()).count();
-        if constants > 0 {
-            let buckets = (constants * 8 / 7 + 1).next_power_of_two().max(4);
-            let entry = size_of::<(ConstKey, ValueId)>();
-            self.const_maps.add(buckets * (entry + 1), 1);
-        }
     }
 
     fn print(&self, name: &str) {
@@ -167,7 +156,6 @@ impl Footprint {
             ("function structs", self.structs),
             ("function names", self.names),
             ("parameter lists", self.params),
-            ("constant maps", self.const_maps),
         ];
         for (what, layer) in rows {
             println!(
