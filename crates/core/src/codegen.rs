@@ -35,8 +35,8 @@ use f3m_ir::ids::{BlockId, FuncId, InstId, ValueId};
 use f3m_ir::inst::{Instruction, Opcode, Operands, Targets};
 use f3m_ir::module::Module;
 use f3m_ir::size::{inst_size, FUNCTION_OVERHEAD};
-use f3m_ir::types::{TypeId, TypeStore};
-use f3m_ir::value::{normalize_int, Value, ValueKind};
+use f3m_ir::types::TypeId;
+use f3m_ir::value::ValueKind;
 
 use crate::align::AlignEntry;
 use crate::block_pairing::{insts_mergeable, split_block, BlockPairPlan, PairPlan};
@@ -131,7 +131,6 @@ pub(crate) fn op_size(op: Opcode) -> u64 {
         pred: None,
         aux_ty: None,
         parent: BlockId::from_index(0),
-        result: None,
     })
 }
 
@@ -188,7 +187,6 @@ const NONE: u32 = u32::MAX;
 /// changes operand counts and with them what [`insts_mergeable`] says — so
 /// a layout is good for one attempt and is never cached or speculated.
 pub(crate) struct Layout<'m> {
-    m: &'m Module,
     sides: [Side<'m>; 2],
     params: Vec<TypeId>,
     blocks: Vec<LayoutBlock>,
@@ -225,23 +223,6 @@ fn merge_params(fa: &Function, fb: &Function) -> (Vec<TypeId>, Vec<usize>, Vec<u
         }
     }
     (merged, map1, map2)
-}
-
-/// What the constant-like `val` of an original is in the merged function:
-/// integers renormalised to their width, anything else as it is. `None`
-/// for arguments and instruction results.
-fn merged_const(types: &TypeStore, val: &Value) -> Option<Value> {
-    match val.kind {
-        ValueKind::Arg(_) | ValueKind::Inst(_) => None,
-        ValueKind::ConstInt(x) => {
-            let x = types.int_bits(val.ty).map_or(x, |bits| normalize_int(x, bits));
-            Some(Value { kind: ValueKind::ConstInt(x), ty: val.ty })
-        }
-        ValueKind::ConstFloat(_)
-        | ValueKind::Undef
-        | ValueKind::FuncRef(_)
-        | ValueKind::GlobalRef(_) => Some(*val),
-    }
 }
 
 /// A paired block's instructions as the plan's alignment indexes them.
@@ -281,7 +262,6 @@ impl<'m> Layout<'m> {
         let side =
             |f: &'m Function, param_map| Side { f, param_map, slot: vec![NONE; f.num_insts()] };
         let mut lay = Layout {
-            m,
             sides: [side(fa, map1), side(fb, map2)],
             params,
             blocks: Vec::new(),
@@ -508,10 +488,8 @@ impl<'m> Layout<'m> {
                 a.param_map[i as usize] == b.param_map[j as usize]
             }
             (ValueKind::Inst(d1), ValueKind::Inst(d2)) => a.slot[d1.index()] == b.slot[d2.index()],
-            _ => match (merged_const(&self.m.types, v1), merged_const(&self.m.types, v2)) {
-                (Some(c1), Some(c2)) => c1 == c2,
-                _ => false,
-            },
+            // Two constants, or values of different kinds, which differ.
+            _ => v1 == v2,
         }
     }
 
@@ -673,7 +651,7 @@ impl MergeBuilder<'_, '_> {
     // ---- phase 1: the layout's blocks, instructions and branches ----------
 
     fn append(&mut self, bb: BlockId, inst: Instruction) -> InstId {
-        self.nf.append_inst(&self.lay.m.types, bb, inst).0
+        self.nf.append_inst(bb, inst).0
     }
 
     fn emit(&mut self) {
@@ -690,7 +668,6 @@ impl MergeBuilder<'_, '_> {
             pred: None,
             aux_ty: None,
             parent,
-            result: None,
         };
         let mut targets = lay.targets.iter().map(|&t| block_id(t));
         for (b, block) in lay.blocks.iter().enumerate() {
@@ -717,7 +694,6 @@ impl MergeBuilder<'_, '_> {
                     pred: proto.pred,
                     aux_ty: proto.aux_ty,
                     parent: bb,
-                    result: None,
                 };
                 let new_id = self.append(bb, inst);
                 self.insts.push(new_id);
@@ -737,25 +713,19 @@ impl MergeBuilder<'_, '_> {
 
     // ---- phase 2a: ordinary operands ---------------------------------------
 
-    /// The merged value of `v`, a value of side `s`.
+    /// The merged value of `v`, a value of side `s`: a constant enters
+    /// the merged function as it is.
     fn resolve(&mut self, s: usize, v: ValueId) -> ValueId {
-        let lay = self.lay;
-        let side = &lay.sides[s];
+        let side = &self.lay.sides[s];
         let val = side.f.value(v);
         match val.kind {
             ValueKind::Arg(i) => self.nf.arg(side.param_map[i as usize]),
             ValueKind::Inst(def) => {
                 let slot = side.slot[def.index()];
                 assert_ne!(slot, NONE, "unmapped instruction value {v:?}");
-                self.nf
-                    .inst(self.insts[slot as usize])
-                    .result
-                    .expect("a used instruction has a result")
+                self.nf.result(self.insts[slot as usize]).expect("a used instruction has a result")
             }
-            _ => {
-                let c = merged_const(&lay.m.types, val).expect("constant-like value");
-                self.nf.push_const(c)
-            }
+            _ => self.nf.push_const(val),
         }
     }
 
@@ -765,7 +735,6 @@ impl MergeBuilder<'_, '_> {
         let ty = self.nf.value(v1).ty;
         let fid = self.fid();
         let (_, val) = self.nf.insert_inst(
-            &self.lay.m.types,
             bb,
             pos,
             Instruction {
@@ -776,7 +745,6 @@ impl MergeBuilder<'_, '_> {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         self.selects_inserted += 1;
@@ -911,7 +879,7 @@ impl MergeBuilder<'_, '_> {
         memo: &mut Vec<Option<ValueId>>,
     ) {
         self.demotions += 1; // counted as a repaired value either way
-        let def_val = self.nf.inst(def).result.expect("repairing a valued instruction");
+        let def_val = self.nf.result(def).expect("repairing a valued instruction");
         let reach =
             Reach { def_val, def_block: self.nf.inst(def).parent, ty: self.nf.value(def_val).ty };
         memo.clear();
@@ -961,7 +929,6 @@ impl MergeBuilder<'_, '_> {
         } else {
             // Join point: place a placeholder phi first to break cycles.
             let (phi_id, phi_val) = self.nf.insert_inst(
-                &self.lay.m.types,
                 bb,
                 0,
                 Instruction {
@@ -972,7 +939,6 @@ impl MergeBuilder<'_, '_> {
                     pred: None,
                     aux_ty: None,
                     parent: bb,
-                    result: None,
                 },
             );
             let phi_val = phi_val.expect("phi value");
@@ -992,12 +958,11 @@ impl MergeBuilder<'_, '_> {
     /// loads. Implements the Section III-E store-placement rules.
     fn demote(&mut self, def: InstId, uses: impl Iterator<Item = UseSite>) {
         self.demotions += 1;
-        let def_val = self.nf.inst(def).result.expect("demoting a valued instruction");
+        let def_val = self.nf.result(def).expect("demoting a valued instruction");
         let slot_ty = self.nf.value(def_val).ty;
         // Slot in the entry block (dominates everything).
         let entry = self.nf.entry();
         let (_, slot) = self.nf.insert_inst(
-            &self.lay.m.types,
             entry,
             0,
             Instruction {
@@ -1008,7 +973,6 @@ impl MergeBuilder<'_, '_> {
                 pred: None,
                 aux_ty: Some(slot_ty),
                 parent: entry,
-                result: None,
             },
         );
         let slot = slot.expect("alloca value");
@@ -1047,7 +1011,6 @@ impl MergeBuilder<'_, '_> {
             }
         };
         self.nf.insert_inst(
-            &self.lay.m.types,
             store_block,
             store_pos,
             Instruction {
@@ -1058,7 +1021,6 @@ impl MergeBuilder<'_, '_> {
                 pred: None,
                 aux_ty: None,
                 parent: store_block,
-                result: None,
             },
         );
 
@@ -1092,7 +1054,6 @@ impl MergeBuilder<'_, '_> {
                         .position(|&i| i == inst)
                         .expect("use in its block");
                     let (_, load) = self.nf.insert_inst(
-                        &self.lay.m.types,
                         bb,
                         pos,
                         Instruction {
@@ -1103,7 +1064,6 @@ impl MergeBuilder<'_, '_> {
                             pred: None,
                             aux_ty: None,
                             parent: bb,
-                            result: None,
                         },
                     );
                     self.nf.inst_mut(inst).operands[slot_idx] = load.expect("load value");
@@ -1112,7 +1072,6 @@ impl MergeBuilder<'_, '_> {
                     // Load at the end of the incoming block.
                     let pos = self.nf.block(block).insts.len() - 1;
                     let (_, load) = self.nf.insert_inst(
-                        &self.lay.m.types,
                         block,
                         pos,
                         Instruction {
@@ -1123,7 +1082,6 @@ impl MergeBuilder<'_, '_> {
                             pred: None,
                             aux_ty: None,
                             parent: block,
-                            result: None,
                         },
                     );
                     self.nf.inst_mut(inst).operands[slot_idx] = load.expect("load value");
@@ -1222,7 +1180,6 @@ pub fn build_thunk(
         }
     }
     let (_, ret_val) = t.append_inst(
-        &m.types,
         bb,
         Instruction {
             op: Opcode::Call,
@@ -1232,11 +1189,9 @@ pub fn build_thunk(
             pred: None,
             aux_ty: None,
             parent: bb,
-            result: None,
         },
     );
     t.append_inst(
-        &m.types,
         bb,
         Instruction {
             op: Opcode::Ret,
@@ -1246,7 +1201,6 @@ pub fn build_thunk(
             pred: None,
             aux_ty: None,
             parent: bb,
-            result: None,
         },
     );
     t

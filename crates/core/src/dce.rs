@@ -13,6 +13,7 @@ use f3m_ir::cfg::Cfg;
 use f3m_ir::ids::{FuncId, InstId};
 use f3m_ir::inst::Opcode;
 use f3m_ir::module::Module;
+use f3m_ir::value::ValueKind;
 
 /// Whether an instruction can be deleted when its result is unused.
 fn is_removable(op: Opcode) -> bool {
@@ -29,25 +30,22 @@ pub fn dce_function(m: &mut Module, fid: FuncId) -> usize {
         if f.is_declaration {
             return removed_total;
         }
-        // Collect the set of used values.
-        let mut used: HashSet<f3m_ir::ids::ValueId> = HashSet::new();
+        // Which instructions' results are used, by `InstId`.
+        let mut used = vec![false; f.num_insts()];
         for (_, inst) in f.linked_insts() {
             for &op in &inst.operands {
-                used.insert(op);
+                if let ValueKind::Inst(def) = f.value(op).kind {
+                    used[def.index()] = true;
+                }
             }
         }
-        // Find dead instructions.
-        let mut dead: Vec<InstId> = Vec::new();
-        for (iid, inst) in f.linked_insts() {
-            if !is_removable(inst.op) {
-                continue;
-            }
-            match inst.result {
-                Some(r) if !used.contains(&r) => dead.push(iid),
-                None => dead.push(iid), // removable op with no result
-                _ => {}
-            }
-        }
+        // Find dead instructions: removable ones whose result, if they
+        // have one, is unused.
+        let dead: Vec<InstId> = f
+            .linked_insts()
+            .filter(|&(iid, inst)| is_removable(inst.op) && !used[iid.index()])
+            .map(|(iid, _)| iid)
+            .collect();
         if dead.is_empty() {
             return removed_total;
         }

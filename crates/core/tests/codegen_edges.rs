@@ -7,18 +7,19 @@ use f3m_core::codegen::{build_merged, build_thunk, MergeConfig};
 use f3m_core::pass::{run_pass, PassConfig};
 use f3m_interp::{Interpreter, Limits, Val};
 use f3m_ir::function::Function;
-use f3m_ir::ids::ValueId;
 use f3m_ir::inst::Opcode;
 use f3m_ir::parser::parse_module;
-use f3m_ir::value::ValueKind;
+use f3m_ir::value::{Value, ValueKind};
 use f3m_ir::verify::verify_function;
 
-/// Argument `i` is value `i` of the arena, and a value of kind `Arg(i)`.
+/// Argument `i` is the value of kind `Arg(i)` with the `i`-th parameter's
+/// type, and no other argument's id.
 fn assert_args_by_position(f: &Function) {
     assert_eq!(f.num_args(), f.params.len(), "@{}", f.name);
     for i in 0..f.num_args() {
-        assert_eq!(f.arg(i), ValueId::from_index(i), "@{} arg {i}", f.name);
-        assert_eq!(f.value(f.arg(i)).kind, ValueKind::Arg(i as u32), "@{} arg {i}", f.name);
+        let want = Value { kind: ValueKind::Arg(i as u32), ty: f.params[i] };
+        assert_eq!(f.value(f.arg(i)), want, "@{} arg {i}", f.name);
+        assert!((0..i).all(|j| f.arg(j) != f.arg(i)), "@{} arg {i}", f.name);
     }
 }
 

@@ -75,7 +75,6 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
         let ops: f3m_ir::inst::Operands =
             std::iter::once(callee).chain((0..params.len()).map(|i| d.arg(i))).collect();
         let (_, r) = d.append_inst(
-            &m.types,
             bb,
             f3m_ir::inst::Instruction {
                 op: f3m_ir::inst::Opcode::Call,
@@ -85,11 +84,9 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         d.append_inst(
-            &m.types,
             bb,
             f3m_ir::inst::Instruction {
                 op: f3m_ir::inst::Opcode::Ret,
@@ -99,7 +96,6 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         let dname = d.name.clone();
@@ -673,7 +669,6 @@ bb0:
         let bb = f.add_block();
         let arg = f.arg(1);
         f.append_inst(
-            &m.types,
             bb,
             f3m_ir::inst::Instruction {
                 op: f3m_ir::inst::Opcode::Ret,
@@ -683,7 +678,6 @@ bb0:
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         f

@@ -85,7 +85,7 @@ fn mut_split_block(m: &mut Module, rng: &mut SmallRng) -> bool {
     }
     let (bb, lo, len) = cands[rng.gen_range(0..cands.len())];
     let pos = rng.gen_range(lo..len);
-    m.split_block(fid, bb, pos);
+    m.function_mut(fid).split_block(bb, pos);
     true
 }
 
@@ -96,7 +96,7 @@ fn mut_split_block(m: &mut Module, rng: &mut SmallRng) -> bool {
 /// deduplicated predecessor set.
 fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
     let Some(fid) = pick_func(m, rng) else { return false };
-    let (f, ts) = m.func_mut_and_types(fid);
+    let f = m.function_mut(fid);
     let mut edges: Vec<(BlockId, InstId, usize)> = Vec::new();
     for &bb in &f.block_order {
         if let Some((tid, inst)) = f.terminator(bb) {
@@ -112,7 +112,6 @@ fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
     let succ = f.inst(tid).blocks[si];
     let tramp = f.add_block();
     f.append_inst(
-        ts,
         tramp,
         Instruction {
             op: Opcode::Br,
@@ -122,7 +121,6 @@ fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
             pred: None,
             aux_ty: None,
             parent: tramp,
-            result: None,
         },
     );
     f.inst_mut(tid).blocks[si] = tramp;
@@ -361,12 +359,11 @@ fn mut_cast_round_trip(m: &mut Module, rng: &mut SmallRng) -> bool {
     let (f, ts) = m.func_mut_and_types(fid);
     let mut cands: Vec<(BlockId, usize)> = Vec::new();
     for &bb in &f.block_order {
-        for (p, (_, inst)) in f.block_insts(bb).enumerate() {
-            if inst.is_terminator() {
+        for (p, (iid, inst)) in f.block_insts(bb).enumerate() {
+            if inst.is_terminator() || f.result(iid).is_none() {
                 continue;
             }
-            let Some(r) = inst.result else { continue };
-            match ts.int_bits(f.value(r).ty) {
+            match ts.int_bits(inst.ty) {
                 Some(bits) if bits <= 64 => cands.push((bb, p)),
                 _ => {}
             }
@@ -377,8 +374,8 @@ fn mut_cast_round_trip(m: &mut Module, rng: &mut SmallRng) -> bool {
     }
     let (bb, p) = cands[rng.gen_range(0..cands.len())];
     let inst_id = f.block(bb).insts[p];
-    let r = f.inst(inst_id).result.expect("candidate has a result");
-    let ty = f.value(r).ty;
+    let r = f.result(inst_id).expect("candidate has a result");
+    let ty = f.inst(inst_id).ty;
     let bits = ts.int_bits(ty).expect("candidate is integer-typed");
     // Phi results must not have non-phi instructions inserted into the
     // leading phi group; the first legal point still sees the def.
@@ -396,10 +393,9 @@ fn mut_cast_round_trip(m: &mut Module, rng: &mut SmallRng) -> bool {
         pred: None,
         aux_ty: None,
         parent: bb,
-        result: None,
     };
-    let (wide_id, wide_res) = f.insert_inst(ts, bb, pos, mk(wide_op, wide_ty, r));
-    let (_, back_res) = f.insert_inst(ts, bb, pos + 1, mk(back_op, ty, wide_res.unwrap()));
+    let (wide_id, wide_res) = f.insert_inst(bb, pos, mk(wide_op, wide_ty, r));
+    let (_, back_res) = f.insert_inst(bb, pos + 1, mk(back_op, ty, wide_res.unwrap()));
     f.replace_all_uses(r, back_res.unwrap());
     // replace_all_uses also rewired the widening cast's own input; undo
     // that one edge to break the cycle.
@@ -409,7 +405,8 @@ fn mut_cast_round_trip(m: &mut Module, rng: &mut SmallRng) -> bool {
 
 /// True if `from`'s body references `target` (transitively) through
 /// function-reference constants. Overapproximates by scanning the whole
-/// value arena, which can only reject more call insertions than necessary.
+/// constant arena, which can only reject more call insertions than
+/// necessary.
 fn reaches(m: &Module, from: FuncId, target: FuncId) -> bool {
     let mut seen = vec![false; m.num_functions()];
     let mut work = vec![from];
@@ -418,7 +415,7 @@ fn reaches(m: &Module, from: FuncId, target: FuncId) -> bool {
         if f == target {
             return true;
         }
-        for (_, v) in m.function(f).values() {
+        for (_, v) in m.function(f).constants() {
             if let ValueKind::FuncRef(g) = v.kind {
                 if !seen[g.index()] {
                     seen[g.index()] = true;
@@ -477,7 +474,6 @@ fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
     let bb = blocks[rng.gen_range(0..blocks.len())];
     let pos = rng.gen_range(f.first_non_phi(bb)..f.block(bb).insts.len());
     f.insert_inst(
-        ts,
         bb,
         pos,
         Instruction {
@@ -488,7 +484,6 @@ fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
             pred: None,
             aux_ty: None,
             parent: bb,
-            result: None,
         },
     );
     true

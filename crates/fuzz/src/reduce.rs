@@ -190,7 +190,6 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
         operands.push(v);
     }
     stub.append_inst(
-        ts,
         bb,
         Instruction {
             op: Opcode::Ret,
@@ -200,7 +199,6 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
             pred: None,
             aux_ty: None,
             parent: bb,
-            result: None,
         },
     );
     cand.replace_function(fid, stub);
@@ -214,18 +212,13 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
 fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
     let mut cand = m.clone();
     let void = cand.types.void();
-    let (f, ts) = cand.func_mut_and_types(fid);
+    let f = cand.function_mut(fid);
     let insts: Vec<InstId> = f.block(bb).insts.clone();
     for &i in &insts {
-        if let Some(r) = f.inst(i).result {
-            let ty = f.value(r).ty;
-            let u = f.undef(ty);
-            f.replace_all_uses(r, u);
-        }
+        undef_uses(f, i);
     }
     f.block_mut(bb).insts.clear();
     f.append_inst(
-        ts,
         bb,
         Instruction {
             op: Opcode::Unreachable,
@@ -235,7 +228,6 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
             pred: None,
             aux_ty: None,
             parent: bb,
-            result: None,
         },
     );
     let phis: Vec<InstId> = f
@@ -251,11 +243,7 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
             f.inst(pid).phi_incomings().filter(|&(b, _)| b != bb).unzip();
         if blocks.is_empty() {
             // Every incoming came through bb; the phi is dead.
-            if let Some(r) = f.inst(pid).result {
-                let ty = f.value(r).ty;
-                let u = f.undef(ty);
-                f.replace_all_uses(r, u);
-            }
+            undef_uses(f, pid);
             f.unlink_inst(pid);
         } else {
             let inst = f.inst_mut(pid);
@@ -270,14 +258,18 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
 /// by `undef`.
 fn drop_candidate(m: &Module, fid: FuncId, iid: InstId) -> Module {
     let mut cand = m.clone();
-    let (f, _) = cand.func_mut_and_types(fid);
-    if let Some(r) = f.inst(iid).result {
-        let ty = f.value(r).ty;
-        let u = f.undef(ty);
-        f.replace_all_uses(r, u);
-    }
+    let f = cand.function_mut(fid);
+    undef_uses(f, iid);
     f.unlink_inst(iid);
     cand
+}
+
+/// Replaces every use of `iid`'s result, if it has one, with `undef`.
+fn undef_uses(f: &mut Function, iid: InstId) {
+    if let Some(r) = f.result(iid) {
+        let u = f.undef(f.inst(iid).ty);
+        f.replace_all_uses(r, u);
+    }
 }
 
 /// Names of functions referenced by at least one linked instruction

@@ -6,7 +6,7 @@
 //! execute extra guards/selects/branches, and that overhead shows up
 //! directly in the step count.
 
-use f3m_ir::ids::{BlockId, FuncId, ValueId};
+use f3m_ir::ids::{BlockId, FuncId, InstId, ValueId};
 use f3m_ir::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
 use f3m_ir::function::Function;
 use f3m_ir::module::Module;
@@ -181,9 +181,10 @@ impl<'m> Interpreter<'m> {
     }
 
     fn run_body(&mut self, fid: FuncId, f: &'m Function, args: &[Val]) -> Result<Option<Val>, Trap> {
-        let mut regs: Vec<Option<Val>> = vec![None; f.num_values()];
+        // One register per argument, then one per instruction.
+        let mut regs: Vec<Option<Val>> = vec![None; f.num_args() + f.num_insts()];
         for (i, &a) in args.iter().enumerate() {
-            regs[f.arg(i).index()] = Some(a.normalize(&self.module.types, f.params[i]));
+            regs[i] = Some(a.normalize(&self.module.types, f.params[i]));
         }
         let mut block = f.entry();
         let mut prev: Option<BlockId> = None;
@@ -193,7 +194,7 @@ impl<'m> Interpreter<'m> {
             let first_non_phi = f.first_non_phi(block);
             if first_non_phi > 0 {
                 let from = prev.expect("phi in entry block");
-                let mut staged: Vec<(ValueId, Val)> = Vec::with_capacity(first_non_phi);
+                let mut staged: Vec<(InstId, Val)> = Vec::with_capacity(first_non_phi);
                 for &iid in &insts[..first_non_phi] {
                     let inst = f.inst(iid);
                     self.tick(fid)?;
@@ -207,10 +208,10 @@ impl<'m> Interpreter<'m> {
                     let val = picked.ok_or(Trap::CallMismatch {
                         detail: format!("phi in {:?} missing incoming for {:?}", block, from),
                     })?;
-                    staged.push((inst.result.expect("phi result"), val));
+                    staged.push((iid, val));
                 }
-                for (r, v) in staged {
-                    regs[r.index()] = Some(v.normalize(&self.module.types, f.value(r).ty));
+                for (iid, v) in staged {
+                    regs[register(f, iid)] = Some(v.normalize(&self.module.types, f.inst(iid).ty));
                 }
             }
             for &iid in &insts[first_non_phi..] {
@@ -249,8 +250,8 @@ impl<'m> Interpreter<'m> {
                     Opcode::Unreachable => return Err(Trap::UnreachableExecuted),
                     Opcode::Invoke => {
                         let v = self.exec_call(f, &regs, inst)?;
-                        if let (Some(r), Some(v)) = (inst.result, v) {
-                            regs[r.index()] = Some(v);
+                        if let (Some(_), Some(v)) = (f.result(iid), v) {
+                            regs[register(f, iid)] = Some(v);
                         }
                         // Invokes never unwind in this model.
                         prev = Some(block);
@@ -259,15 +260,14 @@ impl<'m> Interpreter<'m> {
                     }
                     Opcode::Call => {
                         let v = self.exec_call(f, &regs, inst)?;
-                        if let (Some(r), Some(v)) = (inst.result, v) {
-                            regs[r.index()] = Some(v);
+                        if let (Some(_), Some(v)) = (f.result(iid), v) {
+                            regs[register(f, iid)] = Some(v);
                         }
                     }
                     _ => {
                         let v = self.exec_simple(f, &regs, inst)?;
-                        if let Some(r) = inst.result {
-                            regs[r.index()] =
-                                Some(v.normalize(&self.module.types, f.value(r).ty));
+                        if f.result(iid).is_some() {
+                            regs[register(f, iid)] = Some(v.normalize(&self.module.types, inst.ty));
                         }
                     }
                 }
@@ -289,11 +289,10 @@ impl<'m> Interpreter<'m> {
     }
 
     fn eval(&self, f: &Function, regs: &[Option<Val>], v: ValueId) -> Result<Val, Trap> {
-        let val = f.value(v);
-        Ok(match val.kind {
-            ValueKind::Arg(_) | ValueKind::Inst(_) => {
-                regs[v.index()].ok_or(Trap::UndefUsed { context: "unassigned register" })?
-            }
+        let unassigned = || Trap::UndefUsed { context: "unassigned register" };
+        Ok(match f.value(v).kind {
+            ValueKind::Arg(i) => regs[i as usize].ok_or_else(unassigned)?,
+            ValueKind::Inst(id) => regs[register(f, id)].ok_or_else(unassigned)?,
             ValueKind::ConstInt(x) => Val::Int(x),
             ValueKind::ConstFloat(bits) => Val::Float(f64::from_bits(bits)),
             ValueKind::Undef => Val::Undef,
@@ -474,6 +473,11 @@ impl<'m> Interpreter<'m> {
 }
 
 /// SplitMix64 finalizer; the deterministic mixing used by externals.
+/// The register of instruction `id`'s result: after one per argument.
+fn register(f: &Function, id: InstId) -> usize {
+    f.num_args() + id.index()
+}
+
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -77,7 +77,7 @@ impl<'a> FunctionBuilder<'a> {
 
     fn emit(&mut self, inst: Instruction) -> (InstId, Option<ValueId>) {
         let bb = self.current_block();
-        self.f.append_inst(self.ts, bb, inst)
+        self.f.append_inst(bb, inst)
     }
 
     fn emit_valued(&mut self, inst: Instruction) -> ValueId {
@@ -99,7 +99,6 @@ impl<'a> FunctionBuilder<'a> {
             pred: None,
             aux_ty: None,
             parent: BlockId::from_index(0),
-            result: None,
         }
     }
 

@@ -1,11 +1,15 @@
 //! Functions and basic blocks.
 //!
-//! A [`Function`] owns three arenas — values, instructions and blocks — plus
-//! the ordered list of its blocks (entry first). All mutation goes through
-//! methods that keep the result links consistent. Each constant an operand
-//! names is a value of its own; nothing looks one up by content.
+//! A [`Function`] owns three arenas — constants, instructions and blocks —
+//! plus its parameter types and the ordered list of its blocks (entry
+//! first). A value is named by a [`ValueId`] that says what it is: the
+//! `i`-th argument is its parameter, an instruction's result is the
+//! instruction, and only constants live in the constant arena, one per
+//! operand that names one (nothing looks one up by content). So nothing
+//! links a result back to its instruction, and [`Function::result`] is
+//! the one rule for which instructions have one.
 
-use crate::ids::{BlockId, FuncId, GlobalId, InstId, ValueId};
+use crate::ids::{BlockId, FuncId, GlobalId, InstId, ValueId, ValueSlot};
 use crate::inst::{Instruction, Opcode, Operands};
 use crate::types::{TypeId, TypeStore};
 use crate::value::{normalize_int, Value, ValueKind};
@@ -47,20 +51,15 @@ pub struct Function {
     pub is_declaration: bool,
     /// Ordered blocks; the first is the entry block.
     pub block_order: Vec<BlockId>,
-    values: Vec<Value>,
+    constants: Vec<Value>,
     insts: Vec<Instruction>,
     blocks: Vec<Block>,
 }
 
 impl Function {
-    /// Creates an empty function definition with one value per parameter:
-    /// the `i`-th parameter's value is the `i`-th value of the arena.
+    /// Creates an empty function definition; its arguments are
+    /// [`Function::arg`]`(i)` for each parameter `i`.
     pub fn new(name: impl Into<String>, params: Vec<TypeId>, ret_ty: TypeId) -> Self {
-        let values = params
-            .iter()
-            .enumerate()
-            .map(|(i, &ty)| Value { kind: ValueKind::Arg(i as u32), ty })
-            .collect();
         Function {
             name: name.into(),
             params,
@@ -68,7 +67,7 @@ impl Function {
             linkage: Linkage::External,
             is_declaration: false,
             block_order: Vec::new(),
-            values,
+            constants: Vec::new(),
             insts: Vec::new(),
             blocks: Vec::new(),
         }
@@ -83,12 +82,6 @@ impl Function {
 
     // ---- values ---------------------------------------------------------
 
-    fn push_value(&mut self, v: Value) -> ValueId {
-        let id = ValueId::from_index(self.values.len());
-        self.values.push(v);
-        id
-    }
-
     /// The value representing the `i`-th parameter.
     ///
     /// # Panics
@@ -96,7 +89,16 @@ impl Function {
     /// Panics if `i` is out of range.
     pub fn arg(&self, i: usize) -> ValueId {
         assert!(i < self.params.len(), "argument {i} of a function with {}", self.params.len());
-        ValueId::from_index(i)
+        ValueId::arg(i)
+    }
+
+    /// The value `inst` produces, if it produces one: every instruction
+    /// but a store has a result unless its type is `void`. The one rule
+    /// for which instructions have results; an instruction never has a
+    /// function type (the parser and the verifier refuse one).
+    pub fn result(&self, inst: InstId) -> Option<ValueId> {
+        let i = &self.insts[inst.index()];
+        (i.ty != TypeId::VOID && i.op != Opcode::Store).then(|| ValueId::inst(inst))
     }
 
     /// Number of parameters.
@@ -104,19 +106,26 @@ impl Function {
         self.params.len()
     }
 
-    /// Looks up a value.
-    pub fn value(&self, id: ValueId) -> &Value {
-        &self.values[id.index()]
+    /// What `id` names: an argument with its parameter's type, an
+    /// instruction's result with the instruction's type, or a constant.
+    #[inline]
+    pub fn value(&self, id: ValueId) -> Value {
+        match id.try_slot().expect("an id a function made") {
+            ValueSlot::Arg(i) => Value { kind: ValueKind::Arg(i as u32), ty: self.params[i] },
+            ValueSlot::Inst(i) => Value { kind: ValueKind::Inst(i), ty: self.insts[i.index()].ty },
+            ValueSlot::Const(c) => self.constants[c],
+        }
     }
 
-    /// Number of values in the arena (including dead ones).
-    pub fn num_values(&self) -> usize {
-        self.values.len()
+    /// Number of constants in the arena (including any that only unlinked
+    /// instructions name).
+    pub fn num_constants(&self) -> usize {
+        self.constants.len()
     }
 
-    /// Iterates over `(id, value)` pairs.
-    pub fn values(&self) -> impl Iterator<Item = (ValueId, &Value)> {
-        self.values.iter().enumerate().map(|(i, v)| (ValueId::from_index(i), v))
+    /// Iterates over the constant arena's `(id, value)` pairs.
+    pub fn constants(&self) -> impl Iterator<Item = (ValueId, &Value)> {
+        self.constants.iter().enumerate().map(|(i, v)| (ValueId::constant(i), v))
     }
 
     /// Adds an integer constant of type `ty` (an integer or pointer type),
@@ -149,14 +158,18 @@ impl Function {
         self.push_const(Value { kind: ValueKind::GlobalRef(g), ty: TypeId::PTR })
     }
 
-    /// Adds an arbitrary constant-like value, a new value on each call.
+    /// Adds an arbitrary constant-like value, a new value on each call. A
+    /// `ConstInt` must already be normalized to its type's width, as one
+    /// copied from a value [`Function::const_int`] made is.
     ///
     /// # Panics
     ///
     /// Panics if the value is not constant-like.
     pub fn push_const(&mut self, v: Value) -> ValueId {
         assert!(v.is_constant_like(), "push_const on non-constant value");
-        self.push_value(v)
+        let id = ValueId::constant(self.constants.len());
+        self.constants.push(v);
+        id
     }
 
     // ---- blocks -----------------------------------------------------------
@@ -203,67 +216,36 @@ impl Function {
     // ---- instructions ----------------------------------------------------
 
     /// Reserves room for exactly `blocks` more blocks, `insts` more
-    /// instructions and at most `values` more values: what a reader that
-    /// has counted a body asks for before building it, so no arena regrows
-    /// on the way. [`Function::shrink_to_fit`] returns what a bound on the
-    /// values left unused.
-    pub(crate) fn reserve(&mut self, blocks: usize, insts: usize, values: usize) {
+    /// instructions and `constants` more constants: what a reader that has
+    /// counted a body asks for before building it, so no arena regrows on
+    /// the way.
+    pub(crate) fn reserve(&mut self, blocks: usize, insts: usize, constants: usize) {
         self.blocks.reserve_exact(blocks);
         self.block_order.reserve_exact(blocks);
         self.insts.reserve_exact(insts);
-        self.values.reserve_exact(values);
+        self.constants.reserve_exact(constants);
     }
 
-    /// Gives back the arenas' spare capacity, for a function that is built
-    /// and will be kept as it is.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.blocks.shrink_to_fit();
-        self.block_order.shrink_to_fit();
-        self.insts.shrink_to_fit();
-        self.values.shrink_to_fit();
-    }
-
-    /// Appends `inst` to block `bb`, creating a result value if the result
-    /// type is first-class. Returns the result value (or `None`).
-    pub fn append_inst(
-        &mut self,
-        ts: &TypeStore,
-        bb: BlockId,
-        mut inst: Instruction,
-    ) -> (InstId, Option<ValueId>) {
-        inst.parent = bb;
-        let id = InstId::from_index(self.insts.len());
-        let result = if ts.is_first_class(inst.ty) && inst.op != Opcode::Store {
-            Some(self.push_value(Value { kind: ValueKind::Inst(id), ty: inst.ty }))
-        } else {
-            None
-        };
-        inst.result = result;
-        self.insts.push(inst);
-        self.blocks[bb.index()].insts.push(id);
-        (id, result)
+    /// Appends `inst` to block `bb`. Returns it and its
+    /// [`Function::result`].
+    pub fn append_inst(&mut self, bb: BlockId, inst: Instruction) -> (InstId, Option<ValueId>) {
+        let pos = self.blocks[bb.index()].insts.len();
+        self.insert_inst(bb, pos, inst)
     }
 
     /// Inserts `inst` into block `bb` at position `pos` (0 = front).
-    /// Used by the dominance-repair machinery of the merged code generator.
+    /// Returns it and its [`Function::result`].
     pub fn insert_inst(
         &mut self,
-        ts: &TypeStore,
         bb: BlockId,
         pos: usize,
         mut inst: Instruction,
     ) -> (InstId, Option<ValueId>) {
         inst.parent = bb;
         let id = InstId::from_index(self.insts.len());
-        let result = if ts.is_first_class(inst.ty) && inst.op != Opcode::Store {
-            Some(self.push_value(Value { kind: ValueKind::Inst(id), ty: inst.ty }))
-        } else {
-            None
-        };
-        inst.result = result;
         self.insts.push(inst);
         self.blocks[bb.index()].insts.insert(pos, id);
-        (id, result)
+        (id, self.result(id))
     }
 
     /// Looks up an instruction.
@@ -338,7 +320,7 @@ impl Function {
     ///
     /// Panics if `pos` falls inside the leading phi group or past the last
     /// instruction (the split must leave a terminator to move).
-    pub fn split_block(&mut self, ts: &TypeStore, bb: BlockId, pos: usize) -> BlockId {
+    pub fn split_block(&mut self, bb: BlockId, pos: usize) -> BlockId {
         assert!(pos >= self.first_non_phi(bb), "cannot split inside the phi group");
         assert!(pos < self.block(bb).insts.len(), "split must leave a terminator to move");
         let tail = self.blocks[bb.index()].insts.split_off(pos);
@@ -361,7 +343,6 @@ impl Function {
             }
         }
         self.append_inst(
-            ts,
             bb,
             Instruction {
                 op: Opcode::Br,
@@ -371,7 +352,6 @@ impl Function {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         new_bb
@@ -439,7 +419,6 @@ mod tests {
         let bb = f.add_block();
         let (a, b) = (f.arg(0), f.arg(1));
         let (_, res) = f.append_inst(
-            &ts,
             bb,
             Instruction {
                 op: Opcode::Add,
@@ -449,12 +428,10 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         assert!(res.is_some());
         let (_, no_res) = f.append_inst(
-            &ts,
             bb,
             Instruction {
                 op: Opcode::Ret,
@@ -464,7 +441,6 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         assert!(no_res.is_none());
@@ -486,11 +462,10 @@ mod tests {
             pred: None,
             aux_ty: None,
             parent: bb,
-            result: None,
         };
-        f.append_inst(&ts, bb, mk(Opcode::Phi, i32t, bb));
-        f.append_inst(&ts, bb, mk(Opcode::Phi, i32t, bb));
-        f.append_inst(&ts, bb, mk(Opcode::Add, i32t, bb));
+        f.append_inst(bb, mk(Opcode::Phi, i32t, bb));
+        f.append_inst(bb, mk(Opcode::Phi, i32t, bb));
+        f.append_inst(bb, mk(Opcode::Add, i32t, bb));
         assert_eq!(f.first_non_phi(bb), 2);
     }
 
@@ -501,7 +476,6 @@ mod tests {
         let bb = f.add_block();
         let (a, b) = (f.arg(0), f.arg(1));
         let (i, res) = f.append_inst(
-            &ts,
             bb,
             Instruction {
                 op: Opcode::Add,
@@ -511,7 +485,6 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         f.replace_all_uses(a, b);
@@ -533,10 +506,9 @@ mod tests {
             pred: None,
             aux_ty: None,
             parent: bb,
-            result: None,
         };
-        let (i0, _) = f.append_inst(&ts, bb, mk());
-        let (i1, _) = f.append_inst(&ts, bb, mk());
+        let (i0, _) = f.append_inst(bb, mk());
+        let (i1, _) = f.append_inst(bb, mk());
         f.unlink_inst(i0);
         assert_eq!(f.block(bb).insts, vec![i1]);
         assert_eq!(f.num_insts(), 2, "arena entry survives unlinking");
@@ -557,7 +529,6 @@ mod tests {
         let bb1 = f.add_block();
         let a = f.arg(0);
         let (_, add) = f.append_inst(
-            &ts,
             bb0,
             Instruction {
                 op: Opcode::Add,
@@ -567,11 +538,9 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb0,
-                result: None,
             },
         );
         let (_, cond) = f.append_inst(
-            &ts,
             bb0,
             Instruction {
                 op: Opcode::ICmp,
@@ -581,11 +550,9 @@ mod tests {
                 pred: Some(crate::inst::Predicate::Int(crate::inst::IntPredicate::Slt)),
                 aux_ty: None,
                 parent: bb0,
-                result: None,
             },
         );
         f.append_inst(
-            &ts,
             bb0,
             Instruction {
                 op: Opcode::CondBr,
@@ -595,11 +562,9 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb0,
-                result: None,
             },
         );
         let (_, phi) = f.insert_inst(
-            &ts,
             bb1,
             0,
             Instruction {
@@ -610,11 +575,9 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb1,
-                result: None,
             },
         );
         f.append_inst(
-            &ts,
             bb1,
             Instruction {
                 op: Opcode::Ret,
@@ -624,10 +587,9 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb1,
-                result: None,
             },
         );
-        let new_bb = f.split_block(&ts, bb0, 1);
+        let new_bb = f.split_block(bb0, 1);
         // bb0 keeps [add, br new_bb]; new_bb holds [icmp, condbr].
         assert_eq!(f.block(bb0).insts.len(), 2);
         assert_eq!(f.terminator(bb0).unwrap().1.blocks[..], [new_bb]);
@@ -652,7 +614,6 @@ mod tests {
         let bb = f.add_block();
         let a = f.arg(0);
         f.append_inst(
-            &ts,
             bb,
             Instruction {
                 op: Opcode::Phi,
@@ -662,11 +623,9 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
         f.append_inst(
-            &ts,
             bb,
             Instruction {
                 op: Opcode::Ret,
@@ -676,10 +635,9 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb,
-                result: None,
             },
         );
-        f.split_block(&ts, bb, 0);
+        f.split_block(bb, 0);
     }
 
     #[test]
@@ -696,11 +654,9 @@ mod tests {
             pred: None,
             aux_ty: None,
             parent: bb0,
-            result: None,
         };
-        let (i0, _) = f.append_inst(&ts, bb0, mk_br(bb1));
+        let (i0, _) = f.append_inst(bb0, mk_br(bb1));
         let (i1, _) = f.append_inst(
-            &ts,
             bb1,
             Instruction {
                 op: Opcode::Unreachable,
@@ -710,7 +666,6 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: bb1,
-                result: None,
             },
         );
         assert_eq!(f.linked_insts().map(|(id, _)| id).collect::<Vec<_>>(), vec![i0, i1]);

@@ -420,10 +420,9 @@ pub struct Instruction {
     pub pred: Option<Predicate>,
     /// Auxiliary type: allocated type for `alloca`, element type for `gep`.
     pub aux_ty: Option<TypeId>,
-    /// Block that contains this instruction.
+    /// Block that contains this instruction. Its result, if it has one,
+    /// is [`crate::function::Function::result`] of its id.
     pub parent: BlockId,
-    /// The SSA value holding this instruction's result, if it produces one.
-    pub result: Option<ValueId>,
 }
 
 impl Instruction {

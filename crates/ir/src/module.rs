@@ -220,18 +220,6 @@ impl Module {
         self.funcs.iter().filter(|f| !f.is_declaration).map(|f| f.num_linked_insts()).sum()
     }
 
-    /// Splits a block of function `fid` at instruction position `pos`. See
-    /// [`Function::split_block`] for the exact semantics.
-    pub fn split_block(
-        &mut self,
-        fid: FuncId,
-        bb: crate::ids::BlockId,
-        pos: usize,
-    ) -> crate::ids::BlockId {
-        let Module { funcs, types, .. } = self;
-        funcs[fid.index()].split_block(types, bb, pos)
-    }
-
     /// Generates a fresh function name with the given prefix that does not
     /// collide with any existing symbol.
     pub fn fresh_name(&self, prefix: &str) -> String {

@@ -940,6 +940,7 @@ impl<'s, T: Tokens<'s>> Parser<'s, T> {
             }
             o => return Err(err(line, format!("cannot parse opcode {o:?}"))),
         }
+        inst_type(types, line, op, ty)?;
         let stage = &mut self.stage;
         stage.insts.push(Staged {
             line,
@@ -1170,6 +1171,17 @@ fn label_blocks<'s>(
     Ok(())
 }
 
+/// Refuses an instruction `op` of type `ty` on `line` when `ty` is a
+/// function type: such an instruction would have a result by
+/// [`Function::result`]'s rule but no value to give. The type step every
+/// instruction reader shares.
+fn inst_type(types: &TypeStore, line: usize, op: Opcode, ty: TypeId) -> Result<(), ParseError> {
+    if ty == TypeId::VOID || types.is_first_class(ty) {
+        return Ok(());
+    }
+    Err(err(line, format!("{} of function type {}", op.mnemonic(), types.display(ty))))
+}
+
 /// The value a `@name` operand of type `ty` on `line` stands for: a
 /// reference to the function or global `syms` names so, which is always of
 /// type `ptr`. The symbol step every body builder shares.
@@ -1217,11 +1229,9 @@ impl Stage<'_> {
         syms: &Module,
     ) -> Result<(), ParseError> {
         let Stage { blocks, insts, operands, targets, labels, names } = self;
-        // Every instruction may name a result and every operand that is not
-        // a local is a constant: the value arena needs no more, and gives
-        // back what void instructions did not use once the body is built.
+        // Every operand that is not a local is a constant of its own.
         let constants = operands.iter().filter(|o| !matches!(o, RawOperand::Local(_))).count();
-        f.reserve(blocks.len(), insts.len(), insts.len() + constants);
+        f.reserve(blocks.len(), insts.len(), constants);
         let first_block = f.block_arena_len();
         label_blocks(f, labels, blocks.iter().map(|&(label, line, _)| (label, line)))?;
         names.reset(f, insts.len());
@@ -1249,9 +1259,8 @@ impl Stage<'_> {
                     pred: s.pred,
                     aux_ty: s.aux_ty,
                     parent: bb,
-                    result: None,
                 };
-                match (f.append_inst(types, bb, inst).1, s.result_name) {
+                match (f.append_inst(bb, inst).1, s.result_name) {
                     (Some(v), Some(n)) => {
                         if !names.define(n, v) {
                             return Err(err(s.line, format!("%{n} defined twice")));
@@ -1285,7 +1294,6 @@ impl Stage<'_> {
             operand = s.operands_end;
             f.inst_mut(InstId::from_index(first_inst + i)).operands = resolved;
         }
-        f.shrink_to_fit();
         Ok(())
     }
 }

@@ -363,6 +363,7 @@ impl<'s, T: Tokens<'s>> Parser<'s, T> {
             }
             o => return Err(err(line, format!("cannot parse opcode {o:?}"))),
         }
+        inst_type(types, line, op, inst.ty)?;
         Ok(inst)
     }
 }
@@ -401,9 +402,8 @@ fn build_body(
                 pred: raw.pred,
                 aux_ty: raw.aux_ty,
                 parent: bb,
-                result: None,
             };
-            let (iid, res) = f.append_inst(types, bb, inst);
+            let (iid, res) = f.append_inst(bb, inst);
             match (res, raw.result_name) {
                 (Some(v), Some(n)) => {
                     if name_map.insert(n, v).is_some() {
@@ -446,8 +446,8 @@ pub(crate) mod tests {
 
     use super::*;
 
-    /// Every id a parse assigns, in arena order: each function's values
-    /// (a constant per operand, in operand order), instructions and
+    /// Every id a parse assigns, in arena order: each function's
+    /// constants (one per operand, in operand order), instructions and
     /// blocks, with every type they name by index and by structure.
     fn numbering(m: &Module) -> String {
         let mut out = format!("{} types\n", m.types.len());
@@ -463,7 +463,7 @@ pub(crate) mod tests {
         let ty = |t: TypeId| format!("{t:?}={}", types.display(t));
         let params: Vec<String> = f.params.iter().map(|&t| ty(t)).collect();
         let _ = writeln!(out, "{id:?} {:?} @{} {params:?} -> {}", f.linkage, f.name, ty(f.ret_ty));
-        for (v, value) in f.values() {
+        for (v, value) in f.constants() {
             let _ = writeln!(out, "  {v:?} {:?} {}", value.kind, ty(value.ty));
         }
         for i in 0..f.num_insts() {
@@ -544,7 +544,8 @@ pub(crate) mod tests {
     /// Tokens a mutation inserts or puts in place of another: enough of
     /// the grammar to reach every error the builder reports — unknown and
     /// repeated labels, undefined and twice-defined values, void results,
-    /// unknown symbols — and the syntax errors before it.
+    /// unknown symbols — and the syntax errors before it. A symbol used as
+    /// a non-pointer takes a draw of its own ([`symbol_retyped`]).
     const TOKENS: &[&str] = &[
         "%0", "%1", "%2", "%3", "%7", "%40", "%4294967295", "bb0", "bb1", "bb2", "bb9", "bb0:",
         "bb1:", "%5 =", "%1 =", "store", "br", "ret", "add", "phi", "call", "i1", "i32", "i64",
@@ -581,8 +582,39 @@ pub(crate) mod tests {
             let cut = rng.gen_range(0..=text.len());
             out.push((format!("truncated at byte {cut}"), text[..cut].to_string()));
             out.extend(token_mutations(text, TOKENS, rng));
+            out.extend(symbol_retyped(text, rng));
         }
         out
+    }
+
+    /// One of `text`'s symbols put in place of a local operand typed
+    /// other than `ptr` (`i64 %3` becomes `i64 @ext`): a `@symbol` used
+    /// as a type a reference never has. `None` where `text` names no
+    /// symbol or has no such operand.
+    fn symbol_retyped(text: &str, rng: &mut SmallRng) -> Option<(String, String)> {
+        let mut words: Vec<&str> = text.split(' ').collect();
+        let name_end = |w: &str| w.find(|c: char| !(c.is_alphanumeric() || "_.".contains(c)));
+        let symbols: Vec<&str> = words
+            .iter()
+            .filter_map(|w| w.strip_prefix('@'))
+            .map(|w| &w[..name_end(w).unwrap_or(w.len())])
+            .filter(|name| !name.is_empty())
+            .collect();
+        let scalar = ["i1", "i8", "i16", "i32", "i64", "f32", "f64"];
+        let locals: Vec<usize> = (1..words.len())
+            .filter(|&w| words[w].starts_with('%') && scalar.contains(&words[w - 1]))
+            .collect();
+        if symbols.is_empty() || locals.is_empty() {
+            return None;
+        }
+        let symbol = symbols[rng.gen_range(0..symbols.len())];
+        let w = locals[rng.gen_range(0..locals.len())];
+        let local = words[w];
+        let digits = 1 + local[1..].find(|c: char| !c.is_ascii_digit()).unwrap_or(local.len() - 1);
+        let retyped = format!("@{symbol}{}", &local[digits..]);
+        words[w] = &retyped;
+        let what = format!("word {w} `{} {local}` retyped to `{} @{symbol}`", words[w - 1], words[w - 1]);
+        Some((what, words.join(" ")))
     }
 
     /// A token of `tokens` inserted at a byte of `text`, and one put in
@@ -649,7 +681,7 @@ pub(crate) mod tests {
             }
         });
         for kind in
-            ["duplicate label", "unknown label", "use of undefined value", "defined twice", "unknown symbol"]
+            ["duplicate label", "unknown label", "use of undefined value", "defined twice", "unknown symbol", "not ptr"]
         {
             let reached = refusals.iter().any(|msg| msg.contains(kind));
             assert!(reached, "no mutation reached `{kind}`: {refusals:?}");

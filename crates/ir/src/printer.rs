@@ -16,7 +16,7 @@
 //! or function gets a string of its own.
 
 use crate::function::{Function, Linkage};
-use crate::ids::{BlockId, FuncId, ValueId};
+use crate::ids::{BlockId, FuncId, InstId, ValueId};
 use crate::inst::{Instruction, Opcode, Predicate};
 use crate::module::{Global, Module};
 use crate::types::TypeId;
@@ -69,7 +69,7 @@ pub fn lines_before(m: &Module, id: FuncId) -> usize {
     header + functions
 }
 
-/// A value with no number: an unlinked definition, or not a definition.
+/// An instruction with no number: it has no result, or is unlinked.
 const UNNAMED: u32 = u32::MAX;
 
 /// The one printer behind every entry point.
@@ -82,8 +82,8 @@ struct Printer<'m> {
     /// Each type's `start..end` in `spelled`, by index; `start == end`
     /// until it is met (no type spells as the empty string).
     spans: Vec<(u32, u32)>,
-    /// The current function's `%N` number of each value, by index, or
-    /// [`UNNAMED`].
+    /// The current function's `%N` number of each instruction's result,
+    /// by [`InstId`], or [`UNNAMED`].
     names: Vec<u32>,
 }
 
@@ -149,40 +149,31 @@ impl<'m> Printer<'m> {
         self.s(") -> ").ty(f.ret_ty).s(" {\n");
         for &bb in &f.block_order {
             self.label(bb).s(":\n");
-            for (_, inst) in f.block_insts(bb) {
+            for (id, inst) in f.block_insts(bb) {
                 self.s("  ");
-                self.inst(f, inst);
+                self.inst(f, id, inst);
                 self.c('\n');
             }
         }
         self.s("}\n");
     }
 
-    /// Numbers the values of `f`: arguments first, then results in block
-    /// order.
+    /// Numbers the values of `f`: arguments first, by position, then
+    /// results in block order.
     fn number(&mut self, f: &Function) {
         self.names.clear();
-        self.names.resize(f.num_values(), UNNAMED);
-        let mut next = 0u32;
-        for i in 0..f.num_args() {
-            self.names[f.arg(i).index()] = next;
-            next += 1;
-        }
-        for (_, inst) in f.linked_insts() {
-            if let Some(r) = inst.result {
-                self.names[r.index()] = next;
+        self.names.resize(f.num_insts(), UNNAMED);
+        let mut next = f.num_args() as u32;
+        for (id, _) in f.linked_insts() {
+            if f.result(id).is_some() {
+                self.names[id.index()] = next;
                 next += 1;
             }
         }
     }
 
-    /// The `%N` number of `v`, if it has one.
-    fn name(&self, v: ValueId) -> Option<u32> {
-        self.names.get(v.index()).copied().filter(|&n| n != UNNAMED)
-    }
-
     /// One instruction, without indent or newline.
-    fn inst(&mut self, f: &Function, inst: &Instruction) {
+    fn inst(&mut self, f: &Function, id: InstId, inst: &Instruction) {
         let (ops, blocks) = (&inst.operands, &inst.blocks);
         match inst.op {
             Opcode::Ret => {
@@ -201,62 +192,62 @@ impl<'m> Printer<'m> {
                 self.s("unreachable");
             }
             Opcode::Invoke => {
-                self.result(inst).s("invoke ").ty(inst.ty).c(' ').operand(f, ops[0]).args(f, &ops[1..]);
+                self.result(id).s("invoke ").ty(inst.ty).c(' ').operand(f, ops[0]).args(f, &ops[1..]);
                 self.s(" to ").label(blocks[0]).s(" unwind ").label(blocks[1]);
             }
             Opcode::FNeg => {
-                self.result(inst).s("fneg ").ty(inst.ty).c(' ').operand(f, ops[0]);
+                self.result(id).s("fneg ").ty(inst.ty).c(' ').operand(f, ops[0]);
             }
             o if o.is_binary() => {
-                self.result(inst).s(o.mnemonic()).c(' ').ty(inst.ty).c(' ');
+                self.result(id).s(o.mnemonic()).c(' ').ty(inst.ty).c(' ');
                 self.operand(f, ops[0]).s(", ").operand(f, ops[1]);
             }
             Opcode::Alloca => {
-                self.result(inst).s("alloca ").ty(inst.aux_ty.expect("alloca aux_ty"));
+                self.result(id).s("alloca ").ty(inst.aux_ty.expect("alloca aux_ty"));
             }
             Opcode::Load => {
-                self.result(inst).s("load ").ty(inst.ty).s(", ").operand(f, ops[0]);
+                self.result(id).s("load ").ty(inst.ty).s(", ").operand(f, ops[0]);
             }
             Opcode::Store => {
                 self.s("store ").typed(f, ops[0]).s(", ").operand(f, ops[1]);
             }
             Opcode::Gep => {
-                self.result(inst).s("gep ").ty(inst.aux_ty.expect("gep aux_ty")).s(", ");
+                self.result(id).s("gep ").ty(inst.aux_ty.expect("gep aux_ty")).s(", ");
                 self.operand(f, ops[0]).s(", ").typed(f, ops[1]);
             }
             o if o.is_cast() => {
-                self.result(inst).s(o.mnemonic()).c(' ').typed(f, ops[0]).s(" to ").ty(inst.ty);
+                self.result(id).s(o.mnemonic()).c(' ').typed(f, ops[0]).s(" to ").ty(inst.ty);
             }
             Opcode::ICmp | Opcode::FCmp => {
                 let pred = match inst.pred.expect("cmp predicate") {
                     Predicate::Int(p) => p.mnemonic(),
                     Predicate::Float(p) => p.mnemonic(),
                 };
-                self.result(inst).s(inst.op.mnemonic()).c(' ').s(pred).c(' ').typed(f, ops[0]);
+                self.result(id).s(inst.op.mnemonic()).c(' ').s(pred).c(' ').typed(f, ops[0]);
                 self.s(", ").operand(f, ops[1]);
             }
             Opcode::Select => {
-                self.result(inst).s("select ").operand(f, ops[0]).s(", ").ty(inst.ty).c(' ');
+                self.result(id).s("select ").operand(f, ops[0]).s(", ").ty(inst.ty).c(' ');
                 self.operand(f, ops[1]).s(", ").operand(f, ops[2]);
             }
             Opcode::Phi => {
-                self.result(inst).s("phi ").ty(inst.ty).c(' ');
+                self.result(id).s("phi ").ty(inst.ty).c(' ');
                 for (i, (&v, &b)) in ops.iter().zip(blocks).enumerate() {
                     self.comma(i).s("[ ").operand(f, v).s(", ").label(b).s(" ]");
                 }
             }
             Opcode::Call => {
-                self.result(inst).s("call ").ty(inst.ty).c(' ').operand(f, ops[0]).args(f, &ops[1..]);
+                self.result(id).s("call ").ty(inst.ty).c(' ').operand(f, ops[0]).args(f, &ops[1..]);
             }
             o => unreachable!("unhandled opcode in printer: {o:?}"),
         }
     }
 
     /// `%N = ` for an instruction whose result has a number.
-    fn result(&mut self, inst: &Instruction) -> &mut Self {
-        match inst.result.and_then(|r| self.name(r)) {
-            Some(n) => self.c('%').uint(u64::from(n)).s(" = "),
-            None => self,
+    fn result(&mut self, id: InstId) -> &mut Self {
+        match self.names[id.index()] {
+            UNNAMED => self,
+            n => self.c('%').uint(u64::from(n)).s(" = "),
         }
     }
 
@@ -278,10 +269,11 @@ impl<'m> Printer<'m> {
     fn operand(&mut self, f: &Function, v: ValueId) -> &mut Self {
         let m = self.m;
         match f.value(v).kind {
-            ValueKind::Arg(_) | ValueKind::Inst(_) => match self.name(v) {
-                Some(n) => self.c('%').uint(u64::from(n)),
+            ValueKind::Arg(i) => self.c('%').uint(u64::from(i)),
+            ValueKind::Inst(id) => match self.names[id.index()] {
                 // An unlinked definition; diagnostic only.
-                None => self.s("%?").uint(v.index() as u64),
+                UNNAMED => self.s("%?").uint(id.index() as u64),
+                n => self.c('%').uint(u64::from(n)),
             },
             ValueKind::ConstInt(x) => {
                 if x < 0 {

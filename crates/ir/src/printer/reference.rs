@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::ids::{BlockId, FuncId, ValueId};
+use crate::ids::{BlockId, FuncId, InstId, ValueId};
 use crate::inst::{Instruction, Opcode, Predicate};
 use crate::function::{Function, Linkage};
 use crate::module::{Global, Module};
@@ -79,16 +79,18 @@ pub fn print_function(m: &Module, id: FuncId) -> String {
     );
     for &bb in &f.block_order {
         let _ = writeln!(out, "bb{}:", bb.index());
-        for (_, inst) in f.block_insts(bb) {
-            let _ = writeln!(out, "  {}", print_inst(m, f, inst, &names));
+        for (id, inst) in f.block_insts(bb) {
+            let _ = writeln!(out, "  {}", print_inst(m, f, id, inst, &names));
         }
     }
     out.push_str("}\n");
     out
 }
 
-/// Assigns printable `%N` names to arguments and instruction results.
+/// Assigns printable `%N` names to instruction results; argument `i` is
+/// `%i`.
 pub struct ValueNames {
+    /// By [`InstId`].
     names: Vec<Option<u32>>,
 }
 
@@ -96,33 +98,30 @@ impl ValueNames {
     /// Numbers the values of `f`: arguments first, then results in block
     /// order.
     pub fn assign(f: &Function) -> ValueNames {
-        let mut names = vec![None; f.num_values()];
-        let mut next = 0u32;
-        for i in 0..f.num_args() {
-            names[f.arg(i).index()] = Some(next);
-            next += 1;
-        }
-        for (_, inst) in f.linked_insts() {
-            if let Some(r) = inst.result {
-                names[r.index()] = Some(next);
+        let mut names = vec![None; f.num_insts()];
+        let mut next = f.num_args() as u32;
+        for (id, _) in f.linked_insts() {
+            if f.result(id).is_some() {
+                names[id.index()] = Some(next);
                 next += 1;
             }
         }
         ValueNames { names }
     }
 
-    /// Printable name of `v`, if it was assigned one.
-    pub fn get(&self, v: ValueId) -> Option<u32> {
-        self.names.get(v.index()).copied().flatten()
+    /// Printable name of instruction `id`'s result, if it was assigned one.
+    pub fn get(&self, id: InstId) -> Option<u32> {
+        self.names[id.index()]
     }
 }
 
 fn operand(m: &Module, f: &Function, names: &ValueNames, v: ValueId) -> String {
     let val = f.value(v);
     match val.kind {
-        ValueKind::Arg(_) | ValueKind::Inst(_) => match names.get(v) {
+        ValueKind::Arg(i) => format!("%{i}"),
+        ValueKind::Inst(id) => match names.get(id) {
             Some(n) => format!("%{n}"),
-            None => format!("%?{}", v.index()), // unlinked def; diagnostic only
+            None => format!("%?{}", id.index()), // unlinked def; diagnostic only
         },
         ValueKind::ConstInt(x) => format!("{x}"),
         ValueKind::ConstFloat(bits) => format!("0f{bits:016X}"),
@@ -137,14 +136,16 @@ fn bb(b: BlockId) -> String {
 }
 
 /// Prints a single instruction (without trailing newline).
-pub fn print_inst(m: &Module, f: &Function, inst: &Instruction, names: &ValueNames) -> String {
+pub fn print_inst(
+    m: &Module,
+    f: &Function,
+    id: InstId,
+    inst: &Instruction,
+    names: &ValueNames,
+) -> String {
     let op = |i: usize| operand(m, f, names, inst.operands[i]);
     let ty = |t| m.types.display(t);
-    let res = inst
-        .result
-        .and_then(|r| names.get(r))
-        .map(|n| format!("%{n} = "))
-        .unwrap_or_default();
+    let res = names.get(id).map(|n| format!("%{n} = ")).unwrap_or_default();
     match inst.op {
         Opcode::Ret => {
             if inst.operands.is_empty() {

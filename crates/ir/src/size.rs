@@ -112,7 +112,6 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: BlockId::from_index(0),
-                result: None,
             };
             assert!(inst_size(&inst) > 0, "{op:?}");
         }

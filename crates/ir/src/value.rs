@@ -2,10 +2,14 @@
 //!
 //! A [`Value`] is anything that can appear as an instruction operand:
 //! function arguments, instruction results, constants, `undef`, and
-//! references to module-level entities (functions, globals). Values are
-//! stored in a per-function arena, where each constant an operand names is
-//! a value of its own: two constants are the same when their [`Value`]s
-//! are equal, whatever their ids.
+//! references to module-level entities (functions, globals). Only the
+//! constant-like ones are stored: an argument is its position in the
+//! parameter list and a result is its instruction, so
+//! [`crate::function::Function::value`] makes their `Value`s from the
+//! parameter's and the instruction's type when asked. Each constant an
+//! operand names is a value of its own in the function's constant arena:
+//! two constants are the same when their [`Value`]s are equal, whatever
+//! their ids.
 
 use crate::ids::{FuncId, GlobalId, InstId};
 use crate::types::TypeId;
@@ -19,6 +23,10 @@ pub enum ValueKind {
     Inst(InstId),
     /// Integer constant. The payload is the two's-complement bit pattern
     /// truncated to the type's width; stored sign-extended to 64 bits.
+    /// Every `ConstInt` a function holds is normalized so — it equals
+    /// [`normalize_int`] of itself at its type's width — because
+    /// [`crate::function::Function::const_int`] normalizes what it makes
+    /// and every other constant is a copy of one it made.
     ConstInt(i64),
     /// Floating-point constant, stored as the IEEE-754 bit pattern of the
     /// `f64` value (also used for `f32` constants, converted on use).
@@ -31,7 +39,7 @@ pub enum ValueKind {
     GlobalRef(GlobalId),
 }
 
-/// A value in a function's value arena.
+/// What a [`crate::ids::ValueId`] names: its structure and type.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Value {
     /// Structure of the value.
@@ -53,19 +61,6 @@ impl Value {
                 | ValueKind::FuncRef(_)
                 | ValueKind::GlobalRef(_)
         )
-    }
-
-    /// True if this value is the result of an instruction.
-    pub fn is_inst(&self) -> bool {
-        matches!(self.kind, ValueKind::Inst(_))
-    }
-
-    /// The defining instruction, if any.
-    pub fn def_inst(&self) -> Option<InstId> {
-        match self.kind {
-            ValueKind::Inst(i) => Some(i),
-            _ => None,
-        }
     }
 }
 
@@ -99,12 +94,10 @@ mod tests {
         let ty = TypeStore::new().int(8);
         let c = Value { kind: ValueKind::ConstInt(3), ty };
         assert!(c.is_constant_like());
-        assert!(!c.is_inst());
         let a = Value { kind: ValueKind::Arg(0), ty };
         assert!(!a.is_constant_like());
         let i = Value { kind: ValueKind::Inst(InstId::from_index(0)), ty };
-        assert!(i.is_inst());
-        assert_eq!(i.def_inst(), Some(InstId::from_index(0)));
+        assert!(!i.is_constant_like());
     }
 
     #[test]

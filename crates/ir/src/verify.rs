@@ -14,7 +14,7 @@ use crate::ids::{BlockId, FuncId, InstId, ValueId};
 use crate::inst::{Opcode, Predicate};
 use crate::function::Function;
 use crate::module::Module;
-use crate::types::{TypeKind, TypeStore};
+use crate::types::{TypeId, TypeKind, TypeStore};
 use crate::value::ValueKind;
 
 /// A single verification failure.
@@ -125,7 +125,7 @@ pub fn verify_replacement(
 ) -> Result<(), Vec<VerifyError>> {
     let old = m.function(id);
     let resigned = old.params != f.params || old.ret_ty != f.ret_ty;
-    let refers = |g: &Function| g.values().any(|(_, v)| v.kind == ValueKind::FuncRef(id));
+    let refers = |g: &Function| g.constants().any(|(_, v)| v.kind == ValueKind::FuncRef(id));
     let callee = |c: FuncId| if c == id { f } else { m.function(c) };
     let mut errs = Vec::new();
     for (gid, g) in m.functions().filter(|(_, g)| !g.is_declaration) {
@@ -187,6 +187,15 @@ fn verify_body<'m>(
                     func: fname.clone(),
                     block: bb,
                     detail: format!("block ends with non-terminator {:?}", inst.op),
+                });
+            }
+            // No instruction has a function type: `Function::result`
+            // would give it a result that no text can name.
+            if inst.ty != TypeId::VOID && !ts.is_first_class(inst.ty) {
+                errs.push(VerifyError::TypeError {
+                    func: fname.clone(),
+                    inst: i,
+                    detail: format!("{} of function type {}", inst.op.mnemonic(), ts.display(inst.ty)),
                 });
             }
         }
@@ -654,7 +663,6 @@ mod tests {
         // dominate entry.
         let arg = f.arg(0);
         let (_, late) = f.append_inst(
-            &m.types,
             other,
             Instruction {
                 op: Opcode::Add,
@@ -664,12 +672,10 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: other,
-                result: None,
             },
         );
         // Make `other` reachable: entry condbr -> other / exit path.
         f.append_inst(
-            &m.types,
             entry,
             Instruction {
                 op: Opcode::Ret,
@@ -679,11 +685,9 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: entry,
-                result: None,
             },
         );
         f.append_inst(
-            &m.types,
             other,
             Instruction {
                 op: Opcode::Unreachable,
@@ -693,7 +697,6 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: other,
-                result: None,
             },
         );
         let id = m.add_function(f);
@@ -746,15 +749,39 @@ mod tests {
             pred: None,
             aux_ty: None,
             parent: entry,
-            result: None,
         };
-        let (_, add) = f.append_inst(&m.types, entry, mk(Opcode::Add, i32t, &[arg, arg], &[]));
+        let (_, add) = f.append_inst(entry, mk(Opcode::Add, i32t, &[arg, arg], &[]));
         // Phi after a non-phi; also give it a bogus incoming to keep shape valid.
-        f.append_inst(&m.types, entry, mk(Opcode::Phi, i32t, &[arg], &[entry]));
-        f.append_inst(&m.types, entry, mk(Opcode::Ret, void, &[add.unwrap()], &[]));
+        f.append_inst(entry, mk(Opcode::Phi, i32t, &[arg], &[entry]));
+        f.append_inst(entry, mk(Opcode::Ret, void, &[add.unwrap()], &[]));
         let id = m.add_function(f);
         let errs = verify_function(&m, id).unwrap_err();
         assert!(errs.iter().any(|e| matches!(e, VerifyError::MisplacedPhi { .. })), "{errs:?}");
+    }
+
+    /// A function-typed instruction that an API built is refused, as the
+    /// parser refuses one it reads.
+    #[test]
+    fn rejects_function_typed_instructions() {
+        let mut m = simple_module();
+        let i32t = m.types.int(32);
+        let fnty = m.types.func(vec![i32t], i32t);
+        let mut f = Function::new("caller", vec![], m.types.void());
+        let callee = f.func_ref(m.lookup_function("ok").unwrap());
+        {
+            let mut b = FunctionBuilder::new(&mut m.types, &mut f);
+            let entry = b.create_block();
+            b.position_at_end(entry);
+            b.call(callee, &[], fnty);
+            b.ret(None);
+        }
+        let id = m.add_function(f);
+        let errs = verify_function(&m, id).unwrap_err();
+        let want = "call of function type fn(i32) -> i32";
+        assert!(
+            errs.iter().any(|e| matches!(e, VerifyError::TypeError { detail, .. } if detail == want)),
+            "{errs:?}"
+        );
     }
 
     #[test]
@@ -795,7 +822,6 @@ mod tests {
         let entry = f.add_block();
         let arg = f.arg(0);
         let (_, c) = f.append_inst(
-            &m.types,
             entry,
             Instruction {
                 op: Opcode::ICmp,
@@ -805,11 +831,9 @@ mod tests {
                 pred: Some(Predicate::Int(IntPredicate::Eq)),
                 aux_ty: None,
                 parent: entry,
-                result: None,
             },
         );
         f.append_inst(
-            &m.types,
             entry,
             Instruction {
                 op: Opcode::Ret,
@@ -819,7 +843,6 @@ mod tests {
                 pred: None,
                 aux_ty: None,
                 parent: entry,
-                result: None,
             },
         );
         let id = m.add_function(f);

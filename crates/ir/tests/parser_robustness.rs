@@ -178,6 +178,36 @@ fn symbol_operands_are_ptr() {
     }
 }
 
+/// No instruction has a function type: a `call` typed with one, named or
+/// not, is an error on its line through every entry point that builds a
+/// body, and so is any other instruction typed so. A function may still
+/// return one.
+#[test]
+fn function_typed_instructions_are_refused() {
+    let module = |body: &str| {
+        format!(
+            "module \"t\" {{\ndeclare @g() -> fn(i32) -> i32\n\
+             define @f(ptr %0) -> void {{\nbb0:\n{body}\n}}\n}}"
+        )
+    };
+    let m = parse_module(&module("  ret")).unwrap();
+    let cases = [
+        ("  call fn(i32) -> i32 @g()\n  ret", "call of function type fn(i32) -> i32"),
+        ("  %1 = call fn(i32) -> i32 @g()\n  ret", "call of function type fn(i32) -> i32"),
+        ("  %1 = load fn() -> void, %0\n  ret", "load of function type fn() -> void"),
+    ];
+    let id = m.lookup_function("f").unwrap();
+    for (body, want) in cases {
+        let src = module(body);
+        for err in [parse_module(&src).unwrap_err(), parse_module_for(&src, "f").unwrap_err()] {
+            assert_eq!((err.line, err.msg.as_str()), (5, want), "{src}");
+        }
+        let text = format!("define @f(ptr %0) -> void {{\nbb0:\n{body}\n}}");
+        let err = parse_replacement(&m, id, &text).unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (3, want), "{text}");
+    }
+}
+
 #[test]
 fn deeply_nested_types_do_not_overflow() {
     // [1 x [1 x [1 x ... i32]]] — recursion in the type parser should be

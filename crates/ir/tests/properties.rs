@@ -10,13 +10,14 @@
 use f3m_ir::builder::FunctionBuilder;
 use f3m_ir::cfg::Cfg;
 use f3m_ir::dom::DomTree;
+use f3m_core::pass::{run_pass, PassConfig};
 use f3m_ir::ids::{InstId, ValueId};
 use f3m_ir::inst::{IntPredicate, Opcode};
 use f3m_ir::function::{Block, Function};
 use f3m_ir::module::Module;
 use f3m_ir::printer::print_module;
 use f3m_ir::parser::parse_module;
-use f3m_ir::value::{normalize_int, ValueKind};
+use f3m_ir::value::{normalize_int, Value, ValueKind};
 use f3m_ir::verify::verify_module;
 use f3m_prng::SmallRng;
 
@@ -170,20 +171,9 @@ fn reparsed_module_has_same_shape() {
     }
 }
 
-/// Argument `i` is value `i` of the arena, and a value of kind `Arg(i)`.
-fn assert_args_by_position(f: &Function) {
-    assert_eq!(f.num_args(), f.params.len(), "@{}", f.name);
-    for i in 0..f.num_args() {
-        assert_eq!(f.arg(i), ValueId::from_index(i), "@{} arg {i}", f.name);
-        assert_eq!(f.value(f.arg(i)).kind, ValueKind::Arg(i as u32), "@{} arg {i}", f.name);
-    }
-}
-
-#[test]
-fn blocks_are_their_lists_and_arguments_their_positions() {
-    // A block holds its instruction list and nothing else: no label.
-    assert_eq!(std::mem::size_of::<Block>(), std::mem::size_of::<Vec<InstId>>());
-    let text = r#"
+/// A parsed text with a declaration, a function with no arguments and an
+/// internal one with three.
+const THREE_FUNCTIONS: &str = r#"
 module "t" {
 declare @ext(i64, f64, ptr) -> void
 define @none() -> void {
@@ -199,38 +189,118 @@ exit:
 }
 }
 "#;
-    let parsed = parse_module(text).unwrap();
-    parsed.functions().for_each(|(_, f)| assert_args_by_position(f));
+
+/// Modules of every kind of function the value model must hold for:
+/// parsed ones, recipe-built ones and their reparse, and 429.mcf after a
+/// pass under each strategy — its merged functions, and the thunks left
+/// in place of the originals they absorbed.
+fn functions_of_every_kind() -> Vec<Module> {
+    let mut out = vec![parse_module(THREE_FUNCTIONS).unwrap()];
     let mut rng = SmallRng::seed_from_u64(13);
     for _ in 0..16 {
         let m = build_from_recipe(&random_recipe(&mut rng, 20));
-        let m2 = parse_module(&print_module(&m)).unwrap();
-        for m in [&m, &m2] {
-            m.functions().for_each(|(_, f)| assert_args_by_position(f));
+        out.push(parse_module(&print_module(&m)).unwrap());
+        out.push(m);
+    }
+    let spec = f3m_workloads::table1().into_iter().find(|s| s.name == "429.mcf").unwrap();
+    let generated = f3m_workloads::build_module(&spec);
+    out.push(parse_module(&print_module(&generated)).unwrap());
+    let (mut merged, mut thunks) = (0, 0);
+    for strategy in PassConfig::STRATEGY_NAMES {
+        let mut m = generated.clone();
+        run_pass(&mut m, &PassConfig::from_strategy_name(strategy).unwrap());
+        let is_merged = |f: &Function| f.name.starts_with("__merged");
+        let calls_merged = |f: &Function| {
+            f.constants().any(|(_, v)| match v.kind {
+                ValueKind::FuncRef(g) => is_merged(m.function(g)),
+                _ => false,
+            })
+        };
+        merged += m.functions().filter(|(_, f)| is_merged(f)).count();
+        thunks += m.functions().filter(|(_, f)| !is_merged(f) && calls_merged(f)).count();
+        out.push(m);
+    }
+    assert!(merged > 0 && thunks > 0, "429.mcf merges: {merged} merged, {thunks} thunks");
+    out
+}
+
+/// Argument `i` is the value of kind `Arg(i)` with the `i`-th parameter's
+/// type, and no other argument's id.
+fn assert_args_by_position(f: &Function) {
+    assert_eq!(f.num_args(), f.params.len(), "@{}", f.name);
+    for i in 0..f.num_args() {
+        let want = Value { kind: ValueKind::Arg(i as u32), ty: f.params[i] };
+        assert_eq!(f.value(f.arg(i)), want, "@{} arg {i}", f.name);
+        assert!((0..i).all(|j| f.arg(j) != f.arg(i)), "@{} arg {i}", f.name);
+    }
+}
+
+#[test]
+fn blocks_are_their_lists_and_arguments_their_positions() {
+    // A block holds its instruction list and nothing else: no label.
+    assert_eq!(std::mem::size_of::<Block>(), std::mem::size_of::<Vec<InstId>>());
+    for m in functions_of_every_kind() {
+        m.functions().for_each(|(_, f)| assert_args_by_position(f));
+    }
+}
+
+/// A result is its instruction: exactly the instructions of a first-class
+/// type other than stores have one, it is the value of kind `Inst(i)`
+/// with the instruction's type, and every operand naming an instruction
+/// names one that has a result.
+#[test]
+fn results_are_their_instructions() {
+    for m in functions_of_every_kind() {
+        for (_, f) in m.functions() {
+            for i in (0..f.num_insts()).map(InstId::from_index) {
+                let inst = f.inst(i);
+                let valued = m.types.is_first_class(inst.ty) && inst.op != Opcode::Store;
+                assert_eq!(f.result(i).is_some(), valued, "@{} {i:?}", f.name);
+                if let Some(r) = f.result(i) {
+                    let want = Value { kind: ValueKind::Inst(i), ty: inst.ty };
+                    assert_eq!(f.value(r), want, "@{} {i:?}", f.name);
+                }
+            }
+            for &op in f.linked_insts().flat_map(|(_, inst)| inst.operands.iter()) {
+                if let ValueKind::Inst(def) = f.value(op).kind {
+                    assert_eq!(f.result(def), Some(op), "@{} {op:?}", f.name);
+                }
+            }
         }
     }
 }
 
 /// Each constant an operand names is a value of its own: a parsed
-/// function holds exactly as many constant-like values as its linked
-/// instructions have constant operand slots, however often one constant
-/// repeats.
+/// function holds exactly as many constants as its linked instructions
+/// have constant operand slots, however often one constant repeats. The
+/// arena of every kind of function holds nothing but constants, and each
+/// integer constant is normalized to its type's width, so codegen
+/// compares two by `==`.
 #[test]
 fn constants_are_operands() {
     let spec = f3m_workloads::table1().into_iter().find(|s| s.name == "429.mcf").unwrap();
     let m = parse_module(&print_module(&f3m_workloads::build_module(&spec))).unwrap();
     let mut total = 0;
     for (_, f) in m.functions().filter(|(_, f)| !f.is_declaration) {
-        let values = f.values().filter(|(_, v)| v.is_constant_like()).count();
         let slots = f
             .linked_insts()
             .flat_map(|(_, inst)| inst.operands.iter())
             .filter(|&&v| f.value(v).is_constant_like())
             .count();
-        assert_eq!(values, slots, "@{}", f.name);
+        assert_eq!(f.num_constants(), slots, "@{}", f.name);
         total += slots;
     }
     assert!(total > 0, "429.mcf names constants");
+    for m in functions_of_every_kind() {
+        for (_, f) in m.functions() {
+            for (id, v) in f.constants() {
+                assert!(v.is_constant_like(), "@{} {id:?}", f.name);
+                if let (ValueKind::ConstInt(x), Some(bits)) = (v.kind, m.types.int_bits(v.ty)) {
+                    assert_eq!(normalize_int(x, bits), x, "@{} {id:?}", f.name);
+                }
+            }
+        }
+    }
 }
 
 #[test]

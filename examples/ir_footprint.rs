@@ -1,7 +1,8 @@
 //! Where a module's memory goes, layer by layer: instruction structs,
 //! their operand and target lists (in place, or spilled to the heap),
-//! values, blocks, and function metadata (the struct, the name and the
-//! parameter list, a row each). Bytes are counted from `size_of` and
+//! constants (the only values stored: an argument is its position and a
+//! result its instruction), blocks, and function metadata (the struct,
+//! the name and the parameter list, a row each). Bytes are counted from `size_of` and
 //! element counts alone (no allocator hook), so they leave out malloc's
 //! per-chunk overhead; the heap allocations each layer makes are counted
 //! beside its bytes for that reason. Last, the `VmRSS` one
@@ -68,13 +69,13 @@ struct Footprint {
     insts: Layer,
     operands: Lists,
     targets: Lists,
-    values: Layer,
+    constants: Layer,
     blocks: Layer,
     structs: Layer,
     names: Layer,
     params: Layer,
     inst_count: usize,
-    value_count: usize,
+    constant_count: usize,
 }
 
 impl Footprint {
@@ -91,7 +92,7 @@ impl Footprint {
     fn function(&mut self, f: &Function) {
         self.functions += 1;
         self.inst_count += f.num_insts();
-        self.value_count += f.num_values();
+        self.constant_count += f.num_constants();
         let (bytes, allocs) = buffer::<Instruction>(f.num_insts());
         self.insts.add(bytes, allocs);
         for i in 0..f.num_insts() {
@@ -102,8 +103,8 @@ impl Footprint {
             self.targets
                 .count(targets.len(), 2, targets.is_spilled(), targets.heap_bytes());
         }
-        let (bytes, allocs) = buffer::<Value>(f.num_values());
-        self.values.add(bytes, allocs);
+        let (bytes, allocs) = buffer::<Value>(f.num_constants());
+        self.constants.add(bytes, allocs);
 
         // Blocks: the arena, the order, and each block's list.
         let (bytes, allocs) = buffer::<Block>(f.block_arena_len());
@@ -138,8 +139,8 @@ impl Footprint {
             );
         };
         println!(
-            "{name}: {} functions, {} instructions, {} values",
-            self.functions, self.inst_count, self.value_count
+            "{name}: {} functions, {} instructions, {} constants",
+            self.functions, self.inst_count, self.constant_count
         );
         println!(
             "  instruction structs     {:>8.2} MB  {:>7} allocs  ({} B each, {} B of it the lists)",
@@ -151,7 +152,7 @@ impl Footprint {
         lists("spilled operand lists", &self.operands);
         lists("spilled target lists", &self.targets);
         let rows = [
-            ("values", self.values),
+            ("constants", self.constants),
             ("blocks", self.blocks),
             ("function structs", self.structs),
             ("function names", self.names),
