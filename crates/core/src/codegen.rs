@@ -30,7 +30,7 @@
 
 use f3m_ir::cfg::Cfg;
 use f3m_ir::dom::DomTree;
-use f3m_ir::function::Function;
+use f3m_ir::function::{Function, Placement};
 use f3m_ir::ids::{BlockId, FuncId, InstId, ValueId};
 use f3m_ir::inst::{Instruction, Opcode, Operands, Targets};
 use f3m_ir::module::Module;
@@ -130,7 +130,6 @@ pub(crate) fn op_size(op: Opcode) -> u64 {
         blocks: Targets::new(),
         pred: None,
         aux_ty: None,
-        parent: BlockId::from_index(0),
     })
 }
 
@@ -146,8 +145,9 @@ enum Src {
 #[derive(Clone, Copy, Debug)]
 enum End {
     /// In its last [`Src`], an original terminator, whose merged targets
-    /// are the next entries of [`Layout::targets`].
-    Term,
+    /// are the next entries of [`Layout::targets`]; `from` is the original
+    /// block that terminator ends, per side.
+    Term { from: [Option<BlockId>; 2] },
     /// `condbr %fid, side2, side1`.
     Guard { side1: u32, side2: u32 },
     /// `br` to the block.
@@ -275,7 +275,7 @@ impl<'m> Layout<'m> {
 
         // The entry dispatch comes first and is decided last.
         lay.open();
-        lay.close(End::Term);
+        lay.close(End::Term { from: [None; 2] });
         let mut parts = (Parts::default(), Parts::default());
         let mut mismatch = (Vec::new(), Vec::new());
         for pair in &plan.pairs {
@@ -289,7 +289,7 @@ impl<'m> Layout<'m> {
                 for &i in &lay.sides[s].f.block(bb).insts {
                     lay.push(Src::Own(s, i));
                 }
-                lay.close(End::Term);
+                lay.close(End::Term { from: [(s == 0).then_some(bb), (s == 1).then_some(bb)] });
             }
         }
 
@@ -315,7 +315,8 @@ impl<'m> Layout<'m> {
 
     /// Starts a block: what is pushed from now on belongs to it.
     fn open(&mut self) -> u32 {
-        self.blocks.push(LayoutBlock { dispatch_of: None, srcs_end: NONE, end: End::Term });
+        let end = End::Term { from: [None; 2] };
+        self.blocks.push(LayoutBlock { dispatch_of: None, srcs_end: NONE, end });
         self.blocks.len() as u32 - 1
     }
 
@@ -400,7 +401,7 @@ impl<'m> Layout<'m> {
         if pair.term_match && insts_mergeable(fa, t1, fb, t2) {
             self.diamond(mismatch);
             self.push(Src::Merged(t1, t2));
-            self.close(End::Term);
+            self.close(End::Term { from: [Some(pair.b1), Some(pair.b2)] });
         } else {
             // Fold the trailing mismatch run and both terminators into one
             // final diamond that never rejoins.
@@ -411,13 +412,13 @@ impl<'m> Layout<'m> {
                 self.push(Src::Own(0, i));
             }
             self.push(Src::Own(0, t1));
-            self.close(End::Term);
+            self.close(End::Term { from: [Some(pair.b1), None] });
             self.open();
             for j in mismatch.1.drain(..) {
                 self.push(Src::Own(1, j));
             }
             self.push(Src::Own(1, t2));
-            self.close(End::Term);
+            self.close(End::Term { from: [None, Some(pair.b2)] });
         }
         head
     }
@@ -455,7 +456,7 @@ impl<'m> Layout<'m> {
     /// The original terminator(s) block `b` ends in, if it ends in one.
     fn terminator_of(&self, b: usize) -> Option<Src> {
         let block = &self.blocks[b];
-        matches!(block.end, End::Term).then(|| self.srcs[block.srcs_end as usize - 1])
+        matches!(block.end, End::Term { .. }).then(|| self.srcs[block.srcs_end as usize - 1])
     }
 
     /// Counts the operand slots of merged non-phi instructions whose two
@@ -494,17 +495,14 @@ impl<'m> Layout<'m> {
     }
 
     /// Which original predecessor block(s) the merged edge `pred -> head`
-    /// stands for, per side: those of the original terminator `pred` ends
-    /// in, or, out of a dispatch block, the one side it sends to `head`.
+    /// stands for, per side: the block(s) whose original terminator `pred`
+    /// ends in, or, out of a dispatch block, the one side it sends to `head`.
     /// Nothing for the edges out of guards and the entry dispatch, which
     /// no original edge corresponds to.
     fn edge_origin(&self, pred: BlockId, head: BlockId) -> [Option<BlockId>; 2] {
-        let parent = |s: usize, t| Some(self.sides[s].f.inst(t).parent);
-        let origin = |b: usize| match self.terminator_of(b) {
-            Some(Src::Merged(t1, t2)) => [parent(0, t1), parent(1, t2)],
-            Some(Src::Own(0, t)) => [parent(0, t), None],
-            Some(Src::Own(_, t)) => [None, parent(1, t)],
-            None => [None, None],
+        let origin = |b: usize| match self.blocks[b].end {
+            End::Term { from } => from,
+            _ => [None; 2],
         };
         let block = &self.blocks[pred.index()];
         match (block.dispatch_of, block.end) {
@@ -567,7 +565,7 @@ impl<'m> Layout<'m> {
 
 fn end_size(end: End) -> u64 {
     match end {
-        End::Term => 0,
+        End::Term { .. } => 0,
         End::Guard { .. } => op_size(Opcode::CondBr),
         End::Br(_) => op_size(Opcode::Br),
     }
@@ -637,8 +635,8 @@ struct MergeBuilder<'l, 'm> {
     lay: &'l Layout<'m>,
     nf: Function,
     cfg: MergeConfig,
-    /// The emitted instruction of each layout slot.
-    insts: Vec<InstId>,
+    /// The emitted instruction of each layout slot, with its block.
+    insts: Vec<(BlockId, InstId)>,
     selects_inserted: usize,
     demotions: usize,
 }
@@ -660,14 +658,13 @@ impl MergeBuilder<'_, '_> {
             self.nf.add_block();
         }
         let block_id = |b: u32| BlockId::from_index(b as usize);
-        let guard = |op, operands: Operands, blocks: Targets, parent| Instruction {
+        let guard = |op, operands: Operands, blocks: Targets| Instruction {
             op,
             ty: TypeId::VOID,
             operands,
             blocks,
             pred: None,
             aux_ty: None,
-            parent,
         };
         let mut targets = lay.targets.iter().map(|&t| block_id(t));
         for (b, block) in lay.blocks.iter().enumerate() {
@@ -681,7 +678,7 @@ impl MergeBuilder<'_, '_> {
                 // Operands wait for phase 2; the terminator's targets are
                 // the layout's.
                 let last = self.insts.len() + 1 == block.srcs_end as usize;
-                let blocks = if last && matches!(block.end, End::Term) {
+                let blocks = if last && matches!(block.end, End::Term { .. }) {
                     targets.by_ref().take(proto.blocks.len()).collect()
                 } else {
                     Targets::new()
@@ -693,19 +690,18 @@ impl MergeBuilder<'_, '_> {
                     blocks,
                     pred: proto.pred,
                     aux_ty: proto.aux_ty,
-                    parent: bb,
                 };
                 let new_id = self.append(bb, inst);
-                self.insts.push(new_id);
+                self.insts.push((bb, new_id));
             }
             match block.end {
-                End::Term => {}
+                End::Term { .. } => {}
                 End::Guard { side1, side2 } => {
                     let to = [block_id(side2), block_id(side1)].into();
-                    self.append(bb, guard(Opcode::CondBr, [self.fid()].into(), to, bb));
+                    self.append(bb, guard(Opcode::CondBr, [self.fid()].into(), to));
                 }
                 End::Br(to) => {
-                    self.append(bb, guard(Opcode::Br, Operands::new(), [block_id(to)].into(), bb));
+                    self.append(bb, guard(Opcode::Br, Operands::new(), [block_id(to)].into()));
                 }
             }
         }
@@ -723,7 +719,7 @@ impl MergeBuilder<'_, '_> {
             ValueKind::Inst(def) => {
                 let slot = side.slot[def.index()];
                 assert_ne!(slot, NONE, "unmapped instruction value {v:?}");
-                self.nf.result(self.insts[slot as usize]).expect("a used instruction has a result")
+                self.nf.result(self.insts[slot as usize].1).expect("a used instruction has one")
             }
             _ => self.nf.push_const(val),
         }
@@ -744,7 +740,6 @@ impl MergeBuilder<'_, '_> {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         self.selects_inserted += 1;
@@ -754,7 +749,7 @@ impl MergeBuilder<'_, '_> {
     fn resolve_operands(&mut self) {
         let lay = self.lay;
         for (slot, &src) in lay.srcs.iter().enumerate() {
-            let new_id = self.insts[slot];
+            let (bb, new_id) = self.insts[slot];
             if self.nf.inst(new_id).op == Opcode::Phi {
                 continue;
             }
@@ -768,7 +763,6 @@ impl MergeBuilder<'_, '_> {
                             out.push(self.resolve(0, v1));
                         } else {
                             let (m1, m2) = (self.resolve(0, v1), self.resolve(1, v2));
-                            let bb = self.nf.inst(new_id).parent;
                             let pos = self
                                 .nf
                                 .block(bb)
@@ -795,11 +789,10 @@ impl MergeBuilder<'_, '_> {
     fn resolve_phis(&mut self, graph: &Graph) -> Result<(), MergeError> {
         let lay = self.lay;
         for (slot, &src) in lay.srcs.iter().enumerate() {
-            let new_id = self.insts[slot];
+            let (h, new_id) = self.insts[slot];
             if self.nf.inst(new_id).op != Opcode::Phi {
                 continue;
             }
-            let h = self.nf.inst(new_id).parent;
             let preds = graph.preds(h);
             let mut in_vals = Operands::with_capacity(preds.len());
             for &p in preds {
@@ -843,7 +836,11 @@ impl MergeBuilder<'_, '_> {
     fn repair_dominance(&mut self, graph: &Graph) -> Result<(), MergeError> {
         let mut memo = Vec::new();
         for _round in 0..16 {
-            let mut violations = find_violations(&self.nf, graph);
+            // A repair adds instructions and moves none, so the blocks this
+            // placement gives hold for the whole round; its positions do
+            // not.
+            let placed = self.nf.placement().expect("the build lists each instruction once");
+            let mut violations = find_violations(&self.nf, &placed, graph);
             if violations.is_empty() {
                 return Ok(());
             }
@@ -852,10 +849,11 @@ impl MergeBuilder<'_, '_> {
             violations.sort_by_key(|&(def, _)| def);
             for uses in violations.chunk_by(|a, b| a.0 == b.0) {
                 let def = uses[0].0;
+                let (block, _) = placed.of(def).expect("the build unlinks nothing");
                 let uses = uses.iter().map(|&(_, site)| site);
                 match self.cfg.repair {
-                    RepairMode::Phi => self.reconstruct_ssa(def, uses, graph, &mut memo),
-                    RepairMode::Stack | RepairMode::LegacyBuggy => self.demote(def, uses),
+                    RepairMode::Phi => self.reconstruct_ssa(def, block, uses, graph, &mut memo),
+                    RepairMode::Stack | RepairMode::LegacyBuggy => self.demote(def, block, uses),
                 }
             }
         }
@@ -874,14 +872,14 @@ impl MergeBuilder<'_, '_> {
     fn reconstruct_ssa(
         &mut self,
         def: InstId,
+        def_block: BlockId,
         uses: impl Iterator<Item = UseSite>,
         graph: &Graph,
         memo: &mut Vec<Option<ValueId>>,
     ) {
         self.demotions += 1; // counted as a repaired value either way
         let def_val = self.nf.result(def).expect("repairing a valued instruction");
-        let reach =
-            Reach { def_val, def_block: self.nf.inst(def).parent, ty: self.nf.value(def_val).ty };
+        let reach = Reach { def_val, def_block, ty: self.nf.value(def_val).ty };
         memo.clear();
         memo.resize(self.nf.block_arena_len(), None);
         for site in uses {
@@ -889,13 +887,12 @@ impl MergeBuilder<'_, '_> {
             // reads the value reaching `ub`'s entry, which equals the value
             // at its end because the definition is not in `ub`.
             let (inst, slot, at_end_of) = match site {
-                UseSite::Operand { inst, slot } => {
-                    let ub = self.nf.inst(inst).parent;
+                UseSite::Operand { inst, slot, block } => {
                     debug_assert_ne!(
-                        ub, reach.def_block,
+                        block, reach.def_block,
                         "same-block use-before-def cannot occur in merged code"
                     );
-                    (inst, slot, ub)
+                    (inst, slot, block)
                 }
                 UseSite::PhiIncoming { inst, slot, block } => (inst, slot, block),
             };
@@ -938,7 +935,6 @@ impl MergeBuilder<'_, '_> {
                     blocks: Targets::new(),
                     pred: None,
                     aux_ty: None,
-                    parent: bb,
                 },
             );
             let phi_val = phi_val.expect("phi value");
@@ -954,9 +950,10 @@ impl MergeBuilder<'_, '_> {
         v
     }
 
-    /// Demotes `def`'s value to a stack slot, rewriting the given uses to
-    /// loads. Implements the Section III-E store-placement rules.
-    fn demote(&mut self, def: InstId, uses: impl Iterator<Item = UseSite>) {
+    /// Demotes `def`'s value, defined in `def_block`, to a stack slot,
+    /// rewriting the given uses to loads. Implements the Section III-E
+    /// store-placement rules.
+    fn demote(&mut self, def: InstId, def_block: BlockId, uses: impl Iterator<Item = UseSite>) {
         self.demotions += 1;
         let def_val = self.nf.result(def).expect("demoting a valued instruction");
         let slot_ty = self.nf.value(def_val).ty;
@@ -972,13 +969,11 @@ impl MergeBuilder<'_, '_> {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: Some(slot_ty),
-                parent: entry,
             },
         );
         let slot = slot.expect("alloca value");
 
         // Store placement.
-        let def_block = self.nf.inst(def).parent;
         let (store_block, store_pos) = match self.cfg.repair {
             RepairMode::LegacyBuggy => {
                 // Bug #1: store at the end of the block (before the
@@ -1020,7 +1015,6 @@ impl MergeBuilder<'_, '_> {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: store_block,
             },
         );
 
@@ -1035,7 +1029,7 @@ impl MergeBuilder<'_, '_> {
                 }
                 for (slot_idx, &op) in inst.operands.iter().enumerate() {
                     if op == def_val && inst.op != Opcode::Phi {
-                        sites.push(UseSite::Operand { inst: iid, slot: slot_idx });
+                        sites.push(UseSite::Operand { inst: iid, slot: slot_idx, block: def_block });
                     }
                 }
             }
@@ -1044,8 +1038,7 @@ impl MergeBuilder<'_, '_> {
         }
         for site in sites {
             match site {
-                UseSite::Operand { inst, slot: slot_idx } => {
-                    let bb = self.nf.inst(inst).parent;
+                UseSite::Operand { inst, slot: slot_idx, block: bb } => {
                     let pos = self
                         .nf
                         .block(bb)
@@ -1063,7 +1056,6 @@ impl MergeBuilder<'_, '_> {
                             blocks: Targets::new(),
                             pred: None,
                             aux_ty: None,
-                            parent: bb,
                         },
                     );
                     self.nf.inst_mut(inst).operands[slot_idx] = load.expect("load value");
@@ -1081,7 +1073,6 @@ impl MergeBuilder<'_, '_> {
                             blocks: Targets::new(),
                             pred: None,
                             aux_ty: None,
-                            parent: block,
                         },
                     );
                     self.nf.inst_mut(inst).operands[slot_idx] = load.expect("load value");
@@ -1103,14 +1094,15 @@ struct Reach {
 /// A use of a value that violates SSA dominance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum UseSite {
-    /// Ordinary operand `slot` of `inst`.
-    Operand { inst: InstId, slot: usize },
+    /// Ordinary operand `slot` of `inst`, which `block` lists.
+    Operand { inst: InstId, slot: usize, block: BlockId },
     /// Incoming `slot` of phi `inst` arriving from `block`.
     PhiIncoming { inst: InstId, slot: usize, block: BlockId },
 }
 
-/// Scans a function for SSA dominance violations.
-fn find_violations(f: &Function, graph: &Graph) -> Vec<(InstId, UseSite)> {
+/// Scans a function, whose instructions are where `placed` says, for SSA
+/// dominance violations.
+fn find_violations(f: &Function, placed: &Placement, graph: &Graph) -> Vec<(InstId, UseSite)> {
     let (cfg, dt) = (&graph.cfg, &graph.dom);
     let mut out = Vec::new();
     for &bb in &f.block_order {
@@ -1121,7 +1113,7 @@ fn find_violations(f: &Function, graph: &Graph) -> Vec<(InstId, UseSite)> {
             if inst.op == Opcode::Phi {
                 for (slot, (in_bb, v)) in inst.phi_incomings().enumerate() {
                     if let ValueKind::Inst(def) = f.value(v).kind {
-                        if !dt.dominates_phi_use(f, def, in_bb) {
+                        if !dt.dominates_phi_use(placed, def, in_bb) {
                             out.push((def, UseSite::PhiIncoming { inst: iid, slot, block: in_bb }));
                         }
                     }
@@ -1129,8 +1121,8 @@ fn find_violations(f: &Function, graph: &Graph) -> Vec<(InstId, UseSite)> {
             } else {
                 for (slot, &v) in inst.operands.iter().enumerate() {
                     if let ValueKind::Inst(def) = f.value(v).kind {
-                        if !dt.dominates_inst(f, def, iid) {
-                            out.push((def, UseSite::Operand { inst: iid, slot }));
+                        if !dt.dominates_inst(placed, def, iid) {
+                            out.push((def, UseSite::Operand { inst: iid, slot, block: bb }));
                         }
                     }
                 }
@@ -1188,7 +1180,6 @@ pub fn build_thunk(
             blocks: Targets::new(),
             pred: None,
             aux_ty: None,
-            parent: bb,
         },
     );
     t.append_inst(
@@ -1200,7 +1191,6 @@ pub fn build_thunk(
             blocks: Targets::new(),
             pred: None,
             aux_ty: None,
-            parent: bb,
         },
     );
     t

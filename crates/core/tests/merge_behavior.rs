@@ -83,7 +83,6 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
                 blocks: f3m_ir::inst::Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         d.append_inst(
@@ -95,7 +94,6 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
                 blocks: f3m_ir::inst::Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         let dname = d.name.clone();
@@ -677,7 +675,6 @@ bb0:
                 blocks: f3m_ir::inst::Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         f

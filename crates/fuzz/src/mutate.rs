@@ -120,7 +120,6 @@ fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
             blocks: [succ].into(),
             pred: None,
             aux_ty: None,
-            parent: tramp,
         },
     );
     f.inst_mut(tid).blocks[si] = tramp;
@@ -392,7 +391,6 @@ fn mut_cast_round_trip(m: &mut Module, rng: &mut SmallRng) -> bool {
         blocks: Targets::new(),
         pred: None,
         aux_ty: None,
-        parent: bb,
     };
     let (wide_id, wide_res) = f.insert_inst(bb, pos, mk(wide_op, wide_ty, r));
     let (_, back_res) = f.insert_inst(bb, pos + 1, mk(back_op, ty, wide_res.unwrap()));
@@ -483,7 +481,6 @@ fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
             blocks: Targets::new(),
             pred: None,
             aux_ty: None,
-            parent: bb,
         },
     );
     true

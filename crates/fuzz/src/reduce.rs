@@ -116,18 +116,12 @@ pub fn reduce(
         // Phase 3: drop single instructions.
         if cur.total_insts() <= DROP_INST_LIMIT {
             for fid in cur.defined_functions() {
-                let ids: Vec<InstId> = cur
-                    .function(fid)
-                    .linked_insts()
-                    .filter(|(_, i)| !i.is_terminator())
-                    .map(|(id, _)| id)
-                    .collect();
-                for iid in ids {
-                    let f = cur.function(fid);
-                    if !f.block(f.inst(iid).parent).insts.contains(&iid) {
+                let sites = linked_where(cur.function(fid), |i| !i.is_terminator());
+                for (bb, iid) in sites {
+                    if !cur.function(fid).block(bb).insts.contains(&iid) {
                         continue; // unlinked by an earlier commit this round
                     }
-                    let cand = drop_candidate(&cur, fid, iid);
+                    let cand = drop_candidate(&cur, fid, bb, iid);
                     if accept(&cand, still_fails) {
                         cur = cand;
                         changed = true;
@@ -198,7 +192,6 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
             blocks: Targets::new(),
             pred: None,
             aux_ty: None,
-            parent: bb,
         },
     );
     cand.replace_function(fid, stub);
@@ -227,15 +220,9 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
             blocks: Targets::new(),
             pred: None,
             aux_ty: None,
-            parent: bb,
         },
     );
-    let phis: Vec<InstId> = f
-        .linked_insts()
-        .filter(|(_, i)| i.op == Opcode::Phi)
-        .map(|(id, _)| id)
-        .collect();
-    for pid in phis {
+    for (phi_bb, pid) in linked_where(f, |i| i.op == Opcode::Phi) {
         if !f.inst(pid).blocks.contains(&bb) {
             continue;
         }
@@ -244,7 +231,7 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
         if blocks.is_empty() {
             // Every incoming came through bb; the phi is dead.
             undef_uses(f, pid);
-            f.unlink_inst(pid);
+            f.unlink_inst(phi_bb, pid);
         } else {
             let inst = f.inst_mut(pid);
             inst.blocks = blocks;
@@ -254,14 +241,21 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
     cand
 }
 
-/// Candidate with one instruction unlinked, its result (if any) replaced
-/// by `undef`.
-fn drop_candidate(m: &Module, fid: FuncId, iid: InstId) -> Module {
+/// Candidate with instruction `iid` unlinked from block `bb`, its result
+/// (if any) replaced by `undef`.
+fn drop_candidate(m: &Module, fid: FuncId, bb: BlockId, iid: InstId) -> Module {
     let mut cand = m.clone();
     let f = cand.function_mut(fid);
     undef_uses(f, iid);
-    f.unlink_inst(iid);
+    f.unlink_inst(bb, iid);
     cand
+}
+
+/// The linked instructions of `f` that `keep` accepts, each with the block
+/// that lists it, in block order.
+fn linked_where(f: &Function, keep: impl Fn(&Instruction) -> bool) -> Vec<(BlockId, InstId)> {
+    let listed = f.block_order.iter().flat_map(|&bb| f.block_insts(bb).map(move |x| (bb, x)));
+    listed.filter(|(_, (_, i))| keep(i)).map(|(bb, (id, _))| (bb, id)).collect()
 }
 
 /// Replaces every use of `iid`'s result, if it has one, with `undef`.

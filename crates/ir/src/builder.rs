@@ -98,7 +98,6 @@ impl<'a> FunctionBuilder<'a> {
             blocks: blocks.into(),
             pred: None,
             aux_ty: None,
-            parent: BlockId::from_index(0),
         }
     }
 

@@ -7,7 +7,7 @@
 
 use crate::cfg::Cfg;
 use crate::ids::{BlockId, InstId};
-use crate::function::Function;
+use crate::function::{Function, Placement};
 
 /// Dominator tree for one function.
 #[derive(Clone, Debug)]
@@ -92,37 +92,23 @@ impl DomTree {
         }
     }
 
-    /// Whether the *definition* `def` dominates the *use site*
-    /// `(use_inst, operand position irrelevant)`; both must be linked into
-    /// blocks of `f`. Uses in phi-nodes are considered to occur at the end
-    /// of the corresponding incoming block, as in LLVM's verifier.
-    pub fn dominates_inst(&self, f: &Function, def: InstId, use_inst: InstId) -> bool {
-        let db = f.inst(def).parent;
-        let ub = f.inst(use_inst).parent;
-        if db != ub {
-            return self.dominates(db, ub);
-        }
-        // Same block: compare positions; a definition does not dominate
-        // itself as a use.
-        let block = f.block(db);
-        let dpos = block.insts.iter().position(|&i| i == def);
-        let upos = block.insts.iter().position(|&i| i == use_inst);
-        match (dpos, upos) {
-            (Some(d), Some(u)) => d < u,
+    /// Whether the *definition* `def` dominates the ordinary use in
+    /// `use_inst`, both where `placed` puts them: its block dominates the
+    /// use's, or it comes first in the same block. An instruction no block
+    /// lists dominates nothing. Phi uses are [`DomTree::dominates_phi_use`]'s.
+    pub fn dominates_inst(&self, placed: &Placement, def: InstId, use_inst: InstId) -> bool {
+        match (placed.of(def), placed.of(use_inst)) {
+            (Some((db, dpos)), Some((ub, upos))) if db == ub => dpos < upos,
+            (Some((db, _)), Some((ub, _))) => self.dominates(db, ub),
             _ => false,
         }
     }
 
     /// Dominance check for a phi use: the definition must dominate the end
-    /// of the incoming block `incoming`.
-    pub fn dominates_phi_use(&self, f: &Function, def: InstId, incoming: BlockId) -> bool {
-        let db = f.inst(def).parent;
-        if db == incoming {
-            // Defined inside the incoming block: dominates its end as long
-            // as the def is linked in the block.
-            return f.block(db).insts.contains(&def);
-        }
-        self.dominates(db, incoming)
+    /// of the incoming block `incoming`, which one listed in that block
+    /// does wherever it is.
+    pub fn dominates_phi_use(&self, placed: &Placement, def: InstId, incoming: BlockId) -> bool {
+        placed.of(def).is_some_and(|(db, _)| db == incoming || self.dominates(db, incoming))
     }
 }
 
@@ -190,9 +176,10 @@ mod tests {
         let dt = DomTree::compute(&f, &cfg);
         let entry = bs[0];
         let insts: Vec<_> = f.block(entry).insts.clone();
-        assert!(dt.dominates_inst(&f, insts[0], insts[1]));
-        assert!(!dt.dominates_inst(&f, insts[1], insts[0]));
-        assert!(!dt.dominates_inst(&f, insts[0], insts[0]));
+        let placed = f.placement().unwrap();
+        assert!(dt.dominates_inst(&placed, insts[0], insts[1]));
+        assert!(!dt.dominates_inst(&placed, insts[1], insts[0]));
+        assert!(!dt.dominates_inst(&placed, insts[0], insts[0]));
     }
 
     #[test]
@@ -203,9 +190,10 @@ mod tests {
         let (entry, a, _, c) = (bs[0], bs[1], bs[2], bs[3]);
         let cmp = f.block(entry).insts[0];
         let phi = f.block(c).insts[0];
-        assert!(dt.dominates_inst(&f, cmp, phi));
+        let placed = f.placement().unwrap();
+        assert!(dt.dominates_inst(&placed, cmp, phi));
         let add = f.block(a).insts[0];
-        assert!(!dt.dominates_inst(&f, phi, add));
+        assert!(!dt.dominates_inst(&placed, phi, add));
     }
 
     #[test]
@@ -215,8 +203,9 @@ mod tests {
         let dt = DomTree::compute(&f, &cfg);
         let (_, a, b, _) = (bs[0], bs[1], bs[2], bs[3]);
         let add_in_a = f.block(a).insts[0];
-        assert!(dt.dominates_phi_use(&f, add_in_a, a));
-        assert!(!dt.dominates_phi_use(&f, add_in_a, b));
+        let placed = f.placement().unwrap();
+        assert!(dt.dominates_phi_use(&placed, add_in_a, a));
+        assert!(!dt.dominates_phi_use(&placed, add_in_a, b));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! instruction, and only constants live in the constant arena, one per
 //! operand that names one (nothing looks one up by content). So nothing
 //! links a result back to its instruction, and [`Function::result`] is
-//! the one rule for which instructions have one.
+//! the one rule for which instructions have one. Nothing links an
+//! instruction to its block either: the block lists are the one record of
+//! where each instruction is, and [`Function::placement`] reads them.
 
 use crate::ids::{BlockId, FuncId, GlobalId, InstId, ValueId, ValueSlot};
 use crate::inst::{Instruction, Opcode, Operands};
@@ -34,6 +36,20 @@ pub enum Linkage {
 pub struct Block {
     /// Instructions in execution order.
     pub insts: Vec<InstId>,
+}
+
+/// Where each instruction of a function is, as [`Function::placement`]
+/// read it from the block lists; an edit to a list makes it stale.
+#[derive(Clone, Debug)]
+pub struct Placement(Vec<Option<(BlockId, usize)>>);
+
+impl Placement {
+    /// The block that lists `id` and its position there, or `None` if no
+    /// block of the block order does (an unlinked instruction, or one
+    /// added since).
+    pub fn of(&self, id: InstId) -> Option<(BlockId, usize)> {
+        self.0.get(id.index()).copied().flatten()
+    }
 }
 
 /// A function definition or declaration.
@@ -187,7 +203,8 @@ impl Function {
         &self.blocks[id.index()]
     }
 
-    /// Mutable block access. Callers must keep instruction parents in sync.
+    /// Mutable block access. Its list is where its instructions are, and
+    /// the verifier refuses one that two lists (or two slots) hold.
     pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
         &mut self.blocks[id.index()]
     }
@@ -239,9 +256,8 @@ impl Function {
         &mut self,
         bb: BlockId,
         pos: usize,
-        mut inst: Instruction,
+        inst: Instruction,
     ) -> (InstId, Option<ValueId>) {
-        inst.parent = bb;
         let id = InstId::from_index(self.insts.len());
         self.insts.push(inst);
         self.blocks[bb.index()].insts.insert(pos, id);
@@ -280,6 +296,24 @@ impl Function {
         self.block_order.iter().flat_map(move |&b| self.block_insts(b))
     }
 
+    /// Where each instruction is, in one walk of the block order.
+    ///
+    /// # Errors
+    ///
+    /// The first instruction, in block order, that a block lists a second
+    /// time (in another block or in the same one).
+    pub fn placement(&self) -> Result<Placement, InstId> {
+        let mut at = vec![None; self.insts.len()];
+        for &bb in &self.block_order {
+            for (pos, &i) in self.blocks[bb.index()].insts.iter().enumerate() {
+                if at[i.index()].replace((bb, pos)).is_some() {
+                    return Err(i);
+                }
+            }
+        }
+        Ok(Placement(at))
+    }
+
     /// The terminator of `bb`, if the block is non-empty and ends in one.
     pub fn terminator(&self, bb: BlockId) -> Option<(InstId, &Instruction)> {
         let last = *self.block(bb).insts.last()?;
@@ -298,13 +332,12 @@ impl Function {
             .unwrap_or(self.block(bb).insts.len())
     }
 
-    /// Removes `id` from its parent block's instruction list. The arena
-    /// entry remains (handles stay valid) but the instruction no longer
-    /// executes and is no longer printed. The caller must first redirect
-    /// any uses of its result, e.g. via [`Function::replace_all_uses`].
-    pub fn unlink_inst(&mut self, id: InstId) {
-        let parent = self.insts[id.index()].parent;
-        self.blocks[parent.index()].insts.retain(|&i| i != id);
+    /// Removes `id` from the list of `bb`, the block that lists it. The
+    /// arena entry remains (handles stay valid), but the instruction no
+    /// longer executes or prints, and the verifier refuses a use of it: the
+    /// caller must first redirect them, e.g. via [`Function::replace_all_uses`].
+    pub fn unlink_inst(&mut self, bb: BlockId, id: InstId) {
+        self.blocks[bb.index()].insts.retain(|&i| i != id);
     }
 
     /// Splits `bb` at instruction position `pos`: instructions from `pos`
@@ -325,9 +358,6 @@ impl Function {
         assert!(pos < self.block(bb).insts.len(), "split must leave a terminator to move");
         let tail = self.blocks[bb.index()].insts.split_off(pos);
         let new_bb = self.add_block();
-        for &i in &tail {
-            self.insts[i.index()].parent = new_bb;
-        }
         self.blocks[new_bb.index()].insts = tail;
         // The moved terminator's edges now originate from `new_bb`; phis in
         // its successors (including `bb` itself, for self-loops) track that.
@@ -351,7 +381,6 @@ impl Function {
                 blocks: [new_bb].into(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         new_bb
@@ -427,7 +456,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         assert!(res.is_some());
@@ -440,7 +468,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         assert!(no_res.is_none());
@@ -461,7 +488,6 @@ mod tests {
             blocks: if op == Opcode::Phi { [bb, bb].into() } else { Targets::new() },
             pred: None,
             aux_ty: None,
-            parent: bb,
         };
         f.append_inst(bb, mk(Opcode::Phi, i32t, bb));
         f.append_inst(bb, mk(Opcode::Phi, i32t, bb));
@@ -484,7 +510,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         f.replace_all_uses(a, b);
@@ -505,12 +530,13 @@ mod tests {
             blocks: Targets::new(),
             pred: None,
             aux_ty: None,
-            parent: bb,
         };
         let (i0, _) = f.append_inst(bb, mk());
         let (i1, _) = f.append_inst(bb, mk());
-        f.unlink_inst(i0);
+        f.unlink_inst(bb, i0);
         assert_eq!(f.block(bb).insts, vec![i1]);
+        let placed = f.placement().unwrap();
+        assert_eq!((placed.of(i0), placed.of(i1)), (None, Some((bb, 0))));
         assert_eq!(f.num_insts(), 2, "arena entry survives unlinking");
     }
 
@@ -537,7 +563,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb0,
             },
         );
         let (_, cond) = f.append_inst(
@@ -549,7 +574,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: Some(crate::inst::Predicate::Int(crate::inst::IntPredicate::Slt)),
                 aux_ty: None,
-                parent: bb0,
             },
         );
         f.append_inst(
@@ -561,7 +585,6 @@ mod tests {
                 blocks: [bb1, bb0].into(),
                 pred: None,
                 aux_ty: None,
-                parent: bb0,
             },
         );
         let (_, phi) = f.insert_inst(
@@ -574,7 +597,6 @@ mod tests {
                 blocks: [bb0].into(),
                 pred: None,
                 aux_ty: None,
-                parent: bb1,
             },
         );
         f.append_inst(
@@ -586,7 +608,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb1,
             },
         );
         let new_bb = f.split_block(bb0, 1);
@@ -594,8 +615,9 @@ mod tests {
         assert_eq!(f.block(bb0).insts.len(), 2);
         assert_eq!(f.terminator(bb0).unwrap().1.blocks[..], [new_bb]);
         assert_eq!(f.block(new_bb).insts.len(), 2);
-        for (_, inst) in f.block_insts(new_bb) {
-            assert_eq!(inst.parent, new_bb);
+        let placed = f.placement().unwrap();
+        for &i in &f.block(new_bb).insts {
+            assert_eq!(placed.of(i).map(|(bb, _)| bb), Some(new_bb));
         }
         // The condbr's self-loop edge still points at bb0...
         assert_eq!(f.terminator(new_bb).unwrap().1.blocks[..], [bb1, bb0]);
@@ -622,7 +644,6 @@ mod tests {
                 blocks: [bb].into(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         f.append_inst(
@@ -634,7 +655,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb,
             },
         );
         f.split_block(bb, 0);
@@ -653,7 +673,6 @@ mod tests {
             blocks: [target].into(),
             pred: None,
             aux_ty: None,
-            parent: bb0,
         };
         let (i0, _) = f.append_inst(bb0, mk_br(bb1));
         let (i1, _) = f.append_inst(
@@ -665,7 +684,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: bb1,
             },
         );
         assert_eq!(f.linked_insts().map(|(id, _)| id).collect::<Vec<_>>(), vec![i0, i1]);

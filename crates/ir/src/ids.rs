@@ -3,8 +3,9 @@
 //! All IR entities live in per-function or per-module arenas and are referred
 //! to by dense `u32` indices. Handles are only meaningful together with the
 //! function or module that produced them; mixing handles across functions is
-//! a logic error that the verifier will catch (operand out of range / wrong
-//! parent).
+//! a logic error. An instruction is where its block's list puts it: the
+//! verifier refuses a use of one that no block of the function lists, and
+//! one that blocks list twice.
 //!
 //! A [`ValueId`] says what it names: an argument by its position, an
 //! instruction's result by the instruction's [`InstId`], or a constant by

@@ -8,7 +8,7 @@
 //! `load`'s loaded type, `gep`'s element type, casts' source type is implied
 //! by the operand).
 
-use crate::ids::{BlockId, InstId, ValueId};
+use crate::ids::{BlockId, ValueId};
 use crate::types::TypeId;
 
 mod list;
@@ -387,6 +387,11 @@ impl Predicate {
 
 /// A single IR instruction.
 ///
+/// An instruction links to neither its block nor its result: the block
+/// whose `insts` lists it is where it is (read by
+/// [`crate::function::Function::placement`]), and its result, if it has
+/// one, is [`crate::function::Function::result`] of its id.
+///
 /// Operand conventions by opcode:
 ///
 /// | opcode      | operands                                   | blocks                      |
@@ -420,9 +425,6 @@ pub struct Instruction {
     pub pred: Option<Predicate>,
     /// Auxiliary type: allocated type for `alloca`, element type for `gep`.
     pub aux_ty: Option<TypeId>,
-    /// Block that contains this instruction. Its result, if it has one,
-    /// is [`crate::function::Function::result`] of its id.
-    pub parent: BlockId,
 }
 
 impl Instruction {
@@ -450,15 +452,6 @@ impl Instruction {
         assert_eq!(self.op, Opcode::Phi, "phi_incomings on non-phi");
         self.blocks.iter().copied().zip(self.operands.iter().copied())
     }
-}
-
-/// An instruction paired with its id; convenient return type for iteration.
-#[derive(Clone, Copy, Debug)]
-pub struct InstRef<'a> {
-    /// Handle of the instruction.
-    pub id: InstId,
-    /// The instruction itself.
-    pub inst: &'a Instruction,
 }
 
 #[cfg(test)]

@@ -1258,7 +1258,6 @@ impl Stage<'_> {
                     blocks: succs,
                     pred: s.pred,
                     aux_ty: s.aux_ty,
-                    parent: bb,
                 };
                 match (f.append_inst(bb, inst).1, s.result_name) {
                     (Some(v), Some(n)) => {

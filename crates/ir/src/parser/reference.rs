@@ -401,7 +401,6 @@ fn build_body(
                 blocks: targets?.into(),
                 pred: raw.pred,
                 aux_ty: raw.aux_ty,
-                parent: bb,
             };
             let (iid, res) = f.append_inst(bb, inst);
             match (res, raw.result_name) {

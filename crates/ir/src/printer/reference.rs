@@ -333,7 +333,7 @@ fn corner_module() -> Module {
         b.ret(Some(phi));
     }
     let ValueKind::Inst(iid) = f.value(unlinked).kind else { unreachable!("an add's result") };
-    f.unlink_inst(iid);
+    f.unlink_inst(f.entry(), iid);
     m.add_function(f);
     m
 }

@@ -102,7 +102,6 @@ mod tests {
 
     #[test]
     fn every_opcode_has_positive_size() {
-        use crate::ids::BlockId;
         for op in Opcode::iter() {
             let inst = Instruction {
                 op,
@@ -111,7 +110,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: BlockId::from_index(0),
             };
             assert!(inst_size(&inst) > 0, "{op:?}");
         }

@@ -12,7 +12,7 @@ use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::ids::{BlockId, FuncId, InstId, ValueId};
 use crate::inst::{Opcode, Predicate};
-use crate::function::Function;
+use crate::function::{Function, Placement};
 use crate::module::Module;
 use crate::types::{TypeId, TypeKind, TypeStore};
 use crate::value::ValueKind;
@@ -32,7 +32,8 @@ pub enum VerifyError {
     DominanceViolation { func: String, inst: InstId, operand: ValueId },
     /// An instruction is badly typed.
     TypeError { func: String, inst: InstId, detail: String },
-    /// Malformed operand/target counts for an opcode.
+    /// Malformed operand/target counts for an opcode, or an instruction
+    /// that blocks list more than once.
     Malformed { func: String, inst: InstId, detail: String },
     /// The entry block has predecessors.
     EntryHasPreds { func: String },
@@ -208,10 +209,16 @@ fn verify_body<'m>(
         }
     }
 
-    if !errs.is_empty() {
-        // CFG-derived checks below assume structural sanity.
-        return Err(errs);
-    }
+    // The block lists are where each instruction is; one listed twice has
+    // no one place. CFG-derived checks below assume structural sanity.
+    let placed = match f.placement() {
+        Ok(placed) if errs.is_empty() => placed,
+        Ok(_) => return Err(errs),
+        Err(inst) => {
+            errs.push(VerifyError::Malformed { func: fname, inst, detail: "listed twice".into() });
+            return Err(errs);
+        }
+    };
 
     let cfg = Cfg::compute(f);
     let dt = DomTree::compute(f, &cfg);
@@ -228,12 +235,12 @@ fn verify_body<'m>(
             check_shape(callee, f, &fname, iid, inst, &mut errs);
             check_types(ts, f, &fname, iid, inst, &mut errs);
             if inst.op == Opcode::Phi {
-                check_phi(f, &cfg, &dt, &fname, iid, bb, &mut errs);
+                check_phi(f, cfg.preds(bb), &dt, &placed, &fname, iid, &mut errs);
             } else {
                 // Dominance for ordinary uses.
                 for &op in &inst.operands {
                     if let ValueKind::Inst(def) = f.value(op).kind {
-                        if !dt.dominates_inst(f, def, iid) {
+                        if !dt.dominates_inst(&placed, def, iid) {
                             errs.push(VerifyError::DominanceViolation {
                                 func: fname.clone(),
                                 inst: iid,
@@ -255,11 +262,11 @@ fn verify_body<'m>(
 
 fn check_phi(
     f: &Function,
-    cfg: &Cfg,
+    preds: &[BlockId],
     dt: &DomTree,
+    placed: &Placement,
     fname: &str,
     iid: InstId,
-    bb: BlockId,
     errs: &mut Vec<VerifyError>,
 ) {
     let inst = f.inst(iid);
@@ -277,7 +284,7 @@ fn check_phi(
     }
     // One incoming entry per distinct predecessor (duplicate edges from a
     // conditional branch with identical targets count once).
-    let mut preds: Vec<BlockId> = cfg.preds(bb).to_vec();
+    let mut preds: Vec<BlockId> = preds.to_vec();
     preds.sort();
     preds.dedup();
     let mut incoming: Vec<BlockId> = inst.blocks.to_vec();
@@ -293,7 +300,7 @@ fn check_phi(
     // Dominance of each incoming value at the end of its incoming block.
     for (block, val) in inst.phi_incomings() {
         if let ValueKind::Inst(def) = f.value(val).kind {
-            if !dt.dominates_phi_use(f, def, block) {
+            if !dt.dominates_phi_use(placed, def, block) {
                 errs.push(VerifyError::DominanceViolation {
                     func: fname.to_string(),
                     inst: iid,
@@ -671,7 +678,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: other,
             },
         );
         // Make `other` reachable: entry condbr -> other / exit path.
@@ -684,7 +690,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: entry,
             },
         );
         f.append_inst(
@@ -696,7 +701,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: other,
             },
         );
         let id = m.add_function(f);
@@ -748,7 +752,6 @@ mod tests {
             blocks: blocks.into(),
             pred: None,
             aux_ty: None,
-            parent: entry,
         };
         let (_, add) = f.append_inst(entry, mk(Opcode::Add, i32t, &[arg, arg], &[]));
         // Phi after a non-phi; also give it a bogus incoming to keep shape valid.
@@ -811,6 +814,70 @@ mod tests {
         );
     }
 
+    /// `entry: %x = add a, a; br next` and `next: %y = mul %x, %x; ret %y`,
+    /// a function that verifies, after `edit(f, x, [entry, next])`: `x`
+    /// and what the verifier says of the edited function, whose printed
+    /// text does not reparse.
+    fn edited(
+        edit: impl FnOnce(&mut Function, InstId, [BlockId; 2]),
+    ) -> (InstId, Vec<VerifyError>) {
+        let mut m = Module::new("t");
+        let i32t = m.types.int(32);
+        let mut f = Function::new("edited", vec![i32t], i32t);
+        let blocks = {
+            let mut b = FunctionBuilder::new(&mut m.types, &mut f);
+            let (entry, next) = (b.create_block(), b.create_block());
+            b.position_at_end(entry);
+            let x = b.add(b.func().arg(0), b.func().arg(0));
+            b.br(next);
+            b.position_at_end(next);
+            let y = b.mul(x, x);
+            b.ret(Some(y));
+            [entry, next]
+        };
+        let x = f.block(blocks[0]).insts[0];
+        edit(&mut f, x, blocks);
+        let id = m.add_function(f);
+        let text = crate::printer::print_module(&m);
+        assert!(crate::parser::parse_module(&text).is_err(), "the text reparses:\n{text}");
+        (x, verify_function(&m, id).unwrap_err())
+    }
+
+    fn refuses_use_of(x: InstId, errs: &[VerifyError]) {
+        let op = ValueId::inst(x);
+        let refused = |e: &VerifyError| {
+            matches!(e, VerifyError::DominanceViolation { operand, .. } if *operand == op)
+        };
+        assert!(errs.iter().any(refused), "{errs:?}");
+    }
+
+    /// An unlinked definition dominates nothing, though the block that
+    /// listed it dominates the use.
+    #[test]
+    fn rejects_use_of_unlinked_definition() {
+        let (x, errs) = edited(|f, x, [entry, _]| f.unlink_inst(entry, x));
+        refuses_use_of(x, &errs);
+    }
+
+    /// A definition moved after its use, into the use's block, is a use
+    /// before definition, whichever block it came from.
+    #[test]
+    fn rejects_definition_moved_after_its_use() {
+        let (x, errs) = edited(|f, x, [entry, next]| {
+            f.block_mut(entry).insts.retain(|&i| i != x);
+            f.block_mut(next).insts.insert(1, x);
+        });
+        refuses_use_of(x, &errs);
+    }
+
+    /// An instruction listed in two blocks is in no one place.
+    #[test]
+    fn rejects_instruction_listed_in_two_blocks() {
+        let (x, errs) = edited(|f, x, [_, next]| f.block_mut(next).insts.insert(0, x));
+        let malformed = matches!(&errs[..], [VerifyError::Malformed { inst, .. }] if *inst == x);
+        assert!(malformed, "{errs:?}");
+    }
+
     #[test]
     fn icmp_result_must_be_bool() {
         // Constructed via the builder, icmp is always well-typed; build a raw
@@ -830,7 +897,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: Some(Predicate::Int(IntPredicate::Eq)),
                 aux_ty: None,
-                parent: entry,
             },
         );
         f.append_inst(
@@ -842,7 +908,6 @@ mod tests {
                 blocks: Targets::new(),
                 pred: None,
                 aux_ty: None,
-                parent: entry,
             },
         );
         let id = m.add_function(f);

@@ -306,7 +306,10 @@ fn constants_are_operands() {
 #[test]
 fn dominator_tree_matches_first_principles() {
     // First-principles dominance: A dominates B iff removing A from
-    // the graph disconnects B from the entry.
+    // the graph disconnects B from the entry. An instruction dominates a
+    // use in another block when its block dominates the use's, one later
+    // in its own block when it comes first, and a phi use when its block
+    // dominates the end of the incoming block.
     let mut rng = SmallRng::seed_from_u64(13);
     for _ in 0..48 {
         let steps = random_recipe(&mut rng, 25);
@@ -314,12 +317,11 @@ fn dominator_tree_matches_first_principles() {
         let f = m.function(m.lookup_function("f").unwrap());
         let cfg = Cfg::compute(f);
         let dt = DomTree::compute(f, &cfg);
-        let blocks: Vec<_> = f.block_order.clone();
+        let blocks: Vec<_> =
+            f.block_order.iter().copied().filter(|&b| cfg.is_reachable(b)).collect();
+        let mut dominates = std::collections::HashMap::new();
         for &a in &blocks {
             for &b in &blocks {
-                if !cfg.is_reachable(a) || !cfg.is_reachable(b) {
-                    continue;
-                }
                 // BFS from entry avoiding `a`.
                 let mut reach = std::collections::HashSet::new();
                 let mut queue = std::collections::VecDeque::new();
@@ -336,6 +338,29 @@ fn dominator_tree_matches_first_principles() {
                 }
                 let expected = a == b || !reach.contains(&b);
                 assert_eq!(dt.dominates(a, b), expected, "dominates({a:?}, {b:?})");
+                dominates.insert((a, b), expected);
+            }
+        }
+        let placed = f.placement().unwrap();
+        let mut linked = Vec::new();
+        for &bb in &f.block_order {
+            for (pos, &i) in f.block(bb).insts.iter().enumerate() {
+                assert_eq!(placed.of(i), Some((bb, pos)), "{i:?}");
+                if cfg.is_reachable(bb) {
+                    linked.push((i, bb, pos));
+                }
+            }
+        }
+        for &(def, db, dpos) in &linked {
+            for &(user, ub, upos) in &linked {
+                let expected = if db == ub { dpos < upos } else { dominates[&(db, ub)] };
+                let found = dt.dominates_inst(&placed, def, user);
+                assert_eq!(found, expected, "{def:?} before {user:?}");
+            }
+            for &incoming in &blocks {
+                let expected = dominates[&(db, incoming)];
+                let found = dt.dominates_phi_use(&placed, def, incoming);
+                assert_eq!(found, expected, "{def:?} at {incoming:?}");
             }
         }
     }
