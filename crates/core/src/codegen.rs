@@ -32,7 +32,7 @@ use f3m_ir::cfg::Cfg;
 use f3m_ir::dom::DomTree;
 use f3m_ir::function::{Function, Placement};
 use f3m_ir::ids::{BlockId, FuncId, InstId, ValueId};
-use f3m_ir::inst::{Instruction, Opcode, Operands, Targets};
+use f3m_ir::inst::{Instruction, Opcode};
 use f3m_ir::module::Module;
 use f3m_ir::size::{inst_size, FUNCTION_OVERHEAD};
 use f3m_ir::types::TypeId;
@@ -117,20 +117,6 @@ pub struct MergedFunction {
     /// Operand selects the structure walk counted: `selects_inserted`
     /// minus the phi-edge selects.
     pub operand_selects: usize,
-}
-
-/// `inst_size` of any instruction with opcode `op`: the size model reads
-/// nothing else of an instruction, which is what lets a merged function be
-/// sized before it exists.
-pub(crate) fn op_size(op: Opcode) -> u64 {
-    inst_size(&Instruction {
-        op,
-        ty: TypeId::VOID,
-        operands: Operands::new(),
-        blocks: Targets::new(),
-        pred: None,
-        aux_ty: None,
-    })
 }
 
 /// The original instruction(s) one merged instruction stands for. Sides are
@@ -338,7 +324,7 @@ impl<'m> Layout<'m> {
             Src::Own(s, i) => (s, i),
         };
         self.sides[s].slot[i.index()] = slot;
-        self.size += inst_size(self.sides[s].f.inst(i));
+        self.size += inst_size(self.sides[s].f.inst(i).op);
         self.srcs.push(src);
     }
 
@@ -432,7 +418,7 @@ impl<'m> Layout<'m> {
             let Some(term) = self.terminator_of(b) else { continue };
             match term {
                 Src::Merged(t1, t2) => {
-                    let targets = fa.inst(t1).blocks.iter().zip(&fb.inst(t2).blocks);
+                    let targets = fa.inst(t1).blocks.iter().zip(fb.inst(t2).blocks);
                     for (&o1, &o2) in targets {
                         let (m1, m2) = (entry_of(&entry[0], o1), entry_of(&entry[1], o2));
                         if m1 != m2 {
@@ -470,11 +456,11 @@ impl<'m> Layout<'m> {
             if i1.op == Opcode::Phi {
                 continue;
             }
-            let slots = i1.operands.iter().zip(&i2.operands);
+            let slots = i1.operands.iter().zip(i2.operands);
             selects += slots.filter(|&(&v1, &v2)| !self.same_merged_value(v1, v2)).count();
         }
         self.operand_selects = selects;
-        self.size += selects as u64 * op_size(Opcode::Select);
+        self.size += selects as u64 * inst_size(Opcode::Select);
     }
 
     /// Whether `v1` of the first function and `v2` of the second resolve to
@@ -566,8 +552,8 @@ impl<'m> Layout<'m> {
 fn end_size(end: End) -> u64 {
     match end {
         End::Term { .. } => 0,
-        End::Guard { .. } => op_size(Opcode::CondBr),
-        End::Br(_) => op_size(Opcode::Br),
+        End::Guard { .. } => inst_size(Opcode::CondBr),
+        End::Br(_) => inst_size(Opcode::Br),
     }
 }
 
@@ -658,14 +644,6 @@ impl MergeBuilder<'_, '_> {
             self.nf.add_block();
         }
         let block_id = |b: u32| BlockId::from_index(b as usize);
-        let guard = |op, operands: Operands, blocks: Targets| Instruction {
-            op,
-            ty: TypeId::VOID,
-            operands,
-            blocks,
-            pred: None,
-            aux_ty: None,
-        };
         let mut targets = lay.targets.iter().map(|&t| block_id(t));
         for (b, block) in lay.blocks.iter().enumerate() {
             let bb = BlockId::from_index(b);
@@ -677,31 +655,23 @@ impl MergeBuilder<'_, '_> {
                 let proto = lay.sides[s].f.inst(i);
                 // Operands wait for phase 2; the terminator's targets are
                 // the layout's.
+                let new_id = self.append(bb, Instruction { operands: &[], blocks: &[], ..proto });
                 let last = self.insts.len() + 1 == block.srcs_end as usize;
-                let blocks = if last && matches!(block.end, End::Term { .. }) {
-                    targets.by_ref().take(proto.blocks.len()).collect()
-                } else {
-                    Targets::new()
-                };
-                let inst = Instruction {
-                    op: proto.op,
-                    ty: proto.ty,
-                    operands: Operands::new(),
-                    blocks,
-                    pred: proto.pred,
-                    aux_ty: proto.aux_ty,
-                };
-                let new_id = self.append(bb, inst);
+                if last && matches!(block.end, End::Term { .. }) {
+                    for to in targets.by_ref().take(proto.blocks.len()) {
+                        self.nf.push_block(new_id, to);
+                    }
+                }
                 self.insts.push((bb, new_id));
             }
             match block.end {
                 End::Term { .. } => {}
                 End::Guard { side1, side2 } => {
-                    let to = [block_id(side2), block_id(side1)].into();
-                    self.append(bb, guard(Opcode::CondBr, [self.fid()].into(), to));
+                    let to = [block_id(side2), block_id(side1)];
+                    self.append(bb, Instruction::new(Opcode::CondBr, TypeId::VOID, &[self.fid()], &to));
                 }
                 End::Br(to) => {
-                    self.append(bb, guard(Opcode::Br, Operands::new(), [block_id(to)].into()));
+                    self.append(bb, Instruction::new(Opcode::Br, TypeId::VOID, &[], &[block_id(to)]));
                 }
             }
         }
@@ -733,14 +703,7 @@ impl MergeBuilder<'_, '_> {
         let (_, val) = self.nf.insert_inst(
             bb,
             pos,
-            Instruction {
-                op: Opcode::Select,
-                ty,
-                operands: [fid, v2, v1].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Select, ty, &[fid, v2, v1], &[]),
         );
         self.selects_inserted += 1;
         val.expect("select produces a value")
@@ -748,16 +711,17 @@ impl MergeBuilder<'_, '_> {
 
     fn resolve_operands(&mut self) {
         let lay = self.lay;
+        let mut out = Vec::new();
         for (slot, &src) in lay.srcs.iter().enumerate() {
             let (bb, new_id) = self.insts[slot];
             if self.nf.inst(new_id).op == Opcode::Phi {
                 continue;
             }
-            let resolved = match src {
+            out.clear();
+            match src {
                 Src::Merged(i1, i2) => {
-                    let ops1 = &lay.sides[0].f.inst(i1).operands;
-                    let ops2 = &lay.sides[1].f.inst(i2).operands;
-                    let mut out = Operands::with_capacity(ops1.len());
+                    let ops1 = lay.sides[0].f.inst(i1).operands;
+                    let ops2 = lay.sides[1].f.inst(i2).operands;
                     for (&v1, &v2) in ops1.iter().zip(ops2) {
                         if lay.same_merged_value(v1, v2) {
                             out.push(self.resolve(0, v1));
@@ -773,14 +737,13 @@ impl MergeBuilder<'_, '_> {
                             out.push(self.insert_select(bb, pos, m1, m2));
                         }
                     }
-                    out
                 }
                 Src::Own(s, i) => {
-                    let ops = &lay.sides[s].f.inst(i).operands;
-                    ops.iter().map(|&v| self.resolve(s, v)).collect()
+                    let ops = lay.sides[s].f.inst(i).operands;
+                    out.extend(ops.iter().map(|&v| self.resolve(s, v)));
                 }
-            };
-            self.nf.inst_mut(new_id).operands = resolved;
+            }
+            self.nf.set_operands(new_id, &out);
         }
     }
 
@@ -788,13 +751,14 @@ impl MergeBuilder<'_, '_> {
 
     fn resolve_phis(&mut self, graph: &Graph) -> Result<(), MergeError> {
         let lay = self.lay;
+        let mut in_vals = Vec::new();
         for (slot, &src) in lay.srcs.iter().enumerate() {
             let (h, new_id) = self.insts[slot];
             if self.nf.inst(new_id).op != Opcode::Phi {
                 continue;
             }
             let preds = graph.preds(h);
-            let mut in_vals = Operands::with_capacity(preds.len());
+            in_vals.clear();
             for &p in preds {
                 let origin = lay.edge_origin(p, h);
                 let incoming = |s: usize, phi| match origin[s] {
@@ -824,9 +788,8 @@ impl MergeBuilder<'_, '_> {
                     ))
                 })?);
             }
-            let inst = self.nf.inst_mut(new_id);
-            inst.operands = in_vals;
-            inst.blocks = preds.into();
+            self.nf.set_operands(new_id, &in_vals);
+            self.nf.set_blocks(new_id, preds);
         }
         Ok(())
     }
@@ -897,7 +860,7 @@ impl MergeBuilder<'_, '_> {
                 UseSite::PhiIncoming { inst, slot, block } => (inst, slot, block),
             };
             let v = self.read_at_end(at_end_of, reach, graph, memo);
-            self.nf.inst_mut(inst).operands[slot] = v;
+            self.nf.operands_mut(inst)[slot] = v;
         }
     }
 
@@ -928,22 +891,14 @@ impl MergeBuilder<'_, '_> {
             let (phi_id, phi_val) = self.nf.insert_inst(
                 bb,
                 0,
-                Instruction {
-                    op: Opcode::Phi,
-                    ty: reach.ty,
-                    operands: Operands::new(),
-                    blocks: Targets::new(),
-                    pred: None,
-                    aux_ty: None,
-                },
+                Instruction::new(Opcode::Phi, reach.ty, &[], &[]),
             );
             let phi_val = phi_val.expect("phi value");
             memo[bb.index()] = Some(phi_val);
-            let vals: Operands =
+            let vals: Vec<ValueId> =
                 preds.iter().map(|&p| self.read_at_end(p, reach, graph, memo)).collect();
-            let phi = self.nf.inst_mut(phi_id);
-            phi.operands = vals;
-            phi.blocks = preds.into();
+            self.nf.set_operands(phi_id, &vals);
+            self.nf.set_blocks(phi_id, preds);
             phi_val
         };
         memo[bb.index()] = Some(v);
@@ -962,14 +917,7 @@ impl MergeBuilder<'_, '_> {
         let (_, slot) = self.nf.insert_inst(
             entry,
             0,
-            Instruction {
-                op: Opcode::Alloca,
-                ty: TypeId::PTR,
-                operands: Operands::new(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: Some(slot_ty),
-            },
+            Instruction { aux_ty: Some(slot_ty), ..Instruction::new(Opcode::Alloca, TypeId::PTR, &[], &[]) },
         );
         let slot = slot.expect("alloca value");
 
@@ -1008,14 +956,7 @@ impl MergeBuilder<'_, '_> {
         self.nf.insert_inst(
             store_block,
             store_pos,
-            Instruction {
-                op: Opcode::Store,
-                ty: TypeId::VOID,
-                operands: [def_val, slot].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Store, TypeId::VOID, &[def_val, slot], &[]),
         );
 
         // Rewrite uses.
@@ -1049,16 +990,9 @@ impl MergeBuilder<'_, '_> {
                     let (_, load) = self.nf.insert_inst(
                         bb,
                         pos,
-                        Instruction {
-                            op: Opcode::Load,
-                            ty: slot_ty,
-                            operands: [slot].into(),
-                            blocks: Targets::new(),
-                            pred: None,
-                            aux_ty: None,
-                        },
+                        Instruction::new(Opcode::Load, slot_ty, &[slot], &[]),
                     );
-                    self.nf.inst_mut(inst).operands[slot_idx] = load.expect("load value");
+                    self.nf.operands_mut(inst)[slot_idx] = load.expect("load value");
                 }
                 UseSite::PhiIncoming { inst, slot: slot_idx, block } => {
                     // Load at the end of the incoming block.
@@ -1066,16 +1000,9 @@ impl MergeBuilder<'_, '_> {
                     let (_, load) = self.nf.insert_inst(
                         block,
                         pos,
-                        Instruction {
-                            op: Opcode::Load,
-                            ty: slot_ty,
-                            operands: [slot].into(),
-                            blocks: Targets::new(),
-                            pred: None,
-                            aux_ty: None,
-                        },
+                        Instruction::new(Opcode::Load, slot_ty, &[slot], &[]),
                     );
-                    self.nf.inst_mut(inst).operands[slot_idx] = load.expect("load value");
+                    self.nf.operands_mut(inst)[slot_idx] = load.expect("load value");
                 }
             }
         }
@@ -1159,7 +1086,7 @@ pub fn build_thunk(
     let bb = t.add_block();
     let callee = t.func_ref(merged);
     let fid = t.const_int(&m.types, TypeId::BOOL, i64::from(fid_value));
-    let mut call_ops = Operands::with_capacity(1 + mf.params.len());
+    let mut call_ops = Vec::with_capacity(1 + mf.params.len());
     call_ops.push(callee);
     call_ops.push(fid);
     for (slot, &ty) in mf.params.iter().enumerate().skip(1) {
@@ -1173,25 +1100,11 @@ pub fn build_thunk(
     }
     let (_, ret_val) = t.append_inst(
         bb,
-        Instruction {
-            op: Opcode::Call,
-            ty: of.ret_ty,
-            operands: call_ops,
-            blocks: Targets::new(),
-            pred: None,
-            aux_ty: None,
-        },
+        Instruction::new(Opcode::Call, of.ret_ty, &call_ops, &[]),
     );
     t.append_inst(
         bb,
-        Instruction {
-            op: Opcode::Ret,
-            ty: TypeId::VOID,
-            operands: ret_val.into_iter().collect(),
-            blocks: Targets::new(),
-            pred: None,
-            aux_ty: None,
-        },
+        Instruction::new(Opcode::Ret, TypeId::VOID, ret_val.as_slice(), &[]),
     );
     t
 }

@@ -19,15 +19,15 @@ use std::time::{Duration, Instant};
 use f3m_fingerprint::par::par_map_indexed;
 use f3m_ir::function::{Function, Linkage};
 use f3m_ir::ids::{FuncId, InstId};
-use f3m_ir::inst::{Opcode, Operands};
+use f3m_ir::inst::Opcode;
 use f3m_ir::module::Module;
-use f3m_ir::size::{function_size, FUNCTION_OVERHEAD};
+use f3m_ir::size::{function_size, inst_size, FUNCTION_OVERHEAD};
 use f3m_ir::types::TypeId;
 use f3m_ir::value::ValueKind;
 use f3m_ir::verify::verify_function;
 
 use crate::block_pairing::PairPlan;
-use crate::codegen::{build_thunk, op_size, Layout, MergeConfig};
+use crate::codegen::{build_thunk, Layout, MergeConfig};
 
 /// Module-wide reference index, maintained incrementally across commits so
 /// that call-site redirection does not rescan the whole module per merge
@@ -140,16 +140,18 @@ impl RefIndex {
         let merged_params = m.function(merged).params.clone();
         let sites = self.call_sites.remove(&target).unwrap_or_default();
         let mut moved = Vec::with_capacity(sites.len());
+        let (mut old, mut new_ops) = (Vec::new(), Vec::with_capacity(1 + merged_params.len()));
         for (owner, iid, version) in sites {
             if version != self.version(owner) {
                 continue; // stale: the owner's body was replaced
             }
             let (f, types) = m.func_mut_and_types(owner);
             // `[callee, args...]`: the old call's arguments are `old[1..]`.
-            let old = std::mem::take(&mut f.inst_mut(iid).operands);
+            old.clear();
+            old.extend_from_slice(f.inst(iid).operands);
             let callee = f.func_ref(merged);
             let fid_const = f.const_int(types, TypeId::BOOL, i64::from(fid_value));
-            let mut new_ops = Operands::with_capacity(1 + merged_params.len());
+            new_ops.clear();
             new_ops.push(callee);
             new_ops.push(fid_const);
             for (slot, &ty) in merged_params.iter().enumerate().skip(1) {
@@ -161,7 +163,7 @@ impl RefIndex {
                     }
                 }
             }
-            f.inst_mut(iid).operands = new_ops;
+            f.set_operands(iid, &new_ops);
             moved.push((owner, iid, version));
         }
         self.call_sites.entry(merged).or_default().extend(moved);
@@ -172,7 +174,7 @@ impl RefIndex {
 /// must keep its symbol: one block, a call and a `ret`, whatever the
 /// signature.
 fn thunk_size() -> u64 {
-    FUNCTION_OVERHEAD + op_size(Opcode::Call) + op_size(Opcode::Ret)
+    FUNCTION_OVERHEAD + inst_size(Opcode::Call) + inst_size(Opcode::Ret)
 }
 
 /// Bytes the surviving thunks of a commit take: one per original that
@@ -186,7 +188,7 @@ fn thunks_size(drop1: bool, drop2: bool) -> u64 {
 /// eliminated original-function overheads. Used by the
 /// alignment-profitability gate before any code is generated.
 fn fixed_overhead(drop1: bool, drop2: bool) -> i64 {
-    let added = FUNCTION_OVERHEAD + op_size(Opcode::Br) + thunks_size(drop1, drop2);
+    let added = FUNCTION_OVERHEAD + inst_size(Opcode::Br) + thunks_size(drop1, drop2);
     added as i64 - 2 * FUNCTION_OVERHEAD as i64
 }
 
@@ -534,7 +536,7 @@ mod tests {
         // call's result has to reach the select below the diamond.
         let built = build_merged(&m, c, d, &plan_cd, config, "__probe".into()).unwrap();
         assert_eq!((built.layout_size, built.demotions), (attempted, 2));
-        assert_eq!(function_size(&built.func), attempted + 2 * op_size(Opcode::Phi));
+        assert_eq!(function_size(&built.func), attempted + 2 * inst_size(Opcode::Phi));
 
         let before = print_module(&m);
         let (verdict, codegen) = committer.attempt(&mut m, c, d, &plan_cd, config);

@@ -33,7 +33,7 @@ pub fn dce_function(m: &mut Module, fid: FuncId) -> usize {
         // Which instructions' results are used, by `InstId`.
         let mut used = vec![false; f.num_insts()];
         for (_, inst) in f.linked_insts() {
-            for &op in &inst.operands {
+            for &op in inst.operands {
                 if let ValueKind::Inst(def) = f.value(op).kind {
                     used[def.index()] = true;
                 }

@@ -72,29 +72,15 @@ fn with_drivers(src: &str) -> (Module, Vec<String>) {
         let mut d = f3m_ir::function::Function::new(format!("__drv_{name}"), params.clone(), ret_ty);
         let bb = d.add_block();
         let callee = d.func_ref(id);
-        let ops: f3m_ir::inst::Operands =
+        let ops: Vec<_> =
             std::iter::once(callee).chain((0..params.len()).map(|i| d.arg(i))).collect();
         let (_, r) = d.append_inst(
             bb,
-            f3m_ir::inst::Instruction {
-                op: f3m_ir::inst::Opcode::Call,
-                ty: ret_ty,
-                operands: ops,
-                blocks: f3m_ir::inst::Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            f3m_ir::inst::Instruction::new(f3m_ir::inst::Opcode::Call, ret_ty, &ops, &[]),
         );
         d.append_inst(
             bb,
-            f3m_ir::inst::Instruction {
-                op: f3m_ir::inst::Opcode::Ret,
-                ty: void_ty,
-                operands: r.into_iter().collect(),
-                blocks: f3m_ir::inst::Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            f3m_ir::inst::Instruction::new(f3m_ir::inst::Opcode::Ret, void_ty, r.as_slice(), &[]),
         );
         let dname = d.name.clone();
         m.add_function(d);
@@ -668,14 +654,7 @@ bb0:
         let arg = f.arg(1);
         f.append_inst(
             bb,
-            f3m_ir::inst::Instruction {
-                op: f3m_ir::inst::Opcode::Ret,
-                ty: scratch.void(),
-                operands: [arg].into(),
-                blocks: f3m_ir::inst::Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            f3m_ir::inst::Instruction::new(f3m_ir::inst::Opcode::Ret, scratch.void(), &[arg], &[]),
         );
         f
     };

@@ -26,12 +26,12 @@ use f3m_ir::function::Function;
 use f3m_ir::types::TypeStore;
 
 /// Encodes one instruction into its 32-bit merge-compatibility code.
-pub fn encode_inst(f: &Function, inst: &Instruction) -> u32 {
+pub fn encode_inst(f: &Function, inst: Instruction) -> u32 {
     let opcode = inst.op.code() & 0xFF;
     let nops = (inst.operands.len() as u32).min(0xF);
     let result_ty = inst.ty.encoding_number() % 64;
     let mut operand_field: u32 = 1;
-    for &op in &inst.operands {
+    for &op in inst.operands {
         let t = f.value(op).ty.encoding_number();
         operand_field = operand_field.wrapping_mul(t);
     }

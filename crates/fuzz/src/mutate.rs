@@ -17,7 +17,7 @@
 use f3m_ir::ids::{BlockId, FuncId, InstId};
 use f3m_ir::function::Linkage;
 use f3m_ir::inst::{
-    FloatPredicate, Instruction, IntPredicate, Opcode, Operands, Predicate, Targets,
+    FloatPredicate, Instruction, IntPredicate, Opcode, Predicate,
 };
 use f3m_ir::module::Module;
 use f3m_ir::types::TypeId;
@@ -113,16 +113,9 @@ fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
     let tramp = f.add_block();
     f.append_inst(
         tramp,
-        Instruction {
-            op: Opcode::Br,
-            ty: TypeId::VOID,
-            operands: Operands::new(),
-            blocks: [succ].into(),
-            pred: None,
-            aux_ty: None,
-        },
+        Instruction::new(Opcode::Br, TypeId::VOID, &[], &[succ]),
     );
-    f.inst_mut(tid).blocks[si] = tramp;
+    f.blocks_mut(tid)[si] = tramp;
     // Does bb still reach succ through another terminator slot (e.g. a
     // condbr with both arms on the same target)? Then bb stays a
     // predecessor and the phi needs an *additional* entry for the
@@ -136,15 +129,15 @@ fn mut_split_edge(m: &mut Module, rng: &mut SmallRng) -> bool {
         .take_while(|&i| f.inst(i).op == Opcode::Phi)
         .collect();
     for pid in phi_ids {
-        let inst = f.inst_mut(pid);
         if still_pred {
+            let inst = f.inst(pid);
             if let Some(k) = inst.blocks.iter().position(|&b| b == bb) {
                 let v = inst.operands[k];
-                inst.blocks.push(tramp);
-                inst.operands.push(v);
+                f.push_block(pid, tramp);
+                f.push_operand(pid, v);
             }
         } else {
-            for b in &mut inst.blocks {
+            for b in f.blocks_mut(pid) {
                 if *b == bb {
                     *b = tramp;
                 }
@@ -169,7 +162,7 @@ fn mut_swap_condbr(m: &mut Module, rng: &mut SmallRng) -> bool {
         return false;
     }
     let id = cands[rng.gen_range(0..cands.len())];
-    m.function_mut(fid).inst_mut(id).blocks.swap(0, 1);
+    m.function_mut(fid).blocks_mut(id).swap(0, 1);
     true
 }
 
@@ -223,7 +216,7 @@ fn mut_rewire_phi(m: &mut Module, rng: &mut SmallRng) -> bool {
     } else {
         f.undef(ty)
     };
-    f.inst_mut(pid).operands[k] = newv;
+    f.operands_mut(pid)[k] = newv;
     true
 }
 
@@ -285,15 +278,15 @@ fn mut_subst_opcode(m: &mut Module, rng: &mut SmallRng) -> bool {
     let id = cands[rng.gen_range(0..cands.len())];
     let op = f.inst(id).op;
     if op.is_int_binary() {
-        f.inst_mut(id).op = INT_POOL[rng.gen_range(0..INT_POOL.len())];
+        f.set_op(id, INT_POOL[rng.gen_range(0..INT_POOL.len())]);
     } else if op.is_float_binary() {
-        f.inst_mut(id).op = FLOAT_POOL[rng.gen_range(0..FLOAT_POOL.len())];
+        f.set_op(id, FLOAT_POOL[rng.gen_range(0..FLOAT_POOL.len())]);
     } else if op == Opcode::ICmp {
-        f.inst_mut(id).pred =
-            Some(Predicate::Int(INT_PREDS[rng.gen_range(0..INT_PREDS.len())]));
+        let pred = Predicate::Int(INT_PREDS[rng.gen_range(0..INT_PREDS.len())]);
+        f.set_pred(id, Some(pred));
     } else {
-        f.inst_mut(id).pred =
-            Some(Predicate::Float(FLOAT_PREDS[rng.gen_range(0..FLOAT_PREDS.len())]));
+        let pred = Predicate::Float(FLOAT_PREDS[rng.gen_range(0..FLOAT_PREDS.len())]);
+        f.set_pred(id, Some(pred));
     }
     true
 }
@@ -343,7 +336,7 @@ fn mut_perturb_const(m: &mut Module, rng: &mut SmallRng) -> bool {
     if newv == old {
         return false;
     }
-    f.inst_mut(id).operands[k] = newv;
+    f.operands_mut(id)[k] = newv;
     true
 }
 
@@ -384,20 +377,13 @@ fn mut_cast_round_trip(m: &mut Module, rng: &mut SmallRng) -> bool {
     } else {
         (Opcode::Trunc, i32t, Opcode::SExt)
     };
-    let mk = |op: Opcode, ty, operand| Instruction {
-        op,
-        ty,
-        operands: [operand].into(),
-        blocks: Targets::new(),
-        pred: None,
-        aux_ty: None,
-    };
-    let (wide_id, wide_res) = f.insert_inst(bb, pos, mk(wide_op, wide_ty, r));
-    let (_, back_res) = f.insert_inst(bb, pos + 1, mk(back_op, ty, wide_res.unwrap()));
+    let (wide_id, wide_res) = f.insert_inst(bb, pos, Instruction::new(wide_op, wide_ty, &[r], &[]));
+    let wide = [wide_res.unwrap()];
+    let (_, back_res) = f.insert_inst(bb, pos + 1, Instruction::new(back_op, ty, &wide, &[]));
     f.replace_all_uses(r, back_res.unwrap());
     // replace_all_uses also rewired the widening cast's own input; undo
     // that one edge to break the cycle.
-    f.inst_mut(wide_id).operands[0] = r;
+    f.operands_mut(wide_id)[0] = r;
     true
 }
 
@@ -450,7 +436,7 @@ fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
     let ret_ty = m.function(callee).ret_ty;
     let (f, ts) = m.func_mut_and_types(caller);
     let fref = f.func_ref(callee);
-    let mut operands = Operands::with_capacity(1 + params.len());
+    let mut operands = Vec::with_capacity(1 + params.len());
     operands.push(fref);
     for &p in &params {
         let arg = if ts.is_int(p) {
@@ -474,14 +460,7 @@ fn mut_insert_call(m: &mut Module, rng: &mut SmallRng) -> bool {
     f.insert_inst(
         bb,
         pos,
-        Instruction {
-            op: Opcode::Call,
-            ty: ret_ty,
-            operands,
-            blocks: Targets::new(),
-            pred: None,
-            aux_ty: None,
-        },
+        Instruction::new(Opcode::Call, ret_ty, &operands, &[]),
     );
     true
 }

@@ -24,7 +24,7 @@ use std::collections::HashSet;
 
 use f3m_ir::function::Function;
 use f3m_ir::ids::{BlockId, FuncId, InstId};
-use f3m_ir::inst::{Instruction, Opcode, Operands, Targets};
+use f3m_ir::inst::{Instruction, Opcode};
 use f3m_ir::module::Module;
 use f3m_ir::parser::parse_module;
 use f3m_ir::printer::print_module;
@@ -172,7 +172,7 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
     stub.linkage = linkage;
     let bb = stub.add_block();
     let ts = &cand.types;
-    let mut operands = Operands::new();
+    let mut operands = Vec::new();
     if !ts.is_void(ret_ty) {
         let v = if ts.is_int(ret_ty) {
             stub.const_int(ts, ret_ty, 0)
@@ -185,14 +185,7 @@ fn stub_candidate(m: &Module, fid: FuncId) -> Module {
     }
     stub.append_inst(
         bb,
-        Instruction {
-            op: Opcode::Ret,
-            ty: void,
-            operands,
-            blocks: Targets::new(),
-            pred: None,
-            aux_ty: None,
-        },
+        Instruction::new(Opcode::Ret, void, &operands, &[]),
     );
     cand.replace_function(fid, stub);
     cand
@@ -213,29 +206,21 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
     f.block_mut(bb).insts.clear();
     f.append_inst(
         bb,
-        Instruction {
-            op: Opcode::Unreachable,
-            ty: void,
-            operands: Operands::new(),
-            blocks: Targets::new(),
-            pred: None,
-            aux_ty: None,
-        },
+        Instruction::new(Opcode::Unreachable, void, &[], &[]),
     );
     for (phi_bb, pid) in linked_where(f, |i| i.op == Opcode::Phi) {
         if !f.inst(pid).blocks.contains(&bb) {
             continue;
         }
-        let (blocks, operands): (Targets, Operands) =
+        let (blocks, operands): (Vec<_>, Vec<_>) =
             f.inst(pid).phi_incomings().filter(|&(b, _)| b != bb).unzip();
         if blocks.is_empty() {
             // Every incoming came through bb; the phi is dead.
             undef_uses(f, pid);
             f.unlink_inst(phi_bb, pid);
         } else {
-            let inst = f.inst_mut(pid);
-            inst.blocks = blocks;
-            inst.operands = operands;
+            f.set_blocks(pid, &blocks);
+            f.set_operands(pid, &operands);
         }
     }
     cand
@@ -253,9 +238,9 @@ fn drop_candidate(m: &Module, fid: FuncId, bb: BlockId, iid: InstId) -> Module {
 
 /// The linked instructions of `f` that `keep` accepts, each with the block
 /// that lists it, in block order.
-fn linked_where(f: &Function, keep: impl Fn(&Instruction) -> bool) -> Vec<(BlockId, InstId)> {
+fn linked_where(f: &Function, keep: impl Fn(Instruction) -> bool) -> Vec<(BlockId, InstId)> {
     let listed = f.block_order.iter().flat_map(|&bb| f.block_insts(bb).map(move |x| (bb, x)));
-    listed.filter(|(_, (_, i))| keep(i)).map(|(bb, (id, _))| (bb, id)).collect()
+    listed.filter(|&(_, (_, i))| keep(i)).map(|(bb, (id, _))| (bb, id)).collect()
 }
 
 /// Replaces every use of `iid`'s result, if it has one, with `undef`.
@@ -272,7 +257,7 @@ fn referenced_names(m: &Module) -> HashSet<String> {
     let mut out = HashSet::new();
     for (_, f) in m.functions() {
         for (_, inst) in f.linked_insts() {
-            for &op in &inst.operands {
+            for &op in inst.operands {
                 if let ValueKind::FuncRef(g) = f.value(op).kind {
                     out.insert(m.function(g).name.clone());
                 }

@@ -42,7 +42,7 @@ fn buggy_merge(m: &mut Module, cfg: &PassConfig) {
             .collect();
         for id in cmps {
             if let Some(Predicate::Int(p)) = f.inst(id).pred {
-                f.inst_mut(id).pred = Some(Predicate::Int(negate(p)));
+                f.set_pred(id, Some(Predicate::Int(negate(p))));
             }
         }
     }

@@ -305,7 +305,7 @@ impl<'m> Interpreter<'m> {
         &mut self,
         f: &Function,
         regs: &[Option<Val>],
-        inst: &Instruction,
+        inst: Instruction,
     ) -> Result<Option<Val>, Trap> {
         let callee = self.eval(f, regs, inst.operands[0])?;
         let addr = match callee {
@@ -328,7 +328,7 @@ impl<'m> Interpreter<'m> {
         &mut self,
         f: &Function,
         regs: &[Option<Val>],
-        inst: &Instruction,
+        inst: Instruction,
     ) -> Result<Val, Trap> {
         let ts = &self.module.types;
         let op = |i: usize| self.eval(f, regs, inst.operands[i]);

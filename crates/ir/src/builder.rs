@@ -23,7 +23,7 @@
 //! ```
 
 use crate::ids::{BlockId, InstId, ValueId};
-use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Operands, Predicate, Targets};
+use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
 use crate::function::Function;
 use crate::types::{TypeId, TypeStore};
 
@@ -85,22 +85,6 @@ impl<'a> FunctionBuilder<'a> {
         self.emit(inst).1.unwrap_or_else(|| panic!("{op:?} produced no value"))
     }
 
-    fn inst(
-        op: Opcode,
-        ty: TypeId,
-        operands: impl Into<Operands>,
-        blocks: impl Into<Targets>,
-    ) -> Instruction {
-        Instruction {
-            op,
-            ty,
-            operands: operands.into(),
-            blocks: blocks.into(),
-            pred: None,
-            aux_ty: None,
-        }
-    }
-
     // ---- constants (forwarded to the function, for convenience) ---------
 
     /// Integer constant of type `ty`.
@@ -119,7 +103,7 @@ impl<'a> FunctionBuilder<'a> {
     pub fn binary(&mut self, op: Opcode, lhs: ValueId, rhs: ValueId) -> ValueId {
         assert!(op.is_binary(), "binary() with non-binary opcode {op:?}");
         let ty = self.f.value(lhs).ty;
-        self.emit_valued(Self::inst(op, ty, [lhs, rhs], []))
+        self.emit_valued(Instruction::new(op, ty, &[lhs, rhs], &[]))
     }
 
     /// `add`.
@@ -140,7 +124,7 @@ impl<'a> FunctionBuilder<'a> {
     /// `fneg`.
     pub fn fneg(&mut self, x: ValueId) -> ValueId {
         let ty = self.f.value(x).ty;
-        self.emit_valued(Self::inst(Opcode::FNeg, ty, [x], []))
+        self.emit_valued(Instruction::new(Opcode::FNeg, ty, &[x], &[]))
     }
 
     // ---- comparisons ------------------------------------------------------
@@ -148,23 +132,25 @@ impl<'a> FunctionBuilder<'a> {
     /// `icmp <pred>`; result is `i1`.
     pub fn icmp(&mut self, pred: IntPredicate, lhs: ValueId, rhs: ValueId) -> ValueId {
         let b = self.ts.bool();
-        let mut i = Self::inst(Opcode::ICmp, b, [lhs, rhs], []);
-        i.pred = Some(Predicate::Int(pred));
-        self.emit_valued(i)
+        self.emit_valued(Instruction {
+            pred: Some(Predicate::Int(pred)),
+            ..Instruction::new(Opcode::ICmp, b, &[lhs, rhs], &[])
+        })
     }
 
     /// `fcmp <pred>`; result is `i1`.
     pub fn fcmp(&mut self, pred: FloatPredicate, lhs: ValueId, rhs: ValueId) -> ValueId {
         let b = self.ts.bool();
-        let mut i = Self::inst(Opcode::FCmp, b, [lhs, rhs], []);
-        i.pred = Some(Predicate::Float(pred));
-        self.emit_valued(i)
+        self.emit_valued(Instruction {
+            pred: Some(Predicate::Float(pred)),
+            ..Instruction::new(Opcode::FCmp, b, &[lhs, rhs], &[])
+        })
     }
 
     /// `select cond, if_true, if_false`.
     pub fn select(&mut self, cond: ValueId, t: ValueId, e: ValueId) -> ValueId {
         let ty = self.f.value(t).ty;
-        self.emit_valued(Self::inst(Opcode::Select, ty, [cond, t, e], []))
+        self.emit_valued(Instruction::new(Opcode::Select, ty, &[cond, t, e], &[]))
     }
 
     // ---- memory -------------------------------------------------------------
@@ -172,28 +158,30 @@ impl<'a> FunctionBuilder<'a> {
     /// `alloca ty` — stack slot; result is `ptr`.
     pub fn alloca(&mut self, ty: TypeId) -> ValueId {
         let p = self.ts.ptr();
-        let mut i = Self::inst(Opcode::Alloca, p, [], []);
-        i.aux_ty = Some(ty);
-        self.emit_valued(i)
+        self.emit_valued(Instruction {
+            aux_ty: Some(ty),
+            ..Instruction::new(Opcode::Alloca, p, &[], &[])
+        })
     }
 
     /// `load ty, ptr`.
     pub fn load(&mut self, ty: TypeId, ptr: ValueId) -> ValueId {
-        self.emit_valued(Self::inst(Opcode::Load, ty, [ptr], []))
+        self.emit_valued(Instruction::new(Opcode::Load, ty, &[ptr], &[]))
     }
 
     /// `store value, ptr`.
     pub fn store(&mut self, value: ValueId, ptr: ValueId) {
         let v = self.ts.void();
-        self.emit(Self::inst(Opcode::Store, v, [value, ptr], []));
+        self.emit(Instruction::new(Opcode::Store, v, &[value, ptr], &[]));
     }
 
     /// `gep elem_ty, ptr, index` — computes `ptr + index * sizeof(elem_ty)`.
     pub fn gep(&mut self, elem_ty: TypeId, ptr: ValueId, index: ValueId) -> ValueId {
         let p = self.ts.ptr();
-        let mut i = Self::inst(Opcode::Gep, p, [ptr, index], []);
-        i.aux_ty = Some(elem_ty);
-        self.emit_valued(i)
+        self.emit_valued(Instruction {
+            aux_ty: Some(elem_ty),
+            ..Instruction::new(Opcode::Gep, p, &[ptr, index], &[])
+        })
     }
 
     // ---- casts ---------------------------------------------------------------
@@ -201,7 +189,7 @@ impl<'a> FunctionBuilder<'a> {
     /// Generic cast to `ty`.
     pub fn cast(&mut self, op: Opcode, x: ValueId, ty: TypeId) -> ValueId {
         assert!(op.is_cast(), "cast() with non-cast opcode {op:?}");
-        self.emit_valued(Self::inst(op, ty, [x], []))
+        self.emit_valued(Instruction::new(op, ty, &[x], &[]))
     }
 
     // ---- control flow ----------------------------------------------------------
@@ -209,39 +197,38 @@ impl<'a> FunctionBuilder<'a> {
     /// Unconditional branch.
     pub fn br(&mut self, target: BlockId) {
         let v = self.ts.void();
-        self.emit(Self::inst(Opcode::Br, v, [], [target]));
+        self.emit(Instruction::new(Opcode::Br, v, &[], &[target]));
     }
 
     /// Conditional branch on an `i1`.
     pub fn cond_br(&mut self, cond: ValueId, then_bb: BlockId, else_bb: BlockId) {
         let v = self.ts.void();
-        self.emit(Self::inst(Opcode::CondBr, v, [cond], [then_bb, else_bb]));
+        self.emit(Instruction::new(Opcode::CondBr, v, &[cond], &[then_bb, else_bb]));
     }
 
     /// Return (with a value, or `None` for `ret void`).
     pub fn ret(&mut self, value: Option<ValueId>) {
         let v = self.ts.void();
-        let ops: Operands = value.into_iter().collect();
-        self.emit(Self::inst(Opcode::Ret, v, ops, []));
+        self.emit(Instruction::new(Opcode::Ret, v, value.as_slice(), &[]));
     }
 
     /// `unreachable`.
     pub fn unreachable(&mut self) {
         let v = self.ts.void();
-        self.emit(Self::inst(Opcode::Unreachable, v, [], []));
+        self.emit(Instruction::new(Opcode::Unreachable, v, &[], &[]));
     }
 
     /// `phi ty [v, bb]...`.
     pub fn phi(&mut self, ty: TypeId, incomings: &[(ValueId, BlockId)]) -> ValueId {
-        let (ops, bbs): (Operands, Targets) = incomings.iter().copied().unzip();
-        self.emit_valued(Self::inst(Opcode::Phi, ty, ops, bbs))
+        let (ops, bbs): (Vec<_>, Vec<_>) = incomings.iter().copied().unzip();
+        self.emit_valued(Instruction::new(Opcode::Phi, ty, &ops, &bbs))
     }
 
     /// Direct or indirect call; `ret_ty` is the callee's return type.
     /// Returns `None` when `ret_ty` is `void`.
     pub fn call(&mut self, callee: ValueId, args: &[ValueId], ret_ty: TypeId) -> Option<ValueId> {
-        let ops: Operands = std::iter::once(callee).chain(args.iter().copied()).collect();
-        self.emit(Self::inst(Opcode::Call, ret_ty, ops, [])).1
+        let ops: Vec<_> = std::iter::once(callee).chain(args.iter().copied()).collect();
+        self.emit(Instruction::new(Opcode::Call, ret_ty, &ops, &[])).1
     }
 
     /// `invoke callee(args) to normal unwind exceptional`. Terminator.
@@ -254,8 +241,8 @@ impl<'a> FunctionBuilder<'a> {
         normal: BlockId,
         unwind: BlockId,
     ) -> Option<ValueId> {
-        let ops: Operands = std::iter::once(callee).chain(args.iter().copied()).collect();
-        self.emit(Self::inst(Opcode::Invoke, ret_ty, ops, [normal, unwind])).1
+        let ops: Vec<_> = std::iter::once(callee).chain(args.iter().copied()).collect();
+        self.emit(Instruction::new(Opcode::Invoke, ret_ty, &ops, &[normal, unwind])).1
     }
 }
 

@@ -1,8 +1,8 @@
 //! Functions and basic blocks.
 //!
 //! A [`Function`] owns three arenas — constants, instructions and blocks —
-//! plus its parameter types and the ordered list of its blocks (entry
-//! first). A value is named by a [`ValueId`] that says what it is: the
+//! and two id pools, plus its parameter types and the ordered list of its
+//! blocks (entry first). A value is named by a [`ValueId`] that says what it is: the
 //! `i`-th argument is its parameter, an instruction's result is the
 //! instruction, and only constants live in the constant arena, one per
 //! operand that names one (nothing looks one up by content). So nothing
@@ -10,9 +10,17 @@
 //! the one rule for which instructions have one. Nothing links an
 //! instruction to its block either: the block lists are the one record of
 //! where each instruction is, and [`Function::placement`] reads them.
+//!
+//! An instruction's operand and target lists live in the function's two id
+//! pools, one of values and one of blocks; the instruction holds a
+//! `(start, len)` span of each. An edit that keeps or shrinks a list writes
+//! it in place, and one that grows it moves it to its pool's end (a push
+//! onto the pool's last list grows it where it is), leaving its old cells
+//! dead. [`Function::inst`] lends an [`Instruction`] whose lists are
+//! slices of the pools.
 
 use crate::ids::{BlockId, FuncId, GlobalId, InstId, ValueId, ValueSlot};
-use crate::inst::{Instruction, Opcode, Operands};
+use crate::inst::{Instruction, Opcode, Predicate};
 use crate::types::{TypeId, TypeStore};
 use crate::value::{normalize_int, Value, ValueKind};
 
@@ -68,8 +76,68 @@ pub struct Function {
     /// Ordered blocks; the first is the entry block.
     pub block_order: Vec<BlockId>,
     constants: Vec<Value>,
-    insts: Vec<Instruction>,
+    insts: Vec<Inst>,
     blocks: Vec<Block>,
+    /// Every instruction's value operands, each list a span.
+    operand_pool: Vec<ValueId>,
+    /// Every instruction's block operands, each list a span.
+    target_pool: Vec<BlockId>,
+}
+
+/// An instruction as its function stores it: each list is a span of the
+/// pool of its kind.
+#[derive(Clone, Debug)]
+struct Inst {
+    op: Opcode,
+    pred: Option<Predicate>,
+    ty: TypeId,
+    aux_ty: Option<TypeId>,
+    operands: Span,
+    blocks: Span,
+}
+
+/// The list `pool[start..start + len]`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+
+    /// Writes `ids` as the list: in place if they fit, else at the end
+    /// of `pool`.
+    fn write<T: Copy>(&mut self, pool: &mut Vec<T>, ids: &[T]) {
+        let old = self.range();
+        if ids.len() <= old.len() {
+            pool[old.start..old.start + ids.len()].copy_from_slice(ids);
+        } else {
+            self.start = pool_index(pool.len());
+            pool.extend_from_slice(ids);
+        }
+        self.len = pool_index(ids.len());
+    }
+
+    /// Appends `id` to the list, moving the list to the end of `pool`
+    /// first unless it is there.
+    fn push<T: Copy>(&mut self, pool: &mut Vec<T>, id: T) {
+        let old = self.range();
+        if old.end != pool.len() {
+            self.start = pool_index(pool.len());
+            pool.extend_from_within(old);
+        }
+        pool.push(id);
+        self.len += 1;
+    }
+}
+
+/// A pool position or length as a span stores it.
+fn pool_index(i: usize) -> u32 {
+    u32::try_from(i).expect("id pool overflow")
 }
 
 impl Function {
@@ -86,6 +154,8 @@ impl Function {
             constants: Vec::new(),
             insts: Vec::new(),
             blocks: Vec::new(),
+            operand_pool: Vec::new(),
+            target_pool: Vec::new(),
         }
     }
 
@@ -233,14 +303,24 @@ impl Function {
     // ---- instructions ----------------------------------------------------
 
     /// Reserves room for exactly `blocks` more blocks, `insts` more
-    /// instructions and `constants` more constants: what a reader that has
-    /// counted a body asks for before building it, so no arena regrows on
-    /// the way.
-    pub(crate) fn reserve(&mut self, blocks: usize, insts: usize, constants: usize) {
+    /// instructions, `constants` more constants, `operands` more operands
+    /// and `targets` more block operands: what a reader that has counted a
+    /// body asks for before building it, so no arena or pool regrows on the
+    /// way.
+    pub(crate) fn reserve(
+        &mut self,
+        blocks: usize,
+        insts: usize,
+        constants: usize,
+        operands: usize,
+        targets: usize,
+    ) {
         self.blocks.reserve_exact(blocks);
         self.block_order.reserve_exact(blocks);
         self.insts.reserve_exact(insts);
         self.constants.reserve_exact(constants);
+        self.operand_pool.reserve_exact(operands);
+        self.target_pool.reserve_exact(targets);
     }
 
     /// Appends `inst` to block `bb`. Returns it and its
@@ -259,20 +339,83 @@ impl Function {
         inst: Instruction,
     ) -> (InstId, Option<ValueId>) {
         let id = InstId::from_index(self.insts.len());
-        self.insts.push(inst);
+        let (mut operands, mut blocks) = (Span::default(), Span::default());
+        operands.write(&mut self.operand_pool, inst.operands);
+        blocks.write(&mut self.target_pool, inst.blocks);
+        let Instruction { op, ty, pred, aux_ty, .. } = inst;
+        self.insts.push(Inst { op, pred, ty, aux_ty, operands, blocks });
         self.blocks[bb.index()].insts.insert(pos, id);
         (id, self.result(id))
     }
 
     /// Looks up an instruction.
-    pub fn inst(&self, id: InstId) -> &Instruction {
-        &self.insts[id.index()]
+    #[inline]
+    pub fn inst(&self, id: InstId) -> Instruction<'_> {
+        let i = &self.insts[id.index()];
+        Instruction {
+            op: i.op,
+            ty: i.ty,
+            operands: &self.operand_pool[i.operands.range()],
+            blocks: &self.target_pool[i.blocks.range()],
+            pred: i.pred,
+            aux_ty: i.aux_ty,
+        }
     }
 
-    /// Mutable instruction access.
-    pub fn inst_mut(&mut self, id: InstId) -> &mut Instruction {
-        &mut self.insts[id.index()]
+    /// Replaces the operands of `id` with `ops`.
+    pub fn set_operands(&mut self, id: InstId, ops: &[ValueId]) {
+        self.insts[id.index()].operands.write(&mut self.operand_pool, ops);
     }
+
+    /// Replaces the block operands of `id` with `blocks`.
+    pub fn set_blocks(&mut self, id: InstId, blocks: &[BlockId]) {
+        self.insts[id.index()].blocks.write(&mut self.target_pool, blocks);
+    }
+
+    /// Appends `v` to the operands of `id`.
+    pub fn push_operand(&mut self, id: InstId, v: ValueId) {
+        self.insts[id.index()].operands.push(&mut self.operand_pool, v);
+    }
+
+    /// Appends `bb` to the block operands of `id`.
+    pub fn push_block(&mut self, id: InstId, bb: BlockId) {
+        self.insts[id.index()].blocks.push(&mut self.target_pool, bb);
+    }
+
+    /// The operands of `id`, to write in place.
+    pub fn operands_mut(&mut self, id: InstId) -> &mut [ValueId] {
+        &mut self.operand_pool[self.insts[id.index()].operands.range()]
+    }
+
+    /// The block operands of `id`, to write in place.
+    pub fn blocks_mut(&mut self, id: InstId) -> &mut [BlockId] {
+        &mut self.target_pool[self.insts[id.index()].blocks.range()]
+    }
+
+    /// Sets the opcode of `id`.
+    pub fn set_op(&mut self, id: InstId, op: Opcode) {
+        self.insts[id.index()].op = op;
+    }
+
+    /// Sets the result type of `id`.
+    pub fn set_ty(&mut self, id: InstId, ty: TypeId) {
+        self.insts[id.index()].ty = ty;
+    }
+
+    /// Sets the comparison predicate of `id`.
+    pub fn set_pred(&mut self, id: InstId, pred: Option<Predicate>) {
+        self.insts[id.index()].pred = pred;
+    }
+
+    /// The lengths of the operand and the target pool: the cells of every
+    /// instruction's lists, and the dead cells lists that grew left behind.
+    pub fn pool_lens(&self) -> (usize, usize) {
+        (self.operand_pool.len(), self.target_pool.len())
+    }
+
+    /// Bytes an instruction takes in the arena, its lists' pool cells
+    /// aside.
+    pub const INST_BYTES: usize = std::mem::size_of::<Inst>();
 
     /// Total number of instructions in the arena (including any that were
     /// unlinked from their blocks).
@@ -287,12 +430,12 @@ impl Function {
     }
 
     /// Iterates over instructions of a block in order.
-    pub fn block_insts(&self, bb: BlockId) -> impl Iterator<Item = (InstId, &Instruction)> {
+    pub fn block_insts(&self, bb: BlockId) -> impl Iterator<Item = (InstId, Instruction<'_>)> {
         self.blocks[bb.index()].insts.iter().map(move |&i| (i, self.inst(i)))
     }
 
     /// Iterates over all instructions in block order.
-    pub fn linked_insts(&self) -> impl Iterator<Item = (InstId, &Instruction)> {
+    pub fn linked_insts(&self) -> impl Iterator<Item = (InstId, Instruction<'_>)> {
         self.block_order.iter().flat_map(move |&b| self.block_insts(b))
     }
 
@@ -315,7 +458,7 @@ impl Function {
     }
 
     /// The terminator of `bb`, if the block is non-empty and ends in one.
-    pub fn terminator(&self, bb: BlockId) -> Option<(InstId, &Instruction)> {
+    pub fn terminator(&self, bb: BlockId) -> Option<(InstId, Instruction<'_>)> {
         let last = *self.block(bb).insts.last()?;
         let inst = self.inst(last);
         inst.is_terminator().then_some((last, inst))
@@ -363,36 +506,23 @@ impl Function {
         // its successors (including `bb` itself, for self-loops) track that.
         // `new_bb` holds no phis (the phi group stayed behind), so a global
         // rewrite of incoming-block entries is exact.
-        for inst in &mut self.insts {
-            if inst.op == Opcode::Phi {
-                for b in &mut inst.blocks {
-                    if *b == bb {
-                        *b = new_bb;
-                    }
+        for inst in self.insts.iter().filter(|i| i.op == Opcode::Phi) {
+            for b in &mut self.target_pool[inst.blocks.range()] {
+                if *b == bb {
+                    *b = new_bb;
                 }
             }
         }
-        self.append_inst(
-            bb,
-            Instruction {
-                op: Opcode::Br,
-                ty: TypeId::VOID,
-                operands: Operands::new(),
-                blocks: [new_bb].into(),
-                pred: None,
-                aux_ty: None,
-            },
-        );
+        self.append_inst(bb, Instruction::new(Opcode::Br, TypeId::VOID, &[], &[new_bb]));
         new_bb
     }
 
-    /// Replaces every use of `from` with `to` across all instructions.
+    /// Replaces every use of `from` with `to` across all instructions (and
+    /// in the operand pool's dead cells, which nothing reads).
     pub fn replace_all_uses(&mut self, from: ValueId, to: ValueId) {
-        for inst in &mut self.insts {
-            for op in &mut inst.operands {
-                if *op == from {
-                    *op = to;
-                }
+        for op in &mut self.operand_pool {
+            if *op == from {
+                *op = to;
             }
         }
     }
@@ -401,7 +531,7 @@ impl Function {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Targets;
+    use f3m_prng::SmallRng;
 
     fn setup() -> (TypeStore, Function) {
         let mut ts = TypeStore::new();
@@ -449,26 +579,12 @@ mod tests {
         let (a, b) = (f.arg(0), f.arg(1));
         let (_, res) = f.append_inst(
             bb,
-            Instruction {
-                op: Opcode::Add,
-                ty: i32t,
-                operands: [a, b].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Add, i32t, &[a, b], &[]),
         );
         assert!(res.is_some());
         let (_, no_res) = f.append_inst(
             bb,
-            Instruction {
-                op: Opcode::Ret,
-                ty: void,
-                operands: [res.unwrap()].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Ret, void, &[res.unwrap()], &[]),
         );
         assert!(no_res.is_none());
         assert_eq!(f.num_linked_insts(), 2);
@@ -481,17 +597,11 @@ mod tests {
         let i32t = ts.int(32);
         let bb = f.add_block();
         let a = f.arg(0);
-        let mk = |op: Opcode, ty: TypeId, bb: BlockId| Instruction {
-            op,
-            ty,
-            operands: [a, a].into(),
-            blocks: if op == Opcode::Phi { [bb, bb].into() } else { Targets::new() },
-            pred: None,
-            aux_ty: None,
-        };
-        f.append_inst(bb, mk(Opcode::Phi, i32t, bb));
-        f.append_inst(bb, mk(Opcode::Phi, i32t, bb));
-        f.append_inst(bb, mk(Opcode::Add, i32t, bb));
+        let (ops, incoming) = ([a, a], [bb, bb]);
+        let phi = Instruction::new(Opcode::Phi, i32t, &ops, &incoming);
+        f.append_inst(bb, phi);
+        f.append_inst(bb, phi);
+        f.append_inst(bb, Instruction::new(Opcode::Add, i32t, &[a, a], &[]));
         assert_eq!(f.first_non_phi(bb), 2);
     }
 
@@ -503,14 +613,7 @@ mod tests {
         let (a, b) = (f.arg(0), f.arg(1));
         let (i, res) = f.append_inst(
             bb,
-            Instruction {
-                op: Opcode::Add,
-                ty: i32t,
-                operands: [a, a].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Add, i32t, &[a, a], &[]),
         );
         f.replace_all_uses(a, b);
         assert_eq!(f.inst(i).operands[..], [b, b]);
@@ -523,16 +626,10 @@ mod tests {
         let i32t = ts.int(32);
         let bb = f.add_block();
         let a = f.arg(0);
-        let mk = || Instruction {
-            op: Opcode::Add,
-            ty: i32t,
-            operands: [a, a].into(),
-            blocks: Targets::new(),
-            pred: None,
-            aux_ty: None,
-        };
-        let (i0, _) = f.append_inst(bb, mk());
-        let (i1, _) = f.append_inst(bb, mk());
+        let ops = [a, a];
+        let add = Instruction::new(Opcode::Add, i32t, &ops, &[]);
+        let (i0, _) = f.append_inst(bb, add);
+        let (i1, _) = f.append_inst(bb, add);
         f.unlink_inst(bb, i0);
         assert_eq!(f.block(bb).insts, vec![i1]);
         let placed = f.placement().unwrap();
@@ -556,59 +653,24 @@ mod tests {
         let a = f.arg(0);
         let (_, add) = f.append_inst(
             bb0,
-            Instruction {
-                op: Opcode::Add,
-                ty: i32t,
-                operands: [a, a].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Add, i32t, &[a, a], &[]),
         );
         let (_, cond) = f.append_inst(
             bb0,
-            Instruction {
-                op: Opcode::ICmp,
-                ty: boolt,
-                operands: [a, add.unwrap()].into(),
-                blocks: Targets::new(),
-                pred: Some(crate::inst::Predicate::Int(crate::inst::IntPredicate::Slt)),
-                aux_ty: None,
-            },
+            Instruction { pred: Some(crate::inst::Predicate::Int(crate::inst::IntPredicate::Slt)), ..Instruction::new(Opcode::ICmp, boolt, &[a, add.unwrap()], &[]) },
         );
         f.append_inst(
             bb0,
-            Instruction {
-                op: Opcode::CondBr,
-                ty: void,
-                operands: [cond.unwrap()].into(),
-                blocks: [bb1, bb0].into(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::CondBr, void, &[cond.unwrap()], &[bb1, bb0]),
         );
         let (_, phi) = f.insert_inst(
             bb1,
             0,
-            Instruction {
-                op: Opcode::Phi,
-                ty: i32t,
-                operands: [add.unwrap()].into(),
-                blocks: [bb0].into(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Phi, i32t, &[add.unwrap()], &[bb0]),
         );
         f.append_inst(
             bb1,
-            Instruction {
-                op: Opcode::Ret,
-                ty: void,
-                operands: [phi.unwrap()].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Ret, void, &[phi.unwrap()], &[]),
         );
         let new_bb = f.split_block(bb0, 1);
         // bb0 keeps [add, br new_bb]; new_bb holds [icmp, condbr].
@@ -637,25 +699,11 @@ mod tests {
         let a = f.arg(0);
         f.append_inst(
             bb,
-            Instruction {
-                op: Opcode::Phi,
-                ty: i32t,
-                operands: [a].into(),
-                blocks: [bb].into(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Phi, i32t, &[a], &[bb]),
         );
         f.append_inst(
             bb,
-            Instruction {
-                op: Opcode::Ret,
-                ty: void,
-                operands: [a].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Ret, void, &[a], &[]),
         );
         f.split_block(bb, 0);
     }
@@ -666,26 +714,140 @@ mod tests {
         let void = ts.void();
         let bb0 = f.add_block();
         let bb1 = f.add_block();
-        let mk_br = |target: BlockId| Instruction {
-            op: Opcode::Br,
-            ty: void,
-            operands: Operands::new(),
-            blocks: [target].into(),
-            pred: None,
-            aux_ty: None,
-        };
-        let (i0, _) = f.append_inst(bb0, mk_br(bb1));
+        let (i0, _) = f.append_inst(bb0, Instruction::new(Opcode::Br, void, &[], &[bb1]));
         let (i1, _) = f.append_inst(
             bb1,
-            Instruction {
-                op: Opcode::Unreachable,
-                ty: void,
-                operands: Operands::new(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Unreachable, void, &[], &[]),
         );
         assert_eq!(f.linked_insts().map(|(id, _)| id).collect::<Vec<_>>(), vec![i0, i1]);
+    }
+
+    /// The lists of one instruction, as the reference keeps them.
+    type Lists = (Vec<ValueId>, Vec<BlockId>);
+
+    /// One random edit, made to `f` and to `model` (each arena
+    /// instruction's lists, by id): append, insert, a list set shorter,
+    /// equal or longer, a slot write, a phi grown by one incoming (as
+    /// `fuzz::mutate` grows one), an unlink, a use replaced, or a clone.
+    fn pool_step(rng: &mut SmallRng, f: &mut Function, model: &mut Vec<Lists>) {
+        let v = |rng: &mut SmallRng| ValueId::constant(rng.gen_range(0..64usize));
+        let b = |rng: &mut SmallRng| BlockId::from_index(rng.gen_range(0..4usize));
+        let bb = BlockId::from_index(rng.gen_range(0..f.block_arena_len()));
+        let step = rng.gen_range(0..9u32);
+        if model.is_empty() && (2..=5).contains(&step) {
+            return;
+        }
+        let id = InstId::from_index(rng.gen_range(0..model.len().max(1)));
+        let pools = f.pool_lens();
+        match step {
+            0 | 1 => {
+                let ops: Vec<_> = (0..rng.gen_range(0..=5)).map(|_| v(rng)).collect();
+                let bbs: Vec<_> = (0..rng.gen_range(0..=3)).map(|_| b(rng)).collect();
+                let inst = Instruction::new(Opcode::Call, TypeId::VOID, &ops, &bbs);
+                let new = if step == 0 {
+                    f.append_inst(bb, inst).0
+                } else {
+                    let pos = rng.gen_range(0..=f.block(bb).insts.len());
+                    f.insert_inst(bb, pos, inst).0
+                };
+                assert_eq!(new.index(), model.len());
+                model.push((ops, bbs));
+            }
+            2 => {
+                let len = (model[id.index()].0.len() + rng.gen_range(0..5usize)).saturating_sub(2);
+                let ops: Vec<_> = (0..len).map(|_| v(rng)).collect();
+                f.set_operands(id, &ops);
+                if len <= model[id.index()].0.len() {
+                    assert_eq!(f.pool_lens(), pools, "a list that does not grow stays in place");
+                }
+                model[id.index()].0 = ops;
+            }
+            3 => {
+                let len = (model[id.index()].1.len() + rng.gen_range(0..5usize)).saturating_sub(2);
+                let bbs: Vec<_> = (0..len).map(|_| b(rng)).collect();
+                f.set_blocks(id, &bbs);
+                if len <= model[id.index()].1.len() {
+                    assert_eq!(f.pool_lens(), pools, "a list that does not grow stays in place");
+                }
+                model[id.index()].1 = bbs;
+            }
+            4 => {
+                let (ops, bbs) = &mut model[id.index()];
+                if !ops.is_empty() {
+                    let (k, x) = (rng.gen_range(0..ops.len()), v(rng));
+                    f.operands_mut(id)[k] = x;
+                    ops[k] = x;
+                }
+                if !bbs.is_empty() {
+                    let (k, x) = (rng.gen_range(0..bbs.len()), b(rng));
+                    f.blocks_mut(id)[k] = x;
+                    bbs[k] = x;
+                }
+            }
+            5 => {
+                let (x, y) = (b(rng), v(rng));
+                f.push_block(id, x);
+                f.push_operand(id, y);
+                model[id.index()].1.push(x);
+                model[id.index()].0.push(y);
+            }
+            6 => {
+                if let Some(&i) = f.block(bb).insts.first() {
+                    f.unlink_inst(bb, i);
+                }
+            }
+            7 => {
+                let (from, to) = (v(rng), v(rng));
+                f.replace_all_uses(from, to);
+                for op in model.iter_mut().flat_map(|(ops, _)| ops) {
+                    if *op == from {
+                        *op = to;
+                    }
+                }
+            }
+            _ => *f = f.clone(),
+        }
+    }
+
+    /// Every arena instruction of `f` reads the lists `model` holds for it.
+    fn pool_check(f: &Function, model: &[Lists], what: &str) {
+        assert_eq!(f.num_insts(), model.len(), "{what}");
+        for (i, (ops, bbs)) in model.iter().enumerate() {
+            let inst = f.inst(InstId::from_index(i));
+            assert_eq!((inst.operands, inst.blocks), (&ops[..], &bbs[..]), "{what}: inst {i}");
+        }
+        let live = model.iter().map(|(ops, bbs)| ops.len() + bbs.len()).sum::<usize>();
+        let (operands, targets) = f.pool_lens();
+        assert!(operands + targets >= live, "{what}: pools shorter than their lists");
+    }
+
+    /// The id pools against a `Vec` of lists per instruction, under random
+    /// edits of every kind.
+    ///
+    /// Mutation check (scratch copy): a list that grows where it is, a
+    /// push that forgets to move the list, or a `replace_all_uses` that
+    /// skips the pool's last cell, each fail this test.
+    #[test]
+    fn pools_match_vecs() {
+        let seeds = if cfg!(debug_assertions) { 1_000 } else { 10_000 };
+        for seed in 0..seeds {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (_, mut f) = setup();
+            for _ in 0..4 {
+                f.add_block();
+            }
+            let mut model = Vec::new();
+            for i in 0..40 {
+                pool_step(&mut rng, &mut f, &mut model);
+                pool_check(&f, &model, &format!("seed {seed} step {i}"));
+            }
+        }
+    }
+
+    /// An instruction is its opcode, predicate, two types and two spans:
+    /// its lists are cells of the function's pools, not fields of its own.
+    #[test]
+    fn instructions_hold_spans_of_pools() {
+        assert_eq!(Function::INST_BYTES, 36);
     }
 }

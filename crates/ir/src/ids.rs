@@ -10,8 +10,8 @@
 //! A [`ValueId`] says what it names: an argument by its position, an
 //! instruction's result by the instruction's [`InstId`], or a constant by
 //! its slot in the function's constant arena. It packs that into two tag
-//! bits over a 30-bit index, so it stays 4 bytes and an instruction keeps
-//! three operands in place. Only [`crate::function::Function`] makes one.
+//! bits over a 30-bit index, so it stays 4 bytes, one cell of a function's
+//! operand pool. Only [`crate::function::Function`] makes one.
 
 use std::fmt;
 

@@ -11,18 +11,6 @@
 use crate::ids::{BlockId, ValueId};
 use crate::types::TypeId;
 
-mod list;
-
-pub use list::InlineList;
-
-/// An instruction's value operands: three in place, more in one boxed
-/// `Vec` (only calls, invokes and phis ever have more).
-pub type Operands = InlineList<ValueId, 3>;
-
-/// An instruction's block operands: two in place, more in one boxed `Vec`
-/// (only phis ever have more).
-pub type Targets = InlineList<BlockId, 2>;
-
 /// Instruction opcodes.
 ///
 /// The discriminant doubles as the "integer LLVM associates with each
@@ -385,7 +373,9 @@ impl Predicate {
     }
 }
 
-/// A single IR instruction.
+/// A single IR instruction, as [`crate::function::Function::inst`] reads
+/// it and [`crate::function::Function::append_inst`] takes it: its lists
+/// are slices, of the function's id pools or of the caller's ids.
 ///
 /// An instruction links to neither its block nor its result: the block
 /// whose `insts` lists it is where it is (read by
@@ -411,33 +401,38 @@ impl Predicate {
 /// | `phi`       | `[v0, v1, ...]`                            | `[bb0, bb1, ...]` (parallel)|
 /// | `select`    | `[cond, if_true, if_false]`                | —                           |
 /// | `call`      | `[callee, args...]`                        | —                           |
-#[derive(Clone, Debug, PartialEq)]
-pub struct Instruction {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Instruction<'a> {
     /// What the instruction does.
     pub op: Opcode,
     /// Result type (`void` for `store`, `br`, etc.).
     pub ty: TypeId,
     /// Value operands (see table above).
-    pub operands: Operands,
+    pub operands: &'a [ValueId],
     /// Block operands: branch targets, or phi incoming blocks.
-    pub blocks: Targets,
+    pub blocks: &'a [BlockId],
     /// Comparison predicate for `icmp`/`fcmp`.
     pub pred: Option<Predicate>,
     /// Auxiliary type: allocated type for `alloca`, element type for `gep`.
     pub aux_ty: Option<TypeId>,
 }
 
-impl Instruction {
+impl<'a> Instruction<'a> {
+    /// An instruction with no predicate and no auxiliary type.
+    pub fn new(op: Opcode, ty: TypeId, operands: &'a [ValueId], blocks: &'a [BlockId]) -> Self {
+        Instruction { op, ty, operands, blocks, pred: None, aux_ty: None }
+    }
+
     /// True if this instruction ends its block.
-    pub fn is_terminator(&self) -> bool {
+    pub fn is_terminator(self) -> bool {
         self.op.is_terminator()
     }
 
     /// Successor blocks if this is a terminator (empty for `ret` and
     /// `unreachable`). Phi incoming blocks are *not* successors.
-    pub fn successors(&self) -> &[BlockId] {
+    pub fn successors(self) -> &'a [BlockId] {
         if self.is_terminator() {
-            &self.blocks
+            self.blocks
         } else {
             &[]
         }
@@ -448,7 +443,7 @@ impl Instruction {
     /// # Panics
     ///
     /// Panics if the instruction is not a phi.
-    pub fn phi_incomings(&self) -> impl Iterator<Item = (BlockId, ValueId)> + '_ {
+    pub fn phi_incomings(self) -> impl Iterator<Item = (BlockId, ValueId)> + 'a {
         assert_eq!(self.op, Opcode::Phi, "phi_incomings on non-phi");
         self.blocks.iter().copied().zip(self.operands.iter().copied())
     }

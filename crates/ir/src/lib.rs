@@ -59,9 +59,7 @@ pub mod prelude {
     pub use crate::cfg::Cfg;
     pub use crate::dom::DomTree;
     pub use crate::ids::{BlockId, FuncId, GlobalId, InstId, ValueId};
-    pub use crate::inst::{
-        FloatPredicate, Instruction, IntPredicate, Opcode, Operands, Predicate, Targets,
-    };
+    pub use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
     pub use crate::function::{Function, Linkage};
     pub use crate::module::{Global, Module};
     pub use crate::types::{TypeId, TypeKind, TypeStore};

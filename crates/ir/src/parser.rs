@@ -50,7 +50,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::ids::{BlockId, FuncId, InstId, ValueId};
-use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Operands, Predicate, Targets};
+use crate::inst::{FloatPredicate, Instruction, IntPredicate, Opcode, Predicate};
 use crate::function::{Function, Linkage};
 use crate::module::{Global, Module};
 use crate::printer::print_module;
@@ -1231,13 +1231,13 @@ impl Stage<'_> {
         let Stage { blocks, insts, operands, targets, labels, names } = self;
         // Every operand that is not a local is a constant of its own.
         let constants = operands.iter().filter(|o| !matches!(o, RawOperand::Local(_))).count();
-        f.reserve(blocks.len(), insts.len(), constants);
+        f.reserve(blocks.len(), insts.len(), constants, operands.len(), targets.len());
         let first_block = f.block_arena_len();
         label_blocks(f, labels, blocks.iter().map(|&(label, line, _)| (label, line)))?;
         names.reset(f, insts.len());
 
-        // Phase A: append instructions with placeholder operands, recording
-        // result names.
+        // Phase A: append instructions with their targets but no operands
+        // yet, recording result names.
         let first_inst = f.num_insts();
         let mut target = 0;
         for (b, &(_, _, start)) in blocks.iter().enumerate() {
@@ -1245,21 +1245,15 @@ impl Stage<'_> {
             let bb = BlockId::from_index(first_block + b);
             f.block_mut(bb).insts.reserve_exact(end - start);
             for s in &insts[start..end] {
-                let mut succs = Targets::with_capacity(s.targets_end - target);
+                let inst =
+                    Instruction { pred: s.pred, aux_ty: s.aux_ty, ..Instruction::new(s.op, s.ty, &[], &[]) };
+                let (id, result) = f.append_inst(bb, inst);
                 for label in &targets[target..s.targets_end] {
-                    let bb = labels.get(label).copied();
-                    succs.push(bb.ok_or_else(|| err(s.line, format!("unknown label `{label}`")))?);
+                    let to = labels.get(label).copied();
+                    f.push_block(id, to.ok_or_else(|| err(s.line, format!("unknown label `{label}`")))?);
                 }
                 target = s.targets_end;
-                let inst = Instruction {
-                    op: s.op,
-                    ty: s.ty,
-                    operands: Operands::new(),
-                    blocks: succs,
-                    pred: s.pred,
-                    aux_ty: s.aux_ty,
-                };
-                match (f.append_inst(bb, inst).1, s.result_name) {
+                match (result, s.result_name) {
                     (Some(v), Some(n)) => {
                         if !names.define(n, v) {
                             return Err(err(s.line, format!("%{n} defined twice")));
@@ -1275,12 +1269,12 @@ impl Stage<'_> {
             }
         }
         // Phase B: resolve operands, in the order phase A appended their
-        // instructions.
+        // instructions, each straight into the operand pool.
         let mut operand = 0;
         for (i, s) in insts.iter().enumerate() {
-            let mut resolved = Operands::with_capacity(s.operands_end - operand);
+            let id = InstId::from_index(first_inst + i);
             for &o in &operands[operand..s.operands_end] {
-                resolved.push(match o {
+                let v = match o {
                     RawOperand::Local(n) => names
                         .get(n)
                         .ok_or_else(|| err(s.line, format!("use of undefined value %{n}")))?,
@@ -1288,10 +1282,10 @@ impl Stage<'_> {
                     RawOperand::Float(ty, bits) => f.const_float(ty, f64::from_bits(bits)),
                     RawOperand::Undef(ty) => f.undef(ty),
                     RawOperand::Sym(ty, name) => sym_ref(f, types, syms, s.line, ty, name)?,
-                });
+                };
+                f.push_operand(id, v);
             }
             operand = s.operands_end;
-            f.inst_mut(InstId::from_index(first_inst + i)).operands = resolved;
         }
         Ok(())
     }

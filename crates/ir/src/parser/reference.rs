@@ -394,13 +394,11 @@ fn build_body(
                     bb.ok_or_else(|| err(raw.line, format!("unknown label `{l}`")))
                 })
                 .collect();
+            let targets = targets?;
             let inst = Instruction {
-                op: raw.op,
-                ty: raw.ty,
-                operands: Operands::new(),
-                blocks: targets?.into(),
                 pred: raw.pred,
                 aux_ty: raw.aux_ty,
+                ..Instruction::new(raw.op, raw.ty, &[], &targets)
             };
             let (iid, res) = f.append_inst(bb, inst);
             match (res, raw.result_name) {
@@ -431,7 +429,7 @@ fn build_body(
             };
             resolved.push(v);
         }
-        f.inst_mut(iid).operands = resolved.into();
+        f.set_operands(iid, &resolved);
     }
     Ok(())
 }

@@ -173,8 +173,8 @@ impl<'m> Printer<'m> {
     }
 
     /// One instruction, without indent or newline.
-    fn inst(&mut self, f: &Function, id: InstId, inst: &Instruction) {
-        let (ops, blocks) = (&inst.operands, &inst.blocks);
+    fn inst(&mut self, f: &Function, id: InstId, inst: Instruction) {
+        let (ops, blocks) = (inst.operands, inst.blocks);
         match inst.op {
             Opcode::Ret => {
                 self.s("ret");

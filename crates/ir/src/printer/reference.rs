@@ -140,7 +140,7 @@ pub fn print_inst(
     m: &Module,
     f: &Function,
     id: InstId,
-    inst: &Instruction,
+    inst: Instruction,
     names: &ValueNames,
 ) -> String {
     let op = |i: usize| operand(m, f, names, inst.operands[i]);

@@ -238,7 +238,7 @@ fn verify_body<'m>(
                 check_phi(f, cfg.preds(bb), &dt, &placed, &fname, iid, &mut errs);
             } else {
                 // Dominance for ordinary uses.
-                for &op in &inst.operands {
+                for &op in inst.operands {
                     if let ValueKind::Inst(def) = f.value(op).kind {
                         if !dt.dominates_inst(&placed, def, iid) {
                             errs.push(VerifyError::DominanceViolation {
@@ -316,7 +316,7 @@ fn check_shape<'m>(
     f: &Function,
     fname: &str,
     iid: InstId,
-    inst: &crate::inst::Instruction,
+    inst: crate::inst::Instruction,
     errs: &mut Vec<VerifyError>,
 ) {
     let mut bad = |detail: String| {
@@ -442,13 +442,24 @@ fn check_types(
     f: &Function,
     fname: &str,
     iid: InstId,
-    inst: &crate::inst::Instruction,
+    inst: crate::inst::Instruction,
     errs: &mut Vec<VerifyError>,
 ) {
     let mut bad = |detail: String| {
         errs.push(VerifyError::TypeError { func: fname.to_string(), inst: iid, detail });
     };
     let vty = |v: ValueId| f.value(v).ty;
+    // The text writes no type for these: the one it implies is theirs.
+    let implied = match inst.op {
+        Opcode::Ret | Opcode::Br | Opcode::CondBr | Opcode::Unreachable | Opcode::Store => {
+            Some(TypeId::VOID)
+        }
+        Opcode::Alloca | Opcode::Gep => Some(TypeId::PTR),
+        _ => None,
+    };
+    if let Some(ty) = implied.filter(|&ty| ty != inst.ty) {
+        bad(format!("{} must be of type {}", inst.op.mnemonic(), ts.display(ty)));
+    }
     match inst.op {
         op if op.is_int_binary()
             && inst.operands.len() == 2 => {
@@ -542,7 +553,7 @@ fn check_types(
                 }
             }
         Opcode::Phi => {
-            for &v in &inst.operands {
+            for &v in inst.operands {
                 if vty(v) != inst.ty {
                     bad("phi incoming value type mismatch".into());
                     break;
@@ -597,7 +608,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::function::Function;
-    use crate::inst::{Instruction, IntPredicate, Operands, Targets};
+    use crate::inst::{Instruction, IntPredicate};
     use crate::module::Module;
 
     fn simple_module() -> Module {
@@ -671,37 +682,16 @@ mod tests {
         let arg = f.arg(0);
         let (_, late) = f.append_inst(
             other,
-            Instruction {
-                op: Opcode::Add,
-                ty: i32t,
-                operands: [arg, arg].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Add, i32t, &[arg, arg], &[]),
         );
         // Make `other` reachable: entry condbr -> other / exit path.
         f.append_inst(
             entry,
-            Instruction {
-                op: Opcode::Ret,
-                ty: void,
-                operands: [late.unwrap()].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Ret, void, &[late.unwrap()], &[]),
         );
         f.append_inst(
             other,
-            Instruction {
-                op: Opcode::Unreachable,
-                ty: void,
-                operands: Operands::new(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Unreachable, void, &[], &[]),
         );
         let id = m.add_function(f);
         let errs = verify_function(&m, id).unwrap_err();
@@ -745,18 +735,10 @@ mod tests {
         let mut f = Function::new("bad", vec![i32t], i32t);
         let entry = f.add_block();
         let arg = f.arg(0);
-        let mk = |op, ty, operands: &[ValueId], blocks: &[BlockId]| Instruction {
-            op,
-            ty,
-            operands: operands.into(),
-            blocks: blocks.into(),
-            pred: None,
-            aux_ty: None,
-        };
-        let (_, add) = f.append_inst(entry, mk(Opcode::Add, i32t, &[arg, arg], &[]));
+        let (_, add) = f.append_inst(entry, Instruction::new(Opcode::Add, i32t, &[arg, arg], &[]));
         // Phi after a non-phi; also give it a bogus incoming to keep shape valid.
-        f.append_inst(entry, mk(Opcode::Phi, i32t, &[arg], &[entry]));
-        f.append_inst(entry, mk(Opcode::Ret, void, &[add.unwrap()], &[]));
+        f.append_inst(entry, Instruction::new(Opcode::Phi, i32t, &[arg], &[entry]));
+        f.append_inst(entry, Instruction::new(Opcode::Ret, void, &[add.unwrap()], &[]));
         let id = m.add_function(f);
         let errs = verify_function(&m, id).unwrap_err();
         assert!(errs.iter().any(|e| matches!(e, VerifyError::MisplacedPhi { .. })), "{errs:?}");
@@ -785,6 +767,41 @@ mod tests {
             errs.iter().any(|e| matches!(e, VerifyError::TypeError { detail, .. } if detail == want)),
             "{errs:?}"
         );
+    }
+
+    /// A type the text does not write is the one it implies: a `br` typed
+    /// `i32` would be numbered by the printer and renumber every later
+    /// value of the reparse, and an `alloca` typed `i64` would read back
+    /// as a `ptr`.
+    #[test]
+    fn rejects_a_type_the_text_implies_otherwise() {
+        let mut m = Module::new("t");
+        let i32t = m.types.int(32);
+        let mut f = Function::new("f", vec![], m.types.void());
+        let (slot, br) = {
+            let mut b = FunctionBuilder::new(&mut m.types, &mut f);
+            let entry = b.create_block();
+            let exit = b.create_block();
+            b.position_at_end(entry);
+            let slot = b.alloca(i32t);
+            b.br(exit);
+            b.position_at_end(exit);
+            b.ret(None);
+            (slot, b.func().block(entry).insts[1])
+        };
+        let ValueKind::Inst(slot) = f.value(slot).kind else { unreachable!() };
+        f.set_ty(slot, m.types.int(64));
+        f.set_ty(br, i32t);
+        let id = m.add_function(f);
+        let errs = verify_function(&m, id).unwrap_err();
+        let details: Vec<_> = errs
+            .iter()
+            .filter_map(|e| match e {
+                VerifyError::TypeError { detail, .. } => Some(detail.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(details, ["alloca must be of type ptr", "br must be of type void"], "{errs:?}");
     }
 
     #[test]
@@ -891,24 +908,14 @@ mod tests {
         let (_, c) = f.append_inst(
             entry,
             Instruction {
-                op: Opcode::ICmp,
-                ty: i32t, // should be i1
-                operands: [arg, arg].into(),
-                blocks: Targets::new(),
                 pred: Some(Predicate::Int(IntPredicate::Eq)),
-                aux_ty: None,
+                // The type should be i1.
+                ..Instruction::new(Opcode::ICmp, i32t, &[arg, arg], &[])
             },
         );
         f.append_inst(
             entry,
-            Instruction {
-                op: Opcode::Ret,
-                ty: void,
-                operands: [c.unwrap()].into(),
-                blocks: Targets::new(),
-                pred: None,
-                aux_ty: None,
-            },
+            Instruction::new(Opcode::Ret, void, &[c.unwrap()], &[]),
         );
         let id = m.add_function(f);
         let errs = verify_function(&m, id).unwrap_err();

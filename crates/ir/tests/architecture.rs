@@ -84,6 +84,83 @@ const ONE_OUTPUT_BUFFER: Guard = Guard {
     rule: "the printer appends to one buffer: no format!, join or Vec<String>",
 };
 
+/// Both snapshot sums are XXH64, which folds four 8-byte lanes a step.
+/// Byte-serial FNV-1a over the whole file was most of a bulk restore;
+/// FNV-1a stays the fingerprint hash, but not in the snapshot code.
+const WORD_PARALLEL_SNAPSHOT_CHECKSUM: Guard = Guard {
+    file: "crates/fingerprint/src/snapshot.rs",
+    product_only: true,
+    hits: |line| line.contains("fnv1a"),
+    rule: "the snapshot sums are XXH64: no fnv1a in snapshot.rs",
+};
+
+/// A corpus entry's qualified name is one `Arc<str>`, and every answer
+/// naming the entry bumps its reference count: no per-answer copy.
+const SHARED_ANSWER_NAMES: Guard = Guard {
+    file: "crates/core/src/corpus.rs",
+    product_only: false,
+    hits: |line| line.contains("qualified.clone()") || line.contains("qualified: String"),
+    rule: "answers share the entry's Arc<str> name: no per-answer copies",
+};
+
+/// The pass searches the shrink-only `FlatIndex`; inserting into,
+/// removing from or probing the corpus's mutable `LshIndex` is the
+/// daemon's.
+const PASS_USES_THE_FLAT_INDEX: Guard = Guard {
+    file: "crates/core/src/rank.rs",
+    product_only: false,
+    hits: |line| {
+        ["insert_with_keys", "remove_with_keys", "probe_keys_into"].iter().any(|w| has_word(line, w))
+    },
+    rule: "the pass's search goes through FlatIndex, not LshIndex",
+};
+
+/// A connection reassembles frames in one flat inbox and reads a large
+/// payload straight into the `Vec` it hands on; a byte deque drained into
+/// a fresh `Vec` per frame was most of the frame layer.
+const ONE_FRAME_BUFFER: Guard = Guard {
+    file: "crates/serve/src/conn.rs",
+    product_only: false,
+    hits: |line| {
+        let drained = line.find("drain(").is_some_and(|at| line[at..].contains(").collect("));
+        line.contains("VecDeque<u8>") || drained
+    },
+    rule: "reassemble frames in one flat buffer: no VecDeque<u8>, no drain().collect()",
+};
+
+/// The corpus's `LshIndex` keeps every bucket's members in one pool. The
+/// map of per-bucket `Vec`s it replaced lives in `lsh/reference.rs`,
+/// under `#[cfg(test)]`.
+const ONE_BUCKET_POOL: Guard = Guard {
+    file: "crates/fingerprint/src/lsh.rs",
+    product_only: true,
+    hits: |line| line.contains("HashMap<BandKey, Vec"),
+    rule: "one bucket pool: no map of per-bucket Vecs in lsh.rs",
+};
+
+/// A bulk restore reads the meta region into buffers of its own and
+/// streams the pools through one bounded chunk, never holding the file
+/// whole.
+const STREAMING_SNAPSHOT_READ: Guard = Guard {
+    file: "crates/fingerprint/src/snapshot.rs",
+    product_only: true,
+    hits: |line| line.contains("fs::read("),
+    rule: "stream the snapshot: no whole-file fs::read in snapshot.rs",
+};
+
+/// Every guard, for the checks that run them all.
+const GUARDS: [Guard; 9] = [
+    SINGLE_HEADER_GRAMMAR,
+    NO_TOKEN_VECTOR,
+    ONE_OUTPUT_BUFFER,
+    WORD_PARALLEL_SNAPSHOT_CHECKSUM,
+    SHARED_ANSWER_NAMES,
+    PASS_USES_THE_FLAT_INDEX,
+    ONE_FRAME_BUFFER,
+    ONE_BUCKET_POOL,
+    STREAMING_SNAPSHOT_READ,
+];
+
 #[test]
 fn single_header_grammar() {
     SINGLE_HEADER_GRAMMAR.check();
@@ -97,6 +174,36 @@ fn no_token_vector() {
 #[test]
 fn one_output_buffer() {
     ONE_OUTPUT_BUFFER.check();
+}
+
+#[test]
+fn word_parallel_snapshot_checksum() {
+    WORD_PARALLEL_SNAPSHOT_CHECKSUM.check();
+}
+
+#[test]
+fn shared_answer_names() {
+    SHARED_ANSWER_NAMES.check();
+}
+
+#[test]
+fn pass_uses_the_flat_index() {
+    PASS_USES_THE_FLAT_INDEX.check();
+}
+
+#[test]
+fn one_frame_buffer() {
+    ONE_FRAME_BUFFER.check();
+}
+
+#[test]
+fn one_bucket_pool() {
+    ONE_BUCKET_POOL.check();
+}
+
+#[test]
+fn streaming_snapshot_read() {
+    STREAMING_SNAPSHOT_READ.check();
 }
 
 #[test]
@@ -114,11 +221,34 @@ fn each_guard_fires_on_its_fixture() {
     let printer = "out.push_str(name);\nlet s = format!(\"%{n}\");\nparts.join(\", \")\n\
                    let v: Vec<String> = x;\n#[cfg(test)]\nfn t() -> String { format!(\"{}\", 1) }\n";
     assert_eq!(lines(ONE_OUTPUT_BUFFER, printer), [2, 3, 4]);
+
+    let checksum = "let sum = xxh64(&buf);\nlet old = fnv1a(&buf);\n#[cfg(test)]\nfnv1a(&x);\n";
+    assert_eq!(lines(WORD_PARALLEL_SNAPSHOT_CHECKSUM, checksum), [2]);
+
+    let names = "name: Arc::clone(&e.qualified),\nname: e.qualified.clone(),\n\
+                 struct A { qualified: String }\n#[cfg(test)]\nlet n = e.qualified.clone();\n";
+    assert_eq!(lines(SHARED_ANSWER_NAMES, names), [2, 3, 5]);
+
+    let rank = "flat.probe(&keys);\nidx.insert_with_keys(r, &k);\nidx.remove_with_keys(r, &k);\n\
+                idx.probe_keys_into(&k, &mut out);\nfn probe_keys_into_flat() {}\n";
+    assert_eq!(lines(PASS_USES_THE_FLAT_INDEX, rank), [2, 3, 4]);
+
+    let conn = "inbox: Vec<u8>,\nqueue: VecDeque<u8>,\nlet f = q.drain(..n).collect();\n\
+                let f: Vec<u8> = q.drain(0..n).map(g).collect();\nq.drain(..n);\nlet v: Vec<_> = x.collect();\n";
+    assert_eq!(lines(ONE_FRAME_BUFFER, conn), [2, 3, 4]);
+
+    let lsh = "pool: Vec<u32>,\nmap: HashMap<BandKey, Vec<u32>>,\n#[cfg(test)]\n\
+               map: HashMap<BandKey, Vec<u32>>,\n";
+    assert_eq!(lines(ONE_BUCKET_POOL, lsh), [2]);
+
+    let snapshot = "file.read_exact(&mut buf)?;\nlet all = std::fs::read(path)?;\n#[cfg(test)]\n\
+                    let all = fs::read(path)?;\n";
+    assert_eq!(lines(STREAMING_SNAPSHOT_READ, snapshot), [2]);
 }
 
 #[test]
 fn a_missing_guarded_file_fails() {
-    for guard in [SINGLE_HEADER_GRAMMAR, NO_TOKEN_VECTOR, ONE_OUTPUT_BUFFER] {
+    for guard in GUARDS {
         let renamed = Guard { file: "crates/ir/src/renamed.rs", ..guard };
         assert!(std::panic::catch_unwind(|| renamed.check()).is_err(), "{}", guard.rule);
     }

@@ -270,6 +270,23 @@ fn results_are_their_instructions() {
     }
 }
 
+/// A parser writes each list once, straight into its pool: a parsed
+/// module's pools hold the lists of its instructions and no dead cell.
+#[test]
+fn parsed_pools_hold_no_dead_cells() {
+    for m in functions_of_every_kind() {
+        let m = parse_module(&print_module(&m)).unwrap();
+        for (_, f) in m.functions() {
+            let live: usize = (0..f.num_insts())
+                .map(|i| f.inst(InstId::from_index(i)))
+                .map(|inst| inst.operands.len() + inst.blocks.len())
+                .sum();
+            let (operands, targets) = f.pool_lens();
+            assert_eq!(operands + targets, live, "@{}", f.name);
+        }
+    }
+}
+
 /// Each constant an operand names is a value of its own: a parsed
 /// function holds exactly as many constants as its linked instructions
 /// have constant operand slots, however often one constant repeats. The

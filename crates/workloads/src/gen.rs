@@ -813,10 +813,8 @@ fn emit_loop(ctx: &mut GenCtx<'_, '_>, shape: &ShapeParams) {
         let hdr_insts: Vec<_> = f.block(header).insts.clone();
         let counter_phi = hdr_insts[0];
         let acc_phi = hdr_insts[1];
-        let inst = f.inst_mut(counter_phi);
-        inst.operands[1] = counter2;
-        let inst = f.inst_mut(acc_phi);
-        inst.operands[1] = acc2;
+        f.operands_mut(counter_phi)[1] = counter2;
+        f.operands_mut(acc_phi)[1] = acc2;
     }
 
     ctx.b.position_at_end(exit);

@@ -1,5 +1,6 @@
-//! Where a module's memory goes, layer by layer: instruction structs,
-//! their operand and target lists (in place, or spilled to the heap),
+//! Where a module's memory goes, layer by layer: the instruction arena,
+//! the two id pools that hold every instruction's operand and target lists
+//! (live cells, and dead ones that lists which grew left behind),
 //! constants (the only values stored: an argument is its position and a
 //! result its instruction), blocks, and function metadata (the struct,
 //! the name and the parameter list, a row each). Bytes are counted from `size_of` and
@@ -40,35 +41,13 @@ fn buffer<T>(n: usize) -> (usize, usize) {
     (n * size_of::<T>(), usize::from(n > 0))
 }
 
-/// Lists of one kind: how many, how many spilled, and spilled lists that
-/// would have fit in place (there should be none).
-#[derive(Default)]
-struct Lists {
-    total: usize,
-    spilled: usize,
-    spilled_short: usize,
-    spill: Layer,
-}
-
-impl Lists {
-    /// Counts one list of `len` ids, of which `in_place` fit inline.
-    fn count(&mut self, len: usize, in_place: usize, spilled: bool, heap_bytes: usize) {
-        self.total += 1;
-        if spilled {
-            self.spilled += 1;
-            self.spilled_short += usize::from(len <= in_place);
-            // The box and the buffer it points to.
-            self.spill.add(heap_bytes, 2);
-        }
-    }
-}
-
 #[derive(Default)]
 struct Footprint {
     functions: usize,
     insts: Layer,
-    operands: Lists,
-    targets: Lists,
+    pools: Layer,
+    live_cells: usize,
+    dead_cells: usize,
     constants: Layer,
     blocks: Layer,
     structs: Layer,
@@ -93,16 +72,18 @@ impl Footprint {
         self.functions += 1;
         self.inst_count += f.num_insts();
         self.constant_count += f.num_constants();
-        let (bytes, allocs) = buffer::<Instruction>(f.num_insts());
-        self.insts.add(bytes, allocs);
-        for i in 0..f.num_insts() {
-            let inst = f.inst(InstId::from_index(i));
-            let (ops, targets) = (&inst.operands, &inst.blocks);
-            self.operands
-                .count(ops.len(), 3, ops.is_spilled(), ops.heap_bytes());
-            self.targets
-                .count(targets.len(), 2, targets.is_spilled(), targets.heap_bytes());
-        }
+        self.insts.add(f.num_insts() * Function::INST_BYTES, usize::from(f.num_insts() > 0));
+        let (operands, targets) = f.pool_lens();
+        let (bytes, allocs) = buffer::<ValueId>(operands);
+        self.pools.add(bytes, allocs);
+        let (bytes, allocs) = buffer::<BlockId>(targets);
+        self.pools.add(bytes, allocs);
+        let live: usize = (0..f.num_insts())
+            .map(|i| f.inst(InstId::from_index(i)))
+            .map(|inst| inst.operands.len() + inst.blocks.len())
+            .sum();
+        self.live_cells += live;
+        self.dead_cells += operands + targets - live;
         let (bytes, allocs) = buffer::<Value>(f.num_constants());
         self.constants.add(bytes, allocs);
 
@@ -127,30 +108,28 @@ impl Footprint {
 
     fn print(&self, name: &str) {
         let mb = |b: usize| b as f64 / 1e6;
-        let lists = |what: &str, l: &Lists| {
-            println!(
-                "  {what:<22}  {:>8.2} MB  {:>7} allocs  ({} lists, {} spilled, {} of them \
-                 short enough to fit in place)",
-                mb(l.spill.bytes),
-                l.spill.allocs,
-                l.total,
-                l.spilled,
-                l.spilled_short
-            );
-        };
         println!(
             "{name}: {} functions, {} instructions, {} constants",
             self.functions, self.inst_count, self.constant_count
         );
         println!(
-            "  instruction structs     {:>8.2} MB  {:>7} allocs  ({} B each, {} B of it the lists)",
+            "  instruction arena       {:>8.2} MB  {:>7} allocs  ({} B each)",
             mb(self.insts.bytes),
             self.insts.allocs,
-            size_of::<Instruction>(),
-            size_of::<Operands>() + size_of::<Targets>()
+            Function::INST_BYTES
         );
-        lists("spilled operand lists", &self.operands);
-        lists("spilled target lists", &self.targets);
+        println!(
+            "  id pools                {:>8.2} MB  {:>7} allocs  ({} live cells, {} dead)",
+            mb(self.pools.bytes),
+            self.pools.allocs,
+            self.live_cells,
+            self.dead_cells
+        );
+        println!(
+            "  instructions with pools {:>8.2} MB            ({:.1} B an instruction)",
+            mb(self.insts.bytes + self.pools.bytes),
+            (self.insts.bytes + self.pools.bytes) as f64 / self.inst_count as f64
+        );
         let rows = [
             ("constants", self.constants),
             ("blocks", self.blocks),
@@ -165,13 +144,10 @@ impl Footprint {
                 layer.allocs
             );
         }
-        let total = self.insts.bytes
-            + self.operands.spill.bytes
-            + self.targets.spill.bytes
-            + rows.iter().map(|(_, l)| l.bytes).sum::<usize>();
+        let total =
+            self.insts.bytes + self.pools.bytes + rows.iter().map(|(_, l)| l.bytes).sum::<usize>();
         let allocs = self.insts.allocs
-            + self.operands.spill.allocs
-            + self.targets.spill.allocs
+            + self.pools.allocs
             + rows.iter().map(|(_, l)| l.allocs).sum::<usize>();
         println!(
             "  total                   {:>8.2} MB  {:>7} allocs  ({:.0} B a function)",
