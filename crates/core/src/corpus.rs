@@ -45,7 +45,7 @@
 //! ([`Module::rename_function`]) and instruction encodings — and hence
 //! fingerprints — are unchanged. [`combine_modules`] builds the combined
 //! corpus module that [`global_merge`](crate::global::global_merge) runs
-//! the pass over.
+//! the pass over, importing each definition from its live module.
 //!
 //! ## Epochs and consistency
 //!
@@ -124,8 +124,8 @@
 //! (`TypeId::encoding_number` is a function of the type alone), so a body
 //! that introduces or drops a type changes no other function's encoding,
 //! and the edited function is spliced into the resident module in place:
-//! only its definition is parsed out of the replacement text, re-parsed
-//! against the module's symbols and types, verified with its callers when
+//! only its definition is parsed out of the replacement text, imported
+//! into the module's symbols and types, verified with its callers when
 //! its signature changed, and installed — no render, no module parse.
 //!
 //! Sparing neighbors rests on the one consistency rule above. An edit's
@@ -149,10 +149,11 @@ use f3m_fingerprint::snapshot::{self, Reader, SnapshotError, SnapshotHeader, Wri
 use f3m_fingerprint::store::{PackedFingerprintStore, RowRef};
 use f3m_ir::function::Function;
 use f3m_ir::ids::FuncId;
-use f3m_ir::module::Module;
-use f3m_ir::parser::{parse_module, parse_module_for, parse_replacement};
-use f3m_ir::printer::{lines_before, print_declaration, print_function, print_global, print_module};
-use f3m_ir::types::TypeStore;
+use f3m_ir::module::{import_function, Global, Module};
+use f3m_ir::parser::{parse_module, parse_module_for, verification_failed};
+use f3m_ir::printer::{print_declaration, print_function, print_global, print_module};
+use f3m_ir::types::{TypeId, TypeStore};
+use f3m_ir::verify::{verify_module, verify_replacement};
 use f3m_trace::stats::{Stat, Value::*};
 
 use crate::rank::{top_k, Kernel, QueryCounters, SimTable};
@@ -715,11 +716,11 @@ impl Corpus {
     /// ignored, even one that does not lex
     /// ([`parse_module_for`](f3m_ir::parser::parse_module_for)). So the
     /// parse costs what the top level and `func`'s body cost, not what
-    /// the whole text does. The definition's canonical print is
-    /// then re-parsed against the resident module's symbols and types and
-    /// verified as the module would verify with it installed (itself, and
-    /// its callers when its signature changed); a parse error there names
-    /// the line the definition would occupy in [`Corpus::module_source`].
+    /// the whole text does. The definition is then imported into a copy
+    /// of the resident module's types, each symbol it names resolved by
+    /// name among the resident module's (one it lacks is refused by name),
+    /// and verified as the module would verify with it installed (itself,
+    /// and its callers when its signature changed).
     /// The new function is installed into the resident module in place —
     /// no render, no module parse — and only its own fingerprint is
     /// recomputed: type codes are structural, so no other row can move.
@@ -1335,9 +1336,9 @@ fn decode_corpus_payload(bytes: &[u8], entries: usize) -> Result<CorpusPayload, 
 }
 
 /// The new definition of `resident`'s function `fid` that `text` — module-
-/// wrapped IR defining it — carries, re-parsed against `resident` with the
-/// type store it needs (see [`Corpus::update_function`]); `None` when it
-/// prints like the resident body.
+/// wrapped IR defining it — carries, imported into a copy of `resident`'s
+/// types (see [`Corpus::update_function`]); `None` when it prints like the
+/// resident body.
 fn replacement_for(
     resident: &Module,
     fid: FuncId,
@@ -1353,109 +1354,108 @@ fn replacement_for(
              (would become merge-ineligible)"
         ));
     }
-    let fn_text = print_function(&incoming, id);
-    if print_function(resident, fid) == fn_text {
+    if print_function(resident, fid) == print_function(&incoming, id) {
         return Ok(None);
     }
-    let spliced = parse_replacement(resident, fid, &fn_text).map_err(|mut e| {
-        if e.line > 0 {
-            e.line += lines_before(resident, fid);
-        }
-        format!("update: spliced module does not verify: {e}")
-    })?;
-    Ok(Some(spliced))
+    let mut types = resident.types.clone();
+    let funcs = |g| resident.lookup_function(&incoming.function(g).name);
+    let globals = |g| resident.lookup_global(&incoming.global(g).name);
+    let spliced = import_function(&incoming, id, &mut types, funcs, globals).and_then(|f| {
+        verify_replacement(resident, &types, fid, &f).map_err(|e| verification_failed(&e).to_string())?;
+        Ok(Some((f, types)))
+    });
+    spliced.map_err(|e| format!("update: spliced module does not verify: {e}"))
 }
 
 /// Combines modules into one, qualifying every definition as
 /// `<module>.<function>` and deduplicating shared globals and external
 /// declarations by name. A declaration is dropped when any module
 /// *defines* that exact symbol; conflicting duplicate globals or
-/// declarations (same name, different shape) are errors, as are
+/// declarations (same name, different printed line) are errors, as are
 /// qualified-name collisions.
 ///
-/// The combination goes through print + parse: each renamed module is
-/// rendered to IR text, the pieces are concatenated, and the result is
-/// parsed (and therefore verified) as a single module. That keeps the
-/// type stores correctly re-interned without any cross-module id
-/// surgery.
+/// The result holds the shared globals and the surviving declarations in
+/// first-seen order, then the definitions in module order, each brought
+/// in by [`import_function`] with its references resolved by name — every
+/// id a parse of the modules' concatenated prints would give — and is
+/// verified as that parse would verify it.
 pub fn combine_modules(mods: &[&Module]) -> Result<Module, String> {
-    /// Records `line` for the shared symbol `name` (first-seen order);
-    /// false if the symbol already has a different line.
-    fn share(
-        seen: &mut HashMap<String, String>,
-        order: &mut Vec<(String, String)>,
-        name: &str,
-        line: String,
-    ) -> bool {
-        match seen.get(name) {
-            Some(prev) => *prev == line,
-            None => {
-                seen.insert(name.to_string(), line.clone());
-                order.push((name.to_string(), line));
-                true
-            }
-        }
-    }
     let (mut seen_globals, mut globals) = (HashMap::new(), Vec::new());
     let (mut seen_declares, mut declares) = (HashMap::new(), Vec::new());
-    let mut defined: HashSet<String> = HashSet::new();
-    let mut bodies = String::new();
-
-    for &m in mods {
+    let (mut defined, mut definitions) = (HashSet::new(), Vec::new());
+    for (mi, &m) in mods.iter().enumerate() {
         if !symbol_safe(&m.name) {
             return Err(format!("module name `{}` is not a valid symbol prefix", m.name));
         }
-        let mut ns = m.clone();
-        for id in ns.defined_functions() {
-            let q = format!("{}.{}", m.name, ns.function(id).name);
-            if ns.lookup_function(&q).is_some() {
+        // Qualifying renames the definitions in order: a qualified name
+        // collides with a declaration or a definition not yet renamed.
+        for id in m.defined_functions() {
+            let q = format!("{}.{}", m.name, m.function(id).name);
+            if m.lookup_function(&q).is_some_and(|o| o > id || m.function(o).is_declaration) {
                 return Err(format!("qualified name `{q}` collides inside module `{}`", m.name));
             }
-            ns.rename_function(id, q);
         }
-        for (_, g) in ns.globals() {
-            if !share(&mut seen_globals, &mut globals, &g.name, print_global(&ns, g)) {
-                return Err(format!(
-                    "global `@{}` redefined with a different type or initializer",
-                    g.name
-                ));
+        for (gid, g) in m.globals() {
+            let line = print_global(m, g);
+            if seen_globals.get(g.name.as_str()).is_some_and(|seen| *seen != line) {
+                return Err(format!("global `@{}` redefined with a different type or initializer", g.name));
+            }
+            if seen_globals.insert(g.name.as_str(), line).is_none() {
+                globals.push((mi, gid));
             }
         }
-        for (id, f) in ns.functions() {
-            if f.is_declaration {
-                if !share(&mut seen_declares, &mut declares, &f.name, print_declaration(&ns, f)) {
-                    return Err(format!(
-                        "external `@{}` declared with conflicting signatures",
-                        f.name
-                    ));
+        for (id, f) in m.functions() {
+            if !f.is_declaration {
+                let q = format!("{}.{}", m.name, f.name);
+                if !defined.insert(q.clone()) {
+                    return Err(format!("qualified name `{q}` defined twice"));
                 }
-            } else {
-                if !defined.insert(f.name.clone()) {
-                    return Err(format!("qualified name `{}` defined twice", f.name));
-                }
-                bodies.push_str(&print_function(&ns, id));
-                bodies.push('\n');
+                definitions.push((mi, id, q));
+                continue;
+            }
+            let line = print_declaration(m, f);
+            if seen_declares.get(f.name.as_str()).is_some_and(|seen| *seen != line) {
+                return Err(format!("external `@{}` declared with conflicting signatures", f.name));
+            }
+            if seen_declares.insert(f.name.as_str(), line).is_none() {
+                declares.push((mi, id));
             }
         }
     }
 
-    let mut text = String::from("module \"corpus\" {\n");
-    for (_, line) in &globals {
-        text.push_str(line);
-        text.push('\n');
+    // The store is lent out: the imports intern into it while their maps
+    // look names up in `out`.
+    let mut out = Module::new("corpus");
+    let mut types = std::mem::take(&mut out.types);
+    for (mi, g) in globals {
+        let g = mods[mi].global(g);
+        let ty = types.import(&mods[mi].types, g.ty);
+        out.add_global(Global { name: g.name.clone(), ty, init: g.init.clone() });
     }
-    if !globals.is_empty() {
-        text.push('\n');
-    }
-    for (name, line) in &declares {
-        if !defined.contains(name) {
-            text.push_str(line);
-            text.push('\n');
+    for (mi, id) in declares {
+        if !defined.contains(&mods[mi].function(id).name) {
+            out.add_function(import_function(mods[mi], id, &mut types, |_| None, |_| None)?);
         }
     }
-    text.push_str(&bodies);
-    text.push_str("}\n");
-    parse_module(&text).map_err(|e| format!("combine: {e}"))
+    // Every definition is named before any body names it.
+    for (_, _, q) in &definitions {
+        out.add_function(Function::new_declaration(q.clone(), Vec::new(), TypeId::VOID));
+    }
+    for (mi, id, q) in definitions {
+        let m = mods[mi];
+        let name = |f: &Function| {
+            if f.is_declaration { f.name.clone() } else { format!("{}.{}", m.name, f.name) }
+        };
+        let funcs = |g| out.lookup_function(&name(m.function(g)));
+        let globals = |g| out.lookup_global(&m.global(g).name);
+        let mut f = import_function(m, id, &mut types, funcs, globals).map_err(|e| format!("combine: {e}"))?;
+        let at = out.lookup_function(&q).expect("named above");
+        f.name = q;
+        out.replace_function(at, f);
+    }
+    out.types = types;
+    verify_module(&out).map_err(|errs| format!("combine: {}", verification_failed(&errs)))?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1998,6 +1998,21 @@ mod tests {
             .map_err(|e| format!("update: spliced module does not verify: {e}"))
     }
 
+    /// A refusal of [`spliced_by_reparse`] in the words of the import: a
+    /// symbol the resident module lacks is named, without the line it has
+    /// in a rendering of the module that no client sent.
+    fn symbol_by_name(refusal: String) -> String {
+        let stage = "update: spliced module does not verify";
+        let named = refusal
+            .strip_prefix(stage)
+            .and_then(|rest| rest.strip_prefix(": parse error at line "))
+            .and_then(|rest| rest.split_once(": unknown symbol "));
+        match named {
+            Some((_, symbol)) => format!("{stage}: unknown symbol {symbol}"),
+            None => refusal,
+        }
+    }
+
     /// `patch` with every `alloca`'d array resized to `len` elements.
     fn resize_arrays(patch: &str, len: u32) -> String {
         let resize = |line: &str| match (line.find("alloca ["), line.find(" x ")) {
@@ -2023,7 +2038,7 @@ mod tests {
     /// module and the same row for every one of its entries.
     fn update_like_the_reference(c: &Corpus, module: &str, func: &str, text: &str) -> Verdict {
         let resident = c.table.read().unwrap().live_body(module).unwrap().1.get().clone();
-        let reference = spliced_by_reparse(&resident, func, text);
+        let reference = spliced_by_reparse(&resident, func, text).map_err(symbol_by_name);
         let epoch = c.epoch();
         let got = c.update_function(module, func, Some(text));
         let expected = match (reference, got) {
@@ -2091,8 +2106,9 @@ mod tests {
     /// and callers either still verify or refuse the edit — each as it is,
     /// with its arrays resized and with its linkage flipped; then the
     /// refusals of `update_rejects_bad_replacements` at every function, and
-    /// a replacement that names a symbol the module lacks, whose parse
-    /// error carries the line the definition has in the module's source.
+    /// a replacement that names a symbol the module lacks, refused by the
+    /// symbol's name (the reference's refusal also carries a line of the
+    /// module's rendering; [`symbol_by_name`] drops it).
     /// The edits land one after another, so later ones splice into modules
     /// earlier ones changed in place.
     #[test]
@@ -2145,7 +2161,7 @@ mod tests {
             Verdict::Touched,
             refused("replacement does not define `f0_0`"),
             refused("replacement does not parse: parse error"),
-            refused("spliced module does not verify: parse error"),
+            refused("spliced module does not verify: unknown symbol @__nowhere"),
             refused("spliced module does not verify: parse error: verification failed"),
             Verdict::Spliced { resigned: false, relinked: false },
             Verdict::Spliced { resigned: false, relinked: true },
@@ -2216,6 +2232,165 @@ mod tests {
             print_function(m, m.lookup_function(&dst).unwrap())
         };
         assert_eq!(printed(&c), printed(&fresh), "the update took `{dst}` from the text");
+    }
+
+    /// The combine [`combine_modules`] replaced, kept as the reference the
+    /// import is held to: each module cloned and qualified, its pieces
+    /// printed into one module text, and that text parsed.
+    fn combined_by_reparse(mods: &[&Module]) -> Result<Module, String> {
+        fn share(
+            seen: &mut HashMap<String, String>,
+            order: &mut Vec<(String, String)>,
+            name: &str,
+            line: String,
+        ) -> bool {
+            match seen.get(name) {
+                Some(prev) => *prev == line,
+                None => {
+                    seen.insert(name.to_string(), line.clone());
+                    order.push((name.to_string(), line));
+                    true
+                }
+            }
+        }
+        let (mut seen_globals, mut globals) = (HashMap::new(), Vec::new());
+        let (mut seen_declares, mut declares) = (HashMap::new(), Vec::new());
+        let mut defined: HashSet<String> = HashSet::new();
+        let mut bodies = String::new();
+        for &m in mods {
+            if !symbol_safe(&m.name) {
+                return Err(format!("module name `{}` is not a valid symbol prefix", m.name));
+            }
+            let mut ns = m.clone();
+            for id in ns.defined_functions() {
+                let q = format!("{}.{}", m.name, ns.function(id).name);
+                if ns.lookup_function(&q).is_some() {
+                    return Err(format!("qualified name `{q}` collides inside module `{}`", m.name));
+                }
+                ns.rename_function(id, q);
+            }
+            for (_, g) in ns.globals() {
+                if !share(&mut seen_globals, &mut globals, &g.name, print_global(&ns, g)) {
+                    return Err(format!(
+                        "global `@{}` redefined with a different type or initializer",
+                        g.name
+                    ));
+                }
+            }
+            for (id, f) in ns.functions() {
+                if f.is_declaration {
+                    if !share(&mut seen_declares, &mut declares, &f.name, print_declaration(&ns, f)) {
+                        return Err(format!("external `@{}` declared with conflicting signatures", f.name));
+                    }
+                } else {
+                    if !defined.insert(f.name.clone()) {
+                        return Err(format!("qualified name `{}` defined twice", f.name));
+                    }
+                    bodies.push_str(&print_function(&ns, id));
+                    bodies.push('\n');
+                }
+            }
+        }
+        let mut text = String::from("module \"corpus\" {\n");
+        for (_, line) in &globals {
+            text.push_str(line);
+            text.push('\n');
+        }
+        if !globals.is_empty() {
+            text.push('\n');
+        }
+        for (name, line) in &declares {
+            if !defined.contains(name) {
+                text.push_str(line);
+                text.push('\n');
+            }
+        }
+        text.push_str(&bodies);
+        text.push_str("}\n");
+        parse_module(&text).map_err(|e| format!("combine: {e}"))
+    }
+
+    /// The import is the text combine it replaced, exactly. On
+    /// builder-born modules as the tests here ingest them, on their
+    /// printed-and-reparsed twins, and on the global fuzzer's mutated
+    /// module sets, the combined module prints the same, and
+    /// `global_merge`'s work over it gives the same report and merged
+    /// module. On sets that conflict, and on hand-written sets whose
+    /// declarations resolve to definitions of other modules, the two give
+    /// the same module or the same error.
+    #[test]
+    fn combine_matches_the_reparse_reference() {
+        use crate::global::merge_cut;
+        let printed = |mods: &[&Module]| combine_modules(mods).map(|m| print_module(&m));
+        let reference = |mods: &[&Module]| combined_by_reparse(mods).map(|m| print_module(&m));
+        let twin = |m: &Module| parse_module(&print_module(m)).unwrap();
+
+        let born = vec![workload("alpha", 11), workload("beta", 22), workload("gamma", 11)];
+        let reparsed: Vec<Module> = born.iter().map(twin).collect();
+        let seeds = if cfg!(debug_assertions) { 0..2 } else { 0..24 };
+        let max_mutations = f3m_fuzz::global::GlobalCampaignConfig::default().max_mutations;
+        let fuzzed = seeds.map(|seed| f3m_fuzz::global::build_module_set(seed, max_mutations).0);
+        for mods in [born.clone(), reparsed].into_iter().chain(fuzzed) {
+            let refs: Vec<&Module> = mods.iter().collect();
+            let what: Vec<&str> = mods.iter().map(|m| m.name.as_str()).collect();
+            let (got, want) = (combine_modules(&refs).unwrap(), combined_by_reparse(&refs).unwrap());
+            assert_eq!(print_module(&got), print_module(&want), "{what:?}: combined module");
+            let c = corpus();
+            for m in &mods {
+                c.ingest(m.clone()).unwrap();
+            }
+            let mut cut = c.combined_cut().unwrap();
+            let mut merge = |pristine: Module| {
+                cut.3 = pristine;
+                let merged = merge_cut(&cut, &GlobalPlanConfig::default());
+                merged.map(|(report, merged)| (report.to_json(), print_module(&merged)))
+            };
+            assert_eq!(merge(got), merge(want), "{what:?}: global merge");
+        }
+
+        let text = |name: &str, items: &str| {
+            parse_module(&format!("module \"{name}\" {{\n{items}}}\n")).unwrap()
+        };
+        let define = |name: &str, body: &str| format!("define @{name}(i32 %0) -> i32 {{\nbb0:\n{body}}}\n");
+        let def = |name: &str| define(name, "  ret i32 %0\n");
+        let call = |name: &str, callee: &str| {
+            define(name, &format!("  %1 = call i32 @{callee}(i32 %0)\n  ret i32 %1\n"))
+        };
+        let e = "declare @e(i32) -> i32\n";
+        let mut renamed = born[0].clone();
+        renamed.name = "al pha".into();
+        let mut clashing = born[1].clone();
+        let first = clashing.function(clashing.defined_functions()[0]).name.clone();
+        clashing.add_function(Function::new_declaration(format!("beta.{first}"), vec![], TypeId::VOID));
+        // Each set, and whether it conflicts.
+        let sets = [
+            (true, vec![born[0].clone(), renamed]),
+            (true, vec![clashing, born[0].clone()]),
+            // Qualifying renames in order: `a.b` is renamed before `b`
+            // takes its name, and not the other way round.
+            (false, vec![text("a", &(def("a.b") + &def("b")))]),
+            (true, vec![text("a", &(def("b") + &def("a.b")))]),
+            (true, vec![text("a", &def("b.c")), text("a.b", &def("c"))]),
+            (true, vec![text("x", "global @g : i32 = [1]\n"), text("y", "global @g : i32 = [2]\n")]),
+            (false, vec![text("x", "global @g : i32 = [1]\n"), text("y", "global @g : i32 = [1]\n")]),
+            (true, vec![text("x", "declare @e(i32) -> i32\n"), text("y", "declare @e(i64) -> i32\n")]),
+            // A declaration that a definition of another module answers,
+            // one that stays shared, and a global.
+            (
+                false,
+                vec![
+                    text("x", &format!("declare @y.f(i32) -> i32\n{e}{}", call("g", "y.f"))),
+                    text("y", &format!("global @k : [2 x i64] = [7]\n{e}{}", call("f", "e"))),
+                ],
+            ),
+        ];
+        for (conflicts, mods) in &sets {
+            let refs: Vec<&Module> = mods.iter().collect();
+            let what: Vec<&str> = mods.iter().map(|m| m.name.as_str()).collect();
+            let got = printed(&refs);
+            assert_eq!(got, reference(&refs), "{what:?}");
+            assert_eq!(got.is_err(), *conflicts, "{what:?}: {got:?}");
+        }
     }
 
     #[test]

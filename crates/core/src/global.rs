@@ -40,7 +40,7 @@ use f3m_trace::stats::{self, Stat, Value::*};
 use f3m_trace::MetricsRegistry;
 
 use crate::commit::func_refs;
-use crate::corpus::Corpus;
+use crate::corpus::{Corpus, Cut};
 use crate::pass::{run_pass, PassConfig};
 
 /// Deterministic integer salts for the differential probes. Each probe
@@ -203,7 +203,15 @@ pub fn global_merge(
     corpus: &Corpus,
     cfg: &GlobalPlanConfig,
 ) -> Result<(GlobalMergeReport, Module, u64), String> {
-    let (epoch, modules, module_of, pristine) = corpus.combined_cut()?;
+    let cut = corpus.combined_cut()?;
+    merge_cut(&cut, cfg).map(|(report, merged)| (report, merged, cut.0))
+}
+
+/// [`global_merge`]'s work on one cut of the corpus.
+pub(crate) fn merge_cut(
+    (_, modules, module_of, pristine): &Cut,
+    cfg: &GlobalPlanConfig,
+) -> Result<(GlobalMergeReport, Module), String> {
     let mut merged = pristine.clone();
     let pass = run_pass(&mut merged, &PassConfig::f3m().with_jobs(cfg.jobs));
     let merges: Vec<GlobalMergeRecord> = pass
@@ -219,15 +227,15 @@ pub fn global_merge(
         .collect();
     let mut stats = GlobalStats {
         functions: pass.stats.functions as u64,
-        modules: modules as u64,
+        modules: *modules as u64,
         verified_merges: merges.len() as u64,
         global_profit_bytes: merges.iter().map(|r| r.saved.max(0) as u64).sum(),
         size_before: pass.stats.size_before,
         size_after: pass.stats.size_after,
         ..GlobalStats::default()
     };
-    verify(&pristine, &merged, &merges, cfg.limits, &mut stats)?;
-    Ok((GlobalMergeReport { stats, merges }, merged, epoch))
+    verify(pristine, &merged, &merges, cfg.limits, &mut stats)?;
+    Ok((GlobalMergeReport { stats, merges }, merged))
 }
 
 /// The checks a merged corpus must pass, in order:

@@ -11,7 +11,7 @@
 //! instruction's result by the instruction's [`InstId`], or a constant by
 //! its slot in the function's constant arena. It packs that into two tag
 //! bits over a 30-bit index, so it stays 4 bytes, one cell of a function's
-//! operand pool. Only [`crate::function::Function`] makes one.
+//! operand pool. Only [`crate::function::Function`] and the import make one.
 
 use std::fmt;
 

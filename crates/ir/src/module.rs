@@ -2,9 +2,11 @@
 
 use std::collections::HashMap;
 
-use crate::ids::{FuncId, GlobalId};
+use crate::ids::{FuncId, GlobalId, InstId, ValueId};
 use crate::function::Function;
+use crate::inst::Instruction;
 use crate::types::{TypeId, TypeStore};
+use crate::value::{Value, ValueKind::*};
 
 /// A module-level global variable.
 #[derive(Clone, Debug, PartialEq)]
@@ -234,6 +236,58 @@ impl Module {
     }
 }
 
+/// Copies `from`'s function `id` for a module whose types are `types`, as
+/// a parse of its print there would read it: types are interned into
+/// `types` by structure, each function or global it references becomes
+/// the one `funcs` or `globals` maps it to (resolved by name by the
+/// caller), and the body is numbered in layout order, one constant to a
+/// constant operand, without the instructions no block lists. A reference
+/// a map leaves unresolved is refused as `unknown symbol @name`, and a
+/// body no print describes (a use of an unlinked instruction, a target
+/// outside the block order) as malformed.
+pub fn import_function(
+    from: &Module,
+    id: FuncId,
+    types: &mut TypeStore,
+    funcs: impl Fn(FuncId) -> Option<FuncId>,
+    globals: impl Fn(GlobalId) -> Option<GlobalId>,
+) -> Result<Function, String> {
+    let src = from.function(id);
+    let malformed = || format!("@{}: a body no print describes", src.name);
+    let unknown = |name: &str| format!("unknown symbol @{name}");
+    let mut ty = |t| types.import(&from.types, t);
+    let params = src.params.iter().map(|&p| ty(p)).collect();
+    let mut f = Function::new(src.name.clone(), params, ty(src.ret_ty));
+    (f.linkage, f.is_declaration) = (src.linkage, src.is_declaration);
+    let mut block_of = vec![None; src.block_arena_len()];
+    src.block_order.iter().for_each(|&bb| block_of[bb.index()] = Some(f.add_block()));
+    let mut inst_of = vec![None; src.num_insts()];
+    for (n, (i, _)) in src.linked_insts().enumerate() {
+        inst_of[i.index()] = Some(ValueId::inst(InstId::from_index(n)));
+    }
+    let mut ops = Vec::new();
+    for (&bb, at) in src.block_order.iter().zip(f.block_order.clone()) {
+        for (_, inst) in src.block_insts(bb) {
+            ops.clear();
+            for &v in inst.operands {
+                let value = src.value(v);
+                ops.push(match value.kind {
+                    Arg(_) => v,
+                    Inst(def) => inst_of[def.index()].ok_or_else(malformed)?,
+                    FuncRef(g) => f.func_ref(funcs(g).ok_or_else(|| unknown(&from.function(g).name))?),
+                    GlobalRef(g) => f.global_ref(globals(g).ok_or_else(|| unknown(&from.global(g).name))?),
+                    _ => f.push_const(Value { ty: ty(value.ty), ..value }),
+                });
+            }
+            let targets = inst.blocks.iter().map(|b| block_of[b.index()].ok_or_else(malformed));
+            let blocks = &targets.collect::<Result<Vec<_>, _>>()?;
+            let (ty, aux_ty) = (ty(inst.ty), inst.aux_ty.map(&mut ty));
+            f.append_inst(at, Instruction { ty, aux_ty, operands: &ops, blocks, ..inst });
+        }
+    }
+    Ok(f)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +353,91 @@ mod tests {
         let id = m.add_function(Function::new("f", vec![], v));
         m.add_function(Function::new("g", vec![], v));
         m.rename_function(id, "g");
+    }
+
+    /// The destination of the imports below: `@f`, called by `@caller`,
+    /// and a global.
+    const DEST: &str = "module \"t\" {\nglobal @g : i64 = [1]\n\
+        define @f(i32 %0) -> i32 {\nbb0:\n  ret i32 %0\n}\n\
+        define @caller(i32 %0) -> i32 {\nbb0:\n  %1 = call i32 @f(i32 %0)\n  ret i32 %1\n}\n}\n";
+
+    /// `from`'s `@f` imported for `to`, its symbols resolved among `to`'s
+    /// by name, with the store it lives in.
+    fn import_f(from: &Module, to: &Module) -> Result<(Function, TypeStore), String> {
+        let mut types = to.types.clone();
+        let id = from.lookup_function("f").unwrap();
+        let f = import_function(
+            from,
+            id,
+            &mut types,
+            |g| to.lookup_function(&from.function(g).name),
+            |g| to.lookup_global(&from.global(g).name),
+        )?;
+        Ok((f, types))
+    }
+
+    /// An import interns the types new to the destination, and only
+    /// those, in a store where every old id keeps its type; installed,
+    /// the function verifies and prints as it did in its own module.
+    /// A new signature is then checked at every call; a reference to a
+    /// symbol the destination lacks is refused by name.
+    #[test]
+    fn import_reinterns_types_and_resolves_symbols_by_name() {
+        use crate::parser::parse_module;
+        use crate::printer::{print_function, print_module};
+        use crate::verify::{verify_module, verify_replacement};
+        let dest = parse_module(DEST).unwrap();
+        let fid = dest.lookup_function("f").unwrap();
+        let body = "define internal @f(i32 %0) -> i32 {\nbb0:\n  %1 = alloca [4 x i64]\n  \
+                    %2 = load i64, @g\n  store i64 %2, %1\n  %3 = call i32 @f(i32 %0)\n  ret i32 %3\n}\n";
+        // The source interns other types first, so its ids differ.
+        let src = parse_module(&format!(
+            "module \"s\" {{\ndeclare @h(f32, {{ i8, i16 }}) -> void\nglobal @g : i64 = [1]\n{body}}}\n"
+        ))
+        .unwrap();
+        let (f, types) = import_f(&src, &dest).unwrap();
+        assert_eq!(types.len(), dest.types.len() + 1, "the store grew by `[4 x i64]` alone");
+        let (g, old) = (dest.global(GlobalId::from_index(0)), dest.function(fid));
+        for t in old.params.iter().copied().chain([old.ret_ty, g.ty, TypeId::VOID, TypeId::PTR]) {
+            assert_eq!(types.kind(t), dest.types.kind(t), "{t:?}");
+        }
+        let mut spliced = dest.clone();
+        spliced.types = types;
+        spliced.replace_function(fid, f);
+        assert!(verify_module(&spliced).is_ok());
+        let printed = print_function(&src, src.lookup_function("f").unwrap());
+        assert_eq!(print_function(&spliced, fid), printed);
+        assert!(print_module(&spliced).contains("@caller"));
+
+        let resigned = "module \"s\" {\ndefine @f(i64 %0) -> i64 {\nbb0:\n  ret i64 %0\n}\n}\n";
+        let (f, types) = import_f(&parse_module(resigned).unwrap(), &dest).unwrap();
+        let err = verify_replacement(&dest, &types, fid, &f).unwrap_err()[0].to_string();
+        assert!(err.contains("caller/") && err.contains("signature mismatch"), "{err}");
+
+        let body = body.replace("@g", "@k");
+        let dangling = parse_module(&format!("module \"s\" {{\nglobal @k : i64 = [1]\n{body}}}\n")).unwrap();
+        assert_eq!(import_f(&dangling, &dest).unwrap_err(), "unknown symbol @k");
+    }
+
+    /// An import numbers a body as a parse of its print does, also when
+    /// the body's ids are not in layout order.
+    #[test]
+    fn import_numbers_a_body_in_layout_order() {
+        use crate::parser::parse_module;
+        use crate::printer::print_module;
+        let mut m = parse_module(
+            "module \"t\" {\ndefine @f(i1 %0) -> i32 {\nbb0:\n  condbr %0, bb1, bb2\nbb1:\n  br bb3\n\
+             bb2:\n  br bb3\nbb3:\n  %1 = phi i32 [ 1, bb1 ], [ 2, bb2 ]\n  ret i32 %1\n}\n}\n",
+        )
+        .unwrap();
+        let id = m.lookup_function("f").unwrap();
+        m.function_mut(id).block_order.swap(1, 3);
+        let mut to = Module::new("t");
+        let f = import_function(&m, id, &mut to.types, Some, |_| None).unwrap();
+        to.add_function(f);
+        let printed = print_module(&m);
+        assert!(printed.contains("bb0:\n  condbr %0, bb1, bb2\nbb3:"), "{printed}");
+        assert_eq!(print_module(&to), print_module(&parse_module(&printed).unwrap()));
     }
 
     #[test]

@@ -13,11 +13,9 @@
 //! from body to body — and then built in two phases, so that phi-nodes can
 //! reference values defined later (back edges).
 //!
-//! Two entry points serve a one-function edit of a resident module
-//! without parsing the module: [`parse_module_for`] reads a module text
-//! for one definition only (the second loop visits that body alone, and
-//! no other body is lexed), and [`parse_replacement`] reads one printed
-//! definition against an existing module's symbols and types.
+//! A one-function edit of a resident module reads its text with
+//! [`parse_module_for`], for that one definition: the second loop visits
+//! its body alone, and no other body is lexed.
 //!
 //! The first error in reading order wins and carries its 1-based line:
 //! the top level first — the headers and the skim over each body — then
@@ -55,7 +53,7 @@ use crate::function::{Function, Linkage};
 use crate::module::{Global, Module};
 use crate::printer::print_module;
 use crate::types::{TypeId, TypeStore};
-use crate::verify::{verify_function, verify_module, verify_replacement, VerifyError};
+use crate::verify::{verify_function, verify_module, VerifyError};
 use crate::value::{Value, ValueKind};
 
 /// Parse failure with a line number.
@@ -91,7 +89,7 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
 
 /// Verifier failures as the parse error every entry point reports them
 /// as: line 0, every problem listed.
-fn verification_failed(errs: &[VerifyError]) -> ParseError {
+pub fn verification_failed(errs: &[VerifyError]) -> ParseError {
     let errs: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
     err(0, format!("verification failed: {}", errs.join("; ")))
 }
@@ -112,26 +110,6 @@ fn verification_failed(errs: &[VerifyError]) -> ParseError {
 /// the input ending there, is.
 pub fn parse_module_for(src: &str, name: &str) -> Result<(Module, Option<FuncId>), ParseError> {
     Parser::new(src).module_for(name)
-}
-
-/// Parses `text` — one definition, as [`print_function`](crate::printer::print_function)
-/// writes it — as the new definition of `m`'s function `id`, without
-/// touching `m`: symbols resolve among `m`'s, and types intern into a copy
-/// of `m.types`, which only grows, so every `TypeId` of `m` keeps its
-/// meaning in it. The result is verified as [`verify_module`] would verify
-/// `m` with it installed ([`verify_replacement`]). Returns the function and
-/// the store its types live in; installing both is the caller's move.
-///
-/// # Errors
-///
-/// A [`ParseError`] whose line is 1-based within `text`; verifier failures
-/// on line 0.
-pub fn parse_replacement(
-    m: &Module,
-    id: FuncId,
-    text: &str,
-) -> Result<(Function, TypeStore), ParseError> {
-    Parser::new(text).replacement(m, id)
 }
 
 /// The print→parse→print fixpoint every merge oracle checks: `printed`
@@ -633,26 +611,6 @@ impl<'s, T: Tokens<'s>> Parser<'s, T> {
         Ok((m, id))
     }
 
-    /// [`parse_replacement`]'s work.
-    fn replacement(mut self, m: &Module, id: FuncId) -> Result<(Function, TypeStore), ParseError> {
-        let mut types = m.types.clone();
-        self.expect_word("define")?;
-        let internal = self.internal(true);
-        let (name, line) = self.sym()?;
-        let want = &m.function(id).name;
-        if name != want {
-            return Err(err(line, format!("expected a definition of @{want}, found @{name}")));
-        }
-        let mut f = self.signature(&mut types, name, internal, true)?;
-        self.expect(Tok::LBrace)?;
-        self.body(m, &mut types, &mut f)?;
-        if let Some((tok, line)) = self.toks.ahead(0)? {
-            return Err(err(line, format!("expected end of input, found {tok:?}")));
-        }
-        verify_replacement(m, &types, id, &f).map_err(|errs| verification_failed(&errs))?;
-        Ok((f, types))
-    }
-
     /// A whole module, each body read by `body`; with `only`, the body of
     /// that definition alone.
     fn module(&mut self, only: Option<&str>, body: BodyReader<'s, T>) -> Result<Module, ParseError> {
@@ -730,37 +688,17 @@ impl<'s, T: Tokens<'s>> Parser<'s, T> {
     /// `declare @f(T, ...) -> T` or `define [internal] @f(T %n, ...) -> T`,
     /// after the keyword; registers the function.
     fn header(&mut self, m: &mut Module, define: bool) -> Result<FuncId, ParseError> {
-        let internal = self.internal(define);
-        let (name, line) = self.sym()?;
-        if m.lookup_function(name).is_some() {
-            return Err(err(line, format!("duplicate definition of @{name}")));
-        }
-        let f = self.signature(&mut m.types, name, internal, define)?;
-        Ok(m.add_function(f))
-    }
-
-    /// Whether a definition's header goes on with `internal`, which is
-    /// consumed.
-    fn internal(&mut self, define: bool) -> bool {
         let internal = define && matches!(self.peek(), Ok((Tok::Word("internal"), _)));
         if internal {
             self.toks.bump();
         }
-        internal
-    }
-
-    /// `(T [%n], ...) -> T` after a header's name: the function it
-    /// declares or defines, not yet registered anywhere.
-    fn signature(
-        &mut self,
-        types: &mut TypeStore,
-        name: &str,
-        internal: bool,
-        define: bool,
-    ) -> Result<Function, ParseError> {
+        let (name, line) = self.sym()?;
+        if m.lookup_function(name).is_some() {
+            return Err(err(line, format!("duplicate definition of @{name}")));
+        }
         self.expect(Tok::LParen)?;
         let params = self.list(Tok::RParen, |p| {
-            let ty = p.ty(types)?;
+            let ty = p.ty(&mut m.types)?;
             // Definitions name their parameters.
             if define && matches!(p.peek(), Ok((Tok::Local(_), _))) {
                 p.toks.bump();
@@ -768,16 +706,13 @@ impl<'s, T: Tokens<'s>> Parser<'s, T> {
             Ok(ty)
         })?;
         self.expect(Tok::Arrow)?;
-        let ret = self.ty(types)?;
-        let mut f = if define {
-            Function::new(name, params, ret)
-        } else {
-            Function::new_declaration(name, params, ret)
-        };
+        let ret = self.ty(&mut m.types)?;
+        let mut f = Function::new(name, params, ret);
+        f.is_declaration = !define;
         if internal {
             f.linkage = Linkage::Internal;
         }
-        Ok(f)
+        Ok(m.add_function(f))
     }
 
     /// The labelled blocks of one definition, from after its `{` to its
@@ -1531,49 +1466,6 @@ bb0:
         assert_eq!(parse_module_for(src, "nowhere").unwrap().1, None);
         let err = parse_module_for(src, "other").unwrap_err();
         assert_eq!((err.line, err.msg.as_str()), (6, "unknown mnemonic `bogus`"));
-    }
-
-    #[test]
-    fn parse_replacement_resolves_against_the_module_it_joins() {
-        let m = parse_module(
-            r#"
-module "t" {
-global @g : i64 = [1]
-define @f(i32 %0) -> i32 {
-bb0:
-  ret i32 %0
-}
-define @caller(i32 %0) -> i32 {
-bb0:
-  %1 = call i32 @f(i32 %0)
-  ret i32 %1
-}
-}
-"#,
-        )
-        .unwrap();
-        let fid = m.lookup_function("f").unwrap();
-        let text = "define internal @f(i32 %0) -> i32 {\nbb0:\n  %1 = alloca [4 x i64]\n  \
-                    %2 = load i64, @g\n  store i64 %2, %1\n  ret i32 %0\n}\n";
-        let (f, types) = parse_replacement(&m, fid, text).unwrap();
-        assert_eq!(types.len(), m.types.len() + 1, "the store grew by `[4 x i64]` alone");
-        let mut spliced = m.clone();
-        spliced.types = types;
-        spliced.replace_function(fid, f);
-        assert!(verify_module(&spliced).is_ok());
-        assert!(print_module(&spliced).contains("define internal @f(i32 %0) -> i32 {\nbb0:\n  %1 = alloca [4 x i64]"));
-
-        // A new signature is checked at every call: `@caller` no longer
-        // verifies, in the words `verify_module` would use.
-        let resigned = "define @f(i64 %0) -> i64 {\nbb0:\n  ret i64 %0\n}\n";
-        let err = parse_replacement(&m, fid, resigned).unwrap_err();
-        assert_eq!(err.line, 0);
-        assert!(err.msg.contains("caller/") && err.msg.contains("signature mismatch"), "{err}");
-
-        let err = parse_replacement(&m, fid, "define @caller(i32 %0) -> i32 {\n}\n").unwrap_err();
-        assert_eq!(err.msg, "expected a definition of @f, found @caller");
-        let err = parse_replacement(&m, fid, &text.replace("@g", "@h")).unwrap_err();
-        assert_eq!((err.line, err.msg.as_str()), (4, "unknown symbol @h"));
     }
 
     #[test]

@@ -727,34 +727,18 @@ pub(crate) mod tests {
         parsed.map(|(m, id)| (print_module(&m), format!("{id:?}\n{}", numbering(&m))))
     }
 
-    /// [`parse_replacement`]'s outcome: the size of the store it came
-    /// with and the new definition of `id` numbered — every value,
-    /// instruction and block with the types it names, which is what a
-    /// print of it would show — or the error.
-    fn outcome_replacing(
-        id: FuncId,
-        parsed: Result<(Function, TypeStore), ParseError>,
-    ) -> Result<(String, String), ParseError> {
-        parsed.map(|(f, types)| {
-            let mut ids = String::new();
-            number_function(&mut ids, &types, id, &f);
-            (format!("{} types", types.len()), ids)
-        })
-    }
-
     /// The cursor is the token vector it replaced, exactly, over every
     /// input of [`staged_builder_matches_the_reference`]: it yields
     /// [`lex`]'s tokens and lines up to the first lexical error, then the
     /// same error; and on every text that lexes, [`parse_module`] and
     /// [`parse_module_for`] — for a name the text defines, and for one it
     /// does not, so that every body is skimmed — give what the parser
-    /// over the token vector gives. So does [`parse_replacement`] over a
-    /// printed module's definitions and their hostile mutations.
+    /// over the token vector gives.
     #[test]
     fn cursor_matches_the_token_vector() {
         let mut rng = SmallRng::seed_from_u64(0xC0_2504);
         let mut lexical = BTreeSet::new();
-        each_input(INPUTS, |what, text, printed| {
+        each_input(INPUTS, |what, text, _| {
             let (toks, error) = cursor_tokens(text);
             let (want_toks, want_error) = lex(text);
             let diff = toks.iter().zip(&want_toks).position(|(a, b)| a != b);
@@ -774,23 +758,6 @@ pub(crate) mod tests {
                 let got = outcome_for(parse_module_for(text, name));
                 let want = outcome_for(vector().module_for(name));
                 same(&format!("{what}: parse_module_for {name}"), got, want);
-            }
-            if !printed {
-                return;
-            }
-            let m = parse_module(text).unwrap();
-            let defs: Vec<FuncId> =
-                m.functions().filter(|(_, f)| !f.is_declaration).map(|(id, _)| id).collect();
-            let id = defs[rng.gen_range(0..defs.len())];
-            let def = crate::printer::print_function(&m, id);
-            let mut texts = vec![("as printed".to_string(), def.clone())];
-            texts.extend(hostile_mutations(&def, &mut rng));
-            texts.extend((0..DRAWS).flat_map(|_| token_mutations(&def, LEXICAL, &mut rng)));
-            for (how, text) in texts {
-                let what = format!("{what}: parse_replacement of @{}, {how}", m.function(id).name);
-                let Ok(p) = Parser::over_vector(&text) else { continue };
-                let got = outcome_replacing(id, parse_replacement(&m, id, &text));
-                same(&what, got, outcome_replacing(id, p.replacement(&m, id)));
             }
         });
         for kind in ["unexpected character", "expected number after `%`", "integer overflow", "unterminated string"] {

@@ -52,23 +52,6 @@ pub fn print_function(m: &Module, id: FuncId) -> String {
     p.out
 }
 
-/// How many lines of [`print_module`]`(m)` come before definition `id`'s:
-/// a line of `id`'s printed text plus this is the line it has in the
-/// module's source.
-pub fn lines_before(m: &Module, id: FuncId) -> usize {
-    // The module header, one line per global and a blank line after them.
-    let header = 1 + m.num_globals() + usize::from(m.num_globals() > 0);
-    // A declaration is one line; a definition is its header, one line per
-    // label and per instruction, and the closing brace. A blank line
-    // follows each.
-    let functions: usize = m
-        .functions()
-        .take_while(|&(g, _)| g != id)
-        .map(|(_, f)| if f.is_declaration { 2 } else { f.num_blocks() + f.num_linked_insts() + 3 })
-        .sum();
-    header + functions
-}
-
 /// An instruction with no number: it has no result, or is unlinked.
 const UNNAMED: u32 = u32::MAX;
 
@@ -425,28 +408,5 @@ mod tests {
         m.add_function(f);
         let text = print_module(&m);
         assert!(text.contains("ret f64 0f3FF0000000000000"), "{text}");
-    }
-
-    /// [`lines_before`] is the printed layout: for every function of each
-    /// Table I row at small scale, the number of lines of the module's
-    /// print before that function's `define` line.
-    #[test]
-    fn lines_before_counts_the_printed_lines() {
-        for spec in f3m_workloads::table1() {
-            let spec = spec.scaled((12.0 / spec.functions as f64).min(1.0));
-            // The generator builds the library build's `Module`; its print
-            // parses into this build's.
-            let text = f3m_ir::printer::print_module(&f3m_workloads::build_module(&spec));
-            let m = crate::parser::parse_module(&text).unwrap();
-            let printed = print_module(&m);
-            let mut defined = 0;
-            for (id, f) in m.functions().filter(|(_, f)| !f.is_declaration) {
-                let head = format!(" @{}(", f.name);
-                let at = printed.lines().position(|l| l.starts_with("define") && l.contains(&head));
-                assert_eq!(Some(lines_before(&m, id)), at, "{}: @{}", spec.name, f.name);
-                defined += 1;
-            }
-            assert!(defined > 0, "{} defines functions", spec.name);
-        }
     }
 }

@@ -233,6 +233,21 @@ impl TypeStore {
         id
     }
 
+    /// The id here of `from`'s type `id`: the same structure, interned.
+    pub fn import(&mut self, from: &TypeStore, id: TypeId) -> TypeId {
+        let mut all = |ids: &[TypeId]| ids.iter().map(|&t| self.import(from, t)).collect();
+        let kind = match from.kind(id) {
+            _ if id.index() < PRELUDE.len() => return id,
+            TypeKind::Struct { fields } => TypeKind::Struct { fields: all(fields) },
+            TypeKind::Func { params, ret } => {
+                TypeKind::Func { params: all(params), ret: self.import(from, *ret) }
+            }
+            TypeKind::Array { elem, len } => TypeKind::Array { elem: self.import(from, *elem), len: *len },
+            scalar => scalar.clone(),
+        };
+        self.intern(kind)
+    }
+
     /// Returns the structure of `id`.
     ///
     /// # Panics
