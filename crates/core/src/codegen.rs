@@ -272,7 +272,7 @@ impl<'m> Layout<'m> {
         for (s, unpaired) in [&plan.unpaired1, &plan.unpaired2].into_iter().enumerate() {
             for &bb in unpaired {
                 entry[s][bb.index()] = lay.open();
-                for &i in &lay.sides[s].f.block(bb).insts {
+                for &i in lay.sides[s].f.block(bb).insts {
                     lay.push(Src::Own(s, i));
                 }
                 lay.close(End::Term { from: [(s == 0).then_some(bb), (s == 1).then_some(bb)] });
@@ -645,6 +645,7 @@ impl MergeBuilder<'_, '_> {
         }
         let block_id = |b: u32| BlockId::from_index(b as usize);
         let mut targets = lay.targets.iter().map(|&t| block_id(t));
+        let mut to = Vec::new();
         for (b, block) in lay.blocks.iter().enumerate() {
             let bb = BlockId::from_index(b);
             while self.insts.len() < block.srcs_end as usize {
@@ -653,15 +654,16 @@ impl MergeBuilder<'_, '_> {
                     Src::Own(s, i) => (s, i),
                 };
                 let proto = lay.sides[s].f.inst(i);
-                // Operands wait for phase 2; the terminator's targets are
-                // the layout's.
-                let new_id = self.append(bb, Instruction { operands: &[], blocks: &[], ..proto });
+                // Operands wait for phase 2, which writes each list over
+                // the prototype's (a phi's grows, so it starts empty); the
+                // terminator's targets are the layout's.
+                let operands = if proto.op == Opcode::Phi { &[] } else { proto.operands };
+                to.clear();
                 let last = self.insts.len() + 1 == block.srcs_end as usize;
                 if last && matches!(block.end, End::Term { .. }) {
-                    for to in targets.by_ref().take(proto.blocks.len()) {
-                        self.nf.push_block(new_id, to);
-                    }
+                    to.extend(targets.by_ref().take(proto.blocks.len()));
                 }
+                let new_id = self.append(bb, Instruction { operands, blocks: &to, ..proto });
                 self.insts.push((bb, new_id));
             }
             match block.end {

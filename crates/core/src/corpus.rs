@@ -1479,6 +1479,22 @@ mod tests {
         Corpus::new(CorpusConfig { jobs: 2, ..CorpusConfig::default() })
     }
 
+    /// Every generated workload is named as a symbol prefix allows, so
+    /// the generator's own output ingests (a global merge and a daemon
+    /// take modules through the same door).
+    #[test]
+    fn generated_modules_are_named_as_symbol_prefixes() {
+        for spec in f3m_workloads::table1().iter().chain(&f3m_workloads::mini_suite()) {
+            let name = f3m_workloads::build_module(&spec.scaled(0.0)).name;
+            assert!(symbol_safe(&name), "{} is generated as `{name}`", spec.name);
+        }
+        let linux = f3m_workloads::table1().into_iter().find(|s| s.name == "linux-scale");
+        let m = f3m_workloads::build_module(&linux.expect("a linux-scale row").scaled(0.001));
+        assert_eq!(m.name, "linux_scale");
+        let summary = corpus().ingest(m).expect("a generated module ingests");
+        assert!(summary.functions > 0);
+    }
+
     /// The daemon's answers equal the offline search's over the combined
     /// module — where nothing filters (threshold 0.0, single probe) and
     /// where the threshold cuts lists short and multi-probe widens them,

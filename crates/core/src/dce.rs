@@ -54,7 +54,9 @@ pub fn dce_function(m: &mut Module, fid: FuncId) -> usize {
         let f = m.function_mut(fid);
         let blocks: Vec<_> = f.block_order.clone();
         for bb in blocks {
-            f.block_mut(bb).insts.retain(|i| !dead_set.contains(i));
+            let kept: Vec<InstId> =
+                f.block(bb).insts.iter().copied().filter(|i| !dead_set.contains(i)).collect();
+            f.set_block_insts(bb, &kept);
         }
         // Iterate: removing uses may make more instructions dead.
     }
@@ -79,7 +81,7 @@ pub fn prune_unreachable(m: &mut Module, fid: FuncId) -> usize {
     // count as linked.
     f.block_order.retain(|b| !dead.contains(b));
     for b in dead {
-        f.block_mut(b).insts.clear();
+        f.set_block_insts(b, &[]);
     }
     // Phis may reference removed predecessors; the verifier's pred sets
     // shrink identically because the edges are gone, so remaining phis

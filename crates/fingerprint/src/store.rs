@@ -35,7 +35,6 @@ use f3m_ir::types::TypeStore;
 use crate::backend::FingerprintBackend;
 use crate::encode::encode_function;
 use crate::lsh::{band_keys_for, BandKey, LshParams};
-use crate::par::par_map_indexed;
 
 /// Contiguous signature, band-key and sketch pools, indexed by function
 /// id.
@@ -76,10 +75,11 @@ impl PackedFingerprintStore {
     }
 
     /// The fingerprint step shared by the pass and the corpus: encodes,
-    /// fingerprints and band-hashes every function of `funcs` (in
-    /// parallel for `jobs > 1`; `backend` is shared across workers), then
-    /// packs the rows in `funcs` order, so the store is identical for any
-    /// job count.
+    /// fingerprints and band-hashes every function of `funcs`, writing
+    /// each row straight into its place in the pools, so no row is held
+    /// twice. With `jobs > 1` each worker fills one contiguous run of rows
+    /// (`backend` is shared across workers); row `i` is `funcs[i]`'s, so
+    /// the store is identical for any job count.
     pub fn of_functions(
         m: &Module,
         funcs: &[FuncId],
@@ -87,14 +87,36 @@ impl PackedFingerprintStore {
         params: LshParams,
         jobs: usize,
     ) -> PackedFingerprintStore {
-        let per_func = par_map_indexed(funcs.len(), jobs.max(1), |i| {
-            Self::row_of(&m.types, m.function(funcs[i]), backend, params)
-        });
-        let mut store =
-            PackedFingerprintStore::with_capacity(backend.k(), params.bands, funcs.len());
-        for (sig, keys) in &per_func {
-            store.push_with_keys(sig, keys);
+        let (k, bands, n) = (backend.k(), params.bands, funcs.len());
+        assert!(k > 0 && bands > 0, "degenerate row widths");
+        let mut store = PackedFingerprintStore {
+            k,
+            bands,
+            sigs: vec![0; n * k],
+            keys: vec![0; n * bands],
+            sketch: vec![0; n * k],
+        };
+        let fill = |first: usize, mut rows: RowsMut<'_>| {
+            for (i, &fid) in funcs[first..first + rows.len()].iter().enumerate() {
+                let (sig, keys) = Self::row_of(&m.types, m.function(fid), backend, params);
+                rows.set(i, &sig, &keys);
+            }
+        };
+        let workers = jobs.clamp(1, n.max(1));
+        let mut rest = store.rows_mut();
+        if workers == 1 {
+            fill(0, rest);
+            return store;
         }
+        let chunk = n.div_ceil(workers);
+        std::thread::scope(|s| {
+            for first in (0..n).step_by(chunk) {
+                let (rows, tail) = rest.split_at(chunk.min(n - first));
+                rest = tail;
+                let fill = &fill;
+                s.spawn(move || fill(first, rows));
+            }
+        });
         store
     }
 
@@ -146,11 +168,13 @@ impl PackedFingerprintStore {
     ///
     /// Panics on width mismatch or if `i` is out of range.
     pub fn set_row(&mut self, i: usize, sig: &[u64], keys: &[BandKey]) {
-        self.sigs[i * self.k..(i + 1) * self.k].copy_from_slice(sig);
-        self.keys[i * self.bands..(i + 1) * self.bands].copy_from_slice(keys);
-        for (byte, low) in self.sketch[i * self.k..(i + 1) * self.k].iter_mut().zip(sketch_of(sig)) {
-            *byte = low;
-        }
+        self.rows_mut().set(i, sig, keys);
+    }
+
+    /// Every row, to write in place.
+    fn rows_mut(&mut self) -> RowsMut<'_> {
+        let (k, bands) = (self.k, self.bands);
+        RowsMut { k, bands, sigs: &mut self.sigs, keys: &mut self.keys, sketch: &mut self.sketch }
     }
 
     /// Number of functions stored.
@@ -250,6 +274,48 @@ impl PackedFingerprintStore {
     }
 }
 
+/// A run of a store's rows, borrowed to write in place: each of the three
+/// pools' cells of those rows.
+struct RowsMut<'a> {
+    k: usize,
+    bands: usize,
+    sigs: &'a mut [u64],
+    keys: &'a mut [BandKey],
+    sketch: &'a mut [u8],
+}
+
+impl<'a> RowsMut<'a> {
+    fn len(&self) -> usize {
+        self.keys.len() / self.bands
+    }
+
+    /// The first `rows` rows and the rest.
+    fn split_at(self, rows: usize) -> (RowsMut<'a>, RowsMut<'a>) {
+        let RowsMut { k, bands, sigs, keys, sketch } = self;
+        let (sigs, sigs_tail) = sigs.split_at_mut(rows * k);
+        let (keys, keys_tail) = keys.split_at_mut(rows * bands);
+        let (sketch, sketch_tail) = sketch.split_at_mut(rows * k);
+        (
+            RowsMut { k, bands, sigs, keys, sketch },
+            RowsMut { k, bands, sigs: sigs_tail, keys: keys_tail, sketch: sketch_tail },
+        )
+    }
+
+    /// Writes row `i` of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics on width mismatch or if `i` is out of range.
+    fn set(&mut self, i: usize, sig: &[u64], keys: &[BandKey]) {
+        let (k, bands) = (self.k, self.bands);
+        self.sigs[i * k..(i + 1) * k].copy_from_slice(sig);
+        self.keys[i * bands..(i + 1) * bands].copy_from_slice(keys);
+        for (byte, low) in self.sketch[i * k..(i + 1) * k].iter_mut().zip(sketch_of(sig)) {
+            *byte = low;
+        }
+    }
+}
+
 /// One row of a [`PackedFingerprintStore`]: its signature slots, band
 /// keys and sketch. A heap store's row borrows the store; a resident
 /// shard's row shares the shard, so a spill cannot free it mid-read.
@@ -320,6 +386,31 @@ mod tests {
         for (i, s) in sigs.iter().enumerate() {
             assert_eq!(store.sig(i), s.as_slice(), "signature row {i}");
             assert_eq!(store.keys(i), band_keys_for(p, s).as_slice(), "key row {i}");
+        }
+    }
+
+    /// Rows written in place, by any number of workers, make the store
+    /// that pushing each function's [`PackedFingerprintStore::row_of`]
+    /// makes, for every backend.
+    #[test]
+    fn rows_written_in_place_match_rows_pushed() {
+        let p = params();
+        for spec in f3m_workloads::mini_suite() {
+            let m = f3m_workloads::build_module(&spec);
+            let funcs = m.defined_functions();
+            for kind in crate::backend::BackendKind::ALL {
+                let backend = crate::backend::backend_for(kind, 32);
+                let mut pushed = PackedFingerprintStore::with_capacity(32, p.bands, funcs.len());
+                for &f in &funcs {
+                    let (sig, keys) =
+                        PackedFingerprintStore::row_of(&m.types, m.function(f), &*backend, p);
+                    pushed.push_with_keys(&sig, &keys);
+                }
+                for jobs in [1, 2, 8] {
+                    let store = PackedFingerprintStore::of_functions(&m, &funcs, &*backend, p, jobs);
+                    assert!(store == pushed, "{} {} jobs={jobs}", spec.name, kind.name());
+                }
+            }
         }
     }
 

@@ -199,11 +199,11 @@ fn gut_candidate(m: &Module, fid: FuncId, bb: BlockId) -> Module {
     let mut cand = m.clone();
     let void = cand.types.void();
     let f = cand.function_mut(fid);
-    let insts: Vec<InstId> = f.block(bb).insts.clone();
+    let insts: Vec<InstId> = f.block(bb).insts.to_vec();
     for &i in &insts {
         undef_uses(f, i);
     }
-    f.block_mut(bb).insts.clear();
+    f.set_block_insts(bb, &[]);
     f.append_inst(
         bb,
         Instruction::new(Opcode::Unreachable, void, &[], &[]),

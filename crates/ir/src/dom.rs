@@ -175,7 +175,7 @@ mod tests {
         let cfg = Cfg::compute(&f);
         let dt = DomTree::compute(&f, &cfg);
         let entry = bs[0];
-        let insts: Vec<_> = f.block(entry).insts.clone();
+        let insts = f.block(entry).insts.to_vec();
         let placed = f.placement().unwrap();
         assert!(dt.dominates_inst(&placed, insts[0], insts[1]));
         assert!(!dt.dominates_inst(&placed, insts[1], insts[0]));

@@ -83,6 +83,10 @@ impl ValueId {
     /// Bits of the index; the two above them are the tag.
     const INDEX_BITS: u32 = 30;
 
+    /// An id no function makes: what a reader puts in an operand slot it
+    /// fills later.
+    pub(crate) const HOLE: ValueId = ValueId(u32::MAX);
+
     fn tagged(tag: u32, index: usize) -> Self {
         match u32::try_from(index) {
             Ok(i) if i >> Self::INDEX_BITS == 0 => ValueId(tag << Self::INDEX_BITS | i),

@@ -371,6 +371,27 @@ impl Predicate {
             Predicate::Float(p) => 16 + p.code(),
         }
     }
+
+    /// The predicate whose [`Predicate::code`] is `code` (one table
+    /// lookup, which cannot fail: a code no predicate has reads `eq`).
+    #[inline]
+    pub(crate) fn from_code(code: u32) -> Predicate {
+        const BY_CODE: [Predicate; 32] = {
+            let mut table = [Predicate::Int(IntPredicate::Eq); 32];
+            let mut i = 0;
+            while i < IntPredicate::ALL.len() {
+                table[i + 1] = Predicate::Int(IntPredicate::ALL[i].0);
+                i += 1;
+            }
+            let mut i = 0;
+            while i < FloatPredicate::ALL.len() {
+                table[i + 17] = Predicate::Float(FloatPredicate::ALL[i].0);
+                i += 1;
+            }
+            table
+        };
+        BY_CODE[(code & 31) as usize]
+    }
 }
 
 /// A single IR instruction, as [`crate::function::Function::inst`] reads

@@ -1152,8 +1152,10 @@ impl Stage<'_> {
 
     /// Builds the staged body into `f` in two phases (see module docs):
     /// phase A appends every instruction, block by block in label order,
-    /// and names its result; phase B resolves the operands, instruction by
-    /// instruction, adding a value for each constant. The order fixes every
+    /// with its targets and a hole for each operand, and names its result;
+    /// phase B resolves the operands into their holes, instruction by
+    /// instruction, adding a value for each constant. No list moves, so the
+    /// pools hold no dead cell. The order fixes every
     /// id the body gets, so it is the order of the builder this one
     /// replaced, which the reference in `parser::reference` keeps. Symbols
     /// resolve among `syms`'s.
@@ -1164,30 +1166,41 @@ impl Stage<'_> {
         syms: &Module,
     ) -> Result<(), ParseError> {
         let Stage { blocks, insts, operands, targets, labels, names } = self;
-        // Every operand that is not a local is a constant of its own.
+        // Every operand that is not a local is a constant of its own, and
+        // each list's side cells come ahead of its operands.
         let constants = operands.iter().filter(|o| !matches!(o, RawOperand::Local(_))).count();
-        f.reserve(blocks.len(), insts.len(), constants, operands.len(), targets.len());
+        let (mut cells, mut widest) = (operands.len(), 0);
+        let (mut operand, mut target) = (0, 0);
+        for s in insts.iter() {
+            let has_targets = s.targets_end > target;
+            cells += Function::side_cells(has_targets, s.pred.is_some(), s.aux_ty.is_some());
+            widest = widest.max(s.operands_end - operand);
+            (operand, target) = (s.operands_end, s.targets_end);
+        }
+        f.reserve(blocks.len(), insts.len(), constants, cells, targets.len());
         let first_block = f.block_arena_len();
         label_blocks(f, labels, blocks.iter().map(|&(label, line, _)| (label, line)))?;
         names.reset(f, insts.len());
 
-        // Phase A: append instructions with their targets but no operands
-        // yet, recording result names.
+        // Phase A: append instructions with their targets and a hole for
+        // each operand, recording result names.
+        let holes = vec![ValueId::HOLE; widest];
+        let mut to = Vec::new();
         let first_inst = f.num_insts();
-        let mut target = 0;
+        let (mut operand, mut target) = (0, 0);
         for (b, &(_, _, start)) in blocks.iter().enumerate() {
             let end = blocks.get(b + 1).map_or(insts.len(), |next| next.2);
             let bb = BlockId::from_index(first_block + b);
-            f.block_mut(bb).insts.reserve_exact(end - start);
             for s in &insts[start..end] {
-                let inst =
-                    Instruction { pred: s.pred, aux_ty: s.aux_ty, ..Instruction::new(s.op, s.ty, &[], &[]) };
-                let (id, result) = f.append_inst(bb, inst);
+                to.clear();
                 for label in &targets[target..s.targets_end] {
-                    let to = labels.get(label).copied();
-                    f.push_block(id, to.ok_or_else(|| err(s.line, format!("unknown label `{label}`")))?);
+                    let bb = labels.get(label).copied();
+                    to.push(bb.ok_or_else(|| err(s.line, format!("unknown label `{label}`")))?);
                 }
-                target = s.targets_end;
+                let ops = &holes[..s.operands_end - operand];
+                let inst = Instruction { pred: s.pred, aux_ty: s.aux_ty, ..Instruction::new(s.op, s.ty, ops, &to) };
+                let (_, result) = f.append_inst(bb, inst);
+                (operand, target) = (s.operands_end, s.targets_end);
                 match (result, s.result_name) {
                     (Some(v), Some(n)) => {
                         if !names.define(n, v) {
@@ -1204,11 +1217,11 @@ impl Stage<'_> {
             }
         }
         // Phase B: resolve operands, in the order phase A appended their
-        // instructions, each straight into the operand pool.
+        // instructions, each into its hole.
         let mut operand = 0;
         for (i, s) in insts.iter().enumerate() {
             let id = InstId::from_index(first_inst + i);
-            for &o in &operands[operand..s.operands_end] {
+            for (k, &o) in operands[operand..s.operands_end].iter().enumerate() {
                 let v = match o {
                     RawOperand::Local(n) => names
                         .get(n)
@@ -1218,7 +1231,7 @@ impl Stage<'_> {
                     RawOperand::Undef(ty) => f.undef(ty),
                     RawOperand::Sym(ty, name) => sym_ref(f, types, syms, s.line, ty, name)?,
                 };
-                f.push_operand(id, v);
+                f.operands_mut(id)[k] = v;
             }
             operand = s.operands_end;
         }

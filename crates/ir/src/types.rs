@@ -64,6 +64,19 @@ impl TypeId {
         self.index as usize
     }
 
+    /// The two words a function's id pool keeps this type as.
+    #[inline]
+    pub(crate) fn to_words(self) -> [u32; 2] {
+        [self.index, self.code.get()]
+    }
+
+    /// The type [`TypeId::to_words`] kept as `words` (whose code is never
+    /// zero; reading one cannot fail).
+    #[inline]
+    pub(crate) fn from_words([index, code]: [u32; 2]) -> TypeId {
+        TypeId { index, code: NonZeroU32::new(code).unwrap_or(NonZeroU32::MIN) }
+    }
+
     /// The type's structural code, used by the instruction encoding scheme:
     /// 3..=11 for the scalars [`TypeStore::new`] pre-interns (`void`, `i1`,
     /// `i8`, `i16`, `i32`, `i64`, `f32`, `f64`, `ptr`, in that order — the

@@ -881,8 +881,8 @@ mod tests {
     #[test]
     fn rejects_definition_moved_after_its_use() {
         let (x, errs) = edited(|f, x, [entry, next]| {
-            f.block_mut(entry).insts.retain(|&i| i != x);
-            f.block_mut(next).insts.insert(1, x);
+            f.unlink_inst(entry, x);
+            f.link_inst(next, 1, x);
         });
         refuses_use_of(x, &errs);
     }
@@ -890,7 +890,7 @@ mod tests {
     /// An instruction listed in two blocks is in no one place.
     #[test]
     fn rejects_instruction_listed_in_two_blocks() {
-        let (x, errs) = edited(|f, x, [_, next]| f.block_mut(next).insts.insert(0, x));
+        let (x, errs) = edited(|f, x, [_, next]| f.link_inst(next, 0, x));
         let malformed = matches!(&errs[..], [VerifyError::Malformed { inst, .. }] if *inst == x);
         assert!(malformed, "{errs:?}");
     }

@@ -97,14 +97,14 @@ fn apply(rng: &mut SmallRng, f: &mut Function, edit: Edit, types: &[TypeId]) -> 
         Edit::Move => {
             f.unlink_inst(bb, id);
             let (to, at) = place(rng, f);
-            f.block_mut(to).insts.insert(at, id);
+            f.link_inst(to, at, id);
         }
         Edit::ListTwice => {
             if f.result(id).is_none() {
                 return false;
             }
             let (to, at) = place(rng, f);
-            f.block_mut(to).insts.insert(at, id);
+            f.link_inst(to, at, id);
         }
         Edit::Repoint => {
             let n = f.inst(id).operands.len();

@@ -11,7 +11,7 @@ use f3m_ir::builder::FunctionBuilder;
 use f3m_ir::cfg::Cfg;
 use f3m_ir::dom::DomTree;
 use f3m_core::pass::{run_pass, PassConfig};
-use f3m_ir::ids::{InstId, ValueId};
+use f3m_ir::ids::{BlockId, InstId, ValueId};
 use f3m_ir::inst::{IntPredicate, Opcode};
 use f3m_ir::function::{Block, Function};
 use f3m_ir::module::Module;
@@ -237,8 +237,8 @@ fn assert_args_by_position(f: &Function) {
 
 #[test]
 fn blocks_are_their_lists_and_arguments_their_positions() {
-    // A block holds its instruction list and nothing else: no label.
-    assert_eq!(std::mem::size_of::<Block>(), std::mem::size_of::<Vec<InstId>>());
+    // A block is a borrowed view of its list and nothing else: no label.
+    assert_eq!(std::mem::size_of::<Block>(), std::mem::size_of::<&[InstId]>());
     for m in functions_of_every_kind() {
         m.functions().for_each(|(_, f)| assert_args_by_position(f));
     }
@@ -271,18 +271,20 @@ fn results_are_their_instructions() {
 }
 
 /// A parser writes each list once, straight into its pool: a parsed
-/// module's pools hold the lists of its instructions and no dead cell.
+/// module's pools hold the lists of its instructions and blocks and no
+/// dead cell, so a clone (which compacts) is no smaller.
 #[test]
 fn parsed_pools_hold_no_dead_cells() {
     for m in functions_of_every_kind() {
         let m = parse_module(&print_module(&m)).unwrap();
         for (_, f) in m.functions() {
-            let live: usize = (0..f.num_insts())
-                .map(|i| f.inst(InstId::from_index(i)))
-                .map(|inst| inst.operands.len() + inst.blocks.len())
-                .sum();
-            let (operands, targets) = f.pool_lens();
-            assert_eq!(operands + targets, live, "@{}", f.name);
+            let targets: usize =
+                (0..f.num_insts()).map(|i| f.inst(InstId::from_index(i)).blocks.len()).sum();
+            let insts: usize =
+                (0..f.block_arena_len()).map(|b| f.block(BlockId::from_index(b)).insts.len()).sum();
+            let [operands, ..] = f.live_cells();
+            assert_eq!(f.pool_lens(), [operands, targets, insts], "@{}", f.name);
+            assert_eq!(f.clone().pool_lens(), f.pool_lens(), "@{}", f.name);
         }
     }
 }

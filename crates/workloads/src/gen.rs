@@ -677,14 +677,12 @@ pub fn generate_function(
                 let j = ctx.mrng.gen_range(0..=i);
                 order.swap(i, j);
             }
-            let mut rebuilt = Vec::new();
+            let f = ctx.b.func_mut();
+            let mut rebuilt = f.block(run_block).insts[..run_start].to_vec();
             for &g in &order {
                 rebuilt.extend_from_slice(&slice[g]);
             }
-            let f = ctx.b.func_mut();
-            let insts = &mut f.block_mut(run_block).insts;
-            insts.truncate(run_start);
-            insts.extend(rebuilt);
+            f.set_block_insts(run_block, &rebuilt);
         }
         if ctx.emitted >= shape.target_insts {
             break;
@@ -810,7 +808,7 @@ fn emit_loop(ctx: &mut GenCtx<'_, '_>, shape: &ShapeParams) {
     // Patch the back-edge incomings.
     {
         let f = ctx.b.func_mut();
-        let hdr_insts: Vec<_> = f.block(header).insts.clone();
+        let hdr_insts = f.block(header).insts.to_vec();
         let counter_phi = hdr_insts[0];
         let acc_phi = hdr_insts[1];
         f.operands_mut(counter_phi)[1] = counter2;

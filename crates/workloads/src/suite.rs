@@ -117,7 +117,10 @@ pub fn mini_suite() -> Vec<WorkloadSpec> {
 /// function `@__driver(i64) -> i64` that exercises a sample of the
 /// generated functions (used by the interpreter-based experiments).
 pub fn build_module(spec: &WorkloadSpec) -> Module {
-    let mut m = Module::new(spec.name);
+    // A module name is a symbol prefix in a global merge and a corpus, so
+    // it takes `_` where the spec name has `-` (`linux-scale` is
+    // `linux_scale`); specs keep their names, which callers find them by.
+    let mut m = Module::new(spec.name.replace('-', "_"));
     let externals = declare_externals(&mut m);
     let mut rng = SmallRng::seed_from_u64(spec.seed);
 
